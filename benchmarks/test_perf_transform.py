@@ -69,7 +69,7 @@ def normalize(doc):
             t.name,
             t.jar,
             t.cls,
-            tuple(sorted(t.depends)),
+            tuple(t.depends),
             t.task_req.memory,
             t.task_req.runmodel,
             tuple((p.type, p.value) for p in t.params),

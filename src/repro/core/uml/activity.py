@@ -185,12 +185,16 @@ class ActivityGraph:
 
         This is the relation the CNX ``depends`` attribute encodes: the
         nearest preceding *action* states along incoming transitions,
-        treating fork/join/initial as transparent routing nodes."""
+        treating fork/join/initial as transparent routing nodes.  Names
+        come in transition order (depth first, each vertex's incoming
+        transitions in the order they were added, first occurrence
+        kept) -- the order ``xmi2cnx.xsl`` walks them in, so both
+        XMI->CNX paths emit the same ``depends`` text."""
         result: dict[str, list[str]] = {}
         for action in self.action_states():
             deps: list[str] = []
             seen: set[int] = set()
-            stack: list[StateVertex] = list(action.predecessors())
+            stack: list[StateVertex] = action.predecessors()[::-1]
             while stack:
                 vertex = stack.pop()
                 if id(vertex) in seen:
@@ -200,8 +204,8 @@ class ActivityGraph:
                     if vertex.name not in deps:
                         deps.append(vertex.name)
                     continue  # stop at the nearest action
-                stack.extend(vertex.predecessors())
-            result[action.name] = sorted(deps)
+                stack.extend(reversed(vertex.predecessors()))
+            result[action.name] = deps
         return result
 
     def topological_actions(self) -> list[ActionState]:

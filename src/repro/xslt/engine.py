@@ -23,15 +23,29 @@ Omissions (documented, not silently wrong): ``xsl:number``,
 ``document()``, namespace-alias, and extension elements.  The engine raises
 :class:`XsltError` on any unsupported instruction so stylesheets fail
 loudly rather than misbehave.
+
+Execution model: a :class:`Stylesheet` is *lowered* once (memoised on
+the sheet, at its first transform) into plain Python closures -- one per
+instruction, ``instr(transformer, context, output)``, with every body a
+tuple of them, every XPath expression and attribute value template
+already compiled, ``xsl:sort``/``xsl:with-param`` children collected,
+named templates resolved and template rules arranged in a dispatch
+table keyed by ``(mode, node kind, element name)`` in winning order.
+A :class:`Transformer` holds only the state of one run (``current()``,
+key tables, messages), so concurrent transforms share one lowered
+sheet.  Lowering never raises: a malformed or unsupported instruction
+becomes a closure that raises the same :class:`XsltError` (or XPath
+syntax error) the moment it is executed, and not before.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from .output import OutComment, OutElement, OutputBuilder, OutputSettings, serialize
 from .patterns import Pattern, compile_pattern
@@ -44,8 +58,18 @@ from .xpath.datamodel import (
     XText,
     build_document,
 )
-from .xpath.evaluator import Context, evaluate, evaluate_boolean, evaluate_nodeset, evaluate_string
-from .xpath.functions import CORE_FUNCTIONS, to_nodeset, to_number, to_string
+from .xpath.evaluator import Compiled, Context, XPathEvalError
+from .xpath.evaluator import compile as compile_xpath
+from .xpath.functions import (
+    CORE_FUNCTIONS,
+    XPathTypeError,
+    to_boolean,
+    to_nodeset,
+    to_number,
+    to_string,
+)
+from .xpath.lexer import XPathLexError
+from .xpath.parser import XPathSyntaxError
 
 XSL_NS = "http://www.w3.org/1999/XSL/Transform"
 _XSL = "{%s}" % XSL_NS
@@ -92,13 +116,6 @@ class TemplateRule:
     body: list
     order: int
     precedence: int = 0  # import precedence; importer > imported
-
-
-@dataclass
-class _Frame:
-    """One variable scope."""
-
-    bindings: dict[str, Any] = field(default_factory=dict)
 
 
 def _is_xsl(elem: ET.Element, local: str | None = None) -> bool:
@@ -178,6 +195,8 @@ class Stylesheet:
         self.preserve_space: set[str] = set()
         self.keys: dict[str, tuple[Pattern, str]] = {}
         self._order = 0
+        self._program: Optional[_Program] = None
+        self._lower_lock = threading.Lock()
 
     # -- construction ---------------------------------------------------------
     @classmethod
@@ -312,7 +331,18 @@ class Stylesheet:
                 None, name, mode, 0.0, params, body, self._order, precedence
             )
 
-    # -- rule lookup ------------------------------------------------------------
+    # -- lowering and rule lookup ---------------------------------------------
+    def lowered(self) -> "_Program":
+        """The executable form of this sheet, built on first use and
+        shared by every transform (and thread) after that."""
+        program = self._program
+        if program is None:
+            with self._lower_lock:
+                if self._program is None:
+                    self._program = _Lowering(self).program()
+                program = self._program
+        return program
+
     def find_rule(
         self,
         node: XNode,
@@ -323,20 +353,689 @@ class Stylesheet:
     ) -> Optional[TemplateRule]:
         """The winning rule for *node*; ``max_precedence`` restricts the
         search to strictly lower import precedence (xsl:apply-imports)."""
-        best: Optional[TemplateRule] = None
-        for rule in self.rules:
-            if rule.pattern is None or rule.mode != mode:
-                continue
+        template = self.lowered().match(node, mode, context, max_precedence)
+        return template.rule if template is not None else None
+
+
+# ---------------------------------------------------------------------------
+# Lowering: stylesheet -> closures
+# ---------------------------------------------------------------------------
+
+#: a lowered instruction or body
+Instruction = Callable[["Transformer", Context, OutputBuilder], None]
+#: a lowered xsl:variable / xsl:param / xsl:with-param value
+ValueFn = Callable[["Transformer", Context], Any]
+
+_UNSET = object()
+_NO_PARAMS: Mapping[str, Any] = {}
+
+
+class _Scope(dict):
+    """The variable bindings of one template invocation.  A miss falls
+    through to the invoking template's scope and finally to the globals,
+    so one dict per invocation replaces a chain of one per body."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, parent: Optional["_Scope"]) -> None:
+        self.parent = parent
+
+    def __missing__(self, name: str) -> Any:
+        if self.parent is None:
+            raise KeyError(name)
+        return self.parent[name]
+
+
+def _raiser(error: type[Exception], *args: Any) -> Callable[..., Any]:
+    """A closure standing in for something that cannot be lowered: it
+    raises when (and only when) the stylesheet reaches it."""
+
+    def fail(*_ignored: Any) -> Any:
+        raise error(*args)
+
+    return fail
+
+
+def _xpath(source: str) -> Compiled:
+    try:
+        return compile_xpath(source)
+    except (XPathLexError, XPathSyntaxError) as exc:
+        return _raiser(type(exc), *exc.args)
+
+
+def _avt(value: str) -> Compiled:
+    """An attribute value template as ``context -> str``."""
+    try:
+        chunks = _split_avt(value)
+    except XsltError as exc:
+        return _raiser(XsltError, *exc.args)
+    if not any(is_expr for is_expr, _ in chunks):
+        text = "".join(chunk for _, chunk in chunks)
+        return lambda ctx: text
+    parts = tuple(_xpath(chunk) if is_expr else chunk for is_expr, chunk in chunks)
+    if len(parts) == 1:
+        only = parts[0]
+        return lambda ctx: to_string(only(ctx))
+    return lambda ctx: "".join(
+        part if isinstance(part, str) else to_string(part(ctx)) for part in parts
+    )
+
+
+def _unit_context(ctx: Context) -> Context:
+    """*ctx* with position = size = 1, which is what variable values are
+    evaluated in."""
+    if ctx.position == 1 == ctx.size:
+        return ctx
+    return Context(ctx.node, 1, 1, ctx.variables, ctx.functions)
+
+
+def _no_op(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
+    pass
+
+
+def _element_children(node: XNode) -> list[XNode]:
+    return [c for c in node.children() if not isinstance(c, XComment)]
+
+
+def _clone_out(item):
+    if isinstance(item, OutElement):
+        return OutElement(
+            item.name,
+            dict(item.attributes),
+            [_clone_out(c) for c in item.children],
+        )
+    if isinstance(item, OutComment):
+        return OutComment(item.text)
+    return item
+
+
+def _deep_copy(node: XNode, out: OutputBuilder) -> None:
+    if isinstance(node, XElement):
+        out.start_element(node.name)
+        for attr in node.attributes():
+            out.add_attribute(attr.name, attr.value)
+        for child in node.children():
+            _deep_copy(child, out)
+        out.end_element()
+    elif isinstance(node, XText):
+        out.add_text(node.value)
+    elif isinstance(node, XAttribute):
+        out.add_attribute(node.name, node.value)
+    elif isinstance(node, XComment):
+        out.add_comment(node.value)
+    elif isinstance(node, XDocument):
+        for child in node.children():
+            _deep_copy(child, out)
+
+
+class _Template:
+    """One lowered template rule (or named template)."""
+
+    __slots__ = ("rule", "params", "body")
+
+    def __init__(self, rule: TemplateRule) -> None:
+        self.rule = rule
+        #: (name, default value); filled in by :class:`_Lowering`
+        self.params: tuple[tuple[Optional[str], ValueFn], ...] = ()
+        self.body: Instruction = _no_op
+
+
+#: the rules that can match one (mode, node kind, name): in winning
+#: order, and -- only if one of them has a predicate, which can raise --
+#: in stylesheet order as well
+_Bucket = tuple[tuple["_Template", ...], tuple["_Template", ...]]
+#: per mode: node kind -> (bucket by element/attribute name, bucket for
+#: any other name), plus the bucket for a node of any other kind
+_ModeTable = tuple[dict[str, tuple[dict[str, _Bucket], _Bucket]], _Bucket]
+
+
+class _Program:
+    """What lowering a :class:`Stylesheet` produces.  Immutable once
+    built; everything a run mutates lives on the :class:`Transformer`."""
+
+    __slots__ = ("dispatch", "named", "globals", "keys", "strips")
+
+    def __init__(self) -> None:
+        self.dispatch: dict[Optional[str], _ModeTable] = {}
+        self.named: dict[str, _Template] = {}
+        #: (name, is xsl:param, value) per top-level variable/param
+        self.globals: tuple[tuple[Optional[str], bool, ValueFn], ...] = ()
+        #: name -> (match pattern, lowered ``use`` expression)
+        self.keys: dict[str, tuple[Pattern, Compiled]] = {}
+        #: whether whitespace-only text under an element of that name goes
+        self.strips: Optional[Callable[[str], bool]] = None
+
+    def match(
+        self,
+        node: XNode,
+        mode: Optional[str],
+        context: Context,
+        max_precedence: Optional[int] = None,
+    ) -> Optional[_Template]:
+        """The winning template for *node*: the first one in its dispatch
+        bucket whose whole pattern matches.  A bucket in which a
+        predicate could raise is scanned whole and in stylesheet order
+        instead, so the error is the one a scan of every rule meets."""
+        table = self.dispatch.get(mode)
+        if table is None:
+            return None
+        by_kind, any_kind = table
+        kind = by_kind.get(node.node_type)
+        if kind is None:
+            best_first, in_order = any_kind
+        else:
+            best_first, in_order = kind[0].get(node.name, kind[1])
+        if in_order:
+            matched = [
+                template
+                for template in in_order
+                if (max_precedence is None or template.rule.precedence < max_precedence)
+                and template.rule.pattern.matches(node, context)  # type: ignore[union-attr]
+            ]
+            return next((t for t in best_first if t in matched), None)
+        for template in best_first:
+            rule = template.rule
             if max_precedence is not None and rule.precedence >= max_precedence:
                 continue
-            if not rule.pattern.matches(node, context):
+            pattern = rule.pattern.alternatives[0]  # type: ignore[union-attr]
+            if pattern.decided_by_key or pattern.matches(node, context):
+                return template
+        return None
+
+
+class _Lowering:
+    """Builds the :class:`_Program` of one stylesheet."""
+
+    def __init__(self, sheet: Stylesheet) -> None:
+        self.sheet = sheet
+        self.named = {name: _Template(rule) for name, rule in sheet.named.items()}
+
+    # -- the whole sheet ----------------------------------------------------
+    def program(self) -> _Program:
+        sheet = self.sheet
+        program = _Program()
+        program.named = self.named
+        matched = [_Template(rule) for rule in sheet.rules if rule.pattern is not None]
+        # union alternatives and the named copy of a template share one body
+        shared: dict[int, tuple[tuple, Instruction]] = {}
+        for template in (*matched, *self.named.values()):
+            rule = template.rule
+            lowered = shared.get(id(rule.body))
+            if lowered is None:
+                params = tuple(
+                    (elem.get("name") or None, self.value(elem)) for elem in rule.params
+                )
+                lowered = shared[id(rule.body)] = (params, self.body(rule.body, scoped=False))
+            template.params, template.body = lowered
+        program.dispatch = self.dispatch_tables(matched)
+        program.globals = tuple(
+            (elem.get("name") or None, _local(elem) == "param", self.value(elem))
+            for elem in sheet.globals
+        )
+        program.keys = {
+            name: (pattern, _xpath(use)) for name, (pattern, use) in sheet.keys.items()
+        }
+        if sheet.strip_space:
+            strip, preserve = frozenset(sheet.strip_space), frozenset(sheet.preserve_space)
+            every = "*" in strip
+            program.strips = lambda name: name not in preserve and (every or name in strip)
+        return program
+
+    @staticmethod
+    def dispatch_tables(templates: list[_Template]) -> dict[Optional[str], _ModeTable]:
+        """``find_rule`` precomputed: per mode, node kind and name, the
+        rules that can match such a node, best (precedence, priority,
+        document order) first."""
+
+        def ranked(candidates: list[_Template]) -> _Bucket:
+            # conflict resolution: the greatest of these wins
+            def rank(t: _Template) -> tuple[int, float, int]:
+                return (t.rule.precedence, t.rule.priority, t.rule.order)
+
+            best_first = tuple(sorted(candidates, key=rank, reverse=True))
+            if any(t.rule.pattern.alternatives[0].fallible for t in candidates):  # type: ignore[union-attr]
+                return best_first, tuple(sorted(candidates, key=lambda t: t.rule.order))
+            return best_first, ()
+
+        tables: dict[Optional[str], _ModeTable] = {}
+        for mode in {t.rule.mode for t in templates}:
+            any_kind: list[_Template] = []
+            any_name: dict[str, list[_Template]] = {}
+            named: dict[str, dict[str, list[_Template]]] = {}
+            for template in templates:
+                if template.rule.mode != mode:
+                    continue
+                kind, name = template.rule.pattern.alternatives[0].dispatch_key()  # type: ignore[union-attr]
+                if kind is None:
+                    any_kind.append(template)
+                elif name is None:
+                    any_name.setdefault(kind, []).append(template)
+                else:
+                    named.setdefault(kind, {}).setdefault(name, []).append(template)
+            by_kind = {}
+            for kind in {*any_name, *named}:
+                fallback = any_name.get(kind, []) + any_kind
+                by_kind[kind] = (
+                    {
+                        name: ranked(exact + fallback)
+                        for name, exact in named.get(kind, {}).items()
+                    },
+                    ranked(fallback),
+                )
+            tables[mode] = (by_kind, ranked(any_kind))
+        return tables
+
+    # -- bodies ---------------------------------------------------------------
+    def body(self, items: list, *, scoped: bool = True) -> Instruction:
+        """A template/instruction body as one closure.  Variables a
+        *scoped* body declares are unbound again when it ends (a
+        template's own body is not scoped: its scope dies with the
+        invocation)."""
+        instructions: list[Instruction] = []
+        declared: list[str] = []
+        for item in items:
+            if isinstance(item, str):
+                instructions.append(self.text(item))
                 continue
-            if best is None or (
-                (rule.precedence, rule.priority, rule.order)
-                > (best.precedence, best.priority, best.order)
-            ):
-                best = rule
-        return best
+            if _is_xsl(item, "param") and item.get("name") in declared:
+                continue  # a stray body-level param only defaults a name not yet bound here
+            instructions.append(self.instruction(item))
+            if (_is_xsl(item, "variable") or _is_xsl(item, "param")) and item.get("name"):
+                declared.append(item.get("name"))
+        if not instructions:
+            return _no_op
+        steps = tuple(instructions)
+        if not (scoped and declared):
+            if len(steps) == 1:
+                return steps[0]
+
+            def run(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
+                for step in steps:
+                    step(tr, ctx, out)
+
+            return run
+        names = tuple(dict.fromkeys(declared))
+
+        def run_scoped(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
+            scope = ctx.variables
+            outer = [scope.get(name, _UNSET) for name in names]  # type: ignore[union-attr]
+            for step in steps:
+                step(tr, ctx, out)
+            for name, value in zip(names, outer):
+                if value is _UNSET:
+                    scope.pop(name, None)  # type: ignore[union-attr]
+                else:
+                    scope[name] = value  # type: ignore[index]
+
+        return run_scoped
+
+    @staticmethod
+    def text(text: str) -> Instruction:
+        return lambda tr, ctx, out: out.add_text(text)
+
+    def instruction(self, elem: ET.Element) -> Instruction:
+        if not _is_xsl(elem):
+            return self.literal_element(elem)
+        name = _local(elem)
+        lower = getattr(self, "xsl_" + name.replace("-", "_"), None)
+        if lower is None:
+            return _raiser(XsltError, f"unsupported instruction xsl:{name}")
+        return lower(elem)
+
+    def value(self, elem: ET.Element) -> ValueFn:
+        """The value of an xsl:variable / xsl:param / xsl:with-param:
+        its ``select``, or its content as a result-tree fragment."""
+        select = elem.get("select")
+        if select is not None:
+            expr = _xpath(select)
+            return lambda tr, ctx: expr(_unit_context(ctx))
+        items = _body_items(elem)
+        if not items:
+            return lambda tr, ctx: ""
+        body = self.body(items)
+
+        def fragment(tr: "Transformer", ctx: Context) -> ResultTreeFragment:
+            sub = OutputBuilder()
+            previous = tr._current_node
+            tr._current_node = ctx.node
+            try:
+                body(tr, _unit_context(ctx), sub)
+            finally:
+                tr._current_node = previous
+            return ResultTreeFragment(sub.finish())
+
+        return fragment
+
+    def with_params(self, elem: ET.Element) -> Callable[["Transformer", Context], Mapping[str, Any]]:
+        pairs = tuple(
+            (child.get("name") or None, self.value(child))
+            for child in elem
+            if _is_xsl(child, "with-param")
+        )
+        if not pairs:
+            return lambda tr, ctx: _NO_PARAMS
+
+        def collect(tr: "Transformer", ctx: Context) -> dict[str, Any]:
+            params: dict[str, Any] = {}
+            for name, value in pairs:
+                if name is None:
+                    raise XsltError("xsl:with-param without name")
+                params[name] = value(tr, ctx)
+            return params
+
+        return collect
+
+    def sorter(
+        self, elem: ET.Element
+    ) -> Optional[Callable[["Transformer", Context, list], list]]:
+        sorts = [c for c in elem if _is_xsl(c, "sort")]
+        if not sorts:
+            return None
+        # least significant key first: list.sort is stable
+        keys = tuple(
+            (
+                _xpath(s.get("select", ".")),
+                s.get("data-type", "text") == "number",
+                s.get("order", "ascending") == "descending",
+            )
+            for s in reversed(sorts)
+        )
+
+        def sort_nodes(tr: "Transformer", ctx: Context, nodes: list) -> list:
+            ordered = list(nodes)
+            key_ctx = Context(ctx.node, 1, len(nodes), ctx.variables, ctx.functions)
+            previous = tr._current_node
+            try:
+                for select, numeric, descending in keys:
+
+                    def key_of(node: XNode, select=select, numeric=numeric) -> Any:
+                        # within a sort key, current() is the node being sorted
+                        tr._current_node = key_ctx.node = node
+                        raw = to_string(select(key_ctx))
+                        if numeric:
+                            value = to_number(raw)
+                            return (value != value, value)  # NaN sorts first
+                        return raw
+
+                    ordered.sort(key=key_of, reverse=descending)
+            finally:
+                tr._current_node = previous
+            return ordered
+
+        return sort_nodes
+
+    @staticmethod
+    def nodeset(select: str) -> Compiled:
+        """``select`` lowered for an instruction that needs a node-set."""
+        expr = _xpath(select)
+
+        def nodes(ctx: Context) -> list:
+            value = expr(ctx)
+            try:
+                return to_nodeset(value)
+            except XPathTypeError as exc:
+                raise XPathEvalError(f"{select} did not yield a node-set: {exc}") from exc
+
+        return nodes
+
+    # -- literal result elements ------------------------------------------------
+    def literal_element(self, elem: ET.Element) -> Instruction:
+        # Namespaced names outside the XSL namespace are emitted with
+        # their local name (we do not do namespace fixup).
+        tag = elem.tag.rpartition("}")[2]
+        attributes = tuple(
+            (key.rpartition("}")[2], _avt(value)) for key, value in elem.attrib.items()
+        )
+        body = self.body(_body_items(elem))
+
+        def literal(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
+            # the element is still empty, so attributes go straight in
+            into = out.start_element(tag).attributes
+            for key, value in attributes:
+                into[key] = value(ctx)
+            body(tr, ctx, out)
+            out.end_element()
+
+        return literal
+
+    # -- instructions -------------------------------------------------------------
+    def xsl_apply_templates(self, elem: ET.Element) -> Instruction:
+        select = elem.get("select")
+        selected = self.nodeset(select) if select is not None else None
+        mode = elem.get("mode")
+        sort_nodes = self.sorter(elem)
+        collect = self.with_params(elem)
+
+        def apply_templates(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
+            nodes = selected(ctx) if selected is not None else _element_children(ctx.node)
+            if sort_nodes is not None:
+                nodes = sort_nodes(tr, ctx, nodes)
+            tr._apply_templates(nodes, mode, collect(tr, ctx), ctx, out)
+
+        return apply_templates
+
+    def xsl_call_template(self, elem: ET.Element) -> Instruction:
+        name = elem.get("name")
+        template = self.named.get(name or "")
+        if template is None:
+            return _raiser(XsltError, f"no template named {name!r}")
+        collect = self.with_params(elem)
+
+        def call_template(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
+            tr._invoke(
+                template, ctx.node, ctx.position, ctx.size, collect(tr, ctx), ctx.variables, out
+            )
+
+        return call_template
+
+    def xsl_apply_imports(self, elem: ET.Element) -> Instruction:
+        def apply_imports(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
+            # re-match the current node against only the rules the current
+            # template's stylesheet imported (strictly lower precedence)
+            current = tr._current_rule
+            if current is None:
+                raise XsltError("xsl:apply-imports outside of a template")
+            template = tr._program.match(ctx.node, current.mode, ctx, current.precedence)
+            if template is None:
+                tr._builtin_rule(ctx.node, current.mode, ctx, out)
+            else:
+                tr._invoke(
+                    template, ctx.node, ctx.position, ctx.size, _NO_PARAMS, ctx.variables, out
+                )
+
+        return apply_imports
+
+    def xsl_value_of(self, elem: ET.Element) -> Instruction:
+        select = elem.get("select")
+        if select is None:
+            return _raiser(XsltError, "xsl:value-of requires select")
+        expr = _xpath(select)
+        return lambda tr, ctx, out: out.add_text(to_string(expr(ctx)))
+
+    def xsl_for_each(self, elem: ET.Element) -> Instruction:
+        select = elem.get("select")
+        if select is None:
+            return _raiser(XsltError, "xsl:for-each requires select")
+        selected = self.nodeset(select)
+        sort_nodes = self.sorter(elem)
+        body = self.body(
+            [
+                item
+                for item in _body_items(elem)
+                if not (isinstance(item, ET.Element) and _is_xsl(item, "sort"))
+            ]
+        )
+
+        def for_each(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
+            nodes = selected(ctx)
+            if sort_nodes is not None:
+                nodes = sort_nodes(tr, ctx, nodes)
+            total = len(nodes)
+            variables, functions = ctx.variables, ctx.functions
+            previous = tr._current_node
+            try:
+                for position, node in enumerate(nodes, start=1):
+                    tr._current_node = node
+                    body(tr, Context(node, position, total, variables, functions), out)
+            finally:
+                tr._current_node = previous
+
+        return for_each
+
+    def xsl_if(self, elem: ET.Element) -> Instruction:
+        test = elem.get("test")
+        if test is None:
+            return _raiser(XsltError, "xsl:if requires test")
+        condition = _xpath(test)
+        body = self.body(_body_items(elem))
+
+        def run_if(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
+            if to_boolean(condition(ctx)):
+                body(tr, ctx, out)
+
+        return run_if
+
+    def xsl_choose(self, elem: ET.Element) -> Instruction:
+        branches: list[tuple[Optional[Compiled], Instruction]] = []
+        for child in elem:
+            if _is_xsl(child, "when"):
+                test = child.get("test")
+                condition = (
+                    _xpath(test)
+                    if test is not None
+                    else _raiser(XsltError, "xsl:when requires test")
+                )
+                branches.append((condition, self.body(_body_items(child))))
+            elif _is_xsl(child, "otherwise"):
+                branches.append((None, self.body(_body_items(child))))
+                break  # nothing after xsl:otherwise is ever reached
+        arms = tuple(branches)
+
+        def choose(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
+            for condition, body in arms:
+                if condition is None or to_boolean(condition(ctx)):
+                    body(tr, ctx, out)
+                    return
+
+        return choose
+
+    def xsl_text(self, elem: ET.Element) -> Instruction:
+        return self.text(elem.text or "")
+
+    def xsl_element(self, elem: ET.Element) -> Instruction:
+        name = elem.get("name")
+        if not name:
+            return _raiser(XsltError, "xsl:element requires name")
+        name_of = _avt(name)
+        body = self.body(_body_items(elem))
+
+        def element(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
+            out.start_element(name_of(ctx))
+            body(tr, ctx, out)
+            out.end_element()
+
+        return element
+
+    def xsl_attribute(self, elem: ET.Element) -> Instruction:
+        name = elem.get("name")
+        if not name:
+            return _raiser(XsltError, "xsl:attribute requires name")
+        name_of = _avt(name)
+        body = self.body(_body_items(elem))
+
+        def attribute(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
+            sub = OutputBuilder()
+            body(tr, ctx, sub)
+            out.add_attribute(name_of(ctx), sub.string_value())
+
+        return attribute
+
+    def xsl_comment(self, elem: ET.Element) -> Instruction:
+        body = self.body(_body_items(elem))
+
+        def comment(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
+            sub = OutputBuilder()
+            body(tr, ctx, sub)
+            out.add_comment(sub.string_value())
+
+        return comment
+
+    def xsl_variable(self, elem: ET.Element) -> Instruction:
+        name = elem.get("name")
+        if not name:
+            return _raiser(XsltError, "xsl:variable requires name")
+        value = self.value(elem)
+
+        def variable(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
+            ctx.variables[name] = value(tr, ctx)  # type: ignore[index]
+
+        return variable
+
+    def xsl_param(self, elem: ET.Element) -> Instruction:
+        # Template params are hoisted into the invocation; a stray
+        # body-level param acts as a defaulted variable (see body()).
+        if not elem.get("name"):
+            return _raiser(XsltError, "xsl:param requires name")
+        return self.xsl_variable(elem)
+
+    def xsl_message(self, elem: ET.Element) -> Instruction:
+        body = self.body(_body_items(elem))
+        terminate = elem.get("terminate", "no") == "yes"
+
+        def message(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
+            sub = OutputBuilder()
+            body(tr, ctx, sub)
+            print(f"[xsl:message] {sub.string_value()}", file=tr.message_stream)
+            if terminate:
+                raise XsltError(f"terminated by xsl:message: {sub.string_value()}")
+
+        return message
+
+    def xsl_copy(self, elem: ET.Element) -> Instruction:
+        body = self.body(_body_items(elem))
+
+        def copy(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
+            node = ctx.node
+            if isinstance(node, XElement):
+                out.start_element(node.name)
+                body(tr, ctx, out)
+                out.end_element()
+            elif isinstance(node, XText):
+                out.add_text(node.string_value())
+            elif isinstance(node, XAttribute):
+                out.add_attribute(node.name, node.value)
+            elif isinstance(node, XComment):
+                out.add_comment(node.string_value())
+            else:  # document node: just process content
+                body(tr, ctx, out)
+
+        return copy
+
+    def xsl_copy_of(self, elem: ET.Element) -> Instruction:
+        select = elem.get("select")
+        if select is None:
+            return _raiser(XsltError, "xsl:copy-of requires select")
+        expr = _xpath(select)
+
+        def copy_of(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
+            value = expr(ctx)
+            if isinstance(value, ResultTreeFragment):
+                for item in value.top:
+                    out.add_tree(_clone_out(item))
+            elif isinstance(value, list):
+                for node in value:
+                    _deep_copy(node, out)
+            else:
+                out.add_text(to_string(value))
+
+        return copy_of
+
+    def _ignored(self, elem: ET.Element) -> Instruction:
+        return _no_op
+
+    xsl_sort = _ignored  # handled by the enclosing for-each / apply-templates
+    xsl_fallback = _ignored
+    xsl_processing_instruction = _ignored  # accepted for portability, not emitted
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +1043,10 @@ class Stylesheet:
 # ---------------------------------------------------------------------------
 
 class Transformer:
-    """Executes a :class:`Stylesheet` against a source document."""
+    """Executes a :class:`Stylesheet` against a source document.
+
+    Holds the state of one run; the lowered stylesheet it executes is
+    shared.  Not itself thread-safe: use one per thread."""
 
     def __init__(
         self,
@@ -358,9 +1060,10 @@ class Transformer:
         self.message_stream = message_stream if message_stream is not None else sys.stderr
         self._current_node: Optional[XNode] = None
         self._current_rule: Optional[TemplateRule] = None
-        self._id_cache: dict[int, str] = {}
         self._key_tables: dict[str, dict[str, list[XNode]]] = {}
         self._doc: Optional[XDocument] = None
+        self._program: Optional[_Program] = None
+        self._functions: dict[str, Any] = {}
 
     # -- public API ---------------------------------------------------------
     def transform(
@@ -380,47 +1083,25 @@ class Transformer:
         *,
         restore_prefixes: bool = False,
     ) -> list:
+        program = self._program = self.stylesheet.lowered()
+        if not self._functions:
+            self._functions = self._function_table()
         if isinstance(source, XDocument):
             doc = source
         else:
             doc = build_document(source, restore_prefixes=restore_prefixes)
-        self._apply_strip_space(doc)
+        if program.strips is not None:
+            _strip_space(doc, program.strips)
         self._doc = doc
         self._key_tables = {}
-        builder = OutputBuilder()
-        frames = [_Frame()]
-        self._bind_globals(doc, frames, dict(params or {}))
-        self._apply_templates([doc], None, {}, doc, frames, builder)
-        return builder.finish()
+        out = OutputBuilder()
+        scope = self._bind_globals(program, doc, dict(params or {}))
+        root = Context(doc, 1, 1, scope, self._functions)
+        self._apply_templates([doc], None, _NO_PARAMS, root, out)
+        return out.finish()
 
     # -- setup ----------------------------------------------------------------
-    def _apply_strip_space(self, doc: XDocument) -> None:
-        strip = self.stylesheet.strip_space
-        if not strip:
-            return
-        preserve = self.stylesheet.preserve_space
-
-        def should_strip(name: str) -> bool:
-            if name in preserve:
-                return False
-            return "*" in strip or name in strip
-
-        def walk(node: XNode) -> None:
-            if isinstance(node, XElement) and should_strip(node.name):
-                node._children[:] = [
-                    c
-                    for c in node._children
-                    if not (isinstance(c, XText) and not c.value.strip())
-                ]
-            for child in node.children():
-                walk(child)
-
-        walk(doc)
-
-    def _functions(self) -> dict[str, Any]:
-        cached = getattr(self, "_functions_cache", None)
-        if cached is not None:
-            return cached
+    def _function_table(self) -> dict[str, Any]:
         fns = dict(CORE_FUNCTIONS)
         fns.update(self.extra_functions)
         fns["current"] = lambda ctx: (
@@ -431,7 +1112,6 @@ class Transformer:
         fns["system-property"] = lambda ctx, name: ""
         fns["function-available"] = lambda ctx, name: to_string(name) in fns
         fns["element-available"] = lambda ctx, name: False
-        self._functions_cache = fns
         return fns
 
     def _key_table(self, name: str) -> dict[str, list[XNode]]:
@@ -442,26 +1122,24 @@ class Transformer:
         table = self._key_tables.get(name)
         if table is not None:
             return table
-        declaration = self.stylesheet.keys.get(name)
+        assert self._program is not None and self._doc is not None
+        declaration = self._program.keys.get(name)
         if declaration is None:
             raise XsltError(f"no xsl:key named {name!r}")
         pattern, use = declaration
         table = {}
-        assert self._doc is not None
-        probe_context = Context(self._doc, 1, 1, {}, self._functions())
+        probe = Context(self._doc, 1, 1, {}, self._functions)
+        at_node = Context(self._doc, 1, 1, {}, self._functions)
         for node in self._doc.descendants_list():
-            if node.node_type not in ("element",):
+            if node.node_type != "element" or not pattern.matches(node, probe):
                 continue
-            if not pattern.matches(node, probe_context):
-                continue
-            node_ctx = Context(node, 1, 1, {}, self._functions())
-            value = evaluate(use, node_ctx)
+            at_node.node = node
+            value = use(at_node)
             if isinstance(value, list):
-                strings = [v.string_value() for v in value]
+                for hit in value:
+                    table.setdefault(hit.string_value(), []).append(node)
             else:
-                strings = [to_string(value)]
-            for s in strings:
-                table.setdefault(s, []).append(node)
+                table.setdefault(to_string(value), []).append(node)
         self._key_tables[name] = table
         return table
 
@@ -487,46 +1165,25 @@ class Transformer:
             node = nodes[0]
         else:
             node = ctx.node
-        key = id(node)
-        if key not in self._id_cache:
-            self._id_cache[key] = f"id{node.doc_order}"
-        return self._id_cache[key]
-
-    def _context(self, node: XNode, position: int, size: int, frames: list[_Frame]) -> Context:
-        # innermost frame wins; ChainMap avoids copying every binding on
-        # every instruction (a hot path in template-dense stylesheets)
-        from collections import ChainMap
-
-        merged = ChainMap(*[frame.bindings for frame in reversed(frames)])
-        return Context(node, position, size, merged, self._functions())
+        return f"id{node.doc_order}"
 
     def _bind_globals(
-        self, doc: XDocument, frames: list[_Frame], params: dict[str, Any]
-    ) -> None:
-        for elem in self.stylesheet.globals:
-            name = elem.get("name")
-            if not name:
+        self, program: _Program, doc: XDocument, params: dict[str, Any]
+    ) -> _Scope:
+        scope = _Scope(None)
+        ctx = Context(doc, 1, 1, scope, self._functions)
+        for name, is_param, value in program.globals:
+            if name is None:
                 raise XsltError("top-level variable/param without name")
-            if _local(elem) == "param" and name in params:
-                frames[0].bindings[name] = params[name]
-                continue
-            frames[0].bindings[name] = self._variable_value(elem, doc, frames)
+            if is_param and name in params:
+                scope[name] = params[name]
+            else:
+                scope[name] = value(self, ctx)
         # externally supplied params that have no matching xsl:param are
         # still made visible (lenient, convenient for tooling)
         for key, value in params.items():
-            frames[0].bindings.setdefault(key, value)
-
-    # -- variable handling -------------------------------------------------------
-    def _variable_value(self, elem: ET.Element, node: XNode, frames: list[_Frame]) -> Any:
-        select = elem.get("select")
-        if select is not None:
-            return evaluate(select, self._context(node, 1, 1, frames))
-        body = _body_items(elem)
-        if not body:
-            return ""
-        sub = OutputBuilder()
-        self._execute_body(body, node, 1, 1, frames, sub)
-        return ResultTreeFragment(sub.finish())
+            scope.setdefault(key, value)
+        return scope
 
     # -- template application ------------------------------------------------------
     def _apply_templates(
@@ -534,388 +1191,67 @@ class Transformer:
         nodes: Sequence[XNode],
         mode: Optional[str],
         with_params: Mapping[str, Any],
-        doc_node: XNode,
-        frames: list[_Frame],
-        builder: OutputBuilder,
+        ctx: Context,
+        out: OutputBuilder,
     ) -> None:
+        """Apply the winning template (or the built-in rule) to each of
+        *nodes*; *ctx* is the caller's context, whose variables pattern
+        predicates and invoked templates can see."""
+        program = self._program
+        assert program is not None
         size = len(nodes)
         for position, node in enumerate(nodes, start=1):
-            context = self._context(node, position, size, frames)
-            rule = self.stylesheet.find_rule(node, mode, context)
-            if rule is None:
-                self._builtin_rule(node, mode, frames, builder)
-                continue
-            self._invoke(rule, node, position, size, with_params, frames, builder)
+            template = program.match(node, mode, ctx)
+            if template is None:
+                self._builtin_rule(node, mode, ctx, out)
+            else:
+                self._invoke(template, node, position, size, with_params, ctx.variables, out)
 
     def _builtin_rule(
-        self,
-        node: XNode,
-        mode: Optional[str],
-        frames: list[_Frame],
-        builder: OutputBuilder,
+        self, node: XNode, mode: Optional[str], ctx: Context, out: OutputBuilder
     ) -> None:
         if isinstance(node, (XDocument, XElement)):
-            children = [c for c in node.children() if not isinstance(c, XComment)]
-            self._apply_templates(children, mode, {}, node, frames, builder)
+            self._apply_templates(_element_children(node), mode, _NO_PARAMS, ctx, out)
         elif isinstance(node, (XText, XAttribute)):
-            builder.add_text(node.string_value())
+            out.add_text(node.string_value())
         # comments and PIs: no output
 
     def _invoke(
         self,
-        rule: TemplateRule,
+        template: _Template,
         node: XNode,
         position: int,
         size: int,
         with_params: Mapping[str, Any],
-        frames: list[_Frame],
-        builder: OutputBuilder,
+        caller_scope: Mapping[str, Any],
+        out: OutputBuilder,
     ) -> None:
-        frame = _Frame()
-        for param_elem in rule.params:
-            pname = param_elem.get("name")
-            if not pname:
+        scope = _Scope(caller_scope)  # type: ignore[arg-type]
+        ctx = Context(node, position, size, scope, self._functions)
+        for name, default in template.params:
+            if name is None:
                 raise XsltError("xsl:param without name")
-            if pname in with_params:
-                frame.bindings[pname] = with_params[pname]
-            else:
-                frame.bindings[pname] = self._variable_value(
-                    param_elem, node, frames + [frame]
-                )
-        previous_rule = self._current_rule
-        self._current_rule = rule
+            scope[name] = with_params[name] if name in with_params else default(self, ctx)
+        previous = self._current_rule, self._current_node
+        self._current_rule, self._current_node = template.rule, node
         try:
-            self._execute_body(
-                rule.body, node, position, size, frames + [frame], builder
-            )
+            template.body(self, ctx, out)
         finally:
-            self._current_rule = previous_rule
-
-    # -- instruction execution -----------------------------------------------------
-    def _execute_body(
-        self,
-        body: list,
-        node: XNode,
-        position: int,
-        size: int,
-        frames: list[_Frame],
-        builder: OutputBuilder,
-    ) -> None:
-        # local variables accumulate in their own frame so later siblings
-        # see earlier bindings but the scope ends with the body
-        local = _Frame()
-        frames = frames + [local]
-        for item in body:
-            if isinstance(item, str):
-                builder.add_text(item)
-                continue
-            self._execute_instruction(item, node, position, size, frames, local, builder)
-
-    def _execute_instruction(
-        self,
-        elem: ET.Element,
-        node: XNode,
-        position: int,
-        size: int,
-        frames: list[_Frame],
-        local: _Frame,
-        builder: OutputBuilder,
-    ) -> None:
-        prev_current = self._current_node
-        self._current_node = node
-        try:
-            if not _is_xsl(elem):
-                self._literal_element(elem, node, position, size, frames, builder)
-                return
-            name = _local(elem)
-            handler = getattr(self, f"_i_{name.replace('-', '_')}", None)
-            if handler is None:
-                raise XsltError(f"unsupported instruction xsl:{name}")
-            handler(elem, node, position, size, frames, local, builder)
-        finally:
-            self._current_node = prev_current
-
-    def _avt(self, value: str, node: XNode, position: int, size: int, frames: list[_Frame]) -> str:
-        chunks = _split_avt(value)
-        out: list[str] = []
-        for is_expr, text in chunks:
-            if is_expr:
-                out.append(
-                    evaluate_string(text, self._context(node, position, size, frames))
-                )
-            else:
-                out.append(text)
-        return "".join(out)
-
-    def _literal_element(
-        self,
-        elem: ET.Element,
-        node: XNode,
-        position: int,
-        size: int,
-        frames: list[_Frame],
-        builder: OutputBuilder,
-    ) -> None:
-        tag = elem.tag
-        if tag.startswith("{"):
-            # Namespaced literal element outside the XSL namespace: emit
-            # with its local name (we do not do namespace fixup).
-            tag = tag.rpartition("}")[2]
-        builder.start_element(tag)
-        for key, value in elem.attrib.items():
-            if key.startswith("{"):
-                key = key.rpartition("}")[2]
-            builder.add_attribute(key, self._avt(value, node, position, size, frames))
-        self._execute_body(_body_items(elem), node, position, size, frames, builder)
-        builder.end_element()
-
-    # -- individual instructions ---------------------------------------------------
-    def _i_apply_templates(self, elem, node, position, size, frames, local, builder):
-        select = elem.get("select")
-        mode = elem.get("mode")
-        context = self._context(node, position, size, frames)
-        if select is not None:
-            nodes = evaluate_nodeset(select, context)
-        else:
-            nodes = [c for c in node.children() if not isinstance(c, XComment)]
-        nodes = self._sorted(elem, nodes, frames)
-        params = self._collect_with_params(elem, node, position, size, frames)
-        self._apply_templates(nodes, mode, params, node, frames, builder)
-
-    def _i_call_template(self, elem, node, position, size, frames, local, builder):
-        name = elem.get("name")
-        rule = self.stylesheet.named.get(name or "")
-        if rule is None:
-            raise XsltError(f"no template named {name!r}")
-        params = self._collect_with_params(elem, node, position, size, frames)
-        self._invoke(rule, node, position, size, params, frames, builder)
-
-    def _collect_with_params(self, elem, node, position, size, frames) -> dict[str, Any]:
-        params: dict[str, Any] = {}
-        for child in elem:
-            if isinstance(child.tag, str) and child.tag == _XSL + "with-param":
-                pname = child.get("name")
-                if not pname:
-                    raise XsltError("xsl:with-param without name")
-                params[pname] = self._variable_value(child, node, frames)
-        return params
-
-    def _i_value_of(self, elem, node, position, size, frames, local, builder):
-        select = elem.get("select")
-        if select is None:
-            raise XsltError("xsl:value-of requires select")
-        context = self._context(node, position, size, frames)
-        builder.add_text(evaluate_string(select, context))
-
-    def _i_for_each(self, elem, node, position, size, frames, local, builder):
-        select = elem.get("select")
-        if select is None:
-            raise XsltError("xsl:for-each requires select")
-        context = self._context(node, position, size, frames)
-        nodes = evaluate_nodeset(select, context)
-        nodes = self._sorted(elem, nodes, frames)
-        body = [
-            item
-            for item in _body_items(elem)
-            if not (isinstance(item, ET.Element) and _is_xsl(item, "sort"))
-        ]
-        total = len(nodes)
-        for idx, child_node in enumerate(nodes, start=1):
-            self._execute_body(body, child_node, idx, total, frames, builder)
-
-    def _sorted(self, elem: ET.Element, nodes: list[XNode], frames: list[_Frame]) -> list[XNode]:
-        sorts = [
-            c
-            for c in elem
-            if isinstance(c.tag, str) and c.tag == _XSL + "sort"
-        ]
-        if not sorts:
-            return nodes
-        decorated = list(nodes)
-        size = len(nodes)
-        for sort_elem in reversed(sorts):
-            select = sort_elem.get("select", ".")
-            data_type = sort_elem.get("data-type", "text")
-            descending = sort_elem.get("order", "ascending") == "descending"
-
-            def key_of(n: XNode, _sel=select, _dt=data_type) -> Any:
-                # within a sort key, current() is the node being sorted
-                prev_current = self._current_node
-                self._current_node = n
-                try:
-                    ctx = self._context(n, 1, size, frames)
-                    raw = evaluate_string(_sel, ctx)
-                finally:
-                    self._current_node = prev_current
-                if _dt == "number":
-                    value = to_number(raw)
-                    return (value != value, value)  # NaN sorts first
-                return raw
-
-            decorated.sort(key=key_of, reverse=descending)
-        return decorated
-
-    def _i_if(self, elem, node, position, size, frames, local, builder):
-        test = elem.get("test")
-        if test is None:
-            raise XsltError("xsl:if requires test")
-        context = self._context(node, position, size, frames)
-        if evaluate_boolean(test, context):
-            self._execute_body(_body_items(elem), node, position, size, frames, builder)
-
-    def _i_choose(self, elem, node, position, size, frames, local, builder):
-        for child in elem:
-            if not isinstance(child.tag, str):
-                continue
-            if child.tag == _XSL + "when":
-                test = child.get("test")
-                if test is None:
-                    raise XsltError("xsl:when requires test")
-                context = self._context(node, position, size, frames)
-                if evaluate_boolean(test, context):
-                    self._execute_body(
-                        _body_items(child), node, position, size, frames, builder
-                    )
-                    return
-            elif child.tag == _XSL + "otherwise":
-                self._execute_body(
-                    _body_items(child), node, position, size, frames, builder
-                )
-                return
-
-    def _i_text(self, elem, node, position, size, frames, local, builder):
-        builder.add_text(elem.text or "")
-
-    def _i_element(self, elem, node, position, size, frames, local, builder):
-        name = elem.get("name")
-        if not name:
-            raise XsltError("xsl:element requires name")
-        builder.start_element(self._avt(name, node, position, size, frames))
-        self._execute_body(_body_items(elem), node, position, size, frames, builder)
-        builder.end_element()
-
-    def _i_attribute(self, elem, node, position, size, frames, local, builder):
-        name = elem.get("name")
-        if not name:
-            raise XsltError("xsl:attribute requires name")
-        sub = OutputBuilder()
-        self._execute_body(_body_items(elem), node, position, size, frames, sub)
-        builder.add_attribute(
-            self._avt(name, node, position, size, frames), sub.string_value()
-        )
-
-    def _i_comment(self, elem, node, position, size, frames, local, builder):
-        sub = OutputBuilder()
-        self._execute_body(_body_items(elem), node, position, size, frames, sub)
-        builder.add_comment(sub.string_value())
-
-    def _i_variable(self, elem, node, position, size, frames, local, builder):
-        name = elem.get("name")
-        if not name:
-            raise XsltError("xsl:variable requires name")
-        local.bindings[name] = self._variable_value(elem, node, frames)
-
-    def _i_param(self, elem, node, position, size, frames, local, builder):
-        # Params are normally hoisted by _invoke; a stray body-level param
-        # acts as a defaulted variable.
-        name = elem.get("name")
-        if not name:
-            raise XsltError("xsl:param requires name")
-        if name not in local.bindings:
-            local.bindings[name] = self._variable_value(elem, node, frames)
-
-    def _i_message(self, elem, node, position, size, frames, local, builder):
-        sub = OutputBuilder()
-        self._execute_body(_body_items(elem), node, position, size, frames, sub)
-        print(f"[xsl:message] {sub.string_value()}", file=self.message_stream)
-        if elem.get("terminate", "no") == "yes":
-            raise XsltError(f"terminated by xsl:message: {sub.string_value()}")
-
-    def _i_copy(self, elem, node, position, size, frames, local, builder):
-        if isinstance(node, XElement):
-            builder.start_element(node.name)
-            self._execute_body(_body_items(elem), node, position, size, frames, builder)
-            builder.end_element()
-        elif isinstance(node, (XText,)):
-            builder.add_text(node.string_value())
-        elif isinstance(node, XAttribute):
-            builder.add_attribute(node.name, node.value)
-        elif isinstance(node, XComment):
-            builder.add_comment(node.string_value())
-        else:  # document node: just process content
-            self._execute_body(_body_items(elem), node, position, size, frames, builder)
-
-    def _i_copy_of(self, elem, node, position, size, frames, local, builder):
-        select = elem.get("select")
-        if select is None:
-            raise XsltError("xsl:copy-of requires select")
-        context = self._context(node, position, size, frames)
-        value = evaluate(select, context)
-        if isinstance(value, ResultTreeFragment):
-            for item in value.top:
-                builder.add_tree(_clone_out(item))
-            return
-        if isinstance(value, list):
-            for n in value:
-                self._deep_copy(n, builder)
-            return
-        builder.add_text(to_string(value))
-
-    def _deep_copy(self, node: XNode, builder: OutputBuilder) -> None:
-        if isinstance(node, XElement):
-            builder.start_element(node.name)
-            for attr in node.attributes():
-                builder.add_attribute(attr.name, attr.value)
-            for child in node.children():
-                self._deep_copy(child, builder)
-            builder.end_element()
-        elif isinstance(node, XText):
-            builder.add_text(node.value)
-        elif isinstance(node, XAttribute):
-            builder.add_attribute(node.name, node.value)
-        elif isinstance(node, XComment):
-            builder.add_comment(node.value)
-        elif isinstance(node, XDocument):
-            for child in node.children():
-                self._deep_copy(child, builder)
-
-    def _i_apply_imports(self, elem, node, position, size, frames, local, builder):
-        """Re-match the current node against only the rules the current
-        template's stylesheet imported (strictly lower precedence)."""
-        current = self._current_rule
-        if current is None:
-            raise XsltError("xsl:apply-imports outside of a template")
-        context = self._context(node, position, size, frames)
-        rule = self.stylesheet.find_rule(
-            node, current.mode, context, max_precedence=current.precedence
-        )
-        if rule is None:
-            self._builtin_rule(node, current.mode, frames, builder)
-            return
-        self._invoke(rule, node, position, size, {}, frames, builder)
-
-    def _i_sort(self, elem, node, position, size, frames, local, builder):
-        # handled by the enclosing for-each / apply-templates
-        pass
-
-    def _i_fallback(self, elem, node, position, size, frames, local, builder):
-        pass
-
-    def _i_processing_instruction(self, elem, node, position, size, frames, local, builder):
-        # we do not emit PIs; accept and ignore for portability
-        pass
+            self._current_rule, self._current_node = previous
 
 
-def _clone_out(item):
-    if isinstance(item, OutElement):
-        return OutElement(
-            item.name,
-            dict(item.attributes),
-            [_clone_out(c) for c in item.children],
-        )
-    if isinstance(item, OutComment):
-        return OutComment(item.text)
-    return item
+def _strip_space(doc: XDocument, strips: Callable[[str], bool]) -> None:
+    """Drop whitespace-only text children of the elements *strips* names
+    (xsl:strip-space), before anything caches a view of the tree."""
+    pending: list[XNode] = [doc]
+    while pending:
+        node = pending.pop()
+        children = node.children()
+        if isinstance(node, XElement) and strips(node.name):
+            children[:] = [
+                c for c in children if not (isinstance(c, XText) and not c.value.strip())
+            ]
+        pending.extend(children)
 
 
 def transform_file(

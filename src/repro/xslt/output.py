@@ -61,21 +61,28 @@ class OutputBuilder:
     def __init__(self) -> None:
         self.top: list[Union[OutElement, OutComment, str]] = []
         self._stack: list[OutElement] = []
+        #: where the next node goes: the innermost open element's
+        #: children, or ``top``
+        self._sink: list = self.top
+        #: per open element: does it have a child other than
+        #: whitespace-only text yet (after which attributes are refused)
+        self._has_content: list[bool] = []
 
     # -- construction -------------------------------------------------------
-    def _sink(self) -> list:
-        return self._stack[-1].children if self._stack else self.top
-
     def start_element(self, name: str) -> OutElement:
         elem = OutElement(name)
-        self._sink().append(elem)
+        self._append(elem)
         self._stack.append(elem)
+        self._has_content.append(False)
+        self._sink = elem.children
         return elem
 
     def end_element(self) -> None:
         if not self._stack:
             raise OutputError("end_element with no open element")
         self._stack.pop()
+        self._has_content.pop()
+        self._sink = self._stack[-1].children if self._stack else self.top
 
     def add_attribute(self, name: str, value: str) -> None:
         if not self._stack:
@@ -83,7 +90,7 @@ class OutputBuilder:
                 f"xsl:attribute {name!r} outside of any element"
             )
         owner = self._stack[-1]
-        if any(not isinstance(c, str) or c.strip() for c in owner.children):
+        if self._has_content[-1]:
             raise OutputError(
                 f"attribute {name!r} added after children of <{owner.name}>"
             )
@@ -91,13 +98,23 @@ class OutputBuilder:
 
     def add_text(self, text: str) -> None:
         if text:
-            self._sink().append(text)
+            self._sink.append(text)
+            if self._has_content and not self._has_content[-1] and text.strip():
+                self._has_content[-1] = True
+
+    def _append(self, node: Union[OutElement, OutComment]) -> None:
+        self._sink.append(node)
+        if self._has_content:
+            self._has_content[-1] = True
 
     def add_comment(self, text: str) -> None:
-        self._sink().append(OutComment(text))
+        self._append(OutComment(text))
 
     def add_tree(self, node: Union[OutElement, OutComment, str]) -> None:
-        self._sink().append(node)
+        if isinstance(node, str):
+            self.add_text(node)
+        else:
+            self._append(node)
 
     # -- results ------------------------------------------------------------
     def finish(self) -> list:

@@ -19,12 +19,11 @@ definition of pattern predicate context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from .xpath.ast import Expr, LocationPath, NameTest, NodeTypeTest, Step
+from .xpath.ast import Expr, LocationPath, NameTest, NodeTypeTest, Step, UnionExpr
 from .xpath.datamodel import XNode
-from .xpath.evaluator import Context, _eval, node_test_matches  # noqa: F401
+from .xpath.evaluator import Context, _node_test, compile, is_descendant_skip
 from .xpath.functions import to_boolean
 from .xpath.parser import parse
 
@@ -35,13 +34,66 @@ class PatternError(ValueError):
     """Raised when an expression is not a legal XSLT match pattern."""
 
 
-_ANCESTOR_SKIP = Step("descendant-or-self", NodeTypeTest("node"))
+def _lower_step_match(step: Step) -> Callable[[XNode, Context], bool]:
+    """One pattern step as ``(node, context) -> bool``: the node test is
+    resolved here, the predicates are compiled here, and matching only
+    does what depends on the node."""
+    test = _node_test(step.node_test, step.axis)
+    if not step.predicates:
+        return lambda node, context: test(node)
+    predicates = tuple(compile(pred) for pred in step.predicates)
+    on_attributes = step.axis == "attribute"
+
+    def match(node: XNode, context: Context) -> bool:
+        if not test(node):
+            return False
+        # Candidate set = like siblings along the child/attribute axis.
+        if on_attributes:
+            siblings = node.parent.attributes() if node.parent else [node]
+        else:
+            siblings = node.parent.children() if node.parent else [node]
+        candidates = [s for s in siblings if test(s)]
+        try:
+            position = candidates.index(node) + 1
+        except ValueError:  # pragma: no cover - defensive
+            return False
+        sub = Context(node, position, len(candidates), context.variables, context.functions)
+        for predicate in predicates:
+            value = predicate(sub)
+            if isinstance(value, float):
+                if value != position:
+                    return False
+            elif not to_boolean(value):
+                return False
+        return True
+
+    return match
 
 
-@dataclass(frozen=True)
 class _PathPattern:
-    absolute: bool
-    steps: tuple[Step, ...]
+    """One location path pattern, lowered at construction."""
+
+    def __init__(self, absolute: bool, steps: tuple[Step, ...]) -> None:
+        self.absolute = absolute
+        self.steps = steps
+        # None marks a '//' separator
+        self._step_matches = tuple(
+            None if is_descendant_skip(step) else _lower_step_match(step)
+            for step in steps
+        )
+        #: whether matching can raise: only a predicate can
+        self.fallible = any(step.predicates for step in steps)
+        #: whether every node with :meth:`dispatch_key` matches (a bare
+        #: ``/``, or one predicate-free step that is not ``prefix:*``)
+        self.decided_by_key = (absolute and not steps) or (
+            not absolute
+            and len(steps) == 1
+            and not steps[0].predicates
+            and not (
+                isinstance(steps[0].node_test, NameTest)
+                and steps[0].node_test.prefix_wildcard is not None
+            )
+        )
 
     def default_priority(self) -> float:
         """Default priority per XSLT 1.0 section 5.5."""
@@ -64,6 +116,20 @@ class _PathPattern:
             return 0.0
         return -0.5
 
+    def dispatch_key(self) -> tuple[Optional[str], Optional[str]]:
+        """``(node kind, name)`` shared by every node this pattern can
+        match; None in either place means "any"."""
+        if not self.steps:
+            return ("document", None)
+        step = self.steps[-1]
+        test = step.node_test
+        if isinstance(test, NodeTypeTest):
+            return (None, None) if test.node_type == "node" else (test.node_type, None)
+        kind = "attribute" if step.axis == "attribute" else "element"
+        if test.is_wildcard or test.prefix_wildcard is not None:
+            return (kind, None)
+        return (kind, test.name)
+
     def matches(self, node: XNode, context: Context) -> bool:
         if not self.steps:
             # match="/"
@@ -71,13 +137,8 @@ class _PathPattern:
         return self._match_steps(node, len(self.steps) - 1, context)
 
     def _match_steps(self, node: XNode, index: int, context: Context) -> bool:
-        step = self.steps[index]
-        if step is _ANCESTOR_SKIP or (
-            step.axis == "descendant-or-self"
-            and isinstance(step.node_test, NodeTypeTest)
-            and step.node_test.node_type == "node"
-            and not step.predicates
-        ):
+        step_match = self._step_matches[index]
+        if step_match is None:
             # '//' separator: some ancestor-or-self must match the rest.
             probe: Optional[XNode] = node
             while probe is not None:
@@ -88,7 +149,7 @@ class _PathPattern:
                     return True
                 probe = probe.parent
             return False
-        if not self._match_one(step, node, context):
+        if not step_match(node, context):
             return False
         if index == 0:
             if self.absolute:
@@ -98,34 +159,6 @@ class _PathPattern:
         if parent is None:
             return False
         return self._match_steps(parent, index - 1, context)
-
-    def _match_one(self, step: Step, node: XNode, context: Context) -> bool:
-        if not node_test_matches(step.node_test, node, step.axis):
-            return False
-        if not step.predicates:
-            return True
-        # Candidate set = like siblings along the child/attribute axis.
-        if step.axis == "attribute":
-            siblings = list(node.parent.attributes()) if node.parent else [node]
-        else:
-            siblings = node.parent.children() if node.parent else [node]
-        candidates = [
-            s for s in siblings if node_test_matches(step.node_test, s, step.axis)
-        ]
-        try:
-            position = candidates.index(node) + 1
-        except ValueError:  # pragma: no cover - defensive
-            return False
-        size = len(candidates)
-        for pred in step.predicates:
-            sub = context.with_node(node, position, size)
-            value = _eval(pred, sub)
-            if isinstance(value, float) and not isinstance(value, bool):
-                if value != position:
-                    return False
-            elif not to_boolean(value):
-                return False
-        return True
 
 
 class Pattern:
@@ -169,8 +202,6 @@ def _check_path(expr: Expr, source: str) -> _PathPattern:
 def compile_pattern(source: str) -> Pattern:
     """Compile a match pattern string."""
     tree = parse(source)
-    from .xpath.ast import UnionExpr
-
     if isinstance(tree, UnionExpr):
         alts = tuple(_check_path(p, source) for p in tree.parts)
     else:

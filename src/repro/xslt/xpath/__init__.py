@@ -7,6 +7,9 @@ standalone).  Typical use::
 
     doc = build_document("<a><b x='1'/><b x='2'/></a>")
     nodes = evaluate("//b[@x='2']", Context(doc))
+
+``compile(expr)`` returns the closure ``evaluate`` runs, for callers
+that evaluate one expression in many contexts.
 """
 
 from .datamodel import (
@@ -21,6 +24,7 @@ from .datamodel import (
 from .evaluator import (
     Context,
     XPathEvalError,
+    compile,
     evaluate,
     evaluate_boolean,
     evaluate_nodeset,
@@ -41,6 +45,7 @@ __all__ = [
     "XComment",
     "build_document",
     "Context",
+    "compile",
     "evaluate",
     "evaluate_nodeset",
     "evaluate_string",

@@ -33,25 +33,25 @@ __all__ = [
 _DOT_PREFIX_KINDS = ("element",)
 
 
+_NO_ATTRIBUTES: dict = {}
+
+
 class XNode:
     """Base class for all XPath nodes."""
 
-    __slots__ = ("parent", "doc_order", "_desc_cache", "_name_index_cache")
+    __slots__ = ("parent", "name", "doc_order", "_desc_cache", "_name_index_cache")
 
     node_type = "node"
 
-    def __init__(self, parent: Optional["XNode"]) -> None:
+    def __init__(self, parent: Optional["XNode"], name: str = "") -> None:
         self.parent = parent
+        #: the node's expanded name; '' for unnamed kinds
+        self.name = name
         self.doc_order = -1  # assigned by build_document
         self._desc_cache: Optional[list["XNode"]] = None
         self._name_index_cache: Optional[dict] = None
 
     # -- accessors overridden per kind ------------------------------------
-    @property
-    def name(self) -> str:
-        """The node's expanded name; '' for unnamed kinds."""
-        return ""
-
     def string_value(self) -> str:
         raise NotImplementedError
 
@@ -60,6 +60,10 @@ class XNode:
 
     def attributes(self) -> list["XAttribute"]:
         return []
+
+    def attribute(self, attr_name: str) -> Optional["XAttribute"]:
+        """The attribute node named *attr_name* (elements only)."""
+        return None
 
     # -- tree walking ------------------------------------------------------
     def root(self) -> "XNode":
@@ -124,32 +128,31 @@ class XDocument(XNode):
 
 
 class XElement(XNode):
-    __slots__ = ("_name", "_children", "_attributes", "etree")
+    __slots__ = ("_children", "_attr_map", "etree")
 
     node_type = "element"
 
     def __init__(self, parent: Optional[XNode], name: str, etree: Optional[ET.Element] = None) -> None:
-        super().__init__(parent)
-        self._name = name
+        super().__init__(parent, name)
         self._children: list[XNode] = []
-        self._attributes: list[XAttribute] = []
+        #: attribute nodes by name, in document order; elements without
+        #: attributes share one empty map
+        self._attr_map: dict[str, XAttribute] = _NO_ATTRIBUTES
         self.etree = etree
-
-    @property
-    def name(self) -> str:
-        return self._name
 
     def children(self) -> list[XNode]:
         return self._children
 
     def attributes(self) -> list["XAttribute"]:
-        return self._attributes
+        return list(self._attr_map.values())
+
+    def attribute(self, attr_name: str) -> Optional["XAttribute"]:
+        """The attribute node named *attr_name*, by dict lookup."""
+        return self._attr_map.get(attr_name)
 
     def get(self, attr_name: str) -> Optional[str]:
-        for attr in self._attributes:
-            if attr.name == attr_name:
-                return attr.value
-        return None
+        attr = self._attr_map.get(attr_name)
+        return attr.value if attr is not None else None
 
     def string_value(self) -> str:
         parts: list[str] = []
@@ -160,18 +163,13 @@ class XElement(XNode):
 
 
 class XAttribute(XNode):
-    __slots__ = ("_name", "value")
+    __slots__ = ("value",)
 
     node_type = "attribute"
 
     def __init__(self, parent: XNode, name: str, value: str) -> None:
-        super().__init__(parent)
-        self._name = name
+        super().__init__(parent, name)
         self.value = value
-
-    @property
-    def name(self) -> str:
-        return self._name
 
     def string_value(self) -> str:
         return self.value
@@ -218,46 +216,55 @@ def _restore(name: str, restore_prefixes: bool) -> str:
     return name
 
 
-def _convert(elem: ET.Element, parent: XNode, restore_prefixes: bool) -> XElement:
-    tag = elem.tag
-    if not isinstance(tag, str):  # comments / PIs parsed by ElementTree
-        node = XComment(parent, elem.text or "")
-        parent.children().append(node)  # type: ignore[attr-defined]
-        return node  # type: ignore[return-value]
-    xelem = XElement(parent, _restore(tag, restore_prefixes), etree=elem)
-    # Attribute names are never prefix-rewritten: XMI attributes such as
-    # ``xmi.id`` legitimately contain dots and must stay as-is.
-    for key, value in elem.attrib.items():
-        xelem._attributes.append(XAttribute(xelem, key, value))
-    if elem.text:
-        xelem._children.append(XText(xelem, elem.text))
-    for child in elem:
-        _convert(child, xelem, restore_prefixes)
-        if child.tail:
-            xelem._children.append(XText(xelem, child.tail))
-    parent.children().append(xelem)
-    return xelem
-
-
-def _number(node: XNode, counter: list[int]) -> None:
-    node.doc_order = counter[0]
-    counter[0] += 1
-    for attr in node.attributes():
-        attr.doc_order = counter[0]
-        counter[0] += 1
-    for child in node.children():
-        _number(child, counter)
-
-
 def build_document(root: ET.Element | str, *, restore_prefixes: bool = False) -> XDocument:
     """Wrap a parsed ElementTree (or XML string) as an :class:`XDocument`.
 
     ``restore_prefixes`` maps ``Prefix.Local`` tag/attr names back to
     ``Prefix:Local`` (see :mod:`repro.util.xmlutil.parse_prefixed`).
+
+    One pass creates the nodes and numbers them in document order (an
+    element, then its attributes, then its children).
     """
     if isinstance(root, str):
         root = ET.fromstring(root)
     doc = XDocument()
-    _convert(root, doc, restore_prefixes)
-    _number(doc, [0])
+    doc.doc_order = 0
+    order = 1
+
+    def add_text(owner: XElement, value: str) -> None:
+        nonlocal order
+        text = XText(owner, value)
+        text.doc_order = order
+        order += 1
+        owner._children.append(text)
+
+    def convert(elem: ET.Element, parent: XNode) -> None:
+        nonlocal order
+        tag = elem.tag
+        if not isinstance(tag, str):  # comments / PIs parsed by ElementTree
+            comment = XComment(parent, elem.text or "")
+            comment.doc_order = order
+            order += 1
+            parent.children().append(comment)
+            return
+        xelem = XElement(parent, _restore(tag, restore_prefixes), etree=elem)
+        xelem.doc_order = order
+        order += 1
+        # Attribute names are never prefix-rewritten: XMI attributes such as
+        # ``xmi.id`` legitimately contain dots and must stay as-is.
+        if elem.attrib:
+            attributes = xelem._attr_map = {}
+            for key, value in elem.attrib.items():
+                attr = attributes[key] = XAttribute(xelem, key, value)
+                attr.doc_order = order
+                order += 1
+        if elem.text:
+            add_text(xelem, elem.text)
+        for child in elem:
+            convert(child, xelem)
+            if child.tail:
+                add_text(xelem, child.tail)
+        parent.children().append(xelem)
+
+    convert(root, doc)
     return doc

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from typing import TYPE_CHECKING, Any, Callable
 
 from .datamodel import XNode
@@ -44,14 +45,18 @@ class XPathTypeError(TypeError):
 
 def number_to_string(value: float) -> str:
     """Format a number per the XPath string() rules (integers without a
-    decimal point, NaN as 'NaN', infinities as 'Infinity')."""
+    decimal point, NaN as 'NaN', infinities as 'Infinity', never an
+    exponent -- so :func:`to_number` reads back what this writes)."""
     if math.isnan(value):
         return "NaN"
     if math.isinf(value):
         return "Infinity" if value > 0 else "-Infinity"
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
-    return repr(value)
+    text = repr(value)
+    if "e" in text:
+        text = format(Decimal(text), "f")
+    return text
 
 
 def to_string(value: Any) -> str:
@@ -72,6 +77,12 @@ def to_string(value: Any) -> str:
     raise XPathTypeError(f"cannot convert {type(value).__name__} to string")
 
 
+#: XPath 1.0 section 4.4 / production [30]: optional whitespace, an
+#: optional minus sign, then ``Digits ('.' Digits?)? | '.' Digits`` --
+#: no exponent, no plus sign, no underscores, no 'inf'/'nan' words
+_NUMBER = re.compile(r"[ \t\r\n]*(-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+))[ \t\r\n]*")
+
+
 def to_number(value: Any) -> float:
     if isinstance(value, bool):
         return 1.0 if value else 0.0
@@ -80,10 +91,8 @@ def to_number(value: Any) -> float:
     if isinstance(value, (list, XNode)) or hasattr(value, "string_value"):
         return to_number(to_string(value))
     if isinstance(value, str):
-        try:
-            return float(value.strip())
-        except ValueError:
-            return float("nan")
+        match = _NUMBER.fullmatch(value)
+        return float(match.group(1)) if match else float("nan")
     raise XPathTypeError(f"cannot convert {type(value).__name__} to number")
 
 

@@ -105,6 +105,22 @@ class TestDifferential:
         via_xmi = xmi_to_cnx_native(write_graph(graph))
         assert normalize(direct) == normalize(via_xmi)
 
+    def test_depends_in_transition_order_at_12_workers(self):
+        """Unpadded names stop sorting in document order at w10: both
+        paths list ``depends`` in transition order, so the descriptors
+        are equal as text, not just as sets."""
+        b = ActivityBuilder("Wide")
+        split = b.task("split", jar="s.jar", cls="S")
+        workers = [b.task(f"w{i}", jar="w.jar", cls="W") for i in range(12)]
+        join = b.task("join", jar="j.jar", cls="J")
+        b.chain(b.initial(), split)
+        b.fan_out_in(split, workers, join)
+        b.chain(join, b.final())
+        xmi = write_graph(b.build())
+        native = xmi_to_cnx_native(xmi)
+        assert native.client.jobs[0].find("join").depends == [f"w{i}" for i in range(12)]
+        assert emit(xmi_to_cnx(xmi)) == emit(native)
+
     @given(
         n_workers=st.integers(1, 8),
         n_stages=st.integers(0, 3),

@@ -106,6 +106,10 @@ STRING_CASES = [
     ("string(//nothing)", ""),
     ("string(3.0)", "3"),
     ("string(-0.5)", "-0.5"),
+    # string() never writes an exponent (section 4.2)
+    ("string(1 div 100000000)", "0.00000001"),
+    ("string(10000000000000000 * 100000)", "1000000000000000000000"),
+    ("string(-1 div 3200000)", "-0.0000003125"),
 ]
 
 
@@ -143,6 +147,52 @@ def test_number_cases(ctx, expr, expected):
     from repro.xslt.xpath import evaluate_number
 
     assert evaluate_number(expr, ctx) == pytest.approx(expected)
+
+
+# XPath 1.0 section 4.4: a string converts to a number only if it is
+# optional whitespace, an optional '-', and Digits ('.' Digits?)? or
+# '.' Digits; everything else Python's float() would accept is NaN.
+NUMBER_STRING_CASES = [
+    ("number('12')", 12.0),
+    ("number(' \t\r\n12.5\n ')", 12.5),
+    ("number('-7')", -7.0),
+    ("number('3.')", 3.0),
+    ("number('.25')", 0.25),
+    ("number('-.5')", -0.5),
+    ("number('007')", 7.0),
+    ("number('1e3')", None),
+    ("number('1E-2')", None),
+    ("number('1_000')", None),
+    ("number('+5')", None),
+    ("number('inf')", None),
+    ("number('-inf')", None),
+    ("number('Infinity')", None),
+    ("number('nan')", None),
+    ("number('NaN')", None),
+    ("number('- 5')", None),
+    ("number('--5')", None),
+    ("number('.')", None),
+    ("number('1.2.3')", None),
+    ("number('0x10')", None),
+    ("number('')", None),
+    ("number('   ')", None),
+    ("number('\u00a05')", None),  # no-break space is not XPath whitespace
+    ("number('\u0663')", None),  # ARABIC-INDIC DIGIT THREE is not a Digit
+    ("'1e3' + 1", None),
+    ("'10' > '9'", True),  # relational operators go through the same rule
+    ("'1e1' = 10", False),
+]
+
+
+@pytest.mark.parametrize(
+    "expr,expected", NUMBER_STRING_CASES, ids=[repr(c[0]) for c in NUMBER_STRING_CASES]
+)
+def test_string_to_number_grammar(ctx, expr, expected):
+    value = evaluate(expr, ctx)
+    if expected is None:
+        assert isinstance(value, float) and math.isnan(value)
+    else:
+        assert value == expected
 
 
 BOOLEAN_CASES = [
