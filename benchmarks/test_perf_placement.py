@@ -210,3 +210,32 @@ def test_perf16_bid_scheduler_throughput(report, out_dir):
     )
     # ...while per-task solicit degrades super-linearly with node count
     assert tput[("solicit", 8)] > 2 * tput[("solicit", 64)], tput
+
+
+# -- PERF16 shape gate: journal replication of a durable batch (counts only) --
+
+#: bus publishes a 256-task batch may cost on 32 durable nodes: bid is
+#: job-created + one task-spec batch + one task-placed batch per award
+#: round; solicit journals each placement as its own record
+PUBLISH_CAP = {"bid": 6, "solicit": 260}
+
+
+@pytest.mark.parametrize("scheduler", ["bid", "solicit"])
+def test_perf16_durable_batch_replicates_in_batches(scheduler):
+    """Counts repeat exactly, so nothing is timed: the journal of one
+    durable 256-task placement is replicated in a handful of bus events,
+    and every replica still holds all 513 records in ``seq`` order."""
+    with Cluster(
+        32, registry=registry(), memory_per_node=10**6, scheduler=scheduler
+    ) as cluster:
+        api = CNAPI.initialize(cluster)
+        handle = api.create_job("bench")
+        api.create_tasks(handle, [spec(f"t{i}") for i in range(N_TASKS)])
+        publishes = cluster.bus.stats.publishes
+        assert publishes <= PUBLISH_CAP[scheduler], publishes
+        assert cluster.bus.stats.listener_errors == 0
+        written = handle.manager.journal.records(handle.job_id)
+        assert len(written) == 2 * N_TASKS + 1  # created + specs + placements
+        assert [r.seq for r in written] == sorted(r.seq for r in written)
+        for server in cluster.servers:
+            assert server.journal.records(handle.job_id) == written, server.name

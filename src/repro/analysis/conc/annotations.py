@@ -60,6 +60,12 @@ GUARDED_BY: dict[str, str] = {
     # ``_persist`` which documents "the lock is held".
     "MemoryJournal._entries": "MemoryJournal._lock",
     "FileJournal._entries": "FileJournal._lock",
+    # The per-job index grows with the record list inside ``extend``; the
+    # writer's sequence counter advances under the lock that orders its
+    # extend+publish.
+    "MemoryJournal._by_job": "MemoryJournal._lock",
+    "FileJournal._by_job": "FileJournal._lock",
+    "ReplicatedJournal._next_seq": "ReplicatedJournal._lock",
     # TaskManager slot accounting.
     "TaskManager._running": "TaskManager._lock",
     # Bid scheduler state: the archive-locality cache mutates with the
@@ -102,6 +108,8 @@ BLOCKING_CALLS: dict[str, str] = {
     "put": "queue put may block on capacity/backpressure",
     "get": "queue get blocks until a message arrives",
     "append": "journal append does write-ahead I/O and replication",
+    "extend": "journal extend does write-ahead I/O for a batch",
+    "append_many": "journal batch append does write-ahead I/O and replication",
     "wait": "condition/event wait parks the thread",
     "join": "thread join blocks until the target exits",
 }

@@ -77,6 +77,8 @@ _BLOCKING: dict[str, tuple[str, tuple[str, ...]]] = {
     "put": ("queue put may block on capacity/backpressure", ("queue", "inbox")),
     "get": ("queue get blocks until a message arrives", ("queue", "inbox")),
     "append": ("journal append does write-ahead I/O and replication", ("journal", "backend")),
+    "extend": ("journal extend does write-ahead I/O for a batch", ("backend",)),
+    "append_many": ("journal batch append does write-ahead I/O and replication", ("journal",)),
     "wait": ("wait parks the thread while the lock is held", ()),
     "join": ("thread join blocks until the target exits", ()),
 }

@@ -4,12 +4,13 @@ PR 2 made *worker* nodes expendable; this module makes the coordinating
 JobManager expendable too.  Every job mutation -- submission (with the
 CNX descriptor), task specs, placements, delivery-ledger entries, state
 transitions, checkpoints -- is appended to a write-ahead **job journal**
-before (or atomically with) taking effect, and each append is replicated
-to every peer CNServer over the existing multicast bus (topic
-``journal``).  When the failure detector declares a manager node dead, a
-deterministic successor replays its replica of the journal into a fresh
-:class:`~repro.cn.job.Job` and adopts the in-flight work (see
-:meth:`JobManager.adopt_job`).
+before (or atomically with) taking effect, and each append -- a *batch*
+of one or more records -- is replicated to every peer CNServer as one
+event on the existing multicast bus (topic ``journal``) carrying the
+frozen records themselves.  When the failure detector declares a manager
+node dead, a deterministic successor replays its replica of the journal
+into a fresh :class:`~repro.cn.job.Job` and adopts the in-flight work
+(see :meth:`JobManager.adopt_job`).
 
 Fencing: each job carries a *manager epoch*, bumped by the adoption
 record.  Journal backends keep a per-job high-water mark and reject any
@@ -31,11 +32,10 @@ this function, which the property tests exercise directly.
 from __future__ import annotations
 
 import base64
-import itertools
 import json
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..analysis.conc.runtime import make_lock
 from .errors import JournalError
@@ -89,7 +89,8 @@ class JournalRecord:
     data: dict = field(default_factory=dict)
 
     def to_payload(self) -> dict:
-        """Bus-transportable form (in-process: objects pass by reference)."""
+        """The :class:`FileJournal` line format (replication shares the
+        frozen record itself; nothing is encoded for the bus)."""
         return {
             "seq": self.seq,
             "job_id": self.job_id,
@@ -115,52 +116,72 @@ class MemoryJournal:
     """In-process append-only journal with manager-epoch fencing.
 
     The base backend: keeps everything in a list, no serialization.
-    Subclasses add persistence by overriding :meth:`_persist`.
+    Subclasses add persistence by overriding :meth:`_persist`.  Every
+    write is a batch (:meth:`extend`); :meth:`append` is the batch of one.
     """
 
     def __init__(self) -> None:
         self._lock = make_lock(f"{type(self).__name__}._lock")
         self._records: list[JournalRecord] = []
+        #: the same records bucketed per job (first-seen job order), so a
+        #: replay reads one job without scanning the cluster's history
+        self._by_job: dict[str, list[JournalRecord]] = {}
         self._high_water: dict[str, int] = {}
         #: records rejected by the epoch fence (zombie-manager writes)
         self.fenced: list[JournalRecord] = []
 
     def append(self, record: JournalRecord) -> bool:
-        """Append unless fenced; returns whether the record was accepted.
+        """Append unless fenced; returns whether the record was accepted."""
+        return self.extend((record,)) == 1
 
-        A record stamped with a manager epoch older than the job's
-        high-water mark is a zombie write and is dropped (but kept on
-        :attr:`fenced` for observability)."""
+    def extend(self, records: Iterable[JournalRecord]) -> int:
+        """Append a batch under one lock hold; returns how many records
+        were accepted.
+
+        The epoch fence is applied to each record in turn: one stamped
+        with a manager epoch older than its job's high-water mark is a
+        zombie write and is dropped (but kept on :attr:`fenced` for
+        observability).  The accepted records are persisted together."""
         with self._lock:
-            high = self._high_water.get(record.job_id, 0)
-            if record.mepoch < high:
-                self.fenced.append(record)
-                return False
-            self._high_water[record.job_id] = max(high, record.mepoch)
-            self._records.append(record)
-            self._persist(record)
-            return True
+            log = self._records
+            start = len(log)
+            current, high, bucket = None, 0, []
+            for record in records:
+                job_id = record.job_id
+                if job_id != current:
+                    # a batch is usually one job's: look its state up once
+                    current = job_id
+                    high = self._high_water.get(job_id, 0)
+                    bucket = self._by_job.setdefault(job_id, [])
+                if record.mepoch < high:
+                    self.fenced.append(record)
+                    continue
+                if record.mepoch > high:
+                    high = self._high_water[job_id] = record.mepoch
+                log.append(record)
+                bucket.append(record)
+            accepted = len(log) - start
+            if accepted:
+                self._persist(log[start:])
+            return accepted
 
     def records(self, job_id: Optional[str] = None) -> list[JournalRecord]:
         with self._lock:
             if job_id is None:
                 return list(self._records)
-            return [r for r in self._records if r.job_id == job_id]
+            return list(self._by_job.get(job_id, ()))
 
     def job_ids(self) -> list[str]:
         with self._lock:
-            seen: dict[str, None] = {}
-            for record in self._records:
-                seen.setdefault(record.job_id, None)
-            return list(seen)
+            return list(self._by_job)
 
     def manager_epoch(self, job_id: str) -> int:
         """The fencing high-water mark for *job_id* (0 if never seen)."""
         with self._lock:
             return self._high_water.get(job_id, 0)
 
-    def _persist(self, record: JournalRecord) -> None:
-        """Hook for durable backends; the lock is held."""
+    def _persist(self, records: Sequence[JournalRecord]) -> None:
+        """Hook for durable backends: one accepted batch; the lock is held."""
 
     def __len__(self) -> int:
         with self._lock:
@@ -197,28 +218,36 @@ class FileJournal(MemoryJournal):
         self._fh = None  # not writing yet: loads must not re-persist
         try:
             with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    raw = json.loads(line)
-                    raw["data"] = _decode_data(raw.get("data") or {})
-                    # re-run the fence so a tampered/merged file cannot
-                    # smuggle stale-epoch records back in
-                    super().append(JournalRecord.from_payload(raw))
+                # re-run the fence so a tampered/merged file cannot
+                # smuggle stale-epoch records back in
+                self.extend(self._load(fh))
         except FileNotFoundError:
             pass
         except (json.JSONDecodeError, KeyError, OSError) as exc:
             raise JournalError(f"corrupt journal file {path!r}: {exc}") from exc
         self._fh = open(path, "a", encoding="utf-8")
 
-    def _persist(self, record: JournalRecord) -> None:
+    @staticmethod
+    def _load(lines: Iterable[str]) -> Iterable[JournalRecord]:
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            raw = json.loads(line)
+            raw["data"] = _decode_data(raw.get("data") or {})
+            yield JournalRecord.from_payload(raw)
+
+    def _persist(self, records: Sequence[JournalRecord]) -> None:
         if self._fh is None:
             return  # constructor replaying the existing file
-        payload = record.to_payload()
-        payload["data"] = _encode_data(payload["data"])
+        lines = []
+        for record in records:
+            payload = record.to_payload()
+            payload["data"] = _encode_data(payload["data"])
+            lines.append(json.dumps(payload) + "\n")
         try:
-            self._fh.write(json.dumps(payload) + "\n")
+            # one write and one flush per batch, before extend() returns
+            self._fh.write("".join(lines))
             self._fh.flush()
         except (OSError, ValueError) as exc:
             raise JournalError(
@@ -236,12 +265,16 @@ class FileJournal(MemoryJournal):
 class ReplicatedJournal:
     """A node's journal writer: local append + multicast replication.
 
-    Appends go to the local backend first (write-ahead), then one bus
-    publish on topic ``journal`` fans the record out; every peer
-    CNServer feeds it into its own backend via :meth:`receive`.  The
-    lock is held across append+publish so all replicas see one job's
-    records in the same order (each job has a single writer per manager
-    epoch, so this is enough for per-job total order).
+    A write is a batch of events for one job.  It goes to the local
+    backend first (write-ahead), then one bus publish on topic
+    ``journal`` hands the tuple of frozen records to every peer
+    CNServer, which feeds it into its own backend via :meth:`receive` --
+    replicas share the record objects exactly as they share each
+    record's ``data`` by reference.  The lock is held across
+    extend+publish so all replicas see one origin's records in ``seq``
+    order (each job has a single writer per manager epoch, so this is
+    enough for per-job total order); a batch is published whole, so
+    replication order equals append order within it too.
     """
 
     def __init__(
@@ -253,43 +286,53 @@ class ReplicatedJournal:
         self.backend = backend if backend is not None else MemoryJournal()
         self.bus = bus
         self.origin = origin
-        self._seq = itertools.count(1)
+        self._next_seq = 1
         self._lock = make_lock("ReplicatedJournal._lock", reentrant=False)
 
     def append(
         self, job_id: str, kind: str, data: dict, mepoch: int = 1
     ) -> Optional[JournalRecord]:
         """Journal one event; returns the record, or None if fenced."""
+        records = self.append_many(job_id, ((kind, data),), mepoch)
+        return records[0] if records else None
+
+    def append_many(
+        self, job_id: str, events: Iterable[tuple[str, dict]], mepoch: int = 1
+    ) -> tuple[JournalRecord, ...]:
+        """Journal a batch of ``(kind, data)`` events for one job under
+        consecutive ``seq`` numbers; returns the records, or ``()`` if
+        the epoch fence rejected the batch.
+
+        One job, one epoch and one backend lock hold: the fence accepts
+        the batch whole or not at all."""
+        origin = self.origin
         with self._lock:
-            record = JournalRecord(
-                seq=next(self._seq),
-                job_id=job_id,
-                kind=kind,
-                mepoch=mepoch,
-                origin=self.origin,
-                data=dict(data),
+            records = tuple(
+                JournalRecord(seq, job_id, kind, mepoch, origin, dict(data))
+                for seq, (kind, data) in enumerate(events, self._next_seq)
             )
-            # append+publish stay under _lock so every replica sees this
+            self._next_seq += len(records)
+            # extend+publish stay under _lock so every replica sees this
             # origin's records in seq order; the backend and bus are leaf
             # locks below ReplicatedJournal._lock in the hierarchy.
             # conclint: waive CC201 -- ordered-replication invariant (see above)
-            if not self.backend.append(record):
-                return None
+            if not self.backend.extend(records):
+                return ()
             if self.bus is not None:
                 # conclint: waive CC201 -- ordered-replication invariant, see above
-                self.bus.publish("journal", record.to_payload(), sender=self.origin)
-            return record
+                self.bus.publish("journal", records, sender=origin)
+            return records
 
-    def receive(self, payload: dict) -> bool:
-        """A replica arrived on the bus; returns whether it was accepted
-        (own-origin records already applied locally are skipped)."""
-        record = JournalRecord.from_payload(payload)
-        if record.origin == self.origin:
-            return False
+    def receive(self, records: Sequence[JournalRecord]) -> int:
+        """A replicated batch arrived on the bus; returns how many of its
+        records this replica accepted (an own-origin batch was already
+        applied locally and is skipped; a batch has one origin)."""
+        if not records or records[0].origin == self.origin:
+            return 0
         # remote replicas bypass _lock on purpose: _lock only orders *local*
         # appends with their publishes; the backend serializes all writers.
         # conclint: waive CC101 -- backend is internally locked (see above)
-        return self.backend.append(record)
+        return self.backend.extend(records)
 
     def records(self, job_id: Optional[str] = None) -> list[JournalRecord]:
         return self.backend.records(job_id)

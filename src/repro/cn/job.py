@@ -252,7 +252,8 @@ class Job:
         #: manager's late writes are fenced out (see repro.cn.durability)
         self.manager_epoch = 1
         # write-ahead journal hook, set by the managing JobManager:
-        # (kind, data) -> None.  None when the cluster runs non-durable.
+        # (events) -> None, events a batch of (kind, data) pairs.  None
+        # when the cluster runs non-durable.
         self._journal: Optional[Any] = None
         # application-level task checkpoints (task -> (tag, state)),
         # populated through TaskContext.checkpoint and restored from the
@@ -283,11 +284,17 @@ class Job:
 
     # -- durability ----------------------------------------------------------------
     def set_journal(self, hook: Optional[Any]) -> None:
-        """Attach the write-ahead journal hook ``(kind, data) -> None``."""
+        """Attach the write-ahead journal hook: ``(events) -> None``, where
+        *events* is a batch of ``(kind, data)`` pairs journaled together."""
         self._journal = hook
 
     def journal_event(self, kind: str, data: dict) -> None:
-        """Append one record to the job journal (no-op when non-durable).
+        """Append one record to the job journal (no-op when non-durable)."""
+        self.journal_events(((kind, data),))
+
+    def journal_events(self, events: Sequence[tuple[str, dict]]) -> None:
+        """Append a batch of ``(kind, data)`` records to the job journal
+        in one write (no-op when non-durable or *events* is empty).
 
         Any non-delivery record first flushes the group-commit delivery
         buffer, so the journal never shows a state transition (terminal
@@ -295,11 +302,11 @@ class Job:
         causally preceded it -- the write-ahead ordering replay relies on.
         """
         hook = self._journal
-        if hook is None:
+        if hook is None or not events:
             return
-        if kind not in ("delivery", "delivery_batch"):
+        if any(kind not in ("delivery", "delivery_batch") for kind, _ in events):
             self.flush_deliveries()
-        hook(kind, data)
+        hook(events)
 
     def set_delivery_batching(self, max_pending: int) -> None:
         """Enable journal group-commit: buffer up to *max_pending* ledger
@@ -335,9 +342,9 @@ class Job:
         if hook is None:
             return
         if len(messages) == 1:
-            hook("delivery", {"message": messages[0]})
+            hook((("delivery", {"message": messages[0]}),))
         else:
-            hook("delivery_batch", {"messages": list(messages)})
+            hook((("delivery_batch", {"messages": list(messages)}),))
 
     def save_checkpoint(self, task: str, state: Any, tag: Any = None) -> None:
         """Persist an application checkpoint for *task* through the

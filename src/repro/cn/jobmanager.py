@@ -300,7 +300,8 @@ class JobManager:
         journal = self.journal
         if journal is None:
             raise CnError(f"JobManager {self.name!r} has no journal to replay")
-        snapshot = replay_job(job_id, journal.records(job_id))
+        records = journal.records(job_id)
+        snapshot = replay_job(job_id, records)
         job = Job(job_id, snapshot.client)
         job.manager_epoch = snapshot.mepoch + 1
         # the budget survives failover: the successor enforces the same
@@ -365,7 +366,7 @@ class JobManager:
                     "manager": self.name,
                     "previous": snapshot.manager,
                     "manager_epoch": job.manager_epoch,
-                    "replayed_records": len(journal.records(job_id)),
+                    "replayed_records": len(records),
                     "re_placing": [rt.name for rt in pending],
                 },
             ),
@@ -426,14 +427,15 @@ class JobManager:
 
     # -- durability helpers ------------------------------------------------------
     def _bind_journal(self, job: Job) -> None:
-        """Attach this manager's replicated journal to *job*: every event
-        the job emits is stamped with the job's current manager epoch."""
+        """Attach this manager's replicated journal to *job*: every batch
+        of events the job emits is stamped with the job's current manager
+        epoch."""
         journal = self.journal
         if journal is None:
             return
         job.set_journal(
-            lambda kind, data: journal.append(
-                job.job_id, kind, data, job.manager_epoch
+            lambda events: journal.append_many(
+                job.job_id, events, job.manager_epoch
             )
         )
         if self.journal_group_commit:
@@ -496,17 +498,20 @@ class JobManager:
         point of rule-based scheduling -- and the TASK_CREATED
         notifications fan out through one ``route_many`` batch.
         """
-        specs = list(specs)
         runtimes: list[TaskRuntime] = []
         t = job.telemetry
-        for spec in specs:
-            runtime = job.add_task(spec)
-            if t is not None:
-                self._begin_task_span(t, job, spec.name, spec.depends)
-            # write-ahead: the spec is journaled before placement, so a
-            # successor knows the full roster even if we die mid-placement
-            job.journal_event("task-spec", {"spec": spec})
-            runtimes.append(runtime)
+        try:
+            for spec in specs:
+                runtimes.append(job.add_task(spec))
+                if t is not None:
+                    self._begin_task_span(t, job, spec.name, spec.depends)
+        finally:
+            # write-ahead: the roster (as far as it got, if a spec was
+            # rejected) is journaled in one batch before any placement, so
+            # a successor knows it even if we die mid-placement
+            job.journal_events(
+                [("task-spec", {"spec": runtime.spec}) for runtime in runtimes]
+            )
         if self.scheduler == "bid" and len(runtimes) > 1:
             groups: dict[tuple, list[TaskRuntime]] = {}
             for runtime in runtimes:
@@ -712,31 +717,39 @@ class JobManager:
                     len(awards)
                 )
             failed: list[str] = []
-            for task_name, tm_name in awards:
-                runtime = by_name[task_name]
-                tm = self._tm_lookup(tm_name)
-                if tm is None:
-                    excluded.add(tm_name)
-                    failed.append(task_name)
-                    continue
-                try:
-                    tm.host_task(job, runtime, task_class)
-                except (ShutdownError, CnError):
-                    # killed (or filled up) between bid and award: exclude
-                    # the bidder and re-bid; the epoch fence makes this
-                    # safe against double placement
-                    excluded.add(tm_name)
-                    failed.append(task_name)
-                    continue
-                job.journal_event(
-                    "task-placed",
-                    {
-                        "task": task_name,
-                        "node": runtime.node_name,
-                        "epoch": runtime.epoch,
-                        "rule": rule.rule_id,
-                    },
-                )
+            placed: list[tuple[str, dict]] = []
+            try:
+                for task_name, tm_name in awards:
+                    runtime = by_name[task_name]
+                    tm = self._tm_lookup(tm_name)
+                    if tm is None:
+                        excluded.add(tm_name)
+                        failed.append(task_name)
+                        continue
+                    try:
+                        tm.host_task(job, runtime, task_class)
+                    except (ShutdownError, CnError):
+                        # killed (or filled up) between bid and award:
+                        # exclude the bidder and re-bid; the epoch fence
+                        # makes this safe against double placement
+                        excluded.add(tm_name)
+                        failed.append(task_name)
+                        continue
+                    placed.append(
+                        (
+                            "task-placed",
+                            {
+                                "task": task_name,
+                                "node": runtime.node_name,
+                                "epoch": runtime.epoch,
+                                "rule": rule.rule_id,
+                            },
+                        )
+                    )
+            finally:
+                # one journal batch per award round, before the next round
+                # (or an error) leaves it: every hosting made is recorded
+                job.journal_events(placed)
             # progress each round: either a task placed (pending shrinks)
             # or a bidder was excluded (bid pool shrinks) -- and an empty
             # award set raises above, so the loop terminates

@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["MulticastBus", "Solicitation", "BusStats"]
 
 Responder = Callable[["Solicitation"], Optional[Any]]
-Listener = Callable[[str, dict], None]
+Listener = Callable[[str, Any], None]
 
 
 def _node_of(name: str) -> str:
@@ -65,6 +65,7 @@ class BusStats:
     publishes: int = 0
     dropped: int = 0      # chaos-injected delivery losses
     partitioned: int = 0  # deliveries blocked by an active partition
+    listener_errors: int = 0  # publish deliveries whose listener raised
 
 
 class MulticastBus:
@@ -113,6 +114,9 @@ class MulticastBus:
             self.stats.solicitations
         )
         metrics.counter("cn_bus_dropped_total")._set_total(self.stats.dropped)
+        metrics.counter("cn_bus_listener_errors_total")._set_total(
+            self.stats.listener_errors
+        )
 
     def subscribe(self, name: str, responder: Responder) -> None:
         with self._lock:
@@ -136,23 +140,28 @@ class MulticastBus:
         with self._lock:
             self._listeners = [(n, f) for n, f in self._listeners if n != name]
 
-    def publish(self, topic: str, payload: dict, *, sender: str = "") -> int:
+    def publish(self, topic: str, payload: Any, *, sender: str = "") -> int:
         """Deliver an event to every reachable listener; returns the
         number of successful deliveries.  Listeners that raise are
-        skipped (a crashed node must not take down the subnet)."""
+        skipped and counted in ``stats.listener_errors`` (a crashed node
+        must not take down the subnet, but a replica that fell behind
+        must show)."""
         with self._lock:
             listeners = list(self._listeners)
+            partitioned = self._groups is not None
+        chaotic = self.chaos is not None and self.chaos.enabled
         self.stats.publishes += 1
         delivered = 0
         for name, listener in listeners:
-            if not self.reachable(sender, name):
+            if partitioned and not self.reachable(sender, name):
                 self.stats.partitioned += 1
                 continue
-            if self._chaos_drops(sender, name):
+            if chaotic and self._chaos_drops(sender, name):
                 continue
             try:
                 listener(topic, payload)
             except Exception:  # noqa: BLE001  # conclint: waive CC302 -- a crashed listener must not take down the subnet
+                self.stats.listener_errors += 1
                 continue
             delivered += 1
         return delivered
@@ -206,15 +215,17 @@ class MulticastBus:
         """
         with self._lock:
             subscribers = list(self._subscribers)
+            partitioned = self._groups is not None
+        chaotic = self.chaos is not None and self.chaos.enabled
         self.stats.solicitations += 1
         hist = self._solicit_hist
         start = time.perf_counter() if hist is not None else 0.0
         offers: list[tuple[str, Any]] = []
         for name, responder in subscribers:
-            if not self.reachable(solicitation.sender, name):
+            if partitioned and not self.reachable(solicitation.sender, name):
                 self.stats.partitioned += 1
                 continue
-            if self._chaos_drops(solicitation.sender, name):
+            if chaotic and self._chaos_drops(solicitation.sender, name):
                 continue
             self.stats.deliveries += 1
             self.stats.simulated_latency += self.per_hop_latency

@@ -109,6 +109,16 @@ class CNServer:
         self.journal = journal
         self.jobmanager.journal = journal
         self.jobmanager.directory = directory
+        telemetry = self.telemetry
+        if telemetry is not None and telemetry.enabled:
+            # scrape-time fold, like BusStats: the fence already keeps the
+            # zombie writes it rejected, so the hot path pays nothing
+            telemetry.metrics.add_collector(self._collect_journal_stats)
+
+    def _collect_journal_stats(self) -> None:
+        self.telemetry.metrics.counter(
+            "cn_journal_fenced_total", node=self.name
+        )._set_total(len(self.journal.backend.fenced))
 
     # -- bus integration ------------------------------------------------------
     def start(self) -> None:
@@ -149,9 +159,9 @@ class CNServer:
             return self.taskmanager.compute_bid(rule)
         return None
 
-    def _on_event(self, topic: str, payload: dict) -> None:
+    def _on_event(self, topic: str, payload: Any) -> None:
         """Bus event listener: feed heartbeats to the failure detector and
-        journal replicas into the local journal backend."""
+        replicated journal batches into the local journal backend."""
         if topic == "heartbeat":
             node = payload.get("node")
             if node:

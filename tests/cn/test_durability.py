@@ -7,6 +7,8 @@ explicit ``Cluster.tick`` calls, no background pumpers, no chaos rates.
 """
 
 import json
+import os
+import tempfile
 import threading
 
 import numpy as np
@@ -33,6 +35,7 @@ from repro.cn import (
     replay_job,
 )
 from repro.cn.durability import _decode_data, _encode_data, journal_factory_for_dir
+from repro.cn.multicast import MulticastBus
 
 
 class Echo(Task):
@@ -118,6 +121,46 @@ class TestMemoryJournal:
         assert journal.manager_epoch("never-seen") == 0
 
 
+    def test_extend_fences_per_record_inside_one_batch(self):
+        journal = MemoryJournal()
+        created = rec(1, "j", "job-created", mepoch=1)
+        adopted = rec(2, "j", "job-adopted", mepoch=2)
+        stale = rec(3, "j", "task-state", mepoch=1, task="t")
+        other = rec(4, "k", "job-created", mepoch=1)
+        assert journal.extend((created, adopted, stale, other)) == 3
+        assert journal.records() == [created, adopted, other]
+        assert journal.fenced == [stale]
+        assert journal.extend(()) == 0
+
+    def test_reading_one_job_touches_no_other_jobs_records(self):
+        """records(job_id) / job_ids() come from the per-job index: the
+        cost of a replay does not grow with the cluster's history."""
+
+        class Tripwire(JournalRecord):
+            touched = 0
+
+            def __getattribute__(self, name):
+                if name == "job_id":
+                    Tripwire.touched += 1
+                return object.__getattribute__(self, name)
+
+        journal = MemoryJournal()
+        journal.extend(
+            Tripwire(i, f"old{i // 2}", "job-finished", 1, "n0/jm", {})
+            for i in range(400)
+        )
+        mine = [rec(1000 + i, "mine", "task-state", task=f"t{i}") for i in range(3)]
+        journal.extend(mine)
+        Tripwire.touched = 0
+        assert journal.records("mine") == mine
+        assert journal.records("never-seen") == []
+        assert len(journal.job_ids()) == 201 and journal.job_ids()[-1] == "mine"
+        assert Tripwire.touched == 0
+        # a copy, not the index itself
+        journal.records("mine").clear()
+        assert journal.records("mine") == mine
+
+
 class TestFileJournal:
     def test_roundtrip_including_pickle_envelope(self, tmp_path):
         path = str(tmp_path / "node0.jsonl")
@@ -156,6 +199,27 @@ class TestFileJournal:
         assert reloaded.manager_epoch("j") == 3
         assert reloaded.append(rec(9, "j", "task-state", mepoch=2, task="t")) is False
         reloaded.close()
+
+    def test_reload_fills_the_per_job_index(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        journal = FileJournal(path)
+        journal.extend([rec(1, "a", "job-created"), rec(2, "b", "job-created")])
+        journal.extend([rec(3, "a", "job-finished", failed=False)])
+        journal.close()
+        reloaded = FileJournal(path)
+        assert reloaded.job_ids() == ["a", "b"]
+        assert [r.seq for r in reloaded.records("a")] == [1, 3]
+        assert [r.seq for r in reloaded.records()] == [1, 2, 3]
+        reloaded.close()
+
+    def test_batch_is_on_disk_when_extend_returns(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        journal = FileJournal(path)
+        journal.extend([rec(i, "j", "task-state", task=f"t{i}") for i in range(5)])
+        # read through a second handle *before* close: the flush happened
+        with open(path, encoding="utf-8") as fh:
+            assert len(fh.readlines()) == 5
+        journal.close()
 
     def test_corrupt_file_raises_journal_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -205,8 +269,65 @@ class TestReplicatedJournal:
     def test_own_origin_replicas_are_skipped(self):
         journal = ReplicatedJournal(MemoryJournal(), bus=None, origin="node0")
         record = journal.append("j", "job-created", {}, 1)
-        assert journal.receive(record.to_payload()) is False
+        assert journal.receive((record,)) == 0
         assert len(journal.backend.records("j")) == 1
+
+    def test_append_many_is_one_publish_with_consecutive_seqs(self):
+        with Cluster(3, registry=echo_registry()) as cluster:
+            writer = cluster.servers[0].journal
+            writer.append("jobX", "job-created", {"manager": "node0/jm"}, 1)
+            before = cluster.bus.stats.publishes
+            events = [("task-state", {"task": f"t{i}"}) for i in range(4)]
+            records = writer.append_many("jobX", events, 1)
+            assert cluster.bus.stats.publishes == before + 1
+            assert [r.seq for r in records] == [2, 3, 4, 5]
+            assert [r.data["task"] for r in records] == ["t0", "t1", "t2", "t3"]
+            assert writer.append_many("jobX", [], 1) == ()
+            assert cluster.bus.stats.publishes == before + 1
+            for server in cluster.servers[1:]:
+                # replicas hold the writer's frozen records themselves
+                replica = server.journal.backend.records("jobX")[1:]
+                assert all(a is b for a, b in zip(replica, records, strict=True))
+
+    def test_partitioned_replica_gets_none_of_a_batch(self):
+        with Cluster(3, registry=echo_registry()) as cluster:
+            cluster.partition(["node0", "node1"], ["node2"])
+            events = [("task-state", {"task": f"t{i}"}) for i in range(3)]
+            records = cluster.servers[0].journal.append_many("jobX", events, 1)
+            assert cluster.servers[1].journal.records("jobX") == list(records)
+            assert cluster.servers[2].journal.records("jobX") == []
+            assert cluster.bus.stats.partitioned == 1
+
+    def test_batch_below_the_high_water_epoch_is_fenced_whole(self):
+        replica = ReplicatedJournal(MemoryJournal(), bus=None, origin="node1")
+        replica.receive((rec(1, "j", "job-adopted", mepoch=2, origin="node2"),))
+        held = replica.records("j")
+        zombie = tuple(
+            rec(10 + i, "j", "task-placed", mepoch=1, origin="node0", task=f"t{i}")
+            for i in range(4)
+        )
+        assert replica.receive(zombie) == 0
+        assert replica.records("j") == held
+        assert replica.backend.fenced == list(zombie)
+
+    def test_failing_and_fenced_replicas_show_in_the_metrics(self):
+        with Cluster(3, registry=echo_registry()) as cluster:
+            metrics = cluster.telemetry.metrics
+            j0, j1, j2 = (server.journal for server in cluster.servers)
+
+            def full_disk(records):
+                raise JournalError("cannot append: no space left on device")
+
+            j2.backend.extend = full_disk
+            assert j1.append("j", "job-adopted", {"manager": "node1/jm"}, 2)
+            # node2 fell behind, node0 did not -- and the bus says so
+            assert len(j0.records("j")) == 1 and j2.records("j") == []
+            assert cluster.bus.stats.listener_errors == 1
+            assert metrics.value("cn_bus_listener_errors_total") == 1
+            # a zombie write bounces off node0's own fence, counted there
+            assert j0.append("j", "task-state", {"task": "t"}, 1) is None
+            assert metrics.value("cn_journal_fenced_total", node="node0") == 1
+            assert metrics.total("cn_journal_fenced_total") == 1
 
     def test_fenced_append_returns_none_and_is_not_published(self):
         with Cluster(2, registry=echo_registry()) as cluster:
@@ -512,6 +633,73 @@ class TestReplayDeterminism:
         assert replay_job("j", records + foreign) == replay_job("j", records)
 
 
+# -- batches are observationally equal to singles (hypothesis) -------------------
+
+_WRITES = st.lists(
+    st.tuples(
+        st.sampled_from(["j", "other"]),
+        st.integers(1, 3),
+        st.lists(_KIND_DATA, min_size=1, max_size=5),
+    ),
+    max_size=12,
+)
+
+
+def _replicated_trio(directory, tag):
+    """A file-backed writer and two memory replicas on one bus."""
+    bus = MulticastBus()
+    writer = ReplicatedJournal(
+        FileJournal(os.path.join(directory, f"{tag}.jsonl")), bus, origin="node0"
+    )
+    replicas = [
+        ReplicatedJournal(MemoryJournal(), bus, origin=f"node{i}") for i in (1, 2)
+    ]
+    for journal in (writer, *replicas):
+        bus.attach_listener(
+            journal.origin, lambda topic, batch, j=journal: j.receive(batch)
+        )
+    return writer, replicas
+
+
+class TestBatchesEqualSingles:
+    @settings(max_examples=60, deadline=None)
+    @given(_WRITES)
+    def test_any_split_into_batches_leaves_the_same_journal(self, writes):
+        """Each write is one ``append_many`` on one side and N ``append``s
+        on the other (adjacent writes may share job and epoch, so this is
+        every split of the event sequence): same records on the writer and
+        on every replica, same replay, same bytes on disk."""
+        with tempfile.TemporaryDirectory() as directory:
+            batched, batched_replicas = _replicated_trio(directory, "batched")
+            single, single_replicas = _replicated_trio(directory, "single")
+            for job_id, mepoch, events in writes:
+                batched.append_many(job_id, events, mepoch)
+                for kind, data in events:
+                    single.append(job_id, kind, data, mepoch)
+            written = batched.records()
+            assert written == single.records()
+            assert [r.seq for r in written] == sorted(r.seq for r in written)
+            # a write fenced at the writer is never published
+            assert batched.backend.fenced == single.backend.fenced
+            for replica in batched_replicas + single_replicas:
+                assert replica.records() == written
+                assert replica.backend.fenced == []
+            for job_id in ("j", "other"):
+                assert replay_job(job_id, batched.records(job_id)) == replay_job(
+                    job_id, single.records(job_id)
+                )
+            batched.backend.close()
+            single.backend.close()
+            with open(batched.backend.path, "rb") as a, open(
+                single.backend.path, "rb"
+            ) as b:
+                assert a.read() == b.read()
+            reloaded = FileJournal(batched.backend.path)
+            assert reloaded.records() == written
+            assert reloaded.job_ids() == batched.backend.job_ids()
+            reloaded.close()
+
+
 # -- checkpoint API -------------------------------------------------------------
 
 
@@ -657,6 +845,44 @@ class TestManagerFailover:
             assert successor_journal.backend.manager_epoch(job_id) == 2
             # a write still stamped with the dead manager's epoch bounces
             assert successor_journal.append(job_id, "task-state", {}, 1) is None
+            api.send_message(handle, "e", "done")
+            assert api.wait(handle, timeout=15)["e"] == "done"
+
+    def test_adoption_reads_only_the_adopted_jobs_records_once(self):
+        with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
+            worker_only_nodes(cluster)
+            history = cluster.servers[2].journal
+            for i in range(200):  # a cluster that has already run 200 jobs
+                history.append_many(
+                    f"old{i}",
+                    [
+                        ("job-created", {"client": "c", "manager": "node2/jm"}),
+                        ("job-finished", {"failed": False}),
+                    ],
+                )
+            api = CNAPI.initialize(cluster)
+            handle = api.create_job("client", requirements={"prefer": "node0"})
+            api.create_task(handle, TaskSpec(name="e", jar="echo.jar", cls="t.Echo"))
+            api.start_job(handle)
+            backend = cluster.servers[1].journal.backend
+            in_flight = len(backend.records(handle.job_id))
+            assert len(backend) == 400 + in_flight
+            reads = []
+            real_records = backend.records
+
+            def counting_records(job_id=None):
+                found = real_records(job_id)
+                if job_id is not None:
+                    reads.append((job_id, len(found)))
+                return found
+
+            backend.records = counting_records
+            cluster.kill_node("node0")
+            cluster.tick(3)
+            assert handle.manager.name == "node1/jm"
+            assert reads == [(handle.job_id, in_flight)]
+            [adoption] = collect_trace(handle).adoptions()
+            assert adoption.detail["replayed_records"] == in_flight
             api.send_message(handle, "e", "done")
             assert api.wait(handle, timeout=15)["e"] == "done"
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cn import (
     CNAPI,
+    ChaosPolicy,
     Cluster,
     NoWillingJobManager,
     NoWillingTaskManager,
@@ -50,6 +51,40 @@ class TestBus:
         assert bus.stats.deliveries == 3
         assert bus.stats.responses == 3
         assert bus.stats.simulated_latency == pytest.approx(0.003)
+
+    def test_raising_listener_is_counted_and_the_others_still_hear(self):
+        bus = MulticastBus()
+        heard = []
+
+        def full_disk(topic, payload):
+            raise OSError("no space left on device")
+
+        bus.attach_listener("a", lambda topic, payload: heard.append(("a", payload)))
+        bus.attach_listener("bad", full_disk)
+        bus.attach_listener("c", lambda topic, payload: heard.append(("c", payload)))
+        assert bus.publish("journal", "batch", sender="a") == 2
+        assert heard == [("a", "batch"), ("c", "batch")]
+        assert bus.stats.listener_errors == 1
+        assert bus.stats.publishes == 1
+
+    def test_partition_and_chaos_are_consulted_per_receiver(self):
+        """The fast path skips both checks only while neither is active:
+        a partition still blocks per receiver, and an armed chaos policy
+        still advances the bus-wide delivery index once per delivery."""
+        chaos = ChaosPolicy(seed=7, bus_drop_rate=0.5)
+        bus = MulticastBus(chaos=chaos)
+        heard = []
+        for name in ("node0", "node1", "node2"):
+            bus.attach_listener(name, lambda topic, payload, n=name: heard.append(n))
+            bus.subscribe(name, lambda s: {})
+        bus.set_partition([["node0", "node1"], ["node2"]])
+        delivered = bus.publish("journal", (), sender="node0")
+        offers = bus.solicit(Solicitation("taskmanager", {}, "node0"))
+        assert "node2" not in heard and "node2" not in [n for n, _ in offers]
+        assert bus.stats.partitioned == 2
+        # 2 reachable receivers per call, each one chaos decision
+        assert bus._delivery_index == 4
+        assert delivered + len(offers) + bus.stats.dropped == 4
 
 
 class TestJobManagerSelection:

@@ -17,6 +17,7 @@ The bid scheduler's correctness story has three legs, each tested here:
 """
 
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -315,3 +316,103 @@ def test_kill_node_between_bid_and_award():
         api.start_job(handle)
         results = api.wait(handle, timeout=30)
         assert len(results) == 12
+
+
+# -- chaos: the manager dies inside an award round ----------------------------
+
+
+class Counted(Task):
+    """Echoes its name and counts how often each task body really ran."""
+
+    runs: Counter = Counter()
+    _runs_lock = threading.Lock()
+
+    def __init__(self, *params):
+        pass
+
+    def run(self, ctx):
+        with Counted._runs_lock:
+            Counted.runs[ctx.task_name] += 1
+        return ctx.task_name
+
+
+class ManagerDied(RuntimeError):
+    """The managing node's thread stops here (not a CnError: no re-bid)."""
+
+
+@pytest.mark.parametrize(
+    ("scheduler", "k"), [("bid", 0), ("bid", 1), ("bid", 11), ("solicit", 5)]
+)
+def test_manager_dies_inside_an_award_round(scheduler, k):
+    """node0 manages a 12-task batch and dies after *k* uploads of the
+    round, before the round's ``task-placed`` batch is journaled.  The
+    successor adopts from the replicated task-spec batch alone, every task
+    runs exactly once, nothing the dead epoch hosted outlives the
+    adoption, and the batch the dying manager still writes is fenced
+    whole on every survivor.  Under ``solicit`` (the control) each
+    placement was journaled singly before the death, so nothing is late."""
+    names = [f"t{i}" for i in range(12)]
+    r = TaskRegistry()
+    r.register_class("count.jar", "s.Counted", Counted)
+    Counted.runs.clear()
+    with Cluster(
+        4, registry=r, memory_per_node=10**4, scheduler=scheduler, failure_k=2
+    ) as c:
+        api = CNAPI.initialize(c)
+        handle = api.create_job("cli", requirements={"prefer": "node0"})
+        assert handle.manager.name == "node0/jm"
+        dead_job, job_id = handle.job, handle.job_id
+        uploads = {"seen": 0, "armed": True}
+
+        def dying_after_k(real_host_task):
+            def host_task(job, runtime, task_class):
+                if uploads["armed"]:  # the successor's uploads pass through
+                    if uploads["seen"] == k:
+                        uploads["armed"] = False
+                        c.kill_node("node0")
+                        c.tick(3)  # detection: node1 adopts and re-places
+                        raise ManagerDied
+                    uploads["seen"] += 1
+                real_host_task(job, runtime, task_class)
+
+            return host_task
+
+        for server in c.servers:
+            tm = server.taskmanager
+            tm.host_task = dying_after_k(tm.host_task)
+
+        with pytest.raises(ManagerDied):
+            api.create_tasks(
+                handle,
+                [TaskSpec(name=n, jar="count.jar", cls="s.Counted") for n in names],
+            )
+        assert uploads["seen"] == k
+
+        assert handle.manager.name == "node1/jm"
+        assert handle.job is not dead_job and handle.job.manager_epoch == 2
+        results = api.wait(handle, timeout=30)
+        assert results == {n: n for n in names}  # the serial reference
+        assert Counted.runs == Counter(names)  # ...each body exactly once
+
+        survivors = c.servers[1:]
+        for server in survivors:
+            with server.taskmanager._lock:
+                hosted = list(server.taskmanager._hosted.values())
+            assert all(h.job is not dead_job for h in hosted), server.name
+            # a dead-epoch hosting that leaked would still hold its memory
+            assert server.taskmanager.free_memory == 10**4, server.name
+
+        # the dying manager's batch: accepted by its own cut-off replica,
+        # fenced whole (epoch 1 < 2) on every survivor, never replayed
+        late = k if scheduler == "bid" else 0
+        for server in survivors:
+            backend = server.journal.backend
+            fenced = [x for x in backend.fenced if x.job_id == job_id]
+            assert [x.kind for x in fenced] == ["task-placed"] * late, server.name
+            assert all(x.mepoch == 1 for x in fenced)
+            placed_by_dead = [
+                x
+                for x in backend.records(job_id)
+                if x.kind == "task-placed" and x.mepoch == 1
+            ]
+            assert len(placed_by_dead) == (0 if scheduler == "bid" else k)
