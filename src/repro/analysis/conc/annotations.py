@@ -66,8 +66,10 @@ GUARDED_BY: dict[str, str] = {
     "MemoryJournal._by_job": "MemoryJournal._lock",
     "FileJournal._by_job": "FileJournal._lock",
     "ReplicatedJournal._next_seq": "ReplicatedJournal._lock",
-    # TaskManager slot accounting.
+    # TaskManager slot accounting, and the count of hostings that still
+    # hold a reservation (``_end_hosting`` is the one place it goes down).
     "TaskManager._running": "TaskManager._lock",
+    "TaskManager._live": "TaskManager._lock",
     # Bid scheduler state: the archive-locality cache mutates with the
     # hosting tables; rule sequence numbers under the manager lock.
     "TaskManager._archive_cache": "TaskManager._lock",

@@ -1,7 +1,6 @@
 """Runtime lock-order / deadlock verifier (lockdep for the CN runtime).
 
-Enabled with ``Cluster(verify_locking=True)`` (or ``CN_VERIFY_LOCKING=1``)
-and free when off: :func:`make_lock` returns a *plain*
+Enabled with ``Cluster(verify_locking=True)`` and free when off: :func:`make_lock` returns a *plain*
 ``threading.Lock``/``RLock`` unless a verifier is installed, so the
 disabled hot path pays nothing — not even an attribute indirection.
 

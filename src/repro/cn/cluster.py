@@ -22,10 +22,9 @@ thread for wall-clock runs.  :meth:`kill_node` / :meth:`revive_node` /
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import AbstractContextManager
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..analysis.conc.runtime import (
     LockVerifier,
@@ -35,7 +34,7 @@ from ..analysis.conc.runtime import (
 )
 from .chaos import ChaosPolicy, ExponentialBackoff, VirtualClock
 from .errors import ConfigError
-from .transport import Transport, create_transport, transport_from_env
+from .transport import InProcTransport, ProcTransport, Transport
 from .durability import (
     JobDirectory,
     MemoryJournal,
@@ -43,6 +42,7 @@ from .durability import (
     journal_factory_for_dir,
 )
 from .multicast import MulticastBus
+from .queues import QUEUE_POLICIES
 from .registry import TaskRegistry
 from .server import CNServer
 from .telemetry import Telemetry, sample_cluster
@@ -50,6 +50,11 @@ from .telemetry import Telemetry, sample_cluster
 __all__ = ["Cluster"]
 
 _DEFAULT = object()  # sentinel: "build a fresh enabled Telemetry hub"
+
+_BACKENDS = {"inproc": InProcTransport, "proc": ProcTransport}
+
+#: virtual seconds the cluster clock advances per :meth:`Cluster.tick`
+TICK_PERIOD = 1.0
 
 
 class Cluster(AbstractContextManager):
@@ -67,39 +72,37 @@ class Cluster(AbstractContextManager):
         chaos: Optional[ChaosPolicy] = None,
         clock: Optional[VirtualClock] = None,
         failure_k: int = 3,
-        tick_period: float = 1.0,
         retry_backoff: Optional[ExponentialBackoff] = None,
         durable: bool = True,
-        journal_factory: Optional[Callable[[str], MemoryJournal]] = None,
         journal_dir: Optional[str] = None,
-        journal_group_commit: int = 0,
         telemetry: Optional[Telemetry] = _DEFAULT,  # type: ignore[assignment]
-        verify_locking: Optional[bool] = None,
+        verify_locking: bool = False,
         queue_maxsize: int = 0,
         queue_policy: str = "block",
         checksums: bool = False,
-        transport: "str | Transport | None" = None,
-        transport_options: Optional[dict] = None,
-        scheduler: Optional[str] = None,
+        transport: "str | Transport" = "inproc",
+        scheduler: str = "solicit",
     ) -> None:
         if nodes < 1:
             raise ValueError("a cluster needs at least one node")
-        #: opt-in runtime lock-order/deadlock verifier (conclint part 2).
-        #: None defers to the CN_VERIFY_LOCKING environment variable, so a
-        #: whole test suite can be re-run instrumented without edits.
-        #: Installed *before* any component is built: locks created deep
-        #: inside Job/MessageQueue constructors come out instrumented.
-        if verify_locking is None:
-            verify_locking = os.environ.get("CN_VERIFY_LOCKING", "") not in ("", "0")
-        #: execution backend selection (transport subsystem).  An explicit
-        #: name/instance is authoritative; None defers to CN_TRANSPORT so
-        #: whole suites can be re-run against the proc backend, in which
-        #: case clusters using in-process-only features (chaos, a caller
-        #: clock, the lock verifier) quietly keep the inproc backend
-        #: instead of refusing to construct.
-        env_selected = transport is None
-        if transport is None:
-            transport = transport_from_env()
+        # every combination the runtime cannot honor is refused here,
+        # before a single component is built
+        if isinstance(transport, str) and transport not in _BACKENDS:
+            raise ConfigError(
+                f"unknown transport {transport!r}; "
+                f"known backends: {', '.join(sorted(_BACKENDS))}"
+            )
+        if scheduler not in ("solicit", "bid"):
+            raise ConfigError(
+                f"unknown scheduler {scheduler!r}; expected 'solicit' or 'bid'"
+            )
+        if queue_policy not in QUEUE_POLICIES:
+            raise ConfigError(
+                f"unknown queue policy {queue_policy!r}; "
+                f"expected one of {QUEUE_POLICIES}"
+            )
+        if queue_maxsize < 0:
+            raise ConfigError(f"queue_maxsize must be >= 0, got {queue_maxsize}")
         incompatible = []
         if chaos is not None:
             incompatible.append("chaos fault injection (ChaosPolicy)")
@@ -109,39 +112,32 @@ class Cluster(AbstractContextManager):
             incompatible.append("the runtime lock verifier (verify_locking)")
         transport_name = transport if isinstance(transport, str) else transport.name
         if transport_name != "inproc" and incompatible:
-            if env_selected:
-                transport = "inproc"
-            else:
-                raise ConfigError(
-                    f"the {transport_name!r} transport executes tasks in "
-                    "worker processes and cannot honor in-process-only "
-                    f"features: {', '.join(incompatible)}. Use the default "
-                    "inproc transport for fault injection, virtual time, "
-                    "and lock verification."
-                )
-        #: placement protocol selection.  An explicit name is
-        #: authoritative; None defers to CN_SCHEDULER so whole suites can
-        #: be re-swept under the bid scheduler (the paper's solicit
-        #: protocol is the degenerate 1-task rule, so both modes are
-        #: compatible with every other feature).
-        if scheduler is None:
-            scheduler = os.environ.get("CN_SCHEDULER", "").strip() or "solicit"
-        if scheduler not in ("solicit", "bid"):
             raise ConfigError(
-                f"unknown scheduler {scheduler!r}; expected 'solicit' or 'bid'"
+                f"the {transport_name!r} transport executes tasks in "
+                "worker processes and cannot honor in-process-only "
+                f"features: {', '.join(incompatible)}. Use the default "
+                "inproc transport for fault injection, virtual time, "
+                "and lock verification."
             )
+        #: placement protocol: "solicit" (the paper's per-task multicast)
+        #: or "bid" (one rule per homogeneous batch); the solicit protocol
+        #: is the degenerate 1-task rule, so both are compatible with
+        #: every other feature
         self.scheduler = scheduler
         if isinstance(transport, str):
-            transport = create_transport(transport, **(transport_options or {}))
+            transport = _BACKENDS[transport]()
+        #: execution backend (see repro.cn.transport)
         self.transport: Transport = transport
         self.transport.bind_cluster(self)
+        #: opt-in runtime lock-order/deadlock verifier (conclint part 2).
+        #: Installed *before* any component is built: locks created deep
+        #: inside Job/MessageQueue constructors come out instrumented.
         self.lock_verifier: Optional[LockVerifier] = (
             install_verifier() if verify_locking else None
         )
         self.registry = registry if registry is not None else TaskRegistry()
         self.chaos = chaos
         self.clock = clock if clock is not None else VirtualClock()
-        self.tick_period = tick_period
         #: the cluster's observability hub: always-on by default, pass
         #: ``telemetry=None`` (or a disabled hub) to strip instrumentation
         if telemetry is _DEFAULT:
@@ -192,26 +188,23 @@ class Cluster(AbstractContextManager):
         #: cluster-wide job_id -> (manager, Job) binding; JobHandles
         #: resolve through this so failover re-binds clients transparently
         self.directory = JobDirectory()
-        if journal_dir is not None and journal_factory is None:
-            journal_factory = journal_factory_for_dir(journal_dir)
-        self.durable = durable or journal_factory is not None
+        self.durable = durable or journal_dir is not None
+        backend_for = (
+            journal_factory_for_dir(journal_dir)
+            if journal_dir is not None
+            else lambda _name: MemoryJournal()
+        )
         for server in self.servers:
             # chaos-triggered node death goes through the full kill path
             server.taskmanager.crash_hook = (
                 lambda name=server.name: self.kill_node(name)
             )
             server.set_telemetry(active)
-            # optional journal group-commit (delivery records buffered and
-            # batched; flushed on non-delivery events + the tick barrier)
-            server.jobmanager.journal_group_commit = max(0, journal_group_commit)
             if self.durable:
-                backend = (
-                    journal_factory(server.name)
-                    if journal_factory is not None
-                    else MemoryJournal()
-                )
                 server.attach_durability(
-                    ReplicatedJournal(backend, self.bus, origin=server.name),
+                    ReplicatedJournal(
+                        backend_for(server.name), self.bus, origin=server.name
+                    ),
                     self.directory,
                 )
             else:
@@ -321,7 +314,7 @@ class Cluster(AbstractContextManager):
             with self._tick_lock:
                 self._ticks += 1
                 tick = self._ticks
-                self.clock.advance(self.tick_period)
+                self.clock.advance(TICK_PERIOD)
                 now = self.clock.now()
                 if self.chaos is not None and self.chaos.enabled:
                     for node in self.chaos.nodes_to_crash(tick):
@@ -369,7 +362,7 @@ class Cluster(AbstractContextManager):
     def start_heartbeats(self, interval: float = 0.05) -> None:
         """Run :meth:`tick` on a daemon thread every *interval* wall-clock
         seconds -- for runs that cannot call tick explicitly (the portal,
-        examples).  Virtual time still advances by ``tick_period`` per
+        examples).  Virtual time still advances by ``TICK_PERIOD`` per
         tick, so deadlines stay in virtual seconds."""
         if self._pumper is not None and self._pumper.is_alive():
             return

@@ -154,11 +154,6 @@ class JobManager:
         self.failed_nodes: list[str] = []
         #: write-ahead job journal (replicated); None = non-durable mode
         self.journal: Optional[ReplicatedJournal] = None
-        #: journal group-commit: buffer up to this many delivery records
-        #: per job before appending one delivery_batch (0 = write-ahead
-        #: per fan-out, the default); flushed on every non-delivery
-        #: journal event and on the cluster tick barrier
-        self.journal_group_commit = 0
         #: cluster-wide job_id -> (manager, Job) map for client re-binding
         self.directory: Optional[JobDirectory] = None
         #: jobs this manager adopted from dead peers (failover audit trail)
@@ -205,12 +200,6 @@ class JobManager:
     def on_tick(self) -> list[str]:
         """One failure-detection period; recovers from any node newly
         declared dead.  Returns those nodes' names."""
-        # tick barrier: bound the group-commit durability window -- any
-        # delivery records still buffered since the last tick land now
-        with self._lock:
-            jobs = list(self.jobs.values())
-        for job in jobs:
-            job.flush_deliveries()
         newly_dead = self.failure_detector.tick()
         for node in newly_dead:
             self.handle_node_failure(node)
@@ -438,8 +427,6 @@ class JobManager:
                 job.job_id, events, job.manager_epoch
             )
         )
-        if self.journal_group_commit:
-            job.set_delivery_batching(self.journal_group_commit)
 
     # -- job lifecycle -----------------------------------------------------------
     def create_job(
@@ -518,15 +505,15 @@ class JobManager:
                 spec = runtime.spec
                 if spec.runmodel is RunModel.RUN_IN_JOBMANAGER:
                     # coordinator tasks stay local in both modes
-                    self._place(job, runtime)
+                    self._place(job, [runtime])
                     continue
                 key = (spec.jar, spec.cls, spec.memory, spec.runmodel)
                 groups.setdefault(key, []).append(runtime)
             for group in groups.values():
-                self._place_group(job, group)
+                self._place(job, group)
         else:
             for runtime in runtimes:
-                self._place(job, runtime)
+                self._place(job, [runtime])
         notifications: list[Message] = []
         for runtime in runtimes:
             if job.has_ledgered(runtime.name):
@@ -545,32 +532,40 @@ class JobManager:
         job.route_many(notifications)
         return runtimes
 
-    def _place(self, job: Job, runtime: TaskRuntime) -> None:
+    def _place(self, job: Job, runtimes: list[TaskRuntime]) -> None:
+        """Place one task, or a template-homogeneous batch through one
+        rule, and account for it: one ``cn_placements_total`` count and
+        one ``place:<task>#<epoch>`` span per task, one
+        ``cn_placement_seconds`` observation per call."""
         t = job.telemetry
-        if t is None:
-            self._place_inner(job, runtime)
-            return
-        start = t.now()
-        counter = t.metrics.counter("cn_placements_total", manager=self.name)
+        start = t.now() if t is not None else 0.0
         try:
-            self._place_inner(job, runtime)
+            if len(runtimes) == 1:
+                self._place_inner(job, runtimes[0])
+            else:
+                self._place_rule(job, runtimes)
         finally:
-            counter.inc()
-            t.metrics.histogram("cn_placement_seconds").observe(t.now() - start)
-            # epoch was bumped by host_task on success, so each effective
-            # placement round gets a distinct span under the task span
-            t.spans.record(
-                job.job_id,
-                f"place:{runtime.name}#{runtime.epoch}",
-                start=start,
-                end=t.now(),
-                name=f"place {runtime.name}",
-                kind="place",
-                parent_id=f"task:{runtime.name}",
-                node=runtime.node_name,
-                task=runtime.name,
-                epoch=runtime.epoch,
-            )
+            if t is not None:
+                end = t.now()
+                t.metrics.counter("cn_placements_total", manager=self.name).inc(
+                    len(runtimes)
+                )
+                t.metrics.histogram("cn_placement_seconds").observe(end - start)
+                # epoch was bumped by host_task on success, so each effective
+                # placement round gets a distinct span under the task span
+                for runtime in runtimes:
+                    t.spans.record(
+                        job.job_id,
+                        f"place:{runtime.name}#{runtime.epoch}",
+                        start=start,
+                        end=end,
+                        name=f"place {runtime.name}",
+                        kind="place",
+                        parent_id=f"task:{runtime.name}",
+                        node=runtime.node_name,
+                        task=runtime.name,
+                        epoch=runtime.epoch,
+                    )
 
     def _place_inner(self, job: Job, runtime: TaskRuntime) -> None:
         spec = runtime.spec
@@ -623,36 +618,6 @@ class JobManager:
             "task-placed",
             {"task": spec.name, "node": runtime.node_name, "epoch": runtime.epoch},
         )
-
-    def _place_group(self, job: Job, runtimes: list[TaskRuntime]) -> None:
-        """Telemetry wrapper around a batched rule placement (mirrors
-        :meth:`_place` for the per-task path)."""
-        t = job.telemetry
-        if t is None:
-            self._place_rule(job, runtimes)
-            return
-        start = t.now()
-        try:
-            self._place_rule(job, runtimes)
-        finally:
-            end = t.now()
-            t.metrics.counter("cn_placements_total", manager=self.name).inc(
-                len(runtimes)
-            )
-            t.metrics.histogram("cn_placement_seconds").observe(end - start)
-            for runtime in runtimes:
-                t.spans.record(
-                    job.job_id,
-                    f"place:{runtime.name}#{runtime.epoch}",
-                    start=start,
-                    end=end,
-                    name=f"place {runtime.name}",
-                    kind="place",
-                    parent_id=f"task:{runtime.name}",
-                    node=runtime.node_name,
-                    task=runtime.name,
-                    epoch=runtime.epoch,
-                )
 
     def _place_rule(self, job: Job, runtimes: list[TaskRuntime]) -> None:
         """Place a template-homogeneous batch through rule/bid/award.
@@ -805,8 +770,19 @@ class JobManager:
         # land before note_terminal flips the finished event (write-ahead --
         # a woken client may tear the cluster down immediately)
         failed = job.failed is not None or runtime.state is TaskState.FAILED
-        if failed or all(t.state.terminal for t in job.tasks.values()):
+        finished = failed or all(t.state.terminal for t in job.tasks.values())
+        if finished:
             job.journal_event("job-finished", {"failed": failed})
+        if finished or runtime.state is TaskState.CANCELLED:
+            # the job is over (a task only ends CANCELLED when its job was
+            # cancelled): its nodes give back what it no longer runs
+            self._release_job(job)
+
+    def _release_job(self, job: Job) -> None:
+        for node in {rt.node_name for rt in job.tasks.values()}:
+            tm = self._tm_lookup(node or "")
+            if tm is not None:
+                tm.release_job(job.job_id)
 
     def _on_terminal(self, job: Job, finished: TaskRuntime) -> None:
         self._journal_task_state(job, finished)
@@ -854,7 +830,7 @@ class JobManager:
                     self._sleeper(delay)
             runtime.state = TaskState.PENDING
             try:
-                self._place(job, runtime)
+                self._place(job, [runtime])
             except CnError:
                 runtime.state = TaskState.FAILED
                 runtime.error = (

@@ -63,6 +63,21 @@ class HostedTask:
         self.timed_out = False
         #: set on cancel/crash/timeout; wakes chaos-stalled tasks
         self.cancel_event = threading.Event()
+        #: whether the hosting still holds what ``host_task`` and
+        #: ``start_task`` reserved on its node (memory, the live count, a
+        #: slot once started); cleared by ``TaskManager._end_hosting``
+        self.reserved = True
+
+    def cancel(self) -> None:
+        """Wake whatever runs this hosting so it unwinds with ShutdownError."""
+        if self.context is not None:
+            self.context.cancelled = True
+        self.cancel_event.set()
+        # only close a queue this hosting still owns -- a task already
+        # re-placed elsewhere has a fresh queue that must stay open
+        queue = self.runtime.queue
+        if queue is not None and self.epoch == self.runtime.epoch:
+            queue.close()
 
 
 class TaskManager:
@@ -106,7 +121,10 @@ class TaskManager:
         self.crash_hook: Optional[Callable[[], None]] = None
         self._memory_used = 0
         self._slots_used = 0
+        #: hostings of jobs still under way, by (job id, task name)
         self._hosted: dict[tuple[str, str], HostedTask] = {}
+        #: hostings holding a reservation -- the bid scheduler's load
+        self._live = 0
         #: archives (JAR names) already unpacked on this node -- makes
         #: the bid scheduler's "do I have this?" locality check O(1)
         self._archive_cache: set = set()
@@ -179,9 +197,6 @@ class TaskManager:
                 capacity = min(capacity, free_slots)
             if capacity <= 0:
                 return None
-            load = sum(
-                1 for h in self._hosted.values() if not h.runtime.state.terminal
-            )
             locality = 1 if rule.jar in self._archive_cache else 0
             for dep in rule.depends:
                 if (rule.job_id, dep) in self._hosted:
@@ -190,7 +205,7 @@ class TaskManager:
                 taskmanager=self.name,
                 capacity=capacity,
                 free_memory=free_mem,
-                load=load,
+                load=self._live,
                 locality=locality,
             )
 
@@ -213,34 +228,24 @@ class TaskManager:
             }
 
     def crash(self) -> None:
-        """Simulate abrupt node death: drop all hostings, zero accounting,
-        wake/cancel every running task thread.  Threads keep running as
-        zombies until they notice, but the epoch fence discards their
-        outcomes (see :meth:`_apply_outcome`)."""
+        """Simulate abrupt node death: end every hosting, wake/cancel
+        every running task thread.  Threads keep running as zombies until
+        they notice, but the epoch fence discards their outcomes (see
+        :meth:`_apply_outcome`)."""
         with self._lock:
             if self._crashed:
                 return
             self._crashed = True
             hosted = list(self._hosted.values())
-            self._hosted.clear()
-            self._memory_used = 0
-            self._slots_used = 0
+            for h in hosted:
+                self._end_hosting(h)
         for h in hosted:
-            if h.context is not None:
-                h.context.cancelled = True
-            h.cancel_event.set()
-            # only close queues this hosting still owns -- a task already
-            # re-placed elsewhere has a fresh queue that must stay open
-            if h.epoch == h.runtime.epoch and h.runtime.queue is not None:
-                h.runtime.queue.close()
+            h.cancel()
 
     def revive(self) -> None:
         """Bring a crashed node back empty (a rebooted machine)."""
         with self._lock:
             self._crashed = False
-            self._memory_used = 0
-            self._slots_used = 0
-            self._hosted.clear()
             self._archive_cache.clear()
 
     # -- hosting --------------------------------------------------------------
@@ -286,6 +291,30 @@ class TaskManager:
             self._hosted[(job.job_id, runtime.name)] = HostedTask(
                 job, runtime, task_class, runtime.epoch
             )
+            self._live += 1
+
+    def _end_hosting(self, hosted: HostedTask, *, exited: bool = False) -> None:
+        """The one way a hosting ends.
+
+        Gives back what :meth:`host_task` and :meth:`start_task` reserved
+        for it -- memory, the live count, the slot -- exactly once: at
+        once when no task thread will (it never started, or the node is
+        dead), else when its thread exits (*exited*).  Every caller but
+        the exiting thread also forgets the hosting, which fences any
+        outcome it still produces (see :meth:`_apply_outcome`); the thread
+        leaves it for the job's later tasks to find as a local producer
+        until the job is over (:meth:`release_job`)."""
+        with self._lock:
+            key = (hosted.job.job_id, hosted.runtime.name)
+            if not exited and self._hosted.get(key) is hosted:
+                del self._hosted[key]
+            started = hosted.started_at is not None
+            if hosted.reserved and (exited or not started or self._crashed):
+                hosted.reserved = False
+                self._live -= 1
+                self._memory_used -= hosted.runtime.spec.memory
+                if started and hosted.runtime.spec.runmodel.occupies_slot:
+                    self._slots_used -= 1
 
     def start_task(
         self,
@@ -489,7 +518,7 @@ class TaskManager:
         else:
             payload = {"task": runtime.name, "result": result}
         finally:
-            self._release(runtime)
+            self._end_hosting(hosted, exited=True)
         applied = self._apply_outcome(hosted, state, result, error)
         if span is not None:
             if applied:
@@ -611,17 +640,15 @@ class TaskManager:
                 from .trace import note_undeliverable  # local: trace imports api
 
                 note_undeliverable(h.job.job_id, timeout_message, exc)
-            if h.context is not None:
-                h.context.cancelled = True
-            h.cancel_event.set()
-            if h.runtime.queue is not None:
-                h.runtime.queue.close()
+            h.cancel()
         return [h.runtime.name for h, _ in expired]
 
     def evict(self, job: Job, name: str) -> None:
         """Forget a hosted task (used when a retry re-places elsewhere)."""
         with self._lock:
-            self._hosted.pop((job.job_id, name), None)
+            hosted = self._hosted.get((job.job_id, name))
+            if hosted is not None:
+                self._end_hosting(hosted)
 
     def evict_job(self, job_id: str) -> list[str]:
         """Evict and cancel every hosting of *job_id* on this node.
@@ -632,24 +659,22 @@ class TaskManager:
         hosted-identity fence in :meth:`_apply_outcome` discards whatever
         outcome they produce.  Returns the evicted task names."""
         with self._lock:
-            victims = [
-                (key, h) for key, h in self._hosted.items() if key[0] == job_id
-            ]
-            for key, h in victims:
-                del self._hosted[key]
-                if h.thread is None and not self._crashed:
-                    # placed but never started: no task thread exists to
-                    # release the memory reservation on exit
-                    self._memory_used -= h.runtime.spec.memory
-        names = []
-        for (_, name), h in victims:
-            if h.context is not None:
-                h.context.cancelled = True
-            h.cancel_event.set()
-            if h.runtime.queue is not None:
-                h.runtime.queue.close()
-            names.append(name)
-        return names
+            victims = [h for key, h in self._hosted.items() if key[0] == job_id]
+            for h in victims:
+                self._end_hosting(h)
+        for h in victims:
+            h.cancel()
+        return [h.runtime.name for h in victims]
+
+    def release_job(self, job_id: str) -> None:
+        """*job_id* is over (finished, failed or cancelled): end every
+        hosting of it that no task thread is running here.  One still
+        running is left to publish its outcome; the JobManager calls
+        again when it does."""
+        with self._lock:
+            for key, h in list(self._hosted.items()):
+                if key[0] == job_id and (h.started_at is None or not h.reserved):
+                    self._end_hosting(h)
 
     def _instantiate(self, task_class: Type[Task], runtime: TaskRuntime) -> Task:
         try:
@@ -660,33 +685,22 @@ class TaskManager:
                 f"{runtime.name!r} with params {runtime.spec.params!r}: {exc}"
             ) from exc
 
-    def _release(self, runtime: TaskRuntime) -> None:
-        with self._lock:
-            if self._crashed:
-                return  # crash already zeroed the accounting
-            self._memory_used -= runtime.spec.memory
-            if runtime.spec.runmodel.occupies_slot:
-                self._slots_used -= 1
-
     # -- cancellation / shutdown ---------------------------------------------------
     def cancel_task(self, job: Job, name: str) -> None:
         """Cooperatively cancel: flag the context and close the queue so a
-        blocked receive unblocks with ShutdownError."""
+        blocked receive unblocks with ShutdownError.  A task that never
+        started has no thread to unwind, so its hosting ends here."""
         with self._lock:
             hosted = self._hosted.get((job.job_id, name))
-        if hosted is None:
-            return
-        if hosted.context is not None:
-            hosted.context.cancelled = True
-        hosted.cancel_event.set()
-        if hosted.runtime.queue is not None:
-            hosted.runtime.queue.close()
+            if hosted is None:
+                return
+            if hosted.started_at is None:
+                self._end_hosting(hosted)
+        hosted.cancel()
 
     def hosted_count(self) -> int:
         with self._lock:
-            return len(
-                [h for h in self._hosted.values() if not h.runtime.state.terminal]
-            )
+            return self._live
 
     def queued_messages(self) -> int:
         """Messages sitting in this node's hosted task queues right now --
@@ -735,11 +749,7 @@ class TaskManager:
             self._shutdown = True
             hosted = list(self._hosted.values())
         for h in hosted:
-            if h.context is not None:
-                h.context.cancelled = True
-            h.cancel_event.set()
-            if h.runtime.queue is not None:
-                h.runtime.queue.close()
+            h.cancel()
 
     def __repr__(self) -> str:
         return (

@@ -2,29 +2,19 @@
 
 The public surface:
 
-* :class:`Transport` / :class:`Endpoint` / :class:`WireCodec` /
-  :class:`TaskExecutor` -- the backend interface (:mod:`.base`);
+* :class:`Transport` / :class:`Endpoint` / :class:`TaskExecutor` -- the
+  backend interface (:mod:`.base`);
 * :class:`InProcTransport` -- the default single-process backend,
   byte-for-byte the seed semantics (:mod:`.inproc`);
 * :class:`ProcTransport` -- real multiprocessing workers over a
   length-prefixed pickle-protocol-5 frame codec (:mod:`.proc`);
-* :func:`create_transport` / ``CN_TRANSPORT`` -- selection, used by
-  ``Cluster(transport=...)``;
+* selection is ``Cluster(transport="inproc" | "proc" | <instance>)``;
 * :func:`fetch_blob` / :func:`register_blob_resolver` /
   :func:`register_fork_reset` -- the hooks application-layer modules use
   to stay worker-compatible without the transport importing them.
 """
 
-from .base import (
-    ENV_VAR,
-    Endpoint,
-    TaskExecutor,
-    Transport,
-    TRANSPORTS,
-    WireCodec,
-    create_transport,
-    transport_from_env,
-)
+from .base import Endpoint, TaskExecutor, Transport
 from .codec import (
     FrameCodec,
     LoopbackEndpoint,
@@ -38,14 +28,9 @@ from .proc import ProcExecutor, ProcTransport, register_blob_resolver
 from .worker import fetch_blob, in_worker, register_fork_reset
 
 __all__ = [
-    "ENV_VAR",
     "Endpoint",
     "TaskExecutor",
     "Transport",
-    "TRANSPORTS",
-    "WireCodec",
-    "create_transport",
-    "transport_from_env",
     "FrameCodec",
     "LoopbackEndpoint",
     "SocketEndpoint",

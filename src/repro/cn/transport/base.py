@@ -1,15 +1,13 @@
-"""The execution-backend interface: Transport / Endpoint / WireCodec.
+"""The execution-backend interface: Transport / Endpoint / TaskExecutor.
 
 Until this subsystem existed the "wire" between the coordinator and a
 task's execution site was an implicit Python function call: the
 TaskManager instantiated the task class and ran ``run(context)`` inline
 on a thread.  That is now one *backend* behind an explicit seam:
 
-* :class:`WireCodec` -- turns arbitrary payload objects into frame
-  segments and back (the proc backend's codec speaks pickle protocol 5
-  with out-of-band buffers; see :mod:`.codec`);
 * :class:`Endpoint` -- one bidirectional frame channel (a socket to a
-  worker process, or an in-memory loopback pair);
+  worker process, or an in-memory loopback pair; frames are encoded by
+  :class:`~repro.cn.transport.codec.FrameCodec`);
 * :class:`TaskExecutor` -- runs one task attempt to completion given its
   hosting and context, returning the result or raising exactly what the
   inline ``instance.run(context)`` would have raised -- so the
@@ -18,51 +16,22 @@ on a thread.  That is now one *backend* behind an explicit seam:
 * :class:`Transport` -- the backend itself: owns worker lifecycle, hands
   each TaskManager its executor, reports health and wire statistics.
 
-Selection happens at cluster construction: ``Cluster(transport="proc")``
-asks :func:`create_transport`; ``transport=None`` defers to the
-``CN_TRANSPORT`` environment variable (so a whole test suite can be
-re-run against the proc backend without edits) and falls back to
-``"inproc"``, which preserves the seed behavior byte-for-byte.
+Selection happens at cluster construction: ``Cluster(transport=...)``
+takes one of the two backend names or a :class:`Transport` instance; the
+default, ``"inproc"``, preserves the seed behavior byte-for-byte.
 """
 
 from __future__ import annotations
 
 import abc
-import os
-from typing import TYPE_CHECKING, Any, Callable, Optional
-
-from ..errors import ConfigError
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..job import Job
     from ..task import TaskContext
     from ..taskmanager import HostedTask, TaskManager
 
-__all__ = [
-    "WireCodec",
-    "Endpoint",
-    "TaskExecutor",
-    "Transport",
-    "TRANSPORTS",
-    "create_transport",
-    "transport_from_env",
-    "ENV_VAR",
-]
-
-#: environment variable consulted when ``Cluster(transport=None)``
-ENV_VAR = "CN_TRANSPORT"
-
-
-class WireCodec(abc.ABC):
-    """Object <-> frame-segment codec for one wire format."""
-
-    @abc.abstractmethod
-    def encode(self, obj: Any) -> tuple[bytes, list[Any]]:
-        """Serialize *obj* to ``(body, out_of_band_buffers)``."""
-
-    @abc.abstractmethod
-    def decode(self, body: Any, buffers: list[Any]) -> Any:
-        """Rebuild the object from its body and out-of-band buffers."""
+__all__ = ["Endpoint", "TaskExecutor", "Transport"]
 
 
 class Endpoint(abc.ABC):
@@ -126,7 +95,7 @@ class TaskExecutor(abc.ABC):
 class Transport(abc.ABC):
     """An execution backend: worker lifecycle + per-node executors."""
 
-    #: registry key ("inproc", "proc")
+    #: backend name ("inproc", "proc")
     name: str = "?"
 
     @abc.abstractmethod
@@ -151,29 +120,3 @@ class Transport(abc.ABC):
     #: populated by the Cluster wiring (kept here so InProc need not care)
     def bind_cluster(self, cluster: Any) -> None:
         """Give the backend a back-reference to the owning cluster."""
-
-
-#: name -> factory; factories take the keyword options of their backend
-TRANSPORTS: dict[str, Callable[..., Transport]] = {}
-
-
-def register_transport(name: str, factory: Callable[..., Transport]) -> None:
-    TRANSPORTS[name] = factory
-
-
-def create_transport(name: str, **options: Any) -> Transport:
-    """Instantiate a registered backend by name."""
-    try:
-        factory = TRANSPORTS[name]
-    except KeyError:
-        known = ", ".join(sorted(TRANSPORTS))
-        raise ConfigError(
-            f"unknown transport {name!r}; known backends: {known}"
-        ) from None
-    return factory(**options)
-
-
-def transport_from_env(default: str = "inproc") -> str:
-    """The backend name the environment selects (``CN_TRANSPORT``)."""
-    value = os.environ.get(ENV_VAR, "").strip()
-    return value if value else default

@@ -28,7 +28,7 @@ Two segment kinds:
   never consumed (worker death) at close.
 
 Sizing reuses :func:`repro.cn.job.payload_nbytes` (the data-plane
-accounting helper): payloads it sizes below ``oob_threshold`` are
+accounting helper): payloads it sizes below ``OOB_THRESHOLD`` are
 pickled without the buffer-callback machinery, keeping tiny control
 frames single-segment.
 """
@@ -45,7 +45,7 @@ from typing import Any, Optional
 
 from ..errors import FrameCorrupt, FrameTruncated, TransportError
 from ..job import payload_nbytes
-from .base import Endpoint, WireCodec
+from .base import Endpoint
 
 __all__ = [
     "FrameCodec",
@@ -68,23 +68,25 @@ MAX_SEGMENT = 1 << 30
 MAX_SEGMENTS = 1 << 16
 
 
-class FrameCodec(WireCodec):
+#: payloads the data-plane sizer can prove smaller than this are pickled
+#: in-band (single segment, no buffer bookkeeping)
+OOB_THRESHOLD = 2048
+
+
+class FrameCodec:
     """Pickle-protocol-5 codec with out-of-band buffer extraction."""
 
-    def __init__(self, *, oob_threshold: int = 2048) -> None:
-        #: payloads the data-plane sizer can prove smaller than this are
-        #: pickled in-band (single segment, no buffer bookkeeping)
-        self.oob_threshold = oob_threshold
-
     def encode(self, obj: Any) -> tuple[bytes, list[Any]]:
+        """Serialize *obj* to ``(body, out_of_band_buffers)``."""
         sized = payload_nbytes(obj)
-        if sized is not None and sized < self.oob_threshold:
+        if sized is not None and sized < OOB_THRESHOLD:
             return pickle.dumps(obj, protocol=5), []
         buffers: list[pickle.PickleBuffer] = []
         body = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
         return body, [b.raw() for b in buffers]
 
     def decode(self, body: Any, buffers: list[Any]) -> Any:
+        """Rebuild the object from its body and out-of-band buffers."""
         return pickle.loads(body, buffers=buffers)
 
 

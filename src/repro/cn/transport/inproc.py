@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from .base import TaskExecutor, Transport, register_transport
+from .base import TaskExecutor, Transport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..task import TaskContext
@@ -49,5 +49,3 @@ class InProcTransport(Transport):
     def bind_cluster(self, cluster: Any) -> None:  # nothing to wire
         pass
 
-
-register_transport("inproc", InProcTransport)

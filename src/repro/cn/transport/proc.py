@@ -46,7 +46,7 @@ from ..errors import (
 )
 from ..messages import _next_serial
 from ..runmodel import RunModel
-from .base import TaskExecutor, Transport, register_transport
+from .base import TaskExecutor, Transport
 from .codec import FrameCodec, SocketEndpoint
 from .inproc import InlineExecutor
 from .worker import worker_main
@@ -104,7 +104,7 @@ class WorkerHandle:
     # -- lifecycle --------------------------------------------------------------
     def start(self) -> None:
         parent_sock, child_sock = socket.socketpair()
-        ctx = multiprocessing.get_context(self.transport.start_method)
+        ctx = multiprocessing.get_context("fork")
         self.process = ctx.Process(
             target=worker_main,
             args=(child_sock, self.node, self.transport.shm_threshold),
@@ -425,24 +425,13 @@ class ProcTransport(Transport):
 
     name = "proc"
 
-    def __init__(
-        self,
-        *,
-        start_method: str = "fork",
-        shm_threshold: Optional[int] = 256 * 1024,
-    ) -> None:
-        if start_method != "fork":
-            raise ConfigError(
-                "the proc transport requires the fork start method (workers "
-                "inherit the task registry and staged application state); "
-                f"got {start_method!r}"
-            )
+    def __init__(self, *, shm_threshold: Optional[int] = 256 * 1024) -> None:
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ConfigError(
-                "this platform has no fork start method; the proc transport "
-                "is unavailable"
+                "this platform has no fork start method (workers inherit the "
+                "task registry and staged application state); the proc "
+                "transport is unavailable"
             )
-        self.start_method = start_method
         #: codec buffers at/above this ride SharedMemory segments instead
         #: of the socket stream (None disables the spill path)
         self.shm_threshold = shm_threshold
@@ -529,5 +518,3 @@ class ProcTransport(Transport):
             if handle.process is not None and handle.process.pid is not None
         }
 
-
-register_transport("proc", ProcTransport)

@@ -13,6 +13,7 @@ from repro.cn import (
     JobError,
     Message,
     MessageType,
+    PlacementRule,
     Task,
     TaskFailedError,
     TaskSpec,
@@ -430,3 +431,128 @@ class TestStatusQueries:
         status = api.query_status(handle)
         assert status["failed"] is True
         assert status["tasks"]["x"]["state"] == "FAILED"
+
+
+@pytest.mark.parametrize("scheduler", ["solicit", "bid"])
+class TestHostingEnds:
+    """Whatever ends a hosting -- completion, cancellation, failure of a
+    sibling, eviction -- the node gets back exactly what host_task took."""
+
+    MEMORY = 8000
+
+    def make(self, scheduler):
+        return Cluster(
+            2, registry=basic_registry(), memory_per_node=self.MEMORY,
+            scheduler=scheduler,
+        )
+
+    def assert_idle(self, cluster):
+        rule = PlacementRule(
+            "r", "j", "m", "echo.jar", "test.Echo", 0, "RUN_AS_THREAD_IN_TM", ("t",)
+        )
+        for server in cluster.servers:
+            tm = server.taskmanager
+            assert tm._hosted == {}, server.name
+            assert tm.free_memory == self.MEMORY, server.name
+            assert tm.free_slots == tm.slots, server.name
+            assert tm.hosted_count() == 0
+            assert tm.compute_bid(rule).load == 0
+
+    def test_cancelling_placed_jobs_gives_the_memory_back(self, scheduler):
+        # at the parent each round leaked its 8000: the third could not place
+        with self.make(scheduler) as cluster:
+            api = CNAPI.initialize(cluster)
+            for _ in range(30):
+                handle = api.create_job("client")
+                api.create_tasks(
+                    handle, [echo_spec(f"t{i}", memory=1000) for i in range(8)]
+                )
+                assert cluster.total_free_memory() == 2 * self.MEMORY - 8000
+                api.cancel(handle)
+                self.assert_idle(cluster)
+
+    def test_finished_jobs_are_forgotten(self, scheduler):
+        with self.make(scheduler) as cluster:
+            api = CNAPI.initialize(cluster)
+            for _ in range(3):
+                handle = api.create_job("client")
+                api.create_tasks(
+                    handle,
+                    [echo_spec("a", memory=500), echo_spec("b", ["a"], memory=500)],
+                )
+                api.start_job(handle)
+                api.wait(handle, timeout=10)
+                self.assert_idle(cluster)
+
+    def test_cancelled_job_with_running_and_unstarted_tasks(self, scheduler):
+        with self.make(scheduler) as cluster:
+            api = CNAPI.initialize(cluster)
+            handle = api.create_job("client")
+            api.create_tasks(
+                handle,
+                [
+                    TaskSpec(name="s", jar="sleepy.jar", cls="test.Sleepy", memory=700),
+                    echo_spec("after", ["s"], memory=300),
+                ],
+            )
+            api.start_job(handle)
+            api.cancel(handle)
+            deadline = time.time() + 5
+            while (
+                handle.job.task("s").state is not TaskState.CANCELLED
+                or cluster.total_free_memory() != 2 * self.MEMORY
+            ) and time.time() < deadline:
+                time.sleep(0.01)
+            assert handle.job.task("s").state is TaskState.CANCELLED
+            self.assert_idle(cluster)
+
+    def test_failed_job_releases_dependents_that_never_started(self, scheduler):
+        with self.make(scheduler) as cluster:
+            api = CNAPI.initialize(cluster)
+            handle = api.create_job("client")
+            api.create_tasks(
+                handle,
+                [
+                    TaskSpec(name="x", jar="boom.jar", cls="test.Boom", memory=100),
+                    echo_spec("after", ["x"], memory=900),
+                ],
+            )
+            api.start_job(handle)
+            with pytest.raises(TaskFailedError):
+                api.wait(handle, timeout=10)
+            assert handle.job.task("after").state is TaskState.CREATED
+            self.assert_idle(cluster)
+
+    def test_late_outcome_of_a_dropped_hosting_is_fenced(self, scheduler):
+        release = threading.Event()
+
+        class Gated(Task):
+            def __init__(self, *params):
+                pass
+
+            def run(self, ctx):
+                release.wait(10)
+                return "zombie"
+
+        try:
+            with self.make(scheduler) as cluster:
+                cluster.registry.register_class("g.jar", "t.G", Gated)
+                api = CNAPI.initialize(cluster)
+                handle = api.create_job("client")
+                api.create_task(
+                    handle, TaskSpec(name="g", jar="g.jar", cls="t.G", memory=400)
+                )
+                api.start_job(handle)
+                runtime = handle.job.task("g")
+                tm = cluster.server(runtime.node_name.split("/")[0]).taskmanager
+                hosted = tm._hosted[(handle.job_id, "g")]
+                tm.evict(handle.job, "g")
+                # its thread still runs, so it still holds what it reserved
+                assert tm.free_memory == self.MEMORY - 400
+                assert tm.hosted_count() == 1
+                release.set()
+                hosted.thread.join(5)
+                assert runtime.state is TaskState.RUNNING and runtime.result is None
+                self.assert_idle(cluster)
+        finally:
+            release.set()

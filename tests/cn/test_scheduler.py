@@ -356,7 +356,12 @@ def test_manager_dies_inside_an_award_round(scheduler, k):
     r.register_class("count.jar", "s.Counted", Counted)
     Counted.runs.clear()
     with Cluster(
-        4, registry=r, memory_per_node=10**4, scheduler=scheduler, failure_k=2
+        4,
+        registry=r,
+        memory_per_node=10**4,
+        scheduler=scheduler,
+        failure_k=2,
+        transport="inproc",  # Counted.runs is counted in this process
     ) as c:
         api = CNAPI.initialize(c)
         handle = api.create_job("cli", requirements={"prefer": "node0"})

@@ -71,7 +71,13 @@ def random_dags(draw):
 
 @pytest.fixture(scope="module")
 def cluster():
-    with Cluster(3, registry=registry(), memory_per_node=10**6, slots_per_node=256) as c:
+    with Cluster(
+        3,
+        registry=registry(),
+        memory_per_node=10**6,
+        slots_per_node=256,
+        transport="inproc",  # FlakyOnce spends a budget kept in this process
+    ) as c:
         yield c
 
 

@@ -7,7 +7,8 @@ failures cross back faithfully, and that a killed worker flows through
 the paper's failure-detection machinery rather than hanging the job.
 
 The in-process-only features (chaos, virtual time, the lock verifier)
-are guarded by construction-time ConfigError -- also covered here.
+are guarded by construction-time ConfigError -- also covered here, with
+the ``CN_TRANSPORT`` sweep that ``tests/conftest.py`` applies.
 """
 
 import os
@@ -187,6 +188,9 @@ class TestConfigGuards:
         with pytest.raises(ConfigError, match="verify_locking"):
             Cluster(2, transport="proc", verify_locking=True)
 
+    # the CN_TRANSPORT sweep is the test suite's (tests/conftest.py wraps
+    # Cluster construction); the constructor itself reads no environment
+
     def test_env_selected_proc_falls_back_for_chaos(self, monkeypatch):
         monkeypatch.setenv("CN_TRANSPORT", "proc")
         with Cluster(
@@ -198,6 +202,9 @@ class TestConfigGuards:
         monkeypatch.setenv("CN_TRANSPORT", "proc")
         with Cluster(2, verify_locking=False) as c:
             assert c.transport.name == "proc"
+        unswept = Cluster.__new__(Cluster)
+        Cluster.__init__.__wrapped__(unswept, 2)
+        assert unswept.transport.name == "inproc"
 
     def test_unknown_transport_name_refused(self):
         with pytest.raises(ConfigError, match="unknown transport"):

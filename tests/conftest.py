@@ -2,11 +2,57 @@
 
 from __future__ import annotations
 
+import functools
+import os
+
 import pytest
 
 from repro.cn.cluster import Cluster
+from repro.cn.errors import ConfigError
 from repro.cn.registry import TaskRegistry
 from repro.cn.task import Task
+
+
+def sweep_options() -> dict:
+    """The Cluster options the CI sweeps select through the environment:
+    ``CN_TRANSPORT=proc``, ``CN_SCHEDULER=bid``, ``CN_VERIFY_LOCKING=1``.
+    This function is their only reader; ``src/repro`` reads no environment."""
+    options: dict = {}
+    transport = os.environ.get("CN_TRANSPORT", "").strip()
+    if transport:
+        options["transport"] = transport
+    scheduler = os.environ.get("CN_SCHEDULER", "").strip()
+    if scheduler:
+        options["scheduler"] = scheduler
+    if os.environ.get("CN_VERIFY_LOCKING", "") not in ("", "0"):
+        options["verify_locking"] = True
+    return options
+
+
+def swept(init):
+    """Wrap ``Cluster.__init__`` so a sweep re-runs the suite unedited: a
+    sweep value applies where the caller passed none, and a cluster whose
+    own options rule it out (chaos on the proc transport, say) is built
+    without it instead of refusing to construct."""
+
+    @functools.wraps(init)
+    def __init__(self, *args, **kwargs):
+        extra = {k: v for k, v in sweep_options().items() if k not in kwargs}
+        try:
+            init(self, *args, **kwargs, **extra)
+        except ConfigError:
+            if not extra:
+                raise
+            # raised before anything is built: safe to start over
+            init(self, *args, **kwargs)
+
+    return __init__
+
+
+if not hasattr(Cluster.__init__, "__wrapped__"):
+    # at import, so clusters built inside src (app drivers, the portal,
+    # the simulator) and by module-scoped fixtures are swept too
+    Cluster.__init__ = swept(Cluster.__init__)
 
 
 class Echo(Task):
