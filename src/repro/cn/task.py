@@ -53,7 +53,9 @@ class Task(abc.ABC):
     def checkpoint(self, state: Any, tag: Any = None) -> bool:
         """Persist *state* through the job journal so a restarted attempt
         can pick up mid-algorithm.  Returns False when the cluster runs
-        without durability (the call is then a no-op)."""
+        without durability (the call is then a no-op).  In-process the
+        state is journaled on return; in a worker process it is journaled
+        before every later send of this attempt and before its outcome."""
         return self._ctx.checkpoint(state, tag) if self._ctx is not None else False
 
     def restore(self) -> Any:
@@ -287,7 +289,12 @@ class TaskContext:
     def checkpoint(self, state: Any, tag: Any = None) -> bool:
         """Persist application *state* through the job journal (replicated
         to peer managers).  Returns False -- and does nothing -- when the
-        cluster runs without durability."""
+        cluster runs without durability.
+
+        The contract, per transport: inproc -- journaled on return; proc
+        -- ordered, not acknowledged: journaled before every message this
+        attempt sends afterwards is routed and before its outcome is
+        reported, and a save that fails fails the attempt."""
         if self._checkpoint_save is None:
             return False
         self._checkpoint_save(state, tag)

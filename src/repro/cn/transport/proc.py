@@ -14,7 +14,15 @@ escapes the GIL and an N-node cluster really uses N cores.  The split:
   frame carries the attempt; a per-attempt pump thread forwards the
   coordinator-side hosted queue over the wire (so every queue policy
   and chaos-free delivery semantics are applied *before* a message
-  crosses); ``route``/``rpc``/``metric`` frames come back.
+  crosses); ``route``/``checkpoint``/``rpc``/``metric`` frames come back.
+
+One thread per node (the demux loop) reads that node's socket and
+handles every frame on itself, in arrival order; the only frames that
+cost a thread are the two RPCs that can wait on another attempt
+(:data:`_BLOCKING_RPCS`).  A checkpoint is a one-way frame, *ordered,
+not acknowledged*: it is journaled before any message the attempt sends
+after it is routed and before the attempt's outcome is reported, and one
+the coordinator cannot save fails the attempt with that error.
 
 A worker process dying is detected structurally: the executor turns
 unhealthy, the node's heartbeat falls silent, and the ordinary failure
@@ -33,8 +41,9 @@ import multiprocessing
 import pickle
 import socket
 import threading
+import traceback
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ..errors import (
     ConfigError,
@@ -66,6 +75,38 @@ _BLOB_RESOLVERS: dict[str, Callable[[str], Any]] = {}
 def register_blob_resolver(namespace: str, fn: Callable[[str], Any]) -> None:
     _BLOB_RESOLVERS[namespace] = fn
 
+
+def _rpc_blob(state: Optional["_ExecState"], namespace: str, key: str) -> Any:
+    try:
+        resolver = _BLOB_RESOLVERS[namespace]
+    except KeyError:
+        raise KeyError(f"{namespace}:{key}") from None
+    return resolver(key)
+
+
+#: worker RPC op -> callable(state, *args); every op but ``blob`` needs
+#: the live attempt it was called from
+_RPCS: dict[str, Callable[..., Any]] = {
+    "blob": _rpc_blob,
+    "tuple_out": lambda state, t: state.job.tuple_space.out(t),
+    "tuple_in": lambda state, pattern, timeout: state.job.tuple_space.in_(
+        pattern, timeout
+    ),
+    "tuple_rd": lambda state, pattern, timeout: state.job.tuple_space.rd(
+        pattern, timeout
+    ),
+    "tuple_inp": lambda state, pattern: state.job.tuple_space.inp(pattern),
+    "tuple_rdp": lambda state, pattern: state.job.tuple_space.rdp(pattern),
+    "tuple_count": lambda state, pattern: state.job.tuple_space.count(pattern),
+    "tuple_snapshot": lambda state: state.job.tuple_space.snapshot(),
+    "checkpoint_load": lambda state: state.job.load_checkpoint(state.task),
+}
+
+#: the RPCs that can wait on another attempt's progress: each call takes
+#: a thread, so the node's reader keeps reading (the tuple they wait for
+#: may arrive on this very socket).  Every other op returns without
+#: waiting on anyone and runs on the demux thread itself.
+_BLOCKING_RPCS = frozenset({"tuple_in", "tuple_rd"})
 
 _exec_seq = itertools.count(1)
 
@@ -100,6 +141,15 @@ class WorkerHandle:
         self._lock = threading.Lock()
         self._failed = False
         self._stopped = False
+        self._handlers: dict[str, Callable[[dict], None]] = {
+            "outcome": self._on_outcome,
+            "route": self._on_route,
+            "checkpoint": self._on_checkpoint,
+            "rpc": self._on_rpc,
+            "metric": self._on_metric,
+            "event": self._on_event,
+            "batch": self._on_batch,
+        }
 
     # -- lifecycle --------------------------------------------------------------
     def start(self) -> None:
@@ -237,22 +287,16 @@ class WorkerHandle:
                 break
             if frame is None:
                 break
-            op, data = frame
-            if op == "outcome":
-                self._on_outcome(data)
-            elif op == "route":
-                self._on_route(data)
-            elif op == "rpc":
-                threading.Thread(
-                    target=self._on_rpc, args=(data,), daemon=True
-                ).start()
-            elif op == "metric":
-                self._on_metric(data)
-            elif op == "event":
-                self._on_event(data)
-            elif op == "batch":
-                self._on_batch(data)
+            self._dispatch(*frame)
         self._fail_outstanding("worker connection closed")
+
+    def _dispatch(self, op: str, data: dict) -> None:
+        handler = self._handlers.get(op)
+        if handler is None:
+            # a frame this side does not know is counted, then dropped
+            self._count("cn_transport_frames_unknown_total")
+            return
+        handler(data)
 
     def _on_outcome(self, data: dict) -> None:
         with self._lock:
@@ -284,12 +328,48 @@ class WorkerHandle:
             # worker so the attempt unblocks exactly as it would inline
             self._send_quiet("queue-closed", {"exec_id": state.exec_id})
 
+    def _on_checkpoint(self, data: dict) -> None:
+        """Save a checkpoint in arrival order, on the reader: it is in
+        the journal before any later frame of this socket is handled."""
+        with self._lock:
+            state = self._execs.get(data["exec_id"])
+        if state is None:
+            return  # attempt finished/fenced; dropped as a late route is
+        try:
+            state.job.save_checkpoint(state.task, data["state"], data["tag"])
+        except Exception as exc:  # noqa: BLE001  # conclint: waive CC302 -- nobody awaits a one-way frame: whatever the save raised becomes the attempt's failure
+            self._fail_exec(state, exc)
+
+    def _fail_exec(self, state: _ExecState, exc: Exception) -> None:
+        """End a running attempt with *exc* and cancel its worker side;
+        whatever the worker still sends for it is dropped as late."""
+        with self._lock:
+            if self._execs.pop(state.exec_id, None) is None:
+                return
+        state.error = (
+            type(exc).__name__,
+            str(exc),
+            "".join(traceback.format_exception(exc)),
+        )
+        state.done.set()
+        self._send_quiet("queue-closed", {"exec_id": state.exec_id})
+
     def _on_rpc(self, data: dict) -> None:
+        if data["op"] in _BLOCKING_RPCS:
+            threading.Thread(
+                target=self._answer_rpc, args=(data,), daemon=True
+            ).start()
+        else:
+            # answered from the reader: the worker's frame loop never
+            # sends, so it is always there to take the reply
+            self._answer_rpc(data)
+
+    def _answer_rpc(self, data: dict) -> None:
         with self._lock:
             state = self._execs.get(data["exec_id"]) if data["exec_id"] else None
         reply: dict[str, Any] = {"rpc_id": data["rpc_id"]}
         try:
-            value = self._dispatch_rpc(state, data["op"], list(data["args"]))
+            value = self._dispatch_rpc(state, data["op"], data["args"])
         except Exception as exc:  # noqa: BLE001  # conclint: waive CC302 -- the RPC boundary must return every error to the worker by name
             reply.update(ok=False, kind=type(exc).__name__, text=str(exc))
         else:
@@ -297,44 +377,25 @@ class WorkerHandle:
         self._send_quiet("rpc-reply", reply)
 
     def _dispatch_rpc(
-        self, state: Optional[_ExecState], op: str, args: list
+        self, state: Optional[_ExecState], op: str, args: Sequence[Any]
     ) -> Any:
-        if op == "blob":
-            namespace, key = args
-            try:
-                resolver = _BLOB_RESOLVERS[namespace]
-            except KeyError:
-                raise KeyError(f"{namespace}:{key}") from None
-            return resolver(key)
-        if state is None:
+        handler = _RPCS.get(op)
+        if handler is None:
+            raise ConfigError(f"unknown worker rpc {op!r}")
+        if state is None and handler is not _rpc_blob:
             raise ShutdownError("rpc for an attempt that is no longer running")
-        space = state.job.tuple_space
-        if op == "tuple_out":
-            return space.out(args[0])
-        if op == "tuple_in":
-            return space.in_(args[0], args[1])
-        if op == "tuple_rd":
-            return space.rd(args[0], args[1])
-        if op == "tuple_inp":
-            return space.inp(args[0])
-        if op == "tuple_rdp":
-            return space.rdp(args[0])
-        if op == "tuple_count":
-            return space.count(args[0])
-        if op == "tuple_snapshot":
-            return space.snapshot()
-        if op == "checkpoint_save":
-            return state.job.save_checkpoint(state.task, args[0], args[1])
-        if op == "checkpoint_load":
-            return state.job.load_checkpoint(state.task)
-        raise ConfigError(f"unknown worker rpc {op!r}")
+        return handler(state, *args)
 
     def _on_metric(self, data: dict) -> None:
+        self._count(data["name"], data["amount"], data["labels"])
+
+    def _count(
+        self, name: str, amount: float = 1.0, labels: Optional[dict] = None
+    ) -> None:
         telemetry = self.transport.telemetry()
-        if telemetry is None:
-            return
-        scoped = telemetry.metrics.namespaced(self.node)
-        scoped.counter(data["name"], **data["labels"]).inc(data["amount"])
+        if telemetry is not None:
+            scoped = telemetry.metrics.namespaced(self.node)
+            scoped.counter(name, **(labels or {})).inc(amount)
 
     def _on_event(self, data: dict) -> None:
         with self._lock:
@@ -348,16 +409,9 @@ class WorkerHandle:
         crossed the wire as one (worker-side buffering)."""
         frames = data["frames"]
         for op, frame in frames:
-            if op == "metric":
-                self._on_metric(frame)
-            elif op == "event":
-                self._on_event(frame)
+            self._dispatch(op, frame)
         if len(frames) > 1:
-            telemetry = self.transport.telemetry()
-            if telemetry is not None:
-                telemetry.metrics.namespaced(self.node).counter(
-                    "cn_transport_frames_coalesced_total"
-                ).inc(len(frames) - 1)
+            self._count("cn_transport_frames_coalesced_total", len(frames) - 1)
 
     # -- plumbing ---------------------------------------------------------------
     def _send(self, op: str, data: dict) -> None:

@@ -7,7 +7,10 @@ here, over a socket speaking the frame codec.  The worker:
 
 * receives ``exec`` frames, unpickles the task class, and runs the
   attempt on a local thread with a :class:`RemoteTaskContext` whose
-  messaging/tuple-space/checkpoint surface proxies back over the wire;
+  messaging/tuple-space/checkpoint surface proxies back over the wire
+  (a checkpoint leaves as a one-way ``checkpoint`` frame: ordered before
+  every later send of the attempt and before its outcome, not
+  acknowledged);
 * receives ``msg`` frames (the coordinator pumps the attempt's hosted
   queue over) into a local :class:`~repro.cn.queues.MessageQueue`, so
   ``recv_matching`` and friends behave exactly as in-process;
@@ -145,16 +148,25 @@ class RemoteTaskContext(TaskContext):
 
     Subclasses the real context so the entire messaging API (``send``,
     ``multicast``, ``send_many``, ``broadcast``, selective receive,
-    checkpoint/restore) runs the exact in-process code paths -- only the
-    injected ``route`` / ``route_many`` / ``tuple_space`` / checkpoint
-    callables differ.  Telemetry is forwarded as metric frames and
-    merged into the coordinator registry under this node's namespace.
+    restore) runs the exact in-process code paths -- only the injected
+    ``route`` / ``route_many`` / ``tuple_space`` / restore callables
+    differ, and ``checkpoint`` is a frame instead of a call.  Telemetry
+    is forwarded as metric frames and merged into the coordinator
+    registry under this node's namespace.
     """
 
     def __init__(self, runtime: "WorkerRuntime", exec_id: str, **kwargs: Any) -> None:
         self._runtime = runtime
         self._exec_id = exec_id
         super().__init__(**kwargs)
+
+    def checkpoint(self, state: Any, tag: Any = None) -> bool:
+        """One ``checkpoint`` frame, no reply: the coordinator journals
+        it before it routes anything this attempt sends afterwards and
+        before it reports the outcome (one FIFO socket carries all
+        three); a save that fails there fails the attempt."""
+        self._runtime.send_checkpoint(self._exec_id, state, tag)
+        return True
 
     def counter(self, name: str, **labels: Any) -> Any:
         return _RemoteCounter(self._runtime, self._exec_id, name, labels)
@@ -188,9 +200,16 @@ class WorkerRuntime:
         #: before the attempt's outcome frame (so the coordinator's
         #: registry observes every metric an outcome implies) and at
         #: shutdown.  Telemetry frames are fire-and-forget, so delaying
-        #: them is safe; rpc/outcome/route frames are never buffered.
+        #: them is safe; rpc/outcome/route/checkpoint frames are never
+        #: buffered.
         self._frame_buffer: list[tuple[str, dict]] = []
         self.flush_threshold = 32
+        self._handlers: dict[str, Callable[[dict], None]] = {
+            "exec": self._start_exec,
+            "msg": self._deliver,
+            "queue-closed": self._cancel,
+            "rpc-reply": self._rpc_reply,
+        }
 
     # -- outbound helpers (any thread) -----------------------------------------
     def _send(self, op: str, data: dict) -> None:
@@ -234,6 +253,9 @@ class WorkerRuntime:
     def send_event(self, exec_id: str, name: str, attrs: dict) -> None:
         self._buffer_frame("event", {"exec_id": exec_id, "name": name, "attrs": attrs})
 
+    def send_checkpoint(self, exec_id: str, state: Any, tag: Any) -> None:
+        self._send("checkpoint", {"exec_id": exec_id, "state": state, "tag": tag})
+
     def rpc(self, exec_id: Optional[str], op: str, *args: Any) -> Any:
         """Synchronous request to the coordinator; raises what the
         coordinator-side operation raised (mapped back by class name)."""
@@ -264,17 +286,32 @@ class WorkerRuntime:
             if frame is None:
                 break
             op, data = frame
-            if op == "exec":
-                self._start_exec(data)
-            elif op == "msg":
-                self._deliver(data)
-            elif op == "queue-closed":
-                self._cancel(data["exec_id"])
-            elif op == "rpc-reply":
-                self._rpc_reply(data)
-            elif op == "stop":
+            if op == "stop":
                 break
+            handler = self._handlers.get(op)
+            if handler is None:
+                self._count_unknown()
+            else:
+                handler(data)
         self._shutdown()
+
+    def _count_unknown(self) -> None:
+        """Count a frame this side does not know, then drop it.  Only
+        buffered: this loop never writes to the socket (the coordinator
+        answers RPCs from its reader, which would deadlock against a
+        writer blocked here), so the count leaves with the next flush."""
+        with self._lock:
+            self._frame_buffer.append(
+                (
+                    "metric",
+                    {
+                        "exec_id": None,
+                        "name": "cn_transport_frames_unknown_total",
+                        "labels": {},
+                        "amount": 1.0,
+                    },
+                )
+            )
 
     def _shutdown(self) -> None:
         self.flush_frames()
@@ -312,9 +349,6 @@ class WorkerRuntime:
             dependencies=data["dependencies"],
             attempt_epoch=data["attempt_epoch"],
             manager_epoch=data["manager_epoch"],
-            checkpoint_save=lambda state, tag=None, _id=exec_id: self.rpc(
-                _id, "checkpoint_save", state, tag
-            ),
             checkpoint_load=lambda _id=exec_id: self.rpc(_id, "checkpoint_load"),
         )
         ex.context = context
@@ -383,9 +417,9 @@ class WorkerRuntime:
         except ShutdownError:  # conclint: waive CC303 -- late delivery to a cancelled attempt is dropped by design
             pass
 
-    def _cancel(self, exec_id: str) -> None:
+    def _cancel(self, data: dict) -> None:
         with self._lock:
-            ex = self._execs.get(exec_id)
+            ex = self._execs.get(data["exec_id"])
         if ex is None:
             return
         if ex.context is not None:
