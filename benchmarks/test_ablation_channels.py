@@ -44,7 +44,7 @@ def test_bench_messaging_workload(benchmark, pi_cluster):
 
     def run_once():
         estimate, _ = run_parallel_pi(
-            samples=20000, seed=1, n_workers=4, cluster=pi_cluster, transform="native"
+            samples=20000, seed=1, n_workers=4, cluster=pi_cluster
         )
         return estimate
 
@@ -56,7 +56,7 @@ def test_bench_tuplespace_workload(benchmark, wc_cluster):
 
     def run_once():
         histogram, _ = run_parallel_wordcount(
-            TEXT, shards=12, n_mappers=4, cluster=wc_cluster, transform="native"
+            TEXT, shards=12, n_mappers=4, cluster=wc_cluster
         )
         return histogram
 
@@ -71,7 +71,7 @@ def test_channel_comparison_report(report, wc_cluster):
     for shards in (4, 12, 48):
         start = time.perf_counter()
         histogram, outcome = run_parallel_wordcount(
-            TEXT, shards=shards, n_mappers=4, cluster=wc_cluster, transform="native"
+            TEXT, shards=shards, n_mappers=4, cluster=wc_cluster
         )
         elapsed = time.perf_counter() - start
         assert histogram == count_words_serial(TEXT)

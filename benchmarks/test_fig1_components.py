@@ -88,7 +88,7 @@ class TestFig1Inventory:
         doc = xmi_to_cnx(xmi)  # XMI2CNX (XSLT)
         java = cnx_to_java(doc)  # CNX2Java
         assert "public class MonteCarloPi" in java
-        portal = Portal(Cluster(2, registry=pi_registry()), transform="xslt")
+        portal = Portal(Cluster(2, registry=pi_registry()))
         try:
             submission = portal.submit(xmi)  # prototype + CN API + CN servers
             assert submission.status == "done"

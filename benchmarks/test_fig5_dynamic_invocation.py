@@ -61,7 +61,7 @@ class TestFig5Execution:
     def test_runtime_worker_count(self, cluster, runtime_workers):
         matrix = random_weighted_graph(12, seed=runtime_workers)
         result, outcome = run_parallel_floyd_dynamic(
-            matrix, n_workers=runtime_workers, cluster=cluster, transform="native"
+            matrix, n_workers=runtime_workers, cluster=cluster
         )
         assert np.allclose(result, floyd_warshall(matrix))
         # one expanded task per argument list, named tctask1..N
@@ -75,7 +75,7 @@ class TestFig5Execution:
         rows = []
         for workers in (2, 4, 8):
             result, outcome = run_parallel_floyd_dynamic(
-                matrix, n_workers=workers, cluster=cluster, transform="native"
+                matrix, n_workers=workers, cluster=cluster
             )
             assert np.allclose(result, expected)
             expanded = sum(1 for n in outcome.job_results[0] if n.startswith("tctask") and n != "tctask999")
@@ -90,10 +90,10 @@ class TestExplicitVsDynamicAblation:
     def test_same_answer_both_styles(self, cluster):
         matrix = random_weighted_graph(14, seed=7)
         explicit, _ = run_parallel_floyd(
-            matrix, n_workers=4, cluster=cluster, transform="native"
+            matrix, n_workers=4, cluster=cluster
         )
         dynamic, _ = run_parallel_floyd_dynamic(
-            matrix, n_workers=4, cluster=cluster, transform="native"
+            matrix, n_workers=4, cluster=cluster
         )
         assert np.allclose(explicit, dynamic)
 
@@ -122,7 +122,7 @@ def test_bench_fig5_expansion(benchmark, cluster):
 
     def run_once():
         result, _ = run_parallel_floyd_dynamic(
-            matrix, n_workers=4, cluster=cluster, transform="native"
+            matrix, n_workers=4, cluster=cluster
         )
         return result
 

@@ -21,9 +21,10 @@ from repro.apps.floyd import (
     store_matrix,
 )
 from repro.cn import Cluster
+from repro.core.cnx import emit
 from repro.core.transform.cnx2code import GeneratedClient, cnx_to_python
 from repro.core.transform.pipeline import Pipeline
-from repro.core.transform.xmi2cnx import xmi_to_cnx
+from repro.core.transform.xmi2cnx import xmi_to_cnx, xmi_to_cnx_native
 from repro.core.xmi import write_graph
 
 N = 20
@@ -49,7 +50,7 @@ def cluster():
 
 class TestFig6Steps:
     def test_all_six_steps(self, graph, matrix, cluster, report):
-        pipeline = Pipeline(transform="xslt")
+        pipeline = Pipeline()
         outcome = pipeline.run(graph, cluster, timeout=120)
         # step 1: validated model
         assert outcome.model.all_graphs()[0].name == "TransClosure"
@@ -70,9 +71,11 @@ class TestFig6Steps:
         )
 
     def test_xslt_and_native_transforms_agree_end_to_end(self, graph, matrix, cluster):
-        a = Pipeline(transform="xslt").run(graph, cluster, timeout=120)
-        b = Pipeline(transform="native").run(graph, cluster, timeout=120)
-        assert np.allclose(a.results["tctask999"], b.results["tctask999"])
+        outcome = Pipeline().run(graph, cluster, timeout=120)
+        oracle = xmi_to_cnx_native(outcome.xmi_text)
+        assert emit(oracle) == outcome.cnx_text
+        (results,) = GeneratedClient(cnx_to_python(oracle)).run(cluster, None, 120)
+        assert np.allclose(outcome.results["tctask999"], results["tctask999"])
 
 
 class TestFig6StepBenchmarks:

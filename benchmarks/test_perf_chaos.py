@@ -45,7 +45,7 @@ def expected(matrix):
 def _one_runtime(cluster, matrix, expected):
     start = time.perf_counter()
     result, _ = run_parallel_floyd(
-        matrix, n_workers=3, cluster=cluster, transform="native"
+        matrix, n_workers=3, cluster=cluster
     )
     elapsed = time.perf_counter() - start
     assert np.allclose(result, expected)
@@ -135,7 +135,6 @@ def test_completion_rate_vs_node_crash_rate(report):
                         small,
                         n_workers=3,
                         cluster=cluster,
-                        transform="native",
                         retries=3,
                         timeout=8.0,
                     )

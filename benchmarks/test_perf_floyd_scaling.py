@@ -53,7 +53,7 @@ def test_bench_floyd_workers(benchmark, matrix, expected, cluster, workers):
 
     def run_once():
         result, _ = run_parallel_floyd(
-            matrix, n_workers=workers, cluster=cluster, transform="native"
+            matrix, n_workers=workers, cluster=cluster
         )
         return result
 
@@ -70,7 +70,7 @@ def test_scaling_series_report(matrix, expected, cluster, report):
     for workers in (1, 2, 4, 8, 16):
         start = time.perf_counter()
         result, _ = run_parallel_floyd(
-            matrix, n_workers=workers, cluster=cluster, transform="native"
+            matrix, n_workers=workers, cluster=cluster
         )
         elapsed = time.perf_counter() - start
         assert np.allclose(result, expected)
@@ -95,6 +95,6 @@ def test_worker_count_caps_at_n_rows(cluster):
     harmless (empty row ranges)."""
     small = random_weighted_graph(4, seed=7)
     result, _ = run_parallel_floyd(
-        small, n_workers=9, cluster=cluster, transform="native"
+        small, n_workers=9, cluster=cluster
     )
     assert np.allclose(result, floyd_warshall_numpy(small))

@@ -86,7 +86,7 @@ def test_storm_admission_latency_and_goodput(report):
     # baseline: no limits at all (the seed portal)
     registry = register_pi_tasks(TaskRegistry())
     with Cluster(2, registry=registry, memory_per_node=64000) as cluster:
-        portal = Portal(cluster, transform="native")
+        portal = Portal(cluster)
         portal.submit(pi_xmi())  # warm imports/transform caches
         baseline_wall = run_portal_jobs(portal, BASELINE_JOBS)
 
@@ -95,7 +95,6 @@ def test_storm_admission_latency_and_goodput(report):
     with Cluster(2, registry=registry, memory_per_node=64000) as cluster:
         portal = Portal(
             cluster,
-            transform="native",
             admission=AdmissionController(cluster, rate=100.0, burst=200.0),
         )
         portal.submit(pi_xmi())

@@ -52,7 +52,7 @@ def test_bench_pipeline_scale(benchmark, tasks):
     def run_once():
         with Cluster(4, registry=registry(), memory_per_node=10**6,
                      slots_per_node=1024) as cluster:
-            return Pipeline(transform="xslt").run(model, cluster, timeout=120)
+            return Pipeline().run(model, cluster, timeout=120)
 
     outcome = benchmark.pedantic(run_once, rounds=3, iterations=1)
     assert len(outcome.results) == tasks + 2
@@ -65,7 +65,7 @@ def test_scale_report(report):
         with Cluster(4, registry=registry(), memory_per_node=10**6,
                      slots_per_node=1024) as cluster:
             start = time.perf_counter()
-            outcome = Pipeline(transform="xslt").run(model, cluster, timeout=300)
+            outcome = Pipeline().run(model, cluster, timeout=300)
             total = time.perf_counter() - start
         assert len(outcome.results) == tasks + 2
         steps = outcome.step_seconds

@@ -155,7 +155,7 @@ def expected(matrix):
 def _one_runtime(cluster, matrix, expected):
     start = time.perf_counter()
     result, _ = run_parallel_floyd(
-        matrix, n_workers=3, cluster=cluster, transform="native"
+        matrix, n_workers=3, cluster=cluster
     )
     elapsed = time.perf_counter() - start
     assert np.allclose(result, expected)

@@ -70,7 +70,7 @@ def timed_floyd(backend: str, matrix, expected) -> tuple[float, dict]:
     with _cluster(backend, floyd_registry()) as cluster:
         started = time.perf_counter()
         result, _ = run_parallel_floyd(
-            matrix, n_workers=WORKERS, cluster=cluster, transform="native",
+            matrix, n_workers=WORKERS, cluster=cluster,
             timeout=300,
         )
         wall = time.perf_counter() - started
@@ -83,7 +83,7 @@ def timed_matmul(backend: str, a, b, expected) -> tuple[float, dict]:
     with _cluster(backend, matmul_registry()) as cluster:
         started = time.perf_counter()
         result, _ = run_parallel_matmul(
-            a, b, n_workers=WORKERS, cluster=cluster, transform="native",
+            a, b, n_workers=WORKERS, cluster=cluster,
             timeout=300,
         )
         wall = time.perf_counter() - started

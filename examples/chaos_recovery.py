@@ -97,7 +97,7 @@ def floyd_under_chaos_demo() -> None:
     with Cluster(4, registry=floyd_registry(), chaos=chaos, failure_k=2) as cluster:
         cluster.start_heartbeats(interval=0.02)
         result, _ = run_parallel_floyd(
-            matrix, n_workers=3, cluster=cluster, transform="native",
+            matrix, n_workers=3, cluster=cluster,
             retries=2, timeout=60.0,
         )
     ok = np.allclose(result, floyd_warshall(matrix))

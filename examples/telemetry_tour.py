@@ -47,7 +47,7 @@ def main() -> None:
     print(f"=== 0. run: parallel Floyd, N={N}, {WORKERS} workers ===")
     with Cluster(4, registry=floyd_registry(), memory_per_node=10**6) as cluster:
         result, _pipeline = run_parallel_floyd(
-            matrix, n_workers=WORKERS, cluster=cluster, transform="native"
+            matrix, n_workers=WORKERS, cluster=cluster
         )
         assert np.allclose(result, floyd_warshall(matrix))
         telemetry = cluster.telemetry

@@ -39,7 +39,7 @@ def run_on(backend: str, matrix) -> list[list[float]]:
     kwargs = {} if backend == "inproc" else {"transport": "proc", "verify_locking": False}
     with Cluster(4, registry=floyd_registry(), **kwargs) as cluster:
         result, _ = run_parallel_floyd(
-            matrix, n_workers=4, cluster=cluster, transform="native", timeout=120
+            matrix, n_workers=4, cluster=cluster, timeout=120
         )
         pids = cluster.transport.worker_pids() if backend == "proc" else {}
         if backend == "proc":

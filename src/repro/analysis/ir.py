@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from repro.util import dag
+
 from .diagnostics import SourceLocation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -125,60 +127,14 @@ class JobGraph:
                     result[dep].append(task.name)
         return result
 
-    def topological_order(self) -> Optional[list[str]]:
-        """Task names in dependency order, or None when the dependency
-        relation (restricted to resolvable edges) contains a cycle."""
-        names = {t.name for t in self.tasks}
-        deps = {t.name: [d for d in t.depends if d in names] for t in self.tasks}
-        order: list[str] = []
-        done: set[str] = set()
-        visiting: set[str] = set()
-
-        def visit(name: str) -> bool:
-            if name in done:
-                return True
-            if name in visiting:
-                return False
-            visiting.add(name)
-            for dep in deps.get(name, ()):
-                if not visit(dep):
-                    return False
-            visiting.discard(name)
-            done.add(name)
-            order.append(name)
-            return True
-
-        for task in self.tasks:
-            if not visit(task.name):
-                return None
-        return order
-
     def cycle_member(self) -> Optional[str]:
-        """The name of some task on a dependency cycle, or None."""
+        """The name of some task on a dependency cycle (restricted to
+        resolvable edges), or None."""
         names = {t.name for t in self.tasks}
-        deps = {t.name: [d for d in t.depends if d in names] for t in self.tasks}
-        done: set[str] = set()
-        visiting: set[str] = set()
-
-        def visit(name: str) -> Optional[str]:
-            if name in done:
-                return None
-            if name in visiting:
-                return name
-            visiting.add(name)
-            for dep in deps.get(name, ()):
-                hit = visit(dep)
-                if hit is not None:
-                    return hit
-            visiting.discard(name)
-            done.add(name)
-            return None
-
-        for task in self.tasks:
-            hit = visit(task.name)
-            if hit is not None:
-                return hit
-        return None
+        witness = dag.cycle(
+            {t.name: [d for d in t.depends if d in names] for t in self.tasks}
+        )
+        return witness[0] if witness else None
 
 
 @dataclass

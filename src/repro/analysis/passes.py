@@ -55,6 +55,8 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
+from repro.util import dag
+
 from .diagnostics import Diagnostic, Report, Severity, SourceLocation
 from .ir import (
     ANY,
@@ -134,6 +136,29 @@ class AnalysisContext:
 
     cluster: Optional[ClusterSpec] = None
     task_resolver: Optional[Callable[[str, str], bool]] = None
+
+    @classmethod
+    def for_cluster(cls, cluster) -> "AnalysisContext":
+        """The context of a live :class:`repro.cn.cluster.Cluster`: its
+        TaskManagers' shape for the placement pass, its task registry
+        for the archive pass."""
+        managers = [server.taskmanager for server in cluster.servers]
+
+        def resolves(jar: str, entry_class: str) -> bool:
+            try:
+                cluster.registry.resolve(jar, entry_class)
+            except Exception:  # noqa: BLE001  # conclint: waive CC302 -- resolution executes arbitrary archive code; any failure means unresolvable
+                return False
+            return True
+
+        return cls(
+            cluster=ClusterSpec(
+                nodes=len(managers),
+                memory_per_node=min(tm.memory_capacity for tm in managers),
+                slots_per_node=min(tm.slots for tm in managers),
+            ),
+            task_resolver=resolves,
+        )
 
 
 class AnalysisPass:
@@ -597,20 +622,22 @@ class MessageFlowPass(AnalysisPass):
             t.name: [s for s in t.receives if s in known and s != t.name]
             for t in job.tasks
         }
-        cycle = _find_cycle(waits)
+        cycle = dag.cycle(waits)
         if cycle:
             yield self.error(
                 "CN504",
                 f"{label}: message deadlock: cyclic wait among "
-                f"{' -> '.join(cycle + [cycle[0]])}",
+                f"{' -> '.join(cycle)}",
                 by_name[cycle[0]].location,
                 "every task in the cycle blocks on a receive before its own "
                 "send; reorder the protocol or drop one receive",
             )
 
         # CN505: receive from a task that cannot start until the receiver
-        # completes (the dependency relation already orders them).
-        downstream = _transitive_dependents(job)
+        # completes (the dependency relation already orders them; a task
+        # on or ahead of a dependency cycle orders nothing, so none is
+        # claimed for it).
+        downstream = dag.descendants(job.dependents())
         for task in job.tasks:
             for src in task.receives:
                 if src in known and src in downstream.get(task.name, set()):
@@ -622,56 +649,6 @@ class MessageFlowPass(AnalysisPass):
                         task.location,
                         "dependency-driven starts make this receive unreachable",
                     )
-
-
-def _find_cycle(edges: dict[str, list[str]]) -> list[str]:
-    """Some cycle in the directed graph *edges* (name -> successors), as
-    an ordered node list; empty when acyclic."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {name: WHITE for name in edges}
-    stack: list[str] = []
-
-    def visit(name: str) -> Optional[list[str]]:
-        color[name] = GREY
-        stack.append(name)
-        for succ in edges.get(name, ()):
-            if color.get(succ, BLACK) == GREY:
-                return stack[stack.index(succ):]
-            if color.get(succ, BLACK) == WHITE:
-                found = visit(succ)
-                if found:
-                    return found
-        stack.pop()
-        color[name] = BLACK
-        return None
-
-    for name in edges:
-        if color[name] == WHITE:
-            found = visit(name)
-            if found:
-                return found
-    return []
-
-
-def _transitive_dependents(job: JobGraph) -> dict[str, set[str]]:
-    """Map task -> every task that (transitively) depends on it."""
-    direct = job.dependents()
-    result: dict[str, set[str]] = {}
-
-    def expand(name: str) -> set[str]:
-        if name in result:
-            return result[name]
-        result[name] = set()  # cycle guard; CN104 reports real cycles
-        closure: set[str] = set()
-        for dep in direct.get(name, ()):
-            closure.add(dep)
-            closure.update(expand(dep))
-        result[name] = closure
-        return closure
-
-    for task in job.tasks:
-        expand(task.name)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -772,21 +749,14 @@ class OrderingPass(AnalysisPass):
                     job.location,
                 )
         if not problems and any(j.after for j in comp.jobs):
-            remaining = {j.name: set(j.after) for j in comp.jobs if j.name}
-            while remaining:
-                ready = [n for n, deps in remaining.items() if not deps]
-                if not ready:
-                    yield self.error(
-                        "CN704",
-                        f"cyclic job ordering among {sorted(remaining)}",
-                        comp.location,
-                        "the partial order must be acyclic for batches to form",
-                    )
-                    break
-                for name in ready:
-                    del remaining[name]
-                for deps in remaining.values():
-                    deps.difference_update(ready)
+            _, stuck = dag.batches({j.name: j.after for j in comp.jobs if j.name})
+            if stuck:
+                yield self.error(
+                    "CN704",
+                    f"cyclic job ordering among {sorted(stuck)}",
+                    comp.location,
+                    "the partial order must be acyclic for batches to form",
+                )
 
 
 # ---------------------------------------------------------------------------

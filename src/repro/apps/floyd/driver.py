@@ -85,7 +85,6 @@ def run_parallel_floyd(
     *,
     n_workers: int = 5,
     cluster: Optional[Cluster] = None,
-    transform: str = "xslt",
     mode: str = "shortest",
     timeout: float = 120.0,
     retries: int = 0,
@@ -101,7 +100,7 @@ def run_parallel_floyd(
         n_workers=n_workers, matrix_source=source, sink="", mode=mode,
         retries=retries,
     )
-    return _execute(graph, cluster, transform, timeout, runtime_args=None,
+    return _execute(graph, cluster, timeout, runtime_args=None,
                     joiner="tctask999")
 
 
@@ -110,7 +109,6 @@ def run_parallel_floyd_dynamic(
     *,
     n_workers: int = 5,
     cluster: Optional[Cluster] = None,
-    transform: str = "xslt",
     mode: str = "shortest",
     timeout: float = 120.0,
     retries: int = 0,
@@ -125,22 +123,20 @@ def run_parallel_floyd_dynamic(
     return _execute(
         graph,
         cluster,
-        transform,
         timeout,
         runtime_args={"n_workers": n_workers},
         joiner="taskjoin",
     )
 
 
-def _execute(graph, cluster, transform, timeout, runtime_args, joiner):
-    pipeline = Pipeline(transform=transform)
+def _execute(graph, cluster, timeout, runtime_args, joiner):
     owns = cluster is None
     if owns:
         cluster = Cluster(4, registry=floyd_registry())
     else:
         ensure_floyd_tasks(cluster.registry)
     try:
-        outcome = pipeline.run(
+        outcome = Pipeline().run(
             graph, cluster, runtime_args=runtime_args, timeout=timeout
         )
     finally:

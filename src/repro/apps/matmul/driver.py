@@ -72,7 +72,6 @@ def run_parallel_matmul(
     *,
     n_workers: int = 4,
     cluster: Optional[Cluster] = None,
-    transform: str = "xslt",
     timeout: float = 60.0,
 ) -> tuple[list[list[float]], PipelineResult]:
     """Pipeline-run C = A @ B; returns ``(C, pipeline_result)``."""
@@ -80,14 +79,13 @@ def run_parallel_matmul(
         key = f"matmul-{next(_counter)}"
     source = store_pair(key, a, b)
     graph = build_matmul_model(source=source, n_workers=n_workers)
-    pipeline = Pipeline(transform=transform)
     owns = cluster is None
     if owns:
         cluster = Cluster(4, registry=matmul_registry())
     else:
         register_matmul_tasks(cluster.registry)
     try:
-        outcome = pipeline.run(graph, cluster, timeout=timeout)
+        outcome = Pipeline().run(graph, cluster, timeout=timeout)
     finally:
         if owns:
             cluster.shutdown()

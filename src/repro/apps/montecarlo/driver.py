@@ -66,19 +66,17 @@ def run_parallel_pi(
     seed: int = 0,
     n_workers: int = 4,
     cluster: Optional[Cluster] = None,
-    transform: str = "xslt",
     timeout: float = 60.0,
 ) -> tuple[float, PipelineResult]:
     """Pipeline-run the pi job; returns ``(estimate, pipeline_result)``."""
     graph = build_pi_model(samples=samples, seed=seed, n_workers=n_workers)
-    pipeline = Pipeline(transform=transform)
     owns = cluster is None
     if owns:
         cluster = Cluster(4, registry=pi_registry())
     else:
         register_pi_tasks(cluster.registry)
     try:
-        outcome = pipeline.run(graph, cluster, timeout=timeout)
+        outcome = Pipeline().run(graph, cluster, timeout=timeout)
     finally:
         if owns:
             cluster.shutdown()

@@ -65,19 +65,17 @@ def run_parallel_wordcount(
     shards: int = 8,
     n_mappers: int = 4,
     cluster: Optional[Cluster] = None,
-    transform: str = "xslt",
     timeout: float = 60.0,
 ) -> tuple[dict[str, int], PipelineResult]:
     """Pipeline-run the word-count job; returns ``(histogram, result)``."""
     graph = build_wordcount_model(text=text, shards=shards, n_mappers=n_mappers)
-    pipeline = Pipeline(transform=transform)
     owns = cluster is None
     if owns:
         cluster = Cluster(4, registry=wordcount_registry())
     else:
         register_wordcount_tasks(cluster.registry)
     try:
-        outcome = pipeline.run(graph, cluster, timeout=timeout)
+        outcome = Pipeline().run(graph, cluster, timeout=timeout)
     finally:
         if owns:
             cluster.shutdown()

@@ -22,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
 
-from ..analysis import AnalysisContext, ClusterSpec, Diagnostic, analyze_cnx
+from ..analysis import AnalysisContext, Diagnostic, analyze_cnx
+from ..analysis.passes import parse_multiplicity
 from ..core.cnx.schema import CnxDocument, CnxJob, CnxTask
 from ..core.cnx.validate import CnxValidationError
+from ..util import dag
 from .api import CNAPI, JobHandle
 from .cluster import Cluster
 from .errors import JobError
@@ -93,7 +95,7 @@ def expand_dynamic_tasks(
     if memory_budget is not None and requested:
         memory_of = {t.name: t.task_req.memory for t in job.tasks}
         floor = {
-            t.name: max(1, _multiplicity_low(t)) for t in job.tasks if t.dynamic
+            t.name: max(1, _multiplicity(t)[0]) for t in job.tasks if t.dynamic
         }
         static_memory = sum(
             memory_of[t.name] for t in job.tasks if not t.dynamic
@@ -174,49 +176,33 @@ def _job_batches(jobs) -> list[list[tuple[int, Any]]]:
     (strict sequential, the historical behaviour)."""
     if not any(job.after for job in jobs):
         return [[(i, job)] for i, job in enumerate(jobs)]
-    remaining = {i: set(job.after) for i, job in enumerate(jobs)}
-    name_of = {i: jobs[i].name for i in remaining}
-    batches: list[list[tuple[int, Any]]] = []
-    while remaining:
-        ready = sorted(
-            i for i, needs in remaining.items() if not needs
+    index_of = {job.name: i for i, job in enumerate(jobs)}
+    layers, stuck = dag.batches(
+        {i: [index_of[name] for name in job.after] for i, job in enumerate(jobs)}
+    )
+    if stuck:  # validator rejects cycles; defensive
+        raise JobError(f"cyclic job ordering among {sorted(stuck)}")
+    return [[(i, jobs[i]) for i in sorted(layer)] for layer in layers]
+
+
+def _multiplicity(task: CnxTask) -> tuple[int, Optional[int]]:
+    """The declared ``(low, high)`` invocation bounds of a dynamic task."""
+    bounds = parse_multiplicity(task.multiplicity)
+    if bounds is None:
+        raise JobError(
+            f"dynamic task {task.name!r} has malformed multiplicity "
+            f"{task.multiplicity!r}"
         )
-        if not ready:  # validator rejects cycles; defensive
-            raise JobError(f"cyclic job ordering among {sorted(remaining)}")
-        batches.append([(i, jobs[i]) for i in ready])
-        done_names = {name_of[i] for i in ready}
-        for i in ready:
-            del remaining[i]
-        for needs in remaining.values():
-            needs.difference_update(done_names)
-    return batches
-
-
-def _multiplicity_low(task: CnxTask) -> int:
-    """The declared lower bound of a task's multiplicity (0 when open)."""
-    spec = task.multiplicity.strip()
-    if not spec or spec in ("*", "0..*"):
-        return 0
-    if ".." in spec:
-        return int(spec.partition("..")[0])
-    return int(spec)
+    return bounds
 
 
 def _check_multiplicity(task: CnxTask, count: int) -> None:
     """Enforce the declared multiplicity range (``0..*``, ``1..*``, ``n``)."""
-    spec = task.multiplicity.strip()
-    if not spec or spec in ("*", "0..*"):
-        return
-    if ".." in spec:
-        low_text, _, high_text = spec.partition("..")
-        low = int(low_text)
-        high = None if high_text.strip() == "*" else int(high_text)
-    else:
-        low = high = int(spec)
+    low, high = _multiplicity(task)
     if count < low or (high is not None and count > high):
         raise JobError(
             f"dynamic task {task.name!r}: {count} invocation(s) violates "
-            f"multiplicity {spec!r}"
+            f"multiplicity {task.multiplicity.strip()!r}"
         )
 
 
@@ -256,24 +242,7 @@ class ClientRunner:
         shape from the actual TaskManagers) and the archive pass (jar /
         class references resolved through the cluster's task registry).
         """
-        cluster = self.api.cluster
-        managers = [s.taskmanager for s in cluster.servers]
-        spec = ClusterSpec(
-            nodes=len(managers),
-            memory_per_node=min(tm.memory_capacity for tm in managers),
-            slots_per_node=min(tm.slots for tm in managers),
-        )
-
-        def resolves(jar: str, cls: str) -> bool:
-            try:
-                cluster.registry.resolve(jar, cls)
-            except Exception:  # noqa: BLE001  # conclint: waive CC302 -- resolution executes arbitrary archive code; any failure means unresolvable
-                return False
-            return True
-
-        return analyze_cnx(
-            doc, AnalysisContext(cluster=spec, task_resolver=resolves)
-        )
+        return analyze_cnx(doc, AnalysisContext.for_cluster(self.api.cluster))
 
     def run(
         self,

@@ -31,6 +31,7 @@ from typing import Any, Mapping, Optional
 
 from repro.core.transform.pipeline import Pipeline
 
+from ..analysis import AnalysisContext, analyze_model
 from ..analysis.conc.runtime import make_lock
 from .admission import AdmissionController
 from .cluster import Cluster
@@ -131,7 +132,6 @@ class Portal:
         cluster: Optional[Cluster] = None,
         *,
         registry: Optional[TaskRegistry] = None,
-        transform: str = "xslt",
         timeout: float = 120.0,
         heartbeats: bool = False,
         admission: Optional[AdmissionController] = None,
@@ -144,7 +144,7 @@ class Portal:
             # portal runs cannot call Cluster.tick explicitly; pump the
             # failure-detection loop on a background thread instead
             self.cluster.start_heartbeats()
-        self.pipeline = Pipeline(transform=transform)
+        self.pipeline = Pipeline()
         self.timeout = timeout
         #: overload protection in front of submit(); None = admit all
         #: (the seed behavior, and what most unit tests want)
@@ -213,22 +213,16 @@ class Portal:
         submission: Submission,
         runtime_args: Optional[Mapping[str, Any]],
     ) -> Submission:
-        xmi_text = submission.xmi_text
         chaos = self.cluster.chaos
         faults_before = len(chaos.log_dicts()) if chaos is not None else 0
-        adoptions_before = len(self._adoptions())
-        dead_letters_before = len(self._dead_letters())
-        telemetry = self.cluster.telemetry
-        traces_before = (
-            set(telemetry.spans.trace_ids())
-            if telemetry is not None and telemetry.enabled
-            else set()
-        )
+        jobs_before = set(self.cluster.directory.job_ids())
         try:
             from repro.core.xmi.reader import read_model
 
-            model = read_model(xmi_text)
-            report = self._analyze(model)
+            model = read_model(submission.xmi_text)
+            # the static analyzer first, with placement and archive
+            # context from the portal's own cluster
+            report = analyze_model(model, AnalysisContext.for_cluster(self.cluster))
             submission.diagnostics = report.to_json()
             if not report.ok:
                 submission.status = "rejected"
@@ -247,35 +241,51 @@ class Portal:
             submission.java_source = outcome.java_source
             submission.results = outcome.job_results
             submission.status = "done"
-            if chaos is not None:
-                submission.fault_events = chaos.log_dicts()[faults_before:]
-            submission.failover_events = self._adoptions()[adoptions_before:]
-            submission.dead_letter_events = self._dead_letters()[dead_letters_before:]
         except Exception:  # noqa: BLE001  # conclint: waive CC302 -- submission failures of any kind become the artifact's error field
             submission.status = "failed"
             submission.error = traceback.format_exc()
+        finally:
             if chaos is not None:
                 submission.fault_events = chaos.log_dicts()[faults_before:]
-            submission.failover_events = self._adoptions()[adoptions_before:]
-            submission.dead_letter_events = self._dead_letters()[dead_letters_before:]
-        finally:
-            self._capture_timeline(submission, telemetry, traces_before)
+            self._capture_jobs(submission, jobs_before)
         return submission
 
-    def _capture_timeline(
-        self, submission: Submission, telemetry: Any, traces_before: set
-    ) -> None:
-        """Snapshot the spans of the traces this submission created into
-        its timeline artifacts (partial runs included -- a failed
-        submission's timeline is exactly what you want to look at)."""
+    def _capture_jobs(self, submission: Submission, jobs_before: set) -> None:
+        """Record what the jobs created while this submission ran left
+        behind (partial runs included -- a failed submission's timeline
+        is exactly what you want to look at): adoptions and dead letters
+        from each job's own journal records, read from its current
+        manager's replica, and the job's spans (trace id == job id)."""
+        directory = self.cluster.directory
+        job_ids = [j for j in directory.job_ids() if j not in jobs_before]
+        for job_id in job_ids:
+            journal = directory.lookup(job_id).manager.journal
+            if journal is None:
+                continue
+            dead_letters: dict[tuple[str, int], dict[str, Any]] = {}
+            for record in journal.records(job_id):
+                data = record.data
+                if record.kind == "job-adopted":
+                    submission.failover_events.append(
+                        {
+                            "job_id": job_id,
+                            "manager": data.get("manager"),
+                            "previous": data.get("previous"),
+                            "manager_epoch": record.mepoch,
+                        }
+                    )
+                elif record.kind == "dead-letter":
+                    key = (str(data.get("task", "")), int(data.get("serial", 0)))
+                    dead_letters.setdefault(key, {"job_id": job_id, **data})
+            submission.dead_letter_events.extend(
+                dead_letters[key] for key in sorted(dead_letters)
+            )
+        telemetry = self.cluster.telemetry
         if telemetry is None or not telemetry.enabled:
             return
-        new_traces = [
-            tid for tid in telemetry.spans.trace_ids() if tid not in traces_before
-        ]
-        if not new_traces:
+        spans = [span for job_id in job_ids for span in telemetry.spans.spans(job_id)]
+        if not spans:
             return
-        spans = [span for tid in new_traces for span in telemetry.spans.spans(tid)]
         submission.timeline = json.dumps(chrome_trace(spans), indent=1)
         buffer = io.StringIO()
         write_jsonl(buffer, spans=spans)
@@ -288,74 +298,6 @@ class Portal:
         if telemetry is None or not telemetry.enabled:
             return ""
         return telemetry.prometheus_text()
-
-    def _adoptions(self) -> list[dict[str, Any]]:
-        """All manager-failover adoptions visible in the cluster's
-        replicated journals, deduped (every live node holds a replica of
-        each record) and ordered by (job, epoch)."""
-        seen: dict[tuple[str, int], dict[str, Any]] = {}
-        for server in self.cluster.servers:
-            journal = getattr(server, "journal", None)
-            if journal is None:
-                continue
-            for record in journal.records():
-                if record.kind != "job-adopted":
-                    continue
-                seen.setdefault(
-                    (record.job_id, record.mepoch),
-                    {
-                        "job_id": record.job_id,
-                        "manager": record.data.get("manager"),
-                        "previous": record.data.get("previous"),
-                        "manager_epoch": record.mepoch,
-                    },
-                )
-        return [seen[key] for key in sorted(seen)]
-
-    def _dead_letters(self) -> list[dict[str, Any]]:
-        """All poison-message quarantines visible in the cluster's
-        replicated journals, deduped (each record replicates to every
-        live node) and ordered by (job, task, serial)."""
-        seen: dict[tuple[str, str, int], dict[str, Any]] = {}
-        for server in self.cluster.servers:
-            journal = getattr(server, "journal", None)
-            if journal is None:
-                continue
-            for record in journal.records():
-                if record.kind != "dead-letter":
-                    continue
-                data = record.data
-                key = (
-                    record.job_id,
-                    str(data.get("task", "")),
-                    int(data.get("serial", 0)),
-                )
-                seen.setdefault(key, {"job_id": record.job_id, **data})
-        return [seen[key] for key in sorted(seen)]
-
-    def _analyze(self, model):
-        """Run the static analyzer over the model before the pipeline,
-        with placement and archive-resolution context from the portal's
-        own cluster."""
-        from repro.analysis import AnalysisContext, ClusterSpec, analyze_model
-
-        managers = [s.taskmanager for s in self.cluster.servers]
-        spec = ClusterSpec(
-            nodes=len(managers),
-            memory_per_node=min(tm.memory_capacity for tm in managers),
-            slots_per_node=min(tm.slots for tm in managers),
-        )
-
-        def resolves(jar: str, cls: str) -> bool:
-            try:
-                self.cluster.registry.resolve(jar, cls)
-            except Exception:  # noqa: BLE001  # conclint: waive CC302 -- resolution executes arbitrary archive code; any failure means unresolvable
-                return False
-            return True
-
-        return analyze_model(
-            model, AnalysisContext(cluster=spec, task_resolver=resolves)
-        )
 
     def get(self, submission_id: int) -> Submission:
         with self._lock:

@@ -127,28 +127,6 @@ class CnxJob:
     def dependents_of(self, task_name: str) -> list[CnxTask]:
         return [t for t in self.tasks if task_name in t.depends]
 
-    def topological(self) -> list[CnxTask]:
-        """Tasks in dependency order; raises ``ValueError`` on a cycle."""
-        order: list[CnxTask] = []
-        done: set[str] = set()
-        visiting: set[str] = set()
-
-        def visit(task: CnxTask) -> None:
-            if task.name in done:
-                return
-            if task.name in visiting:
-                raise ValueError(f"dependency cycle through task {task.name!r}")
-            visiting.add(task.name)
-            for dep in task.depends:
-                visit(self.find(dep))
-            visiting.discard(task.name)
-            done.add(task.name)
-            order.append(task)
-
-        for task in self.tasks:
-            visit(task)
-        return order
-
 
 @dataclass
 class CnxClient:

@@ -39,12 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("xmi", type=Path, help="XMI document (UML 1.x activity graph)")
-        cmd.add_argument(
-            "--transform",
-            choices=("xslt", "native"),
-            default="xslt",
-            help="XMI->CNX implementation (default: the XSLT stylesheet)",
-        )
         if name == "run":
             cmd.add_argument("--nodes", type=int, default=4, help="cluster size")
             cmd.add_argument(
@@ -96,10 +90,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
 
     from .cnx2code import cnx_to_java, cnx_to_python
-    from .xmi2cnx import xmi_to_cnx, xmi_to_cnx_native
+    from .xmi2cnx import xmi_to_cnx
 
-    to_cnx = xmi_to_cnx if options.transform == "xslt" else xmi_to_cnx_native
-    doc = to_cnx(xmi_text)
+    doc = xmi_to_cnx(xmi_text)
 
     if options.command == "cnx":
         from ..cnx.emitter import emit

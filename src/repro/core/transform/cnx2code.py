@@ -158,7 +158,9 @@ class GeneratedClient:
 
 
 # ---------------------------------------------------------------------------
-# XSLT editions: the stylesheet-driven generators (paper-faithful path)
+# XSLT editions: the stylesheet-driven generators, the paper's literal
+# architecture.  The pipeline runs the native generators; these are their
+# test oracles (tests/transform/test_differential.py), nothing selects them.
 # ---------------------------------------------------------------------------
 
 def _run_codegen_stylesheet(name: str, doc: CnxDocument) -> str:

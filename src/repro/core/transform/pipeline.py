@@ -29,14 +29,8 @@ from ..uml.activity import ActivityGraph
 from ..uml.model import Model
 from ..uml.validate import validate_graph
 from ..xmi.writer import write_model
-from .cnx2code import (
-    GeneratedClient,
-    cnx_to_java,
-    cnx_to_java_xslt,
-    cnx_to_python,
-    cnx_to_python_xslt,
-)
-from .xmi2cnx import xmi_to_cnx, xmi_to_cnx_native
+from .cnx2code import GeneratedClient, cnx_to_java, cnx_to_python
+from .xmi2cnx import xmi_to_cnx
 
 __all__ = ["Pipeline", "PipelineResult", "run_pipeline"]
 
@@ -61,28 +55,11 @@ class PipelineResult:
 
 
 class Pipeline:
-    """Configurable Fig. 6 pipeline.
+    """The Fig. 6 pipeline: ``xmi2cnx.xsl`` on the in-repo XSLT engine,
+    then the native CNX2Py / CNX2Java generators.  ``log`` and ``port``
+    are the client attributes written into the descriptor."""
 
-    ``transform`` picks the XMI->CNX implementation and ``codegen`` the
-    CNX->client implementation: ``"xslt"`` (the paper-faithful stylesheet
-    run on the in-repo engine, the default for the transform) or
-    ``"native"`` (the Python generators).
-    """
-
-    def __init__(
-        self,
-        *,
-        transform: str = "xslt",
-        codegen: str = "native",
-        log: str = "CN_Client.log",
-        port: int = 5666,
-    ) -> None:
-        if transform not in ("xslt", "native"):
-            raise ValueError(f"unknown transform {transform!r}")
-        if codegen not in ("xslt", "native"):
-            raise ValueError(f"unknown codegen {codegen!r}")
-        self.transform = transform
-        self.codegen = codegen
+    def __init__(self, *, log: str = "CN_Client.log", port: int = 5666) -> None:
         self.log = log
         self.port = port
 
@@ -103,23 +80,15 @@ class Pipeline:
         return write_model(model)
 
     def to_cnx(self, xmi_text: str) -> CnxDocument:
-        """Step 3: XMI -> CNX (XSLT or native)."""
-        if self.transform == "xslt":
-            doc = xmi_to_cnx(xmi_text, log=self.log, port=self.port)
-        else:
-            doc = xmi_to_cnx_native(xmi_text, log=self.log, port=self.port)
-        return validate_cnx(doc)
+        """Step 3: XMI -> CNX (the XSL transformation), validated."""
+        return validate_cnx(xmi_to_cnx(xmi_text, log=self.log, port=self.port))
 
     def to_client(self, doc: CnxDocument) -> str:
         """Step 4: CNX -> Python client program source."""
-        if self.codegen == "xslt":
-            return cnx_to_python_xslt(doc)
         return cnx_to_python(doc)
 
     def to_java(self, doc: CnxDocument) -> str:
         """Step 4 (Java target): CNX -> Java client source."""
-        if self.codegen == "xslt":
-            return cnx_to_java_xslt(doc)
         return cnx_to_java(doc)
 
     def deploy(self, python_source: str) -> GeneratedClient:
@@ -182,9 +151,5 @@ def run_pipeline(
     cluster: Optional[Cluster] = None,
     **kwargs: Any,
 ) -> PipelineResult:
-    """Convenience wrapper: default :class:`Pipeline` with keyword options
-    split between constructor (transform/log/port) and run()."""
-    ctor_keys = {"transform", "codegen", "log", "port"}
-    ctor = {k: v for k, v in kwargs.items() if k in ctor_keys}
-    run_kwargs = {k: v for k, v in kwargs.items() if k not in ctor_keys}
-    return Pipeline(**ctor).run(source, cluster, **run_kwargs)
+    """Convenience wrapper: ``Pipeline().run(source, cluster, **kwargs)``."""
+    return Pipeline().run(source, cluster, **kwargs)

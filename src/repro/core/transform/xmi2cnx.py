@@ -1,15 +1,12 @@
 """XMI -> CNX transformation (paper section 5, step 3).
 
-Two interchangeable implementations are provided:
-
-* :func:`xmi_to_cnx` -- runs the real ``xmi2cnx.xsl`` stylesheet on the
-  in-repo XSLT engine, faithful to the paper's XSLT-based tool;
-* :func:`xmi_to_cnx_native` -- a direct Python transformer over the
-  parsed UML model, used as a differential-testing oracle and as the
-  fast path for big models.
-
-Both must agree document-for-document; the test suite and the transform
-benchmark enforce and measure that.
+:func:`xmi_to_cnx` is the transformation: the ``xmi2cnx.xsl``
+stylesheet on the in-repo XSLT engine, as in the paper's tool.  It is
+what :class:`~repro.core.transform.pipeline.Pipeline`, the portal and
+``cn-pipeline`` run.  :func:`xmi_to_cnx_native`, a direct Python
+transformer over the parsed UML model, is its differential-testing
+oracle: nothing selects it, the test suite and ``benchmarks.e2e`` call
+it to check that both agree document-for-document.
 
 :func:`graph_to_cnx` converts an in-memory activity graph straight to a
 CNX document (skipping the XMI detour) -- the convenience entry point

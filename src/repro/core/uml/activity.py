@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
+from repro.util import dag
+
 from .tags import TaggedElement
 
 __all__ = [
@@ -214,25 +216,14 @@ class ActivityGraph:
         Raises ``ValueError`` if the dependency relation contains a
         cycle."""
         deps = self.action_dependencies()
-        order: list[ActionState] = []
-        done: set[str] = set()
-        visiting: set[str] = set()
-
-        def visit(name: str) -> None:
-            if name in done:
-                return
-            if name in visiting:
-                raise ValueError(f"dependency cycle through {name!r}")
-            visiting.add(name)
-            for dep in deps.get(name, ()):
-                visit(dep)
-            visiting.discard(name)
-            done.add(name)
-            order.append(self.find(name))  # type: ignore[arg-type]
-
-        for action in self.action_states():
-            visit(action.name)
-        return order
+        try:
+            names = dag.order(deps)
+        except dag.CycleError:
+            raise ValueError(
+                f"dependency cycle through {dag.cycle(deps)[0]!r}"
+            ) from None
+        by_name = {action.name: action for action in self.action_states()}
+        return [by_name[name] for name in names]
 
     def __iter__(self) -> Iterator[StateVertex]:
         return iter(self.vertices)

@@ -51,23 +51,6 @@ class Package(TaggedElement):
         self.find_graph(after)
         self.job_order.append((before, after))
 
-    def job_batches(self) -> list[list[ActivityGraph]]:
-        """Jobs grouped into sequential batches; jobs in the same batch may
-        run concurrently (the client-level partial order of section 4)."""
-        remaining = {g.name: g for g in self.graphs}
-        deps: dict[str, set[str]] = {name: set() for name in remaining}
-        for before, after in self.job_order:
-            deps[after].add(before)
-        batches: list[list[ActivityGraph]] = []
-        while remaining:
-            ready = [name for name, need in deps.items() if name in remaining and not need]
-            if not ready:
-                raise ValueError(f"cyclic job order among {sorted(remaining)}")
-            batches.append([remaining.pop(name) for name in sorted(ready)])
-            for need in deps.values():
-                need.difference_update(ready)
-        return batches
-
 
 class Model:
     """A UML model: top-level container exported to XMI."""

@@ -18,6 +18,8 @@ once, which is kinder to modelers than stop-at-first.
 
 from __future__ import annotations
 
+from repro.util import dag
+
 from .activity import (
     PSEUDO_FORK,
     PSEUDO_INITIAL,
@@ -129,29 +131,16 @@ def _check_arity(graph: ActivityGraph) -> list[str]:
 
 
 def _check_acyclic(graph: ActivityGraph) -> list[str]:
+    # every dependency follows a path of transitions, so an acyclic
+    # transition graph has an acyclic dependency relation
+    if not dag.cycle({vertex: vertex.successors() for vertex in graph.vertices}):
+        return []
     try:
         graph.topological_actions()
     except ValueError as exc:
         return [str(exc)]
-    # Also check the raw vertex graph (a cycle entirely through
-    # pseudostates would otherwise slip by).
-    colors: dict[int, int] = {}
-
-    def dfs(vertex: StateVertex) -> bool:
-        colors[id(vertex)] = 1
-        for succ in vertex.successors():
-            state = colors.get(id(succ), 0)
-            if state == 1:
-                return True
-            if state == 0 and dfs(succ):
-                return True
-        colors[id(vertex)] = 2
-        return False
-
-    for vertex in graph.vertices:
-        if colors.get(id(vertex), 0) == 0 and dfs(vertex):
-            return ["transition graph contains a cycle"]
-    return []
+    # a cycle entirely through pseudostates
+    return ["transition graph contains a cycle"]
 
 
 def _check_tags(graph: ActivityGraph) -> list[str]:

@@ -70,7 +70,6 @@ class TestPortalRejection:
         portal = Portal(
             Cluster(3, registry=register_pi_tasks(TaskRegistry()),
                     memory_per_node=64000),
-            transform="native",
         )
         yield portal
         portal.close()

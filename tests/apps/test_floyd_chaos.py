@@ -33,7 +33,6 @@ def run_chaotic_floyd(script, *, n=8, matrix_seed=11, chaos_seed=7):
             matrix,
             n_workers=3,
             cluster=cluster,
-            transform="native",
             retries=2,
             timeout=60.0,
         )

@@ -101,7 +101,7 @@ class TestManagerKilledMidFloyd:
             try:
                 outcome["result"], outcome["pipeline"] = run_parallel_floyd(
                     matrix, n_workers=workers, cluster=cluster,
-                    transform="native", retries=2, timeout=60.0,
+                    retries=2, timeout=60.0,
                 )
             except Exception as exc:  # noqa: BLE001  # conclint: waive CC302 -- surfaced by the main thread
                 outcome["error"] = exc

@@ -63,28 +63,28 @@ class TestParallelCorrectness:
     def test_matches_serial(self, shared_cluster, n, workers):
         matrix = random_weighted_graph(n, seed=n * 7 + workers)
         result, _ = run_parallel_floyd(
-            matrix, n_workers=workers, cluster=shared_cluster, transform="native"
+            matrix, n_workers=workers, cluster=shared_cluster
         )
         assert np.allclose(result, floyd_warshall(matrix))
 
     def test_more_workers_than_rows(self, shared_cluster):
         matrix = random_weighted_graph(3, seed=1)
         result, _ = run_parallel_floyd(
-            matrix, n_workers=6, cluster=shared_cluster, transform="native"
+            matrix, n_workers=6, cluster=shared_cluster
         )
         assert np.allclose(result, floyd_warshall(matrix))
 
     def test_single_worker(self, shared_cluster):
         matrix = random_weighted_graph(8, seed=2)
         result, _ = run_parallel_floyd(
-            matrix, n_workers=1, cluster=shared_cluster, transform="native"
+            matrix, n_workers=1, cluster=shared_cluster
         )
         assert np.allclose(result, floyd_warshall(matrix))
 
     def test_dynamic_matches_serial(self, shared_cluster):
         matrix = random_weighted_graph(15, seed=3)
         result, _ = run_parallel_floyd_dynamic(
-            matrix, n_workers=4, cluster=shared_cluster, transform="native"
+            matrix, n_workers=4, cluster=shared_cluster
         )
         assert np.allclose(result, floyd_warshall(matrix))
 
@@ -94,7 +94,6 @@ class TestParallelCorrectness:
             [[float(v) for v in row] for row in adjacency],
             n_workers=3,
             cluster=shared_cluster,
-            transform="native",
             mode="closure",
         )
         assert np.array_equal(
@@ -104,7 +103,7 @@ class TestParallelCorrectness:
     def test_xslt_transform_end_to_end(self, shared_cluster):
         matrix = random_weighted_graph(10, seed=5)
         result, outcome = run_parallel_floyd(
-            matrix, n_workers=3, cluster=shared_cluster, transform="xslt"
+            matrix, n_workers=3, cluster=shared_cluster
         )
         assert np.allclose(result, floyd_warshall(matrix))
         assert 'class="org.jhpc.cn2.trnsclsrtask.TCTask"' in outcome.cnx_text
@@ -114,7 +113,7 @@ class TestParallelCorrectness:
     def test_random_instances(self, shared_cluster, n, workers, seed):
         matrix = random_weighted_graph(n, seed=seed)
         result, _ = run_parallel_floyd(
-            matrix, n_workers=workers, cluster=shared_cluster, transform="native"
+            matrix, n_workers=workers, cluster=shared_cluster
         )
         assert np.allclose(result, floyd_warshall(matrix))
 

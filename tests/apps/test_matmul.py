@@ -30,26 +30,26 @@ class TestCorrectness:
     def test_matches_numpy(self, cluster, m, k, n, workers):
         rng = np.random.default_rng(m * 100 + n)
         a, b = random_matrix(rng, m, k), random_matrix(rng, k, n)
-        c, _ = run_parallel_matmul(a, b, n_workers=workers, cluster=cluster, transform="native")
+        c, _ = run_parallel_matmul(a, b, n_workers=workers, cluster=cluster)
         assert np.allclose(c, matmul_serial(a, b))
 
     def test_more_workers_than_rows(self, cluster):
         rng = np.random.default_rng(7)
         a, b = random_matrix(rng, 2, 4), random_matrix(rng, 4, 3)
-        c, _ = run_parallel_matmul(a, b, n_workers=6, cluster=cluster, transform="native")
+        c, _ = run_parallel_matmul(a, b, n_workers=6, cluster=cluster)
         assert np.allclose(c, matmul_serial(a, b))
 
     def test_single_worker(self, cluster):
         rng = np.random.default_rng(8)
         a, b = random_matrix(rng, 6, 6), random_matrix(rng, 6, 6)
-        c, _ = run_parallel_matmul(a, b, n_workers=1, cluster=cluster, transform="native")
+        c, _ = run_parallel_matmul(a, b, n_workers=1, cluster=cluster)
         assert np.allclose(c, matmul_serial(a, b))
 
     def test_shape_mismatch_fails_job(self, cluster):
         rng = np.random.default_rng(9)
         a, b = random_matrix(rng, 4, 3), random_matrix(rng, 5, 2)
         with pytest.raises(TaskFailedError, match="shape mismatch"):
-            run_parallel_matmul(a, b, n_workers=2, cluster=cluster, transform="native")
+            run_parallel_matmul(a, b, n_workers=2, cluster=cluster)
 
     @given(
         m=st.integers(1, 10),
@@ -62,7 +62,7 @@ class TestCorrectness:
     def test_random_shapes(self, cluster, m, k, n, workers, seed):
         rng = np.random.default_rng(seed)
         a, b = random_matrix(rng, m, k), random_matrix(rng, k, n)
-        c, _ = run_parallel_matmul(a, b, n_workers=workers, cluster=cluster, transform="native")
+        c, _ = run_parallel_matmul(a, b, n_workers=workers, cluster=cluster)
         assert np.allclose(c, matmul_serial(a, b))
 
 
@@ -77,6 +77,6 @@ class TestModel:
     def test_descriptor_through_xslt(self, cluster):
         rng = np.random.default_rng(10)
         a, b = random_matrix(rng, 6, 5), random_matrix(rng, 5, 4)
-        c, outcome = run_parallel_matmul(a, b, n_workers=2, cluster=cluster, transform="xslt")
+        c, outcome = run_parallel_matmul(a, b, n_workers=2, cluster=cluster)
         assert np.allclose(c, matmul_serial(a, b))
         assert 'class="org.jhpc.cn2.matmul.MatWorker"' in outcome.cnx_text

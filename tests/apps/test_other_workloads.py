@@ -37,16 +37,16 @@ def wc_cluster():
 class TestMonteCarlo:
     def test_estimate_close_to_pi(self, pi_cluster):
         estimate, _ = run_parallel_pi(
-            samples=60000, seed=1, n_workers=4, cluster=pi_cluster, transform="native"
+            samples=60000, seed=1, n_workers=4, cluster=pi_cluster
         )
         assert abs(estimate - math.pi) < 0.05
 
     def test_deterministic_for_seed(self, pi_cluster):
         a, _ = run_parallel_pi(
-            samples=10000, seed=5, n_workers=3, cluster=pi_cluster, transform="native"
+            samples=10000, seed=5, n_workers=3, cluster=pi_cluster
         )
         b, _ = run_parallel_pi(
-            samples=10000, seed=5, n_workers=3, cluster=pi_cluster, transform="native"
+            samples=10000, seed=5, n_workers=3, cluster=pi_cluster
         )
         assert a == b
 
@@ -54,7 +54,7 @@ class TestMonteCarlo:
         from repro.core.transform.pipeline import Pipeline
 
         graph = build_pi_model(samples=10007, seed=2, n_workers=3)
-        outcome = Pipeline(transform="native").run(graph, pi_cluster, timeout=60)
+        outcome = Pipeline().run(graph, pi_cluster, timeout=60)
         join = outcome.results["pijoin"]
         assert join["samples"] == 10007
 
@@ -78,20 +78,19 @@ TEXT = (
 class TestWordCount:
     def test_matches_serial(self, wc_cluster):
         parallel, _ = run_parallel_wordcount(
-            TEXT, shards=7, n_mappers=3, cluster=wc_cluster, transform="native"
+            TEXT, shards=7, n_mappers=3, cluster=wc_cluster
         )
         assert parallel == count_words_serial(TEXT)
 
     def test_single_mapper(self, wc_cluster):
         parallel, _ = run_parallel_wordcount(
-            TEXT, shards=4, n_mappers=1, cluster=wc_cluster, transform="native"
+            TEXT, shards=4, n_mappers=1, cluster=wc_cluster
         )
         assert parallel == count_words_serial(TEXT)
 
     def test_more_mappers_than_shards(self, wc_cluster):
         parallel, _ = run_parallel_wordcount(
             "alpha beta alpha", shards=1, n_mappers=4, cluster=wc_cluster,
-            transform="native",
         )
         assert parallel == {"alpha": 2, "beta": 1}
 
@@ -99,7 +98,7 @@ class TestWordCount:
         from repro.core.transform.pipeline import Pipeline
 
         graph = build_wordcount_model(text=TEXT, shards=10, n_mappers=3)
-        outcome = Pipeline(transform="native").run(graph, wc_cluster, timeout=60)
+        outcome = Pipeline().run(graph, wc_cluster, timeout=60)
         processed = sum(
             outcome.results[f"wcmap{i}"]["processed"] for i in (1, 2, 3)
         )
@@ -113,6 +112,5 @@ class TestWordCount:
     def test_random_texts(self, wc_cluster, text, shards, mappers):
         parallel, _ = run_parallel_wordcount(
             text or "x", shards=shards, n_mappers=mappers, cluster=wc_cluster,
-            transform="native",
         )
         assert parallel == count_words_serial(text or "x")

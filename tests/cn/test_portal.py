@@ -17,7 +17,7 @@ from repro.core.xmi import write_graph
 def portal():
     registry = register_pi_tasks(TaskRegistry())
     portal = Portal(
-        Cluster(3, registry=registry, memory_per_node=64000), transform="native"
+        Cluster(3, registry=registry, memory_per_node=64000)
     )
     yield portal
     portal.close()
@@ -39,7 +39,6 @@ def guarded_portal():
     cluster = Cluster(2, registry=registry, memory_per_node=64000)
     portal = Portal(
         cluster,
-        transform="native",
         admission=AdmissionController(cluster, rate=0.2, burst=2.0),
         max_body_bytes=16384,
     )
@@ -103,6 +102,109 @@ class TestPortalService:
         assert json.loads(artifacts["faults"]) == []
         assert json.loads(artifacts["failovers"]) == []
         assert json.loads(artifacts["dead-letters"]) == []
+
+
+class TestSubmissionEvents:
+    """What a submission records about its own jobs comes from those
+    jobs' journal records -- never from a scan of the cluster's history."""
+
+    def test_submit_reads_no_whole_journal(self, portal, monkeypatch):
+        from repro.cn.durability import MemoryJournal
+
+        portal.submit(pi_xmi(samples=2000, workers=2))  # some history first
+        asked = []
+        records = MemoryJournal.records
+
+        def spy(self, job_id=None):
+            asked.append(job_id)
+            return records(self, job_id)
+
+        monkeypatch.setattr(MemoryJournal, "records", spy)
+        submission = portal.submit(pi_xmi(samples=2000, workers=2))
+        assert submission.status == "done"
+        assert asked and None not in asked
+        assert len(set(asked)) == 1  # the one job this submission created
+
+    def test_dead_letters_are_the_submission_s_own(self):
+        from repro.apps.floyd import (
+            build_fig3_model,
+            floyd_registry,
+            random_weighted_graph,
+            store_matrix,
+        )
+        from repro.cn import ChaosPolicy
+
+        def floyd_xmi(key):
+            source = store_matrix(key, random_weighted_graph(6, seed=3))
+            return write_graph(
+                build_fig3_model(n_workers=2, matrix_source=source, sink="")
+            )
+
+        # one scripted bit-flip on the first job's tctask1 queue
+        chaos = ChaosPolicy().corrupt_message("job1/tctask1", index=2)
+        cluster = Cluster(3, registry=floyd_registry(), chaos=chaos, checksums=True)
+        portal = Portal(cluster)
+        try:
+            first = portal.submit(floyd_xmi("portal-dead-letter-1"))
+            second = portal.submit(floyd_xmi("portal-dead-letter-2"))
+        finally:
+            cluster.shutdown()
+        assert first.status == second.status == "done"
+        (letter,) = first.dead_letter_events
+        assert letter["task"] == "tctask1" and letter["job_id"].endswith("job1")
+        assert letter["expected_digest"] != letter["observed_digest"]
+        assert [f["kind"] for f in first.fault_events] == ["queue-corrupt"]
+        assert first.failover_events == []
+        # the next submission starts from a clean slate, not from history
+        assert second.dead_letter_events == [] and second.fault_events == []
+
+    @pytest.mark.chaos
+    def test_failover_during_a_submission_is_recorded(self):
+        import threading
+
+        from repro.apps.floyd import (
+            build_fig3_model,
+            random_weighted_graph,
+            store_matrix,
+        )
+
+        from ..apps.test_floyd_failover import Gate, gated_registry
+
+        gate = Gate(1, expected=2)
+        cluster = Cluster(4, registry=gated_registry(gate), failure_k=2)
+        cluster.servers[0].accept_tasks = False  # node0: manager only
+        portal = Portal(cluster)
+        source = store_matrix("portal-failover", random_weighted_graph(8, seed=11))
+        xmi = write_graph(
+            build_fig3_model(n_workers=2, matrix_source=source, sink="", retries=2)
+        )
+        done: dict = {}
+        client = threading.Thread(
+            target=lambda: done.update(submission=portal.submit(xmi)), daemon=True
+        )
+        try:
+            client.start()
+            assert gate.all_reached.wait(30)
+            cluster.kill_node("node0")  # the managing node
+            cluster.tick(4)  # detect death; node1 adopts and re-places
+            gate.release.set()
+            client.join(60)
+            assert not client.is_alive()
+        finally:
+            gate.release.set()
+            cluster.shutdown()
+        submission = done["submission"]
+        assert submission.status == "done", submission.error
+        assert submission.failover_events == [
+            {
+                "job_id": "node0/jm-job1",
+                "manager": "node1/jm",
+                "previous": "node0/jm",
+                "manager_epoch": 2,
+            }
+        ]
+        assert submission.summary()["failovers"] == 1
+        assert json.loads(submission.artifacts()["timeline"])["traceEvents"]
 
 
 class TestPortalAdmission:

@@ -5,7 +5,11 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis import analyze_cnx
+from repro.analysis.passes import parse_multiplicity
 from repro.cn import (
     CNAPI,
     ClientRunner,
@@ -341,6 +345,46 @@ class TestDynamicExpansion:
             self.doc("[(1,), (2,)]", multiplicity="2").client.jobs[0], {}
         )
         assert len([s for s in specs if s.name.startswith("w")]) == 2
+
+    @pytest.mark.parametrize("spec", ["a..b", "1..2..3", "-1", "1.. 3", "two"])
+    def test_malformed_multiplicity_is_a_job_error(self, spec):
+        # what DynamicsPass reports as CN303 must not surface as a bare
+        # ValueError from int() when the expansion is called directly
+        job = self.doc("[(1,)]", multiplicity=spec).client.jobs[0]
+        for budget in (None, 10**6):
+            with pytest.raises(JobError, match="malformed multiplicity"):
+                expand_dynamic_tasks(job, {}, memory_budget=budget)
+
+    @given(
+        spec=st.one_of(
+            st.sampled_from(["", "*", "0..*", " 2 ", "3..1"]),
+            st.builds(str, st.integers(0, 6)),
+            st.builds("{}..{}".format, st.integers(0, 6), st.integers(0, 6)),
+            st.builds("{}..*".format, st.integers(0, 6)),
+        ),
+        count=st.integers(0, 7),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_expansion_agrees_with_parse_multiplicity(self, spec, count):
+        """One multiplicity parser: on every spec the analyzer accepts,
+        the expansion admits exactly the counts inside the bounds
+        ``parse_multiplicity`` reads, and the degradation floor is its
+        lower bound (never below 1)."""
+        arguments = repr([(i,) for i in range(count)])
+        doc = self.doc(arguments, multiplicity=spec)
+        job = doc.client.jobs[0]
+        if {"CN303", "CN304"} & analyze_cnx(doc).codes():
+            return
+        low, high = parse_multiplicity(spec)
+        if count < low or (high is not None and count > high):
+            with pytest.raises(JobError, match="violates multiplicity"):
+                expand_dynamic_tasks(job, {})
+            return
+        workers = [s for s in expand_dynamic_tasks(job, {}) if s.name != "root"]
+        assert len(workers) == count + 1  # the instances and the sink
+        # a budget that fits nothing sheds down to the floor, no further
+        shed = expand_dynamic_tasks(job, {}, memory_budget=0)
+        assert len(shed) - 2 == min(count, max(1, low))
 
     def test_runner_executes_expanded_job(self, cluster):
         runner = ClientRunner(cluster)

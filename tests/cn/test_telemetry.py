@@ -348,7 +348,7 @@ class TestPortalMetricsEndpoint:
 
         registry = register_pi_tasks(TaskRegistry())
         portal = Portal(
-            Cluster(2, registry=registry, memory_per_node=64000), transform="native"
+            Cluster(2, registry=registry, memory_per_node=64000)
         )
         server = PortalHTTPServer(portal).start()
         try:

@@ -92,7 +92,7 @@ class TestProcExecution:
         for i in range(n):
             m[i][i] = 0.0
         result, _ = run_parallel_floyd(
-            m, n_workers=3, cluster=proc_cluster, transform="native"
+            m, n_workers=3, cluster=proc_cluster
         )
         assert np.allclose(result, floyd_warshall(m))
         pids = proc_cluster.transport.worker_pids()
@@ -104,14 +104,14 @@ class TestProcExecution:
         rng = np.random.default_rng(12)
         a, b = random_matrix(rng, 16, 12), random_matrix(rng, 12, 9)
         c, _ = run_parallel_matmul(
-            a, b, n_workers=4, cluster=proc_cluster, transform="native"
+            a, b, n_workers=4, cluster=proc_cluster
         )
         assert np.allclose(c, matmul_serial(a, b))
 
     def test_wordcount_tuple_space_rpcs(self, proc_cluster):
         text = "the quick brown fox jumps over the lazy dog " * 40
         hist, _ = run_parallel_wordcount(
-            text, shards=6, n_mappers=3, cluster=proc_cluster, transform="native"
+            text, shards=6, n_mappers=3, cluster=proc_cluster
         )
         assert hist == count_words_serial(text)
 
@@ -120,7 +120,7 @@ class TestProcExecution:
         a, b = random_matrix(rng, 4, 3), random_matrix(rng, 5, 2)
         with pytest.raises(TaskFailedError, match="shape mismatch"):
             run_parallel_matmul(
-                a, b, n_workers=2, cluster=proc_cluster, transform="native"
+                a, b, n_workers=2, cluster=proc_cluster
             )
 
     def test_frames_counted_per_node(self, proc_cluster):
@@ -529,7 +529,7 @@ class TestWorkerDeath:
             transport="proc",
             verify_locking=False,
         ) as c:
-            run_parallel_matmul(a, b, n_workers=3, cluster=c, transform="native")
+            run_parallel_matmul(a, b, n_workers=3, cluster=c)
             pids = c.transport.worker_pids()
             victim, victim_pid = sorted(pids.items())[0]
             os.kill(victim_pid, signal.SIGKILL)
@@ -542,7 +542,7 @@ class TestWorkerDeath:
             assert server.taskmanager.beat() is None
             # and the cluster still completes jobs on the surviving nodes
             out, _ = run_parallel_matmul(
-                a, b, n_workers=3, cluster=c, transform="native"
+                a, b, n_workers=3, cluster=c
             )
             assert np.allclose(out, matmul_serial(a, b))
 

@@ -16,6 +16,7 @@ from repro.core.cnx import (
     parse,
     validate,
 )
+from repro.util import dag
 from repro.util.xmlutil import xml_equal
 
 # Fig. 2 of the paper, with the published erratum corrected: the listing
@@ -193,7 +194,7 @@ class TestSchema:
 
     def test_topological(self):
         job = parse(FIG2).client.jobs[0]
-        order = [t.name for t in job.topological()]
+        order = dag.order({t.name: t.depends for t in job.tasks})
         assert order.index("tctask0") < order.index("tctask1") < order.index("tctask999")
 
     def test_topological_cycle(self):
@@ -204,7 +205,7 @@ class TestSchema:
             ]
         )
         with pytest.raises(ValueError, match="cycle"):
-            job.topological()
+            dag.order({t.name: t.depends for t in job.tasks})
 
     def test_roots_and_dependents(self):
         job = parse(FIG2).client.jobs[0]

@@ -201,16 +201,3 @@ class TestXsltCodegen:
         exec(compile(source, "<gen>", "exec"), namespace)
         built = namespace["build_document"]()
         assert built.client.jobs[0].tasks[0].params[0].value == 'say "hi" \\ there'
-
-    def test_pipeline_codegen_option(self):
-        from repro.core.transform.pipeline import Pipeline
-
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            Pipeline(codegen="magic")
-        pipeline = Pipeline(codegen="xslt", transform="native")
-        from repro.apps.floyd.model import build_fig3_model
-
-        outcome = pipeline.run(build_fig3_model(n_workers=2), execute=False)
-        assert "XSLT edition" in outcome.python_source

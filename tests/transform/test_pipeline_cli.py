@@ -15,6 +15,7 @@ from repro.apps.floyd import (
 from repro.cn import Cluster
 from repro.core.transform.cli import main as cli_main
 from repro.core.transform.pipeline import Pipeline, run_pipeline
+from repro.core.transform.xmi2cnx import xmi_to_cnx_native
 
 
 @pytest.fixture
@@ -47,9 +48,14 @@ class TestPipeline:
         assert np.allclose(outcome.results["tctask999"], floyd_warshall(matrix))
 
     def test_native_transform_same_result(self, floyd_cluster):
+        # the native transformer is the oracle: nothing selects it, a test
+        # calls it and runs what it produced
         matrix, graph = small_graph(seed=6)
-        outcome = Pipeline(transform="native").run(graph, floyd_cluster, timeout=60)
-        assert np.allclose(outcome.results["tctask999"], floyd_warshall(matrix))
+        pipeline = Pipeline()
+        doc = xmi_to_cnx_native(pipeline.export_xmi(pipeline.to_model(graph)))
+        client = pipeline.deploy(pipeline.to_client(doc))
+        (results,) = client.run(floyd_cluster, None, 60)
+        assert np.allclose(results["tctask999"], floyd_warshall(matrix))
 
     def test_execute_false_stops_after_generation(self):
         _, graph = small_graph(seed=7)
@@ -66,17 +72,20 @@ class TestPipeline:
             Pipeline().run(bad, execute=False)
 
     def test_invalid_transform_name(self):
-        with pytest.raises(ValueError):
+        # which transformer runs is not an input any more
+        with pytest.raises(TypeError):
             Pipeline(transform="magic")
+        with pytest.raises(TypeError):
+            run_pipeline(small_graph(seed=8)[1], transform="magic", execute=False)
 
-    def test_run_pipeline_kwarg_split(self, floyd_cluster):
+    def test_run_pipeline_passes_run_keywords(self, floyd_cluster):
         matrix, graph = small_graph(seed=8)
-        outcome = run_pipeline(graph, floyd_cluster, transform="native", timeout=60)
+        outcome = run_pipeline(graph, floyd_cluster, timeout=60)
         assert outcome.job_results
 
     def test_owns_cluster_when_none_given(self):
         matrix, graph = small_graph(seed=9)
-        outcome = Pipeline(transform="native").run(
+        outcome = Pipeline().run(
             graph, registry=floyd_registry(), timeout=60
         )
         assert np.allclose(outcome.results["tctask999"], floyd_warshall(matrix))
@@ -108,8 +117,14 @@ class TestCli:
         cli_main(["example-xmi"])
         path = tmp_path / "m.xmi"
         path.write_text(capsys.readouterr().out)
-        assert cli_main(["java", str(path), "--transform", "native"]) == 0
+        assert cli_main(["java", str(path)]) == 0
         assert "public class TransClosure" in capsys.readouterr().out
+
+    def test_transform_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as refused:
+            cli_main(["cnx", str(tmp_path / "m.xmi"), "--transform", "native"])
+        assert refused.value.code == 2
+        assert "--transform" in capsys.readouterr().err
 
     def test_run_subcommand(self, tmp_path, capsys, monkeypatch):
         matrix = random_weighted_graph(8, seed=3)
