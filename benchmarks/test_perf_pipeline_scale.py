@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.cn import Cluster, Task, TaskRegistry
+from repro.cn.taskmanager import TaskManager
 from repro.core.transform.pipeline import Pipeline
 from repro.core.uml import ActivityBuilder
 
@@ -56,6 +57,28 @@ def test_bench_pipeline_scale(benchmark, tasks):
 
     outcome = benchmark.pedantic(run_once, rounds=3, iterations=1)
     assert len(outcome.results) == tasks + 2
+
+
+@pytest.mark.parametrize("tasks", [10, 50, 150])
+def test_run_path_claims_each_task_once(monkeypatch, tasks):
+    """Count-only sibling of the near-linear transform gate below: the
+    run path stays linear in the roster when every completion wakes only
+    its dependents, i.e. each task is claimed exactly once.  (With a
+    roster scan and a claim of every ready task per completion the
+    150-worker fan read about 50 claim attempts per task.)"""
+    claims = [0]
+    real_start = TaskManager.start_task
+
+    def start_task(self, *args, **kwargs):
+        claims[0] += 1
+        return real_start(self, *args, **kwargs)
+
+    monkeypatch.setattr(TaskManager, "start_task", start_task)
+    with Cluster(4, registry=registry(), memory_per_node=10**6,
+                 slots_per_node=1024) as cluster:
+        outcome = Pipeline().run(wide_model(tasks), cluster, timeout=120)
+    assert len(outcome.results) == tasks + 2
+    assert claims[0] / (tasks + 2) == 1.0
 
 
 def test_scale_report(report):

@@ -47,28 +47,31 @@ __all__ = [
 # at the caller-must-hold helper sites that declare them with
 # ``@guarded_by``.
 GUARDED_BY: dict[str, str] = {
-    # Job: pending/running/completed bookkeeping and the route ledger
-    # all mutate under the job's reentrant lock.
-    "Job._pending": "Job._lock",
-    "Job._running": "Job._lock",
-    "Job._completed": "Job._lock",
-    "Job._failed": "Job._lock",
+    # Job: the route ledger and the checkpoint store mutate under the
+    # job's reentrant lock, and so does the DAG drive -- the (dependents,
+    # unmet counts, counted completions) triple, derived and decremented
+    # as one step -- and the first-non-terminal-task cursor.
+    "Job._delivery_log": "Job._lock",
+    "Job._checkpoints": "Job._lock",
+    "Job._drive": "Job._lock",
+    "Job._first_live": "Job._lock",
     # TupleSpace: the backing list is only touched under the condition's
     # lock; ``_take`` relies on its caller holding it.
     "TupleSpace._tuples": "TupleSpace._lock",
-    # Journals: the in-memory entry list / file handle are persisted by
-    # ``_persist`` which documents "the lock is held".
-    "MemoryJournal._entries": "MemoryJournal._lock",
-    "FileJournal._entries": "FileJournal._lock",
-    # The per-job index grows with the record list inside ``extend``; the
-    # writer's sequence counter advances under the lock that orders its
+    # Journals: the record list and the per-job index grow together
+    # inside ``extend`` (a FileJournal inherits both and persists from
+    # ``_persist``, which documents "the lock is held"); the writer's
+    # sequence counter advances under the lock that orders its
     # extend+publish.
+    "MemoryJournal._records": "MemoryJournal._lock",
     "MemoryJournal._by_job": "MemoryJournal._lock",
     "FileJournal._by_job": "FileJournal._lock",
     "ReplicatedJournal._next_seq": "ReplicatedJournal._lock",
-    # TaskManager slot accounting, and the count of hostings that still
-    # hold a reservation (``_end_hosting`` is the one place it goes down).
-    "TaskManager._running": "TaskManager._lock",
+    # TaskManager slot and memory accounting, and the count of hostings
+    # that still hold a reservation (``_end_hosting`` is the one place
+    # the three go down).
+    "TaskManager._slots_used": "TaskManager._lock",
+    "TaskManager._memory_used": "TaskManager._lock",
     "TaskManager._live": "TaskManager._lock",
     # Bid scheduler state: the archive-locality cache mutates with the
     # hosting tables; rule sequence numbers under the manager lock.

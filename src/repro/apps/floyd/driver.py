@@ -10,15 +10,16 @@ out the API the examples and benchmarks use.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.cn.cluster import Cluster
 from repro.cn.registry import TaskRegistry
 from repro.core.transform.pipeline import Pipeline, PipelineResult
 
-from .io import store_matrix
+from .io import MatrixStore, store_matrix
 from .model import (
     JOIN_CLASS,
     JOIN_JAR,
@@ -43,9 +44,20 @@ _store_counter = itertools.count(1)
 _store_lock = threading.Lock()
 
 
-def _fresh_store_key(prefix: str) -> str:
+@contextlib.contextmanager
+def _staged(prefix: str, matrix: Sequence[Sequence[float]]) -> Iterator[str]:
+    """Stage *matrix* in the matrix store under a fresh key for the length
+    of one run; yields its ``store:<key>`` source.  The store is
+    process-wide and outlives every cluster, so the input goes once the
+    run has returned (a retried TaskSplit still finds it while the run is
+    under way)."""
     with _store_lock:
-        return f"{prefix}-{next(_store_counter)}"
+        key = f"{prefix}-{next(_store_counter)}"
+    source = store_matrix(key, matrix)
+    try:
+        yield source
+    finally:
+        MatrixStore.instance().pop(key)
 
 
 def register_floyd_tasks(registry: TaskRegistry) -> TaskRegistry:
@@ -94,14 +106,13 @@ def run_parallel_floyd(
     Returns ``(result_matrix, pipeline_result)``.  The input is staged in
     the matrix store so no files touch disk.  *retries* grants every
     task that retry budget -- required for runs on a chaos cluster."""
-    key = _fresh_store_key("floyd")
-    source = store_matrix(key, matrix)
-    graph = build_fig3_model(
-        n_workers=n_workers, matrix_source=source, sink="", mode=mode,
-        retries=retries,
-    )
-    return _execute(graph, cluster, timeout, runtime_args=None,
-                    joiner="tctask999")
+    with _staged("floyd", matrix) as source:
+        graph = build_fig3_model(
+            n_workers=n_workers, matrix_source=source, sink="", mode=mode,
+            retries=retries,
+        )
+        return _execute(graph, cluster, timeout, runtime_args=None,
+                        joiner="tctask999")
 
 
 def run_parallel_floyd_dynamic(
@@ -115,18 +126,17 @@ def run_parallel_floyd_dynamic(
 ) -> tuple[list[list[float]], PipelineResult]:
     """Full pipeline run of the Fig. 5 (dynamic invocation) job: the
     worker count is bound at run time through ``runtime_args``."""
-    key = _fresh_store_key("floyd-dyn")
-    source = store_matrix(key, matrix)
-    graph = build_fig5_model(
-        matrix_source=source, sink="", mode=mode, retries=retries
-    )
-    return _execute(
-        graph,
-        cluster,
-        timeout,
-        runtime_args={"n_workers": n_workers},
-        joiner="taskjoin",
-    )
+    with _staged("floyd-dyn", matrix) as source:
+        graph = build_fig5_model(
+            matrix_source=source, sink="", mode=mode, retries=retries
+        )
+        return _execute(
+            graph,
+            cluster,
+            timeout,
+            runtime_args={"n_workers": n_workers},
+            joiner="taskjoin",
+        )
 
 
 def _execute(graph, cluster, timeout, runtime_args, joiner):

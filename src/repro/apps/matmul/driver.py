@@ -12,7 +12,7 @@ from repro.core.transform.pipeline import Pipeline, PipelineResult
 from repro.core.uml.activity import ActivityGraph
 from repro.core.uml.builder import ActivityBuilder
 
-from .tasks import MatJoin, MatSplit, MatWorker, store_pair
+from .tasks import MatJoin, MatSplit, MatWorker, drop_pair, store_pair
 
 __all__ = [
     "build_matmul_model",
@@ -78,15 +78,20 @@ def run_parallel_matmul(
     with _lock:
         key = f"matmul-{next(_counter)}"
     source = store_pair(key, a, b)
-    graph = build_matmul_model(source=source, n_workers=n_workers)
-    owns = cluster is None
-    if owns:
-        cluster = Cluster(4, registry=matmul_registry())
-    else:
-        register_matmul_tasks(cluster.registry)
     try:
-        outcome = Pipeline().run(graph, cluster, timeout=timeout)
-    finally:
+        graph = build_matmul_model(source=source, n_workers=n_workers)
+        owns = cluster is None
         if owns:
-            cluster.shutdown()
+            cluster = Cluster(4, registry=matmul_registry())
+        else:
+            register_matmul_tasks(cluster.registry)
+        try:
+            outcome = Pipeline().run(graph, cluster, timeout=timeout)
+        finally:
+            if owns:
+                cluster.shutdown()
+    finally:
+        # the store is process-wide and outlives the cluster: the staged
+        # pair goes once the run has returned
+        drop_pair(key)
     return outcome.results["matjoin"], outcome

@@ -24,7 +24,7 @@ from repro.cn.task import Task, TaskContext
 from ..floyd.io import MatrixStore
 from ..floyd.tasks import partition_rows
 
-__all__ = ["MatSplit", "MatWorker", "MatJoin", "store_pair", "matmul_serial"]
+__all__ = ["MatSplit", "MatWorker", "MatJoin", "store_pair", "drop_pair", "matmul_serial"]
 
 
 def matmul_serial(a, b) -> np.ndarray:
@@ -38,6 +38,13 @@ def store_pair(key: str, a, b) -> str:
     store.put(f"{key}:A", a)
     store.put(f"{key}:B", b)
     return f"store:{key}"
+
+
+def drop_pair(key: str) -> None:
+    """Forget the pair :func:`store_pair` staged under *key*."""
+    store = MatrixStore.instance()
+    store.pop(f"{key}:A")
+    store.pop(f"{key}:B")
 
 
 def _load_pair(source: str) -> tuple[np.ndarray, np.ndarray]:

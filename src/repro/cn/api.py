@@ -153,6 +153,9 @@ class CNAPI:
 
     # -- 3. task creation ----------------------------------------------------------
     def create_task(self, handle: JobHandle, spec: TaskSpec) -> None:
+        """Place one task.  Under a running job, a task whose dependencies
+        have all completed already starts at once; one without
+        dependencies is a root and waits for :meth:`start_task`."""
         handle.manager.create_task(handle.job, spec)
 
     def create_tasks(self, handle: JobHandle, specs) -> None:

@@ -253,6 +253,18 @@ class Job:
         # populated through TaskContext.checkpoint and restored from the
         # journal on adoption
         self._checkpoints: dict[str, tuple[Any, Any]] = {}
+        # the DAG drive (see unblocked_by), one triple per roster version:
+        # who waits on each task, how many of each task's dependencies are
+        # not COMPLETED yet, and whose completion those counts already
+        # include.  None = the roster grew since the last derivation; the
+        # next reader re-derives from the tasks' current states.
+        self._drive: Optional[
+            tuple[dict[str, list[str]], dict[str, int], set[str]]
+        ] = None
+        # index into task_order of the first task not yet seen terminal.
+        # Terminal states are final, so it only moves forward and "is every
+        # task terminal" is "has it reached the end" (see all_terminal)
+        self._first_live = 0
 
     # -- telemetry ---------------------------------------------------------------
     def set_telemetry(self, telemetry: Optional[Any]) -> None:
@@ -341,6 +353,9 @@ class Job:
             runtime = TaskRuntime(spec)
             self.tasks[spec.name] = runtime
             self.task_order.append(spec.name)
+            # a new roster version: the drive's counts are re-derived by
+            # whoever reads them next
+            self._drive = None
             return runtime
 
     def task(self, name: str) -> TaskRuntime:
@@ -354,26 +369,88 @@ class Job:
 
     # -- dependency queries --------------------------------------------------------
     def ready_tasks(self) -> list[TaskRuntime]:
-        """CREATED tasks whose dependencies have all completed."""
+        """CREATED tasks whose dependencies have all completed.
+
+        This is the definition of readiness, read off the tasks' states
+        by a scan of the whole roster -- the entry point of the paths
+        that run once per job or per fault (``start_job``, recovery,
+        adoption).  A completion does not scan: see :meth:`unblocked_by`."""
         with self._lock:
+            return [
+                self.tasks[name] for name in self.task_order if self.is_ready(name)
+            ]
+
+    def is_ready(self, name: str) -> bool:
+        """One task's share of :meth:`ready_tasks`, O(its in-degree).  A
+        dependency not in the roster (yet) has not completed."""
+        with self._lock:
+            tasks = self.tasks
+            runtime = tasks[name]
+            return runtime.state is TaskState.CREATED and all(
+                d in tasks and tasks[d].state is TaskState.COMPLETED
+                for d in runtime.spec.depends
+            )
+
+    def _dag(self) -> tuple[dict[str, list[str]], dict[str, int], set[str]]:
+        """``(dependents, unmet, counted)``: the tasks naming each task in
+        their ``depends`` (in roster order), each task's number of
+        dependencies not COMPLETED yet, and the tasks whose completion
+        those numbers include.  When the roster has grown since the last
+        call all three are re-derived from the tasks' *current* states,
+        which is what makes a roster rebuilt by adoption, or grown under
+        running tasks, need no special case."""
+        with self._lock:
+            drive = self._drive
+            if drive is None:
+                tasks = self.tasks
+                # Each state is read once, here.  States flip under the
+                # TaskManager's lock, not this one: a task that completes
+                # while the counts are being taken must be in `counted`
+                # and in no count, or in neither -- then its callback,
+                # which waits for this lock, takes it off exactly once.
+                counted = {
+                    name
+                    for name in self.task_order
+                    if tasks[name].state is TaskState.COMPLETED
+                }
+                dependents: dict[str, list[str]] = {}
+                unmet: dict[str, int] = {}
+                for name in self.task_order:
+                    depends = set(tasks[name].spec.depends)
+                    for dep in depends:
+                        dependents.setdefault(dep, []).append(name)
+                    # a dependency not in the roster (yet) is unmet
+                    unmet[name] = len(depends - counted)
+                drive = self._drive = (dependents, unmet, counted)
+            return drive
+
+    def unblocked_by(self, name: str) -> list[TaskRuntime]:
+        """The CREATED tasks that task *name*, now COMPLETED, unblocked:
+        the token reading of an AND-join.  Each dependent's count of unmet
+        dependencies goes down once per completed task (a second call for
+        the same task, or one for a completion the counts were derived
+        after, decrements nothing), and the dependents standing at zero
+        are returned for the caller to claim.  O(out-degree of *name*)."""
+        with self._lock:
+            if self.tasks[name].state is not TaskState.COMPLETED:
+                return []
+            dependents, unmet, counted = self._dag()
+            first = name not in counted
+            if first:
+                counted.add(name)
             ready = []
-            for name in self.task_order:
-                runtime = self.tasks[name]
-                if runtime.state is not TaskState.CREATED:
-                    continue
-                if all(
-                    self.tasks[d].state is TaskState.COMPLETED
-                    for d in runtime.spec.depends
-                ):
-                    ready.append(runtime)
+            for dependent in dependents.get(name, ()):
+                if first:
+                    unmet[dependent] -= 1
+                if unmet[dependent] == 0:
+                    runtime = self.tasks[dependent]
+                    if runtime.state is TaskState.CREATED:
+                        ready.append(runtime)
             return ready
 
     def dependents_of(self, name: str) -> list[TaskRuntime]:
-        return [
-            self.tasks[t]
-            for t in self.task_order
-            if name in self.tasks[t].spec.depends
-        ]
+        with self._lock:
+            return [self.tasks[t] for t in self._dag()[0].get(name, ())]
 
     # -- routing ----------------------------------------------------------------
     def _sized(self, payload: Any) -> tuple[int, str]:
@@ -657,6 +734,21 @@ class Job:
         return count
 
     # -- completion ---------------------------------------------------------------
+    def all_terminal(self) -> bool:
+        """Whether every task of the roster is terminal.
+
+        A cursor, not a scan: a terminal state is final (recovery skips
+        terminal tasks, nothing re-places them), so the first task not yet
+        terminal only ever moves towards the end of ``task_order`` and a
+        job's completions advance it over each task once in total."""
+        with self._lock:
+            order, tasks = self.task_order, self.tasks
+            cursor = self._first_live
+            while cursor < len(order) and tasks[order[cursor]].state.terminal:
+                cursor += 1
+            self._first_live = cursor
+            return cursor == len(order)
+
     def note_terminal(self, name: str) -> None:
         """Called by the TaskManager when a task reaches a terminal state;
         flips the job-finished condition when the roster is done."""
@@ -666,9 +758,7 @@ class Job:
             if runtime.state is TaskState.FAILED and self.failed is None:
                 self.failed = TaskFailedError(name, runtime.error or "unknown")
             # fail fast: a failure finishes the job even with tasks pending
-            if self.failed is not None or all(
-                t.state.terminal for t in self.tasks.values()
-            ):
+            if self.failed is not None or self.all_terminal():
                 self._finished_flag = True
                 finished = True
                 self._cond.notify_all()

@@ -16,6 +16,22 @@ whose dependencies are all complete is started automatically -- this is
 the "transitions are triggered by internal task termination" semantics
 the activity-diagram mapping relies on (paper section 4).
 
+The drive, in three sentences.  The job keeps, per task, a count of
+dependencies not COMPLETED yet, derived from the tasks' current states
+on first use and again whenever the roster grows (which is what makes an
+adopted job, a re-placed task and a task created under a running one
+ordinary cases).  A COMPLETED task takes one off each of its dependents'
+counts, once, under ``Job._lock``, and :meth:`JobManager._on_terminal`
+claims exactly the dependents that reached zero -- it neither scans the
+roster nor re-claims what other completions made ready.
+:meth:`Job.ready_tasks`, a scan of the states, stays the definition of
+readiness and the entry point of the paths that run once per job or per
+fault (:meth:`JobManager.start_job`, :meth:`_recover`, adoption); a task
+created under a running job with its dependencies already COMPLETED has
+no completion left to wake it and is claimed by :meth:`create_tasks`.
+"Is the job over" is likewise a cursor over the roster rather than a
+scan per completion; it relies on a terminal state being final.
+
 Fault tolerance: a :class:`FailureDetector` tracks heartbeats from every
 registered TaskManager (relayed off the multicast bus by the CNServer)
 and declares a node dead after K consecutive missed beats.  Node death
@@ -530,6 +546,15 @@ class JobManager:
                 )
             )
         job.route_many(notifications)
+        for runtime in runtimes:
+            # a task created under a running job may find its dependencies
+            # all COMPLETED -- before it arrived, or while it was being
+            # placed (a completion passes over a dependent not CREATED
+            # yet) -- and then no completion is left to wake it: its
+            # creator claims it, the re-entry _recover uses.  A task
+            # without dependencies is a root: start_job / start_task's.
+            if runtime.spec.depends and job.is_ready(runtime.name):
+                self.start_task(job, runtime.name, claim_only=True)
         return runtimes
 
     def _place(self, job: Job, runtimes: list[TaskRuntime]) -> None:
@@ -770,7 +795,7 @@ class JobManager:
         # land before note_terminal flips the finished event (write-ahead --
         # a woken client may tear the cluster down immediately)
         failed = job.failed is not None or runtime.state is TaskState.FAILED
-        finished = failed or all(t.state.terminal for t in job.tasks.values())
+        finished = failed or job.all_terminal()
         if finished:
             job.journal_event("job-finished", {"failed": failed})
         if finished or runtime.state is TaskState.CANCELLED:
@@ -791,9 +816,10 @@ class JobManager:
             return
         if finished.state is not TaskState.COMPLETED:
             return  # failure/cancel: fail fast, do not cascade
-        for runtime in job.ready_tasks():
-            # benign race with start_job / sibling callbacks: claim_only
-            # makes exactly one starter win
+        for runtime in job.unblocked_by(finished.name):
+            # only the dependents this completion brought to zero unmet
+            # dependencies; claim_only because start_job, recovery and a
+            # re-derivation of the counts may hand the same task out
             self.start_task(job, runtime.name, claim_only=True)
 
     def _retry(self, job: Job, runtime: TaskRuntime) -> None:

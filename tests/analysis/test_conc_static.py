@@ -447,3 +447,69 @@ class TestDiagnosticModel:
         from repro.analysis.diagnostics import Diagnostic
 
         assert Diagnostic("CN101", Severity.ERROR, "x").tool == "cnlint"
+
+
+class TestGuardedByFacts:
+    """A fact about an attribute nothing assigns checks nothing: CC103
+    looks writes up by ``Class.attr``, so a rename orphans the fact in
+    silence.  Every key (and the lock it names) must be an attribute the
+    class, or a base class of it, assigns somewhere under ``src/repro``."""
+
+    @staticmethod
+    def assigned_attributes():
+        import ast
+        import pathlib
+
+        import repro
+
+        assigned: dict[str, set[str]] = {}
+        bases: dict[str, list[str]] = {}
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                attrs = assigned.setdefault(cls.name, set())
+                bases.setdefault(cls.name, []).extend(
+                    b.id for b in cls.bases if isinstance(b, ast.Name)
+                )
+                for node in ast.walk(cls):
+                    if isinstance(node, ast.Assign):
+                        targets = node.targets
+                    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                        targets = [node.target]
+                    else:
+                        continue
+                    for target in targets:
+                        if (
+                            isinstance(target, ast.Attribute)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id == "self"
+                        ):
+                            attrs.add(target.attr)
+
+        def with_inherited(name: str) -> set[str]:
+            found = set(assigned.get(name, ()))
+            for base in bases.get(name, ()):
+                found |= with_inherited(base)
+            return found
+
+        return {name: with_inherited(name) for name in assigned}
+
+    def test_every_fact_names_an_attribute_its_class_assigns(self):
+        from repro.analysis.conc.annotations import GUARDED_BY
+
+        attributes = self.assigned_attributes()
+        orphans = [
+            f"{fact} -> {lock}"
+            for fact, lock in GUARDED_BY.items()
+            for cls, attr in (fact.split(".", 1), lock.split(".", 1))
+            if attr not in attributes.get(cls, ())
+        ]
+        assert orphans == []
+
+    def test_the_walk_sees_a_missing_attribute(self):
+        attributes = self.assigned_attributes()
+        assert "_drive" in attributes["Job"]
+        assert "_by_job" in attributes["FileJournal"]  # inherited
+        assert "_running" not in attributes["TaskManager"]
+        assert "_entries" not in attributes["MemoryJournal"]

@@ -17,6 +17,7 @@ from repro.apps.floyd import (
     run_parallel_floyd_dynamic,
     transitive_closure,
 )
+from repro.apps.floyd.io import MatrixStore
 from repro.cn import Cluster
 
 
@@ -116,6 +117,32 @@ class TestParallelCorrectness:
             matrix, n_workers=workers, cluster=shared_cluster
         )
         assert np.allclose(result, floyd_warshall(matrix))
+
+
+class TestMatrixStoreForgets:
+    """The store is process-wide; what a driver call stages goes with it."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "proc"])
+    def test_five_runs_leave_the_store_as_they_found_it(self, transport):
+        staged = MatrixStore.instance()._data
+        before = len(staged)
+        matrix = random_weighted_graph(8, seed=11)
+        with Cluster(4, registry=floyd_registry(), transport=transport) as cluster:
+            for run in (run_parallel_floyd, run_parallel_floyd_dynamic) * 2 + (
+                run_parallel_floyd,
+            ):
+                result, _ = run(matrix, n_workers=3, cluster=cluster)
+                assert np.allclose(result, floyd_warshall(matrix))
+                assert len(staged) == before
+
+    def test_a_run_that_fails_forgets_its_input_too(self, shared_cluster):
+        staged = MatrixStore.instance()._data
+        before = len(staged)
+        with pytest.raises(ValueError):
+            run_parallel_floyd(
+                random_weighted_graph(4, seed=1), n_workers=0, cluster=shared_cluster
+            )
+        assert len(staged) == before
 
 
 class TestModels:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.floyd.io import MatrixStore
 from repro.apps.matmul import (
     build_matmul_model,
     matmul_registry,
@@ -64,6 +65,21 @@ class TestCorrectness:
         a, b = random_matrix(rng, m, k), random_matrix(rng, k, n)
         c, _ = run_parallel_matmul(a, b, n_workers=workers, cluster=cluster)
         assert np.allclose(c, matmul_serial(a, b))
+
+
+class TestMatrixStoreForgets:
+    def test_runs_leave_the_store_as_they_found_it(self, cluster):
+        staged = MatrixStore.instance()._data
+        before = len(staged)
+        rng = np.random.default_rng(3)
+        a, b = random_matrix(rng, 6, 5), random_matrix(rng, 5, 4)
+        for _ in range(5):
+            result, _ = run_parallel_matmul(a, b, n_workers=2, cluster=cluster)
+            assert np.allclose(result, matmul_serial(a, b))
+            assert len(staged) == before
+        with pytest.raises(TaskFailedError):
+            run_parallel_matmul(a, a, n_workers=2, cluster=cluster)  # 6x5 @ 6x5
+        assert len(staged) == before
 
 
 class TestModel:
