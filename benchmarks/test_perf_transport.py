@@ -105,7 +105,7 @@ def _structure(backend: str, cluster) -> dict:
         # into batch frames instead of crossing the wire one by one
         coalesced = 0
         telemetry = cluster.telemetry
-        if telemetry is not None and telemetry.enabled:
+        if telemetry is not None:
             for node in pids:
                 coalesced += int(
                     telemetry.metrics.counter(

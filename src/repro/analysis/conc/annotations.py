@@ -73,10 +73,9 @@ GUARDED_BY: dict[str, str] = {
     "TaskManager._slots_used": "TaskManager._lock",
     "TaskManager._memory_used": "TaskManager._lock",
     "TaskManager._live": "TaskManager._lock",
-    # Bid scheduler state: the archive-locality cache mutates with the
-    # hosting tables; rule sequence numbers under the manager lock.
+    # Placement state: the archive-locality cache a bid scores mutates
+    # with the hosting tables.
     "TaskManager._archive_cache": "TaskManager._lock",
-    "JobManager._rule_counter": "JobManager._lock",
     # ProcTransport worker-side telemetry coalescing buffer.
     "WorkerRuntime._frame_buffer": "WorkerRuntime._lock",
     # MulticastBus subscriber table.

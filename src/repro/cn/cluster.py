@@ -49,7 +49,7 @@ from .telemetry import Telemetry, sample_cluster
 
 __all__ = ["Cluster"]
 
-_DEFAULT = object()  # sentinel: "build a fresh enabled Telemetry hub"
+_DEFAULT = object()  # sentinel: "build a fresh Telemetry hub"
 
 _BACKENDS = {"inproc": InProcTransport, "proc": ProcTransport}
 
@@ -119,10 +119,9 @@ class Cluster(AbstractContextManager):
                 "inproc transport for fault injection, virtual time, "
                 "and lock verification."
             )
-        #: placement protocol: "solicit" (the paper's per-task multicast)
-        #: or "bid" (one rule per homogeneous batch); the solicit protocol
-        #: is the degenerate 1-task rule, so both are compatible with
-        #: every other feature
+        #: how ``create_tasks`` cuts a call into placement rounds: "solicit"
+        #: one task per round (the paper's per-task multicast) or "bid" one
+        #: round per homogeneous batch; the placement path is the same
         self.scheduler = scheduler
         if isinstance(transport, str):
             transport = _BACKENDS[transport]()
@@ -139,17 +138,16 @@ class Cluster(AbstractContextManager):
         self.chaos = chaos
         self.clock = clock if clock is not None else VirtualClock()
         #: the cluster's observability hub: always-on by default, pass
-        #: ``telemetry=None`` (or a disabled hub) to strip instrumentation
+        #: ``telemetry=None`` to strip instrumentation
         if telemetry is _DEFAULT:
             telemetry = Telemetry()
         self.telemetry: Optional[Telemetry] = telemetry
-        active = telemetry if telemetry is not None and telemetry.enabled else None
-        if self.lock_verifier is not None and active is not None:
+        if self.lock_verifier is not None and telemetry is not None:
             # held-time histograms land in the shared metrics registry as
             # cn_lock_held_seconds{lock=<Class._lock>}
-            self.lock_verifier.attach_metrics(active.metrics)
+            self.lock_verifier.attach_metrics(telemetry.metrics)
         self.bus = MulticastBus(per_hop_latency=per_hop_latency, chaos=chaos)
-        self.bus.set_telemetry(active)
+        self.bus.set_telemetry(telemetry)
         names = list(node_names) if node_names else [f"node{i}" for i in range(nodes)]
         if len(names) != nodes:
             raise ValueError(f"{nodes} nodes but {len(names)} names")
@@ -199,7 +197,7 @@ class Cluster(AbstractContextManager):
             server.taskmanager.crash_hook = (
                 lambda name=server.name: self.kill_node(name)
             )
-            server.set_telemetry(active)
+            server.set_telemetry(telemetry)
             if self.durable:
                 server.attach_durability(
                     ReplicatedJournal(
@@ -338,7 +336,7 @@ class Cluster(AbstractContextManager):
             for server in alive:
                 server.taskmanager.expire_deadlines(now)
             t = self.telemetry
-            if t is not None and t.enabled:
+            if t is not None:
                 # per-node gauges (free memory/slots, hosted tasks, queue
                 # backpressure, heartbeat lag) refresh once per period
                 sample_cluster(t.metrics, self)

@@ -189,7 +189,7 @@ class Job:
         #: budget).  The router stamps it on every outbound message and
         #: TaskManagers derive the per-task watchdog from what remains.
         self.deadline: Optional[float] = None
-        #: cluster Telemetry hub (None or disabled = zero instrumentation)
+        #: cluster Telemetry hub (None = zero instrumentation)
         self.telemetry: Optional[Any] = None
         self._m_routed: Optional[Any] = None
         self._m_payload: Optional[Any] = None
@@ -271,7 +271,7 @@ class Job:
         """Attach the cluster Telemetry hub; binds hot-path metrics once
         so :meth:`route` pays one attribute test when telemetry is off
         and two bound-method calls when it is on."""
-        if telemetry is None or not telemetry.enabled:
+        if telemetry is None:
             self.telemetry = None
             self._m_routed = None
             self._m_payload = None

@@ -7,10 +7,14 @@ Tasks that requested to be created by the User program.  If a willing
 TaskManager is found the JobManager will upload the JAR file to that
 TaskManager." (paper section 3)
 
-Placement policy: the JobManager multicasts a taskmanager solicitation
-carrying the task's memory/runmodel requirements and picks the willing
-responder with the most free memory (best-fit-decreasing spreads load
-across nodes, which the placement benchmark measures).  The JobManager
+Placement is one path, :meth:`JobManager._place`: the JobManager
+multicasts a rule carrying the tasks' shared memory/runmodel
+requirements, every willing TaskManager answers with one bid, and the
+award goes to the bidder with the most free memory (best fit spreads
+load across nodes, which the placement benchmark measures); a bidder
+that fails the upload is excluded and the task is re-bid.  One task per
+round is the paper's per-task solicitation; ``Cluster(scheduler="bid")``
+puts a whole homogeneous batch in one round.  The JobManager
 also drives the dependency DAG: when a task completes, every dependent
 whose dependencies are all complete is started automatically -- this is
 the "transitions are triggered by internal task termination" semantics
@@ -60,6 +64,14 @@ from .scheduler import PlacementRule, award_bids
 from .taskmanager import TaskManager
 
 __all__ = ["JobManager", "FailureDetector"]
+
+
+def _placed_record(runtime: TaskRuntime) -> tuple[str, dict]:
+    """The journal's one ``task-placed`` shape, read after ``host_task``."""
+    return (
+        "task-placed",
+        {"task": runtime.name, "node": runtime.node_name, "epoch": runtime.epoch},
+    )
 
 
 class FailureDetector:
@@ -154,12 +166,10 @@ class JobManager:
         self.local_taskmanager = local_taskmanager
         self.jobs: dict[str, Job] = {}
         self._job_counter = 0
-        #: placement protocol: "solicit" (the paper's per-task multicast
-        #: solicit->respond, the default) or "bid" (rule-based bidding --
-        #: one rule per homogeneous batch, nodes score locally and bid,
-        #: awards are a deterministic pure fold; see repro.cn.scheduler)
+        #: how :meth:`create_tasks` cuts a call into placement rounds:
+        #: "solicit" one task per round (the paper's per-task multicast,
+        #: the default), "bid" one round per homogeneous group
         self.scheduler = "solicit"
-        self._rule_counter = 0
         self._lock = make_lock("JobManager._lock")
         self._taskmanagers: dict[str, TaskManager] = {}
         self._shutdown = False
@@ -174,8 +184,8 @@ class JobManager:
         self.directory: Optional[JobDirectory] = None
         #: jobs this manager adopted from dead peers (failover audit trail)
         self.adopted_jobs: list[str] = []
-        #: cluster Telemetry hub (set by Cluster/CNServer wiring); None or
-        #: a disabled hub means zero instrumentation on every path below
+        #: cluster Telemetry hub (set by Cluster/CNServer wiring); None
+        #: means zero instrumentation on every path below
         self.telemetry: Optional[Any] = None
         #: seal outbound frames with CRC digests on every job this
         #: manager creates or adopts (set by CNServer wiring)
@@ -318,7 +328,7 @@ class JobManager:
                 raise CnError(f"JobManager {self.name!r} is shut down")
             self.jobs[job_id] = job
             self.adopted_jobs.append(job_id)
-        job.set_telemetry(self._hub())
+        job.set_telemetry(self.telemetry)
         t = job.telemetry
         adopt_start = t.now() if t is not None else 0.0
         self._bind_journal(job)
@@ -408,11 +418,6 @@ class JobManager:
         return job
 
     # -- telemetry helpers -------------------------------------------------------
-    def _hub(self) -> Optional[Any]:
-        """The active Telemetry hub, or None when disabled."""
-        t = self.telemetry
-        return t if t is not None and t.enabled else None
-
     def _begin_task_span(self, t: Any, job: Job, name: str, depends) -> None:
         """Ensure the job root + one task span exist, and record the DAG
         edge on the root's ``deps`` attr (exported traces stay
@@ -461,7 +466,7 @@ class JobManager:
             job.deadline = deadline
             job.checksums = self.checksums
             self.jobs[job_id] = job
-        job.set_telemetry(self._hub())
+        job.set_telemetry(self.telemetry)
         t = job.telemetry
         if t is not None:
             t.spans.begin(
@@ -492,14 +497,15 @@ class JobManager:
         return self.create_tasks(job, [spec])[0]
 
     def create_tasks(self, job: Job, specs: Iterable[TaskSpec]) -> list[TaskRuntime]:
-        """Place a batch of tasks in one call.
+        """Place a batch of tasks in one call, round by round.
 
-        Under the solicit scheduler this is exactly the per-task loop the
-        paper describes.  Under the bid scheduler tasks sharing a template
-        (jar, class, memory, runmodel) are placed through a single
-        rule/bid/award round instead of one solicitation each -- the whole
-        point of rule-based scheduling -- and the TASK_CREATED
-        notifications fan out through one ``route_many`` batch.
+        ``scheduler`` says how the call is cut into placement rounds and
+        nothing else: ``"solicit"`` puts one task in each round -- the
+        paper's per-task solicitation, O(tasks x nodes) bus traffic --
+        and ``"bid"`` one group of tasks sharing a template (jar, class,
+        memory, runmodel), so a homogeneous batch costs one round.  The
+        TASK_CREATED notifications fan out through one ``route_many``
+        batch either way.
         """
         runtimes: list[TaskRuntime] = []
         t = job.telemetry
@@ -515,21 +521,17 @@ class JobManager:
             job.journal_events(
                 [("task-spec", {"spec": runtime.spec}) for runtime in runtimes]
             )
-        if self.scheduler == "bid" and len(runtimes) > 1:
+        if self.scheduler == "bid":
             groups: dict[tuple, list[TaskRuntime]] = {}
             for runtime in runtimes:
                 spec = runtime.spec
-                if spec.runmodel is RunModel.RUN_IN_JOBMANAGER:
-                    # coordinator tasks stay local in both modes
-                    self._place(job, [runtime])
-                    continue
                 key = (spec.jar, spec.cls, spec.memory, spec.runmodel)
                 groups.setdefault(key, []).append(runtime)
-            for group in groups.values():
-                self._place(job, group)
+            rounds: Iterable[list[TaskRuntime]] = groups.values()
         else:
-            for runtime in runtimes:
-                self._place(job, [runtime])
+            rounds = ([runtime] for runtime in runtimes)
+        for group in rounds:
+            self._place(job, group)
         notifications: list[Message] = []
         for runtime in runtimes:
             if job.has_ledgered(runtime.name):
@@ -558,18 +560,102 @@ class JobManager:
         return runtimes
 
     def _place(self, job: Job, runtimes: list[TaskRuntime]) -> None:
-        """Place one task, or a template-homogeneous batch through one
-        rule, and account for it: one ``cn_placements_total`` count and
-        one ``place:<task>#<epoch>`` span per task, one
-        ``cn_placement_seconds`` observation per call."""
+        """Place tasks that share a template: the one placement path.
+
+        A ``RUN_IN_JOBMANAGER`` task is hosted on this servant's own
+        TaskManager.  Anything else is placed by rounds: one
+        :class:`~repro.cn.scheduler.PlacementRule` naming the tasks still
+        to place is multicast; every node scores it locally (capacity,
+        free memory, load, archive/producer locality) and answers with a
+        single bid; :func:`~repro.cn.scheduler.award_bids` converts the
+        bids into awards deterministically.  Awards are epoch-fenced: the
+        task epoch only advances on a successful ``host_task``, so a node
+        that dies or fills up between bid and award simply fails the
+        award, is excluded, and the task re-enters the next round -- a
+        zombie attempt can never double-place because its epoch never
+        advanced.  Each round's ``task-placed`` records are journaled as
+        one batch before the next round (or an error) leaves it.
+
+        Accounting: one ``cn_placements_total`` count and one
+        ``place:<task>#<epoch>`` span per task, one
+        ``cn_placement_seconds`` observation per call;
+        ``cn_rules_published_total`` / ``cn_bids_total`` /
+        ``cn_awards_total`` count the rounds that publish a rule for more
+        than one task, their bids and their awards (a round of one is the
+        paper's solicitation, counted by the bus).
+        """
+        spec0 = runtimes[0].spec
         t = job.telemetry
         start = t.now() if t is not None else 0.0
+        placed: list[tuple[str, dict]] = []  # hostings made, not journaled yet
         try:
-            if len(runtimes) == 1:
-                self._place_inner(job, runtimes[0])
-            else:
-                self._place_rule(job, runtimes)
+            task_class = self.registry.resolve(spec0.jar, spec0.cls)  # "upload the JAR"
+            local = self.local_taskmanager
+            if spec0.runmodel is RunModel.RUN_IN_JOBMANAGER and local is not None:
+                # coordinator-style tasks run on this servant's own TM
+                for runtime in runtimes:
+                    local.host_task(job, runtime, task_class)
+                    placed.append(_placed_record(runtime))
+                return
+            by_name = {rt.name: rt for rt in runtimes}
+            depends = tuple(sorted({d for rt in runtimes for d in rt.spec.depends}))
+            pending = list(by_name)
+            excluded: set[str] = set()  # bidders that failed an award this placement
+            while pending:
+                rule = PlacementRule(
+                    job.job_id,
+                    spec0.jar,
+                    spec0.memory,
+                    spec0.runmodel,
+                    tuple(pending),
+                    depends,
+                )
+                responses = self.bus.solicit(
+                    Solicitation("rule", {"rule": rule}, self.name)
+                )
+                # a dead node's stale bid must not win an award, and a bidder
+                # that already failed an award this placement is distrusted
+                distrusted = self.failure_detector.dead_nodes() | excluded
+                bids = [
+                    bid for _, bid in responses if bid.taskmanager not in distrusted
+                ]
+                awards, unplaced = award_bids(rule, bids)
+                if t is not None and len(pending) > 1:
+                    counter = t.metrics.counter
+                    counter("cn_rules_published_total", manager=self.name).inc()
+                    counter("cn_bids_total", manager=self.name).inc(len(bids))
+                    counter("cn_awards_total", manager=self.name).inc(len(awards))
+                if not awards:
+                    raise NoWillingTaskManager(
+                        f"no TaskManager bid to host {pending!r} "
+                        f"(memory {spec0.memory}, runmodel {spec0.runmodel.value})"
+                    )
+                failed: list[str] = []
+                for task_name, tm_name in awards:
+                    runtime = by_name[task_name]
+                    tm = self._tm_lookup(tm_name)
+                    try:
+                        if tm is None:
+                            raise CnError(f"bidder {tm_name!r} is not registered")
+                        tm.host_task(job, runtime, task_class)
+                    except CnError:
+                        # killed (or filled up) between bid and award:
+                        # exclude the bidder and re-bid; the epoch fence
+                        # makes this safe against double placement
+                        excluded.add(tm_name)
+                        failed.append(task_name)
+                    else:
+                        placed.append(_placed_record(runtime))
+                # one journal batch per round, before the next one
+                job.journal_events(placed)
+                placed = []
+                # progress each round: either a task placed (pending shrinks)
+                # or a bidder was excluded (bid pool shrinks) -- and an empty
+                # award set raises above, so the loop terminates
+                pending = failed + unplaced
         finally:
+            # an error leaves no hosting unrecorded
+            job.journal_events(placed)
             if t is not None:
                 end = t.now()
                 t.metrics.counter("cn_placements_total", manager=self.name).inc(
@@ -591,159 +677,6 @@ class JobManager:
                         task=runtime.name,
                         epoch=runtime.epoch,
                     )
-
-    def _place_inner(self, job: Job, runtime: TaskRuntime) -> None:
-        spec = runtime.spec
-        if spec.runmodel is RunModel.RUN_IN_JOBMANAGER and self.local_taskmanager:
-            # coordinator-style task runs on this servant's own TM
-            task_class = self.registry.resolve(spec.jar, spec.cls)
-            self.local_taskmanager.host_task(job, runtime, task_class)
-            job.journal_event(
-                "task-placed",
-                {"task": spec.name, "node": runtime.node_name, "epoch": runtime.epoch},
-            )
-            return
-        if self.scheduler == "bid":
-            # the paper's protocol as the degenerate 1-task rule: retries
-            # and failover re-placement funnel through here, so every
-            # recovery path re-places from rules too
-            self._place_rule(job, [runtime])
-            return
-        offers = self.bus.solicit(
-            Solicitation(
-                kind="taskmanager",
-                requirements={
-                    "memory": spec.memory,
-                    "runmodel": spec.runmodel.value,
-                    "jar": spec.jar,
-                },
-                sender=self.name,
-            )
-        )
-        # a dead node's stale offer must not win placement
-        dead = self.failure_detector.dead_nodes()
-        offers = [o for o in offers if o[1]["taskmanager"] not in dead]
-        if not offers:
-            raise NoWillingTaskManager(
-                f"no TaskManager willing to host {spec.name!r} "
-                f"(memory {spec.memory}, runmodel {spec.runmodel.value})"
-            )
-        # best fit: most free memory first; ties broken by name for determinism
-        offers.sort(key=lambda item: (-item[1]["free_memory"], item[0]))
-        tm_name = offers[0][1]["taskmanager"]
-        tm = self._tm_lookup(tm_name)
-        if tm is None:
-            raise CnError(
-                f"TaskManager {tm_name!r} responded on the bus but is not "
-                f"registered with JobManager {self.name!r} for upload"
-            )
-        task_class = self.registry.resolve(spec.jar, spec.cls)  # "upload the JAR"
-        tm.host_task(job, runtime, task_class)
-        job.journal_event(
-            "task-placed",
-            {"task": spec.name, "node": runtime.node_name, "epoch": runtime.epoch},
-        )
-
-    def _place_rule(self, job: Job, runtimes: list[TaskRuntime]) -> None:
-        """Place a template-homogeneous batch through rule/bid/award.
-
-        One :class:`~repro.cn.scheduler.PlacementRule` describing the
-        whole batch is multicast; every node scores it locally (capacity,
-        free memory, load, archive/producer locality) and answers with a
-        single bid; :func:`~repro.cn.scheduler.award_bids` converts the
-        bids into awards deterministically.  Awards are epoch-fenced: the
-        task epoch only advances on a successful ``host_task``, so a node
-        that dies between bid and award simply fails the award and the
-        task re-enters the next bidding round -- a zombie attempt can
-        never double-place because its epoch never advanced.
-        """
-        spec0 = runtimes[0].spec
-        by_name = {rt.name: rt for rt in runtimes}
-        depends = tuple(sorted({d for rt in runtimes for d in rt.spec.depends}))
-        with self._lock:
-            self._rule_counter += 1
-            seq = self._rule_counter
-        t = job.telemetry
-        task_class = self.registry.resolve(spec0.jar, spec0.cls)  # "upload the JAR"
-        pending = [rt.name for rt in runtimes]
-        excluded: set[str] = set()  # bidders that failed an award this placement
-        round_no = 0
-        while pending:
-            round_no += 1
-            rule = PlacementRule(
-                rule_id=f"{job.job_id}/rule{seq}.{round_no}",
-                job_id=job.job_id,
-                manager=self.name,
-                jar=spec0.jar,
-                cls=spec0.cls,
-                memory=spec0.memory,
-                runmodel=spec0.runmodel.value,
-                tasks=tuple(pending),
-                depends=depends,
-                manager_epoch=job.manager_epoch,
-            )
-            responses = self.bus.solicit(
-                Solicitation(kind="rule", requirements={"rule": rule}, sender=self.name)
-            )
-            # a dead node's stale bid must not win an award, and a bidder
-            # that already failed an award this placement is distrusted
-            dead = self.failure_detector.dead_nodes()
-            bids = [
-                bid
-                for _, bid in responses
-                if bid.taskmanager not in dead and bid.taskmanager not in excluded
-            ]
-            if t is not None:
-                t.metrics.counter("cn_rules_published_total", manager=self.name).inc()
-                t.metrics.counter("cn_bids_total", manager=self.name).inc(len(bids))
-            awards, unplaced = award_bids(rule, bids)
-            if not awards:
-                raise NoWillingTaskManager(
-                    f"no TaskManager bid to host {pending!r} "
-                    f"(memory {spec0.memory}, runmodel {spec0.runmodel.value})"
-                )
-            if t is not None:
-                t.metrics.counter("cn_awards_total", manager=self.name).inc(
-                    len(awards)
-                )
-            failed: list[str] = []
-            placed: list[tuple[str, dict]] = []
-            try:
-                for task_name, tm_name in awards:
-                    runtime = by_name[task_name]
-                    tm = self._tm_lookup(tm_name)
-                    if tm is None:
-                        excluded.add(tm_name)
-                        failed.append(task_name)
-                        continue
-                    try:
-                        tm.host_task(job, runtime, task_class)
-                    except (ShutdownError, CnError):
-                        # killed (or filled up) between bid and award:
-                        # exclude the bidder and re-bid; the epoch fence
-                        # makes this safe against double placement
-                        excluded.add(tm_name)
-                        failed.append(task_name)
-                        continue
-                    placed.append(
-                        (
-                            "task-placed",
-                            {
-                                "task": task_name,
-                                "node": runtime.node_name,
-                                "epoch": runtime.epoch,
-                                "rule": rule.rule_id,
-                            },
-                        )
-                    )
-            finally:
-                # one journal batch per award round, before the next round
-                # (or an error) leaves it: every hosting made is recorded
-                job.journal_events(placed)
-            # progress each round: either a task placed (pending shrinks)
-            # or a bidder was excluded (bid pool shrinks) -- and an empty
-            # award set raises above, so the loop terminates
-            pending = failed + unplaced
 
     # -- starting & DAG driving ------------------------------------------------------
     def start_task(self, job: Job, name: str, *, claim_only: bool = False) -> bool:

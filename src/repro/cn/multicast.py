@@ -49,7 +49,7 @@ def _node_of(name: str) -> str:
 class Solicitation:
     """A multicast request: what is being solicited and its requirements."""
 
-    kind: str  # "jobmanager" | "taskmanager" | "rule" (bid scheduler)
+    kind: str  # "jobmanager" (who will manage a job) | "rule" (a placement round)
     requirements: dict
     sender: str
 
@@ -96,7 +96,7 @@ class MulticastBus:
         into the registry -- the publish/solicit hot paths already count
         into plain ints, so per-event metric increments would only pay
         the same cost twice."""
-        if telemetry is None or not telemetry.enabled:
+        if telemetry is None:
             self.telemetry = None
             self._solicit_hist = None
             return

@@ -201,7 +201,7 @@ class Portal:
 
     def _note_admission(self, decision, latency: float) -> None:
         telemetry = self.cluster.telemetry
-        if telemetry is None or not telemetry.enabled:
+        if telemetry is None:
             return
         telemetry.metrics.counter(
             "cn_admission_total", decision=decision.decision
@@ -281,7 +281,7 @@ class Portal:
                 dead_letters[key] for key in sorted(dead_letters)
             )
         telemetry = self.cluster.telemetry
-        if telemetry is None or not telemetry.enabled:
+        if telemetry is None:
             return
         spans = [span for job_id in job_ids for span in telemetry.spans.spans(job_id)]
         if not spans:
@@ -293,11 +293,9 @@ class Portal:
 
     def metrics_text(self) -> str:
         """The cluster's metrics in Prometheus text format (empty when
-        telemetry is disabled) -- the body of ``GET /metrics``."""
+        the cluster has no telemetry) -- the body of ``GET /metrics``."""
         telemetry = self.cluster.telemetry
-        if telemetry is None or not telemetry.enabled:
-            return ""
-        return telemetry.prometheus_text()
+        return telemetry.prometheus_text() if telemetry is not None else ""
 
     def get(self, submission_id: int) -> Submission:
         with self._lock:

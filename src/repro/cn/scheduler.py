@@ -1,56 +1,47 @@
-"""Rule-based bidding scheduler: decentralized, locality-aware placement.
+"""Placement rounds: one rule published, one bid per node, one award fold.
 
-The paper's protocol solicits every node once *per task*; placement cost
-is O(tasks x nodes) bus deliveries and the JobManager serializes the
-whole exchange. This module implements the alternative borrowed from
-PYME's rule-based ActionManager: the JobManager publishes one compact
-:class:`PlacementRule` describing a *batch* of homogeneous tasks, every
-node locally scores the rule against its own capability, free memory,
-load, and data locality (archive cache + already-hosted producers) and
-answers with a single :class:`Bid`, and the manager converts bids into
-awards with the pure, deterministic :func:`award_bids` fold.
+Every placement is a round (see :meth:`JobManager._place
+<repro.cn.jobmanager.JobManager._place>`): the JobManager publishes one
+compact :class:`PlacementRule` -- a template plus the names of the tasks
+to place, the shape of PYME's rule-based ActionManager -- every node
+scores it locally against its own capability, free memory, load and data
+locality (archive cache + already-hosted producers) and answers with a
+single :class:`Bid`, and the pure, deterministic :func:`award_bids` fold
+turns the bids into awards.
 
-The paper's protocol is preserved as the degenerate 1-task rule: a rule
-with one task and ``seed=0`` awards to exactly the node the solicit
-scheduler would have picked (most free memory, then name).
+The paper's per-task solicitation is the round of one: a rule naming one
+task, answered by every node, won by the node with the most free memory.
+``Cluster(scheduler=...)`` only says how many tasks a round carries.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
+
+from .runmodel import RunModel
 
 __all__ = ["PlacementRule", "Bid", "award_bids"]
 
 
-@dataclass(frozen=True)
-class PlacementRule:
-    """A compact description of a batch of homogeneous tasks to place.
+class PlacementRule(NamedTuple):
+    """What one round asks every node: a template and the tasks to place.
 
-    One rule replaces ``len(tasks)`` per-task solicitations: the only
-    things that cross the bus are the template (requirements shared by
-    every task in the batch) and the task names themselves.
+    The only things that cross the bus are the requirements every task of
+    the round shares and the task names themselves; ``depends`` is the
+    union of their dependencies, which a node scores for producer
+    locality.
     """
 
-    rule_id: str
     job_id: str
-    manager: str
     jar: str
-    cls: str
     memory: int
-    runmodel: str
+    runmodel: RunModel
     tasks: Tuple[str, ...]
     depends: Tuple[str, ...] = ()
-    manager_epoch: int = 0
-
-    @property
-    def count(self) -> int:
-        return len(self.tasks)
 
 
-@dataclass(frozen=True)
-class Bid:
+class Bid(NamedTuple):
     """A node's answer to a rule: how much it can take and how well.
 
     ``capacity`` is the number of tasks from the rule the node could
@@ -64,11 +55,6 @@ class Bid:
     free_memory: int
     load: int = 0
     locality: int = 0
-
-    @property
-    def score(self) -> float:
-        """Scalar summary for telemetry/debugging (not used to award)."""
-        return self.free_memory + 1000.0 * self.locality - 100.0 * self.load
 
 
 def award_bids(
@@ -85,14 +71,30 @@ def award_bids(
     seed)`` it returns the same awards regardless of bid arrival order
     (bids are canonicalized by taskmanager name first).
 
-    Award order mirrors the paper's best-fit: highest *virtual* free
-    memory wins (free memory minus memory already awarded this round),
-    locality breaks ties, then lowest load, then name rank. With a
-    single 1-task rule and ``seed=0`` this degenerates to the solicit
-    scheduler's ``(-free_memory, name)`` choice exactly.
+    Award order is the paper's best-fit: highest *virtual* free memory
+    wins (free memory minus memory already awarded this round), locality
+    breaks ties, then lowest load, then name rank -- so a batch of
+    memory-reserving tasks spreads exactly like the same tasks placed
+    one round each.
     """
-    # Canonicalize: dedupe by taskmanager (best bid wins), drop useless
-    # bids, and order by name so arrival order cannot matter.
+    best = _canonical(rule, bids)
+    if not best:
+        return [], list(rule.tasks)
+    if len(rule.tasks) == 1 and not seed:
+        # the round of one: the fold's first award is the minimum of the
+        # heap's own key (unrotated name rank orders as the name does),
+        # so neither the sort nor the heap is built for one pop
+        winner = min(
+            best.values(),
+            key=lambda b: (-b.free_memory, -b.locality, b.load, b.taskmanager),
+        )
+        return [(rule.tasks[0], winner.taskmanager)], []
+    return _fold(rule, best, seed)
+
+
+def _canonical(rule: PlacementRule, bids: Iterable[Bid]) -> dict[str, Bid]:
+    """One bid per taskmanager (its best), useless bids dropped, so
+    arrival order cannot matter."""
     best: dict[str, Bid] = {}
     for bid in bids:
         if bid.capacity <= 0:
@@ -110,9 +112,15 @@ def award_bids(
             -bid.load,
         ) > (prev.free_memory, prev.locality, prev.capacity, -prev.load):
             best[bid.taskmanager] = bid
+    return best
+
+
+def _fold(
+    rule: PlacementRule, best: dict[str, Bid], seed: int
+) -> Tuple[List[Tuple[str, str]], List[str]]:
+    """The award fold over canonical bids (at least one): what every
+    round is awarded by, and what the round of one is held to."""
     order = sorted(best)
-    if not order:
-        return [], list(rule.tasks)
     # A nonzero seed rotates name-rank tie-breaking so repeated rounds
     # don't always dogpile the alphabetically-first node.
     if seed:
@@ -121,8 +129,7 @@ def award_bids(
 
     # Heap of (-virtual_free_memory, -locality, load + taken, rank).
     # Each pop awards one task and re-pushes the node with its virtual
-    # occupancy updated, so a batch spreads exactly like the per-task
-    # solicit loop would have (free memory shrinks as awards land).
+    # occupancy updated (free memory shrinks as awards land).
     heap: list[tuple[int, int, int, int]] = []
     state: dict[int, tuple[Bid, int]] = {}  # rank -> (bid, taken)
     for rank, name in enumerate(order):

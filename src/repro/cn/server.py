@@ -6,11 +6,11 @@ section 3)
 
 A CNServer is one simulated cluster node: it subscribes both of its
 components to the multicast bus (jobmanager solicitations answered by
-the JobManager, taskmanager solicitations by the TaskManager's capacity
-check) and registers itself with peer JobManagers so any manager can
-upload tasks to any node.  It also relays heartbeat events from the bus
-into its JobManager's failure detector, and can leave/rejoin the subnet
-wholesale when its node crashes or revives.
+the JobManager, placement rules by the TaskManager's bid) and registers
+itself with peer JobManagers so any manager can upload tasks to any
+node.  It also relays heartbeat events from the bus into its JobManager's
+failure detector, and can leave/rejoin the subnet wholesale when its
+node crashes or revives.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .durability import JobDirectory, ReplicatedJournal
 from .jobmanager import JobManager
 from .multicast import MulticastBus, Solicitation
 from .registry import TaskRegistry
-from .runmodel import RunModel
 from .taskmanager import TaskManager
 from .transport.base import Transport
 
@@ -93,8 +92,8 @@ class CNServer:
 
     # -- telemetry -------------------------------------------------------------
     def set_telemetry(self, telemetry) -> None:
-        """Hand the cluster's Telemetry hub to both components; a None (or
-        disabled) hub leaves every hot path uninstrumented."""
+        """Hand the cluster's Telemetry hub to both components; None
+        leaves every hot path uninstrumented."""
         self.telemetry = telemetry
         self.jobmanager.telemetry = telemetry
         self.taskmanager.telemetry = telemetry
@@ -110,7 +109,7 @@ class CNServer:
         self.jobmanager.journal = journal
         self.jobmanager.directory = directory
         telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
+        if telemetry is not None:
             # scrape-time fold, like BusStats: the fence already keeps the
             # zombie writes it rejected, so the hot path pays nothing
             telemetry.metrics.add_collector(self._collect_journal_stats)
@@ -135,28 +134,11 @@ class CNServer:
             if not self.accept_jobs:
                 return None
             return self.jobmanager.willing_to_manage(solicitation)
-        if solicitation.kind == "taskmanager":
-            if not self.accept_tasks:
-                return None
-            memory = int(solicitation.requirements.get("memory", 0))
-            runmodel = RunModel.parse(
-                solicitation.requirements.get("runmodel", RunModel.RUN_AS_THREAD_IN_TM.value)
-            )
-            if not self.taskmanager.can_host(memory, runmodel):
-                return None
-            return {
-                "taskmanager": self.taskmanager.name,
-                "free_memory": self.taskmanager.free_memory,
-                "free_slots": self.taskmanager.free_slots,
-            }
         if solicitation.kind == "rule":
-            # decentralized scheduling: expand the rule locally and bid
+            # a placement round: score the rule locally and bid
             if not self.accept_tasks:
                 return None
-            rule = solicitation.requirements.get("rule")
-            if rule is None:
-                return None
-            return self.taskmanager.compute_bid(rule)
+            return self.taskmanager.compute_bid(solicitation.requirements["rule"])
         return None
 
     def _on_event(self, topic: str, payload: Any) -> None:

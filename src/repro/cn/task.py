@@ -126,7 +126,7 @@ class TaskContext:
         self._checkpoint_save = checkpoint_save
         self._checkpoint_load = checkpoint_load
         # telemetry bindings, set by the TaskManager when the cluster has
-        # an enabled Telemetry hub (None otherwise; every hook degrades
+        # a Telemetry hub (None otherwise; every hook degrades
         # to a no-op so task code never tests for telemetry itself)
         self._telemetry: Optional[Any] = None
         self._span: Optional[Any] = None

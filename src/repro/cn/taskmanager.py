@@ -153,60 +153,51 @@ class TaskManager:
         with self._lock:
             return self._crashed
 
-    def can_host(self, memory: int, runmodel: RunModel) -> bool:
+    def _room(self, memory: int, runmodel: RunModel, wanted: int = 1) -> int:
+        """How many of *wanted* tasks of this shape the node could take
+        right now; 0 when it can take none.  The one statement of the
+        admission gates -- what a bid offers and what an upload is
+        checked against."""
         with self._lock:
             if self._shutdown or self._crashed:
-                return False
+                return 0
             if not self.executor.healthy():
-                return False  # execution substrate (worker process) died
-            if memory > self.memory_capacity - self._memory_used:
-                return False
-            if runmodel.occupies_slot and self._slots_used >= self.slots:
-                return False
-            return True
+                return 0  # execution substrate (worker process) died
+            if memory > 0:
+                free_memory = self.memory_capacity - self._memory_used
+                wanted = min(wanted, free_memory // memory)
+            if runmodel.occupies_slot:
+                wanted = min(wanted, self.slots - self._slots_used)
+            return max(wanted, 0)
 
-    def compute_bid(self, rule: "PlacementRule") -> Optional["Bid"]:
+    def can_host(self, memory: int, runmodel: RunModel) -> bool:
+        return self._room(memory, runmodel) > 0
+
+    def compute_bid(self, rule: PlacementRule) -> Optional[Bid]:
         """Score a placement rule locally and return this node's bid.
 
-        This is the decentralized half of the bid scheduler: the node --
-        not the JobManager -- expands the rule against its own state and
-        answers with how many of the rule's tasks it could take and how
-        good a home it would be.  Locality is O(1) per probe: archive
-        presence comes from :attr:`_archive_cache` and upstream-producer
-        presence from the ``_hosted`` map.  Returns None when the node
-        cannot take any task from the rule (the solicit scheduler's
-        "no offer").
+        This is the decentralized half of placement: the node -- not the
+        JobManager -- expands the rule against its own state and answers
+        with how many of the rule's tasks it could take and how good a
+        home it would be.  Locality is O(1) per probe: archive presence
+        comes from :attr:`_archive_cache` and upstream-producer presence
+        from the ``_hosted`` map.  Returns None when the node cannot take
+        any task from the rule (no answer on the bus).
         """
-        runmodel = RunModel.parse(rule.runmodel)
         with self._lock:
-            if self._shutdown or self._crashed:
-                return None
-            if not self.executor.healthy():
-                return None
-            free_mem = self.memory_capacity - self._memory_used
-            if rule.memory > free_mem:
-                return None
-            if rule.memory > 0:
-                capacity = min(rule.count, free_mem // rule.memory)
-            else:
-                capacity = rule.count
-            if runmodel.occupies_slot:
-                free_slots = self.slots - self._slots_used
-                if free_slots <= 0:
-                    return None
-                capacity = min(capacity, free_slots)
-            if capacity <= 0:
+            capacity = self._room(rule.memory, rule.runmodel, len(rule.tasks))
+            if not capacity:
                 return None
             locality = 1 if rule.jar in self._archive_cache else 0
             for dep in rule.depends:
                 if (rule.job_id, dep) in self._hosted:
                     locality += 1
             return Bid(
-                taskmanager=self.name,
-                capacity=capacity,
-                free_memory=free_mem,
-                load=self._live,
-                locality=locality,
+                self.name,
+                capacity,
+                self.memory_capacity - self._memory_used,
+                self._live,
+                locality,
             )
 
     # -- liveness --------------------------------------------------------------

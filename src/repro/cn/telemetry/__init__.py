@@ -16,9 +16,9 @@ answers it.  One :class:`Telemetry` hub per cluster bundles:
 * exporters (Prometheus text, Chrome ``trace_event`` JSON, JSONL) and
   per-tick cluster samplers.
 
-Pass ``Cluster(telemetry=Telemetry())`` (the default) or
-``Cluster(telemetry=None)`` / ``Telemetry(enabled=False)`` to disable.
-Disabled telemetry costs one attribute test on the hot paths.
+``Cluster(telemetry=Telemetry())`` is the default; ``Cluster(telemetry=None)``
+turns instrumentation off, which costs one ``is None`` test on the hot
+paths.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from .metrics import (
     BYTES_BUCKETS,
     DURATION_BUCKETS,
     NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
     Counter,
     Gauge,
     Histogram,
@@ -60,8 +58,6 @@ __all__ = [
     "Histogram",
     "NullMetric",
     "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
     "DURATION_BUCKETS",
     "BYTES_BUCKETS",
     "Span",
@@ -85,13 +81,7 @@ __all__ = [
 class Telemetry:
     """The per-cluster observability hub: metrics + spans + exports."""
 
-    def __init__(
-        self,
-        *,
-        enabled: bool = True,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        self.enabled = enabled
+    def __init__(self, *, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock if clock is not None else time.monotonic
         self.metrics = MetricsRegistry()
         self.spans = SpanRecorder(clock=self._clock)
@@ -135,8 +125,7 @@ class Telemetry:
             return self.write_jsonl(handle, trace_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "on" if self.enabled else "off"
         return (
-            f"<Telemetry {state}: {len(self.spans)} span(s), "
+            f"<Telemetry: {len(self.spans)} span(s), "
             f"{len(self.metrics.all_metrics())} metric(s)>"
         )

@@ -15,9 +15,9 @@ by ``benchmarks/test_perf_telemetry.py``:
   identical quantiles -- the same determinism discipline the chaos layer
   follows.
 
-Disabled telemetry never reaches this module: components hold
-:data:`NULL_COUNTER` / :data:`NULL_GAUGE` / :data:`NULL_HISTOGRAM`
-stand-ins whose methods are no-ops.
+A cluster without telemetry never reaches this module: components hold
+None, and a task asking for a counter is handed :data:`NULL_COUNTER`,
+whose methods are no-ops.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ __all__ = [
     "NodeScopedMetrics",
     "NullMetric",
     "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
     "DURATION_BUCKETS",
     "BYTES_BUCKETS",
 ]
@@ -211,7 +209,7 @@ class Histogram:
 
 
 class NullMetric:
-    """No-op stand-in handed out when telemetry is disabled."""
+    """No-op stand-in handed out when the cluster has no telemetry."""
 
     kind = "null"
     value = 0.0
@@ -230,8 +228,6 @@ class NullMetric:
 
 
 NULL_COUNTER = NullMetric()
-NULL_GAUGE = NullMetric()
-NULL_HISTOGRAM = NullMetric()
 
 
 class MetricsRegistry:

@@ -15,14 +15,7 @@ The public surface:
 """
 
 from .base import Endpoint, TaskExecutor, Transport
-from .codec import (
-    FrameCodec,
-    LoopbackEndpoint,
-    SocketEndpoint,
-    loopback_pair,
-    pack_frame,
-    unpack_frame,
-)
+from .codec import SocketEndpoint, loopback_pair, pack_frame, unpack_frame
 from .inproc import InlineExecutor, InProcTransport
 from .proc import ProcExecutor, ProcTransport, register_blob_resolver
 from .worker import fetch_blob, in_worker, register_fork_reset
@@ -31,8 +24,6 @@ __all__ = [
     "Endpoint",
     "TaskExecutor",
     "Transport",
-    "FrameCodec",
-    "LoopbackEndpoint",
     "SocketEndpoint",
     "loopback_pair",
     "pack_frame",

@@ -6,8 +6,8 @@ TaskManager instantiated the task class and ran ``run(context)`` inline
 on a thread.  That is now one *backend* behind an explicit seam:
 
 * :class:`Endpoint` -- one bidirectional frame channel (a socket to a
-  worker process, or an in-memory loopback pair; frames are encoded by
-  :class:`~repro.cn.transport.codec.FrameCodec`);
+  worker process, or to the other half of a loopback pair; frames are
+  written and parsed by :mod:`~repro.cn.transport.codec`);
 * :class:`TaskExecutor` -- runs one task attempt to completion given its
   hosting and context, returning the result or raising exactly what the
   inline ``instance.run(context)`` would have raised -- so the

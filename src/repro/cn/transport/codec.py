@@ -31,26 +31,32 @@ Sizing reuses :func:`repro.cn.job.payload_nbytes` (the data-plane
 accounting helper): payloads it sizes below ``OOB_THRESHOLD`` are
 pickled without the buffer-callback machinery, keeping tiny control
 frames single-segment.
+
+The format is written in one place and parsed in one place:
+:func:`_write` hands a frame to a ``write(bytes-like)`` callable and
+:func:`_read` pulls one from a ``read_exact(n)`` callable.
+:class:`SocketEndpoint` passes its socket's ``sendall`` and a
+``recv_into`` loop; :func:`pack_frame` / :func:`unpack_frame` pass a
+list's ``append`` and slices of a buffer -- so a frame corrupted in a
+test meets the parser the proc wire runs.
 """
 
 from __future__ import annotations
 
-import io
 import pickle
 import secrets
+import socket
 import struct
 import threading
 import zlib
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..errors import FrameCorrupt, FrameTruncated, TransportError
 from ..job import payload_nbytes
 from .base import Endpoint
 
 __all__ = [
-    "FrameCodec",
     "SocketEndpoint",
-    "LoopbackEndpoint",
     "loopback_pair",
     "pack_frame",
     "unpack_frame",
@@ -73,33 +79,23 @@ MAX_SEGMENTS = 1 << 16
 OOB_THRESHOLD = 2048
 
 
-class FrameCodec:
-    """Pickle-protocol-5 codec with out-of-band buffer extraction."""
-
-    def encode(self, obj: Any) -> tuple[bytes, list[Any]]:
-        """Serialize *obj* to ``(body, out_of_band_buffers)``."""
-        sized = payload_nbytes(obj)
-        if sized is not None and sized < OOB_THRESHOLD:
-            return pickle.dumps(obj, protocol=5), []
-        buffers: list[pickle.PickleBuffer] = []
-        body = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-        return body, [b.raw() for b in buffers]
-
-    def decode(self, body: Any, buffers: list[Any]) -> Any:
-        """Rebuild the object from its body and out-of-band buffers."""
-        return pickle.loads(body, buffers=buffers)
-
-
 def _segments_for(
-    obj: Any, codec: FrameCodec, shm_threshold: Optional[int]
-) -> tuple[list[tuple[int, bytes, int, int]], list[str]]:
+    obj: Any, shm_threshold: Optional[int]
+) -> tuple[list[tuple[int, Any, int, int]], list[str]]:
     """Frame *obj* into ``(kind, stream_payload, length, crc)`` segments.
 
     Returns the segments plus the names of any SharedMemory segments
     created (so the sender can sweep unconsumed ones at close).
     """
-    body, raw_buffers = codec.encode(obj)
-    segments: list[tuple[int, bytes, int, int]] = [
+    sized = payload_nbytes(obj)
+    raw_buffers: list[Any] = []
+    if sized is not None and sized < OOB_THRESHOLD:
+        body = pickle.dumps(obj, protocol=5)
+    else:
+        buffers: list[pickle.PickleBuffer] = []
+        body = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+        raw_buffers = [b.raw() for b in buffers]
+    segments: list[tuple[int, Any, int, int]] = [
         (_KIND_INLINE, body, len(body), zlib.crc32(body))
     ]
     shm_names: list[str] = []
@@ -176,76 +172,102 @@ def _sweep_shm(names: set[str]) -> None:
             pass
 
 
-def pack_frame(
-    obj: Any, codec: Optional[FrameCodec] = None, *, shm_threshold: Optional[int] = None
-) -> bytes:
-    """One full frame as bytes (test/loopback convenience)."""
-    codec = codec if codec is not None else FrameCodec()
-    segments, _ = _segments_for(obj, codec, shm_threshold)
-    out = io.BytesIO()
-    out.write(_HEADER.pack(MAGIC, len(segments)))
-    for kind, payload, length, crc in segments:
-        out.write(_SEGMENT.pack(kind, length, crc))
-    for kind, payload, _length, _crc in segments:
-        out.write(payload)
-    return out.getvalue()
+_SHM_NAME_LEN = len("cnf_") + 16  # "cnf_" + token_hex(8)
 
 
-def unpack_frame(
-    data: Any, codec: Optional[FrameCodec] = None
-) -> tuple[Any, int]:
-    """Decode one frame from a bytes-like; returns ``(obj, consumed)``.
+def _write(write: Callable[[Any], Any], segments: list) -> int:
+    """Hand one frame to *write*: the header and descriptors in one call,
+    then each stream payload in its own; returns the bytes written."""
+    head = [_HEADER.pack(MAGIC, len(segments))]
+    head += [_SEGMENT.pack(kind, length, crc) for kind, _, length, crc in segments]
+    prefix = b"".join(head)
+    write(prefix)
+    written = len(prefix)
+    for _kind, payload, _length, _crc in segments:
+        write(payload)
+        written += len(payload)
+    return written
 
-    Inline segments are *views* into *data* handed straight to
-    ``pickle.loads(buffers=...)`` -- the zero-copy receive path.
-    Truncation raises :class:`FrameTruncated`; a CRC32 or magic mismatch
-    raises :class:`FrameCorrupt`.
+
+def _read(read_exact: Callable[[int], Optional[Any]]) -> Optional[tuple[Any, int]]:
+    """Pull one frame through *read_exact*; returns ``(obj, consumed)``,
+    or None on a clean end-of-stream before the frame's first byte.
+
+    ``read_exact(n)`` returns exactly *n* bytes as a buffer, None when
+    the stream ended before the first of them, and raises
+    :class:`FrameTruncated` when it ended among them.  Inline segments
+    are handed to ``pickle.loads(buffers=...)`` as they were read, so
+    numpy arrays alias them: zero-copy on the receive side.  A bad
+    magic, count, kind, length or CRC32 raises :class:`FrameCorrupt`.
     """
-    codec = codec if codec is not None else FrameCodec()
-    view = memoryview(data).cast("B")
-    if view.nbytes < _HEADER.size:
-        raise FrameTruncated("frame shorter than its fixed header")
-    magic, nsegs = _HEADER.unpack_from(view, 0)
+    head = read_exact(_HEADER.size)
+    if head is None:
+        return None
+    magic, nsegs = _HEADER.unpack(head)
     if magic != MAGIC:
         raise FrameCorrupt(f"bad frame magic {bytes(magic)!r}")
     if nsegs < 1 or nsegs > MAX_SEGMENTS:
         raise FrameCorrupt(f"implausible segment count {nsegs}")
-    offset = _HEADER.size
-    descriptors = []
-    for _ in range(nsegs):
-        if view.nbytes < offset + _SEGMENT.size:
-            raise FrameTruncated("frame ended inside a segment descriptor")
-        kind, length, crc = _SEGMENT.unpack_from(view, offset)
-        offset += _SEGMENT.size
+    raw = read_exact(nsegs * _SEGMENT.size)
+    if raw is None:
+        raise FrameTruncated("stream ended before the segment descriptors")
+    consumed = _HEADER.size + len(raw)
+    descriptors = list(_SEGMENT.iter_unpack(raw))
+    for kind, length, _crc in descriptors:
         if kind not in (_KIND_INLINE, _KIND_SHM):
             raise FrameCorrupt(f"unknown segment kind {kind}")
         if length > MAX_SEGMENT:
             raise FrameCorrupt(f"implausible segment length {length}")
-        descriptors.append((kind, length, crc))
     buffers: list[Any] = []
     for kind, length, crc in descriptors:
         if kind == _KIND_INLINE:
-            if view.nbytes < offset + length:
-                raise FrameTruncated("frame ended inside a segment payload")
-            segment = view[offset : offset + length]
-            offset += length
+            segment = read_exact(length)
+            if segment is None:
+                raise FrameTruncated("stream ended before a segment payload")
+            if zlib.crc32(segment) != crc:
+                raise FrameCorrupt("segment failed its CRC32 integrity check")
+            consumed += length
         else:
             # shm descriptor: the stream payload is the fixed-format ascii
             # segment name ("cnf_" + 16 hex); length/crc describe the
             # bytes parked inside the segment itself
-            if view.nbytes < offset + _SHM_NAME_LEN:
-                raise FrameTruncated("frame ended inside a shm segment name")
-            name = bytes(view[offset : offset + _SHM_NAME_LEN]).decode("ascii")
-            offset += _SHM_NAME_LEN
-            segment = memoryview(_consume_shm(name, length, crc))
-        if kind == _KIND_INLINE and zlib.crc32(segment) != crc:
-            raise FrameCorrupt("segment failed its CRC32 integrity check")
-        buffers.append(segment)
-    body, oob = buffers[0], buffers[1:]
-    return codec.decode(body, oob), offset
+            name = read_exact(_SHM_NAME_LEN)
+            if name is None:
+                raise FrameTruncated("stream ended before a shm segment name")
+            segment = _consume_shm(bytes(name).decode("ascii"), length, crc)
+            consumed += _SHM_NAME_LEN
+        buffers.append(memoryview(segment))
+    return pickle.loads(buffers[0], buffers=buffers[1:]), consumed
 
 
-_SHM_NAME_LEN = len("cnf_") + 16  # "cnf_" + token_hex(8)
+def pack_frame(obj: Any, *, shm_threshold: Optional[int] = None) -> bytes:
+    """One full frame as bytes."""
+    segments, _ = _segments_for(obj, shm_threshold)
+    parts: list[Any] = []
+    _write(parts.append, segments)
+    return b"".join(parts)
+
+
+def unpack_frame(data: Any) -> tuple[Any, int]:
+    """Decode the frame at the start of a bytes-like; returns ``(obj,
+    consumed)``.  Inline segments are *views* into *data*."""
+    view = memoryview(data).cast("B")
+    offset = 0
+
+    def read_exact(n: int) -> Optional[memoryview]:
+        nonlocal offset
+        chunk = view[offset : offset + n]
+        if len(chunk) < n:
+            if not chunk:
+                return None
+            raise FrameTruncated(f"frame ended mid-read ({len(chunk)}/{n} bytes)")
+        offset += n
+        return chunk
+
+    frame = _read(read_exact)
+    if frame is None:
+        raise FrameTruncated("no frame: the buffer is empty")
+    return frame
 
 
 def _read_exact(sock: Any, n: int) -> Optional[bytearray]:
@@ -276,15 +298,8 @@ class SocketEndpoint(Endpoint):
     interleave); ``recv`` is called only by the side's demux loop.
     """
 
-    def __init__(
-        self,
-        sock: Any,
-        *,
-        codec: Optional[FrameCodec] = None,
-        shm_threshold: Optional[int] = None,
-    ) -> None:
+    def __init__(self, sock: Any, *, shm_threshold: Optional[int] = None) -> None:
         self._sock = sock
-        self._codec = codec if codec is not None else FrameCodec()
         self._shm_threshold = shm_threshold
         self._send_lock = threading.Lock()
         self._closed = False
@@ -296,68 +311,26 @@ class SocketEndpoint(Endpoint):
         self.bytes_received = 0
 
     def send(self, obj: Any) -> None:
-        segments, shm_names = _segments_for(obj, self._codec, self._shm_threshold)
-        header = io.BytesIO()
-        header.write(_HEADER.pack(MAGIC, len(segments)))
-        for kind, _payload, length, crc in segments:
-            header.write(_SEGMENT.pack(kind, length, crc))
+        segments, shm_names = _segments_for(obj, self._shm_threshold)
         with self._send_lock:
             if self._closed:
                 _sweep_shm(set(shm_names))
                 raise TransportError("endpoint is closed")
             self._outstanding_shm.update(shm_names)
             try:
-                self._sock.sendall(header.getvalue())
-                sent = header.tell()
-                for kind, payload, length, _crc in segments:
-                    self._sock.sendall(payload)
-                    sent += len(payload) if kind == _KIND_SHM else length
+                sent = _write(self._sock.sendall, segments)
             except OSError as exc:
                 raise TransportError(f"send failed: {exc}") from exc
             self.frames_sent += 1
             self.bytes_sent += sent
 
     def recv(self) -> Optional[Any]:
-        head = _read_exact(self._sock, _HEADER.size)
-        if head is None:
+        frame = _read(lambda n: _read_exact(self._sock, n))
+        if frame is None:
             return None
-        magic, nsegs = _HEADER.unpack(bytes(head))
-        if magic != MAGIC:
-            raise FrameCorrupt(f"bad frame magic {bytes(magic)!r}")
-        if nsegs < 1 or nsegs > MAX_SEGMENTS:
-            raise FrameCorrupt(f"implausible segment count {nsegs}")
-        raw = _read_exact(self._sock, nsegs * _SEGMENT.size)
-        if raw is None:
-            raise FrameTruncated("stream ended before segment descriptors")
-        descriptors = [
-            _SEGMENT.unpack_from(raw, i * _SEGMENT.size) for i in range(nsegs)
-        ]
-        received = _HEADER.size + len(raw)
-        buffers: list[Any] = []
-        for kind, length, crc in descriptors:
-            if kind == _KIND_INLINE:
-                if length > MAX_SEGMENT:
-                    raise FrameCorrupt(f"implausible segment length {length}")
-                segment = _read_exact(self._sock, length)
-                if segment is None:
-                    raise FrameTruncated("stream ended before a segment payload")
-                if zlib.crc32(segment) != crc:
-                    raise FrameCorrupt("segment failed its CRC32 integrity check")
-                received += length
-                buffers.append(memoryview(segment))
-            elif kind == _KIND_SHM:
-                namebuf = _read_exact(self._sock, _SHM_NAME_LEN)
-                if namebuf is None:
-                    raise FrameTruncated("stream ended before a shm segment name")
-                name = bytes(namebuf).decode("ascii")
-                buffers.append(memoryview(_consume_shm(name, length, crc)))
-                received += _SHM_NAME_LEN
-            else:
-                raise FrameCorrupt(f"unknown segment kind {kind}")
         self.frames_received += 1
-        self.bytes_received += received
-        body, oob = buffers[0], buffers[1:]
-        return self._codec.decode(body, oob)
+        self.bytes_received += frame[1]
+        return frame[0]
 
     def close(self) -> None:
         with self._send_lock:
@@ -381,75 +354,9 @@ class SocketEndpoint(Endpoint):
         }
 
 
-class LoopbackEndpoint(Endpoint):
-    """In-memory endpoint pair running frames through the full codec.
-
-    Every frame is packed to bytes and unpacked on the other side, so a
-    loopback exercises exactly the serialization constraints of the real
-    wire -- which makes it the codec's test harness and a second,
-    independent implementation of the :class:`Endpoint` interface.
-    """
-
-    def __init__(self, *, codec: Optional[FrameCodec] = None) -> None:
-        import collections
-
-        self._codec = codec if codec is not None else FrameCodec()
-        self._inbox: "collections.deque[bytes]" = collections.deque()
-        self._cond = threading.Condition()
-        self._closed = False
-        self.peer: Optional["LoopbackEndpoint"] = None
-        self.frames_sent = 0
-        self.frames_received = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-
-    def send(self, obj: Any) -> None:
-        peer = self.peer
-        if peer is None:
-            raise TransportError("loopback endpoint is not paired")
-        frame = pack_frame(obj, self._codec)
-        with peer._cond:  # conclint: waive CC402 -- peer is the same class; a loopback pair is one object in two halves
-            if self._closed or peer._closed:  # conclint: waive CC402 -- same-class pair state
-                raise TransportError("endpoint is closed")
-            peer._inbox.append(frame)  # conclint: waive CC402 -- same-class pair state
-            peer._cond.notify()  # conclint: waive CC402 -- same-class pair state
-        self.frames_sent += 1
-        self.bytes_sent += len(frame)
-
-    def recv(self) -> Optional[Any]:
-        with self._cond:
-            while not self._inbox:
-                if self._closed:
-                    return None
-                self._cond.wait()
-            frame = self._inbox.popleft()
-        obj, consumed = unpack_frame(frame, self._codec)
-        self.frames_received += 1
-        self.bytes_received += consumed
-        return obj
-
-    def close(self) -> None:
-        for side in (self, self.peer):
-            if side is None:
-                continue
-            with side._cond:  # conclint: waive CC402 -- closing both halves of the same-class pair
-                side._closed = True  # conclint: waive CC402 -- same-class pair state
-                side._cond.notify_all()  # conclint: waive CC402 -- same-class pair state
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "frames_sent": self.frames_sent,
-            "frames_received": self.frames_received,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-        }
-
-
-def loopback_pair(
-    codec: Optional[FrameCodec] = None,
-) -> tuple[LoopbackEndpoint, LoopbackEndpoint]:
-    """A connected pair of in-memory endpoints."""
-    a = LoopbackEndpoint(codec=codec)
-    b = LoopbackEndpoint(codec=codec)
-    a.peer, b.peer = b, a
-    return a, b
+def loopback_pair() -> tuple[SocketEndpoint, SocketEndpoint]:
+    """A connected pair of endpoints in one process: the production
+    endpoint over ``socket.socketpair()``, so a loopback runs the wire's
+    own writer and parser."""
+    left, right = socket.socketpair()
+    return SocketEndpoint(left), SocketEndpoint(right)

@@ -56,7 +56,7 @@ from ..errors import (
 from ..messages import _next_serial
 from ..runmodel import RunModel
 from .base import TaskExecutor, Transport
-from .codec import FrameCodec, SocketEndpoint
+from .codec import SocketEndpoint
 from .inproc import InlineExecutor
 from .worker import worker_main
 
@@ -164,9 +164,7 @@ class WorkerHandle:
         self.process.start()
         child_sock.close()
         self.endpoint = SocketEndpoint(
-            parent_sock,
-            codec=FrameCodec(),
-            shm_threshold=self.transport.shm_threshold,
+            parent_sock, shm_threshold=self.transport.shm_threshold
         )
         self._demux = threading.Thread(
             target=self._demux_loop, name=f"cn-demux-{self.node}", daemon=True
@@ -502,11 +500,7 @@ class ProcTransport(Transport):
         self._cluster = cluster
 
     def telemetry(self) -> Optional[Any]:
-        cluster = self._cluster
-        telemetry = getattr(cluster, "telemetry", None)
-        if telemetry is not None and getattr(telemetry, "enabled", False):
-            return telemetry
-        return None
+        return getattr(self._cluster, "telemetry", None)
 
     def executor_for(self, manager: "TaskManager") -> TaskExecutor:
         node = manager.name.split("/")[0]

@@ -37,7 +37,7 @@ from ..errors import ShutdownError, TaskLoadError, TransportError
 from ..queues import MessageQueue
 from ..task import TaskContext
 from .base import Endpoint
-from .codec import FrameCodec, SocketEndpoint
+from .codec import SocketEndpoint
 
 __all__ = [
     "worker_main",
@@ -474,9 +474,7 @@ def worker_main(sock: Any, node: str, shm_threshold: Optional[int]) -> None:
     for reset in list(_FORK_RESETS):
         reset()
     _disarm_inherited_verifier()
-    endpoint = SocketEndpoint(
-        sock, codec=FrameCodec(), shm_threshold=shm_threshold
-    )
+    endpoint = SocketEndpoint(sock, shm_threshold=shm_threshold)
     runtime = WorkerRuntime(endpoint, node)
     _ACTIVE = runtime
     try:

@@ -9,6 +9,7 @@ from repro.cn import (
     Message,
     MessageType,
     MulticastBus,
+    PlacementRule,
     RunModel,
     TaskManager,
     TaskRegistry,
@@ -244,10 +245,24 @@ class TestCNServerResponder:
         assert offers and offers[0][0] == "n0"
         assert offers[0][1]["free_job_slots"] > 0
 
+    @staticmethod
+    def round_of_one(memory):
+        """What a placement round puts on the bus for one task."""
+        rule = PlacementRule(
+            "j1", "echo.jar", memory, RunModel.RUN_AS_THREAD_IN_TM, ("t",)
+        )
+        return Solicitation("rule", {"rule": rule}, "c")
+
     def test_taskmanager_offer_respects_memory(self):
         bus, server = self.make()
-        assert bus.solicit(Solicitation("taskmanager", {"memory": 500}, "c"))
-        assert not bus.solicit(Solicitation("taskmanager", {"memory": 5000}, "c"))
+        [(name, bid)] = bus.solicit(self.round_of_one(500))
+        assert (name, bid.taskmanager, bid.free_memory) == ("n0", "n0/tm", 1000)
+        assert not bus.solicit(self.round_of_one(5000))
+
+    def test_crashed_taskmanager_does_not_answer(self):
+        bus, server = self.make()
+        server.taskmanager.crash()
+        assert bus.solicit(self.round_of_one(1)) == []
 
     def test_unknown_kind_ignored(self):
         bus, server = self.make()
@@ -256,7 +271,7 @@ class TestCNServerResponder:
     def test_accept_flags(self):
         bus, server = self.make(accept_jobs=False, accept_tasks=False)
         assert bus.solicit(Solicitation("jobmanager", {}, "c")) == []
-        assert bus.solicit(Solicitation("taskmanager", {"memory": 1}, "c")) == []
+        assert bus.solicit(self.round_of_one(1)) == []
 
     def test_shutdown_unsubscribes(self):
         bus, server = self.make()

@@ -22,7 +22,7 @@ class TestBus:
         bus.subscribe("a", lambda s: {"v": 1})
         bus.subscribe("b", lambda s: None)  # unwilling
         bus.subscribe("c", lambda s: {"v": 3})
-        offers = bus.solicit(Solicitation("taskmanager", {}, "client"))
+        offers = bus.solicit(Solicitation("rule", {}, "client"))
         assert [name for name, _ in offers] == ["a", "c"]
 
     def test_crashing_responder_skipped(self):
@@ -79,7 +79,7 @@ class TestBus:
             bus.subscribe(name, lambda s: {})
         bus.set_partition([["node0", "node1"], ["node2"]])
         delivered = bus.publish("journal", (), sender="node0")
-        offers = bus.solicit(Solicitation("taskmanager", {}, "node0"))
+        offers = bus.solicit(Solicitation("rule", {}, "node0"))
         assert "node2" not in heard and "node2" not in [n for n, _ in offers]
         assert bus.stats.partitioned == 2
         # 2 reachable receivers per call, each one chaos decision

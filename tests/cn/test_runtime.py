@@ -18,6 +18,7 @@ from repro.cn import (
     Message,
     MessageType,
     PlacementRule,
+    RunModel,
     Task,
     TaskFailedError,
     TaskSpec,
@@ -491,9 +492,7 @@ class TestHostingEnds:
         )
 
     def assert_idle(self, cluster):
-        rule = PlacementRule(
-            "r", "j", "m", "echo.jar", "test.Echo", 0, "RUN_AS_THREAD_IN_TM", ("t",)
-        )
+        rule = PlacementRule("j", "echo.jar", 0, RunModel.RUN_AS_THREAD_IN_TM, ("t",))
         for server in cluster.servers:
             tm = server.taskmanager
             assert tm._hosted == {}, server.name

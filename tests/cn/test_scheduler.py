@@ -1,19 +1,19 @@
-"""Rule-based bidding scheduler: award determinism, degenerate-solicit
-equivalence, locality, and chaos between bid and award.
+"""Placement rounds: award determinism, the round of one, locality, and
+chaos between bid and award.
 
-The bid scheduler's correctness story has three legs, each tested here:
+Placement's correctness story has three legs, each tested here:
 
 * :func:`~repro.cn.scheduler.award_bids` is a *pure fold*: same
   ``(rule, bids, seed)`` in, same awards out, independent of the order
   bids arrived in (hypothesis properties below).
-* the paper's solicit protocol is the degenerate 1-task rule: a single
-  task awards to exactly the node best-fit-by-free-memory would pick,
-  so the default scheduler's behavioural tests hold under
-  ``CN_SCHEDULER=bid`` unchanged.
-* awards are epoch-fenced: a node killed between submitting the winning
-  bid and receiving the award fails the upload, triggers a re-bid, and
-  can never leave a double placement behind (the epoch only advances on
-  a successful host).
+* the paper's per-task solicitation is the round of one: its award is
+  the general fold's on the same bids (most free memory, then locality,
+  load, name), and a batch placed one task per round (``solicit``)
+  spreads exactly like the same batch placed by one rule (``bid``).
+* awards are epoch-fenced: a node killed -- or filled up -- between
+  submitting the winning bid and receiving the award fails the upload,
+  triggers a re-bid, and can never leave a double placement behind (the
+  epoch only advances on a successful host), under either scheduler.
 """
 
 import threading
@@ -30,11 +30,14 @@ from repro.cn import (
     ConfigError,
     NoWillingTaskManager,
     PlacementRule,
+    RunModel,
     Task,
     TaskRegistry,
     TaskSpec,
     award_bids,
 )
+from repro.cn.errors import CnError
+from repro.cn.scheduler import _canonical, _fold
 
 
 class Echo(Task):
@@ -59,13 +62,10 @@ def spec(name, memory=10, depends=()):
 
 def rule_for(tasks, memory=10):
     return PlacementRule(
-        rule_id="r1",
         job_id="job1",
-        manager="m/jm",
         jar="echo.jar",
-        cls="s.Echo",
         memory=memory,
-        runmodel="RUN_AS_THREAD_IN_TM",
+        runmodel=RunModel.RUN_AS_THREAD_IN_TM,
         tasks=tuple(tasks),
     )
 
@@ -128,20 +128,38 @@ def test_awards_deterministic_and_arrival_order_independent(
             assert count * memory <= best[tm].free_memory
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    bids=st.lists(bid_strategy, max_size=12),
+    memory=st.sampled_from([0, 10, 60]),
+    permutation=st.randoms(use_true_random=False),
+)
+def test_round_of_one_awards_what_the_general_fold_awards(bids, memory, permutation):
+    """The one-task round takes a ``min`` where the fold builds a heap; on
+    the same bids -- duplicates from one node, zero-capacity and
+    under-memory bids included, in any arrival order -- both name the
+    same winner."""
+    rule = rule_for(["t0"], memory=memory)
+    shuffled = list(bids)
+    permutation.shuffle(shuffled)
+    best = _canonical(rule, bids)
+    expected = _fold(rule, best, 0) if best else ([], ["t0"])
+    assert award_bids(rule, bids) == expected
+    assert award_bids(rule, shuffled) == expected
+
+
 def test_degenerate_single_task_matches_solicit_best_fit():
-    # solicit sorts offers by (-free_memory, name); a 1-task rule must
-    # award identically, with locality/load only breaking exact ties
+    # most free memory first; locality, then load, then name only break
+    # exact ties -- by the fast path and by the fold alike
     rule = rule_for(["t0"])
     bids = [
         Bid("n2/tm", capacity=4, free_memory=500, load=9, locality=0),
         Bid("n0/tm", capacity=4, free_memory=300, load=0, locality=3),
         Bid("n1/tm", capacity=4, free_memory=500, load=0, locality=0),
     ]
-    awards, unplaced = award_bids(rule, bids)
-    assert unplaced == []
-    # n2 and n1 tie on memory; n1 wins on locality? no -- both 0, so
-    # load breaks the tie in n1's favour (solicit would pick n1 by name)
-    assert awards == [("t0", "n1/tm")]
+    # n2 and n1 tie on memory and locality, so load decides for n1
+    assert award_bids(rule, bids) == ([("t0", "n1/tm")], [])
+    assert _fold(rule, {b.taskmanager: b for b in bids}, 0) == ([("t0", "n1/tm")], [])
 
 
 def test_batch_award_spreads_like_sequential_best_fit():
@@ -193,6 +211,31 @@ def test_bid_cluster_runs_jobs_and_spreads():
         assert max(counts.values()) - min(counts.values()) <= 1
 
 
+def test_one_task_per_round_spreads_like_one_rule():
+    """256 homogeneous specs on a quiescent 32-node cluster: placed one
+    per round (``solicit``) or by one rule (``bid``), every node ends up
+    with the same number of them -- virtual free memory in the fold
+    stands for the real free memory the per-task rounds see shrink."""
+    specs = [spec(f"t{i}") for i in range(256)]
+    counts = {}
+    for scheduler in ("solicit", "bid"):
+        with Cluster(
+            32, registry=registry(), memory_per_node=10**4, scheduler=scheduler,
+            telemetry=None, durable=False,
+        ) as c:
+            api = CNAPI.initialize(c)
+            handle = api.create_job("cli")
+            before = c.bus.stats.solicitations
+            api.create_tasks(handle, specs)
+            rounds = c.bus.stats.solicitations - before
+            assert rounds == (256 if scheduler == "solicit" else 1)
+            counts[scheduler] = Counter(
+                handle.job.task(s.name).node_name for s in specs
+            )
+    assert counts["solicit"] == counts["bid"]
+    assert set(counts["bid"].values()) == {8} and len(counts["bid"]) == 32
+
+
 def test_bid_scheduler_uses_one_rule_per_batch():
     with Cluster(
         4, registry=registry(), scheduler="bid", telemetry=None, durable=False
@@ -236,6 +279,41 @@ def test_unknown_scheduler_rejected():
 
 
 # -- chaos: kill between bid and award ----------------------------------------
+
+
+@pytest.mark.parametrize("scheduler", ["solicit", "bid"])
+def test_failed_upload_rebids_instead_of_failing_the_call(scheduler):
+    """node0 answers, then refuses the upload (it filled up, or died, in
+    between): the bidder is excluded and the task lands on the next best
+    node.  At the parent the default scheduler let the ``CnError`` out of
+    ``create_task``."""
+    with Cluster(3, registry=registry(), scheduler=scheduler) as c:
+        api = CNAPI.initialize(c)
+        handle = api.create_job("cli", requirements={"prefer": "node1"})
+        tm0 = c.server("node0").taskmanager
+        real_host_task, refused = tm0.host_task, []
+
+        def full_once(job, runtime, task_class):
+            if not refused:
+                refused.append(runtime.name)
+                raise CnError("node0/tm cannot host: filled up since its bid")
+            real_host_task(job, runtime, task_class)
+
+        tm0.host_task = full_once
+        before = c.bus.stats.solicitations
+        api.create_task(handle, spec("t0"))
+        assert refused == ["t0"]  # node0 won the first round by name
+        assert c.bus.stats.solicitations - before == 2  # ...and was re-bid around
+        runtime = handle.job.task("t0")
+        assert (runtime.node_name, runtime.epoch) == ("node1/tm", 1)
+        placed = [
+            r.data
+            for r in handle.manager.journal.records(handle.job_id)
+            if r.kind == "task-placed"
+        ]
+        assert placed == [{"task": "t0", "node": "node1/tm", "epoch": 1}]
+        api.start_job(handle)
+        assert api.wait(handle, timeout=30) == {"t0": "t0"}
 
 
 def test_kill_node_between_bid_and_award():
@@ -341,7 +419,8 @@ class ManagerDied(RuntimeError):
 
 
 @pytest.mark.parametrize(
-    ("scheduler", "k"), [("bid", 0), ("bid", 1), ("bid", 11), ("solicit", 5)]
+    ("scheduler", "k"),
+    [(scheduler, k) for scheduler in ("bid", "solicit") for k in (0, 1, 5, 11)],
 )
 def test_manager_dies_inside_an_award_round(scheduler, k):
     """node0 manages a 12-task batch and dies after *k* uploads of the
@@ -349,8 +428,9 @@ def test_manager_dies_inside_an_award_round(scheduler, k):
     successor adopts from the replicated task-spec batch alone, every task
     runs exactly once, nothing the dead epoch hosted outlives the
     adoption, and the batch the dying manager still writes is fenced
-    whole on every survivor.  Under ``solicit`` (the control) each
-    placement was journaled singly before the death, so nothing is late."""
+    whole on every survivor.  Under ``solicit`` every round is one task:
+    each placement was journaled before the next round, so nothing is
+    late."""
     names = [f"t{i}" for i in range(12)]
     r = TaskRegistry()
     r.register_class("count.jar", "s.Counted", Counted)

@@ -4,7 +4,9 @@ The wire contract the proc backend stands on: anything the data plane
 ships must come back equal after ``pack_frame``/``unpack_frame``, large
 buffers must ride out-of-band without a sender-side copy, and a frame
 damaged in flight must be *rejected* (FrameCorrupt/FrameTruncated), not
-delivered wrong.
+delivered wrong.  ``unpack_frame`` and ``SocketEndpoint.recv`` are one
+parser over two byte sources, and ``TestRejection`` runs every damaged
+frame through both.
 """
 
 import socket
@@ -18,18 +20,17 @@ from hypothesis import strategies as st
 
 from repro.cn.errors import FrameCorrupt, FrameTruncated, TransportError
 from repro.cn.transport import (
-    LoopbackEndpoint,
     SocketEndpoint,
     loopback_pair,
     pack_frame,
     unpack_frame,
 )
-from repro.cn.transport.codec import _HEADER
+from repro.cn.transport.codec import _HEADER, _SEGMENT, _sweep_shm
 
 
-def roundtrip(obj, codec=None):
-    frame = pack_frame(obj, codec)
-    decoded, consumed = unpack_frame(frame, codec)
+def roundtrip(obj):
+    frame = pack_frame(obj)
+    decoded, consumed = unpack_frame(frame)
     assert consumed == len(frame)
     return decoded
 
@@ -121,7 +122,7 @@ class TestZeroCopy:
         # zero-copy receive path must see the change through the array.
         arr = np.full(4096, 7, dtype=np.uint8)
         frame = bytearray(pack_frame(arr))
-        out, _ = unpack_frame(frame, None)
+        out, _ = unpack_frame(frame)
         assert np.array_equal(out, arr)
         # the array's 4096-byte payload is a unique run of 7s in the frame
         start = bytes(frame).index(b"\x07" * 4096)
@@ -129,27 +130,42 @@ class TestZeroCopy:
         assert out[0] == 9  # aliased, not copied
 
 
+def from_socket(frame):
+    """The same bytes arriving on the proc wire, then the peer closing."""
+    left, right = socket.socketpair()
+    endpoint = SocketEndpoint(right)
+    try:
+        left.sendall(frame)
+        left.close()
+        return endpoint.recv()
+    finally:
+        endpoint.close()
+
+
+def assert_rejected(frame, *errors):
+    """Out of a buffer and off the wire alike."""
+    for decode in (unpack_frame, from_socket):
+        with pytest.raises(errors):
+            decode(frame)
+
+
 class TestRejection:
     def test_truncated_header(self):
         assert len(pack_frame(b"x" * 64)) > 3
-        with pytest.raises(FrameTruncated):
-            unpack_frame(pack_frame(b"x" * 64)[:3])
+        assert_rejected(pack_frame(b"x" * 64)[:3], FrameTruncated)
 
     def test_truncated_descriptor(self):
         frame = pack_frame(b"x" * 64)
-        with pytest.raises(FrameTruncated):
-            unpack_frame(frame[: _HEADER.size + 2])
+        assert_rejected(frame[: _HEADER.size + 2], FrameTruncated)
 
     def test_truncated_payload(self):
         frame = pack_frame(b"x" * 64)
-        with pytest.raises(FrameTruncated):
-            unpack_frame(frame[:-5])
+        assert_rejected(frame[:-5], FrameTruncated)
 
     def test_bad_magic(self):
         frame = bytearray(pack_frame({"a": 1}))
         frame[:4] = b"XXXX"
-        with pytest.raises(FrameCorrupt):
-            unpack_frame(frame)
+        assert_rejected(frame, FrameCorrupt)
 
     @given(pos=st.integers(min_value=0, max_value=63), delta=st.integers(1, 255))
     @settings(max_examples=40, deadline=None)
@@ -157,27 +173,35 @@ class TestRejection:
         frame = bytearray(pack_frame(b"A" * 64))
         offset = len(frame) - 64 + pos  # inside the pickled body's tail bytes
         frame[offset] = (frame[offset] + delta) % 256
-        with pytest.raises((FrameCorrupt, FrameTruncated)):
-            unpack_frame(frame)
+        assert_rejected(frame, FrameCorrupt, FrameTruncated)
 
     def test_implausible_segment_count_rejected(self):
         frame = bytearray(pack_frame({"a": 1}))
         frame[4:8] = struct.pack("!I", 1 << 20)
-        with pytest.raises(FrameCorrupt):
-            unpack_frame(frame)
+        assert_rejected(frame, FrameCorrupt)
 
     def test_implausible_segment_length_rejected(self):
         frame = bytearray(pack_frame({"a": 1}))
         # descriptor 0 starts after the header: kind u8, then length u64
         struct.pack_into("!Q", frame, _HEADER.size + 1, 1 << 40)
-        with pytest.raises(FrameCorrupt):
-            unpack_frame(frame)
+        assert_rejected(frame, FrameCorrupt)
+
+    def test_implausible_shm_length_rejected(self):
+        # at the parent only the buffer parser bounded a spilled segment's
+        # declared length; the wire's would have tried to copy it out
+        arr = np.arange(4096, dtype=np.uint8)
+        frame = bytearray(pack_frame(arr, shm_threshold=1024))
+        struct.pack_into("!Q", frame, _HEADER.size + _SEGMENT.size + 1, 1 << 40)
+        try:
+            assert_rejected(frame, FrameCorrupt)
+        finally:
+            _sweep_shm({bytes(frame[-20:]).decode("ascii")})
 
 
 class TestSharedMemorySpill:
     def test_spill_and_consume_roundtrip(self):
         arr = np.arange(65536, dtype=np.uint8)
-        frame = pack_frame(arr, None, shm_threshold=1024)
+        frame = pack_frame(arr, shm_threshold=1024)
         out, _ = unpack_frame(frame)
         assert np.array_equal(out, arr)
 
@@ -185,7 +209,7 @@ class TestSharedMemorySpill:
         from multiprocessing import shared_memory
 
         arr = np.arange(65536, dtype=np.uint8)
-        frame = pack_frame(arr, None, shm_threshold=1024)
+        frame = pack_frame(arr, shm_threshold=1024)
         unpack_frame(frame)
         # every cnf_ name in the frame must be gone after consumption
         text = bytes(frame)
@@ -196,10 +220,8 @@ class TestSharedMemorySpill:
             shared_memory.SharedMemory(name=name)
 
     def test_vanished_segment_is_truncation(self):
-        from repro.cn.transport.codec import _sweep_shm
-
         arr = np.arange(65536, dtype=np.uint8)
-        frame = pack_frame(arr, None, shm_threshold=1024)
+        frame = pack_frame(arr, shm_threshold=1024)
         name = bytes(frame)[bytes(frame).find(b"cnf_") :][:20].decode("ascii")
         _sweep_shm({name})  # simulate sender sweep racing the receiver
         with pytest.raises(FrameTruncated):
@@ -207,6 +229,8 @@ class TestSharedMemorySpill:
 
 
 class TestLoopbackEndpoint:
+    """``loopback_pair`` is the production endpoint over a socketpair."""
+
     def test_pair_carries_frames_both_ways(self):
         a, b = loopback_pair()
         a.send({"n": 1})
@@ -234,11 +258,6 @@ class TestLoopbackEndpoint:
         assert got == [None]
         with pytest.raises(TransportError):
             a.send({"late": True})
-
-    def test_unpaired_endpoint_refuses_send(self):
-        lone = LoopbackEndpoint()
-        with pytest.raises(TransportError):
-            lone.send({})
 
 
 class TestSocketEndpoint:
