@@ -9,9 +9,9 @@ control plane with its ledger and retries -- is identical:
   Deterministic, zero-setup, and the substrate the chaos/simulation
   machinery requires.
 * ``proc``: one worker process is forked per node, and attempts cross a
-  length-prefixed pickle-5 frame protocol (large numpy blocks ride
-  SharedMemory segments).  CPU-bound kernels escape the GIL, so an
-  N-node cluster really uses N cores.
+  length-prefixed pickle-5 frame protocol (large numpy blocks leave as
+  out-of-band segments, uncopied).  CPU-bound kernels escape the GIL,
+  so an N-node cluster really uses N cores.
 
 This example runs the same Floyd-Warshall composition on both backends
 and prints which OS processes did the work: with ``inproc`` every

@@ -19,7 +19,7 @@ CC303  warning   ``ShutdownError`` swallowed (handler body is ``pass``)
 CC401  warning   unpicklable payload (lambda) handed to a message call
 CC402  warning   private attribute reached across the node/bus interface
 CC403  warning   fan-out payload mutated after being shared by reference
-CC404  warning   payload crossing ``Endpoint.send`` the codec cannot serialize
+CC404  warning   payload crossing ``SocketEndpoint.send`` the codec cannot serialize
 ====== ========= ===========================================================
 
 Lock knowledge is *syntactic*: a class's lock attributes are the ones
@@ -87,7 +87,7 @@ _FAN_OUT_CALLS = {"route_many", "multicast", "send_many", "broadcast"}
 _MESSAGE_CALLS = {"put", "publish", "send", "route", "route_many", "send_many", "Message"}
 
 # CC404: constructions the wire codec (pickle protocol 5) cannot
-# serialize when they appear inside a payload handed to Endpoint.send.
+# serialize when they appear inside a payload handed to SocketEndpoint.send.
 _UNPICKLABLE_CTORS = {
     "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore",
     "Event", "Barrier", "Thread", "open", "socket", "socketpair",
@@ -396,7 +396,7 @@ class _FileAnalysis:
         return leaf in {"ep", "_ep"}
 
     def _check_endpoint_payload(self, call: ast.Call, scope: str) -> None:
-        """CC404: anything inside an Endpoint.send payload the frame
+        """CC404: anything inside a SocketEndpoint.send payload the frame
         codec (pickle protocol 5) cannot serialize.  Top-level lambdas
         are CC401's finding; this pass catches nested lambdas, generator
         expressions, and live runtime handles (locks, threads, files,

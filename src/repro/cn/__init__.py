@@ -30,6 +30,7 @@ from .errors import (
     ArchiveError,
     BudgetExhausted,
     CnError,
+    CnxValidationError,
     ConfigError,
     FrameCorrupt,
     FrameTruncated,
@@ -114,6 +115,7 @@ __all__ = [
     "expand_dynamic_tasks",
     "evaluate_arguments",
     "CnError",
+    "CnxValidationError",
     "ArchiveError",
     "TaskLoadError",
     "NoWillingJobManager",

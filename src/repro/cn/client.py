@@ -25,11 +25,10 @@ from typing import Any, Mapping, Optional, Sequence
 from ..analysis import AnalysisContext, Diagnostic, analyze_cnx
 from ..analysis.passes import parse_multiplicity
 from ..core.cnx.schema import CnxDocument, CnxJob, CnxTask
-from ..core.cnx.validate import CnxValidationError
 from ..util import dag
 from .api import CNAPI, JobHandle
 from .cluster import Cluster
-from .errors import JobError
+from .errors import CnxValidationError, JobError
 from .job import TaskSpec
 from .messages import Message, MessageType
 
@@ -264,12 +263,11 @@ class ClientRunner:
         Before anything reaches the cluster the full static analyzer
         runs over the descriptor (including placement feasibility
         against this runner's cluster): error-severity findings raise
-        :class:`~repro.core.cnx.validate.CnxValidationError` with the
+        :class:`~repro.cn.errors.CnxValidationError` with the
         structured diagnostics attached, warnings are collected on the
         returned :class:`ClientResult`."""
         report = self.analyze(doc)
-        if not report.ok:
-            raise CnxValidationError(report.legacy_problems(), report.errors())
+        CnxValidationError.raise_for(report)
         runtime_args = dict(runtime_args or {})
         outcome = ClientResult(
             client_class=doc.client.cls, warnings=report.warnings()

@@ -34,7 +34,7 @@ from ..analysis.conc.runtime import (
 )
 from .chaos import ChaosPolicy, ExponentialBackoff, VirtualClock
 from .errors import ConfigError
-from .transport import InProcTransport, ProcTransport, Transport
+from .transport import InProcTransport, ProcTransport
 from .durability import (
     JobDirectory,
     MemoryJournal,
@@ -80,18 +80,13 @@ class Cluster(AbstractContextManager):
         queue_maxsize: int = 0,
         queue_policy: str = "block",
         checksums: bool = False,
-        transport: "str | Transport" = "inproc",
+        transport: str = "inproc",
         scheduler: str = "solicit",
     ) -> None:
         if nodes < 1:
             raise ValueError("a cluster needs at least one node")
         # every combination the runtime cannot honor is refused here,
         # before a single component is built
-        if isinstance(transport, str) and transport not in _BACKENDS:
-            raise ConfigError(
-                f"unknown transport {transport!r}; "
-                f"known backends: {', '.join(sorted(_BACKENDS))}"
-            )
         if scheduler not in ("solicit", "bid"):
             raise ConfigError(
                 f"unknown scheduler {scheduler!r}; expected 'solicit' or 'bid'"
@@ -110,24 +105,22 @@ class Cluster(AbstractContextManager):
             incompatible.append("a caller-driven VirtualClock")
         if verify_locking:
             incompatible.append("the runtime lock verifier (verify_locking)")
-        transport_name = transport if isinstance(transport, str) else transport.name
-        if transport_name != "inproc" and incompatible:
+        if transport != "inproc" and incompatible:
             raise ConfigError(
-                f"the {transport_name!r} transport executes tasks in "
-                "worker processes and cannot honor in-process-only "
-                f"features: {', '.join(incompatible)}. Use the default "
-                "inproc transport for fault injection, virtual time, "
-                "and lock verification."
+                f"transport={transport!r} cannot honor in-process-only "
+                f"features: {', '.join(incompatible)}. Only the default "
+                "inproc transport executes tasks in this process, as "
+                "fault injection, virtual time, and lock verification need."
+            )
+        if transport not in _BACKENDS:
+            raise ConfigError(
+                f"unknown transport {transport!r}; "
+                f"known backends: {', '.join(sorted(_BACKENDS))}"
             )
         #: how ``create_tasks`` cuts a call into placement rounds: "solicit"
         #: one task per round (the paper's per-task multicast) or "bid" one
         #: round per homogeneous batch; the placement path is the same
         self.scheduler = scheduler
-        if isinstance(transport, str):
-            transport = _BACKENDS[transport]()
-        #: execution backend (see repro.cn.transport)
-        self.transport: Transport = transport
-        self.transport.bind_cluster(self)
         #: opt-in runtime lock-order/deadlock verifier (conclint part 2).
         #: Installed *before* any component is built: locks created deep
         #: inside Job/MessageQueue constructors come out instrumented.
@@ -142,6 +135,8 @@ class Cluster(AbstractContextManager):
         if telemetry is _DEFAULT:
             telemetry = Telemetry()
         self.telemetry: Optional[Telemetry] = telemetry
+        #: execution backend (see repro.cn.transport)
+        self.transport = _BACKENDS[transport](telemetry)
         if self.lock_verifier is not None and telemetry is not None:
             # held-time histograms land in the shared metrics registry as
             # cn_lock_held_seconds{lock=<Class._lock>}
@@ -213,7 +208,6 @@ class Cluster(AbstractContextManager):
     def start(self) -> "Cluster":
         if self._started:
             return self
-        self.transport.start()  # proc workers still fork lazily per node
         for server in self.servers:
             server.start()
         # flat subnet: every JobManager may upload to every TaskManager

@@ -23,6 +23,7 @@ __all__ = [
     "FrameTruncated",
     "WorkerLost",
     "RemoteTaskError",
+    "CnxValidationError",
 ]
 
 
@@ -169,3 +170,22 @@ class BudgetExhausted(JobError):
             f"task {task_name!r} dropped: job budget exhausted "
             f"(deadline {deadline:.3f} <= now {now:.3f})"
         )
+
+
+class CnxValidationError(ValueError):
+    """A CNX descriptor the static analyzer found errors in; ``problems``
+    holds the message list and ``diagnostics`` the structured
+    :class:`~repro.analysis.Diagnostic` records behind those messages."""
+
+    def __init__(self, problems: list[str], diagnostics=None) -> None:
+        self.problems = problems
+        self.diagnostics = list(diagnostics) if diagnostics is not None else []
+        joined = "\n  - ".join(problems)
+        super().__init__(f"CNX document is not valid:\n  - {joined}")
+
+    @classmethod
+    def raise_for(cls, report) -> None:
+        """Raise for a :func:`repro.analysis.analyze_cnx` *report* that
+        has error-severity findings; warnings pass."""
+        if not report.ok:
+            raise cls(report.legacy_problems(), report.errors())

@@ -23,7 +23,7 @@ from .jobmanager import JobManager
 from .multicast import MulticastBus, Solicitation
 from .registry import TaskRegistry
 from .taskmanager import TaskManager
-from .transport.base import Transport
+from .transport.inproc import InProcTransport
 
 __all__ = ["CNServer"]
 
@@ -49,7 +49,7 @@ class CNServer:
         queue_maxsize: int = 0,
         queue_policy: str = "block",
         checksums: bool = False,
-        transport: Optional[Transport] = None,
+        transport: Optional[InProcTransport] = None,
         scheduler: str = "solicit",
     ) -> None:
         self.name = name

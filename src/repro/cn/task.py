@@ -20,12 +20,12 @@ from __future__ import annotations
 import abc
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import UnknownTaskError
+from .errors import TaskLoadError, UnknownTaskError
 from .messages import Message, MessageType
 from .queues import MessageQueue
 from .tuplespace import TupleSpace
 
-__all__ = ["Task", "TaskContext", "FunctionTask"]
+__all__ = ["Task", "TaskContext", "FunctionTask", "run_attempt"]
 
 
 class Task(abc.ABC):
@@ -37,9 +37,9 @@ class Task(abc.ABC):
     in the TASK_COMPLETED message and stored on the job.
     """
 
-    #: the running attempt's context, set by the TaskManager just before
-    #: ``run``; lets :meth:`checkpoint`/:meth:`restore` work without the
-    #: task threading its context everywhere
+    #: the running attempt's context, set by :func:`run_attempt` just
+    #: before ``run``; lets :meth:`checkpoint`/:meth:`restore` work without
+    #: the task threading its context everywhere
     _ctx: Optional["TaskContext"] = None
 
     @abc.abstractmethod
@@ -51,11 +51,9 @@ class Task(abc.ABC):
 
     # -- checkpoint API (durability extension) ---------------------------------
     def checkpoint(self, state: Any, tag: Any = None) -> bool:
-        """Persist *state* through the job journal so a restarted attempt
-        can pick up mid-algorithm.  Returns False when the cluster runs
-        without durability (the call is then a no-op).  In-process the
-        state is journaled on return; in a worker process it is journaled
-        before every later send of this attempt and before its outcome."""
+        """Hand *state* to the job so a restarted attempt can pick up
+        mid-algorithm (see :meth:`TaskContext.checkpoint`).  Returns True;
+        False only when no attempt is running this task."""
         return self._ctx.checkpoint(state, tag) if self._ctx is not None else False
 
     def restore(self) -> Any:
@@ -101,8 +99,9 @@ class TaskContext:
         dependencies: Optional[dict[str, tuple[str, ...]]] = None,
         attempt_epoch: int = 0,
         manager_epoch: int = 1,
-        checkpoint_save: Optional[Callable[[Any, Any], None]] = None,
-        checkpoint_load: Optional[Callable[[], Optional[tuple[Any, Any]]]] = None,
+        trace_ctx: Optional[tuple[str, str]] = None,
+        checkpoint_save: Callable[[Any, Any], None],
+        checkpoint_load: Callable[[], Optional[tuple[Any, Any]]],
     ) -> None:
         self.task_name = task_name
         self.job_id = job_id
@@ -123,6 +122,10 @@ class TaskContext:
         self.attempt_epoch = attempt_epoch
         #: the managing JobManager's fencing epoch (bumped on adoption)
         self.manager_epoch = manager_epoch
+        #: the causal context stamped on every message this task sends:
+        #: the attempt's span once :meth:`bind_telemetry` ran (a worker
+        #: process is handed it), the logical task span otherwise
+        self.trace_ctx = trace_ctx or (job_id, f"task:{task_name}")
         self._checkpoint_save = checkpoint_save
         self._checkpoint_load = checkpoint_load
         # telemetry bindings, set by the TaskManager when the cluster has
@@ -138,13 +141,24 @@ class TaskContext:
         hook; tasks use :meth:`event` / :meth:`counter`)."""
         self._telemetry = telemetry
         self._span = span
+        self.trace_ctx = (span.trace_id, span.span_id)
 
-    @property
-    def trace_ctx(self) -> tuple[str, str]:
-        """The causal context stamped on every message this task sends."""
-        if self._span is not None:
-            return (self._span.trace_id, self._span.span_id)
-        return (self.job_id, f"task:{self.task_name}")
+    def wire_fields(self) -> dict[str, Any]:
+        """The plain-data half of this context as constructor keywords --
+        what an ``exec`` frame carries and the worker process splats into
+        its own context; the other half (queue, routers, tuple space,
+        checkpoint callables) is rebuilt over the wire there."""
+        return {
+            "task_name": self.task_name,
+            "job_id": self.job_id,
+            "node_name": self.node_name,
+            "peers": self.peers,
+            "params": self.params,
+            "dependencies": self.dependencies,
+            "attempt_epoch": self.attempt_epoch,
+            "manager_epoch": self.manager_epoch,
+            "trace_ctx": self.trace_ctx,
+        }
 
     def event(self, name: str, **attrs: Any) -> None:
         """Record a point event on this attempt's span (no-op without
@@ -287,16 +301,18 @@ class TaskContext:
 
     # -- checkpointing (durability extension) --------------------------------
     def checkpoint(self, state: Any, tag: Any = None) -> bool:
-        """Persist application *state* through the job journal (replicated
-        to peer managers).  Returns False -- and does nothing -- when the
-        cluster runs without durability.
+        """Hand application *state* to the job; returns True.  The job
+        keeps the latest state per task, so :meth:`restore` in a retried
+        or re-placed attempt gets it back on every cluster.  On a durable
+        cluster it is also journaled and replicated to the peer managers,
+        which is what lets it survive a manager failover; with
+        ``durable=False`` it lives in the managing node's job only.
 
-        The contract, per transport: inproc -- journaled on return; proc
-        -- ordered, not acknowledged: journaled before every message this
-        attempt sends afterwards is routed and before its outcome is
-        reported, and a save that fails fails the attempt."""
-        if self._checkpoint_save is None:
-            return False
+        The contract, per transport: inproc -- saved on return; proc --
+        one ``checkpoint`` frame, ordered, not acknowledged: saved before
+        every message this attempt sends afterwards is routed and before
+        its outcome is reported (one FIFO socket carries all three), and
+        a save that fails fails the attempt."""
         self._checkpoint_save(state, tag)
         return True
 
@@ -306,8 +322,6 @@ class TaskContext:
         A successful restore also routes a TASK_RESUMED notification to
         the client, so traces can verify that recovery resumed from the
         checkpoint rather than re-running from scratch."""
-        if self._checkpoint_load is None:
-            return None
         found = self._checkpoint_load()
         if found is None:
             return None
@@ -327,9 +341,23 @@ class TaskContext:
                 trace_ctx=self.trace_ctx,
             )
         )
-        if self._span is not None:
-            self.event("resumed-from-checkpoint", tag=tag)
+        self.event("resumed-from-checkpoint", tag=tag)
         return state
 
     def __repr__(self) -> str:
         return f"<TaskContext {self.task_name!r} on {self.node_name!r}>"
+
+
+def run_attempt(task_class: type, context: TaskContext) -> Any:
+    """What an attempt is, on either side of the execution seam: construct
+    the task from its descriptor params, bind its context, run it.
+    Returns the task's result or raises what ``run`` raised."""
+    try:
+        instance = task_class(*context.params)
+    except TypeError as exc:
+        raise TaskLoadError(
+            f"cannot construct {task_class.__name__} for task "
+            f"{context.task_name!r} with params {context.params!r}: {exc}"
+        ) from exc
+    instance._ctx = context  # conclint: waive CC402 -- instance and context share this attempt's thread
+    return instance.run(context)

@@ -29,14 +29,13 @@ from typing import Any, Callable, Optional, Type
 
 from ..analysis.conc.runtime import make_lock
 from .chaos import ChaosPolicy, InjectedFault, VirtualClock
-from .errors import BudgetExhausted, CnError, ShutdownError, TaskLoadError
+from .errors import BudgetExhausted, CnError, ShutdownError
 from .job import Job, TaskRuntime, TaskState
 from .messages import Message, MessageType
 from .queues import MessageQueue
 from .runmodel import RunModel
 from .scheduler import Bid, PlacementRule
 from .task import Task, TaskContext
-from .transport.base import TaskExecutor
 from .transport.inproc import InlineExecutor
 
 __all__ = ["TaskManager", "HostedTask"]
@@ -94,15 +93,11 @@ class TaskManager:
         queue_maxsize: int = 0,
         queue_policy: str = "block",
         checksums: bool = False,
-        executor: Optional[TaskExecutor] = None,
     ) -> None:
         self.name = name
-        #: the execution backend seam: attempts run through this instead
-        #: of an implicit inline call (transport subsystem); the default
-        #: preserves the historical in-process semantics exactly
-        self.executor: TaskExecutor = (
-            executor if executor is not None else InlineExecutor()
-        )
+        #: the execution seam: every attempt runs through this -- inline
+        #: unless the node's transport hands over another (CNServer)
+        self.executor = InlineExecutor()
         self.memory_capacity = memory_capacity
         self.slots = slots
         self.chaos = chaos
@@ -442,11 +437,9 @@ class TaskManager:
                     raise ShutdownError(
                         f"chaos-stalled task {runtime.name!r} cancelled"
                     )
-            # the execution-backend seam: inline for inproc (identical to
-            # the historical instantiate-and-run), shipped to the node's
-            # worker process for proc -- either way the call returns the
-            # result or raises exactly what instance.run(context) raised
-            result = self.executor.execute(self, hosted, context)
+            # the execution seam: either side returns the result or raises
+            # exactly what run_attempt(task_class, context) raised
+            result = self.executor.execute(hosted, context)
         except BudgetExhausted as exc:
             # the end-to-end job budget is already spent: executing (or
             # retrying -- equally doomed) would burn the resources a
@@ -666,15 +659,6 @@ class TaskManager:
             for key, h in list(self._hosted.items()):
                 if key[0] == job_id and (h.started_at is None or not h.reserved):
                     self._end_hosting(h)
-
-    def _instantiate(self, task_class: Type[Task], runtime: TaskRuntime) -> Task:
-        try:
-            return task_class(*runtime.spec.params)
-        except TypeError as exc:
-            raise TaskLoadError(
-                f"cannot construct {task_class.__name__} for task "
-                f"{runtime.name!r} with params {runtime.spec.params!r}: {exc}"
-            ) from exc
 
     # -- cancellation / shutdown ---------------------------------------------------
     def cancel_task(self, job: Job, name: str) -> None:

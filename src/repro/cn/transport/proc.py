@@ -11,7 +11,8 @@ escapes the GIL and an N-node cluster really uses N cores.  The split:
   retries, epoch fences, failover adoption;
 * **workers** (one forked process per node, started lazily at the first
   attempt routed to that node) -- run the task bodies.  An ``exec``
-  frame carries the attempt; a per-attempt pump thread forwards the
+  frame carries the attempt (the task class and the context's
+  ``wire_fields()``); a per-attempt pump thread forwards the
   coordinator-side hosted queue over the wire (so every queue policy
   and chaos-free delivery semantics are applied *before* a message
   crosses); ``route``/``checkpoint``/``rpc``/``metric`` frames come back.
@@ -55,14 +56,14 @@ from ..errors import (
 )
 from ..messages import _next_serial
 from ..runmodel import RunModel
-from .base import TaskExecutor, Transport
 from .codec import SocketEndpoint
-from .inproc import InlineExecutor
+from .inproc import InlineExecutor, InProcTransport
 from .worker import worker_main
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..task import TaskContext
     from ..taskmanager import HostedTask, TaskManager
+    from ..telemetry import Telemetry
 
 __all__ = ["ProcTransport", "ProcExecutor", "register_blob_resolver"]
 
@@ -131,9 +132,9 @@ class _ExecState:
 class WorkerHandle:
     """One node's worker process: socket, demux loop, in-flight attempts."""
 
-    def __init__(self, transport: "ProcTransport", node: str) -> None:
-        self.transport = transport
+    def __init__(self, node: str, telemetry: Optional["Telemetry"]) -> None:
         self.node = node
+        self.telemetry = telemetry
         self.process: Optional[multiprocessing.process.BaseProcess] = None
         self.endpoint: Optional[SocketEndpoint] = None
         self._demux: Optional[threading.Thread] = None
@@ -157,15 +158,13 @@ class WorkerHandle:
         ctx = multiprocessing.get_context("fork")
         self.process = ctx.Process(
             target=worker_main,
-            args=(child_sock, self.node, self.transport.shm_threshold),
+            args=(child_sock, self.node),
             name=f"cn-worker-{self.node}",
             daemon=True,
         )
         self.process.start()
         child_sock.close()
-        self.endpoint = SocketEndpoint(
-            parent_sock, shm_threshold=self.transport.shm_threshold
-        )
+        self.endpoint = SocketEndpoint(parent_sock)
         self._demux = threading.Thread(
             target=self._demux_loop, name=f"cn-demux-{self.node}", daemon=True
         )
@@ -200,11 +199,7 @@ class WorkerHandle:
 
     # -- submission -------------------------------------------------------------
     def execute(
-        self,
-        manager: "TaskManager",
-        hosted: "HostedTask",
-        context: "TaskContext",
-        cls_blob: bytes,
+        self, hosted: "HostedTask", context: "TaskContext", cls_blob: bytes
     ) -> Any:
         job, runtime = hosted.job, hosted.runtime
         exec_id = f"{job.job_id}/{runtime.name}#{hosted.epoch}:{next(_exec_seq)}"
@@ -218,15 +213,8 @@ class WorkerHandle:
                 "exec",
                 {
                     "exec_id": exec_id,
-                    "job_id": job.job_id,
-                    "task": runtime.name,
                     "cls_blob": cls_blob,
-                    "params": list(runtime.spec.params),
-                    "peers": job.task_names(),
-                    "dependencies": context.dependencies,
-                    "node_name": manager.name,
-                    "attempt_epoch": hosted.epoch,
-                    "manager_epoch": job.manager_epoch,
+                    "context": context.wire_fields(),
                 },
             )
         except TransportError as exc:
@@ -390,7 +378,7 @@ class WorkerHandle:
     def _count(
         self, name: str, amount: float = 1.0, labels: Optional[dict] = None
     ) -> None:
-        telemetry = self.transport.telemetry()
+        telemetry = self.telemetry
         if telemetry is not None:
             scoped = telemetry.metrics.namespaced(self.node)
             scoped.counter(name, **(labels or {})).inc(amount)
@@ -434,24 +422,18 @@ class WorkerHandle:
             state.done.set()
 
 
-class ProcExecutor(TaskExecutor):
+class ProcExecutor(InlineExecutor):
     """Per-node executor shipping attempts to the node's worker."""
 
     def __init__(self, transport: "ProcTransport", node: str) -> None:
         self.transport = transport
         self.node = node
-        self._inline = InlineExecutor()
 
-    def execute(
-        self,
-        manager: "TaskManager",
-        hosted: "HostedTask",
-        context: "TaskContext",
-    ) -> Any:
+    def execute(self, hosted: "HostedTask", context: "TaskContext") -> Any:
         spec = hosted.runtime.spec
         if spec.runmodel is RunModel.RUN_IN_JOBMANAGER:
             # manager-site tasks are control-plane work; they stay inline
-            return self._inline.execute(manager, hosted, context)
+            return super().execute(hosted, context)
         try:
             cls_blob = pickle.dumps(hosted.task_class, protocol=5)
         except (pickle.PicklingError, AttributeError, TypeError):
@@ -459,15 +441,15 @@ class ProcExecutor(TaskExecutor):
             # say) cannot cross the process boundary; run it inline and
             # count the downgrade so the gap is visible
             self.transport.note_inline_fallback()
-            return self._inline.execute(manager, hosted, context)
+            return super().execute(hosted, context)
         handle = self.transport.ensure_worker(self.node)
-        return handle.execute(manager, hosted, context, cls_blob)
+        return handle.execute(hosted, context, cls_blob)
 
     def healthy(self) -> bool:
         return self.transport.node_healthy(self.node)
 
 
-class ProcTransport(Transport):
+class ProcTransport(InProcTransport):
     """The multi-process execution backend (one forked worker per node).
 
     Workers fork lazily on the first attempt shipped to their node, so
@@ -477,17 +459,14 @@ class ProcTransport(Transport):
 
     name = "proc"
 
-    def __init__(self, *, shm_threshold: Optional[int] = 256 * 1024) -> None:
+    def __init__(self, telemetry: Optional["Telemetry"] = None) -> None:
+        super().__init__(telemetry)
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ConfigError(
                 "this platform has no fork start method (workers inherit the "
                 "task registry and staged application state); the proc "
                 "transport is unavailable"
             )
-        #: codec buffers at/above this ride SharedMemory segments instead
-        #: of the socket stream (None disables the spill path)
-        self.shm_threshold = shm_threshold
-        self._cluster: Any = None
         self._handles: dict[str, WorkerHandle] = {}
         self._lock = threading.Lock()
         self._stopped = False
@@ -495,16 +474,8 @@ class ProcTransport(Transport):
         #: process boundary (read by tests and the telemetry sampler)
         self.inline_fallbacks = 0
 
-    # -- cluster wiring ---------------------------------------------------------
-    def bind_cluster(self, cluster: Any) -> None:
-        self._cluster = cluster
-
-    def telemetry(self) -> Optional[Any]:
-        return getattr(self._cluster, "telemetry", None)
-
-    def executor_for(self, manager: "TaskManager") -> TaskExecutor:
-        node = manager.name.split("/")[0]
-        return ProcExecutor(self, node)
+    def executor_for(self, manager: "TaskManager") -> ProcExecutor:
+        return ProcExecutor(self, manager.name.split("/")[0])
 
     def note_inline_fallback(self) -> None:
         with self._lock:
@@ -517,7 +488,7 @@ class ProcTransport(Transport):
                 raise ShutdownError("proc transport is stopped")
             handle = self._handles.get(node)
             if handle is None:
-                handle = WorkerHandle(self, node)
+                handle = WorkerHandle(node, self.telemetry)
                 handle.start()
                 self._handles[node] = handle
         return handle
@@ -528,9 +499,6 @@ class ProcTransport(Transport):
         # a node whose worker has not started yet is healthy (it will
         # fork on first use); one whose worker died is not
         return handle is None or handle.alive()
-
-    def healthy(self, node: str) -> bool:
-        return self.node_healthy(node)
 
     def stop(self) -> None:
         with self._lock:

@@ -29,14 +29,14 @@ generic blob RPC (:func:`fetch_blob`).
 
 from __future__ import annotations
 
+import pickle
 import threading
 import traceback
 from typing import Any, Callable, Optional
 
-from ..errors import ShutdownError, TaskLoadError, TransportError
+from ..errors import ShutdownError, TransportError
 from ..queues import MessageQueue
-from ..task import TaskContext
-from .base import Endpoint
+from ..task import TaskContext, run_attempt
 from .codec import SocketEndpoint
 
 __all__ = [
@@ -148,25 +148,17 @@ class RemoteTaskContext(TaskContext):
 
     Subclasses the real context so the entire messaging API (``send``,
     ``multicast``, ``send_many``, ``broadcast``, selective receive,
-    restore) runs the exact in-process code paths -- only the injected
-    ``route`` / ``route_many`` / ``tuple_space`` / restore callables
-    differ, and ``checkpoint`` is a frame instead of a call.  Telemetry
-    is forwarded as metric frames and merged into the coordinator
-    registry under this node's namespace.
+    checkpoint, restore) runs the exact in-process code paths -- only
+    the injected ``route`` / ``route_many`` / ``tuple_space`` /
+    checkpoint callables differ.  Telemetry is forwarded as metric
+    frames and merged into the coordinator registry under this node's
+    namespace.
     """
 
     def __init__(self, runtime: "WorkerRuntime", exec_id: str, **kwargs: Any) -> None:
         self._runtime = runtime
         self._exec_id = exec_id
         super().__init__(**kwargs)
-
-    def checkpoint(self, state: Any, tag: Any = None) -> bool:
-        """One ``checkpoint`` frame, no reply: the coordinator journals
-        it before it routes anything this attempt sends afterwards and
-        before it reports the outcome (one FIFO socket carries all
-        three); a save that fails there fails the attempt."""
-        self._runtime.send_checkpoint(self._exec_id, state, tag)
-        return True
 
     def counter(self, name: str, **labels: Any) -> Any:
         return _RemoteCounter(self._runtime, self._exec_id, name, labels)
@@ -187,7 +179,7 @@ class _Exec:
 class WorkerRuntime:
     """The worker's frame loop plus its executing attempts."""
 
-    def __init__(self, endpoint: Endpoint, node: str) -> None:
+    def __init__(self, endpoint: SocketEndpoint, node: str) -> None:
         self.endpoint = endpoint
         self.node = node
         self._execs: dict[str, _Exec] = {}
@@ -252,9 +244,6 @@ class WorkerRuntime:
 
     def send_event(self, exec_id: str, name: str, attrs: dict) -> None:
         self._buffer_frame("event", {"exec_id": exec_id, "name": name, "attrs": attrs})
-
-    def send_checkpoint(self, exec_id: str, state: Any, tag: Any) -> None:
-        self._send("checkpoint", {"exec_id": exec_id, "state": state, "tag": tag})
 
     def rpc(self, exec_id: Optional[str], op: str, *args: Any) -> Any:
         """Synchronous request to the coordinator; raises what the
@@ -334,29 +323,25 @@ class WorkerRuntime:
         exec_id = data["exec_id"]
         queue = MessageQueue(owner=f"{exec_id}@{self.node}")
         ex = _Exec(exec_id, queue)
-        context = RemoteTaskContext(
+        ex.context = RemoteTaskContext(
             self,
             exec_id,
-            task_name=data["task"],
-            job_id=data["job_id"],
-            node_name=data["node_name"],
-            peers=data["peers"],
             queue=queue,
             route=self._route_one(exec_id),
             route_many=self._route_many(exec_id),
             tuple_space=RemoteTupleSpace(self, exec_id),
-            params=data["params"],
-            dependencies=data["dependencies"],
-            attempt_epoch=data["attempt_epoch"],
-            manager_epoch=data["manager_epoch"],
-            checkpoint_load=lambda _id=exec_id: self.rpc(_id, "checkpoint_load"),
+            # one-way frame, no reply: see TaskContext.checkpoint
+            checkpoint_save=lambda state, tag: self._send(
+                "checkpoint", {"exec_id": exec_id, "state": state, "tag": tag}
+            ),
+            checkpoint_load=lambda: self.rpc(exec_id, "checkpoint_load"),
+            **data["context"],
         )
-        ex.context = context
         with self._lock:
             self._execs[exec_id] = ex
         thread = threading.Thread(
             target=self._run_exec,
-            args=(ex, data),
+            args=(ex, data["cls_blob"]),
             name=f"cn-worker-{exec_id}",
             daemon=True,
         )
@@ -374,22 +359,10 @@ class WorkerRuntime:
 
         return route_many
 
-    def _run_exec(self, ex: _Exec, data: dict) -> None:
-        import pickle
-
+    def _run_exec(self, ex: _Exec, cls_blob: bytes) -> None:
         outcome: dict
         try:
-            task_class = pickle.loads(data["cls_blob"])
-            try:
-                instance = task_class(*data["params"])
-            except TypeError as exc:
-                raise TaskLoadError(
-                    f"cannot construct {task_class.__name__} for task "
-                    f"{data['task']!r} with params {data['params']!r}: {exc}"
-                ) from exc
-            # conclint: waive CC402 -- instance and context share this worker
-            instance._ctx = ex.context
-            result = instance.run(ex.context)
+            result = run_attempt(pickle.loads(cls_blob), ex.context)
         except BaseException as exc:  # noqa: BLE001  # conclint: waive CC302 -- every exception must become an outcome frame, never kill the worker loop
             outcome = {
                 "exec_id": ex.exec_id,
@@ -455,26 +428,17 @@ def _error_by_name(kind: str, text: str) -> Exception:
     return RuntimeError(f"{kind}: {text}")
 
 
-def worker_main(sock: Any, node: str, shm_threshold: Optional[int]) -> None:
+def worker_main(sock: Any, node: str) -> None:
     """Entry point of the forked worker process."""
     global _ACTIVE
     # re-arm locks the fork may have captured while held elsewhere
-    from multiprocessing import resource_tracker
-
     from .. import messages
 
     messages._serial_lock = threading.Lock()  # conclint: waive CC402 -- fork re-arms the module's own lock
-    # The coordinator's threads take the resource tracker's RLock on every
-    # SharedMemory create/register; a lazy worker fork landing inside that
-    # critical section leaves the child's copy locked with no owner, and
-    # the first shm attach here (consuming a spilled frame segment) would
-    # deadlock in ensure_running().  The tracker pipe itself is fine to
-    # share (writes are atomic and complete), so a fresh lock is enough.
-    resource_tracker._resource_tracker._lock = threading.RLock()  # conclint: waive CC402 -- post-fork re-arm of the stdlib tracker's own lock; no public reset exists
     for reset in list(_FORK_RESETS):
         reset()
     _disarm_inherited_verifier()
-    endpoint = SocketEndpoint(sock, shm_threshold=shm_threshold)
+    endpoint = SocketEndpoint(sock)
     runtime = WorkerRuntime(endpoint, node)
     _ACTIVE = runtime
     try:

@@ -1,64 +1,36 @@
-"""Semantic validation of CNX documents.
+"""Compatibility names for CNX validation.
 
-.. deprecated:: compatibility shim
-    The checks that used to live here moved into the pluggable static
-    analyzer, :mod:`repro.analysis` -- one diagnostics engine shared by
-    this module, the ``python -m repro.analysis`` CLI, the client
-    runner, and the portal.  :func:`collect_problems` and
-    :func:`validate` remain as thin wrappers (error-severity findings,
-    rendered in the historical message format) so existing callers keep
-    working; new code should call :func:`repro.analysis.analyze_cnx`
-    directly and get structured :class:`~repro.analysis.Diagnostic`
-    records with stable ``CNxxx`` codes, source locations and fix hints.
-
-The parser guarantees well-formedness; the analyzer checks the
-properties the CN runtime depends on: unique task names, resolvable and
-acyclic ``depends`` relations, positive memory, known runmodels,
-well-typed parameters, dynamic-invocation multiplicities, message-flow
-deadlock freedom, and the client-level job partial order.
+The checks live in the static analyzer, :mod:`repro.analysis` -- one
+diagnostics engine shared by the ``python -m repro.analysis`` CLI, the
+client runner, the pipeline and the portal -- and the error class in
+:mod:`repro.cn.errors`.  :func:`collect_problems` and :func:`validate`
+are the historical entry points over :func:`repro.analysis.analyze_cnx`
+(error-severity findings, rendered in the historical message format);
+call the analyzer directly for structured
+:class:`~repro.analysis.Diagnostic` records with stable ``CNxxx`` codes,
+source locations and fix hints.
 """
 
 from __future__ import annotations
+
+from repro.cn.errors import CnxValidationError
 
 from .schema import CnxDocument
 
 __all__ = ["CnxValidationError", "validate", "collect_problems"]
 
 
-class CnxValidationError(ValueError):
-    """Raised by :func:`validate`; ``problems`` holds the message list.
-
-    ``diagnostics`` (when validation ran through the analyzer) holds the
-    structured :class:`~repro.analysis.Diagnostic` records behind those
-    messages."""
-
-    def __init__(self, problems: list[str], diagnostics=None) -> None:
-        self.problems = problems
-        self.diagnostics = list(diagnostics) if diagnostics is not None else []
-        joined = "\n  - ".join(problems)
-        super().__init__(f"CNX document is not valid:\n  - {joined}")
-
-
 def collect_problems(doc: CnxDocument) -> list[str]:
-    """Error-severity analyzer findings as plain message strings.
-
-    Deprecated thin wrapper over :func:`repro.analysis.analyze_cnx`
-    (kept for backward compatibility; messages preserve the historical
-    phrasing)."""
+    """Error-severity analyzer findings as plain message strings."""
     from repro.analysis import analyze_cnx
 
     return analyze_cnx(doc).legacy_problems()
 
 
 def validate(doc: CnxDocument) -> CnxDocument:
-    """Raise :class:`CnxValidationError` on error-severity findings.
-
-    Deprecated thin wrapper over :func:`repro.analysis.analyze_cnx`;
-    warnings pass through silently here -- use the analyzer directly to
-    see them."""
+    """Raise :class:`CnxValidationError` on error-severity findings;
+    warnings pass through silently here."""
     from repro.analysis import analyze_cnx
 
-    report = analyze_cnx(doc)
-    if not report.ok:
-        raise CnxValidationError(report.legacy_problems(), report.errors())
+    CnxValidationError.raise_for(analyze_cnx(doc))
     return doc

@@ -19,12 +19,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Union
 
+from repro.analysis import analyze_cnx
 from repro.cn.cluster import Cluster
+from repro.cn.errors import CnxValidationError
 from repro.cn.registry import TaskRegistry
 
 from ..cnx.emitter import emit as emit_cnx
 from ..cnx.schema import CnxDocument
-from ..cnx.validate import validate as validate_cnx
 from ..uml.activity import ActivityGraph
 from ..uml.model import Model
 from ..uml.validate import validate_graph
@@ -81,7 +82,9 @@ class Pipeline:
 
     def to_cnx(self, xmi_text: str) -> CnxDocument:
         """Step 3: XMI -> CNX (the XSL transformation), validated."""
-        return validate_cnx(xmi_to_cnx(xmi_text, log=self.log, port=self.port))
+        doc = xmi_to_cnx(xmi_text, log=self.log, port=self.port)
+        CnxValidationError.raise_for(analyze_cnx(doc))
+        return doc
 
     def to_client(self, doc: CnxDocument) -> str:
         """Step 4: CNX -> Python client program source."""

@@ -286,6 +286,14 @@ class TestLegacyWrappers:
         assert excinfo.value.problems == problems
         assert excinfo.value.diagnostics  # structured records ride along
 
+    def test_the_error_is_one_class_by_every_import_path(self):
+        from repro.cn.errors import CnxValidationError
+        from repro.core.cnx import CnxValidationError as by_package
+        from repro.core.cnx.validate import CnxValidationError as by_module
+
+        assert by_package is by_module is CnxValidationError
+        assert issubclass(CnxValidationError, ValueError)
+
     def test_validate_passes_clean_document(self):
         from repro.core.cnx.validate import validate
 

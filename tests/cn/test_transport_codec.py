@@ -25,7 +25,7 @@ from repro.cn.transport import (
     pack_frame,
     unpack_frame,
 )
-from repro.cn.transport.codec import _HEADER, _SEGMENT, _sweep_shm
+from repro.cn.transport.codec import _HEADER, _SEGMENT
 
 
 def roundtrip(obj):
@@ -186,46 +186,16 @@ class TestRejection:
         struct.pack_into("!Q", frame, _HEADER.size + 1, 1 << 40)
         assert_rejected(frame, FrameCorrupt)
 
-    def test_implausible_shm_length_rejected(self):
-        # at the parent only the buffer parser bounded a spilled segment's
-        # declared length; the wire's would have tried to copy it out
+    def test_kind_byte_other_than_inline_rejected(self):
+        # kind 1 was the SharedMemory spill; inline (0) is the only kind
         arr = np.arange(4096, dtype=np.uint8)
-        frame = bytearray(pack_frame(arr, shm_threshold=1024))
-        struct.pack_into("!Q", frame, _HEADER.size + _SEGMENT.size + 1, 1 << 40)
-        try:
-            assert_rejected(frame, FrameCorrupt)
-        finally:
-            _sweep_shm({bytes(frame[-20:]).decode("ascii")})
-
-
-class TestSharedMemorySpill:
-    def test_spill_and_consume_roundtrip(self):
-        arr = np.arange(65536, dtype=np.uint8)
-        frame = pack_frame(arr, shm_threshold=1024)
-        out, _ = unpack_frame(frame)
-        assert np.array_equal(out, arr)
-
-    def test_consumed_segment_is_unlinked(self):
-        from multiprocessing import shared_memory
-
-        arr = np.arange(65536, dtype=np.uint8)
-        frame = pack_frame(arr, shm_threshold=1024)
-        unpack_frame(frame)
-        # every cnf_ name in the frame must be gone after consumption
-        text = bytes(frame)
-        idx = text.find(b"cnf_")
-        assert idx != -1
-        name = text[idx : idx + 20].decode("ascii")
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_vanished_segment_is_truncation(self):
-        arr = np.arange(65536, dtype=np.uint8)
-        frame = pack_frame(arr, shm_threshold=1024)
-        name = bytes(frame)[bytes(frame).find(b"cnf_") :][:20].decode("ascii")
-        _sweep_shm({name})  # simulate sender sweep racing the receiver
-        with pytest.raises(FrameTruncated):
-            unpack_frame(frame)
+        frame = bytearray(pack_frame(arr))
+        assert frame[_HEADER.size + _SEGMENT.size] == 0  # the OOB segment's
+        frame[_HEADER.size + _SEGMENT.size] = 1
+        assert_rejected(frame, FrameCorrupt)
+        frame = bytearray(pack_frame({"a": 1}))
+        frame[_HEADER.size] = 1  # the body's
+        assert_rejected(frame, FrameCorrupt)
 
 
 class TestLoopbackEndpoint:

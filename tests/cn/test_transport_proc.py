@@ -589,11 +589,10 @@ class TestConfigGuards:
         with pytest.raises(ConfigError, match="unknown transport"):
             Cluster(2, transport="carrier-pigeon")
 
-    def test_transport_instance_accepted(self):
-        with Cluster(
-            2, transport=ProcTransport(), verify_locking=False
-        ) as c:
-            assert c.transport.name == "proc"
+    def test_transport_instance_refused(self):
+        # the two names are the whole domain of transport=
+        with pytest.raises(ConfigError, match="unknown transport"):
+            Cluster(2, transport=ProcTransport(), verify_locking=False)
 
     def test_inproc_remains_the_default(self, monkeypatch):
         monkeypatch.delenv("CN_TRANSPORT", raising=False)
