@@ -9,7 +9,7 @@ and an unbounded delivery-ledger append.  The batched data plane makes
 each of those costs O(1) per broadcast round:
 
 * ``shape gates`` (hard assertions, also enforced in CI):
-  - journal appends+publishes per broadcast round == 1 (``delivery_batch``),
+  - journal appends+publishes per broadcast round == 1 (one ``delivery`` record),
     where the per-message encoding paid W-1;
   - the row payload is sized once per round (W-2 interning reuses) and
     numpy rows are never pickled for sizing at all;
@@ -90,14 +90,12 @@ def run_floyd_dataplane(n: int, store_key: str):
                 payload = message.payload
                 return isinstance(payload, tuple) and payload and payload[0] == "row"
 
-            row_batches = [
+            row_records = [
                 r for r in records
-                if r.kind == "delivery_batch" and is_row(r.data["messages"][0])
+                if r.kind == "delivery" and is_row(r.data["messages"][0])
             ]
-            row_singletons = [
-                r for r in records
-                if r.kind == "delivery" and is_row(r.data["message"])
-            ]
+            row_batches = [r for r in row_records if len(r.data["messages"]) > 1]
+            row_singletons = [r for r in row_records if len(r.data["messages"]) == 1]
             return {
                 "n": n,
                 "workers": WORKERS,
@@ -129,10 +127,10 @@ def test_broadcast_costs_one_journal_publish_and_one_sizing(report, out_dir):
     for stats in runs:
         n, w = stats["n"], stats["workers"]
         # shape gate 1: one journal append+publish per broadcast round.
-        # Every round is one delivery_batch of W-1 row messages; the
+        # Every round is one delivery record of W-1 row messages; the
         # per-message encoding would have shown N*(W-1) row deliveries.
         assert stats["row_batch_records"] == n, (
-            f"N={n}: expected {n} row delivery_batch records, "
+            f"N={n}: expected {n} row delivery records, "
             f"got {stats['row_batch_records']}"
         )
         assert stats["row_batch_width"] == w - 1

@@ -131,7 +131,6 @@ CALLBACK_ATTRS = {"_callback", "_on_event", "_handler", "callback", "handler"}
 LOCK_ORDER_EXEMPT: frozenset[str] = frozenset(
     {
         "_serial_lock",  # repro.cn.messages: module-scope id counter
-        "_undeliverable_lock",  # repro.cn.trace: module-scope drop ledger
     }
 )
 

@@ -231,8 +231,8 @@ class _FileAnalysis:
                     "ShutdownError swallowed: a closed endpoint is silently "
                     "dropped outside the delivery ledger",
                     node.lineno, scope, "swallowed-shutdown",
-                    hint="record the drop via trace.note_undeliverable(...) so the "
-                    "delivery ledger stays truthful",
+                    hint="tell the client through Job.notify(...), which records "
+                    "the drop on the job's undeliverable list",
                 )
 
     @staticmethod

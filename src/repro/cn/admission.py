@@ -30,7 +30,6 @@ and the latency of the decision itself in
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -122,11 +121,7 @@ class AdmissionController:
         #: axis; aggregate depth is normalized against this
         self.queue_headroom = max(1, queue_headroom)
         self.retry_after = retry_after
-        if now is None:
-            clock = getattr(cluster, "clock", None)
-            timeout_now = getattr(clock, "timeout_now", None)
-            now = timeout_now if callable(timeout_now) else time.monotonic
-        self._now = now
+        self._now = now if now is not None else cluster.clock.timeout_now
         self._lock = make_lock("AdmissionController._lock", reentrant=False)
         self._buckets: dict[str, TokenBucket] = {}
         self._in_flight: dict[str, int] = {}

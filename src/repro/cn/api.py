@@ -141,15 +141,12 @@ class CNAPI:
         job = manager.create_job(
             client_name, descriptor=descriptor, deadline=deadline
         )
-        job.client_queue.put(
-            Message(
-                MessageType.JOB_CREATED,
-                sender=manager.name,
-                recipient="client",
-                payload={"job_id": job.job_id, "manager": manager.name},
-            )
+        job.notify(
+            MessageType.JOB_CREATED,
+            {"job_id": job.job_id, "manager": manager.name},
+            sender=manager.name,
         )
-        return JobHandle(job, manager, getattr(self._cluster, "directory", None))
+        return JobHandle(job, manager, self._cluster.directory)
 
     # -- 3. task creation ----------------------------------------------------------
     def create_task(self, handle: JobHandle, spec: TaskSpec) -> None:

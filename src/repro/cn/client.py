@@ -299,7 +299,7 @@ class ClientRunner:
         """The CNX text for the journal's job-submission record; None when
         the cluster is non-durable (emitting costs a serialization) or
         when emission fails (durability must not block submission)."""
-        if not getattr(self.api.cluster, "durable", False):
+        if not self.api.cluster.durable:
             return None
         try:
             from ..core.cnx.emitter import emit
@@ -319,8 +319,7 @@ class ClientRunner:
             # controller lowers degrade_factor below 1.0 as the cluster
             # approaches saturation, so new dynamic jobs expand narrower
             # instead of being shed outright
-            factor = getattr(cluster, "degrade_factor", 1.0)
-            budget = int(cluster.total_free_memory() * factor)
+            budget = int(cluster.total_free_memory() * cluster.degrade_factor)
         specs = expand_dynamic_tasks(
             job,
             runtime_args,
@@ -336,15 +335,9 @@ class ClientRunner:
             # submitted (emitted lazily only when the cluster is durable)
             descriptor=self._descriptor_text(doc),
         )
-        for event in degradations:
-            handle.job.route(
-                Message(
-                    MessageType.JOB_DEGRADED,
-                    sender="client-runner",
-                    recipient="client",
-                    payload=event,
-                )
-            )
+        handle.job.notify(
+            MessageType.JOB_DEGRADED, *degradations, sender="client-runner"
+        )
         # batch creation: under the bid scheduler the whole roster places
         # through per-template rule/bid/award rounds instead of one
         # multicast solicitation per task

@@ -62,8 +62,7 @@ RECORD_KINDS = (
     "task-spec",     # spec (TaskSpec)                -- roster entry
     "task-placed",   # task, node, epoch              -- placement
     "task-state",    # task, state, attempts, result?, error?
-    "delivery",      # message (Message)              -- ledger entry
-    "delivery_batch",  # messages (list[Message])     -- one fan-out, batched
+    "delivery",      # messages (list[Message])       -- one fan-out's ledger entries
     "ledger-gc",     # task, upto                     -- ledger truncation
     "shed",          # task, serial                   -- backpressure eviction
     "dead-letter",   # task, serial, digests          -- poison quarantine
@@ -511,11 +510,7 @@ def replay_job(job_id: str, records: Iterable[JournalRecord]) -> JobSnapshot:
             if data.get("error"):
                 snapshot.errors[task] = data["error"]
         elif kind == "delivery":
-            message = data["message"]
-            snapshot.deliveries.setdefault(message.recipient, []).append(message)
-        elif kind == "delivery_batch":
-            # one record per fan-out: unpack in order -- the snapshot is
-            # identical to the per-message `delivery` encoding
+            # one record per fan-out, unpacked in order
             for message in data["messages"]:
                 snapshot.deliveries.setdefault(message.recipient, []).append(
                     message

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import pickle
 
@@ -26,7 +26,7 @@ from .errors import (
     TaskFailedError,
     UnknownTaskError,
 )
-from .messages import Message, MessageType, payload_digest
+from .messages import TASK_LIFECYCLE, Message, payload_digest
 from .queues import MessageQueue
 from .runmodel import RunModel
 from .tuplespace import TupleSpace
@@ -138,6 +138,10 @@ class TaskState(str, Enum):
         return self in (TaskState.COMPLETED, TaskState.FAILED, TaskState.CANCELLED)
 
 
+#: the notification that tells the client a task reached a state
+_STATE_MESSAGE = {TaskState(s): t for s, t, _ in TASK_LIFECYCLE if s is not None}
+
+
 class TaskRuntime:
     """Mutable lifecycle record for one task instance."""
 
@@ -224,6 +228,11 @@ class Job:
         #: per-job dead-letter records, one per quarantined frame
         #: (journaled as ``dead-letter`` so they survive replay_job)
         self.dead_letters: list[dict] = []
+        #: messages that could not be delivered because their queue was
+        #: already closed (job torn down, conduit closed), newest last:
+        #: ``{"type", "recipient", "serial", "error"}`` each (see notify).
+        #: Bounded, oldest fall off; ``cn_undeliverable_total`` keeps count
+        self.undeliverable: list[dict] = []
         # re-offer budget per poisoned serial (see _POISON_REOFFER_LIMIT)
         self._poison_reoffers: dict[int, int] = {}
         # per-task delivery ledger: everything ever routed to each task,
@@ -490,8 +499,8 @@ class Job:
           messages share their payload by reference, so the row-k
           broadcast of the guiding example is sized exactly once per
           round (and never pickled at all on the numpy fast path),
-        * one journal append + one bus publish (``delivery_batch``) for
-          the whole fan-out instead of one per recipient.
+        * one journal append + one bus publish (one ``delivery`` record)
+          for the whole fan-out instead of one per recipient.
 
         Semantics are unchanged from per-message routing: task-bound
         messages are recorded in the per-task delivery ledger *before*
@@ -595,15 +604,11 @@ class Job:
                 self._m_unsized.inc(unsized)
         # write-ahead: ledger entries are journaled (and replicated to
         # peer managers) before queue delivery, so a successor's replay
-        # sees every message a restarted attempt may need.  A singleton
-        # keeps the original ``delivery`` shape, a fan-out becomes one
-        # ``delivery_batch`` record (one local append + one bus publish
-        # regardless of fan-out width)
+        # sees every message a restarted attempt may need: one
+        # ``delivery`` record (one local append + one bus publish) whatever
+        # the fan-out width
         if ledgered and self._journal is not None:
-            if len(ledgered) == 1:
-                self.journal_event("delivery", {"message": ledgered[0]})
-            else:
-                self.journal_event("delivery_batch", {"messages": ledgered})
+            self.journal_event("delivery", {"messages": ledgered})
         client_error: Optional[ShutdownError] = None
         for queue, message in deliveries:
             try:
@@ -611,14 +616,109 @@ class Job:
             except ShutdownError as exc:
                 if queue is self.client_queue:
                     # no ledger covers the client conduit: surface the
-                    # failure (after finishing the other recipients) so
-                    # the caller can record the undeliverable message
+                    # failure (after finishing the other recipients);
+                    # notify records it, a sending task sees it
                     client_error = exc
                 # a task queue closed mid-delivery (node crash, deadline
                 # cancel): the ledger keeps the message for replay;
                 # other recipients still get theirs
         if client_error is not None:
             raise client_error
+
+    def notify(
+        self,
+        type: str,
+        *payloads: Any,
+        sender: str,
+        origin: Optional[str] = None,
+        span: Optional[str] = None,
+    ) -> None:
+        """Tell the client something happened: the one place a
+        notification is built.  One message of *type* per payload goes
+        through :meth:`route_many` as one batch (so accounting, deadline
+        and CRC stamping are the router's, as for any message); *span* is
+        the id of the span it is caused by.
+
+        Never raises for a client that is gone: a closed conduit drops the
+        notification onto :attr:`undeliverable` and the caller carries on
+        -- what happened to the task does not depend on who is listening.
+        """
+        trace_ctx = None if span is None else (self.job_id, span)
+        messages = [
+            Message(
+                type,
+                sender=sender,
+                recipient="client",
+                payload=payload,
+                origin=origin,
+                trace_ctx=trace_ctx,
+            )
+            for payload in payloads
+        ]
+        try:
+            self.route_many(messages)
+        except ShutdownError as exc:
+            for message in messages:
+                self._drop(message, exc)
+
+    def _drop(self, message: Message, exc: Exception) -> None:
+        """Record that *message* could not be delivered (bounded; the
+        counter is not)."""
+        with self._lock:
+            self.undeliverable.append(
+                {
+                    "type": message.type,
+                    "recipient": message.recipient,
+                    "serial": message.serial,
+                    "error": f"{type(exc).__name__}: {exc}",
+                }
+            )
+            del self.undeliverable[:-256]
+        if self.telemetry is not None:
+            self.telemetry.metrics.counter(
+                "cn_undeliverable_total", type=message.type
+            ).inc()
+
+    def attempt_ended(
+        self,
+        runtime: TaskRuntime,
+        state: TaskState,
+        error: Optional[str],
+        reason: Optional[str],
+        *,
+        sender: str,
+        on_terminal: Optional[Callable[["Job", TaskRuntime], None]],
+        origin: Optional[str] = None,
+        span: Optional[str] = None,
+    ) -> None:
+        """Publish how an attempt of *runtime* ended, given what it was
+        classified as -- the *state* the task is now in (already applied),
+        the *error* text and the *reason* tag, if any.  The message type
+        and its payload are functions of those three; so is whether the
+        task is over.
+
+        Order: the client is told, then *on_terminal* (the JobManager's
+        journal write, retry and cascade), then :meth:`note_terminal` --
+        the finished event may wake a client that immediately shuts the
+        cluster (and the journal backend) down, so the terminal records
+        must already be written."""
+        payload: dict[str, Any] = {"task": runtime.name}
+        if state is TaskState.COMPLETED:
+            payload["result"] = runtime.result
+        elif state is TaskState.RETRYING:
+            payload["attempt"] = runtime.attempts
+            payload["max_retries"] = runtime.spec.max_retries
+        if error is not None:
+            payload["error"] = error
+        if reason is not None:
+            payload["reason"] = reason
+        self.notify(
+            _STATE_MESSAGE[state], payload, sender=sender, origin=origin, span=span
+        )
+        if on_terminal is not None:
+            on_terminal(self, runtime)
+        if state.terminal:
+            self.note_terminal(runtime.name)
 
     def note_shed(self, task: str, message: Message) -> None:
         """Record a backpressure eviction from *task*'s bounded queue.
@@ -679,9 +779,7 @@ class Job:
                 except (ShutdownError, Overloaded) as exc:
                     # the ledger still holds the message for attempt-level
                     # replay; record the failed live re-offer
-                    from .trace import note_undeliverable  # local: trace imports api
-
-                    note_undeliverable(self.job_id, original, exc)
+                    self._drop(original, exc)
 
     def restore_dead_letters(self, entries: Sequence[dict]) -> None:
         """Seed the dead-letter store from a journal replay (adoption)."""

@@ -54,9 +54,9 @@ from typing import Any, Callable, Iterable, Optional
 from ..analysis.conc.runtime import make_lock
 from .chaos import ExponentialBackoff
 from .durability import JobDirectory, ReplicatedJournal, replay_job
-from .errors import CnError, NoWillingTaskManager, ShutdownError, UnknownTaskError
+from .errors import CnError, NoWillingTaskManager, ShutdownError
 from .job import Job, TaskRuntime, TaskSpec, TaskState
-from .messages import Message, MessageType
+from .messages import MessageType
 from .multicast import MulticastBus, Solicitation
 from .registry import TaskRegistry
 from .runmodel import RunModel
@@ -250,17 +250,10 @@ class JobManager:
             ]
             if not orphans:
                 continue
-            self._route_safe(
-                job,
-                Message(
-                    MessageType.NODE_FAILED,
-                    sender=self.name,
-                    recipient="client",
-                    payload={
-                        "node": node,
-                        "orphans": [rt.name for rt in orphans],
-                    },
-                ),
+            job.notify(
+                MessageType.NODE_FAILED,
+                {"node": node, "orphans": [rt.name for rt in orphans]},
+                sender=self.name,
             )
             self._recover(job, orphans, reason="node-failure")
         # manager failover: if the dead node was itself managing jobs,
@@ -370,21 +363,17 @@ class JobManager:
         if self.directory is not None:
             self.directory.register(job_id, self, job, epoch=job.manager_epoch)
         pending = [job.tasks[name] for name in snapshot.pending_tasks()]
-        self._route_safe(
-            job,
-            Message(
-                MessageType.MANAGER_ADOPTED,
-                sender=self.name,
-                recipient="client",
-                payload={
-                    "job_id": job_id,
-                    "manager": self.name,
-                    "previous": snapshot.manager,
-                    "manager_epoch": job.manager_epoch,
-                    "replayed_records": len(records),
-                    "re_placing": [rt.name for rt in pending],
-                },
-            ),
+        job.notify(
+            MessageType.MANAGER_ADOPTED,
+            {
+                "job_id": job_id,
+                "manager": self.name,
+                "previous": snapshot.manager,
+                "manager_epoch": job.manager_epoch,
+                "replayed_records": len(records),
+                "re_placing": [rt.name for rt in pending],
+            },
+            sender=self.name,
         )
         # terminal tasks are already done; let the job notice them so a
         # fully-finished roster flips the finished event immediately
@@ -504,8 +493,8 @@ class JobManager:
         paper's per-task solicitation, O(tasks x nodes) bus traffic --
         and ``"bid"`` one group of tasks sharing a template (jar, class,
         memory, runmodel), so a homogeneous batch costs one round.  The
-        TASK_CREATED notifications fan out through one ``route_many``
-        batch either way.
+        TASK_CREATED notifications are one :meth:`Job.notify` batch either
+        way.
         """
         runtimes: list[TaskRuntime] = []
         t = job.telemetry
@@ -532,22 +521,17 @@ class JobManager:
             rounds = ([runtime] for runtime in runtimes)
         for group in rounds:
             self._place(job, group)
-        notifications: list[Message] = []
         for runtime in runtimes:
             if job.has_ledgered(runtime.name):
                 # messages routed to this task before it had a queue (the
                 # placement window) were ledgered instead of raising at
                 # the sender; deliver them now that the queue exists
                 job.replay_into(runtime.name)
-            notifications.append(
-                Message(
-                    MessageType.TASK_CREATED,
-                    sender=self.name,
-                    recipient="client",
-                    payload={"task": runtime.name, "node": runtime.node_name},
-                )
-            )
-        job.route_many(notifications)
+        job.notify(
+            MessageType.TASK_CREATED,
+            *[{"task": rt.name, "node": rt.node_name} for rt in runtimes],
+            sender=self.name,
+        )
         for runtime in runtimes:
             # a task created under a running job may find its dependencies
             # all COMPLETED -- before it arrived, or while it was being
@@ -724,9 +708,8 @@ class JobManager:
         if runtime.error:
             data["error"] = runtime.error
         job.journal_event("task-state", data)
-        # computed from the roster, not job.finished: the journal write must
-        # land before note_terminal flips the finished event (write-ahead --
-        # a woken client may tear the cluster down immediately)
+        # computed from the roster, not job.finished: this write comes
+        # before note_terminal flips the finished event (Job.attempt_ended)
         failed = job.failed is not None or runtime.state is TaskState.FAILED
         finished = failed or job.all_terminal()
         if finished:
@@ -745,7 +728,8 @@ class JobManager:
     def _on_terminal(self, job: Job, finished: TaskRuntime) -> None:
         self._journal_task_state(job, finished)
         if finished.state is TaskState.RETRYING:
-            self._retry(job, finished)
+            # re-place and restart: there is retry budget left
+            self._recover(job, [finished], reason="retry")
             return
         if finished.state is not TaskState.COMPLETED:
             return  # failure/cancel: fail fast, do not cascade
@@ -754,10 +738,6 @@ class JobManager:
             # dependencies; claim_only because start_job, recovery and a
             # re-derivation of the counts may hand the same task out
             self.start_task(job, runtime.name, claim_only=True)
-
-    def _retry(self, job: Job, runtime: TaskRuntime) -> None:
-        """Re-place and restart a failed task with retry budget left."""
-        self._recover(job, [runtime], reason="retry")
 
     def _recover(
         self, job: Job, runtimes: Iterable[TaskRuntime], *, reason: str
@@ -791,23 +771,21 @@ class JobManager:
             try:
                 self._place(job, [runtime])
             except CnError:
+                # an ending no attempt produced, said the way every other is
                 runtime.state = TaskState.FAILED
                 runtime.error = (
                     (runtime.error or "")
                     + f"\n{reason}: re-placement failed for attempt "
                     f"{runtime.attempts + 1} (no willing TaskManager)"
                 )
-                self._route_safe(
-                    job,
-                    Message(
-                        MessageType.TASK_FAILED,
-                        sender=self.name,
-                        recipient="client",
-                        payload={"task": runtime.name, "error": runtime.error},
-                    ),
+                job.attempt_ended(
+                    runtime,
+                    TaskState.FAILED,
+                    runtime.error,
+                    None,
+                    sender=self.name,
+                    on_terminal=self._journal_task_state,
                 )
-                self._journal_task_state(job, runtime)
-                job.note_terminal(runtime.name)
                 continue
             job.replay_into(runtime.name)
             recovered.append(runtime)
@@ -815,16 +793,6 @@ class JobManager:
         for runtime in recovered:
             if runtime.name in ready:
                 self.start_task(job, runtime.name, claim_only=True)
-
-    def _route_safe(self, job: Job, message: Message) -> None:
-        """Route a notification, recording (not swallowing silently) the
-        cases where the job side is already torn down."""
-        try:
-            job.route(message)
-        except (ShutdownError, UnknownTaskError) as exc:
-            from .trace import note_undeliverable  # local: trace imports api
-
-            note_undeliverable(job.job_id, message, exc)
 
     def _tm_lookup(self, node_name: str) -> Optional[TaskManager]:
         with self._lock:
@@ -861,17 +829,9 @@ class JobManager:
                 for name in job.task_names()
             },
         }
-        # job already torn down: the return value still answers, but the
-        # undelivered STATUS is recorded rather than silently dropped
-        self._route_safe(
-            job,
-            Message(
-                MessageType.STATUS,
-                sender=self.name,
-                recipient="client",
-                payload=payload,
-            ),
-        )
+        # job already torn down: the return value still answers, and the
+        # undelivered STATUS is on the job's undeliverable record
+        job.notify(MessageType.STATUS, payload, sender=self.name)
         return payload
 
     # -- cancellation / shutdown ---------------------------------------------------

@@ -26,6 +26,8 @@ __all__ = [
     "MessageType",
     "Message",
     "WELL_DEFINED",
+    "TASK_LIFECYCLE",
+    "JOB_NOTIFICATIONS",
     "is_well_defined",
     "expected_response",
     "payload_digest",
@@ -99,13 +101,6 @@ class MessageType:
     # resumed from an application checkpoint instead of from scratch
     MANAGER_ADOPTED = "MANAGER_ADOPTED"
     TASK_RESUMED = "TASK_RESUMED"
-    # decentralized scheduling (repository extension): a JobManager
-    # publishes a placement RULE describing a batch of homogeneous
-    # tasks, nodes answer with BIDs, and the manager AWARDs tasks to
-    # winning bidders (the paper's solicit is the degenerate 1-task rule)
-    RULE = "RULE"
-    BID = "BID"
-    AWARD = "AWARD"
 
     # application-defined payloads; CN is a pure delivery mechanism
     USER = "USER"
@@ -134,37 +129,43 @@ WELL_DEFINED: dict[str, tuple[str, tuple[str, ...]]] = {
         (MessageType.STATUS,),
     ),
     MessageType.SHUTDOWN: ("stop the component", ()),
-    MessageType.RULE: (
-        "expand candidates locally, score them, and submit a bid",
-        (MessageType.BID,),
-    ),
-    MessageType.AWARD: (
-        "host the awarded tasks and confirm placement",
-        (MessageType.TASK_CREATED,),
-    ),
 }
+
+#: The task lifecycle, said once: the ``TaskState`` value a task has
+#: reached (None for an event that changes no state), the notification
+#: that tells the client, and the kind :mod:`repro.cn.trace` files it
+#: under.  How an attempt's ending becomes a message
+#: (:meth:`repro.cn.job.Job.attempt_ended`) and how a message becomes a
+#: trace event are both read off these rows.
+TASK_LIFECYCLE: tuple[tuple[Optional[str], str, str], ...] = (
+    ("CREATED", MessageType.TASK_CREATED, "created"),
+    ("RUNNING", MessageType.TASK_STARTED, "started"),
+    ("COMPLETED", MessageType.TASK_COMPLETED, "completed"),
+    ("FAILED", MessageType.TASK_FAILED, "failed"),
+    ("RETRYING", MessageType.TASK_RETRY, "retry"),
+    ("CANCELLED", MessageType.TASK_CANCELLED, "cancelled"),
+    (None, MessageType.TASK_TIMEOUT, "timeout"),
+    (None, MessageType.TASK_RESUMED, "resumed"),
+)
+
+#: the notifications about a job as a whole -> their trace kind (None:
+#: part of the protocol, not traced)
+JOB_NOTIFICATIONS: dict[str, Optional[str]] = {
+    MessageType.JOB_CREATED: "job-created",
+    MessageType.STATUS: "status",
+    MessageType.NODE_FAILED: "node-failed",
+    MessageType.JOB_DEGRADED: "degraded",
+    MessageType.MANAGER_ADOPTED: "adopted",
+    MessageType.JOB_COMPLETED: None,
+    MessageType.JOB_FAILED: None,
+}
+
+_NOTIFICATIONS = frozenset(JOB_NOTIFICATIONS) | {row[1] for row in TASK_LIFECYCLE}
 
 
 def is_well_defined(message_type: str) -> bool:
     """Whether *message_type* is part of the CN protocol (not USER)."""
-    return message_type in WELL_DEFINED or message_type in {
-        MessageType.JOB_CREATED,
-        MessageType.TASK_CREATED,
-        MessageType.TASK_STARTED,
-        MessageType.TASK_COMPLETED,
-        MessageType.TASK_FAILED,
-        MessageType.TASK_RETRY,
-        MessageType.TASK_CANCELLED,
-        MessageType.TASK_TIMEOUT,
-        MessageType.STATUS,
-        MessageType.JOB_COMPLETED,
-        MessageType.JOB_FAILED,
-        MessageType.NODE_FAILED,
-        MessageType.JOB_DEGRADED,
-        MessageType.MANAGER_ADOPTED,
-        MessageType.TASK_RESUMED,
-        MessageType.BID,
-    }
+    return message_type in WELL_DEFINED or message_type in _NOTIFICATIONS
 
 
 def expected_response(request_type: str) -> tuple[str, ...]:

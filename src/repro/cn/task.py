@@ -21,7 +21,7 @@ import abc
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import TaskLoadError, UnknownTaskError
-from .messages import Message, MessageType
+from .messages import Message
 from .queues import MessageQueue
 from .tuplespace import TupleSpace
 
@@ -80,7 +80,7 @@ class FunctionTask(Task):
 class TaskContext:
     """Everything a running task may touch.
 
-    The context is created by the TaskManager; ``_route`` is the
+    The context is created by the TaskManager; ``_route_many`` is the
     job-level router delivering messages to sibling tasks or the client.
     """
 
@@ -92,8 +92,7 @@ class TaskContext:
         node_name: str,
         peers: Sequence[str],
         queue: MessageQueue,
-        route: Callable[[Message], None],
-        route_many: Optional[Callable[[Sequence[Message]], None]] = None,
+        route_many: Callable[[Sequence[Message]], None],
         tuple_space: TupleSpace,
         params: Sequence[Any] = (),
         dependencies: Optional[dict[str, tuple[str, ...]]] = None,
@@ -109,7 +108,6 @@ class TaskContext:
         self.peers = list(peers)
         self.params = list(params)
         self._queue = queue
-        self._route = route
         self._route_many = route_many
         self.tuple_space = tuple_space
         self.cancelled = False
@@ -190,65 +188,24 @@ class TaskContext:
 
     # -- messaging ------------------------------------------------------------
     def send(self, recipient: str, payload: Any) -> None:
-        """Send a user-defined message to a sibling task or ``client``."""
-        if recipient != "client" and recipient not in self.peers:
-            raise UnknownTaskError(
-                f"{self.task_name!r} cannot send to unknown task {recipient!r}"
-            )
-        self._route(
-            Message.user(
-                self.task_name,
-                recipient,
-                payload,
-                origin=self._origin,
-                trace_ctx=self.trace_ctx,
-            )
-        )
-
-    def _fan_out(self, messages: Sequence[Message]) -> None:
-        """Hand a fan-out to the job's batched router (one lock, one
-        journal append, payload interning); falls back to per-message
-        routing when the hosting runtime predates ``route_many``."""
-        if not messages:
-            return
-        if self._route_many is not None:
-            self._route_many(messages)
-            return
-        for message in messages:
-            self._route(message)
+        """Send a user-defined message to a sibling task or ``client``
+        (the fan-out of one)."""
+        self.send_many(((recipient, payload),))
 
     def multicast(self, recipients: Sequence[str], payload: Any) -> int:
         """Send one user-defined *payload* to each of *recipients* as a
         single data-plane fan-out: every message shares the payload
         object by reference (zero-copy -- it is sized once, journaled
         once, delivered per recipient).  Returns the number of messages
-        sent.  Recipients are validated up front, so an unknown name
-        fails the whole call before anything is routed."""
-        trace_ctx = self.trace_ctx
-        for recipient in recipients:
-            if recipient != "client" and recipient not in self.peers:
-                raise UnknownTaskError(
-                    f"{self.task_name!r} cannot send to unknown task "
-                    f"{recipient!r}"
-                )
-        self._fan_out(
-            [
-                Message.user(
-                    self.task_name,
-                    recipient,
-                    payload,
-                    origin=self._origin,
-                    trace_ctx=trace_ctx,
-                )
-                for recipient in recipients
-            ]
-        )
-        return len(recipients)
+        sent."""
+        return self.send_many([(recipient, payload) for recipient in recipients])
 
     def send_many(self, pairs: Sequence[tuple[str, Any]]) -> int:
         """Send ``(recipient, payload)`` pairs as one data-plane fan-out
-        (the scatter counterpart of :meth:`multicast`: distinct payloads,
-        one lock/journal batch).  Returns the number of messages sent."""
+        through the job's batched router (one lock, one journal append,
+        payload interning).  Recipients are validated up front, so an
+        unknown name fails the whole call before anything is routed.
+        Returns the number of messages sent."""
         trace_ctx = self.trace_ctx
         for recipient, _ in pairs:
             if recipient != "client" and recipient not in self.peers:
@@ -256,18 +213,19 @@ class TaskContext:
                     f"{self.task_name!r} cannot send to unknown task "
                     f"{recipient!r}"
                 )
-        self._fan_out(
-            [
-                Message.user(
-                    self.task_name,
-                    recipient,
-                    payload,
-                    origin=self._origin,
-                    trace_ctx=trace_ctx,
-                )
-                for recipient, payload in pairs
-            ]
-        )
+        if pairs:
+            self._route_many(
+                [
+                    Message.user(
+                        self.task_name,
+                        recipient,
+                        payload,
+                        origin=self._origin,
+                        trace_ctx=trace_ctx,
+                    )
+                    for recipient, payload in pairs
+                ]
+            )
         return len(pairs)
 
     def broadcast(self, payload: Any, *, include_self: bool = False) -> None:
@@ -319,28 +277,14 @@ class TaskContext:
     def restore(self) -> Any:
         """Load this task's latest checkpointed state, or None.
 
-        A successful restore also routes a TASK_RESUMED notification to
-        the client, so traces can verify that recovery resumed from the
-        checkpoint rather than re-running from scratch."""
+        Where the checkpoint is read (the hosting TaskManager) a found one
+        is also announced to the client as TASK_RESUMED, so traces can
+        verify that recovery resumed from the checkpoint rather than
+        re-running from scratch."""
         found = self._checkpoint_load()
         if found is None:
             return None
         tag, state = found
-        self._route(
-            Message(
-                MessageType.TASK_RESUMED,
-                sender=self.task_name,
-                recipient="client",
-                payload={
-                    "task": self.task_name,
-                    "node": self.node_name,
-                    "tag": tag,
-                    "attempt_epoch": self.attempt_epoch,
-                },
-                origin=self._origin,
-                trace_ctx=self.trace_ctx,
-            )
-        )
         self.event("resumed-from-checkpoint", tag=tag)
         return state
 

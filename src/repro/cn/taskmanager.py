@@ -31,7 +31,7 @@ from ..analysis.conc.runtime import make_lock
 from .chaos import ChaosPolicy, InjectedFault, VirtualClock
 from .errors import BudgetExhausted, CnError, ShutdownError
 from .job import Job, TaskRuntime, TaskState
-from .messages import Message, MessageType
+from .messages import MessageType
 from .queues import MessageQueue
 from .runmodel import RunModel
 from .scheduler import Bid, PlacementRule
@@ -343,15 +343,12 @@ class TaskManager:
             daemon=True,
         )
         hosted.thread = thread
-        job.route(
-            Message(
-                MessageType.TASK_STARTED,
-                sender=self.name,
-                recipient="client",
-                payload={"task": name, "node": self.name},
-                origin=self.name.split("/")[0],
-                trace_ctx=(job.job_id, f"task:{name}"),
-            )
+        job.notify(
+            MessageType.TASK_STARTED,
+            {"task": name, "node": self.name},
+            sender=self.name,
+            origin=self.name.split("/")[0],
+            span=f"task:{name}",
         )
         thread.start()
         chaos = self.chaos
@@ -369,13 +366,34 @@ class TaskManager:
         on_terminal: Optional[Callable[[Job, TaskRuntime], None]],
     ) -> None:
         job, runtime = hosted.job, hosted.runtime
+        origin = self.name.split("/")[0]
+        span_id = f"attempt:{runtime.name}#{hosted.epoch}"
+
+        def checkpoint_load() -> Optional[tuple[Any, Any]]:
+            # coordinator-side on both transports, so a resume is
+            # announced where the checkpoint is read, by the job
+            found = job.load_checkpoint(runtime.name)
+            if found is not None:
+                job.notify(
+                    MessageType.TASK_RESUMED,
+                    {
+                        "task": runtime.name,
+                        "node": self.name,
+                        "tag": found[0],
+                        "attempt_epoch": hosted.epoch,
+                    },
+                    sender=runtime.name,
+                    origin=origin,
+                    span=span_id,
+                )
+            return found
+
         context = TaskContext(
             task_name=runtime.name,
             job_id=job.job_id,
             node_name=self.name,
             peers=job.task_names(),
             queue=runtime.queue,  # type: ignore[arg-type]
-            route=job.route,
             route_many=job.route_many,
             tuple_space=job.tuple_space,
             params=runtime.spec.params,
@@ -387,11 +405,9 @@ class TaskManager:
             checkpoint_save=lambda state, tag=None: job.save_checkpoint(
                 runtime.name, state, tag
             ),
-            checkpoint_load=lambda: job.load_checkpoint(runtime.name),
+            checkpoint_load=checkpoint_load,
         )
         hosted.context = context
-        outcome_type = MessageType.TASK_COMPLETED
-        payload: dict[str, Any]
         runtime.attempts += 1
         attempt = runtime.attempts
         t = job.telemetry
@@ -401,20 +417,18 @@ class TaskManager:
             # attempts under the same logical task span
             span = t.spans.begin(
                 job.job_id,
-                f"attempt:{runtime.name}#{hosted.epoch}",
+                span_id,
                 name=f"{runtime.name}#{hosted.epoch}",
                 kind="attempt",
                 parent_id=f"task:{runtime.name}",
-                node=self.name.split("/")[0],
+                node=origin,
                 task=runtime.name,
                 epoch=hosted.epoch,
                 attempt=attempt,
             )
             context.bind_telemetry(t, span)
-        retrying = False
-        state = TaskState.COMPLETED
         result: Any = None
-        error: Optional[str] = None
+        state, error, reason = TaskState.COMPLETED, None, None
         try:
             budget = job.deadline
             if budget is not None:
@@ -440,67 +454,8 @@ class TaskManager:
             # the execution seam: either side returns the result or raises
             # exactly what run_attempt(task_class, context) raised
             result = self.executor.execute(hosted, context)
-        except BudgetExhausted as exc:
-            # the end-to-end job budget is already spent: executing (or
-            # retrying -- equally doomed) would burn the resources a
-            # saturated cluster is short of, so fail immediately
-            state = TaskState.FAILED
-            error = str(exc)
-            outcome_type = MessageType.TASK_FAILED
-            payload = {
-                "task": runtime.name,
-                "error": error,
-                "reason": "budget-exhausted",
-            }
-        except ShutdownError:
-            if hosted.timed_out and attempt <= runtime.spec.max_retries:
-                # deadline expiry with retry budget: back into the retry path
-                state = TaskState.RETRYING
-                retrying = True
-                error = (
-                    f"deadline {runtime.spec.deadline}s exceeded on {self.name} "
-                    f"(attempt {attempt})"
-                )
-                outcome_type = MessageType.TASK_RETRY
-                payload = {
-                    "task": runtime.name,
-                    "attempt": attempt,
-                    "max_retries": runtime.spec.max_retries,
-                    "error": error,
-                    "reason": "timeout",
-                }
-            elif hosted.timed_out:
-                state = TaskState.FAILED
-                error = (
-                    f"deadline {runtime.spec.deadline}s exceeded on {self.name} "
-                    f"(attempt {attempt}); retry budget exhausted"
-                )
-                outcome_type = MessageType.TASK_FAILED
-                payload = {"task": runtime.name, "error": error}
-            else:
-                state = TaskState.CANCELLED
-                outcome_type = MessageType.TASK_CANCELLED
-                payload = {"task": runtime.name}
-        except Exception:  # noqa: BLE001  # conclint: waive CC302 -- any user-task exception becomes a captured failure outcome
-            error = traceback.format_exc()
-            if attempt <= runtime.spec.max_retries and not context.cancelled:
-                # failure with retry budget left: hand back to the
-                # JobManager for re-placement instead of failing the job
-                state = TaskState.RETRYING
-                retrying = True
-                outcome_type = MessageType.TASK_RETRY
-                payload = {
-                    "task": runtime.name,
-                    "attempt": attempt,
-                    "max_retries": runtime.spec.max_retries,
-                    "error": error,
-                }
-            else:
-                state = TaskState.FAILED
-                outcome_type = MessageType.TASK_FAILED
-                payload = {"task": runtime.name, "error": error}
-        else:
-            payload = {"task": runtime.name, "result": result}
+        except Exception as exc:  # noqa: BLE001  # conclint: waive CC302 -- whatever an attempt raises is classified into its ending, never lost
+            state, error, reason = self._ending(hosted, attempt, exc)
         finally:
             self._end_hosting(hosted, exited=True)
         applied = self._apply_outcome(hosted, state, result, error)
@@ -508,7 +463,7 @@ class TaskManager:
             if applied:
                 t.spans.end(span, state=state.value)
                 t.metrics.histogram(
-                    "cn_task_duration_seconds", node=self.name.split("/")[0]
+                    "cn_task_duration_seconds", node=origin
                 ).observe(span.end - span.start)
                 t.metrics.counter(
                     "cn_task_outcomes_total", outcome=state.value
@@ -519,29 +474,51 @@ class TaskManager:
                 t.spans.end(span, fenced=True)
         if not applied:
             return  # zombie attempt: node crashed / task re-placed; discard
-        outcome_message = Message(
-            outcome_type,
+        job.attempt_ended(
+            runtime,
+            state,
+            error,
+            reason,
             sender=self.name,
-            recipient="client",
-            payload=payload,
-            origin=self.name.split("/")[0],
-            trace_ctx=(job.job_id, f"attempt:{runtime.name}#{hosted.epoch}"),
+            on_terminal=on_terminal,
+            origin=origin,
+            span=span_id,
         )
-        try:
-            job.route(outcome_message)
-        except ShutdownError as exc:
-            # client queue already closed (job torn down mid-flight): the
-            # drop must land in the undeliverable ledger, not vanish
-            from .trace import note_undeliverable  # local: trace imports api
 
-            note_undeliverable(job.job_id, outcome_message, exc)
-        # journal (on_terminal) before note_terminal: the finished event may
-        # wake a client that immediately shuts the cluster (and the journal
-        # backend) down, so the terminal records must already be on disk
-        if on_terminal is not None:
-            on_terminal(job, runtime)
-        if not retrying:
-            job.note_terminal(runtime.name)
+    def _ending(
+        self, hosted: HostedTask, attempt: int, raised: Exception
+    ) -> tuple[TaskState, Optional[str], Optional[str]]:
+        """How an attempt that *raised* ended, as ``(state, error,
+        reason)`` -- the one classification (one that returned is
+        ``(COMPLETED, None, None)``).  From what it raised, whether the
+        watchdog timed it out, whether it was cancelled and whether retry
+        budget is left; everything said about the ending afterwards
+        (message type, payload, whether the task is over) follows from the
+        triple (:meth:`Job.attempt_ended`)."""
+        spec = hosted.runtime.spec
+        retry = attempt <= spec.max_retries
+        if isinstance(raised, BudgetExhausted):
+            # the end-to-end job budget is already spent: executing (or
+            # retrying -- equally doomed) would burn the resources a
+            # saturated cluster is short of, so fail immediately
+            return TaskState.FAILED, str(raised), "budget-exhausted"
+        if isinstance(raised, ShutdownError):
+            if not hosted.timed_out:
+                return TaskState.CANCELLED, None, None
+            error = (
+                f"deadline {spec.deadline}s exceeded on {self.name} "
+                f"(attempt {attempt})"
+            )
+            if retry:
+                # deadline expiry with retry budget: back into the retry path
+                return TaskState.RETRYING, error, "timeout"
+            return TaskState.FAILED, error + "; retry budget exhausted", None
+        error = "".join(traceback.format_exception(raised))
+        if retry and not hosted.context.cancelled:  # type: ignore[union-attr]
+            # failure with retry budget left: hand back to the JobManager
+            # for re-placement instead of failing the job
+            return TaskState.RETRYING, error, None
+        return TaskState.FAILED, error, None
 
     def _apply_outcome(
         self,
@@ -605,25 +582,16 @@ class TaskManager:
                     h.timed_out = True
                     expired.append((h, deadline))
         for h, deadline in expired:
-            timeout_message = Message(
+            h.job.notify(
                 MessageType.TASK_TIMEOUT,
-                sender=self.name,
-                recipient="client",
-                payload={
+                {
                     "task": h.runtime.name,
                     "node": self.name,
                     "deadline": deadline,
                     "attempt": h.runtime.attempts,
                 },
+                sender=self.name,
             )
-            try:
-                h.job.route(timeout_message)
-            except ShutdownError as exc:
-                # job torn down between expiry scan and notification: ledger
-                # the drop instead of silently losing the timeout event
-                from .trace import note_undeliverable  # local: trace imports api
-
-                note_undeliverable(h.job.job_id, timeout_message, exc)
             h.cancel()
         return [h.runtime.name for h, _ in expired]
 

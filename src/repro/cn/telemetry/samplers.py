@@ -44,31 +44,19 @@ def sample_node(
     view)."""
     scoped = registry.namespaced(server.name)
     scoped.gauge("cn_node_alive").set(1.0 if alive else 0.0)
-    tm = getattr(server, "taskmanager", None)
-    if tm is None:
-        return
+    tm = server.taskmanager
     scoped.gauge("cn_node_free_memory").set(tm.free_memory)
     scoped.gauge("cn_node_free_slots").set(tm.free_slots)
-    hosted = getattr(tm, "hosted_count", None)
-    if callable(hosted):
-        scoped.gauge("cn_node_hosted_tasks").set(hosted())
-    queued = getattr(tm, "queued_messages", None)
-    if callable(queued):
-        scoped.gauge("cn_node_queued_messages").set(queued())
-    overload = getattr(tm, "queue_overload_stats", None)
-    if callable(overload):
-        # backpressure outcomes across the node's hosted queues: how many
-        # puts were refused (reject policy) or evicted (shed_oldest)
-        rejected, shed = overload()
-        scoped.gauge("cn_queue_rejected_total").set(rejected)
-        scoped.gauge("cn_queue_shed_total").set(shed)
-    poisoned = getattr(tm, "queue_poisoned", None)
-    if callable(poisoned):
-        # frames quarantined by dequeue-time digest verification
-        scoped.gauge("cn_queue_poisoned_total").set(poisoned())
-    drops = getattr(tm, "budget_drops", None)
-    if drops is not None:
-        scoped.gauge("cn_budget_drops_total").set(drops)
+    scoped.gauge("cn_node_hosted_tasks").set(tm.hosted_count())
+    scoped.gauge("cn_node_queued_messages").set(tm.queued_messages())
+    # backpressure outcomes across the node's hosted queues: how many
+    # puts were refused (reject policy) or evicted (shed_oldest)
+    rejected, shed = tm.queue_overload_stats()
+    scoped.gauge("cn_queue_rejected_total").set(rejected)
+    scoped.gauge("cn_queue_shed_total").set(shed)
+    # frames quarantined by dequeue-time digest verification
+    scoped.gauge("cn_queue_poisoned_total").set(tm.queue_poisoned())
+    scoped.gauge("cn_budget_drops_total").set(tm.budget_drops)
 
 
 def sample_cluster(registry: MetricsRegistry, cluster: Any) -> None:
@@ -76,10 +64,9 @@ def sample_cluster(registry: MetricsRegistry, cluster: Any) -> None:
     alive = {server.name for server in cluster.alive_servers()}
     misses: dict[str, int] = {}
     for server in cluster.servers:
-        jm = getattr(server, "jobmanager", None)
-        detector = getattr(jm, "failure_detector", None)
-        if detector is None or server.name not in alive:
+        if server.name not in alive:
             continue
+        detector = server.jobmanager.failure_detector
         for peer in cluster.servers:
             if peer.name == server.name:
                 continue

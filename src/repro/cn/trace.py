@@ -14,22 +14,15 @@ and renderings:
 
 Everything here is read-only over the message stream; tracing never
 perturbs scheduling.
-
-The module also keeps the *undeliverable* log: lifecycle notifications
-the JobManager could not deliver because the job side was already torn
-down (closed client queue).  These used to be silently swallowed; now
-they are recorded so tests and operators can see what was dropped.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .api import JobHandle
-from .messages import Message, MessageType
+from .messages import JOB_NOTIFICATIONS, TASK_LIFECYCLE, Message
 
 __all__ = [
     "TraceEvent",
@@ -37,50 +30,9 @@ __all__ = [
     "JobTrace",
     "collect_trace",
     "render_timeline",
-    "note_undeliverable",
-    "undeliverable_events",
-    "clear_undeliverable",
 ]
 
-_LIFECYCLE = {
-    MessageType.TASK_CREATED: "created",
-    MessageType.TASK_STARTED: "started",
-    MessageType.TASK_COMPLETED: "completed",
-    MessageType.TASK_FAILED: "failed",
-    MessageType.TASK_RETRY: "retry",
-    MessageType.TASK_CANCELLED: "cancelled",
-    MessageType.TASK_TIMEOUT: "timeout",
-    MessageType.TASK_RESUMED: "resumed",
-}
-
-# -- undeliverable notifications ------------------------------------------------
-_undeliverable: deque = deque(maxlen=256)
-_undeliverable_lock = threading.Lock()
-
-
-def note_undeliverable(job_id: str, message: Message, exc: Exception) -> None:
-    """Record a lifecycle notification that could not reach its queue
-    (job torn down).  Bounded; oldest entries fall off."""
-    with _undeliverable_lock:
-        _undeliverable.append(
-            {
-                "job_id": job_id,
-                "type": message.type,
-                "recipient": message.recipient,
-                "serial": message.serial,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        )
-
-
-def undeliverable_events() -> list[dict]:
-    with _undeliverable_lock:
-        return list(_undeliverable)
-
-
-def clear_undeliverable() -> None:
-    with _undeliverable_lock:
-        _undeliverable.clear()
+_LIFECYCLE = {message_type: kind for _, message_type, kind in TASK_LIFECYCLE}
 
 
 @dataclass(frozen=True)
@@ -186,32 +138,17 @@ def collect_trace(handle: JobHandle) -> JobTrace:
 
 
 def _to_event(message: Message) -> Optional[TraceEvent]:
-    ts = getattr(message, "ts", 0.0)
-    if message.type == MessageType.JOB_CREATED:
+    ts = message.ts
+    payload = message.payload if isinstance(message.payload, dict) else {}
+    kind = JOB_NOTIFICATIONS.get(message.type)
+    if kind is not None:
+        # about the job as a whole; only NODE_FAILED names a node
         return TraceEvent(
-            message.serial, "job-created", None, None, dict(message.payload or {}), ts
-        )
-    if message.type == MessageType.STATUS:
-        return TraceEvent(
-            message.serial, "status", None, None, dict(message.payload or {}), ts
-        )
-    if message.type == MessageType.NODE_FAILED:
-        payload = message.payload if isinstance(message.payload, dict) else {}
-        return TraceEvent(
-            message.serial, "node-failed", None, payload.get("node"), dict(payload), ts
-        )
-    if message.type == MessageType.JOB_DEGRADED:
-        return TraceEvent(
-            message.serial, "degraded", None, None, dict(message.payload or {}), ts
-        )
-    if message.type == MessageType.MANAGER_ADOPTED:
-        return TraceEvent(
-            message.serial, "adopted", None, None, dict(message.payload or {}), ts
+            message.serial, kind, None, payload.get("node"), dict(payload), ts
         )
     kind = _LIFECYCLE.get(message.type)
     if kind is None:
         return None  # user traffic is not lifecycle
-    payload = message.payload if isinstance(message.payload, dict) else {}
     return TraceEvent(
         message.serial,
         kind,

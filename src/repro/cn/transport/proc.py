@@ -100,7 +100,8 @@ _RPCS: dict[str, Callable[..., Any]] = {
     "tuple_rdp": lambda state, pattern: state.job.tuple_space.rdp(pattern),
     "tuple_count": lambda state, pattern: state.job.tuple_space.count(pattern),
     "tuple_snapshot": lambda state: state.job.tuple_space.snapshot(),
-    "checkpoint_load": lambda state: state.job.load_checkpoint(state.task),
+    # through the attempt's own loader, which also announces the resume
+    "checkpoint_load": lambda state: state.context._checkpoint_load(),
 }
 
 #: the RPCs that can wait on another attempt's progress: each call takes
@@ -305,10 +306,7 @@ class WorkerHandle:
         # total order (ledger and dedup identity) has a single owner
         messages = [replace(m, serial=_next_serial()) for m in data["messages"]]
         try:
-            if len(messages) == 1:
-                state.job.route(messages[0])
-            else:
-                state.job.route_many(messages)
+            state.job.route_many(messages)
         except ShutdownError:
             # a destination queue is closed (job tearing down): tell the
             # worker so the attempt unblocks exactly as it would inline

@@ -34,6 +34,7 @@ import threading
 import traceback
 from typing import Any, Callable, Optional
 
+from ...analysis.conc.runtime import uninstall_verifier
 from ..errors import ShutdownError, TransportError
 from ..queues import MessageQueue
 from ..task import TaskContext, run_attempt
@@ -149,8 +150,8 @@ class RemoteTaskContext(TaskContext):
     Subclasses the real context so the entire messaging API (``send``,
     ``multicast``, ``send_many``, ``broadcast``, selective receive,
     checkpoint, restore) runs the exact in-process code paths -- only
-    the injected ``route`` / ``route_many`` / ``tuple_space`` /
-    checkpoint callables differ.  Telemetry is forwarded as metric
+    the injected ``route_many`` / ``tuple_space`` / checkpoint
+    callables differ.  Telemetry is forwarded as metric
     frames and merged into the coordinator registry under this node's
     namespace.
     """
@@ -327,8 +328,9 @@ class WorkerRuntime:
             self,
             exec_id,
             queue=queue,
-            route=self._route_one(exec_id),
-            route_many=self._route_many(exec_id),
+            route_many=lambda messages: self._send(
+                "route", {"exec_id": exec_id, "messages": list(messages)}
+            ),
             tuple_space=RemoteTupleSpace(self, exec_id),
             # one-way frame, no reply: see TaskContext.checkpoint
             checkpoint_save=lambda state, tag: self._send(
@@ -346,18 +348,6 @@ class WorkerRuntime:
             daemon=True,
         )
         thread.start()
-
-    def _route_one(self, exec_id: str):
-        def route(message) -> None:
-            self._send("route", {"exec_id": exec_id, "messages": [message]})
-
-        return route
-
-    def _route_many(self, exec_id: str):
-        def route_many(messages) -> None:
-            self._send("route", {"exec_id": exec_id, "messages": list(messages)})
-
-        return route_many
 
     def _run_exec(self, ex: _Exec, cls_blob: bytes) -> None:
         outcome: dict
@@ -437,7 +427,9 @@ def worker_main(sock: Any, node: str) -> None:
     messages._serial_lock = threading.Lock()  # conclint: waive CC402 -- fork re-arms the module's own lock
     for reset in list(_FORK_RESETS):
         reset()
-    _disarm_inherited_verifier()
+    # a lock verifier installed in the coordinator is meaningless here
+    # (and its inherited state may be mid-update); drop it
+    uninstall_verifier()
     endpoint = SocketEndpoint(sock)
     runtime = WorkerRuntime(endpoint, node)
     _ACTIVE = runtime
@@ -446,16 +438,3 @@ def worker_main(sock: Any, node: str) -> None:
     finally:
         _ACTIVE = None
         endpoint.close()
-
-
-def _disarm_inherited_verifier() -> None:
-    """A lock verifier installed in the coordinator is meaningless here
-    (and its inherited state may be mid-update); drop it."""
-    from ...analysis.conc import runtime as conc_runtime
-
-    uninstall = getattr(conc_runtime, "uninstall_verifier", None)
-    if uninstall is not None:
-        try:
-            uninstall()
-        except (RuntimeError, ValueError):
-            pass  # conclint: waive CC303 -- no verifier was installed; nothing to disarm

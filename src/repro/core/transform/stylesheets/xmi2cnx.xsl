@@ -8,6 +8,8 @@
     UML:ActionState                  -> <task>
     tagged values (jar/class/memory/runmodel/ptypeN/pvalueN)
                                      -> task attributes, <task-req>, <param>
+    tagged values sends/receives (declared message flows)
+                                     -> sends="..." receives="...", when tagged
     transitions (through pseudostates) -> depends="..."
     isDynamic / dynamicMultiplicity / UML:ArgListsExpression
                                      -> dynamic="true" multiplicity/arguments
@@ -37,6 +39,13 @@
   <xsl:key name="dependency-by-client"
            match="UML:Dependency"
            use="UML:Dependency.client/*/@xmi.idref"/>
+  <!-- every tagged value under "<its owner>|<its tag's name>": the
+       model's tags are resolved in one pass, then looked up -->
+  <xsl:key name="tag-by-owner"
+           match="UML:TaggedValue"
+           use="concat(generate-id(../..), '|',
+                key('tagdef-by-id',
+                    UML:TaggedValue.type/UML:TagDefinition/@xmi.idref)/@name)"/>
 
   <xsl:template match="/">
     <cn2>
@@ -76,16 +85,14 @@
     </job>
   </xsl:template>
 
-  <!-- Resolve a tagged value on the current ActionState by tag name. -->
+  <!-- Resolve a tagged value on the current ActionState by tag name:
+       one lookup in tag-by-owner, not a walk over the state's tags. -->
   <xsl:template name="tag-value">
     <xsl:param name="tag"/>
     <xsl:param name="state" select="."/>
-    <xsl:for-each select="$state/UML:ModelElement.taggedValue/UML:TaggedValue">
-      <xsl:variable name="defid"
-                    select="UML:TaggedValue.type/UML:TagDefinition/@xmi.idref"/>
-      <xsl:if test="key('tagdef-by-id', $defid)/@name = $tag">
-        <xsl:value-of select="@dataValue"/>
-      </xsl:if>
+    <xsl:for-each select="key('tag-by-owner',
+                              concat(generate-id($state), '|', $tag))">
+      <xsl:value-of select="@dataValue"/>
     </xsl:for-each>
   </xsl:template>
 
@@ -133,6 +140,23 @@
                 select="UML:ActionState.dynamicArguments/UML:ArgListsExpression/@body"/>
           </xsl:attribute>
         </xsl:if>
+      </xsl:if>
+      <!-- declared message flows: emitted only when the action is tagged -->
+      <xsl:variable name="sends">
+        <xsl:call-template name="tag-value">
+          <xsl:with-param name="tag" select="'sends'"/>
+        </xsl:call-template>
+      </xsl:variable>
+      <xsl:if test="string-length($sends) &gt; 0">
+        <xsl:attribute name="sends"><xsl:value-of select="$sends"/></xsl:attribute>
+      </xsl:if>
+      <xsl:variable name="receives">
+        <xsl:call-template name="tag-value">
+          <xsl:with-param name="tag" select="'receives'"/>
+        </xsl:call-template>
+      </xsl:variable>
+      <xsl:if test="string-length($receives) &gt; 0">
+        <xsl:attribute name="receives"><xsl:value-of select="$receives"/></xsl:attribute>
       </xsl:if>
       <task-req>
         <memory>

@@ -158,8 +158,6 @@ def _graph_to_job(graph: ActivityGraph) -> CnxJob:
             dynamic=action.is_dynamic,
             multiplicity=action.dynamic_multiplicity if action.is_dynamic else "",
             arguments=action.dynamic_arguments if action.is_dynamic else "",
-            # message-flow extension tags; the XSLT path predates them and
-            # models carrying them should convert natively
             sends=_name_list(action.get_tag(CN_TAG_SENDS, "") or ""),
             receives=_name_list(action.get_tag(CN_TAG_RECEIVES, "") or ""),
         )

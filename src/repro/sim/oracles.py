@@ -80,9 +80,6 @@ def delivered_serials(records: list[JournalRecord]) -> dict[str, set[int]]:
     out: dict[str, set[int]] = {}
     for record in records:
         if record.kind == "delivery":
-            message = record.data["message"]
-            out.setdefault(message.recipient, set()).add(message.serial)
-        elif record.kind == "delivery_batch":
             for message in record.data["messages"]:
                 out.setdefault(message.recipient, set()).add(message.serial)
     return out
@@ -203,13 +200,9 @@ def budget_monotone(result: "SimResult") -> list[str]:
         return []
     violations = []
     for record in result.records:
-        if record.kind == "delivery":
-            messages = [record.data["message"]]
-        elif record.kind == "delivery_batch":
-            messages = record.data["messages"]
-        else:
+        if record.kind != "delivery":
             continue
-        for message in messages:
+        for message in record.data["messages"]:
             if message.deadline is not None and message.deadline > budget + 1e-9:
                 violations.append(
                     f"message {message.serial} to {message.recipient!r} carries"
@@ -258,9 +251,6 @@ def _ledgered_counts(records: list[JournalRecord]) -> dict[str, list[int]]:
             continue
         high = max(high, record.mepoch)
         if record.kind == "delivery":
-            message = record.data["message"]
-            out.setdefault(message.recipient, []).append(message.serial)
-        elif record.kind == "delivery_batch":
             for message in record.data["messages"]:
                 out.setdefault(message.recipient, []).append(message.serial)
     return out

@@ -314,7 +314,7 @@ class TestExceptionHygiene:
                 try:
                     job.route(msg)
                 except ShutdownError as exc:
-                    note_undeliverable(job.job_id, msg, exc)
+                    job.undeliverable.append((msg, exc))
             """
         )
         assert "CC303" not in codes(diags)

@@ -26,6 +26,26 @@ def cluster():
         yield c
 
 
+class TestDiagramToDescriptor:
+    def test_unreceived_send_is_reported_on_the_pipelines_descriptor(self):
+        """The Fig. 6 path keeps the declared message flows, so the
+        protocol pass sees them: `a` sends to `b`, `b` receives only from
+        `c`."""
+        from repro.analysis import analyze_cnx
+        from repro.core.transform import Pipeline
+        from repro.core.uml import ActivityBuilder
+
+        b = ActivityBuilder("Flow")
+        a = b.task("a", jar="e.jar", cls="t.A", sends=["b"])
+        c = b.task("c", jar="e.jar", cls="t.C", sends=["b"])
+        receiver = b.task("b", jar="e.jar", cls="t.B", receives=["c"])
+        b.chain(b.initial(), a, c, receiver, b.final())
+        doc = Pipeline().to_cnx(write_graph(b.build()))
+        [finding] = analyze_cnx(doc).diagnostics
+        assert finding.code == "CN501"
+        assert "'a' to 'b'" in finding.message
+
+
 class TestClientRunnerRefusal:
     def test_defective_descriptor_refused_with_diagnostics(self, cluster):
         doc = parse((DEFECTS / "cycle.cnx").read_text())

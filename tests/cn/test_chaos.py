@@ -28,7 +28,6 @@ from repro.cn import (
     TaskState,
     VirtualClock,
 )
-from repro.cn.trace import clear_undeliverable, undeliverable_events
 from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxTask, CnxTaskReq
 
 
@@ -443,19 +442,13 @@ class TestJobTimeoutDiagnostics:
 
 class TestUndeliverableLog:
     def test_status_to_closed_queue_is_recorded(self):
-        clear_undeliverable()
         with Cluster(1, registry=echo_registry()) as cluster:
             jm = cluster.servers[0].jobmanager
             job = jm.create_job("client")
             job.client_queue.close()
             payload = jm.query_status(job)  # must not raise
             assert payload["job_id"] == job.job_id
-        events = undeliverable_events()
-        assert any(
-            e["job_id"] == job.job_id and e["type"] == MessageType.STATUS
-            for e in events
-        )
-        clear_undeliverable()
+        assert [e["type"] for e in job.undeliverable] == [MessageType.STATUS]
 
 
 class TestGracefulDegradation:

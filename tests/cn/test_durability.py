@@ -427,11 +427,11 @@ class TestReplayDeliveryBatchAndGC:
     def deliveries(self, recipient, payloads):
         return [Message.user("s", recipient, p) for p in payloads]
 
-    def test_delivery_batch_unpacks_like_singletons(self):
+    def test_singleton_records_and_one_batch_record_replay_identically(self):
         messages = self.deliveries("t", ["m1", "m2", "m3"])
-        batched = [rec(1, "j", "delivery_batch", messages=messages)]
+        batched = [rec(1, "j", "delivery", messages=messages)]
         singles = [
-            rec(i + 1, "j", "delivery", message=m) for i, m in enumerate(messages)
+            rec(i + 1, "j", "delivery", messages=[m]) for i, m in enumerate(messages)
         ]
         assert (
             replay_job("j", batched).deliveries
@@ -445,13 +445,13 @@ class TestReplayDeliveryBatchAndGC:
             Message.user("s", "b", 2),
             Message.user("s", "a", 3),
         ]
-        snapshot = replay_job("j", [rec(1, "j", "delivery_batch", messages=messages)])
+        snapshot = replay_job("j", [rec(1, "j", "delivery", messages=messages)])
         assert [m.payload for m in snapshot.deliveries["a"]] == [1, 3]
         assert [m.payload for m in snapshot.deliveries["b"]] == [2]
 
     def test_ledger_gc_truncates_replayed_deliveries(self):
         messages = self.deliveries("t", ["m1", "m2", "m3"])
-        records = [rec(1, "j", "delivery_batch", messages=messages)]
+        records = [rec(1, "j", "delivery", messages=messages)]
         # GC after the recipient's attempt completed: all three are gone
         snapshot = replay_job("j", records + [rec(2, "j", "ledger-gc", task="t", upto=3)])
         assert snapshot.deliveries["t"] == []
@@ -461,7 +461,7 @@ class TestReplayDeliveryBatchAndGC:
         # no ledger-gc record landed before the crash: the successor's
         # replay must resurrect the full history (at-least-once holds)
         messages = self.deliveries("t", ["m1", "m2"])
-        snapshot = replay_job("j", [rec(1, "j", "delivery_batch", messages=messages)])
+        snapshot = replay_job("j", [rec(1, "j", "delivery", messages=messages)])
         assert snapshot.deliveries["t"] == messages
         assert snapshot.gc_watermarks == {}
 
@@ -469,9 +469,9 @@ class TestReplayDeliveryBatchAndGC:
         first = self.deliveries("t", ["a1", "a2"])
         second = self.deliveries("t", ["b1"])
         records = [
-            rec(1, "j", "delivery_batch", messages=first),
+            rec(1, "j", "delivery", messages=first),
             rec(2, "j", "ledger-gc", task="t", upto=2),
-            rec(3, "j", "delivery", message=second[0]),
+            rec(3, "j", "delivery", messages=second),
         ]
         snapshot = replay_job("j", records)
         # only the post-GC delivery survives
@@ -483,18 +483,18 @@ class TestReplayDeliveryBatchAndGC:
     def test_duplicated_gc_record_is_idempotent(self):
         messages = self.deliveries("t", ["m1", "m2"])
         records = [
-            rec(1, "j", "delivery_batch", messages=messages),
+            rec(1, "j", "delivery", messages=messages),
             rec(2, "j", "ledger-gc", task="t", upto=1),
             rec(3, "j", "ledger-gc", task="t", upto=1),  # replica duplicate
         ]
         snapshot = replay_job("j", records)
         assert [m.payload for m in snapshot.deliveries["t"]] == ["m2"]
 
-    def test_delivery_batch_roundtrips_through_a_file_journal(self, tmp_path):
+    def test_delivery_record_roundtrips_through_a_file_journal(self, tmp_path):
         path = str(tmp_path / "n.jsonl")
         journal = FileJournal(path)
         messages = self.deliveries("t", ["m1", np.arange(4.0)])
-        journal.append(rec(1, "j", "delivery_batch", messages=messages))
+        journal.append(rec(1, "j", "delivery", messages=messages))
         journal.append(rec(2, "j", "ledger-gc", task="t", upto=1))
         journal.close()
         reloaded = FileJournal(path)
@@ -580,9 +580,7 @@ _KIND_DATA = st.one_of(
               _TASKS, st.sampled_from([s.value for s in TaskState]), st.integers(0, 3)),
     st.builds(lambda n, t: ("checkpoint", {"task": n, "tag": t, "state": {"k": t}}),
               _TASKS, st.integers(0, 9)),
-    st.builds(lambda n, p: ("delivery", {"message": Message.user("x", n, p)}),
-              _TASKS, st.integers(0, 5)),
-    st.builds(lambda ns: ("delivery_batch",
+    st.builds(lambda ns: ("delivery",
                           {"messages": [Message.user("x", n, i)
                                         for i, n in enumerate(ns)]}),
               st.lists(_TASKS, min_size=1, max_size=4)),
@@ -761,9 +759,8 @@ class TestDurableJobLifecycle:
             journaled = [
                 m.payload
                 for r in records
-                if r.kind in ("delivery", "delivery_batch")
-                for m in ([r.data["message"]] if r.kind == "delivery"
-                          else r.data["messages"])
+                if r.kind == "delivery"
+                for m in r.data["messages"]
             ]
             assert "hello" in journaled
             # replay reflects the post-completion ledger GC: the terminal

@@ -110,39 +110,6 @@ class TestRender:
         assert render_timeline(trace) == render_timeline(trace)
 
 
-class TestUndeliverableIsolation:
-    """Regression: the process-global undeliverable log must not leak
-    entries across tests (the autouse fixture clears it both ways)."""
-
-    def _leak_one(self):
-        from repro.cn.errors import ShutdownError
-        from repro.cn.messages import Message, MessageType
-        from repro.cn.trace import note_undeliverable, undeliverable_events
-
-        note_undeliverable(
-            "leaky-job",
-            Message(MessageType.STATUS, "jm", "client"),
-            ShutdownError("queue closed"),
-        )
-        assert len(undeliverable_events()) == 1
-
-    def test_first_leaks(self):
-        self._leak_one()
-
-    def test_second_starts_clean(self):
-        # ordered after test_first_leaks within the class; without the
-        # autouse clear fixture this would see the leaked entry
-        from repro.cn.trace import undeliverable_events
-
-        assert undeliverable_events() == []
-        self._leak_one()
-
-    def test_third_also_clean(self):
-        from repro.cn.trace import undeliverable_events
-
-        assert undeliverable_events() == []
-
-
 class TestEventTimestamps:
     def test_lifecycle_events_carry_monotonic_ts(self, finished_handle):
         trace = collect_trace(finished_handle)

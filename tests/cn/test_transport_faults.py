@@ -208,12 +208,6 @@ class TestCorruptionQuarantineEndToEnd:
                 m.serial
                 for r in records
                 if r.kind == "delivery"
-                for m in [r.data["message"]]
-                if m.recipient == "w1"
-            } | {
-                m.serial
-                for r in records
-                if r.kind == "delivery_batch"
                 for m in r.data["messages"]
                 if m.recipient == "w1"
             }

@@ -295,9 +295,11 @@ class TestCheckpointFrames:
             if r.kind == "checkpoint" and r.data["task"] == "src"
         }
         deliveries = {
-            r.data["message"].payload: r.seq
+            m.payload: r.seq
             for r in records
-            if r.kind == "delivery" and r.data["message"].sender == "src"
+            if r.kind == "delivery"
+            for m in r.data["messages"]
+            if m.sender == "src"
         }
         [terminal] = [
             r.seq

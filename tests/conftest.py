@@ -94,19 +94,6 @@ def basic_registry() -> TaskRegistry:
     return registry
 
 
-@pytest.fixture(autouse=True)
-def _isolate_undeliverable_log():
-    """The undeliverable log in repro.cn.trace is process-global (it
-    outlives clusters by design, like a syslog); without this reset a
-    test tearing down a cluster mid-flight leaks entries into whichever
-    test asserts on the log next."""
-    from repro.cn.trace import clear_undeliverable
-
-    clear_undeliverable()
-    yield
-    clear_undeliverable()
-
-
 @pytest.fixture
 def registry() -> TaskRegistry:
     return basic_registry()

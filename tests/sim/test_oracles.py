@@ -17,7 +17,7 @@ def record(kind, data, mepoch=1):
 
 
 def delivery(task, payload="x", mepoch=1):
-    return record("delivery", {"message": Message.user("s", task, payload)}, mepoch)
+    return record("delivery", {"messages": [Message.user("s", task, payload)]}, mepoch)
 
 
 def make_result(**overrides):
@@ -94,7 +94,7 @@ class TestExactlyOnce:
 class TestShedsSubset:
     def test_shed_with_ledgered_delivery_is_fine(self):
         d = delivery("w0")
-        serial = d.data["message"].serial
+        serial = d.data["messages"][0].serial
         result = make_result(
             records=[d, record("shed", {"task": "w0", "serial": serial})]
         )
@@ -120,7 +120,7 @@ class TestBudgetMonotone:
         result = make_result(
             records=[
                 record("job-created", {"client": "c", "deadline": 50.0}),
-                record("delivery", {"message": late}),
+                record("delivery", {"messages": [late]}),
             ],
         )
         assert "budget-monotone" in run_oracles(result)
@@ -132,7 +132,7 @@ class TestBudgetMonotone:
         result = make_result(
             records=[
                 record("job-created", {"client": "c", "deadline": 50.0}),
-                record("delivery", {"message": message}),
+                record("delivery", {"messages": [message]}),
             ],
         )
         assert "budget-monotone" not in run_oracles(result)
@@ -180,7 +180,7 @@ class TestDeadLetterAccounting:
 
     def test_dead_letter_traces_to_injected_corruption(self):
         d = delivery("w0")
-        serial = d.data["message"].serial
+        serial = d.data["messages"][0].serial
         result = make_result(
             records=[d, record("dead-letter", {"task": "w0", "serial": serial})],
             fault_log=[{"kind": "queue-corrupt", "target": "q"}],
@@ -189,7 +189,7 @@ class TestDeadLetterAccounting:
 
     def test_unexplained_dead_letter_flagged(self):
         d = delivery("w0")
-        serial = d.data["message"].serial
+        serial = d.data["messages"][0].serial
         result = make_result(
             records=[d, record("dead-letter", {"task": "w0", "serial": serial})],
             fault_log=[],  # no corruption was ever injected

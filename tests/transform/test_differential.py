@@ -3,7 +3,7 @@ what the pipeline's transformer and generator selectors used to compare
 is compared here, over the five app models.
 
 * XMI2CNX: ``xmi2cnx.xsl`` (what runs) against ``xmi_to_cnx_native``,
-  equal as emitted text;
+  equal as emitted text, declared message flows included;
 * CNX2Py: native ``cnx_to_python`` (what runs) against ``cnx2py.xsl``,
   two different client programs whose runs must return the same results.
 """
@@ -32,6 +32,7 @@ from repro.core.transform import (
     xmi_to_cnx,
     xmi_to_cnx_native,
 )
+from repro.core.uml import ActivityBuilder
 from repro.core.xmi import write_graph
 
 
@@ -79,6 +80,20 @@ def cluster():
 def test_stylesheet_and_native_descriptors_are_the_same_text(model):
     xmi = write_graph(model()[0])
     assert emit(xmi_to_cnx(xmi)) == emit(xmi_to_cnx_native(xmi))
+
+
+def test_declared_message_flows_survive_the_stylesheet():
+    b = ActivityBuilder("Flow")
+    a = b.task("a", jar="e.jar", cls="t.A", sends=["b"])
+    receiver = b.task("b", jar="e.jar", cls="t.B", receives=["a"])
+    b.chain(b.initial(), a, receiver, b.final())
+    xmi = write_graph(b.build())
+    doc = xmi_to_cnx(xmi)
+    assert [(t.name, t.sends, t.receives) for t in doc.client.jobs[0].tasks] == [
+        ("a", ["b"], []),
+        ("b", [], ["a"]),
+    ]
+    assert emit(doc) == emit(xmi_to_cnx_native(xmi))
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.__name__)
