@@ -58,14 +58,16 @@ GUARDED_BY: dict[str, str] = {
     # TupleSpace: the backing list is only touched under the condition's
     # lock; ``_take`` relies on its caller holding it.
     "TupleSpace._tuples": "TupleSpace._lock",
-    # Journals: the record list and the per-job index grow together
-    # inside ``extend`` (a FileJournal inherits both and persists from
-    # ``_persist``, which documents "the lock is held"); the writer's
-    # sequence counter advances under the lock that orders its
-    # extend+publish.
+    # Journals: the record list, the per-job index and the table of each
+    # task's latest checkpoint change together inside ``extend`` (a
+    # FileJournal inherits all three and persists from ``_persist``,
+    # which documents "the lock is held"); the writer's sequence counter
+    # advances under the lock that orders its extend+publish.
     "MemoryJournal._records": "MemoryJournal._lock",
     "MemoryJournal._by_job": "MemoryJournal._lock",
+    "MemoryJournal._checkpoints": "MemoryJournal._lock",
     "FileJournal._by_job": "FileJournal._lock",
+    "FileJournal._checkpoints": "FileJournal._lock",
     "ReplicatedJournal._next_seq": "ReplicatedJournal._lock",
     # TaskManager slot and memory accounting, and the count of hostings
     # that still hold a reservation (``_end_hosting`` is the one place

@@ -19,6 +19,11 @@ declared dead but its threads still running) cannot corrupt the log the
 successor now owns.  This extends the per-task attempt-epoch fence of
 PR 2 one level up.
 
+A checkpoint is the one record that is state rather than history: a
+replica keeps each task's latest beside the log and lets go of the one
+it supersedes (see :class:`MemoryJournal`); a journal *file* stays a
+full log.
+
 Backends are pluggable: :class:`MemoryJournal` keeps records in-process
 (tests, default), :class:`FileJournal` persists JSONL to disk (payloads
 that are not JSON-serializable -- numpy blocks, :class:`TaskSpec`,
@@ -66,7 +71,7 @@ RECORD_KINDS = (
     "ledger-gc",     # task, upto                     -- ledger truncation
     "shed",          # task, serial                   -- backpressure eviction
     "dead-letter",   # task, serial, digests          -- poison quarantine
-    "checkpoint",    # task, tag, state               -- application state
+    "checkpoint",    # task, tag, state               -- latest state per task
     "job-finished",  # failed (bool)
 )
 
@@ -111,12 +116,46 @@ class JournalRecord:
         )
 
 
-class MemoryJournal:
-    """In-process append-only journal with manager-epoch fencing.
+#: one retained checkpoint: how many records the log and its job's bucket
+#: held when it arrived, and the record
+_Retained = tuple[int, int, JournalRecord]
 
-    The base backend: keeps everything in a list, no serialization.
-    Subclasses add persistence by overriding :meth:`_persist`.  Every
-    write is a batch (:meth:`extend`); :meth:`append` is the batch of one.
+
+def _interleave(
+    log: Sequence[JournalRecord],
+    retained: Iterable[_Retained],
+    at: int,
+    base: int = 0,
+) -> list[JournalRecord]:
+    """*log* with each retained checkpoint back where it arrived: after
+    the ``entry[at] - base`` log records that preceded it (*retained* is
+    in arrival order)."""
+    out: list[JournalRecord] = []
+    start = 0
+    for entry in retained:
+        stop = entry[at] - base
+        out += log[start:stop]
+        out.append(entry[2])
+        start = stop
+    out += log[start:]
+    return out
+
+
+class MemoryJournal:
+    """In-process journal with manager-epoch fencing: an append-only log
+    of what happened, and a table of where each task got to.
+
+    A ``checkpoint`` record is state, not history: replay is
+    last-writer-wins per task, so the one a task wrote last is all a
+    replica keeps.  It replaces the table entry for its ``(job, task)``
+    -- dropping this replica's reference to the superseded record, whose
+    state is freed once every replica has let go -- and :meth:`records`
+    hands it back at the position it arrived, so a replay folds the same
+    snapshot it folded from the full history.
+
+    The base backend: no serialization.  Subclasses add persistence by
+    overriding :meth:`_persist`.  Every write is a batch (:meth:`extend`);
+    :meth:`append` is the batch of one.
     """
 
     def __init__(self) -> None:
@@ -125,9 +164,14 @@ class MemoryJournal:
         #: the same records bucketed per job (first-seen job order), so a
         #: replay reads one job without scanning the cluster's history
         self._by_job: dict[str, list[JournalRecord]] = {}
+        #: job -> task -> its latest accepted checkpoint, each job's in
+        #: arrival order
+        self._checkpoints: dict[str, dict[str, _Retained]] = {}
         self._high_water: dict[str, int] = {}
         #: records rejected by the epoch fence (zombie-manager writes)
         self.fenced: list[JournalRecord] = []
+        #: checkpoints this replica let go of when their successor arrived
+        self.superseded = 0
 
     def append(self, record: JournalRecord) -> bool:
         """Append unless fenced; returns whether the record was accepted."""
@@ -140,10 +184,13 @@ class MemoryJournal:
         The epoch fence is applied to each record in turn: one stamped
         with a manager epoch older than its job's high-water mark is a
         zombie write and is dropped (but kept on :attr:`fenced` for
-        observability).  The accepted records are persisted together."""
+        observability) -- a fenced checkpoint supersedes nothing.  The
+        accepted records are persisted together, in accept order."""
         with self._lock:
             log = self._records
             start = len(log)
+            # becomes a list in a batch that carries a checkpoint
+            arrived: Sequence[_Retained] = ()
             current, high, bucket = None, 0, []
             for record in records:
                 job_id = record.job_id
@@ -152,23 +199,49 @@ class MemoryJournal:
                     current = job_id
                     high = self._high_water.get(job_id, 0)
                     bucket = self._by_job.setdefault(job_id, [])
-                if record.mepoch < high:
-                    self.fenced.append(record)
-                    continue
-                if record.mepoch > high:
+                if record.mepoch != high:
+                    if record.mepoch < high:
+                        self.fenced.append(record)
+                        continue
                     high = self._high_water[job_id] = record.mepoch
-                log.append(record)
-                bucket.append(record)
-            accepted = len(log) - start
+                if record.kind != "checkpoint":
+                    log.append(record)
+                    bucket.append(record)
+                    continue
+                table = self._checkpoints.get(job_id)
+                if table is None:
+                    table = self._checkpoints[job_id] = {}
+                task = record.data["task"]
+                # pop, then insert: the table stays in arrival order
+                if table.pop(task, None) is not None:
+                    self.superseded += 1
+                entry = table[task] = (len(log), len(bucket), record)
+                if not arrived:
+                    arrived = []
+                arrived.append(entry)
+            accepted = len(log) - start + len(arrived)
             if accepted:
-                self._persist(log[start:])
+                self._persist(start, arrived)
             return accepted
 
     def records(self, job_id: Optional[str] = None) -> list[JournalRecord]:
+        """The log, with every retained checkpoint where it arrived."""
         with self._lock:
-            if job_id is None:
-                return list(self._records)
-            return list(self._by_job.get(job_id, ()))
+            if job_id is not None:
+                return _interleave(
+                    self._by_job.get(job_id, ()),
+                    self._checkpoints.get(job_id, {}).values(),
+                    1,
+                )
+            retained = [
+                entry
+                for table in self._checkpoints.values()
+                for entry in table.values()
+            ]
+            # no log record between two of them: the writer's seq is the
+            # arrival order within a job, and jobs replay apart
+            retained.sort(key=lambda entry: (entry[0], entry[2].seq))
+            return _interleave(self._records, retained, 0)
 
     def job_ids(self) -> list[str]:
         with self._lock:
@@ -179,12 +252,14 @@ class MemoryJournal:
         with self._lock:
             return self._high_water.get(job_id, 0)
 
-    def _persist(self, records: Sequence[JournalRecord]) -> None:
-        """Hook for durable backends: one accepted batch; the lock is held."""
+    def _persist(self, start: int, arrived: Sequence[_Retained]) -> None:
+        """Hook for durable backends: one accepted batch -- the log from
+        *start* on and the checkpoints in *arrived*; the lock is held."""
 
     def __len__(self) -> int:
+        """Records retained: the log plus one checkpoint per task."""
         with self._lock:
-            return len(self._records)
+            return len(self._records) + sum(map(len, self._checkpoints.values()))
 
 
 def _encode_data(data: dict) -> dict:
@@ -207,8 +282,10 @@ def _decode_data(data: dict) -> dict:
 class FileJournal(MemoryJournal):
     """JSONL-on-disk journal: one JSON object per line, append-only.
 
-    Existing records are loaded on construction, so a restarted server
-    resumes with its journal intact (fencing state is rebuilt too).
+    The file stays a log: every accepted record, checkpoints included,
+    in accept order.  Existing records are loaded on construction, so a
+    restarted server resumes with its journal intact (fencing state is
+    rebuilt too, and memory again holds one checkpoint per task).
     """
 
     def __init__(self, path: str) -> None:
@@ -218,8 +295,10 @@ class FileJournal(MemoryJournal):
         try:
             with open(path, encoding="utf-8") as fh:
                 # re-run the fence so a tampered/merged file cannot
-                # smuggle stale-epoch records back in
-                self.extend(self._load(fh))
+                # smuggle stale-epoch records back in; a line at a time,
+                # so a superseded checkpoint is let go as the next loads
+                for record in self._load(fh):
+                    self.append(record)
         except FileNotFoundError:
             pass
         except (json.JSONDecodeError, KeyError, OSError) as exc:
@@ -236,11 +315,11 @@ class FileJournal(MemoryJournal):
             raw["data"] = _decode_data(raw.get("data") or {})
             yield JournalRecord.from_payload(raw)
 
-    def _persist(self, records: Sequence[JournalRecord]) -> None:
+    def _persist(self, start: int, arrived: Sequence[_Retained]) -> None:
         if self._fh is None:
             return  # constructor replaying the existing file
         lines = []
-        for record in records:
+        for record in _interleave(self._records[start:], arrived, 0, start):
             payload = record.to_payload()
             payload["data"] = _encode_data(payload["data"])
             lines.append(json.dumps(payload) + "\n")

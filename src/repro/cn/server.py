@@ -110,14 +110,18 @@ class CNServer:
         self.jobmanager.directory = directory
         telemetry = self.telemetry
         if telemetry is not None:
-            # scrape-time fold, like BusStats: the fence already keeps the
-            # zombie writes it rejected, so the hot path pays nothing
+            # scrape-time fold, like BusStats: the backend already keeps
+            # the zombie writes it fenced and counts the checkpoints it
+            # let go of, so the hot path pays nothing
             telemetry.metrics.add_collector(self._collect_journal_stats)
 
     def _collect_journal_stats(self) -> None:
-        self.telemetry.metrics.counter(
-            "cn_journal_fenced_total", node=self.name
-        )._set_total(len(self.journal.backend.fenced))
+        backend = self.journal.backend
+        for name, total in (
+            ("cn_journal_fenced_total", len(backend.fenced)),
+            ("cn_journal_checkpoints_superseded_total", backend.superseded),
+        ):
+            self.telemetry.metrics.counter(name, node=self.name)._set_total(total)
 
     # -- bus integration ------------------------------------------------------
     def start(self) -> None:

@@ -369,6 +369,18 @@ class TaskManager:
         origin = self.name.split("/")[0]
         span_id = f"attempt:{runtime.name}#{hosted.epoch}"
 
+        def checkpoint_save(state: Any, tag: Any = None) -> None:
+            # coordinator-side on both transports, behind the fence an
+            # outcome passes: a zombie attempt's state must not replace
+            # (and so free) what the live attempt resumes from.  The
+            # journal write is not made under this lock, so a zombie
+            # preempted between the check and the save through a whole
+            # kill / re-place / first live checkpoint still lands late
+            with self._lock:
+                if self._stale(hosted):
+                    return
+            job.save_checkpoint(runtime.name, state, tag)
+
         def checkpoint_load() -> Optional[tuple[Any, Any]]:
             # coordinator-side on both transports, so a resume is
             # announced where the checkpoint is read, by the job
@@ -402,9 +414,7 @@ class TaskManager:
             },
             attempt_epoch=hosted.epoch,
             manager_epoch=job.manager_epoch,
-            checkpoint_save=lambda state, tag=None: job.save_checkpoint(
-                runtime.name, state, tag
-            ),
+            checkpoint_save=checkpoint_save,
             checkpoint_load=checkpoint_load,
         )
         hosted.context = context
@@ -520,6 +530,16 @@ class TaskManager:
             return TaskState.RETRYING, error, None
         return TaskState.FAILED, error, None
 
+    def _stale(self, hosted: HostedTask) -> bool:
+        """Whether *hosted* stopped being its task's live hosting (node
+        crash, eviction, re-placement); the caller holds the lock."""
+        runtime = hosted.runtime
+        return (
+            self._crashed
+            or runtime.epoch != hosted.epoch
+            or self._hosted.get((hosted.job.job_id, runtime.name)) is not hosted
+        )
+
     def _apply_outcome(
         self,
         hosted: HostedTask,
@@ -531,10 +551,7 @@ class TaskManager:
         stale (node crash, eviction, re-placement) while it ran."""
         runtime = hosted.runtime
         with self._lock:
-            if self._crashed or runtime.epoch != hosted.epoch:
-                return False
-            key = (hosted.job.job_id, runtime.name)
-            if self._hosted.get(key) is not hosted:
+            if self._stale(hosted):
                 return False
             if state is TaskState.COMPLETED:
                 runtime.result = result

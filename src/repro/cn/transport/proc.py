@@ -320,7 +320,7 @@ class WorkerHandle:
         if state is None:
             return  # attempt finished/fenced; dropped as a late route is
         try:
-            state.job.save_checkpoint(state.task, data["state"], data["tag"])
+            state.context._checkpoint_save(data["state"], data["tag"])
         except Exception as exc:  # noqa: BLE001  # conclint: waive CC302 -- nobody awaits a one-way frame: whatever the save raised becomes the attempt's failure
             self._fail_exec(state, exc)
 

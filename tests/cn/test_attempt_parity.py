@@ -8,6 +8,7 @@ worker can import them by name.
 """
 
 import multiprocessing
+import threading
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.cn import (
     TaskFailedError,
     TaskRegistry,
     TaskSpec,
+    replay_job,
 )
 
 TRANSPORTS = [
@@ -170,3 +172,56 @@ def test_checkpoint_without_durability_is_kept_in_the_job(transport):
         api, handle = start(c, spec("t", CheckpointThenFailOnce, max_retries=1))
         assert api.wait(handle, timeout=30) == {"t": ("retry restored", {"x": 1})}
         assert handle.job.task("t").attempts == 2
+
+
+def test_zombie_attempts_checkpoint_is_fenced_inproc_as_on_proc():
+    """A dead node's still-running thread used to overwrite the live
+    attempt's checkpoint -- ``(5, {'i': 5})`` -> ``(99, 'late')``,
+    journaled and replicated -- while its *outcome* was dropped; on proc
+    the same late write already changed nothing
+    (``test_late_checkpoint_frame_changes_nothing``)."""
+    blocked, release, wrote_late = (threading.Event() for _ in range(3))
+
+    class CheckpointBlockThenLate(Task):
+        def __init__(self, *params):
+            pass
+
+        def run(self, ctx):
+            state = self.restore()
+            if state is not None:
+                self.checkpoint({"i": 5}, tag=5)
+                return ("resumed", state)
+            self.checkpoint({"i": 0}, tag=0)
+            blocked.set()
+            release.wait(30)
+            self.checkpoint("late", tag=99)  # the node is long dead
+            wrote_late.set()
+
+    registry = TaskRegistry()
+    registry.register_class("z.jar", "t.Z", CheckpointBlockThenLate)
+    try:
+        with Cluster(3, registry=registry, failure_k=2, transport="inproc") as c:
+            c.servers[0].accept_tasks = False
+            api = CNAPI.initialize(c)
+            handle = api.create_job("client", requirements={"prefer": "node0"})
+            api.create_task(
+                handle, TaskSpec(name="z", jar="z.jar", cls="t.Z", max_retries=2)
+            )
+            api.start_job(handle)
+            assert blocked.wait(10)
+            assert handle.job.task("z").node_name == "node1/tm"
+            c.kill_node("node1")
+            c.tick(3)  # declared dead, re-placed
+            assert api.wait(handle, timeout=15) == {"z": ("resumed", {"i": 0})}
+            job = handle.job
+            assert job.load_checkpoint("z") == (5, {"i": 5})
+            release.set()
+            assert wrote_late.wait(10)
+            assert job.load_checkpoint("z") == (5, {"i": 5})
+            for server in c.servers:
+                if server.name == "node1":
+                    continue  # off the bus since it died
+                replayed = replay_job(job.job_id, server.journal.records(job.job_id))
+                assert replayed.checkpoints["z"] == (5, {"i": 5}), server.name
+    finally:
+        release.set()

@@ -10,6 +10,7 @@ import json
 import os
 import tempfile
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -724,6 +725,122 @@ class TestCheckpointAPI:
             job.save_checkpoint("t", {"k": 5}, tag=5)
             snapshot = replay_job(job.job_id, jm.journal.records(job.job_id))
             assert snapshot.checkpoints["t"] == (5, {"k": 5})
+
+
+# -- the checkpoint table: latest state per task, beside the log -----------------
+
+
+class TestCheckpointTable:
+    def test_records_put_each_retained_checkpoint_back_where_it_arrived(self):
+        journal = MemoryJournal()
+        a, b, c = (rec(i, "j", "task-state", task=f"t{i}") for i in (1, 3, 6))
+        first = rec(2, "j", "checkpoint", task="x", tag=0, state="x0")
+        other = rec(4, "j", "checkpoint", task="y", tag=0, state="y0")
+        second = rec(5, "j", "checkpoint", task="x", tag=1, state="x1")
+        noise = rec(7, "k", "checkpoint", task="x", tag=7, state="k7")
+        assert journal.extend((a, first, b, other, second, c, noise)) == 7
+        assert journal.records("j") == [a, b, other, second, c]
+        assert journal.records() == [a, b, other, second, c, noise]
+        assert journal.records("k") == [noise]
+        assert len(journal) == 6 and journal.superseded == 1
+
+    def test_two_jobs_with_no_log_record_between_come_back_in_seq_order(self):
+        # hypothesis found it (TestBatchesEqualSingles): both tables sit at
+        # the same log position, and j's table is older than k's
+        journal = MemoryJournal()
+        old = rec(1, "j", "checkpoint", task="t", tag=0, state="j0")
+        other = rec(2, "k", "checkpoint", task="t", tag=0, state="k0")
+        new = rec(3, "j", "checkpoint", task="t", tag=1, state="j1")
+        assert journal.extend((old, other)) == 2 and journal.append(new)
+        assert journal.records() == [other, new]
+
+    def test_a_superseded_state_is_freed_when_the_last_replica_lets_go(self):
+        replicas = [MemoryJournal() for _ in range(3)]
+        old = rec(1, "j", "checkpoint", task="t", tag=0, state=np.zeros(8))
+        state = weakref.ref(old.data["state"])
+        for replica in replicas:
+            assert replica.append(old)
+        del old
+        new = rec(2, "j", "checkpoint", task="t", tag=1, state=np.ones(8))
+        for replica in replicas[:2]:
+            assert replica.append(new)
+        assert state() is not None  # the third replica still restores from it
+        assert replicas[2].append(new)
+        assert state() is None
+        assert [replica.superseded for replica in replicas] == [1, 1, 1]
+
+    def test_a_cut_off_replica_keeps_the_checkpoint_it_last_accepted(self):
+        with Cluster(3, registry=echo_registry()) as cluster:
+            job = cluster.servers[0].jobmanager.create_job("client")
+            job.save_checkpoint("t", np.full(4, 1.0), tag=1)
+            cluster.partition(["node0", "node1"], ["node2"])
+            job.save_checkpoint("t", np.full(4, 2.0), tag=2)
+            job.save_checkpoint("t", np.full(4, 3.0), tag=3)
+            seen = {}
+            for server in cluster.servers:
+                records = server.journal.records(job.job_id)
+                tag, state = replay_job(job.job_id, records).checkpoints["t"]
+                seen[server.name] = (tag, state.tolist())
+            assert seen == {
+                "node0": (3, [3.0] * 4),
+                "node1": (3, [3.0] * 4),
+                "node2": (1, [1.0] * 4),
+            }
+            let_go = "cn_journal_checkpoints_superseded_total"
+            metrics = cluster.telemetry.metrics
+            assert metrics.value(let_go, node="node0") == 2
+            assert metrics.value(let_go, node="node2") == 0
+
+    def test_an_epoch_1_checkpoint_survives_two_successive_adoptions(self):
+        with Cluster(4, registry=echo_registry(), failure_k=2) as cluster:
+            worker_only_nodes(cluster)
+            api = CNAPI.initialize(cluster)
+            handle = api.create_job("client", requirements={"prefer": "node0"})
+            api.create_task(
+                handle,
+                TaskSpec(name="e", jar="echo.jar", cls="t.Echo", max_retries=3),
+            )
+            api.start_job(handle)
+            handle.job.save_checkpoint("e", {"row": 7}, tag=7)
+            for epoch in (2, 3):
+                cluster.kill_node(f"node{epoch - 2}")
+                cluster.tick(3)
+                assert handle.manager.name == f"node{epoch - 1}/jm"
+                assert handle.job.manager_epoch == epoch
+                assert handle.job.load_checkpoint("e") == (7, {"row": 7})
+            api.send_message(handle, "e", "done")
+            assert api.wait(handle, timeout=15)["e"] == "done"
+
+    def test_a_stale_epoch_checkpoint_supersedes_nothing(self):
+        journal = MemoryJournal()
+        journal.append(rec(1, "j", "job-adopted", mepoch=2, manager="n1/jm"))
+        live = rec(2, "j", "checkpoint", mepoch=2, task="t", tag=5, state={"i": 5})
+        zombie = rec(9, "j", "checkpoint", mepoch=1, task="t", tag=99, state="late")
+        assert journal.append(live)
+        assert journal.append(zombie) is False
+        assert journal.fenced == [zombie] and journal.superseded == 0
+        assert replay_job("j", journal.records("j")).checkpoints == {
+            "t": (5, {"i": 5})
+        }
+
+    def test_a_reloaded_file_keeps_every_line_and_one_state_per_task(self, tmp_path):
+        path = str(tmp_path / "node0.jsonl")
+        journal = FileJournal(path)
+        journal.append(rec(1, "j", "job-created", manager="n0/jm"))
+        for step in range(100):
+            state = np.full(4, float(step))
+            journal.append(
+                rec(2 + step, "j", "checkpoint", task="t", tag=step, state=state)
+            )
+        journal.close()
+        with open(path, encoding="utf-8") as fh:
+            assert len(fh.readlines()) == 101
+        reloaded = FileJournal(path)
+        assert len(reloaded) == 2 and reloaded.superseded == 99
+        created, kept = reloaded.records("j")
+        assert (created.seq, kept.seq, kept.data["tag"]) == (1, 101, 99)
+        assert kept.data["state"].tolist() == [99.0] * 4
+        reloaded.close()
 
 
 # -- durable job lifecycle ------------------------------------------------------

@@ -280,15 +280,29 @@ def run_job(cluster, *specs, timeout=30):
 class TestCheckpointFrames:
     """A checkpoint crosses as a one-way frame: ordered, not acknowledged."""
 
-    def test_journaled_before_later_sends_and_before_the_outcome(self, proc_cluster):
+    def test_journaled_before_later_sends_and_before_the_outcome(
+        self, proc_cluster, monkeypatch
+    ):
         count = 50
+        # a replica retains only the latest checkpoint per task, so the
+        # history is read where it still is: the order batches reached
+        # node0's backend (as the writer or as a replica, the same order)
+        backend = proc_cluster.server("node0").journal.backend
+        extend, arrived = backend.extend, []
+
+        def recording_extend(batch):
+            arrived.extend(batch)
+            return extend(batch)
+
+        monkeypatch.setattr(backend, "extend", recording_extend)
         handle, results = run_job(
             proc_cluster,
             contract_spec("src", "t.CheckpointThenSend", "sink", count),
             contract_spec("sink", "t.Sink", count),
         )
         assert results["sink"] == list(range(count))
-        records = proc_cluster.server("node0").journal.records(handle.job_id)
+        records = [r for r in arrived if r.job_id == handle.job_id]
+        assert [r.seq for r in records] == sorted(r.seq for r in records)
         checkpoints = {
             r.data["tag"]: r.seq
             for r in records
