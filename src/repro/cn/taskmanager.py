@@ -69,8 +69,9 @@ class HostedTask:
 
     def cancel(self) -> None:
         """Wake whatever runs this hosting so it unwinds with ShutdownError."""
-        if self.context is not None:
-            self.context.cancelled = True
+        context = self.context  # read once: the task thread clears it when done
+        if context is not None:
+            context.cancelled = True
         self.cancel_event.set()
         # only close a queue this hosting still owns -- a task already
         # re-placed elsewhere has a fresh queue that must stay open
@@ -468,6 +469,10 @@ class TaskManager:
             state, error, reason = self._ending(hosted, attempt, exc)
         finally:
             self._end_hosting(hosted, exited=True)
+            # the context's checkpoint closures hold `hosted`: let go of it
+            # (after _ending read `cancelled`) so an ended attempt is freed
+            # by reference count, not by the next full collection
+            hosted.context = None
         applied = self._apply_outcome(hosted, state, result, error)
         if span is not None:
             if applied:

@@ -16,7 +16,6 @@ library users reach for when their model never leaves Python.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional
 
 from repro.xslt import Stylesheet, Transformer
 
@@ -65,11 +64,7 @@ def xmi_to_cnx_text(
     """Run the XMI2CNX stylesheet; returns the CNX descriptor XML text."""
     sheet = load_stylesheet("xmi2cnx.xsl")
     transformer = Transformer(sheet)
-    return transformer.transform(
-        _prefixed_to_parseable(xmi_text),
-        params={"log": log, "port": str(port)},
-        restore_prefixes=True,
-    )
+    return transformer.transform(xmi_text, params={"log": log, "port": str(port)})
 
 
 def xmi_to_cnx(
@@ -77,12 +72,6 @@ def xmi_to_cnx(
 ) -> CnxDocument:
     """XSLT path: XMI text -> parsed CNX document model."""
     return parse_cnx(xmi_to_cnx_text(xmi_text, log=log, port=port))
-
-
-def _prefixed_to_parseable(xmi_text: str):
-    from repro.util.xmlutil import parse_prefixed
-
-    return parse_prefixed(xmi_text)
 
 
 def xmi_to_cnx_native(

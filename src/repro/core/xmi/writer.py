@@ -10,8 +10,9 @@ with source/target references -- the layout early-2000s XMI exporters
 (Poseidon, ArgoUML) produced and the paper's XMI2CNX tool consumed.
 
 The generated vocabulary uses the undeclared ``UML:`` prefix exactly as
-the paper's documents do; see :mod:`repro.util.xmlutil` for how that is
-kept well-formed internally (dotted tags) and restored on serialization.
+the paper's documents do: the element tree is built with ``UML:`` tags
+(``ET.Element`` does not validate them) and
+:func:`repro.util.xmlutil.pretty_print` writes tags verbatim.
 
 Ids are deterministic (``a1, a2, ...`` in emission order) so repeated
 exports of the same model are byte-identical.
@@ -20,10 +21,9 @@ exports of the same model are byte-identical.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Optional
 
 from repro.util.idgen import SequentialIds
-from repro.util.xmlutil import serialize_prefixed
+from repro.util.xmlutil import pretty_print
 
 from ..uml.activity import (
     ActionState,
@@ -53,7 +53,7 @@ class XmiWriter:
     # -- public API ---------------------------------------------------------
     def write(self, model: Model) -> str:
         """Serialize *model* to an XMI document string."""
-        return serialize_prefixed(self.to_element(model))
+        return pretty_print(self.to_element(model), xml_declaration=False)
 
     def to_element(self, model: Model) -> ET.Element:
         root = ET.Element("XMI", {"xmi.version": "1.2"})
@@ -64,14 +64,14 @@ class XmiWriter:
         content = ET.SubElement(root, "XMI.content")
         model_elem = ET.SubElement(
             content,
-            "UML.Model",
+            "UML:Model",
             {
                 "xmi.id": self._ids.next(),
                 "name": model.name,
                 "isSpecification": _FALSE,
             },
         )
-        owned = ET.SubElement(model_elem, "UML.Namespace.ownedElement")
+        owned = ET.SubElement(model_elem, "UML:Namespace.ownedElement")
         for package in model.packages:
             self._write_package(owned, package)
         return root
@@ -80,14 +80,14 @@ class XmiWriter:
     def _write_package(self, parent: ET.Element, package: Package) -> None:
         pkg_elem = ET.SubElement(
             parent,
-            "UML.Package",
+            "UML:Package",
             {
                 "xmi.id": self._ids.next(),
                 "name": package.name,
                 "isSpecification": _FALSE,
             },
         )
-        owned = ET.SubElement(pkg_elem, "UML.Namespace.ownedElement")
+        owned = ET.SubElement(pkg_elem, "UML:Namespace.ownedElement")
         # Tag definitions first, in first-use order, so TaggedValue idrefs
         # are forward-resolvable and ids stay stable (Fig. 7 has the
         # definitions at low ids: a7, a10, a13, a16).
@@ -104,20 +104,20 @@ class XmiWriter:
         for before, after in package.job_order:
             dep = ET.SubElement(
                 owned,
-                "UML.Dependency",
+                "UML:Dependency",
                 {
                     "xmi.id": self._ids.next(),
                     "name": f"{after}-after-{before}",
                     "isSpecification": _FALSE,
                 },
             )
-            client = ET.SubElement(dep, "UML.Dependency.client")
+            client = ET.SubElement(dep, "UML:Dependency.client")
             ET.SubElement(
-                client, "UML.ActivityGraph", {"xmi.idref": graph_ids[after]}
+                client, "UML:ActivityGraph", {"xmi.idref": graph_ids[after]}
             )
-            supplier = ET.SubElement(dep, "UML.Dependency.supplier")
+            supplier = ET.SubElement(dep, "UML:Dependency.supplier")
             ET.SubElement(
-                supplier, "UML.ActivityGraph", {"xmi.idref": graph_ids[before]}
+                supplier, "UML:ActivityGraph", {"xmi.idref": graph_ids[before]}
             )
 
     def _tagdef_id(self, owned: ET.Element, name: str) -> str:
@@ -128,7 +128,7 @@ class XmiWriter:
         self._tagdef_ids[name] = tid
         ET.SubElement(
             owned,
-            "UML.TagDefinition",
+            "UML:TagDefinition",
             {
                 "xmi.id": tid,
                 "name": name,
@@ -142,17 +142,17 @@ class XmiWriter:
         graph_id = self._ids.next()
         graph_elem = ET.SubElement(
             parent,
-            "UML.ActivityGraph",
+            "UML:ActivityGraph",
             {
                 "xmi.id": graph_id,
                 "name": graph.name,
                 "isSpecification": _FALSE,
             },
         )
-        top = ET.SubElement(graph_elem, "UML.StateMachine.top")
+        top = ET.SubElement(graph_elem, "UML:StateMachine.top")
         composite = ET.SubElement(
             top,
-            "UML.CompositeState",
+            "UML:CompositeState",
             {
                 "xmi.id": self._ids.next(),
                 "name": "top",
@@ -160,7 +160,7 @@ class XmiWriter:
                 "isConcurrent": _FALSE,
             },
         )
-        subvertex = ET.SubElement(composite, "UML.CompositeState.subvertex")
+        subvertex = ET.SubElement(composite, "UML:CompositeState.subvertex")
 
         # Allocate ids: vertices in insertion order, then transitions, so
         # reference lists can be emitted in one pass.
@@ -172,18 +172,18 @@ class XmiWriter:
         for vertex in graph.vertices:
             self._write_vertex(subvertex, vertex)
 
-        transitions_elem = ET.SubElement(graph_elem, "UML.StateMachine.transitions")
+        transitions_elem = ET.SubElement(graph_elem, "UML:StateMachine.transitions")
         for transition in graph.transitions:
             self._write_transition(transitions_elem, transition)
         return graph_id
 
     def _vertex_tag(self, vertex: StateVertex) -> str:
         if isinstance(vertex, ActionState):
-            return "UML.ActionState"
+            return "UML:ActionState"
         if isinstance(vertex, FinalState):
-            return "UML.FinalState"
+            return "UML:FinalState"
         assert isinstance(vertex, Pseudostate)
-        return "UML.Pseudostate"
+        return "UML:Pseudostate"
 
     def _write_vertex(self, parent: ET.Element, vertex: StateVertex) -> None:
         attrs = {
@@ -200,10 +200,10 @@ class XmiWriter:
         elem = ET.SubElement(parent, self._vertex_tag(vertex), attrs)
         if isinstance(vertex, ActionState):
             if vertex.is_dynamic and vertex.dynamic_arguments:
-                dyn = ET.SubElement(elem, "UML.ActionState.dynamicArguments")
+                dyn = ET.SubElement(elem, "UML:ActionState.dynamicArguments")
                 ET.SubElement(
                     dyn,
-                    "UML.ArgListsExpression",
+                    "UML:ArgListsExpression",
                     {
                         "xmi.id": self._ids.next(),
                         "language": "CN",
@@ -216,39 +216,39 @@ class XmiWriter:
     def _write_tagged_values(self, elem: ET.Element, element: TaggedElement) -> None:
         if not element.tagged_values:
             return
-        container = ET.SubElement(elem, "UML.ModelElement.taggedValue")
+        container = ET.SubElement(elem, "UML:ModelElement.taggedValue")
         for tv in element.tagged_values:
             tv_elem = ET.SubElement(
                 container,
-                "UML.TaggedValue",
+                "UML:TaggedValue",
                 {
                     "xmi.id": self._ids.next(),
                     "isSpecification": _FALSE,
                     "dataValue": tv.value,
                 },
             )
-            type_elem = ET.SubElement(tv_elem, "UML.TaggedValue.type")
+            type_elem = ET.SubElement(tv_elem, "UML:TaggedValue.type")
             ET.SubElement(
                 type_elem,
-                "UML.TagDefinition",
+                "UML:TagDefinition",
                 {"xmi.idref": self._tagdef_ids[tv.name]},
             )
 
     def _write_transition_refs(self, elem: ET.Element, vertex: StateVertex) -> None:
         if vertex.outgoing:
-            out = ET.SubElement(elem, "UML.StateVertex.outgoing")
+            out = ET.SubElement(elem, "UML:StateVertex.outgoing")
             for transition in vertex.outgoing:
                 ET.SubElement(
                     out,
-                    "UML.Transition",
+                    "UML:Transition",
                     {"xmi.idref": self._transition_ids[id(transition)]},
                 )
         if vertex.incoming:
-            inc = ET.SubElement(elem, "UML.StateVertex.incoming")
+            inc = ET.SubElement(elem, "UML:StateVertex.incoming")
             for transition in vertex.incoming:
                 ET.SubElement(
                     inc,
-                    "UML.Transition",
+                    "UML:Transition",
                     {"xmi.idref": self._transition_ids[id(transition)]},
                 )
 
@@ -257,14 +257,14 @@ class XmiWriter:
             "xmi.id": self._transition_ids[id(transition)],
             "isSpecification": _FALSE,
         }
-        elem = ET.SubElement(parent, "UML.Transition", attrs)
-        source = ET.SubElement(elem, "UML.Transition.source")
+        elem = ET.SubElement(parent, "UML:Transition", attrs)
+        source = ET.SubElement(elem, "UML:Transition.source")
         ET.SubElement(
             source,
             self._vertex_tag(transition.source),
             {"xmi.idref": self._vertex_ids[id(transition.source)]},
         )
-        target = ET.SubElement(elem, "UML.Transition.target")
+        target = ET.SubElement(elem, "UML:Transition.target")
         ET.SubElement(
             target,
             self._vertex_tag(transition.target),

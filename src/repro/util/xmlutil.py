@@ -9,10 +9,12 @@ paper's tools consume.
 
 The XMI documents in the paper (Fig. 7) use colon-prefixed names such as
 ``UML:ActionState`` *without* declaring an XML namespace -- a common trait
-of early-2000s XMI exporters.  ElementTree refuses undeclared prefixes, so
-:func:`parse_prefixed` and :func:`serialize_prefixed` transparently map
-``UML:Foo`` to/from the safe form ``UML.Foo`` while parsing, keeping the
-external representation byte-faithful to the paper.
+of early-2000s XMI exporters.  ElementTree's parser refuses undeclared
+prefixes, so for code that wants an ElementTree of such a document (the
+XMI reader, cnlint) :func:`parse_prefixed` maps ``UML:Foo`` to the safe
+form ``UML.Foo`` and :func:`serialize_prefixed` maps it back.  The XMI
+writer and the XSLT engine do not take that detour: :func:`pretty_print`
+writes tags verbatim and the engine reads the text as it is.
 """
 
 from __future__ import annotations

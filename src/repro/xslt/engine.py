@@ -93,16 +93,13 @@ class ResultTreeFragment:
 
     def string_value(self) -> str:
         parts: list[str] = []
-
-        def walk(item) -> None:
+        pending = self.top[::-1]
+        while pending:
+            item = pending.pop()
             if isinstance(item, str):
                 parts.append(item)
             elif isinstance(item, OutElement):
-                for child in item.children:
-                    walk(child)
-
-        for item in self.top:
-            walk(item)
+                pending.extend(reversed(item.children))
         return "".join(parts)
 
 
@@ -1086,19 +1083,29 @@ class Transformer:
         program = self._program = self.stylesheet.lowered()
         if not self._functions:
             self._functions = self._function_table()
-        if isinstance(source, XDocument):
-            doc = source
+        built_here = not isinstance(source, XDocument)
+        if built_here:
+            doc = build_document(
+                source, restore_prefixes=restore_prefixes, strips=program.strips
+            )
         else:
-            doc = build_document(source, restore_prefixes=restore_prefixes)
-        if program.strips is not None:
-            _strip_space(doc, program.strips)
+            doc = source
+            if program.strips is not None:
+                _strip_space(doc, program.strips)
         self._doc = doc
-        self._key_tables = {}
-        out = OutputBuilder()
-        scope = self._bind_globals(program, doc, dict(params or {}))
-        root = Context(doc, 1, 1, scope, self._functions)
-        self._apply_templates([doc], None, _NO_PARAMS, root, out)
-        return out.finish()
+        try:
+            out = OutputBuilder()
+            scope = self._bind_globals(program, doc, dict(params or {}))
+            root = Context(doc, 1, 1, scope, self._functions)
+            self._apply_templates([doc], None, _NO_PARAMS, root, out)
+            return out.finish()
+        finally:
+            # let go of the run's view of the source, and of the parent
+            # links of a tree built here, so it is freed by reference
+            # count; a caller's XDocument is theirs and stays whole
+            self._doc, self._key_tables = None, {}
+            if built_here:
+                doc.unlink()
 
     # -- setup ----------------------------------------------------------------
     def _function_table(self) -> dict[str, Any]:
@@ -1130,8 +1137,18 @@ class Transformer:
         table = {}
         probe = Context(self._doc, 1, 1, {}, self._functions)
         at_node = Context(self._doc, 1, 1, {}, self._functions)
-        for node in self._doc.descendants_list():
-            if node.node_type != "element" or not pattern.matches(node, probe):
+        # a one-alternative pattern that ends in an element name can only
+        # match what the name index lists under it, and one that is just
+        # that name (or ``*``) matches every candidate
+        candidates, decided = self._doc.descendants_list(), False
+        if len(pattern.alternatives) == 1:
+            kind, element = pattern.alternatives[0].dispatch_key()
+            if kind == "element":
+                decided = pattern.alternatives[0].decided_by_key
+                if element is not None:
+                    candidates = self._doc.name_index().get(element, [])
+        for node in candidates:
+            if node.node_type != "element" or not (decided or pattern.matches(node, probe)):
                 continue
             at_node.node = node
             value = use(at_node)
@@ -1241,17 +1258,20 @@ class Transformer:
 
 
 def _strip_space(doc: XDocument, strips: Callable[[str], bool]) -> None:
-    """Drop whitespace-only text children of the elements *strips* names
-    (xsl:strip-space), before anything caches a view of the tree."""
-    pending: list[XNode] = [doc]
-    while pending:
-        node = pending.pop()
+    """xsl:strip-space for a tree the caller built (``build_document``
+    does it while building): drop the whitespace-only text children of
+    the elements *strips* names, and the cached views that listed them."""
+    for node in doc.descendants_list():
+        if node.node_type != "element" or not strips(node.name):
+            continue
         children = node.children()
-        if isinstance(node, XElement) and strips(node.name):
-            children[:] = [
-                c for c in children if not (isinstance(c, XText) and not c.value.strip())
-            ]
-        pending.extend(children)
+        kept = [c for c in children if c.node_type != "text" or not c.value.isspace()]  # type: ignore[attr-defined]
+        if len(kept) != len(children):
+            children[:] = kept
+            stale: Optional[XNode] = node
+            while stale is not None:
+                stale._desc_cache = None
+                stale = stale.parent
 
 
 def transform_file(

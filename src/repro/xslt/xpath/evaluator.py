@@ -253,25 +253,6 @@ def _dedup_doc_order(nodes: Iterable[XNode]) -> list[XNode]:
     return unique
 
 
-def _name_index(root: XNode) -> dict[str, list[XNode]]:
-    """Element-name index over *root*'s subtree (cached on the node).
-
-    ``//Name`` is by far the hottest query shape in real stylesheets; the
-    index turns it from a full-tree scan into a dict lookup.  Safe to
-    cache because the tree is immutable during evaluation."""
-    cached = getattr(root, "_name_index_cache", None)
-    if cached is None:
-        cached = {}
-        for descendant in root.descendants_list():
-            if descendant.node_type == "element":
-                cached.setdefault(descendant.name, []).append(descendant)
-        try:
-            root._name_index_cache = cached  # type: ignore[attr-defined]
-        except AttributeError:
-            pass  # slotted node without cache slot: skip caching
-    return cached
-
-
 def is_descendant_skip(step: Step) -> bool:
     """Whether *step* is what ``//`` expands to: a bare
     descendant-or-self::node()."""
@@ -548,7 +529,7 @@ def _advance_by_name_index(skip: Step, name_step: Step) -> FilterFn:
     def advance(current: list, ctx: Context) -> list:
         if len(current) != 1:
             return select(expand(current, ctx), ctx)
-        candidates = _name_index(current[0]).get(name, [])
+        candidates = current[0].name_index().get(name, [])
         if keep is None:
             return list(candidates)
         # predicate positions are per parent (XPath abbreviation

@@ -33,6 +33,13 @@ DELETED = [
      "PR 20: Job.notify is the one construction site of a client notification"),
     (EVERYWHERE, r"delivery_batch|MessageType\.(RULE|BID|AWARD)",
      "PR 20: one delivery record kind, no unused message type"),
+    (EVERYWHERE, r"\.etree\b(?!\.)|\betree=",
+     "PR 22: XElement.etree, a field nothing read, kept every ET.Element alive"),
+    (EVERYWHERE, r"_DOT_PREFIX_KINDS", "PR 22: a constant with no use"),
+    (("src/repro/xslt/**/*",), r'getattr\(\w+, "_(name_index|desc)_cache"',
+     "PR 22: every XNode has the cache slots; XNode.name_index() reads them"),
+    (EVERYWHERE, r"_prefixed_to_parseable",
+     "PR 22: XMI text goes to the engine as it is, undeclared UML: prefixes and all"),
 ]
 
 
