@@ -93,15 +93,6 @@ def test_placement_spreads_load(report):
     assert max(counts.values()) - min(counts.values()) <= 1, counts
 
 
-def test_simulated_latency_accounting():
-    with Cluster(4, registry=registry(), per_hop_latency=0.002) as cluster:
-        create_job_with_tasks(cluster, 4)
-        stats = cluster.bus.stats
-        assert stats.simulated_latency == pytest.approx(
-            stats.deliveries * 0.002
-        )
-
-
 # -- PERF16: placement throughput, solicit vs bid ----------------------------
 
 SWEEP_NODES = (2, 8, 32, 64)

@@ -155,7 +155,8 @@ class Composition:
 @dataclass(frozen=True)
 class ClusterSpec:
     """The deployment target the placement pass checks feasibility
-    against (mirrors :class:`repro.cn.cluster.Cluster` defaults)."""
+    against; the defaults are :class:`repro.cn.config.ClusterConfig`'s
+    (``tests/cn/test_cluster_options.py`` holds the two equal)."""
 
     nodes: int = 4
     memory_per_node: int = 8000

@@ -140,22 +140,20 @@ class AnalysisContext:
     @classmethod
     def for_cluster(cls, cluster) -> "AnalysisContext":
         """The context of a live :class:`repro.cn.cluster.Cluster`: its
-        TaskManagers' shape for the placement pass, its task registry
-        for the archive pass."""
-        managers = [server.taskmanager for server in cluster.servers]
+        configured shape for the placement pass, its task registry for
+        the archive pass."""
+        config = cluster.config
 
         def resolves(jar: str, entry_class: str) -> bool:
             try:
-                cluster.registry.resolve(jar, entry_class)
+                config.registry.resolve(jar, entry_class)
             except Exception:  # noqa: BLE001  # conclint: waive CC302 -- resolution executes arbitrary archive code; any failure means unresolvable
                 return False
             return True
 
         return cls(
             cluster=ClusterSpec(
-                nodes=len(managers),
-                memory_per_node=min(tm.memory_capacity for tm in managers),
-                slots_per_node=min(tm.slots for tm in managers),
+                config.nodes, config.memory_per_node, config.slots_per_node
             ),
             task_resolver=resolves,
         )

@@ -140,16 +140,10 @@ def run_parallel_floyd_dynamic(
 
 
 def _execute(graph, cluster, timeout, runtime_args, joiner):
-    owns = cluster is None
-    if owns:
-        cluster = Cluster(4, registry=floyd_registry())
-    else:
-        ensure_floyd_tasks(cluster.registry)
-    try:
-        outcome = Pipeline().run(
-            graph, cluster, runtime_args=runtime_args, timeout=timeout
-        )
-    finally:
-        if owns:
-            cluster.shutdown()
+    registry = (
+        floyd_registry() if cluster is None else ensure_floyd_tasks(cluster.registry)
+    )
+    outcome = Pipeline().run(
+        graph, cluster, registry=registry, runtime_args=runtime_args, timeout=timeout
+    )
     return outcome.results[joiner], outcome

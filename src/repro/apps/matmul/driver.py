@@ -80,16 +80,12 @@ def run_parallel_matmul(
     source = store_pair(key, a, b)
     try:
         graph = build_matmul_model(source=source, n_workers=n_workers)
-        owns = cluster is None
-        if owns:
-            cluster = Cluster(4, registry=matmul_registry())
-        else:
-            register_matmul_tasks(cluster.registry)
-        try:
-            outcome = Pipeline().run(graph, cluster, timeout=timeout)
-        finally:
-            if owns:
-                cluster.shutdown()
+        registry = (
+            matmul_registry()
+            if cluster is None
+            else register_matmul_tasks(cluster.registry)
+        )
+        outcome = Pipeline().run(graph, cluster, registry=registry, timeout=timeout)
     finally:
         # the store is process-wide and outlives the cluster: the staged
         # pair goes once the run has returned

@@ -70,14 +70,6 @@ def run_parallel_pi(
 ) -> tuple[float, PipelineResult]:
     """Pipeline-run the pi job; returns ``(estimate, pipeline_result)``."""
     graph = build_pi_model(samples=samples, seed=seed, n_workers=n_workers)
-    owns = cluster is None
-    if owns:
-        cluster = Cluster(4, registry=pi_registry())
-    else:
-        register_pi_tasks(cluster.registry)
-    try:
-        outcome = Pipeline().run(graph, cluster, timeout=timeout)
-    finally:
-        if owns:
-            cluster.shutdown()
+    registry = pi_registry() if cluster is None else register_pi_tasks(cluster.registry)
+    outcome = Pipeline().run(graph, cluster, registry=registry, timeout=timeout)
     return outcome.results["pijoin"]["pi"], outcome

@@ -69,14 +69,10 @@ def run_parallel_wordcount(
 ) -> tuple[dict[str, int], PipelineResult]:
     """Pipeline-run the word-count job; returns ``(histogram, result)``."""
     graph = build_wordcount_model(text=text, shards=shards, n_mappers=n_mappers)
-    owns = cluster is None
-    if owns:
-        cluster = Cluster(4, registry=wordcount_registry())
-    else:
-        register_wordcount_tasks(cluster.registry)
-    try:
-        outcome = Pipeline().run(graph, cluster, timeout=timeout)
-    finally:
-        if owns:
-            cluster.shutdown()
+    registry = (
+        wordcount_registry()
+        if cluster is None
+        else register_wordcount_tasks(cluster.registry)
+    )
+    outcome = Pipeline().run(graph, cluster, registry=registry, timeout=timeout)
     return outcome.results["wcreduce"], outcome

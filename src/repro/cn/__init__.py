@@ -14,6 +14,7 @@ from .chaos import (
 )
 from .client import ClientResult, ClientRunner, evaluate_arguments, expand_dynamic_tasks
 from .cluster import Cluster
+from .config import ClusterConfig
 from .durability import (
     DirectoryEntry,
     FileJournal,
@@ -78,6 +79,7 @@ __all__ = [
     "CNAPI",
     "JobHandle",
     "Cluster",
+    "ClusterConfig",
     "CNServer",
     "JobManager",
     "TaskManager",

@@ -4,7 +4,7 @@
 could run their client programs from any machine on the subnet." (paper
 section 3)
 
-:class:`Cluster` builds N homogeneous (or caller-specified) CNServers,
+:class:`Cluster` builds N CNServers from one :class:`ClusterConfig`,
 wires every JobManager to every TaskManager (the subnet is flat), and
 owns lifecycle.  It is intentionally cheap to construct so tests and
 benchmarks can spin up clusters of various sizes.
@@ -32,9 +32,7 @@ from ..analysis.conc.runtime import (
     make_lock,
     uninstall_verifier,
 )
-from .chaos import ChaosPolicy, ExponentialBackoff, VirtualClock
-from .errors import ConfigError
-from .transport import InProcTransport, ProcTransport
+from .config import TRANSPORTS, ClusterConfig
 from .durability import (
     JobDirectory,
     MemoryJournal,
@@ -42,16 +40,10 @@ from .durability import (
     journal_factory_for_dir,
 )
 from .multicast import MulticastBus
-from .queues import QUEUE_POLICIES
-from .registry import TaskRegistry
 from .server import CNServer
-from .telemetry import Telemetry, sample_cluster
+from .telemetry import sample_cluster
 
 __all__ = ["Cluster"]
-
-_DEFAULT = object()  # sentinel: "build a fresh Telemetry hub"
-
-_BACKENDS = {"inproc": InProcTransport, "proc": ProcTransport}
 
 #: virtual seconds the cluster clock advances per :meth:`Cluster.tick`
 TICK_PERIOD = 1.0
@@ -60,113 +52,38 @@ TICK_PERIOD = 1.0
 class Cluster(AbstractContextManager):
     """A simulated CN deployment: bus + servers + shared task registry."""
 
-    def __init__(
-        self,
-        nodes: int = 4,
-        *,
-        registry: Optional[TaskRegistry] = None,
-        memory_per_node: int = 8000,
-        slots_per_node: int = 64,
-        per_hop_latency: float = 0.0,
-        node_names: Optional[Sequence[str]] = None,
-        chaos: Optional[ChaosPolicy] = None,
-        clock: Optional[VirtualClock] = None,
-        failure_k: int = 3,
-        retry_backoff: Optional[ExponentialBackoff] = None,
-        durable: bool = True,
-        journal_dir: Optional[str] = None,
-        telemetry: Optional[Telemetry] = _DEFAULT,  # type: ignore[assignment]
-        verify_locking: bool = False,
-        queue_maxsize: int = 0,
-        queue_policy: str = "block",
-        checksums: bool = False,
-        transport: str = "inproc",
-        scheduler: str = "solicit",
-    ) -> None:
-        if nodes < 1:
-            raise ValueError("a cluster needs at least one node")
-        # every combination the runtime cannot honor is refused here,
-        # before a single component is built
-        if scheduler not in ("solicit", "bid"):
-            raise ConfigError(
-                f"unknown scheduler {scheduler!r}; expected 'solicit' or 'bid'"
-            )
-        if queue_policy not in QUEUE_POLICIES:
-            raise ConfigError(
-                f"unknown queue policy {queue_policy!r}; "
-                f"expected one of {QUEUE_POLICIES}"
-            )
-        if queue_maxsize < 0:
-            raise ConfigError(f"queue_maxsize must be >= 0, got {queue_maxsize}")
-        incompatible = []
-        if chaos is not None:
-            incompatible.append("chaos fault injection (ChaosPolicy)")
-        if clock is not None:
-            incompatible.append("a caller-driven VirtualClock")
-        if verify_locking:
-            incompatible.append("the runtime lock verifier (verify_locking)")
-        if transport != "inproc" and incompatible:
-            raise ConfigError(
-                f"transport={transport!r} cannot honor in-process-only "
-                f"features: {', '.join(incompatible)}. Only the default "
-                "inproc transport executes tasks in this process, as "
-                "fault injection, virtual time, and lock verification need."
-            )
-        if transport not in _BACKENDS:
-            raise ConfigError(
-                f"unknown transport {transport!r}; "
-                f"known backends: {', '.join(sorted(_BACKENDS))}"
-            )
-        #: how ``create_tasks`` cuts a call into placement rounds: "solicit"
-        #: one task per round (the paper's per-task multicast) or "bid" one
-        #: round per homogeneous batch; the placement path is the same
-        self.scheduler = scheduler
+    def __init__(self, nodes: int = 4, **options) -> None:
+        #: what this cluster was asked to be (see :class:`ClusterConfig`
+        #: for the options); an unknown keyword or a value the runtime
+        #: cannot honor is refused here, before anything below is built
+        self.config = config = ClusterConfig(nodes=nodes, **options)
+        # the options the portal, the simulator, the samplers and CNAPI
+        # read off the cluster itself
+        self.scheduler = config.scheduler
+        self.checksums = config.checksums
+        self.durable = config.durable
+        self.registry = config.registry
+        self.chaos = config.chaos
+        self.clock = config.clock
+        self.telemetry = telemetry = config.telemetry
         #: opt-in runtime lock-order/deadlock verifier (conclint part 2).
         #: Installed *before* any component is built: locks created deep
         #: inside Job/MessageQueue constructors come out instrumented.
         self.lock_verifier: Optional[LockVerifier] = (
-            install_verifier() if verify_locking else None
+            install_verifier() if config.verify_locking else None
         )
-        self.registry = registry if registry is not None else TaskRegistry()
-        self.chaos = chaos
-        self.clock = clock if clock is not None else VirtualClock()
-        #: the cluster's observability hub: always-on by default, pass
-        #: ``telemetry=None`` to strip instrumentation
-        if telemetry is _DEFAULT:
-            telemetry = Telemetry()
-        self.telemetry: Optional[Telemetry] = telemetry
         #: execution backend (see repro.cn.transport)
-        self.transport = _BACKENDS[transport](telemetry)
+        self.transport = TRANSPORTS[config.transport](telemetry)
         if self.lock_verifier is not None and telemetry is not None:
             # held-time histograms land in the shared metrics registry as
             # cn_lock_held_seconds{lock=<Class._lock>}
             self.lock_verifier.attach_metrics(telemetry.metrics)
-        self.bus = MulticastBus(per_hop_latency=per_hop_latency, chaos=chaos)
+        self.bus = MulticastBus(chaos=config.chaos)
         self.bus.set_telemetry(telemetry)
-        names = list(node_names) if node_names else [f"node{i}" for i in range(nodes)]
-        if len(names) != nodes:
-            raise ValueError(f"{nodes} nodes but {len(names)} names")
         self.servers = [
-            CNServer(
-                name,
-                self.bus,
-                self.registry,
-                memory_capacity=memory_per_node,
-                slots=slots_per_node,
-                chaos=chaos,
-                clock=self.clock,
-                failure_k=failure_k,
-                retry_backoff=retry_backoff,
-                queue_maxsize=queue_maxsize,
-                queue_policy=queue_policy,
-                checksums=checksums,
-                transport=self.transport,
-                scheduler=scheduler,
-            )
-            for name in names
+            CNServer(f"node{i}", self.bus, config, transport=self.transport)
+            for i in range(config.nodes)
         ]
-        #: whether the data plane seals/verifies CRC frame digests
-        self.checksums = checksums
         #: graceful-degradation knob: the admission controller lowers this
         #: below 1.0 when the cluster approaches saturation, and the client
         #: runner scales its dynamic-expansion memory budget by it so new
@@ -181,10 +98,9 @@ class Cluster(AbstractContextManager):
         #: cluster-wide job_id -> (manager, Job) binding; JobHandles
         #: resolve through this so failover re-binds clients transparently
         self.directory = JobDirectory()
-        self.durable = durable or journal_dir is not None
         backend_for = (
-            journal_factory_for_dir(journal_dir)
-            if journal_dir is not None
+            journal_factory_for_dir(config.journal_dir)
+            if config.journal_dir is not None
             else lambda _name: MemoryJournal()
         )
         for server in self.servers:
@@ -192,8 +108,7 @@ class Cluster(AbstractContextManager):
             server.taskmanager.crash_hook = (
                 lambda name=server.name: self.kill_node(name)
             )
-            server.set_telemetry(telemetry)
-            if self.durable:
+            if config.durable:
                 server.attach_durability(
                     ReplicatedJournal(
                         backend_for(server.name), self.bus, origin=server.name
@@ -332,24 +247,8 @@ class Cluster(AbstractContextManager):
             t = self.telemetry
             if t is not None:
                 # per-node gauges (free memory/slots, hosted tasks, queue
-                # backpressure, heartbeat lag) refresh once per period
+                # backpressure, heartbeat lag, wire volume) once per period
                 sample_cluster(t.metrics, self)
-                for node, wire in self.transport.stats().items():
-                    # per-node wire gauges, namespaced by node id so the
-                    # proc backend's workers never collide on a series
-                    scoped = t.metrics.namespaced(node)
-                    scoped.gauge("cn_transport_frames_sent").set(
-                        wire.get("frames_sent", 0)
-                    )
-                    scoped.gauge("cn_transport_frames_received").set(
-                        wire.get("frames_received", 0)
-                    )
-                    scoped.gauge("cn_transport_bytes_sent").set(
-                        wire.get("bytes_sent", 0)
-                    )
-                    scoped.gauge("cn_transport_bytes_received").set(
-                        wire.get("bytes_received", 0)
-                    )
 
     def start_heartbeats(self, interval: float = 0.05) -> None:
         """Run :meth:`tick` on a daemon thread every *interval* wall-clock

@@ -123,9 +123,11 @@ class Overloaded(CnError):
         )
 
 
-class ConfigError(CnError):
-    """Mutually incompatible cluster options were combined (e.g. chaos
-    injection with the multi-process execution backend)."""
+class ConfigError(CnError, ValueError):
+    """A cluster option is outside its range, or options were combined
+    that cannot run together (e.g. chaos injection with the multi-process
+    execution backend); raised by :class:`~repro.cn.config.ClusterConfig`
+    before anything is built."""
 
 
 class TransportError(CnError):

@@ -174,7 +174,9 @@ class Job:
     Job", and intertask/user traffic flows through the same conduit.
     """
 
-    def __init__(self, job_id: str, client_name: str) -> None:
+    def __init__(
+        self, job_id: str, client_name: str, *, checksums: bool = False
+    ) -> None:
         self.job_id = job_id
         self.client_name = client_name
         self.tasks: dict[str, TaskRuntime] = {}
@@ -221,8 +223,8 @@ class Job:
         #: (each one is journaled as a ``shed`` record; see note_shed)
         self.messages_shed = 0
         #: whether the router seals outbound messages with a CRC digest
-        #: (set from the owning JobManager; see note_poison)
-        self.checksums = False
+        #: (the cluster's ``checksums`` option; see note_poison)
+        self.checksums = checksums
         #: frames quarantined by dequeue-time digest verification
         self.messages_poisoned = 0
         #: per-job dead-letter records, one per quarantined frame

@@ -49,7 +49,7 @@ deterministic seed-derived jitter (:class:`~repro.cn.chaos.ExponentialBackoff`).
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from ..analysis.conc.runtime import make_lock
 from .chaos import ExponentialBackoff
@@ -58,10 +58,12 @@ from .errors import CnError, NoWillingTaskManager, ShutdownError
 from .job import Job, TaskRuntime, TaskSpec, TaskState
 from .messages import MessageType
 from .multicast import MulticastBus, Solicitation
-from .registry import TaskRegistry
 from .runmodel import RunModel
 from .scheduler import PlacementRule, award_bids
 from .taskmanager import TaskManager
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .config import ClusterConfig
 
 __all__ = ["JobManager", "FailureDetector"]
 
@@ -151,31 +153,29 @@ class JobManager:
         self,
         name: str,
         bus: MulticastBus,
-        registry: TaskRegistry,
+        config: "ClusterConfig",
         *,
-        max_jobs: int = 16,
         local_taskmanager: Optional[TaskManager] = None,
-        failure_k: int = 3,
-        retry_backoff: Optional[ExponentialBackoff] = None,
-        sleeper: Optional[Callable[[float], None]] = None,
     ) -> None:
         self.name = name
         self.bus = bus
-        self.registry = registry
-        self.max_jobs = max_jobs
+        #: the cluster's configuration: ``scheduler`` (how
+        #: :meth:`create_tasks` cuts a call into placement rounds) and
+        #: ``checksums`` (handed to every job created or adopted here)
+        self.config = config
+        self.registry = config.registry
+        #: unfinished jobs this manager takes on before it stops offering
+        self.max_jobs = 16
         self.local_taskmanager = local_taskmanager
         self.jobs: dict[str, Job] = {}
         self._job_counter = 0
-        #: how :meth:`create_tasks` cuts a call into placement rounds:
-        #: "solicit" one task per round (the paper's per-task multicast,
-        #: the default), "bid" one round per homogeneous group
-        self.scheduler = "solicit"
         self._lock = make_lock("JobManager._lock")
         self._taskmanagers: dict[str, TaskManager] = {}
         self._shutdown = False
-        self.failure_detector = FailureDetector(failure_k)
-        self.backoff = retry_backoff if retry_backoff is not None else ExponentialBackoff()
-        self._sleeper = sleeper if sleeper is not None else time.sleep
+        self.failure_detector = FailureDetector(config.failure_k)
+        #: delay before a retry is re-placed, and what waits it out
+        self.backoff = ExponentialBackoff()
+        self._sleeper: Callable[[float], None] = time.sleep
         #: nodes this manager has declared dead and recovered from
         self.failed_nodes: list[str] = []
         #: write-ahead job journal (replicated); None = non-durable mode
@@ -184,12 +184,9 @@ class JobManager:
         self.directory: Optional[JobDirectory] = None
         #: jobs this manager adopted from dead peers (failover audit trail)
         self.adopted_jobs: list[str] = []
-        #: cluster Telemetry hub (set by Cluster/CNServer wiring); None
-        #: means zero instrumentation on every path below
-        self.telemetry: Optional[Any] = None
-        #: seal outbound frames with CRC digests on every job this
-        #: manager creates or adopts (set by CNServer wiring)
-        self.checksums = False
+        #: cluster Telemetry hub; None means zero instrumentation on
+        #: every path below
+        self.telemetry = config.telemetry
 
     # -- discovery ---------------------------------------------------------
     def willing_to_manage(self, solicitation: Solicitation) -> Optional[dict]:
@@ -310,12 +307,11 @@ class JobManager:
             raise CnError(f"JobManager {self.name!r} has no journal to replay")
         records = journal.records(job_id)
         snapshot = replay_job(job_id, records)
-        job = Job(job_id, snapshot.client)
+        job = Job(job_id, snapshot.client, checksums=self.config.checksums)
         job.manager_epoch = snapshot.mepoch + 1
         # the budget survives failover: the successor enforces the same
         # absolute deadline the dead manager journaled at creation
         job.deadline = snapshot.deadline
-        job.checksums = self.checksums
         with self._lock:
             if self._shutdown:
                 raise CnError(f"JobManager {self.name!r} is shut down")
@@ -451,9 +447,8 @@ class JobManager:
                 raise CnError(f"JobManager {self.name!r} is shut down")
             self._job_counter += 1
             job_id = f"{self.name}-job{self._job_counter}"
-            job = Job(job_id, client_name)
+            job = Job(job_id, client_name, checksums=self.config.checksums)
             job.deadline = deadline
-            job.checksums = self.checksums
             self.jobs[job_id] = job
         job.set_telemetry(self.telemetry)
         t = job.telemetry
@@ -510,7 +505,7 @@ class JobManager:
             job.journal_events(
                 [("task-spec", {"spec": runtime.spec}) for runtime in runtimes]
             )
-        if self.scheduler == "bid":
+        if self.config.scheduler == "bid":
             groups: dict[tuple, list[TaskRuntime]] = {}
             for runtime in runtimes:
                 spec = runtime.spec

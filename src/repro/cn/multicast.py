@@ -6,10 +6,9 @@ resources and are willing to be JobManagers." (paper section 3)
 
 The bus is an in-process pub/sub channel: components subscribe with a
 responder callable; :meth:`solicit` delivers the request to every
-subscriber and collects the non-``None`` responses.  A configurable
-per-subscriber artificial latency lets the placement benchmarks model
-cluster sizes (the real system pays one LAN round-trip per responder;
-we charge a deterministic simulated cost instead of wall-clock sleeps).
+subscriber and collects the non-``None`` responses; :class:`BusStats`
+counts deliveries (the real system pays one LAN round-trip per
+responder) so the placement benchmarks can compare protocols.
 
 Fault-tolerance extensions:
 
@@ -61,7 +60,6 @@ class BusStats:
     solicitations: int = 0
     deliveries: int = 0
     responses: int = 0
-    simulated_latency: float = 0.0  # accumulated virtual seconds
     publishes: int = 0
     dropped: int = 0      # chaos-injected delivery losses
     partitioned: int = 0  # deliveries blocked by an active partition
@@ -71,16 +69,10 @@ class BusStats:
 class MulticastBus:
     """In-process multicast with response collection."""
 
-    def __init__(
-        self,
-        *,
-        per_hop_latency: float = 0.0,
-        chaos: "Optional[ChaosPolicy]" = None,
-    ) -> None:
+    def __init__(self, *, chaos: "Optional[ChaosPolicy]" = None) -> None:
         self._subscribers: list[tuple[str, Responder]] = []
         self._listeners: list[tuple[str, Listener]] = []
         self._lock = make_lock("MulticastBus._lock")
-        self.per_hop_latency = per_hop_latency
         self.chaos = chaos
         self.stats = BusStats()
         self._groups: Optional[dict[str, int]] = None
@@ -228,7 +220,6 @@ class MulticastBus:
             if chaotic and self._chaos_drops(solicitation.sender, name):
                 continue
             self.stats.deliveries += 1
-            self.stats.simulated_latency += self.per_hop_latency
             try:
                 offer = responder(solicitation)
             except Exception:  # noqa: BLE001  # conclint: waive CC302 -- a crashed responder must not take down discovery

@@ -15,15 +15,16 @@ node crashes or revives.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from .chaos import ChaosPolicy, VirtualClock
 from .durability import JobDirectory, ReplicatedJournal
 from .jobmanager import JobManager
 from .multicast import MulticastBus, Solicitation
-from .registry import TaskRegistry
 from .taskmanager import TaskManager
 from .transport.inproc import InProcTransport
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .config import ClusterConfig
 
 __all__ = ["CNServer"]
 
@@ -35,68 +36,30 @@ class CNServer:
         self,
         name: str,
         bus: MulticastBus,
-        registry: TaskRegistry,
+        config: "ClusterConfig",
         *,
-        memory_capacity: int = 8000,
-        slots: int = 64,
-        max_jobs: int = 16,
-        accept_jobs: bool = True,
-        accept_tasks: bool = True,
-        chaos: Optional[ChaosPolicy] = None,
-        clock: Optional[VirtualClock] = None,
-        failure_k: int = 3,
-        retry_backoff=None,
-        queue_maxsize: int = 0,
-        queue_policy: str = "block",
-        checksums: bool = False,
-        transport: Optional[InProcTransport] = None,
-        scheduler: str = "solicit",
+        transport: InProcTransport,
     ) -> None:
         self.name = name
         self.bus = bus
-        self.accept_jobs = accept_jobs
-        self.accept_tasks = accept_tasks
-        self.taskmanager = TaskManager(
-            f"{name}/tm",
-            memory_capacity=memory_capacity,
-            slots=slots,
-            chaos=chaos,
-            clock=clock,
-            queue_maxsize=queue_maxsize,
-            queue_policy=queue_policy,
-            checksums=checksums,
-        )
+        #: whether this node answers jobmanager solicitations / placement
+        #: rounds; a manager-only node sets ``accept_tasks = False``
+        self.accept_jobs = True
+        self.accept_tasks = True
+        self.taskmanager = TaskManager(f"{name}/tm", config)
         #: this node's execution backend; the TaskManager runs every
         #: attempt through the executor the transport hands it
         self.transport = transport
-        if transport is not None:
-            self.taskmanager.executor = transport.executor_for(self.taskmanager)
+        self.taskmanager.executor = transport.executor_for(self.taskmanager)
         self.jobmanager = JobManager(
-            f"{name}/jm",
-            bus,
-            registry,
-            max_jobs=max_jobs,
-            local_taskmanager=self.taskmanager,
-            failure_k=failure_k,
-            retry_backoff=retry_backoff,
+            f"{name}/jm", bus, config, local_taskmanager=self.taskmanager
         )
-        self.jobmanager.checksums = checksums
-        self.jobmanager.scheduler = scheduler
         self._subscribed = False
-        #: this node's replica of the write-ahead job journal (durability
-        #: extension); None until the Cluster attaches one
+        #: this node's replica of the write-ahead job journal; None until
+        #: the Cluster attaches one (which a non-``durable`` one never does)
         self.journal: Optional[ReplicatedJournal] = None
-        #: the cluster Telemetry hub (observability extension); None until
-        #: the Cluster wires one in via :meth:`set_telemetry`
-        self.telemetry = None
-
-    # -- telemetry -------------------------------------------------------------
-    def set_telemetry(self, telemetry) -> None:
-        """Hand the cluster's Telemetry hub to both components; None
-        leaves every hot path uninstrumented."""
-        self.telemetry = telemetry
-        self.jobmanager.telemetry = telemetry
-        self.taskmanager.telemetry = telemetry
+        #: the cluster Telemetry hub, or None (no instrumentation)
+        self.telemetry = config.telemetry
 
     # -- durability ------------------------------------------------------------
     def attach_durability(

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import threading
 import traceback
-from typing import Any, Callable, Optional, Type
+from typing import TYPE_CHECKING, Any, Callable, Optional, Type
 
 from ..analysis.conc.runtime import make_lock
-from .chaos import ChaosPolicy, InjectedFault, VirtualClock
+from .chaos import InjectedFault
 from .errors import BudgetExhausted, CnError, ShutdownError
 from .job import Job, TaskRuntime, TaskState
 from .messages import MessageType
@@ -37,6 +37,9 @@ from .runmodel import RunModel
 from .scheduler import Bid, PlacementRule
 from .task import Task, TaskContext
 from .transport.inproc import InlineExecutor
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .config import ClusterConfig
 
 __all__ = ["TaskManager", "HostedTask"]
 
@@ -83,33 +86,18 @@ class HostedTask:
 class TaskManager:
     """One node's task execution component."""
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        memory_capacity: int = 8000,
-        slots: int = 64,
-        chaos: Optional[ChaosPolicy] = None,
-        clock: Optional[VirtualClock] = None,
-        queue_maxsize: int = 0,
-        queue_policy: str = "block",
-        checksums: bool = False,
-    ) -> None:
+    def __init__(self, name: str, config: "ClusterConfig") -> None:
         self.name = name
+        #: the cluster's configuration; the queue bound, queue policy and
+        #: checksums of every hosted task queue are read from it
+        self.config = config
         #: the execution seam: every attempt runs through this -- inline
         #: unless the node's transport hands over another (CNServer)
         self.executor = InlineExecutor()
-        self.memory_capacity = memory_capacity
-        self.slots = slots
-        self.chaos = chaos
-        self.clock = clock if clock is not None else VirtualClock()
-        #: backpressure configuration applied to every hosted task queue
-        #: (0 = unbounded, the seed default; see MessageQueue policies)
-        self.queue_maxsize = queue_maxsize
-        self.queue_policy = queue_policy
-        #: verify CRC frame digests at dequeue and quarantine mismatches
-        #: as per-job dead letters (see Job.note_poison)
-        self.checksums = checksums
+        self.memory_capacity = config.memory_per_node
+        self.slots = config.slots_per_node
+        self.chaos = config.chaos
+        self.clock = config.clock
         #: task attempts dropped before execution because the job budget
         #: had already expired (cheaper than running doomed work)
         self.budget_drops = 0
@@ -129,9 +117,6 @@ class TaskManager:
         self._crashed = False
         self._beats = 0
         self._starts = 0
-        #: cluster Telemetry hub (set by CNServer wiring); attempt spans
-        #: are driven off job.telemetry, this is for node-level sampling
-        self.telemetry: Optional[Any] = None
 
     # -- capacity -----------------------------------------------------------
     @property
@@ -253,10 +238,11 @@ class TaskManager:
                     f"free memory {self.free_memory}, requested {runtime.spec.memory}"
                 )
             self._memory_used += runtime.spec.memory
+            config = self.config
             runtime.queue = MessageQueue(
                 owner=f"{job.job_id}/{runtime.name}",
-                maxsize=self.queue_maxsize,
-                policy=self.queue_policy,
+                maxsize=config.queue_maxsize,
+                policy=config.queue_policy,
                 # evictions are journaled through the job so the delivery
                 # ledger can re-offer them (shed-then-replay, not loss);
                 # the queue invokes this after releasing its own lock
@@ -266,7 +252,7 @@ class TaskManager:
                 chaos=self.chaos,
                 # corrupt frames are quarantined at dequeue and recorded
                 # as per-job dead letters (again after the queue lock)
-                verify_digests=self.checksums,
+                verify_digests=config.checksums,
                 on_poison=lambda m, _job=job, _name=runtime.name: _job.note_poison(
                     _name, m
                 ),

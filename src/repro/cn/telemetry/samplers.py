@@ -17,11 +17,13 @@ telemetry is enabled), refreshing per-node gauges:
   by the watching failure detectors (max over watchers), i.e. how close
   each node is to being declared dead;
 * ``cn_node_alive`` -- 1/0 liveness flag;
+* ``cn_transport_{frames,bytes}_{sent,received}`` -- what each node's
+  worker process put on and took off the wire (proc transport only);
 * ``cn_cluster_ticks_total`` -- detection periods elapsed.
 
 Everything is duck-typed against the ``Cluster``/``CNServer`` surface
-(``alive_servers``, ``taskmanager``, ``jobmanager``) so this module
-never imports the runtime -- the runtime imports *us*.
+(``alive_servers``, ``taskmanager``, ``jobmanager``, ``transport``) so
+this module never imports the runtime -- the runtime imports *us*.
 """
 
 from __future__ import annotations
@@ -77,4 +79,10 @@ def sample_cluster(registry: MetricsRegistry, cluster: Any) -> None:
         registry.gauge("cn_node_heartbeat_misses", node=server.name).set(
             misses.get(server.name, 0)
         )
+    for node, wire in cluster.transport.stats().items():
+        # namespaced by node id so the proc backend's workers never
+        # collide on a series
+        scoped = registry.namespaced(node)
+        for stat in ("frames_sent", "frames_received", "bytes_sent", "bytes_received"):
+            scoped.gauge(f"cn_transport_{stat}").set(wire.get(stat, 0))
     registry.counter("cn_cluster_ticks_total").inc()

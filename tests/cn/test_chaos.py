@@ -409,11 +409,10 @@ class TestBackoffIntegration:
     def test_recovery_sleeps_the_backoff_schedule(self):
         backoff = ExponentialBackoff(base=0.001, factor=2.0, cap=1.0, jitter=0.0)
         chaos = ChaosPolicy().crash_task("q", attempt=1).crash_task("q", attempt=2)
-        with Cluster(
-            2, registry=echo_registry(), chaos=chaos, retry_backoff=backoff
-        ) as cluster:
+        with Cluster(2, registry=echo_registry(), chaos=chaos) as cluster:
             slept: list[float] = []
             for server in cluster.servers:
+                server.jobmanager.backoff = backoff
                 server.jobmanager._sleeper = slept.append
             api = CNAPI.initialize(cluster)
             handle = api.create_job("client")

@@ -3,18 +3,23 @@ refused at construction, and that nothing under ``src/repro`` reads the
 environment -- the CI sweeps go through ``tests/conftest.py`` alone."""
 
 import ast
+import dataclasses
 import inspect
+import multiprocessing
+import re
+import threading
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.cn import ChaosPolicy, Cluster, ConfigError
+from repro.analysis.ir import ClusterSpec
+from repro.cn import ChaosPolicy, Cluster, ClusterConfig, ConfigError
 from repro.cn.chaos import VirtualClock
 from repro.cn.transport import ProcTransport
 
 needs_fork = pytest.mark.skipif(
-    "fork" not in __import__("multiprocessing").get_all_start_methods(),
+    "fork" not in multiprocessing.get_all_start_methods(),
     reason="proc transport requires the fork start method",
 )
 
@@ -31,35 +36,71 @@ def no_sweep(monkeypatch):
     return monkeypatch
 
 
+OPTIONS = [
+    "nodes",
+    "registry",
+    "memory_per_node",
+    "slots_per_node",
+    "chaos",
+    "clock",
+    "failure_k",
+    "durable",
+    "journal_dir",
+    "telemetry",
+    "verify_locking",
+    "queue_maxsize",
+    "queue_policy",
+    "checksums",
+    "transport",
+    "scheduler",
+]
+
+
 def test_cluster_options_are_exactly_these():
     # a new option shows up here, in review; ROADMAP aim 2 asks that a PR
     # adding one removes one
+    assert [f.name for f in dataclasses.fields(ClusterConfig)] == OPTIONS
+    # ... and the constructor declares none of its own
     parameters = inspect.signature(plain_init).parameters
-    assert [p for p in parameters if p != "self"] == [
-        "nodes",
-        "registry",
-        "memory_per_node",
-        "slots_per_node",
-        "per_hop_latency",
-        "node_names",
-        "chaos",
-        "clock",
-        "failure_k",
-        "retry_backoff",
-        "durable",
-        "journal_dir",
-        "telemetry",
-        "verify_locking",
-        "queue_maxsize",
-        "queue_policy",
-        "checksums",
-        "transport",
-        "scheduler",
+    assert [(p.name, p.kind) for p in parameters.values()] == [
+        ("self", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("nodes", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("options", inspect.Parameter.VAR_KEYWORD),
     ]
-    keyword_only = inspect.Parameter.KEYWORD_ONLY
-    assert all(
-        p.kind is keyword_only for name, p in parameters.items()
-        if name not in ("self", "nodes")
+    with pytest.raises(TypeError, match="tick_period"):
+        Cluster(2, tick_period=0.5)
+
+
+def test_readme_table_lists_the_options_in_field_order():
+    readme = Path(repro.__file__).parents[2] / "README.md"
+    section = readme.read_text().split("## Cluster options")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert rows == OPTIONS[1:]
+
+
+def test_defaults_are_stated_once():
+    # the components a Cluster builds take the config; none restates an
+    # option (or its old alias) as a parameter with a default of its own
+    # (CNServer's required ``transport`` is the built backend: wiring)
+    options = set(OPTIONS) | {"memory_capacity", "slots"}
+    restated = []
+    for module in ("server", "taskmanager", "jobmanager"):
+        path = Path(repro.__file__).parent / "cn" / f"{module}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                a = node.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):] + [
+                    arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None
+                ]
+                restated += [
+                    f"{path.name}:{node.lineno} {arg.arg}"
+                    for arg in defaulted if arg.arg in options
+                ]
+    assert restated == []
+    spec, config = ClusterSpec(), ClusterConfig()
+    assert (spec.nodes, spec.memory_per_node, spec.slots_per_node) == (
+        config.nodes, config.memory_per_node, config.slots_per_node
     )
 
 
@@ -108,13 +149,35 @@ class TestRefusedAtConstruction:
         with pytest.raises(ConfigError, match=message):
             Cluster(2, **options)
 
-    def test_nothing_is_left_installed_by_a_refused_cluster(self, no_sweep):
+    @pytest.mark.parametrize(
+        "nodes, options, message",
+        [
+            (2, {"verify_locking": True, "queue_policy": "bogus"}, "queue policy"),
+            (2, {"verify_locking": True, "failure_k": 0}, "failure_k must be >= 1.* got 0"),
+            (0, {}, "nodes must be >= 1.* got 0"),
+            (2, {"memory_per_node": -5}, "memory_per_node must be >= 1.* got -5"),
+            (2, {"slots_per_node": 0}, "slots_per_node must be >= 1.* got 0"),
+            (2, {"queue_maxsize": 1.5}, "queue_maxsize must be >= 0, an int; got 1.5"),
+            (2, {"durable": False, "journal_dir": "/nowhere"}, "journal_dir='/nowhere'"),
+            pytest.param(
+                2, {"transport": "proc", "chaos": ChaosPolicy(seed=1)}, "chaos",
+                marks=needs_fork,
+            ),
+        ],
+    )
+    def test_nothing_is_left_installed_by_a_refused_cluster(
+        self, no_sweep, nodes, options, message
+    ):
         from repro.analysis.conc.runtime import current_verifier
 
         before = current_verifier()  # a cluster some earlier test never shut down
-        with pytest.raises(ConfigError):
-            Cluster(2, verify_locking=True, queue_policy="bogus")
+        threads = threading.active_count()
+        with pytest.raises(ConfigError, match=message) as refusal:
+            Cluster(nodes, **options)
+        assert isinstance(refusal.value, ValueError)
         assert current_verifier() is before
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
 
 class TestSweepWrapper:

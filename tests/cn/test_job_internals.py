@@ -5,6 +5,7 @@ import pytest
 from repro.cn import (
     CNServer,
     Cluster,
+    ClusterConfig,
     Job,
     Message,
     MessageType,
@@ -18,6 +19,7 @@ from repro.cn import (
     UnknownTaskError,
 )
 from repro.cn.multicast import Solicitation
+from repro.cn.transport import InProcTransport
 from repro.core.cnx import CnxParam, CnxTask, CnxTaskReq
 
 from ..conftest import Echo, basic_registry
@@ -163,8 +165,8 @@ class TestJobObject:
 
 
 class TestTaskManagerAccounting:
-    def make(self, **kwargs):
-        return TaskManager("tm", memory_capacity=2000, slots=2, **kwargs)
+    def make(self):
+        return TaskManager("tm", ClusterConfig(memory_per_node=2000, slots_per_node=2))
 
     def hosted_job(self, tm, name="t", memory=1000, runmodel=RunModel.RUN_AS_THREAD_IN_TM):
         job = Job("j1", "c")
@@ -232,10 +234,12 @@ class TestTaskManagerAccounting:
 
 
 class TestCNServerResponder:
-    def make(self, **kwargs):
+    def make(self, **flags):
         bus = MulticastBus()
-        registry = basic_registry()
-        server = CNServer("n0", bus, registry, memory_capacity=1000, **kwargs)
+        config = ClusterConfig(registry=basic_registry(), memory_per_node=1000)
+        server = CNServer("n0", bus, config, transport=InProcTransport())
+        for flag, value in flags.items():
+            setattr(server, flag, value)
         server.start()
         return bus, server
 

@@ -43,14 +43,13 @@ class TestBus:
         assert bus.solicit(Solicitation("jobmanager", {}, "c")) == []
 
     def test_stats_accounting(self):
-        bus = MulticastBus(per_hop_latency=0.001)
+        bus = MulticastBus()
         for name in "abc":
             bus.subscribe(name, lambda s: {})
         bus.solicit(Solicitation("jobmanager", {}, "c"))
         assert bus.stats.solicitations == 1
         assert bus.stats.deliveries == 3
         assert bus.stats.responses == 3
-        assert bus.stats.simulated_latency == pytest.approx(0.003)
 
     def test_raising_listener_is_counted_and_the_others_still_hear(self):
         bus = MulticastBus()
@@ -202,15 +201,9 @@ class TestClusterLifecycle:
             assert len(cluster.bus.subscriber_names()) == 2
         assert cluster.bus.subscriber_names() == []
 
-    def test_node_names(self, registry):
-        cluster = Cluster(2, registry=registry, node_names=["alpha", "beta"])
-        assert cluster.node_names == ["alpha", "beta"]
-
     def test_bad_node_count(self, registry):
         with pytest.raises(ValueError):
             Cluster(0, registry=registry)
-        with pytest.raises(ValueError):
-            Cluster(2, registry=registry, node_names=["only-one"])
 
     def test_server_lookup(self, cluster):
         assert cluster.server("node1").name == "node1"

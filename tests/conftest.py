@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro.cn.cluster import Cluster
+from repro.cn.config import ClusterConfig
 from repro.cn.errors import ConfigError
 from repro.cn.registry import TaskRegistry
 from repro.cn.task import Task
@@ -33,18 +34,18 @@ def swept(init):
     """Wrap ``Cluster.__init__`` so a sweep re-runs the suite unedited: a
     sweep value applies where the caller passed none, and a cluster whose
     own options rule it out (chaos on the proc transport, say) is built
-    without it instead of refusing to construct."""
+    without it instead of refusing to construct.  ``ClusterConfig``
+    builds nothing, so asking it costs no constructor run."""
 
     @functools.wraps(init)
-    def __init__(self, *args, **kwargs):
+    def __init__(self, nodes=4, **kwargs):
         extra = {k: v for k, v in sweep_options().items() if k not in kwargs}
-        try:
-            init(self, *args, **kwargs, **extra)
-        except ConfigError:
-            if not extra:
-                raise
-            # raised before anything is built: safe to start over
-            init(self, *args, **kwargs)
+        if extra:
+            try:
+                ClusterConfig(nodes, **kwargs, **extra)
+            except ConfigError:
+                extra = {}
+        init(self, nodes, **kwargs, **extra)
 
     return __init__
 

@@ -40,6 +40,15 @@ DELETED = [
      "PR 22: every XNode has the cache slots; XNode.name_index() reads them"),
     (EVERYWHERE, r"_prefixed_to_parseable",
      "PR 22: XMI text goes to the engine as it is, undeclared UML: prefixes and all"),
+    (EVERYWHERE, r"per_hop_latency|simulated_latency",
+     "PR 23: a sum of a constant nothing read"),
+    (EVERYWHERE, r"node_names=", "PR 23: servers are node0..nodeN-1"),
+    (EVERYWHERE, r"retry_backoff=",
+     "PR 23: JobManager.backoff is an attribute, like _sleeper beside it"),
+    (("src/repro/cn/server.py",), r"def set_telemetry",
+     "PR 23: components read ClusterConfig.telemetry at construction"),
+    (("src/repro/cn/**/*",), r"jobmanager\.(checksums|scheduler) = ",
+     "PR 23: options are read from the config, not assigned afterwards"),
 ]
 
 
