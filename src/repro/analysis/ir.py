@@ -20,8 +20,9 @@ XMI/CNX element rather than at the IR.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
+from repro.core.uml.tags import CNProfile, split_names
 from repro.util import dag
 
 from .diagnostics import SourceLocation
@@ -48,9 +49,16 @@ __all__ = [
 ANY = "*"
 
 
-def split_names(text: str) -> list[str]:
-    """A comma-separated name list attribute/tag, stripped and filtered."""
-    return [part.strip() for part in text.split(",") if part.strip()]
+#: TaskNode attribute holding each profile field's raw string, by tag
+_RAW_ATTRS = {
+    "jar": "jar",
+    "class": "cls",
+    "memory": "memory_raw",
+    "runmodel": "runmodel",
+    "retries": "retries_raw",
+    "multiplicity": "multiplicity",
+    "arguments": "arguments",
+}
 
 
 @dataclass
@@ -63,9 +71,9 @@ class TaskNode:
     depends: list[str] = field(default_factory=list)
     # resource configuration: raw strings (as written in the source
     # document) plus the parsed value when the raw form is well-typed
-    memory_raw: str = "1000"
-    runmodel: str = "RUN_AS_THREAD_IN_TM"
-    retries_raw: str = "0"
+    memory_raw: str = str(CNProfile.MEMORY.default)
+    runmodel: str = CNProfile.RUNMODEL.default
+    retries_raw: str = str(CNProfile.RETRIES.default)
     params: list[tuple[str, str]] = field(default_factory=list)
     param_problem: str = ""  # extraction-time ptype/pvalue pairing error
     # dynamic invocation (paper Fig. 5)
@@ -76,6 +84,14 @@ class TaskNode:
     sends: list[str] = field(default_factory=list)
     receives: list[str] = field(default_factory=list)
     location: SourceLocation = field(default_factory=SourceLocation)
+
+    def profile_problems(self) -> Iterator[tuple[str, str]]:
+        """``(code, message)`` per CN-profile constraint this task's raw
+        values violate (:meth:`CNProfile.problems`)."""
+        raw = {tag: getattr(self, attr) for tag, attr in _RAW_ATTRS.items()}
+        return CNProfile.problems(
+            self.name, raw, dynamic=self.dynamic, param_problem=self.param_problem
+        )
 
     @property
     def memory(self) -> Optional[int]:
@@ -142,7 +158,7 @@ class Composition:
     """The whole client composition: what a descriptor describes."""
 
     client_cls: str = ""
-    port: int = 5666
+    port: int = CNProfile.PORT.default
     log: str = ""
     jobs: list[JobGraph] = field(default_factory=list)
     source: str = ""  # "cnx" | "xmi" | "model"
@@ -222,31 +238,17 @@ def from_cnx(doc: "CnxDocument") -> Composition:
 # ---------------------------------------------------------------------------
 
 def _node_from_action(action, deps: dict[str, list[str]], path: str, source: str) -> TaskNode:
-    from repro.core.uml.tags import CNProfile
-
-    params: list[tuple[str, str]] = []
-    param_problem = ""
-    try:
-        params = CNProfile.params(action)
-    except ValueError as exc:
-        param_problem = str(exc)
+    raw, params, param_problem = CNProfile.read(action)
     return TaskNode(
         name=action.name,
-        jar=action.get_tag("jar", "") or "",
-        cls=action.get_tag("class", "") or "",
         depends=list(deps.get(action.name, [])),
-        memory_raw=action.get_tag("memory", "1000") or "1000",
-        runmodel=action.get_tag("runmodel", "RUN_AS_THREAD_IN_TM")
-        or "RUN_AS_THREAD_IN_TM",
-        retries_raw=action.get_tag("retries", "0") or "0",
         params=params,
         param_problem=param_problem,
         dynamic=action.is_dynamic,
-        multiplicity=action.dynamic_multiplicity if action.is_dynamic else "",
-        arguments=action.dynamic_arguments if action.is_dynamic else "",
-        sends=split_names(action.get_tag("sends", "") or ""),
-        receives=split_names(action.get_tag("receives", "") or ""),
+        sends=split_names(raw["sends"]),
+        receives=split_names(raw["receives"]),
         location=SourceLocation(source, path),
+        **{attr: raw[tag] for tag, attr in _RAW_ATTRS.items()},
     )
 
 
@@ -277,23 +279,18 @@ def _job_from_graph(graph: "ActivityGraph", index: int, source: str) -> JobGraph
 def from_model(model: "Model", *, source: str = "model") -> Composition:
     """Extract the IR from a whole UML model (multi-job client; job
     ordering comes from the packages' ``job_order`` relations)."""
-    graphs = [g for p in model.packages for g in p.graphs]
+    graphs = model.all_graphs()
     comp = Composition(
         client_cls=graphs[0].name if graphs else model.name,
         source=source,
         location=SourceLocation(source, f"UML:Model[@name={model.name!r}]"),
     )
-    ordered: set[str] = set()
-    after_map: dict[str, list[str]] = {}
-    for package in model.packages:
-        for before, after in package.job_order:
-            ordered.update((before, after))
-            after_map.setdefault(after, []).append(before)
+    after = model.job_after()
     for i, graph in enumerate(graphs):
         job = _job_from_graph(graph, i, source)
-        if graph.name in ordered:
+        if graph.name in after:
             job.name = graph.name
-            job.after = list(after_map.get(graph.name, []))
+            job.after = list(after[graph.name])
         comp.jobs.append(job)
     return comp
 

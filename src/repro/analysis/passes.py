@@ -7,7 +7,7 @@ Each pass walks the :class:`~repro.analysis.ir.Composition` IR and emits
 ======  ====================================================================
 code    finding
 ======  ====================================================================
-CN001   UML activity graph not well-formed (wraps the model validator)
+CN001   UML activity diagram not well-formed (shape, reachability, arity)
 CN101   duplicate task name within a job
 CN102   ``depends`` references an unknown task
 CN103   task depends on itself (the paper's Fig. 2 erratum)
@@ -55,6 +55,8 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
+from repro.core.uml.tags import CNProfile
+from repro.core.uml.validate import collect_diagram_problems
 from repro.util import dag
 
 from .diagnostics import Diagnostic, Report, Severity, SourceLocation
@@ -287,134 +289,77 @@ class StructurePass(AnalysisPass):
 # CN2xx -- configuration / tagged-value schema
 # ---------------------------------------------------------------------------
 
-_INT_TYPES = ("Integer", "int", "java.lang.Integer", "Long", "java.lang.Long")
-_FLOAT_TYPES = ("Double", "Float", "java.lang.Double")
-_BOOL_TYPES = ("Boolean", "java.lang.Boolean")
-_STRING_TYPES = ("String", "java.lang.String")
-_KNOWN_PARAM_TYPES = _INT_TYPES + _FLOAT_TYPES + _BOOL_TYPES + _STRING_TYPES
+#: fix hints for the findings :meth:`CNProfile.problems` reports
+_PROFILE_HINTS = {
+    "CN201": "every task names the archive that packages its class",
+    "CN202": "name the Task-interface class inside the archive",
+    "CN204": f"known: {', '.join(CNProfile.RUNMODEL.choices)}",
+    "CN301": 'declare a range such as "0..*" (paper Fig. 5)',
+}
 
 
 class ConfigPass(AnalysisPass):
-    """Client attributes, task-req values, parameter typing."""
+    """Client attributes, each task's CN-profile values, parameter typing."""
 
     name = "config"
 
     def run(self, comp: Composition, ctx: AnalysisContext) -> Iterator[Diagnostic]:
-        from repro.core.uml.tags import CNProfile
-
         if not comp.client_cls:
             yield self.error(
                 "CN208", "client has empty class name", comp.location,
                 "set the client class attribute",
             )
-        if not (0 < comp.port < 65536):
+        port = CNProfile.PORT
+        if not (port.least <= comp.port <= port.most):
             yield self.error(
-                "CN207",
+                port.code,
                 f"client port {comp.port} out of range",
                 comp.location,
-                "ports are 1..65535",
+                f"ports are {port.least}..{port.most}",
             )
         for job in comp.jobs:
             label = job.label
             for task in job.tasks:
-                loc = task.location
-                if not task.jar:
+                for code, message in task.profile_problems():
                     yield self.error(
-                        "CN201",
-                        f"{label}: task {task.name!r} has no archive (jar) reference",
-                        loc,
-                        "every task names the archive that packages its class",
-                    )
-                if not task.cls:
-                    yield self.error(
-                        "CN202",
-                        f"{label}: task {task.name!r} has no entry class",
-                        loc,
-                        "name the Task-interface class inside the archive",
-                    )
-                memory = task.memory
-                if memory is None:
-                    yield self.error(
-                        "CN203",
-                        f"{label}: task {task.name!r} has non-integer memory "
-                        f"{task.memory_raw!r}",
-                        loc,
-                    )
-                elif memory <= 0:
-                    yield self.error(
-                        "CN203",
-                        f"{label}: task {task.name!r} has non-positive memory {memory}",
-                        loc,
-                    )
-                retries = task.retries
-                if retries is None:
-                    yield self.error(
-                        "CN205",
-                        f"{label}: task {task.name!r} has non-integer retries "
-                        f"{task.retries_raw!r}",
-                        loc,
-                    )
-                elif retries < 0:
-                    yield self.error(
-                        "CN205",
-                        f"{label}: task {task.name!r} has negative retries {retries}",
-                        loc,
-                    )
-                if task.runmodel not in CNProfile.KNOWN_RUNMODELS:
-                    yield self.error(
-                        "CN204",
-                        f"{label}: task {task.name!r} has unknown runmodel "
-                        f"{task.runmodel!r}",
-                        loc,
-                        f"known: {', '.join(CNProfile.KNOWN_RUNMODELS)}",
-                    )
-                if task.param_problem:
-                    yield self.error(
-                        "CN210",
-                        f"{label}: task {task.name!r}: {task.param_problem}",
-                        loc,
+                        code,
+                        f"{label}: {message}",
+                        task.location,
+                        _PROFILE_HINTS.get(code, ""),
                     )
                 yield from self._check_params(label, task)
 
     def _check_params(self, label: str, task: TaskNode) -> Iterator[Diagnostic]:
         for i, (ptype, value) in enumerate(task.params):
-            if ptype not in _KNOWN_PARAM_TYPES:
+            if ptype not in CNProfile.PARAM_TYPES:
                 yield self.warning(
                     "CN209",
                     f"{label}: task {task.name!r} param {i} has unrecognized "
                     f"type {ptype!r} (treated as String)",
                     task.location,
-                    f"known types: {', '.join(sorted(set(_KNOWN_PARAM_TYPES)))}",
+                    f"known types: {', '.join(sorted(CNProfile.PARAM_TYPES))}",
                 )
-                continue
-            problem = _param_type_problem(ptype, value)
-            if problem:
+            elif not _param_parses(ptype, value):
                 yield self.error(
                     "CN206",
                     f"{label}: task {task.name!r} param {i} value {value!r} "
-                    f"{problem} {ptype}",
+                    f"is not a valid {ptype}",
                     task.location,
                     "the generated client coerces params at start-up; "
                     "this one would crash or silently change value",
                 )
 
 
-def _param_type_problem(ptype: str, value: str) -> str:
-    """Why *value* does not parse as *ptype* ('' when it does)."""
-    if ptype in _INT_TYPES:
-        try:
-            int(value)
-        except ValueError:
-            return "is not a valid"
-    elif ptype in _FLOAT_TYPES:
-        try:
-            float(value)
-        except ValueError:
-            return "is not a valid"
-    elif ptype in _BOOL_TYPES:
-        if value.strip().lower() not in ("true", "false"):
-            return "is not a valid"
-    return ""
+def _param_parses(ptype: str, value: str) -> bool:
+    """Whether *value* is a literal of the known type *ptype* (``coerce``
+    reads any non-"true" bool as False: that is the silent change)."""
+    if CNProfile.PARAM_TYPES[ptype] == "bool":
+        return value.strip().lower() in ("true", "false")
+    try:
+        CNProfile.coerce(ptype, value)
+    except ValueError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +384,8 @@ def parse_multiplicity(spec: str) -> Optional[tuple[int, Optional[int]]]:
 
 
 class DynamicsPass(AnalysisPass):
-    """Multiplicity presence, syntax, bounds; argument expressions."""
+    """Multiplicity syntax and bounds, argument expressions (a dynamic
+    task without a multiplicity is the profile's CN301, ConfigPass)."""
 
     name = "dynamics"
 
@@ -447,13 +393,6 @@ class DynamicsPass(AnalysisPass):
         for job in comp.jobs:
             label = job.label
             for task in job.tasks:
-                if task.dynamic and not task.multiplicity:
-                    yield self.error(
-                        "CN301",
-                        f"{label}: dynamic task {task.name!r} lacks multiplicity",
-                        task.location,
-                        'declare a range such as "0..*" (paper Fig. 5)',
-                    )
                 if not task.dynamic and (task.multiplicity or task.arguments):
                     yield self.error(
                         "CN302",
@@ -832,28 +771,19 @@ def analyze_cnx(
 def analyze_model(
     model: "Model", context: Optional[AnalysisContext] = None
 ) -> Report:
-    """Analyze a UML model: graph well-formedness (CN001) first, then the
-    common IR battery."""
-    from repro.core.uml.validate import collect_problems as graph_problems
-
+    """Analyze a UML model: what only the diagram can say (CN001) first,
+    then the common IR battery -- which is where a tagged value that
+    breaks the CN profile is reported, once, under its own code."""
     report = Report()
-    for package in model.packages:
-        for graph in package.graphs:
-            for problem in graph_problems(graph):
-                report.extend(
-                    [
-                        Diagnostic(
-                            "CN001",
-                            Severity.ERROR,
-                            f"{graph.name}: {problem}",
-                            SourceLocation(
-                                "model",
-                                f"UML:ActivityGraph[@name={graph.name!r}]",
-                            ),
-                            pass_name="model",
-                        )
-                    ]
-                )
+    for graph in model.all_graphs():
+        location = SourceLocation("model", f"UML:ActivityGraph[@name={graph.name!r}]")
+        report.extend(
+            Diagnostic(
+                "CN001", Severity.ERROR, f"{graph.name}: {problem}", location,
+                pass_name="model",
+            )
+            for problem in collect_diagram_problems(graph)
+        )
     report.extend(analyze(from_model(model), context))
     return report
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro.core.uml.activity import ActivityGraph
 from repro.core.uml.builder import ActivityBuilder
+from repro.core.uml.tags import CNProfile
 
 __all__ = [
     "SPLIT_JAR",
@@ -41,11 +42,9 @@ def build_fig3_model(
     n_workers: int = 5,
     matrix_source: str = "matrix.txt",
     sink: str = "matrix.txt",
-    memory: int = 1000,
-    runmodel: str = "RUN_AS_THREAD_IN_TM",
     name: str = "TransClosure",
     mode: str = "shortest",
-    retries: int = 0,
+    retries: int = CNProfile.RETRIES.default,
 ) -> ActivityGraph:
     """The Fig. 3 diagram: split -> fork -> N workers -> join -> joiner.
 
@@ -61,8 +60,6 @@ def build_fig3_model(
         "tctask0",
         jar=SPLIT_JAR,
         cls=SPLIT_CLASS,
-        memory=memory,
-        runmodel=runmodel,
         params=split_params,
         retries=retries,
     )
@@ -71,8 +68,6 @@ def build_fig3_model(
             f"tctask{i}",
             jar=WORKER_JAR,
             cls=WORKER_CLASS,
-            memory=memory,
-            runmodel=runmodel,
             params=[("Integer", str(i))],
             retries=retries,
         )
@@ -82,8 +77,6 @@ def build_fig3_model(
         "tctask999",
         jar=JOIN_JAR,
         cls=JOIN_CLASS,
-        memory=memory,
-        runmodel=runmodel,
         params=[("String", sink)],
         retries=retries,
     )
@@ -97,13 +90,11 @@ def build_fig5_model(
     *,
     matrix_source: str = "matrix.txt",
     sink: str = "matrix.txt",
-    memory: int = 1000,
-    runmodel: str = "RUN_AS_THREAD_IN_TM",
-    multiplicity: str = "0..*",
+    multiplicity: str = CNProfile.MULTIPLICITY.default,
     argument_expr: str = "[(i,) for i in range(1, n_workers + 1)]",
     name: str = "TransClosure",
     mode: str = "shortest",
-    retries: int = 0,
+    retries: int = CNProfile.RETRIES.default,
 ) -> ActivityGraph:
     """The Fig. 5 diagram: the worker as a dynamic invocation.
 
@@ -118,8 +109,6 @@ def build_fig5_model(
         "tasksplit",
         jar=SPLIT_JAR,
         cls=SPLIT_CLASS,
-        memory=memory,
-        runmodel=runmodel,
         params=split_params,
         retries=retries,
     )
@@ -127,8 +116,6 @@ def build_fig5_model(
         "tctask",
         jar=WORKER_JAR,
         cls=WORKER_CLASS,
-        memory=memory,
-        runmodel=runmodel,
         multiplicity=multiplicity,
         argument_expr=argument_expr,
         retries=retries,
@@ -137,8 +124,6 @@ def build_fig5_model(
         "taskjoin",
         jar=JOIN_JAR,
         cls=JOIN_CLASS,
-        memory=memory,
-        runmodel=runmodel,
         params=[("String", sink)],
         retries=retries,
     )

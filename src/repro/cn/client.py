@@ -19,7 +19,7 @@ shape of the diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional, Sequence
 
 from ..analysis import AnalysisContext, Diagnostic, analyze_cnx
@@ -123,50 +123,27 @@ def expand_dynamic_tasks(
                         "memory_budget": memory_budget,
                     }
                 )
-    specs: list[TaskSpec] = []
-    # name -> instance names, for dependency rewiring
-    expansion: dict[str, list[str]] = {}
-    for task in job.tasks:
-        if not task.dynamic:
-            expansion[task.name] = [task.name]
-            continue
-        count = granted[task.name]
-        _check_multiplicity(task, count)
-        expansion[task.name] = [f"{task.name}{k}" for k in range(1, count + 1)]
+    # name -> its spec, or one per granted instance: what a dependency on
+    # that name is rewired to
+    instances: dict[str, list[TaskSpec]] = {}
     for task in job.tasks:
         base = TaskSpec.from_cnx(task)
-        depends = tuple(
-            instance for dep in task.depends for instance in expansion[dep]
-        )
         if not task.dynamic:
-            specs.append(
-                TaskSpec(
-                    name=base.name,
-                    jar=base.jar,
-                    cls=base.cls,
-                    depends=depends,
-                    memory=base.memory,
-                    runmodel=base.runmodel,
-                    params=base.params,
-                    max_retries=base.max_retries,
-                )
-            )
+            instances[task.name] = [base]
             continue
         arglists = requested[task.name][: granted[task.name]]
-        for k, args in enumerate(arglists, start=1):
-            specs.append(
-                TaskSpec(
-                    name=f"{task.name}{k}",
-                    jar=base.jar,
-                    cls=base.cls,
-                    depends=depends,
-                    memory=base.memory,
-                    runmodel=base.runmodel,
-                    params=tuple(args),
-                    max_retries=base.max_retries,
-                )
-            )
-    return specs
+        _check_multiplicity(task, len(arglists))
+        instances[task.name] = [
+            base.with_instance(k, args) for k, args in enumerate(arglists, start=1)
+        ]
+    return [
+        replace(
+            spec,
+            depends=tuple(i.name for dep in task.depends for i in instances[dep]),
+        )
+        for task in job.tasks
+        for spec in instances[task.name]
+    ]
 
 
 def _job_batches(jobs) -> list[list[tuple[int, Any]]]:

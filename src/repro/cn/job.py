@@ -18,6 +18,7 @@ import pickle
 
 from ..analysis.conc.runtime import make_condition, make_lock
 from ..core.cnx.schema import CnxTask
+from ..core.uml.tags import CNProfile
 from .errors import (
     JobError,
     JobTimeoutError,
@@ -96,10 +97,10 @@ class TaskSpec:
     jar: str
     cls: str
     depends: tuple[str, ...] = ()
-    memory: int = 1000
-    runmodel: RunModel = RunModel.RUN_AS_THREAD_IN_TM
+    memory: int = CNProfile.MEMORY.default
+    runmodel: RunModel = RunModel(CNProfile.RUNMODEL.default)
     params: tuple = ()
-    max_retries: int = 0
+    max_retries: int = CNProfile.RETRIES.default
     #: per-task deadline in virtual seconds (advanced by Cluster.tick);
     #: None disables the watchdog for this task
     deadline: Optional[float] = None
@@ -107,7 +108,7 @@ class TaskSpec:
     @classmethod
     def from_cnx(cls, task: CnxTask) -> "TaskSpec":
         """Build a spec from a CNX task element (dynamic expansion is the
-        caller's concern; see :meth:`expand_dynamic`)."""
+        caller's concern; see :func:`repro.cn.client.expand_dynamic_tasks`)."""
         return cls(
             name=task.name,
             jar=task.jar,

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping, Optional
 
+from repro.core.cnx import DEFAULT_PORT
 from repro.core.transform.pipeline import Pipeline
 
 from ..analysis import AnalysisContext, analyze_model
@@ -450,7 +451,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(description="CN web portal prototype")
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=5666)
+    parser.add_argument("--port", type=int, default=DEFAULT_PORT)
     parser.add_argument("--nodes", type=int, default=4)
     options = parser.parse_args(argv)
     from repro.apps.floyd import register_floyd_tasks

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
+from ..uml.tags import CNProfile, split_names
 from .schema import (
-    DEFAULT_MEMORY,
-    DEFAULT_PORT,
-    DEFAULT_RUNMODEL,
     CnxClient,
     CnxDocument,
     CnxJob,
@@ -48,7 +46,7 @@ def parse_element(root: ET.Element) -> CnxDocument:
     cls = client_elem.get("class")
     if not cls:
         raise CnxParseError("<client> missing class attribute")
-    port_text = client_elem.get("port", str(DEFAULT_PORT))
+    port_text = client_elem.get("port", str(CNProfile.PORT.default))
     try:
         port = int(port_text)
     except ValueError:
@@ -62,10 +60,8 @@ def parse_element(root: ET.Element) -> CnxDocument:
 
 
 def _parse_job(job_elem: ET.Element) -> CnxJob:
-    after_text = job_elem.get("after", "")
     job = CnxJob(
-        name=job_elem.get("name", ""),
-        after=[a.strip() for a in after_text.split(",") if a.strip()],
+        name=job_elem.get("name", ""), after=split_names(job_elem.get("after", ""))
     )
     for task_elem in job_elem.findall("task"):
         job.tasks.append(_parse_task(task_elem))
@@ -84,20 +80,16 @@ def _parse_task(task_elem: ET.Element) -> CnxTask:
         raise CnxParseError(f"task {name!r} missing jar attribute")
     if not cls:
         raise CnxParseError(f"task {name!r} missing class attribute")
-    def name_list(attr: str) -> list[str]:
-        text = task_elem.get(attr, "")
-        return [part.strip() for part in text.split(",") if part.strip()]
-
     task = CnxTask(
         name=name,
         jar=jar,
         cls=cls,
-        depends=name_list("depends"),
+        depends=split_names(task_elem.get("depends", "")),
         dynamic=task_elem.get("dynamic", "false") == "true",
         multiplicity=task_elem.get("multiplicity", ""),
         arguments=task_elem.get("arguments", ""),
-        sends=name_list("sends"),
-        receives=name_list("receives"),
+        sends=split_names(task_elem.get("sends", "")),
+        receives=split_names(task_elem.get("receives", "")),
     )
     req_elems = task_elem.findall("task-req")
     if len(req_elems) > 1:
@@ -111,27 +103,20 @@ def _parse_task(task_elem: ET.Element) -> CnxTask:
 
 
 def _parse_task_req(task_name: str, req_elem: ET.Element) -> CnxTaskReq:
-    memory = DEFAULT_MEMORY
-    runmodel = DEFAULT_RUNMODEL
-    memory_elem = req_elem.find("memory")
-    if memory_elem is not None and memory_elem.text:
-        try:
-            memory = int(memory_elem.text.strip())
-        except ValueError:
-            raise CnxParseError(
-                f"task {task_name!r} has non-integer memory {memory_elem.text!r}"
-            ) from None
-    runmodel_elem = req_elem.find("runmodel")
-    if runmodel_elem is not None and runmodel_elem.text:
-        runmodel = runmodel_elem.text.strip()
-    retries = 0
-    retries_elem = req_elem.find("retries")
-    if retries_elem is not None and retries_elem.text:
-        try:
-            retries = int(retries_elem.text.strip())
-        except ValueError:
-            raise CnxParseError(
-                f"task {task_name!r} has non-integer retries "
-                f"{retries_elem.text!r}"
-            ) from None
-    return CnxTaskReq(memory=memory, runmodel=runmodel, retries=retries)
+    req = CnxTaskReq()
+    for field in CNProfile.TASK:
+        if not field.cnx.startswith("task-req/"):
+            continue
+        elem = req_elem.find(field.tag)
+        if elem is None or not elem.text:
+            continue
+        value = elem.text.strip()
+        if field.kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                raise CnxParseError(
+                    f"task {task_name!r} has non-integer {field.tag} {elem.text!r}"
+                ) from None
+        setattr(req, field.tag, value)
+    return req

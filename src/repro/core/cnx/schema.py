@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from ..uml.tags import CNProfile
+
 __all__ = [
     "CnxParam",
     "CnxTaskReq",
@@ -33,9 +35,9 @@ __all__ = [
     "DEFAULT_PORT",
 ]
 
-DEFAULT_RUNMODEL = "RUN_AS_THREAD_IN_TM"
-DEFAULT_MEMORY = 1000
-DEFAULT_PORT = 5666
+DEFAULT_RUNMODEL = CNProfile.RUNMODEL.default
+DEFAULT_MEMORY = CNProfile.MEMORY.default
+DEFAULT_PORT = CNProfile.PORT.default
 
 
 @dataclass
@@ -47,28 +49,20 @@ class CnxParam:
 
     def python_value(self):
         """The parameter value coerced per its declared CNX type."""
-        if self.type in ("Integer", "int", "java.lang.Integer"):
-            return int(self.value)
-        if self.type in ("Long", "java.lang.Long"):
-            return int(self.value)
-        if self.type in ("Double", "Float", "java.lang.Double"):
-            return float(self.value)
-        if self.type in ("Boolean", "java.lang.Boolean"):
-            return self.value.strip().lower() == "true"
-        return self.value
+        return CNProfile.coerce(self.type, self.value)
 
 
 @dataclass
 class CnxTaskReq:
     """The ``<task-req>`` resource requirements block.
 
-    ``retries`` is our documented extension (default 0 keeps Fig. 2
-    byte-compatible): how many times the framework re-places and reruns
-    the task after a failure before failing the job."""
+    One attribute per ``task-req/...`` field of the CN profile, under the
+    field's tag name.  ``retries`` is omitted from the descriptor at its
+    default, which keeps Fig. 2 byte-compatible."""
 
     memory: int = DEFAULT_MEMORY
     runmodel: str = DEFAULT_RUNMODEL
-    retries: int = 0
+    retries: int = CNProfile.RETRIES.default
 
 
 @dataclass

@@ -24,6 +24,7 @@ import re
 from typing import Any, Mapping, Optional
 
 from ..cnx.schema import CnxDocument, CnxJob, CnxTask
+from ..uml.tags import CNProfile
 
 __all__ = ["cnx_to_python", "cnx_to_java", "cnx_to_python_xslt", "cnx_to_java_xslt", "GeneratedClient"]
 
@@ -191,16 +192,6 @@ def cnx_to_java_xslt(doc: CnxDocument) -> str:
 # offline -- no JVM)
 # ---------------------------------------------------------------------------
 
-_JAVA_TYPES = {
-    "String": "String",
-    "Integer": "Integer",
-    "java.lang.Integer": "Integer",
-    "Long": "Long",
-    "Double": "Double",
-    "Boolean": "Boolean",
-}
-
-
 def cnx_to_java(doc: CnxDocument) -> str:
     """Generate a Java client source file in the CNX2Java style."""
     client = doc.client
@@ -230,15 +221,8 @@ def cnx_to_java(doc: CnxDocument) -> str:
             for dep in task.depends:
                 w(f"        {var}.dependsOn(\"{dep}\");\n")
             for param in task.params:
-                jtype = _JAVA_TYPES.get(param.type, "String")
-                if jtype in ("Integer", "Long"):
-                    w(f"        {var}.addParam({param.value});\n")
-                elif jtype == "Double":
-                    w(f"        {var}.addParam({param.value}d);\n")
-                elif jtype == "Boolean":
-                    w(f"        {var}.addParam({param.value.lower()});\n")
-                else:
-                    w(f"        {var}.addParam(\"{param.value}\");\n")
+                literal = CNProfile.java_literal(param.type, param.value)
+                w(f"        {var}.addParam({literal});\n")
             if task.dynamic:
                 w(
                     f"        {var}.setDynamic(\"{task.multiplicity}\", "

@@ -28,6 +28,7 @@ from ..cnx.emitter import emit as emit_cnx
 from ..cnx.schema import CnxDocument
 from ..uml.activity import ActivityGraph
 from ..uml.model import Model
+from ..uml.tags import CNProfile
 from ..uml.validate import validate_graph
 from ..xmi.writer import write_model
 from .cnx2code import GeneratedClient, cnx_to_java, cnx_to_python
@@ -60,7 +61,9 @@ class Pipeline:
     then the native CNX2Py / CNX2Java generators.  ``log`` and ``port``
     are the client attributes written into the descriptor."""
 
-    def __init__(self, *, log: str = "CN_Client.log", port: int = 5666) -> None:
+    def __init__(
+        self, *, log: str = CNProfile.LOG.default, port: int = CNProfile.PORT.default
+    ) -> None:
         self.log = log
         self.port = port
 

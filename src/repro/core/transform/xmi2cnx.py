@@ -21,7 +21,6 @@ from repro.xslt import Stylesheet, Transformer
 
 from ..cnx.parser import parse as parse_cnx
 from ..cnx.schema import (
-    DEFAULT_PORT,
     CnxClient,
     CnxDocument,
     CnxJob,
@@ -31,7 +30,7 @@ from ..cnx.schema import (
 )
 from ..uml.activity import ActivityGraph
 from ..uml.model import Model
-from ..uml.tags import CN_TAG_RECEIVES, CN_TAG_SENDS, CNProfile
+from ..uml.tags import CNProfile, split_names
 from ..xmi.reader import read_model
 
 __all__ = [
@@ -46,6 +45,9 @@ __all__ = [
 
 STYLESHEET_DIR = Path(__file__).parent / "stylesheets"
 
+#: the client attributes every entry point below writes unless told otherwise
+_LOG, _PORT = CNProfile.LOG.default, CNProfile.PORT.default
+
 _sheet_cache: dict[str, Stylesheet] = {}
 
 
@@ -59,7 +61,7 @@ def load_stylesheet(name: str) -> Stylesheet:
 
 
 def xmi_to_cnx_text(
-    xmi_text: str, *, log: str = "CN_Client.log", port: int = DEFAULT_PORT
+    xmi_text: str, *, log: str = _LOG, port: int = _PORT
 ) -> str:
     """Run the XMI2CNX stylesheet; returns the CNX descriptor XML text."""
     sheet = load_stylesheet("xmi2cnx.xsl")
@@ -68,14 +70,14 @@ def xmi_to_cnx_text(
 
 
 def xmi_to_cnx(
-    xmi_text: str, *, log: str = "CN_Client.log", port: int = DEFAULT_PORT
+    xmi_text: str, *, log: str = _LOG, port: int = _PORT
 ) -> CnxDocument:
     """XSLT path: XMI text -> parsed CNX document model."""
     return parse_cnx(xmi_to_cnx_text(xmi_text, log=log, port=port))
 
 
 def xmi_to_cnx_native(
-    xmi_text: str, *, log: str = "CN_Client.log", port: int = DEFAULT_PORT
+    xmi_text: str, *, log: str = _LOG, port: int = _PORT
 ) -> CnxDocument:
     """Native path: parse the XMI into the UML model and convert directly."""
     model = read_model(xmi_text)
@@ -83,7 +85,7 @@ def xmi_to_cnx_native(
 
 
 def model_to_cnx(
-    model: Model, *, log: str = "CN_Client.log", port: int = DEFAULT_PORT
+    model: Model, *, log: str = _LOG, port: int = _PORT
 ) -> CnxDocument:
     """Convert every activity graph of *model* into one CNX client.
 
@@ -94,32 +96,23 @@ def model_to_cnx(
     if not graphs:
         raise ValueError(f"model {model.name!r} contains no activity graphs")
     client = CnxClient(cls=graphs[0].name, log=log, port=port)
-    ordered_names: set[str] = set()
-    after_map: dict[str, list[str]] = {}
-    for package in model.packages:
-        for before, after in package.job_order:
-            ordered_names.update((before, after))
-            after_map.setdefault(after, []).append(before)
+    after = model.job_after()
     for graph in graphs:
         job = _graph_to_job(graph)
-        if graph.name in ordered_names:
+        if graph.name in after:
             job.name = graph.name
-            job.after = list(after_map.get(graph.name, []))
+            job.after = list(after[graph.name])
         client.jobs.append(job)
     return CnxDocument(client)
 
 
 def graph_to_cnx(
-    graph: ActivityGraph, *, log: str = "CN_Client.log", port: int = DEFAULT_PORT
+    graph: ActivityGraph, *, log: str = _LOG, port: int = _PORT
 ) -> CnxDocument:
     """Convert a single job graph into a one-job CNX client."""
     client = CnxClient(cls=graph.name, log=log, port=port)
     client.jobs.append(_graph_to_job(graph))
     return CnxDocument(client)
-
-
-def _name_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _graph_to_job(graph: ActivityGraph) -> CnxJob:
@@ -128,27 +121,26 @@ def _graph_to_job(graph: ActivityGraph) -> CnxJob:
     # converted job carries no name (keeps XSLT and native output identical)
     job = CnxJob(name="")
     for action in graph.action_states():
-        params = [
-            CnxParam(type=ptype, value=value)
-            for ptype, value in CNProfile.params(action)
-        ]
-        task = CnxTask(
-            name=action.name,
-            jar=action.get_tag("jar", "") or "",
-            cls=action.get_tag("class", "") or "",
-            depends=list(deps[action.name]),
-            task_req=CnxTaskReq(
-                memory=int(action.get_tag("memory", "1000") or "1000"),
-                runmodel=action.get_tag("runmodel", "RUN_AS_THREAD_IN_TM")
-                or "RUN_AS_THREAD_IN_TM",
-                retries=int(action.get_tag("retries", "0") or "0"),
-            ),
-            params=params,
-            dynamic=action.is_dynamic,
-            multiplicity=action.dynamic_multiplicity if action.is_dynamic else "",
-            arguments=action.dynamic_arguments if action.is_dynamic else "",
-            sends=_name_list(action.get_tag(CN_TAG_SENDS, "") or ""),
-            receives=_name_list(action.get_tag(CN_TAG_RECEIVES, "") or ""),
+        raw, params, param_problem = CNProfile.read(action)
+        if param_problem:
+            raise ValueError(param_problem)
+        job.tasks.append(
+            CnxTask(
+                name=action.name,
+                jar=raw["jar"],
+                cls=raw["class"],
+                depends=list(deps[action.name]),
+                task_req=CnxTaskReq(
+                    memory=int(raw["memory"]),
+                    runmodel=raw["runmodel"],
+                    retries=int(raw["retries"]),
+                ),
+                params=[CnxParam(type=ptype, value=value) for ptype, value in params],
+                dynamic=action.is_dynamic,
+                multiplicity=raw["multiplicity"],
+                arguments=raw["arguments"],
+                sends=split_names(raw["sends"]),
+                receives=split_names(raw["receives"]),
+            )
         )
-        job.tasks.append(task)
     return job

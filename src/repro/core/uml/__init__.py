@@ -20,10 +20,6 @@ from .builder import ActivityBuilder
 from .model import Model, Package
 from .render import level_layout, to_ascii, to_dot
 from .tags import (
-    CN_TAG_CLASS,
-    CN_TAG_JAR,
-    CN_TAG_MEMORY,
-    CN_TAG_RUNMODEL,
     CNProfile,
     TagDefinition,
     TaggedElement,
@@ -49,10 +45,6 @@ __all__ = [
     "TaggedValue",
     "TaggedElement",
     "CNProfile",
-    "CN_TAG_JAR",
-    "CN_TAG_CLASS",
-    "CN_TAG_MEMORY",
-    "CN_TAG_RUNMODEL",
     "param_tag_names",
     "GraphValidationError",
     "validate_graph",

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional
 
 from repro.util import dag
 
-from .tags import TaggedElement
+from .tags import CNProfile, TaggedElement
 
 __all__ = [
     "StateVertex",
@@ -76,7 +76,9 @@ class ActionState(StateVertex):
     ) -> None:
         super().__init__(name)
         self.is_dynamic = is_dynamic
-        self.dynamic_multiplicity = dynamic_multiplicity or ("0..*" if is_dynamic else "")
+        self.dynamic_multiplicity = dynamic_multiplicity or (
+            CNProfile.MULTIPLICITY.default if is_dynamic else ""
+        )
         self.dynamic_arguments = dynamic_arguments
 
     @property

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .activity import ActionState, ActivityGraph, FinalState, Pseudostate, StateVertex
-from .tags import CN_TAG_RECEIVES, CN_TAG_SENDS, CNProfile
+from .tags import CNProfile
 from .validate import validate_graph
 
 __all__ = ["ActivityBuilder"]
@@ -62,33 +62,24 @@ class ActivityBuilder:
         *,
         jar: str,
         cls: str,
-        memory: int = 1000,
-        runmodel: str = "RUN_AS_THREAD_IN_TM",
+        memory: int = CNProfile.MEMORY.default,
+        runmodel: str = CNProfile.RUNMODEL.default,
         params: Iterable[tuple[str, str]] = (),
-        retries: int = 0,
+        retries: int = CNProfile.RETRIES.default,
         sends: Iterable[str] = (),
         receives: Iterable[str] = (),
     ) -> ActionState:
         """An action state with the full CN tagged-value profile.
 
-        *retries* (extension) adds a ``retries`` tagged value carried
-        through to the CNX ``<task-req><retries>`` element.  *sends* /
-        *receives* (extension) declare the task's message peers as
-        ``sends``/``receives`` tagged values, carried into the CNX task
-        attributes and checked by the static analyzer's message-flow
-        pass."""
+        *retries* travels to the CNX ``<task-req><retries>`` element;
+        *sends* / *receives* declare the task's message peers, carried
+        into the CNX task attributes and checked by the static
+        analyzer's message-flow pass."""
         state = self.graph.add_action(name)
         CNProfile.apply(
-            state, jar=jar, cls=cls, memory=memory, runmodel=runmodel, params=params
+            state, jar=jar, cls=cls, memory=memory, runmodel=runmodel,
+            params=params, retries=retries, sends=sends, receives=receives,
         )
-        if retries:
-            state.set_tag("retries", str(retries))
-        sends = list(sends)
-        receives = list(receives)
-        if sends:
-            state.set_tag(CN_TAG_SENDS, ",".join(sends))
-        if receives:
-            state.set_tag(CN_TAG_RECEIVES, ",".join(receives))
         return state
 
     def dynamic_task(
@@ -97,11 +88,11 @@ class ActivityBuilder:
         *,
         jar: str,
         cls: str,
-        memory: int = 1000,
-        runmodel: str = "RUN_AS_THREAD_IN_TM",
-        multiplicity: str = "0..*",
-        argument_expr: str = "",
-        retries: int = 0,
+        memory: int = CNProfile.MEMORY.default,
+        runmodel: str = CNProfile.RUNMODEL.default,
+        multiplicity: str = CNProfile.MULTIPLICITY.default,
+        argument_expr: str = CNProfile.ARGUMENTS.default,
+        retries: int = CNProfile.RETRIES.default,
     ) -> ActionState:
         """A dynamic-invocation action state (paper Fig. 5): worker count
         determined at run time by *argument_expr*, one invocation per
@@ -113,9 +104,9 @@ class ActivityBuilder:
             dynamic_multiplicity=multiplicity,
             dynamic_arguments=argument_expr,
         )
-        CNProfile.apply(state, jar=jar, cls=cls, memory=memory, runmodel=runmodel)
-        if retries:
-            state.set_tag("retries", str(retries))
+        CNProfile.apply(
+            state, jar=jar, cls=cls, memory=memory, runmodel=runmodel, retries=retries
+        )
         return state
 
     def fork(self, name: Optional[str] = None) -> Pseudostate:

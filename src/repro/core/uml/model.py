@@ -77,5 +77,16 @@ class Model:
     def all_graphs(self) -> list[ActivityGraph]:
         return [g for p in self.packages for g in p.graphs]
 
+    def job_after(self) -> dict[str, list[str]]:
+        """Job name -> the jobs it starts after, for every job a
+        package's ``job_order`` mentions.  Those jobs are named in the
+        descriptor; the rest stay anonymous (Fig. 2 byte-compatibility)."""
+        after: dict[str, list[str]] = {}
+        for package in self.packages:
+            for before, later in package.job_order:
+                after.setdefault(before, [])
+                after.setdefault(later, []).append(before)
+        return after
+
     def __repr__(self) -> str:
         return f"<Model {self.name!r}: {len(self.packages)} package(s)>"

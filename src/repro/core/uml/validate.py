@@ -9,8 +9,9 @@ of the model-driven approach, so the checks are strict:
   outgoing, forks have one incoming/many outgoing, joins the reverse),
 * the induced task dependency relation is acyclic (a CN job is a DAG of
   tasks, paper section 4),
-* every action state carries the required CN tags and well-formed
-  parameter tags; dynamic states declare a multiplicity.
+* every action state's tagged values satisfy the CN profile
+  (:meth:`CNProfile.problems <repro.core.uml.tags.CNProfile.problems>`,
+  the checks cnlint reports as CN201-205, CN210 and CN301).
 
 Violations raise :class:`GraphValidationError` listing *all* problems at
 once, which is kinder to modelers than stop-at-first.
@@ -32,7 +33,12 @@ from .activity import (
 )
 from .tags import CNProfile
 
-__all__ = ["GraphValidationError", "validate_graph", "collect_problems"]
+__all__ = [
+    "GraphValidationError",
+    "validate_graph",
+    "collect_problems",
+    "collect_diagram_problems",
+]
 
 
 class GraphValidationError(ValueError):
@@ -45,15 +51,20 @@ class GraphValidationError(ValueError):
         super().__init__(f"activity graph {graph_name!r} is not well-formed:\n  - {joined}")
 
 
+def collect_diagram_problems(graph: ActivityGraph) -> list[str]:
+    """What only the diagram can say: shape, reachability, arity, cycles."""
+    return [
+        *_check_shape(graph),
+        *_check_reachability(graph),
+        *_check_arity(graph),
+        *_check_acyclic(graph),
+    ]
+
+
 def collect_problems(graph: ActivityGraph) -> list[str]:
-    """All validation problems of *graph* (empty list = valid)."""
-    problems: list[str] = []
-    problems.extend(_check_shape(graph))
-    problems.extend(_check_reachability(graph))
-    problems.extend(_check_arity(graph))
-    problems.extend(_check_acyclic(graph))
-    problems.extend(_check_tags(graph))
-    return problems
+    """All validation problems of *graph* (empty list = valid): the
+    diagram's, then each task's violations of the CN profile."""
+    return collect_diagram_problems(graph) + _check_tags(graph)
 
 
 def validate_graph(graph: ActivityGraph) -> ActivityGraph:
@@ -146,37 +157,11 @@ def _check_acyclic(graph: ActivityGraph) -> list[str]:
 def _check_tags(graph: ActivityGraph) -> list[str]:
     problems = []
     for action in graph.action_states():
-        for required in CNProfile.REQUIRED:
-            if not action.get_tag(required):
-                problems.append(f"task {action.name!r} missing required tag {required!r}")
-        memory = action.get_tag("memory")
-        if memory is not None:
-            try:
-                if int(memory) <= 0:
-                    problems.append(f"task {action.name!r} has non-positive memory {memory!r}")
-            except ValueError:
-                problems.append(f"task {action.name!r} has non-integer memory {memory!r}")
-        retries_tag = action.get_tag("retries")
-        if retries_tag is not None:
-            try:
-                if int(retries_tag) < 0:
-                    problems.append(
-                        f"task {action.name!r} has negative retries {retries_tag!r}"
-                    )
-            except ValueError:
-                problems.append(
-                    f"task {action.name!r} has non-integer retries {retries_tag!r}"
-                )
-        runmodel = action.get_tag("runmodel")
-        if runmodel is not None and runmodel not in CNProfile.KNOWN_RUNMODELS:
-            problems.append(
-                f"task {action.name!r} has unknown runmodel {runmodel!r} "
-                f"(known: {', '.join(CNProfile.KNOWN_RUNMODELS)})"
+        raw, _, param_problem = CNProfile.read(action)
+        problems += [
+            message
+            for _, message in CNProfile.problems(
+                action.name, raw, dynamic=action.is_dynamic, param_problem=param_problem
             )
-        try:
-            CNProfile.params(action)
-        except ValueError as exc:
-            problems.append(f"task {action.name!r}: {exc}")
-        if action.is_dynamic and not action.dynamic_multiplicity:
-            problems.append(f"dynamic task {action.name!r} lacks a multiplicity")
+        ]
     return problems

@@ -46,6 +46,67 @@ class TestDiagramToDescriptor:
         assert "'a' to 'b'" in finding.message
 
 
+class TestOneDefectOneDiagnostic:
+    """A tagged value that breaks the CN profile is reported once, under
+    its own code; CN001 is what only the diagram can say."""
+
+    @staticmethod
+    def model_with(spoil):
+        from repro.core.uml import ActivityBuilder, Model
+
+        b = ActivityBuilder("G")
+        a = b.task("a", jar="x.jar", cls="X")
+        b.chain(b.initial(), a, b.final())
+        spoil(b, a)
+        model = Model("M")
+        model.new_package("p").add_graph(b.graph)
+        return model
+
+    #: code -> how to seed the one defect that earns it
+    DEFECTS = {
+        "CN201": lambda b, a: a.set_tag("jar", ""),
+        "CN202": lambda b, a: a.set_tag("class", ""),
+        "CN203": lambda b, a: a.set_tag("memory", "lots"),
+        "CN204": lambda b, a: a.set_tag("runmodel", "FAST"),
+        "CN205": lambda b, a: a.set_tag("retries", "-1"),
+        "CN210": lambda b, a: a.set_tag("ptype0", "Integer"),
+        "CN301": lambda b, a: (
+            setattr(a, "is_dynamic", True), setattr(a, "dynamic_multiplicity", "")
+        ),
+    }
+
+    @pytest.mark.parametrize("code", sorted(DEFECTS))
+    def test_each_tag_defect_is_one_error_under_its_own_code(self, code):
+        from repro.analysis import analyze_model
+
+        report = analyze_model(self.model_with(self.DEFECTS[code]))
+        assert [d.code for d in report.errors()] == [code]
+
+    def test_three_defects_three_diagnostics(self):
+        from repro.analysis import analyze_model
+
+        def spoil(b, a):
+            a.set_tag("jar", "")
+            a.set_tag("memory", "lots")
+            a.set_tag("runmodel", "FAST")
+
+        report = analyze_model(self.model_with(spoil))
+        assert sorted(d.code for d in report.errors()) == ["CN201", "CN203", "CN204"]
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda b, a: b.task("stray", jar="x.jar", cls="X"),  # unreachable
+            lambda b, a: b.graph.add_transition(b.fork("f"), a),  # one-way fork
+        ],
+        ids=["unreachable-vertex", "fork-with-one-outgoing-edge"],
+    )
+    def test_cn001_is_for_the_diagram(self, spoil):
+        from repro.analysis import analyze_model
+
+        assert "CN001" in analyze_model(self.model_with(spoil)).codes()
+
+
 class TestClientRunnerRefusal:
     def test_defective_descriptor_refused_with_diagnostics(self, cluster):
         doc = parse((DEFECTS / "cycle.cnx").read_text())
@@ -101,7 +162,7 @@ class TestPortalRejection:
         assert submission.cnx_text == ""  # pipeline never ran
         codes = {d["code"] for d in submission.diagnostics}
         assert "CN202" in codes
-        assert "CN001" in codes
+        assert "CN001" not in codes  # a tag defect is reported once, under its own code
         assert "static analysis" in submission.error
 
     def test_rejection_diagnostics_downloadable(self, portal):

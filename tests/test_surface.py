@@ -49,6 +49,10 @@ DELETED = [
      "PR 23: components read ClusterConfig.telemetry at construction"),
     (("src/repro/cn/**/*",), r"jobmanager\.(checksums|scheduler) = ",
      "PR 23: options are read from the config, not assigned afterwards"),
+    (("src/repro/**/*",),
+     r"\b_name_list\b|\b_JAVA_TYPES\b|\b_(INT|FLOAT|BOOL|STRING)_TYPES\b|\biter_cn_tags\b"
+     r"|\bKNOWN_RUNMODELS\b|\bCN_TAG_[A-Z]+\b",
+     "PR 24: the CN profile is one table (CNProfile in core/uml/tags.py)"),
 ]
 
 

@@ -6,6 +6,7 @@ import pytest
 from repro.cn import Cluster
 from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxParam, CnxTask
 from repro.core.transform.cnx2code import GeneratedClient, cnx_to_java, cnx_to_python
+from repro.core.uml import CNProfile
 
 from ..conftest import basic_registry
 
@@ -150,6 +151,25 @@ class TestXsltCodegen:
 
         for doc in (doc_static(), doc_dynamic()):
             assert cnx_to_java_xslt(doc) == cnx_to_java(doc)
+
+    @pytest.mark.parametrize("ptype, kind", sorted(CNProfile.PARAM_TYPES.items()))
+    def test_a_typed_parameter_is_the_same_typed_literal_in_both(self, ptype, kind):
+        """Every entry of the one type table, one valid value each: a
+        non-string type is an unquoted Java literal, and the generator
+        that runs and its stylesheet oracle write the same one."""
+        from repro.core.transform.cnx2code import cnx_to_java_xslt
+
+        value, literal = {
+            "int": ("5", "5"),
+            "float": ("1.5", "1.5f" if ptype == "Float" else "1.5d"),
+            "bool": ("TRUE", "true"),
+            "string": ("5", '"5"'),
+        }[kind]
+        doc = doc_static()
+        doc.jobs[0].tasks[1].params = [CnxParam(ptype, value)]
+        java = cnx_to_java(doc)
+        assert java == cnx_to_java_xslt(doc)
+        assert f"b.addParam({literal});" in java
 
     def test_python_xslt_compiles(self):
         from repro.core.transform.cnx2code import cnx_to_python_xslt
