@@ -8,8 +8,8 @@ spreads tasks across nodes.  We sweep cluster sizes, count bus traffic,
 and benchmark end-to-end job setup.
 
 PERF16: placement *throughput* (tasks placed/sec) for the paper's
-per-task solicit protocol vs the rule-based bid scheduler, swept over
-cluster size.  Solicit pays one multicast round per task, so throughput
+per-task solicit protocol vs the rule-based bid scheduler, across
+cluster sizes.  Solicit pays one multicast round per task, so throughput
 collapses as nodes multiply; the bid scheduler publishes one rule per
 homogeneous batch and stays near-flat.  Interleaved min-of-k rounds so
 machine noise hits both schedulers equally.

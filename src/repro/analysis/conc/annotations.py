@@ -50,11 +50,13 @@ GUARDED_BY: dict[str, str] = {
     # Job: the route ledger and the checkpoint store mutate under the
     # job's reentrant lock, and so does the DAG drive -- the (dependents,
     # unmet counts, counted completions) triple, derived and decremented
-    # as one step -- and the first-non-terminal-task cursor.
+    # as one step -- the first-non-terminal-task cursor and the tasks whose
+    # terminal records are written.
     "Job._delivery_log": "Job._lock",
     "Job._checkpoints": "Job._lock",
     "Job._drive": "Job._lock",
     "Job._first_live": "Job._lock",
+    "Job._terminal_noted": "Job._lock",
     # TupleSpace: the backing list is only touched under the condition's
     # lock; ``_take`` relies on its caller holding it.
     "TupleSpace._tuples": "TupleSpace._lock",

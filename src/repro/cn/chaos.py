@@ -180,7 +180,6 @@ class ChaosPolicy:
         seed: int = 0,
         *,
         task_crash_rate: float = 0.0,
-        stall_rate: float = 0.0,
         node_crash_rate: float = 0.0,
         queue_drop_rate: float = 0.0,
         queue_delay_rate: float = 0.0,
@@ -194,7 +193,6 @@ class ChaosPolicy:
             raise ValueError(f"reorder_hold must be >= 1, got {reorder_hold}")
         self.seed = seed
         self.task_crash_rate = task_crash_rate
-        self.stall_rate = stall_rate
         self.node_crash_rate = node_crash_rate
         self.queue_drop_rate = queue_drop_rate
         self.queue_delay_rate = queue_delay_rate
@@ -235,7 +233,6 @@ class ChaosPolicy:
         # leaves the policy armed (costs a check, never correctness).
         self._armed = bool(
             task_crash_rate
-            or stall_rate
             or node_crash_rate
             or queue_drop_rate
             or queue_delay_rate
@@ -374,11 +371,7 @@ class ChaosPolicy:
                 self._task_stalls.discard((task, attempt))
         if scripted:
             self._record("stall", "task", task, attempt=attempt, scripted=True)
-            return True
-        if self._decide("stall", f"{task}:{attempt}", self.stall_rate):
-            self._record("stall", "task", task, attempt=attempt, job=job_id)
-            return True
-        return False
+        return scripted
 
     def node_crash_due(self, node: str, starts: int) -> bool:
         """Checked by a TaskManager each time it starts a task."""

@@ -551,6 +551,9 @@ def replay_job(job_id: str, records: Iterable[JournalRecord]) -> JobSnapshot:
     """
     snapshot = JobSnapshot(job_id=job_id)
     high = 0
+    # task -> collected deliveries whose record lands after the ledger-gc
+    # that counted them (ledgered before, journaled after, the collection)
+    owed: dict[str, int] = {}
     for record in records:
         if record.job_id != job_id:
             continue
@@ -591,6 +594,9 @@ def replay_job(job_id: str, records: Iterable[JournalRecord]) -> JobSnapshot:
         elif kind == "delivery":
             # one record per fan-out, unpacked in order
             for message in data["messages"]:
+                if owed.get(message.recipient):
+                    owed[message.recipient] -= 1
+                    continue
                 snapshot.deliveries.setdefault(message.recipient, []).append(
                     message
                 )
@@ -604,9 +610,9 @@ def replay_job(job_id: str, records: Iterable[JournalRecord]) -> JobSnapshot:
             already = snapshot.gc_watermarks.get(task, 0)
             drop = upto - already
             if drop > 0:
-                messages = snapshot.deliveries.get(task)
-                if messages:
-                    del messages[:drop]
+                messages = snapshot.deliveries.get(task, [])
+                owed[task] = owed.get(task, 0) + drop - len(messages[:drop])
+                del messages[:drop]
                 snapshot.gc_watermarks[task] = upto
         elif kind == "shed":
             # a bounded queue evicted this delivery before the task

@@ -277,6 +277,8 @@ class Job:
         # Terminal states are final, so it only moves forward and "is every
         # task terminal" is "has it reached the end" (see all_terminal)
         self._first_live = 0
+        # the tasks whose terminal records are all written (note_terminal)
+        self._terminal_noted: set[str] = set()
 
     # -- telemetry ---------------------------------------------------------------
     def set_telemetry(self, telemetry: Optional[Any]) -> None:
@@ -851,24 +853,25 @@ class Job:
             return cursor == len(order)
 
     def note_terminal(self, name: str) -> None:
-        """Called by the TaskManager when a task reaches a terminal state;
-        flips the job-finished condition when the roster is done."""
-        finished = False
+        """Called once terminal task *name*'s ``task-state`` (and any
+        ``job-finished``) is journaled; flips the job-finished condition
+        once every task got this far -- counted, not read off the states,
+        which a sibling applies before it journals them."""
+        runtime = self.tasks[name]
+        # the attempt can never be re-placed again: its message history is
+        # dead weight -- truncate and journal the watermark, its last record
+        self.gc_ledger(name)
         with self._lock:
-            runtime = self.tasks[name]
             if runtime.state is TaskState.FAILED and self.failed is None:
                 self.failed = TaskFailedError(name, runtime.error or "unknown")
+            noted = self._terminal_noted
+            noted.add(name)
             # fail fast: a failure finishes the job even with tasks pending
-            if self.failed is not None or self.all_terminal():
+            finished = self.failed is not None or len(noted) == len(self.task_order)
+            if finished:
                 self._finished_flag = True
-                finished = True
                 self._cond.notify_all()
             state = runtime.state.value
-            terminal = runtime.state.terminal
-        if terminal:
-            # the attempt can never be re-placed again: its message
-            # history is dead weight -- truncate and journal the watermark
-            self.gc_ledger(name)
         if self.telemetry is not None:
             task_span = self.telemetry.spans.get(self.job_id, f"task:{name}")
             if task_span is not None:

@@ -64,6 +64,7 @@ class BusStats:
     dropped: int = 0      # chaos-injected delivery losses
     partitioned: int = 0  # deliveries blocked by an active partition
     listener_errors: int = 0  # publish deliveries whose listener raised
+    responder_errors: int = 0  # solicit deliveries whose responder raised
 
 
 class MulticastBus:
@@ -108,6 +109,9 @@ class MulticastBus:
         metrics.counter("cn_bus_dropped_total")._set_total(self.stats.dropped)
         metrics.counter("cn_bus_listener_errors_total")._set_total(
             self.stats.listener_errors
+        )
+        metrics.counter("cn_bus_responder_errors_total")._set_total(
+            self.stats.responder_errors
         )
 
     def subscribe(self, name: str, responder: Responder) -> None:
@@ -203,7 +207,8 @@ class MulticastBus:
 
         Delivery order is subscription order, making runs deterministic;
         responders that raise are treated as unwilling (a crashed node
-        must not take down discovery).
+        must not take down discovery) and counted in
+        ``stats.responder_errors``.
         """
         with self._lock:
             subscribers = list(self._subscribers)
@@ -223,6 +228,7 @@ class MulticastBus:
             try:
                 offer = responder(solicitation)
             except Exception:  # noqa: BLE001  # conclint: waive CC302 -- a crashed responder must not take down discovery
+                self.stats.responder_errors += 1
                 continue
             if offer is not None:
                 self.stats.responses += 1

@@ -1,7 +1,8 @@
 """Deterministic simulation testing for the CN runtime.
 
-A seeded :func:`~repro.sim.schedule.generate` produces a fault
-:class:`~repro.sim.schedule.Schedule`; a
+A seeded :func:`~repro.sim.schedule.generate` produces a
+:class:`~repro.sim.schedule.Schedule` -- the cluster drawn from what
+:class:`~repro.cn.ClusterConfig` declares, and the faults; a
 :class:`~repro.sim.harness.Simulation` runs a real cluster on virtual
 time under that schedule; the oracle registry
 (:data:`~repro.sim.oracles.ORACLES`) checks invariants over the

@@ -26,41 +26,19 @@ from .shrink import shrink_schedule
 __all__ = ["main"]
 
 
-def _run_once(
-    seed: int,
-    schedule: Schedule,
-    args: argparse.Namespace,
-) -> tuple[Simulation, dict[str, list[str]]]:
+def _violations(
+    schedule: Schedule, args: argparse.Namespace, only: Optional[list[str]] = None
+) -> dict[str, list[str]]:
+    """Run *schedule* in the shape the command line gives; its findings."""
     sim = Simulation(
-        seed,
+        schedule.seed,
         schedule,
         n=args.n,
         workers=args.workers,
         nodes=args.nodes,
         max_ticks=args.max_ticks,
     )
-    result = sim.run()
-    return sim, run_oracles(result)
-
-
-def _shrink_failure(
-    schedule: Schedule,
-    failed_oracles: list[str],
-    args: argparse.Namespace,
-) -> tuple[Schedule, int]:
-    def still_fails(candidate: Schedule) -> bool:
-        sim = Simulation(
-            candidate.seed,
-            candidate,
-            n=args.n,
-            workers=args.workers,
-            nodes=args.nodes,
-            max_ticks=args.max_ticks,
-        )
-        violations = run_oracles(sim.run(), only=failed_oracles)
-        return bool(violations)
-
-    return shrink_schedule(schedule, still_fails, max_probes=args.max_probes)
+    return run_oracles(sim.run(), only=only)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -114,7 +92,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     for index in range(args.runs):
         seed = args.seed + index
         schedule = generate(seed, nodes=args.nodes, workers=args.workers)
-        sim, violations = _run_once(seed, schedule, args)
+        violations = _violations(schedule, args)
         if not violations:
             print(f"seed {seed}: ok [{schedule.describe()}]")
             continue
@@ -125,7 +103,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                 print(f"  [{name}] {line}")
         final = schedule
         if args.shrink:
-            final, probes = _shrink_failure(schedule, list(violations), args)
+            final, probes = shrink_schedule(
+                schedule,
+                lambda candidate: bool(_violations(candidate, args, list(violations))),
+                max_probes=args.max_probes,
+            )
             print(
                 f"  shrunk to {len(final.events)} event(s) in {probes} probe(s):"
                 f" [{final.describe()}]"

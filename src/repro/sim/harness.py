@@ -21,19 +21,24 @@ time tick by tick while injecting the faults a
 The run ends at quiescence (job finished) or at the tick horizon, and
 everything an oracle could want is collected into a :class:`SimResult`:
 the result matrix next to the fault-free serial baseline, final task
-states, a surviving journal replica, the structured fault log, and the
-dead-letter ledger.  The harness never asserts anything itself -- the
-oracle registry (:mod:`repro.sim.oracles`) owns the invariants.
+states, a surviving journal replica, the structured fault log, the
+dead-letter ledger and the lock verifier's verdict.  The harness never
+asserts anything itself -- the oracle registry
+(:mod:`repro.sim.oracles`) owns the invariants.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from repro.analysis.conc import runtime
 from repro.apps.floyd import floyd_registry, floyd_warshall, random_weighted_graph
 from repro.apps.floyd.io import store_matrix
 from repro.apps.floyd.model import (
@@ -45,9 +50,9 @@ from repro.apps.floyd.model import (
     WORKER_JAR,
 )
 from repro.cn import CNAPI, ChaosPolicy, Cluster, CnError, TaskSpec, VirtualClock
-from repro.cn.durability import JournalRecord
+from repro.cn.durability import FileJournal, JournalRecord
 
-from .schedule import FaultEvent, Schedule, generate
+from .schedule import MANAGER, FaultEvent, Schedule, generate
 
 __all__ = ["Simulation", "SimResult"]
 
@@ -65,7 +70,6 @@ class SimResult:
     error: str
     ticks: int
     job_id: str
-    checksums: bool
     expected: list[list[float]]
     result_matrix: Optional[list[list[float]]]
     states: dict[str, str]
@@ -73,11 +77,11 @@ class SimResult:
     fault_log: list[dict[str, Any]]
     fault_summary: list[tuple[str, str, str]]
     dead_letters: list[dict[str, Any]]
-    poisoned: int
     job_deadline: Optional[float]
-    duration: float = 0.0
-    #: node -> journal length, for replica-divergence diagnostics
-    replica_sizes: dict[str, int] = field(default_factory=dict)
+    #: the lock verifier's LockOrderError ("" if it found none or was off)
+    lock_order: str = ""
+    #: the ``(holder, acquired)`` lock-order edges the verifier observed
+    lock_edges: frozenset[tuple[str, str]] = frozenset()
 
     @property
     def done(self) -> bool:
@@ -100,7 +104,6 @@ class Simulation:
         n: int = 8,
         workers: int = 3,
         nodes: int = 4,
-        checksums: bool = True,
         max_ticks: int = 600,
         tick_sleep: float = 0.001,
         task_deadline: float = 60.0,
@@ -118,7 +121,6 @@ class Simulation:
         self.n = n
         self.workers = workers
         self.nodes = nodes
-        self.checksums = checksums
         self.max_ticks = max_ticks
         self.tick_sleep = tick_sleep
         self.task_deadline = task_deadline
@@ -151,7 +153,7 @@ class Simulation:
         # cancellation if the host machine stalls the worker threads
         budget = float(self.max_ticks) + 50.0 if hazards else None
         handle = api.create_job(
-            "client", requirements={"prefer": "node0"}, budget=budget
+            "client", requirements={"prefer": MANAGER}, budget=budget
         )
         api.create_task(
             handle,
@@ -165,21 +167,25 @@ class Simulation:
             ),
         )
         names = [f"w{i}" for i in range(self.workers)]
-        for index, name in enumerate(names):
-            api.create_task(
-                handle,
-                TaskSpec(
-                    name=name,
-                    jar=WORKER_JAR,
-                    cls=WORKER_CLASS,
-                    params=(index + 1,),
-                    depends=("split",),
-                    # generous: every wedge (a dropped or held-back row
-                    # broadcast) costs one watchdog period and one retry
-                    max_retries=8,
-                    deadline=self.task_deadline if hazards else None,
-                ),
+        fan = [
+            TaskSpec(
+                name=name,
+                jar=WORKER_JAR,
+                cls=WORKER_CLASS,
+                params=(index + 1,),
+                depends=("split",),
+                # generous: every wedge (a dropped or held-back row
+                # broadcast) costs one watchdog period and one retry
+                max_retries=8,
+                deadline=self.task_deadline if hazards else None,
             )
+            for index, name in enumerate(names)
+        ]
+        if self.schedule.fan_call == "create_tasks":
+            api.create_tasks(handle, fan)
+        else:
+            for spec in fan:
+                api.create_task(handle, spec)
         api.create_task(
             handle,
             TaskSpec(
@@ -208,113 +214,122 @@ class Simulation:
 
     # -- the run ------------------------------------------------------------------
     def run(self) -> SimResult:
-        started = time.perf_counter()
+        """One run (a cluster ``ClusterConfig`` refuses raises its error)."""
         schedule = self.schedule
         hazards = schedule.has_faults()
         matrix = random_weighted_graph(self.n, seed=schedule.seed)
         expected = floyd_warshall(matrix)
-        chaos = self._build_chaos()
-        clock = VirtualClock(drive_timeouts=True)
-        cluster = Cluster(
-            self.nodes,
-            registry=self.registry_factory(),
-            chaos=chaos,
-            clock=clock,
-            failure_k=2,
-            checksums=self.checksums,
-            queue_maxsize=schedule.queue_maxsize,
-            queue_policy=schedule.queue_policy,
-        )
-        cluster.servers[0].accept_tasks = False  # node0: manager only
-        box: dict[str, Any] = {}
-        done = threading.Event()
-        try:
-            api = CNAPI.initialize(cluster)
-            source = store_matrix(f"sim-{schedule.seed}-{next(_RUN_IDS)}", matrix)
-            handle = self._build_job(api, source, hazards=hazards)
+        options = schedule.cluster_options()
+        with ExitStack() as stack:
+            verifier = None
+            if schedule.verify_locking:
+                # before the chaos policy and the clock are built, so their
+                # locks are instrumented too; the cluster's install joins it
+                verifier = runtime.install_verifier()
+                stack.callback(runtime.uninstall_verifier)
+            if schedule.journal_dir is not None:
+                fresh = stack.enter_context(tempfile.TemporaryDirectory())
+                options["journal_dir"] = os.path.join(fresh, schedule.journal_dir)
+            chaos = self._build_chaos()
+            cluster = Cluster(
+                self.nodes,
+                registry=self.registry_factory(),
+                chaos=chaos,
+                clock=VirtualClock(drive_timeouts=True),
+                failure_k=2,
+                **options,
+            )
+            cluster.server(MANAGER).accept_tasks = False
+            box: dict[str, Any] = {}
+            done = threading.Event()
+            lock_order = ""
+            try:
+                api = CNAPI.initialize(cluster)
+                source = store_matrix(f"sim-{schedule.seed}-{next(_RUN_IDS)}", matrix)
+                handle = self._build_job(api, source, hazards=hazards)
 
-            def waiter() -> None:
+                def waiter() -> None:
+                    try:
+                        box["results"] = api.wait(handle, timeout=float(self.max_ticks))
+                    except Exception as exc:  # noqa: BLE001  # conclint: waive CC302 -- surfaced via SimResult.status
+                        box["error"] = exc
+                    finally:
+                        done.set()
+
+                client = threading.Thread(target=waiter, name="sim-client", daemon=True)
+                client.start()
+
+                pending = [
+                    event
+                    for event in schedule.events
+                    if event.kind in ("revive", "partition", "heal")
+                ]
+                ticks = 0
+                while ticks < self.max_ticks and not done.is_set():
+                    ticks += 1
+                    due = [event for event in pending if event.at_tick <= ticks]
+                    for event in due:
+                        pending.remove(event)
+                        self._apply_event(event, cluster)
+                    if chaos.enabled:
+                        for _ in range(chaos.bursts_due(ticks)):
+                            try:
+                                api.query_status(handle)
+                            except CnError:
+                                pass  # burst load racing a manager failover
+                    cluster.tick()
+                    if self.tick_sleep:
+                        time.sleep(self.tick_sleep)
+                done.wait(10.0)
+
+                if "results" in box:
+                    status, error = "done", ""
+                elif "error" in box:
+                    status, error = "failed", repr(box["error"])
+                else:
+                    status, error = "timeout", f"not quiescent after {ticks} ticks"
+                raw = (box.get("results") or {}).get("join")
+                job = handle.job
+                states = job.states()
+                dead_letters = [dict(entry) for entry in job.dead_letters]
+                fault_log, fault_summary = chaos.log_dicts(), chaos.fault_summary()
+            finally:
                 try:
-                    box["results"] = api.wait(handle, timeout=float(self.max_ticks))
-                except Exception as exc:  # noqa: BLE001  # conclint: waive CC302 -- surfaced via SimResult.status
-                    box["error"] = exc
-                finally:
-                    done.set()
+                    cluster.shutdown()
+                except runtime.LockOrderError as exc:
+                    lock_order = str(exc)
+            records = _surviving_replica(cluster, handle.job_id)
+        return SimResult(
+            seed=self.seed,
+            schedule=schedule,
+            status=status,
+            error=error,
+            ticks=ticks,
+            job_id=handle.job_id,
+            expected=[list(map(float, row)) for row in expected],
+            result_matrix=None if raw is None else [list(map(float, r)) for r in raw],
+            states=states,
+            records=records,
+            fault_log=fault_log,
+            fault_summary=fault_summary,
+            dead_letters=dead_letters,
+            job_deadline=job.deadline,
+            lock_order=lock_order,
+            lock_edges=frozenset(verifier.edges() if verifier else ()),
+        )
 
-            client = threading.Thread(target=waiter, name="sim-client", daemon=True)
-            client.start()
 
-            pending = [
-                event
-                for event in schedule.events
-                if event.kind in ("revive", "partition", "heal")
-            ]
-            ticks = 0
-            while ticks < self.max_ticks and not done.is_set():
-                ticks += 1
-                due = [event for event in pending if event.at_tick <= ticks]
-                for event in due:
-                    pending.remove(event)
-                    self._apply_event(event, cluster)
-                if chaos.enabled:
-                    for _ in range(chaos.bursts_due(ticks)):
-                        try:
-                            api.query_status(handle)
-                        except CnError:
-                            pass  # burst load racing a manager failover
-                cluster.tick()
-                if self.tick_sleep:
-                    time.sleep(self.tick_sleep)
-            done.wait(10.0)
-
-            if "results" in box:
-                status, error = "done", ""
-            elif "error" in box:
-                status, error = "failed", repr(box["error"])
-            else:
-                status, error = "timeout", f"not quiescent after {ticks} ticks"
-            results = box.get("results") or {}
-            raw = results.get("join")
-            result_matrix = (
-                [list(map(float, row)) for row in raw] if raw is not None else None
-            )
-            job = handle.job
-            states = job.states()
-            dead_letters = [dict(entry) for entry in job.dead_letters]
-            poisoned = sum(
-                server.taskmanager.queue_poisoned()
-                for server in cluster.alive_servers()
-            )
-            records: list[JournalRecord] = []
-            replica_sizes: dict[str, int] = {}
-            for server in cluster.servers:
-                journal = server.journal
-                if journal is None:
-                    continue
-                replica = journal.records(handle.job_id)
-                replica_sizes[server.name] = len(replica)
-                alive = server.name not in cluster.dead_nodes()
-                if alive and len(replica) > len(records):
-                    records = replica
-            return SimResult(
-                seed=self.seed,
-                schedule=schedule,
-                status=status,
-                error=error,
-                ticks=ticks,
-                job_id=handle.job_id,
-                checksums=self.checksums,
-                expected=[list(map(float, row)) for row in expected],
-                result_matrix=result_matrix,
-                states=states,
-                records=records,
-                fault_log=chaos.log_dicts(),
-                fault_summary=chaos.fault_summary(),
-                dead_letters=dead_letters,
-                poisoned=poisoned,
-                job_deadline=job.deadline,
-                duration=time.perf_counter() - started,
-                replica_sizes=replica_sizes,
-            )
-        finally:
-            cluster.shutdown()
+def _surviving_replica(cluster: Cluster, job_id: str) -> list[JournalRecord]:
+    """The longest replica on a live node; on disk, what a restarted
+    server would load from its file."""
+    records: list[JournalRecord] = []
+    backend = None
+    for server in cluster.alive_servers():
+        replica = server.journal.records(job_id) if server.journal else []
+        if len(replica) > len(records):
+            records, backend = replica, server.journal.backend
+    if isinstance(backend, FileJournal):
+        reloaded = FileJournal(backend.path)
+        records = reloaded.records(job_id)
+        reloaded.close()
+    return records

@@ -1,7 +1,7 @@
 """Reproducer files: failing schedules that become regression tests.
 
-When a fuzz run fails, the (shrunk) schedule plus the sim's shape
-parameters are written as a small JSON file.  Checked into
+When a fuzz run fails, the (shrunk) schedule -- its cluster included --
+plus the sim's shape parameters are written as a small JSON file.  Checked into
 ``tests/data/sim_corpus/`` it replays forever under tier-1: the corpus
 test loads every file, re-runs the simulation, and re-evaluates the
 oracles -- so a fixed bug stays fixed and a still-broken one fails with
@@ -21,7 +21,7 @@ from .schedule import Schedule
 
 __all__ = ["emit_reproducer", "load_reproducer", "replay_reproducer"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def emit_reproducer(
@@ -36,8 +36,9 @@ def emit_reproducer(
 ) -> Path:
     """Write a runnable reproducer JSON; returns its path.
 
-    The filename is deterministic in the schedule content, so re-fuzzing
-    the same failure overwrites rather than accumulates.
+    The filename is deterministic in the schedule content (cluster,
+    rates and events), so re-fuzzing the same failure overwrites rather
+    than accumulates.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

@@ -8,8 +8,10 @@ schedule that still fails:
    structural events in one probe);
 2. classic ddmin over the event sequence (subsets, then complements,
    doubling granularity) until no single-event removal keeps failing;
-3. zero out each fault rate that is not needed;
-4. lift the queue bound if the failure does not need backpressure.
+3. put each fault rate, the queue bound and every other cluster
+   dimension back to its default where the failure does not need it
+   (through :func:`~repro.sim.schedule.converging`: nothing the
+   generator could not draw is probed).
 
 Every probe is one full simulation run, so the budget is bounded by
 ``max_probes``; on budget exhaustion the best schedule found so far is
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable
 
-from .schedule import FaultEvent, Schedule
+from .schedule import FaultEvent, Schedule, converging
 
 __all__ = ["shrink_schedule", "ShrinkBudget"]
 
@@ -118,17 +120,17 @@ def shrink_schedule(
         )
         current = current.with_events(events)
 
-    for name in Schedule.RATE_FIELDS:
-        if getattr(current, name) <= 0.0:
+    # the defaults, one rate at a time, the queue bound as one
+    blank, queue = Schedule(current.seed), ("queue_maxsize", "queue_policy")
+    resets = [{name: getattr(blank, name)} for name in Schedule.RATE_FIELDS]
+    resets.append({name: getattr(blank, name) for name in queue})
+    resets += [{n: getattr(blank, n)} for n in Schedule.DIMENSIONS if n not in queue]
+    for reset in resets:
+        if all(getattr(current, name) == value for name, value in reset.items()):
             continue
         if not budget.spend():
             return current, budget.used
-        candidate = replace(current, **{name: 0.0})
-        if still_fails(candidate):
-            current = candidate
-
-    if current.queue_maxsize and budget.spend():
-        candidate = replace(current, queue_maxsize=0, queue_policy="block")
+        candidate = converging(replace(current, **reset))
         if still_fails(candidate):
             current = candidate
 

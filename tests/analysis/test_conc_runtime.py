@@ -19,9 +19,9 @@ from repro.analysis.conc.runtime import (
 
 @pytest.fixture(autouse=True)
 def _isolated_globals(monkeypatch):
-    """Detach from any process-global verifier other suite runs leaked
-    (CN_VERIFY_LOCKING=1 runs): seeded inversions here must not land in
-    a shared graph that later cluster shutdowns would check."""
+    """Detach from any process-global verifier another test leaked (a
+    verified cluster never shut down): seeded inversions here must not
+    land in a shared graph that later cluster shutdowns would check."""
     from repro.analysis.conc import runtime
 
     monkeypatch.setattr(runtime, "_installed", None)

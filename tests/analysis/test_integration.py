@@ -8,6 +8,7 @@ import pytest
 
 from repro.cn import Cluster
 from repro.cn.client import ClientRunner
+from repro.cn.config import SCHEDULERS
 from repro.cn.portal import Portal
 from repro.cn.registry import TaskRegistry
 from repro.core.cnx import parse
@@ -125,14 +126,17 @@ class TestClientRunnerRefusal:
             ClientRunner(cluster).run(doc)
         assert any(d.code == "CN504" for d in excinfo.value.diagnostics)
 
-    def test_clean_run_collects_warnings(self, cluster):
-        from repro.apps.montecarlo import build_pi_model
+    def test_clean_run_collects_warnings(self):
+        from repro.apps.montecarlo import build_pi_model, register_pi_tasks
         from repro.core.transform.xmi2cnx import graph_to_cnx
 
         doc = graph_to_cnx(build_pi_model(samples=2000, seed=3, n_workers=2))
-        result = ClientRunner(cluster).run(doc)
-        assert result.warnings == []
-        assert result.results["pijoin"]["samples"] == 2000
+        for scheduler in SCHEDULERS:  # the worker fan is one create_tasks call
+            registry = register_pi_tasks(TaskRegistry())
+            with Cluster(3, registry=registry, scheduler=scheduler) as cluster:
+                result = ClientRunner(cluster).run(doc)
+            assert result.warnings == []
+            assert result.results["pijoin"]["samples"] == 2000
 
     def test_analyze_exposes_full_report(self, cluster):
         from repro.apps.montecarlo import build_pi_model

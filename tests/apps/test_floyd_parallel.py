@@ -19,6 +19,7 @@ from repro.apps.floyd import (
 )
 from repro.apps.floyd.io import MatrixStore
 from repro.cn import Cluster
+from repro.cn.config import TRANSPORTS
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +123,7 @@ class TestParallelCorrectness:
 class TestMatrixStoreForgets:
     """The store is process-wide; what a driver call stages goes with it."""
 
-    @pytest.mark.parametrize("transport", ["inproc", "proc"])
+    @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_five_runs_leave_the_store_as_they_found_it(self, transport):
         staged = MatrixStore.instance()._data
         before = len(staged)

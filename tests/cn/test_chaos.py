@@ -28,6 +28,7 @@ from repro.cn import (
     TaskState,
     VirtualClock,
 )
+from repro.cn.config import SCHEDULERS
 from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxTask, CnxTaskReq
 
 
@@ -470,44 +471,61 @@ class TestGracefulDegradation:
             )
         )
 
+    def run_degradable(self, n, memory_per_node, **runner_options):
+        """The dynamic fan of *n* under each scheduler (they cut its one
+        create_tasks call differently); the outcomes, in SCHEDULERS order."""
+        outcomes = []
+        for scheduler in SCHEDULERS:
+            with Cluster(
+                2,
+                registry=echo_registry(),
+                memory_per_node=memory_per_node,
+                scheduler=scheduler,
+            ) as cluster:
+                outcomes.append(
+                    ClientRunner(cluster, **runner_options).run(
+                        self.degradable_doc(),
+                        runtime_args={"n": n},
+                        timeout=20,
+                        collect_messages=True,
+                    )
+                )
+        return outcomes
+
     def test_dynamic_job_shrinks_to_capacity(self):
-        with Cluster(2, registry=echo_registry(), memory_per_node=2000) as cluster:
-            runner = ClientRunner(cluster)
-            outcome = runner.run(
-                self.degradable_doc(),
-                runtime_args={"n": 10},
-                timeout=20,
-                collect_messages=True,
-            )
-        # 10 workers x 1000 memory > 4000 budget: shrunk to 4
-        assert len(outcome.results) == 4
-        degraded = [
-            m for m in outcome.messages if m.type == MessageType.JOB_DEGRADED
-        ]
-        assert len(degraded) == 1
-        assert degraded[0].payload["requested"] == 10
-        assert degraded[0].payload["granted"] == 4
+        for outcome in self.run_degradable(10, 2000):
+            # 10 workers x 1000 memory > 4000 budget: shrunk to 4
+            assert len(outcome.results) == 4
+            degraded = [
+                m for m in outcome.messages if m.type == MessageType.JOB_DEGRADED
+            ]
+            assert len(degraded) == 1
+            assert degraded[0].payload["requested"] == 10
+            assert degraded[0].payload["granted"] == 4
 
     def test_no_degradation_when_it_fits(self):
-        with Cluster(2, registry=echo_registry(), memory_per_node=8000) as cluster:
-            runner = ClientRunner(cluster)
-            outcome = runner.run(
-                self.degradable_doc(),
-                runtime_args={"n": 3},
-                timeout=20,
-                collect_messages=True,
-            )
-        assert len(outcome.results) == 3
-        assert not [m for m in outcome.messages if m.type == MessageType.JOB_DEGRADED]
+        for outcome in self.run_degradable(3, 8000):
+            assert len(outcome.results) == 3
+            assert not [
+                m for m in outcome.messages if m.type == MessageType.JOB_DEGRADED
+            ]
 
     def test_degradation_can_be_disabled(self):
-        from repro.cn import TaskFailedError, NoWillingTaskManager
+        from repro.cn import NoWillingTaskManager
         from repro.core.cnx.validate import CnxValidationError
 
-        with Cluster(2, registry=echo_registry(), memory_per_node=2000) as cluster:
-            runner = ClientRunner(cluster, degrade=False)
-            with pytest.raises((NoWillingTaskManager, CnxValidationError)):
-                runner.run(self.degradable_doc(), runtime_args={"n": 10}, timeout=20)
+        for scheduler in SCHEDULERS:
+            with Cluster(
+                2,
+                registry=echo_registry(),
+                memory_per_node=2000,
+                scheduler=scheduler,
+            ) as cluster:
+                runner = ClientRunner(cluster, degrade=False)
+                with pytest.raises((NoWillingTaskManager, CnxValidationError)):
+                    runner.run(
+                        self.degradable_doc(), runtime_args={"n": 10}, timeout=20
+                    )
 
 
 class TestEpochFencing:

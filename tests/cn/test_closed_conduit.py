@@ -12,6 +12,7 @@ import multiprocessing
 import pytest
 
 from repro.cn import CNAPI, Cluster, Task, TaskRegistry, TaskSpec
+from repro.cn.config import SCHEDULERS
 from repro.cn.messages import MessageType
 
 TRANSPORTS = [
@@ -61,45 +62,52 @@ def dropped(job) -> list[str]:
 @pytest.mark.parametrize("transport", TRANSPORTS)
 class TestClosedConduit:
     def test_a_chain_runs_to_completion_with_nobody_listening(self, transport):
-        with Cluster(2, registry=registry(), transport=transport) as cluster:
-            api = CNAPI.initialize(cluster)
-            handle = api.create_job("client")
-            api.create_tasks(handle, [spec("a"), spec("b", depends=["a"])])
-            handle.job.client_queue.close()
-            api.start_job(handle)
-            # at the parent commit `a` stayed RUNNING with its slot held and
-            # no thread: TASK_STARTED raised between the claim and the start
-            assert api.wait(handle, timeout=10) == {"a": "a", "b": "b"}
-            assert handle.job.results() == {"a": "a", "b": "b"}
-            for server in cluster.servers:
-                tm = server.taskmanager
-                assert tm.free_slots == tm.slots
-                assert tm.free_memory == tm.memory_capacity
-                assert tm.hosted_count() == 0
-            assert dropped(handle.job) == [
-                MessageType.TASK_STARTED,
-                MessageType.TASK_COMPLETED,
-                MessageType.TASK_STARTED,
-                MessageType.TASK_COMPLETED,
-            ]
-            assert all(
-                entry["recipient"] == "client" and "ShutdownError" in entry["error"]
-                for entry in handle.job.undeliverable
-            )
-            dropped_total = cluster.telemetry.metrics.total("cn_undeliverable_total")
-            assert dropped_total == 4
+        for scheduler in SCHEDULERS:
+            with Cluster(
+                2, registry=registry(), transport=transport, scheduler=scheduler
+            ) as cluster:
+                api = CNAPI.initialize(cluster)
+                handle = api.create_job("client")
+                api.create_tasks(handle, [spec("a"), spec("b", depends=["a"])])
+                handle.job.client_queue.close()
+                api.start_job(handle)
+                # at the parent commit `a` stayed RUNNING with its slot held
+                # and no thread: TASK_STARTED raised between claim and start
+                assert api.wait(handle, timeout=10) == {"a": "a", "b": "b"}
+                assert handle.job.results() == {"a": "a", "b": "b"}
+                for server in cluster.servers:
+                    tm = server.taskmanager
+                    assert tm.free_slots == tm.slots
+                    assert tm.free_memory == tm.memory_capacity
+                    assert tm.hosted_count() == 0
+                assert dropped(handle.job) == [
+                    MessageType.TASK_STARTED,
+                    MessageType.TASK_COMPLETED,
+                    MessageType.TASK_STARTED,
+                    MessageType.TASK_COMPLETED,
+                ]
+                assert all(
+                    entry["recipient"] == "client"
+                    and "ShutdownError" in entry["error"]
+                    for entry in handle.job.undeliverable
+                )
+                metrics = cluster.telemetry.metrics
+                assert metrics.total("cn_undeliverable_total") == 4
 
     def test_create_tasks_places_and_returns(self, transport):
-        with Cluster(2, registry=registry(), transport=transport) as cluster:
-            api = CNAPI.initialize(cluster)
-            handle = api.create_job("client")
-            handle.job.client_queue.close()
-            # no ShutdownError after the hostings exist
-            api.create_tasks(handle, [spec("a"), spec("b", depends=["a"])])
-            assert handle.job.states() == {"a": "CREATED", "b": "CREATED"}
-            assert dropped(handle.job) == [MessageType.TASK_CREATED] * 2
-            api.start_job(handle)
-            assert api.wait(handle, timeout=10) == {"a": "a", "b": "b"}
+        for scheduler in SCHEDULERS:
+            with Cluster(
+                2, registry=registry(), transport=transport, scheduler=scheduler
+            ) as cluster:
+                api = CNAPI.initialize(cluster)
+                handle = api.create_job("client")
+                handle.job.client_queue.close()
+                # no ShutdownError after the hostings exist
+                api.create_tasks(handle, [spec("a"), spec("b", depends=["a"])])
+                assert handle.job.states() == {"a": "CREATED", "b": "CREATED"}
+                assert dropped(handle.job) == [MessageType.TASK_CREATED] * 2
+                api.start_job(handle)
+                assert api.wait(handle, timeout=10) == {"a": "a", "b": "b"}
 
     def test_restore_gives_the_state_back(self, transport):
         with Cluster(1, registry=registry(), transport=transport) as cluster:

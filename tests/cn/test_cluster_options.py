@@ -1,6 +1,6 @@
 """The construction surface of ``Cluster``: which options exist, what is
-refused at construction, and that nothing under ``src/repro`` reads the
-environment -- the CI sweeps go through ``tests/conftest.py`` alone."""
+refused at construction, and that nothing in the library or its tests
+reads the environment -- a configuration is written where it is used."""
 
 import ast
 import dataclasses
@@ -22,19 +22,6 @@ needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="proc transport requires the fork start method",
 )
-
-#: the unwrapped constructor: what a user outside the test suite calls
-plain_init = Cluster.__init__.__wrapped__
-
-SWEEP_VARIABLES = ("CN_TRANSPORT", "CN_SCHEDULER", "CN_VERIFY_LOCKING")
-
-
-@pytest.fixture
-def no_sweep(monkeypatch):
-    for name in SWEEP_VARIABLES:
-        monkeypatch.delenv(name, raising=False)
-    return monkeypatch
-
 
 OPTIONS = [
     "nodes",
@@ -61,7 +48,7 @@ def test_cluster_options_are_exactly_these():
     # adding one removes one
     assert [f.name for f in dataclasses.fields(ClusterConfig)] == OPTIONS
     # ... and the constructor declares none of its own
-    parameters = inspect.signature(plain_init).parameters
+    parameters = inspect.signature(Cluster.__init__).parameters
     assert [(p.name, p.kind) for p in parameters.values()] == [
         ("self", inspect.Parameter.POSITIONAL_OR_KEYWORD),
         ("nodes", inspect.Parameter.POSITIONAL_OR_KEYWORD),
@@ -105,8 +92,11 @@ def test_defaults_are_stated_once():
 
 
 def test_src_reads_no_environment():
+    # nor do the tests: no environment variable configures what they build
+    root = Path(repro.__file__).parents[2]
     offenders = []
-    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+    sources = [*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]
+    for path in sorted(sources):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             name = (
                 node.attr if isinstance(node, ast.Attribute)
@@ -166,7 +156,7 @@ class TestRefusedAtConstruction:
         ],
     )
     def test_nothing_is_left_installed_by_a_refused_cluster(
-        self, no_sweep, nodes, options, message
+        self, nodes, options, message
     ):
         from repro.analysis.conc.runtime import current_verifier
 
@@ -178,54 +168,3 @@ class TestRefusedAtConstruction:
         assert current_verifier() is before
         assert multiprocessing.active_children() == []
         assert threading.active_count() == threads
-
-
-class TestSweepWrapper:
-    """``conftest.swept`` is how ``CN_TRANSPORT`` / ``CN_SCHEDULER`` /
-    ``CN_VERIFY_LOCKING`` reach the clusters a test run builds."""
-
-    def test_constructor_itself_ignores_the_variables(self, monkeypatch):
-        monkeypatch.setenv("CN_TRANSPORT", "proc")
-        monkeypatch.setenv("CN_SCHEDULER", "bid")
-        monkeypatch.setenv("CN_VERIFY_LOCKING", "1")
-        cluster = Cluster.__new__(Cluster)
-        plain_init(cluster, 2)
-        assert cluster.transport.name == "inproc"
-        assert cluster.scheduler == "solicit"
-        assert cluster.lock_verifier is None
-
-    def test_value_applies_where_the_test_passed_none(self, no_sweep):
-        no_sweep.setenv("CN_SCHEDULER", "bid")
-        no_sweep.setenv("CN_VERIFY_LOCKING", "1")
-        with Cluster(2) as c:
-            assert c.scheduler == "bid"
-            assert c.lock_verifier is not None
-        no_sweep.setenv("CN_VERIFY_LOCKING", "0")
-        with Cluster(2) as c:
-            assert c.lock_verifier is None
-
-    def test_explicit_argument_wins(self, no_sweep):
-        no_sweep.setenv("CN_SCHEDULER", "bid")
-        no_sweep.setenv("CN_VERIFY_LOCKING", "1")
-        no_sweep.setenv("CN_TRANSPORT", "carrier-pigeon")
-        with Cluster(
-            2, scheduler="solicit", verify_locking=False, transport="inproc"
-        ) as c:
-            assert c.scheduler == "solicit"
-            assert c.lock_verifier is None
-            assert c.transport.name == "inproc"
-
-    @needs_fork
-    def test_falls_back_when_the_test_s_options_rule_the_value_out(self, no_sweep):
-        no_sweep.setenv("CN_TRANSPORT", "proc")
-        no_sweep.setenv("CN_SCHEDULER", "bid")
-        with Cluster(2, chaos=ChaosPolicy(seed=1)) as c:
-            # all of the sweep is dropped, not only the offending value:
-            # the cluster is the one the test wrote
-            assert c.transport.name == "inproc"
-            assert c.scheduler == "solicit"
-
-    def test_a_refusal_of_the_test_s_own_options_still_surfaces(self, no_sweep):
-        no_sweep.setenv("CN_SCHEDULER", "bid")
-        with pytest.raises(ConfigError, match="unknown queue policy"):
-            Cluster(2, queue_policy="bogus")

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cn import CNAPI, Cluster, TaskSpec, TaskState
+from repro.cn.config import SCHEDULERS
 from repro.cn.job import Job, TaskRuntime
 from repro.cn.taskmanager import TaskManager
 from repro.util import dag
@@ -65,15 +66,17 @@ class TestOneClaimPerTask:
 
     @pytest.mark.parametrize("specs", [fan(150), chain(150)], ids=["fan", "chain"])
     def test_claims_equal_tasks_and_the_roster_is_scanned_once(self, calls, specs):
-        with Cluster(4, registry=basic_registry()) as cluster:
-            api = CNAPI.initialize(cluster)
-            handle = api.create_job("client")
-            api.create_tasks(handle, specs)
-            api.start_job(handle)
-            results = api.wait(handle, timeout=120)
-        assert set(results) == {spec.name for spec in specs}
-        assert calls["claims"] == len(specs)
-        assert calls["scans"] <= 1
+        for scheduler in SCHEDULERS:  # one placement round per task, or one
+            calls.update(claims=0, scans=0)
+            with Cluster(4, registry=basic_registry(), scheduler=scheduler) as cluster:
+                api = CNAPI.initialize(cluster)
+                handle = api.create_job("client")
+                api.create_tasks(handle, specs)
+                api.start_job(handle)
+                results = api.wait(handle, timeout=120)
+            assert set(results) == {spec.name for spec in specs}
+            assert calls["claims"] == len(specs), scheduler
+            assert calls["scans"] <= 1, scheduler
 
 
 def placed_job(specs):

@@ -10,6 +10,7 @@ import json
 import os
 import tempfile
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -481,6 +482,22 @@ class TestReplayDeliveryBatchAndGC:
         snapshot = replay_job("j", records + [rec(4, "j", "ledger-gc", task="t", upto=3)])
         assert snapshot.deliveries["t"] == []
 
+    def test_a_delivery_journaled_after_the_gc_that_collected_it_stays_collected(
+        self,
+    ):
+        # route_many ledgers m2 under the job lock and journals it after;
+        # the recipient goes terminal in between, and its ledger-gc counts
+        # m2 before m2's own record lands
+        first, late = self.deliveries("t", ["m1", "m2"])
+        records = [
+            rec(1, "j", "delivery", messages=[first]),
+            rec(2, "j", "ledger-gc", task="t", upto=2),
+            rec(3, "j", "delivery", messages=[late]),
+        ]
+        snapshot = replay_job("j", records)
+        assert snapshot.deliveries["t"] == []
+        assert snapshot.gc_watermarks == {"t": 2}
+
     def test_duplicated_gc_record_is_idempotent(self):
         messages = self.deliveries("t", ["m1", "m2"])
         records = [
@@ -910,6 +927,52 @@ class TestDurableJobLifecycle:
         snapshot = replay_job(job_id, reloaded.records(job_id))
         assert snapshot.finished and snapshot.results["q"] == "ok"
         reloaded.close()
+
+    def test_every_terminal_record_is_on_disk_when_wait_returns(
+        self, tmp_path, monkeypatch
+    ):
+        """The finished event fires after the last terminal write of every
+        task (``task-state``, ``job-finished``, ``ledger-gc``): a client
+        that shuts the cluster down the moment ``wait`` returns loses none
+        of them, and no task thread writes to a closed journal."""
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        earlier = set(threading.enumerate())  # other tests' leftovers
+        persist = FileJournal._persist
+
+        def slow_disk(self, start, arrived):
+            time.sleep(0.001)  # every write lets the woken client run
+            persist(self, start, arrived)
+
+        monkeypatch.setattr(FileJournal, "_persist", slow_disk)
+        names = [f"e{i}" for i in range(8)]
+        for round_ in range(3):
+            journal_dir = str(tmp_path / f"journals{round_}")
+            cluster = Cluster(2, registry=echo_registry(), journal_dir=journal_dir)
+            cluster.start()
+            api = CNAPI.initialize(cluster)
+            handle = api.create_job("client", requirements={"prefer": "node0"})
+            api.create_tasks(
+                handle, [TaskSpec(name=n, jar="echo.jar", cls="t.Echo") for n in names]
+            )
+            api.start_job(handle)
+            for name in names:
+                api.send_message(handle, name, name)
+            api.wait(handle, timeout=10)
+            job_id = handle.job_id
+            cluster.shutdown()
+            for thread in set(threading.enumerate()) - earlier:
+                if thread.name.startswith("cn-task-"):
+                    thread.join(timeout=10)
+                    assert not thread.is_alive(), thread.name
+            ours = [args.exc_value for args in raised if args.thread not in earlier]
+            assert ours == []
+            reloaded = FileJournal(f"{journal_dir}/node0.jsonl")
+            snapshot = replay_job(job_id, reloaded.records(job_id))
+            reloaded.close()
+            assert snapshot.finished
+            assert snapshot.states == {name: "COMPLETED" for name in names}
+            assert snapshot.gc_watermarks == {name: 1 for name in names}
 
 
 # -- manager failover -----------------------------------------------------------

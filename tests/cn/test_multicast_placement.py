@@ -66,6 +66,24 @@ class TestBus:
         assert bus.stats.listener_errors == 1
         assert bus.stats.publishes == 1
 
+    def test_raising_bid_is_counted_not_taken_for_unwillingness(
+        self, registry, monkeypatch
+    ):
+        with Cluster(2, registry=registry) as cluster:
+            broken = cluster.servers[1].taskmanager
+
+            def compute_bid(rule):
+                raise RuntimeError("bid arithmetic overflowed")
+
+            monkeypatch.setattr(broken, "compute_bid", compute_bid)
+            api = CNAPI.initialize(cluster)
+            handle = api.create_job("client")
+            api.create_task(handle, TaskSpec(name="t", jar="echo.jar", cls="test.Echo"))
+            assert handle.job.tasks["t"].node_name == "node0/tm"
+            assert cluster.bus.stats.responder_errors == 1
+            metrics = cluster.telemetry.metrics
+            assert metrics.value("cn_bus_responder_errors_total") == 1
+
     def test_partition_and_chaos_are_consulted_per_receiver(self):
         """The fast path skips both checks only while neither is active:
         a partition still blocks per receiver, and an armed chaos policy

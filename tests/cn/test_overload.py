@@ -23,6 +23,7 @@ from repro.cn import (
     VirtualClock,
     replay_job,
 )
+from repro.cn.config import SCHEDULERS
 from repro.cn.errors import JobTimeoutError
 from repro.cn.messages import Message
 from repro.cn.queues import MessageQueue
@@ -464,20 +465,24 @@ class TestDegradeFactorScalesExpansion:
         )
 
     def test_lowered_factor_admits_narrower_jobs(self):
-        with Cluster(
-            2, registry=overload_registry(), memory_per_node=2000
-        ) as cluster:
-            cluster.degrade_factor = 0.5  # as the admission controller would
-            runner = ClientRunner(cluster)
-            outcome = runner.run(
-                self.degradable_doc(),
-                runtime_args={"n": 10},
-                timeout=20,
-                collect_messages=True,
-            )
-        # 4000 free x 0.5 = 2000 budget -> 2 of 10 workers
-        assert len(outcome.results) == 2
-        degraded = [
-            m for m in outcome.messages if m.type == MessageType.JOB_DEGRADED
-        ]
-        assert degraded and degraded[0].payload["granted"] == 2
+        for scheduler in SCHEDULERS:
+            with Cluster(
+                2,
+                registry=overload_registry(),
+                memory_per_node=2000,
+                scheduler=scheduler,
+            ) as cluster:
+                cluster.degrade_factor = 0.5  # as the admission controller would
+                runner = ClientRunner(cluster)
+                outcome = runner.run(
+                    self.degradable_doc(),
+                    runtime_args={"n": 10},
+                    timeout=20,
+                    collect_messages=True,
+                )
+            # 4000 free x 0.5 = 2000 budget -> 2 of 10 workers
+            assert len(outcome.results) == 2
+            degraded = [
+                m for m in outcome.messages if m.type == MessageType.JOB_DEGRADED
+            ]
+            assert degraded and degraded[0].payload["granted"] == 2

@@ -26,6 +26,7 @@ from repro.cn import (
     evaluate_arguments,
     expand_dynamic_tasks,
 )
+from repro.cn.config import SCHEDULERS
 from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxParam, CnxTask
 
 from ..conftest import basic_registry
@@ -387,14 +388,15 @@ class TestDynamicExpansion:
         shed = expand_dynamic_tasks(job, {}, memory_budget=0)
         assert len(shed) - 2 == min(count, max(1, low))
 
-    def test_runner_executes_expanded_job(self, cluster):
-        runner = ClientRunner(cluster)
-        result = runner.run(
-            self.doc("[(i,) for i in range(1, n + 1)]"),
-            runtime_args={"n": 4},
-            timeout=15,
-        )
-        assert set(result.results) == {"root", "w1", "w2", "w3", "w4", "sink"}
+    def test_runner_executes_expanded_job(self, registry):
+        for scheduler in SCHEDULERS:
+            with Cluster(4, registry=registry, scheduler=scheduler) as cluster:
+                result = ClientRunner(cluster).run(
+                    self.doc("[(i,) for i in range(1, n + 1)]"),
+                    runtime_args={"n": 4},
+                    timeout=15,
+                )
+            assert set(result.results) == {"root", "w1", "w2", "w3", "w4", "sink"}
 
 
 class TestClientRunner:
@@ -478,7 +480,7 @@ class TestStatusQueries:
         assert status["tasks"]["x"]["state"] == "FAILED"
 
 
-@pytest.mark.parametrize("scheduler", ["solicit", "bid"])
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
 class TestHostingEnds:
     """Whatever ends a hosting -- completion, cancellation, failure of a
     sibling, eviction -- the node gets back exactly what host_task took."""

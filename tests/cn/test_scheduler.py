@@ -36,6 +36,7 @@ from repro.cn import (
     TaskSpec,
     award_bids,
 )
+from repro.cn.config import SCHEDULERS
 from repro.cn.errors import CnError
 from repro.cn.scheduler import _canonical, _fold
 
@@ -198,17 +199,20 @@ def test_seed_rotates_name_rank_only_on_ties():
 
 
 def test_bid_cluster_runs_jobs_and_spreads():
-    with Cluster(8, registry=registry(), memory_per_node=10**4, scheduler="bid") as c:
-        api = CNAPI.initialize(c)
-        handle = api.create_job("cli")
-        api.create_tasks(handle, [spec(f"t{i}") for i in range(64)])
-        api.start_job(handle)
-        results = api.wait(handle, timeout=30)
-        assert len(results) == 64
-        placed = [handle.job.task(f"t{i}").node_name for i in range(64)]
-        counts = {n: placed.count(n) for n in set(placed)}
-        assert len(counts) == 8
-        assert max(counts.values()) - min(counts.values()) <= 1
+    for scheduler in SCHEDULERS:
+        with Cluster(
+            8, registry=registry(), memory_per_node=10**4, scheduler=scheduler
+        ) as c:
+            api = CNAPI.initialize(c)
+            handle = api.create_job("cli")
+            api.create_tasks(handle, [spec(f"t{i}") for i in range(64)])
+            api.start_job(handle)
+            results = api.wait(handle, timeout=30)
+            assert len(results) == 64
+            placed = [handle.job.task(f"t{i}").node_name for i in range(64)]
+            counts = {n: placed.count(n) for n in set(placed)}
+            assert len(counts) == 8
+            assert max(counts.values()) - min(counts.values()) <= 1
 
 
 def test_one_task_per_round_spreads_like_one_rule():
@@ -218,7 +222,7 @@ def test_one_task_per_round_spreads_like_one_rule():
     stands for the real free memory the per-task rounds see shrink."""
     specs = [spec(f"t{i}") for i in range(256)]
     counts = {}
-    for scheduler in ("solicit", "bid"):
+    for scheduler in SCHEDULERS:
         with Cluster(
             32, registry=registry(), memory_per_node=10**4, scheduler=scheduler,
             telemetry=None, durable=False,
@@ -264,13 +268,14 @@ def test_locality_breaks_free_memory_ties():
 
 
 def test_rejecting_nodes_never_bid():
-    with Cluster(2, registry=registry(), scheduler="bid") as c:
-        for server in c.servers:
-            server.accept_tasks = False
-        api = CNAPI.initialize(c)
-        handle = api.create_job("cli")
-        with pytest.raises(NoWillingTaskManager):
-            api.create_tasks(handle, [spec("t0"), spec("t1")])
+    for scheduler in SCHEDULERS:
+        with Cluster(2, registry=registry(), scheduler=scheduler) as c:
+            for server in c.servers:
+                server.accept_tasks = False
+            api = CNAPI.initialize(c)
+            handle = api.create_job("cli")
+            with pytest.raises(NoWillingTaskManager):
+                api.create_tasks(handle, [spec("t0"), spec("t1")])
 
 
 def test_unknown_scheduler_rejected():
@@ -281,7 +286,7 @@ def test_unknown_scheduler_rejected():
 # -- chaos: kill between bid and award ----------------------------------------
 
 
-@pytest.mark.parametrize("scheduler", ["solicit", "bid"])
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
 def test_failed_upload_rebids_instead_of_failing_the_call(scheduler):
     """node0 answers, then refuses the upload (it filled up, or died, in
     between): the bidder is excluded and the task lands on the next best
@@ -320,80 +325,83 @@ def test_kill_node_between_bid_and_award():
     """A node that wins bids and dies before the award upload: the award
     fails, a re-bid round places the tasks elsewhere, and the epoch
     fence guarantees no double placement."""
-    with Cluster(4, registry=registry(), memory_per_node=10**4, scheduler="bid") as c:
-        api = CNAPI.initialize(c)
-        handle = api.create_job("cli")
-        manager_base = handle.manager.name.split("/")[0]
+    for scheduler in SCHEDULERS:
+        with Cluster(
+            4, registry=registry(), memory_per_node=10**4, scheduler=scheduler
+        ) as c:
+            api = CNAPI.initialize(c)
+            handle = api.create_job("cli")
+            manager_base = handle.manager.name.split("/")[0]
 
-        sabotage = {"killed": None, "rule_solicits": 0}
-        original = c.bus.solicit
-        lock = threading.Lock()
+            sabotage = {"killed": None, "rule_solicits": 0}
+            original = c.bus.solicit
+            lock = threading.Lock()
 
-        def solicit_and_kill(solicitation):
-            offers = original(solicitation)
-            if solicitation.kind != "rule":
+            def solicit_and_kill(solicitation):
+                offers = original(solicitation)
+                if solicitation.kind != "rule":
+                    return offers
+                with lock:
+                    sabotage["rule_solicits"] += 1
+                    if sabotage["killed"] is None:
+                        rule = solicitation.requirements["rule"]
+                        awards, _ = award_bids(rule, [b for _, b in offers])
+                        # kill a winning bidder that is not the manager's node
+                        for _, tm_name in awards:
+                            node = tm_name.split("/")[0]
+                            if node != manager_base:
+                                sabotage["killed"] = node
+                                c.kill_node(node)
+                                break
                 return offers
-            with lock:
-                sabotage["rule_solicits"] += 1
-                if sabotage["killed"] is None:
-                    rule = solicitation.requirements["rule"]
-                    awards, _ = award_bids(rule, [b for _, b in offers])
-                    # kill a winning bidder that is not the manager's node
-                    for _, tm_name in awards:
-                        node = tm_name.split("/")[0]
-                        if node != manager_base:
-                            sabotage["killed"] = node
-                            c.kill_node(node)
-                            break
-            return offers
 
-        c.bus.solicit = solicit_and_kill
-        try:
-            api.create_tasks(handle, [spec(f"t{i}") for i in range(12)])
-        finally:
-            c.bus.solicit = original
+            c.bus.solicit = solicit_and_kill
+            try:
+                api.create_tasks(handle, [spec(f"t{i}") for i in range(12)])
+            finally:
+                c.bus.solicit = original
 
-        killed = sabotage["killed"]
-        assert killed is not None, "no winning bidder was available to kill"
-        assert sabotage["rule_solicits"] >= 2, "no re-bid round happened"
+            killed = sabotage["killed"]
+            assert killed is not None, "no winning bidder was available to kill"
+            assert sabotage["rule_solicits"] >= 2, "no re-bid round happened"
 
-        # every task placed on a live node, never on the killed one
-        for i in range(12):
-            runtime = handle.job.task(f"t{i}")
-            assert runtime.node_name is not None
-            assert runtime.node_name.split("/")[0] != killed
+            # every task placed on a live node, never on the killed one
+            for i in range(12):
+                runtime = handle.job.task(f"t{i}")
+                assert runtime.node_name is not None
+                assert runtime.node_name.split("/")[0] != killed
 
-        # no double placement: across all surviving TaskManagers exactly
-        # one live hosting (epoch matches the runtime's) per task
-        for i in range(12):
-            runtime = handle.job.task(f"t{i}")
-            live = [
-                server.name
-                for server in c.servers
-                for (job_id, name), h in server.taskmanager._hosted.items()
-                if job_id == handle.job.job_id
-                and name == runtime.name
-                and h.epoch == runtime.epoch
-            ]
-            assert len(live) == 1, (runtime.name, live)
+            # no double placement: across all surviving TaskManagers exactly
+            # one live hosting (epoch matches the runtime's) per task
+            for i in range(12):
+                runtime = handle.job.task(f"t{i}")
+                live = [
+                    server.name
+                    for server in c.servers
+                    for (job_id, name), h in server.taskmanager._hosted.items()
+                    if job_id == handle.job.job_id
+                    and name == runtime.name
+                    and h.epoch == runtime.epoch
+                ]
+                assert len(live) == 1, (runtime.name, live)
 
-        # journal invariant: the final task-placed record per task names
-        # the surviving node and the runtime's current epoch
-        journal = handle.manager.journal
-        assert journal is not None
-        placed = {}
-        for record in journal.records(handle.job.job_id):
-            if record.kind == "task-placed":
-                placed[record.data["task"]] = record.data
-        for i in range(12):
-            runtime = handle.job.task(f"t{i}")
-            assert placed[runtime.name]["node"] == runtime.node_name
-            assert placed[runtime.name]["epoch"] == runtime.epoch
+            # journal invariant: the final task-placed record per task names
+            # the surviving node and the runtime's current epoch
+            journal = handle.manager.journal
+            assert journal is not None
+            placed = {}
+            for record in journal.records(handle.job.job_id):
+                if record.kind == "task-placed":
+                    placed[record.data["task"]] = record.data
+            for i in range(12):
+                runtime = handle.job.task(f"t{i}")
+                assert placed[runtime.name]["node"] == runtime.node_name
+                assert placed[runtime.name]["epoch"] == runtime.epoch
 
-        # and the job still runs to completion on the survivors
-        api.start_job(handle)
-        results = api.wait(handle, timeout=30)
-        assert len(results) == 12
+            # and the job still runs to completion on the survivors
+            api.start_job(handle)
+            results = api.wait(handle, timeout=30)
+            assert len(results) == 12
 
 
 # -- chaos: the manager dies inside an award round ----------------------------

@@ -11,12 +11,13 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cn import (
     CNAPI,
     Cluster,
+    ClusterConfig,
     Task,
     TaskFailedError,
     TaskRegistry,
@@ -145,14 +146,15 @@ def shuffled_dags(draw):
     return {f"t{i}": deps[f"t{i}"] for i in range(n)}
 
 
-@pytest.fixture(scope="module")
-def cluster():
+@pytest.fixture(scope="class")
+def cluster(request):
     with Cluster(
         3,
         registry=registry(),
         memory_per_node=10**6,
         slots_per_node=256,
         transport="inproc",  # FlakyOnce spends a budget kept in this process
+        scheduler=getattr(request.cls, "scheduler", ClusterConfig.scheduler),
     ) as c:
         yield c
 
@@ -225,8 +227,16 @@ class TestTheDriveOnEveryShape:
     """Completion drives dependents by count (``Job.unblocked_by``); what
     the task bodies themselves saw is the evidence."""
 
+    #: how the cluster cuts a create_tasks call into placement rounds
+    scheduler = ClusterConfig.scheduler
+
     @given(shuffled_dags())
-    @settings(max_examples=25, deadline=None)
+    # the subclass runs the same property under the other scheduler
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.differing_executors],
+    )
     def test_every_body_runs_once_and_after_its_dependencies(self, cluster, deps):
         assert set(dagutil.order(deps)) == set(deps)  # the oracle: it is a DAG
         reset_script()
@@ -368,6 +378,7 @@ class TestTheDriveOnEveryShape:
             memory_per_node=10**6,
             slots_per_node=256,
             transport="inproc",  # the bodies record into this process
+            scheduler=self.scheduler,
         ) as fleet:
             fleet.servers[0].accept_tasks = False  # node0 only manages
             gates = reset_script(gates=workers)
@@ -419,3 +430,11 @@ class TestTheDriveOnEveryShape:
                 ns for name in held for ns in stamps("end", epoch=2)[name]
             )
             assert handle.job.ready_tasks() == []
+
+
+class TestTheDriveOnEveryShapeUnderBid(TestTheDriveOnEveryShape):
+    """The same drive with each create_tasks call placed one round per
+    task template instead of one per task."""
+
+    scheduler = "bid"
+

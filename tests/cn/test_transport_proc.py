@@ -7,8 +7,7 @@ failures cross back faithfully, and that a killed worker flows through
 the paper's failure-detection machinery rather than hanging the job.
 
 The in-process-only features (chaos, virtual time, the lock verifier)
-are guarded by construction-time ConfigError -- also covered here, with
-the ``CN_TRANSPORT`` sweep that ``tests/conftest.py`` applies.
+are guarded by construction-time ConfigError -- also covered here.
 """
 
 import os
@@ -41,6 +40,7 @@ from repro.apps.matmul import (
     register_matmul_tasks,
     run_parallel_matmul,
 )
+from repro.apps.montecarlo import register_pi_tasks, run_parallel_pi
 from repro.apps.wordcount import register_wordcount_tasks, run_parallel_wordcount
 from repro.apps.wordcount.tasks import count_words_serial
 from repro.cn import (
@@ -54,10 +54,13 @@ from repro.cn import (
     TaskFailedError,
     TaskSpec,
     collect_trace,
+    replay_job,
 )
 from repro.cn.chaos import VirtualClock
 from repro.cn.transport import ProcTransport
 from repro.cn.transport.worker import WorkerRuntime
+
+from .test_durability import EchoPair, Quick, echo_registry, worker_only_nodes
 
 pytestmark = pytest.mark.skipif(
     "fork" not in __import__("multiprocessing").get_all_start_methods(),
@@ -70,6 +73,9 @@ def proc_cluster():
     registry = floyd_registry()
     register_matmul_tasks(registry)
     register_wordcount_tasks(registry)
+    register_pi_tasks(registry)
+    registry.register_class("echo.jar", "t.EchoPair", EchoPair)
+    registry.register_class("quick.jar", "t.Quick", Quick)
     with Cluster(
         4,
         registry=registry,
@@ -107,6 +113,14 @@ class TestProcExecution:
             a, b, n_workers=4, cluster=proc_cluster
         )
         assert np.allclose(c, matmul_serial(a, b))
+
+    def test_pi_estimate_is_the_seed_s_in_worker_processes(self, proc_cluster):
+        # the same seed gives the same estimate wherever the workers ran
+        estimate, _ = run_parallel_pi(
+            samples=20000, seed=3, n_workers=3, cluster=proc_cluster
+        )
+        inproc, _ = run_parallel_pi(samples=20000, seed=3, n_workers=3)
+        assert estimate == inproc
 
     def test_wordcount_tuple_space_rpcs(self, proc_cluster):
         text = "the quick brown fox jumps over the lazy dog " * 40
@@ -563,6 +577,62 @@ class TestWorkerDeath:
             assert np.allclose(out, matmul_serial(a, b))
 
 
+class TestDurableJobsOnWorkers:
+    """The journal is written by the coordinator from what crosses back:
+    attempt outcomes and the deliveries a worker's task received."""
+
+    def test_a_finished_job_leaves_a_complete_journal(self, proc_cluster):
+        inline = proc_cluster.transport.inline_fallbacks
+        api = CNAPI.initialize(proc_cluster)
+        handle = api.create_job("client")
+        api.create_tasks(
+            handle,
+            [
+                TaskSpec(name="q", jar="quick.jar", cls="t.Quick"),
+                TaskSpec(name="e", jar="echo.jar", cls="t.EchoPair"),
+            ],
+        )
+        api.start_job(handle)
+        api.send_message(handle, "e", "one")
+        api.send_message(handle, "e", "two")
+        assert api.wait(handle, timeout=30) == {"q": "ok", "e": ["one", "two"]}
+        records = handle.manager.journal.records(handle.job_id)
+        journaled = [
+            m.payload
+            for r in records
+            if r.kind == "delivery"
+            for m in r.data["messages"]
+        ]
+        assert journaled == ["one", "two"]
+        snapshot = replay_job(handle.job_id, records)
+        assert snapshot.finished and not snapshot.failed
+        assert snapshot.results == {"q": "ok", "e": ["one", "two"]}
+        assert snapshot.deliveries.get("e", []) == []
+        assert snapshot.gc_watermarks["e"] == 2
+        assert proc_cluster.transport.inline_fallbacks == inline  # both crossed
+
+    def test_a_successor_completes_an_attempt_running_in_a_worker(self):
+        with Cluster(
+            3, registry=echo_registry(), failure_k=2, transport="proc"
+        ) as cluster:
+            worker_only_nodes(cluster)
+            api = CNAPI.initialize(cluster)
+            handle = api.create_job("client", requirements={"prefer": "node0"})
+            api.create_task(
+                handle,
+                TaskSpec(name="e", jar="echo.jar", cls="t.EchoPair", max_retries=2),
+            )
+            api.start_job(handle)
+            api.send_message(handle, "e", "first")
+            cluster.kill_node("node0")
+            cluster.tick(3)  # detect death -> lowest survivor adopts
+            assert handle.manager.name == "node1/jm"
+            api.send_message(handle, "e", "second")
+            # "first" came back from the replayed ledger into a worker
+            assert api.wait(handle, timeout=30)["e"] == ["first", "second"]
+            assert cluster.transport.inline_fallbacks == 0
+
+
 class TestConfigGuards:
     def test_explicit_proc_with_chaos_refused(self):
         with pytest.raises(ConfigError, match="chaos"):
@@ -583,24 +653,6 @@ class TestConfigGuards:
         with pytest.raises(ConfigError, match="verify_locking"):
             Cluster(2, transport="proc", verify_locking=True)
 
-    # the CN_TRANSPORT sweep is the test suite's (tests/conftest.py wraps
-    # Cluster construction); the constructor itself reads no environment
-
-    def test_env_selected_proc_falls_back_for_chaos(self, monkeypatch):
-        monkeypatch.setenv("CN_TRANSPORT", "proc")
-        with Cluster(
-            2, chaos=ChaosPolicy(seed=1), verify_locking=False
-        ) as c:
-            assert c.transport.name == "inproc"
-
-    def test_env_selects_proc_for_plain_clusters(self, monkeypatch):
-        monkeypatch.setenv("CN_TRANSPORT", "proc")
-        with Cluster(2, verify_locking=False) as c:
-            assert c.transport.name == "proc"
-        unswept = Cluster.__new__(Cluster)
-        Cluster.__init__.__wrapped__(unswept, 2)
-        assert unswept.transport.name == "inproc"
-
     def test_unknown_transport_name_refused(self):
         with pytest.raises(ConfigError, match="unknown transport"):
             Cluster(2, transport="carrier-pigeon")
@@ -610,9 +662,8 @@ class TestConfigGuards:
         with pytest.raises(ConfigError, match="unknown transport"):
             Cluster(2, transport=ProcTransport(), verify_locking=False)
 
-    def test_inproc_remains_the_default(self, monkeypatch):
-        monkeypatch.delenv("CN_TRANSPORT", raising=False)
-        with Cluster(2, verify_locking=False) as c:
+    def test_inproc_remains_the_default(self):
+        with Cluster(2) as c:
             assert c.transport.name == "inproc"
 
 

@@ -17,11 +17,11 @@ from ..conftest import basic_registry
 
 @pytest.fixture(autouse=True)
 def _isolated_verifier(monkeypatch):
-    """Detach from any process-global verifier other suite runs installed
-    (under CN_VERIFY_LOCKING=1 every cluster joins one refcounted graph,
-    and tests that never shut their cluster down leak installs).  Seeded
-    inversions below must land in a private graph, not the shared one --
-    monkeypatch restores the previous globals afterwards."""
+    """Detach from any process-global verifier another test installed
+    (every verified cluster joins one refcounted graph, and a test that
+    never shuts its cluster down leaks its install).  Seeded inversions
+    below must land in a private graph, not the shared one -- monkeypatch
+    restores the previous globals afterwards."""
     from repro.analysis.conc import runtime
 
     monkeypatch.setattr(runtime, "_installed", None)
@@ -78,8 +78,7 @@ class TestVerifiedCluster:
             assert {"lock"} == {k for m in histograms for k in m.labels}
             assert any(m.count > 0 for m in histograms)
 
-    def test_off_by_default_and_costless(self, monkeypatch):
-        monkeypatch.delenv("CN_VERIFY_LOCKING", raising=False)
+    def test_off_by_default_and_costless(self):
         with Cluster(1, registry=basic_registry()) as cluster:
             assert cluster.lock_verifier is None
             lock = make_lock("Anything._lock")

@@ -2,58 +2,11 @@
 
 from __future__ import annotations
 
-import functools
-import os
-
 import pytest
 
 from repro.cn.cluster import Cluster
-from repro.cn.config import ClusterConfig
-from repro.cn.errors import ConfigError
 from repro.cn.registry import TaskRegistry
 from repro.cn.task import Task
-
-
-def sweep_options() -> dict:
-    """The Cluster options the CI sweeps select through the environment:
-    ``CN_TRANSPORT=proc``, ``CN_SCHEDULER=bid``, ``CN_VERIFY_LOCKING=1``.
-    This function is their only reader; ``src/repro`` reads no environment."""
-    options: dict = {}
-    transport = os.environ.get("CN_TRANSPORT", "").strip()
-    if transport:
-        options["transport"] = transport
-    scheduler = os.environ.get("CN_SCHEDULER", "").strip()
-    if scheduler:
-        options["scheduler"] = scheduler
-    if os.environ.get("CN_VERIFY_LOCKING", "") not in ("", "0"):
-        options["verify_locking"] = True
-    return options
-
-
-def swept(init):
-    """Wrap ``Cluster.__init__`` so a sweep re-runs the suite unedited: a
-    sweep value applies where the caller passed none, and a cluster whose
-    own options rule it out (chaos on the proc transport, say) is built
-    without it instead of refusing to construct.  ``ClusterConfig``
-    builds nothing, so asking it costs no constructor run."""
-
-    @functools.wraps(init)
-    def __init__(self, nodes=4, **kwargs):
-        extra = {k: v for k, v in sweep_options().items() if k not in kwargs}
-        if extra:
-            try:
-                ClusterConfig(nodes, **kwargs, **extra)
-            except ConfigError:
-                extra = {}
-        init(self, nodes, **kwargs, **extra)
-
-    return __init__
-
-
-if not hasattr(Cluster.__init__, "__wrapped__"):
-    # at import, so clusters built inside src (app drivers, the portal,
-    # the simulator) and by module-scoped fixtures are swept too
-    Cluster.__init__ = swept(Cluster.__init__)
 
 
 class Echo(Task):

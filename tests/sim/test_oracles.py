@@ -6,6 +6,7 @@ from repro.cn import Message
 from repro.cn.durability import JournalRecord
 from repro.sim import ORACLES, Schedule, run_oracles
 from repro.sim.harness import SimResult
+from repro.sim.oracles import JOURNAL_ORACLES
 
 _seq = itertools.count(1)
 
@@ -20,15 +21,14 @@ def delivery(task, payload="x", mepoch=1):
     return record("delivery", {"messages": [Message.user("s", task, payload)]}, mepoch)
 
 
-def make_result(**overrides):
+def make_result(checksums=True, **overrides):
     base = dict(
         seed=1,
-        schedule=Schedule(seed=1),
+        schedule=Schedule(seed=1, checksums=checksums),
         status="done",
         error="",
         ticks=10,
         job_id=JOB,
-        checksums=True,
         expected=[[0.0, 1.0], [1.0, 0.0]],
         result_matrix=[[0.0, 1.0], [1.0, 0.0]],
         states={"w0": "COMPLETED"},
@@ -36,7 +36,6 @@ def make_result(**overrides):
         fault_log=[],
         fault_summary=[],
         dead_letters=[],
-        poisoned=0,
         job_deadline=None,
     )
     base.update(overrides)
@@ -54,12 +53,32 @@ class TestRegistry:
             "ledger-drain",
             "fenced-zombies",
             "dead-letter-accounting",
+            "lock-order",
         }
 
     def test_only_filter(self):
         result = make_result(status="timeout", error="stuck")
         findings = run_oracles(result, only=["exactly-once-result"])
         assert "job-completes" not in findings
+
+
+class TestJournalOracles:
+    def test_skipped_when_the_run_kept_no_journal(self):
+        # a non-durable run replays nothing: "no replica survived" is what
+        # it was configured to do, not a finding
+        kept = make_result(records=[])
+        assert "replay-equivalence" in run_oracles(kept)
+        none = make_result(records=[], schedule=Schedule(seed=1, durable=False))
+        assert run_oracles(none) == {}
+        assert JOURNAL_ORACLES < set(ORACLES)
+
+
+class TestLockOrder:
+    def test_the_verifier_s_error_is_reported(self):
+        result = make_result(lock_order="lock-order cycle: A._lock -> B._lock")
+        assert run_oracles(result)["lock-order"] == [
+            "lock-order cycle: A._lock -> B._lock"
+        ]
 
 
 class TestJobCompletes:

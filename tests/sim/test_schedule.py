@@ -1,10 +1,13 @@
 """Schedule generation: determinism, serialization, convergence bias."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.cn import ClusterConfig
 from repro.sim import FaultEvent, Schedule, generate
+from repro.sim.schedule import converging
 
 SEED_SWEEP = range(120)
 
@@ -97,5 +100,48 @@ class TestGenerator:
             assert 0.0 <= schedule.reorder_rate <= 0.05
             assert 0.0 <= schedule.corrupt_rate <= 0.04
             if schedule.queue_maxsize:
-                assert schedule.queue_policy == "shed_oldest"
                 assert schedule.queue_maxsize >= 10
+
+
+class TestTheDrawnCluster:
+    def test_every_draw_converges_and_is_accepted(self):
+        # what the generator draws is run, never refused and never skipped
+        for seed in SEED_SWEEP:
+            schedule = generate(seed)
+            assert converging(schedule) == schedule
+            ClusterConfig(4, **schedule.cluster_options())
+
+    def test_no_manager_kill_without_a_journal(self):
+        outage = (FaultEvent(3, "kill", "node0"), FaultEvent(6, "revive", "node0"))
+        worker = (FaultEvent(8, "kill", "node1"), FaultEvent(9, "revive", "node1"))
+        schedule = Schedule(seed=1, durable=False, events=outage + worker)
+        assert converging(schedule).events == worker
+        assert converging(replace(schedule, durable=True)).events == outage + worker
+
+    def test_no_corruption_without_checksums(self):
+        assert converging(Schedule(seed=1, corrupt_rate=0.02)).corrupt_rate == 0.0
+        kept = Schedule(seed=1, corrupt_rate=0.02, checksums=True)
+        assert converging(kept) == kept
+
+    def test_the_manager_side_of_a_partition_keeps_a_live_node(self):
+        cut = (FaultEvent(4, "partition", "node0,node1"), FaultEvent(7, "heal"))
+        stranding = (FaultEvent(5, "kill", "node1"), FaultEvent(10, "revive", "node1"))
+        elsewhere = (FaultEvent(5, "kill", "node2"), FaultEvent(10, "revive", "node2"))
+        assert converging(Schedule(seed=1, events=cut + stranding)).events == cut
+        kept = Schedule(seed=1, events=cut + elsewhere)
+        assert converging(kept) == kept
+
+    def test_config_round_trips_and_shows_in_the_summary(self):
+        schedule = Schedule(
+            seed=3, scheduler="bid", journal_dir="journal", fan_call="create_tasks"
+        )
+        as_json = json.loads(json.dumps(schedule.to_dict()))
+        assert Schedule.from_dict(as_json) == schedule
+        assert schedule.drawn() == {
+            "scheduler": "bid",
+            "journal_dir": "journal",
+            "fan_call": "create_tasks",
+        }
+        assert schedule.describe() == (
+            "fault-free | scheduler=bid,journal_dir=journal,fan_call=create_tasks"
+        )

@@ -85,3 +85,32 @@ class TestEventShrinking:
         first = shrink_schedule(make_schedule(10), fails)
         second = shrink_schedule(make_schedule(10), fails)
         assert first == second
+
+
+class TestClusterShrinking:
+    def test_unneeded_dimensions_go_back_to_their_defaults(self):
+        def fails(schedule):
+            return schedule.scheduler == "bid"
+
+        start = Schedule(
+            seed=1,
+            scheduler="bid",
+            journal_dir="journal",
+            verify_locking=True,
+            fan_call="create_tasks",
+        )
+        shrunk, _ = shrink_schedule(start, fails)
+        assert shrunk.drawn() == {"scheduler": "bid"}
+
+    def test_a_reset_keeps_the_schedule_convergent(self):
+        # checksums back off takes the corruption it quarantined with it
+        probed = []
+
+        def fails(schedule):
+            probed.append(schedule)
+            return True
+
+        start = Schedule(seed=1, checksums=True, corrupt_rate=0.02)
+        shrink_schedule(start, fails)
+        assert all(s.corrupt_rate == 0.0 for s in probed if not s.checksums)
+
