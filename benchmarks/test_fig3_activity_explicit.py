@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.floyd.model import build_fig3_model
-from repro.core.uml import level_layout, to_ascii, to_dot, validate_graph
+from repro.core.transform import Pipeline
+from repro.core.uml import level_layout, to_ascii, to_dot
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +51,8 @@ class TestFig3Shape:
         assert {v.name for v in worker_row} == {f"tctask{i}" for i in range(1, 6)}
 
     def test_graph_is_wellformed(self, graph):
-        validate_graph(graph)
+        _, report = Pipeline().check(graph)
+        assert report.diagnostics == []
 
     def test_static_not_dynamic(self, graph):
         assert all(not a.is_dynamic for a in graph.action_states())

@@ -13,11 +13,11 @@ feasibility against a cluster spec.
 
 Every finding is a structured :class:`Diagnostic` (stable ``CNxxx``
 code, severity, source location in the originating element, fix hint).
-``python -m repro.analysis`` exposes the analyzer on the command line;
-:mod:`repro.core.cnx.validate`, :class:`repro.cn.client.ClientRunner`
-and :class:`repro.cn.portal.Portal` all run the same engine, so a
-defective descriptor is rejected with identical diagnostics no matter
-where it enters the pipeline.
+``python -m repro.analysis`` exposes the analyzer on the command line.  A
+composition is checked once, where it enters -- a model at step 1 of
+:class:`repro.core.transform.Pipeline` (the portal's and ``cn-pipeline``'s
+way in), a descriptor in :class:`repro.cn.client.ClientRunner` -- and
+refused with :class:`repro.cn.errors.CnxValidationError`.
 """
 
 from .diagnostics import Diagnostic, Report, Severity, SourceLocation

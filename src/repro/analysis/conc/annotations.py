@@ -28,7 +28,7 @@ reported (CC002) so waivers cannot silently accumulate.
 from __future__ import annotations
 
 import re
-from typing import Callable, Optional, TypeVar
+from typing import Callable, TypeVar
 
 __all__ = [
     "GUARDED_BY",
@@ -207,8 +207,3 @@ def guarded_by(lock_attr: str) -> Callable[[F], F]:
         return wrapper  # type: ignore[return-value]
 
     return decorate
-
-
-def declared_guard(func: Callable) -> Optional[str]:
-    """The ``@guarded_by`` lock attribute of *func*, if declared."""
-    return getattr(func, "__conclint_guarded_by__", None)

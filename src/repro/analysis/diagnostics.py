@@ -2,30 +2,23 @@
 
 A :class:`Diagnostic` is one finding: a stable error code (``CNxxx``
 from cnlint, the model analyzer, or ``CCxxx`` from conclint, the
-concurrency analyzer), a severity, a human message (phrased to match the
-historical validator strings, which :mod:`repro.core.cnx.validate` still
-exposes), a :class:`SourceLocation` pointing into the originating
-XMI/CNX element or Python source line, and an optional fix hint.  A
-:class:`Report` is the ordered collection a full analysis produces, with
-filtering, baseline-suppression, and rendering helpers shared by the
-CLIs, the portal, and the client runner.  Both analyzers share this one
-model, so the portal diagnostics artifact and ``--json`` output use a
-single schema regardless of which tool produced a finding.
+concurrency analyzer), a severity, a human message, a
+:class:`SourceLocation` pointing into the originating XMI/CNX element or
+Python source line, and an optional fix hint.  A :class:`Report` is the
+ordered collection a full analysis produces, with filtering and
+rendering helpers shared by the CLIs, the pipeline, the portal and the
+client runner.  Both analyzers share this one model, so the portal
+diagnostics artifact and ``--json`` output use a single schema
+regardless of which tool produced a finding.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator
 
-__all__ = ["Severity", "SourceLocation", "Diagnostic", "Report", "tool_for_code"]
-
-
-def tool_for_code(code: str) -> str:
-    """Which analyzer owns a diagnostic code (``CN###`` -> cnlint, the
-    model passes; ``CC###`` -> conclint, the concurrency passes)."""
-    return "conclint" if code.startswith("CC") else "cnlint"
+__all__ = ["Severity", "SourceLocation", "Diagnostic", "Report"]
 
 
 class Severity(enum.Enum):
@@ -77,13 +70,10 @@ class Diagnostic:
     pass_name: str = ""
 
     @property
-    def is_error(self) -> bool:
-        return self.severity is Severity.ERROR
-
-    @property
     def tool(self) -> str:
-        """The analyzer that produced this finding (from the code family)."""
-        return tool_for_code(self.code)
+        """The analyzer that produced this finding: ``CN###`` is cnlint's
+        (the model passes), ``CC###`` conclint's (the concurrency passes)."""
+        return "conclint" if self.code.startswith("CC") else "cnlint"
 
     def render(self, *, with_hint: bool = True) -> str:
         line = f"{self.code} {self.severity.value:<7} {self.location}  {self.message}"
@@ -156,11 +146,6 @@ class Report:
 
     def to_json(self) -> list[dict[str, Any]]:
         return [d.to_dict() for d in self.diagnostics]
-
-    def legacy_problems(self) -> list[str]:
-        """Error messages in the historical ``collect_problems`` string
-        format (the messages themselves are phrased compatibly)."""
-        return [d.message for d in self.errors()]
 
     def __repr__(self) -> str:
         return f"<Report {self.summary()}>"

@@ -121,8 +121,7 @@ class JobGraph:
 
     @property
     def label(self) -> str:
-        """Human label matching the historical validator (`job[i]` for
-        anonymous jobs)."""
+        """Human label used in diagnostics (`job[i]` for anonymous jobs)."""
         return self.name or f"job[{self.index}]"
 
     def task_names(self) -> list[str]:

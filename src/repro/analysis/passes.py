@@ -27,7 +27,7 @@ CN301   dynamic task lacks a multiplicity
 CN302   static task carries dynamic attributes
 CN303   malformed multiplicity specification
 CN304   impossible multiplicity bounds (lower > upper)
-CN305   dynamic argument expression is not valid Python syntax
+CN305   dynamic argument expression outside the arguments grammar
 CN401   splitter fan-out / joiner fan-in mismatch (warning)
 CN501   declared message is never received (warning)
 CN502   task waits for a message that is never sent
@@ -44,13 +44,11 @@ CN704   cyclic job ordering
 CN705   unnamed job carries an ``after`` ordering
 CN801   archive/class reference unresolvable against the task registry
 ======  ====================================================================
-
-Messages keep the historical :mod:`repro.core.cnx.validate` phrasing so
-that module's ``collect_problems`` can delegate here verbatim.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
@@ -68,7 +66,6 @@ from .ir import (
     TaskNode,
     from_cnx,
     from_model,
-    from_xmi,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -85,6 +82,8 @@ __all__ = [
     "analyze_model",
     "analyze_source",
     "parse_multiplicity",
+    "SAFE_BUILTINS",
+    "argument_problem",
 ]
 
 #: code -> one-line description (the table above, machine-readable)
@@ -109,7 +108,7 @@ CODES: dict[str, str] = {
     "CN302": "static task carries dynamic attributes",
     "CN303": "malformed multiplicity specification",
     "CN304": "impossible multiplicity bounds",
-    "CN305": "dynamic argument expression is not valid Python",
+    "CN305": "dynamic argument expression outside the arguments grammar",
     "CN401": "splitter fan-out / joiner fan-in mismatch",
     "CN501": "declared message is never received",
     "CN502": "task waits for a message that is never sent",
@@ -383,6 +382,44 @@ def parse_multiplicity(spec: str) -> Optional[tuple[int, Optional[int]]]:
     return (int(spec), int(spec))
 
 
+#: all a dynamic task's ``arguments`` expression sees beside the run-time
+#: arguments, and the only names it may call
+SAFE_BUILTINS = {"range": range, "len": len, "min": min, "max": max, "list": list}
+
+#: the rest of the arguments grammar: constants, names, displays,
+#: comprehensions, arithmetic, comparison, boolean and conditional
+#: expressions, subscripts -- no attribute, lambda or walrus
+_ARGUMENT_NODES = (
+    ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Store, ast.Tuple, ast.List,
+    ast.Set, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+    ast.comprehension, ast.BinOp, ast.operator, ast.UnaryOp, ast.unaryop, ast.Compare,
+    ast.cmpop, ast.BoolOp, ast.boolop, ast.IfExp, ast.Subscript, ast.Slice, ast.Call,
+)
+
+
+def argument_problem(expression: str) -> str:
+    """Why *expression* is not in the ``arguments`` grammar (``""`` when
+    it is): what CN305 reports, and what
+    :func:`repro.cn.client.evaluate_arguments` refuses before ``eval``."""
+    try:
+        tree = ast.parse(expression, "<arguments>", "eval")
+    except (SyntaxError, ValueError) as exc:
+        return f"is not valid Python: {getattr(exc, 'msg', exc)}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id.startswith("_"):
+            what = f"the name {node.id!r}"
+        elif isinstance(node, ast.Call) and not (
+            isinstance(node.func, ast.Name) and node.func.id in SAFE_BUILTINS
+        ):
+            what = f"a call to other than {', '.join(SAFE_BUILTINS)}"
+        elif not isinstance(node, _ARGUMENT_NODES):
+            what = f"an {type(node).__name__} node"
+        else:
+            continue
+        return f"is outside the arguments grammar: {what}"
+    return ""
+
+
 class DynamicsPass(AnalysisPass):
     """Multiplicity syntax and bounds, argument expressions (a dynamic
     task without a multiplicity is the profile's CN301, ConfigPass)."""
@@ -418,19 +455,18 @@ class DynamicsPass(AnalysisPass):
                             f"{task.multiplicity!r} has lower bound above upper bound",
                             task.location,
                         )
-                if task.dynamic and task.arguments:
-                    try:
-                        compile(task.arguments, "<arguments>", "eval")
-                    except SyntaxError as exc:
-                        yield self.error(
-                            "CN305",
-                            f"{label}: dynamic task {task.name!r} argument "
-                            f"expression {task.arguments!r} is not valid Python: "
-                            f"{exc.msg}",
-                            task.location,
-                            "the expression is evaluated at run time to yield "
-                            "one argument list per invocation",
-                        )
+                problem = task.dynamic and task.arguments and argument_problem(
+                    task.arguments
+                )
+                if problem:
+                    yield self.error(
+                        "CN305",
+                        f"{label}: dynamic task {task.name!r} argument "
+                        f"expression {task.arguments!r} {problem}",
+                        task.location,
+                        "the expression is evaluated at run time to yield "
+                        "one argument list per invocation",
+                    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ the :class:`~repro.cn.api.CNAPI` facade, expands dynamic-invocation
 tasks against run-time arguments (paper Fig. 5), starts the roots and
 waits for the DAG to drain.
 
-Dynamic expansion: a dynamic task's ``arguments`` expression is
-evaluated in a restricted namespace containing the caller's
-``runtime_args`` plus ``range``/``len``.  It must yield an iterable of
-argument tuples -- one concrete task instance per tuple, named
-``<base><k>`` with k counting from 1.  Tasks that depended on the
-dynamic base name are rewired to depend on every instance, and the
+Dynamic expansion: a dynamic task's ``arguments`` expression, once
+cnlint's grammar admits it, is evaluated in a restricted namespace
+containing the caller's ``runtime_args`` plus ``range``/``len``.  It must
+yield an iterable of argument tuples -- one concrete task instance per
+tuple, named ``<base><k>`` with k counting from 1.  Tasks that depended on
+the dynamic base name are rewired to depend on every instance, and the
 instances inherit the base's own dependencies, preserving the fork/join
 shape of the diagram.
 """
@@ -20,10 +20,10 @@ shape of the diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
 from ..analysis import AnalysisContext, Diagnostic, analyze_cnx
-from ..analysis.passes import parse_multiplicity
+from ..analysis.passes import SAFE_BUILTINS, argument_problem, parse_multiplicity
 from ..core.cnx.schema import CnxDocument, CnxJob, CnxTask
 from ..util import dag
 from .api import CNAPI, JobHandle
@@ -34,19 +34,21 @@ from .messages import Message, MessageType
 
 __all__ = ["ClientRunner", "ClientResult", "expand_dynamic_tasks", "evaluate_arguments"]
 
-_SAFE_BUILTINS = {"range": range, "len": len, "min": min, "max": max, "list": list}
-
-
 def evaluate_arguments(expression: str, env: Mapping[str, Any]) -> list[tuple]:
     """Evaluate a dynamic-invocation argument expression.
 
-    The expression runs with no builtins beyond a small allow-list and
-    sees the runtime arguments as names.  Result must be an iterable of
-    argument lists; scalars inside are wrapped into 1-tuples.
+    One outside cnlint's grammar (CN305's ``argument_problem``) is refused
+    before ``eval``, for executors that skipped the check.  It sees the
+    runtime arguments as names and no builtins beyond ``SAFE_BUILTINS``.
+    Result must be an iterable of argument lists; scalars inside are
+    wrapped into 1-tuples.
     """
+    problem = argument_problem(expression)
+    if problem:
+        raise JobError(f"dynamic argument expression {expression!r} {problem}")
     namespace = dict(env)
     try:
-        value = eval(expression, {"__builtins__": _SAFE_BUILTINS}, namespace)
+        value = eval(expression, {"__builtins__": SAFE_BUILTINS}, namespace)
     except Exception as exc:  # noqa: BLE001  # conclint: waive CC302 -- user expression may fail any way; converted to JobError
         raise JobError(
             f"dynamic argument expression {expression!r} failed: {exc}"

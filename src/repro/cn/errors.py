@@ -175,19 +175,18 @@ class BudgetExhausted(JobError):
 
 
 class CnxValidationError(ValueError):
-    """A CNX descriptor the static analyzer found errors in; ``problems``
-    holds the message list and ``diagnostics`` the structured
-    :class:`~repro.analysis.Diagnostic` records behind those messages."""
+    """A composition cnlint refused, wherever it entered: ``report`` is
+    the whole :class:`~repro.analysis.Report` (warnings included) and
+    ``diagnostics`` its error-severity findings."""
 
-    def __init__(self, problems: list[str], diagnostics=None) -> None:
-        self.problems = problems
-        self.diagnostics = list(diagnostics) if diagnostics is not None else []
-        joined = "\n  - ".join(problems)
-        super().__init__(f"CNX document is not valid:\n  - {joined}")
+    def __init__(self, report) -> None:
+        self.report = report
+        self.diagnostics = report.errors()
+        super().__init__(report.render(title="composition refused"))
 
     @classmethod
     def raise_for(cls, report) -> None:
-        """Raise for a :func:`repro.analysis.analyze_cnx` *report* that
-        has error-severity findings; warnings pass."""
+        """Raise for a cnlint *report* that has error-severity findings;
+        warnings pass."""
         if not report.ok:
-            raise cls(report.legacy_problems(), report.errors())
+            raise cls(report)

@@ -31,11 +31,12 @@ from typing import Any, Mapping, Optional
 
 from repro.core.cnx import DEFAULT_PORT
 from repro.core.transform.pipeline import Pipeline
+from repro.core.xmi.reader import read_model
 
-from ..analysis import AnalysisContext, analyze_model
 from ..analysis.conc.runtime import make_lock
 from .admission import AdmissionController
 from .cluster import Cluster
+from .errors import CnxValidationError
 from .registry import TaskRegistry
 from .telemetry import chrome_trace, write_jsonl
 
@@ -77,8 +78,8 @@ class Submission:
     results: list[dict[str, Any]] = field(default_factory=list)
     error: str = ""
     #: static-analysis findings (dicts, see Diagnostic.to_dict); a
-    #: submission with error-severity findings is rejected before the
-    #: pipeline runs, warnings ride along on accepted submissions
+    #: submission with error-severity findings is rejected at the
+    #: pipeline's step 1, warnings ride along on any submission past it
     diagnostics: list[dict[str, Any]] = field(default_factory=list)
     #: chaos faults injected while this submission ran (dicts, see
     #: FaultRecord.to_dict); empty when the cluster has no chaos policy
@@ -218,33 +219,31 @@ class Portal:
         faults_before = len(chaos.log_dicts()) if chaos is not None else 0
         jobs_before = set(self.cluster.directory.job_ids())
         try:
-            from repro.core.xmi.reader import read_model
-
-            model = read_model(submission.xmi_text)
-            # the static analyzer first, with placement and archive
-            # context from the portal's own cluster
-            report = analyze_model(model, AnalysisContext.for_cluster(self.cluster))
-            submission.diagnostics = report.to_json()
-            if not report.ok:
-                submission.status = "rejected"
-                # one line: the full findings travel as structured
-                # diagnostics (payload + downloadable artifact)
-                submission.error = f"static analysis: {report.summary()}"
-                return submission
+            # step 1 checks the model against this cluster's shape and
+            # task registry before anything reaches it
             outcome = self.pipeline.run(
-                model,
+                read_model(submission.xmi_text),
                 self.cluster,
                 runtime_args=runtime_args,
                 timeout=self.timeout,
             )
+            submission.diagnostics = outcome.report.to_json()
             submission.cnx_text = outcome.cnx_text
             submission.python_source = outcome.python_source
             submission.java_source = outcome.java_source
             submission.results = outcome.job_results
             submission.status = "done"
-        except Exception:  # noqa: BLE001  # conclint: waive CC302 -- submission failures of any kind become the artifact's error field
+        except CnxValidationError as refused:
+            submission.status = "rejected"
+            # one line: the full findings travel as structured
+            # diagnostics (payload + downloadable artifact)
+            submission.error = f"static analysis: {refused.report.summary()}"
+            submission.diagnostics = refused.report.to_json()
+        except Exception as failure:  # noqa: BLE001  # conclint: waive CC302 -- submission failures of any kind become the artifact's error field
             submission.status = "failed"
             submission.error = traceback.format_exc()
+            if hasattr(failure, "report"):  # failed after step 1: keep its warnings
+                submission.diagnostics = failure.report.to_json()
         finally:
             if chaos is not None:
                 submission.fault_events = chaos.log_dicts()[faults_before:]
@@ -375,7 +374,15 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path.rstrip("/") != "/submit":
             self._json(404, {"error": "POST /submit only"})
             return
-        length = int(self.headers.get("Content-Length", "0"))
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+            runtime_args = json.loads(self.headers.get("X-Runtime-Args") or "{}")
+        except (ValueError, RecursionError):  # RecursionError: deeply nested JSON
+            length, runtime_args = -1, None
+        if length < 0 or not isinstance(runtime_args, dict):
+            # refuse before reading: a body of unknown length is never read
+            self._json(400, {"error": "malformed Content-Length or X-Runtime-Args"})
+            return
         if length > self.portal.max_body_bytes:
             # refuse before reading: an oversized body never enters memory
             self._json(
@@ -397,10 +404,6 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         body = self.rfile.read(length).decode()
-        runtime_args = {}
-        args_header = self.headers.get("X-Runtime-Args")
-        if args_header:
-            runtime_args = json.loads(args_header)
         tenant = self.headers.get("X-Tenant") or "anon"
         submission = self.portal.submit(body, runtime_args, tenant=tenant)
         codes = {"done": 200, "rejected": 422, "throttled": 429, "saturated": 503}
@@ -454,14 +457,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--port", type=int, default=DEFAULT_PORT)
     parser.add_argument("--nodes", type=int, default=4)
     options = parser.parse_args(argv)
-    from repro.apps.floyd import register_floyd_tasks
+    from repro.apps.floyd import floyd_registry
     from repro.apps.montecarlo import register_pi_tasks
     from repro.apps.wordcount import register_wordcount_tasks
 
-    registry = TaskRegistry()
-    register_floyd_tasks(registry)
-    register_pi_tasks(registry)
-    register_wordcount_tasks(registry)
+    registry = register_wordcount_tasks(register_pi_tasks(floyd_registry()))
     portal = Portal(Cluster(options.nodes, registry=registry))
     server = PortalHTTPServer(portal, options.host, options.port).start()
     host, port = server.address

@@ -67,13 +67,6 @@ class TaskRegistry:
             f"({[str(p) for p in self.search_path] or 'empty'})"
         )
 
-    def archive_for(self, jar: str) -> Optional[TaskArchive]:
-        """The archive registered (or discoverable) under *jar*, if any."""
-        archive = self._archives.get(jar)
-        if archive is None:
-            archive = self._load_from_path(jar)
-        return archive
-
     def _load_from_path(self, jar: str) -> Optional[TaskArchive]:
         for directory in self.search_path:
             candidate = directory / jar

@@ -16,7 +16,7 @@ The public surface:
 from .codec import SocketEndpoint, loopback_pair, pack_frame, unpack_frame
 from .inproc import InlineExecutor, InProcTransport
 from .proc import ProcExecutor, ProcTransport, register_blob_resolver
-from .worker import fetch_blob, in_worker, register_fork_reset
+from .worker import fetch_blob, register_fork_reset
 
 __all__ = [
     "SocketEndpoint",
@@ -29,6 +29,5 @@ __all__ = [
     "ProcTransport",
     "register_blob_resolver",
     "fetch_blob",
-    "in_worker",
     "register_fork_reset",
 ]

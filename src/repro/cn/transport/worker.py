@@ -46,7 +46,6 @@ __all__ = [
     "RemoteTaskContext",
     "register_fork_reset",
     "fetch_blob",
-    "in_worker",
 ]
 
 #: callables run at worker startup to re-arm state a fork may have
@@ -62,11 +61,6 @@ _ACTIVE: Optional["WorkerRuntime"] = None
 def register_fork_reset(fn: Callable[[], None]) -> None:
     """Register *fn* to run when a forked worker process starts."""
     _FORK_RESETS.append(fn)
-
-
-def in_worker() -> bool:
-    """Whether this process is a proc-backend worker."""
-    return _ACTIVE is not None
 
 
 def fetch_blob(namespace: str, key: str) -> Any:

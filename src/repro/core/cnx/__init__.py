@@ -14,7 +14,7 @@ from .schema import (
     CnxTask,
     CnxTaskReq,
 )
-from .validate import CnxValidationError, collect_problems, validate
+from .validate import CnxValidationError, validate
 
 __all__ = [
     "CnxDocument",
@@ -32,6 +32,5 @@ __all__ = [
     "parse_element",
     "CnxParseError",
     "validate",
-    "collect_problems",
     "CnxValidationError",
 ]

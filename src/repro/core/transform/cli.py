@@ -2,7 +2,8 @@
 
 ``cn-pipeline`` mirrors the paper's tool usage: feed it an XMI export
 (or ask for a built-in example model), get the CNX descriptor, the
-generated client program, or a full execution.
+generated client program, or a full execution -- through ``Pipeline``,
+so a model cnlint refuses prints the report on stderr and exits 1.
 
 Examples::
 
@@ -20,6 +21,12 @@ import json
 import sys
 from pathlib import Path
 from typing import Optional
+
+from repro.cn.cluster import Cluster
+from repro.cn.errors import CnxValidationError
+
+from ..xmi.reader import read_model
+from .pipeline import Pipeline
 
 __all__ = ["main", "build_parser"]
 
@@ -89,41 +96,34 @@ def main(argv: Optional[list[str]] = None) -> int:
             sys.stdout.write("\n")
         return 0
 
-    from .cnx2code import cnx_to_java, cnx_to_python
-    from .xmi2cnx import xmi_to_cnx
+    model = read_model(xmi_text)
+    try:
+        if options.command != "run":
+            result = Pipeline().run(model, execute=False)
+        else:
+            from repro.apps.floyd import floyd_registry
+            from repro.apps.montecarlo import register_pi_tasks
+            from repro.apps.wordcount import register_wordcount_tasks
 
-    doc = xmi_to_cnx(xmi_text)
-
-    if options.command == "cnx":
-        from ..cnx.emitter import emit
-
-        sys.stdout.write(emit(doc))
+            registry = register_wordcount_tasks(register_pi_tasks(floyd_registry()))
+            registry.add_search_dir(options.xmi.parent)
+            runtime_args = json.loads(options.runtime_args)
+            with Cluster(options.nodes, registry=registry) as cluster:
+                result = Pipeline().run(
+                    model, cluster, runtime_args=runtime_args, timeout=options.timeout
+                )
+    except CnxValidationError as refused:
+        print(refused.report.render(title=str(options.xmi)), file=sys.stderr)
+        return 1
+    if result.report:  # warnings: accepted, but said
+        print(result.report.render(title=str(options.xmi)), file=sys.stderr)
+    text = {
+        "cnx": result.cnx_text, "python": result.python_source, "java": result.java_source,
+    }
+    if options.command in text:
+        sys.stdout.write(text[options.command])
         return 0
-    if options.command == "python":
-        sys.stdout.write(cnx_to_python(doc))
-        return 0
-    if options.command == "java":
-        sys.stdout.write(cnx_to_java(doc))
-        return 0
-
-    # run
-    from repro.apps.floyd import register_floyd_tasks
-    from repro.apps.montecarlo import register_pi_tasks
-    from repro.apps.wordcount import register_wordcount_tasks
-    from repro.cn.cluster import Cluster
-    from repro.cn.registry import TaskRegistry
-    from .cnx2code import GeneratedClient
-
-    registry = TaskRegistry()
-    register_floyd_tasks(registry)
-    register_pi_tasks(registry)
-    register_wordcount_tasks(registry)
-    registry.add_search_dir(options.xmi.parent)
-    client = GeneratedClient(cnx_to_python(doc))
-    runtime_args = json.loads(options.runtime_args)
-    with Cluster(options.nodes, registry=registry) as cluster:
-        job_results = client.run(cluster, runtime_args, options.timeout)
-    for index, results in enumerate(job_results, start=1):
+    for index, results in enumerate(result.job_results, start=1):
         print(f"# job {index}")
         for task_name in sorted(results):
             print(f"{task_name}: {_render(results[task_name])}")

@@ -2,7 +2,7 @@
 
 One call runs all six steps the paper describes:
 
-1. the UML model for the CN computation (an activity diagram),
+1. the UML model for the CN computation, checked once, by cnlint,
 2. export as an XMI document,
 3. XMI -> CNX client descriptor (XSL transformation),
 4. CNX -> client program in the target language (Python here),
@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Union
 
-from repro.analysis import analyze_cnx
+from repro.analysis import AnalysisContext, Report, analyze_model
 from repro.cn.cluster import Cluster
 from repro.cn.errors import CnxValidationError
 from repro.cn.registry import TaskRegistry
@@ -29,12 +29,14 @@ from ..cnx.schema import CnxDocument
 from ..uml.activity import ActivityGraph
 from ..uml.model import Model
 from ..uml.tags import CNProfile
-from ..uml.validate import validate_graph
 from ..xmi.writer import write_model
 from .cnx2code import GeneratedClient, cnx_to_java, cnx_to_python
 from .xmi2cnx import xmi_to_cnx
 
 __all__ = ["Pipeline", "PipelineResult", "run_pipeline"]
+
+#: what step 1 accepts: a model, or one activity graph as a one-job model
+Source = Union[Model, ActivityGraph]
 
 
 @dataclass
@@ -49,6 +51,8 @@ class PipelineResult:
     java_source: str
     job_results: list[dict[str, Any]] = field(default_factory=list)
     step_seconds: dict[str, float] = field(default_factory=dict)
+    #: cnlint's findings on the model: warnings only, an error refuses it
+    report: Report = field(default_factory=Report)
 
     @property
     def results(self) -> dict[str, Any]:
@@ -64,30 +68,40 @@ class Pipeline:
     def __init__(
         self, *, log: str = CNProfile.LOG.default, port: int = CNProfile.PORT.default
     ) -> None:
+        least, most = CNProfile.PORT.least, CNProfile.PORT.most
+        if not least <= port <= most:
+            raise ValueError(f"client port {port} out of range ({least}..{most})")
         self.log = log
         self.port = port
 
     # -- individual steps ---------------------------------------------------
-    def to_model(self, source: Union[Model, ActivityGraph]) -> Model:
-        """Step 1: accept/validate the UML model."""
+    def check(
+        self, source: Source, cluster: Optional[Cluster] = None
+    ) -> tuple[Model, Report]:
+        """Step 1: the model and cnlint's report on it, against *cluster*'s
+        shape and registry when there is one -- the path's one check.  An
+        error refuses it: :class:`CnxValidationError` carries the report."""
         if isinstance(source, ActivityGraph):
             model = Model(source.name)
             model.new_package("cn").add_graph(source)
         else:
             model = source
-        for graph in model.all_graphs():
-            validate_graph(graph)
-        return model
+        context = AnalysisContext.for_cluster(cluster) if cluster is not None else None
+        report = analyze_model(model, context)
+        CnxValidationError.raise_for(report)
+        return model, report
+
+    def to_model(self, source: Source) -> Model:
+        """Step 1 without the report (:meth:`check`)."""
+        return self.check(source)[0]
 
     def export_xmi(self, model: Model) -> str:
         """Step 2: export the model as XMI."""
         return write_model(model)
 
     def to_cnx(self, xmi_text: str) -> CnxDocument:
-        """Step 3: XMI -> CNX (the XSL transformation), validated."""
-        doc = xmi_to_cnx(xmi_text, log=self.log, port=self.port)
-        CnxValidationError.raise_for(analyze_cnx(doc))
-        return doc
+        """Step 3: XMI -> CNX (the XSL transformation) of a checked model."""
+        return xmi_to_cnx(xmi_text, log=self.log, port=self.port)
 
     def to_client(self, doc: CnxDocument) -> str:
         """Step 4: CNX -> Python client program source."""
@@ -104,7 +118,7 @@ class Pipeline:
     # -- whole pipeline ---------------------------------------------------------
     def run(
         self,
-        source: Union[Model, ActivityGraph],
+        source: Source,
         cluster: Optional[Cluster] = None,
         *,
         registry: Optional[TaskRegistry] = None,
@@ -112,7 +126,10 @@ class Pipeline:
         timeout: float = 60.0,
         execute: bool = True,
     ) -> PipelineResult:
-        """Run steps 1-6; with ``execute=False`` stop after generation."""
+        """Run steps 1-6; with ``execute=False`` stop after generation.
+        *cluster*, when given, is also what step 1 checks against.  An
+        exception raised after step 1 carries its report as ``.report``:
+        a warning may be what explains the failure."""
         timings: dict[str, float] = {}
 
         def timed(step: str, fn, *args):
@@ -121,39 +138,44 @@ class Pipeline:
             timings[step] = time.perf_counter() - start
             return value
 
-        model = timed("1-model", self.to_model, source)
-        xmi_text = timed("2-xmi", self.export_xmi, model)
-        cnx_doc = timed("3-cnx", self.to_cnx, xmi_text)
-        cnx_text = emit_cnx(cnx_doc)
-        python_source = timed("4-codegen", self.to_client, cnx_doc)
-        java_source = self.to_java(cnx_doc)
-        result = PipelineResult(
-            model=model,
-            xmi_text=xmi_text,
-            cnx_doc=cnx_doc,
-            cnx_text=cnx_text,
-            python_source=python_source,
-            java_source=java_source,
-            step_seconds=timings,
-        )
-        if not execute:
-            return result
-        client = timed("5-deploy", self.deploy, python_source)
-        owns_cluster = cluster is None
-        if owns_cluster:
-            cluster = Cluster(4, registry=registry)
+        model, report = timed("1-model", self.check, source, cluster)
         try:
-            start = time.perf_counter()
-            result.job_results = client.run(cluster, runtime_args, timeout)
-            timings["6-execute"] = time.perf_counter() - start
-        finally:
+            xmi_text = timed("2-xmi", self.export_xmi, model)
+            cnx_doc = timed("3-cnx", self.to_cnx, xmi_text)
+            cnx_text = emit_cnx(cnx_doc)
+            python_source = timed("4-codegen", self.to_client, cnx_doc)
+            java_source = self.to_java(cnx_doc)
+            result = PipelineResult(
+                model=model,
+                xmi_text=xmi_text,
+                cnx_doc=cnx_doc,
+                cnx_text=cnx_text,
+                python_source=python_source,
+                java_source=java_source,
+                step_seconds=timings,
+                report=report,
+            )
+            if not execute:
+                return result
+            client = timed("5-deploy", self.deploy, python_source)
+            owns_cluster = cluster is None
             if owns_cluster:
-                cluster.shutdown()
-        return result
+                cluster = Cluster(4, registry=registry)
+            try:
+                start = time.perf_counter()
+                result.job_results = client.run(cluster, runtime_args, timeout)
+                timings["6-execute"] = time.perf_counter() - start
+            finally:
+                if owns_cluster:
+                    cluster.shutdown()
+            return result
+        except Exception as failure:  # conclint: waive CC302 -- annotated with step 1's report and re-raised
+            failure.report = report
+            raise
 
 
 def run_pipeline(
-    source: Union[Model, ActivityGraph],
+    source: Source,
     cluster: Optional[Cluster] = None,
     **kwargs: Any,
 ) -> PipelineResult:

@@ -2,8 +2,8 @@
 
 :func:`xmi_to_cnx` is the transformation: the ``xmi2cnx.xsl``
 stylesheet on the in-repo XSLT engine, as in the paper's tool.  It is
-what :class:`~repro.core.transform.pipeline.Pipeline`, the portal and
-``cn-pipeline`` run.  :func:`xmi_to_cnx_native`, a direct Python
+what :class:`~repro.core.transform.pipeline.Pipeline` runs, for the
+portal and ``cn-pipeline`` alike.  :func:`xmi_to_cnx_native`, a direct Python
 transformer over the parsed UML model, is its differential-testing
 oracle: nothing selects it, the test suite and ``benchmarks.e2e`` call
 it to check that both agree document-for-document.

@@ -1,4 +1,4 @@
-"""UML 1.x activity-graph metamodel, builder, validation and rendering.
+"""UML 1.x activity-graph metamodel, builder and rendering.
 
 This is the modeling layer of the pipeline: jobs are activity graphs,
 tasks are action states with CN tagged values, dependencies are
@@ -26,7 +26,6 @@ from .tags import (
     TaggedValue,
     param_tag_names,
 )
-from .validate import GraphValidationError, collect_problems, validate_graph
 
 __all__ = [
     "ActivityGraph",
@@ -46,9 +45,6 @@ __all__ = [
     "TaggedElement",
     "CNProfile",
     "param_tag_names",
-    "GraphValidationError",
-    "validate_graph",
-    "collect_problems",
     "to_dot",
     "to_ascii",
     "level_layout",

@@ -3,7 +3,7 @@
 This is the programmatic stand-in for the paper's "CN Intelligent Object
 Editor" / external UML tool: a small API that makes the common shapes --
 split -> fork -> workers -> join -> joiner -- one-liners, while still
-producing a full, valid :class:`~repro.core.uml.activity.ActivityGraph`.
+producing a full :class:`~repro.core.uml.activity.ActivityGraph`.
 
 Example (the Fig. 3 transitive-closure diagram)::
 
@@ -30,13 +30,13 @@ from typing import Iterable, Optional, Sequence
 
 from .activity import ActionState, ActivityGraph, FinalState, Pseudostate, StateVertex
 from .tags import CNProfile
-from .validate import validate_graph
 
 __all__ = ["ActivityBuilder"]
 
 
 class ActivityBuilder:
-    """Incrementally builds (and on :meth:`build`, validates) a job graph."""
+    """Incrementally builds a job graph; checking it is cnlint's job
+    (:func:`repro.analysis.analyze_model`), where the pipeline takes it in."""
 
     def __init__(self, name: str) -> None:
         self.graph = ActivityGraph(name)
@@ -153,7 +153,5 @@ class ActivityBuilder:
         return self.chain(source, *stages)
 
     # -- result ------------------------------------------------------------------
-    def build(self, *, validate: bool = True) -> ActivityGraph:
-        if validate:
-            validate_graph(self.graph)
+    def build(self) -> ActivityGraph:
         return self.graph

@@ -12,8 +12,6 @@ the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from .activity import ActivityGraph
 from .tags import TaggedElement
 
@@ -67,12 +65,6 @@ class Model:
 
     def new_package(self, name: str) -> Package:
         return self.add_package(Package(name))
-
-    def find_package(self, name: str) -> Package:
-        for package in self.packages:
-            if package.name == name:
-                return package
-        raise KeyError(f"no package named {name!r}")
 
     def all_graphs(self) -> list[ActivityGraph]:
         return [g for p in self.packages for g in p.graphs]

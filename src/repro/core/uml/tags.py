@@ -7,7 +7,7 @@ The paper configures each task through tagged values on its action state
 tag definitions and values generically, and :class:`CNProfile` is the one
 declaration of that profile: each value's tag, default, kind, range and
 the cnlint code a violation earns, the client attributes, and the
-parameter types.  The builder, both validators, the IR, the native
+parameter types.  The builder, cnlint's IR and passes, the native
 oracle, the CNX parser, ``TaskSpec`` and both code generators read it;
 the module imports nothing of the package, so any of them can.
 """

@@ -1,20 +1,17 @@
-"""Well-formedness validation for CN job activity graphs.
+"""What only the diagram can say about a CN job activity graph.
 
-Catching modeling mistakes before the transform runs is most of the value
-of the model-driven approach, so the checks are strict:
+:func:`collect_diagram_problems` is cnlint's CN001
+(:func:`repro.analysis.analyze_model`):
 
 * exactly one initial pseudostate, at least one final state,
 * every vertex reachable from the initial state,
 * transitions respect vertex arity (initial has no incoming, final no
   outgoing, forks have one incoming/many outgoing, joins the reverse),
 * the induced task dependency relation is acyclic (a CN job is a DAG of
-  tasks, paper section 4),
-* every action state's tagged values satisfy the CN profile
-  (:meth:`CNProfile.problems <repro.core.uml.tags.CNProfile.problems>`,
-  the checks cnlint reports as CN201-205, CN210 and CN301).
+  tasks, paper section 4).
 
-Violations raise :class:`GraphValidationError` listing *all* problems at
-once, which is kinder to modelers than stop-at-first.
+A task's tagged values are checked by the common IR battery, under their
+own codes, like every other representation's.
 """
 
 from __future__ import annotations
@@ -31,24 +28,8 @@ from .activity import (
     Pseudostate,
     StateVertex,
 )
-from .tags import CNProfile
 
-__all__ = [
-    "GraphValidationError",
-    "validate_graph",
-    "collect_problems",
-    "collect_diagram_problems",
-]
-
-
-class GraphValidationError(ValueError):
-    """Raised when a graph fails validation; ``problems`` lists messages."""
-
-    def __init__(self, graph_name: str, problems: list[str]) -> None:
-        self.graph_name = graph_name
-        self.problems = problems
-        joined = "\n  - ".join(problems)
-        super().__init__(f"activity graph {graph_name!r} is not well-formed:\n  - {joined}")
+__all__ = ["collect_diagram_problems"]
 
 
 def collect_diagram_problems(graph: ActivityGraph) -> list[str]:
@@ -59,20 +40,6 @@ def collect_diagram_problems(graph: ActivityGraph) -> list[str]:
         *_check_arity(graph),
         *_check_acyclic(graph),
     ]
-
-
-def collect_problems(graph: ActivityGraph) -> list[str]:
-    """All validation problems of *graph* (empty list = valid): the
-    diagram's, then each task's violations of the CN profile."""
-    return collect_diagram_problems(graph) + _check_tags(graph)
-
-
-def validate_graph(graph: ActivityGraph) -> ActivityGraph:
-    """Validate *graph*, raising :class:`GraphValidationError` on problems."""
-    problems = collect_problems(graph)
-    if problems:
-        raise GraphValidationError(graph.name, problems)
-    return graph
 
 
 def _check_shape(graph: ActivityGraph) -> list[str]:
@@ -152,16 +119,3 @@ def _check_acyclic(graph: ActivityGraph) -> list[str]:
         return [str(exc)]
     # a cycle entirely through pseudostates
     return ["transition graph contains a cycle"]
-
-
-def _check_tags(graph: ActivityGraph) -> list[str]:
-    problems = []
-    for action in graph.action_states():
-        raw, _, param_problem = CNProfile.read(action)
-        problems += [
-            message
-            for _, message in CNProfile.problems(
-                action.name, raw, dynamic=action.is_dynamic, param_problem=param_problem
-            )
-        ]
-    return problems

@@ -14,7 +14,7 @@ Quick use::
 See :mod:`repro.xslt.engine` for the supported instruction set.
 """
 
-from .engine import ResultTreeFragment, Stylesheet, Transformer, XsltError, transform_file
+from .engine import ResultTreeFragment, Stylesheet, Transformer, XsltError
 from .output import OutputSettings, serialize
 from .patterns import Pattern, PatternError, compile_pattern
 
@@ -23,7 +23,6 @@ __all__ = [
     "Transformer",
     "XsltError",
     "ResultTreeFragment",
-    "transform_file",
     "Pattern",
     "PatternError",
     "compile_pattern",

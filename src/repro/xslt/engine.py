@@ -1272,18 +1272,3 @@ def _strip_space(doc: XDocument, strips: Callable[[str], bool]) -> None:
             while stale is not None:
                 stale._desc_cache = None
                 stale = stale.parent
-
-
-def transform_file(
-    stylesheet_path: str | Path,
-    source: Union[str, ET.Element],
-    params: Optional[Mapping[str, Any]] = None,
-    *,
-    restore_prefixes: bool = False,
-) -> str:
-    """One-shot convenience: load stylesheet from *stylesheet_path* and
-    transform *source*."""
-    sheet = Stylesheet.from_file(stylesheet_path)
-    return Transformer(sheet).transform(
-        source, params, restore_prefixes=restore_prefixes
-    )

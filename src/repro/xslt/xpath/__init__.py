@@ -30,7 +30,6 @@ from .evaluator import (
     evaluate_nodeset,
     evaluate_number,
     evaluate_string,
-    node_test_matches,
 )
 from .functions import CORE_FUNCTIONS, XPathTypeError, to_boolean, to_nodeset, to_number, to_string
 from .lexer import XPathLexError, tokenize
@@ -51,7 +50,6 @@ __all__ = [
     "evaluate_string",
     "evaluate_boolean",
     "evaluate_number",
-    "node_test_matches",
     "parse",
     "tokenize",
     "CORE_FUNCTIONS",

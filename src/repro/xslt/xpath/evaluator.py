@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .ast import (
@@ -66,7 +66,6 @@ __all__ = [
     "evaluate_string",
     "evaluate_boolean",
     "evaluate_number",
-    "node_test_matches",
 ]
 
 
@@ -83,9 +82,6 @@ class Context:
     size: int = 1
     variables: Mapping[str, Any] = field(default_factory=dict)
     functions: Mapping[str, Callable[..., Any]] = field(default_factory=lambda: CORE_FUNCTIONS)
-
-    def with_node(self, node: XNode, position: int, size: int) -> "Context":
-        return replace(self, node=node, position=position, size=size)
 
 
 #: a lowered expression
@@ -224,12 +220,6 @@ def _node_test(test: NodeTest, axis: str) -> Callable[[XNode], bool]:
         return lambda node: node.node_type == principal and node.name.startswith(start)
     name = test.name
     return lambda node: node.name == name and node.node_type == principal
-
-
-def node_test_matches(test: NodeTest, node: XNode, axis: str = "child") -> bool:
-    """Whether *node* passes *test* along *axis* (principal node type is
-    'attribute' on the attribute axis, 'element' otherwise)."""
-    return _node_test(test, axis)(node)
 
 
 # ---------------------------------------------------------------------------

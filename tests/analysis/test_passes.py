@@ -8,7 +8,7 @@ from repro.analysis import (
     Severity,
     analyze_cnx,
 )
-from repro.analysis.passes import parse_multiplicity
+from repro.analysis.passes import argument_problem, parse_multiplicity
 from repro.core.cnx.schema import (
     CnxClient,
     CnxDocument,
@@ -16,6 +16,43 @@ from repro.core.cnx.schema import (
     CnxTask,
     CnxTaskReq,
 )
+
+
+#: the argument expression that reached ``os`` through ``eval``
+ESCAPE = (
+    "[c for c in ().__class__.__base__.__subclasses__() "
+    "if c.__name__ == 'catch_warnings'][0]()._module"
+    ".__builtins__['__import__']('os').sep"
+)
+
+#: what the arguments grammar refuses: attribute access, lambda, walrus,
+#: ``_``-prefixed names, calls other than the safe builtins
+OUTSIDE_THE_GRAMMAR = [
+    ESCAPE,
+    "__import__('os').getcwd()",
+    "[x.real for x in range(2)]",
+    "(lambda: [(1,)])()",
+    "[(y := 1)]",
+    "[(_k,) for _k in range(2)]",
+    "open('x')",
+    "max([[1]], key=len)",
+    "[f'{i}' for i in range(2)]",
+]
+
+#: every argument expression the repository writes (apps, tests,
+#: benchmarks, examples), and more the grammar admits
+INSIDE_THE_GRAMMAR = [
+    "[(i,) for i in range(1, n_workers + 1)]",
+    "[(i,) for i in range(1, n + 1)]",
+    "[(i,) for i in range(n)]",
+    "range(2)",
+    "[(1,), (2,)]",
+    "[[1, 2], [3, 4]]",
+    repr([(i,) for i in range(3)]),
+    "[]",
+    "[(i, j) for i in range(n) for j in {1, 2} if i != j and not i > 5]",
+    "list(range(max(1, min(n, len([0, 1])))))[1:] if n % 2 == 0 else [(-n,)]",
+]
 
 
 def doc_of(*jobs: CnxJob, cls="Client", port=5666) -> CnxDocument:
@@ -107,6 +144,17 @@ class TestDynamicsPass:
         assert parse_multiplicity("a..b") is None
         assert parse_multiplicity("1..2..3") is None
         assert parse_multiplicity("-1") is None
+
+    @pytest.mark.parametrize("expression", OUTSIDE_THE_GRAMMAR)
+    def test_cn305_refuses_an_expression_outside_the_grammar(self, expression):
+        dyn = task("w", dynamic=True, multiplicity="*", arguments=expression)
+        (finding,) = analyze_cnx(doc_of(CnxJob(tasks=[dyn]))).errors()
+        assert finding.code == "CN305"
+        assert "outside the arguments grammar" in finding.message
+
+    @pytest.mark.parametrize("expression", INSIDE_THE_GRAMMAR)
+    def test_the_grammar_admits_what_the_repository_writes(self, expression):
+        assert argument_problem(expression) == ""
 
     def test_dynamic_codes(self):
         lacking = task("a", dynamic=True)
@@ -274,17 +322,16 @@ class TestContextGatedPasses:
 
 
 class TestLegacyWrappers:
-    def test_collect_problems_matches_error_messages(self):
-        from repro.core.cnx.validate import CnxValidationError, collect_problems, validate
+    def test_validate_refuses_with_the_whole_report(self):
+        from repro.core.cnx.validate import CnxValidationError, validate
 
         document = doc_of(CnxJob(tasks=[task("a", ["a"]), task("b", ["ghost"])]))
-        problems = collect_problems(document)
-        assert any("depends on itself" in p for p in problems)
-        assert any("depends on unknown task 'ghost'" in p for p in problems)
         with pytest.raises(CnxValidationError) as excinfo:
             validate(document)
-        assert excinfo.value.problems == problems
-        assert excinfo.value.diagnostics  # structured records ride along
+        report = excinfo.value.report
+        assert {"CN102", "CN103"} <= report.codes()
+        assert excinfo.value.diagnostics == report.errors()
+        assert "depends on unknown task 'ghost'" in str(excinfo.value)
 
     def test_the_error_is_one_class_by_every_import_path(self):
         from repro.cn.errors import CnxValidationError

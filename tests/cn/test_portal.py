@@ -289,6 +289,42 @@ class TestPortalHTTP:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 500
 
+    @pytest.mark.parametrize(
+        "headers",
+        [
+            {"Content-Length": "-1"},
+            {"Content-Length": "lots"},
+            {"Content-Length": "0", "X-Runtime-Args": "not json"},
+            {"Content-Length": "0", "X-Runtime-Args": "[1, 2]"},
+            # under http.server's 64 KiB header line, too deep for json
+            {"Content-Length": "0", "X-Runtime-Args": "[" * 60000},
+        ],
+        ids=[
+            "negative-length", "non-integer-length", "args-not-json", "args-not-an-object",
+            "args-nested-too-deep",
+        ],
+    )
+    def test_malformed_headers_are_400_before_the_body_is_read(
+        self, http_portal, headers, capfd
+    ):
+        import http.client
+
+        before = len(http_portal.portal.list())
+        connection = http.client.HTTPConnection(*http_portal.address, timeout=10)
+        try:
+            # headers only: the answer must not wait for a body
+            connection.putrequest("POST", "/submit", skip_accept_encoding=True)
+            for name, value in headers.items():
+                connection.putheader(name, value)
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "malformed" in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+        assert len(http_portal.portal.list()) == before  # nothing was submitted
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_oversized_body_rejected_413(self, guarded_http):
         request = urllib.request.Request(
             self.url(guarded_http, "/submit"),

@@ -173,7 +173,7 @@ class TestRetryThroughCnx:
         assert "<retries>" not in emit(doc)
 
     def test_negative_retries_rejected(self):
-        from repro.core.cnx import collect_problems
+        from repro.analysis import analyze_cnx
 
         doc = CnxDocument(
             CnxClient(
@@ -187,7 +187,8 @@ class TestRetryThroughCnx:
                 ],
             )
         )
-        assert any("negative retries" in p for p in collect_problems(doc))
+        (finding,) = analyze_cnx(doc).errors()
+        assert finding.code == "CN205" and "negative retries" in finding.message
 
     def test_runner_executes_retrying_descriptor(self):
         registry = flaky_registry("runner", failures=2)

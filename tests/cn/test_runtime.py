@@ -27,8 +27,9 @@ from repro.cn import (
     expand_dynamic_tasks,
 )
 from repro.cn.config import SCHEDULERS
-from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxParam, CnxTask
+from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxTask
 
+from ..analysis.test_passes import OUTSIDE_THE_GRAMMAR
 from ..conftest import basic_registry
 
 
@@ -313,12 +314,24 @@ class TestDynamicExpansion:
         assert evaluate_arguments("range(2)", {}) == [(0,), (1,)]
         assert evaluate_arguments("[[1, 2], [3, 4]]", {}) == [(1, 2), (3, 4)]
         assert evaluate_arguments("[(i,) for i in range(n)]", {"n": 2}) == [(0,), (1,)]
+        assert evaluate_arguments(
+            "[(i,) for i in range(1, n_workers + 1)]", {"n_workers": 2}
+        ) == [(1,), (2,)]
+        assert evaluate_arguments(repr([(0,), (1,)]), {}) == [(0,), (1,)]
 
     def test_evaluate_arguments_rejects_bad(self):
         with pytest.raises(JobError):
             evaluate_arguments("1 +", {})
         with pytest.raises(JobError):
             evaluate_arguments("42", {})
+
+    @pytest.mark.parametrize("expression", OUTSIDE_THE_GRAMMAR)
+    def test_evaluate_arguments_refuses_before_eval(self, expression, monkeypatch):
+        import repro.cn.client
+
+        monkeypatch.setattr(repro.cn.client, "eval", None, raising=False)
+        with pytest.raises(JobError, match="outside the arguments grammar"):
+            evaluate_arguments(expression, {})
 
     def test_evaluate_arguments_no_builtins(self):
         with pytest.raises(JobError):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import analyze_cnx
 from repro.core.cnx import (
     CnxClient,
     CnxDocument,
@@ -11,7 +12,6 @@ from repro.core.cnx import (
     CnxTask,
     CnxTaskReq,
     CnxValidationError,
-    collect_problems,
     emit,
     parse,
     validate,
@@ -213,6 +213,10 @@ class TestSchema:
         assert [t.name for t in job.dependents_of("tctask0")] == ["tctask1"]
 
 
+def error_codes(doc):
+    return [d.code for d in analyze_cnx(doc).errors()]
+
+
 class TestValidator:
     def test_valid_passes(self):
         validate(small_doc())
@@ -220,52 +224,52 @@ class TestValidator:
     def test_duplicate_names(self):
         doc = small_doc()
         doc.client.jobs[0].tasks.append(CnxTask("a", "x.jar", "X"))
-        assert any("duplicate" in p for p in collect_problems(doc))
+        assert "CN101" in error_codes(doc)
 
     def test_unknown_dependency(self):
         doc = small_doc()
         doc.client.jobs[0].tasks[1].depends = ["ghost"]
-        assert any("unknown task" in p for p in collect_problems(doc))
+        assert "CN102" in error_codes(doc)
 
     def test_self_dependency_fig2_erratum(self):
         # the exact bug in the paper's Fig. 2 listing
         doc = small_doc()
         doc.client.jobs[0].tasks[1].depends = ["b"]
-        problems = collect_problems(doc)
-        assert any("depends on itself" in p for p in problems)
+        assert "CN103" in error_codes(doc)
 
     def test_bad_memory(self):
         doc = small_doc()
         doc.client.jobs[0].tasks[0].task_req = CnxTaskReq(memory=0)
-        assert any("memory" in p for p in collect_problems(doc))
+        assert error_codes(doc) == ["CN203"]
 
     def test_unknown_runmodel(self):
         doc = small_doc()
         doc.client.jobs[0].tasks[0].task_req = CnxTaskReq(runmodel="NOPE")
-        assert any("runmodel" in p for p in collect_problems(doc))
+        assert error_codes(doc) == ["CN204"]
 
     def test_dynamic_without_multiplicity(self):
         doc = small_doc()
         doc.client.jobs[0].tasks[0].dynamic = True
-        assert any("multiplicity" in p for p in collect_problems(doc))
+        assert error_codes(doc) == ["CN301"]
 
     def test_dynamic_attrs_without_flag(self):
         doc = small_doc()
         doc.client.jobs[0].tasks[0].arguments = "range(2)"
-        assert any("not\n                " not in p and "dynamic" in p for p in collect_problems(doc))
+        assert error_codes(doc) == ["CN302"]
 
     def test_port_range(self):
         doc = small_doc(port=99999)
-        assert any("port" in p for p in collect_problems(doc))
+        assert error_codes(doc) == ["CN207"]
 
     def test_cycle_detected(self):
         doc = small_doc()
         doc.client.jobs[0].tasks[0].depends = ["b"]
-        assert any("cycle" in p for p in collect_problems(doc))
+        assert error_codes(doc) == ["CN104"]
 
     def test_validate_raises_with_all_problems(self):
         doc = small_doc(port=0)
         doc.client.jobs[0].tasks[0].task_req = CnxTaskReq(memory=-1)
         with pytest.raises(CnxValidationError) as excinfo:
             validate(doc)
-        assert len(excinfo.value.problems) >= 2
+        assert [d.code for d in excinfo.value.diagnostics] == ["CN207", "CN203"]
+        assert excinfo.value.report.errors() == excinfo.value.diagnostics

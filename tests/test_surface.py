@@ -58,6 +58,14 @@ DELETED = [
      r"|__wrapped__|Cluster\.__init__\s*=|^\s*sweep:",
      "one construction path: the simulator draws the configuration, no "
      "environment variable re-wires Cluster.__init__ under test"),
+    (EVERYWHERE, r"validate_graph|GraphValidationError|legacy_problems|build\(validate=",
+     "a composition is checked once, by cnlint, at the pipeline's step 1: no "
+     "second validator, no second refusal error, no unchecked build switch"),
+    (EVERYWHERE,
+     r"\b(transform_file|with_node|node_test_matches|find_package|declared_guard"
+     r"|is_error|archive_for|in_worker)\b",
+     "public names no caller used, by an AST census of src, tests, benchmarks "
+     "and examples"),
 ]
 
 

@@ -4,18 +4,9 @@ packages, XMI dependencies, both transforms, CNX, and the runner."""
 import threading
 import time
 
-import pytest
-
+from repro.analysis import analyze_cnx
 from repro.cn import ClientRunner, Cluster, Task, TaskRegistry
-from repro.core.cnx import (
-    CnxClient,
-    CnxDocument,
-    CnxJob,
-    CnxTask,
-    collect_problems,
-    emit,
-    parse,
-)
+from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxTask, emit, parse
 from repro.core.transform.xmi2cnx import model_to_cnx, xmi_to_cnx, xmi_to_cnx_native
 from repro.core.uml import ActivityBuilder, Model
 from repro.core.xmi import read_model, write_model
@@ -106,25 +97,24 @@ class TestCnxOrderingValidation:
         reparsed = parse(emit(doc))
         assert reparsed.client.jobs[1].after == ["a"]
 
+    def error_codes(self, jobs):
+        return [d.code for d in analyze_cnx(self.doc(jobs)).errors()]
+
     def test_unknown_after(self):
-        doc = self.doc([self.job("a", after=["ghost"])])
-        assert any("unknown job" in p for p in collect_problems(doc))
+        assert self.error_codes([self.job("a", after=["ghost"])]) == ["CN702"]
 
     def test_self_after(self):
-        doc = self.doc([self.job("a", after=["a"])])
-        assert any("after itself" in p for p in collect_problems(doc))
+        assert "CN703" in self.error_codes([self.job("a", after=["a"])])
 
     def test_unnamed_with_after(self):
-        doc = self.doc([self.job("a"), self.job("", after=["a"])])
-        assert any("must be named" in p for p in collect_problems(doc))
+        assert self.error_codes([self.job("a"), self.job("", after=["a"])]) == ["CN705"]
 
     def test_cycle(self):
-        doc = self.doc([self.job("a", after=["b"]), self.job("b", after=["a"])])
-        assert any("cyclic job ordering" in p for p in collect_problems(doc))
+        jobs = [self.job("a", after=["b"]), self.job("b", after=["a"])]
+        assert self.error_codes(jobs) == ["CN704"]
 
     def test_duplicate_names(self):
-        doc = self.doc([self.job("a"), self.job("a")])
-        assert any("duplicate job name" in p for p in collect_problems(doc))
+        assert self.error_codes([self.job("a"), self.job("a")]) == ["CN701"]
 
 
 class TestRunnerBatches:

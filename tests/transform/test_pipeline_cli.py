@@ -1,7 +1,5 @@
 """Fig. 6 pipeline tests and CLI coverage."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -13,6 +11,7 @@ from repro.apps.floyd import (
     store_matrix,
 )
 from repro.cn import Cluster
+from repro.cn.errors import CnxValidationError
 from repro.core.transform.cli import main as cli_main
 from repro.core.transform.pipeline import Pipeline, run_pipeline
 from repro.core.transform.xmi2cnx import xmi_to_cnx_native
@@ -68,8 +67,21 @@ class TestPipeline:
 
         bad = ActivityGraph("bad")
         bad.add_action("floating")
-        with pytest.raises(Exception):
+        with pytest.raises(CnxValidationError) as refused:
             Pipeline().run(bad, execute=False)
+        assert {"CN001", "CN201", "CN202"} == refused.value.report.codes()
+
+    def test_warnings_ride_on_the_result(self):
+        _, graph = small_graph(seed=7)
+        graph.find("tctask1").set_tag("ptype1", "Matrix")  # CN209, a warning
+        graph.find("tctask1").set_tag("pvalue1", "m")
+        outcome = Pipeline().run(graph, execute=False)
+        assert [d.code for d in outcome.report] == ["CN209"]
+
+    @pytest.mark.parametrize("port", [0, 70000])
+    def test_a_port_out_of_range_is_refused_at_construction(self, port):
+        with pytest.raises(ValueError, match=f"client port {port} out of range"):
+            Pipeline(port=port)
 
     def test_invalid_transform_name(self):
         # which transformer runs is not an input any more
@@ -119,6 +131,21 @@ class TestCli:
         path.write_text(capsys.readouterr().out)
         assert cli_main(["java", str(path)]) == 0
         assert "public class TransClosure" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["cnx", "python"])
+    def test_a_refused_model_exits_1_with_the_report(self, command, tmp_path, capsys):
+        from repro.core.uml import ActivityBuilder
+        from repro.core.xmi import write_graph
+
+        b = ActivityBuilder("Bad")
+        a = b.task("a", jar="x.jar", cls="X", memory=-5, runmodel="NOT_A_RUNMODEL")
+        b.chain(b.initial(), a, b.final())
+        path = tmp_path / "bad.xmi"
+        path.write_text(write_graph(b.build()))
+        assert cli_main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "CN203" in captured.err and "CN204" in captured.err
 
     def test_transform_flag_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as refused:

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.core.uml import (
-    ActivityBuilder,
-    ActivityGraph,
-    GraphValidationError,
-    collect_problems,
-    validate_graph,
-)
+from repro.analysis import analyze_model
+from repro.core.uml import ActivityBuilder, ActivityGraph, Model
 
 
 def fig3_graph(n_workers=3):
@@ -107,90 +102,131 @@ class TestDependencies:
             g.topological_actions()
 
 
-class TestValidation:
-    def test_valid_graph_passes(self):
-        validate_graph(fig3_graph())
+def missing_initial():
+    g = ActivityGraph("G")
+    a = g.add_action("a")
+    a.set_tag("jar", "x.jar")
+    a.set_tag("class", "X")
+    g.add_final()
+    return g
 
-    def test_missing_initial(self):
-        g = ActivityGraph("G")
-        a = g.add_action("a")
-        a.set_tag("jar", "x.jar")
-        a.set_tag("class", "X")
-        g.add_final()
-        problems = collect_problems(g)
-        assert any("initial" in p for p in problems)
 
-    def test_missing_final(self):
-        b = ActivityBuilder("G")
-        a = b.task("a", jar="x.jar", cls="X")
-        b.chain(b.initial(), a)
-        problems = collect_problems(b.graph)
-        assert any("final" in p for p in problems)
+def missing_final():
+    b = ActivityBuilder("G")
+    a = b.task("a", jar="x.jar", cls="X")
+    b.chain(b.initial(), a)
+    return b.graph
 
-    def test_unreachable_vertex(self):
-        b = ActivityBuilder("G")
-        a = b.task("a", jar="x.jar", cls="X")
-        b.chain(b.initial(), a, b.final())
-        orphan = b.task("orphan", jar="x.jar", cls="X")
-        problems = collect_problems(b.graph)
-        assert any("unreachable" in p for p in problems)
 
-    def test_missing_required_tag(self):
-        g = ActivityGraph("G")
-        init = g.add_initial()
-        a = g.add_action("a")
-        final = g.add_final()
-        g.add_transition(init, a)
-        g.add_transition(a, final)
-        problems = collect_problems(g)
-        assert any("jar" in p for p in problems)
-        assert any("class" in p for p in problems)
+def unreachable_vertex():
+    b = ActivityBuilder("G")
+    a = b.task("a", jar="x.jar", cls="X")
+    b.chain(b.initial(), a, b.final())
+    b.task("orphan", jar="x.jar", cls="X")
+    return b.graph
 
-    def test_bad_memory(self):
-        b = ActivityBuilder("G")
-        a = b.task("a", jar="x.jar", cls="X")
-        a.set_tag("memory", "-5")
-        b.chain(b.initial(), a, b.final())
-        assert any("memory" in p for p in collect_problems(b.graph))
 
-    def test_unknown_runmodel(self):
-        b = ActivityBuilder("G")
-        a = b.task("a", jar="x.jar", cls="X")
-        a.set_tag("runmodel", "RUN_ON_MARS")
-        b.chain(b.initial(), a, b.final())
-        assert any("runmodel" in p for p in collect_problems(b.graph))
+def missing_required_tag():
+    g = ActivityGraph("G")
+    init = g.add_initial()
+    a = g.add_action("a")
+    final = g.add_final()
+    g.add_transition(init, a)
+    g.add_transition(a, final)
+    return g
 
-    def test_fork_arity(self):
-        g = ActivityGraph("G")
-        init = g.add_initial()
-        fork = g.add_fork("f")
-        a = g.add_action("a")
-        a.set_tag("jar", "x.jar")
-        a.set_tag("class", "X")
-        final = g.add_final()
-        g.add_transition(init, fork)
-        g.add_transition(fork, a)  # only one branch
-        g.add_transition(a, final)
-        assert any("fork" in p for p in collect_problems(g))
 
-    def test_error_lists_all_problems(self):
-        g = ActivityGraph("G")
-        g.add_action("a")  # no tags, no transitions, no initial/final
-        with pytest.raises(GraphValidationError) as excinfo:
-            validate_graph(g)
-        assert len(excinfo.value.problems) >= 3
+def tagged(**tags):
+    """A one-task chain whose task then gets *tags* on top of its own."""
 
-    def test_unpaired_params(self):
-        b = ActivityBuilder("G")
-        a = b.task("a", jar="x.jar", cls="X")
-        a.set_tag("ptype0", "Integer")  # pvalue0 missing
-        b.chain(b.initial(), a, b.final())
-        assert any("unpaired" in p for p in collect_problems(b.graph))
-
-    def test_gap_in_param_indices(self):
+    def build():
         b = ActivityBuilder("G")
         a = b.task("a", jar="x.jar", cls="X", params=[("Integer", "1")])
-        a.set_tag("ptype2", "Integer")
-        a.set_tag("pvalue2", "3")
+        for name, value in tags.items():
+            a.set_tag(name, value)
         b.chain(b.initial(), a, b.final())
-        assert any("contiguous" in p for p in collect_problems(b.graph))
+        return b.graph
+
+    return build
+
+
+def one_way_fork():
+    g = ActivityGraph("G")
+    init = g.add_initial()
+    fork = g.add_fork("f")
+    a = g.add_action("a")
+    a.set_tag("jar", "x.jar")
+    a.set_tag("class", "X")
+    final = g.add_final()
+    g.add_transition(init, fork)
+    g.add_transition(fork, a)  # only one branch
+    g.add_transition(a, final)
+    return g
+
+
+def bare_action():
+    g = ActivityGraph("G")
+    g.add_action("a")  # no tags, no transitions, no initial/final
+    return g
+
+
+#: defective graphs, one defect each: every entry point of the path
+#: refuses each with the same codes (tests/analysis/test_integration.py)
+DEFECTIVE = {
+    "missing-initial": missing_initial,
+    "missing-final": missing_final,
+    "unreachable-vertex": unreachable_vertex,
+    "missing-required-tag": missing_required_tag,
+    "bad-memory": tagged(memory="-5"),
+    "unknown-runmodel": tagged(runmodel="RUN_ON_MARS"),
+    "one-way-fork": one_way_fork,
+    "bare-action": bare_action,
+    "unpaired-params": tagged(ptype1="Integer"),  # pvalue1 missing
+    "gap-in-param-indices": tagged(ptype2="Integer", pvalue2="3"),
+}
+
+
+def errors(graph):
+    """cnlint's error findings on *graph*, as ``(code, message)`` pairs."""
+    model = Model("M")
+    model.new_package("p").add_graph(graph)
+    return [(d.code, d.message) for d in analyze_model(model).errors()]
+
+
+def said(graph, code, text):
+    return any(c == code and text in message for c, message in errors(graph))
+
+
+class TestValidation:
+    def test_valid_graph_passes(self):
+        assert errors(fig3_graph()) == []
+
+    def test_missing_initial(self):
+        assert said(missing_initial(), "CN001", "initial")
+
+    def test_missing_final(self):
+        assert said(missing_final(), "CN001", "final")
+
+    def test_unreachable_vertex(self):
+        assert said(unreachable_vertex(), "CN001", "unreachable")
+
+    def test_missing_required_tag(self):
+        assert [c for c, _ in errors(missing_required_tag())] == ["CN201", "CN202"]
+
+    def test_bad_memory(self):
+        assert said(DEFECTIVE["bad-memory"](), "CN203", "memory")
+
+    def test_unknown_runmodel(self):
+        assert said(DEFECTIVE["unknown-runmodel"](), "CN204", "runmodel")
+
+    def test_fork_arity(self):
+        assert said(one_way_fork(), "CN001", "fork")
+
+    def test_error_lists_all_problems(self):
+        assert len(errors(bare_action())) >= 3
+
+    def test_unpaired_params(self):
+        assert said(DEFECTIVE["unpaired-params"](), "CN210", "unpaired")
+
+    def test_gap_in_param_indices(self):
+        assert said(DEFECTIVE["gap-in-param-indices"](), "CN210", "contiguous")

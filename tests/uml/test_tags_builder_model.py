@@ -126,17 +126,17 @@ class TestBuilder:
         forks = [v.name for v in g.vertices if v.kind == "fork"]
         assert len(set(forks)) == 2
 
-    def test_build_validates(self):
+    def test_build_returns_the_graph_unchecked(self):
+        from repro.cn.errors import CnxValidationError
+        from repro.core.transform import Pipeline
+
         b = ActivityBuilder("G")
         b.task("a", jar="x.jar", cls="X")  # dangling
-        with pytest.raises(Exception):
-            b.build()
-
-    def test_build_skip_validation(self):
-        b = ActivityBuilder("G")
-        b.task("a", jar="x.jar", cls="X")
-        g = b.build(validate=False)
-        assert g.name == "G"
+        assert b.build() is b.graph
+        # checking is cnlint's, once, where the pipeline takes the model in
+        with pytest.raises(CnxValidationError) as refused:
+            Pipeline().check(b.build())
+        assert refused.value.report.codes() == {"CN001"}
 
     def test_dynamic_task(self):
         b = ActivityBuilder("G")

@@ -4,8 +4,10 @@ overflow the stack in the recursive walkers it replaced."""
 import pytest
 
 from repro.analysis import Composition, JobGraph, TaskNode, analyze, analyze_cnx
+from repro.cn.errors import CnxValidationError
 from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxTask
-from repro.core.uml import ActivityBuilder, ActivityGraph, GraphValidationError
+from repro.core.transform import Pipeline
+from repro.core.uml import ActivityBuilder, ActivityGraph
 from repro.util import dag
 
 DEEP = 5000
@@ -63,12 +65,43 @@ def chain_doc(n: int) -> CnxDocument:
     return CnxDocument(CnxClient("Chain", jobs=[CnxJob(tasks=tasks)]))
 
 
+def task_cycle():
+    """a -> b -> c -> a, with the way out through c."""
+    g = ActivityGraph("G")
+    initial, final = g.add_initial(), g.add_final()
+    a, b, c = (g.add_action(n) for n in "abc")
+    for source, target in ((initial, a), (a, b), (b, c), (c, a), (c, final)):
+        g.add_transition(source, target)
+    return g
+
+
+def pseudostate_cycle():
+    """A fork and a join feeding each other: a cycle no task is on."""
+    g = ActivityGraph("G")
+    initial, final = g.add_initial(), g.add_final()
+    task = g.add_action("t")
+    fork, join = g.add_fork("f"), g.add_join("j")
+    for source, target in (
+        (initial, task), (task, fork), (fork, join), (join, fork), (fork, final),
+    ):
+        g.add_transition(source, target)
+    return g
+
+
+def diagram_messages(graph):
+    """What the pipeline's one check says only the diagram can say."""
+    with pytest.raises(CnxValidationError) as refused:
+        Pipeline().check(graph)
+    return [d.message for d in refused.value.report.by_code("CN001")]
+
+
 class TestDeepChains:
-    """A valid 1 500-task chain died with RecursionError in
-    ``ActivityBuilder.build()``; nothing on the path recurses now."""
+    """A valid 1 500-task chain died with RecursionError in the graph
+    check; nothing on the path recurses now."""
 
     def test_builder_validates_a_deep_chain(self):
         graph = chain_graph(DEEP).build()
+        assert Pipeline().check(graph)[1].ok
         order = [action.name for action in graph.topological_actions()]
         assert order == [f"t{i}" for i in range(DEEP)]
 
@@ -119,29 +152,12 @@ class TestCycleDiagnosticsUnchanged:
         assert finding.message == "job[0]: dependency cycle through task 'a'"
 
     def test_graph_cycle_names_a_task_on_it(self):
-        g = ActivityGraph("G")
-        initial, final = g.add_initial(), g.add_final()
-        a, b, c = (g.add_action(n) for n in "abc")
-        for source, target in ((initial, a), (a, b), (b, c), (c, a), (c, final)):
-            g.add_transition(source, target)
-        from repro.core.uml.validate import validate_graph
-
-        with pytest.raises(GraphValidationError) as refused:
-            validate_graph(g)
-        assert "dependency cycle through 'a'" in refused.value.problems
+        assert "G: dependency cycle through 'a'" in diagram_messages(task_cycle())
 
     def test_pseudostate_only_cycle_is_still_found(self):
-        g = ActivityGraph("G")
-        initial, final = g.add_initial(), g.add_final()
-        task = g.add_action("t")
-        fork, join = g.add_fork("f"), g.add_join("j")
-        for source, target in (
-            (initial, task), (task, fork), (fork, join), (join, fork), (fork, final),
-        ):
-            g.add_transition(source, target)
-        from repro.core.uml.validate import collect_problems
-
-        assert "transition graph contains a cycle" in collect_problems(g)
+        assert "G: transition graph contains a cycle" in diagram_messages(
+            pseudostate_cycle()
+        )
 
     def test_cyclic_job_order_is_cn704_with_the_same_message(self):
         jobs = [
