@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -98,7 +100,7 @@ def test_placement_spreads_load(report):
 SWEEP_NODES = (2, 8, 32, 64)
 N_TASKS = 256
 ROUNDS = 3
-SPEEDUP_FLOOR = 5.0       # bid vs solicit at 32 nodes
+SPEEDUP_FLOOR = 5.0       # bid vs solicit at 64 nodes
 BID_DEGRADATION_CAP = 0.25  # bid throughput loss allowed from 8 -> 64 nodes
 
 
@@ -187,10 +189,10 @@ def test_perf16_bid_scheduler_throughput(report, out_dir):
 
     # one rule round places the whole batch; solicit pays one per task
     assert solicitations[("bid", 32)] < solicitations[("solicit", 32)] / 10
-    # the headline gate: rule-based bidding at 32 nodes
-    speedup = tput[("bid", 32)] / tput[("solicit", 32)]
+    # the headline gate: rule-based bidding at 64 nodes
+    speedup = tput[("bid", 64)] / tput[("solicit", 64)]
     assert speedup >= SPEEDUP_FLOOR, (
-        f"bid scheduler only {speedup:.1f}x faster than solicit at 32 nodes "
+        f"bid scheduler only {speedup:.1f}x faster than solicit at 64 nodes "
         f"(floor {SPEEDUP_FLOOR}x): {tput}"
     )
     # bid placement stays near-flat as the cluster grows...
@@ -211,22 +213,76 @@ def test_perf16_bid_scheduler_throughput(report, out_dir):
 PUBLISH_CAP = {"bid": 6, "solicit": 260}
 
 
+def _durable_placement(scheduler, partitioned):
+    """Place one 256-task batch on 32 durable nodes, every replica's
+    ``extend`` wrapped to record which batch (by its first ``seq``) it
+    was handed; under *partitioned* every node sits in one group, so the
+    bus takes its partition branch and blocks nothing."""
+    with Cluster(
+        32, registry=registry(), memory_per_node=10**6, scheduler=scheduler
+    ) as cluster:
+        if partitioned:
+            cluster.partition(cluster.node_names)
+        extends = []
+        for server in cluster.servers:
+            backend = server.journal.backend
+
+            def recording_extend(batch, _extend=backend.extend, _name=server.name):
+                batch = tuple(batch)
+                extends.append((_name, batch[0].seq))
+                return _extend(batch)
+
+            backend.extend = recording_extend
+        api = CNAPI.initialize(cluster)
+        handle = api.create_job("bench")
+        api.create_tasks(handle, [spec(f"t{i}") for i in range(N_TASKS)])
+        stats = cluster.bus.stats
+        return SimpleNamespace(
+            awards=[handle.job.task(f"t{i}").node_name for i in range(N_TASKS)],
+            stats=(stats.deliveries, stats.responses, stats.publishes),
+            partitioned=stats.partitioned,
+            listener_errors=stats.listener_errors,
+            origin=handle.manager.journal.origin,
+            written=handle.manager.journal.records(handle.job_id),
+            replicas={
+                server.name: server.journal.records(handle.job_id)
+                for server in cluster.servers
+            },
+            extends=extends,
+            nodes=cluster.node_names,
+        )
+
+
 @pytest.mark.parametrize("scheduler", ["bid", "solicit"])
 def test_perf16_durable_batch_replicates_in_batches(scheduler):
     """Counts repeat exactly, so nothing is timed: the journal of one
     durable 256-task placement is replicated in a handful of bus events,
-    and every replica still holds all 513 records in ``seq`` order."""
-    with Cluster(
-        32, registry=registry(), memory_per_node=10**6, scheduler=scheduler
-    ) as cluster:
-        api = CNAPI.initialize(cluster)
-        handle = api.create_job("bench")
-        api.create_tasks(handle, [spec(f"t{i}") for i in range(N_TASKS)])
-        publishes = cluster.bus.stats.publishes
-        assert publishes <= PUBLISH_CAP[scheduler], publishes
-        assert cluster.bus.stats.listener_errors == 0
-        written = handle.manager.journal.records(handle.job_id)
-        assert len(written) == 2 * N_TASKS + 1  # created + specs + placements
-        assert [r.seq for r in written] == sorted(r.seq for r in written)
-        for server in cluster.servers:
-            assert server.journal.records(handle.job_id) == written, server.name
+    every replica still holds all 513 records in ``seq`` order, and each
+    publish reaches every backend exactly once.  A partition that blocks
+    nothing changes none of it."""
+    open_run = _durable_placement(scheduler, partitioned=False)
+    publishes = open_run.stats[2]
+    assert publishes <= PUBLISH_CAP[scheduler], publishes
+    assert open_run.listener_errors == 0
+    written = open_run.written
+    assert len(written) == 2 * N_TASKS + 1  # created + specs + placements
+    assert [r.seq for r in written] == sorted(r.seq for r in written)
+    for name, records in open_run.replicas.items():
+        assert records == written, name
+    # the shape gate: each publish is one extend per backend -- the
+    # origin's own write-ahead append and one delivery to each of the 31
+    # peers; the origin's replica of its own batch is skipped, not re-applied
+    reached = Counter(open_run.extends)
+    assert set(reached.values()) == {1}, reached.most_common(3)
+    batches = {seq for _, seq in reached}
+    assert len(batches) == publishes
+    for node in open_run.nodes:
+        assert {seq for name, seq in reached if name == node} == batches, node
+
+    cut_run = _durable_placement(scheduler, partitioned=True)
+    assert cut_run.partitioned == 0
+    assert cut_run.awards == open_run.awards
+    assert cut_run.stats == open_run.stats
+    assert cut_run.origin == open_run.origin
+    assert cut_run.replicas == open_run.replicas
+    assert sorted(cut_run.extends) == sorted(open_run.extends)

@@ -82,8 +82,11 @@ GUARDED_BY: dict[str, str] = {
     "TaskManager._archive_cache": "TaskManager._lock",
     # ProcTransport worker-side telemetry coalescing buffer.
     "WorkerRuntime._frame_buffer": "WorkerRuntime._lock",
-    # MulticastBus subscriber table.
+    # MulticastBus rosters and partition map: each is replaced whole
+    # under the lock, and a round reads each once under it.
     "MulticastBus._subscribers": "MulticastBus._lock",
+    "MulticastBus._listeners": "MulticastBus._lock",
+    "MulticastBus._groups": "MulticastBus._lock",
     # AdmissionController: per-tenant token buckets, in-flight quotas,
     # and the decision counters all mutate under the admission lock.
     "AdmissionController._buckets": "AdmissionController._lock",

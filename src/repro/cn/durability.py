@@ -186,9 +186,30 @@ class MemoryJournal:
         zombie write and is dropped (but kept on :attr:`fenced` for
         observability) -- a fenced checkpoint supersedes nothing.  The
         accepted records are persisted together, in accept order."""
+        records = tuple(records)  # the tuple itself when it is one
         with self._lock:
             log = self._records
             start = len(log)
+            if len(records) == 1 and records[0].kind != "checkpoint":
+                # a placement round's replica write: the loop below, minus
+                # the loop (0.8 ms of a 36 ms place256-solicit op, EXPERIMENTS
+                # PERF16); test_one_record_at_a_time_is_the_whole_batch
+                # holds the two to the same answer
+                record = records[0]
+                job_id = record.job_id
+                high = self._high_water.get(job_id, 0)
+                bucket = self._by_job.get(job_id)
+                if bucket is None:
+                    bucket = self._by_job[job_id] = []
+                if record.mepoch != high:
+                    if record.mepoch < high:
+                        self.fenced.append(record)
+                        return 0
+                    self._high_water[job_id] = record.mepoch
+                log.append(record)
+                bucket.append(record)
+                self._persist(start, ())
+                return 1
             # becomes a list in a batch that carries a checkpoint
             arrived: Sequence[_Retained] = ()
             current, high, bucket = None, 0, []
@@ -198,7 +219,9 @@ class MemoryJournal:
                     # a batch is usually one job's: look its state up once
                     current = job_id
                     high = self._high_water.get(job_id, 0)
-                    bucket = self._by_job.setdefault(job_id, [])
+                    bucket = self._by_job.get(job_id)
+                    if bucket is None:
+                        bucket = self._by_job[job_id] = []
                 if record.mepoch != high:
                     if record.mepoch < high:
                         self.fenced.append(record)

@@ -44,6 +44,13 @@ def _node_of(name: str) -> str:
     return name.split("/", 1)[0]
 
 
+def _cut(groups: dict[str, int], home: int, receiver: str) -> bool:
+    """Whether the partition *groups* separates *receiver* from a sender
+    in group *home* (a name outside every group is reachable)."""
+    group = groups.get(_node_of(receiver))
+    return group is not None and group != home
+
+
 @dataclass(frozen=True)
 class Solicitation:
     """A multicast request: what is being solicited and its requirements."""
@@ -71,11 +78,15 @@ class MulticastBus:
     """In-process multicast with response collection."""
 
     def __init__(self, *, chaos: "Optional[ChaosPolicy]" = None) -> None:
-        self._subscribers: list[tuple[str, Responder]] = []
-        self._listeners: list[tuple[str, Listener]] = []
+        # copy-on-write rosters: replaced whole under the lock, so a round
+        # reads one immutable tuple instead of copying a list
+        self._subscribers: tuple[tuple[str, Responder], ...] = ()
+        self._listeners: tuple[tuple[str, Listener], ...] = ()
         self._lock = make_lock("MulticastBus._lock")
         self.chaos = chaos
         self.stats = BusStats()
+        #: node -> partition group, or None; replaced whole, never
+        #: mutated, so a round's snapshot stays the map it read
         self._groups: Optional[dict[str, int]] = None
         self._delivery_index = 0
         #: cluster Telemetry hub; set by Cluster wiring (None = no metrics)
@@ -116,11 +127,13 @@ class MulticastBus:
 
     def subscribe(self, name: str, responder: Responder) -> None:
         with self._lock:
-            self._subscribers.append((name, responder))
+            self._subscribers += ((name, responder),)
 
     def unsubscribe(self, name: str) -> None:
         with self._lock:
-            self._subscribers = [(n, r) for n, r in self._subscribers if n != name]
+            self._subscribers = tuple(
+                entry for entry in self._subscribers if entry[0] != name
+            )
 
     def subscriber_names(self) -> list[str]:
         with self._lock:
@@ -130,36 +143,47 @@ class MulticastBus:
     def attach_listener(self, name: str, listener: Listener) -> None:
         """Register a one-way event listener (no response collected)."""
         with self._lock:
-            self._listeners.append((name, listener))
+            self._listeners += ((name, listener),)
 
     def detach_listener(self, name: str) -> None:
         with self._lock:
-            self._listeners = [(n, f) for n, f in self._listeners if n != name]
+            self._listeners = tuple(
+                entry for entry in self._listeners if entry[0] != name
+            )
 
     def publish(self, topic: str, payload: Any, *, sender: str = "") -> int:
         """Deliver an event to every reachable listener; returns the
         number of successful deliveries.  Listeners that raise are
         skipped and counted in ``stats.listener_errors`` (a crashed node
         must not take down the subnet, but a replica that fell behind
-        must show)."""
+        must show).  One publish reads one roster and one partition map:
+        a listener that changes either affects the next call, not this
+        one."""
         with self._lock:
-            listeners = list(self._listeners)
-            partitioned = self._groups is not None
-        chaotic = self.chaos is not None and self.chaos.enabled
-        self.stats.publishes += 1
-        delivered = 0
+            listeners = self._listeners
+            groups = self._groups
+        home = None if groups is None else groups.get(_node_of(sender))
+        chaos = self.chaos if self.chaos is not None and self.chaos.enabled else None
+        delivered = blocked = dropped = errors = 0
         for name, listener in listeners:
-            if partitioned and not self.reachable(sender, name):
-                self.stats.partitioned += 1
+            if home is not None and _cut(groups, home, name):
+                blocked += 1
                 continue
-            if chaotic and self._chaos_drops(sender, name):
+            if chaos is not None and self._chaos_drops(chaos, sender, name):
+                dropped += 1
                 continue
             try:
                 listener(topic, payload)
             except Exception:  # noqa: BLE001  # conclint: waive CC302 -- a crashed listener must not take down the subnet
-                self.stats.listener_errors += 1
+                errors += 1
                 continue
             delivered += 1
+        stats = self.stats
+        with self._lock:
+            stats.publishes += 1
+            stats.partitioned += blocked
+            stats.dropped += dropped
+            stats.listener_errors += errors
         return delivered
 
     # -- partitions ---------------------------------------------------------------
@@ -186,20 +210,16 @@ class MulticastBus:
         node = _node_of(name)
         with self._lock:
             if self._groups is not None:
-                self._groups.pop(node, None)
-                if not self._groups:
-                    self._groups = None
+                groups = {n: g for n, g in self._groups.items() if n != node}
+                self._groups = groups or None
 
     def reachable(self, sender: str, receiver: str) -> bool:
         with self._lock:
             groups = self._groups
         if groups is None:
             return True
-        sender_group = groups.get(_node_of(sender))
-        receiver_group = groups.get(_node_of(receiver))
-        if sender_group is None or receiver_group is None:
-            return True  # at least one endpoint is outside the partition
-        return sender_group == receiver_group
+        home = groups.get(_node_of(sender))
+        return home is None or not _cut(groups, home, receiver)
 
     # -- solicitations -----------------------------------------------------------
     def solicit(self, solicitation: Solicitation) -> list[tuple[str, Any]]:
@@ -208,43 +228,49 @@ class MulticastBus:
         Delivery order is subscription order, making runs deterministic;
         responders that raise are treated as unwilling (a crashed node
         must not take down discovery) and counted in
-        ``stats.responder_errors``.
+        ``stats.responder_errors``.  One round reads one roster and one
+        partition map, as :meth:`publish` does.
         """
         with self._lock:
-            subscribers = list(self._subscribers)
-            partitioned = self._groups is not None
-        chaotic = self.chaos is not None and self.chaos.enabled
-        self.stats.solicitations += 1
+            subscribers = self._subscribers
+            groups = self._groups
+        sender = solicitation.sender
+        home = None if groups is None else groups.get(_node_of(sender))
+        chaos = self.chaos if self.chaos is not None and self.chaos.enabled else None
         hist = self._solicit_hist
         start = time.perf_counter() if hist is not None else 0.0
         offers: list[tuple[str, Any]] = []
+        blocked = dropped = errors = 0
         for name, responder in subscribers:
-            if partitioned and not self.reachable(solicitation.sender, name):
-                self.stats.partitioned += 1
+            if home is not None and _cut(groups, home, name):
+                blocked += 1
                 continue
-            if chaotic and self._chaos_drops(solicitation.sender, name):
+            if chaos is not None and self._chaos_drops(chaos, sender, name):
+                dropped += 1
                 continue
-            self.stats.deliveries += 1
             try:
                 offer = responder(solicitation)
             except Exception:  # noqa: BLE001  # conclint: waive CC302 -- a crashed responder must not take down discovery
-                self.stats.responder_errors += 1
+                errors += 1
                 continue
             if offer is not None:
-                self.stats.responses += 1
                 offers.append((name, offer))
+        stats = self.stats
+        with self._lock:
+            stats.solicitations += 1
+            stats.deliveries += len(subscribers) - blocked - dropped
+            stats.responses += len(offers)
+            stats.partitioned += blocked
+            stats.dropped += dropped
+            stats.responder_errors += errors
         if hist is not None:
             hist.observe(time.perf_counter() - start)
         return offers
 
-    def _chaos_drops(self, sender: str, receiver: str) -> bool:
-        chaos = self.chaos
-        if chaos is None or not chaos.enabled:
-            return False
+    def _chaos_drops(self, chaos: "ChaosPolicy", sender: str, receiver: str) -> bool:
+        """Whether *chaos* loses this delivery, keyed by the bus-wide
+        delivery index."""
         with self._lock:
             self._delivery_index += 1
             index = self._delivery_index
-        if chaos.bus_drop(sender, receiver, index):
-            self.stats.dropped += 1
-            return True
-        return False
+        return chaos.bus_drop(sender, receiver, index)

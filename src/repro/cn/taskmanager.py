@@ -138,21 +138,22 @@ class TaskManager:
         """How many of *wanted* tasks of this shape the node could take
         right now; 0 when it can take none.  The one statement of the
         admission gates -- what a bid offers and what an upload is
-        checked against."""
-        with self._lock:
-            if self._shutdown or self._crashed:
-                return 0
-            if not self.executor.healthy():
-                return 0  # execution substrate (worker process) died
-            if memory > 0:
-                free_memory = self.memory_capacity - self._memory_used
-                wanted = min(wanted, free_memory // memory)
-            if runmodel.occupies_slot:
-                wanted = min(wanted, self.slots - self._slots_used)
-            return max(wanted, 0)
+        checked against.  The caller holds ``_lock``."""
+        if self._shutdown or self._crashed or not self.executor.healthy():
+            return 0  # a dead worker process takes no work either
+        if memory > 0:
+            fits = (self.memory_capacity - self._memory_used) // memory
+            if fits < wanted:
+                wanted = fits
+        if runmodel.occupies_slot:
+            free = self.slots - self._slots_used
+            if free < wanted:
+                wanted = free
+        return wanted if wanted > 0 else 0
 
     def can_host(self, memory: int, runmodel: RunModel) -> bool:
-        return self._room(memory, runmodel) > 0
+        with self._lock:
+            return self._room(memory, runmodel) > 0
 
     def compute_bid(self, rule: PlacementRule) -> Optional[Bid]:
         """Score a placement rule locally and return this node's bid.
@@ -163,7 +164,8 @@ class TaskManager:
         home it would be.  Locality is O(1) per probe: archive presence
         comes from :attr:`_archive_cache` and upstream-producer presence
         from the ``_hosted`` map.  Returns None when the node cannot take
-        any task from the rule (no answer on the bus).
+        any task from the rule (no answer on the bus).  One lock hold,
+        one :meth:`_room`.
         """
         with self._lock:
             capacity = self._room(rule.memory, rule.runmodel, len(rule.tasks))
@@ -232,7 +234,7 @@ class TaskManager:
                 raise ShutdownError(f"TaskManager {self.name!r} is shut down")
             if self._crashed:
                 raise ShutdownError(f"TaskManager {self.name!r} has crashed")
-            if not self.can_host(runtime.spec.memory, runtime.spec.runmodel):
+            if not self._room(runtime.spec.memory, runtime.spec.runmodel):
                 raise CnError(
                     f"TaskManager {self.name!r} cannot host {runtime.name!r}: "
                     f"free memory {self.free_memory}, requested {runtime.spec.memory}"

@@ -638,6 +638,23 @@ class TestReplayDeterminism:
             journal.append(record)
         assert replay_job("j", journal.records("j")) == replay_job("j", records)
 
+    @settings(max_examples=100, deadline=None)
+    @given(journals())
+    def test_one_record_at_a_time_is_the_whole_batch(self, records):
+        """``extend`` takes a one-record batch without its per-record
+        loop; both paths fence, bucket and retain the same way."""
+        single, batched = MemoryJournal(), MemoryJournal()
+        accepted = sum(single.extend((record,)) for record in records)
+        assert batched.extend(records) == accepted
+        assert single.records() == batched.records()
+        assert single.job_ids() == batched.job_ids()
+        for job_id in ("j", "other"):
+            assert single.records(job_id) == batched.records(job_id)
+            assert single.manager_epoch(job_id) == batched.manager_epoch(job_id)
+        assert single.fenced == batched.fenced
+        assert single.superseded == batched.superseded
+        assert len(single) == len(batched)
+
     @settings(max_examples=60, deadline=None)
     @given(journals(), journals())
     def test_other_jobs_never_leak_into_a_snapshot(self, records, noise):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cn import (
+    CnError,
     CNServer,
     Cluster,
     ClusterConfig,
@@ -16,6 +17,7 @@ from repro.cn import (
     TaskRegistry,
     TaskSpec,
     TaskState,
+    ShutdownError,
     UnknownTaskError,
 )
 from repro.cn.multicast import Solicitation
@@ -231,6 +233,58 @@ class TestTaskManagerAccounting:
         tm.start_task(job, "t")
         job.wait(5)
         assert tm.hosted_count() == 0
+
+
+def _fill_slots(tm):
+    with tm._lock:
+        tm._slots_used = tm.slots
+
+
+def _upload(tm, memory, runmodel=RunModel.RUN_AS_THREAD_IN_TM, name="resident"):
+    """Host one task on *tm*; whether the upload was accepted."""
+    job = Job("j0", "c")
+    spec = TaskSpec(name=name, jar="x.jar", cls="p.T", memory=memory, runmodel=runmodel)
+    try:
+        tm.host_task(job, job.add_task(spec), Echo)
+    except (CnError, ShutdownError):
+        return False
+    return True
+
+
+THREAD, IN_JM = RunModel.RUN_AS_THREAD_IN_TM, RunModel.RUN_IN_JOBMANAGER
+
+#: node state, task memory, run model -> what the node bids for a 3-task
+#: rule (2000 memory, 2 slots; 0 = no bid)
+ADMISSION_GATES = {
+    "fits": (lambda tm: None, 100, THREAD, 2),
+    "shut down": (lambda tm: tm.shutdown(), 100, THREAD, 0),
+    "crashed": (lambda tm: tm.crash(), 100, THREAD, 0),
+    "unhealthy executor": (
+        lambda tm: setattr(tm.executor, "healthy", lambda: False), 100, THREAD, 0
+    ),
+    "memory short": (lambda tm: _upload(tm, 1500), 1000, THREAD, 0),
+    "memory for one": (lambda tm: _upload(tm, 1500), 400, THREAD, 1),
+    "slots short": (_fill_slots, 100, THREAD, 0),
+    "RUN_IN_JOBMANAGER": (_fill_slots, 100, IN_JM, 3),
+}
+
+
+@pytest.mark.parametrize("gate", list(ADMISSION_GATES))
+def test_bid_and_upload_agree(gate):
+    """``compute_bid`` bids nothing exactly when ``can_host`` -- and so
+    ``host_task``, the upload -- refuses, and the capacity it bids is
+    ``_room``'s: one statement of the admission gates."""
+    setup, memory, runmodel, capacity = ADMISSION_GATES[gate]
+    tm = TaskManager("tm", ClusterConfig(memory_per_node=2000, slots_per_node=2))
+    setup(tm)
+    rule = PlacementRule("j1", "x.jar", memory, runmodel, ("a", "b", "c"))
+    bid = tm.compute_bid(rule)
+    with tm._lock:
+        room = tm._room(memory, runmodel, len(rule.tasks))
+    assert (bid.capacity if bid is not None else 0) == room == capacity
+    hostable = tm.can_host(memory, runmodel)
+    assert (bid is None) == (not hostable)
+    assert _upload(tm, memory, runmodel, name="a") == hostable
 
 
 class TestCNServerResponder:

@@ -1,5 +1,8 @@
 """Multicast discovery, JobManager selection, TaskManager placement."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.cn import (
@@ -102,6 +105,103 @@ class TestBus:
         # 2 reachable receivers per call, each one chaos decision
         assert bus._delivery_index == 4
         assert delivered + len(offers) + bus.stats.dropped == 4
+
+    def test_concurrent_rounds_lose_no_count(self):
+        """Rounds on several threads at once: every round's counts land
+        in ``BusStats`` (a lost read-modify-write would undercount)."""
+        bus = MulticastBus()
+        for name in ("node0", "node1", "node2"):
+            bus.subscribe(name, lambda s: {})
+            bus.attach_listener(name, lambda topic, payload: None)
+        threads, rounds = 6, 300
+
+        def worker():
+            for _ in range(rounds):
+                bus.solicit(Solicitation("rule", {}, "node0"))
+                bus.publish("journal", (), sender="node0")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        total = threads * rounds
+        assert bus.stats.solicitations == bus.stats.publishes == total
+        assert bus.stats.deliveries == bus.stats.responses == 3 * total
+
+
+NODES = ("node0", "node1", "node2", "node3")
+HALVES = [["node0", "node1"], ["node2", "node3"]]
+
+
+class TestOneRoundOneMap:
+    """A round reads the partition map once: a receiver that partitions,
+    heals or readmits mid-round changes who the next round reaches, not
+    who the rest of this one does."""
+
+    CASES = {
+        # (map the round starts under, what node1 does, reached this round,
+        #  reached by the next round)
+        "partition": (
+            [list(NODES)],
+            lambda bus: bus.set_partition(HALVES),
+            list(NODES),
+            ["node0", "node1"],
+        ),
+        "heal": (
+            HALVES,
+            lambda bus: bus.heal_partition(),
+            ["node0", "node1"],
+            list(NODES),
+        ),
+        "readmit": (
+            HALVES,
+            lambda bus: bus.readmit("node2"),
+            ["node0", "node1"],
+            ["node0", "node1", "node2"],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("via", ["solicit", "publish"])
+    def test_mid_round_change_applies_to_the_next_round(self, via, case):
+        start, change, this_round, next_round = self.CASES[case]
+        bus = MulticastBus()
+        reached = []
+
+        def receiver(name):
+            def deliver(*_):
+                reached.append(name)
+                if name == "node1" and len(reached) == 2:
+                    change(bus)
+                return {}
+
+            return deliver
+
+        for name in NODES:
+            if via == "solicit":
+                bus.subscribe(name, receiver(name))
+            else:
+                bus.attach_listener(name, receiver(name))
+
+        def round_():
+            reached.clear()
+            if via == "solicit":
+                bus.solicit(Solicitation("rule", {}, "node0"))
+            else:
+                bus.publish("journal", (), sender="node0")
+            return list(reached)
+
+        bus.set_partition(start)
+        assert round_() == this_round
+        assert bus.stats.partitioned == len(NODES) - len(this_round)
+        assert round_() == next_round
 
 
 class TestJobManagerSelection:
