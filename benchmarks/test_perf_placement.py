@@ -25,6 +25,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cn import CNAPI, Cluster, TaskRegistry, TaskSpec
+from repro.cn.durability import _UniformBatch
 from repro.cn.task import Task
 
 
@@ -216,7 +217,8 @@ PUBLISH_CAP = {"bid": 6, "solicit": 260}
 def _durable_placement(scheduler, partitioned):
     """Place one 256-task batch on 32 durable nodes, every replica's
     ``extend`` wrapped to record which batch (by its first ``seq``) it
-    was handed; under *partitioned* every node sits in one group, so the
+    was handed and which object that was, then forward that object
+    unchanged; under *partitioned* every node sits in one group, so the
     bus takes its partition branch and blocks nothing."""
     with Cluster(
         32, registry=registry(), memory_per_node=10**6, scheduler=scheduler
@@ -224,12 +226,14 @@ def _durable_placement(scheduler, partitioned):
         if partitioned:
             cluster.partition(cluster.node_names)
         extends = []
+        handed: dict[int, set] = {}  # first seq -> (id, type, length) seen
         for server in cluster.servers:
             backend = server.journal.backend
 
             def recording_extend(batch, _extend=backend.extend, _name=server.name):
-                batch = tuple(batch)
-                extends.append((_name, batch[0].seq))
+                seq = batch[0].seq
+                extends.append((_name, seq))
+                handed.setdefault(seq, set()).add((id(batch), type(batch), len(batch)))
                 return _extend(batch)
 
             backend.extend = recording_extend
@@ -249,6 +253,7 @@ def _durable_placement(scheduler, partitioned):
                 for server in cluster.servers
             },
             extends=extends,
+            handed=handed,
             nodes=cluster.node_names,
         )
 
@@ -278,6 +283,14 @@ def test_perf16_durable_batch_replicates_in_batches(scheduler):
     assert len(batches) == publishes
     for node in open_run.nodes:
         assert {seq for name, seq in reached if name == node} == batches, node
+    # ... and hands all 32 backends the one object the writer built, marked
+    # when it holds more than one record: a copy would be a plain tuple,
+    # and every replica would run extend's per-record loop unseen
+    assert set(open_run.handed) == batches
+    for seq, objects in open_run.handed.items():
+        assert len(objects) == 1, (seq, objects)
+        ((_, kind, length),) = objects
+        assert (kind is _UniformBatch) == (length > 1), (seq, kind, length)
 
     cut_run = _durable_placement(scheduler, partitioned=True)
     assert cut_run.partitioned == 0

@@ -116,6 +116,16 @@ class JournalRecord:
         )
 
 
+class _UniformBatch(tuple):
+    """A batch of records that says what ``extend`` would otherwise find
+    out one record at a time: one job's, at one manager epoch, and none
+    of them a checkpoint -- so it is fenced once and appended whole.
+    :meth:`ReplicatedJournal.append_many` marks the multi-record batches
+    it builds; a one-record batch is never wrapped."""
+
+    __slots__ = ()
+
+
 #: one retained checkpoint: how many records the log and its job's bucket
 #: held when it arrived, and the record
 _Retained = tuple[int, int, JournalRecord]
@@ -181,35 +191,40 @@ class MemoryJournal:
         """Append a batch under one lock hold; returns how many records
         were accepted.
 
-        The epoch fence is applied to each record in turn: one stamped
-        with a manager epoch older than its job's high-water mark is a
-        zombie write and is dropped (but kept on :attr:`fenced` for
+        The epoch fence is applied to each record in turn (to a batch
+        known to be one job's at one epoch, once): one stamped with a
+        manager epoch older than its job's high-water mark is a zombie
+        write and is dropped (but kept on :attr:`fenced` for
         observability) -- a fenced checkpoint supersedes nothing.  The
         accepted records are persisted together, in accept order."""
-        records = tuple(records)  # the tuple itself when it is one
+        if not isinstance(records, tuple):
+            records = tuple(records)
         with self._lock:
             log = self._records
             start = len(log)
-            if len(records) == 1 and records[0].kind != "checkpoint":
-                # a placement round's replica write: the loop below, minus
-                # the loop (0.8 ms of a 36 ms place256-solicit op, EXPERIMENTS
-                # PERF16); test_one_record_at_a_time_is_the_whole_batch
-                # holds the two to the same answer
-                record = records[0]
-                job_id = record.job_id
+            if type(records) is _UniformBatch or (
+                len(records) == 1 and records[0].kind != "checkpoint"
+            ):
+                # one job, one epoch, no checkpoint (a marked batch or a
+                # one-record write): the loop below, fenced once and
+                # appended whole (EXPERIMENTS PERF16); TestBatchesEqualSingles
+                # and test_one_record_at_a_time_is_the_whole_batch hold the
+                # two to the same answer
+                first = records[0]
+                job_id, mepoch = first.job_id, first.mepoch
                 high = self._high_water.get(job_id, 0)
                 bucket = self._by_job.get(job_id)
                 if bucket is None:
                     bucket = self._by_job[job_id] = []
-                if record.mepoch != high:
-                    if record.mepoch < high:
-                        self.fenced.append(record)
+                if mepoch != high:
+                    if mepoch < high:
+                        self.fenced += records
                         return 0
-                    self._high_water[job_id] = record.mepoch
-                log.append(record)
-                bucket.append(record)
+                    self._high_water[job_id] = mepoch
+                log += records
+                bucket += records
                 self._persist(start, ())
-                return 1
+                return len(records)
             # becomes a list in a batch that carries a checkpoint
             arrived: Sequence[_Retained] = ()
             current, high, bucket = None, 0, []
@@ -405,14 +420,23 @@ class ReplicatedJournal:
         the epoch fence rejected the batch.
 
         One job, one epoch and one backend lock hold: the fence accepts
-        the batch whole or not at all."""
+        the batch whole or not at all.  A batch of more than one record
+        with no checkpoint among them is handed on marked as such, so
+        the backend and every replica fence it once (see
+        :class:`_UniformBatch`)."""
         origin = self.origin
         with self._lock:
-            records = tuple(
-                JournalRecord(seq, job_id, kind, mepoch, origin, dict(data))
-                for seq, (kind, data) in enumerate(events, self._next_seq)
-            )
-            self._next_seq += len(records)
+            built = []
+            uniform = True
+            for seq, (kind, data) in enumerate(events, self._next_seq):
+                if kind == "checkpoint":
+                    uniform = False
+                built.append(
+                    JournalRecord(seq, job_id, kind, mepoch, origin, dict(data))
+                )
+            self._next_seq += len(built)
+            marked = uniform and len(built) > 1
+            records = (_UniformBatch if marked else tuple)(built)
             # extend+publish stay under _lock so every replica sees this
             # origin's records in seq order; the backend and bus are leaf
             # locks below ReplicatedJournal._lock in the hierarchy.

@@ -522,8 +522,9 @@ class Job:
         deadline = self.deadline
         checksums = self.checksums
         if self.telemetry is not None or deadline is not None or checksums:
-            # stamp the job's causal context on unattributed messages so
-            # downstream consumers can always walk back to a span, the
+            # stamp the job's causal context on unattributed messages (a
+            # notification is built with it, see notify) so downstream
+            # consumers can always walk back to a span, the
             # job deadline on unstamped messages so every hop can drop
             # doomed work, and the CRC digest so dequeue verification can
             # quarantine in-flight corruption; replace() re-uses the
@@ -642,12 +643,16 @@ class Job:
         notification is built.  One message of *type* per payload goes
         through :meth:`route_many` as one batch (so accounting, deadline
         and CRC stamping are the router's, as for any message); *span* is
-        the id of the span it is caused by.
+        the id of the span it is caused by, and a job with telemetry
+        attributes the rest to its root -- the context the router would
+        stamp, set here so the router copies none of them.
 
         Never raises for a client that is gone: a closed conduit drops the
         notification onto :attr:`undeliverable` and the caller carries on
         -- what happened to the task does not depend on who is listening.
         """
+        if span is None and self.telemetry is not None:
+            span = "job"
         trace_ctx = None if span is None else (self.job_id, span)
         messages = [
             Message(

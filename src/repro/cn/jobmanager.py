@@ -49,7 +49,7 @@ deterministic seed-derived jitter (:class:`~repro.cn.chaos.ExponentialBackoff`).
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from ..analysis.conc.runtime import make_lock
 from .chaos import ExponentialBackoff
@@ -335,13 +335,15 @@ class JobManager:
             "job-adopted", {"manager": self.name, "previous": snapshot.manager}
         )
         # rebuild the roster exactly as journaled
-        for name in snapshot.order:
-            if t is not None:
-                # idempotent: the recorder is cluster-global, so spans the
-                # dead manager already began are reused, not duplicated --
-                # the adopted job keeps its one trace across manager epochs
-                self._begin_task_span(t, job, name, snapshot.specs[name].depends)
-            runtime = job.add_task(snapshot.specs[name])
+        specs = [snapshot.specs[name] for name in snapshot.order]
+        if t is not None:
+            # idempotent: the recorder is cluster-global, so spans the
+            # dead manager already began are reused, not duplicated --
+            # the adopted job keeps its one trace across manager epochs
+            self._begin_task_spans(t, job, specs)
+        for spec in specs:
+            name = spec.name
+            runtime = job.add_task(spec)
             runtime.attempts = snapshot.attempts.get(name, 0)
             # restoring the highest journaled placement epoch guarantees
             # re-hosted attempts get strictly larger epochs than any
@@ -411,22 +413,32 @@ class JobManager:
         return job
 
     # -- telemetry helpers -------------------------------------------------------
-    def _begin_task_span(self, t: Any, job: Job, name: str, depends) -> None:
-        """Ensure the job root + one task span exist, and record the DAG
-        edge on the root's ``deps`` attr (exported traces stay
-        self-contained for the critical-path CLI)."""
+    def _begin_task_spans(
+        self, t: Any, job: Job, specs: Sequence[TaskSpec]
+    ) -> None:
+        """Ensure the job root + one task span per spec exist, and record
+        each DAG edge on the root's ``deps`` attr (exported traces stay
+        self-contained for the critical-path CLI): the root is fetched
+        once for the batch."""
+        if not specs:
+            return
+        job_id = job.job_id
         root = t.spans.begin(
-            job.job_id, "job", name=job.job_id, kind="job", client=job.client_name
+            job_id, "job", name=job_id, kind="job", client=job.client_name
         )
-        root.attrs.setdefault("deps", {})[name] = list(depends)
-        t.spans.begin(
-            job.job_id,
-            f"task:{name}",
-            name=name,
-            kind="task",
-            parent_id="job",
-            task=name,
-        )
+        deps = root.attrs.setdefault("deps", {})
+        begin = t.spans.begin
+        for spec in specs:
+            name = spec.name
+            deps[name] = list(spec.depends)
+            begin(
+                job_id,
+                f"task:{name}",
+                name=name,
+                kind="task",
+                parent_id="job",
+                task=name,
+            )
 
     # -- durability helpers ------------------------------------------------------
     def _bind_journal(self, job: Job) -> None:
@@ -504,15 +516,15 @@ class JobManager:
         try:
             for spec in specs:
                 runtimes.append(job.add_task(spec))
-                if t is not None:
-                    self._begin_task_span(t, job, spec.name, spec.depends)
         finally:
-            # write-ahead: the roster (as far as it got, if a spec was
-            # rejected) is journaled in one batch before any placement, so
-            # a successor knows it even if we die mid-placement
-            job.journal_events(
-                [("task-spec", {"spec": runtime.spec}) for runtime in runtimes]
-            )
+            # the roster as far as it got, if a spec was rejected: its
+            # spans, then -- write-ahead -- its one journal batch before
+            # any placement, so a successor knows it even if we die
+            # mid-placement
+            added = [runtime.spec for runtime in runtimes]
+            if t is not None:
+                self._begin_task_spans(t, job, added)
+            job.journal_events([("task-spec", {"spec": spec}) for spec in added])
         if self.config.scheduler == "bid":
             groups: dict[tuple, list[TaskRuntime]] = {}
             for runtime in runtimes:

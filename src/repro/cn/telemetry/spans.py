@@ -35,7 +35,7 @@ from typing import Any, Callable, Iterable, Optional
 __all__ = ["Span", "SpanRecorder", "span_children", "orphan_spans"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One named interval in a trace tree."""
 
@@ -105,8 +105,11 @@ class SpanRecorder:
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock if clock is not None else time.monotonic
+        #: every span, in recording order (nothing is ever removed)
         self._spans: dict[tuple[str, str], Span] = {}
-        self._order: list[tuple[str, str]] = []
+        #: the same spans per trace (first-seen trace order), so reading
+        #: one trace does not grow with the recorder's history
+        self._by_trace: dict[str, list[Span]] = {}
         self._lock = threading.Lock()
 
     def now(self) -> float:
@@ -145,7 +148,7 @@ class SpanRecorder:
                     attrs=dict(attrs),
                 )
                 self._spans[key] = span
-                self._order.append(key)
+                self._by_trace.setdefault(trace_id, []).append(span)
             elif attrs:
                 for k, v in attrs.items():
                     span.attrs.setdefault(k, v)
@@ -175,18 +178,32 @@ class SpanRecorder:
         node: Optional[str] = None,
         **attrs: Any,
     ) -> Span:
-        """Record an already-complete span in one call."""
-        span = self.begin(
-            trace_id,
-            span_id,
-            name=name,
-            kind=kind,
-            parent_id=parent_id,
-            node=node,
-            ts=start,
-            **attrs,
-        )
-        return self.end(span, ts=end)
+        """Record an already-complete span in one call and one lock hold:
+        ``begin`` (get-or-create, new attrs merged) then ``end`` (first
+        close wins)."""
+        key = (trace_id, span_id)
+        with self._lock:
+            span = self._spans.get(key)
+            if span is None:
+                span = Span(
+                    trace_id,
+                    span_id,
+                    name if name is not None else span_id,
+                    kind,
+                    start,
+                    parent_id,
+                    end,
+                    node,
+                    attrs,
+                )
+                self._spans[key] = span
+                self._by_trace.setdefault(trace_id, []).append(span)
+                return span
+            for k, v in attrs.items():
+                span.attrs.setdefault(k, v)
+            if span.end is None:
+                span.end = end
+            return span
 
     def add_event(self, span: Span, name: str, **attrs: Any) -> None:
         with self._lock:
@@ -200,18 +217,13 @@ class SpanRecorder:
     def spans(self, trace_id: Optional[str] = None) -> list[Span]:
         """All spans (or one trace's), in recording order."""
         with self._lock:
-            keys = list(self._order)
-            spans = dict(self._spans)
-        if trace_id is None:
-            return [spans[k] for k in keys]
-        return [spans[k] for k in keys if k[0] == trace_id]
+            if trace_id is None:
+                return list(self._spans.values())
+            return list(self._by_trace.get(trace_id, ()))
 
     def trace_ids(self) -> list[str]:
         with self._lock:
-            seen: dict[str, None] = {}
-            for trace_id, _ in self._order:
-                seen.setdefault(trace_id)
-        return list(seen)
+            return list(self._by_trace)
 
     def __len__(self) -> int:
         with self._lock:

@@ -36,7 +36,12 @@ from repro.cn import (
     collect_trace,
     replay_job,
 )
-from repro.cn.durability import _decode_data, _encode_data, journal_factory_for_dir
+from repro.cn.durability import (
+    _decode_data,
+    _encode_data,
+    _UniformBatch,
+    journal_factory_for_dir,
+)
 from repro.cn.multicast import MulticastBus
 
 
@@ -608,6 +613,27 @@ _KIND_DATA = st.one_of(
 )
 
 
+def _uniform_runs(records):
+    """*records* cut into the batches ``append_many`` would mark: each
+    maximal run of one job's non-checkpoint records at one epoch, marked
+    when it holds more than one; a checkpoint is a batch of its own."""
+    runs, run = [], []
+    for record in records:
+        if run and (
+            record.kind == "checkpoint"
+            or (record.job_id, record.mepoch) != (run[0].job_id, run[0].mepoch)
+        ):
+            runs.append(run)
+            run = []
+        run.append(record)
+        if record.kind == "checkpoint":
+            runs.append(run)
+            run = []
+    if run:
+        runs.append(run)
+    return [_UniformBatch(run) if len(run) > 1 else tuple(run) for run in runs]
+
+
 @st.composite
 def journals(draw):
     entries = draw(st.lists(
@@ -641,19 +667,22 @@ class TestReplayDeterminism:
     @settings(max_examples=100, deadline=None)
     @given(journals())
     def test_one_record_at_a_time_is_the_whole_batch(self, records):
-        """``extend`` takes a one-record batch without its per-record
-        loop; both paths fence, bucket and retain the same way."""
-        single, batched = MemoryJournal(), MemoryJournal()
+        """``extend`` takes a one-record batch, and a batch marked as one
+        job's at one epoch with no checkpoint, without its per-record
+        loop; all three paths fence, bucket and retain the same way."""
+        single, batched, marked = MemoryJournal(), MemoryJournal(), MemoryJournal()
         accepted = sum(single.extend((record,)) for record in records)
         assert batched.extend(records) == accepted
-        assert single.records() == batched.records()
-        assert single.job_ids() == batched.job_ids()
-        for job_id in ("j", "other"):
-            assert single.records(job_id) == batched.records(job_id)
-            assert single.manager_epoch(job_id) == batched.manager_epoch(job_id)
-        assert single.fenced == batched.fenced
-        assert single.superseded == batched.superseded
-        assert len(single) == len(batched)
+        assert sum(marked.extend(run) for run in _uniform_runs(records)) == accepted
+        for journal in (batched, marked):
+            assert single.records() == journal.records()
+            assert single.job_ids() == journal.job_ids()
+            for job_id in ("j", "other"):
+                assert single.records(job_id) == journal.records(job_id)
+                assert single.manager_epoch(job_id) == journal.manager_epoch(job_id)
+            assert single.fenced == journal.fenced
+            assert single.superseded == journal.superseded
+            assert len(single) == len(journal)
 
     @settings(max_examples=60, deadline=None)
     @given(journals(), journals())
@@ -679,14 +708,16 @@ _WRITES = st.lists(
 
 
 def _replicated_trio(directory, tag):
-    """A file-backed writer and two memory replicas on one bus."""
+    """A writer and two replicas on one bus, each with its own file."""
     bus = MulticastBus()
-    writer = ReplicatedJournal(
-        FileJournal(os.path.join(directory, f"{tag}.jsonl")), bus, origin="node0"
+    writer, *replicas = (
+        ReplicatedJournal(
+            FileJournal(os.path.join(directory, f"{tag}-node{i}.jsonl")),
+            bus,
+            origin=f"node{i}",
+        )
+        for i in range(3)
     )
-    replicas = [
-        ReplicatedJournal(MemoryJournal(), bus, origin=f"node{i}") for i in (1, 2)
-    ]
     for journal in (writer, *replicas):
         bus.attach_listener(
             journal.origin, lambda topic, batch, j=journal: j.receive(batch)
@@ -694,43 +725,94 @@ def _replicated_trio(directory, tag):
     return writer, replicas
 
 
+def _observed(journal):
+    """Everything a backend shows, its file bytes included."""
+    backend = journal.backend
+    backend.close()
+    with open(backend.path, "rb") as fh:
+        data = fh.read()
+    return (
+        backend.records(),
+        {job_id: backend.records(job_id) for job_id in ("j", "other")},
+        backend.job_ids(),
+        {job_id: backend.manager_epoch(job_id) for job_id in ("j", "other")},
+        backend.fenced,
+        data,
+    )
+
+
+def _write_both_ways(writes, raced=None):
+    """Run *writes* as one ``append_many`` each on one trio and as N
+    ``append``s on another (adjacent writes may share job and epoch, so
+    this is every split of the event sequence); *raced*, if given, lands
+    on node1 of both trios first.  Checks that each multi-record batch
+    with no checkpoint went out marked, so the replicas took ``extend``'s
+    fast branch, and that both trios show the same; returns what the
+    batched trio's writer, node1 and node2 show, and the records its
+    writer published."""
+    with tempfile.TemporaryDirectory() as directory:
+        batched, batched_replicas = _replicated_trio(directory, "batched")
+        single, single_replicas = _replicated_trio(directory, "single")
+        if raced is not None:
+            batched_replicas[0].backend.append(raced)
+            single_replicas[0].backend.append(raced)
+        published = []
+        for job_id, mepoch, events in writes:
+            records = batched.append_many(job_id, events, mepoch)
+            uniform = len(events) > 1 and all(k != "checkpoint" for k, _ in events)
+            assert not records or (type(records) is _UniformBatch) == uniform
+            published += records
+            for kind, data in events:
+                single.append(job_id, kind, data, mepoch)
+        for job_id in ("j", "other"):
+            assert replay_job(job_id, batched.records(job_id)) == replay_job(
+                job_id, single.records(job_id)
+            )
+        sides = [
+            [_observed(j) for j in (writer, *replicas)]
+            for writer, replicas in (
+                (batched, batched_replicas),
+                (single, single_replicas),
+            )
+        ]
+        assert sides[0] == sides[1]
+        reloaded = FileJournal(batched.backend.path)
+        assert reloaded.records() == batched.records()
+        assert reloaded.job_ids() == batched.backend.job_ids()
+        reloaded.close()
+        return (*sides[0], published)
+
+
 class TestBatchesEqualSingles:
     @settings(max_examples=60, deadline=None)
     @given(_WRITES)
     def test_any_split_into_batches_leaves_the_same_journal(self, writes):
-        """Each write is one ``append_many`` on one side and N ``append``s
-        on the other (adjacent writes may share job and epoch, so this is
-        every split of the event sequence): same records on the writer and
-        on every replica, same replay, same bytes on disk."""
-        with tempfile.TemporaryDirectory() as directory:
-            batched, batched_replicas = _replicated_trio(directory, "batched")
-            single, single_replicas = _replicated_trio(directory, "single")
-            for job_id, mepoch, events in writes:
-                batched.append_many(job_id, events, mepoch)
-                for kind, data in events:
-                    single.append(job_id, kind, data, mepoch)
-            written = batched.records()
-            assert written == single.records()
-            assert [r.seq for r in written] == sorted(r.seq for r in written)
-            # a write fenced at the writer is never published
-            assert batched.backend.fenced == single.backend.fenced
-            for replica in batched_replicas + single_replicas:
-                assert replica.records() == written
-                assert replica.backend.fenced == []
-            for job_id in ("j", "other"):
-                assert replay_job(job_id, batched.records(job_id)) == replay_job(
-                    job_id, single.records(job_id)
-                )
-            batched.backend.close()
-            single.backend.close()
-            with open(batched.backend.path, "rb") as a, open(
-                single.backend.path, "rb"
-            ) as b:
-                assert a.read() == b.read()
-            reloaded = FileJournal(batched.backend.path)
-            assert reloaded.records() == written
-            assert reloaded.job_ids() == batched.backend.job_ids()
-            reloaded.close()
+        """Batches or singles: same records, job order, epochs, fenced
+        records and bytes on disk on the writer and on every replica, and
+        the same replay."""
+        writer, node1, node2, _ = _write_both_ways(writes)
+        written = writer[0]
+        assert [r.seq for r in written] == sorted(r.seq for r in written)
+        # a write fenced at the writer is never published
+        assert node1 == node2
+        assert node2[:5] == (*writer[:4], [])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_WRITES)
+    def test_a_replica_an_adoption_reached_first_fences_whole_batches(self, writes):
+        """An adoption of ``j`` raced the writer's publishes to node1, so
+        node1's high-water mark is past every drawn epoch: each of ``j``'s
+        batches, marked or not, is fenced whole there and lands on
+        ``fenced`` in publish order, while node2 takes them all."""
+        adopted = rec(1, "j", "job-adopted", mepoch=4, origin="node9", manager="n9")
+        writer, node1, node2, published = _write_both_ways(writes, adopted)
+        assert node2[:5] == (*writer[:4], [])
+        records, by_job, job_ids, epochs, fenced, _ = node1
+        assert records == [adopted] + writer[1]["other"]
+        assert by_job == {"j": [adopted], "other": writer[1]["other"]}
+        assert job_ids == ["j"] + [j for j in writer[2] if j != "j"]
+        assert epochs == {"j": 4, "other": writer[3]["other"]}
+        assert fenced == [r for r in published if r.job_id == "j"]
 
 
 # -- checkpoint API -------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cn import (
+    CNAPI,
     CnError,
     CNServer,
     Cluster,
@@ -164,6 +165,57 @@ class TestJobObject:
         job = self.make_job()
         assert [t.name for t in job.dependents_of("a")] == ["b"]
         assert job.dependents_of("b") == []
+
+
+@pytest.mark.parametrize(
+    "options, budget, copies",
+    [
+        ({}, None, 0),
+        ({"telemetry": None}, None, 0),
+        ({}, 1e6, 256),
+        ({"checksums": True}, None, 0),
+    ],
+    ids=["telemetry", "no-telemetry", "deadline", "checksums"],
+)
+def test_notifications_are_built_with_their_causal_context(
+    monkeypatch, options, budget, copies
+):
+    """A TASK_CREATED notification is built with the context the router
+    would have stamped on it, ``(job_id, "job")`` when the job has
+    telemetry, so ``route_many`` copies none of them; a deadline is still
+    the router's to stamp (one ``replace`` each), and so is a digest."""
+    import repro.cn.job as job_module
+
+    calls = []
+
+    def counted_replace(obj, **changes):
+        calls.append(sorted(changes))
+        return replace(obj, **changes)
+
+    replace = job_module.replace
+    monkeypatch.setattr(job_module, "replace", counted_replace)
+    with Cluster(
+        4, registry=basic_registry(), memory_per_node=10**6,
+        slots_per_node=1024, scheduler="bid", **options,
+    ) as cluster:
+        api = CNAPI.initialize(cluster)
+        handle = api.create_job("client", budget=budget)
+        handle.job.client_queue.drain()
+        calls.clear()
+        api.create_tasks(
+            handle,
+            [TaskSpec(name=f"t{i}", jar="echo.jar", cls="test.Echo")
+             for i in range(256)],
+        )
+        created = handle.job.client_queue.drain()
+        api.cancel(handle)
+    assert calls == [["deadline"]] * copies
+    assert [m.type for m in created] == [MessageType.TASK_CREATED] * 256
+    traced = options.get("telemetry", True) is not None
+    context = (handle.job_id, "job") if traced else None
+    assert {m.trace_ctx for m in created} == {context}
+    assert all((m.deadline is not None) == (budget is not None) for m in created)
+    assert all((m.digest is not None) == ("checksums" in options) for m in created)
 
 
 class TestTaskManagerAccounting:

@@ -134,6 +134,112 @@ class TestSpanRecorder:
         assert clone.span_id == "s" and clone.attrs["state"] == "done"
         assert clone.events[0][1] == "poke"  # (ts, name, attrs) tuples
 
+    def test_reading_one_trace_touches_no_other_traces_spans(self):
+        """spans(trace_id) / trace_ids() come from the per-trace index: a
+        portal reading one job's trace does not slow down with every job
+        the recorder has served."""
+
+        class Tripwire(str):
+            touched = 0
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                Tripwire.touched += 1
+                return str.__eq__(self, other)
+
+        rec = SpanRecorder()
+        for i in range(200):
+            trace = Tripwire(f"old{i}")
+            rec.begin(trace, "job", kind="job")
+            rec.record(trace, "place:t#1", start=0.0, end=1.0, parent_id="job")
+        rec.begin("mine", "job", kind="job")
+        rec.record("mine", "place:t#1", start=0.0, end=1.0, parent_id="job")
+        Tripwire.touched = 0
+        mine = rec.spans("mine")
+        assert [s.span_id for s in mine] == ["job", "place:t#1"]
+        assert rec.spans("never-seen") == []
+        assert len(rec.trace_ids()) == 201 and rec.trace_ids()[-1] == "mine"
+        assert Tripwire.touched == 0
+        # a copy, not the index itself
+        mine.clear()
+        assert len(rec.spans("mine")) == 2
+        assert len(rec.spans()) == len(rec) == 402
+
+    def test_concurrent_recorders_keep_the_index_whole(self):
+        """Eight threads record into four traces, half of each span id
+        shared, with a short switch interval: every span is created once,
+        and the per-trace index agrees with the recording order."""
+        import sys
+        import threading
+
+        rec = SpanRecorder()
+
+        def work(worker):
+            for i in range(300):
+                trace = f"t{i % 4}"
+                span_id = f"s{i}" if worker % 2 else f"s{i}-{worker}"
+                if i % 3:
+                    rec.record(trace, span_id, start=0.0, end=1.0, w=worker)
+                else:
+                    rec.end(rec.begin(trace, span_id, w=worker))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        everything = rec.spans()
+        assert len(everything) == len(rec) == 300 + 4 * 300
+        assert len({(s.trace_id, s.span_id) for s in everything}) == len(rec)
+        assert all(s.end is not None for s in everything)
+        assert rec.trace_ids() == sorted(rec.trace_ids(), key=lambda t: int(t[1:]))
+        for trace in rec.trace_ids():
+            assert rec.spans(trace) == [s for s in everything if s.trace_id == trace]
+
+
+def _begin_then_end(rec, trace_id, span_id, *, start, end, **kwargs):
+    """``record`` as two calls: begin at *start*, then end at *end*."""
+    return rec.end(rec.begin(trace_id, span_id, ts=start, **kwargs), ts=end)
+
+
+def _no_span(rec):
+    pass
+
+
+def _open_span(rec):
+    rec.begin("t", "s", name="first", kind="task", node="n0", ts=1.0, a=1)
+
+
+def _closed_span(rec):
+    _open_span(rec)
+    rec.end(rec.get("t", "s"), ts=2.0, state="done")
+
+
+@pytest.mark.parametrize("setup", [_no_span, _open_span, _closed_span])
+def test_record_is_begin_then_end(setup):
+    """A new span is created closed; an open one keeps its start, name and
+    kind, gains only the attrs it lacks, and is closed; a closed one keeps
+    its first close.  Either way the recorder's order and size agree."""
+    results = []
+    for write in (SpanRecorder.record, _begin_then_end):
+        rec = SpanRecorder(clock=lambda: 99.0)
+        rec.begin("other", "job", ts=0.0)
+        setup(rec)
+        span = write(
+            rec, "t", "s", start=5.0, end=7.0, name="second", kind="place",
+            parent_id="job", node="n1", a=2, b=3,
+        )
+        rec.begin("t", "after", ts=8.0)
+        assert span is rec.get("t", "s")
+        results.append(([s.to_dict() for s in rec.spans()], len(rec)))
+    assert results[0] == results[1]
+
 
 # -- critical path --------------------------------------------------------------
 
