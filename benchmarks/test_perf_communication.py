@@ -19,7 +19,7 @@ from repro.cn import CNAPI, Cluster, TaskSpec
 from repro.core.transform.xmi2cnx import graph_to_cnx
 from repro.apps.floyd.model import build_fig3_model
 from repro.apps.floyd.io import store_matrix
-from repro.cn.client import ClientRunner
+from repro.cn.client import expand_dynamic_tasks
 
 N = 64
 
@@ -34,10 +34,7 @@ def run_and_account(matrix, workers):
     graph = build_fig3_model(n_workers=workers, matrix_source=source, sink="")
     doc = graph_to_cnx(graph)
     with Cluster(4, registry=floyd_registry(), memory_per_node=10**6) as cluster:
-        runner = ClientRunner(cluster)
-        api = runner.api
-        from repro.cn.client import expand_dynamic_tasks
-
+        api = CNAPI.initialize(cluster)
         specs = expand_dynamic_tasks(doc.client.jobs[0], {})
         handle = api.create_job("comm")
         for spec in specs:

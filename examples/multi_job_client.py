@@ -14,15 +14,16 @@ The ordering is declared on the UML package (``order_jobs``), exported
 to XMI as ``UML:Dependency`` elements, carried by the XMI2CNX stylesheet
 into CNX ``name``/``after`` job attributes, and honored by the generated
 client: analyzeA and analyzeB run concurrently, between prepare and
-report.
+report.  The example exits non-zero when the timeline says otherwise.
 
 Run:  python examples/multi_job_client.py
 """
 
+import sys
 import threading
 import time
 
-from repro.cn import ClientRunner, Cluster, Task, TaskRegistry
+from repro.cn import Cluster, Task, TaskRegistry
 from repro.core.transform.pipeline import Pipeline
 from repro.core.uml import ActivityBuilder, Model
 
@@ -55,7 +56,7 @@ def job(name: str) -> "ActivityBuilder":
     return b.build()
 
 
-def main() -> None:
+def main() -> int:
     model = Model("Workflow")
     pkg = model.new_package("client")
     for name in ("prepare", "analyzeA", "analyzeB", "report"):
@@ -68,26 +69,34 @@ def main() -> None:
     registry = TaskRegistry()
     registry.register_class("stage.jar", "demo.Stage", Stage)
 
-    pipeline = Pipeline()
     with Cluster(4, registry=registry) as cluster:
-        generated = pipeline.run(model, execute=False)
-        print("generated job elements:")
-        for line in generated.cnx_text.splitlines():
-            if "<job" in line:
-                print(" ", line.strip())
-        print()
-        outcome = ClientRunner(cluster).run(generated.cnx_doc, timeout=60)
+        outcome = Pipeline().run(model, cluster, timeout=60)
+    print("generated job elements:")
+    for line in outcome.cnx_text.splitlines():
+        if "<job" in line:
+            print(" ", line.strip())
+    print()
 
     base = min(t for t, _, _ in _events)
     print("timeline (seconds from client start):")
     for stamp, kind, label in sorted(_events):
         print(f"  {stamp - base:6.3f}  {kind:<5}  {label}")
-    analyze_starts = [t for t, k, l in _events if k == "start" and l.startswith("analyze")]
-    analyze_ends = [t for t, k, l in _events if k == "end" and l.startswith("analyze")]
-    overlapped = max(analyze_starts) < min(analyze_ends)
-    print(f"\nanalyzeA/analyzeB overlapped: {overlapped}")
+    at = {(kind, label): stamp for stamp, kind, label in _events}
+    prepared_first = at["end", "prepare"] < min(
+        at["start", "analyzeA"], at["start", "analyzeB"]
+    )
+    overlapped = max(at["start", "analyzeA"], at["start", "analyzeB"]) < min(
+        at["end", "analyzeA"], at["end", "analyzeB"]
+    )
+    reported_last = at["start", "report"] == max(
+        stamp for stamp, kind, _ in _events if kind == "start"
+    )
+    print(f"\nprepare ended before either analyze job started: {prepared_first}")
+    print(f"analyzeA/analyzeB overlapped: {overlapped}")
+    print(f"report started last: {reported_last}")
     print(f"jobs completed: {len(outcome.job_results)}")
+    return 0 if prepared_first and overlapped and reported_last else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

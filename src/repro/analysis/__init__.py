@@ -14,10 +14,9 @@ feasibility against a cluster spec.
 Every finding is a structured :class:`Diagnostic` (stable ``CNxxx``
 code, severity, source location in the originating element, fix hint).
 ``python -m repro.analysis`` exposes the analyzer on the command line.  A
-composition is checked once, where it enters -- a model at step 1 of
+composition is checked once, where it enters: a model at step 1 of
 :class:`repro.core.transform.Pipeline` (the portal's and ``cn-pipeline``'s
-way in), a descriptor in :class:`repro.cn.client.ClientRunner` -- and
-refused with :class:`repro.cn.errors.CnxValidationError`.
+way in), refused with :class:`repro.cn.errors.CnxValidationError`.
 """
 
 from .diagnostics import Diagnostic, Report, Severity, SourceLocation

@@ -6,10 +6,10 @@ concurrency analyzer), a severity, a human message, a
 :class:`SourceLocation` pointing into the originating XMI/CNX element or
 Python source line, and an optional fix hint.  A :class:`Report` is the
 ordered collection a full analysis produces, with filtering and
-rendering helpers shared by the CLIs, the pipeline, the portal and the
-client runner.  Both analyzers share this one model, so the portal
-diagnostics artifact and ``--json`` output use a single schema
-regardless of which tool produced a finding.
+rendering helpers shared by the CLIs, the pipeline and the portal.
+Both analyzers share this one model, so the portal diagnostics artifact
+and ``--json`` output use a single schema regardless of which tool
+produced a finding.
 """
 
 from __future__ import annotations

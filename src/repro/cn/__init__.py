@@ -12,7 +12,7 @@ from .chaos import (
     InjectedFault,
     VirtualClock,
 )
-from .client import ClientResult, ClientRunner, evaluate_arguments, expand_dynamic_tasks
+from .client import evaluate_arguments, expand_dynamic_tasks
 from .cluster import Cluster
 from .config import ClusterConfig
 from .durability import (
@@ -112,8 +112,6 @@ __all__ = [
     "TupleSpace",
     "matches",
     "RunModel",
-    "ClientRunner",
-    "ClientResult",
     "expand_dynamic_tasks",
     "evaluate_arguments",
     "CnError",

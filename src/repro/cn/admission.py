@@ -15,10 +15,10 @@ overload-protection ladder in front of :meth:`Portal.submit`:
 3. **Cluster saturation** (:meth:`AdmissionController.saturation`): a
    0..1 score combining aggregate hosted-queue depth with memory
    pressure across live nodes.  Between the soft and hard thresholds the
-   controller lowers ``cluster.degrade_factor`` so dynamic task
-   expansion admits *smaller* jobs (graceful degradation through the
-   existing degradation path); at the hard threshold new work is shed
-   outright with a Retry-After hint (HTTP 503).
+   controller lowers ``cluster.degrade_factor`` so the generated
+   client's dynamic task expansion admits *smaller* jobs
+   (:func:`repro.cn.client.submit_job`); at the hard threshold new work
+   is shed outright with a Retry-After hint (HTTP 503).
 
 All arithmetic goes through an injectable ``now`` callable (the cluster
 clock's ``timeout_now`` by default) so chaos tests drive the buckets on
@@ -194,7 +194,7 @@ class AdmissionController:
             decision = "admit" if factor >= 1.0 else "admit-degraded"
             self.counts[decision] += 1
         # publish the degradation knob outside the admission lock: the
-        # client runner reads it lock-free (a stale float is harmless)
+        # generated client reads it lock-free (a stale float is harmless)
         self.cluster.degrade_factor = factor
         return AdmissionDecision(
             decision, tenant, saturation, degrade_factor=factor

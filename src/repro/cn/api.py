@@ -103,7 +103,6 @@ class CNAPI:
         client_name: str,
         requirements: Optional[Mapping[str, Any]] = None,
         *,
-        descriptor: Optional[str] = None,
         budget: Optional[float] = None,
     ) -> JobHandle:
         """Multicast for willing JobManagers, select one, create the job.
@@ -138,9 +137,7 @@ class CNAPI:
         deadline = (
             None if budget is None else self._cluster.clock.now() + float(budget)
         )
-        job = manager.create_job(
-            client_name, descriptor=descriptor, deadline=deadline
-        )
+        job = manager.create_job(client_name, deadline=deadline)
         job.notify(
             MessageType.JOB_CREATED,
             {"job_id": job.job_id, "manager": manager.name},

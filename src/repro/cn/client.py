@@ -1,11 +1,6 @@
-"""Descriptor-driven client execution.
-
-:class:`ClientRunner` is the library-level equivalent of the client
-program the pipeline generates from CNX: it walks a parsed
-:class:`~repro.core.cnx.schema.CnxDocument`, creates the job(s) through
-the :class:`~repro.cn.api.CNAPI` facade, expands dynamic-invocation
-tasks against run-time arguments (paper Fig. 5), starts the roots and
-waits for the DAG to drain.
+"""What the generated client program calls at run time for a job with
+dynamic-invocation tasks (paper Fig. 5): the one thing it cannot state
+literally, because the number of instances is known only at run time.
 
 Dynamic expansion: a dynamic task's ``arguments`` expression, once
 cnlint's grammar admits it, is evaluated in a restricted namespace
@@ -19,20 +14,18 @@ shape of the diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Any, Mapping, Optional
 
-from ..analysis import AnalysisContext, Diagnostic, analyze_cnx
 from ..analysis.passes import SAFE_BUILTINS, argument_problem, parse_multiplicity
-from ..core.cnx.schema import CnxDocument, CnxJob, CnxTask
-from ..util import dag
+from ..core.cnx.schema import CnxJob, CnxTask
 from .api import CNAPI, JobHandle
-from .cluster import Cluster
-from .errors import CnxValidationError, JobError
+from .errors import JobError
 from .job import TaskSpec
-from .messages import Message, MessageType
+from .messages import MessageType
 
-__all__ = ["ClientRunner", "ClientResult", "expand_dynamic_tasks", "evaluate_arguments"]
+__all__ = ["submit_job", "expand_dynamic_tasks", "evaluate_arguments"]
+
 
 def evaluate_arguments(expression: str, env: Mapping[str, Any]) -> list[tuple]:
     """Evaluate a dynamic-invocation argument expression.
@@ -148,19 +141,34 @@ def expand_dynamic_tasks(
     ]
 
 
-def _job_batches(jobs) -> list[list[tuple[int, Any]]]:
-    """Group (index, job) pairs into ordered batches per the ``after``
-    partial order; unordered documents degenerate to one job per batch
-    (strict sequential, the historical behaviour)."""
-    if not any(job.after for job in jobs):
-        return [[(i, job)] for i, job in enumerate(jobs)]
-    index_of = {job.name: i for i, job in enumerate(jobs)}
-    layers, stuck = dag.batches(
-        {i: [index_of[name] for name in job.after] for i, job in enumerate(jobs)}
+def submit_job(
+    api: CNAPI, client_cls: str, job: CnxJob, runtime_args: Mapping[str, Any]
+) -> JobHandle:
+    """Create *job* with its dynamic tasks expanded against
+    *runtime_args*; every spec goes to the cluster in one ``create_tasks``
+    call, so under the bid scheduler a fan places through rule/bid/award
+    rounds rather than one solicitation per instance.
+
+    The expansion budget is the live nodes' free memory scaled by
+    ``cluster.degrade_factor``, which the admission controller lowers as
+    the cluster nears saturation: a dynamic job on a cluster that lost
+    nodes, or is overloaded, runs narrower instead of not at all, and a
+    JOB_DEGRADED notification records each shrink."""
+    cluster = api.cluster
+    degradations: list = []
+    specs = expand_dynamic_tasks(
+        job,
+        runtime_args,
+        memory_budget=int(cluster.total_free_memory() * cluster.degrade_factor),
+        degradations=degradations,
     )
-    if stuck:  # validator rejects cycles; defensive
-        raise JobError(f"cyclic job ordering among {sorted(stuck)}")
-    return [[(i, jobs[i]) for i in sorted(layer)] for layer in layers]
+    handle = api.create_job(
+        client_cls,
+        requirements={"tasks": len(specs), "memory": sum(s.memory for s in specs)},
+    )
+    handle.job.notify(MessageType.JOB_DEGRADED, *degradations, sender=client_cls)
+    api.create_tasks(handle, specs)
+    return handle
 
 
 def _multiplicity(task: CnxTask) -> tuple[int, Optional[int]]:
@@ -182,143 +190,3 @@ def _check_multiplicity(task: CnxTask, count: int) -> None:
             f"dynamic task {task.name!r}: {count} invocation(s) violates "
             f"multiplicity {task.multiplicity.strip()!r}"
         )
-
-
-@dataclass
-class ClientResult:
-    """Outcome of one descriptor execution."""
-
-    client_class: str
-    job_results: list[dict[str, Any]] = field(default_factory=list)
-    messages: list[Message] = field(default_factory=list)
-    #: warning-severity analyzer findings (errors refuse the run)
-    warnings: list[Diagnostic] = field(default_factory=list)
-
-    @property
-    def results(self) -> dict[str, Any]:
-        """Task results of the first (usually only) job."""
-        return self.job_results[0] if self.job_results else {}
-
-
-class ClientRunner:
-    """Executes CNX documents against a cluster through the CN API.
-
-    With ``degrade=True`` (the default) dynamic jobs shrink their worker
-    multiplicity to fit the aggregate free memory of the *live* nodes at
-    submission time -- on a cluster that lost nodes the job still runs,
-    just narrower, and a JOB_DEGRADED notification records each shrink.
-    """
-
-    def __init__(self, cluster: Cluster, *, degrade: bool = True) -> None:
-        self.api = CNAPI.initialize(cluster)
-        self.degrade = degrade
-
-    def analyze(self, doc: CnxDocument):
-        """Static-analysis report for *doc* against this runner's cluster.
-
-        The context enables the placement-feasibility pass (cluster
-        shape from the actual TaskManagers) and the archive pass (jar /
-        class references resolved through the cluster's task registry).
-        """
-        return analyze_cnx(doc, AnalysisContext.for_cluster(self.api.cluster))
-
-    def run(
-        self,
-        doc: CnxDocument,
-        *,
-        runtime_args: Optional[Mapping[str, Any]] = None,
-        timeout: Optional[float] = 60.0,
-        collect_messages: bool = False,
-    ) -> ClientResult:
-        """Run every job of the client and gather results.
-
-        Jobs without ordering attributes run sequentially in document
-        order (the Fig. 2 behaviour).  When any job declares ``after``,
-        the client-level partial order of paper section 4 applies: jobs
-        are grouped into batches, jobs within a batch run concurrently,
-        and batches run in order.  Results are returned in document
-        order either way.
-
-        Before anything reaches the cluster the full static analyzer
-        runs over the descriptor (including placement feasibility
-        against this runner's cluster): error-severity findings raise
-        :class:`~repro.cn.errors.CnxValidationError` with the
-        structured diagnostics attached, warnings are collected on the
-        returned :class:`ClientResult`."""
-        report = self.analyze(doc)
-        CnxValidationError.raise_for(report)
-        runtime_args = dict(runtime_args or {})
-        outcome = ClientResult(
-            client_class=doc.client.cls, warnings=report.warnings()
-        )
-        jobs = doc.client.jobs
-        results_by_index: dict[int, dict[str, Any]] = {}
-        for batch in _job_batches(jobs):
-            if len(batch) == 1:
-                index, job = batch[0]
-                handle = self._submit(doc, job, runtime_args)
-                self.api.start_job(handle)
-                results_by_index[index] = self.api.wait(handle, timeout)
-                if collect_messages:
-                    outcome.messages.extend(handle.job.client_queue.drain())
-                continue
-            handles = [
-                (index, self._submit(doc, job, runtime_args)) for index, job in batch
-            ]
-            for _, handle in handles:
-                self.api.start_job(handle)
-            for index, handle in handles:
-                results_by_index[index] = self.api.wait(handle, timeout)
-                if collect_messages:
-                    outcome.messages.extend(handle.job.client_queue.drain())
-        outcome.job_results = [results_by_index[i] for i in range(len(jobs))]
-        return outcome
-
-    def _descriptor_text(self, doc: CnxDocument) -> Optional[str]:
-        """The CNX text for the journal's job-submission record; None when
-        the cluster is non-durable (emitting costs a serialization) or
-        when emission fails (durability must not block submission)."""
-        if not self.api.cluster.durable:
-            return None
-        try:
-            from ..core.cnx.emitter import emit
-
-            return emit(doc)
-        except Exception:  # noqa: BLE001  # conclint: waive CC302 -- descriptor emission is best-effort; durability must not block submission
-            return None
-
-    def _submit(
-        self, doc: CnxDocument, job: CnxJob, runtime_args: Mapping[str, Any]
-    ) -> JobHandle:
-        degradations: list = []
-        cluster = self.api.cluster
-        budget = None
-        if self.degrade:
-            # graceful degradation under overload: the admission
-            # controller lowers degrade_factor below 1.0 as the cluster
-            # approaches saturation, so new dynamic jobs expand narrower
-            # instead of being shed outright
-            budget = int(cluster.total_free_memory() * cluster.degrade_factor)
-        specs = expand_dynamic_tasks(
-            job,
-            runtime_args,
-            memory_budget=budget,
-            degradations=degradations,
-        )
-        total_memory = sum(s.memory for s in specs)
-        handle = self.api.create_job(
-            doc.client.cls,
-            requirements={"tasks": len(specs), "memory": total_memory},
-            # the job submission record carries the CNX descriptor, so a
-            # successor manager replaying the journal can audit what was
-            # submitted (emitted lazily only when the cluster is durable)
-            descriptor=self._descriptor_text(doc),
-        )
-        handle.job.notify(
-            MessageType.JOB_DEGRADED, *degradations, sender="client-runner"
-        )
-        # batch creation: under the bid scheduler the whole roster places
-        # through per-template rule/bid/award rounds instead of one
-        # multicast solicitation per task
-        self.api.create_tasks(handle, specs)
-        return handle

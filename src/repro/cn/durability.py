@@ -1,13 +1,12 @@
 """Durable job state: write-ahead journal, replication, and replay.
 
 PR 2 made *worker* nodes expendable; this module makes the coordinating
-JobManager expendable too.  Every job mutation -- submission (with the
-CNX descriptor), task specs, placements, delivery-ledger entries, state
-transitions, checkpoints -- is appended to a write-ahead **job journal**
-before (or atomically with) taking effect, and each append -- a *batch*
-of one or more records -- is replicated to every peer CNServer as one
-event on the existing multicast bus (topic ``journal``) carrying the
-frozen records themselves.  When the failure detector declares a manager
+JobManager expendable too.  Every job mutation -- submission, task specs,
+placements, delivery-ledger entries, state transitions, checkpoints --
+is appended to a write-ahead **job journal** before (or atomically with)
+taking effect, and each append -- a *batch* of one or more records --
+is replicated to every peer CNServer as one event on the existing
+multicast bus (topic ``journal``) carrying the frozen records themselves.  When the failure detector declares a manager
 node dead, a deterministic successor replays its replica of the journal
 into a fresh :class:`~repro.cn.job.Job` and adopts the in-flight work
 (see :meth:`JobManager.adopt_job`).
@@ -62,7 +61,7 @@ __all__ = [
 
 #: every record kind the journal understands, in no particular order
 RECORD_KINDS = (
-    "job-created",   # client, manager, descriptor?   -- job submission
+    "job-created",   # client, manager, deadline      -- job submission
     "job-adopted",   # manager, previous              -- failover fence
     "task-spec",     # spec (TaskSpec)                -- roster entry
     "task-placed",   # task, node, epoch              -- placement
@@ -548,7 +547,6 @@ class JobSnapshot:
     client: str = ""
     manager: str = ""
     mepoch: int = 1
-    descriptor: Optional[str] = None
     specs: dict[str, TaskSpec] = field(default_factory=dict)
     order: list[str] = field(default_factory=list)
     states: dict[str, str] = field(default_factory=dict)
@@ -612,7 +610,6 @@ def replay_job(job_id: str, records: Iterable[JournalRecord]) -> JobSnapshot:
         if kind == "job-created":
             snapshot.client = data.get("client", snapshot.client)
             snapshot.manager = data.get("manager", snapshot.manager)
-            snapshot.descriptor = data.get("descriptor", snapshot.descriptor)
             snapshot.deadline = data.get("deadline", snapshot.deadline)
         elif kind == "job-adopted":
             snapshot.manager = data.get("manager", snapshot.manager)

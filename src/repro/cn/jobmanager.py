@@ -459,7 +459,6 @@ class JobManager:
         self,
         client_name: str,
         *,
-        descriptor: Optional[str] = None,
         deadline: Optional[float] = None,
     ) -> Job:
         with self._lock:
@@ -488,7 +487,6 @@ class JobManager:
             {
                 "client": client_name,
                 "manager": self.name,
-                "descriptor": descriptor,
                 "deadline": deadline,
             },
         )

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from ...util import dag
 from ..uml.tags import CNProfile
 
 __all__ = [
@@ -134,6 +135,22 @@ class CnxClient:
     def all_tasks(self) -> Iterator[CnxTask]:
         for job in self.jobs:
             yield from job.tasks
+
+    def job_batches(self) -> list[list[tuple[int, CnxJob]]]:
+        """``(index, job)`` pairs grouped into batches by the ``after``
+        partial order: the jobs of a batch may run concurrently, batches
+        run in order.  Without ``after`` each job is its own batch, in
+        document order (the Fig. 2 behaviour)."""
+        jobs = self.jobs
+        if not any(job.after for job in jobs):
+            return [[(i, job)] for i, job in enumerate(jobs)]
+        index_of = {job.name: i for i, job in enumerate(jobs)}
+        layers, stuck = dag.batches(
+            {i: [index_of[name] for name in job.after] for i, job in enumerate(jobs)}
+        )
+        if stuck:  # cnlint refuses a cycle (CN704) before anything is generated
+            raise ValueError(f"cyclic job ordering among jobs {sorted(stuck)}")
+        return [[(i, jobs[i]) for i in sorted(layer)] for layer in layers]
 
 
 @dataclass

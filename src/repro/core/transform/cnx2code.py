@@ -4,10 +4,12 @@ The paper's ``CNX2Java`` turns a CNX client descriptor into compilable
 Java gluing the tasks together through the CN API.  Here:
 
 * :func:`cnx_to_python` generates a **runnable Python client** against
-  :mod:`repro.cn` -- explicit ``create_task`` calls with literal
-  :class:`TaskSpec` values for static tasks and an expansion loop for
-  dynamic-invocation tasks.  :class:`GeneratedClient` compiles and runs
-  the generated source (the pipeline's deploy/execute steps).
+  :mod:`repro.cn` -- the jobs in the order ``after`` gives them,
+  explicit ``create_task`` calls with literal :class:`TaskSpec` values
+  for static tasks, and a :func:`~repro.cn.client.submit_job` call for a
+  job with dynamic-invocation tasks.  :class:`GeneratedClient` compiles
+  and runs the generated source (the pipeline's deploy/execute steps) and
+  is the one executor of a descriptor.
 * :func:`cnx_to_java` generates Java source text structurally matching
   what CNX2Java produced.  With no JVM offline it is validated
   structurally, not compiled (substitution recorded in DESIGN.md).
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import io
 import re
+from dataclasses import fields
 from typing import Any, Mapping, Optional
 
 from ..cnx.schema import CnxDocument, CnxJob, CnxTask
@@ -34,56 +37,82 @@ def _ident(name: str) -> str:
     return re.sub(r"\W", "_", name)
 
 
-def _spec_literal(task: CnxTask, depends_expr: str, params_expr: str, name_expr: str) -> str:
+def _spec_literal(task: CnxTask) -> str:
+    """*task*, a static one, as a ``TaskSpec(...)`` expression."""
+    depends = ", ".join(repr(d) for d in task.depends)
+    if len(task.depends) == 1:
+        depends += ","
+    params = ", ".join(repr(v) for v in task.param_values())
+    if len(task.params) == 1:
+        params += ","
     retries = (
         f", max_retries={task.task_req.retries}" if task.task_req.retries else ""
     )
     return (
-        f"TaskSpec(name={name_expr}, jar={task.jar!r}, cls={task.cls!r}, "
-        f"depends={depends_expr}, memory={task.task_req.memory}, "
-        f"runmodel=RunModel.{task.task_req.runmodel}, params={params_expr}"
+        f"TaskSpec(name={task.name!r}, jar={task.jar!r}, cls={task.cls!r}, "
+        f"depends=({depends}), memory={task.task_req.memory}, "
+        f"runmodel=RunModel.{task.task_req.runmodel}, params=({params})"
         f"{retries})"
     )
 
 
-def _depends_expr(task: CnxTask, dynamic_names: set[str]) -> str:
-    """The ``depends=`` expression; dependencies on a dynamic base name
-    expand to the run-time list of instance names."""
-    static = tuple(d for d in task.depends if d not in dynamic_names)
-    dynamic = [d for d in task.depends if d in dynamic_names]
-    parts: list[str] = []
-    if static or not dynamic:
-        literal = ", ".join(repr(d) for d in static)
-        if len(static) == 1:
-            literal += ","
-        parts.append(f"({literal})")
-    for dep in dynamic:
-        parts.append(f"tuple(_names_{_ident(dep)})")
-    return " + ".join(parts)
+def _task_literal(task: CnxTask) -> str:
+    """*task* as a ``CnxTask(...)`` expression naming what differs from
+    the defaults."""
+    default = CnxTask(task.name, task.jar, task.cls)
+    return "CnxTask(" + ", ".join(
+        f"{f.name}={getattr(task, f.name)!r}"
+        for f in fields(CnxTask)
+        if f.name in ("name", "jar", "cls")
+        or getattr(task, f.name) != getattr(default, f.name)
+    ) + ")"
+
+
+def _docstring_text(value: Any) -> str:
+    """*value* as it may stand inside the module docstring."""
+    return str(value).replace("\\", "\\\\").replace('"', '\\"')
 
 
 def cnx_to_python(doc: CnxDocument) -> str:
-    """Generate the Python client program for *doc*."""
+    """Generate the Python client program for *doc*.
+
+    What is known at transform time is stated literally: the order of
+    the jobs (the batches of the ``after`` partial order -- a batch's jobs
+    are all created, then started, then waited on) and each static task
+    as one ``create_task`` call.  A job with dynamic tasks is stated as
+    its CNX job and handed to :func:`repro.cn.client.submit_job`, which
+    expands it at run time within the cluster's memory budget."""
     client = doc.client
+    ordered = any(job.after for job in client.jobs)
     buf = io.StringIO()
     w = buf.write
     w('"""Client program generated by CNX2Py.\n\n')
-    w(f"client class : {client.cls}\n")
-    w(f"log file     : {client.log}\n")
-    w(f"port         : {client.port}\n")
+    w(f"client class : {_docstring_text(client.cls)}\n")
+    w(f"log file     : {_docstring_text(client.log)}\n")
+    w(f"port         : {_docstring_text(client.port)}\n")
     w('"""\n\n')
     w("from repro.cn import CNAPI, RunModel, TaskSpec\n")
     if any(t.dynamic for t in client.all_tasks()):
-        w("from repro.cn.client import evaluate_arguments\n")
+        w("from repro.cn.client import submit_job\n")
+        w("from repro.core.cnx import CnxJob, CnxParam, CnxTask, CnxTaskReq\n")
     w("\n\n")
     w("def run(cluster, runtime_args=None, timeout=60.0):\n")
     w('    """Execute the composed job(s) on *cluster*; returns one result\n')
     w('    dict per job (task name -> task result)."""\n')
     w("    api = CNAPI.initialize(cluster)\n")
     w("    runtime_args = dict(runtime_args or {})\n")
-    w("    job_results = []\n")
-    for index, job in enumerate(client.jobs, start=1):
-        _emit_job(w, client.cls, job, index)
+    w(f"    job_results = {f'[None] * {len(client.jobs)}' if ordered else '[]'}\n")
+    for batch in client.job_batches():
+        handles = [f"handle{index + 1}" if ordered else "handle" for index, _ in batch]
+        for (index, job), handle in zip(batch, handles):
+            _emit_job(w, client.cls, job, index + 1, handle)
+        for handle in handles:
+            w(f"    api.start_job({handle})\n")
+        for (index, _), handle in zip(batch, handles):
+            if ordered:
+                w(f"    job_results[{index}] = api.wait({handle}, timeout)\n")
+            else:
+                w("    job_results.append(api.wait(handle, timeout))\n")
     w("    return job_results\n")
     w("\n\n")
     w('if __name__ == "__main__":\n')
@@ -96,41 +125,23 @@ def cnx_to_python(doc: CnxDocument) -> str:
     return buf.getvalue()
 
 
-def _emit_job(w, client_cls: str, job: CnxJob, index: int) -> None:
-    label = job.name or f"job{index}"
-    dynamic_names = {t.name for t in job.tasks if t.dynamic}
-    static_count = sum(1 for t in job.tasks if not t.dynamic)
-    total_memory = sum(t.task_req.memory for t in job.tasks)
+def _emit_job(w, client_cls: str, job: CnxJob, index: int, handle: str) -> None:
+    after = f" (after {', '.join(job.after)})" if job.after else ""
+    label = " ".join(f"{job.name or f'job{index}'}{after}".splitlines())
     w(f"\n    # --- {label} ---\n")
+    if any(t.dynamic for t in job.tasks):
+        w(f"    {handle} = submit_job(api, {client_cls!r}, CnxJob([\n")
+        for task in job.tasks:
+            w(f"        {_task_literal(task)},\n")
+        w("    ]), runtime_args)\n")
+        return
+    total_memory = sum(t.task_req.memory for t in job.tasks)
     w(
-        f"    handle = api.create_job({client_cls!r}, "
-        f"requirements={{'tasks': {static_count}, 'memory': {total_memory}}})\n"
+        f"    {handle} = api.create_job({client_cls!r}, "
+        f"requirements={{'tasks': {len(job.tasks)}, 'memory': {total_memory}}})\n"
     )
     for task in job.tasks:
-        deps = _depends_expr(task, dynamic_names)
-        if not task.dynamic:
-            params = ", ".join(repr(v) for v in task.param_values())
-            if len(task.params) == 1:
-                params += ","
-            w(
-                f"    api.create_task(handle, "
-                f"{_spec_literal(task, deps, f'({params})', repr(task.name))})\n"
-            )
-            continue
-        base = _ident(task.name)
-        w(f"    _names_{base} = []\n")
-        w(
-            f"    for _k, _args in enumerate(evaluate_arguments("
-            f"{task.arguments!r}, runtime_args), start=1):\n"
-        )
-        w(f"        _name = {task.name!r} + str(_k)\n")
-        w(f"        _names_{base}.append(_name)\n")
-        w(
-            f"        api.create_task(handle, "
-            f"{_spec_literal(task, deps, 'tuple(_args)', '_name')})\n"
-        )
-    w("    api.start_job(handle)\n")
-    w("    job_results.append(api.wait(handle, timeout))\n")
+        w(f"    api.create_task({handle}, {_spec_literal(task)})\n")
 
 
 class GeneratedClient:
@@ -204,29 +215,30 @@ def cnx_to_java(doc: CnxDocument) -> str:
     w("import org.jhpc.cn2.TaskRequirements;\n\n")
     w(f"public class {client.cls} {{\n")
     w("    public static void main(String[] args) throws Exception {\n")
-    w(f"        CNAPI api = CNAPI.initialize({client.port}, \"{client.log}\");\n")
+    q = CNProfile.java_string
+    w(f"        CNAPI api = CNAPI.initialize({client.port}, {q(client.log)});\n")
     for index, job in enumerate(client.jobs, start=1):
         job_var = f"job{index}"
-        w(f"        Job {job_var} = api.createJob(\"{client.cls}\");\n")
+        w(f"        Job {job_var} = api.createJob({q(client.cls)});\n")
         for task in job.tasks:
             var = _ident(task.name)
             w(
                 f"        Task {var} = {job_var}.createTask("
-                f"\"{task.name}\", \"{task.jar}\", \"{task.cls}\");\n"
+                f"{q(task.name)}, {q(task.jar)}, {q(task.cls)});\n"
             )
             w(
                 f"        {var}.setRequirements(new TaskRequirements("
-                f"{task.task_req.memory}, \"{task.task_req.runmodel}\"));\n"
+                f"{task.task_req.memory}, {q(task.task_req.runmodel)}));\n"
             )
             for dep in task.depends:
-                w(f"        {var}.dependsOn(\"{dep}\");\n")
+                w(f"        {var}.dependsOn({q(dep)});\n")
             for param in task.params:
                 literal = CNProfile.java_literal(param.type, param.value)
                 w(f"        {var}.addParam({literal});\n")
             if task.dynamic:
                 w(
-                    f"        {var}.setDynamic(\"{task.multiplicity}\", "
-                    f"\"{task.arguments}\");\n"
+                    f"        {var}.setDynamic({q(task.multiplicity)}, "
+                    f"{q(task.arguments)});\n"
                 )
         w(f"        {job_var}.start();\n")
         w(f"        {job_var}.join();\n")

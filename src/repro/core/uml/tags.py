@@ -285,4 +285,10 @@ class CNProfile:
             return value + ("f" if ptype == "Float" else "d")
         if kind == "bool":
             return value.lower()
-        return f'"{value}"'
+        return cls.java_string(value)
+
+    @staticmethod
+    def java_string(value: str) -> str:
+        """*value* as a Java string literal, ``\\`` and ``"`` escaped
+        (``strings.xsl``'s ``quoted`` template is the stylesheet's copy)."""
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'

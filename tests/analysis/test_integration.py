@@ -1,4 +1,4 @@
-"""Analyzer wired into the pipeline: client runner refusal, portal
+"""Analyzer wired into the pipeline: refusal against the cluster, portal
 rejection, and warning passthrough."""
 
 import json
@@ -9,11 +9,9 @@ import pytest
 
 from repro.apps.montecarlo import build_pi_model, register_pi_tasks
 from repro.cn import Cluster
-from repro.cn.client import ClientRunner
 from repro.cn.config import SCHEDULERS
 from repro.cn.portal import Portal
 from repro.cn.registry import TaskRegistry
-from repro.core.cnx import parse
 from repro.core.cnx.validate import CnxValidationError
 from repro.core.transform import Pipeline
 from repro.core.transform.cli import main as cli_main
@@ -244,41 +242,27 @@ class TestOneCheckPerEntry:
         assert analyses == ["model"]
 
 
-class TestClientRunnerRefusal:
-    def test_defective_descriptor_refused_with_diagnostics(self, cluster):
-        doc = parse((DEFECTS / "cycle.cnx").read_text())
-        runner = ClientRunner(cluster)
-        with pytest.raises(CnxValidationError) as excinfo:
-            runner.run(doc)
-        assert "dependency cycle" in str(excinfo.value)
-        codes = {d.code for d in excinfo.value.diagnostics}
-        assert "CN104" in codes
-        # the cluster context also resolves archives: t.jar isn't registered
-        assert "CN801" in codes
+class TestCheckAgainstTheCluster:
+    """Given a cluster, step 1 checks the model against its shape and its
+    task registry too."""
 
-    def test_deadlocked_descriptor_never_reaches_cluster(self, cluster):
-        doc = parse((DEFECTS / "deadlock.cnx").read_text())
-        with pytest.raises(CnxValidationError) as excinfo:
-            ClientRunner(cluster).run(doc)
-        assert any(d.code == "CN504" for d in excinfo.value.diagnostics)
+    def test_unregistered_archive_refused(self, cluster):
+        b = ActivityBuilder("G")
+        a = b.task("a", jar="t.jar", cls="pkg.Missing")
+        b.chain(b.initial(), a, b.final())
+        with pytest.raises(CnxValidationError) as refused:
+            Pipeline().run(b.build(), cluster)
+        assert [d.code for d in refused.value.report] == ["CN801"]
+        assert "'pkg.Missing'" in str(refused.value)
 
     def test_clean_run_collects_warnings(self):
-        from repro.core.transform.xmi2cnx import graph_to_cnx
-
-        doc = graph_to_cnx(build_pi_model(samples=2000, seed=3, n_workers=2))
-        for scheduler in SCHEDULERS:  # the worker fan is one create_tasks call
+        graph = build_pi_model(samples=2000, seed=3, n_workers=2)
+        for scheduler in SCHEDULERS:
             registry = register_pi_tasks(TaskRegistry())
             with Cluster(3, registry=registry, scheduler=scheduler) as cluster:
-                result = ClientRunner(cluster).run(doc)
-            assert result.warnings == []
+                result = Pipeline().run(graph, cluster)
+            assert result.report.ok and result.report.warnings() == []
             assert result.results["pijoin"]["samples"] == 2000
-
-    def test_analyze_exposes_full_report(self, cluster):
-        from repro.core.transform.xmi2cnx import graph_to_cnx
-
-        doc = graph_to_cnx(build_pi_model(n_workers=2))
-        report = ClientRunner(cluster).analyze(doc)
-        assert report.ok
 
 
 class TestPortalRejection:

@@ -12,7 +12,6 @@ import pytest
 from repro.cn import (
     CNAPI,
     ChaosPolicy,
-    ClientRunner,
     Cluster,
     ExponentialBackoff,
     FailureDetector,
@@ -30,6 +29,8 @@ from repro.cn import (
 )
 from repro.cn.config import SCHEDULERS
 from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxTask, CnxTaskReq
+
+from ..conftest import client_messages, run_client
 
 
 class Echo(Task):
@@ -471,9 +472,10 @@ class TestGracefulDegradation:
             )
         )
 
-    def run_degradable(self, n, memory_per_node, **runner_options):
+    def run_degradable(self, n, memory_per_node):
         """The dynamic fan of *n* under each scheduler (they cut its one
-        create_tasks call differently); the outcomes, in SCHEDULERS order."""
+        create_tasks call differently): per scheduler, the job's results
+        and the client's notifications."""
         outcomes = []
         for scheduler in SCHEDULERS:
             with Cluster(
@@ -482,50 +484,23 @@ class TestGracefulDegradation:
                 memory_per_node=memory_per_node,
                 scheduler=scheduler,
             ) as cluster:
-                outcomes.append(
-                    ClientRunner(cluster, **runner_options).run(
-                        self.degradable_doc(),
-                        runtime_args={"n": n},
-                        timeout=20,
-                        collect_messages=True,
-                    )
-                )
+                (results,) = run_client(self.degradable_doc(), cluster, {"n": n}, 20)
+                outcomes.append((results, client_messages(cluster)))
         return outcomes
 
     def test_dynamic_job_shrinks_to_capacity(self):
-        for outcome in self.run_degradable(10, 2000):
+        for results, messages in self.run_degradable(10, 2000):
             # 10 workers x 1000 memory > 4000 budget: shrunk to 4
-            assert len(outcome.results) == 4
-            degraded = [
-                m for m in outcome.messages if m.type == MessageType.JOB_DEGRADED
-            ]
+            assert len(results) == 4
+            degraded = [m for m in messages if m.type == MessageType.JOB_DEGRADED]
             assert len(degraded) == 1
             assert degraded[0].payload["requested"] == 10
             assert degraded[0].payload["granted"] == 4
 
     def test_no_degradation_when_it_fits(self):
-        for outcome in self.run_degradable(3, 8000):
-            assert len(outcome.results) == 3
-            assert not [
-                m for m in outcome.messages if m.type == MessageType.JOB_DEGRADED
-            ]
-
-    def test_degradation_can_be_disabled(self):
-        from repro.cn import NoWillingTaskManager
-        from repro.core.cnx.validate import CnxValidationError
-
-        for scheduler in SCHEDULERS:
-            with Cluster(
-                2,
-                registry=echo_registry(),
-                memory_per_node=2000,
-                scheduler=scheduler,
-            ) as cluster:
-                runner = ClientRunner(cluster, degrade=False)
-                with pytest.raises((NoWillingTaskManager, CnxValidationError)):
-                    runner.run(
-                        self.degradable_doc(), runtime_args={"n": 10}, timeout=20
-                    )
+        for results, messages in self.run_degradable(3, 8000):
+            assert len(results) == 3
+            assert not [m for m in messages if m.type == MessageType.JOB_DEGRADED]
 
 
 class TestEpochFencing:

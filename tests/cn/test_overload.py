@@ -10,7 +10,6 @@ from repro.cn import (
     CNAPI,
     AdmissionController,
     BudgetExhausted,
-    ClientRunner,
     Cluster,
     MessageType,
     Overloaded,
@@ -27,7 +26,11 @@ from repro.cn.config import SCHEDULERS
 from repro.cn.errors import JobTimeoutError
 from repro.cn.messages import Message
 from repro.cn.queues import MessageQueue
-from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxTask, CnxTaskReq
+from repro.cn.portal import Portal
+from repro.core.uml import ActivityBuilder
+from repro.core.xmi import write_graph
+
+from ..conftest import client_messages
 
 
 def user(payload, recipient="t"):
@@ -431,7 +434,7 @@ class TestAdmissionController:
         decision = ctl.admit("a")
         assert decision.decision == "admit-degraded"
         assert 0.2 < decision.degrade_factor < 1.0
-        # the knob the client runner scales its expansion budget by
+        # the knob the generated client scales its expansion budget by
         assert cluster.degrade_factor == decision.degrade_factor
 
     def test_healthy_cluster_restores_degrade_factor(self):
@@ -445,26 +448,18 @@ class TestAdmissionController:
 
 
 class TestDegradeFactorScalesExpansion:
-    def degradable_doc(self):
-        return CnxDocument(
-            CnxClient(
-                "C",
-                jobs=[
-                    CnxJob(
-                        tasks=[
-                            CnxTask(
-                                "w", "quick.jar", "t.Quick",
-                                dynamic=True, multiplicity="1..*",
-                                arguments="[(i,) for i in range(n)]",
-                                task_req=CnxTaskReq(memory=1000),
-                            )
-                        ]
-                    )
-                ],
-            )
+    @staticmethod
+    def degradable_xmi() -> str:
+        b = ActivityBuilder("Degradable")
+        worker = b.dynamic_task(
+            "w", jar="quick.jar", cls="t.Quick", memory=1000,
+            multiplicity="1..*", argument_expr="[(i,) for i in range(n)]",
         )
+        b.chain(b.initial(), worker, b.final())
+        return write_graph(b.build())
 
     def test_lowered_factor_admits_narrower_jobs(self):
+        """The portal's admit-degraded decision reaches the generated client."""
         for scheduler in SCHEDULERS:
             with Cluster(
                 2,
@@ -473,16 +468,10 @@ class TestDegradeFactorScalesExpansion:
                 scheduler=scheduler,
             ) as cluster:
                 cluster.degrade_factor = 0.5  # as the admission controller would
-                runner = ClientRunner(cluster)
-                outcome = runner.run(
-                    self.degradable_doc(),
-                    runtime_args={"n": 10},
-                    timeout=20,
-                    collect_messages=True,
-                )
+                submission = Portal(cluster).submit(self.degradable_xmi(), {"n": 10})
+                messages = client_messages(cluster)
+            assert submission.status == "done", submission.error
             # 4000 free x 0.5 = 2000 budget -> 2 of 10 workers
-            assert len(outcome.results) == 2
-            degraded = [
-                m for m in outcome.messages if m.type == MessageType.JOB_DEGRADED
-            ]
+            assert len(submission.results[0]) == 2
+            degraded = [m for m in messages if m.type == MessageType.JOB_DEGRADED]
             assert degraded and degraded[0].payload["granted"] == 2

@@ -7,7 +7,6 @@ import pytest
 
 from repro.cn import (
     CNAPI,
-    ClientRunner,
     Cluster,
     MessageType,
     Task,
@@ -17,6 +16,8 @@ from repro.cn import (
     TaskState,
 )
 from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxTask, CnxTaskReq, parse, emit
+
+from ..conftest import run_client
 
 
 class FlakyCounter:
@@ -208,5 +209,5 @@ class TestRetryThroughCnx:
             )
         )
         with Cluster(2, registry=registry) as cluster:
-            outcome = ClientRunner(cluster).run(doc, timeout=20)
-        assert outcome.results["t"] == "succeeded on attempt 3"
+            (results,) = run_client(doc, cluster, timeout=20)
+        assert results["t"] == "succeeded on attempt 3"

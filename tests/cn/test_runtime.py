@@ -1,5 +1,5 @@
 """End-to-end runtime tests: DAG execution, messaging, failures,
-cancellation, dynamic expansion, the ClientRunner."""
+cancellation, dynamic expansion, the generated client."""
 
 import threading
 import time
@@ -12,7 +12,6 @@ from repro.analysis import analyze_cnx
 from repro.analysis.passes import parse_multiplicity
 from repro.cn import (
     CNAPI,
-    ClientRunner,
     Cluster,
     JobError,
     Message,
@@ -30,7 +29,7 @@ from repro.cn.config import SCHEDULERS
 from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxTask
 
 from ..analysis.test_passes import OUTSIDE_THE_GRAMMAR
-from ..conftest import basic_registry
+from ..conftest import basic_registry, client_messages, run_client
 
 
 def echo_spec(name, depends=(), **kwargs):
@@ -404,15 +403,21 @@ class TestDynamicExpansion:
     def test_runner_executes_expanded_job(self, registry):
         for scheduler in SCHEDULERS:
             with Cluster(4, registry=registry, scheduler=scheduler) as cluster:
-                result = ClientRunner(cluster).run(
-                    self.doc("[(i,) for i in range(1, n + 1)]"),
-                    runtime_args={"n": 4},
-                    timeout=15,
+                (results,) = run_client(
+                    self.doc("[(i,) for i in range(1, n + 1)]"), cluster, {"n": 4}, 15
                 )
-            assert set(result.results) == {"root", "w1", "w2", "w3", "w4", "sink"}
+            assert set(results) == {"root", "w1", "w2", "w3", "w4", "sink"}
+
+    def test_a_dependent_listed_before_its_dynamic_task_runs(self, cluster):
+        """Document order is not dependency order: the sink comes first."""
+        doc = self.doc("[(i,) for i in range(3)]")
+        tasks = doc.client.jobs[0].tasks
+        tasks.insert(0, tasks.pop())
+        (results,) = run_client(doc, cluster, timeout=15)
+        assert set(results) == {"sink", "root", "w1", "w2", "w3"}
 
 
-class TestClientRunner:
+class TestGeneratedClient:
     def test_multi_job_client(self, cluster):
         doc = CnxDocument(
             CnxClient(
@@ -423,29 +428,18 @@ class TestClientRunner:
                 ],
             )
         )
-        runner = ClientRunner(cluster)
-        outcome = runner.run(doc, timeout=15)
-        assert len(outcome.job_results) == 2
-        assert "a" in outcome.job_results[0]
-        assert "b" in outcome.job_results[1]
-
-    def test_validates_before_running(self, cluster):
-        doc = CnxDocument(
-            CnxClient(
-                "C",
-                jobs=[CnxJob(tasks=[CnxTask("a", "echo.jar", "test.Echo", depends=["ghost"])])],
-            )
-        )
-        runner = ClientRunner(cluster)
-        with pytest.raises(Exception, match="ghost"):
-            runner.run(doc)
+        job_results = run_client(doc, cluster, timeout=15)
+        assert len(job_results) == 2
+        assert "a" in job_results[0]
+        assert "b" in job_results[1]
 
     def test_collect_messages(self, cluster):
         doc = CnxDocument(
             CnxClient("C", jobs=[CnxJob(tasks=[CnxTask("a", "echo.jar", "test.Echo")])])
         )
-        outcome = ClientRunner(cluster).run(doc, collect_messages=True, timeout=15)
-        assert any(m.type == MessageType.TASK_COMPLETED for m in outcome.messages)
+        run_client(doc, cluster, timeout=15)
+        messages = client_messages(cluster)
+        assert any(m.type == MessageType.TASK_COMPLETED for m in messages)
 
 
 class TestStatusQueries:

@@ -7,6 +7,7 @@ import pytest
 from repro.cn.cluster import Cluster
 from repro.cn.registry import TaskRegistry
 from repro.cn.task import Task
+from repro.core.transform.cnx2code import GeneratedClient, cnx_to_python
 
 
 class Echo(Task):
@@ -38,6 +39,22 @@ class Boom(Task):
 
     def run(self, ctx):
         raise RuntimeError("boom")
+
+
+def run_client(doc, cluster, runtime_args=None, timeout=30.0):
+    """Run the CNX document *doc* the one way the product does: through the
+    client program Fig. 6 generates from it.  One result dict per job."""
+    return GeneratedClient(cnx_to_python(doc)).run(cluster, runtime_args, timeout)
+
+
+def client_messages(cluster):
+    """Drain the client queue of every job *cluster* has run."""
+    directory = cluster.directory
+    return [
+        message
+        for job_id in directory.job_ids()
+        for message in directory.lookup(job_id).job.client_queue.drain()
+    ]
 
 
 def basic_registry() -> TaskRegistry:

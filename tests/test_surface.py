@@ -66,6 +66,9 @@ DELETED = [
      r"|is_error|archive_for|in_worker)\b",
      "public names no caller used, by an AST census of src, tests, benchmarks "
      "and examples"),
+    (EVERYWHERE, r"\bClientRunner\b|\bClientResult\b|degrade=|create_job\([^)]*descriptor=",
+     "the generated client is the one executor of a descriptor: no interpreter "
+     "beside it, no switch to turn degradation off, no descriptor on the job record"),
 ]
 
 

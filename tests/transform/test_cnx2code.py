@@ -73,15 +73,14 @@ class TestPythonGeneration:
 
     def test_dynamic_generation_runs(self):
         source = cnx_to_python(doc_dynamic())
-        assert "evaluate_arguments" in source
-        assert "_names_w" in source
+        assert "submit_job(api, 'DynDemo', CnxJob([" in source
         client = GeneratedClient(source)
         with Cluster(2, registry=basic_registry()) as cluster:
             job_results = client.run(cluster, {"n": 3}, timeout=15)
         assert set(job_results[0]) == {"root", "w1", "w2", "w3", "sink"}
 
     def test_no_dynamic_import_when_static(self):
-        assert "evaluate_arguments" not in cnx_to_python(doc_static())
+        assert "submit_job" not in cnx_to_python(doc_static())
 
     def test_docstring_carries_client_metadata(self):
         source = cnx_to_python(doc_static())
@@ -95,15 +94,16 @@ class TestPythonGeneration:
         doc = CnxDocument(
             CnxClient(
                 "Q",
-                jobs=[CnxJob(tasks=[
+                log="C:\\Users\\me\\cn.log",
+                jobs=[CnxJob(name="two\nlines", tasks=[
                     CnxTask("t", "e'v\"il.jar", "test.Echo",
                             params=[CnxParam("String", "it's \"quoted\"")]),
                 ])],
             )
         )
-        source = cnx_to_python(doc)
-        compile(source, "<gen>", "exec")
-        assert "e'v\"il.jar" in repr(source) or True  # compiles = properly escaped
+        namespace = {}
+        exec(compile(cnx_to_python(doc), "<gen>", "exec"), namespace)
+        assert "log file     : C:\\Users\\me\\cn.log\n" in namespace["__doc__"]
 
 
 class TestJavaGeneration:
@@ -155,21 +155,26 @@ class TestXsltCodegen:
     @pytest.mark.parametrize("ptype, kind", sorted(CNProfile.PARAM_TYPES.items()))
     def test_a_typed_parameter_is_the_same_typed_literal_in_both(self, ptype, kind):
         """Every entry of the one type table, one valid value each: a
-        non-string type is an unquoted Java literal, and the generator
-        that runs and its stylesheet oracle write the same one."""
+        non-string type is an unquoted Java literal, a string one escapes
+        ``\\`` and ``"`` (as the archive and the log path do), and the
+        generator that runs and its stylesheet oracle write the same one."""
         from repro.core.transform.cnx2code import cnx_to_java_xslt
 
         value, literal = {
             "int": ("5", "5"),
             "float": ("1.5", "1.5f" if ptype == "Float" else "1.5d"),
             "bool": ("TRUE", "true"),
-            "string": ("5", '"5"'),
+            "string": ('he said "x" \\', r'"he said \"x\" \\"'),
         }[kind]
         doc = doc_static()
+        doc.client.log = "C:\\cn\\x.log"
+        doc.jobs[0].tasks[1].jar = 'x"y.jar'
         doc.jobs[0].tasks[1].params = [CnxParam(ptype, value)]
         java = cnx_to_java(doc)
         assert java == cnx_to_java_xslt(doc)
         assert f"b.addParam({literal});" in java
+        assert r'CNAPI.initialize(5666, "C:\\cn\\x.log");' in java
+        assert r'job1.createTask("b", "x\"y.jar", "test.Echo");' in java
 
     def test_python_xslt_compiles(self):
         from repro.core.transform.cnx2code import cnx_to_python_xslt

@@ -1,15 +1,19 @@
 """Client-level job partial order (paper section 4): through UML
-packages, XMI dependencies, both transforms, CNX, and the runner."""
+packages, XMI dependencies, both transforms, CNX, and the generated
+client."""
 
 import threading
 import time
 
 from repro.analysis import analyze_cnx
-from repro.cn import ClientRunner, Cluster, Task, TaskRegistry
+from repro.cn import Cluster, Task, TaskRegistry
 from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxTask, emit, parse
+from repro.core.transform import Pipeline
 from repro.core.transform.xmi2cnx import model_to_cnx, xmi_to_cnx, xmi_to_cnx_native
 from repro.core.uml import ActivityBuilder, Model
 from repro.core.xmi import read_model, write_model
+
+from ..conftest import run_client
 
 
 def one_task_graph(name: str, task_prefix: str):
@@ -136,11 +140,8 @@ class TestRunnerBatches:
 
         registry = TaskRegistry()
         registry.register_class("stamp.jar", "t.Stamp", Stamp)
-        from repro.core.transform.pipeline import Pipeline
-
         with Cluster(4, registry=registry) as cluster:
-            doc = model_to_cnx(ordered_model())
-            outcome = ClientRunner(cluster).run(doc, timeout=30)
+            outcome = Pipeline().run(ordered_model(), cluster, timeout=30)
         assert len(outcome.job_results) == 4
         order = [name for kind, name in events if kind == "start"]
         assert order[0] == "prepare-task"
@@ -149,7 +150,7 @@ class TestRunnerBatches:
         idx = {(k, n): i for i, (k, n) in enumerate(events)}
         assert (
             idx[("start", "analyzeB-task")] < idx[("end", "analyzeA-task")]
-            or idx[("start", "analyzeA-task")] < idx[("end", "analyzeB-task")]
+            and idx[("start", "analyzeA-task")] < idx[("end", "analyzeB-task")]
         )
 
     def test_results_in_document_order(self):
@@ -163,12 +164,38 @@ class TestRunnerBatches:
         registry = TaskRegistry()
         registry.register_class("stamp.jar", "t.Stamp", Name)
         with Cluster(2, registry=registry) as cluster:
-            doc = model_to_cnx(ordered_model())
-            outcome = ClientRunner(cluster).run(doc, timeout=30)
+            outcome = Pipeline().run(ordered_model(), cluster, timeout=30)
         firsts = [next(iter(r.values())) for r in outcome.job_results]
         assert firsts == [
             "prepare-task", "analyzeA-task", "analyzeB-task", "report-task",
         ]
+
+    def test_a_job_listed_before_its_prerequisite_waits_for_it(self):
+        started = []
+
+        class Log(Task):
+            def __init__(self, *params):
+                pass
+
+            def run(self, ctx):
+                started.append(ctx.task_name)
+                return ctx.task_name
+
+        registry = TaskRegistry()
+        registry.register_class("j.jar", "t.T", Log)
+        doc = CnxDocument(
+            CnxClient(
+                "C",
+                jobs=[
+                    CnxJob(name="B", after=["A"], tasks=[CnxTask("b", "j.jar", "t.T")]),
+                    CnxJob(name="A", tasks=[CnxTask("a", "j.jar", "t.T")]),
+                ],
+            )
+        )
+        with Cluster(2, registry=registry) as cluster:
+            job_results = run_client(doc, cluster)
+        assert started == ["a", "b"]
+        assert job_results == [{"b": "b"}, {"a": "a"}]  # document order
 
     def test_sequential_without_ordering_unchanged(self):
         class Name(Task):
@@ -190,8 +217,8 @@ class TestRunnerBatches:
             )
         )
         with Cluster(2, registry=registry) as cluster:
-            outcome = ClientRunner(cluster).run(doc, timeout=30)
-        assert [list(r) for r in outcome.job_results] == [["first"], ["second"]]
+            job_results = run_client(doc, cluster)
+        assert [list(r) for r in job_results] == [["first"], ["second"]]
 
 
 class TestPipelineEndToEnd:
@@ -205,8 +232,6 @@ class TestPipelineEndToEnd:
 
         registry = TaskRegistry()
         registry.register_class("stamp.jar", "t.Stamp", Name)
-        from repro.core.transform.pipeline import Pipeline
-
         with Cluster(4, registry=registry) as cluster:
             outcome = Pipeline().run(ordered_model(), cluster, timeout=60)
         assert len(outcome.job_results) == 4
