@@ -57,6 +57,9 @@ GUARDED_BY: dict[str, str] = {
     "Job._drive": "Job._lock",
     "Job._first_live": "Job._lock",
     "Job._terminal_noted": "Job._lock",
+    # JobManager: the job table, which a registry read (another thread)
+    # copies through JobManager.census.
+    "JobManager.jobs": "JobManager._lock",
     # TupleSpace: the backing list is only touched under the condition's
     # lock; ``_take`` relies on its caller holding it.
     "TupleSpace._tuples": "TupleSpace._lock",

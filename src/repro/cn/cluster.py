@@ -18,6 +18,13 @@ expires per-task deadlines.  Tests call :meth:`tick` explicitly for
 determinism; :meth:`start_heartbeats` runs the same loop on a background
 thread for wall-clock runs.  :meth:`kill_node` / :meth:`revive_node` /
 :meth:`partition` are the operator-style fault controls.
+
+A tick detects failures and does nothing else.  What the metrics
+registry shows of the cluster -- node gauges, heartbeat misses, wire
+volume, ticks, routed messages, jobs created -- is folded in from the
+state the runtime already keeps whenever the registry is read (see
+:meth:`Cluster._fold_state`), so an untouched cluster exports the same
+families as one that has ticked.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ from .durability import (
 )
 from .multicast import MulticastBus
 from .server import CNServer
-from .telemetry import sample_cluster
 
 __all__ = ["Cluster"]
 
@@ -57,8 +63,8 @@ class Cluster(AbstractContextManager):
         #: for the options); an unknown keyword or a value the runtime
         #: cannot honor is refused here, before anything below is built
         self.config = config = ClusterConfig(nodes=nodes, **options)
-        # the options the portal, the simulator, the samplers and CNAPI
-        # read off the cluster itself
+        # the options the portal, the simulator and CNAPI read off the
+        # cluster itself
         self.scheduler = config.scheduler
         self.checksums = config.checksums
         self.durable = config.durable
@@ -118,6 +124,8 @@ class Cluster(AbstractContextManager):
             else:
                 # directory still wired: handles resolve even non-durably
                 server.jobmanager.directory = self.directory
+        if telemetry is not None:
+            telemetry.metrics.add_collector(self._fold_state)
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> "Cluster":
@@ -244,11 +252,66 @@ class Cluster(AbstractContextManager):
                 server.jobmanager.on_tick()
             for server in alive:
                 server.taskmanager.expire_deadlines(now)
-            t = self.telemetry
-            if t is not None:
-                # per-node gauges (free memory/slots, hosted tasks, queue
-                # backpressure, heartbeat lag, wire volume) once per period
-                sample_cluster(t.metrics, self)
+
+    # -- telemetry ---------------------------------------------------------------
+    def _fold_state(self) -> None:
+        """Registry collector: set what the registry shows of the cluster
+        from the counts the runtime already keeps, each time it is read.
+
+        Per node: liveness, placement headroom, hosted tasks, queued
+        messages, queue backpressure outcomes, budget drops, wire volume
+        (proc only) and heartbeat misses -- the most any live peer's
+        detector has counted against the node's TaskManager.  Per
+        manager: jobs created.  Per job id: messages routed, summed over
+        every Job registered for it on any manager (a dead manager's and
+        its adopter's alike)."""
+        metrics = self.telemetry.metrics
+        alive = self.alive_servers()
+        live = {server.name for server in alive}
+        misses: dict[str, int] = {}
+        for watcher in alive:
+            detector = watcher.jobmanager.failure_detector
+            for server in self.servers:
+                if server is not watcher:
+                    seen = detector.misses(server.taskmanager.name)
+                    misses[server.name] = max(misses.get(server.name, 0), seen)
+        routed: dict[str, int] = {}
+        unsized = 0
+        for server in self.servers:
+            tm = server.taskmanager
+            node = metrics.namespaced(server.name)
+            node.gauge("cn_node_alive").set(1.0 if server.name in live else 0.0)
+            node.gauge("cn_node_free_memory").set(tm.free_memory)
+            node.gauge("cn_node_free_slots").set(tm.free_slots)
+            node.gauge("cn_node_hosted_tasks").set(tm.hosted_count())
+            node.gauge("cn_node_queued_messages").set(tm.queued_messages())
+            node.gauge("cn_node_heartbeat_misses").set(misses.get(server.name, 0))
+            rejected, shed = tm.queue_overload_stats()
+            node.gauge("cn_queue_rejected_total").set(rejected)
+            node.gauge("cn_queue_shed_total").set(shed)
+            node.gauge("cn_queue_poisoned_total").set(tm.queue_poisoned())
+            node.gauge("cn_budget_drops_total").set(tm.budget_drops)
+            manager = server.jobmanager
+            created, jobs = manager.census()
+            if created:
+                metrics.counter(
+                    "cn_jobs_created_total", manager=manager.name
+                )._set_total(created)
+            for job in jobs:
+                routed[job.job_id] = routed.get(job.job_id, 0) + job.messages_routed
+                unsized += job.payloads_unsized
+        for job_id, count in routed.items():
+            metrics.counter("cn_messages_routed_total", job=job_id)._set_total(count)
+        if routed:
+            metrics.counter("cn_payload_unsized_total")._set_total(unsized)
+        for name, wire in self.transport.stats().items():
+            node = metrics.namespaced(name)
+            for stat in ("frames_sent", "frames_received", "bytes_sent", "bytes_received"):
+                node.gauge(f"cn_transport_{stat}").set(wire.get(stat, 0))
+        metrics.counter("cn_transport_inline_fallbacks_total")._set_total(
+            self.transport.inline_fallbacks
+        )
+        metrics.counter("cn_cluster_ticks_total")._set_total(self._ticks)
 
     def start_heartbeats(self, interval: float = 0.05) -> None:
         """Run :meth:`tick` on a daemon thread every *interval* wall-clock

@@ -198,12 +198,12 @@ class Job:
         self.deadline: Optional[float] = None
         #: cluster Telemetry hub (None = zero instrumentation)
         self.telemetry: Optional[Any] = None
-        self._m_routed: Optional[Any] = None
         self._m_payload: Optional[Any] = None
-        self._m_unsized: Optional[Any] = None
         # communication accounting (simulated wire volume): counts every
         # routed message and estimates its payload size -- the observable
-        # the paper's row-k broadcast analysis (section 2) predicts
+        # the paper's row-k broadcast analysis (section 2) predicts.  The
+        # cluster folds the counts into the metrics registry when it is
+        # read (cn_messages_routed_total, cn_payload_unsized_total)
         self.messages_routed = 0
         self.payload_bytes = 0
         #: size computations actually performed (one per *unique* payload
@@ -282,20 +282,15 @@ class Job:
 
     # -- telemetry ---------------------------------------------------------------
     def set_telemetry(self, telemetry: Optional[Any]) -> None:
-        """Attach the cluster Telemetry hub; binds hot-path metrics once
-        so :meth:`route` pays one attribute test when telemetry is off
-        and two bound-method calls when it is on."""
+        """Attach the cluster Telemetry hub and bind the payload-size
+        histogram once: a distribution cannot be folded from the plain
+        counts :meth:`route_many` keeps, so it is the one metric routing
+        updates itself."""
         if telemetry is None:
             self.telemetry = None
-            self._m_routed = None
             self._m_payload = None
-            self._m_unsized = None
             return
         self.telemetry = telemetry
-        self._m_routed = telemetry.metrics.counter(
-            "cn_messages_routed_total", job=self.job_id
-        )
-        self._m_unsized = telemetry.metrics.counter("cn_payload_unsized_total")
         from .telemetry.metrics import BYTES_BUCKETS
 
         self._m_payload = telemetry.metrics.histogram(
@@ -602,12 +597,9 @@ class Job:
                 # replay delivers it once the queue exists
             if self.ledger_resident > self.ledger_peak:
                 self.ledger_peak = self.ledger_resident
-        if self._m_routed is not None:
-            self._m_routed.inc(len(messages))
+        if self._m_payload is not None:
             for size in unique_sizes:
                 self._m_payload.observe(size)
-            if unsized:
-                self._m_unsized.inc(unsized)
         # write-ahead: ledger entries are journaled (and replicated to
         # peer managers) before queue delivery, so a successor's replay
         # sees every message a restarted attempt may need: one

@@ -101,12 +101,6 @@ class FailureDetector:
             self._misses.setdefault(node, 0)
             self._beat_since_tick.setdefault(node, True)
 
-    def unwatch(self, node: str) -> None:
-        with self._lock:
-            self._misses.pop(node, None)
-            self._beat_since_tick.pop(node, None)
-            self._dead.discard(node)
-
     def beat(self, node: str) -> bool:
         """Record a heartbeat.  Returns True when this beat resurrects a
         node previously declared dead (a false positive being corrected)."""
@@ -480,7 +474,6 @@ class JobManager:
                 node=self.name.split("/")[0],
                 client=client_name,
             )
-            t.metrics.counter("cn_jobs_created_total", manager=self.name).inc()
         self._bind_journal(job)
         job.journal_event(
             "job-created",
@@ -863,5 +856,13 @@ class JobManager:
                 self.cancel_job(job)
             job.client_queue.close()
 
+    def census(self) -> tuple[int, list[Job]]:
+        """``(jobs created here, every Job registered here)``, created and
+        adopted alike, read in one step (the cluster's registry fold)."""
+        with self._lock:
+            return self._job_counter, list(self.jobs.values())
+
     def __repr__(self) -> str:
-        return f"<JobManager {self.name!r} jobs={len(self.jobs)}>"
+        with self._lock:
+            count = len(self.jobs)
+        return f"<JobManager {self.name!r} jobs={count}>"

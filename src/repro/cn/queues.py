@@ -101,9 +101,8 @@ class MessageQueue:
         # pairs: delay holds for 1 successful put, reorder for
         # ``chaos.reorder_hold`` -- a bounded reordering window
         self._delayed: list[list] = []
-        #: deepest the queue has ever been (telemetry samplers read this;
-        #: a high watermark survives the drain that a point-in-time depth
-        #: gauge would miss)
+        #: deepest the queue has ever been (a high watermark survives the
+        #: drain that a point-in-time depth gauge would miss)
         self.high_watermark = 0
         #: producers refused under the ``reject`` policy
         self.rejected = 0

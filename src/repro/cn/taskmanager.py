@@ -657,7 +657,7 @@ class TaskManager:
 
     def queued_messages(self) -> int:
         """Messages sitting in this node's hosted task queues right now --
-        the per-node backpressure signal the telemetry samplers gauge."""
+        the per-node backpressure signal (``cn_node_queued_messages``)."""
         with self._lock:
             hosted = list(self._hosted.values())
         total = 0
@@ -669,7 +669,7 @@ class TaskManager:
 
     def queue_overload_stats(self) -> tuple[int, int]:
         """``(rejected, shed)`` totals across this node's live hosted task
-        queues -- the backpressure counters the telemetry samplers gauge.
+        queues (``cn_queue_rejected_total`` / ``cn_queue_shed_total``).
         Point-in-time over current hostings (an evicted hosting retires
         its queue's counts); the authoritative cumulative count per job is
         ``Job.messages_shed`` / the journal's ``shed`` records."""

@@ -13,8 +13,14 @@ answers it.  One :class:`Telemetry` hub per cluster bundles:
   carried on every :class:`~repro.cn.messages.Message`;
 * the :func:`~repro.cn.telemetry.critical_path.critical_path` analyzer
   folding spans + task DAG into the job's critical path and slack;
-* exporters (Prometheus text, Chrome ``trace_event`` JSON, JSONL) and
-  per-tick cluster samplers.
+* exporters (Prometheus text, Chrome ``trace_event`` JSON, JSONL).
+
+State the runtime already counts (node headroom and liveness, heartbeat
+misses, wire volume, routed messages, jobs created, bus stats) reaches
+the registry one way: a collector the runtime registers with
+:meth:`~repro.cn.telemetry.metrics.MetricsRegistry.add_collector` folds
+it in whenever the registry is read.  Nothing here imports the runtime;
+the dependency points runtime -> telemetry only.
 
 ``Cluster(telemetry=Telemetry())`` is the default; ``Cluster(telemetry=None)``
 turns instrumentation off, which costs one ``is None`` test on the hot
@@ -46,7 +52,6 @@ from .metrics import (
     NodeScopedMetrics,
     NullMetric,
 )
-from .samplers import sample_cluster, sample_node
 from .spans import Span, SpanRecorder, orphan_spans, span_children
 
 __all__ = [
@@ -73,8 +78,6 @@ __all__ = [
     "spans_to_jsonl",
     "write_jsonl",
     "read_jsonl",
-    "sample_cluster",
-    "sample_node",
 ]
 
 

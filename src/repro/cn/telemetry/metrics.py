@@ -1,8 +1,10 @@
 """Always-on metrics primitives: counters, gauges, streaming histograms.
 
-The registry is the CN runtime's numeric memory: every routed message,
-task start, retry, placement, and sampler reading increments a metric
-here.  The design constraints come from the <5% overhead budget measured
+The registry is the CN runtime's numeric memory: task outcomes, retries
+and placements increment a metric here, and counts the runtime already
+keeps as plain ints (routed messages, node state, bus stats) are folded
+in when the registry is read (:meth:`MetricsRegistry.add_collector`).
+The design constraints come from the <5% overhead budget measured
 by ``benchmarks/test_perf_telemetry.py``:
 
 * one short critical section per update (a plain ``threading.Lock``),
@@ -245,10 +247,11 @@ class MetricsRegistry:
 
     def add_collector(self, fn: Callable[[], None]) -> None:
         """Register a scrape-time callback that refreshes derived metrics
-        from runtime state.  Hot paths that already keep their own plain
-        counters (e.g. ``BusStats``) use this instead of paying a locked
-        ``inc()`` per event; the callback folds the totals in whenever
-        the registry is read."""
+        from runtime state.  This is the one way runtime state reaches
+        the registry: hot paths that already keep their own plain
+        counters (``BusStats``, ``Job.messages_routed``, node headroom)
+        pay no locked ``inc()`` per event; the callback folds the totals
+        in whenever the registry is read."""
         with self._lock:
             if fn not in self._collectors:
                 self._collectors.append(fn)
@@ -331,10 +334,11 @@ class MetricsRegistry:
     def namespaced(self, node: str) -> "NodeScopedMetrics":
         """A view of this registry that stamps ``node=<id>`` on every
         metric it hands out.  This is how per-node series stay distinct
-        in the one coordinator registry: samplers use it for node
-        gauges, and the proc backend merges worker-forwarded counters
-        through it so two workers incrementing the same counter name
-        can never collide on a label set."""
+        in the one coordinator registry: the cluster's collector sets
+        node gauges through it when the registry is read, and the proc
+        backend merges worker-forwarded counters through it so two
+        workers incrementing the same counter name can never collide on
+        a label set."""
         return NodeScopedMetrics(self, node)
 
 

@@ -48,6 +48,9 @@ class InProcTransport:
 
     #: the name ``Cluster(transport=...)`` selects this backend by
     name = "inproc"
+    #: attempts meant for a worker process that ran inline instead;
+    #: there are no workers here, so none
+    inline_fallbacks = 0
 
     def __init__(self, telemetry: Optional[Any] = None) -> None:
         #: the cluster's Telemetry hub, or None

@@ -469,7 +469,7 @@ class ProcTransport(InProcTransport):
         self._lock = threading.Lock()
         self._stopped = False
         #: attempts executed inline because their class cannot cross the
-        #: process boundary (read by tests and the telemetry sampler)
+        #: process boundary (exported as cn_transport_inline_fallbacks_total)
         self.inline_fallbacks = 0
 
     def executor_for(self, manager: "TaskManager") -> ProcExecutor:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import threading
 import urllib.request
 
 import pytest
@@ -377,12 +379,210 @@ class TestClusterWiring:
             handle = run_echo_job(cluster)
             assert handle.job.telemetry is None
 
-    def test_tick_samples_cluster_gauges(self):
-        with Cluster(2, registry=basic_registry()) as cluster:
+
+#: families the cluster sets once per node (label ``node``) when the
+#: registry is read
+NODE_FAMILIES = (
+    "cn_node_alive",
+    "cn_node_free_memory",
+    "cn_node_free_slots",
+    "cn_node_hosted_tasks",
+    "cn_node_queued_messages",
+    "cn_node_heartbeat_misses",
+    "cn_queue_rejected_total",
+    "cn_queue_shed_total",
+    "cn_queue_poisoned_total",
+    "cn_budget_drops_total",
+)
+
+
+def exported_series(text: str) -> dict[str, list[tuple[str, ...]]]:
+    """family -> the label names of each of its series, as Prometheus
+    text shows them (a histogram's ``le`` buckets folded into one)."""
+    kinds: dict[str, str] = {}
+    seen: set[tuple[str, frozenset[str]]] = set()
+    for line in text.splitlines():
+        if line.startswith("# TYPE"):
+            _, _, name, kind = line.split()
+            kinds[name] = kind
+            continue
+        sample, _, labels = line.partition("{")
+        name = sample.split()[0]
+        base = name.rsplit("_", 1)[0]
+        if kinds.get(base) == "histogram":
+            name = base
+        pairs = labels.rpartition("}")[0].split(",")
+        seen.add((name, frozenset(p for p in pairs if p and not p.startswith("le="))))
+    series: dict[str, list[tuple[str, ...]]] = {}
+    for name, pairs in seen:
+        keys = tuple(sorted(p.split("=")[0] for p in pairs))
+        series.setdefault(name, []).append(keys)
+    return {name: sorted(keys) for name, keys in series.items()}
+
+
+class TestStateFoldedAtRead:
+    """What the registry shows of the cluster is set from the runtime's
+    own counts when the registry is read; ``Cluster.tick`` only detects
+    failures."""
+
+    def test_an_untouched_cluster_exports_every_node_family(self):
+        with Cluster(4, registry=basic_registry()) as cluster:
+            series = exported_series(cluster.telemetry.prometheus_text())
+            metrics = cluster.telemetry.metrics
+            for family in NODE_FAMILIES:
+                assert series.get(family) == [("node",)] * 4, family
+            for name in cluster.node_names:
+                assert metrics.value("cn_node_alive", node=name) == 1
+            assert metrics.value("cn_cluster_ticks_total") == 0
+
+    def test_tick_makes_no_registry_call(self, monkeypatch):
+        with Cluster(4, registry=basic_registry()) as cluster:
+            run_echo_job(cluster)
+            metrics = cluster.telemetry.metrics
+            calls = []
+
+            def spy(name):
+                real = getattr(metrics, name)
+
+                def recorded(*args, **kwargs):
+                    calls.append(name)
+                    return real(*args, **kwargs)
+
+                return recorded
+
+            for name in (
+                "counter", "gauge", "histogram", "namespaced", "add_collector",
+                "all_metrics", "find", "value", "total", "snapshot", "_get",
+                "_collect",
+            ):
+                monkeypatch.setattr(metrics, name, spy(name))
+            cluster.kill_node("node3")  # detection, recovery and all
+            cluster.tick(4)
+            assert calls == []
+            monkeypatch.undo()
+            assert metrics.value("cn_cluster_ticks_total") == 4
+            assert metrics.value("cn_node_alive", node="node3") == 0
+
+    def test_heartbeat_misses_count_what_the_live_detectors_counted(self):
+        with Cluster(4, registry=basic_registry(), failure_k=5) as cluster:
+            cluster.kill_node("node3")
+            cluster.tick(3)
+            counted = max(
+                server.jobmanager.failure_detector.misses("node3/tm")
+                for server in cluster.alive_servers()
+            )
+            metrics = cluster.telemetry.metrics
+            assert counted == 2  # the first tick after the kill spends its beat
+            assert metrics.value("cn_node_heartbeat_misses", node="node3") == counted
+            assert metrics.value("cn_node_heartbeat_misses", node="node0") == 0
+
+    def test_one_job_and_one_tick_export_the_same_series_as_pushing_did(self):
+        with Cluster(4, registry=basic_registry()) as cluster:
+            run_echo_job(cluster)
             cluster.tick()
-            m = cluster.telemetry.metrics
-            assert m.value("cn_node_alive", node="node0") == 1
-            assert m.total("cn_cluster_ticks_total") >= 1
+            series = exported_series(cluster.telemetry.prometheus_text())
+        per_node = {family: [("node",)] * 4 for family in NODE_FAMILIES}
+        assert series == {
+            **per_node,
+            "cn_journal_fenced_total": [("node",)] * 4,
+            "cn_journal_checkpoints_superseded_total": [("node",)] * 4,
+            "cn_placements_total": [("manager",)] * 4,
+            "cn_jobs_created_total": [("manager",)],
+            "cn_messages_routed_total": [("job",)],
+            "cn_task_duration_seconds": series["cn_task_duration_seconds"],
+            "cn_task_outcomes_total": [("outcome",)],
+            "cn_payload_bytes": [()],
+            "cn_payload_unsized_total": [()],
+            "cn_placement_seconds": [()],
+            "cn_solicit_seconds": [()],
+            "cn_bus_dropped_total": [()],
+            "cn_bus_listener_errors_total": [()],
+            "cn_bus_publishes_total": [()],
+            "cn_bus_responder_errors_total": [()],
+            "cn_bus_solicitations_total": [()],
+            "cn_cluster_ticks_total": [()],
+            # the one family the fold adds: ProcTransport counted it, but
+            # nothing exported it
+            "cn_transport_inline_fallbacks_total": [()],
+        }
+        # both tasks ran on one node or on two
+        assert series["cn_task_duration_seconds"] in ([("node",)], [("node",)] * 2)
+
+    def test_routed_and_created_counts_equal_the_runtime_s_own_after_failover(self):
+        from .test_durability import echo_registry, worker_only_nodes
+
+        with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
+            worker_only_nodes(cluster)
+            api = CNAPI.initialize(cluster)
+            handle = api.create_job("client", requirements={"prefer": "node0"})
+            api.create_task(
+                handle,
+                TaskSpec(name="e", jar="echo.jar", cls="t.EchoPair", max_retries=2),
+            )
+            api.start_job(handle)
+            api.send_message(handle, "e", "first")
+            cluster.kill_node("node0")
+            cluster.tick(3)
+            assert handle.manager.name == "node1/jm"
+            api.send_message(handle, "e", "second")
+            assert api.wait(handle, timeout=15)["e"] == ["first", "second"]
+            managers = [server.jobmanager for server in cluster.servers]
+            jobs = [m.jobs[handle.job_id] for m in managers if handle.job_id in m.jobs]
+            assert len(jobs) == 2  # the dead manager's and the adopter's
+            metrics = cluster.telemetry.metrics
+            routed = metrics.value("cn_messages_routed_total", job=handle.job_id)
+            assert routed == sum(job.messages_routed for job in jobs)
+            assert all(job.messages_routed > 0 for job in jobs)
+            for manager in managers:
+                created = metrics.value("cn_jobs_created_total", manager=manager.name)
+                assert (created or 0) == manager._job_counter
+
+    def test_reads_racing_job_creation_see_every_job_created_before_them(self):
+        # a fold that raised part-way (the registry skips a failing
+        # collector) would leave a created job without its series
+        with Cluster(2, registry=basic_registry()) as cluster:
+            metrics = cluster.telemetry.metrics
+            managers = [server.jobmanager for server in cluster.servers]
+            created: list[str] = []
+            failures: list[str] = []
+            done = threading.Event()
+
+            def create(manager):
+                for _ in range(60):
+                    created.append(manager.create_job("c").job_id)
+
+            def read():
+                while not done.is_set():
+                    known = list(created)
+                    series = {
+                        m.labels.get("job") for m in metrics.all_metrics()
+                        if m.name == "cn_messages_routed_total"
+                    }
+                    missing = set(known) - series
+                    if missing or metrics.total("cn_jobs_created_total") < len(known):
+                        failures.append(f"{len(missing)} of {len(known)} missing")
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                reader = threading.Thread(target=read)
+                writers = [
+                    threading.Thread(target=create, args=(managers[i % 2],))
+                    for i in range(4)
+                ]
+                reader.start()
+                for writer in writers:
+                    writer.start()
+                for writer in writers:
+                    writer.join(timeout=30)
+                done.set()
+                reader.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not reader.is_alive()
+            assert not any(writer.is_alive() for writer in writers)
+            assert failures == []
+            assert metrics.total("cn_jobs_created_total") == len(created) == 240
 
 
 # -- CLI ------------------------------------------------------------------------

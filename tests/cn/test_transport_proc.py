@@ -168,6 +168,11 @@ class TestProcExecution:
         assert api.wait(handle, timeout=30) == {"p0": "ok"}
         assert ran_in["pid"] == os.getpid()
         assert proc_cluster.transport.inline_fallbacks > before
+        # the gap is visible where an operator looks, not only on the object
+        exported = proc_cluster.telemetry.metrics.value(
+            "cn_transport_inline_fallbacks_total"
+        )
+        assert exported == proc_cluster.transport.inline_fallbacks
 
 
 # Task classes that cross the process boundary must be importable by

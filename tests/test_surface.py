@@ -69,6 +69,11 @@ DELETED = [
     (EVERYWHERE, r"\bClientRunner\b|\bClientResult\b|degrade=|create_job\([^)]*descriptor=",
      "the generated client is the one executor of a descriptor: no interpreter "
      "beside it, no switch to turn degradation off, no descriptor on the job record"),
+    (("src/repro/cn/telemetry/samplers.py",), None,
+     "state reaches the registry one way, folded in when it is read"),
+    (EVERYWHERE, r"\bsample_(cluster|node)\b|\b_m_(routed|unsized)\b|\bunwatch\(",
+     "no per-tick sampler, no second count of routed messages, no unused "
+     "FailureDetector.unwatch"),
 ]
 
 
