@@ -4,7 +4,9 @@ The paper's tools are stylesheets; a practical reproduction must show
 the XSLT path handles real model sizes.  This bench sweeps job sizes,
 times XMI2CNX on both implementations, and asserts the two stay
 semantically identical at every size (the differential guarantee the
-test suite samples, measured here at scale).
+test suite samples, measured here at scale).  Its CI gate is a count,
+not a clock: the ``key()`` calls and template invocations one transform
+of the 152-task ``compose-wide150`` model makes.
 """
 
 from __future__ import annotations
@@ -13,9 +15,12 @@ import time
 
 import pytest
 
+from benchmarks.e2e.workloads import ComposeWide
 from repro.apps.floyd.model import build_fig3_model
-from repro.core.transform.xmi2cnx import xmi_to_cnx, xmi_to_cnx_native
+from repro.core.transform import Pipeline
+from repro.core.transform.xmi2cnx import xmi_to_cnx, xmi_to_cnx_native, xmi_to_cnx_text
 from repro.core.xmi import write_graph
+from repro.xslt import Transformer
 
 
 def model_xmi(n_tasks: int) -> str:
@@ -101,3 +106,26 @@ def test_throughput_and_agreement_report(report, xmi_small, xmi_medium, xmi_larg
     report.line("(both paths produce semantically identical descriptors)")
     report.line()
     report.table(["workers", "XMI size", "XSLT", "native", "XSLT/native"], rows)
+
+
+def test_transform_shape_of_the_152_task_fan(monkeypatch):
+    """Pinned at the parameter lookup by index (EXPERIMENTS PERF6), which
+    took ``key()`` calls from 4 694 to 3 180 and template invocations
+    from 1 672 to 760 per transform.  A change that moves either re-pins
+    here, with its measurement."""
+    pipeline = Pipeline()
+    xmi = pipeline.export_xmi(pipeline.to_model(ComposeWide().model(0)))
+    counts = {"key": 0, "template": 0}
+    fn_key, invoke = Transformer._fn_key, Transformer._invoke
+
+    def counted(name, method):
+        def call(*args):
+            counts[name] += 1
+            return method(*args)
+
+        return call
+
+    monkeypatch.setattr(Transformer, "_fn_key", counted("key", fn_key))
+    monkeypatch.setattr(Transformer, "_invoke", counted("template", invoke))
+    xmi_to_cnx_text(xmi)
+    assert counts == {"key": 3180, "template": 760}

@@ -60,6 +60,7 @@ GUARDED_BY: dict[str, str] = {
     # JobManager: the job table, which a registry read (another thread)
     # copies through JobManager.census.
     "JobManager.jobs": "JobManager._lock",
+    "JobManager._active": "JobManager._lock",
     # TupleSpace: the backing list is only touched under the condition's
     # lock; ``_take`` relies on its caller holding it.
     "TupleSpace._tuples": "TupleSpace._lock",

@@ -162,6 +162,8 @@ class JobManager:
         self.max_jobs = 16
         self.local_taskmanager = local_taskmanager
         self.jobs: dict[str, Job] = {}
+        #: the jobs of ``jobs`` not seen finished: what an offer reads
+        self._active: dict[str, Job] = {}
         self._job_counter = 0
         self._lock = make_lock("JobManager._lock")
         self._taskmanagers: dict[str, TaskManager] = {}
@@ -196,7 +198,7 @@ class JobManager:
         with self._lock:
             if self._shutdown:
                 return None
-            active = len([j for j in self.jobs.values() if not j.finished])
+            active = len(self._unfinished())
             if active >= self.max_jobs:
                 return None
             wanted_tasks = int(solicitation.requirements.get("tasks", 0))
@@ -210,6 +212,13 @@ class JobManager:
                 ),
                 "wanted_tasks": wanted_tasks,
             }
+
+    def _unfinished(self) -> list[Job]:
+        """The unfinished jobs; one seen finished is not read again."""
+        for job_id, job in list(self._active.items()):
+            if job.finished:
+                del self._active[job_id]
+        return list(self._active.values())
 
     def register_taskmanager(self, tm: TaskManager) -> None:
         """Make *tm* known for direct upload after a successful solicit."""
@@ -238,7 +247,7 @@ class JobManager:
         without re-registration."""
         with self._lock:
             self.failed_nodes.append(node)
-            jobs = [j for j in self.jobs.values() if not j.finished]
+            jobs = self._unfinished()
         for job in jobs:
             orphans = [
                 rt
@@ -317,7 +326,7 @@ class JobManager:
         with self._lock:
             if self._shutdown:
                 raise CnError(f"JobManager {self.name!r} is shut down")
-            self.jobs[job_id] = job
+            self.jobs[job_id] = self._active[job_id] = job
             self.adopted_jobs.append(job_id)
         job.set_telemetry(self.telemetry)
         t = job.telemetry
@@ -462,7 +471,7 @@ class JobManager:
             job_id = f"{self.name}-job{self._job_counter}"
             job = Job(job_id, client_name, checksums=self.config.checksums)
             job.deadline = deadline
-            self.jobs[job_id] = job
+            self.jobs[job_id] = self._active[job_id] = job
         job.set_telemetry(self.telemetry)
         t = job.telemetry
         if t is not None:
@@ -718,6 +727,8 @@ class JobManager:
         finished = failed or job.all_terminal()
         if finished:
             job.journal_event("job-finished", {"failed": failed})
+            with self._lock:
+                self._active.pop(job.job_id, None)
         if finished or runtime.state is TaskState.CANCELLED:
             # the job is over (a task only ends CANCELLED when its job was
             # cancelled): its nodes give back what it no longer runs

@@ -28,8 +28,9 @@ __all__ = [
     "split_names",
 ]
 
-_PTYPE_RE = re.compile(r"^ptype(\d+)$")
-_PVALUE_RE = re.compile(r"^pvalue(\d+)$")
+#: an index is written as ``str(int)`` would: ``ptype01`` is no parameter
+_PTYPE_RE = re.compile(r"^ptype(0|[1-9][0-9]*)$")
+_PVALUE_RE = re.compile(r"^pvalue(0|[1-9][0-9]*)$")
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ from .xpath.datamodel import (
     XText,
     build_document,
 )
-from .xpath.evaluator import Compiled, Context, XPathEvalError
+from .xpath.evaluator import Compiled, Context, XPathEvalError, _dedup_doc_order
 from .xpath.evaluator import compile as compile_xpath
 from .xpath.functions import (
     CORE_FUNCTIONS,
@@ -101,6 +101,19 @@ class ResultTreeFragment:
             elif isinstance(item, OutElement):
                 pending.extend(reversed(item.children))
         return "".join(parts)
+
+
+class _Text(list):
+    """The output of a body proved to write only text: its strings."""
+
+    __slots__ = ()
+    add_text = list.append
+
+    def finish(self) -> list:
+        return self
+
+    def string_value(self) -> str:
+        return "".join(self)
 
 
 @dataclass
@@ -679,6 +692,23 @@ class _Lowering:
             return _raiser(XsltError, f"unsupported instruction xsl:{name}")
         return lower(elem)
 
+    @staticmethod
+    def writes_text_only(items: list) -> bool:
+        """Whether a body of *items* writes nothing but text (text, ``xsl:text``,
+        ``xsl:value-of``, and ``xsl:if``/``for-each``/``choose`` around such
+        bodies), so it can run into a :class:`_Text`, not an OutputBuilder."""
+        pending = list(items)
+        while pending:
+            item = pending.pop()
+            local = None if isinstance(item, str) else _is_xsl(item) and _local(item)
+            if local in ("if", "for-each", "when", "otherwise"):
+                pending.extend(_body_items(item))
+            elif local == "choose":
+                pending.extend(c for c in item if _is_xsl(c, "when") or _is_xsl(c, "otherwise"))
+            elif not (local is None or local in ("text", "value-of", "sort")):
+                return False
+        return True
+
     def value(self, elem: ET.Element) -> ValueFn:
         """The value of an xsl:variable / xsl:param / xsl:with-param:
         its ``select``, or its content as a result-tree fragment."""
@@ -690,9 +720,10 @@ class _Lowering:
         if not items:
             return lambda tr, ctx: ""
         body = self.body(items)
+        new_output = _Text if self.writes_text_only(items) else OutputBuilder
 
         def fragment(tr: "Transformer", ctx: Context) -> ResultTreeFragment:
-            sub = OutputBuilder()
+            sub = new_output()
             previous = tr._current_node
             tr._current_node = ctx.node
             try:
@@ -867,13 +898,14 @@ class _Lowering:
             nodes = selected(ctx)
             if sort_nodes is not None:
                 nodes = sort_nodes(tr, ctx, nodes)
-            total = len(nodes)
-            variables, functions = ctx.variables, ctx.functions
+            # one context for the whole node list, moved along it
+            sub = Context(ctx.node, 0, len(nodes), ctx.variables, ctx.functions)
             previous = tr._current_node
             try:
-                for position, node in enumerate(nodes, start=1):
-                    tr._current_node = node
-                    body(tr, Context(node, position, total, variables, functions), out)
+                for node in nodes:
+                    sub.node = tr._current_node = node
+                    sub.position += 1
+                    body(tr, sub, out)
             finally:
                 tr._current_node = previous
 
@@ -938,10 +970,12 @@ class _Lowering:
         if not name:
             return _raiser(XsltError, "xsl:attribute requires name")
         name_of = _avt(name)
-        body = self.body(_body_items(elem))
+        items = _body_items(elem)
+        body = self.body(items)
+        new_output = _Text if self.writes_text_only(items) else OutputBuilder
 
         def attribute(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-            sub = OutputBuilder()
+            sub = new_output()
             body(tr, ctx, sub)
             out.add_attribute(name_of(ctx), sub.string_value())
 
@@ -1147,31 +1181,36 @@ class Transformer:
                 decided = pattern.alternatives[0].decided_by_key
                 if element is not None:
                     candidates = self._doc.name_index().get(element, [])
+        attribute = getattr(use, "attribute", None)
         for node in candidates:
             if node.node_type != "element" or not (decided or pattern.matches(node, probe)):
                 continue
+            if attribute is not None:  # use="@name"
+                hit = node.attribute(attribute)
+                if hit is not None:
+                    table.setdefault(hit.value, []).append(node)
+                continue
             at_node.node = node
             value = use(at_node)
-            if isinstance(value, list):
-                for hit in value:
-                    table.setdefault(hit.string_value(), []).append(node)
+            if value.__class__ is list:  # once under a value, however many nodes yield it
+                strings: Any = dict.fromkeys([hit.string_value() for hit in value])
             else:
-                table.setdefault(to_string(value), []).append(node)
+                strings = (to_string(value),)
+            for string in strings:
+                table.setdefault(string, []).append(node)
         self._key_tables[name] = table
         return table
 
     def _fn_key(self, ctx: Context, name: Any, value: Any) -> list[XNode]:
-        table = self._key_table(to_string(name))
+        table = self._key_tables.get(name) if name.__class__ is str else None
+        if table is None:
+            table = self._key_table(to_string(name))
         if isinstance(value, list):
-            gathered: list[XNode] = []
-            seen: set[int] = set()
-            for node in value:
-                for hit in table.get(node.string_value(), ()):
-                    if id(hit) not in seen:
-                        seen.add(id(hit))
-                        gathered.append(hit)
-            gathered.sort(key=lambda n: n.doc_order)
-            return gathered
+            if len(value) == 1:  # one lookup: already in order, no duplicates
+                return list(table.get(value[0].string_value(), ()))
+            return _dedup_doc_order(
+                [hit for node in value for hit in table.get(node.string_value(), ())]
+            )
         return list(table.get(to_string(value), ()))
 
     def _fn_generate_id(self, ctx: Context, *args: Any) -> str:

@@ -21,7 +21,9 @@ calls :meth:`XDocument.unlink`, and it is freed by reference count.
 
 from __future__ import annotations
 
+import operator
 import xml.etree.ElementTree as ET
+from bisect import bisect_right
 from typing import Callable, Iterator, Mapping, Optional
 from xml.parsers import expat
 
@@ -36,6 +38,7 @@ __all__ = [
 ]
 
 _NO_ATTRIBUTES: dict = {}
+_DOC_ORDER = operator.attrgetter("doc_order")
 
 
 class XNode:
@@ -91,13 +94,17 @@ class XNode:
         The tree is immutable once evaluation starts (strip-space is part
         of building it, or drops these caches when it edits a caller's
         tree), so nothing else invalidates the cache; ``//``-heavy
-        stylesheets hit this on every apply-templates."""
+        stylesheets hit this on every apply-templates.  Only this node
+        keeps a list: the walk caches nothing on the nodes below it."""
         cached = self._desc_cache
         if cached is None:
             cached = []
-            for child in self.children():
-                cached.append(child)
-                cached.extend(child.descendants_list())
+            pending = self.children()[::-1]
+            while pending:
+                node = pending.pop()
+                cached.append(node)
+                if node.children():
+                    pending.extend(node.children()[::-1])
             self._desc_cache = cached
         return cached
 
@@ -112,6 +119,16 @@ class XNode:
                 if descendant.node_type == "element":
                     cached.setdefault(descendant.name, []).append(descendant)
         return cached
+
+    def descendants_named(self, name: str) -> list["XNode"]:
+        """The descendant elements called *name*, in document order (a
+        fresh list): one run of its document's name index, bisected."""
+        named = self.root().name_index().get(name, [])
+        last = self
+        while last.children():
+            last = last.children()[-1]
+        first, end = (bisect_right(named, n.doc_order, key=_DOC_ORDER) for n in (self, last))
+        return named[first:end]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name or self.node_type} @{self.doc_order}>"

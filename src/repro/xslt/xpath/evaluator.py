@@ -325,6 +325,15 @@ def _compare_atomic(op: str, left: Any, right: Any) -> bool:
 # Lowering: predicates and steps
 # ---------------------------------------------------------------------------
 
+def _attribute_name(expr: Expr) -> str | None:
+    """*name* when *expr* is the relative path ``@name``, else None."""
+    if not isinstance(expr, LocationPath) or expr.absolute or len(expr.steps) != 1:
+        return None
+    step, test = expr.steps[0], expr.steps[0].node_test
+    named = isinstance(test, NameTest) and not test.is_wildcard and not test.prefix_wildcard
+    return test.name if named and step.axis == "attribute" and not step.predicates else None
+
+
 def _attr_const_shape(pred: Expr) -> tuple[str, Expr] | None:
     """The predicate shape ``@name = <literal|$var>`` (either side) as
     ``(attr_name, value_side)``; None when *pred* is anything else.  The
@@ -334,17 +343,9 @@ def _attr_const_shape(pred: Expr) -> tuple[str, Expr] | None:
     if not isinstance(pred, BinaryOp) or pred.op != "=":
         return None
     for attr_side, value_side in ((pred.left, pred.right), (pred.right, pred.left)):
-        if (
-            isinstance(attr_side, LocationPath)
-            and not attr_side.absolute
-            and len(attr_side.steps) == 1
-            and attr_side.steps[0].axis == "attribute"
-            and isinstance(attr_side.steps[0].node_test, NameTest)
-            and not attr_side.steps[0].predicates
-            and not attr_side.steps[0].node_test.is_wildcard
-            and isinstance(value_side, (StringLiteral, VariableRef))
-        ):
-            return attr_side.steps[0].node_test.name, value_side
+        name = _attribute_name(attr_side)
+        if name is not None and isinstance(value_side, (StringLiteral, VariableRef)):
+            return name, value_side
     return None
 
 
@@ -496,10 +497,10 @@ def _advance_by_step(step: Step) -> FilterFn:
 
     def advance(current: list, ctx: Context) -> list:
         if len(current) == 1:
-            # one source node on a forward axis: already unique and in
-            # document order
+            # one source node on a forward axis (or one result on any):
+            # already unique and in document order
             selected = step_fn(current[0], ctx)
-            return _dedup_doc_order(selected) if reverse else selected
+            return _dedup_doc_order(selected) if reverse and len(selected) > 1 else selected
         gathered: list[XNode] = []
         for node in current:
             gathered.extend(step_fn(node, ctx))
@@ -519,9 +520,9 @@ def _advance_by_name_index(skip: Step, name_step: Step) -> FilterFn:
     def advance(current: list, ctx: Context) -> list:
         if len(current) != 1:
             return select(expand(current, ctx), ctx)
-        candidates = current[0].name_index().get(name, [])
+        candidates = current[0].descendants_named(name)
         if keep is None:
-            return list(candidates)
+            return candidates
         # predicate positions are per parent (XPath abbreviation
         # semantics), so filter each sibling group independently
         groups: dict[int, list[XNode]] = {}
@@ -597,18 +598,58 @@ def _lower_variable(expr: VariableRef) -> Compiled:
 
 
 def _lower_call(expr: FunctionCall) -> Compiled:
+    """A call bound by arity, one to three arguments with no per-call
+    list; an unknown name or a bad arity raises when the call is reached."""
     name = expr.name
     args = tuple(_lower(a) for a in expr.args)
 
+    def unknown() -> Any:
+        raise XPathEvalError(f"unknown function {name}()")
+
+    def bad_call(exc: TypeError) -> XPathEvalError:
+        return XPathEvalError(f"bad call to {name}(): {exc}")
+
+    if len(args) == 1:
+        (a,) = args
+
+        def call1(ctx: Context) -> Any:
+            fn, x = ctx.functions.get(name) or unknown(), a(ctx)
+            try:
+                return fn(ctx, x)
+            except TypeError as exc:
+                raise bad_call(exc) from exc
+
+        return call1
+    if len(args) == 2:
+        a, b = args
+
+        def call2(ctx: Context) -> Any:
+            fn, x, y = ctx.functions.get(name) or unknown(), a(ctx), b(ctx)
+            try:
+                return fn(ctx, x, y)
+            except TypeError as exc:
+                raise bad_call(exc) from exc
+
+        return call2
+    if len(args) == 3:
+        a, b, c = args
+
+        def call3(ctx: Context) -> Any:
+            fn, x, y, z = ctx.functions.get(name) or unknown(), a(ctx), b(ctx), c(ctx)
+            try:
+                return fn(ctx, x, y, z)
+            except TypeError as exc:
+                raise bad_call(exc) from exc
+
+        return call3
+
     def call(ctx: Context) -> Any:
-        fn = ctx.functions.get(name)
-        if fn is None:
-            raise XPathEvalError(f"unknown function {name}()")
+        fn = ctx.functions.get(name) or unknown()
         values = [arg(ctx) for arg in args]
         try:
             return fn(ctx, *values)
         except TypeError as exc:
-            raise XPathEvalError(f"bad call to {name}(): {exc}") from exc
+            raise bad_call(exc) from exc
 
     return call
 
@@ -643,6 +684,19 @@ def _lower_binary(expr: BinaryOp) -> Compiled:
         return _fold(lambda ctx: to_boolean(left(ctx)) or to_boolean(right(ctx)), left, right)
     if op == "and":
         return _fold(lambda ctx: to_boolean(left(ctx)) and to_boolean(right(ctx)), left, right)
+    if op == "=" and isinstance(expr.left, StringLiteral) != isinstance(expr.right, StringLiteral):
+        on_left = isinstance(expr.left, StringLiteral)
+        operand, literal = (right, expr.left.value) if on_left else (left, expr.right.value)  # type: ignore[attr-defined]
+
+        def equals_literal(ctx: Context) -> bool:
+            value = operand(ctx)
+            if value.__class__ is str:
+                return value == literal
+            if value.__class__ is list:
+                return any(node.string_value() == literal for node in value)
+            return _compare(op, value, literal)
+
+        return _fold(equals_literal, operand)
     if op in ("=", "!=", "<", "<=", ">", ">="):
         return _fold(lambda ctx: _compare(op, left(ctx), right(ctx)), left, right)
     arithmetic = _ARITHMETIC.get(op)
@@ -683,7 +737,12 @@ def _lower_location_path(path: LocationPath) -> Compiled:
     walk = _lower_steps(path.steps)
     if path.absolute:
         return lambda ctx: walk(ctx.node.root(), ctx)
-    return lambda ctx: walk(ctx.node, ctx)
+
+    def relative(ctx: Context) -> list:
+        return walk(ctx.node, ctx)
+
+    relative.attribute = _attribute_name(path)  # type: ignore[attr-defined]  # key tables read it
+    return relative
 
 
 def _lower_filter(expr: FilterExpr) -> Compiled:

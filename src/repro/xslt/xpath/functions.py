@@ -194,7 +194,7 @@ def _fn_string(context: "Context", *args: Any) -> str:
 def _fn_concat(context: "Context", *args: Any) -> str:
     if len(args) < 2:
         raise XPathTypeError("concat() requires at least two arguments")
-    return "".join(to_string(a) for a in args)
+    return "".join([to_string(a) for a in args])
 
 
 def _fn_starts_with(context: "Context", a: Any, b: Any) -> bool:

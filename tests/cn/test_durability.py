@@ -42,7 +42,8 @@ from repro.cn.durability import (
     _UniformBatch,
     journal_factory_for_dir,
 )
-from repro.cn.multicast import MulticastBus
+from repro.cn.job import Job
+from repro.cn.multicast import MulticastBus, Solicitation
 
 
 class Echo(Task):
@@ -1315,3 +1316,40 @@ class TestHeartbeatLifecycle:
             cluster.start_heartbeats(interval=0.01)
             second = cluster._pumper
             assert second is not first and second.is_alive()
+
+
+class TestActiveJobs:
+    def test_an_offer_reads_no_finished_job_and_counts_an_adopted_one(self, monkeypatch):
+        """A JobManager's offer to manage a job counts its unfinished
+        jobs without reading any job that already finished: the read of
+        ``Job.finished`` takes the job's lock, once per job per
+        solicitation, for the life of the manager."""
+        with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
+            worker_only_nodes(cluster)
+            api = CNAPI.initialize(cluster)
+            successor = cluster.servers[1].jobmanager
+            for _ in range(5):
+                done = api.create_job("client", requirements={"prefer": "node1"})
+                api.create_task(done, TaskSpec(name="q", jar="quick.jar", cls="t.Quick"))
+                api.start_job(done)
+                assert api.wait(done, timeout=15) == {"q": "ok"}
+                assert done.manager is successor
+            handle = api.create_job("client", requirements={"prefer": "node0"})
+            api.create_task(handle, TaskSpec(name="e", jar="echo.jar", cls="t.Echo"))
+            api.start_job(handle)
+            cluster.kill_node("node0")
+            cluster.tick(3)  # node1 adopts the running job
+            assert handle.manager is successor
+            read = []
+            finished = Job.finished
+            monkeypatch.setattr(
+                Job, "finished", property(lambda job: read.append(job) or finished.fget(job))
+            )
+            offer = Solicitation("jobmanager", {}, "client")
+            assert successor.willing_to_manage(offer)["active_jobs"] == 1
+            assert read == [handle.job]
+            api.send_message(handle, "e", "done")
+            assert api.wait(handle, timeout=15) == {"e": "done"}
+            read.clear()
+            assert successor.willing_to_manage(offer)["active_jobs"] == 0
+            assert read == []

@@ -8,9 +8,12 @@ is compared here, over the five app models.
   two different client programs whose runs must return the same results.
 """
 
+import random
+
 import numpy as np
 import pytest
 
+from repro.analysis import analyze_model
 from repro.apps.floyd import (
     build_fig3_model,
     build_fig5_model,
@@ -32,8 +35,8 @@ from repro.core.transform import (
     xmi_to_cnx,
     xmi_to_cnx_native,
 )
-from repro.core.uml import ActivityBuilder
-from repro.core.xmi import write_graph
+from repro.core.uml import ActivityBuilder, CNProfile
+from repro.core.xmi import read_model, write_graph
 
 
 def fig3():
@@ -108,3 +111,84 @@ def test_native_and_stylesheet_clients_return_the_same_results(model, cluster):
     (reran,) = GeneratedClient(stylesheet).run(cluster, runtime_args, 60)
     assert ran[joiner] and reran[joiner] == ran[joiner]
     assert set(reran) == set(ran)
+
+
+def drawn_fan(seed: int):
+    """A ``split -> fork -> workers -> join`` model drawn from *seed*:
+    0-3 parameters per task, retries, declared message flows and dynamic
+    workers."""
+    rng = random.Random(seed)
+    b = ActivityBuilder(f"Fan{seed}")
+    names = [f"w{i}" for i in range(rng.randint(2, 6))]
+    workers = []
+    for name in names:
+        if rng.random() < 0.25:
+            workers.append(
+                b.dynamic_task(
+                    name,
+                    jar="d.jar",
+                    cls="t.D",
+                    multiplicity=rng.choice(["0..*", "1..4"]),
+                    argument_expr=rng.choice(["", "[[1], [2]]"]),
+                    retries=rng.randint(0, 2),
+                )
+            )
+            continue
+        peers = [other for other in names if other != name]
+        workers.append(
+            b.task(
+                name,
+                jar="w.jar",
+                cls="t.W",
+                memory=rng.randint(1, 64),
+                params=[
+                    (rng.choice(sorted(CNProfile.PARAM_TYPES)), str(rng.randint(0, 99)))
+                    for _ in range(rng.randint(0, 3))
+                ],
+                retries=rng.randint(0, 2),
+                sends=rng.sample(peers, rng.randint(0, min(2, len(peers)))),
+                receives=rng.sample(peers, rng.randint(0, 1)),
+            )
+        )
+    split = b.task("split", jar="s.jar", cls="t.S", params=[("Integer", "7")])
+    join = b.task("join", jar="j.jar", cls="t.J")
+    b.chain(b.initial(), split)
+    b.fan_out_in(split, workers, join)
+    b.chain(join, b.final())
+    return b.build()
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_stylesheet_and_native_agree_on_drawn_fans(seed):
+    xmi = write_graph(drawn_fan(seed))
+    assert emit(xmi_to_cnx(xmi)) == emit(xmi_to_cnx_native(xmi))
+
+
+def test_the_stylesheet_reads_parameters_up_to_a_gap_in_their_indices():
+    """``ptype0`` and ``ptype2`` without ``ptype1``: cnlint refuses the
+    model at step 1 (CN210); a stylesheet handed it anyway emits the
+    parameters before the gap, since it looks them up by index."""
+    b = ActivityBuilder("Gap")
+    task = b.task("t", jar="t.jar", cls="t.T", params=[("Integer", "1")])
+    task.set_tag("ptype2", "String")
+    task.set_tag("pvalue2", "two")
+    b.chain(b.initial(), task, b.final())
+    xmi = write_graph(b.build())
+    assert "CN210" in {d.code for d in analyze_model(read_model(xmi)).errors()}
+    [emitted] = xmi_to_cnx(xmi).client.jobs[0].tasks
+    assert [(p.type, p.value) for p in emitted.params] == [("Integer", "1")]
+
+
+def test_an_index_with_a_leading_zero_names_no_parameter():
+    """``ptype01`` is index 1 on neither path: the stylesheet looks up
+    ``ptype1`` by name, so the native reader reads an index only as
+    ``str(int)`` writes it."""
+    b = ActivityBuilder("Zero")
+    task = b.task("t", jar="t.jar", cls="t.T", params=[("Integer", "1")])
+    task.set_tag("ptype01", "String")
+    task.set_tag("pvalue01", "two")
+    b.chain(b.initial(), task, b.final())
+    xmi = write_graph(b.build())
+    for doc in (xmi_to_cnx(xmi), xmi_to_cnx_native(xmi)):
+        [emitted] = doc.client.jobs[0].tasks
+        assert [(p.type, p.value) for p in emitted.params] == [("Integer", "1")]

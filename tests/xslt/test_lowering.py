@@ -5,13 +5,16 @@ run leaves on a Transformer leaks into the next document."""
 
 import random
 import threading
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.xslt import Stylesheet, Transformer, XsltError
+from repro.xslt import ResultTreeFragment, Stylesheet, Transformer, XsltError
+from repro.xslt.engine import _body_items, _Lowering
 from repro.xslt.xpath import (
+    CORE_FUNCTIONS,
     Context,
     XPathEvalError,
     XPathSyntaxError,
@@ -369,3 +372,112 @@ class TestSharedProgram:
         assert fn(Context(doc, 5, 9, {"want": "1"})) == 7.0
         assert fn(Context(doc, 1, 1, {"want": "2"})) == 2.0
         assert evaluate("count(//x[@k = $want]) + position()", Context(doc, 2, 2, {"want": "3"})) == 2.0
+
+
+SHAPES_DOC = build_document(
+    "<r><a k='x'>x</a><a k='y'>y</a><b>1</b><c/></r>"
+)
+
+
+class TestSpecialisedShapes:
+    """Lowering specialises some shapes; each answers what the general
+    path it stands in for answers, and raises where it raises."""
+
+    @pytest.mark.parametrize("arity", range(5))
+    def test_a_call_passes_each_arity_as_written(self, arity):
+        seen = []
+
+        def probe(ctx, *args):
+            seen.append(args)
+            return float(len(args))
+
+        ctx = Context(SHAPES_DOC, functions={**CORE_FUNCTIONS, "probe": probe})
+        args = ", ".join(f"'{i}'" for i in range(arity))
+        assert evaluate(f"probe({args})", ctx) == arity
+        assert seen == [tuple(str(i) for i in range(arity))]
+
+    @pytest.mark.parametrize("arity", range(5))
+    def test_unknown_function_and_bad_arity_raise_only_when_reached(self, arity):
+        args = ", ".join(["1"] * arity)
+        wrong = "true" if arity else "not"  # takes no argument / exactly one
+        for call, message in (
+            (f"nope({args})", r"unknown function nope\(\)"),
+            (f"{wrong}({args})", rf"bad call to {wrong}\(\)"),
+        ):
+            assert evaluate(f"false() and {call}", Context(SHAPES_DOC)) is False
+            with pytest.raises(XPathEvalError, match=message):
+                evaluate(f"true() and {call}", Context(SHAPES_DOC))
+
+    @pytest.mark.parametrize(
+        "operand", ["//a", "//a/@k", "//c", "//nothing", "'x'", "1", "true()", "$rtf", "$n"]
+    )
+    @pytest.mark.parametrize("literal", ["x", "y", "1", "", "true"])
+    def test_equals_a_string_literal_is_the_general_comparison(self, operand, literal):
+        ctx = Context(SHAPES_DOC, variables={"n": 1.0, "rtf": ResultTreeFragment(["x"])})
+        general = evaluate(f"{operand} = string('{literal}')", ctx)
+        assert evaluate(f"{operand} = '{literal}'", ctx) is general
+        assert evaluate(f"'{literal}' = {operand}", ctx) is general
+
+    def test_key_of_one_node_or_a_literal_name_is_the_general_lookup(self):
+        s = sheet(
+            """<xsl:key name="by-k" match="a" use="@k"/>
+               <xsl:template match="/">
+                 <xsl:variable name="one" select="(//a)[2]/@k"/>
+                 <xsl:variable name="both" select="//a/@k"/>
+                 <xsl:for-each select="key('by-k', $one) | key(//n, 'x')">
+                   <xsl:value-of select="."/></xsl:for-each>,<xsl:for-each
+                   select="key(string('by-k'), string($one))"><xsl:value-of select="."/></xsl:for-each>,<xsl:for-each
+                   select="key('by-k', $both)"><xsl:value-of select="."/></xsl:for-each>
+               </xsl:template>"""
+        )
+        source = "<r><n>by-k</n><a k='x'>1</a><a k='y'>2</a></r>"
+        assert Transformer(s).transform(source) == "12,2,12"
+
+    def test_unknown_key_name_raises_only_when_reached(self):
+        s = sheet(
+            """<xsl:template match="/">
+                 <o><xsl:if test="//go"><xsl:value-of select="count(key('nope', 'x'))"/></xsl:if></o>
+               </xsl:template>"""
+        )
+        assert Transformer(s).transform("<r/>") == "<o/>"
+        with pytest.raises(XsltError, match="no xsl:key named 'nope'"):
+            Transformer(s).transform("<r><go/></r>")
+
+    def test_a_node_is_listed_once_under_a_value_its_use_yields_twice(self):
+        s = sheet(
+            """<xsl:key name="k" match="item" use="tag"/>
+               <xsl:template match="/">
+                 <xsl:value-of select="count(key('k', 'a'))"/>,<xsl:value-of
+                   select="count(key('k', 'a') | key('k', 'a'))"/>
+               </xsl:template>"""
+        )
+        source = "<r><item><tag>a</tag><tag>a</tag></item><item><tag>a</tag></item></r>"
+        assert Transformer(s).transform(source) == "2,2"
+
+    def test_text_only_bodies_build_what_an_output_builder_builds(self):
+        """An attribute or variable body that lowering proves writes only
+        text is built as a list of strings; ``xsl:copy-of`` is not on the
+        proof's list, so the second copy of each body takes the general
+        builder, and both give the same value."""
+        text_only = """<xsl:for-each select="//i"><xsl:choose>
+              <xsl:when test=". = 'p'"><xsl:value-of select="."/></xsl:when>
+              <xsl:otherwise><xsl:text>-</xsl:text><xsl:if test="true()">q</xsl:if></xsl:otherwise>
+            </xsl:choose></xsl:for-each>"""
+        general = "<xsl:copy-of select=\"''\"/>" + text_only
+        s = sheet(
+            f"""<xsl:template match="/">
+                 <xsl:variable name="text">{text_only}</xsl:variable>
+                 <xsl:variable name="built">{general}</xsl:variable>
+                 <o><xsl:attribute name="a">{text_only}</xsl:attribute>
+                   <xsl:attribute name="b">{general}</xsl:attribute>
+                   <xsl:copy-of select="$text"/>|<xsl:copy-of select="$built"/>|<xsl:value-of
+                     select="concat(boolean($text), string-length($built), $text = $built)"/>
+                 </o>
+               </xsl:template>"""
+        )
+        assert Transformer(s).transform("<r><i>p</i><i>x</i></r>") == (
+            '<o a="p-q" b="p-q">p-q|p-q|true3true</o>'
+        )
+        for body, proved in ((text_only, True), (general, False), ("<e/>", False)):
+            wrapper = ET.fromstring(f"<xsl:attribute {XSL_NS}>{body}</xsl:attribute>")
+            assert _Lowering.writes_text_only(_body_items(wrapper)) is proved

@@ -1,0 +1,123 @@
+"""Per-template profile of the XMI2CNX stylesheet (Fig. 6 step 3).
+
+Transforms the ``compose-wide150`` model (a 152-task fan, one ``Integer``
+parameter per worker) and prints, per template, its calls, its own time
+(the time spent in nested template invocations subtracted) and the
+``key()`` calls made directly in it, plus the source-tree build, the
+key-table builds and serialisation.  Times are the minimum over REPS
+runs, one core, the collector off.
+
+A measurement script, not a product feature: it wraps the lowered
+program's template bodies from outside.  Run it from the checkout root:
+
+    PYTHONPATH=src python tooling/profile_xmi2cnx.py [REPS]
+"""
+
+from __future__ import annotations
+
+import gc
+import sys
+import time
+from collections import defaultdict
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from benchmarks.e2e.workloads import ComposeWide  # noqa: E402
+from repro.core.transform.pipeline import Pipeline  # noqa: E402
+from repro.core.transform.xmi2cnx import load_stylesheet  # noqa: E402
+from repro.xslt import Transformer  # noqa: E402
+from repro.xslt.output import serialize  # noqa: E402
+from repro.xslt.xpath.datamodel import build_document  # noqa: E402
+
+
+def profile(xmi: str, reps: int) -> tuple[dict, dict, dict]:
+    sheet = load_stylesheet("xmi2cnx.xsl")
+    program = sheet.lowered()
+    templates = {id(t): t for t in program.named.values()}
+    for by_kind, any_kind in program.dispatch.values():
+        for by_name, fallback in by_kind.values():
+            for best_first, _ in (*by_name.values(), fallback):
+                templates.update((id(t), t) for t in best_first)
+        templates.update((id(t), t) for t in any_kind[0])
+    best: dict[str, float] = defaultdict(lambda: float("inf"))
+    calls: dict[str, int] = {}
+    keys: dict[str, int] = {}
+    saved = {t: t.body for t in templates.values()}
+    run_own: dict[str, float] = defaultdict(float)
+    run_calls: dict[str, int] = defaultdict(int)
+    run_keys: dict[str, int] = defaultdict(int)
+    stack: list[list] = []  # [label, time in nested templates]
+
+    def timed(label: str, run, *args):
+        stack.append([label, 0.0])
+        start = time.perf_counter()
+        try:
+            return run(*args)
+        finally:
+            elapsed = time.perf_counter() - start
+            _, nested = stack.pop()
+            run_own[label] += elapsed - nested
+            run_calls[label] += 1
+            if stack:
+                stack[-1][1] += elapsed
+
+    for template, body in saved.items():
+        rule = template.rule
+        label = rule.name or f"match={rule.pattern.source}"
+        template.body = lambda tr, ctx, out, label=label, body=body: timed(
+            label, body, tr, ctx, out
+        )
+    fn_key, key_table = Transformer._fn_key, Transformer._key_table
+
+    def counted_key(self, *args):
+        run_keys[stack[-1][0] if stack else "(key tables)"] += 1
+        return fn_key(self, *args)
+
+    def timed_key_table(self, name):
+        if name in self._key_tables:
+            return key_table(self, name)
+        return timed("(key tables)", key_table, self, name)
+
+    Transformer._fn_key, Transformer._key_table = counted_key, timed_key_table
+    params = {"log": "CN_Client.log", "port": "5666"}
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(reps):
+            run_own.clear(), run_calls.clear(), run_keys.clear()
+            start = time.perf_counter()
+            doc = build_document(xmi, strips=program.strips)
+            run_own["(source tree)"] = time.perf_counter() - start
+            tr = Transformer(sheet)
+            start = time.perf_counter()
+            top = tr.transform_to_tree(doc, params)
+            run_own["(templates + key tables)"] = time.perf_counter() - start
+            start = time.perf_counter()
+            serialize(top, sheet.output)
+            run_own["(serialise)"] = time.perf_counter() - start
+            for label, own in run_own.items():
+                best[label] = min(best[label], own)
+            calls, keys = dict(run_calls), dict(run_keys)
+    finally:
+        gc.enable()
+        Transformer._fn_key, Transformer._key_table = fn_key, key_table
+        for template, body in saved.items():
+            template.body = body
+    return dict(best), calls, keys
+
+
+def main() -> None:
+    reps = int(sys.argv[1]) if len(sys.argv) > 1 else 15
+    pipeline = Pipeline()
+    xmi = pipeline.export_xmi(pipeline.to_model(ComposeWide().model(0)))
+    best, calls, keys = profile(xmi, reps)
+    print(f"XMI2CNX on compose-wide150 (152 tasks), min of {reps}, collector off")
+    print(f"{'':<28}{'calls':>7}{'own ms':>9}{'key()':>7}")
+    for label, own in sorted(best.items(), key=lambda item: -item[1]):
+        count = sum(keys.values()) if label.startswith("(templates") else keys.get(label, "")
+        print(f"{label:<28}{calls.get(label, ''):>7}{own * 1000:>9.1f}{count:>7}")
+
+
+if __name__ == "__main__":
+    main()
