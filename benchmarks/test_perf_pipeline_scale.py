@@ -8,11 +8,12 @@ isolate composition cost from workload compute.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
 
-from repro.cn import Cluster, Task, TaskRegistry
+from repro.cn import Cluster, Task, TaskRegistry, TaskSpec
 from repro.cn.taskmanager import TaskManager
 from repro.core.transform.pipeline import Pipeline
 from repro.core.uml import ActivityBuilder
@@ -79,6 +80,51 @@ def test_run_path_claims_each_task_once(monkeypatch, tasks):
         outcome = Pipeline().run(wide_model(tasks), cluster, timeout=120)
     assert len(outcome.results) == tasks + 2
     assert claims[0] / (tasks + 2) == 1.0
+
+
+def test_warm_op_starts_few_task_threads(monkeypatch):
+    """Count-only: an attempt runs on a parked task thread of its node
+    when one is idle.  Starting one thread per attempt read 152 starts
+    per op; parked threads read 20-22 on the first op of a cluster and
+    4-12 on each op after it (2-core container)."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(self):
+        if self.name.startswith("cn-task-"):
+            started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    model = wide_model(150)
+    with Cluster(4, registry=registry(), memory_per_node=10**6,
+                 slots_per_node=1024) as cluster:
+        Pipeline().run(model, cluster, timeout=120)
+        for _ in range(3):
+            started.clear()
+            outcome = Pipeline().run(model, cluster, timeout=120)
+            assert len(outcome.results) == 152
+            assert len(started) <= 20
+
+
+def test_attempt_reads_depends_a_constant_number_of_times(monkeypatch):
+    """Count-only: an attempt's context is handed the roster view of its
+    job, derived once per roster version.  Rebuilding the dependency map
+    per attempt read ``TaskSpec.depends`` 158 times per attempt on the
+    152-task fan (N + 6); the roster view reads 7."""
+    reads = [0]
+
+    def getattribute(self, name):
+        if name == "depends":
+            reads[0] += 1
+        return object.__getattribute__(self, name)
+
+    monkeypatch.setattr(TaskSpec, "__getattribute__", getattribute)
+    with Cluster(4, registry=registry(), memory_per_node=10**6,
+                 slots_per_node=1024) as cluster:
+        outcome = Pipeline().run(wide_model(150), cluster, timeout=120)
+    assert len(outcome.results) == 152
+    assert reads[0] / 152 <= 8
 
 
 def test_scale_report(report):

@@ -50,17 +50,21 @@ GUARDED_BY: dict[str, str] = {
     # Job: the route ledger and the checkpoint store mutate under the
     # job's reentrant lock, and so does the DAG drive -- the (dependents,
     # unmet counts, counted completions) triple, derived and decremented
-    # as one step -- the first-non-terminal-task cursor and the tasks whose
-    # terminal records are written.
+    # as one step -- the roster view attempts are handed, the
+    # first-non-terminal-task cursor and the tasks whose terminal records
+    # are written.
     "Job._delivery_log": "Job._lock",
     "Job._checkpoints": "Job._lock",
     "Job._drive": "Job._lock",
+    "Job._roster": "Job._lock",
     "Job._first_live": "Job._lock",
     "Job._terminal_noted": "Job._lock",
     # JobManager: the job table, which a registry read (another thread)
     # copies through JobManager.census.
     "JobManager.jobs": "JobManager._lock",
     "JobManager._active": "JobManager._lock",
+    # JobDirectory: the first-registration order marks index into.
+    "JobDirectory._registered": "JobDirectory._lock",
     # TupleSpace: the backing list is only touched under the condition's
     # lock; ``_take`` relies on its caller holding it.
     "TupleSpace._tuples": "TupleSpace._lock",
@@ -81,6 +85,10 @@ GUARDED_BY: dict[str, str] = {
     "TaskManager._slots_used": "TaskManager._lock",
     "TaskManager._memory_used": "TaskManager._lock",
     "TaskManager._live": "TaskManager._lock",
+    # The task threads parked between attempts: popped by ``start_task``,
+    # pushed back by a thread whose attempt returned unless shutdown has
+    # already taken the list.
+    "TaskManager._idle": "TaskManager._lock",
     # Placement state: the archive-locality cache a bid scores mutates
     # with the hosting tables.
     "TaskManager._archive_cache": "TaskManager._lock",

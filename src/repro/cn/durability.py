@@ -511,6 +511,9 @@ class JobDirectory:
 
     def __init__(self) -> None:
         self._entries: dict[str, DirectoryEntry] = {}
+        #: job ids in first-registration order (a re-registration by an
+        #: adopting manager adds none); a mark is a position in it
+        self._registered: list[str] = []
         self._lock = make_lock("JobDirectory._lock", reentrant=False)
 
     def register(self, job_id: str, manager: Any, job: Any, epoch: int = 1) -> None:
@@ -519,7 +522,9 @@ class JobDirectory:
             current = self._entries.get(job_id)
             if current is not None and current.epoch > epoch:
                 return  # a zombie manager cannot re-claim an adopted job
-            if current is not None and current.job is not job:
+            if current is None:
+                self._registered.append(job_id)
+            elif current.job is not job:
                 replaced = current.job
             self._entries[job_id] = DirectoryEntry(manager, job, epoch)
         # wake clients blocked on the superseded Job *after* releasing the
@@ -537,6 +542,17 @@ class JobDirectory:
     def job_ids(self) -> list[str]:
         with self._lock:
             return sorted(self._entries)
+
+    def mark(self) -> int:
+        """A position in registration order for :meth:`job_ids_since`."""
+        with self._lock:
+            return len(self._registered)
+
+    def job_ids_since(self, mark: int) -> list[str]:
+        """The ids first registered after *mark*, sorted: what a caller
+        pays for is the jobs it made, not every job the cluster has had."""
+        with self._lock:
+            return sorted(self._registered[mark:])
 
 
 @dataclass

@@ -273,6 +273,12 @@ class Job:
         self._drive: Optional[
             tuple[dict[str, list[str]], dict[str, int], set[str]]
         ] = None
+        # what every attempt's context is handed (see roster), one pair per
+        # roster version: the task names in roster order and each task's
+        # depends.  None = the roster grew; the next reader re-derives it.
+        self._roster: Optional[
+            tuple[list[str], dict[str, tuple[str, ...]]]
+        ] = None
         # index into task_order of the first task not yet seen terminal.
         # Terminal states are final, so it only moves forward and "is every
         # task terminal" is "has it reached the end" (see all_terminal)
@@ -362,9 +368,10 @@ class Job:
             runtime = TaskRuntime(spec)
             self.tasks[spec.name] = runtime
             self.task_order.append(spec.name)
-            # a new roster version: the drive's counts are re-derived by
-            # whoever reads them next
+            # a new roster version: the drive's counts and the roster view
+            # are re-derived by whoever reads them next
             self._drive = None
+            self._roster = None
             return runtime
 
     def task(self, name: str) -> TaskRuntime:
@@ -375,6 +382,21 @@ class Job:
 
     def task_names(self) -> list[str]:
         return list(self.task_order)
+
+    def roster(self) -> tuple[list[str], dict[str, tuple[str, ...]]]:
+        """``(peers, dependencies)`` of the current roster version: the
+        task names in roster order and each task's ``depends``, derived
+        once per version and shared by every attempt's context (which
+        copies what it keeps).  Read-only to callers."""
+        with self._lock:
+            roster = self._roster
+            if roster is None:
+                tasks = self.tasks
+                roster = self._roster = (
+                    list(self.task_order),
+                    {name: tasks[name].spec.depends for name in self.task_order},
+                )
+            return roster
 
     # -- dependency queries --------------------------------------------------------
     def ready_tasks(self) -> list[TaskRuntime]:

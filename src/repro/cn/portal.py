@@ -217,7 +217,7 @@ class Portal:
     ) -> Submission:
         chaos = self.cluster.chaos
         faults_before = len(chaos.log_dicts()) if chaos is not None else 0
-        jobs_before = set(self.cluster.directory.job_ids())
+        jobs_mark = self.cluster.directory.mark()
         try:
             # step 1 checks the model against this cluster's shape and
             # task registry before anything reaches it
@@ -247,17 +247,17 @@ class Portal:
         finally:
             if chaos is not None:
                 submission.fault_events = chaos.log_dicts()[faults_before:]
-            self._capture_jobs(submission, jobs_before)
+            self._capture_jobs(submission, jobs_mark)
         return submission
 
-    def _capture_jobs(self, submission: Submission, jobs_before: set) -> None:
+    def _capture_jobs(self, submission: Submission, jobs_mark: int) -> None:
         """Record what the jobs created while this submission ran left
         behind (partial runs included -- a failed submission's timeline
         is exactly what you want to look at): adoptions and dead letters
         from each job's own journal records, read from its current
         manager's replica, and the job's spans (trace id == job id)."""
         directory = self.cluster.directory
-        job_ids = [j for j in directory.job_ids() if j not in jobs_before]
+        job_ids = directory.job_ids_since(jobs_mark)
         for job_id in job_ids:
             journal = directory.lookup(job_id).manager.journal
             if journal is None:

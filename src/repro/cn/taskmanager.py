@@ -5,6 +5,12 @@ transparent to the user. ... TaskManager in turn sets up a message queue
 for each Task and then executes each Task in a separate thread when the
 User program requests to start the Task." (paper section 3)
 
+A task thread is not made per attempt: one whose attempt returned parks
+until :meth:`TaskManager.start_task` hands it the next, and a new thread
+is started only when none is parked, so a node holds no more task
+threads than it ever had attempts in flight at once.
+:meth:`TaskManager.shutdown` ends the parked ones.
+
 Resource model: a TaskManager has a memory capacity (the unit matches
 the descriptor's ``<memory>`` values) and a bounded number of execution
 slots.  Hosting a task reserves its memory immediately (the JAR is
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import threading
 import traceback
+from queue import SimpleQueue
 from typing import TYPE_CHECKING, Any, Callable, Optional, Type
 
 from ..analysis.conc.runtime import make_lock
@@ -53,7 +60,10 @@ class HostedTask:
         self.job = job
         self.runtime = runtime
         self.task_class = task_class
-        self.thread: Optional[threading.Thread] = None
+        #: this hosting's message queue; the task's ``runtime.queue`` moves
+        #: on to a fresh one when it is re-placed, so an attempt that only
+        #: begins after that must not read it
+        self.queue = runtime.queue
         self.context: Optional[TaskContext] = None
         #: the placement generation this hosting belongs to; stale when
         #: it no longer matches ``runtime.epoch``
@@ -113,6 +123,9 @@ class TaskManager:
         #: the bid scheduler's "do I have this?" locality check O(1)
         self._archive_cache: set = set()
         self._lock = make_lock("TaskManager._lock")
+        #: task threads parked between attempts, each with the inbox it
+        #: waits on for the next one (see :meth:`_serve`)
+        self._idle: list[tuple[threading.Thread, SimpleQueue]] = []
         self._shutdown = False
         self._crashed = False
         self._beats = 0
@@ -299,7 +312,8 @@ class TaskManager:
         on_terminal: Optional[Callable[[Job, TaskRuntime], None]] = None,
         claim_only: bool = False,
     ) -> bool:
-        """Run the task on its own thread (per its run model).
+        """Run the task on a task thread of this node (per its run
+        model): a parked one if any, else a new one.
 
         With ``claim_only`` a task that is not in CREATED state -- or
         whose hosting vanished underneath a node crash -- is simply not
@@ -325,13 +339,8 @@ class TaskManager:
             hosted.started_at = self.clock.now()
             self._starts += 1
             starts = self._starts
-        thread = threading.Thread(
-            target=self._run_task,
-            args=(hosted, on_terminal),
-            name=f"cn-task-{job.job_id}-{name}",
-            daemon=True,
-        )
-        hosted.thread = thread
+            parked = self._idle.pop() if self._idle else None
+        thread_name = f"cn-task-{job.job_id}-{name}"
         job.notify(
             MessageType.TASK_STARTED,
             {"task": name, "node": self.name},
@@ -339,7 +348,15 @@ class TaskManager:
             origin=self.name.split("/")[0],
             span=f"task:{name}",
         )
-        thread.start()
+        if parked is None:
+            inbox: SimpleQueue = SimpleQueue()
+            threading.Thread(
+                target=self._serve, args=(inbox,), name=thread_name, daemon=True
+            ).start()
+        else:
+            thread, inbox = parked
+            thread.name = thread_name
+        inbox.put((hosted, on_terminal))
         chaos = self.chaos
         if chaos is not None and chaos.enabled and chaos.node_crash_due(self.name, starts):
             hook = self.crash_hook
@@ -348,6 +365,22 @@ class TaskManager:
             else:
                 self.crash()
         return True
+
+    def _serve(self, inbox: SimpleQueue) -> None:
+        """A task thread: run each attempt :meth:`start_task` puts in
+        *inbox*, parking in between, until shutdown puts None.  An
+        exception escaping an attempt ends the thread (and reaches
+        ``threading.excepthook``) instead of parking it."""
+        me = threading.current_thread()
+        while (work := inbox.get()) is not None:
+            self._run_task(*work)
+            # parked, the thread holds nothing of the attempt that ran
+            work = None
+            me.name = f"cn-task-parked-{self.name}"
+            with self._lock:
+                if self._shutdown:
+                    return
+                self._idle.append((me, inbox))
 
     def _run_task(
         self,
@@ -389,18 +422,17 @@ class TaskManager:
                 )
             return found
 
+        peers, dependencies = job.roster()
         context = TaskContext(
             task_name=runtime.name,
             job_id=job.job_id,
             node_name=self.name,
-            peers=job.task_names(),
-            queue=runtime.queue,  # type: ignore[arg-type]
+            peers=peers,
+            queue=hosted.queue,  # type: ignore[arg-type]
             route_many=job.route_many,
             tuple_space=job.tuple_space,
             params=runtime.spec.params,
-            dependencies={
-                name: job.tasks[name].spec.depends for name in job.task_names()
-            },
+            dependencies=dependencies,
             attempt_epoch=hosted.epoch,
             manager_epoch=job.manager_epoch,
             checkpoint_save=checkpoint_save,
@@ -698,11 +730,18 @@ class TaskManager:
         return total
 
     def shutdown(self) -> None:
+        """Cancel every hosting and end every parked task thread; one
+        still running an attempt ends when the attempt does."""
         with self._lock:
             self._shutdown = True
             hosted = list(self._hosted.values())
+            parked, self._idle = self._idle, []
         for h in hosted:
             h.cancel()
+        for _, inbox in parked:
+            inbox.put(None)
+        for thread, _ in parked:
+            thread.join()
 
     def __repr__(self) -> str:
         return (

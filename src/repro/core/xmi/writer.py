@@ -10,9 +10,10 @@ with source/target references -- the layout early-2000s XMI exporters
 (Poseidon, ArgoUML) produced and the paper's XMI2CNX tool consumed.
 
 The generated vocabulary uses the undeclared ``UML:`` prefix exactly as
-the paper's documents do: the element tree is built with ``UML:`` tags
-(``ET.Element`` does not validate them) and
-:func:`repro.util.xmlutil.pretty_print` writes tags verbatim.
+the paper's documents do.  The writer emits the text in one pass, one
+element per line with two-space indentation, attributes in a fixed order
+and an element with nothing inside written self-closing -- no tree is
+built only to be walked once.
 
 Ids are deterministic (``a1, a2, ...`` in emission order) so repeated
 exports of the same model are byte-identical.
@@ -20,10 +21,8 @@ exports of the same model are byte-identical.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-
 from repro.util.idgen import SequentialIds
-from repro.util.xmlutil import pretty_print
+from repro.util.xmlutil import escape_attr
 
 from ..uml.activity import (
     ActionState,
@@ -34,11 +33,37 @@ from ..uml.activity import (
     Transition,
 )
 from ..uml.model import Model, Package
-from ..uml.tags import TaggedElement
 
 __all__ = ["XmiWriter", "write_model", "write_graph"]
 
-_FALSE = "false"
+_SPEC = ' isSpecification="false"'
+_PAD = tuple("  " * level for level in range(16))
+_HEADER = (
+    '<XMI xmi.version="1.2">\n'
+    "  <XMI.header>\n"
+    "    <XMI.documentation>\n"
+    "      <XMI.exporter>repro.core.xmi</XMI.exporter>\n"
+    "    </XMI.documentation>\n"
+    "  </XMI.header>\n"
+    "  <XMI.content>\n"
+)
+
+
+def _q(value: object) -> str:
+    return escape_attr(str(value))
+
+
+def _named(xid: str, name: str) -> str:
+    return f' xmi.id="{xid}" name="{_q(name)}"{_SPEC}'
+
+
+def _vertex_tag(vertex: StateVertex) -> str:
+    if isinstance(vertex, ActionState):
+        return "UML:ActionState"
+    if isinstance(vertex, FinalState):
+        return "UML:FinalState"
+    assert isinstance(vertex, Pseudostate)
+    return "UML:Pseudostate"
 
 
 class XmiWriter:
@@ -49,227 +74,156 @@ class XmiWriter:
         self._tagdef_ids: dict[str, str] = {}
         self._vertex_ids: dict[int, str] = {}
         self._transition_ids: dict[int, str] = {}
+        self._out: list[str] = []
 
     # -- public API ---------------------------------------------------------
     def write(self, model: Model) -> str:
         """Serialize *model* to an XMI document string."""
-        return pretty_print(self.to_element(model), xml_declaration=False)
-
-    def to_element(self, model: Model) -> ET.Element:
-        root = ET.Element("XMI", {"xmi.version": "1.2"})
-        header = ET.SubElement(root, "XMI.header")
-        doc = ET.SubElement(header, "XMI.documentation")
-        exporter = ET.SubElement(doc, "XMI.exporter")
-        exporter.text = "repro.core.xmi"
-        content = ET.SubElement(root, "XMI.content")
-        model_elem = ET.SubElement(
-            content,
-            "UML:Model",
-            {
-                "xmi.id": self._ids.next(),
-                "name": model.name,
-                "isSpecification": _FALSE,
-            },
-        )
-        owned = ET.SubElement(model_elem, "UML:Namespace.ownedElement")
+        self._out = [_HEADER]
+        mark = self._open(2, "UML:Model", _named(self._ids.next(), model.name))
+        owned = self._open(3, "UML:Namespace.ownedElement")
         for package in model.packages:
-            self._write_package(owned, package)
-        return root
+            self._write_package(package)
+        self._close(owned, 3, "UML:Namespace.ownedElement")
+        self._close(mark, 2, "UML:Model")
+        self._out.append("  </XMI.content>\n</XMI>\n")
+        return "".join(self._out)
+
+    # -- text ---------------------------------------------------------------
+    def _open(self, level: int, tag: str, attrs: str = "") -> int:
+        """Write a start tag; returns the mark :meth:`_close` takes."""
+        self._out.append(f"{_PAD[level]}<{tag}{attrs}>\n")
+        return len(self._out)
+
+    def _close(self, mark: int, level: int, tag: str) -> None:
+        """End the element opened at *mark*, self-closing when nothing
+        was written inside it."""
+        out = self._out
+        if len(out) == mark:
+            out[-1] = out[-1][:-2] + "/>\n"
+        else:
+            out.append(f"{_PAD[level]}</{tag}>\n")
+
+    def _leaf(self, level: int, tag: str, attrs: str) -> None:
+        self._out.append(f"{_PAD[level]}<{tag}{attrs}/>\n")
 
     # -- structure ------------------------------------------------------------
-    def _write_package(self, parent: ET.Element, package: Package) -> None:
-        pkg_elem = ET.SubElement(
-            parent,
-            "UML:Package",
-            {
-                "xmi.id": self._ids.next(),
-                "name": package.name,
-                "isSpecification": _FALSE,
-            },
-        )
-        owned = ET.SubElement(pkg_elem, "UML:Namespace.ownedElement")
+    def _write_package(self, package: Package) -> None:
+        mark = self._open(4, "UML:Package", _named(self._ids.next(), package.name))
+        owned = self._open(5, "UML:Namespace.ownedElement")
         # Tag definitions first, in first-use order, so TaggedValue idrefs
         # are forward-resolvable and ids stay stable (Fig. 7 has the
         # definitions at low ids: a7, a10, a13, a16).
         for graph in package.graphs:
             for action in graph.action_states():
                 for tv in action.tagged_values:
-                    self._tagdef_id(owned, tv.name)
-        graph_ids: dict[str, str] = {}
-        for graph in package.graphs:
-            graph_ids[graph.name] = self._write_graph(owned, graph)
+                    if tv.name not in self._tagdef_ids:
+                        self._tagdef_ids[tv.name] = tid = self._ids.next()
+                        self._leaf(
+                            6,
+                            "UML:TagDefinition",
+                            f' xmi.id="{tid}" name="{_q(tv.name)}"{_SPEC}'
+                            ' tagType="String"',
+                        )
+        graph_ids = {graph.name: self._write_graph(graph) for graph in package.graphs}
         # client-level partial order (paper section 4): each (before, after)
         # pair becomes a UML:Dependency whose client is the dependent graph
         # and whose supplier is its prerequisite
         for before, after in package.job_order:
-            dep = ET.SubElement(
-                owned,
-                "UML:Dependency",
-                {
-                    "xmi.id": self._ids.next(),
-                    "name": f"{after}-after-{before}",
-                    "isSpecification": _FALSE,
-                },
+            dep = self._open(
+                6, "UML:Dependency", _named(self._ids.next(), f"{after}-after-{before}")
             )
-            client = ET.SubElement(dep, "UML:Dependency.client")
-            ET.SubElement(
-                client, "UML:ActivityGraph", {"xmi.idref": graph_ids[after]}
-            )
-            supplier = ET.SubElement(dep, "UML:Dependency.supplier")
-            ET.SubElement(
-                supplier, "UML:ActivityGraph", {"xmi.idref": graph_ids[before]}
-            )
+            for role, graph in (("client", after), ("supplier", before)):
+                end = self._open(7, f"UML:Dependency.{role}")
+                self._leaf(8, "UML:ActivityGraph", f' xmi.idref="{graph_ids[graph]}"')
+                self._close(end, 7, f"UML:Dependency.{role}")
+            self._close(dep, 6, "UML:Dependency")
+        self._close(owned, 5, "UML:Namespace.ownedElement")
+        self._close(mark, 4, "UML:Package")
 
-    def _tagdef_id(self, owned: ET.Element, name: str) -> str:
-        existing = self._tagdef_ids.get(name)
-        if existing is not None:
-            return existing
-        tid = self._ids.next()
-        self._tagdef_ids[name] = tid
-        ET.SubElement(
-            owned,
-            "UML:TagDefinition",
-            {
-                "xmi.id": tid,
-                "name": name,
-                "isSpecification": _FALSE,
-                "tagType": "String",
-            },
-        )
-        return tid
-
-    def _write_graph(self, parent: ET.Element, graph: ActivityGraph) -> str:
+    def _write_graph(self, graph: ActivityGraph) -> str:
         graph_id = self._ids.next()
-        graph_elem = ET.SubElement(
-            parent,
-            "UML:ActivityGraph",
-            {
-                "xmi.id": graph_id,
-                "name": graph.name,
-                "isSpecification": _FALSE,
-            },
-        )
-        top = ET.SubElement(graph_elem, "UML:StateMachine.top")
-        composite = ET.SubElement(
-            top,
+        mark = self._open(6, "UML:ActivityGraph", _named(graph_id, graph.name))
+        top = self._open(7, "UML:StateMachine.top")
+        composite = self._open(
+            8,
             "UML:CompositeState",
-            {
-                "xmi.id": self._ids.next(),
-                "name": "top",
-                "isSpecification": _FALSE,
-                "isConcurrent": _FALSE,
-            },
+            f' xmi.id="{self._ids.next()}" name="top"{_SPEC} isConcurrent="false"',
         )
-        subvertex = ET.SubElement(composite, "UML:CompositeState.subvertex")
-
+        subvertex = self._open(9, "UML:CompositeState.subvertex")
         # Allocate ids: vertices in insertion order, then transitions, so
         # reference lists can be emitted in one pass.
         for vertex in graph.vertices:
             self._vertex_ids[id(vertex)] = self._ids.next()
         for transition in graph.transitions:
             self._transition_ids[id(transition)] = self._ids.next()
-
         for vertex in graph.vertices:
-            self._write_vertex(subvertex, vertex)
-
-        transitions_elem = ET.SubElement(graph_elem, "UML:StateMachine.transitions")
+            self._write_vertex(vertex)
+        self._close(subvertex, 9, "UML:CompositeState.subvertex")
+        self._close(composite, 8, "UML:CompositeState")
+        self._close(top, 7, "UML:StateMachine.top")
+        transitions = self._open(7, "UML:StateMachine.transitions")
         for transition in graph.transitions:
-            self._write_transition(transitions_elem, transition)
+            self._write_transition(transition)
+        self._close(transitions, 7, "UML:StateMachine.transitions")
+        self._close(mark, 6, "UML:ActivityGraph")
         return graph_id
 
-    def _vertex_tag(self, vertex: StateVertex) -> str:
+    def _write_vertex(self, vertex: StateVertex) -> None:
+        tag = _vertex_tag(vertex)
+        attrs = _named(self._vertex_ids[id(vertex)], vertex.name)
         if isinstance(vertex, ActionState):
-            return "UML:ActionState"
-        if isinstance(vertex, FinalState):
-            return "UML:FinalState"
-        assert isinstance(vertex, Pseudostate)
-        return "UML:Pseudostate"
-
-    def _write_vertex(self, parent: ET.Element, vertex: StateVertex) -> None:
-        attrs = {
-            "xmi.id": self._vertex_ids[id(vertex)],
-            "name": vertex.name,
-            "isSpecification": _FALSE,
-        }
-        if isinstance(vertex, ActionState):
-            attrs["isDynamic"] = "true" if vertex.is_dynamic else "false"
+            attrs += ' isDynamic="true"' if vertex.is_dynamic else ' isDynamic="false"'
             if vertex.is_dynamic and vertex.dynamic_multiplicity:
-                attrs["dynamicMultiplicity"] = vertex.dynamic_multiplicity
+                attrs += f' dynamicMultiplicity="{_q(vertex.dynamic_multiplicity)}"'
         if isinstance(vertex, Pseudostate):
-            attrs["kind"] = vertex.pseudo_kind
-        elem = ET.SubElement(parent, self._vertex_tag(vertex), attrs)
+            attrs += f' kind="{_q(vertex.pseudo_kind)}"'
+        mark = self._open(10, tag, attrs)
         if isinstance(vertex, ActionState):
             if vertex.is_dynamic and vertex.dynamic_arguments:
-                dyn = ET.SubElement(elem, "UML:ActionState.dynamicArguments")
-                ET.SubElement(
-                    dyn,
+                dyn = self._open(11, "UML:ActionState.dynamicArguments")
+                self._leaf(
+                    12,
                     "UML:ArgListsExpression",
-                    {
-                        "xmi.id": self._ids.next(),
-                        "language": "CN",
-                        "body": vertex.dynamic_arguments,
-                    },
+                    f' xmi.id="{self._ids.next()}" language="CN"'
+                    f' body="{_q(vertex.dynamic_arguments)}"',
                 )
-            self._write_tagged_values(elem, vertex)
-        self._write_transition_refs(elem, vertex)
+                self._close(dyn, 11, "UML:ActionState.dynamicArguments")
+            if vertex.tagged_values:
+                values = self._open(11, "UML:ModelElement.taggedValue")
+                for tv in vertex.tagged_values:
+                    self._out.append(
+                        f'{_PAD[12]}<UML:TaggedValue xmi.id="{self._ids.next()}"{_SPEC}'
+                        f' dataValue="{_q(tv.value)}">\n'
+                        f"{_PAD[13]}<UML:TaggedValue.type>\n"
+                        f'{_PAD[14]}<UML:TagDefinition xmi.idref="{self._tagdef_ids[tv.name]}"/>\n'
+                        f"{_PAD[13]}</UML:TaggedValue.type>\n"
+                        f"{_PAD[12]}</UML:TaggedValue>\n"
+                    )
+                self._close(values, 11, "UML:ModelElement.taggedValue")
+        for role, transitions in (("outgoing", vertex.outgoing), ("incoming", vertex.incoming)):
+            if transitions:
+                refs = self._open(11, f"UML:StateVertex.{role}")
+                for transition in transitions:
+                    self._leaf(
+                        12,
+                        "UML:Transition",
+                        f' xmi.idref="{self._transition_ids[id(transition)]}"',
+                    )
+                self._close(refs, 11, f"UML:StateVertex.{role}")
+        self._close(mark, 10, tag)
 
-    def _write_tagged_values(self, elem: ET.Element, element: TaggedElement) -> None:
-        if not element.tagged_values:
-            return
-        container = ET.SubElement(elem, "UML:ModelElement.taggedValue")
-        for tv in element.tagged_values:
-            tv_elem = ET.SubElement(
-                container,
-                "UML:TaggedValue",
-                {
-                    "xmi.id": self._ids.next(),
-                    "isSpecification": _FALSE,
-                    "dataValue": tv.value,
-                },
-            )
-            type_elem = ET.SubElement(tv_elem, "UML:TaggedValue.type")
-            ET.SubElement(
-                type_elem,
-                "UML:TagDefinition",
-                {"xmi.idref": self._tagdef_ids[tv.name]},
-            )
-
-    def _write_transition_refs(self, elem: ET.Element, vertex: StateVertex) -> None:
-        if vertex.outgoing:
-            out = ET.SubElement(elem, "UML:StateVertex.outgoing")
-            for transition in vertex.outgoing:
-                ET.SubElement(
-                    out,
-                    "UML:Transition",
-                    {"xmi.idref": self._transition_ids[id(transition)]},
-                )
-        if vertex.incoming:
-            inc = ET.SubElement(elem, "UML:StateVertex.incoming")
-            for transition in vertex.incoming:
-                ET.SubElement(
-                    inc,
-                    "UML:Transition",
-                    {"xmi.idref": self._transition_ids[id(transition)]},
-                )
-
-    def _write_transition(self, parent: ET.Element, transition: Transition) -> None:
-        attrs = {
-            "xmi.id": self._transition_ids[id(transition)],
-            "isSpecification": _FALSE,
-        }
-        elem = ET.SubElement(parent, "UML:Transition", attrs)
-        source = ET.SubElement(elem, "UML:Transition.source")
-        ET.SubElement(
-            source,
-            self._vertex_tag(transition.source),
-            {"xmi.idref": self._vertex_ids[id(transition.source)]},
+    def _write_transition(self, transition: Transition) -> None:
+        mark = self._open(
+            8,
+            "UML:Transition",
+            f' xmi.id="{self._transition_ids[id(transition)]}"{_SPEC}',
         )
-        target = ET.SubElement(elem, "UML:Transition.target")
-        ET.SubElement(
-            target,
-            self._vertex_tag(transition.target),
-            {"xmi.idref": self._vertex_ids[id(transition.target)]},
-        )
+        for role, vertex in (("source", transition.source), ("target", transition.target)):
+            end = self._open(9, f"UML:Transition.{role}")
+            self._leaf(10, _vertex_tag(vertex), f' xmi.idref="{self._vertex_ids[id(vertex)]}"')
+            self._close(end, 9, f"UML:Transition.{role}")
+        self._close(mark, 8, "UML:Transition")
 
 
 def write_model(model: Model) -> str:

@@ -13,8 +13,8 @@ of early-2000s XMI exporters.  ElementTree's parser refuses undeclared
 prefixes, so for code that wants an ElementTree of such a document (the
 XMI reader, cnlint) :func:`parse_prefixed` maps ``UML:Foo`` to the safe
 form ``UML.Foo`` and :func:`serialize_prefixed` maps it back.  The XMI
-writer and the XSLT engine do not take that detour: :func:`pretty_print`
-writes tags verbatim and the engine reads the text as it is.
+writer and the XSLT engine do not take that detour: the writer emits the
+text itself and the engine reads it as it is.
 """
 
 from __future__ import annotations

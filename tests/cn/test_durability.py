@@ -373,6 +373,18 @@ class TestJobDirectory:
         assert directory.lookup("missing") is None
         assert directory.job_ids() == ["j"]
 
+    def test_ids_since_a_mark_are_the_ones_first_registered_after_it(self):
+        directory = JobDirectory()
+        directory.register("b", "mgr1", "job-b")
+        directory.register("a", "mgr1", "job-a")
+        mark = directory.mark()
+        assert directory.job_ids_since(mark) == []
+        directory.register("d", "mgr1", "job-d")
+        directory.register("a", "mgr2", "job-a2", epoch=2)  # an adoption
+        directory.register("c", "mgr2", "job-c")
+        assert directory.job_ids_since(mark) == ["c", "d"]
+        assert directory.job_ids_since(0) == directory.job_ids() == ["a", "b", "c", "d"]
+
 
 # -- replay ---------------------------------------------------------------------
 

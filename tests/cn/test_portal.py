@@ -125,6 +125,41 @@ class TestSubmissionEvents:
         assert asked and None not in asked
         assert len(set(asked)) == 1  # the one job this submission created
 
+    def test_submit_reads_none_of_the_earlier_submissions_job_ids(self):
+        class Recorder:
+            """The cluster's directory, recording every job id a read of
+            it hands back."""
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.seen = set()
+
+            def __getattr__(self, name):
+                attr = getattr(self.inner, name)
+                if not callable(attr):
+                    return attr
+
+                def call(*args, **kwargs):
+                    out = attr(*args, **kwargs)
+                    if isinstance(out, list):
+                        self.seen.update(out)
+                    return out
+
+                return call
+
+        registry = register_pi_tasks(TaskRegistry())
+        with Cluster(2, registry=registry, memory_per_node=64000) as cluster:
+            portal = Portal(cluster)
+            for _ in range(4):
+                assert portal.submit(pi_xmi(samples=2000, workers=2)).status == "done"
+            earlier = set(cluster.directory.job_ids())
+            recorder = cluster.directory = Recorder(cluster.directory)
+            submission = portal.submit(pi_xmi(samples=2000, workers=2))
+            portal.close()
+        assert submission.status == "done"
+        assert len(earlier) == 4
+        assert recorder.seen and not recorder.seen & earlier
+
     def test_dead_letters_are_the_submission_s_own(self):
         from repro.apps.floyd import (
             build_fig3_model,

@@ -21,6 +21,7 @@ from repro.cn import (
     Task,
     TaskFailedError,
     TaskSpec,
+    TaskManager,
     TaskState,
     evaluate_arguments,
     expand_dynamic_tasks,
@@ -575,8 +576,17 @@ class TestHostingEnds:
             assert handle.job.task("after").state is TaskState.CREATED
             self.assert_idle(cluster)
 
-    def test_late_outcome_of_a_dropped_hosting_is_fenced(self, scheduler):
-        release = threading.Event()
+    def test_late_outcome_of_a_dropped_hosting_is_fenced(self, scheduler, monkeypatch):
+        release, attempt_over = threading.Event(), threading.Event()
+        run_task = TaskManager._run_task
+
+        def run_then_signal(tm, hosted, on_terminal):
+            try:
+                run_task(tm, hosted, on_terminal)
+            finally:
+                attempt_over.set()
+
+        monkeypatch.setattr(TaskManager, "_run_task", run_then_signal)
 
         class Gated(Task):
             def __init__(self, *params):
@@ -597,13 +607,12 @@ class TestHostingEnds:
                 api.start_job(handle)
                 runtime = handle.job.task("g")
                 tm = cluster.server(runtime.node_name.split("/")[0]).taskmanager
-                hosted = tm._hosted[(handle.job_id, "g")]
                 tm.evict(handle.job, "g")
                 # its thread still runs, so it still holds what it reserved
                 assert tm.free_memory == self.MEMORY - 400
                 assert tm.hosted_count() == 1
                 release.set()
-                hosted.thread.join(5)
+                assert attempt_over.wait(5)
                 assert runtime.state is TaskState.RUNNING and runtime.result is None
                 self.assert_idle(cluster)
         finally:
