@@ -16,7 +16,7 @@ Sub-packages:
   servants, JobManager/TaskManager, multicast discovery, message queues,
   task archives, tuple spaces, CN API, web-portal prototype.
 * :mod:`repro.xslt` -- a from-scratch XSLT 1.0 / XPath 1.0 subset engine
-  that runs the real stylesheets.
+  that runs the XMI2CNX stylesheet.
 * :mod:`repro.apps` -- workloads: the guiding transitive-closure example
   plus Monte Carlo pi and tuple-space word count.
 

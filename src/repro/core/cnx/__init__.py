@@ -1,7 +1,7 @@
 """CNX: the CN compositional language (paper Fig. 2) -- model, parser,
 emitter, validator."""
 
-from .emitter import emit, to_element
+from .emitter import emit
 from .parser import CnxParseError, parse, parse_element
 from .schema import (
     DEFAULT_MEMORY,
@@ -27,7 +27,6 @@ __all__ = [
     "DEFAULT_PORT",
     "DEFAULT_RUNMODEL",
     "emit",
-    "to_element",
     "parse",
     "parse_element",
     "CnxParseError",

@@ -19,10 +19,10 @@ from repro.util.xmlutil import pretty_print
 
 from .schema import CnxDocument, CnxJob, CnxTask
 
-__all__ = ["emit", "to_element"]
+__all__ = ["emit"]
 
 
-def to_element(doc: CnxDocument) -> ET.Element:
+def _to_element(doc: CnxDocument) -> ET.Element:
     """Build the ``<cn2>`` element tree for *doc*."""
     root = ET.Element("cn2")
     client = doc.client
@@ -86,4 +86,4 @@ def _emit_task(parent: ET.Element, task: CnxTask) -> None:
 
 def emit(doc: CnxDocument) -> str:
     """The CNX descriptor as a pretty-printed XML string."""
-    return pretty_print(to_element(doc))
+    return pretty_print(_to_element(doc))

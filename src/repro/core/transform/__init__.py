@@ -1,13 +1,7 @@
 """The model-driven transformation chain (paper section 5): XMI2CNX,
 CNX2Py/CNX2Java, and the Fig. 6 pipeline."""
 
-from .cnx2code import (
-    GeneratedClient,
-    cnx_to_java,
-    cnx_to_java_xslt,
-    cnx_to_python,
-    cnx_to_python_xslt,
-)
+from .cnx2code import GeneratedClient, cnx_to_java, cnx_to_python
 from .pipeline import Pipeline, PipelineResult, run_pipeline
 from .xmi2cnx import (
     STYLESHEET_DIR,
@@ -26,8 +20,6 @@ __all__ = [
     "GeneratedClient",
     "cnx_to_python",
     "cnx_to_java",
-    "cnx_to_python_xslt",
-    "cnx_to_java_xslt",
     "xmi_to_cnx",
     "xmi_to_cnx_text",
     "xmi_to_cnx_native",

@@ -29,12 +29,7 @@ from typing import Any, Mapping, Optional
 from ..cnx.schema import CnxDocument, CnxJob, CnxTask
 from ..uml.tags import CNProfile
 
-__all__ = ["cnx_to_python", "cnx_to_java", "cnx_to_python_xslt", "cnx_to_java_xslt", "GeneratedClient"]
-
-
-def _ident(name: str) -> str:
-    """A safe Python identifier fragment derived from a task name."""
-    return re.sub(r"\W", "_", name)
+__all__ = ["cnx_to_python", "cnx_to_java", "GeneratedClient"]
 
 
 def _spec_literal(task: CnxTask) -> str:
@@ -170,41 +165,56 @@ class GeneratedClient:
 
 
 # ---------------------------------------------------------------------------
-# XSLT editions: the stylesheet-driven generators, the paper's literal
-# architecture.  The pipeline runs the native generators; these are their
-# test oracles (tests/transform/test_differential.py), nothing selects them.
+# CNX2Java (structural fidelity target, not compiled offline -- no JVM)
 # ---------------------------------------------------------------------------
 
-def _run_codegen_stylesheet(name: str, doc: CnxDocument) -> str:
-    from repro.xslt import Transformer
-
-    from ..cnx.emitter import to_element
-    from .xmi2cnx import load_stylesheet
-
-    sheet = load_stylesheet(name)
-    return Transformer(sheet).transform(to_element(doc))
-
-
-def cnx_to_python_xslt(doc: CnxDocument) -> str:
-    """Generate the Python client by running ``cnx2py.xsl`` on the in-repo
-    XSLT engine.  Differential-tested against :func:`cnx_to_python` (both
-    clients must compute identical results)."""
-    return _run_codegen_stylesheet("cnx2py.xsl", doc)
+_JAVA_RESERVED = frozenset(
+    "_ abstract assert boolean break byte case catch char class const continue "
+    "default do double else enum extends false final finally float for goto if "
+    "implements import instanceof int interface long native new null package "
+    "private protected public return short static strictfp super switch "
+    "synchronized this throw throws transient true try void volatile while".split()
+)
 
 
-def cnx_to_java_xslt(doc: CnxDocument) -> str:
-    """Generate Java source by running ``cnx2java.xsl`` -- the literal
-    architecture of the paper's CNX2Java component."""
-    return _run_codegen_stylesheet("cnx2java.xsl", doc)
+def _java_variables(jobs: list[CnxJob]) -> list[list[str]]:
+    """One distinct Java variable per task, job by job (they share
+    ``main``'s scope).  A task name that is already a free identifier
+    keeps it; any other has its non-word characters replaced by ``_``, an
+    ``_`` prefixed until it is an identifier, and a ``_2``, ``_3``...
+    suffix while it collides."""
+    taken = {"api", "args", *(f"job{i}" for i in range(1, len(jobs) + 1))}
+    variables: list[list[str]] = [[""] * len(job.tasks) for job in jobs]
+    slots = [
+        (j, i, task.name)
+        for j, job in enumerate(jobs)
+        for i, task in enumerate(job.tasks)
+    ]
+    for j, i, name in slots:
+        if _is_java_identifier(name) and name not in taken:
+            variables[j][i] = name
+            taken.add(name)
+    for j, i, name in slots:
+        if variables[j][i]:
+            continue
+        base = re.sub(r"\W", "_", name)
+        while not _is_java_identifier(base):
+            base = "_" + base
+        var, n = base, 2
+        while var in taken:
+            var, n = f"{base}_{n}", n + 1
+        variables[j][i] = var
+        taken.add(var)
+    return variables
 
 
-# ---------------------------------------------------------------------------
-# CNX2Java (native generator; structural fidelity target, not compiled
-# offline -- no JVM)
-# ---------------------------------------------------------------------------
+def _is_java_identifier(name: str) -> bool:
+    return re.fullmatch(r"[^\W\d]\w*", name) is not None and name not in _JAVA_RESERVED
+
 
 def cnx_to_java(doc: CnxDocument) -> str:
-    """Generate a Java client source file in the CNX2Java style."""
+    """Generate a Java client source file in the CNX2Java style: one job
+    at a time, in the order ``after`` gives them."""
     client = doc.client
     buf = io.StringIO()
     w = buf.write
@@ -217,11 +227,11 @@ def cnx_to_java(doc: CnxDocument) -> str:
     w("    public static void main(String[] args) throws Exception {\n")
     q = CNProfile.java_string
     w(f"        CNAPI api = CNAPI.initialize({client.port}, {q(client.log)});\n")
-    for index, job in enumerate(client.jobs, start=1):
-        job_var = f"job{index}"
+    variables = _java_variables(client.jobs)
+    for index, job in (pair for batch in client.job_batches() for pair in batch):
+        job_var = f"job{index + 1}"
         w(f"        Job {job_var} = api.createJob({q(client.cls)});\n")
-        for task in job.tasks:
-            var = _ident(task.name)
+        for task, var in zip(job.tasks, variables[index]):
             w(
                 f"        Task {var} = {job_var}.createTask("
                 f"{q(task.name)}, {q(task.jar)}, {q(task.cls)});\n"

@@ -62,7 +62,7 @@ class PipelineResult:
 
 class Pipeline:
     """The Fig. 6 pipeline: ``xmi2cnx.xsl`` on the in-repo XSLT engine,
-    then the native CNX2Py / CNX2Java generators.  ``log`` and ``port``
+    then the CNX2Py / CNX2Java generators.  ``log`` and ``port``
     are the client attributes written into the descriptor."""
 
     def __init__(

@@ -277,8 +277,7 @@ class CNProfile:
 
     @classmethod
     def java_literal(cls, ptype: str, value: str) -> str:
-        """The same parameter as a Java literal (``cnx2java.xsl`` holds
-        the stylesheet's copy of this rule)."""
+        """The same parameter as a Java literal."""
         kind = cls.PARAM_TYPES.get(ptype, "string")
         if kind == "int":
             return value
@@ -290,6 +289,5 @@ class CNProfile:
 
     @staticmethod
     def java_string(value: str) -> str:
-        """*value* as a Java string literal, ``\\`` and ``"`` escaped
-        (``strings.xsl``'s ``quoted`` template is the stylesheet's copy)."""
+        """*value* as a Java string literal, ``\\`` and ``"`` escaped."""
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'

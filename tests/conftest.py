@@ -47,6 +47,40 @@ def run_client(doc, cluster, runtime_args=None, timeout=30.0):
     return GeneratedClient(cnx_to_python(doc)).run(cluster, runtime_args, timeout)
 
 
+def record_client(doc):
+    """Run the client program generated for *doc* against a CN API that
+    records each call and runs nothing.  Returns ``(calls, job_results)``:
+    the calls as ``(verb, handle, argument)`` in the order they were made,
+    handles numbered from 1 in creation order, and what ``run`` returned,
+    where a job's result is ``{"handle": handle}``."""
+    calls = []
+
+    class RecordingAPI:
+        @staticmethod
+        def initialize(cluster):
+            return RecordingAPI()
+
+        def create_job(self, client_cls, requirements):
+            handle = 1 + sum(verb == "create_job" for verb, _, _ in calls)
+            calls.append(("create_job", handle, client_cls))
+            return handle
+
+        def create_task(self, handle, spec):
+            calls.append(("create_task", handle, spec))
+
+        def start_job(self, handle):
+            calls.append(("start_job", handle, None))
+
+        def wait(self, handle, timeout):
+            calls.append(("wait", handle, None))
+            return {"handle": handle}
+
+    namespace = {}
+    exec(compile(cnx_to_python(doc), "<generated-client>", "exec"), namespace)
+    namespace["CNAPI"] = RecordingAPI
+    return calls, namespace["run"](None, None, 1.0)
+
+
 def client_messages(cluster):
     """Drain the client queue of every job *cluster* has run."""
     directory = cluster.directory

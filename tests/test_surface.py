@@ -74,6 +74,15 @@ DELETED = [
     (EVERYWHERE, r"\bsample_(cluster|node)\b|\b_m_(routed|unsized)\b|\bunwatch\(",
      "no per-tick sampler, no second count of routed messages, no unused "
      "FailureDetector.unwatch"),
+    (("src/repro/core/transform/stylesheets/cnx2py.xsl",
+      "src/repro/core/transform/stylesheets/cnx2java.xsl",
+      "src/repro/core/transform/stylesheets/strings.xsl"), None,
+     "step 4 has one generator per target, the one that runs: no stylesheet "
+     "edition of CNX2Py or CNX2Java"),
+    (EVERYWHERE,
+     r"\bcnx_to_(python|java)_xslt\b|\b_run_codegen_stylesheet\b|XSLT edition",
+     "step 4's generators are checked against the descriptor, not against a "
+     "second generator"),
 ]
 
 

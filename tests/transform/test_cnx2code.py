@@ -1,5 +1,7 @@
 """Code generation tests: CNX2Py output runs; CNX2Java output is
-structurally sound."""
+structurally sound, in ``after`` order, with valid distinct variables."""
+
+import re
 
 import pytest
 
@@ -8,7 +10,7 @@ from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxParam, CnxTask
 from repro.core.transform.cnx2code import GeneratedClient, cnx_to_java, cnx_to_python
 from repro.core.uml import CNProfile
 
-from ..conftest import basic_registry
+from ..conftest import basic_registry, record_client
 
 
 def doc_static():
@@ -97,13 +99,16 @@ class TestPythonGeneration:
                 log="C:\\Users\\me\\cn.log",
                 jobs=[CnxJob(name="two\nlines", tasks=[
                     CnxTask("t", "e'v\"il.jar", "test.Echo",
-                            params=[CnxParam("String", "it's \"quoted\"")]),
+                            params=[CnxParam("String", "it's \"quoted\" \\ here")]),
                 ])],
             )
         )
         namespace = {}
         exec(compile(cnx_to_python(doc), "<gen>", "exec"), namespace)
         assert "log file     : C:\\Users\\me\\cn.log\n" in namespace["__doc__"]
+        calls, _ = record_client(doc)
+        [spec] = [spec for verb, _, spec in calls if verb == "create_task"]
+        assert (spec.jar, spec.params) == ("e'v\"il.jar", ("it's \"quoted\" \\ here",))
 
 
 class TestJavaGeneration:
@@ -132,34 +137,11 @@ class TestJavaGeneration:
         java = cnx_to_java(doc_static())
         assert 'new TaskRequirements(1000, "RUN_AS_THREAD_IN_TM")' in java
 
-    def test_identifier_sanitization(self):
-        doc = CnxDocument(
-            CnxClient(
-                "S",
-                jobs=[CnxJob(tasks=[CnxTask("task-1.x", "e.jar", "test.Echo")])],
-            )
-        )
-        java = cnx_to_java(doc)
-        assert "Task task_1_x" in java
-
-
-class TestXsltCodegen:
-    """The stylesheet-driven generators (cnx2py.xsl / cnx2java.xsl)."""
-
-    def test_java_xslt_byte_identical_to_native(self):
-        from repro.core.transform.cnx2code import cnx_to_java_xslt
-
-        for doc in (doc_static(), doc_dynamic()):
-            assert cnx_to_java_xslt(doc) == cnx_to_java(doc)
-
     @pytest.mark.parametrize("ptype, kind", sorted(CNProfile.PARAM_TYPES.items()))
-    def test_a_typed_parameter_is_the_same_typed_literal_in_both(self, ptype, kind):
+    def test_a_typed_parameter_is_a_typed_java_literal(self, ptype, kind):
         """Every entry of the one type table, one valid value each: a
         non-string type is an unquoted Java literal, a string one escapes
-        ``\\`` and ``"`` (as the archive and the log path do), and the
-        generator that runs and its stylesheet oracle write the same one."""
-        from repro.core.transform.cnx2code import cnx_to_java_xslt
-
+        ``\\`` and ``"`` (as the archive and the log path do)."""
         value, literal = {
             "int": ("5", "5"),
             "float": ("1.5", "1.5f" if ptype == "Float" else "1.5d"),
@@ -171,58 +153,59 @@ class TestXsltCodegen:
         doc.jobs[0].tasks[1].jar = 'x"y.jar'
         doc.jobs[0].tasks[1].params = [CnxParam(ptype, value)]
         java = cnx_to_java(doc)
-        assert java == cnx_to_java_xslt(doc)
         assert f"b.addParam({literal});" in java
         assert r'CNAPI.initialize(5666, "C:\\cn\\x.log");' in java
         assert r'job1.createTask("b", "x\"y.jar", "test.Echo");' in java
 
-    def test_python_xslt_compiles(self):
-        from repro.core.transform.cnx2code import cnx_to_python_xslt
-
-        compile(cnx_to_python_xslt(doc_static()), "<gen>", "exec")
-
-    def test_python_xslt_runs_static(self):
-        from repro.core.transform.cnx2code import cnx_to_python_xslt
-
-        client = GeneratedClient(cnx_to_python_xslt(doc_static()))
-        with Cluster(2, registry=basic_registry()) as cluster:
-            job_results = client.run(cluster, timeout=15)
-        assert job_results[0]["a"] == (1, "x")
-
-    def test_python_xslt_runs_dynamic(self):
-        from repro.core.transform.cnx2code import cnx_to_python_xslt
-
-        client = GeneratedClient(cnx_to_python_xslt(doc_dynamic()))
-        with Cluster(2, registry=basic_registry()) as cluster:
-            job_results = client.run(cluster, {"n": 2}, timeout=15)
-        assert set(job_results[0]) == {"root", "w1", "w2", "sink"}
-
-    def test_native_and_xslt_clients_agree(self):
-        from repro.core.transform.cnx2code import cnx_to_python_xslt
-
-        native = GeneratedClient(cnx_to_python(doc_static()))
-        via_xslt = GeneratedClient(cnx_to_python_xslt(doc_static()))
-        with Cluster(2, registry=basic_registry()) as cluster:
-            a = native.run(cluster, timeout=15)
-            b = via_xslt.run(cluster, timeout=15)
-        assert a == b
-
-    def test_quote_escaping_in_stylesheet(self):
-        from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxParam, CnxTask
-        from repro.core.transform.cnx2code import cnx_to_python_xslt
-
+    def test_jobs_run_in_after_order(self):
+        """``[B after A, A]``: A is created, started and joined before B
+        is created, as the Python client orders them."""
         doc = CnxDocument(
             CnxClient(
-                "Q",
-                jobs=[CnxJob(tasks=[
-                    CnxTask("t", "x.jar", "test.Echo",
-                            params=[CnxParam("String", 'say "hi" \\ there')]),
-                ])],
+                "Ordered",
+                jobs=[
+                    CnxJob(name="B", after=["A"],
+                           tasks=[CnxTask("b", "echo.jar", "test.Echo")]),
+                    CnxJob(name="A", tasks=[CnxTask("a", "echo.jar", "test.Echo")]),
+                ],
             )
         )
-        source = cnx_to_python_xslt(doc)
-        compile(source, "<gen>", "exec")
-        namespace = {}
-        exec(compile(source, "<gen>", "exec"), namespace)
-        built = namespace["build_document"]()
-        assert built.client.jobs[0].tasks[0].params[0].value == 'say "hi" \\ there'
+        lines = [line.strip() for line in cnx_to_java(doc).splitlines()]
+        steps = [line for line in lines if line.startswith(("Job ", "job"))]
+        assert steps == [
+            'Job job2 = api.createJob("Ordered");',
+            "job2.start();",
+            "job2.join();",
+            'Job job1 = api.createJob("Ordered");',
+            "job1.start();",
+            "job1.join();",
+        ]
+
+    def test_identifier_sanitization(self):
+        """Names that are not identifiers, or that collide with each other,
+        with a Java keyword or with ``api`` / ``args`` / a job variable, get
+        a leading ``_`` and a numeric suffix; an identifier keeps its name."""
+        names = ["task-1.x", "a-b", "a.b", "1st", "class", "api", "job1", "ok", "a_b"]
+        doc = CnxDocument(
+            CnxClient(
+                "S",
+                jobs=[
+                    CnxJob(tasks=[CnxTask(n, "e.jar", "test.Echo") for n in names]),
+                    CnxJob(tasks=[CnxTask("ok", "e.jar", "test.Echo")]),
+                ],
+            )
+        )
+        java = cnx_to_java(doc)
+        declared = re.findall(r"Task (\w+) = job\d\.createTask\(\"([^\"]*)\"", java)
+        assert declared == [
+            ("task_1_x", "task-1.x"),
+            ("a_b_2", "a-b"),
+            ("a_b_3", "a.b"),
+            ("_1st", "1st"),
+            ("_class", "class"),
+            ("api_2", "api"),
+            ("job1_2", "job1"),
+            ("ok", "ok"),
+            ("a_b", "a_b"),
+            ("ok_2", "ok"),
+        ]

@@ -2,19 +2,22 @@
 
 Random job graphs (hypothesis-generated DAG shapes, tags, params) must
 survive: model -> XMI -> model, model -> XMI -> XSLT -> CNX -> emit ->
-parse, and CNX -> generated client -> rebuilt document.
+parse, and CNX -> generated client -> the calls it makes on the CN API.
 """
 
 import string
+from dataclasses import fields
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.cn import TaskSpec
 from repro.core.cnx import emit, parse
-from repro.core.transform.cnx2code import cnx_to_python_xslt
-from repro.core.transform.xmi2cnx import graph_to_cnx, xmi_to_cnx_native
-from repro.core.uml import ActivityBuilder
+from repro.core.transform.xmi2cnx import graph_to_cnx, model_to_cnx, xmi_to_cnx_native
+from repro.core.uml import ActivityBuilder, Model
 from repro.core.xmi import read_graphs, write_graph
+
+from ..conftest import record_client
 
 _name_alphabet = string.ascii_lowercase + string.digits
 _names = st.text(alphabet=_name_alphabet, min_size=1, max_size=8)
@@ -57,6 +60,30 @@ def job_graphs(draw):
         previous = sink
     b.chain(previous, b.final())
     return b.build()
+
+
+@st.composite
+def job_models(draw):
+    """One to three :func:`job_graphs` in a package, in a drawn document
+    order, with a drawn ``after`` partial order over them."""
+    graphs = draw(
+        st.lists(job_graphs(), min_size=1, max_size=3, unique_by=lambda g: g.name)
+    )
+    model = Model("M")
+    package = model.new_package("client")
+    for graph in graphs:
+        package.add_graph(graph)
+    ranked = draw(st.permutations([g.name for g in graphs]))
+    for i, before in enumerate(ranked):
+        for later in ranked[i + 1:]:
+            if draw(st.booleans()):
+                package.order_jobs(before, later)
+    return model
+
+
+def typed_fields(spec):
+    values = [(f.name, getattr(spec, f.name)) for f in fields(spec)]
+    return [(name, type(value), value) for name, value in values]
 
 
 def graph_signature(graph):
@@ -115,14 +142,39 @@ class TestCnxChainRoundtrip:
         via_xmi = xmi_to_cnx_native(write_graph(graph))
         assert cnx_signature(direct) == cnx_signature(via_xmi)
 
-    @given(job_graphs())
-    @settings(max_examples=10, deadline=None)
-    def test_generated_client_rebuilds_document(self, graph):
-        """The cnx2py.xsl client embeds a build_document() that must
-        reconstruct the descriptor it was generated from."""
-        doc = graph_to_cnx(graph)
-        source = cnx_to_python_xslt(doc)
-        namespace: dict = {}
-        exec(compile(source, "<gen>", "exec"), namespace)
-        rebuilt = namespace["build_document"]()
-        assert cnx_signature(rebuilt) == cnx_signature(doc)
+    @given(job_models())
+    @settings(max_examples=25, deadline=None)
+    def test_generated_client_rebuilds_document(self, model):
+        """The calls the generated client makes rebuild its descriptor:
+        each job is created once, its ``create_task`` specs equal the
+        job's tasks field by field, it is started and then waited on, and
+        no job is created before every job it is ``after`` was waited on.
+        ``run`` returns the results in document order."""
+        doc = model_to_cnx(model)
+        expected = [
+            [typed_fields(TaskSpec.from_cnx(task)) for task in job.tasks]
+            for job in doc.jobs
+        ]
+        assume(len(set(map(repr, expected))) == len(expected))
+        calls, job_results = record_client(doc)
+        specs: dict[int, list] = {}
+        for verb, handle, spec in calls:
+            if verb == "create_task":
+                specs.setdefault(handle, []).append(typed_fields(spec))
+        assert all(tasks in expected for tasks in specs.values())
+        job_of = {handle: expected.index(tasks) for handle, tasks in specs.items()}
+        steps = [(verb, job_of[handle]) for verb, handle, _ in calls]
+        at = {step: n for n, step in enumerate(steps) if step[0] != "create_task"}
+        assert len(at) == len(steps) - sum(len(job.tasks) for job in doc.jobs)
+        verbs = ("create_job", "start_job", "wait")
+        assert set(at) == {(verb, j) for j in range(len(doc.jobs)) for verb in verbs}
+        for n, (verb, j) in enumerate(steps):
+            if verb == "create_task":
+                assert at["create_job", j] < n < at["start_job", j]
+        names = [job.name for job in doc.jobs]
+        for j, job in enumerate(doc.jobs):
+            assert at["start_job", j] < at["wait", j]
+            for before in job.after:
+                assert at["wait", names.index(before)] < at["create_job", j]
+        returned = [job_of[result["handle"]] for result in job_results]
+        assert returned == list(range(len(doc.jobs)))

@@ -1,14 +1,20 @@
-"""Byte-level goldens for the three packaged stylesheets.
+"""Byte-level goldens for step 3's stylesheet and step 4's generators.
 
-``tests/data/xslt_golden/`` was recorded with the tree-walking
-interpreter (the commit before the engine was lowered to closures) by
-running this file as a script::
+``tests/data/xslt_golden/`` was recorded by running this file as a
+script::
 
     PYTHONPATH=<that checkout>/src python tests/transform/test_xslt_golden.py
 
-The compiled engine must reproduce every file byte for byte, and over
-the same models the stylesheet's descriptor must equal the native
-oracle's ``emit()`` text.
+The ``*.xmi2cnx.out`` files come from the tree-walking interpreter (the
+commit before the engine was lowered to closures); the compiled engine
+must reproduce them byte for byte, and over the same models the
+stylesheet's descriptor must equal the native oracle's ``emit()`` text.
+The ``*.cnx2java.out`` files were written by the ``cnx2java.xsl``
+stylesheet, which ``cnx_to_java`` replaced without changing a byte,
+except ``two-jobs-ordered`` (the stylesheet declared ``job1`` three
+times) and ``duplicate_id`` (its second ``worker`` is now ``worker_2``).
+The ``*.cnx2py.out`` files pin ``cnx_to_python``, recorded when the
+``cnx2py.xsl`` stylesheet it had been compared with was deleted.
 """
 
 import random
@@ -19,7 +25,7 @@ import pytest
 
 from repro.apps.floyd.model import build_fig3_model, build_fig5_model
 from repro.core.cnx import emit, parse
-from repro.core.transform.cnx2code import cnx_to_java_xslt, cnx_to_python_xslt
+from repro.core.transform.cnx2code import cnx_to_java, cnx_to_python
 from repro.core.transform.xmi2cnx import (
     load_stylesheet,
     xmi_to_cnx_native,
@@ -32,7 +38,7 @@ from repro.xslt import Transformer
 
 DATA = Path(__file__).parent.parent / "data"
 GOLDEN = DATA / "xslt_golden"
-CODEGEN = {"cnx2py": cnx_to_python_xslt, "cnx2java": cnx_to_java_xslt}
+CODEGEN = {"cnx2py": cnx_to_python, "cnx2java": cnx_to_java}
 
 
 def fan_model(width: int):
@@ -89,28 +95,32 @@ XMI_FIXTURES = sorted(DATA.glob("*.xmi")) + sorted(DATA.glob("defects/*.xmi"))
 CNX_FIXTURES = sorted(DATA.glob("*.cnx")) + sorted(DATA.glob("defects/*.cnx"))
 
 
-def run_sheet(sheet_name: str, source) -> str:
-    """Transform *source*; an error is part of the contract too."""
-    transformer = Transformer(load_stylesheet(sheet_name))
+def recorded(produce) -> str:
+    """What *produce* returns; an error is part of the contract too."""
     try:
-        if sheet_name == "xmi2cnx.xsl":
-            return transformer.transform(parse_prefixed(source), restore_prefixes=True)
-        return transformer.transform(source)
+        return produce()
     except Exception as exc:  # noqa: BLE001 - recorded, compared by type and message
         return f"!{type(exc).__name__}: {exc}"
+
+
+def run_sheet(source: str) -> str:
+    transformer = Transformer(load_stylesheet("xmi2cnx.xsl"))
+    return recorded(
+        lambda: transformer.transform(parse_prefixed(source), restore_prefixes=True)
+    )
 
 
 def cases():
     """(golden file name, thunk producing the text)."""
     for path in XMI_FIXTURES:
         text = path.read_text()
-        yield f"{path.stem}.xmi2cnx.out", lambda t=text: run_sheet("xmi2cnx.xsl", t)
+        yield f"{path.stem}.xmi2cnx.out", lambda t=text: run_sheet(t)
     for path in CNX_FIXTURES:
         text = path.read_text()
-        for sheet in CODEGEN:
+        for name, generate in CODEGEN.items():
             yield (
-                f"{path.stem}.{sheet}.out",
-                lambda s=sheet, t=text: run_sheet(f"{s}.xsl", t),
+                f"{path.stem}.{name}.out",
+                lambda g=generate, t=text: recorded(lambda: g(parse(t))),
             )
     for name, build in MODELS.items():
         yield f"{name}.xmi2cnx.out", lambda b=build: xmi_to_cnx_text(b())

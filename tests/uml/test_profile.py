@@ -74,10 +74,6 @@ def test_the_stylesheets_copies_are_the_tables():
     params = dict(re.findall(r"<xsl:param name=\"(\w+)\" select=\"'([^']*)'\"/>", xmi2cnx))
     assert params == {field.tag: str(field.default) for field in CNProfile.CLIENT}
     assert f"<xsl:otherwise>{CNProfile.MULTIPLICITY.default}</xsl:otherwise>" in xmi2cnx
-    cnx2java = (STYLESHEET_DIR / "cnx2java.xsl").read_text()
-    assert set(re.findall(r"@type = '([\w.]+)'", cnx2java)) == {
-        name for name, kind in CNProfile.PARAM_TYPES.items() if kind != "string"
-    }
 
 
 def test_readme_table_lists_the_profile_in_field_order():
