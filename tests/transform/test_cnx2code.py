@@ -99,16 +99,29 @@ class TestPythonGeneration:
                 log="C:\\Users\\me\\cn.log",
                 jobs=[CnxJob(name="two\nlines", tasks=[
                     CnxTask("t", "e'v\"il.jar", "test.Echo",
-                            params=[CnxParam("String", "it's \"quoted\" \\ here")]),
+                            params=[CnxParam("String", "it's \"quoted\"")]),
                 ])],
             )
         )
         namespace = {}
         exec(compile(cnx_to_python(doc), "<gen>", "exec"), namespace)
         assert "log file     : C:\\Users\\me\\cn.log\n" in namespace["__doc__"]
+
+    def test_quote_escaping_in_task_spec(self):
+        """Quotes and backslashes in an archive name or a string parameter
+        reach the task the client creates unchanged."""
+        doc = CnxDocument(
+            CnxClient(
+                "Q",
+                jobs=[CnxJob(tasks=[
+                    CnxTask("t", "e'v\"il.jar", "test.Echo",
+                            params=[CnxParam("String", 'say "hi" \\ there')]),
+                ])],
+            )
+        )
         calls, _ = record_client(doc)
         [spec] = [spec for verb, _, spec in calls if verb == "create_task"]
-        assert (spec.jar, spec.params) == ("e'v\"il.jar", ("it's \"quoted\" \\ here",))
+        assert (spec.jar, spec.params) == ("e'v\"il.jar", ('say "hi" \\ there',))
 
 
 class TestJavaGeneration:
