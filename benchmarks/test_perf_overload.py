@@ -195,9 +195,13 @@ def test_bounded_depth_and_zero_journaled_then_lost(report):
         sheds = handle.job.messages_shed
         assert sheds >= STORM_MESSAGES - depth_bound
         records = cluster.servers[0].journal.records(handle.job_id)
-        snapshot = replay_job(handle.job_id, records)
-        shed_serials = set(snapshot.sheds.get("sink", []))
-        ledgered = {m.serial for m in snapshot.deliveries.get("sink", [])}
+        shed_serials = {
+            r.data["serial"]
+            for r in records
+            if r.kind == "shed" and r.data["task"] == "sink"
+        }
+        ledger = replay_job(handle.job_id, records).ledger()
+        ledgered = {m.serial for m in ledger.get("sink", [])}
         lost = shed_serials - ledgered
         assert not lost, f"{len(lost)} shed messages were never ledgered"
         assert len(shed_serials) == sheds

@@ -120,11 +120,10 @@ def main() -> None:
                 f"(journal tags {task.resumed_from})"
             )
 
-        snapshot = replay_job(
-            handle.job_id, handle.manager.journal.records(handle.job_id)
-        )
-        print(f"journal replay : {len(handle.manager.journal.records(handle.job_id))} "
-              f"records -> states {snapshot.states}")
+        records = handle.manager.journal.records(handle.job_id)
+        replayed = replay_job(handle.job_id, records)
+        print(f"journal replay : {len(records)} records -> states "
+              f"{replayed.states()}")
         ok = np.allclose(results["join"], floyd_warshall(matrix))
         print(f"matches serial : {ok}")
 

@@ -19,7 +19,6 @@ from .durability import (
     DirectoryEntry,
     FileJournal,
     JobDirectory,
-    JobSnapshot,
     JournalRecord,
     MemoryJournal,
     ReplicatedJournal,
@@ -150,7 +149,6 @@ __all__ = [
     "ReplicatedJournal",
     "JobDirectory",
     "DirectoryEntry",
-    "JobSnapshot",
     "replay_job",
     "journal_factory_for_dir",
     "Telemetry",

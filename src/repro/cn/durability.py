@@ -28,9 +28,10 @@ Backends are pluggable: :class:`MemoryJournal` keeps records in-process
 that are not JSON-serializable -- numpy blocks, :class:`TaskSpec`,
 :class:`Message` -- ride in a pickle/base64 envelope).
 
-:func:`replay_job` is a *pure* function from a record sequence to a
-:class:`JobSnapshot`; determinism of recovery reduces to determinism of
-this function, which the property tests exercise directly.
+:func:`replay_job` folds a record sequence into a fresh
+:class:`~repro.cn.job.Job` through :meth:`Job.apply`, the one reading of
+every record kind; an adopting manager runs the same fold, so recovery is
+as deterministic as that function, which the property tests exercise.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..analysis.conc.runtime import make_lock
 from .errors import JournalError
-from .job import TaskSpec, TaskState
-from .messages import Message
+from .job import Job
 
 __all__ = [
     "JournalRecord",
@@ -53,7 +53,6 @@ __all__ = [
     "ReplicatedJournal",
     "JobDirectory",
     "DirectoryEntry",
-    "JobSnapshot",
     "replay_job",
     "journal_factory_for_dir",
     "RECORD_KINDS",
@@ -555,145 +554,13 @@ class JobDirectory:
             return sorted(self._registered[mark:])
 
 
-@dataclass
-class JobSnapshot:
-    """The state :func:`replay_job` reconstructs from a journal."""
-
-    job_id: str
-    client: str = ""
-    manager: str = ""
-    mepoch: int = 1
-    specs: dict[str, TaskSpec] = field(default_factory=dict)
-    order: list[str] = field(default_factory=list)
-    states: dict[str, str] = field(default_factory=dict)
-    results: dict[str, Any] = field(default_factory=dict)
-    errors: dict[str, str] = field(default_factory=dict)
-    attempts: dict[str, int] = field(default_factory=dict)
-    epochs: dict[str, int] = field(default_factory=dict)
-    nodes: dict[str, str] = field(default_factory=dict)
-    deliveries: dict[str, list[Message]] = field(default_factory=dict)
-    #: cumulative per-task ledger-GC truncation counts (see ``ledger-gc``)
-    gc_watermarks: dict[str, int] = field(default_factory=dict)
-    #: message serials evicted from bounded queues, per task; every serial
-    #: here must also appear in ``deliveries`` (write-ahead ledger before
-    #: delivery), so a replay re-offers the shed message instead of losing it
-    sheds: dict[str, list[int]] = field(default_factory=dict)
-    #: absolute end-to-end deadline on the cluster clock, if the job
-    #: carried a budget
-    deadline: Optional[float] = None
-    #: quarantined-frame records (one per poisoned dequeue); survive
-    #: adoption so the successor's portal artifacts stay complete
-    dead_letters: list[dict] = field(default_factory=list)
-    checkpoints: dict[str, tuple[Any, Any]] = field(default_factory=dict)
-    finished: bool = False
-    failed: bool = False
-
-    def terminal_tasks(self) -> list[str]:
-        return [
-            name
-            for name in self.order
-            if TaskState(self.states.get(name, "PENDING")).terminal
-        ]
-
-    def pending_tasks(self) -> list[str]:
-        """Tasks a successor must re-place: everything not terminal."""
-        return [name for name in self.order if name not in self.terminal_tasks()]
-
-
-def replay_job(job_id: str, records: Iterable[JournalRecord]) -> JobSnapshot:
-    """Fold a journal into a :class:`JobSnapshot` -- pure and total.
-
-    Records for other jobs are skipped; records stamped with a stale
-    manager epoch are ignored (the same fence the backends apply, so
-    replaying an unfenced raw sequence gives the same snapshot as the
-    fenced journal).  Later records win: states and checkpoints are
-    last-writer, placements keep the highest attempt epoch, deliveries
-    accumulate in order.
-    """
-    snapshot = JobSnapshot(job_id=job_id)
-    high = 0
-    # task -> collected deliveries whose record lands after the ledger-gc
-    # that counted them (ledgered before, journaled after, the collection)
-    owed: dict[str, int] = {}
+def replay_job(job_id: str, records: Iterable[JournalRecord]) -> Job:
+    """Fold a journal into a fresh :class:`~repro.cn.job.Job` -- every
+    record through :meth:`Job.apply`, so the function is pure and total."""
+    job = Job(job_id, "")
     for record in records:
-        if record.job_id != job_id:
-            continue
-        if record.mepoch < high:
-            continue
-        high = max(high, record.mepoch)
-        snapshot.mepoch = high
-        kind, data = record.kind, record.data
-        if kind == "job-created":
-            snapshot.client = data.get("client", snapshot.client)
-            snapshot.manager = data.get("manager", snapshot.manager)
-            snapshot.deadline = data.get("deadline", snapshot.deadline)
-        elif kind == "job-adopted":
-            snapshot.manager = data.get("manager", snapshot.manager)
-        elif kind == "task-spec":
-            spec = data["spec"]
-            if spec.name not in snapshot.specs:
-                snapshot.order.append(spec.name)
-            snapshot.specs[spec.name] = spec
-            snapshot.states.setdefault(spec.name, TaskState.PENDING.value)
-        elif kind == "task-placed":
-            task = data["task"]
-            snapshot.nodes[task] = data.get("node")
-            snapshot.epochs[task] = max(
-                snapshot.epochs.get(task, 0), int(data.get("epoch", 0))
-            )
-        elif kind == "task-state":
-            task = data["task"]
-            snapshot.states[task] = data.get("state", TaskState.PENDING.value)
-            snapshot.attempts[task] = max(
-                snapshot.attempts.get(task, 0), int(data.get("attempts", 0))
-            )
-            if "result" in data:
-                snapshot.results[task] = data["result"]
-            if data.get("error"):
-                snapshot.errors[task] = data["error"]
-        elif kind == "delivery":
-            # one record per fan-out, unpacked in order
-            for message in data["messages"]:
-                if owed.get(message.recipient):
-                    owed[message.recipient] -= 1
-                    continue
-                snapshot.deliveries.setdefault(message.recipient, []).append(
-                    message
-                )
-        elif kind == "ledger-gc":
-            # the manager truncated a terminal task's ledger; `upto` is
-            # the cumulative count of entries dropped for that task, so
-            # replay drops exactly the not-yet-dropped prefix (idempotent
-            # under record duplication and monotone across adoptions)
-            task = data["task"]
-            upto = int(data.get("upto", 0))
-            already = snapshot.gc_watermarks.get(task, 0)
-            drop = upto - already
-            if drop > 0:
-                messages = snapshot.deliveries.get(task, [])
-                owed[task] = owed.get(task, 0) + drop - len(messages[:drop])
-                del messages[:drop]
-                snapshot.gc_watermarks[task] = upto
-        elif kind == "shed":
-            # a bounded queue evicted this delivery before the task
-            # consumed it; the message itself is already in `deliveries`
-            # (ledgered write-ahead), so the shed record only marks which
-            # serials need re-offering on replay
-            task = data["task"]
-            serial = int(data.get("serial", 0))
-            serials = snapshot.sheds.setdefault(task, [])
-            if serial not in serials:
-                serials.append(serial)
-        elif kind == "dead-letter":
-            # a corrupt frame was quarantined at dequeue; keep the full
-            # record so portal artifacts and oracles can account for it
-            snapshot.dead_letters.append(dict(data))
-        elif kind == "checkpoint":
-            snapshot.checkpoints[data["task"]] = (data.get("tag"), data.get("state"))
-        elif kind == "job-finished":
-            snapshot.finished = True
-            snapshot.failed = bool(data.get("failed"))
-    return snapshot
+        job.apply(record)
+    return job
 
 
 def journal_factory_for_dir(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 import pickle
 
@@ -31,6 +31,9 @@ from .messages import TASK_LIFECYCLE, Message, payload_digest
 from .queues import MessageQueue
 from .runmodel import RunModel
 from .tuplespace import TupleSpace
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from .durability import JournalRecord
 
 __all__ = ["TaskSpec", "TaskState", "TaskRuntime", "Job", "payload_nbytes"]
 
@@ -180,6 +183,8 @@ class Job:
     ) -> None:
         self.job_id = job_id
         self.client_name = client_name
+        #: the managing JobManager's name, as it last journaled it
+        self.manager = ""
         self.tasks: dict[str, TaskRuntime] = {}
         self.task_order: list[str] = []
         self.tuple_space = TupleSpace()
@@ -247,7 +252,12 @@ class Job:
         self._delivery_log: dict[str, list[Message]] = {}
         #: cumulative count of ledger entries truncated per task (the GC
         #: watermark journaled so successor managers agree)
-        self._gc_watermarks: dict[str, int] = {}
+        self.gc_watermarks: dict[str, int] = {}
+        # per task, the collected deliveries whose ``delivery`` record the
+        # fold has not met yet: route_many ledgers under this lock and
+        # journals after it, so a ``ledger-gc`` can count a message whose
+        # own record lands later (see apply)
+        self._owed: dict[str, int] = {}
         # ledger occupancy accounting (resident = entries currently held;
         # peak = high-watermark; truncated = total entries GC'd)
         self.ledger_resident = 0
@@ -262,7 +272,7 @@ class Job:
         # when the cluster runs non-durable.
         self._journal: Optional[Any] = None
         # application-level task checkpoints (task -> (tag, state)),
-        # populated through TaskContext.checkpoint and restored from the
+        # populated through TaskContext.checkpoint and folded from the
         # journal on adoption
         self._checkpoints: dict[str, tuple[Any, Any]] = {}
         # the DAG drive (see unblocked_by), one triple per roster version:
@@ -334,31 +344,79 @@ class Job:
         with self._lock:
             return self._checkpoints.get(task)
 
-    def restore_checkpoints(self, checkpoints: dict[str, tuple[Any, Any]]) -> None:
-        """Seed the checkpoint store from a journal replay (adoption)."""
+    def apply(self, record: "JournalRecord") -> None:
+        """Fold one journal record into this job: the one reading of each
+        record kind, run by :func:`~repro.cn.durability.replay_job` and so
+        by adoption.  Records of other jobs, and records stamped below the
+        highest manager epoch seen (the backends' fence, so a raw and a
+        fenced stream fold alike), change nothing.  A task's state and a
+        checkpoint are last-writer, attempts and placement epoch keep
+        their maximum, deliveries accumulate in order and ``ledger-gc``
+        drops the prefix its cumulative watermark has not dropped yet (a
+        duplicated record drops nothing).  ``shed`` needs no fold: its
+        message is still in the ledger."""
+        if record.job_id != self.job_id:
+            return
+        kind, data = record.kind, record.data
         with self._lock:
-            self._checkpoints.update(checkpoints)
-
-    def restore_deliveries(
-        self,
-        deliveries: dict[str, list[Message]],
-        gc_watermarks: Optional[dict[str, int]] = None,
-    ) -> None:
-        """Seed the delivery ledger from a journal replay (adoption).
-
-        *gc_watermarks* carries the predecessor's cumulative per-task
-        truncation counts so this manager's own ``ledger-gc`` records
-        continue the same monotone watermark sequence."""
-        with self._lock:
-            for task, messages in deliveries.items():
-                self._delivery_log.setdefault(task, []).extend(messages)
-                self.ledger_resident += len(messages)
-            if self.ledger_resident > self.ledger_peak:
-                self.ledger_peak = self.ledger_resident
-            if gc_watermarks:
-                for task, upto in gc_watermarks.items():
-                    if upto > self._gc_watermarks.get(task, 0):
-                        self._gc_watermarks[task] = upto
+            if record.mepoch < self.manager_epoch:
+                return
+            self.manager_epoch = record.mepoch
+            # None for a record about a task no spec was journaled for
+            runtime = self.tasks.get(data.get("task"))
+            if kind in ("job-created", "job-adopted"):
+                self.manager = data.get("manager", self.manager)
+                if kind == "job-created":
+                    self.client_name = data.get("client", self.client_name)
+                    self.deadline = data.get("deadline", self.deadline)
+            elif kind == "task-spec":
+                spec = data["spec"]
+                if spec.name in self.tasks:
+                    self.tasks[spec.name].spec = spec
+                    self._drive = self._roster = None
+                else:
+                    self.add_task(spec)
+            elif kind == "task-placed" and runtime is not None:
+                runtime.node_name = data.get("node")
+                runtime.epoch = max(runtime.epoch, int(data.get("epoch", 0)))
+            elif kind == "task-state" and runtime is not None:
+                runtime.state = TaskState(data.get("state", TaskState.PENDING.value))
+                runtime.attempts = max(runtime.attempts, int(data.get("attempts", 0)))
+                if "result" in data:
+                    runtime.result = data["result"]
+                if data.get("error"):
+                    runtime.error = data["error"]
+                # the live rule (note_terminal): the first failure fails the job
+                if runtime.state is TaskState.FAILED and self.failed is None:
+                    error = runtime.error or "unknown"
+                    self.failed = TaskFailedError(runtime.name, error)
+            elif kind == "delivery":
+                owed = self._owed
+                for message in data["messages"]:
+                    if owed.get(message.recipient):
+                        owed[message.recipient] -= 1
+                        continue
+                    self._delivery_log.setdefault(message.recipient, []).append(
+                        message
+                    )
+                    self.ledger_resident += 1
+                self.ledger_peak = max(self.ledger_peak, self.ledger_resident)
+            elif kind == "ledger-gc":
+                task, upto = data["task"], int(data.get("upto", 0))
+                drop = upto - self.gc_watermarks.get(task, 0)
+                if drop > 0:
+                    messages = self._delivery_log.get(task, [])
+                    dropped = min(drop, len(messages))
+                    del messages[:drop]
+                    self.ledger_resident -= dropped
+                    self._owed[task] = self._owed.get(task, 0) + drop - dropped
+                    self.gc_watermarks[task] = upto
+            elif kind == "dead-letter":
+                self.dead_letters.append(dict(data))
+            elif kind == "checkpoint":
+                self._checkpoints[data["task"]] = (data.get("tag"), data.get("state"))
+            elif kind == "job-finished":
+                self._finished_flag = True
 
     # -- roster ----------------------------------------------------------------
     def add_task(self, spec: TaskSpec) -> TaskRuntime:
@@ -805,10 +863,11 @@ class Job:
                     # replay; record the failed live re-offer
                     self._drop(original, exc)
 
-    def restore_dead_letters(self, entries: Sequence[dict]) -> None:
-        """Seed the dead-letter store from a journal replay (adoption)."""
+    def ledger(self) -> dict[str, list[Message]]:
+        """The un-collected delivery ledger: task -> its ledgered messages
+        in routing order (a copy; a task with none is left out)."""
         with self._lock:
-            self.dead_letters.extend(dict(e) for e in entries)
+            return {task: list(ms) for task, ms in self._delivery_log.items() if ms}
 
     def has_ledgered(self, name: str) -> bool:
         """Whether any un-GC'd deliveries are ledgered for *name*."""
@@ -850,8 +909,8 @@ class Job:
                 return 0
             self.ledger_resident -= count
             self.ledger_truncated += count
-            watermark = self._gc_watermarks.get(name, 0) + count
-            self._gc_watermarks[name] = watermark
+            watermark = self.gc_watermarks.get(name, 0) + count
+            self.gc_watermarks[name] = watermark
         self.journal_event("ledger-gc", {"task": name, "upto": watermark})
         return count
 

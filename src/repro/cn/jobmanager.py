@@ -308,21 +308,22 @@ class JobManager:
         return adopted
 
     def adopt_job(self, job_id: str) -> Job:
-        """Take over *job_id* from a dead manager: replay the journal into
+        """Take over *job_id* from a dead manager: fold the journal into
         a fresh Job, fence the dead manager with a bumped manager epoch,
         evict its zombie hostings, re-place the unfinished tasks (message
-        ledger replayed, checkpoints restored), and re-bind the client's
-        handle through the directory."""
+        ledger replayed, checkpoints restored) -- or finish the job, when
+        the journal says it is over -- and re-bind the client's handle
+        through the directory."""
         journal = self.journal
         if journal is None:
             raise CnError(f"JobManager {self.name!r} has no journal to replay")
         records = journal.records(job_id)
-        snapshot = replay_job(job_id, records)
-        job = Job(job_id, snapshot.client, checksums=self.config.checksums)
-        job.manager_epoch = snapshot.mepoch + 1
-        # the budget survives failover: the successor enforces the same
-        # absolute deadline the dead manager journaled at creation
-        job.deadline = snapshot.deadline
+        # the roster, ledger, checkpoints, dead letters and the deadline
+        # (the budget survives failover) are the journal's, folded
+        job = replay_job(job_id, records)
+        job.checksums = self.config.checksums
+        previous, job.manager = job.manager, self.name
+        job.manager_epoch += 1
         with self._lock:
             if self._shutdown:
                 raise CnError(f"JobManager {self.name!r} is shut down")
@@ -334,33 +335,32 @@ class JobManager:
         self._bind_journal(job)
         # fence first: once this record lands, any append still stamped
         # with the dead manager's epoch is rejected by every backend
-        job.journal_event(
-            "job-adopted", {"manager": self.name, "previous": snapshot.manager}
-        )
-        # rebuild the roster exactly as journaled
-        specs = [snapshot.specs[name] for name in snapshot.order]
+        job.journal_event("job-adopted", {"manager": self.name, "previous": previous})
         if t is not None:
             # idempotent: the recorder is cluster-global, so spans the
             # dead manager already began are reused, not duplicated --
             # the adopted job keeps its one trace across manager epochs
-            self._begin_task_spans(t, job, specs)
-        for spec in specs:
-            name = spec.name
-            runtime = job.add_task(spec)
-            runtime.attempts = snapshot.attempts.get(name, 0)
-            # restoring the highest journaled placement epoch guarantees
-            # re-hosted attempts get strictly larger epochs than any
-            # zombie attempt still running somewhere
-            runtime.epoch = snapshot.epochs.get(name, 0)
-            runtime.node_name = snapshot.nodes.get(name)
-            state = TaskState(snapshot.states.get(name, TaskState.PENDING.value))
-            if state.terminal:
-                runtime.state = state
-                runtime.result = snapshot.results.get(name)
-                runtime.error = snapshot.errors.get(name)
-        job.restore_deliveries(snapshot.deliveries, snapshot.gc_watermarks)
-        job.restore_checkpoints(snapshot.checkpoints)
-        job.restore_dead_letters(snapshot.dead_letters)
+            self._begin_task_spans(t, job, [job.tasks[n].spec for n in job.task_order])
+        # a task not over is re-placed from PENDING; its attempts and its
+        # highest journaled placement epoch stay, so re-hosted attempts get
+        # strictly larger epochs than any zombie attempt still running
+        terminal: list[str] = []
+        pending: list[TaskRuntime] = []
+        for name in job.task_order:
+            runtime = job.tasks[name]
+            if runtime.state.terminal:
+                terminal.append(name)
+            else:
+                runtime.state = TaskState.PENDING
+                runtime.result = runtime.error = None
+                pending.append(runtime)
+        failed = job.failed is not None
+        if failed or not pending:
+            # the journal says the job is over (a failure fails it fast),
+            # whether or not the dead manager lived to write job-finished:
+            # write it at this epoch, before note_terminal wakes the client
+            job.journal_event("job-finished", {"failed": failed})
+            pending = []
         # migrate the client conduit: drain the dead manager's client
         # queue into the new job's (trace history survives), close the
         # old one so zombie notifications surface as undeliverable
@@ -371,13 +371,12 @@ class JobManager:
             old_entry.job.client_queue.close()
         if self.directory is not None:
             self.directory.register(job_id, self, job, epoch=job.manager_epoch)
-        pending = [job.tasks[name] for name in snapshot.pending_tasks()]
         job.notify(
             MessageType.MANAGER_ADOPTED,
             {
                 "job_id": job_id,
                 "manager": self.name,
-                "previous": snapshot.manager,
+                "previous": previous,
                 "manager_epoch": job.manager_epoch,
                 "replayed_records": len(records),
                 "re_placing": [rt.name for rt in pending],
@@ -386,7 +385,7 @@ class JobManager:
         )
         # terminal tasks are already done; let the job notice them so a
         # fully-finished roster flips the finished event immediately
-        for name in snapshot.terminal_tasks():
+        for name in terminal:
             job.note_terminal(name)
         # the dead manager may have placed attempts on nodes that are
         # still alive: evict them so the epoch fence retires them
@@ -409,7 +408,7 @@ class JobManager:
                 parent_id="job",
                 node=self.name.split("/")[0],
                 manager=self.name,
-                previous=snapshot.manager,
+                previous=previous,
                 manager_epoch=job.manager_epoch,
             )
             t.metrics.counter("cn_adoptions_total", manager=self.name).inc()
@@ -470,7 +469,7 @@ class JobManager:
             self._job_counter += 1
             job_id = f"{self.name}-job{self._job_counter}"
             job = Job(job_id, client_name, checksums=self.config.checksums)
-            job.deadline = deadline
+            job.manager, job.deadline = self.name, deadline
             self.jobs[job_id] = self._active[job_id] = job
         job.set_telemetry(self.telemetry)
         t = job.telemetry
@@ -720,13 +719,16 @@ class JobManager:
             data["result"] = runtime.result
         if runtime.error:
             data["error"] = runtime.error
-        job.journal_event("task-state", data)
+        events = [("task-state", data)]
         # computed from the roster, not job.finished: this write comes
         # before note_terminal flips the finished event (Job.attempt_ended)
         failed = job.failed is not None or runtime.state is TaskState.FAILED
         finished = failed or job.all_terminal()
         if finished:
-            job.journal_event("job-finished", {"failed": failed})
+            events.append(("job-finished", {"failed": failed}))
+        # one batch: a journal never holds the task's end without the job's
+        job.journal_events(events)
+        if finished:
             with self._lock:
                 self._active.pop(job.job_id, None)
         if finished or runtime.state is TaskState.CANCELLED:

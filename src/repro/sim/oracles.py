@@ -11,8 +11,8 @@ statements rather than per-test assertions:
   deliveries must not change the join's output: the final matrix equals
   the fault-free serial baseline;
 * ``replay-equivalence`` -- :func:`~repro.cn.durability.replay_job` is a
-  pure fold: re-folding the journal yields the same snapshot, and every
-  runtime-completed task is completed in the snapshot;
+  pure fold: re-folding the journal yields the same job, and every
+  runtime-completed task is completed in it;
 * ``sheds-subset-of-deliveries`` -- every shed record points at a
   journaled delivery (journaled-then-lost count is zero);
 * ``budget-monotone`` -- no routed message carries a deadline past the
@@ -36,12 +36,13 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable
 
-from repro.cn.durability import JobSnapshot, JournalRecord, replay_job
+from repro.cn import Job, JournalRecord, replay_job
+from repro.cn.messages import payload_digest
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .harness import SimResult
 
-__all__ = ["ORACLES", "oracle", "run_oracles", "delivered_serials"]
+__all__ = ["ORACLES", "oracle", "run_oracles", "delivered_serials", "job_view"]
 
 Oracle = Callable[["SimResult"], list[str]]
 
@@ -93,26 +94,25 @@ def delivered_serials(records: list[JournalRecord]) -> dict[str, set[int]]:
     return out
 
 
-def _snapshot_view(snapshot: JobSnapshot) -> dict:
-    """The comparable core of a snapshot (skips Message/TaskSpec payloads,
-    whose numpy-bearing equality is undefined; delivery identity is
-    compared through per-task serial sequences instead)."""
+def job_view(job: Job) -> dict:
+    """The comparable core of a job's journaled state: results and
+    checkpoints by digest (numpy-bearing equality is undefined), the
+    ledger as per-task serial sequences."""
+    tasks = [job.tasks[name] for name in job.task_order]
     return {
-        "states": dict(snapshot.states),
-        "attempts": dict(snapshot.attempts),
-        "epochs": dict(snapshot.epochs),
-        "nodes": dict(snapshot.nodes),
-        "mepoch": snapshot.mepoch,
-        "gc": dict(snapshot.gc_watermarks),
-        "sheds": {task: list(serials) for task, serials in snapshot.sheds.items()},
-        "dead_letters": [dict(entry) for entry in snapshot.dead_letters],
-        "deliveries": {
-            task: [message.serial for message in messages]
-            for task, messages in snapshot.deliveries.items()
-        },
-        "finished": snapshot.finished,
-        "failed": snapshot.failed,
-        "deadline": snapshot.deadline,
+        "states": job.states(),
+        "attempts": {rt.name: rt.attempts for rt in tasks},
+        "epochs": {rt.name: rt.epoch for rt in tasks},
+        "nodes": {rt.name: rt.node_name for rt in tasks},
+        "results": {n: payload_digest(r) for n, r in job.results().items()},
+        "checkpoints": [payload_digest(job.load_checkpoint(n)) for n in job.task_order],
+        "mepoch": job.manager_epoch,
+        "gc": dict(job.gc_watermarks),
+        "dead_letters": [dict(entry) for entry in job.dead_letters],
+        "deliveries": {t: [m.serial for m in ms] for t, ms in job.ledger().items()},
+        "finished": job.finished,
+        "failed": job.failed is not None,
+        "deadline": job.deadline,
     }
 
 
@@ -159,22 +159,22 @@ def replay_equivalence(result: "SimResult") -> list[str]:
         if result.done:
             violations.append("job completed but no journal replica survived")
         return violations
-    first = _snapshot_view(replay_job(result.job_id, result.records))
-    second = _snapshot_view(replay_job(result.job_id, result.records))
+    first = job_view(replay_job(result.job_id, result.records))
+    second = job_view(replay_job(result.job_id, result.records))
     if first != second:
         diff = [key for key in first if first[key] != second[key]]
         violations.append(f"replay_job is not a pure fold; differing keys: {diff}")
     if result.done:
-        snapshot = replay_job(result.job_id, result.records)
+        replayed = first["states"]
         for task, state in result.states.items():
-            if state == "COMPLETED" and snapshot.states.get(task) != "COMPLETED":
+            if state == "COMPLETED" and replayed.get(task) != "COMPLETED":
                 violations.append(
                     f"task {task!r} completed at runtime but replays as"
-                    f" {snapshot.states.get(task)!r}"
+                    f" {replayed.get(task)!r}"
                 )
-        if not snapshot.finished:
+        if not first["finished"]:
             violations.append("job finished at runtime but journal never did")
-        elif snapshot.failed:
+        elif first["failed"]:
             violations.append("job completed at runtime but journal says failed")
     return violations
 
@@ -200,8 +200,7 @@ def sheds_subset_of_deliveries(result: "SimResult") -> list[str]:
 @oracle("budget-monotone")
 def budget_monotone(result: "SimResult") -> list[str]:
     """No routed message may outlive the job's end-to-end budget."""
-    snapshot = replay_job(result.job_id, result.records)
-    budget = snapshot.deadline
+    budget = replay_job(result.job_id, result.records).deadline
     if budget is None:
         budget = result.job_deadline
     if budget is None:
@@ -225,12 +224,13 @@ def ledger_drain(result: "SimResult") -> list[str]:
     ledger is exactly the un-collected suffix."""
     if not result.records:
         return []
-    snapshot = replay_job(result.job_id, result.records)
+    job = replay_job(result.job_id, result.records)
+    ledger = job.ledger()
     totals = {
         task: len(serials) for task, serials in _ledgered_counts(result.records).items()
     }
     violations = []
-    for task, watermark in snapshot.gc_watermarks.items():
+    for task, watermark in job.gc_watermarks.items():
         total = totals.get(task, 0)
         if watermark > total:
             violations.append(
@@ -238,7 +238,7 @@ def ledger_drain(result: "SimResult") -> list[str]:
                 f" {total} journaled deliveries"
             )
             continue
-        remaining = len(snapshot.deliveries.get(task, []))
+        remaining = len(ledger.get(task, []))
         if remaining != total - watermark:
             violations.append(
                 f"replayed ledger for {task!r} holds {remaining} entries,"
@@ -251,7 +251,7 @@ def _ledgered_counts(records: list[JournalRecord]) -> dict[str, list[int]]:
     """Task -> journaled delivery serials *with* duplicates (GC counts
     entries, not distinct serials), under the same epoch fence the
     replay fold applies -- otherwise a stale-epoch delivery would count
-    here but not in the snapshot."""
+    here but not in the folded job."""
     out: dict[str, list[int]] = {}
     high = 0
     for record in records:
@@ -268,7 +268,7 @@ def _ledgered_counts(records: list[JournalRecord]) -> dict[str, list[int]]:
 def fenced_zombies(result: "SimResult") -> list[str]:
     """Records behind the adoption fence must contribute nothing: folding
     the journal with stale-epoch records pre-filtered yields the same
-    snapshot as folding the raw sequence."""
+    job as folding the raw sequence."""
     if not result.records:
         return []
     filtered: list[JournalRecord] = []
@@ -280,8 +280,8 @@ def fenced_zombies(result: "SimResult") -> list[str]:
             continue
         high = max(high, record.mepoch)
         filtered.append(record)
-    raw_view = _snapshot_view(replay_job(result.job_id, result.records))
-    fenced_view = _snapshot_view(replay_job(result.job_id, filtered))
+    raw_view = job_view(replay_job(result.job_id, result.records))
+    fenced_view = job_view(replay_job(result.job_id, filtered))
     if raw_view != fenced_view:
         diff = [key for key in raw_view if raw_view[key] != fenced_view[key]]
         return [
@@ -295,8 +295,7 @@ def fenced_zombies(result: "SimResult") -> list[str]:
 def dead_letter_accounting(result: "SimResult") -> list[str]:
     """Quarantines trace to injected corruptions, are journaled with a
     replayable ledger entry, and never fire with checksums off."""
-    snapshot = replay_job(result.job_id, result.records)
-    journaled = snapshot.dead_letters
+    journaled = replay_job(result.job_id, result.records).dead_letters
     violations = []
     if not result.schedule.checksums:
         if journaled or result.dead_letters:

@@ -244,14 +244,14 @@ class TestRecoveryDeterminism:
                 gate.release.set()
                 results = api.wait(handle, timeout=60)
                 states = handle.job.states()
-                snapshot = replay_job(
+                replayed = replay_job(
                     handle.job_id,
                     cluster.servers[1].journal.records(handle.job_id),
                 )
             return (
                 np.array(results["join"]),
                 states,
-                snapshot.states,
+                replayed.states(),
                 {name: r["resumed_from"] for name, r in results.items()
                  if name.startswith("w")},
             )

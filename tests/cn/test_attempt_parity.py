@@ -222,6 +222,6 @@ def test_zombie_attempts_checkpoint_is_fenced_inproc_as_on_proc():
                 if server.name == "node1":
                     continue  # off the bus since it died
                 replayed = replay_job(job.job_id, server.journal.records(job.job_id))
-                assert replayed.checkpoints["z"] == (5, {"i": 5}), server.name
+                assert replayed.load_checkpoint("z") == (5, {"i": 5}), server.name
     finally:
         release.set()

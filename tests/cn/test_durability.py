@@ -30,6 +30,7 @@ from repro.cn import (
     MessageType,
     ReplicatedJournal,
     Task,
+    TaskFailedError,
     TaskRegistry,
     TaskSpec,
     TaskState,
@@ -44,6 +45,7 @@ from repro.cn.durability import (
 )
 from repro.cn.job import Job
 from repro.cn.multicast import MulticastBus, Solicitation
+from repro.sim.oracles import job_view
 
 
 class Echo(Task):
@@ -76,11 +78,29 @@ class Quick(Task):
         return "ok"
 
 
+class CheckpointThenRetry(Task):
+    """Reads a USER message and checkpoints it, then fails its first
+    attempt; a retried attempt returns the checkpoint and the next
+    message."""
+
+    def __init__(self, *params):
+        pass
+
+    def run(self, ctx):
+        first = ctx.recv_user(timeout=30.0).payload
+        resumed = self.restore()
+        if resumed is None:
+            self.checkpoint({"seen": first}, tag=1)
+            raise RuntimeError("the first attempt fails after its checkpoint")
+        return [resumed, ctx.recv_user(timeout=30.0).payload]
+
+
 def echo_registry() -> TaskRegistry:
     registry = TaskRegistry()
     registry.register_class("echo.jar", "t.Echo", Echo)
     registry.register_class("echo.jar", "t.EchoPair", EchoPair)
     registry.register_class("quick.jar", "t.Quick", Quick)
+    registry.register_class("retry.jar", "t.CheckpointThenRetry", CheckpointThenRetry)
     return registry
 
 
@@ -94,6 +114,12 @@ def rec(seq, job_id, kind, mepoch=1, origin="n0/jm", **data) -> JournalRecord:
     return JournalRecord(
         seq=seq, job_id=job_id, kind=kind, mepoch=mepoch, origin=origin, data=data
     )
+
+
+def view(job: Job) -> dict:
+    """What two Jobs are compared by: the simulator's oracle view, plus the
+    client and the manager the job names."""
+    return {**job_view(job), "client": job.client_name, "manager": job.manager}
 
 
 # -- journal backends -----------------------------------------------------------
@@ -405,25 +431,27 @@ class TestReplayJob:
         ]
 
     def test_fold_reconstructs_everything(self):
-        snapshot = replay_job("j", self.journal_for_one_task())
-        assert (snapshot.client, snapshot.manager) == ("c", "n0/jm")
-        assert not hasattr(snapshot, "descriptor")
-        assert snapshot.order == ["t"]
-        assert snapshot.states["t"] == "COMPLETED"
-        assert snapshot.results["t"] == 7
-        assert snapshot.attempts["t"] == 2
-        assert snapshot.epochs["t"] == 2  # highest placement epoch wins
-        assert snapshot.nodes["t"] == "n2/tm"
-        assert snapshot.checkpoints["t"] == (0, {"k": 0})
-        assert snapshot.finished and not snapshot.failed
-        assert snapshot.terminal_tasks() == ["t"]
-        assert snapshot.pending_tasks() == []
+        job = replay_job("j", self.journal_for_one_task())
+        assert isinstance(job, Job)
+        assert (job.client_name, job.manager) == ("c", "n0/jm")
+        assert not hasattr(job, "descriptor")
+        assert job.task_order == ["t"]
+        task = job.task("t")
+        assert task.state is TaskState.COMPLETED
+        assert task.result == 7
+        assert task.attempts == 2
+        assert task.epoch == 2  # highest placement epoch wins
+        assert task.node_name == "n2/tm"
+        assert job.load_checkpoint("t") == (0, {"k": 0})
+        assert job.finished and job.failed is None
+        assert job.all_terminal()
 
     def test_pending_tasks_are_the_successors_worklist(self):
         records = self.journal_for_one_task()[:5]  # still RUNNING
-        snapshot = replay_job("j", records)
-        assert snapshot.pending_tasks() == ["t"]
-        assert not snapshot.finished
+        job = replay_job("j", records)
+        assert job.task("t").state is TaskState.RUNNING
+        assert not job.all_terminal()
+        assert not job.finished
 
     def test_stale_epoch_records_are_ignored(self):
         records = self.journal_for_one_task()[:6]
@@ -432,16 +460,16 @@ class TestReplayJob:
             # a zombie write stamped with the dead manager's epoch
             rec(8, "j", "task-state", mepoch=1, task="t", state="COMPLETED", result=666),
         ]
-        snapshot = replay_job("j", records)
-        assert snapshot.manager == "n1/jm"
-        assert snapshot.mepoch == 2
-        assert snapshot.states["t"] == "RUNNING"
-        assert "t" not in snapshot.results
+        job = replay_job("j", records)
+        assert job.manager == "n1/jm"
+        assert job.manager_epoch == 2
+        assert job.task("t").state is TaskState.RUNNING
+        assert job.task("t").result is None
 
     def test_other_jobs_records_are_skipped(self):
         records = self.journal_for_one_task()
         noise = [rec(99, "other", "job-created", manager="n3/jm")]
-        assert replay_job("j", noise + records) == replay_job("j", records)
+        assert view(replay_job("j", noise + records)) == view(replay_job("j", records))
 
 
 class TestReplayDeliveryBatchAndGC:
@@ -455,8 +483,8 @@ class TestReplayDeliveryBatchAndGC:
             rec(i + 1, "j", "delivery", messages=[m]) for i, m in enumerate(messages)
         ]
         assert (
-            replay_job("j", batched).deliveries
-            == replay_job("j", singles).deliveries
+            replay_job("j", batched).ledger()
+            == replay_job("j", singles).ledger()
             == {"t": messages}
         )
 
@@ -466,25 +494,25 @@ class TestReplayDeliveryBatchAndGC:
             Message.user("s", "b", 2),
             Message.user("s", "a", 3),
         ]
-        snapshot = replay_job("j", [rec(1, "j", "delivery", messages=messages)])
-        assert [m.payload for m in snapshot.deliveries["a"]] == [1, 3]
-        assert [m.payload for m in snapshot.deliveries["b"]] == [2]
+        ledger = replay_job("j", [rec(1, "j", "delivery", messages=messages)]).ledger()
+        assert [m.payload for m in ledger["a"]] == [1, 3]
+        assert [m.payload for m in ledger["b"]] == [2]
 
     def test_ledger_gc_truncates_replayed_deliveries(self):
         messages = self.deliveries("t", ["m1", "m2", "m3"])
         records = [rec(1, "j", "delivery", messages=messages)]
         # GC after the recipient's attempt completed: all three are gone
-        snapshot = replay_job("j", records + [rec(2, "j", "ledger-gc", task="t", upto=3)])
-        assert snapshot.deliveries["t"] == []
-        assert snapshot.gc_watermarks == {"t": 3}
+        job = replay_job("j", records + [rec(2, "j", "ledger-gc", task="t", upto=3)])
+        assert job.ledger() == {}
+        assert job.gc_watermarks == {"t": 3}
 
     def test_crash_before_gc_watermark_still_replays_everything(self):
         # no ledger-gc record landed before the crash: the successor's
         # replay must resurrect the full history (at-least-once holds)
         messages = self.deliveries("t", ["m1", "m2"])
-        snapshot = replay_job("j", [rec(1, "j", "delivery", messages=messages)])
-        assert snapshot.deliveries["t"] == messages
-        assert snapshot.gc_watermarks == {}
+        job = replay_job("j", [rec(1, "j", "delivery", messages=messages)])
+        assert job.ledger() == {"t": messages}
+        assert job.gc_watermarks == {}
 
     def test_gc_watermark_is_cumulative_across_attempts(self):
         first = self.deliveries("t", ["a1", "a2"])
@@ -494,12 +522,12 @@ class TestReplayDeliveryBatchAndGC:
             rec(2, "j", "ledger-gc", task="t", upto=2),
             rec(3, "j", "delivery", messages=second),
         ]
-        snapshot = replay_job("j", records)
+        job = replay_job("j", records)
         # only the post-GC delivery survives
-        assert [m.payload for m in snapshot.deliveries["t"]] == ["b1"]
+        assert [m.payload for m in job.ledger()["t"]] == ["b1"]
         # a successor journaling the next truncation continues the count
-        snapshot = replay_job("j", records + [rec(4, "j", "ledger-gc", task="t", upto=3)])
-        assert snapshot.deliveries["t"] == []
+        job = replay_job("j", records + [rec(4, "j", "ledger-gc", task="t", upto=3)])
+        assert job.ledger() == {}
 
     def test_a_delivery_journaled_after_the_gc_that_collected_it_stays_collected(
         self,
@@ -513,9 +541,9 @@ class TestReplayDeliveryBatchAndGC:
             rec(2, "j", "ledger-gc", task="t", upto=2),
             rec(3, "j", "delivery", messages=[late]),
         ]
-        snapshot = replay_job("j", records)
-        assert snapshot.deliveries["t"] == []
-        assert snapshot.gc_watermarks == {"t": 2}
+        job = replay_job("j", records)
+        assert job.ledger() == {}
+        assert job.gc_watermarks == {"t": 2}
 
     def test_duplicated_gc_record_is_idempotent(self):
         messages = self.deliveries("t", ["m1", "m2"])
@@ -524,8 +552,8 @@ class TestReplayDeliveryBatchAndGC:
             rec(2, "j", "ledger-gc", task="t", upto=1),
             rec(3, "j", "ledger-gc", task="t", upto=1),  # replica duplicate
         ]
-        snapshot = replay_job("j", records)
-        assert [m.payload for m in snapshot.deliveries["t"]] == ["m2"]
+        job = replay_job("j", records)
+        assert [m.payload for m in job.ledger()["t"]] == ["m2"]
 
     def test_delivery_record_roundtrips_through_a_file_journal(self, tmp_path):
         path = str(tmp_path / "n.jsonl")
@@ -535,8 +563,7 @@ class TestReplayDeliveryBatchAndGC:
         journal.append(rec(2, "j", "ledger-gc", task="t", upto=1))
         journal.close()
         reloaded = FileJournal(path)
-        snapshot = replay_job("j", reloaded.records("j"))
-        [survivor] = snapshot.deliveries["t"]
+        [survivor] = replay_job("j", reloaded.records("j")).ledger()["t"]
         assert np.array_equal(survivor.payload, np.arange(4.0))
         reloaded.close()
 
@@ -665,7 +692,7 @@ class TestReplayDeterminism:
     @settings(max_examples=100, deadline=None)
     @given(journals())
     def test_replay_is_a_pure_function_of_the_record_sequence(self, records):
-        assert replay_job("j", records) == replay_job("j", list(records))
+        assert view(replay_job("j", records)) == view(replay_job("j", list(records)))
 
     @settings(max_examples=100, deadline=None)
     @given(journals())
@@ -676,7 +703,9 @@ class TestReplayDeterminism:
         journal = MemoryJournal()
         for record in records:
             journal.append(record)
-        assert replay_job("j", journal.records("j")) == replay_job("j", records)
+        assert view(replay_job("j", journal.records("j"))) == view(
+            replay_job("j", records)
+        )
 
     @settings(max_examples=100, deadline=None)
     @given(journals())
@@ -706,7 +735,9 @@ class TestReplayDeterminism:
                           mepoch=r.mepoch, origin=r.origin, data=r.data)
             for i, r in enumerate(noise)
         ]
-        assert replay_job("j", records + foreign) == replay_job("j", records)
+        assert view(replay_job("j", records + foreign)) == view(
+            replay_job("j", records)
+        )
 
 
 # -- batches are observationally equal to singles (hypothesis) -------------------
@@ -779,8 +810,8 @@ def _write_both_ways(writes, raced=None):
             for kind, data in events:
                 single.append(job_id, kind, data, mepoch)
         for job_id in ("j", "other"):
-            assert replay_job(job_id, batched.records(job_id)) == replay_job(
-                job_id, single.records(job_id)
+            assert view(replay_job(job_id, batched.records(job_id))) == view(
+                replay_job(job_id, single.records(job_id))
             )
         sides = [
             [_observed(j) for j in (writer, *replicas)]
@@ -853,8 +884,8 @@ class TestCheckpointAPI:
             jm = cluster.servers[0].jobmanager
             job = jm.create_job("client")
             job.save_checkpoint("t", {"k": 5}, tag=5)
-            snapshot = replay_job(job.job_id, jm.journal.records(job.job_id))
-            assert snapshot.checkpoints["t"] == (5, {"k": 5})
+            replayed = replay_job(job.job_id, jm.journal.records(job.job_id))
+            assert replayed.load_checkpoint("t") == (5, {"k": 5})
 
 
 # -- the checkpoint table: latest state per task, beside the log -----------------
@@ -909,7 +940,7 @@ class TestCheckpointTable:
             seen = {}
             for server in cluster.servers:
                 records = server.journal.records(job.job_id)
-                tag, state = replay_job(job.job_id, records).checkpoints["t"]
+                tag, state = replay_job(job.job_id, records).load_checkpoint("t")
                 seen[server.name] = (tag, state.tolist())
             assert seen == {
                 "node0": (3, [3.0] * 4),
@@ -949,9 +980,10 @@ class TestCheckpointTable:
         assert journal.append(live)
         assert journal.append(zombie) is False
         assert journal.fenced == [zombie] and journal.superseded == 0
-        assert replay_job("j", journal.records("j")).checkpoints == {
-            "t": (5, {"i": 5})
-        }
+        assert replay_job("j", journal.records("j")).load_checkpoint("t") == (
+            5,
+            {"i": 5},
+        )
 
     def test_a_reloaded_file_keeps_every_line_and_one_state_per_task(self, tmp_path):
         path = str(tmp_path / "node0.jsonl")
@@ -989,10 +1021,10 @@ class TestDurableJobLifecycle:
             assert kinds[0] == "job-created"
             assert "task-spec" in kinds and "task-placed" in kinds
             assert kinds[-1] == "job-finished"
-            snapshot = replay_job(handle.job_id, records)
-            assert snapshot.states["q"] == "COMPLETED"
-            assert snapshot.results["q"] == "ok"
-            assert snapshot.finished
+            replayed = replay_job(handle.job_id, records)
+            assert replayed.states()["q"] == "COMPLETED"
+            assert replayed.results()["q"] == "ok"
+            assert replayed.finished
 
     def test_user_deliveries_ride_the_journal(self):
         with Cluster(2, registry=echo_registry()) as cluster:
@@ -1012,9 +1044,9 @@ class TestDurableJobLifecycle:
             assert "hello" in journaled
             # replay reflects the post-completion ledger GC: the terminal
             # task's history is truncated, not resurrected
-            snapshot = replay_job(handle.job_id, records)
-            assert snapshot.deliveries.get("e", []) == []
-            assert snapshot.gc_watermarks.get("e", 0) >= 1
+            replayed = replay_job(handle.job_id, records)
+            assert "e" not in replayed.ledger()
+            assert replayed.gc_watermarks.get("e", 0) >= 1
 
     def test_non_durable_cluster_has_no_journal(self):
         with Cluster(2, registry=echo_registry(), durable=False) as cluster:
@@ -1037,8 +1069,8 @@ class TestDurableJobLifecycle:
             api.wait(handle, timeout=10)
             job_id = handle.job_id
         reloaded = FileJournal(f"{journal_dir}/node0.jsonl")
-        snapshot = replay_job(job_id, reloaded.records(job_id))
-        assert snapshot.finished and snapshot.results["q"] == "ok"
+        replayed = replay_job(job_id, reloaded.records(job_id))
+        assert replayed.finished and replayed.results()["q"] == "ok"
         reloaded.close()
 
     def test_every_terminal_record_is_on_disk_when_wait_returns(
@@ -1081,14 +1113,97 @@ class TestDurableJobLifecycle:
             ours = [args.exc_value for args in raised if args.thread not in earlier]
             assert ours == []
             reloaded = FileJournal(f"{journal_dir}/node0.jsonl")
-            snapshot = replay_job(job_id, reloaded.records(job_id))
+            replayed = replay_job(job_id, reloaded.records(job_id))
             reloaded.close()
-            assert snapshot.finished
-            assert snapshot.states == {name: "COMPLETED" for name in names}
-            assert snapshot.gc_watermarks == {name: 1 for name in names}
+            assert replayed.finished
+            assert replayed.states() == {name: "COMPLETED" for name in names}
+            assert replayed.gc_watermarks == {name: 1 for name in names}
+
+    def test_a_tasks_last_terminal_write_is_one_batch(self):
+        """``task-state`` and ``job-finished`` reach every replica in one
+        ``extend``: no journal holds the task's end without the job's."""
+        with Cluster(2, registry=echo_registry()) as cluster:
+            batches = {}
+            for server in cluster.servers:
+                backend = server.journal.backend
+                seen = batches[server.name] = []
+
+                def recording(records, extend=backend.extend, seen=seen):
+                    seen.append([record.kind for record in records])
+                    return extend(records)
+
+                backend.extend = recording
+            api = CNAPI.initialize(cluster)
+            handle = api.create_job("client")
+            api.create_task(handle, TaskSpec(name="q", jar="quick.jar", cls="t.Quick"))
+            api.start_job(handle)
+            assert api.wait(handle, timeout=10)["q"] == "ok"
+            for name, seen in batches.items():
+                finishing = [kinds for kinds in seen if "job-finished" in kinds]
+                assert finishing == [["task-state", "job-finished"]], name
+
+
+class TestFoldEqualsLiveJob:
+    """``replay_job`` of a job's journal is the Job that wrote it, read
+    through the simulator's view: states, attempts, epochs, nodes,
+    results, GC watermarks, the ledger left, checkpoints, dead letters,
+    deadline, manager epoch, finished and failed."""
+
+    def test_a_run_with_deliveries_a_checkpoint_and_a_retry(self):
+        with Cluster(2, registry=echo_registry()) as cluster:
+            api = CNAPI.initialize(cluster)
+            handle = api.create_job("client", budget=60.0)
+            api.create_tasks(
+                handle,
+                [
+                    TaskSpec(
+                        name="r", jar="retry.jar", cls="t.CheckpointThenRetry",
+                        max_retries=2,
+                    ),
+                    TaskSpec(name="e", jar="echo.jar", cls="t.Echo"),
+                ],
+            )
+            for name, payload in (("r", "first"), ("r", "second"), ("e", "hello")):
+                api.send_message(handle, name, payload)
+            api.start_job(handle)
+            results = api.wait(handle, timeout=15)
+            assert results == {"r": [{"seen": "first"}, "second"], "e": "hello"}
+            job = handle.job
+            assert job.task("r").attempts == 2
+            assert job.load_checkpoint("r") == (1, {"seen": "first"})
+            records = handle.manager.journal.records(handle.job_id)
+            assert view(replay_job(handle.job_id, records)) == view(job)
+
+    def test_a_run_through_a_manager_kill(self):
+        with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
+            worker_only_nodes(cluster)
+            api = CNAPI.initialize(cluster)
+            handle = api.create_job("client", requirements={"prefer": "node0"})
+            api.create_task(
+                handle,
+                TaskSpec(name="e", jar="echo.jar", cls="t.EchoPair", max_retries=2),
+            )
+            api.start_job(handle)
+            api.send_message(handle, "e", "first")
+            cluster.kill_node("node0")
+            cluster.tick(3)
+            assert handle.manager.name == "node1/jm"
+            api.send_message(handle, "e", "second")
+            assert api.wait(handle, timeout=15)["e"] == ["first", "second"]
+            records = cluster.servers[1].journal.records(handle.job_id)
+            assert view(replay_job(handle.job_id, records)) == view(handle.job)
+            assert view(handle.job)["mepoch"] == 2
 
 
 # -- manager failover -----------------------------------------------------------
+
+
+def journal_a_dead_managers_job(cluster, job_id, *events):
+    """Replicate node0/jm's journal of *job_id*, written up to *events*."""
+    cluster.servers[0].journal.append_many(
+        job_id,
+        [("job-created", {"client": "c", "manager": "node0/jm"}), *events],
+    )
 
 
 class TestManagerFailover:
@@ -1223,6 +1338,69 @@ class TestManagerFailover:
             cluster.tick(3)
             for server in cluster.alive_servers():
                 assert server.jobmanager.adopted_jobs == []
+
+    def test_adoption_finishes_a_job_whose_tasks_all_ended(self):
+        """The manager died between a task's ``task-state`` and the
+        ``job-finished`` it owed: the successor writes that at its own
+        epoch, so no later failover adopts the job again."""
+        with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
+            worker_only_nodes(cluster)
+            spec = TaskSpec(name="q", jar="quick.jar", cls="t.Quick")
+            journal_a_dead_managers_job(
+                cluster,
+                "j",
+                ("task-spec", {"spec": spec}),
+                ("task-placed", {"task": "q", "node": "node2/tm", "epoch": 1}),
+                ("task-state", {"task": "q", "state": "COMPLETED", "attempts": 1,
+                                "result": "ok"}),
+            )
+            cluster.kill_node("node0")
+            cluster.tick(3)
+            successor = cluster.servers[1]
+            assert successor.jobmanager.adopted_jobs == ["j"]
+            assert successor.jobmanager.jobs["j"].wait(0) == {"q": "ok"}
+            last = successor.journal.records("j")[-1]
+            assert (last.kind, last.mepoch, last.data) == (
+                "job-finished", 2, {"failed": False}
+            )
+            assert successor.journal.jobs_managed_by("node1/jm") == []
+            cluster.kill_node("node1")
+            cluster.tick(3)
+            assert cluster.servers[2].jobmanager.adopted_jobs == []
+
+    def test_adoption_does_not_run_a_job_that_already_failed(self):
+        """A task FAILED and the manager died before ``job-finished``:
+        fail-fast holds across the failover, so the successor finishes
+        the job failed and places nothing."""
+        with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
+            worker_only_nodes(cluster)
+            spec_a, spec_b = (
+                TaskSpec(name=name, jar="quick.jar", cls="t.Quick") for name in "ab"
+            )
+            journal_a_dead_managers_job(
+                cluster,
+                "j",
+                ("task-spec", {"spec": spec_a}),
+                ("task-spec", {"spec": spec_b}),
+                ("task-placed", {"task": "a", "node": "node2/tm", "epoch": 1}),
+                ("task-state", {"task": "a", "state": "FAILED", "attempts": 1,
+                                "error": "boom"}),
+            )
+            cluster.kill_node("node0")
+            cluster.tick(3)
+            successor = cluster.servers[1]
+            job = successor.jobmanager.jobs["j"]
+            with pytest.raises(TaskFailedError, match="boom"):
+                job.wait(0)
+            assert job.task("b").state is TaskState.PENDING
+            assert job.task("b").node_name is None
+            records = successor.journal.records("j")
+            written = [(r.kind, r.data) for r in records if r.mepoch == 2]
+            assert written == [
+                ("job-adopted", {"manager": "node1/jm", "previous": "node0/jm"}),
+                ("job-finished", {"failed": True}),
+            ]
+            assert successor.journal.jobs_managed_by("node1/jm") == []
 
     def test_manager_adopted_notification_reaches_the_client(self):
         with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:

@@ -199,10 +199,10 @@ class TestCorruptionQuarantineEndToEnd:
             assert entry["expected_digest"] != entry["observed_digest"]
             # the dead letter is journaled: it survives a pure replay
             records = cluster.servers[0].journal.records(handle.job_id)
-            snapshot = replay_job(handle.job_id, records)
-            assert snapshot.dead_letters
-            assert snapshot.dead_letters[0]["serial"] == entry["serial"]
-            assert snapshot.finished and not snapshot.failed
+            replayed = replay_job(handle.job_id, records)
+            assert replayed.dead_letters
+            assert replayed.dead_letters[0]["serial"] == entry["serial"]
+            assert replayed.finished and replayed.failed is None
             # and the quarantined serial is still ledgered for replay
             serials = {
                 m.serial

@@ -83,6 +83,11 @@ DELETED = [
      r"\bcnx_to_(python|java)_xslt\b|\b_run_codegen_stylesheet\b|XSLT edition",
      "step 4's generators are checked against the descriptor, not against a "
      "second generator"),
+    (EVERYWHERE,
+     r"\bJobSnapshot\b|\brestore_(deliveries|checkpoints|dead_letters)\b"
+     r"|\b(pending|terminal)_tasks\(",
+     "a job's journaled state has two forms, the live Job and the Job the "
+     "journal folds into: no snapshot between them, no copy from one to the other"),
 ]
 
 
