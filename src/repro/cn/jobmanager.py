@@ -355,10 +355,11 @@ class JobManager:
                 runtime.result = runtime.error = None
                 pending.append(runtime)
         failed = job.failed is not None
-        if failed or not pending:
+        if failed or (terminal and not pending):
             # the journal says the job is over (a failure fails it fast),
             # whether or not the dead manager lived to write job-finished:
-            # write it at this epoch, before note_terminal wakes the client
+            # write it at this epoch, before note_terminal wakes the client.
+            # A job with no tasks yet is not over: its client adds them here
             job.journal_event("job-finished", {"failed": failed})
             pending = []
         # migrate the client conduit: drain the dead manager's client

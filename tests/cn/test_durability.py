@@ -118,8 +118,15 @@ def rec(seq, job_id, kind, mepoch=1, origin="n0/jm", **data) -> JournalRecord:
 
 def view(job: Job) -> dict:
     """What two Jobs are compared by: the simulator's oracle view, plus the
-    client and the manager the job names."""
-    return {**job_view(job), "client": job.client_name, "manager": job.manager}
+    roster order, the tasks' errors, and the client and the manager the
+    job names."""
+    return {
+        **job_view(job),
+        "order": list(job.task_order),
+        "errors": {name: job.tasks[name].error for name in job.task_order},
+        "client": job.client_name,
+        "manager": job.manager,
+    }
 
 
 # -- journal backends -----------------------------------------------------------
@@ -1401,6 +1408,30 @@ class TestManagerFailover:
                 ("job-finished", {"failed": True}),
             ]
             assert successor.journal.jobs_managed_by("node1/jm") == []
+
+    def test_a_job_with_no_tasks_yet_is_adopted_open(self):
+        """The manager died after ``job-created`` and before any task: the
+        successor keeps the job open for the client's tasks, so when it
+        dies too a third manager adopts the job and completes it."""
+        with Cluster(4, registry=echo_registry(), failure_k=2) as cluster:
+            for server in cluster.servers[:2]:
+                server.accept_tasks = False
+            api = CNAPI.initialize(cluster)
+            handle = api.create_job("client", requirements={"prefer": "node0"})
+            cluster.kill_node("node0")
+            cluster.tick(3)
+            assert handle.manager.name == "node1/jm"
+            assert not handle.job.finished
+            successor = cluster.servers[1]
+            assert successor.journal.jobs_managed_by("node1/jm") == [handle.job_id]
+            api.create_task(handle, TaskSpec(name="e", jar="echo.jar", cls="t.Echo"))
+            api.start_job(handle)
+            cluster.kill_node("node1")
+            cluster.tick(3)
+            assert handle.manager.name == "node2/jm"
+            assert handle.job.manager_epoch == 3
+            api.send_message(handle, "e", "done")
+            assert api.wait(handle, timeout=15)["e"] == "done"
 
     def test_manager_adopted_notification_reaches_the_client(self):
         with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
