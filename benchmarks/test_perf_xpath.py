@@ -3,7 +3,7 @@
 The XSLT engine is the substrate every transform pays for; these
 micro-benchmarks pin its cost profile: expression parsing (memoized),
 indexed vs scanned descendant queries, predicate filtering, and template
-dispatch, on a synthetic document sized like a 100-task XMI export.
+dispatch by name, on a synthetic document sized like a 100-task XMI export.
 """
 
 from __future__ import annotations
@@ -79,13 +79,15 @@ def test_bench_numeric_predicate(benchmark, ctx):
 
 
 def test_bench_template_dispatch(benchmark, document):
+    """Template dispatch: each element's rule by its name, and ``*`` for
+    the names no rule has."""
     sheet = Stylesheet.from_string(
         """<xsl:stylesheet version="1.0"
              xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
         <xsl:output method="text"/>
         <xsl:template match="/"><xsl:apply-templates select="//group"/></xsl:template>
-        <xsl:template match="group[@gid='g0']">A</xsl:template>
-        <xsl:template match="group">B</xsl:template>
+        <xsl:template match="group">A<xsl:apply-templates/></xsl:template>
+        <xsl:template match="*">B</xsl:template>
         </xsl:stylesheet>"""
     )
 
@@ -94,4 +96,5 @@ def test_bench_template_dispatch(benchmark, document):
 
     top = benchmark.pedantic(run, rounds=3, iterations=1)
     text = "".join(t for t in top if isinstance(t, str))
-    assert text.count("A") == N_ITEMS // 10
+    assert text.count("A") == N_ITEMS
+    assert text.count("B") == N_ITEMS * 4

@@ -49,8 +49,16 @@ def escape_text(value: str) -> str:
 
 
 def escape_attr(value: str) -> str:
-    """Escape character data for a double-quoted XML attribute value."""
-    return escape_text(value).replace('"', "&quot;").replace("\n", "&#10;")
+    """Escape character data for a double-quoted XML attribute value.
+    Newline, tab and carriage return go as character references: a
+    parser normalises each of them, written as itself, to a space."""
+    return (
+        escape_text(value)
+        .replace('"', "&quot;")
+        .replace("\n", "&#10;")
+        .replace("\t", "&#9;")
+        .replace("\r", "&#13;")
+    )
 
 
 def parse_xml(text: str) -> ET.Element:

@@ -1,53 +1,46 @@
 """XSLT 1.0 subset engine.
 
-Supports the instruction set the repository's stylesheets (and a useful
-superset of real-world sheets) need:
+Takes what the repository's stylesheet (``xmi2cnx.xsl``) needs:
 
-``xsl:template`` (match/name/mode/priority), ``xsl:apply-templates``
-(select/mode/sort/with-param), ``xsl:call-template``, ``xsl:value-of``,
-``xsl:for-each`` (with sort), ``xsl:if``, ``xsl:choose/when/otherwise``,
-``xsl:text``, ``xsl:element``, ``xsl:attribute``, ``xsl:comment``,
-``xsl:variable``/``xsl:param``/``xsl:with-param`` (select or content ->
-result-tree fragments), ``xsl:copy``, ``xsl:copy-of``, ``xsl:message``,
-``xsl:sort``, ``xsl:include``, ``xsl:output``, ``xsl:strip-space`` /
-``xsl:preserve-space``, attribute value templates, built-in template
-rules, template conflict resolution by priority and document order,
-``xsl:key``/``key()`` hash joins, and the XSLT additions ``current()``
-and ``generate-id()`` to the XPath function library.
+``xsl:template`` (match/name), ``xsl:apply-templates`` (select,
+with-param), ``xsl:call-template``, ``xsl:value-of``, ``xsl:for-each``,
+``xsl:if``, ``xsl:choose/when/otherwise``, ``xsl:text``,
+``xsl:attribute``, ``xsl:variable``/``xsl:param``/``xsl:with-param``
+(select or content -> result-tree fragments), ``xsl:output``,
+``xsl:strip-space``, ``xsl:key``/``key()`` hash joins, ``generate-id()``,
+literal result elements, attribute value templates and the built-in
+template rules.  A match pattern is ``/``, one element name or ``*``
+(:mod:`repro.xslt.patterns`); of two rules for one node the element
+name beats ``*``, and of equals the later one in the sheet wins.
 
-``xsl:import`` with real
-import precedence is supported (importing sheets outrank imports), as is
-``xsl:apply-imports``.
-
-Omissions (documented, not silently wrong): ``xsl:number``,
-``document()``, namespace-alias, and extension elements.  The engine raises
-:class:`XsltError` on any unsupported instruction so stylesheets fail
-loudly rather than misbehave.
+Anything else -- ``xsl:import``, ``xsl:include``, ``xsl:sort``,
+``xsl:copy``, modes, priorities, ``current()``, ... -- raises
+:class:`XsltError` (a pattern, :class:`PatternError`; a function, the
+XPath evaluator's unknown-function error) rather than being ignored.
 
 Execution model: a :class:`Stylesheet` is *lowered* once (memoised on
 the sheet, at its first transform) into plain Python closures -- one per
 instruction, ``instr(transformer, context, output)``, with every body a
 tuple of them, every XPath expression and attribute value template
-already compiled, ``xsl:sort``/``xsl:with-param`` children collected,
-named templates resolved and template rules arranged in a dispatch
-table keyed by ``(mode, node kind, element name)`` in winning order.
-A :class:`Transformer` holds only the state of one run (``current()``,
-key tables, messages), so concurrent transforms share one lowered
-sheet.  Lowering never raises: a malformed or unsupported instruction
-becomes a closure that raises the same :class:`XsltError` (or XPath
-syntax error) the moment it is executed, and not before.
+already compiled, named templates resolved and template rules arranged
+in a dispatch table keyed by pattern.  A :class:`Transformer` holds only
+the state of one run (key tables, the source tree), so concurrent
+transforms share one lowered sheet.  Lowering never raises: a malformed
+or unsupported instruction becomes a closure that raises the same
+:class:`XsltError` (or XPath syntax error) the moment it is executed,
+and not before.  A top-level declaration or template the engine does not
+take raises when the sheet is loaded.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
-from .output import OutComment, OutElement, OutputBuilder, OutputSettings, serialize
+from .output import OutElement, OutputBuilder, OutputSettings, serialize
 from .patterns import Pattern, compile_pattern
 from .xpath.datamodel import (
     XAttribute,
@@ -65,7 +58,6 @@ from .xpath.functions import (
     XPathTypeError,
     to_boolean,
     to_nodeset,
-    to_number,
     to_string,
 )
 from .xpath.lexer import XPathLexError
@@ -84,8 +76,7 @@ class XsltError(Exception):
 class ResultTreeFragment:
     """The value of an ``xsl:variable`` with content (an RTF).
 
-    Converts to string via the concatenated text, and can be spliced into
-    the output by ``xsl:copy-of``.
+    Converts to string via the concatenated text.
     """
 
     def __init__(self, top: list) -> None:
@@ -120,12 +111,8 @@ class _Text(list):
 class TemplateRule:
     pattern: Optional[Pattern]
     name: Optional[str]
-    mode: Optional[str]
-    priority: float
     params: list[ET.Element]
     body: list
-    order: int
-    precedence: int = 0  # import precedence; importer > imported
 
 
 def _is_xsl(elem: ET.Element, local: str | None = None) -> bool:
@@ -167,8 +154,15 @@ def _split_avt(value: str) -> list[tuple[bool, str]]:
                 buf.append("{")
                 i += 2
                 continue
-            end = value.find("}", i)
-            if end < 0:
+            # the first '}' outside a string literal ends the expression
+            end, quote = i + 1, None
+            while end < n and (quote is not None or value[end] != "}"):
+                if value[end] == quote:
+                    quote = None
+                elif quote is None and value[end] in "'\"":
+                    quote = value[end]
+                end += 1
+            if end == n:
                 raise XsltError(f"unterminated {{...}} in AVT: {value!r}")
             if buf:
                 chunks.append((False, "".join(buf)))
@@ -197,70 +191,33 @@ class Stylesheet:
     """A compiled stylesheet: template rules, output settings, globals."""
 
     def __init__(self) -> None:
-        self.rules: list[TemplateRule] = []
+        self.rules: list[TemplateRule] = []  # template rules, in sheet order
         self.named: dict[str, TemplateRule] = {}
         self.output = OutputSettings()
         self.globals: list[ET.Element] = []  # top-level xsl:variable / xsl:param
         self.strip_space: set[str] = set()
-        self.preserve_space: set[str] = set()
         self.keys: dict[str, tuple[Pattern, str]] = {}
-        self._order = 0
         self._program: Optional[_Program] = None
         self._lower_lock = threading.Lock()
 
     # -- construction ---------------------------------------------------------
     @classmethod
-    def from_string(cls, text: str, *, base_dir: Optional[Path] = None) -> "Stylesheet":
+    def from_string(cls, text: str) -> "Stylesheet":
         sheet = cls()
-        sheet._load(ET.fromstring(text), base_dir)
+        sheet._load(ET.fromstring(text))
         return sheet
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Stylesheet":
-        path = Path(path)
-        sheet = cls()
-        sheet._load(ET.fromstring(path.read_text()), path.parent)
-        return sheet
+        return cls.from_string(Path(path).read_text())
 
-    def _load(
-        self,
-        root: ET.Element,
-        base_dir: Optional[Path],
-        precedence_counter: Optional[list[int]] = None,
-    ) -> None:
-        """Compile *root*.  ``precedence_counter`` is a shared mutable
-        counter implementing XSLT import precedence: imports are loaded
-        first (depth-first, in document order), each complete sheet takes
-        the next counter value, so an importing sheet always outranks
-        everything it imports and later imports outrank earlier ones."""
+    def _load(self, root: ET.Element) -> None:
         if root.tag not in (_XSL + "stylesheet", _XSL + "transform"):
             raise XsltError(f"not a stylesheet root: {root.tag}")
-        if precedence_counter is None:
-            precedence_counter = [0]
-        # imports first (the spec requires them first in the document)
         for child in root:
-            if isinstance(child.tag, str) and child.tag == _XSL + "import":
-                if base_dir is None:
-                    raise XsltError("xsl:import requires a base directory")
-                href = child.get("href")
-                if not href:
-                    raise XsltError("xsl:import without href")
-                imported = Stylesheet()
-                path = Path(base_dir) / href
-                imported._load(
-                    ET.fromstring(path.read_text()), path.parent, precedence_counter
-                )
-                self._merge(imported)
-        self._current_precedence = precedence_counter[0]
-        precedence_counter[0] += 1
-        for child in root:
-            if not isinstance(child.tag, str):
-                continue
-            if not child.tag.startswith(_XSL):
+            if not isinstance(child.tag, str) or not child.tag.startswith(_XSL):
                 continue  # top-level literal elements are ignored
             local = _local(child)
-            if local == "import":
-                continue  # handled above
             if local == "template":
                 self._add_template(child)
             elif local == "output":
@@ -274,16 +231,6 @@ class Stylesheet:
                 self.globals.append(child)
             elif local == "strip-space":
                 self.strip_space.update(child.get("elements", "").split())
-            elif local == "preserve-space":
-                self.preserve_space.update(child.get("elements", "").split())
-            elif local == "include":
-                if base_dir is None:
-                    raise XsltError("xsl:include requires a base directory")
-                href = child.get("href")
-                if not href:
-                    raise XsltError("xsl:include without href")
-                included = Stylesheet.from_file(base_dir / href)
-                self._merge(included)
             elif local == "key":
                 name = child.get("name")
                 match = child.get("match")
@@ -291,57 +238,32 @@ class Stylesheet:
                 if not (name and match and use):
                     raise XsltError("xsl:key requires name, match and use")
                 self.keys[name] = (compile_pattern(match), use)
-            elif local in ("namespace-alias", "decimal-format", "attribute-set"):
+            else:
                 raise XsltError(f"unsupported top-level instruction xsl:{local}")
-            # anything else at top level: ignore (comments etc.)
-
-    def _merge(self, other: "Stylesheet") -> None:
-        for rule in other.rules:
-            rule.order = self._order
-            self._order += 1
-            self.rules.append(rule)  # keeps the precedence it was loaded with
-        self.named.update(other.named)
-        self.globals.extend(other.globals)
-        self.strip_space |= other.strip_space
-        self.preserve_space |= other.preserve_space
-        self.keys.update(other.keys)
 
     def _add_template(self, elem: ET.Element) -> None:
         match = elem.get("match")
         name = elem.get("name")
         if match is None and name is None:
             raise XsltError("xsl:template needs match= or name=")
-        mode = elem.get("mode")
+        for unsupported in ("mode", "priority"):
+            if elem.get(unsupported) is not None:
+                raise XsltError(f"unsupported attribute {unsupported}= on xsl:template")
         params = [c for c in elem if isinstance(c.tag, str) and c.tag == _XSL + "param"]
         body = [
             item
             for item in _body_items(elem)
             if not (isinstance(item, ET.Element) and _is_xsl(item, "param"))
         ]
-        precedence = getattr(self, "_current_precedence", 0)
+        rule = TemplateRule(
+            compile_pattern(match) if match is not None else None, name, params, body
+        )
         if match is not None:
-            pattern = compile_pattern(match)
-            explicit = elem.get("priority")
-            # Per spec, a union pattern behaves as separate rules, each with
-            # its own default priority.
-            for alt in pattern.split():
-                priority = (
-                    float(explicit) if explicit is not None else alt.default_priority()
-                )
-                rule = TemplateRule(
-                    alt, name, mode, priority, params, body, self._order, precedence
-                )
-                self._order += 1
-                self.rules.append(rule)
-        else:
-            rule = TemplateRule(None, name, mode, 0.0, params, body, self._order, precedence)
-            self._order += 1
+            self.rules.append(rule)
         if name is not None:
-            self.named[name] = TemplateRule(
-                None, name, mode, 0.0, params, body, self._order, precedence
-            )
+            self.named[name] = rule
 
-    # -- lowering and rule lookup ---------------------------------------------
+    # -- lowering -------------------------------------------------------------
     def lowered(self) -> "_Program":
         """The executable form of this sheet, built on first use and
         shared by every transform (and thread) after that."""
@@ -352,19 +274,6 @@ class Stylesheet:
                     self._program = _Lowering(self).program()
                 program = self._program
         return program
-
-    def find_rule(
-        self,
-        node: XNode,
-        mode: Optional[str],
-        context: Context,
-        *,
-        max_precedence: Optional[int] = None,
-    ) -> Optional[TemplateRule]:
-        """The winning rule for *node*; ``max_precedence`` restricts the
-        search to strictly lower import precedence (xsl:apply-imports)."""
-        template = self.lowered().match(node, mode, context, max_precedence)
-        return template.rule if template is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -447,37 +356,6 @@ def _element_children(node: XNode) -> list[XNode]:
     return [c for c in node.children() if not isinstance(c, XComment)]
 
 
-def _clone_out(item):
-    if isinstance(item, OutElement):
-        return OutElement(
-            item.name,
-            dict(item.attributes),
-            [_clone_out(c) for c in item.children],
-        )
-    if isinstance(item, OutComment):
-        return OutComment(item.text)
-    return item
-
-
-def _deep_copy(node: XNode, out: OutputBuilder) -> None:
-    if isinstance(node, XElement):
-        out.start_element(node.name)
-        for attr in node.attributes():
-            out.add_attribute(attr.name, attr.value)
-        for child in node.children():
-            _deep_copy(child, out)
-        out.end_element()
-    elif isinstance(node, XText):
-        out.add_text(node.value)
-    elif isinstance(node, XAttribute):
-        out.add_attribute(node.name, node.value)
-    elif isinstance(node, XComment):
-        out.add_comment(node.value)
-    elif isinstance(node, XDocument):
-        for child in node.children():
-            _deep_copy(child, out)
-
-
 class _Template:
     """One lowered template rule (or named template)."""
 
@@ -490,15 +368,6 @@ class _Template:
         self.body: Instruction = _no_op
 
 
-#: the rules that can match one (mode, node kind, name): in winning
-#: order, and -- only if one of them has a predicate, which can raise --
-#: in stylesheet order as well
-_Bucket = tuple[tuple["_Template", ...], tuple["_Template", ...]]
-#: per mode: node kind -> (bucket by element/attribute name, bucket for
-#: any other name), plus the bucket for a node of any other kind
-_ModeTable = tuple[dict[str, tuple[dict[str, _Bucket], _Bucket]], _Bucket]
-
-
 class _Program:
     """What lowering a :class:`Stylesheet` produces.  Immutable once
     built; everything a run mutates lives on the :class:`Transformer`."""
@@ -506,7 +375,9 @@ class _Program:
     __slots__ = ("dispatch", "named", "globals", "keys", "strips")
 
     def __init__(self) -> None:
-        self.dispatch: dict[Optional[str], _ModeTable] = {}
+        #: the winning template rule per pattern key: an element name,
+        #: ``*`` or ``/``; of two rules with one key the later in the sheet
+        self.dispatch: dict[str, _Template] = {}
         self.named: dict[str, _Template] = {}
         #: (name, is xsl:param, value) per top-level variable/param
         self.globals: tuple[tuple[Optional[str], bool, ValueFn], ...] = ()
@@ -515,42 +386,13 @@ class _Program:
         #: whether whitespace-only text under an element of that name goes
         self.strips: Optional[Callable[[str], bool]] = None
 
-    def match(
-        self,
-        node: XNode,
-        mode: Optional[str],
-        context: Context,
-        max_precedence: Optional[int] = None,
-    ) -> Optional[_Template]:
-        """The winning template for *node*: the first one in its dispatch
-        bucket whose whole pattern matches.  A bucket in which a
-        predicate could raise is scanned whole and in stylesheet order
-        instead, so the error is the one a scan of every rule meets."""
-        table = self.dispatch.get(mode)
-        if table is None:
-            return None
-        by_kind, any_kind = table
-        kind = by_kind.get(node.node_type)
-        if kind is None:
-            best_first, in_order = any_kind
-        else:
-            best_first, in_order = kind[0].get(node.name, kind[1])
-        if in_order:
-            matched = [
-                template
-                for template in in_order
-                if (max_precedence is None or template.rule.precedence < max_precedence)
-                and template.rule.pattern.matches(node, context)  # type: ignore[union-attr]
-            ]
-            return next((t for t in best_first if t in matched), None)
-        for template in best_first:
-            rule = template.rule
-            if max_precedence is not None and rule.precedence >= max_precedence:
-                continue
-            pattern = rule.pattern.alternatives[0]  # type: ignore[union-attr]
-            if pattern.decided_by_key or pattern.matches(node, context):
-                return template
-        return None
+    def match(self, node: XNode) -> Optional[_Template]:
+        """The winning template for *node*: its element name's rule, else
+        the ``*`` rule; the ``/`` rule for the document node."""
+        kind = node.node_type
+        if kind == "element":
+            return self.dispatch.get(node.name) or self.dispatch.get("*")
+        return self.dispatch.get("/") if kind == "document" else None
 
 
 class _Lowering:
@@ -558,26 +400,25 @@ class _Lowering:
 
     def __init__(self, sheet: Stylesheet) -> None:
         self.sheet = sheet
-        self.named = {name: _Template(rule) for name, rule in sheet.named.items()}
+        # a template with both match= and name= is one _Template
+        self.templates = {
+            id(rule): _Template(rule) for rule in (*sheet.rules, *sheet.named.values())
+        }
+        self.named = {name: self.templates[id(rule)] for name, rule in sheet.named.items()}
 
     # -- the whole sheet ----------------------------------------------------
     def program(self) -> _Program:
         sheet = self.sheet
         program = _Program()
         program.named = self.named
-        matched = [_Template(rule) for rule in sheet.rules if rule.pattern is not None]
-        # union alternatives and the named copy of a template share one body
-        shared: dict[int, tuple[tuple, Instruction]] = {}
-        for template in (*matched, *self.named.values()):
+        for template in self.templates.values():
             rule = template.rule
-            lowered = shared.get(id(rule.body))
-            if lowered is None:
-                params = tuple(
-                    (elem.get("name") or None, self.value(elem)) for elem in rule.params
-                )
-                lowered = shared[id(rule.body)] = (params, self.body(rule.body, scoped=False))
-            template.params, template.body = lowered
-        program.dispatch = self.dispatch_tables(matched)
+            template.params = tuple(
+                (elem.get("name") or None, self.value(elem)) for elem in rule.params
+            )
+            template.body = self.body(rule.body, scoped=False)
+        for rule in sheet.rules:  # in sheet order, so the later rule of a key wins
+            program.dispatch[rule.pattern.key] = self.templates[id(rule)]  # type: ignore[union-attr]
         program.globals = tuple(
             (elem.get("name") or None, _local(elem) == "param", self.value(elem))
             for elem in sheet.globals
@@ -586,54 +427,9 @@ class _Lowering:
             name: (pattern, _xpath(use)) for name, (pattern, use) in sheet.keys.items()
         }
         if sheet.strip_space:
-            strip, preserve = frozenset(sheet.strip_space), frozenset(sheet.preserve_space)
-            every = "*" in strip
-            program.strips = lambda name: name not in preserve and (every or name in strip)
+            strip = frozenset(sheet.strip_space)
+            program.strips = (lambda name: True) if "*" in strip else strip.__contains__
         return program
-
-    @staticmethod
-    def dispatch_tables(templates: list[_Template]) -> dict[Optional[str], _ModeTable]:
-        """``find_rule`` precomputed: per mode, node kind and name, the
-        rules that can match such a node, best (precedence, priority,
-        document order) first."""
-
-        def ranked(candidates: list[_Template]) -> _Bucket:
-            # conflict resolution: the greatest of these wins
-            def rank(t: _Template) -> tuple[int, float, int]:
-                return (t.rule.precedence, t.rule.priority, t.rule.order)
-
-            best_first = tuple(sorted(candidates, key=rank, reverse=True))
-            if any(t.rule.pattern.alternatives[0].fallible for t in candidates):  # type: ignore[union-attr]
-                return best_first, tuple(sorted(candidates, key=lambda t: t.rule.order))
-            return best_first, ()
-
-        tables: dict[Optional[str], _ModeTable] = {}
-        for mode in {t.rule.mode for t in templates}:
-            any_kind: list[_Template] = []
-            any_name: dict[str, list[_Template]] = {}
-            named: dict[str, dict[str, list[_Template]]] = {}
-            for template in templates:
-                if template.rule.mode != mode:
-                    continue
-                kind, name = template.rule.pattern.alternatives[0].dispatch_key()  # type: ignore[union-attr]
-                if kind is None:
-                    any_kind.append(template)
-                elif name is None:
-                    any_name.setdefault(kind, []).append(template)
-                else:
-                    named.setdefault(kind, {}).setdefault(name, []).append(template)
-            by_kind = {}
-            for kind in {*any_name, *named}:
-                fallback = any_name.get(kind, []) + any_kind
-                by_kind[kind] = (
-                    {
-                        name: ranked(exact + fallback)
-                        for name, exact in named.get(kind, {}).items()
-                    },
-                    ranked(fallback),
-                )
-            tables[mode] = (by_kind, ranked(any_kind))
-        return tables
 
     # -- bodies ---------------------------------------------------------------
     def body(self, items: list, *, scoped: bool = True) -> Instruction:
@@ -705,7 +501,7 @@ class _Lowering:
                 pending.extend(_body_items(item))
             elif local == "choose":
                 pending.extend(c for c in item if _is_xsl(c, "when") or _is_xsl(c, "otherwise"))
-            elif not (local is None or local in ("text", "value-of", "sort")):
+            elif not (local is None or local in ("text", "value-of")):
                 return False
         return True
 
@@ -724,22 +520,21 @@ class _Lowering:
 
         def fragment(tr: "Transformer", ctx: Context) -> ResultTreeFragment:
             sub = new_output()
-            previous = tr._current_node
-            tr._current_node = ctx.node
-            try:
-                body(tr, _unit_context(ctx), sub)
-            finally:
-                tr._current_node = previous
+            body(tr, _unit_context(ctx), sub)
             return ResultTreeFragment(sub.finish())
 
         return fragment
 
     def with_params(self, elem: ET.Element) -> Callable[["Transformer", Context], Mapping[str, Any]]:
-        pairs = tuple(
-            (child.get("name") or None, self.value(child))
-            for child in elem
-            if _is_xsl(child, "with-param")
-        )
+        """The ``xsl:with-param`` children of *elem*, collected into a
+        mapping when it runs; any other child makes it raise instead."""
+        for child in elem:
+            if not _is_xsl(child, "with-param"):
+                what = f"xsl:{_local(child)}" if _is_xsl(child) else child.tag
+                return _raiser(
+                    XsltError, f"unsupported instruction {what} in xsl:{_local(elem)}"
+                )
+        pairs = tuple((child.get("name") or None, self.value(child)) for child in elem)
         if not pairs:
             return lambda tr, ctx: _NO_PARAMS
 
@@ -752,45 +547,6 @@ class _Lowering:
             return params
 
         return collect
-
-    def sorter(
-        self, elem: ET.Element
-    ) -> Optional[Callable[["Transformer", Context, list], list]]:
-        sorts = [c for c in elem if _is_xsl(c, "sort")]
-        if not sorts:
-            return None
-        # least significant key first: list.sort is stable
-        keys = tuple(
-            (
-                _xpath(s.get("select", ".")),
-                s.get("data-type", "text") == "number",
-                s.get("order", "ascending") == "descending",
-            )
-            for s in reversed(sorts)
-        )
-
-        def sort_nodes(tr: "Transformer", ctx: Context, nodes: list) -> list:
-            ordered = list(nodes)
-            key_ctx = Context(ctx.node, 1, len(nodes), ctx.variables, ctx.functions)
-            previous = tr._current_node
-            try:
-                for select, numeric, descending in keys:
-
-                    def key_of(node: XNode, select=select, numeric=numeric) -> Any:
-                        # within a sort key, current() is the node being sorted
-                        tr._current_node = key_ctx.node = node
-                        raw = to_string(select(key_ctx))
-                        if numeric:
-                            value = to_number(raw)
-                            return (value != value, value)  # NaN sorts first
-                        return raw
-
-                    ordered.sort(key=key_of, reverse=descending)
-            finally:
-                tr._current_node = previous
-            return ordered
-
-        return sort_nodes
 
     @staticmethod
     def nodeset(select: str) -> Compiled:
@@ -828,17 +584,15 @@ class _Lowering:
 
     # -- instructions -------------------------------------------------------------
     def xsl_apply_templates(self, elem: ET.Element) -> Instruction:
+        if elem.get("mode") is not None:
+            return _raiser(XsltError, "unsupported attribute mode= on xsl:apply-templates")
         select = elem.get("select")
         selected = self.nodeset(select) if select is not None else None
-        mode = elem.get("mode")
-        sort_nodes = self.sorter(elem)
         collect = self.with_params(elem)
 
         def apply_templates(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
             nodes = selected(ctx) if selected is not None else _element_children(ctx.node)
-            if sort_nodes is not None:
-                nodes = sort_nodes(tr, ctx, nodes)
-            tr._apply_templates(nodes, mode, collect(tr, ctx), ctx, out)
+            tr._apply_templates(nodes, collect(tr, ctx), ctx, out)
 
         return apply_templates
 
@@ -856,23 +610,6 @@ class _Lowering:
 
         return call_template
 
-    def xsl_apply_imports(self, elem: ET.Element) -> Instruction:
-        def apply_imports(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-            # re-match the current node against only the rules the current
-            # template's stylesheet imported (strictly lower precedence)
-            current = tr._current_rule
-            if current is None:
-                raise XsltError("xsl:apply-imports outside of a template")
-            template = tr._program.match(ctx.node, current.mode, ctx, current.precedence)
-            if template is None:
-                tr._builtin_rule(ctx.node, current.mode, ctx, out)
-            else:
-                tr._invoke(
-                    template, ctx.node, ctx.position, ctx.size, _NO_PARAMS, ctx.variables, out
-                )
-
-        return apply_imports
-
     def xsl_value_of(self, elem: ET.Element) -> Instruction:
         select = elem.get("select")
         if select is None:
@@ -884,30 +621,20 @@ class _Lowering:
         select = elem.get("select")
         if select is None:
             return _raiser(XsltError, "xsl:for-each requires select")
+        if any(_is_xsl(child, "sort") for child in elem):
+            # raise even over an empty node-set, which never runs the body
+            return _raiser(XsltError, "unsupported instruction xsl:sort")
         selected = self.nodeset(select)
-        sort_nodes = self.sorter(elem)
-        body = self.body(
-            [
-                item
-                for item in _body_items(elem)
-                if not (isinstance(item, ET.Element) and _is_xsl(item, "sort"))
-            ]
-        )
+        body = self.body(_body_items(elem))
 
         def for_each(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
             nodes = selected(ctx)
-            if sort_nodes is not None:
-                nodes = sort_nodes(tr, ctx, nodes)
             # one context for the whole node list, moved along it
             sub = Context(ctx.node, 0, len(nodes), ctx.variables, ctx.functions)
-            previous = tr._current_node
-            try:
-                for node in nodes:
-                    sub.node = tr._current_node = node
-                    sub.position += 1
-                    body(tr, sub, out)
-            finally:
-                tr._current_node = previous
+            for node in nodes:
+                sub.node = node
+                sub.position += 1
+                body(tr, sub, out)
 
         return for_each
 
@@ -951,20 +678,6 @@ class _Lowering:
     def xsl_text(self, elem: ET.Element) -> Instruction:
         return self.text(elem.text or "")
 
-    def xsl_element(self, elem: ET.Element) -> Instruction:
-        name = elem.get("name")
-        if not name:
-            return _raiser(XsltError, "xsl:element requires name")
-        name_of = _avt(name)
-        body = self.body(_body_items(elem))
-
-        def element(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-            out.start_element(name_of(ctx))
-            body(tr, ctx, out)
-            out.end_element()
-
-        return element
-
     def xsl_attribute(self, elem: ET.Element) -> Instruction:
         name = elem.get("name")
         if not name:
@@ -980,16 +693,6 @@ class _Lowering:
             out.add_attribute(name_of(ctx), sub.string_value())
 
         return attribute
-
-    def xsl_comment(self, elem: ET.Element) -> Instruction:
-        body = self.body(_body_items(elem))
-
-        def comment(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-            sub = OutputBuilder()
-            body(tr, ctx, sub)
-            out.add_comment(sub.string_value())
-
-        return comment
 
     def xsl_variable(self, elem: ET.Element) -> Instruction:
         name = elem.get("name")
@@ -1009,65 +712,6 @@ class _Lowering:
             return _raiser(XsltError, "xsl:param requires name")
         return self.xsl_variable(elem)
 
-    def xsl_message(self, elem: ET.Element) -> Instruction:
-        body = self.body(_body_items(elem))
-        terminate = elem.get("terminate", "no") == "yes"
-
-        def message(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-            sub = OutputBuilder()
-            body(tr, ctx, sub)
-            print(f"[xsl:message] {sub.string_value()}", file=tr.message_stream)
-            if terminate:
-                raise XsltError(f"terminated by xsl:message: {sub.string_value()}")
-
-        return message
-
-    def xsl_copy(self, elem: ET.Element) -> Instruction:
-        body = self.body(_body_items(elem))
-
-        def copy(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-            node = ctx.node
-            if isinstance(node, XElement):
-                out.start_element(node.name)
-                body(tr, ctx, out)
-                out.end_element()
-            elif isinstance(node, XText):
-                out.add_text(node.string_value())
-            elif isinstance(node, XAttribute):
-                out.add_attribute(node.name, node.value)
-            elif isinstance(node, XComment):
-                out.add_comment(node.string_value())
-            else:  # document node: just process content
-                body(tr, ctx, out)
-
-        return copy
-
-    def xsl_copy_of(self, elem: ET.Element) -> Instruction:
-        select = elem.get("select")
-        if select is None:
-            return _raiser(XsltError, "xsl:copy-of requires select")
-        expr = _xpath(select)
-
-        def copy_of(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-            value = expr(ctx)
-            if isinstance(value, ResultTreeFragment):
-                for item in value.top:
-                    out.add_tree(_clone_out(item))
-            elif isinstance(value, list):
-                for node in value:
-                    _deep_copy(node, out)
-            else:
-                out.add_text(to_string(value))
-
-        return copy_of
-
-    def _ignored(self, elem: ET.Element) -> Instruction:
-        return _no_op
-
-    xsl_sort = _ignored  # handled by the enclosing for-each / apply-templates
-    xsl_fallback = _ignored
-    xsl_processing_instruction = _ignored  # accepted for portability, not emitted
-
 
 # ---------------------------------------------------------------------------
 # Transformer
@@ -1079,18 +723,8 @@ class Transformer:
     Holds the state of one run; the lowered stylesheet it executes is
     shared.  Not itself thread-safe: use one per thread."""
 
-    def __init__(
-        self,
-        stylesheet: Stylesheet,
-        *,
-        extra_functions: Optional[Mapping[str, Any]] = None,
-        message_stream=None,
-    ) -> None:
+    def __init__(self, stylesheet: Stylesheet) -> None:
         self.stylesheet = stylesheet
-        self.extra_functions = dict(extra_functions or {})
-        self.message_stream = message_stream if message_stream is not None else sys.stderr
-        self._current_node: Optional[XNode] = None
-        self._current_rule: Optional[TemplateRule] = None
         self._key_tables: dict[str, dict[str, list[XNode]]] = {}
         self._doc: Optional[XDocument] = None
         self._program: Optional[_Program] = None
@@ -1131,7 +765,7 @@ class Transformer:
             out = OutputBuilder()
             scope = self._bind_globals(program, doc, dict(params or {}))
             root = Context(doc, 1, 1, scope, self._functions)
-            self._apply_templates([doc], None, _NO_PARAMS, root, out)
+            self._apply_templates([doc], _NO_PARAMS, root, out)
             return out.finish()
         finally:
             # let go of the run's view of the source, and of the parent
@@ -1144,10 +778,6 @@ class Transformer:
     # -- setup ----------------------------------------------------------------
     def _function_table(self) -> dict[str, Any]:
         fns = dict(CORE_FUNCTIONS)
-        fns.update(self.extra_functions)
-        fns["current"] = lambda ctx: (
-            [self._current_node] if self._current_node is not None else []
-        )
         fns["key"] = self._fn_key
         fns["generate-id"] = self._fn_generate_id
         fns["system-property"] = lambda ctx, name: ""
@@ -1169,22 +799,17 @@ class Transformer:
             raise XsltError(f"no xsl:key named {name!r}")
         pattern, use = declaration
         table = {}
-        probe = Context(self._doc, 1, 1, {}, self._functions)
         at_node = Context(self._doc, 1, 1, {}, self._functions)
-        # a one-alternative pattern that ends in an element name can only
-        # match what the name index lists under it, and one that is just
-        # that name (or ``*``) matches every candidate
-        candidates, decided = self._doc.descendants_list(), False
-        if len(pattern.alternatives) == 1:
-            kind, element = pattern.alternatives[0].dispatch_key()
-            if kind == "element":
-                decided = pattern.alternatives[0].decided_by_key
-                if element is not None:
-                    candidates = self._doc.name_index().get(element, [])
+        # the pattern is its key: the document, every element, or one
+        # name's elements straight from the name index
+        if pattern.key == "/":
+            candidates: list[XNode] = [self._doc]
+        elif pattern.key == "*":
+            candidates = [n for n in self._doc.descendants_list() if n.node_type == "element"]
+        else:
+            candidates = self._doc.name_index().get(pattern.key, [])
         attribute = getattr(use, "attribute", None)
         for node in candidates:
-            if node.node_type != "element" or not (decided or pattern.matches(node, probe)):
-                continue
             if attribute is not None:  # use="@name"
                 hit = node.attribute(attribute)
                 if hit is not None:
@@ -1245,29 +870,26 @@ class Transformer:
     def _apply_templates(
         self,
         nodes: Sequence[XNode],
-        mode: Optional[str],
         with_params: Mapping[str, Any],
         ctx: Context,
         out: OutputBuilder,
     ) -> None:
         """Apply the winning template (or the built-in rule) to each of
-        *nodes*; *ctx* is the caller's context, whose variables pattern
-        predicates and invoked templates can see."""
+        *nodes*; *ctx* is the caller's context, whose variables invoked
+        templates can see."""
         program = self._program
         assert program is not None
         size = len(nodes)
         for position, node in enumerate(nodes, start=1):
-            template = program.match(node, mode, ctx)
+            template = program.match(node)
             if template is None:
-                self._builtin_rule(node, mode, ctx, out)
+                self._builtin_rule(node, ctx, out)
             else:
                 self._invoke(template, node, position, size, with_params, ctx.variables, out)
 
-    def _builtin_rule(
-        self, node: XNode, mode: Optional[str], ctx: Context, out: OutputBuilder
-    ) -> None:
+    def _builtin_rule(self, node: XNode, ctx: Context, out: OutputBuilder) -> None:
         if isinstance(node, (XDocument, XElement)):
-            self._apply_templates(_element_children(node), mode, _NO_PARAMS, ctx, out)
+            self._apply_templates(_element_children(node), _NO_PARAMS, ctx, out)
         elif isinstance(node, (XText, XAttribute)):
             out.add_text(node.string_value())
         # comments and PIs: no output
@@ -1288,12 +910,7 @@ class Transformer:
             if name is None:
                 raise XsltError("xsl:param without name")
             scope[name] = with_params[name] if name in with_params else default(self, ctx)
-        previous = self._current_rule, self._current_node
-        self._current_rule, self._current_node = template.rule, node
-        try:
-            template.body(self, ctx, out)
-        finally:
-            self._current_rule, self._current_node = previous
+        template.body(self, ctx, out)
 
 
 def _strip_space(doc: XDocument, strips: Callable[[str], bool]) -> None:

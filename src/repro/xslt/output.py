@@ -1,7 +1,7 @@
 """Result-tree construction and serialization for the XSLT engine.
 
 Templates write into an :class:`OutputBuilder`, which records a lightweight
-result tree (elements, attributes, text, comments).  Serialization honors
+result tree (elements, attributes, text).  Serialization honors
 the subset of ``xsl:output`` we support: ``method`` (xml | text),
 ``indent``, and ``omit-xml-declaration``.
 """
@@ -14,19 +14,14 @@ from typing import Union
 
 from repro.util.xmlutil import escape_attr, escape_text
 
-__all__ = ["OutElement", "OutComment", "OutputBuilder", "OutputSettings", "serialize"]
-
-
-@dataclass
-class OutComment:
-    text: str
+__all__ = ["OutElement", "OutputBuilder", "OutputSettings", "serialize"]
 
 
 @dataclass
 class OutElement:
     name: str
     attributes: dict[str, str] = field(default_factory=dict)
-    children: list[Union["OutElement", "OutComment", str]] = field(default_factory=list)
+    children: list[Union["OutElement", str]] = field(default_factory=list)
 
     def string_value(self) -> str:
         parts: list[str] = []
@@ -59,7 +54,7 @@ class OutputBuilder:
     """
 
     def __init__(self) -> None:
-        self.top: list[Union[OutElement, OutComment, str]] = []
+        self.top: list[Union[OutElement, str]] = []
         self._stack: list[OutElement] = []
         #: where the next node goes: the innermost open element's
         #: children, or ``top``
@@ -71,7 +66,9 @@ class OutputBuilder:
     # -- construction -------------------------------------------------------
     def start_element(self, name: str) -> OutElement:
         elem = OutElement(name)
-        self._append(elem)
+        self._sink.append(elem)
+        if self._has_content:
+            self._has_content[-1] = True
         self._stack.append(elem)
         self._has_content.append(False)
         self._sink = elem.children
@@ -102,20 +99,6 @@ class OutputBuilder:
             if self._has_content and not self._has_content[-1] and text.strip():
                 self._has_content[-1] = True
 
-    def _append(self, node: Union[OutElement, OutComment]) -> None:
-        self._sink.append(node)
-        if self._has_content:
-            self._has_content[-1] = True
-
-    def add_comment(self, text: str) -> None:
-        self._append(OutComment(text))
-
-    def add_tree(self, node: Union[OutElement, OutComment, str]) -> None:
-        if isinstance(node, str):
-            self.add_text(node)
-        else:
-            self._append(node)
-
     # -- results ------------------------------------------------------------
     def finish(self) -> list:
         if self._stack:
@@ -137,9 +120,6 @@ def _write_xml(buf: io.StringIO, node, settings: OutputSettings, level: int) -> 
     nl = "\n" if settings.indent else ""
     if isinstance(node, str):
         buf.write(escape_text(node))
-        return
-    if isinstance(node, OutComment):
-        buf.write(f"{pad}<!--{node.text}-->{nl}")
         return
     attrs = "".join(
         f' {k}="{escape_attr(v)}"' for k, v in node.attributes.items()
@@ -169,10 +149,9 @@ def _write_xml(buf: io.StringIO, node, settings: OutputSettings, level: int) -> 
 def _write_text(buf: io.StringIO, node) -> None:
     if isinstance(node, str):
         buf.write(node)
-    elif isinstance(node, OutElement):
+    else:
         for child in node.children:
             _write_text(buf, child)
-    # comments contribute nothing to text output
 
 
 def serialize(top: list, settings: OutputSettings) -> str:

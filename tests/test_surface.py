@@ -88,6 +88,14 @@ DELETED = [
      r"|\b(pending|terminal)_tasks\(",
      "a job's journaled state has two forms, the live Job and the Job the "
      "journal folds into: no snapshot between them, no copy from one to the other"),
+    ((*EVERYWHERE, "tooling/**/*", "!tests/xslt/test_lowering.py"),
+     r"\b(find_rule|max_precedence|_current_(rule|node)|_deep_copy|_clone_out|add_tree"
+     r"|add_comment|OutComment|extra_functions|message_stream"
+     r"|xsl_(apply_imports|copy|copy_of|element|comment|message|sort|fallback"
+     r"|processing_instruction))\b|base_dir=",
+     "the XSLT engine takes what its one stylesheet uses: no import precedence, "
+     "modes, sorting, copying, comment or message output, current(), and no "
+     "loader or transformer keyword beside restore_prefixes"),
 ]
 
 

@@ -1,10 +1,10 @@
 """One lowered ``xmi2cnx.xsl`` shared by concurrent transforms.
 
-The lowered sheet is immutable and everything a run mutates
-(``current()``, key tables, variable scopes, the output tree) lives on
-the run's own ``Transformer``/contexts, so eight threads interleaving on
-one ``load_stylesheet`` object must each produce the bytes the serial
-run produces."""
+The lowered sheet is immutable and everything a run mutates (key
+tables, variable scopes, the output tree) lives on the run's own
+``Transformer``/contexts, so eight threads interleaving on one
+``load_stylesheet`` object must each produce the bytes the serial run
+produces."""
 
 import random
 import sys
@@ -21,8 +21,8 @@ THREADS = 8
 
 def seeded_xmi(seed: int) -> str:
     """A different shape per seed: fan width, a dynamic task or not, a
-    tail of stages, 0-3 params per worker (the ``xsl:sort`` over
-    ``current()`` and the ``key()`` joins), retries (an RTF variable)."""
+    tail of stages, 0-3 params per worker (the recursive ``params``
+    template and its ``key()`` lookups), retries (an RTF variable)."""
     rng = random.Random(seed)
     b = ActivityBuilder(f"G{seed}")
     split = b.task("split", jar="s.jar", cls="S", params=[("String", f"in{seed}.txt")])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.floyd.model import build_fig3_model, build_fig5_model
-from repro.core.cnx import emit
+from repro.core.cnx import emit, parse
 from repro.core.transform.xmi2cnx import (
     graph_to_cnx,
     model_to_cnx,
@@ -88,6 +88,18 @@ class TestFig2Fidelity:
         assert "n_workers" in worker.arguments
         joiner = doc.client.jobs[0].find("taskjoin")
         assert joiner.depends == ["tctask"]
+
+    def test_tab_and_cr_in_arguments_survive_every_writer(self):
+        """A parser normalises a tab or CR written as itself in an
+        attribute value to a space, so the XMI writer, the engine's
+        serialiser and the CNX emitter write them as references."""
+        arguments = "[['a\tb\rc\nd']]"
+        b = ActivityBuilder("Blanks")
+        worker = b.dynamic_task("w", jar="w.jar", cls="W", argument_expr=arguments)
+        b.chain(b.initial(), worker, b.final())
+        doc = xmi_to_cnx(write_graph(b.build()))
+        assert doc.client.jobs[0].find("w").arguments == arguments
+        assert parse(emit(doc)).client.jobs[0].find("w").arguments == arguments
 
 
 class TestDifferential:

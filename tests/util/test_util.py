@@ -24,6 +24,9 @@ class TestEscaping:
     def test_attr_quotes_and_newlines(self):
         assert escape_attr('say "hi"\n') == "say &quot;hi&quot;&#10;"
 
+    def test_attr_tab_and_carriage_return(self):
+        assert escape_attr("a\tb\rc") == "a&#9;b&#13;c"
+
 
 class TestPrefixed:
     def test_parse_undeclared_prefix(self):

@@ -69,29 +69,6 @@ class TestControlFlow:
         body = '<o><xsl:for-each select="//i"><xsl:value-of select="position()"/></xsl:for-each></o>'
         assert run(body, "<r><i/><i/><i/></r>") == "<o>123</o>"
 
-    def test_for_each_sort_text(self):
-        body = (
-            '<o><xsl:for-each select="//i"><xsl:sort select="."/>'
-            '<xsl:value-of select="."/></xsl:for-each></o>'
-        )
-        assert run(body, "<r><i>b</i><i>a</i><i>c</i></r>") == "<o>abc</o>"
-
-    def test_for_each_sort_number_descending(self):
-        body = (
-            '<o><xsl:for-each select="//i">'
-            '<xsl:sort select="." data-type="number" order="descending"/>'
-            '<xsl:value-of select="."/>,</xsl:for-each></o>'
-        )
-        assert run(body, "<r><i>9</i><i>100</i><i>20</i></r>") == "<o>100,20,9,</o>"
-
-    def test_sort_is_stable(self):
-        body = (
-            '<o><xsl:for-each select="//i"><xsl:sort select="@k"/>'
-            '<xsl:value-of select="@v"/></xsl:for-each></o>'
-        )
-        src = "<r><i k='a' v='1'/><i k='a' v='2'/><i k='a' v='3'/></r>"
-        assert run(body, src) == "<o>123</o>"
-
 
 class TestElementConstruction:
     def test_literal_with_avt(self):
@@ -103,10 +80,6 @@ class TestElementConstruction:
     def test_avt_braces_escape(self):
         assert run('<o v="{{literal}}"/>', "<r/>") == '<o v="{literal}"/>'
 
-    def test_xsl_element_dynamic_name(self):
-        body = '<xsl:element name="{//tag}">x</xsl:element>'
-        assert run(body, "<r><tag>thing</tag></r>") == "<thing>x</thing>"
-
     def test_xsl_attribute(self):
         body = '<o><xsl:attribute name="a">v</xsl:attribute></o>'
         assert run(body, "<r/>") == '<o a="v"/>'
@@ -115,10 +88,6 @@ class TestElementConstruction:
         body = '<o><b/><xsl:attribute name="a">v</xsl:attribute></o>'
         with pytest.raises(Exception):
             run(body, "<r/>")
-
-    def test_comment(self):
-        body = "<o><xsl:comment>note</xsl:comment></o>"
-        assert run(body, "<r/>") == "<o><!--note--></o>"
 
 
 class TestVariablesAndParams:
@@ -132,13 +101,6 @@ class TestVariablesAndParams:
             '<xsl:value-of select="$v"/></o>'
         )
         assert run(body, "<r/>") == "<o>ab</o>"
-
-    def test_copy_of_rtf(self):
-        body = (
-            '<o><xsl:variable name="v"><x a="1">t</x></xsl:variable>'
-            '<xsl:copy-of select="$v"/></o>'
-        )
-        assert run(body, "<r/>") == '<o><x a="1">t</x></o>'
 
     def test_global_param_default(self):
         top = '<xsl:param name="p" select="\'dflt\'"/>'
@@ -200,16 +162,6 @@ class TestTemplates:
         )
         assert Transformer(sheet).transform("<r><x/></r>") == "<o><X/></o>"
 
-    def test_explicit_priority_wins(self):
-        sheet = self.sheet(
-            """
-            <xsl:template match="/"><o><xsl:apply-templates select="//x"/></o></xsl:template>
-            <xsl:template match="*" priority="10"><any/></xsl:template>
-            <xsl:template match="x"><X/></xsl:template>
-            """
-        )
-        assert Transformer(sheet).transform("<r><x/></r>") == "<o><any/></o>"
-
     def test_last_rule_wins_ties(self):
         sheet = self.sheet(
             """
@@ -219,21 +171,6 @@ class TestTemplates:
             """
         )
         assert Transformer(sheet).transform("<r><x/></r>") == "<o><second/></o>"
-
-    def test_modes(self):
-        sheet = self.sheet(
-            """
-            <xsl:template match="/">
-              <o>
-                <xsl:apply-templates select="//x"/>
-                <xsl:apply-templates select="//x" mode="alt"/>
-              </o>
-            </xsl:template>
-            <xsl:template match="x"><plain/></xsl:template>
-            <xsl:template match="x" mode="alt"><alt/></xsl:template>
-            """
-        )
-        assert Transformer(sheet).transform("<r><x/></r>") == "<o><plain/><alt/></o>"
 
     def test_named_template_with_params(self):
         sheet = self.sheet(
@@ -295,63 +232,9 @@ class TestTemplates:
         assert Transformer(sheet).transform("<r/>") == "<o>321</o>"
 
 
-class TestCopy:
-    def test_copy_of_nodeset(self):
-        body = '<o><xsl:copy-of select="//a"/></o>'
-        assert run(body, "<r><a x='1'><b>t</b></a></r>") == '<o><a x="1"><b>t</b></a></o>'
-
-    def test_shallow_copy(self):
-        sheet = Stylesheet.from_string(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:output omit-xml-declaration="yes"/>
-            <xsl:template match="a"><xsl:copy><inner/></xsl:copy></xsl:template>
-            <xsl:template match="/"><xsl:apply-templates select="//a"/></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        assert Transformer(sheet).transform("<r><a x='1'>text</a></r>") == "<a><inner/></a>"
-
-
-class TestCurrentFunction:
-    def test_current_vs_context(self):
-        body = (
-            '<o><xsl:for-each select="//ref">'
-            '<xsl:value-of select="//def[@id = current()/@to]/@v"/>'
-            "</xsl:for-each></o>"
-        )
-        src = "<r><def id='d1' v='A'/><def id='d2' v='B'/><ref to='d2'/><ref to='d1'/></r>"
-        assert run(body, src) == "<o>BA</o>"
-
-
 class TestOutput:
     def test_text_method(self):
         assert run('<xsl:value-of select="//a"/>!', "<r><a>x</a></r>", method="text") == "x!"
-
-    def test_message_does_not_interrupt(self, capsys):
-        import io
-
-        sheet = Stylesheet.from_string(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:output omit-xml-declaration="yes"/>
-            <xsl:template match="/"><o><xsl:message>note</xsl:message></o></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        stream = io.StringIO()
-        out = Transformer(sheet, message_stream=stream).transform("<r/>")
-        assert out == "<o/>"
-        assert "note" in stream.getvalue()
-
-    def test_message_terminate(self):
-        sheet = Stylesheet.from_string(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:template match="/">
-              <xsl:message terminate="yes">fatal</xsl:message>
-            </xsl:template>
-            </xsl:stylesheet>"""
-        )
-        import io
-
-        with pytest.raises(XsltError, match="fatal"):
-            Transformer(sheet, message_stream=io.StringIO()).transform("<r/>")
 
     def test_unsupported_instruction_raises(self):
         sheet = Stylesheet.from_string(

@@ -1,5 +1,5 @@
-"""Engine edge cases: built-in rules with modes, AVT composition,
-whitespace control, RTF coercions."""
+"""Engine edge cases: built-in rules, AVT composition, whitespace
+control, RTF coercions."""
 
 import pytest
 
@@ -19,23 +19,6 @@ def sheet(body: str) -> Stylesheet:
 
 
 class TestBuiltinRules:
-    def test_builtin_recursion_keeps_mode(self):
-        s = sheet(
-            """
-            <xsl:template match="/"><o><xsl:apply-templates mode="m"/></o></xsl:template>
-            <xsl:template match="leaf" mode="m"><L/></xsl:template>
-            """
-        )
-        # the built-in element rule for mode m must keep applying in mode m
-        out = Transformer(s).transform("<r><mid><leaf/></mid></r>")
-        assert out == "<o><L/></o>"
-
-    def test_builtin_text_copy_through_modes(self):
-        s = sheet(
-            '<xsl:template match="/"><o><xsl:apply-templates mode="m"/></o></xsl:template>'
-        )
-        assert Transformer(s).transform("<r><a>deep</a></r>") == "<o>deep</o>"
-
     def test_document_root_builtin_when_no_slash_template(self):
         s = sheet('<xsl:template match="a"><A/></xsl:template>')
         assert Transformer(s).transform("<r><a/></r>") == "<A/>"
@@ -50,13 +33,13 @@ class TestAvtComposition:
         )
         assert Transformer(s).transform("<r><a>x</a><b>y</b></r>") == '<o label="x-y.2"/>'
 
-    def test_avt_in_xsl_element_name(self):
+    def test_close_brace_in_a_string_literal_does_not_end_the_expression(self):
         s = sheet(
             """<xsl:template match="/">
-                 <xsl:element name="tag-{//kind}">v</xsl:element>
+                 <o a="{concat('x', '}')}" b='{concat("{", "}}")}-{{}}' c="{'&quot;}'}"/>
                </xsl:template>"""
         )
-        assert Transformer(s).transform("<r><kind>a</kind></r>") == "<tag-a>v</tag-a>"
+        assert Transformer(s).transform("<r/>") == '<o a="x}" b="{}}-{}" c="&quot;}"/>'
 
     def test_unterminated_avt_rejected(self):
         s = sheet('<xsl:template match="/"><o v="{oops"/></xsl:template>')
@@ -75,18 +58,6 @@ class TestWhitespaceControl:
         )
         out = Transformer(s).transform("<r>\n  <a>x</a>\n  <a>y</a>\n</r>")
         assert out == "<o>xy</o>"
-
-    def test_preserve_space_overrides_strip(self):
-        s = Stylesheet.from_string(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:output omit-xml-declaration="yes"/>
-            <xsl:strip-space elements="*"/>
-            <xsl:preserve-space elements="pre"/>
-            <xsl:template match="/"><o><xsl:apply-templates/></o></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        out = Transformer(s).transform("<r><pre> kept </pre><a> gone </a></r>")
-        assert " kept " in out
 
     def test_no_strip_space_keeps_source_whitespace(self):
         s = Stylesheet.from_string(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.xslt import ResultTreeFragment, Stylesheet, Transformer, XsltError
+from repro.xslt import PatternError, ResultTreeFragment, Stylesheet, Transformer, XsltError
 from repro.xslt.engine import _body_items, _Lowering
 from repro.xslt.xpath import (
     CORE_FUNCTIONS,
@@ -50,15 +50,33 @@ class TestErrorsStayLazy:
         ('<xsl:call-template name="nope"/>', XsltError, "no template named 'nope'"),
         ("<xsl:number/>", XsltError, "unsupported instruction xsl:number"),
         ('<e a="}"/>', XsltError, "lone '}'"),
-        ('<xsl:element name="{{x}">v</xsl:element>', XsltError, "lone '}'"),
+        ('<xsl:attribute name="{{x}">v</xsl:attribute>', XsltError, "lone '}'"),
         ("<xsl:variable>v</xsl:variable>", XsltError, "xsl:variable requires name"),
-        ("<xsl:copy-of/>", XsltError, "xsl:copy-of requires select"),
         ('<xsl:value-of select="namespace::x"/>', XPathEvalError, "unsupported axis 'namespace'"),
         (
             '<xsl:apply-templates><xsl:with-param select="1"/></xsl:apply-templates>',
             XsltError,
             "xsl:with-param without name",
         ),
+        # constructs the engine does not take: each raises, none is ignored
+        ('<xsl:element name="{{x}">v</xsl:element>', XsltError, "unsupported instruction xsl:element"),
+        ("<xsl:copy-of/>", XsltError, "unsupported instruction xsl:copy-of"),
+        ('<xsl:copy-of select="//go"/>', XsltError, "unsupported instruction xsl:copy-of"),
+        ("<xsl:copy>x</xsl:copy>", XsltError, "unsupported instruction xsl:copy"),
+        ("<xsl:comment>c</xsl:comment>", XsltError, "unsupported instruction xsl:comment"),
+        ("<xsl:message>m</xsl:message>", XsltError, "unsupported instruction xsl:message"),
+        ("<xsl:apply-imports/>", XsltError, "unsupported instruction xsl:apply-imports"),
+        ('<xsl:processing-instruction name="p"/>', XsltError, "unsupported instruction xsl:processing-instruction"),
+        ("<xsl:fallback/>", XsltError, "unsupported instruction xsl:fallback"),
+        ("<xsl:sort/>", XsltError, "unsupported instruction xsl:sort"),
+        ('<xsl:for-each select="//none"><xsl:sort/>x</xsl:for-each>', XsltError, "unsupported instruction xsl:sort"),
+        (
+            '<xsl:apply-templates select="//go"><xsl:sort/></xsl:apply-templates>',
+            XsltError,
+            "unsupported instruction xsl:sort in xsl:apply-templates",
+        ),
+        ('<xsl:apply-templates mode="m"/>', XsltError, "unsupported attribute mode= on xsl:apply-templates"),
+        ('<xsl:value-of select="current()"/>', XPathEvalError, r"unknown function current\(\)"),
     ]
 
     @pytest.mark.parametrize("instruction,error,message", BROKEN, ids=[b[0] for b in BROKEN])
@@ -73,18 +91,23 @@ class TestErrorsStayLazy:
         with pytest.raises(error, match=message):
             Transformer(s).transform("<r><go/></r>")
 
-    def test_earlier_siblings_run_before_the_error(self, capsys):
+    def test_earlier_siblings_run_before_the_error(self):
+        seen = []
+
+        class Noting(Transformer):
+            def _function_table(self):
+                return {**super()._function_table(), "note": lambda ctx, text: seen.append(text) or ""}
+
         s = sheet(
             """<xsl:template match="/">
-                 <xsl:message>before</xsl:message>
+                 <xsl:value-of select="note('before')"/>
                  <xsl:value-of select="1 +"/>
-                 <xsl:message>after</xsl:message>
+                 <xsl:value-of select="note('after')"/>
                </xsl:template>"""
         )
         with pytest.raises(XPathSyntaxError):
-            Transformer(s).transform("<r/>")
-        err = capsys.readouterr().err
-        assert "before" in err and "after" not in err
+            Noting(s).transform("<r/>")
+        assert seen == ["before"]
 
     def test_choose_stops_at_the_first_true_when(self):
         s = sheet(
@@ -184,28 +207,51 @@ class TestScopes:
         assert Transformer(s).transform("<r/>") == "<o>8</o>"
 
 
-RULE_POOL = [
-    "a", "b", "*", "node()", "a[@k]", "a[1]", "r/a", "r//b", "/r/a", "@k", "@*",
-    "text()", "b[@k='2']", "a|b", "/",
-]
+class TestRefusedAtLoad:
+    """A declaration or template rule the engine does not take raises
+    when the sheet is loaded: it is never ignored."""
+
+    REFUSED = [
+        ('<xsl:import href="base.xsl"/>', XsltError, "unsupported top-level instruction xsl:import"),
+        ('<xsl:include href="shared.xsl"/>', XsltError, "unsupported top-level instruction xsl:include"),
+        ('<xsl:preserve-space elements="pre"/>', XsltError, "unsupported top-level instruction xsl:preserve-space"),
+        ('<xsl:template match="a" mode="m">x</xsl:template>', XsltError, "unsupported attribute mode= on xsl:template"),
+        ('<xsl:template match="a" priority="2">x</xsl:template>', XsltError, "unsupported attribute priority= on xsl:template"),
+        ('<xsl:template match="a[@k]">x</xsl:template>', PatternError, r"unsupported match pattern 'a\[@k\]'"),
+        ('<xsl:template match="a | b">x</xsl:template>', PatternError, "unsupported match pattern 'a [|] b'"),
+        ('<xsl:template match="r/a">x</xsl:template>', PatternError, "unsupported match pattern 'r/a'"),
+        ('<xsl:template match="//a">x</xsl:template>', PatternError, "unsupported match pattern '//a'"),
+        ('<xsl:template match="/r">x</xsl:template>', PatternError, "unsupported match pattern '/r'"),
+        ('<xsl:template match="@k">x</xsl:template>', PatternError, "unsupported match pattern '@k'"),
+        ('<xsl:template match="text()">x</xsl:template>', PatternError, r"unsupported match pattern 'text\(\)'"),
+        ('<xsl:template match="UML:*">x</xsl:template>', PatternError, r"unsupported match pattern 'UML:\*'"),
+        ('<xsl:key name="k" match="r/a" use="@k"/>', PatternError, "unsupported match pattern 'r/a'"),
+    ]
+
+    @pytest.mark.parametrize("declaration,error,message", REFUSED, ids=[r[0] for r in REFUSED])
+    def test_raises_at_load(self, declaration, error, message):
+        with pytest.raises(error, match=message):
+            sheet(declaration)
+
+    @pytest.mark.parametrize("keyword", ["extra_functions", "message_stream"])
+    def test_transformer_takes_no_keyword(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            Transformer(sheet(""), **{keyword: None})
+
+    def test_from_string_takes_no_keyword(self):
+        with pytest.raises(TypeError, match="base_dir"):
+            Stylesheet.from_string(f'<xsl:stylesheet version="1.0" {XSL_NS}/>', base_dir=".")
 
 
-@st.composite
-def rule_sets(draw):
-    count = draw(st.integers(1, 7))
-    rules = []
-    for index in range(count):
-        pattern = draw(st.sampled_from(RULE_POOL))
-        priority = draw(st.sampled_from([None, "-1", "0", "0.5", "2"]))
-        mode = draw(st.sampled_from([None, None, "m"]))
-        attrs = f'match="{pattern}"'
-        if priority is not None:
-            attrs += f' priority="{priority}"'
-        if mode is not None:
-            attrs += f' mode="{mode}"'
-        rules.append(f"<xsl:template {attrs}>T{index}</xsl:template>")
-    return "".join(rules)
+#: XSLT 1.0 section 5.5 default priorities; a name pattern has 0
+PRIORITY = {"*": -0.5, "/": 0.5}
 
+
+def matches(key, node):
+    """Whether the pattern with dispatch key *key* matches *node*."""
+    if key == "/":
+        return node.node_type == "document"
+    return node.node_type == "element" and key in ("*", node.name)
 
 DISPATCH_DOC = build_document(
     "<r k='0'><a k='1'>t<b/></a><a/><b k='2'><a>u</a></b><!--c--><c><b k='3'/></c></r>"
@@ -213,71 +259,29 @@ DISPATCH_DOC = build_document(
 
 
 class TestDispatchTable:
-    @given(rule_sets())
+    @given(st.lists(st.sampled_from(["a", "b", "c", "r", "x", "*", "/"]), min_size=1, max_size=7))
     @settings(max_examples=150, deadline=None)
-    def test_find_rule_is_the_best_matching_rule(self, templates):
+    def test_find_rule_is_the_best_matching_rule(self, patterns):
         """The dispatch table picks what the definition picks: among the
-        rules of the mode whose pattern matches, the greatest
-        (precedence, priority, document order)."""
-        s = sheet(templates)
+        rules whose pattern matches, the greatest (default priority,
+        document order)."""
+        s = sheet(
+            "".join(
+                f'<xsl:template match="{pattern}">T{index}</xsl:template>'
+                for index, pattern in enumerate(patterns)
+            )
+        )
         nodes = [DISPATCH_DOC, *DISPATCH_DOC.descendants()]
         nodes += [attr for n in nodes for attr in n.attributes()]
         for node in nodes:
-            ctx = Context(node)
-            for mode in (None, "m"):
-                matching = [
-                    rule
-                    for rule in s.rules
-                    if rule.mode == mode and rule.pattern.matches(node, ctx)
-                ]
-                expected = max(
-                    matching,
-                    key=lambda r: (r.precedence, r.priority, r.order),
-                    default=None,
-                )
-                assert s.find_rule(node, mode, ctx) is expected
-
-    def test_a_losing_rules_predicate_still_raises(self):
-        """Conflict resolution is defined over every rule that matches,
-        so a predicate that raises in a rule that would lose anyway is
-        still evaluated -- and of two that raise, the one earlier in the
-        stylesheet is reported, as a scan in stylesheet order would."""
-        s = sheet(
-            """<xsl:template match="a[$second]" priority="-3">low</xsl:template>
-               <xsl:template match="a">win</xsl:template>
-               <xsl:template match="*[$first]" priority="-9">lowest</xsl:template>
-               <xsl:template match="b[$never]">other name</xsl:template>"""
-        )
-        # $never sits behind a name test that fails for <a/>: never evaluated there
-        with pytest.raises(XPathEvalError, match=r"unbound variable \$second"):
-            Transformer(s).transform("<a/>")
-        with pytest.raises(XPathEvalError, match=r"unbound variable \$first"):
-            Transformer(s).transform("<a/>", params={"second": False})
-        assert Transformer(s).transform("<a/>", params={"first": 1, "second": 1}) == "win"
-        reordered = sheet(
-            """<xsl:template match="*[$first]" priority="-9">lowest</xsl:template>
-               <xsl:template match="a[$second]">higher rank, later in the sheet</xsl:template>"""
-        )
-        with pytest.raises(XPathEvalError, match=r"unbound variable \$first"):
-            Transformer(reordered).transform("<a/>")
-
-    def test_apply_imports_skips_equal_and_higher_precedence(self, tmp_path):
-        (tmp_path / "base.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:template match="a">base</xsl:template>
-            <xsl:template match="*">any</xsl:template>
-            </xsl:stylesheet>"""
-        )
-        (tmp_path / "main.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:import href="base.xsl"/>
-            <xsl:output omit-xml-declaration="yes"/>
-            <xsl:template match="a">[<xsl:apply-imports/>]</xsl:template>
-            <xsl:template match="a" priority="-5">low</xsl:template>
-            </xsl:stylesheet>"""
-        )
-        s = Stylesheet.from_file(tmp_path / "main.xsl")
-        assert Transformer(s).transform("<a/>") == "[base]"
+            matching = [
+                (PRIORITY.get(rule.pattern.key, 0.0), order, rule)
+                for order, rule in enumerate(s.rules)
+                if matches(rule.pattern.key, node)
+            ]
+            expected = max(matching, key=lambda m: m[:2], default=(None, None, None))[2]
+            template = s.lowered().match(node)
+            assert (template.rule if template is not None else None) is expected
 
 
 class TestNoStateBetweenDocuments:
@@ -311,8 +315,7 @@ class TestNoStateBetweenDocuments:
         generate-id() does not depend on it, whether the source arrives
         as text or as an already built XDocument."""
         s = sheet(
-            """<xsl:strip-space elements="*"/>
-               <xsl:preserve-space elements="keep"/>
+            """<xsl:strip-space elements="r x y"/>
                <xsl:template match="/">
                  <xsl:for-each select="//node() | //@*">
                    <xsl:value-of select="concat(generate-id(), '=', name(), '[', ., '] ')"/>
@@ -456,21 +459,22 @@ class TestSpecialisedShapes:
 
     def test_text_only_bodies_build_what_an_output_builder_builds(self):
         """An attribute or variable body that lowering proves writes only
-        text is built as a list of strings; ``xsl:copy-of`` is not on the
-        proof's list, so the second copy of each body takes the general
+        text is built as a list of strings; ``xsl:call-template`` is not on
+        the proof's list, so the second copy of each body takes the general
         builder, and both give the same value."""
         text_only = """<xsl:for-each select="//i"><xsl:choose>
               <xsl:when test=". = 'p'"><xsl:value-of select="."/></xsl:when>
               <xsl:otherwise><xsl:text>-</xsl:text><xsl:if test="true()">q</xsl:if></xsl:otherwise>
             </xsl:choose></xsl:for-each>"""
-        general = "<xsl:copy-of select=\"''\"/>" + text_only
+        general = '<xsl:call-template name="nothing"/>' + text_only
         s = sheet(
-            f"""<xsl:template match="/">
+            f"""<xsl:template name="nothing"/>
+               <xsl:template match="/">
                  <xsl:variable name="text">{text_only}</xsl:variable>
                  <xsl:variable name="built">{general}</xsl:variable>
                  <o><xsl:attribute name="a">{text_only}</xsl:attribute>
                    <xsl:attribute name="b">{general}</xsl:attribute>
-                   <xsl:copy-of select="$text"/>|<xsl:copy-of select="$built"/>|<xsl:value-of
+                   <xsl:value-of select="$text"/>|<xsl:value-of select="$built"/>|<xsl:value-of
                      select="concat(boolean($text), string-length($built), $text = $built)"/>
                  </o>
                </xsl:template>"""

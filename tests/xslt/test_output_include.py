@@ -1,17 +1,8 @@
-"""Result-tree construction/serialization and xsl:include tests."""
+"""Result-tree construction and serialization tests."""
 
 import pytest
 
-from repro.xslt import Stylesheet, Transformer
-from repro.xslt.output import (
-    OutComment,
-    OutElement,
-    OutputBuilder,
-    OutputSettings,
-    serialize,
-)
-
-XSL_NS = 'xmlns:xsl="http://www.w3.org/1999/XSL/Transform"'
+from repro.xslt.output import OutElement, OutputBuilder, OutputSettings, serialize
 
 
 class TestOutputBuilder:
@@ -59,14 +50,6 @@ class TestOutputBuilder:
         out = serialize(b.finish(), OutputSettings(omit_xml_declaration=True))
         assert out == '<a x="2"/>'
 
-    def test_comment_node(self):
-        b = OutputBuilder()
-        b.start_element("a")
-        b.add_comment("note")
-        b.end_element()
-        out = serialize(b.finish(), OutputSettings(omit_xml_declaration=True))
-        assert out == "<a><!--note--></a>"
-
     def test_string_value(self):
         b = OutputBuilder()
         b.start_element("a")
@@ -108,214 +91,3 @@ class TestSerialization:
     def test_declaration_present_by_default(self):
         out = serialize(self.make(), OutputSettings())
         assert out.startswith('<?xml version="1.0"?>')
-
-    def test_comments_skipped_in_text_method(self):
-        b = OutputBuilder()
-        b.start_element("a")
-        b.add_comment("hidden")
-        b.add_text("visible")
-        b.end_element()
-        assert serialize(b.finish(), OutputSettings(method="text")) == "visible"
-
-
-class TestInclude:
-    def test_include_merges_templates(self, tmp_path):
-        (tmp_path / "shared.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:template match="b"><B-from-include/></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        (tmp_path / "main.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:output omit-xml-declaration="yes"/>
-            <xsl:include href="shared.xsl"/>
-            <xsl:template match="/"><o><xsl:apply-templates select="//b"/></o></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        sheet = Stylesheet.from_file(tmp_path / "main.xsl")
-        assert Transformer(sheet).transform("<r><b/></r>") == "<o><B-from-include/></o>"
-
-    def test_include_merges_keys_and_globals(self, tmp_path):
-        (tmp_path / "keys.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:key name="by-id" match="d" use="@id"/>
-            <xsl:variable name="suffix" select="'!'"/>
-            </xsl:stylesheet>"""
-        )
-        (tmp_path / "main.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:output method="text"/>
-            <xsl:include href="keys.xsl"/>
-            <xsl:template match="/">
-              <xsl:value-of select="concat(key('by-id', 'x')/@v, $suffix)"/>
-            </xsl:template>
-            </xsl:stylesheet>"""
-        )
-        sheet = Stylesheet.from_file(tmp_path / "main.xsl")
-        assert Transformer(sheet).transform("<r><d id='x' v='hit'/></r>") == "hit!"
-
-    def test_include_without_href_rejected(self):
-        with pytest.raises(Exception, match="href"):
-            Stylesheet.from_string(
-                f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-                <xsl:include/>
-                </xsl:stylesheet>""",
-                base_dir=".",  # type: ignore[arg-type]
-            )
-
-    def test_include_requires_base_dir(self):
-        with pytest.raises(Exception, match="base directory"):
-            Stylesheet.from_string(
-                f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-                <xsl:include href="x.xsl"/>
-                </xsl:stylesheet>"""
-            )
-
-
-class TestImportPrecedence:
-    def test_importer_overrides_imported(self, tmp_path):
-        (tmp_path / "base.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:template match="x"><base/></xsl:template>
-            <xsl:template match="y"><base-y/></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        (tmp_path / "main.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:import href="base.xsl"/>
-            <xsl:output omit-xml-declaration="yes"/>
-            <xsl:template match="/"><o><xsl:apply-templates select="//x|//y"/></o></xsl:template>
-            <xsl:template match="x"><main/></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        sheet = Stylesheet.from_file(tmp_path / "main.xsl")
-        # importer's x rule wins over the imported one; y falls through
-        out = Transformer(sheet).transform("<r><x/><y/></r>")
-        assert out == "<o><main/><base-y/></o>"
-
-    def test_import_precedence_beats_priority(self, tmp_path):
-        (tmp_path / "base.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:template match="x" priority="100"><base/></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        (tmp_path / "main.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:import href="base.xsl"/>
-            <xsl:output omit-xml-declaration="yes"/>
-            <xsl:template match="/"><o><xsl:apply-templates select="//x"/></o></xsl:template>
-            <xsl:template match="x" priority="-100"><main/></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        sheet = Stylesheet.from_file(tmp_path / "main.xsl")
-        assert Transformer(sheet).transform("<r><x/></r>") == "<o><main/></o>"
-
-    def test_later_import_outranks_earlier(self, tmp_path):
-        (tmp_path / "first.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:template match="x"><first/></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        (tmp_path / "second.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:template match="x"><second/></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        (tmp_path / "main.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:import href="first.xsl"/>
-            <xsl:import href="second.xsl"/>
-            <xsl:output omit-xml-declaration="yes"/>
-            <xsl:template match="/"><o><xsl:apply-templates select="//x"/></o></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        sheet = Stylesheet.from_file(tmp_path / "main.xsl")
-        assert Transformer(sheet).transform("<r><x/></r>") == "<o><second/></o>"
-
-    def test_nested_imports(self, tmp_path):
-        (tmp_path / "grand.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:template match="x"><grand/></xsl:template>
-            <xsl:template match="z"><grand-z/></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        (tmp_path / "parent.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:import href="grand.xsl"/>
-            <xsl:template match="x"><parent/></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        (tmp_path / "main.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:import href="parent.xsl"/>
-            <xsl:output omit-xml-declaration="yes"/>
-            <xsl:template match="/"><o><xsl:apply-templates select="//x|//z"/></o></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        sheet = Stylesheet.from_file(tmp_path / "main.xsl")
-        # parent beats grand for x; grand's z rule still reachable
-        assert Transformer(sheet).transform("<r><x/><z/></r>") == "<o><parent/><grand-z/></o>"
-
-    def test_named_template_importer_wins(self, tmp_path):
-        (tmp_path / "base.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:template name="emit"><from-base/></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        (tmp_path / "main.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:import href="base.xsl"/>
-            <xsl:output omit-xml-declaration="yes"/>
-            <xsl:template match="/"><o><xsl:call-template name="emit"/></o></xsl:template>
-            <xsl:template name="emit"><from-main/></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        sheet = Stylesheet.from_file(tmp_path / "main.xsl")
-        assert Transformer(sheet).transform("<r/>") == "<o><from-main/></o>"
-
-
-class TestApplyImports:
-    def test_decorator_pattern(self, tmp_path):
-        """The canonical apply-imports use: the importer wraps what the
-        imported sheet would have produced."""
-        (tmp_path / "base.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:template match="x"><plain><xsl:value-of select="."/></plain></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        (tmp_path / "main.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:import href="base.xsl"/>
-            <xsl:output omit-xml-declaration="yes"/>
-            <xsl:template match="/"><o><xsl:apply-templates select="//x"/></o></xsl:template>
-            <xsl:template match="x"><fancy><xsl:apply-imports/></fancy></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        sheet = Stylesheet.from_file(tmp_path / "main.xsl")
-        out = Transformer(sheet).transform("<r><x>v</x></r>")
-        assert out == "<o><fancy><plain>v</plain></fancy></o>"
-
-    def test_falls_back_to_builtin(self, tmp_path):
-        (tmp_path / "main.xsl").write_text(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:output omit-xml-declaration="yes"/>
-            <xsl:template match="/"><o><xsl:apply-templates select="//x"/></o></xsl:template>
-            <xsl:template match="x"><w><xsl:apply-imports/></w></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        sheet = Stylesheet.from_file(tmp_path / "main.xsl")
-        # no imports: built-in rule walks into the text
-        assert Transformer(sheet).transform("<r><x>t</x></r>") == "<o><w>t</w></o>"
-
-    def test_outside_template_rejected(self):
-        sheet = Stylesheet.from_string(
-            f"""<xsl:stylesheet version="1.0" {XSL_NS}>
-            <xsl:template match="/"><xsl:apply-imports/></xsl:template>
-            </xsl:stylesheet>"""
-        )
-        # "/" is matched by a real template, so apply-imports IS inside a
-        # template; with nothing imported it falls back to the built-in
-        # rule for the document node -- which applies templates again and
-        # must not recurse into the same rule (precedence guard)
-        out = Transformer(sheet).transform("<r>text</r>")
-        assert out.endswith("text")

@@ -34,12 +34,7 @@ from repro.xslt.xpath.datamodel import build_document  # noqa: E402
 def profile(xmi: str, reps: int) -> tuple[dict, dict, dict]:
     sheet = load_stylesheet("xmi2cnx.xsl")
     program = sheet.lowered()
-    templates = {id(t): t for t in program.named.values()}
-    for by_kind, any_kind in program.dispatch.values():
-        for by_name, fallback in by_kind.values():
-            for best_first, _ in (*by_name.values(), fallback):
-                templates.update((id(t), t) for t in best_first)
-        templates.update((id(t), t) for t in any_kind[0])
+    templates = {id(t): t for t in (*program.named.values(), *program.dispatch.values())}
     best: dict[str, float] = defaultdict(lambda: float("inf"))
     calls: dict[str, int] = {}
     keys: dict[str, int] = {}
