@@ -15,8 +15,8 @@ Sub-packages:
 * :mod:`repro.cn` -- the Computational Neighborhood runtime: CNServer
   servants, JobManager/TaskManager, multicast discovery, message queues,
   task archives, tuple spaces, CN API, web-portal prototype.
-* :mod:`repro.xslt` -- a from-scratch XSLT 1.0 / XPath 1.0 subset engine
-  that runs the XMI2CNX stylesheet.
+* :mod:`repro.xslt` -- a from-scratch XSLT 1.0 subset engine that runs
+  the XMI2CNX stylesheet, over the XPath subset ``xmi2cnx.xsl`` uses.
 * :mod:`repro.apps` -- workloads: the guiding transitive-closure example
   plus Monte Carlo pi and tuple-space word count.
 

@@ -1,8 +1,9 @@
-"""A from-scratch XSLT 1.0 subset engine with its own XPath 1.0 evaluator.
+"""A from-scratch XSLT 1.0 subset engine with its own XPath evaluator.
 
-The paper's tools (XMI2CNX, CNX2Java) are XSL transformations; this
-package lets the repository run the real stylesheets offline, with no
-dependency beyond the standard library.
+The paper's XMI2CNX tool is an XSL transformation; this package runs the
+real stylesheet (``xmi2cnx.xsl``) offline, with no dependency beyond the
+standard library.  It takes the XSLT instructions and the XPath subset
+``xmi2cnx.xsl`` uses, and refuses anything else by name.
 
 Quick use::
 

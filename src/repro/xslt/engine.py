@@ -15,8 +15,9 @@ name beats ``*``, and of equals the later one in the sheet wins.
 
 Anything else -- ``xsl:import``, ``xsl:include``, ``xsl:sort``,
 ``xsl:copy``, modes, priorities, ``current()``, ... -- raises
-:class:`XsltError` (a pattern, :class:`PatternError`; a function, the
-XPath evaluator's unknown-function error) rather than being ignored.
+:class:`XsltError` (a pattern, :class:`PatternError`; an XPath construct
+outside the subset the stylesheet uses, the XPath parser's or evaluator's
+error) rather than being ignored.
 
 Execution model: a :class:`Stylesheet` is *lowered* once (memoised on
 the sheet, at its first transform) into plain Python closures -- one per
@@ -44,7 +45,6 @@ from .output import OutElement, OutputBuilder, OutputSettings, serialize
 from .patterns import Pattern, compile_pattern
 from .xpath.datamodel import (
     XAttribute,
-    XComment,
     XDocument,
     XElement,
     XNode,
@@ -340,20 +340,8 @@ def _avt(value: str) -> Compiled:
     )
 
 
-def _unit_context(ctx: Context) -> Context:
-    """*ctx* with position = size = 1, which is what variable values are
-    evaluated in."""
-    if ctx.position == 1 == ctx.size:
-        return ctx
-    return Context(ctx.node, 1, 1, ctx.variables, ctx.functions)
-
-
 def _no_op(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
     pass
-
-
-def _element_children(node: XNode) -> list[XNode]:
-    return [c for c in node.children() if not isinstance(c, XComment)]
 
 
 class _Template:
@@ -511,7 +499,7 @@ class _Lowering:
         select = elem.get("select")
         if select is not None:
             expr = _xpath(select)
-            return lambda tr, ctx: expr(_unit_context(ctx))
+            return lambda tr, ctx: expr(ctx)
         items = _body_items(elem)
         if not items:
             return lambda tr, ctx: ""
@@ -520,7 +508,7 @@ class _Lowering:
 
         def fragment(tr: "Transformer", ctx: Context) -> ResultTreeFragment:
             sub = new_output()
-            body(tr, _unit_context(ctx), sub)
+            body(tr, ctx, sub)
             return ResultTreeFragment(sub.finish())
 
         return fragment
@@ -591,7 +579,7 @@ class _Lowering:
         collect = self.with_params(elem)
 
         def apply_templates(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-            nodes = selected(ctx) if selected is not None else _element_children(ctx.node)
+            nodes = selected(ctx) if selected is not None else ctx.node.children()
             tr._apply_templates(nodes, collect(tr, ctx), ctx, out)
 
         return apply_templates
@@ -604,9 +592,7 @@ class _Lowering:
         collect = self.with_params(elem)
 
         def call_template(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-            tr._invoke(
-                template, ctx.node, ctx.position, ctx.size, collect(tr, ctx), ctx.variables, out
-            )
+            tr._invoke(template, ctx.node, collect(tr, ctx), ctx.variables, out)
 
         return call_template
 
@@ -630,10 +616,9 @@ class _Lowering:
         def for_each(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
             nodes = selected(ctx)
             # one context for the whole node list, moved along it
-            sub = Context(ctx.node, 0, len(nodes), ctx.variables, ctx.functions)
+            sub = Context(ctx.node, ctx.variables, ctx.functions)
             for node in nodes:
                 sub.node = node
-                sub.position += 1
                 body(tr, sub, out)
 
         return for_each
@@ -764,7 +749,7 @@ class Transformer:
         try:
             out = OutputBuilder()
             scope = self._bind_globals(program, doc, dict(params or {}))
-            root = Context(doc, 1, 1, scope, self._functions)
+            root = Context(doc, scope, self._functions)
             self._apply_templates([doc], _NO_PARAMS, root, out)
             return out.finish()
         finally:
@@ -780,9 +765,6 @@ class Transformer:
         fns = dict(CORE_FUNCTIONS)
         fns["key"] = self._fn_key
         fns["generate-id"] = self._fn_generate_id
-        fns["system-property"] = lambda ctx, name: ""
-        fns["function-available"] = lambda ctx, name: to_string(name) in fns
-        fns["element-available"] = lambda ctx, name: False
         return fns
 
     def _key_table(self, name: str) -> dict[str, list[XNode]]:
@@ -799,7 +781,7 @@ class Transformer:
             raise XsltError(f"no xsl:key named {name!r}")
         pattern, use = declaration
         table = {}
-        at_node = Context(self._doc, 1, 1, {}, self._functions)
+        at_node = Context(self._doc, {}, self._functions)
         # the pattern is its key: the document, every element, or one
         # name's elements straight from the name index
         if pattern.key == "/":
@@ -852,7 +834,7 @@ class Transformer:
         self, program: _Program, doc: XDocument, params: dict[str, Any]
     ) -> _Scope:
         scope = _Scope(None)
-        ctx = Context(doc, 1, 1, scope, self._functions)
+        ctx = Context(doc, scope, self._functions)
         for name, is_param, value in program.globals:
             if name is None:
                 raise XsltError("top-level variable/param without name")
@@ -879,33 +861,29 @@ class Transformer:
         templates can see."""
         program = self._program
         assert program is not None
-        size = len(nodes)
-        for position, node in enumerate(nodes, start=1):
+        for node in nodes:
             template = program.match(node)
             if template is None:
                 self._builtin_rule(node, ctx, out)
             else:
-                self._invoke(template, node, position, size, with_params, ctx.variables, out)
+                self._invoke(template, node, with_params, ctx.variables, out)
 
     def _builtin_rule(self, node: XNode, ctx: Context, out: OutputBuilder) -> None:
         if isinstance(node, (XDocument, XElement)):
-            self._apply_templates(_element_children(node), _NO_PARAMS, ctx, out)
+            self._apply_templates(node.children(), _NO_PARAMS, ctx, out)
         elif isinstance(node, (XText, XAttribute)):
             out.add_text(node.string_value())
-        # comments and PIs: no output
 
     def _invoke(
         self,
         template: _Template,
         node: XNode,
-        position: int,
-        size: int,
         with_params: Mapping[str, Any],
         caller_scope: Mapping[str, Any],
         out: OutputBuilder,
     ) -> None:
         scope = _Scope(caller_scope)  # type: ignore[arg-type]
-        ctx = Context(node, position, size, scope, self._functions)
+        ctx = Context(node, scope, self._functions)
         for name, default in template.params:
             if name is None:
                 raise XsltError("xsl:param without name")

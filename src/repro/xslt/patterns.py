@@ -5,15 +5,16 @@ A pattern is ``/`` (the document node), one element name (``task``,
 node's kind and name alone, so a pattern is its dispatch key and
 template dispatch is one dict lookup.  The source is parsed with the
 XPath parser and the tree checked to be one of these three shapes;
-anything else -- a predicate, more than one step, ``//``, a union, an
-attribute or node-type test, ``prefix:*`` -- raises
-:class:`PatternError`.
+anything else -- a predicate, more than one step, ``//``, an attribute,
+or what the parser itself refuses (a union, a node-type test,
+``prefix:*``) -- raises :class:`PatternError`.
 """
 
 from __future__ import annotations
 
-from .xpath.ast import LocationPath, NameTest
-from .xpath.parser import parse
+from .xpath.ast import LocationPath
+from .xpath.lexer import XPathLexError
+from .xpath.parser import XPathSyntaxError, parse
 
 __all__ = ["Pattern", "PatternError", "compile_pattern"]
 
@@ -38,20 +39,17 @@ class Pattern:
 
 def compile_pattern(source: str) -> Pattern:
     """Compile a match pattern string."""
-    tree = parse(source)
+    try:
+        tree = parse(source)
+    except (XPathLexError, XPathSyntaxError):
+        tree = None
     if isinstance(tree, LocationPath):
         if tree.absolute and not tree.steps:
             return Pattern(source, "/")
         if not tree.absolute and len(tree.steps) == 1:
             step = tree.steps[0]
-            test = step.node_test
-            if (
-                step.axis == "child"
-                and not step.predicates
-                and isinstance(test, NameTest)
-                and test.prefix_wildcard is None
-            ):
-                return Pattern(source, test.name)
+            if step.axis == "child" and not step.predicates:
+                return Pattern(source, step.node_test)
     raise PatternError(
         f"unsupported match pattern {source!r}: only '/', one element name or '*'"
     )

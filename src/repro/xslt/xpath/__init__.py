@@ -1,37 +1,31 @@
-"""XPath 1.0 subset: lexer, parser, data model, evaluator, core functions.
+"""The XPath subset ``xmi2cnx.xsl`` uses: lexer, parser, data model,
+evaluator, five core functions.
 
-This package is the query substrate under the XSLT engine (and is usable
-standalone).  Typical use::
+This package is the query language under the XSLT engine, and says only
+what the one stylesheet says; anything else it refuses by name (see
+:mod:`repro.xslt.xpath.parser` and :mod:`repro.xslt.xpath.functions`).
+Typical use::
 
     from repro.xslt.xpath import Context, build_document, evaluate
 
     doc = build_document("<a><b x='1'/><b x='2'/></a>")
-    nodes = evaluate("//b[@x='2']", Context(doc))
+    nodes = evaluate("//b[@x = '2']", Context(doc))
 
 ``compile(expr)`` returns the closure ``evaluate`` runs, for callers
 that evaluate one expression in many contexts.
 """
 
-from .datamodel import (
-    XAttribute,
-    XComment,
-    XDocument,
-    XElement,
-    XNode,
-    XText,
-    build_document,
+from .datamodel import XAttribute, XDocument, XElement, XNode, XText, build_document
+from .evaluator import Context, XPathEvalError, compile, evaluate
+from .functions import (
+    ARITY,
+    CORE_FUNCTIONS,
+    XPathTypeError,
+    to_boolean,
+    to_nodeset,
+    to_number,
+    to_string,
 )
-from .evaluator import (
-    Context,
-    XPathEvalError,
-    compile,
-    evaluate,
-    evaluate_boolean,
-    evaluate_nodeset,
-    evaluate_number,
-    evaluate_string,
-)
-from .functions import CORE_FUNCTIONS, XPathTypeError, to_boolean, to_nodeset, to_number, to_string
 from .lexer import XPathLexError, tokenize
 from .parser import XPathSyntaxError, parse
 
@@ -41,17 +35,13 @@ __all__ = [
     "XElement",
     "XAttribute",
     "XText",
-    "XComment",
     "build_document",
     "Context",
     "compile",
     "evaluate",
-    "evaluate_nodeset",
-    "evaluate_string",
-    "evaluate_boolean",
-    "evaluate_number",
     "parse",
     "tokenize",
+    "ARITY",
     "CORE_FUNCTIONS",
     "to_string",
     "to_number",

@@ -1,15 +1,13 @@
-"""Abstract syntax tree for the XPath 1.0 subset.
+"""Abstract syntax tree for the XPath subset ``xmi2cnx.xsl`` uses.
 
 Nodes are plain frozen dataclasses; evaluation lives in
-:mod:`repro.xslt.xpath.evaluator` so the AST stays a passive, printable
-value (handy for tests and for XSLT pattern compilation, which reuses
-location-path ASTs).
+:mod:`repro.xslt.xpath.evaluator` so the AST stays a passive value
+(XSLT pattern compilation reads location-path ASTs too).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
 
 __all__ = [
     "Expr",
@@ -18,11 +16,6 @@ __all__ = [
     "VariableRef",
     "FunctionCall",
     "BinaryOp",
-    "UnaryMinus",
-    "UnionExpr",
-    "NodeTest",
-    "NameTest",
-    "NodeTypeTest",
     "Step",
     "LocationPath",
     "FilterExpr",
@@ -40,24 +33,15 @@ class Expr:
 class NumberLiteral(Expr):
     value: float
 
-    def __str__(self) -> str:
-        return repr(self.value)
-
 
 @dataclass(frozen=True)
 class StringLiteral(Expr):
     value: str
 
-    def __str__(self) -> str:
-        return repr(self.value)
-
 
 @dataclass(frozen=True)
 class VariableRef(Expr):
     name: str
-
-    def __str__(self) -> str:
-        return f"${self.name}"
 
 
 @dataclass(frozen=True)
@@ -65,91 +49,26 @@ class FunctionCall(Expr):
     name: str
     args: tuple[Expr, ...]
 
-    def __str__(self) -> str:
-        return f"{self.name}({', '.join(map(str, self.args))})"
-
 
 @dataclass(frozen=True)
 class BinaryOp(Expr):
-    op: str  # 'or' 'and' '=' '!=' '<' '<=' '>' '>=' '+' '-' '*' 'div' 'mod'
+    op: str  # 'or' '=' '>' '+' '-'
     left: Expr
     right: Expr
-
-    def __str__(self) -> str:
-        return f"({self.left} {self.op} {self.right})"
-
-
-@dataclass(frozen=True)
-class UnaryMinus(Expr):
-    operand: Expr
-
-    def __str__(self) -> str:
-        return f"-({self.operand})"
-
-
-@dataclass(frozen=True)
-class UnionExpr(Expr):
-    parts: tuple[Expr, ...]
-
-    def __str__(self) -> str:
-        return " | ".join(map(str, self.parts))
-
-
-class NodeTest:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class NameTest(NodeTest):
-    """``*``, ``prefix:*`` or a (possibly prefixed) name."""
-
-    name: str
-
-    @property
-    def is_wildcard(self) -> bool:
-        return self.name == "*"
-
-    @property
-    def prefix_wildcard(self) -> Optional[str]:
-        if self.name.endswith(":*") and self.name != "*":
-            return self.name[:-2]
-        return None
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class NodeTypeTest(NodeTest):
-    """``node()``, ``text()``, ``comment()``, ``processing-instruction()``."""
-
-    node_type: str
-    literal: Optional[str] = None  # processing-instruction('name')
-
-    def __str__(self) -> str:
-        inner = repr(self.literal) if self.literal else ""
-        return f"{self.node_type}({inner})"
 
 
 @dataclass(frozen=True)
 class Step:
-    axis: str
-    node_test: NodeTest
-    predicates: tuple[Expr, ...] = field(default_factory=tuple)
-
-    def __str__(self) -> str:
-        preds = "".join(f"[{p}]" for p in self.predicates)
-        return f"{self.axis}::{self.node_test}{preds}"
+    axis: str  # 'child' 'attribute' 'self' 'parent' 'descendant-or-self'
+    #: an element or attribute name, ``*``, or ``node()`` (any node)
+    node_test: str
+    predicates: tuple[Expr, ...] = ()
 
 
 @dataclass(frozen=True)
 class LocationPath(Expr):
     absolute: bool
     steps: tuple[Step, ...]
-
-    def __str__(self) -> str:
-        body = "/".join(map(str, self.steps))
-        return ("/" + body) if self.absolute else body
 
 
 @dataclass(frozen=True)
@@ -159,18 +78,11 @@ class FilterExpr(Expr):
     primary: Expr
     predicates: tuple[Expr, ...]
 
-    def __str__(self) -> str:
-        return f"{self.primary}" + "".join(f"[{p}]" for p in self.predicates)
-
 
 @dataclass(frozen=True)
 class PathExpr(Expr):
-    """FilterExpr '/' RelativeLocationPath (or '//')."""
+    """A filter expression, then ``/`` or ``//`` and a relative path: a
+    ``//`` is the path's first step, ``descendant-or-self::node()``."""
 
     filter: Expr
-    descendants: bool  # True when joined with '//'
-    path: LocationPath
-
-    def __str__(self) -> str:
-        sep = "//" if self.descendants else "/"
-        return f"{self.filter}{sep}{self.path}"
+    steps: tuple[Step, ...]

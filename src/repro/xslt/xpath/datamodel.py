@@ -1,7 +1,7 @@
 """XPath 1.0 data model.
 
 XPath needs parent pointers, document order, and distinct node kinds for
-documents, elements, attributes, text, and comments -- none of which
+documents, elements, attributes and text -- none of which
 :mod:`xml.etree.ElementTree` provides.  :func:`build_document` makes the
 node tree the evaluator reads, in one pass over the source -- XML text
 through expat, or an already parsed ElementTree -- exposing exactly the
@@ -24,7 +24,7 @@ from __future__ import annotations
 import operator
 import xml.etree.ElementTree as ET
 from bisect import bisect_right
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Mapping, Optional
 from xml.parsers import expat
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "XElement",
     "XAttribute",
     "XText",
-    "XComment",
     "build_document",
 ]
 
@@ -60,7 +59,9 @@ class XNode:
 
     # -- accessors overridden per kind ------------------------------------
     def string_value(self) -> str:
-        raise NotImplementedError
+        """The text descendants, concatenated (overridden by the kinds
+        that hold a value)."""
+        return "".join([n.value for n in self.descendants_list() if n.node_type == "text"])
 
     def children(self) -> list["XNode"]:
         return []
@@ -78,15 +79,6 @@ class XNode:
         while node.parent is not None:
             node = node.parent
         return node
-
-    def ancestors(self) -> Iterator["XNode"]:
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
-
-    def descendants(self) -> Iterator["XNode"]:
-        yield from self.descendants_list()
 
     def descendants_list(self) -> list["XNode"]:
         """All descendants in document order, cached.
@@ -148,18 +140,6 @@ class XDocument(XNode):
     def children(self) -> list[XNode]:
         return self._children
 
-    def string_value(self) -> str:
-        return "".join(
-            c.string_value() for c in self._children if c.node_type in ("element", "text")
-        )
-
-    @property
-    def document_element(self) -> "XElement":
-        for child in self._children:
-            if isinstance(child, XElement):
-                return child
-        raise ValueError("document has no document element")
-
     def unlink(self) -> None:
         """Clear every parent pointer under this document: what is left
         has no cycle and is freed when the last reference to it goes."""
@@ -194,17 +174,6 @@ class XElement(XNode):
         """The attribute node named *attr_name*, by dict lookup."""
         return self._attr_map.get(attr_name)
 
-    def get(self, attr_name: str) -> Optional[str]:
-        attr = self._attr_map.get(attr_name)
-        return attr.value if attr is not None else None
-
-    def string_value(self) -> str:
-        parts: list[str] = []
-        for node in self.descendants():
-            if node.node_type == "text":
-                parts.append(node.string_value())
-        return "".join(parts)
-
 
 class XAttribute(XNode):
     __slots__ = ("value",)
@@ -233,19 +202,6 @@ class XText(XNode):
         return self.value
 
 
-class XComment(XNode):
-    __slots__ = ("value",)
-
-    node_type = "comment"
-
-    def __init__(self, parent: XNode, value: str) -> None:
-        super().__init__(parent)
-        self.value = value
-
-    def string_value(self) -> str:
-        return self.value
-
-
 def _restore(name: str) -> str:
     """Map ``UML.ActionState`` (:func:`~repro.util.xmlutil.parse_prefixed`'s
     form) back to ``UML:ActionState`` so XPath name tests written against
@@ -254,17 +210,18 @@ def _restore(name: str) -> str:
     return "UML:" + name[4:] if name.startswith("UML.") else name
 
 
-def _walk_etree(elem: ET.Element, start, text, end, comment) -> None:
-    """The builder's calls for an already parsed tree.  (Not a closure of
+def _walk_etree(elem: ET.Element, start, text, end) -> None:
+    """The builder's calls for an already parsed tree.  A comment or PI
+    its parser kept is dropped, as expat drops one, and the text on
+    either side of it stays one node.  (Not a closure of
     ``build_document``: a recursive one would be a cycle holding the tree.)"""
-    if not isinstance(elem.tag, str):  # a comment / PI its parser kept
-        comment(elem.text or "")
+    if not isinstance(elem.tag, str):
         return
     start(elem.tag, elem.attrib)
     if elem.text:
         text(elem.text)
     for child in elem:
-        _walk_etree(child, start, text, end, comment)
+        _walk_etree(child, start, text, end)
         if child.tail:
             text(child.tail)
     end()
@@ -345,13 +302,8 @@ def build_document(
             flush()
         parent, stripped = enclosing.pop()
 
-    def comment(value: str) -> None:
-        if pieces:
-            flush()
-        place(XComment(parent, value))
-
     if not isinstance(root, str):
-        _walk_etree(root, start, text, end, comment)
+        _walk_etree(root, start, text, end)
         return doc
     # Expat *without* namespace processing takes the paper's undeclared
     # ``UML:ActionState`` names as they are.  No comment or PI handler is

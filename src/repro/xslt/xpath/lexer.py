@@ -1,7 +1,9 @@
-"""Tokenizer for the XPath 1.0 subset.
+"""Tokenizer for XPath 1.0 expressions.
 
-Implements the lexical rules of XPath 1.0 section 3.7, including the two
-context-sensitive disambiguations the grammar requires:
+Reads all of XPath 1.0's lexical grammar (section 3.7), not only the
+subset the parser takes, so that the parser can name each construct it
+refuses.  That includes the context-sensitive disambiguations the
+grammar requires:
 
 * ``*`` is the multiply operator when preceded by a token that can end an
   operand; otherwise it is a name-test wildcard,

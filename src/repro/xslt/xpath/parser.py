@@ -1,8 +1,12 @@
-"""Recursive-descent parser for the XPath 1.0 subset.
+"""Recursive-descent parser for the XPath subset ``xmi2cnx.xsl`` uses.
 
-Grammar follows the XPath 1.0 recommendation, sections 2-3.  Operator
-precedence (loosest to tightest): ``or``, ``and``, equality, relational,
-additive, multiplicative, unary minus, union ``|``, path.
+Operators, loosest to tightest: ``or``, ``=``, ``>``, ``+`` and ``-``,
+then paths.  A step is written abbreviated: a name or ``*``, ``@`` and
+one of those, ``.``, ``..``, or ``//`` between two steps.  Every other
+XPath 1.0 construct the lexer reads -- an ``axis::``, a node-type test,
+``prefix:*``, ``|``, ``and``, ``!=``, ``<``, ``<=``, ``>=``, ``*``,
+``div``, ``mod`` and unary minus -- raises :class:`XPathSyntaxError`
+naming it.
 """
 
 from __future__ import annotations
@@ -15,37 +19,22 @@ from .ast import (
     FilterExpr,
     FunctionCall,
     LocationPath,
-    NameTest,
-    NodeTypeTest,
     NumberLiteral,
     PathExpr,
     Step,
     StringLiteral,
-    UnaryMinus,
-    UnionExpr,
     VariableRef,
 )
 from .lexer import Token, tokenize
 
-__all__ = ["parse", "XPathSyntaxError", "AXES"]
+__all__ = ["parse", "XPathSyntaxError"]
 
-AXES = frozenset(
-    {
-        "child",
-        "descendant",
-        "parent",
-        "ancestor",
-        "following-sibling",
-        "preceding-sibling",
-        "following",
-        "preceding",
-        "attribute",
-        "self",
-        "descendant-or-self",
-        "ancestor-or-self",
-        "namespace",
-    }
-)
+#: the binary operators, one tuple per precedence level, loosest first
+_LEVELS = (("or",), ("=",), (">",), ("+", "-"))
+_OPERATORS = frozenset(op for level in _LEVELS for op in level)
+
+#: what ``//`` stands for
+DESCENDANT_SKIP = Step("descendant-or-self", "node()")
 
 
 class XPathSyntaxError(ValueError):
@@ -76,13 +65,6 @@ class _Parser:
             return tok
         return None
 
-    def accept_operator(self, *values: str) -> Token | None:
-        tok = self.peek()
-        if tok is not None and tok.kind == "operator" and tok.value in values:
-            self.pos += 1
-            return tok
-        return None
-
     def expect_punct(self, value: str) -> Token:
         tok = self.accept_punct(value)
         if tok is None:
@@ -92,76 +74,42 @@ class _Parser:
             )
         return tok
 
+    def unsupported(self, what: str) -> XPathSyntaxError:
+        return XPathSyntaxError(f"unsupported {what} in {self.expr!r}")
+
     # -- expression grammar --------------------------------------------------
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def _parse_binary(self, ops: tuple[str, ...], sub) -> Expr:
-        left = sub()
+    def parse_expr(self, level: int = 0) -> Expr:
+        if level == len(_LEVELS):
+            operand = self.parse_path()
+            tok = self.peek()
+            if tok is not None and tok.kind == "operator" and tok.value not in _OPERATORS:
+                raise self.unsupported(f"operator {tok.value!r}")
+            return operand
+        left = self.parse_expr(level + 1)
         while True:
-            tok = self.accept_operator(*ops)
-            if tok is None:
+            tok = self.peek()
+            if tok is None or tok.kind != "operator" or tok.value not in _LEVELS[level]:
                 return left
-            right = sub()
-            left = BinaryOp(tok.value, left, right)
-
-    def parse_or(self) -> Expr:
-        return self._parse_binary(("or",), self.parse_and)
-
-    def parse_and(self) -> Expr:
-        return self._parse_binary(("and",), self.parse_equality)
-
-    def parse_equality(self) -> Expr:
-        return self._parse_binary(("=", "!="), self.parse_relational)
-
-    def parse_relational(self) -> Expr:
-        return self._parse_binary(("<", "<=", ">", ">="), self.parse_additive)
-
-    def parse_additive(self) -> Expr:
-        return self._parse_binary(("+", "-"), self.parse_multiplicative)
-
-    def parse_multiplicative(self) -> Expr:
-        return self._parse_binary(("*", "div", "mod"), self.parse_unary)
-
-    def parse_unary(self) -> Expr:
-        if self.accept_operator("-"):
-            return UnaryMinus(self.parse_unary())
-        return self.parse_union()
-
-    def parse_union(self) -> Expr:
-        parts = [self.parse_path()]
-        while self.accept_operator("|"):
-            parts.append(self.parse_path())
-        if len(parts) == 1:
-            return parts[0]
-        return UnionExpr(tuple(parts))
+            self.pos += 1
+            left = BinaryOp(tok.value, left, self.parse_expr(level + 1))
 
     # -- paths ----------------------------------------------------------------
     def parse_path(self) -> Expr:
         tok = self.peek()
         if tok is None:
             raise XPathSyntaxError(f"empty expression: {self.expr!r}")
-        if self._starts_filter_expr(tok):
-            filt = self.parse_filter()
-            sep = self.peek()
-            if sep is not None and sep.is_punct("/", "//"):
-                self.pos += 1
-                rel = self.parse_relative_path()
-                return PathExpr(filt, sep.value == "//", rel)
+        if tok.kind == "operator" and tok.value == "-":
+            raise self.unsupported("operator: unary minus")
+        if tok.kind in ("variable", "literal", "number", "function") or tok.is_punct("("):
+            primary = self.parse_primary()
+            predicates = self.parse_predicates()
+            filt = FilterExpr(primary, predicates) if predicates else primary
+            if self.accept_punct("/"):
+                return PathExpr(filt, self.parse_relative_path().steps)
+            if self.accept_punct("//"):
+                return PathExpr(filt, (DESCENDANT_SKIP, *self.parse_relative_path().steps))
             return filt
         return self.parse_location_path()
-
-    def _starts_filter_expr(self, tok: Token) -> bool:
-        if tok.kind in ("variable", "literal", "number", "function"):
-            return True
-        return tok.is_punct("(")
-
-    def parse_filter(self) -> Expr:
-        primary = self.parse_primary()
-        predicates = self.parse_predicates()
-        if predicates:
-            return FilterExpr(primary, predicates)
-        return primary
 
     def parse_primary(self) -> Expr:
         tok = self.next()
@@ -172,89 +120,55 @@ class _Parser:
         if tok.kind == "number":
             return NumberLiteral(float(tok.value))
         if tok.kind == "function":
-            return self.parse_function_call(tok.value)
-        if tok.is_punct("("):
-            inner = self.parse_expr()
-            self.expect_punct(")")
-            return inner
-        raise XPathSyntaxError(f"unexpected token {tok!r} in {self.expr!r}")
-
-    def parse_function_call(self, name: str) -> Expr:
-        self.expect_punct("(")
-        args: list[Expr] = []
-        if not self.accept_punct(")"):
-            args.append(self.parse_expr())
-            while self.accept_punct(","):
+            self.expect_punct("(")
+            args: list[Expr] = []
+            if not self.accept_punct(")"):
                 args.append(self.parse_expr())
-            self.expect_punct(")")
-        return FunctionCall(name, tuple(args))
+                while self.accept_punct(","):
+                    args.append(self.parse_expr())
+                self.expect_punct(")")
+            return FunctionCall(tok.value, tuple(args))
+        inner = self.parse_expr()  # tok is '('
+        self.expect_punct(")")
+        return inner
 
     def parse_location_path(self) -> LocationPath:
         if self.accept_punct("//"):
-            steps = [
-                Step("descendant-or-self", NodeTypeTest("node")),
-                *self.parse_relative_path().steps,
-            ]
-            return LocationPath(True, tuple(steps))
+            return LocationPath(True, (DESCENDANT_SKIP, *self.parse_relative_path().steps))
         if self.accept_punct("/"):
             tok = self.peek()
-            if tok is not None and self._starts_step(tok):
+            if tok is not None and (
+                tok.kind in ("name", "wildcard", "axis", "nodetype") or tok.is_punct(".", "..", "@")
+            ):
                 return LocationPath(True, self.parse_relative_path().steps)
             return LocationPath(True, ())
         return self.parse_relative_path()
-
-    def _starts_step(self, tok: Token) -> bool:
-        if tok.kind in ("name", "wildcard", "axis", "nodetype"):
-            return True
-        return tok.is_punct(".", "..", "@")
 
     def parse_relative_path(self) -> LocationPath:
         steps = [self.parse_step()]
         while True:
             if self.accept_punct("//"):
-                steps.append(Step("descendant-or-self", NodeTypeTest("node")))
-                steps.append(self.parse_step())
-            elif self.accept_punct("/"):
-                steps.append(self.parse_step())
-            else:
-                break
-        return LocationPath(False, tuple(steps))
+                steps.append(DESCENDANT_SKIP)
+            elif not self.accept_punct("/"):
+                return LocationPath(False, tuple(steps))
+            steps.append(self.parse_step())
 
     def parse_step(self) -> Step:
         if self.accept_punct("."):
-            return Step("self", NodeTypeTest("node"))
+            return Step("self", "node()")
         if self.accept_punct(".."):
-            return Step("parent", NodeTypeTest("node"))
-        axis = "child"
-        tok = self.peek()
-        if tok is not None and tok.kind == "axis":
-            if tok.value not in AXES:
-                raise XPathSyntaxError(f"unknown axis {tok.value!r} in {self.expr!r}")
-            axis = tok.value
-            self.pos += 1
-        elif self.accept_punct("@"):
-            axis = "attribute"
-        node_test = self.parse_node_test(axis)
-        predicates = self.parse_predicates()
-        return Step(axis, node_test, predicates)
-
-    def parse_node_test(self, axis: str):
+            return Step("parent", "node()")
+        axis = "attribute" if self.accept_punct("@") else "child"
         tok = self.next()
+        if tok.kind == "axis":
+            raise self.unsupported(f"axis {tok.value!r}")
         if tok.kind == "nodetype":
-            self.expect_punct("(")
-            literal = None
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "literal":
-                if tok.value != "processing-instruction":
-                    raise XPathSyntaxError(
-                        f"{tok.value}() takes no argument in {self.expr!r}"
-                    )
-                literal = self.next().value
-            self.expect_punct(")")
-            return NodeTypeTest(tok.value, literal)
-        if tok.kind in ("name", "wildcard"):
-            return NameTest(tok.value)
-        raise XPathSyntaxError(f"expected node test, got {tok!r} in {self.expr!r}")
+            raise self.unsupported(f"node test {tok.value}()")
+        if tok.kind == "wildcard" and tok.value != "*":
+            raise self.unsupported(f"name test {tok.value!r}")
+        if tok.kind not in ("name", "wildcard"):
+            raise XPathSyntaxError(f"expected node test, got {tok!r} in {self.expr!r}")
+        return Step(axis, tok.value, self.parse_predicates())
 
     def parse_predicates(self) -> tuple[Expr, ...]:
         predicates: list[Expr] = []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.xslt import Stylesheet, Transformer, XsltError
+from repro.xslt.xpath import XPathEvalError
 
 XSL_NS = 'xmlns:xsl="http://www.w3.org/1999/XSL/Transform"'
 
@@ -44,9 +45,9 @@ class TestControlFlow:
     def test_choose_first_match_wins(self):
         body = (
             "<o><xsl:choose>"
-            '<xsl:when test="false()">a</xsl:when>'
-            '<xsl:when test="true()">b</xsl:when>'
-            '<xsl:when test="true()">c</xsl:when>'
+            '<xsl:when test="1 = 2">a</xsl:when>'
+            '<xsl:when test="1 = 1">b</xsl:when>'
+            '<xsl:when test="2 = 2">c</xsl:when>'
             "<xsl:otherwise>d</xsl:otherwise>"
             "</xsl:choose></o>"
         )
@@ -55,7 +56,7 @@ class TestControlFlow:
     def test_choose_otherwise(self):
         body = (
             "<o><xsl:choose>"
-            '<xsl:when test="false()">a</xsl:when>'
+            '<xsl:when test="1 = 2">a</xsl:when>'
             "<xsl:otherwise>z</xsl:otherwise>"
             "</xsl:choose></o>"
         )
@@ -66,8 +67,10 @@ class TestControlFlow:
         assert run(body, "<r><i>1</i><i>2</i></r>") == "<o><v>1</v><v>2</v></o>"
 
     def test_for_each_position(self):
+        # position() is not in the subset: a for-each body sees its node only
         body = '<o><xsl:for-each select="//i"><xsl:value-of select="position()"/></xsl:for-each></o>'
-        assert run(body, "<r><i/><i/><i/></r>") == "<o>123</o>"
+        with pytest.raises(XPathEvalError, match=r"unknown function position\(\)"):
+            run(body, "<r><i/><i/><i/></r>")
 
 
 class TestElementConstruction:
@@ -291,12 +294,12 @@ class TestKeys:
             <xsl:output method="text"/>
             <xsl:key name="by-id" match="def" use="@id"/>
             <xsl:template match="/">
-              <xsl:value-of select="count(key('by-id', //ref/@to))"/>
+              <xsl:for-each select="key('by-id', //ref/@to)"><xsl:value-of select="@id"/></xsl:for-each>
             </xsl:template>
             </xsl:stylesheet>"""
         )
-        src = "<r><def id='a'/><def id='b'/><def id='c'/><ref to='a'/><ref to='c'/></r>"
-        assert Transformer(sheet).transform(src) == "2"
+        src = "<r><def id='a'/><def id='b'/><def id='c'/><ref to='c'/><ref to='a'/></r>"
+        assert Transformer(sheet).transform(src) == "ac"
 
     def test_key_miss_is_empty(self):
         sheet = Stylesheet.from_string(
@@ -304,11 +307,11 @@ class TestKeys:
             <xsl:output method="text"/>
             <xsl:key name="by-id" match="def" use="@id"/>
             <xsl:template match="/">
-              <xsl:value-of select="count(key('by-id', 'ghost'))"/>
+              <xsl:value-of select="concat('[', key('by-id', 'ghost'), ']')"/>
             </xsl:template>
             </xsl:stylesheet>"""
         )
-        assert Transformer(sheet).transform("<r><def id='a'/></r>") == "0"
+        assert Transformer(sheet).transform("<r><def id='a'/></r>") == "[]"
 
     def test_unknown_key_raises(self):
         sheet = Stylesheet.from_string(

@@ -63,7 +63,7 @@ class TestWhitespaceControl:
         s = Stylesheet.from_string(
             f"""<xsl:stylesheet version="1.0" {XSL_NS}>
             <xsl:output omit-xml-declaration="yes" method="text"/>
-            <xsl:template match="/"><xsl:value-of select="string(/r)"/></xsl:template>
+            <xsl:template match="/"><xsl:value-of select="/r"/></xsl:template>
             </xsl:stylesheet>"""
         )
         assert Transformer(s).transform("<r> a <b/> b </r>") == " a  b "
@@ -105,11 +105,11 @@ class TestRtfCoercions:
 class TestTransformerReuse:
     def test_same_transformer_multiple_documents(self):
         s = sheet(
-            '<xsl:template match="/"><o><xsl:value-of select="count(//x)"/></o></xsl:template>'
+            '<xsl:template match="/"><o><xsl:for-each select="//x">x</xsl:for-each></o></xsl:template>'
         )
         t = Transformer(s)
-        assert t.transform("<r><x/></r>") == "<o>1</o>"
-        assert t.transform("<r><x/><x/><x/></r>") == "<o>3</o>"
+        assert t.transform("<r><x/></r>") == "<o>x</o>"
+        assert t.transform("<r><x/><x/><x/></r>") == "<o>xxx</o>"
 
     def test_same_stylesheet_multiple_transformers(self):
         s = sheet('<xsl:template match="/"><o/></xsl:template>')

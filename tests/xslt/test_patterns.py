@@ -43,7 +43,7 @@ class TestMatching:
         assert match("task", node(doc, "//task"))
         assert not match("task", node(doc, "//param"))
         prefixed = build_document("<UML.ActionState/>", restore_prefixes=True)
-        assert match("UML:ActionState", prefixed.document_element)
+        assert match("UML:ActionState", prefixed.children()[0])
         assert compile_pattern("UML:ActionState").key == "UML:ActionState"
 
     def test_root_pattern(self, doc):
