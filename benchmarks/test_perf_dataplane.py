@@ -14,7 +14,9 @@ each of those costs O(1) per broadcast round:
   - the row payload is sized once per round (W-2 interning reuses) and
     numpy rows are never pickled for sizing at all;
   - the delivery ledger is bounded by in-flight traffic: after the job
-    finishes every task's history has been GC'd (resident == 0).
+    finishes every task's history has been GC'd (resident == 0);
+  - a small Floyd job and the 152-task compose journal a pinned count of
+    records of each kind.
 
 * ``BENCH_dataplane.json`` records wall clock, messages routed, journal
   record counts, and the ledger high-watermark for N in {128, 256} with
@@ -26,10 +28,17 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 
 import numpy as np
 
-from repro.apps.floyd import floyd_registry, floyd_warshall_numpy, random_weighted_graph
+from benchmarks.e2e.workloads import GOLDEN_SEED, ComposeWide
+from repro.apps.floyd import (
+    floyd_registry,
+    floyd_warshall_numpy,
+    random_weighted_graph,
+    run_parallel_floyd,
+)
 from repro.apps.floyd.io import store_matrix
 from repro.apps.floyd.model import (
     JOIN_CLASS,
@@ -41,6 +50,7 @@ from repro.apps.floyd.model import (
 )
 from repro.apps.floyd.tasks import TCTask
 from repro.cn import CNAPI, Cluster, TaskSpec
+from repro.core.transform.pipeline import Pipeline
 
 SIZES = (128, 256)
 WORKERS = 8
@@ -177,3 +187,50 @@ def test_broadcast_costs_one_journal_publish_and_one_sizing(report, out_dir):
     (out_dir / "BENCH_dataplane.json").write_text(
         json.dumps({"experiment": "PERF11", "runs": runs}, indent=2) + "\n"
     )
+
+
+def _counting_appends(cluster) -> Counter:
+    """Count, by kind, the records every node's journal writer accepts."""
+    counts: Counter = Counter()
+    for server in cluster.servers:
+        journal = server.journal
+
+        def append_many(job_id, events, mepoch=1, _append=journal.append_many):
+            records = _append(job_id, events, mepoch)
+            counts.update(record.kind for record in records)
+            return records
+
+        journal.append_many = append_many
+    return counts
+
+
+def test_the_journal_record_mix_per_job_is_pinned():
+    """Shape gate 4: what a job journals, kind by kind.  A change to how
+    the live path writes its records (append, then apply) must not add,
+    drop or split one: a small Floyd job (N=16, 4 workers, a checkpoint
+    per step) and the 152-task compose of ``compose-wide150``."""
+    with Cluster(4, memory_per_node=10**6) as cluster:
+        counts = _counting_appends(cluster)
+        matrix = random_weighted_graph(16, seed=0)
+        run_parallel_floyd(matrix, n_workers=4, cluster=cluster)
+    assert counts == {
+        "job-created": 1,
+        "task-spec": 6,
+        "task-placed": 6,
+        "task-state": 6,
+        "checkpoint": 64,
+        "delivery": 21,
+        "ledger-gc": 5,
+        "job-finished": 1,
+    }
+    wide = ComposeWide()
+    with wide.cluster() as cluster:
+        counts = _counting_appends(cluster)
+        Pipeline().run(wide.model(GOLDEN_SEED), cluster, timeout=120.0)
+    assert counts == {
+        "job-created": 1,
+        "task-spec": 152,
+        "task-placed": 152,
+        "task-state": 152,
+        "job-finished": 1,
+    }

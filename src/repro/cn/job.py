@@ -37,6 +37,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 __all__ = ["TaskSpec", "TaskState", "TaskRuntime", "Job", "payload_nbytes"]
 
+#: the kinds :meth:`Job.journal_events` applies once accepted; the others'
+#: state changes first, or they carry the epoch, wake waiters or need no fold
+_APPLIED = frozenset(
+    ("job-created", "task-spec", "delivery", "ledger-gc", "dead-letter", "checkpoint")
+)
+
 #: recursion guard for :func:`payload_nbytes` on nested containers
 _SIZE_DEPTH_LIMIT = 12
 
@@ -253,11 +259,6 @@ class Job:
         #: cumulative count of ledger entries truncated per task (the GC
         #: watermark journaled so successor managers agree)
         self.gc_watermarks: dict[str, int] = {}
-        # per task, the collected deliveries whose ``delivery`` record the
-        # fold has not met yet: route_many ledgers under this lock and
-        # journals after it, so a ``ledger-gc`` can count a message whose
-        # own record lands later (see apply)
-        self._owed: dict[str, int] = {}
         # ledger occupancy accounting (resident = entries currently held;
         # peak = high-watermark; truncated = total entries GC'd)
         self.ledger_resident = 0
@@ -268,8 +269,8 @@ class Job:
         #: manager's late writes are fenced out (see repro.cn.durability)
         self.manager_epoch = 1
         # write-ahead journal hook, set by the managing JobManager:
-        # (events) -> None, events a batch of (kind, data) pairs.  None
-        # when the cluster runs non-durable.
+        # (events) -> the records accepted, events a batch of (kind, data)
+        # pairs.  None when the cluster runs non-durable.
         self._journal: Optional[Any] = None
         # application-level task checkpoints (task -> (tag, state)),
         # populated through TaskContext.checkpoint and folded from the
@@ -315,29 +316,39 @@ class Job:
 
     # -- durability ----------------------------------------------------------------
     def set_journal(self, hook: Optional[Any]) -> None:
-        """Attach the write-ahead journal hook: ``(events) -> None``, where
-        *events* is a batch of ``(kind, data)`` pairs journaled together."""
+        """Attach (None: detach) the write-ahead journal hook: ``(events) ->
+        records``, a batch of ``(kind, data)`` pairs -> those accepted."""
         self._journal = hook
 
-    def journal_event(self, kind: str, data: dict) -> None:
-        """Append one record to the job journal (no-op when non-durable)."""
-        self.journal_events(((kind, data),))
-
-    def journal_events(self, events: Sequence[tuple[str, dict]]) -> None:
-        """Append a batch of ``(kind, data)`` records to the job journal
-        in one write (no-op when non-durable or *events* is empty)."""
+    def journal_events(
+        self, events: Sequence[tuple[str, dict]]
+    ) -> Sequence["JournalRecord"]:
+        """Append, then apply: journal a batch of ``(kind, data)`` records
+        in one write, then fold the accepted ones of the ``_APPLIED``
+        kinds through :meth:`apply`.  Returns the accepted records (``()``
+        for a refused batch, which changes nothing); non-durable, the
+        batch unjournaled."""
+        if not events:
+            return ()
         hook = self._journal
-        if hook is None or not events:
-            return
-        hook(events)
+        if hook is not None:
+            records = hook(events)
+        else:
+            from .durability import JournalRecord
+
+            job_id, epoch = self.job_id, self.manager_epoch
+            records = [JournalRecord(0, job_id, k, epoch, "", d) for k, d in events]
+        for record in records:
+            if record.kind in _APPLIED:
+                self.apply(record)
+        return records
 
     def save_checkpoint(self, task: str, state: Any, tag: Any = None) -> None:
         """Persist an application checkpoint for *task* through the
         journal; a later attempt (same or successor manager) restores it
         via :meth:`load_checkpoint`."""
-        with self._lock:
-            self._checkpoints[task] = (tag, state)
-        self.journal_event("checkpoint", {"task": task, "tag": tag, "state": state})
+        checkpoint = {"task": task, "tag": tag, "state": state}
+        self.journal_events([("checkpoint", checkpoint)])
 
     def load_checkpoint(self, task: str) -> Optional[tuple[Any, Any]]:
         """The latest ``(tag, state)`` checkpoint for *task*, or None."""
@@ -346,15 +357,15 @@ class Job:
 
     def apply(self, record: "JournalRecord") -> None:
         """Fold one journal record into this job: the one reading of each
-        record kind, run by :func:`~repro.cn.durability.replay_job` and so
-        by adoption.  Records of other jobs, and records stamped below the
-        highest manager epoch seen (the backends' fence, so a raw and a
-        fenced stream fold alike), change nothing.  A task's state and a
-        checkpoint are last-writer, attempts and placement epoch keep
-        their maximum, deliveries accumulate in order and ``ledger-gc``
-        drops the prefix its cumulative watermark has not dropped yet (a
-        duplicated record drops nothing).  ``shed`` needs no fold: its
-        message is still in the ledger."""
+        kind, run by :func:`~repro.cn.durability.replay_job` (adoption) and
+        :meth:`journal_events`.  Records of other jobs, and records stamped
+        below the highest manager epoch seen (the backends' fence, so a
+        raw and a fenced stream fold alike), change nothing.  A task's
+        state and a checkpoint are last-writer, attempts and placement
+        epoch keep their maximum, deliveries accumulate in order and
+        ``ledger-gc`` drops the prefix its cumulative watermark has not
+        dropped yet (a duplicated record drops nothing).  ``shed`` needs
+        no fold: its message is still in the ledger."""
         if record.job_id != self.job_id:
             return
         kind, data = record.kind, record.data
@@ -362,13 +373,15 @@ class Job:
             if record.mepoch < self.manager_epoch:
                 return
             self.manager_epoch = record.mepoch
-            # None for a record about a task no spec was journaled for
-            runtime = self.tasks.get(data.get("task"))
-            if kind in ("job-created", "job-adopted"):
-                self.manager = data.get("manager", self.manager)
-                if kind == "job-created":
-                    self.client_name = data.get("client", self.client_name)
-                    self.deadline = data.get("deadline", self.deadline)
+            # the kinds the live path writes most often first
+            if kind == "checkpoint":
+                self._checkpoints[data["task"]] = (data.get("tag"), data.get("state"))
+            elif kind == "delivery":
+                log = self._delivery_log
+                for message in data["messages"]:
+                    log.setdefault(message.recipient, []).append(message)
+                self.ledger_resident += len(data["messages"])
+                self.ledger_peak = max(self.ledger_peak, self.ledger_resident)
             elif kind == "task-spec":
                 spec = data["spec"]
                 if spec.name in self.tasks:
@@ -376,10 +389,31 @@ class Job:
                     self._drive = self._roster = None
                 else:
                     self.add_task(spec)
-            elif kind == "task-placed" and runtime is not None:
+            elif kind == "ledger-gc":
+                task, upto = data["task"], int(data.get("upto", 0))
+                drop = upto - self.gc_watermarks.get(task, 0)
+                if drop > 0:
+                    messages = self._delivery_log.get(task, [])
+                    dropped = min(drop, len(messages))
+                    del messages[:drop]
+                    self.ledger_resident -= dropped
+                    self.ledger_truncated += dropped
+                    self.gc_watermarks[task] = upto
+            elif kind == "dead-letter":
+                self.dead_letters.append(dict(data))
+            elif kind in ("job-created", "job-adopted"):
+                self.manager = data.get("manager", self.manager)
+                if kind == "job-created":
+                    self.client_name = data.get("client", self.client_name)
+                    self.deadline = data.get("deadline", self.deadline)
+            elif kind == "job-finished":
+                self._finished_flag = True
+            elif (runtime := self.tasks.get(data.get("task"))) is None:
+                return  # about a task no spec was journaled for
+            elif kind == "task-placed":
                 runtime.node_name = data.get("node")
                 runtime.epoch = max(runtime.epoch, int(data.get("epoch", 0)))
-            elif kind == "task-state" and runtime is not None:
+            elif kind == "task-state":
                 runtime.state = TaskState(data.get("state", TaskState.PENDING.value))
                 runtime.attempts = max(runtime.attempts, int(data.get("attempts", 0)))
                 if "result" in data:
@@ -390,33 +424,6 @@ class Job:
                 if runtime.state is TaskState.FAILED and self.failed is None:
                     error = runtime.error or "unknown"
                     self.failed = TaskFailedError(runtime.name, error)
-            elif kind == "delivery":
-                owed = self._owed
-                for message in data["messages"]:
-                    if owed.get(message.recipient):
-                        owed[message.recipient] -= 1
-                        continue
-                    self._delivery_log.setdefault(message.recipient, []).append(
-                        message
-                    )
-                    self.ledger_resident += 1
-                self.ledger_peak = max(self.ledger_peak, self.ledger_resident)
-            elif kind == "ledger-gc":
-                task, upto = data["task"], int(data.get("upto", 0))
-                drop = upto - self.gc_watermarks.get(task, 0)
-                if drop > 0:
-                    messages = self._delivery_log.get(task, [])
-                    dropped = min(drop, len(messages))
-                    del messages[:drop]
-                    self.ledger_resident -= dropped
-                    self._owed[task] = self._owed.get(task, 0) + drop - dropped
-                    self.gc_watermarks[task] = upto
-            elif kind == "dead-letter":
-                self.dead_letters.append(dict(data))
-            elif kind == "checkpoint":
-                self._checkpoints[data["task"]] = (data.get("tag"), data.get("state"))
-            elif kind == "job-finished":
-                self._finished_flag = True
 
     # -- roster ----------------------------------------------------------------
     def add_task(self, spec: TaskSpec) -> TaskRuntime:
@@ -583,14 +590,14 @@ class Job:
           for the whole fan-out instead of one per recipient.
 
         Semantics are unchanged from per-message routing: task-bound
-        messages are recorded in the per-task delivery ledger *before*
-        queue delivery, so a recipient whose hosting just died (closed
-        queue) -- or that has not been placed yet -- does not crash the
-        sender: the message is kept and replayed into the fresh queue
-        once the task is (re-)placed (see :meth:`replay_into`).  Delivery
-        to tasks is therefore at-least-once across attempts, and each
-        recipient's chaos fate (drop/delay) is rolled independently by
-        its own queue.
+        messages are journaled, then applied to the per-task delivery
+        ledger, *before* queue delivery (a refused one is neither), so a
+        recipient whose hosting just died (closed queue) -- or that has
+        not been placed yet -- does not crash the sender: the message is
+        kept and replayed into the fresh queue once the task is
+        (re-)placed (see :meth:`replay_into`).  Delivery to tasks is
+        therefore at-least-once across attempts, and each recipient's
+        chaos fate (drop/delay) is rolled independently by its own queue.
         """
         if not messages:
             return
@@ -665,28 +672,23 @@ class Job:
                     if runtime.queue is not None:
                         deliveries.append((runtime.queue, message))
                     continue
-                self._delivery_log.setdefault(message.recipient, []).append(
-                    message
-                )
-                self.ledger_resident += 1
                 ledgered.append(message)
-                if runtime.queue is not None:
-                    deliveries.append((runtime.queue, message))
-                # an unplaced recipient (no queue yet: placement window
-                # or pending re-placement) keeps the message ledgered;
-                # replay delivers it once the queue exists
-            if self.ledger_resident > self.ledger_peak:
-                self.ledger_peak = self.ledger_resident
         if self._m_payload is not None:
             for size in unique_sizes:
                 self._m_payload.observe(size)
         # write-ahead: ledger entries are journaled (and replicated to
-        # peer managers) before queue delivery, so a successor's replay
-        # sees every message a restarted attempt may need: one
-        # ``delivery`` record (one local append + one bus publish) whatever
-        # the fan-out width
-        if ledgered and self._journal is not None:
-            self.journal_event("delivery", {"messages": ledgered})
+        # peer managers), then applied, before queue delivery, so a
+        # successor's replay sees every message a restarted attempt may
+        # need: one ``delivery`` record (one local append + one bus
+        # publish) whatever the fan-out width
+        if ledgered and self.journal_events([("delivery", {"messages": ledgered})]):
+            for message in ledgered:
+                # an unplaced recipient (no queue yet: placement window or
+                # pending re-placement) keeps the message ledgered; replay
+                # delivers it once the queue exists
+                queue = runtimes[message.recipient].queue
+                if queue is not None:
+                    deliveries.append((queue, message))
         client_error: Optional[ShutdownError] = None
         for queue, message in deliveries:
             try:
@@ -814,7 +816,7 @@ class Job:
         """
         with self._lock:
             self.messages_shed += 1
-        self.journal_event("shed", {"task": task, "serial": message.serial})
+        self.journal_events([("shed", {"task": task, "serial": message.serial})])
 
     def note_poison(self, task: str, message: Message) -> None:
         """Quarantine a corrupt frame dequeued from *task*'s queue.
@@ -839,7 +841,6 @@ class Job:
                 "expected_digest": message.digest,
                 "observed_digest": payload_digest(message.payload),
             }
-            self.dead_letters.append(entry)
             offers = self._poison_reoffers.get(message.serial, 0)
             if offers < _POISON_REOFFER_LIMIT:
                 self._poison_reoffers[message.serial] = offers + 1
@@ -847,7 +848,7 @@ class Job:
                     if logged.serial == message.serial:
                         original = logged
                         break
-        self.journal_event("dead-letter", dict(entry))
+        self.journal_events([("dead-letter", entry)])
         if self.telemetry is not None:
             self.telemetry.metrics.counter(
                 "cn_dead_letters_total", job=self.job_id
@@ -892,7 +893,7 @@ class Job:
         return delivered
 
     # -- ledger GC ---------------------------------------------------------------
-    def gc_ledger(self, name: str) -> int:
+    def gc_ledger(self, name: str) -> None:
         """Truncate *name*'s delivery ledger after its attempt reached a
         terminal state at the current epoch.
 
@@ -900,19 +901,13 @@ class Job:
         their history can never be replayed -- holding it would keep the
         ledger O(total traffic) instead of O(in-flight traffic).  The
         truncation is journaled as a cumulative per-task watermark
-        (``ledger-gc``) so a successor manager's replay agrees on exactly
-        which prefix is gone.  Returns the number of entries dropped."""
+        (``ledger-gc``), then applied, so a successor manager's replay
+        agrees on exactly which prefix is gone."""
         with self._lock:
-            dropped = self._delivery_log.pop(name, None)
-            count = len(dropped) if dropped else 0
-            if count == 0:
-                return 0
-            self.ledger_resident -= count
-            self.ledger_truncated += count
-            watermark = self.gc_watermarks.get(name, 0) + count
-            self.gc_watermarks[name] = watermark
-        self.journal_event("ledger-gc", {"task": name, "upto": watermark})
-        return count
+            count = len(self._delivery_log.get(name, ()))
+            upto = self.gc_watermarks.get(name, 0) + count
+        if count:
+            self.journal_events([("ledger-gc", {"task": name, "upto": upto})])
 
     # -- completion ---------------------------------------------------------------
     def all_terminal(self) -> bool:
@@ -970,8 +965,8 @@ class Job:
     def wait_or_rebind(self, timeout: Optional[float] = None) -> str:
         """Block until this job finishes or is re-bound elsewhere.
 
-        Returns ``"finished"``, ``"rebound"`` (a failover replaced this
-        object; re-resolve through the directory), or ``"timeout"``.
+        Returns ``"rebound"`` (a failover replaced this object, finished or
+        not: re-resolve through the directory), ``"finished"`` or ``"timeout"``.
         Unlike :meth:`wait` this never raises -- it is the api layer's
         low-level wake primitive.
         """
@@ -979,9 +974,9 @@ class Job:
             self._cond.wait_for(
                 lambda: self._finished_flag or self._rebound, timeout
             )
-            if self._finished_flag:
-                return "finished"
-            return "rebound" if self._rebound else "timeout"
+            if self._rebound:
+                return "rebound"
+            return "finished" if self._finished_flag else "timeout"
 
     def wait(self, timeout: Optional[float] = None) -> dict[str, Any]:
         """Block until every task is terminal (or one fails).  Returns the

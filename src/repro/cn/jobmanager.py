@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 from ..analysis.conc.runtime import make_lock
 from .chaos import ExponentialBackoff
 from .durability import JobDirectory, ReplicatedJournal, replay_job
-from .errors import CnError, NoWillingTaskManager, ShutdownError
+from .errors import CnError, JobError, NoWillingTaskManager, ShutdownError
 from .job import Job, TaskRuntime, TaskSpec, TaskState
 from .messages import MessageType
 from .multicast import MulticastBus, Solicitation
@@ -335,7 +335,8 @@ class JobManager:
         self._bind_journal(job)
         # fence first: once this record lands, any append still stamped
         # with the dead manager's epoch is rejected by every backend
-        job.journal_event("job-adopted", {"manager": self.name, "previous": previous})
+        adopted = {"manager": self.name, "previous": previous}
+        job.journal_events([("job-adopted", adopted)])
         if t is not None:
             # idempotent: the recorder is cluster-global, so spans the
             # dead manager already began are reused, not duplicated --
@@ -360,7 +361,7 @@ class JobManager:
             # whether or not the dead manager lived to write job-finished:
             # write it at this epoch, before note_terminal wakes the client.
             # A job with no tasks yet is not over: its client adds them here
-            job.journal_event("job-finished", {"failed": failed})
+            job.journal_events([("job-finished", {"failed": failed})])
             pending = []
         # migrate the client conduit: drain the dead manager's client
         # queue into the new job's (trace history survives), close the
@@ -470,7 +471,6 @@ class JobManager:
             self._job_counter += 1
             job_id = f"{self.name}-job{self._job_counter}"
             job = Job(job_id, client_name, checksums=self.config.checksums)
-            job.manager, job.deadline = self.name, deadline
             self.jobs[job_id] = self._active[job_id] = job
         job.set_telemetry(self.telemetry)
         t = job.telemetry
@@ -484,14 +484,8 @@ class JobManager:
                 client=client_name,
             )
         self._bind_journal(job)
-        job.journal_event(
-            "job-created",
-            {
-                "client": client_name,
-                "manager": self.name,
-                "deadline": deadline,
-            },
-        )
+        created = {"client": client_name, "manager": self.name, "deadline": deadline}
+        job.journal_events([("job-created", created)])
         if self.directory is not None:
             self.directory.register(job_id, self, job, epoch=job.manager_epoch)
         return job
@@ -511,20 +505,21 @@ class JobManager:
         TASK_CREATED notifications are one :meth:`Job.notify` batch either
         way.
         """
-        runtimes: list[TaskRuntime] = []
         t = job.telemetry
-        try:
-            for spec in specs:
-                runtimes.append(job.add_task(spec))
-        finally:
-            # the roster as far as it got, if a spec was rejected: its
-            # spans, then -- write-ahead -- its one journal batch before
-            # any placement, so a successor knows it even if we die
-            # mid-placement
-            added = [runtime.spec for runtime in runtimes]
-            if t is not None:
-                self._begin_task_spans(t, job, added)
-            job.journal_events([("task-spec", {"spec": spec}) for spec in added])
+        specs = list(specs)
+        names: set[str] = set()
+        for spec in specs:
+            if spec.name in job.tasks or spec.name in names:
+                raise JobError(f"job {job.job_id}: duplicate task {spec.name!r}")
+            names.add(spec.name)
+        # spans, then -- write-ahead -- one journal batch, applied, before any
+        # placement, so a successor knows the roster if we die mid-placement
+        if t is not None:
+            self._begin_task_spans(t, job, specs)
+        batch = [("task-spec", {"spec": spec}) for spec in specs]
+        if batch and not job.journal_events(batch):
+            raise JobError(f"job {job.job_id}: the journal refused its tasks")
+        runtimes = [job.tasks[spec.name] for spec in specs]
         if self.config.scheduler == "bid":
             groups: dict[tuple, list[TaskRuntime]] = {}
             for runtime in runtimes:
@@ -869,6 +864,7 @@ class JobManager:
             if not job.finished:
                 self.cancel_job(job)
             job.client_queue.close()
+            job.set_journal(None)  # a late attempt finds no closed journal
 
     def census(self) -> tuple[int, list[Job]]:
         """``(jobs created here, every Job registered here)``, created and

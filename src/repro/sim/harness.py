@@ -21,9 +21,10 @@ time tick by tick while injecting the faults a
 The run ends at quiescence (job finished) or at the tick horizon, and
 everything an oracle could want is collected into a :class:`SimResult`:
 the result matrix next to the fault-free serial baseline, final task
-states, a surviving journal replica, the structured fault log, the
-dead-letter ledger and the lock verifier's verdict.  The harness never
-asserts anything itself -- the oracle registry
+states, a surviving journal replica, the owner's replica beside the live
+owner job, the structured fault log, the dead-letter ledger, the lock
+verifier's verdict and every exception that escaped a thread.  The
+harness never asserts anything itself -- the oracle registry
 (:mod:`repro.sim.oracles`) owns the invariants.
 """
 
@@ -35,7 +36,7 @@ import tempfile
 import threading
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.analysis.conc import runtime
@@ -52,6 +53,7 @@ from repro.apps.floyd.model import (
 from repro.cn import CNAPI, ChaosPolicy, Cluster, CnError, TaskSpec, VirtualClock
 from repro.cn.durability import FileJournal, JournalRecord
 
+from .oracles import job_view
 from .schedule import MANAGER, FaultEvent, Schedule, generate
 
 __all__ = ["Simulation", "SimResult"]
@@ -82,6 +84,12 @@ class SimResult:
     lock_order: str = ""
     #: the ``(holder, acquired)`` lock-order edges the verifier observed
     lock_edges: frozenset[tuple[str, str]] = frozenset()
+    #: the live owner Job under ``oracles.job_view`` once it finished, and
+    #: its manager's replica (None / empty: not finished, or non-durable)
+    owner_view: Optional[dict] = None
+    owner_records: list[JournalRecord] = field(default_factory=list)
+    #: exceptions that reached ``threading.excepthook`` during the run
+    escaped: list[str] = field(default_factory=list)
 
     @property
     def done(self) -> bool:
@@ -227,6 +235,14 @@ class Simulation:
                 # locks are instrumented too; the cluster's install joins it
                 verifier = runtime.install_verifier()
                 stack.callback(runtime.uninstall_verifier)
+            escaped: list[str] = []
+
+            def excepthook(args: threading.ExceptHookArgs) -> None:
+                thread = args.thread.name if args.thread is not None else "?"
+                escaped.append(f"{thread}: {args.exc_type.__name__}: {args.exc_value}")
+
+            stack.callback(setattr, threading, "excepthook", threading.excepthook)
+            threading.excepthook = excepthook
             if schedule.journal_dir is not None:
                 fresh = stack.enter_context(tempfile.TemporaryDirectory())
                 options["journal_dir"] = os.path.join(fresh, schedule.journal_dir)
@@ -243,6 +259,7 @@ class Simulation:
             box: dict[str, Any] = {}
             done = threading.Event()
             lock_order = ""
+            owner_view, owner_records = None, []
             try:
                 api = CNAPI.initialize(cluster)
                 source = store_matrix(f"sim-{schedule.seed}-{next(_RUN_IDS)}", matrix)
@@ -290,6 +307,10 @@ class Simulation:
                     status, error = "timeout", f"not quiescent after {ticks} ticks"
                 raw = (box.get("results") or {}).get("join")
                 job = handle.job
+                journal = handle.manager.journal
+                if job.finished and journal is not None:
+                    owner_view = job_view(job)
+                    owner_records = journal.records(handle.job_id)
                 states = job.states()
                 dead_letters = [dict(entry) for entry in job.dead_letters]
                 fault_log, fault_summary = chaos.log_dicts(), chaos.fault_summary()
@@ -316,6 +337,9 @@ class Simulation:
             job_deadline=job.deadline,
             lock_order=lock_order,
             lock_edges=frozenset(verifier.edges() if verifier else ()),
+            owner_view=owner_view,
+            owner_records=owner_records,
+            escaped=escaped,
         )
 
 

@@ -19,13 +19,17 @@ statements rather than per-test assertions:
   job's end-to-end budget;
 * ``ledger-drain`` -- GC watermarks never exceed the journaled delivery
   count and the replayed ledger holds exactly the un-collected suffix;
-* ``fenced-zombies`` -- records a zombie manager wrote behind the
-  adoption fence contribute nothing to the replayed state;
+* ``journal-is-the-job`` -- on a finished durable run the owner's
+  replica, folded, is the live owner job: the job applies the kinds it
+  journals only from records the journal accepted, so a zombie's write
+  behind the adoption fence reaches neither;
 * ``dead-letter-accounting`` -- quarantines only ever trace back to an
   injected corruption, are fully journaled, and never happen with
   checksums off;
 * ``lock-order`` -- under ``verify_locking`` no interleaving of the run
-  could deadlock: the lock verifier's graph is a DAG.
+  could deadlock: the lock verifier's graph is a DAG;
+* ``no-escaped-exception`` -- no exception reached
+  ``threading.excepthook`` during the run.
 
 :func:`run_oracles` evaluates the registry; ``green`` means every list
 came back empty.
@@ -51,7 +55,7 @@ ORACLES: dict[str, Oracle] = {}
 
 #: the oracles that read the journal: skipped when the run kept none
 JOURNAL_ORACLES = {"replay-equivalence", "sheds-subset-of-deliveries"}
-JOURNAL_ORACLES |= {"budget-monotone", "ledger-drain", "fenced-zombies"}
+JOURNAL_ORACLES |= {"budget-monotone", "ledger-drain", "journal-is-the-job"}
 
 
 def oracle(name: str) -> Callable[[Oracle], Oracle]:
@@ -264,30 +268,18 @@ def _ledgered_counts(records: list[JournalRecord]) -> dict[str, list[int]]:
     return out
 
 
-@oracle("fenced-zombies")
-def fenced_zombies(result: "SimResult") -> list[str]:
-    """Records behind the adoption fence must contribute nothing: folding
-    the journal with stale-epoch records pre-filtered yields the same
-    job as folding the raw sequence."""
-    if not result.records:
+@oracle("journal-is-the-job")
+def journal_is_the_job(result: "SimResult") -> list[str]:
+    """The owner's replica, folded, equals the live owner job: append,
+    then apply leaves the journal no record the job lacks, and the job no
+    state the journal lacks."""
+    if result.owner_view is None:
         return []
-    filtered: list[JournalRecord] = []
-    high = 0
-    stale = 0
-    for record in result.records:
-        if record.mepoch < high:
-            stale += 1
-            continue
-        high = max(high, record.mepoch)
-        filtered.append(record)
-    raw_view = job_view(replay_job(result.job_id, result.records))
-    fenced_view = job_view(replay_job(result.job_id, filtered))
-    if raw_view != fenced_view:
-        diff = [key for key in raw_view if raw_view[key] != fenced_view[key]]
-        return [
-            f"{stale} stale-epoch record(s) leaked into the replayed state;"
-            f" differing keys: {diff}"
-        ]
+    folded = job_view(replay_job(result.job_id, result.owner_records))
+    live = result.owner_view
+    if folded != live:
+        diff = [key for key in live if live[key] != folded.get(key)]
+        return [f"the owner's replica folds to another job; differing keys: {diff}"]
     return []
 
 
@@ -328,3 +320,10 @@ def dead_letter_accounting(result: "SimResult") -> list[str]:
 def lock_order(result: "SimResult") -> list[str]:
     """The verifier's LockOrderError, reported instead of raised."""
     return [result.lock_order] if result.lock_order else []
+
+
+@oracle("no-escaped-exception")
+def no_escaped_exception(result: "SimResult") -> list[str]:
+    """A thread that died of an exception fails the run instead of
+    printing a traceback nobody reads."""
+    return [f"exception escaped thread {entry}" for entry in result.escaped]

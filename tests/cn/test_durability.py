@@ -8,6 +8,7 @@ explicit ``Cluster.tick`` calls, no background pumpers, no chaos rates.
 
 import json
 import os
+import sys
 import tempfile
 import threading
 import time
@@ -539,18 +540,43 @@ class TestReplayDeliveryBatchAndGC:
     def test_a_delivery_journaled_after_the_gc_that_collected_it_stays_collected(
         self,
     ):
-        # route_many ledgers m2 under the job lock and journals it after;
-        # the recipient goes terminal in between, and its ledger-gc counts
-        # m2 before m2's own record lands
-        first, late = self.deliveries("t", ["m1", "m2"])
-        records = [
-            rec(1, "j", "delivery", messages=[first]),
-            rec(2, "j", "ledger-gc", task="t", upto=2),
-            rec(3, "j", "delivery", messages=[late]),
-        ]
-        job = replay_job("j", records)
-        assert job.ledger() == {}
-        assert job.gc_watermarks == {"t": 2}
+        # append, then apply: a ledger-gc counts only deliveries already
+        # applied, so already journaled -- on the live path no delivery it
+        # collected is journaled after it, and the fold needs no rule for one
+        job = Job("j", "c")
+        journal = ReplicatedJournal()
+        job.set_journal(lambda events: journal.append_many("j", events))
+        job.journal_events([("task-spec", {"spec": TaskSpec("t", jar="j", cls="C")})])
+        rounds = 2000
+
+        def route():
+            for i in range(rounds):
+                job.route(Message.user("s", "t", i))
+
+        def collect():
+            for _ in range(rounds):
+                job.gc_ledger("t")
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two as finely as we can
+        try:
+            threads = [threading.Thread(target=f) for f in (route, collect)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        journaled = collected = 0
+        for record in journal.records("j"):
+            if record.kind == "delivery":
+                journaled += len(record.data["messages"])
+            elif record.kind == "ledger-gc":
+                collected = record.data["upto"]
+                assert collected <= journaled
+        assert collected > 0
+        assert job_view(replay_job("j", journal.records("j"))) == job_view(job)
 
     def test_duplicated_gc_record_is_idempotent(self):
         messages = self.deliveries("t", ["m1", "m2"])
@@ -1125,6 +1151,42 @@ class TestDurableJobLifecycle:
             assert replayed.finished
             assert replayed.states() == {name: "COMPLETED" for name in names}
             assert replayed.gc_watermarks == {name: 1 for name in names}
+
+    def test_an_attempt_that_returns_after_shutdown_writes_to_no_closed_journal(
+        self, tmp_path, monkeypatch
+    ):
+        """Shutdown leaves a running attempt running; when it returns, its
+        terminal write finds no journal rather than a closed file."""
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        release, started = threading.Event(), []
+
+        class Lingers(Task):
+            def __init__(self, *params):
+                pass
+
+            def run(self, ctx):
+                started.append(threading.current_thread())
+                release.wait(10.0)
+                return "late"
+
+        registry = echo_registry()
+        registry.register_class("linger.jar", "t.Lingers", Lingers)
+        journal_dir = str(tmp_path / "journals")
+        with Cluster(2, registry=registry, journal_dir=journal_dir) as cluster:
+            api = CNAPI.initialize(cluster)
+            handle = api.create_job("client")
+            api.create_task(handle, TaskSpec("l", jar="linger.jar", cls="t.Lingers"))
+            api.start_job(handle)
+            for _ in range(500):
+                if started:
+                    break
+                time.sleep(0.01)
+        release.set()
+        [thread] = started
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert [args.exc_value for args in raised] == []
 
     def test_a_tasks_last_terminal_write_is_one_batch(self):
         """``task-state`` and ``job-finished`` reach every replica in one

@@ -13,6 +13,7 @@ from repro.cn import (
     MessageType,
     MulticastBus,
     PlacementRule,
+    ReplicatedJournal,
     RunModel,
     TaskManager,
     TaskRegistry,
@@ -165,6 +166,41 @@ class TestJobObject:
         job = self.make_job()
         assert [t.name for t in job.dependents_of("a")] == ["b"]
         assert job.dependents_of("b") == []
+
+    def test_a_rebound_job_that_finishes_still_reads_rebound(self):
+        # a deposed manager's Job may finish its side of a partition after
+        # the successor re-bound the id: its waiter must re-resolve, not
+        # take the deposed manager's results
+        job = self.make_job()
+        job.mark_rebound()
+        job.tasks["a"].state = TaskState.FAILED
+        job.note_terminal("a")
+        assert job.finished
+        assert job.wait_or_rebind(0) == "rebound"
+
+    def test_a_refused_append_changes_nothing(self):
+        from repro.cn.queues import MessageQueue
+
+        job = self.make_job()
+        queue = job.tasks["a"].queue = MessageQueue(owner="j1/a")
+        refused = []
+        job.set_journal(lambda events: refused.append(events) or ())
+        job.route(Message.user("client", "a", "x"))
+        job.save_checkpoint("a", {"k": 1}, tag=1)
+        job.note_poison("a", Message.user("client", "a", "y"))
+        assert len(refused) == 3
+        assert not job.has_ledgered("a") and len(queue) == 0
+        assert job.load_checkpoint("a") is None
+        assert job.dead_letters == []
+        # the same writes, accepted, are applied
+        journal = ReplicatedJournal()
+        job.set_journal(lambda events: journal.append_many("j1", events))
+        job.route(Message.user("client", "a", "x"))
+        job.save_checkpoint("a", {"k": 1}, tag=1)
+        assert job.has_ledgered("a") and queue.get(0.1).payload == "x"
+        assert job.load_checkpoint("a") == (1, {"k": 1})
+        job.gc_ledger("a")
+        assert not job.has_ledgered("a") and job.gc_watermarks == {"a": 1}
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,11 @@
 
 import itertools
 
-from repro.cn import Message
+from repro.cn import Message, replay_job
 from repro.cn.durability import JournalRecord
 from repro.sim import ORACLES, Schedule, run_oracles
 from repro.sim.harness import SimResult
-from repro.sim.oracles import JOURNAL_ORACLES
+from repro.sim.oracles import JOURNAL_ORACLES, job_view
 
 _seq = itertools.count(1)
 
@@ -51,9 +51,10 @@ class TestRegistry:
             "sheds-subset-of-deliveries",
             "budget-monotone",
             "ledger-drain",
-            "fenced-zombies",
+            "journal-is-the-job",
             "dead-letter-accounting",
             "lock-order",
+            "no-escaped-exception",
         }
 
     def test_only_filter(self):
@@ -179,14 +180,35 @@ class TestLedgerDrain:
 class TestFencedZombies:
     def test_stale_epoch_records_contribute_nothing(self):
         # a zombie's record arrives after the adoption bumped the epoch;
-        # the fold must skip it, so pre-filtering changes nothing
+        # the fold must skip it, as the live owner never applied it
+        live = delivery("w0", mepoch=2)
         result = make_result(
-            records=[
-                delivery("w0", mepoch=2),
-                delivery("w0", payload="zombie", mepoch=1),
-            ]
+            owner_view=job_view(replay_job(JOB, [live])),
+            owner_records=[live, delivery("w0", payload="zombie", mepoch=1)],
         )
-        assert "fenced-zombies" not in run_oracles(result)
+        assert "journal-is-the-job" not in run_oracles(result)
+
+
+class TestJournalIsTheJob:
+    def test_a_record_the_live_job_never_applied_is_flagged(self):
+        applied = delivery("w0")
+        result = make_result(
+            owner_view=job_view(replay_job(JOB, [applied])),
+            owner_records=[applied, delivery("w0", payload="unapplied")],
+        )
+        [finding] = run_oracles(result)["journal-is-the-job"]
+        assert "deliveries" in finding
+
+    def test_an_unfinished_run_has_no_owner_view_to_check(self):
+        result = make_result(owner_records=[delivery("w0")])
+        assert "journal-is-the-job" not in run_oracles(result)
+
+
+class TestNoEscapedException:
+    def test_an_escaped_exception_fails_the_run(self):
+        result = make_result(escaped=["task-w0: JournalError: closed"])
+        [finding] = run_oracles(result)["no-escaped-exception"]
+        assert "JournalError" in finding
 
 
 class TestDeadLetterAccounting:
