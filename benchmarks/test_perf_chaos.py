@@ -126,9 +126,7 @@ def test_completion_rate_vs_node_crash_rate(report):
         recovered_faults = 0
         for trial in range(trials):
             chaos = ChaosPolicy(seed=1000 * trial + 17, node_crash_rate=rate)
-            with Cluster(
-                4, registry=floyd_registry(), chaos=chaos, failure_k=2
-            ) as cluster:
+            with Cluster(4, registry=floyd_registry(), chaos=chaos) as cluster:
                 cluster.start_heartbeats(interval=0.02)
                 try:
                     result, _ = run_parallel_floyd(

@@ -16,7 +16,8 @@ import pytest
 
 from repro.apps.floyd import floyd_registry, floyd_warshall_numpy, random_weighted_graph
 from repro.cn import CNAPI, Cluster, TaskSpec
-from repro.core.transform.xmi2cnx import graph_to_cnx
+from repro.core.transform.xmi2cnx import xmi_to_cnx
+from repro.core.xmi import write_graph
 from repro.apps.floyd.model import build_fig3_model
 from repro.apps.floyd.io import store_matrix
 from repro.cn.client import expand_dynamic_tasks
@@ -32,7 +33,7 @@ def matrix():
 def run_and_account(matrix, workers):
     source = store_matrix(f"comm-{workers}", matrix)
     graph = build_fig3_model(n_workers=workers, matrix_source=source, sink="")
-    doc = graph_to_cnx(graph)
+    doc = xmi_to_cnx(write_graph(graph))
     with Cluster(4, registry=floyd_registry(), memory_per_node=10**6) as cluster:
         api = CNAPI.initialize(cluster)
         specs = expand_dynamic_tasks(doc.client.jobs[0], {})

@@ -78,7 +78,7 @@ def gated_registry(gate: Gate, every: int):
 def run_once(every: int, matrix) -> dict:
     source = store_matrix(f"perf-durability-{every}", matrix)
     gate = Gate(GATE_K, expected=WORKERS)
-    cluster = Cluster(3, registry=gated_registry(gate, every), failure_k=2)
+    cluster = Cluster(3, registry=gated_registry(gate, every))
     cluster.servers[0].accept_tasks = False  # node0: manager only
     try:
         with cluster:

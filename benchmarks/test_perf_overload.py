@@ -56,7 +56,6 @@ from repro.core.xmi import write_graph
 RESULTS: dict = {"experiment": "PERF13"}
 
 BASELINE_JOBS = 5
-STORM_TICK = 1
 STORM_SIZE = 50  # ~10x the per-tenant burst below
 STORM_BURST = 5.0
 QUEUE_CAP = 16
@@ -101,16 +100,12 @@ def test_storm_admission_latency_and_goodput(report):
         guarded_wall = run_portal_jobs(portal, BASELINE_JOBS, tenant="steady")
         goodput_penalty = guarded_wall / baseline_wall - 1.0
 
-        # 10x storm against a tight per-tenant bucket, scheduled through
-        # the chaos overload mode so storm timing is scripted state
-        chaos = ChaosPolicy().schedule_burst(STORM_TICK, STORM_SIZE)
+        # 10x storm against a tight per-tenant bucket
         portal.admission = AdmissionController(
             cluster, rate=0.5, burst=STORM_BURST
         )
-        storm = chaos.bursts_due(STORM_TICK)
-        assert storm == STORM_SIZE
         reject_latencies, admitted = [], 0
-        for _ in range(storm):
+        for _ in range(STORM_SIZE):
             started = time.perf_counter()
             submission = portal.submit(pi_xmi(), tenant="storm")
             elapsed = time.perf_counter() - started

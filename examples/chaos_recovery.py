@@ -8,8 +8,8 @@ runtime put things right:
 1. a seeded :class:`ChaosPolicy` scripts the fault (``crash_node``) so
    the run is exactly reproducible -- same seed, same fault sequence;
 2. TaskManagers heartbeat on every :meth:`Cluster.tick`; the surviving
-   JobManager's failure detector declares the node dead after
-   ``failure_k`` consecutive misses;
+   JobManager's failure detector declares the node dead after two
+   consecutive misses;
 3. the dead node's tasks are re-placed on surviving nodes and the job's
    delivery ledger is replayed into their fresh queues (at-least-once
    delivery), so in-flight conversations resume.
@@ -57,7 +57,7 @@ def node_failure_demo() -> None:
     registry = TaskRegistry()
     registry.register_class("demo.jar", "demo.TwoPart", TwoPartJob)
 
-    with Cluster(3, registry=registry, failure_k=2) as cluster:
+    with Cluster(3, registry=registry) as cluster:
         # keep the job's manager out of harm's way on node0
         cluster.servers[0].accept_tasks = False
         api = CNAPI.initialize(cluster)
@@ -94,7 +94,7 @@ def floyd_under_chaos_demo() -> None:
     chaos = ChaosPolicy(seed=7)
     chaos.crash_node("node2", after_starts=1)
     matrix = random_weighted_graph(8, seed=11)
-    with Cluster(4, registry=floyd_registry(), chaos=chaos, failure_k=2) as cluster:
+    with Cluster(4, registry=floyd_registry(), chaos=chaos) as cluster:
         cluster.start_heartbeats(interval=0.02)
         result, _ = run_parallel_floyd(
             matrix, n_workers=3, cluster=cluster,

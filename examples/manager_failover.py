@@ -69,7 +69,7 @@ def main() -> None:
     registry = floyd_registry()
     registry.register_class(WORKER_JAR, WORKER_CLASS, GatedTCTask)
 
-    with Cluster(3, registry=registry, failure_k=2) as cluster:
+    with Cluster(3, registry=registry) as cluster:
         cluster.servers[0].accept_tasks = False  # node0: manager only
         api = CNAPI.initialize(cluster)
         handle = api.create_job("FailoverDemo", requirements={"prefer": "node0"})

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Observability tour: metrics, spans, critical path, and exporters.
 
-Every cluster carries a :class:`repro.cn.Telemetry` hub by default --
-the runtime's flight recorder.  This tour runs one parallel Floyd job
+Every cluster carries a :class:`repro.cn.telemetry.Telemetry` hub by
+default -- the runtime's flight recorder.  This tour runs one parallel Floyd job
 and then reads the instruments:
 
 1. **metrics** -- counters/gauges/histograms the runtime maintained

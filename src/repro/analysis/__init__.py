@@ -11,7 +11,8 @@ dynamic-invocation multiplicity bounds, splitter/joiner fan shape,
 client-level job ordering, message-flow deadlock, and placement
 feasibility against a cluster spec.
 
-Every finding is a structured :class:`Diagnostic` (stable ``CNxxx``
+Every finding is a structured
+:class:`~repro.analysis.diagnostics.Diagnostic` (stable ``CNxxx``
 code, severity, source location in the originating element, fix hint).
 ``python -m repro.analysis`` exposes the analyzer on the command line.  A
 composition is checked once, where it enters: a model at step 1 of
@@ -19,45 +20,15 @@ composition is checked once, where it enters: a model at step 1 of
 way in), refused with :class:`repro.cn.errors.CnxValidationError`.
 """
 
-from .diagnostics import Diagnostic, Report, Severity, SourceLocation
-from .ir import (
-    ClusterSpec,
-    Composition,
-    JobGraph,
-    TaskNode,
-    from_cnx,
-    from_graph,
-    from_model,
-    from_xmi,
-)
-from .passes import (
-    AnalysisContext,
-    AnalysisPass,
-    analyze,
-    analyze_cnx,
-    analyze_model,
-    analyze_source,
-    default_passes,
-)
+from .diagnostics import Report
+from .ir import ClusterSpec, from_cnx
+from .passes import AnalysisContext, analyze_cnx, analyze_model
 
 __all__ = [
-    "Severity",
-    "SourceLocation",
-    "Diagnostic",
     "Report",
-    "TaskNode",
-    "JobGraph",
-    "Composition",
     "ClusterSpec",
     "from_cnx",
-    "from_graph",
-    "from_model",
-    "from_xmi",
     "AnalysisContext",
-    "AnalysisPass",
-    "analyze",
     "analyze_cnx",
     "analyze_model",
-    "analyze_source",
-    "default_passes",
 ]

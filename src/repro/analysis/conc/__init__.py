@@ -7,40 +7,11 @@ Two halves share one vocabulary:
   findings (lock discipline, blocking-call-under-lock, exception
   hygiene, transport readiness).
 * :mod:`~repro.analysis.conc.runtime` -- the opt-in lock-order /
-  deadlock verifier (:class:`InstrumentedLock`, :class:`LockVerifier`)
+  deadlock verifier (:class:`~repro.analysis.conc.runtime.LockVerifier`)
   enabled with ``Cluster(verify_locking=True)``.
 
 The shared vocabulary is :mod:`~repro.analysis.conc.annotations`: the
 guarded-by facts and lock-hierarchy declarations that the static passes
-check syntactically and the runtime verifier checks dynamically.
+check syntactically and the runtime verifier checks dynamically.  Each
+name is imported from the module that defines it.
 """
-
-from .annotations import GUARDED_BY, LOCK_ORDER_EXEMPT, guarded_by
-from .runtime import (
-    InstrumentedLock,
-    LockOrderError,
-    LockVerifier,
-    current_verifier,
-    install_verifier,
-    make_condition,
-    make_lock,
-    uninstall_verifier,
-)
-from .static import CC_CODES, analyze_paths, analyze_source
-
-__all__ = [
-    "GUARDED_BY",
-    "LOCK_ORDER_EXEMPT",
-    "guarded_by",
-    "CC_CODES",
-    "analyze_paths",
-    "analyze_source",
-    "InstrumentedLock",
-    "LockOrderError",
-    "LockVerifier",
-    "current_verifier",
-    "install_verifier",
-    "uninstall_verifier",
-    "make_lock",
-    "make_condition",
-]

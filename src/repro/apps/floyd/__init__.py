@@ -4,31 +4,22 @@ shortest path / transitive closure as a CN job."""
 from .driver import (
     ensure_floyd_tasks,
     floyd_registry,
-    register_floyd_tasks,
     run_parallel_floyd,
     run_parallel_floyd_dynamic,
 )
-from .io import MatrixStore, read_matrix, resolve_matrix, store_matrix, write_matrix
+from .io import store_matrix
 from .model import build_fig3_model, build_fig5_model
 from .serial import (
-    INF,
     floyd_warshall,
     floyd_warshall_numpy,
     random_adjacency,
     random_weighted_graph,
     transitive_closure,
-    transitive_closure_numpy,
 )
-from .tasks import TaskSplit, TCJoin, TCTask, partition_rows
 
 __all__ = [
-    "TaskSplit",
-    "TCTask",
-    "TCJoin",
-    "partition_rows",
     "build_fig3_model",
     "build_fig5_model",
-    "register_floyd_tasks",
     "ensure_floyd_tasks",
     "floyd_registry",
     "run_parallel_floyd",
@@ -36,13 +27,7 @@ __all__ = [
     "floyd_warshall",
     "floyd_warshall_numpy",
     "transitive_closure",
-    "transitive_closure_numpy",
     "random_weighted_graph",
     "random_adjacency",
-    "INF",
-    "read_matrix",
-    "write_matrix",
-    "MatrixStore",
     "store_matrix",
-    "resolve_matrix",
 ]

@@ -1,21 +1,6 @@
 """Dense matrix multiplication as a CN job (scatter/compute/gather)."""
 
-from .driver import (
-    build_matmul_model,
-    matmul_registry,
-    register_matmul_tasks,
-    run_parallel_matmul,
-)
-from .tasks import MatJoin, MatSplit, MatWorker, matmul_serial, store_pair
+from .driver import matmul_registry, run_parallel_matmul
+from .tasks import matmul_serial
 
-__all__ = [
-    "MatSplit",
-    "MatWorker",
-    "MatJoin",
-    "matmul_serial",
-    "store_pair",
-    "build_matmul_model",
-    "register_matmul_tasks",
-    "matmul_registry",
-    "run_parallel_matmul",
-]
+__all__ = ["matmul_serial", "matmul_registry", "run_parallel_matmul"]

@@ -6,14 +6,10 @@ from .driver import (
     run_parallel_wordcount,
     wordcount_registry,
 )
-from .tasks import WordMapper, WordReducer, WordSplit, count_words_serial, tokenize_words
+from .tasks import count_words_serial
 
 __all__ = [
-    "WordSplit",
-    "WordMapper",
-    "WordReducer",
     "count_words_serial",
-    "tokenize_words",
     "build_wordcount_model",
     "register_wordcount_tasks",
     "wordcount_registry",

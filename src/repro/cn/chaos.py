@@ -10,7 +10,7 @@ the runtime's recovery paths are only trustworthy if failures can be
   advanced by :meth:`Cluster.tick`, so tests never depend on wall time.
 * :class:`ChaosPolicy` -- a seeded fault injector.  Faults come in two
   flavours: **scripted** one-shots (crash *this* task on *this* attempt,
-  crash *this* node after its Nth task start or at tick T, stall a task)
+  crash *this* node after its Nth task start, stall a task)
   and **rate-based** faults whose decisions are derived from
   ``hash(seed, site, stable-key)`` rather than from a shared RNG stream,
   so the injected fault set is identical across reruns regardless of
@@ -26,12 +26,13 @@ Fault sites instrumented elsewhere in the package:
 site          hook                                   injected by
 ============  =====================================  ==================
 task start    ``should_crash_task`` / ``should_stall``  TaskManager
-node          ``node_crash_due`` / ``nodes_to_crash``   TaskManager / Cluster.tick
+node          ``node_crash_due``                        TaskManager
 task queue    ``queue_fate`` (drop / delay /            MessageQueue.put
               duplicate / reorder / corrupt)
 multicast     ``bus_drop``                              MulticastBus
 partition     ``note_partition`` / ``note_heal`` /      Cluster.partition /
               ``note_revive`` (recording only)          heal_partition / revive_node
+node kill     ``note_kill`` (recording only)            the simulation driver
 ============  =====================================  ==================
 
 A :class:`ChaosPolicy` with no rates and no scripted faults reports
@@ -46,7 +47,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from ..analysis.conc.runtime import make_lock
 
@@ -57,6 +58,9 @@ __all__ = [
     "ChaosPolicy",
     "ExponentialBackoff",
 ]
+
+#: successful puts a ``reorder`` fate holds a message back for
+REORDER_HOLD = 2
 
 
 class InjectedFault(RuntimeError):
@@ -114,9 +118,9 @@ class FaultRecord:
     seq: int
     # task-crash | stall | node-crash | node-revive | queue-drop |
     # queue-delay | queue-duplicate | queue-reorder | queue-corrupt |
-    # bus-drop | burst | partition | partition-heal
+    # bus-drop | partition | partition-heal
     kind: str
-    site: str  # task | node | queue:<owner> | bus | portal
+    site: str  # task | node | queue:<owner> | bus
     target: str
     detail: dict = field(default_factory=dict)
 
@@ -187,10 +191,7 @@ class ChaosPolicy:
         queue_duplicate_rate: float = 0.0,
         queue_reorder_rate: float = 0.0,
         corrupt_rate: float = 0.0,
-        reorder_hold: int = 2,
     ) -> None:
-        if reorder_hold < 1:
-            raise ValueError(f"reorder_hold must be >= 1, got {reorder_hold}")
         self.seed = seed
         self.task_crash_rate = task_crash_rate
         self.node_crash_rate = node_crash_rate
@@ -203,7 +204,6 @@ class ChaosPolicy:
         self.queue_duplicate_rate = queue_duplicate_rate
         self.queue_reorder_rate = queue_reorder_rate
         self.corrupt_rate = corrupt_rate
-        self.reorder_hold = reorder_hold
         self.log: list[FaultRecord] = []
         self._log_lock = make_lock("ChaosPolicy._log_lock", reentrant=False)
         self._seq = itertools.count(1)
@@ -211,11 +211,8 @@ class ChaosPolicy:
         self._task_crashes: set[tuple[str, int]] = set()
         self._task_stalls: set[tuple[str, int]] = set()
         self._node_crashes_after_starts: dict[str, int] = {}
-        self._node_crashes_at_tick: dict[str, int] = {}
         # overload mode: slow-consumer queues (owner substring -> stride)
-        # and scripted submission-burst schedules (tick -> burst size)
         self._slow_consumers: dict[str, int] = {}
-        self._bursts: dict[int, int] = {}
         # scripted corruption: owner substring -> first delivery index to
         # corrupt (fires once per entry, consumed on match)
         self._corruptions: dict[str, int] = {}
@@ -258,22 +255,11 @@ class ChaosPolicy:
         self._armed = True
         return self
 
-    def crash_node(
-        self,
-        node: str,
-        *,
-        after_starts: Optional[int] = None,
-        at_tick: Optional[int] = None,
-    ) -> "ChaosPolicy":
-        """Crash *node* after it has started its Nth task, or at tick T."""
-        if (after_starts is None) == (at_tick is None):
-            raise ValueError("specify exactly one of after_starts / at_tick")
+    def crash_node(self, node: str, *, after_starts: int) -> "ChaosPolicy":
+        """Crash *node* when it has started its Nth task."""
         node = node.split("/")[0]
         with self._script_lock:
-            if after_starts is not None:
-                self._node_crashes_after_starts[node] = after_starts
-            else:
-                self._node_crashes_at_tick[node] = at_tick  # type: ignore[assignment]
+            self._node_crashes_after_starts[node] = after_starts
         self._armed = True
         return self
 
@@ -302,19 +288,6 @@ class ChaosPolicy:
         self._armed = True
         return self
 
-    def schedule_burst(self, tick: int, submissions: int) -> "ChaosPolicy":
-        """Overload mode: script a submission storm of *submissions* jobs
-        due at *tick*.  The storm driver (a benchmark or a portal test)
-        polls :meth:`bursts_due` each tick and fires the scripted load --
-        the schedule living here keeps storm timing seeded/deterministic
-        alongside every other fault."""
-        if submissions < 1:
-            raise ValueError(f"submissions must be >= 1, got {submissions}")
-        with self._script_lock:
-            self._bursts[tick] = self._bursts.get(tick, 0) + submissions
-        self._armed = True
-        return self
-
     def register_queue(self, owner: str) -> str:
         """Fate namespace for a new queue incarnation of *owner*.
 
@@ -332,15 +305,6 @@ class ChaosPolicy:
             generation = self._queue_gens.setdefault(owner, 0)
             self._queue_gens[owner] = generation + 1
         return owner if generation == 0 else f"{owner}~{generation}"
-
-    def bursts_due(self, tick: int) -> int:
-        """Scripted submission-storm size due at *tick* (consumed)."""
-        with self._script_lock:
-            due = [t for t in self._bursts if tick >= t]
-            total = sum(self._bursts.pop(t) for t in due)
-        if total:
-            self._record("burst", "portal", str(tick), submissions=total)
-        return total
 
     # -- the enabled fast path -------------------------------------------------
     @property
@@ -389,20 +353,6 @@ class ChaosPolicy:
             return True
         return False
 
-    def nodes_to_crash(self, tick: int) -> list[str]:
-        """Scripted at-tick node crashes due at *tick* (consumed)."""
-        with self._script_lock:
-            due = sorted(
-                node
-                for node, when in self._node_crashes_at_tick.items()
-                if tick >= when
-            )
-            for node in due:
-                del self._node_crashes_at_tick[node]
-        for node in due:
-            self._record("node-crash", "node", node, at_tick=tick, scripted=True)
-        return due
-
     def queue_fate(self, owner: str, index: int) -> str:
         """``deliver`` | ``drop`` | ``delay`` | ``duplicate`` |
         ``reorder`` | ``corrupt`` for the *index*-th message put on the
@@ -446,7 +396,7 @@ class ChaosPolicy:
         if self._decide("queue-reorder", key, self.queue_reorder_rate):
             self._record(
                 "queue-reorder", f"queue:{owner}", owner,
-                index=index, hold=self.reorder_hold,
+                index=index, hold=REORDER_HOLD,
             )
             return "reorder"
         if self._decide("queue-corrupt", key, self.corrupt_rate):
@@ -482,6 +432,14 @@ class ChaosPolicy:
         """Record a node revival via ``Cluster.revive_node``."""
         self._record("node-revive", "node", node.split("/")[0])
 
+    def note_kill(self, node: str, tick: int) -> None:
+        """Record a node kill a driver imposes at *tick* through
+        ``Cluster.kill_node`` (which records nothing itself: a kill the
+        policy decides is recorded where it is decided)."""
+        self._record(
+            "node-crash", "node", node.split("/")[0], at_tick=tick, scripted=True
+        )
+
     # -- the log ---------------------------------------------------------------
     def fault_summary(self) -> list[tuple[str, str, str]]:
         """Sorted ``(kind, site, target)`` triples -- the identity of the
@@ -492,10 +450,6 @@ class ChaosPolicy:
     def log_dicts(self) -> list[dict[str, Any]]:
         with self._log_lock:
             return [record.to_dict() for record in self.log]
-
-    def clear_log(self) -> None:
-        with self._log_lock:
-            self.log.clear()
 
     # -- internals --------------------------------------------------------------
     def _decide(self, kind: str, key: str, rate: float) -> bool:

@@ -11,13 +11,13 @@ benchmarks can spin up clusters of various sizes.
 
 Fault tolerance: the cluster owns the shared :class:`VirtualClock` and
 drives the failure-detection loop.  Each :meth:`tick` advances virtual
-time, fires any chaos-scheduled node crashes, publishes one heartbeat
-per live TaskManager on the bus (every CNServer relays them into its
-failure detector), runs each live JobManager's detection period, and
-expires per-task deadlines.  Tests call :meth:`tick` explicitly for
-determinism; :meth:`start_heartbeats` runs the same loop on a background
-thread for wall-clock runs.  :meth:`kill_node` / :meth:`revive_node` /
-:meth:`partition` are the operator-style fault controls.
+time, publishes one heartbeat per live TaskManager on the bus (every
+CNServer relays them into its failure detector), runs each live
+JobManager's detection period, and expires per-task deadlines.  Tests
+call :meth:`tick` explicitly for determinism; :meth:`start_heartbeats`
+runs the same loop on a background thread for wall-clock runs.
+:meth:`kill_node` / :meth:`revive_node` / :meth:`partition` are the
+operator-style fault controls.
 
 A tick detects failures and does nothing else.  What the metrics
 registry shows of the cluster -- node gauges, heartbeat misses, wire
@@ -222,19 +222,13 @@ class Cluster(AbstractContextManager):
     # -- failure-detection loop -------------------------------------------------
     def tick(self, steps: int = 1) -> None:
         """One (or more) failure-detection periods, entirely deterministic:
-        advance the virtual clock, fire scheduled chaos node crashes,
-        publish heartbeats, run every live JobManager's detector, expire
-        task deadlines."""
+        advance the virtual clock, publish heartbeats, run every live
+        JobManager's detector, expire task deadlines."""
         for _ in range(steps):
             with self._tick_lock:
                 self._ticks += 1
-                tick = self._ticks
                 self.clock.advance(TICK_PERIOD)
                 now = self.clock.now()
-                if self.chaos is not None and self.chaos.enabled:
-                    for node in self.chaos.nodes_to_crash(tick):
-                        if node in {s.name for s in self.servers}:
-                            self.kill_node(node)
                 beats = []
                 for server in self.alive_servers():
                     beat = server.taskmanager.beat()

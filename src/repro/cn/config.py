@@ -35,7 +35,6 @@ _AT_LEAST = {
     "nodes": 1,
     "memory_per_node": 1,
     "slots_per_node": 1,
-    "failure_k": 1,
     "queue_maxsize": 0,
 }
 
@@ -57,8 +56,6 @@ class ClusterConfig:
     #: the clock ``tick`` advances; None (the default) means a fresh one
     #: nobody else drives
     clock: Optional[VirtualClock] = None
-    #: consecutive missed heartbeats before a node is declared dead
-    failure_k: int = 3
     #: write-ahead job journal replicated on the bus, manager failover
     durable: bool = True
     #: directory of per-node journal files (needs ``durable``); None keeps

@@ -67,6 +67,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["JobManager", "FailureDetector"]
 
+#: consecutive missed heartbeats before a node is declared dead
+FAILURE_K = 2
+
 
 def _placed_record(runtime: TaskRuntime) -> tuple[str, dict]:
     """The journal's one ``task-placed`` shape, read after ``host_task``."""
@@ -87,7 +90,7 @@ class FailureDetector:
     corrected.
     """
 
-    def __init__(self, k_misses: int = 3) -> None:
+    def __init__(self, k_misses: int = FAILURE_K) -> None:
         if k_misses < 1:
             raise ValueError(f"k_misses must be >= 1, got {k_misses}")
         self.k_misses = k_misses
@@ -168,7 +171,7 @@ class JobManager:
         self._lock = make_lock("JobManager._lock")
         self._taskmanagers: dict[str, TaskManager] = {}
         self._shutdown = False
-        self.failure_detector = FailureDetector(config.failure_k)
+        self.failure_detector = FailureDetector()
         #: delay before a retry is re-placed, and what waits it out
         self.backoff = ExponentialBackoff()
         self._sleeper: Callable[[float], None] = time.sleep

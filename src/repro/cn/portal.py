@@ -135,17 +135,12 @@ class Portal:
         *,
         registry: Optional[TaskRegistry] = None,
         timeout: float = 120.0,
-        heartbeats: bool = False,
         admission: Optional[AdmissionController] = None,
         max_body_bytes: int = MAX_BODY_BYTES,
     ) -> None:
         self._owns_cluster = cluster is None
         self.cluster = cluster if cluster is not None else Cluster(4, registry=registry)
         self.cluster.start()
-        if heartbeats:
-            # portal runs cannot call Cluster.tick explicitly; pump the
-            # failure-detection loop on a background thread instead
-            self.cluster.start_heartbeats()
         self.pipeline = Pipeline()
         self.timeout = timeout
         #: overload protection in front of submit(); None = admit all
@@ -403,7 +398,11 @@ class _Handler(BaseHTTPRequestHandler):
                 },
             )
             return
-        body = self.rfile.read(length).decode()
+        try:
+            body = self.rfile.read(length).decode()
+        except UnicodeDecodeError:
+            self._json(400, {"error": "request body is not UTF-8"})
+            return
         tenant = self.headers.get("X-Tenant") or "anon"
         submission = self.portal.submit(body, runtime_args, tenant=tenant)
         codes = {"done": 200, "rejected": 422, "throttled": 429, "saturated": 503}

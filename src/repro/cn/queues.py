@@ -36,6 +36,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..analysis.conc.runtime import make_condition
+from .chaos import REORDER_HOLD
 from .errors import MessageTimeout, Overloaded, ShutdownError
 from .messages import Message, corrupt_copy
 
@@ -54,7 +55,7 @@ class MessageQueue:
     fault site: each ``put`` may be dropped (lossy link), delayed (held
     back and delivered just after the *next* successful put), duplicated
     (admitted twice, the at-least-once retransmit), reordered (held back
-    for ``reorder_hold`` successful puts -- a bounded reordering), or
+    for ``REORDER_HOLD`` successful puts -- a bounded reordering), or
     corrupted (the payload is damaged in flight).  Fate decisions are
     keyed by the per-queue delivery index, so a fixed chaos seed injects
     the same faults on every run.
@@ -99,7 +100,7 @@ class MessageQueue:
         self._on_poison = on_poison
         # chaos-held messages as [message, remaining-puts-before-release]
         # pairs: delay holds for 1 successful put, reorder for
-        # ``chaos.reorder_hold`` -- a bounded reordering window
+        # ``REORDER_HOLD`` -- a bounded reordering window
         self._delayed: list[list] = []
         #: deepest the queue has ever been (a high watermark survives the
         #: drain that a point-in-time depth gauge would miss)
@@ -159,7 +160,7 @@ class MessageQueue:
             if self._closed:
                 raise ShutdownError(f"queue for {self.owner!r} is closed")
             if fate in ("delay", "reorder"):
-                hold = 1 if fate == "delay" else self._chaos.reorder_hold
+                hold = 1 if fate == "delay" else REORDER_HOLD
                 self._delayed.append([message, hold])
                 return []
             if fate == "corrupt":

@@ -31,10 +31,11 @@ __all__ = ["TaskRegistry"]
 class TaskRegistry:
     """Resolves (jar, class) descriptor references to Task classes."""
 
-    def __init__(self, search_path: tuple[Path, ...] = ()) -> None:
+    def __init__(self) -> None:
         self._classes: dict[tuple[str, str], Type[Task]] = {}
         self._archives: dict[str, TaskArchive] = {}
-        self.search_path: list[Path] = [Path(p) for p in search_path]
+        #: directories :meth:`add_search_dir` adds, scanned in that order
+        self.search_path: list[Path] = []
 
     # -- registration -----------------------------------------------------
     def register_class(self, jar: str, class_name: str, cls: Type[Task]) -> None:
@@ -76,13 +77,9 @@ class TaskRegistry:
                 return archive
         return None
 
-    def known_jars(self) -> list[str]:
-        jars = {jar for jar, _ in self._classes}
-        jars.update(self._archives)
-        return sorted(jars)
-
     def copy(self) -> "TaskRegistry":
-        clone = TaskRegistry(tuple(self.search_path))
+        clone = TaskRegistry()
+        clone.search_path.extend(self.search_path)
         # conclint: waive CC402 -- same-class clone, never crosses a node boundary
         clone._classes.update(self._classes)
         # conclint: waive CC402 -- same-class clone, never crosses a node boundary

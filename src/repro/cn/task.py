@@ -46,9 +46,6 @@ class Task(abc.ABC):
     def run(self, ctx: "TaskContext") -> Any:
         """Execute the unit of work; the return value is the task result."""
 
-    def on_cancel(self) -> None:  # pragma: no cover - cooperative hook
-        """Called when the task is cancelled; override for cleanup."""
-
     # -- checkpoint API (durability extension) ---------------------------------
     def checkpoint(self, state: Any, tag: Any = None) -> bool:
         """Hand *state* to the job so a restarted attempt can pick up

@@ -33,52 +33,12 @@ import json
 import time
 from typing import IO, Any, Callable, Optional
 
-from .critical_path import CriticalPath, TaskInterval, critical_path, task_intervals
-from .export import (
-    chrome_trace,
-    prometheus_text,
-    read_jsonl,
-    spans_to_jsonl,
-    write_jsonl,
-)
-from .metrics import (
-    BYTES_BUCKETS,
-    DURATION_BUCKETS,
-    NULL_COUNTER,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NodeScopedMetrics,
-    NullMetric,
-)
-from .spans import Span, SpanRecorder, orphan_spans, span_children
+from .critical_path import CriticalPath, critical_path
+from .export import chrome_trace, prometheus_text, write_jsonl
+from .metrics import MetricsRegistry
+from .spans import SpanRecorder, orphan_spans
 
-__all__ = [
-    "Telemetry",
-    "MetricsRegistry",
-    "NodeScopedMetrics",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "NullMetric",
-    "NULL_COUNTER",
-    "DURATION_BUCKETS",
-    "BYTES_BUCKETS",
-    "Span",
-    "SpanRecorder",
-    "span_children",
-    "orphan_spans",
-    "CriticalPath",
-    "TaskInterval",
-    "critical_path",
-    "task_intervals",
-    "prometheus_text",
-    "chrome_trace",
-    "spans_to_jsonl",
-    "write_jsonl",
-    "read_jsonl",
-]
+__all__ = ["Telemetry", "orphan_spans", "chrome_trace", "write_jsonl"]
 
 
 class Telemetry:

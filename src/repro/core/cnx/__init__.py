@@ -2,34 +2,17 @@
 emitter, validator."""
 
 from .emitter import emit
-from .parser import CnxParseError, parse, parse_element
-from .schema import (
-    DEFAULT_MEMORY,
-    DEFAULT_PORT,
-    DEFAULT_RUNMODEL,
-    CnxClient,
-    CnxDocument,
-    CnxJob,
-    CnxParam,
-    CnxTask,
-    CnxTaskReq,
-)
-from .validate import CnxValidationError, validate
+from .parser import parse
+from .schema import DEFAULT_PORT, CnxJob, CnxParam, CnxTask, CnxTaskReq
+from .validate import validate
 
 __all__ = [
-    "CnxDocument",
-    "CnxClient",
     "CnxJob",
     "CnxTask",
     "CnxTaskReq",
     "CnxParam",
-    "DEFAULT_MEMORY",
     "DEFAULT_PORT",
-    "DEFAULT_RUNMODEL",
     "emit",
     "parse",
-    "parse_element",
-    "CnxParseError",
     "validate",
-    "CnxValidationError",
 ]

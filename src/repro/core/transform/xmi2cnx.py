@@ -7,10 +7,6 @@ portal and ``cn-pipeline`` alike.  :func:`xmi_to_cnx_native`, a direct Python
 transformer over the parsed UML model, is its differential-testing
 oracle: nothing selects it, the test suite and ``benchmarks.e2e`` call
 it to check that both agree document-for-document.
-
-:func:`graph_to_cnx` converts an in-memory activity graph straight to a
-CNX document (skipping the XMI detour) -- the convenience entry point
-library users reach for when their model never leaves Python.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ __all__ = [
     "xmi_to_cnx",
     "xmi_to_cnx_text",
     "xmi_to_cnx_native",
-    "graph_to_cnx",
     "model_to_cnx",
     "load_stylesheet",
 ]
@@ -103,15 +98,6 @@ def model_to_cnx(
             job.name = graph.name
             job.after = list(after[graph.name])
         client.jobs.append(job)
-    return CnxDocument(client)
-
-
-def graph_to_cnx(
-    graph: ActivityGraph, *, log: str = _LOG, port: int = _PORT
-) -> CnxDocument:
-    """Convert a single job graph into a one-job CNX client."""
-    client = CnxClient(cls=graph.name, log=log, port=port)
-    client.jobs.append(_graph_to_job(graph))
     return CnxDocument(client)
 
 

@@ -5,46 +5,15 @@ tasks are action states with CN tagged values, dependencies are
 transitions (paper section 4).
 """
 
-from .activity import (
-    PSEUDO_FORK,
-    PSEUDO_INITIAL,
-    PSEUDO_JOIN,
-    ActionState,
-    ActivityGraph,
-    FinalState,
-    Pseudostate,
-    StateVertex,
-    Transition,
-)
 from .builder import ActivityBuilder
-from .model import Model, Package
+from .model import Model
 from .render import level_layout, to_ascii, to_dot
-from .tags import (
-    CNProfile,
-    TagDefinition,
-    TaggedElement,
-    TaggedValue,
-    param_tag_names,
-)
+from .tags import CNProfile
 
 __all__ = [
-    "ActivityGraph",
-    "ActionState",
-    "Pseudostate",
-    "FinalState",
-    "StateVertex",
-    "Transition",
-    "PSEUDO_INITIAL",
-    "PSEUDO_FORK",
-    "PSEUDO_JOIN",
     "ActivityBuilder",
     "Model",
-    "Package",
-    "TagDefinition",
-    "TaggedValue",
-    "TaggedElement",
     "CNProfile",
-    "param_tag_names",
     "to_dot",
     "to_ascii",
     "level_layout",

@@ -1,13 +1,6 @@
 """XMI 1.2 / UML 1.x export and import (paper Fig. 7 vocabulary)."""
 
-from .reader import XmiReadError, read_graphs, read_model
-from .writer import XmiWriter, write_graph, write_model
+from .reader import read_graphs
+from .writer import write_graph
 
-__all__ = [
-    "XmiWriter",
-    "write_model",
-    "write_graph",
-    "read_model",
-    "read_graphs",
-    "XmiReadError",
-]
+__all__ = ["write_graph", "read_graphs"]

@@ -12,24 +12,8 @@ reproducers (:mod:`repro.sim.reproducer`).  CLI:
 ``python -m repro.sim --seed N --runs K``.
 """
 
-from .harness import Simulation, SimResult
-from .oracles import ORACLES, oracle, run_oracles
-from .reproducer import emit_reproducer, load_reproducer, replay_reproducer
-from .schedule import EVENT_KINDS, FaultEvent, Schedule, generate
-from .shrink import shrink_schedule
+from .harness import Simulation
+from .oracles import run_oracles
+from .schedule import Schedule, generate
 
-__all__ = [
-    "EVENT_KINDS",
-    "FaultEvent",
-    "ORACLES",
-    "Schedule",
-    "SimResult",
-    "Simulation",
-    "emit_reproducer",
-    "generate",
-    "load_reproducer",
-    "oracle",
-    "replay_reproducer",
-    "run_oracles",
-    "shrink_schedule",
-]
+__all__ = ["Schedule", "Simulation", "generate", "run_oracles"]

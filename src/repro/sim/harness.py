@@ -11,12 +11,11 @@ time tick by tick while injecting the faults a
 * link faults (drop / delay / duplicate / reorder / corrupt) ride the
   seeded :class:`~repro.cn.ChaosPolicy` rates, so the same schedule
   injects the same faults on every run;
-* node kills are scripted at-tick through the chaos policy (they land
-  inside :meth:`Cluster.tick`, deterministically ordered);
-* revives, partitions, and heals are applied by the driver loop when
-  their tick comes up;
-* stalls are scripted per task attempt; bursts fire a storm of
-  status-query load against the managing JobManager.
+* every timed event -- kill, revive, partition, heal, burst -- is
+  applied by the driver loop when its tick comes up, kills last, just
+  before :meth:`Cluster.tick`; a burst fires a storm of status-query
+  load against the managing JobManager;
+* stalls are scripted per task attempt through the chaos policy.
 
 The run ends at quiescence (job finished) or at the tick horizon, and
 everything an oracle could want is collected into a :class:`SimResult`:
@@ -51,6 +50,7 @@ from repro.apps.floyd.model import (
     WORKER_JAR,
 )
 from repro.cn import CNAPI, ChaosPolicy, Cluster, CnError, TaskSpec, VirtualClock
+from repro.cn.api import JobHandle
 from repro.cn.durability import FileJournal, JournalRecord
 
 from .oracles import job_view
@@ -60,6 +60,17 @@ __all__ = ["Simulation", "SimResult"]
 
 #: distinguishes MatrixStore keys across runs in one process
 _RUN_IDS = itertools.count(1)
+
+#: wall-clock pause after each tick, so task threads get to run
+TICK_SLEEP = 0.001
+#: watchdog deadlines of the split and the workers, and of the join, in
+#: virtual seconds (set only when the schedule can lose work)
+TASK_DEADLINE = 60.0
+JOIN_DEADLINE = 80.0
+#: the order a tick applies its due events in (stalls are scripted on the
+#: chaos policy instead): topology first, then the burst, then the kills,
+#: just before ``Cluster.tick``
+_TICK_ORDER = {"revive": 0, "partition": 0, "heal": 0, "burst": 1, "kill": 2}
 
 
 @dataclass
@@ -113,9 +124,6 @@ class Simulation:
         workers: int = 3,
         nodes: int = 4,
         max_ticks: int = 600,
-        tick_sleep: float = 0.001,
-        task_deadline: float = 60.0,
-        join_deadline: float = 80.0,
         registry_factory: Optional[Callable[[], Any]] = None,
     ) -> None:
         if nodes < 3:
@@ -130,9 +138,6 @@ class Simulation:
         self.workers = workers
         self.nodes = nodes
         self.max_ticks = max_ticks
-        self.tick_sleep = tick_sleep
-        self.task_deadline = task_deadline
-        self.join_deadline = join_deadline
         self.registry_factory = registry_factory or floyd_registry
 
     # -- assembly -------------------------------------------------------------
@@ -147,12 +152,8 @@ class Simulation:
             corrupt_rate=schedule.corrupt_rate,
         )
         for event in schedule.events:
-            if event.kind == "kill":
-                chaos.crash_node(event.target, at_tick=event.at_tick)
-            elif event.kind == "stall":
+            if event.kind == "stall":
                 chaos.stall_task(event.target, attempt=max(1, event.arg))
-            elif event.kind == "burst":
-                chaos.schedule_burst(event.at_tick, max(1, event.arg))
         return chaos
 
     def _build_job(self, api: CNAPI, source: str, *, hazards: bool):
@@ -171,7 +172,7 @@ class Simulation:
                 cls=SPLIT_CLASS,
                 params=(source,),
                 max_retries=3,
-                deadline=self.task_deadline if hazards else None,
+                deadline=TASK_DEADLINE if hazards else None,
             ),
         )
         names = [f"w{i}" for i in range(self.workers)]
@@ -185,7 +186,7 @@ class Simulation:
                 # generous: every wedge (a dropped or held-back row
                 # broadcast) costs one watchdog period and one retry
                 max_retries=8,
-                deadline=self.task_deadline if hazards else None,
+                deadline=TASK_DEADLINE if hazards else None,
             )
             for index, name in enumerate(names)
         ]
@@ -203,13 +204,20 @@ class Simulation:
                 params=("",),
                 depends=tuple(names),
                 max_retries=4,
-                deadline=self.join_deadline if hazards else None,
+                deadline=JOIN_DEADLINE if hazards else None,
             ),
         )
         api.start_job(handle)
         return handle
 
-    def _apply_event(self, event: FaultEvent, cluster: Cluster) -> None:
+    def _apply_event(
+        self,
+        event: FaultEvent,
+        cluster: Cluster,
+        api: CNAPI,
+        handle: JobHandle,
+        tick: int,
+    ) -> None:
         if event.kind == "revive":
             cluster.revive_node(event.target)
         elif event.kind == "partition":
@@ -219,6 +227,15 @@ class Simulation:
                 cluster.partition(group, rest)
         elif event.kind == "heal":
             cluster.heal_partition()
+        elif event.kind == "burst":
+            for _ in range(max(1, event.arg)):
+                try:
+                    api.query_status(handle)
+                except CnError:
+                    pass  # burst load racing a manager failover
+        elif event.kind == "kill":
+            cluster.chaos.note_kill(event.target, tick)
+            cluster.kill_node(event.target)
 
     # -- the run ------------------------------------------------------------------
     def run(self) -> SimResult:
@@ -252,7 +269,6 @@ class Simulation:
                 registry=self.registry_factory(),
                 chaos=chaos,
                 clock=VirtualClock(drive_timeouts=True),
-                failure_k=2,
                 **options,
             )
             cluster.server(MANAGER).accept_tasks = False
@@ -276,27 +292,19 @@ class Simulation:
                 client = threading.Thread(target=waiter, name="sim-client", daemon=True)
                 client.start()
 
-                pending = [
-                    event
-                    for event in schedule.events
-                    if event.kind in ("revive", "partition", "heal")
-                ]
+                pending = sorted(
+                    (event for event in schedule.events if event.kind in _TICK_ORDER),
+                    key=lambda event: _TICK_ORDER[event.kind],
+                )
                 ticks = 0
                 while ticks < self.max_ticks and not done.is_set():
                     ticks += 1
                     due = [event for event in pending if event.at_tick <= ticks]
                     for event in due:
                         pending.remove(event)
-                        self._apply_event(event, cluster)
-                    if chaos.enabled:
-                        for _ in range(chaos.bursts_due(ticks)):
-                            try:
-                                api.query_status(handle)
-                            except CnError:
-                                pass  # burst load racing a manager failover
+                        self._apply_event(event, cluster, api, handle, ticks)
                     cluster.tick()
-                    if self.tick_sleep:
-                        time.sleep(self.tick_sleep)
+                    time.sleep(TICK_SLEEP)
                 done.wait(10.0)
 
                 if "results" in box:

@@ -27,7 +27,8 @@ import random
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Optional
 
-from repro.cn.config import SCHEDULERS, ClusterConfig
+from repro.cn import ClusterConfig
+from repro.cn.config import SCHEDULERS
 from repro.cn.queues import QUEUE_POLICIES
 
 __all__ = ["EVENT_KINDS", "FAN_CALLS", "MANAGER", "FaultEvent", "Schedule", "generate"]

@@ -1,36 +1,6 @@
 """``repro.telemetry``: the CLI entry point for CN telemetry captures.
 
 A thin alias so users can run ``python -m repro.telemetry`` without
-knowing the subsystem lives under :mod:`repro.cn.telemetry` -- the
-library API is re-exported here for convenience.
+knowing the subsystem lives under :mod:`repro.cn.telemetry`, which is
+where the library API is imported from.
 """
-
-from repro.cn.telemetry import (  # noqa: F401
-    CriticalPath,
-    MetricsRegistry,
-    Span,
-    SpanRecorder,
-    Telemetry,
-    chrome_trace,
-    critical_path,
-    orphan_spans,
-    prometheus_text,
-    read_jsonl,
-    write_jsonl,
-)
-from repro.cn.telemetry.cli import main  # noqa: F401
-
-__all__ = [
-    "Telemetry",
-    "MetricsRegistry",
-    "SpanRecorder",
-    "Span",
-    "CriticalPath",
-    "critical_path",
-    "chrome_trace",
-    "prometheus_text",
-    "read_jsonl",
-    "write_jsonl",
-    "orphan_spans",
-    "main",
-]

@@ -1,30 +1,3 @@
-"""Shared utilities: XML helpers and deterministic id generation."""
-
-from .idgen import IdGenerator, SequentialIds
-from .xmlutil import (
-    canonicalize,
-    escape_attr,
-    escape_text,
-    iter_elements,
-    parse_prefixed,
-    parse_xml,
-    pretty_print,
-    serialize_prefixed,
-    strip_whitespace_nodes,
-    xml_equal,
-)
-
-__all__ = [
-    "IdGenerator",
-    "SequentialIds",
-    "canonicalize",
-    "escape_attr",
-    "escape_text",
-    "iter_elements",
-    "parse_prefixed",
-    "parse_xml",
-    "pretty_print",
-    "serialize_prefixed",
-    "strip_whitespace_nodes",
-    "xml_equal",
-]
+"""Shared utilities: XML helpers, deterministic id generation and DAG
+ordering, each imported from its module (``repro.util.xmlutil``,
+``repro.util.idgen``, ``repro.util.dag``)."""

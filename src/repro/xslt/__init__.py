@@ -15,18 +15,6 @@ Quick use::
 See :mod:`repro.xslt.engine` for the supported instruction set.
 """
 
-from .engine import ResultTreeFragment, Stylesheet, Transformer, XsltError
-from .output import OutputSettings, serialize
-from .patterns import Pattern, PatternError, compile_pattern
+from .engine import Stylesheet, Transformer
 
-__all__ = [
-    "Stylesheet",
-    "Transformer",
-    "XsltError",
-    "ResultTreeFragment",
-    "Pattern",
-    "PatternError",
-    "compile_pattern",
-    "OutputSettings",
-    "serialize",
-]
+__all__ = ["Stylesheet", "Transformer"]

@@ -15,40 +15,7 @@ Typical use::
 that evaluate one expression in many contexts.
 """
 
-from .datamodel import XAttribute, XDocument, XElement, XNode, XText, build_document
-from .evaluator import Context, XPathEvalError, compile, evaluate
-from .functions import (
-    ARITY,
-    CORE_FUNCTIONS,
-    XPathTypeError,
-    to_boolean,
-    to_nodeset,
-    to_number,
-    to_string,
-)
-from .lexer import XPathLexError, tokenize
-from .parser import XPathSyntaxError, parse
+from .datamodel import build_document
+from .evaluator import Context, evaluate
 
-__all__ = [
-    "XNode",
-    "XDocument",
-    "XElement",
-    "XAttribute",
-    "XText",
-    "build_document",
-    "Context",
-    "compile",
-    "evaluate",
-    "parse",
-    "tokenize",
-    "ARITY",
-    "CORE_FUNCTIONS",
-    "to_string",
-    "to_number",
-    "to_boolean",
-    "to_nodeset",
-    "XPathLexError",
-    "XPathSyntaxError",
-    "XPathEvalError",
-    "XPathTypeError",
-]
+__all__ = ["build_document", "Context", "evaluate"]

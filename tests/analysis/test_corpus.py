@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import AnalysisContext, ClusterSpec, Severity, analyze_source
+from repro.analysis import AnalysisContext, ClusterSpec
+from repro.analysis.diagnostics import Severity
+from repro.analysis.passes import analyze_source
 
 DATA = Path(__file__).parent.parent / "data"
 DEFECTS = DATA / "defects"

@@ -8,7 +8,7 @@ CNX pipeline) covers every composition a user can reach from
 
 import pytest
 
-from repro.analysis import analyze_source
+from repro.analysis.passes import analyze_source
 from repro.apps.floyd.model import build_fig3_model, build_fig5_model
 from repro.apps.matmul.driver import build_matmul_model
 from repro.apps.montecarlo import build_pi_model

@@ -16,7 +16,9 @@ from repro.core.cnx.validate import CnxValidationError
 from repro.core.transform import Pipeline
 from repro.core.transform.cli import main as cli_main
 from repro.core.uml import ActivityBuilder, Model
-from repro.core.xmi import read_model, write_graph, write_model
+from repro.core.xmi import write_graph
+from repro.core.xmi.reader import read_model
+from repro.core.xmi.writer import write_model
 
 from ..conftest import Echo, basic_registry
 from ..uml.test_activity import DEFECTIVE

@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import from_cnx, from_graph, from_model, from_xmi
+from repro.analysis import from_cnx
+from repro.analysis.ir import from_graph, from_model, from_xmi
 from repro.apps.montecarlo import build_pi_model
 from repro.core.cnx import parse
-from repro.core.transform.xmi2cnx import graph_to_cnx
+from repro.core.transform.xmi2cnx import xmi_to_cnx
 from repro.core.uml.model import Model
 from repro.core.xmi import write_graph
 from repro.util import dag
@@ -30,7 +31,7 @@ class TestExtraction:
         graph = build_pi_model(n_workers=3)
         from_model_path = from_graph(graph)
         from_xmi_path = from_xmi(write_graph(graph))
-        from_cnx_path = from_cnx(graph_to_cnx(graph))
+        from_cnx_path = from_cnx(xmi_to_cnx(write_graph(graph)))
         assert (
             ir_signature(from_model_path)
             == ir_signature(from_xmi_path)
@@ -87,7 +88,7 @@ class TestJobGraphQueries:
         assert job.cycle_member() in {"a", "b", "c"}
 
     def test_memory_parsing_tolerates_garbage(self):
-        from repro.analysis import TaskNode
+        from repro.analysis.ir import TaskNode
 
         assert TaskNode("t", memory_raw="1500").memory == 1500
         assert TaskNode("t", memory_raw="lots").memory is None

@@ -2,20 +2,10 @@
 
 import pytest
 
-from repro.analysis import (
-    AnalysisContext,
-    ClusterSpec,
-    Severity,
-    analyze_cnx,
-)
+from repro.analysis import AnalysisContext, ClusterSpec, analyze_cnx
+from repro.analysis.diagnostics import Severity
 from repro.analysis.passes import argument_problem, parse_multiplicity
-from repro.core.cnx.schema import (
-    CnxClient,
-    CnxDocument,
-    CnxJob,
-    CnxTask,
-    CnxTaskReq,
-)
+from repro.core.cnx.schema import CnxClient, CnxDocument, CnxJob, CnxTask, CnxTaskReq
 
 
 #: the argument expression that reached ``os`` through ``eval``
@@ -335,10 +325,9 @@ class TestLegacyWrappers:
 
     def test_the_error_is_one_class_by_every_import_path(self):
         from repro.cn.errors import CnxValidationError
-        from repro.core.cnx import CnxValidationError as by_package
         from repro.core.cnx.validate import CnxValidationError as by_module
 
-        assert by_package is by_module is CnxValidationError
+        assert by_module is CnxValidationError
         assert issubclass(CnxValidationError, ValueError)
 
     def test_validate_passes_clean_document(self):

@@ -27,7 +27,7 @@ def run_chaotic_floyd(script, *, n=8, matrix_seed=11, chaos_seed=7):
     chaos = ChaosPolicy(seed=chaos_seed)
     script(chaos)
     matrix = random_weighted_graph(n, seed=matrix_seed)
-    with Cluster(4, registry=floyd_registry(), chaos=chaos, failure_k=2) as cluster:
+    with Cluster(4, registry=floyd_registry(), chaos=chaos) as cluster:
         cluster.start_heartbeats(interval=0.02)
         result, _ = run_parallel_floyd(
             matrix,

@@ -93,7 +93,7 @@ class TestManagerKilledMidFloyd:
         n, workers, gate_k = 8, 3, 1
         matrix = random_weighted_graph(n, seed=11)
         gate = Gate(gate_k, expected=workers)
-        cluster = Cluster(4, registry=gated_registry(gate), failure_k=2)
+        cluster = Cluster(4, registry=gated_registry(gate))
         cluster.servers[0].accept_tasks = False  # node0: manager only
         outcome: dict = {}
 
@@ -171,7 +171,7 @@ class TestCheckpointResume:
         matrix = random_weighted_graph(n, seed=matrix_seed)
         source = store_matrix(f"{store_key}-{matrix_seed}-{every}", matrix)
         gate = Gate(gate_k, expected=workers)
-        cluster = Cluster(3, registry=gated_registry(gate, every), failure_k=2)
+        cluster = Cluster(3, registry=gated_registry(gate, every))
         cluster.servers[0].accept_tasks = False
         try:
             with cluster:
@@ -232,7 +232,7 @@ class TestRecoveryDeterminism:
             f"floyd-det-{matrix_seed}-{run_index}", matrix
         )
         gate = Gate(gate_k, expected=workers)
-        cluster = Cluster(3, registry=gated_registry(gate), failure_k=2)
+        cluster = Cluster(3, registry=gated_registry(gate))
         cluster.servers[0].accept_tasks = False
         try:
             with cluster:

@@ -10,7 +10,6 @@ from repro.apps.floyd import (
     build_fig5_model,
     floyd_registry,
     floyd_warshall,
-    partition_rows,
     random_adjacency,
     random_weighted_graph,
     run_parallel_floyd,
@@ -18,6 +17,7 @@ from repro.apps.floyd import (
     transitive_closure,
 )
 from repro.apps.floyd.io import MatrixStore
+from repro.apps.floyd.tasks import partition_rows
 from repro.cn import Cluster
 from repro.cn.config import TRANSPORTS
 

@@ -6,13 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.floyd.io import MatrixStore
-from repro.apps.matmul import (
-    build_matmul_model,
-    matmul_registry,
-    matmul_serial,
-    run_parallel_matmul,
-    store_pair,
-)
+from repro.apps.matmul import matmul_registry, matmul_serial, run_parallel_matmul
+from repro.apps.matmul.driver import build_matmul_model
+from repro.apps.matmul.tasks import store_pair
 from repro.cn import Cluster, TaskFailedError
 
 

@@ -16,9 +16,9 @@ from repro.apps.wordcount import (
     build_wordcount_model,
     count_words_serial,
     run_parallel_wordcount,
-    tokenize_words,
     wordcount_registry,
 )
+from repro.apps.wordcount.tasks import tokenize_words
 from repro.cn import Cluster
 
 

@@ -154,7 +154,11 @@ class TestRegistry:
         registry = TaskRegistry()
         registry.add_search_dir(tmp_path)
         assert registry.resolve("disk.jar", "org.example.Adder")(0, 0).run(None) == 0
-        assert "disk.jar" in registry.known_jars()
+        # a directory joins the path one way, and the registry lists nothing
+        with pytest.raises(TypeError, match="search_path"):
+            TaskRegistry(search_path=(tmp_path,))
+        with pytest.raises(AttributeError):
+            registry.known_jars()
 
     def test_unresolvable(self):
         registry = TaskRegistry()

@@ -200,7 +200,7 @@ def test_zombie_attempts_checkpoint_is_fenced_inproc_as_on_proc():
     registry = TaskRegistry()
     registry.register_class("z.jar", "t.Z", CheckpointBlockThenLate)
     try:
-        with Cluster(3, registry=registry, failure_k=2, transport="inproc") as c:
+        with Cluster(3, registry=registry, transport="inproc") as c:
             c.servers[0].accept_tasks = False
             api = CNAPI.initialize(c)
             handle = api.create_job("client", requirements={"prefer": "node0"})

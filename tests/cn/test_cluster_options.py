@@ -14,8 +14,9 @@ import pytest
 
 import repro
 from repro.analysis.ir import ClusterSpec
-from repro.cn import ChaosPolicy, Cluster, ClusterConfig, ConfigError
+from repro.cn import ChaosPolicy, Cluster, ClusterConfig
 from repro.cn.chaos import VirtualClock
+from repro.cn.errors import ConfigError
 from repro.cn.transport import ProcTransport
 
 needs_fork = pytest.mark.skipif(
@@ -30,7 +31,6 @@ OPTIONS = [
     "slots_per_node",
     "chaos",
     "clock",
-    "failure_k",
     "durable",
     "journal_dir",
     "telemetry",
@@ -56,6 +56,9 @@ def test_cluster_options_are_exactly_these():
     ]
     with pytest.raises(TypeError, match="tick_period"):
         Cluster(2, tick_period=0.5)
+    # two missed heartbeats declare a node dead: a constant, not an option
+    with pytest.raises(TypeError, match="failure_k"):
+        Cluster(2, failure_k=2)
 
 
 def test_readme_table_lists_the_options_in_field_order():
@@ -143,7 +146,7 @@ class TestRefusedAtConstruction:
         "nodes, options, message",
         [
             (2, {"verify_locking": True, "queue_policy": "bogus"}, "queue policy"),
-            (2, {"verify_locking": True, "failure_k": 0}, "failure_k must be >= 1.* got 0"),
+            (2, {"verify_locking": True, "memory_per_node": 0}, "memory_per_node must be >= 1.* got 0"),
             (0, {}, "nodes must be >= 1.* got 0"),
             (2, {"memory_per_node": -5}, "memory_per_node must be >= 1.* got -5"),
             (2, {"slots_per_node": 0}, "slots_per_node must be >= 1.* got 0"),

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cn import CNAPI, Cluster, TaskSpec, TaskState
+from repro.cn import CNAPI, Cluster, TaskSpec
 from repro.cn.config import SCHEDULERS
-from repro.cn.job import Job, TaskRuntime
+from repro.cn.job import Job, TaskRuntime, TaskState
 from repro.cn.taskmanager import TaskManager
 from repro.util import dag
 

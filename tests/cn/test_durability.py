@@ -22,29 +22,28 @@ from hypothesis import strategies as st
 from repro.cn import (
     CNAPI,
     Cluster,
-    FileJournal,
-    JobDirectory,
-    JournalError,
     JournalRecord,
-    MemoryJournal,
-    Message,
     MessageType,
-    ReplicatedJournal,
     Task,
     TaskFailedError,
     TaskRegistry,
     TaskSpec,
-    TaskState,
     collect_trace,
     replay_job,
 )
 from repro.cn.durability import (
+    FileJournal,
+    JobDirectory,
+    MemoryJournal,
+    ReplicatedJournal,
     _decode_data,
     _encode_data,
     _UniformBatch,
     journal_factory_for_dir,
 )
-from repro.cn.job import Job
+from repro.cn.errors import JournalError
+from repro.cn.job import Job, TaskState
+from repro.cn.messages import Message
 from repro.cn.multicast import MulticastBus, Solicitation
 from repro.sim.oracles import job_view
 
@@ -631,7 +630,7 @@ class TestLedgerGC:
             assert handle.job.replay_into("e") == 0
 
     def test_successor_replay_does_not_resurrect_gcd_messages(self):
-        with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
+        with Cluster(3, registry=echo_registry()) as cluster:
             worker_only_nodes(cluster)
             api = CNAPI.initialize(cluster)
             handle = api.create_job("client", requirements={"prefer": "node0"})
@@ -986,7 +985,7 @@ class TestCheckpointTable:
             assert metrics.value(let_go, node="node2") == 0
 
     def test_an_epoch_1_checkpoint_survives_two_successive_adoptions(self):
-        with Cluster(4, registry=echo_registry(), failure_k=2) as cluster:
+        with Cluster(4, registry=echo_registry()) as cluster:
             worker_only_nodes(cluster)
             api = CNAPI.initialize(cluster)
             handle = api.create_job("client", requirements={"prefer": "node0"})
@@ -1244,7 +1243,7 @@ class TestFoldEqualsLiveJob:
             assert view(replay_job(handle.job_id, records)) == view(job)
 
     def test_a_run_through_a_manager_kill(self):
-        with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
+        with Cluster(3, registry=echo_registry()) as cluster:
             worker_only_nodes(cluster)
             api = CNAPI.initialize(cluster)
             handle = api.create_job("client", requirements={"prefer": "node0"})
@@ -1277,7 +1276,7 @@ def journal_a_dead_managers_job(cluster, job_id, *events):
 
 class TestManagerFailover:
     def test_successor_adopts_and_completes_in_flight_job(self):
-        with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
+        with Cluster(3, registry=echo_registry()) as cluster:
             worker_only_nodes(cluster)
             api = CNAPI.initialize(cluster)
             handle = api.create_job("client", requirements={"prefer": "node0"})
@@ -1306,7 +1305,7 @@ class TestManagerFailover:
             assert adoption.detail["manager_epoch"] == 2
 
     def test_adoption_record_fences_the_dead_managers_epoch(self):
-        with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
+        with Cluster(3, registry=echo_registry()) as cluster:
             worker_only_nodes(cluster)
             api = CNAPI.initialize(cluster)
             handle = api.create_job("client", requirements={"prefer": "node0"})
@@ -1323,7 +1322,7 @@ class TestManagerFailover:
             assert api.wait(handle, timeout=15)["e"] == "done"
 
     def test_adoption_reads_only_the_adopted_jobs_records_once(self):
-        with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
+        with Cluster(3, registry=echo_registry()) as cluster:
             worker_only_nodes(cluster)
             history = cluster.servers[2].journal
             for i in range(200):  # a cluster that has already run 200 jobs
@@ -1361,7 +1360,7 @@ class TestManagerFailover:
             assert api.wait(handle, timeout=15)["e"] == "done"
 
     def test_only_the_lowest_ranked_survivor_adopts(self):
-        with Cluster(4, registry=echo_registry(), failure_k=2) as cluster:
+        with Cluster(4, registry=echo_registry()) as cluster:
             worker_only_nodes(cluster)
             api = CNAPI.initialize(cluster)
             handle = api.create_job("client", requirements={"prefer": "node0"})
@@ -1378,7 +1377,7 @@ class TestManagerFailover:
             assert api.wait(handle, timeout=15)["e"] == "x"
 
     def test_worker_failure_does_not_trigger_adoption(self):
-        with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
+        with Cluster(3, registry=echo_registry()) as cluster:
             worker_only_nodes(cluster)
             api = CNAPI.initialize(cluster)
             handle = api.create_job("client", requirements={"prefer": "node0"})
@@ -1396,7 +1395,7 @@ class TestManagerFailover:
                 assert server.jobmanager.adopted_jobs == []
 
     def test_finished_jobs_are_not_adopted(self):
-        with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
+        with Cluster(3, registry=echo_registry()) as cluster:
             worker_only_nodes(cluster)
             api = CNAPI.initialize(cluster)
             handle = api.create_job("client", requirements={"prefer": "node0"})
@@ -1412,7 +1411,7 @@ class TestManagerFailover:
         """The manager died between a task's ``task-state`` and the
         ``job-finished`` it owed: the successor writes that at its own
         epoch, so no later failover adopts the job again."""
-        with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
+        with Cluster(3, registry=echo_registry()) as cluster:
             worker_only_nodes(cluster)
             spec = TaskSpec(name="q", jar="quick.jar", cls="t.Quick")
             journal_a_dead_managers_job(
@@ -1441,7 +1440,7 @@ class TestManagerFailover:
         """A task FAILED and the manager died before ``job-finished``:
         fail-fast holds across the failover, so the successor finishes
         the job failed and places nothing."""
-        with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
+        with Cluster(3, registry=echo_registry()) as cluster:
             worker_only_nodes(cluster)
             spec_a, spec_b = (
                 TaskSpec(name=name, jar="quick.jar", cls="t.Quick") for name in "ab"
@@ -1475,7 +1474,7 @@ class TestManagerFailover:
         """The manager died after ``job-created`` and before any task: the
         successor keeps the job open for the client's tasks, so when it
         dies too a third manager adopts the job and completes it."""
-        with Cluster(4, registry=echo_registry(), failure_k=2) as cluster:
+        with Cluster(4, registry=echo_registry()) as cluster:
             for server in cluster.servers[:2]:
                 server.accept_tasks = False
             api = CNAPI.initialize(cluster)
@@ -1496,7 +1495,7 @@ class TestManagerFailover:
             assert api.wait(handle, timeout=15)["e"] == "done"
 
     def test_manager_adopted_notification_reaches_the_client(self):
-        with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
+        with Cluster(3, registry=echo_registry()) as cluster:
             worker_only_nodes(cluster)
             api = CNAPI.initialize(cluster)
             handle = api.create_job("client", requirements={"prefer": "node0"})
@@ -1607,7 +1606,7 @@ class TestActiveJobs:
         jobs without reading any job that already finished: the read of
         ``Job.finished`` takes the job's lock, once per job per
         solicitation, for the life of the manager."""
-        with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
+        with Cluster(3, registry=echo_registry()) as cluster:
             worker_only_nodes(cluster)
             api = CNAPI.initialize(cluster)
             successor = cluster.servers[1].jobmanager

@@ -4,25 +4,23 @@ import pytest
 
 from repro.cn import (
     CNAPI,
-    CnError,
-    CNServer,
     Cluster,
     ClusterConfig,
+    CnError,
     Job,
-    Message,
     MessageType,
-    MulticastBus,
-    PlacementRule,
-    ReplicatedJournal,
     RunModel,
-    TaskManager,
     TaskRegistry,
     TaskSpec,
-    TaskState,
-    ShutdownError,
-    UnknownTaskError,
 )
-from repro.cn.multicast import Solicitation
+from repro.cn.durability import ReplicatedJournal
+from repro.cn.errors import ShutdownError, UnknownTaskError
+from repro.cn.job import TaskState
+from repro.cn.messages import Message
+from repro.cn.multicast import MulticastBus, Solicitation
+from repro.cn.scheduler import PlacementRule
+from repro.cn.server import CNServer
+from repro.cn.taskmanager import TaskManager
 from repro.cn.transport import InProcTransport
 from repro.core.cnx import CnxParam, CnxTask, CnxTaskReq
 

@@ -5,15 +5,8 @@ import threading
 
 import pytest
 
-from repro.cn import (
-    CNAPI,
-    ChaosPolicy,
-    Cluster,
-    NoWillingJobManager,
-    NoWillingTaskManager,
-    RunModel,
-    TaskSpec,
-)
+from repro.cn import CNAPI, ChaosPolicy, Cluster, RunModel, TaskSpec
+from repro.cn.errors import NoWillingJobManager, NoWillingTaskManager
 from repro.cn.multicast import MulticastBus, Solicitation
 
 from ..conftest import basic_registry

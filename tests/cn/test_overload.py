@@ -9,24 +9,21 @@ import pytest
 from repro.cn import (
     CNAPI,
     AdmissionController,
-    BudgetExhausted,
     Cluster,
     MessageType,
-    Overloaded,
-    ShutdownError,
     Task,
     TaskFailedError,
     TaskRegistry,
     TaskSpec,
-    TokenBucket,
     VirtualClock,
     replay_job,
 )
+from repro.cn.admission import TokenBucket
 from repro.cn.config import SCHEDULERS
-from repro.cn.errors import JobTimeoutError
+from repro.cn.errors import BudgetExhausted, JobTimeoutError, Overloaded, ShutdownError
 from repro.cn.messages import Message
-from repro.cn.queues import MessageQueue
 from repro.cn.portal import Portal
+from repro.cn.queues import MessageQueue
 from repro.core.uml import ActivityBuilder
 from repro.core.xmi import write_graph
 

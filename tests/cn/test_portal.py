@@ -206,7 +206,7 @@ class TestSubmissionEvents:
         from ..apps.test_floyd_failover import Gate, gated_registry
 
         gate = Gate(1, expected=2)
-        cluster = Cluster(4, registry=gated_registry(gate), failure_k=2)
+        cluster = Cluster(4, registry=gated_registry(gate))
         cluster.servers[0].accept_tasks = False  # node0: manager only
         portal = Portal(cluster)
         source = store_matrix("portal-failover", random_weighted_graph(8, seed=11))
@@ -360,6 +360,18 @@ class TestPortalHTTP:
         assert len(http_portal.portal.list()) == before  # nothing was submitted
         assert "Traceback" not in capfd.readouterr().err
 
+    def test_a_body_that_is_not_utf8_is_400(self, http_portal, capfd):
+        before = len(http_portal.portal.list())
+        request = urllib.request.Request(
+            self.url(http_portal, "/submit"), data=b"\xff\xfe<XMI/>", method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        assert "UTF-8" in json.loads(excinfo.value.read())["error"]
+        assert len(http_portal.portal.list()) == before  # nothing was submitted
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_oversized_body_rejected_413(self, guarded_http):
         request = urllib.request.Request(
             self.url(guarded_http, "/submit"),
@@ -425,7 +437,7 @@ class TestPortalHTTP:
         assert int(excinfo.value.headers["Retry-After"]) >= 1
 
     def test_runtime_args_header(self, http_portal):
-        from repro.apps.floyd import register_floyd_tasks
+        from repro.apps.floyd.driver import register_floyd_tasks
         from repro.apps.floyd.model import build_fig5_model
         from repro.apps.floyd.io import store_matrix
         from repro.apps.floyd.serial import random_weighted_graph

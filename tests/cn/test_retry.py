@@ -13,9 +13,10 @@ from repro.cn import (
     TaskFailedError,
     TaskRegistry,
     TaskSpec,
-    TaskState,
 )
-from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxTask, CnxTaskReq, parse, emit
+from repro.cn.job import TaskState
+from repro.core.cnx import CnxJob, CnxTask, CnxTaskReq, emit, parse
+from repro.core.cnx.schema import CnxClient, CnxDocument
 
 from ..conftest import run_client
 

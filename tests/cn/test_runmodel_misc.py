@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.cn import (
-    CNAPI,
-    Cluster,
-    Message,
-    MessageType,
-    RunModel,
-    TaskSpec,
-)
+from repro.cn import CNAPI, Cluster, MessageType, RunModel, TaskSpec
+from repro.cn.messages import Message
 from repro.cn.task import FunctionTask
 
 from ..conftest import basic_registry

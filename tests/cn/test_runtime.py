@@ -14,20 +14,20 @@ from repro.cn import (
     CNAPI,
     Cluster,
     JobError,
-    Message,
     MessageType,
-    PlacementRule,
     RunModel,
     Task,
     TaskFailedError,
     TaskSpec,
-    TaskManager,
-    TaskState,
-    evaluate_arguments,
-    expand_dynamic_tasks,
 )
+from repro.cn.client import evaluate_arguments, expand_dynamic_tasks
 from repro.cn.config import SCHEDULERS
-from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxTask
+from repro.cn.job import TaskState
+from repro.cn.messages import Message
+from repro.cn.scheduler import PlacementRule
+from repro.cn.taskmanager import TaskManager
+from repro.core.cnx import CnxJob, CnxTask
+from repro.core.cnx.schema import CnxClient, CnxDocument
 
 from ..analysis.test_passes import OUTSIDE_THE_GRAMMAR
 from ..conftest import basic_registry, client_messages, run_client

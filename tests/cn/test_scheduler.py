@@ -23,22 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cn import (
-    CNAPI,
-    Bid,
-    Cluster,
-    ConfigError,
-    NoWillingTaskManager,
-    PlacementRule,
-    RunModel,
-    Task,
-    TaskRegistry,
-    TaskSpec,
-    award_bids,
-)
+from repro.cn import CNAPI, Cluster, RunModel, Task, TaskRegistry, TaskSpec
 from repro.cn.config import SCHEDULERS
-from repro.cn.errors import CnError
-from repro.cn.scheduler import _canonical, _fold
+from repro.cn.errors import CnError, ConfigError, NoWillingTaskManager
+from repro.cn.scheduler import Bid, PlacementRule, _canonical, _fold, award_bids
 
 
 class Echo(Task):
@@ -448,7 +436,6 @@ def test_manager_dies_inside_an_award_round(scheduler, k):
         registry=r,
         memory_per_node=10**4,
         scheduler=scheduler,
-        failure_k=2,
         transport="inproc",  # Counted.runs is counted in this process
     ) as c:
         api = CNAPI.initialize(c)

@@ -374,7 +374,6 @@ class TestTheDriveOnEveryShape:
         with Cluster(
             4,
             registry=registry(),
-            failure_k=2,
             memory_per_node=10**6,
             slots_per_node=256,
             transport="inproc",  # the bodies record into this process

@@ -203,7 +203,7 @@ def test_concurrent_jobs_hand_each_attempt_to_one_thread_and_park_every_thread()
 
 
 def test_a_revived_node_runs_new_attempts_on_named_threads():
-    with Cluster(2, registry=registry(), failure_k=2) as cluster:
+    with Cluster(2, registry=registry()) as cluster:
         cluster.servers[0].accept_tasks = False  # every task lands on node1
         handle, results = run_job(cluster, [spec("a", ThreadName)])
         assert results == {"a": f"cn-task-{handle.job_id}-a"}
@@ -262,7 +262,7 @@ def test_an_attempt_beginning_after_its_node_died_reads_its_own_queue(monkeypatc
             late_attempt_over.set()
 
     monkeypatch.setattr(TaskManager, "_run_task", run_task)
-    with Cluster(3, registry=registry(), failure_k=2) as cluster:
+    with Cluster(3, registry=registry()) as cluster:
         cluster.servers[0].accept_tasks = False
         api = CNAPI.initialize(cluster)
         handle = api.create_job("client", requirements={"prefer": "node0"})

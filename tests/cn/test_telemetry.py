@@ -16,20 +16,12 @@ import urllib.request
 import pytest
 
 from repro.cn import CNAPI, Cluster, TaskSpec
-from repro.cn.telemetry import (
-    NULL_COUNTER,
-    MetricsRegistry,
-    SpanRecorder,
-    chrome_trace,
-    critical_path,
-    orphan_spans,
-    prometheus_text,
-    read_jsonl,
-    span_children,
-    task_intervals,
-    write_jsonl,
-)
+from repro.cn.telemetry import chrome_trace, orphan_spans, write_jsonl
 from repro.cn.telemetry.cli import main as telemetry_cli
+from repro.cn.telemetry.critical_path import critical_path, task_intervals
+from repro.cn.telemetry.export import prometheus_text, read_jsonl
+from repro.cn.telemetry.metrics import NULL_COUNTER, MetricsRegistry
+from repro.cn.telemetry.spans import SpanRecorder, span_children
 
 from ..conftest import basic_registry
 
@@ -130,7 +122,7 @@ class TestSpanRecorder:
         s = rec.begin("t1", "s", name="s", node="node0", k=1)
         rec.add_event(s, "poke", detail="x")
         rec.end(s, state="done")
-        from repro.cn.telemetry import Span
+        from repro.cn.telemetry.spans import Span
 
         clone = Span.from_dict(s.to_dict())
         assert clone.span_id == "s" and clone.attrs["state"] == "done"
@@ -464,7 +456,7 @@ class TestStateFoldedAtRead:
             assert metrics.value("cn_node_alive", node="node3") == 0
 
     def test_heartbeat_misses_count_what_the_live_detectors_counted(self):
-        with Cluster(4, registry=basic_registry(), failure_k=5) as cluster:
+        with Cluster(4, registry=basic_registry()) as cluster:
             cluster.kill_node("node3")
             cluster.tick(3)
             counted = max(
@@ -511,7 +503,7 @@ class TestStateFoldedAtRead:
     def test_routed_and_created_counts_equal_the_runtime_s_own_after_failover(self):
         from .test_durability import echo_registry, worker_only_nodes
 
-        with Cluster(3, registry=echo_registry(), failure_k=2) as cluster:
+        with Cluster(3, registry=echo_registry()) as cluster:
             worker_only_nodes(cluster)
             api = CNAPI.initialize(cluster)
             handle = api.create_job("client", requirements={"prefer": "node0"})

@@ -28,7 +28,8 @@ from repro.apps.floyd.model import (
 )
 from repro.apps.floyd.tasks import TCTask
 from repro.cn import CNAPI, Cluster, TaskSpec
-from repro.cn.telemetry import orphan_spans, task_intervals
+from repro.cn.telemetry import orphan_spans
+from repro.cn.telemetry.critical_path import task_intervals
 
 from .test_retry import flaky_registry, flaky_spec
 
@@ -147,7 +148,7 @@ class TestWorkerKillSpans:
         matrix = random_weighted_graph(n, seed=23)
         source = store_matrix("tele-worker-kill", matrix)
         gate = Gate(gate_k, expected=workers)
-        cluster = Cluster(3, registry=gated_registry(gate), failure_k=2)
+        cluster = Cluster(3, registry=gated_registry(gate))
         cluster.servers[0].accept_tasks = False  # node0: manager only
         try:
             with cluster:
@@ -189,7 +190,7 @@ class TestManagerFailoverSpans:
         matrix = random_weighted_graph(n, seed=11)
         source = store_matrix("tele-mgr-kill", matrix)
         gate = Gate(gate_k, expected=workers)
-        cluster = Cluster(4, registry=gated_registry(gate), failure_k=2)
+        cluster = Cluster(4, registry=gated_registry(gate))
         cluster.servers[0].accept_tasks = False  # node0 manages only
         try:
             with cluster:

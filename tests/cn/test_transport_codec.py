@@ -19,13 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cn.errors import FrameCorrupt, FrameTruncated, TransportError
-from repro.cn.transport import (
+from repro.cn.transport.codec import (
+    _HEADER,
+    _SEGMENT,
     SocketEndpoint,
     loopback_pair,
     pack_frame,
     unpack_frame,
 )
-from repro.cn.transport.codec import _HEADER, _SEGMENT
 
 
 def roundtrip(obj):

@@ -20,24 +20,16 @@ from repro.apps.floyd.model import (
     WORKER_CLASS,
     WORKER_JAR,
 )
-from repro.cn import (
-    CNAPI,
-    ChaosPolicy,
-    Cluster,
-    Message,
-    MessageQueue,
-    TaskSpec,
-    replay_job,
-)
+from repro.cn import CNAPI, ChaosPolicy, Cluster, TaskSpec, replay_job
 from repro.cn.errors import MessageTimeout
-from repro.cn.messages import CORRUPT_MARKER, payload_digest
+from repro.cn.messages import CORRUPT_MARKER, Message, payload_digest
+from repro.cn.queues import MessageQueue
 
 
 class FakeChaos:
     """Scripted per-put fates, for deterministic ordering assertions."""
 
     enabled = True
-    reorder_hold = 2
 
     def __init__(self, fates):
         self.fates = dict(fates)  # put index -> fate
@@ -74,7 +66,7 @@ class TestDuplicateFate:
 
 class TestReorderFate:
     def test_reorder_holds_for_two_puts(self):
-        # put 1 is held back for reorder_hold=2 successful puts: the
+        # put 1 is held back for REORDER_HOLD (2) successful puts: the
         # consumer sees 2, 3, then the held-back 1 -- bounded reordering
         q = MessageQueue(owner="j/t", chaos=FakeChaos({1: "reorder"}))
         put_range(q, 3)
@@ -268,7 +260,7 @@ class TestHealOnRevive:
             assert cluster.bus.reachable("node0", "node2")
 
     def test_revived_node_heartbeats_across_old_partition(self):
-        with Cluster(2, failure_k=2) as cluster:
+        with Cluster(2) as cluster:
             cluster.partition(["node0"], ["node1"])
             cluster.tick(3)  # node1's beats cannot cross: declared dead
             jm = cluster.servers[0].jobmanager

@@ -34,12 +34,8 @@ from repro.apps.floyd.model import (
 )
 from repro.apps.floyd.serial import floyd_warshall
 from repro.apps.floyd.tasks import TCTask
-from repro.apps.matmul import (
-    matmul_registry,
-    matmul_serial,
-    register_matmul_tasks,
-    run_parallel_matmul,
-)
+from repro.apps.matmul import matmul_registry, matmul_serial, run_parallel_matmul
+from repro.apps.matmul.driver import register_matmul_tasks
 from repro.apps.montecarlo import register_pi_tasks, run_parallel_pi
 from repro.apps.wordcount import register_wordcount_tasks, run_parallel_wordcount
 from repro.apps.wordcount.tasks import count_words_serial
@@ -47,9 +43,7 @@ from repro.cn import (
     CNAPI,
     ChaosPolicy,
     Cluster,
-    ConfigError,
     Job,
-    ShutdownError,
     Task,
     TaskFailedError,
     TaskSpec,
@@ -57,6 +51,7 @@ from repro.cn import (
     replay_job,
 )
 from repro.cn.chaos import VirtualClock
+from repro.cn.errors import ConfigError, ShutdownError
 from repro.cn.transport import ProcTransport
 from repro.cn.transport.worker import WorkerRuntime
 
@@ -524,7 +519,6 @@ class TestWorkerDeath:
             memory_per_node=64000,
             transport="proc",
             verify_locking=False,
-            failure_k=2,
         ) as c:
             c.servers[0].accept_tasks = False  # node0: manager only
             c.start_heartbeats()
@@ -617,9 +611,7 @@ class TestDurableJobsOnWorkers:
         assert proc_cluster.transport.inline_fallbacks == inline  # both crossed
 
     def test_a_successor_completes_an_attempt_running_in_a_worker(self):
-        with Cluster(
-            3, registry=echo_registry(), failure_k=2, transport="proc"
-        ) as cluster:
+        with Cluster(3, registry=echo_registry(), transport="proc") as cluster:
             worker_only_nodes(cluster)
             api = CNAPI.initialize(cluster)
             handle = api.create_job("client", requirements={"prefer": "node0"})
@@ -674,7 +666,7 @@ class TestConfigGuards:
 
 class TestMetricsNamespacing:
     def test_namespaced_view_stamps_node_label(self):
-        from repro.cn.telemetry import MetricsRegistry
+        from repro.cn.telemetry.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
         registry.namespaced("node3").counter("cn_test_total").inc(2)
@@ -682,7 +674,7 @@ class TestMetricsNamespacing:
         assert registry.value("cn_test_total") is None  # unscoped is distinct
 
     def test_two_nodes_never_collide(self):
-        from repro.cn.telemetry import MetricsRegistry
+        from repro.cn.telemetry.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
         registry.namespaced("a").counter("cn_x_total").inc()
@@ -691,7 +683,7 @@ class TestMetricsNamespacing:
         assert registry.value("cn_x_total", node="b") == 5
 
     def test_explicit_node_label_wins(self):
-        from repro.cn.telemetry import MetricsRegistry
+        from repro.cn.telemetry.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
         registry.namespaced("a").counter("cn_y_total", node="z").inc()

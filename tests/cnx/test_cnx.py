@@ -3,19 +3,10 @@
 import pytest
 
 from repro.analysis import analyze_cnx
-from repro.core.cnx import (
-    CnxClient,
-    CnxDocument,
-    CnxJob,
-    CnxParam,
-    CnxParseError,
-    CnxTask,
-    CnxTaskReq,
-    CnxValidationError,
-    emit,
-    parse,
-    validate,
-)
+from repro.core.cnx import CnxJob, CnxParam, CnxTask, CnxTaskReq, emit, parse, validate
+from repro.core.cnx.parser import CnxParseError
+from repro.core.cnx.schema import CnxClient, CnxDocument
+from repro.core.cnx.validate import CnxValidationError
 from repro.util import dag
 from repro.util.xmlutil import xml_equal
 

@@ -29,8 +29,6 @@ SHAPE = dict(n=6, workers=2, nodes=3)
 
 #: the lock-order edges (holder, acquired) the runtime takes
 RUNTIME_EDGES = {
-    ("Cluster._tick_lock", "MessageQueue._cond"),
-    ("Cluster._tick_lock", "MulticastBus._lock"),
     ("Cluster._tick_lock", "TaskManager._lock"),
     ("Cluster._tick_lock", "VirtualClock._lock"),
     ("JobManager._lock", "Job._lock"),

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim import replay_reproducer
+from repro.sim.reproducer import replay_reproducer
 
 CORPUS = Path(__file__).resolve().parents[1] / "data" / "sim_corpus"
 

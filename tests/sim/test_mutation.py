@@ -27,18 +27,14 @@ from repro.analysis.conc.runtime import make_lock
 from repro.apps.floyd import floyd_registry
 from repro.apps.floyd.model import JOIN_CLASS, JOIN_JAR
 from repro.apps.floyd.tasks import TCJoin
-from repro.cn import FileJournal, scheduler
+from repro.cn import scheduler
+from repro.cn.durability import FileJournal
 from repro.cn.task import Task
-from repro.sim import (
-    FaultEvent,
-    Schedule,
-    Simulation,
-    generate,
-    load_reproducer,
-    run_oracles,
-    shrink_schedule,
-)
+from repro.sim import Schedule, Simulation, generate, run_oracles
 from repro.sim.cli import main
+from repro.sim.reproducer import load_reproducer
+from repro.sim.schedule import FaultEvent
+from repro.sim.shrink import shrink_schedule
 
 
 class BuggyJoin(Task):

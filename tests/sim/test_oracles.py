@@ -2,11 +2,12 @@
 
 import itertools
 
-from repro.cn import Message, replay_job
+from repro.cn import replay_job
 from repro.cn.durability import JournalRecord
-from repro.sim import ORACLES, Schedule, run_oracles
+from repro.cn.messages import Message
+from repro.sim import Schedule, run_oracles
 from repro.sim.harness import SimResult
-from repro.sim.oracles import JOURNAL_ORACLES, job_view
+from repro.sim.oracles import JOURNAL_ORACLES, ORACLES, job_view
 
 _seq = itertools.count(1)
 

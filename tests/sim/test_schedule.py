@@ -6,8 +6,8 @@ from dataclasses import replace
 import pytest
 
 from repro.cn import ClusterConfig
-from repro.sim import FaultEvent, Schedule, generate
-from repro.sim.schedule import converging
+from repro.sim import Schedule, generate
+from repro.sim.schedule import FaultEvent, converging
 
 SEED_SWEEP = range(120)
 

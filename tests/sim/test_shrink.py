@@ -1,6 +1,8 @@
 """Delta-debugging shrinker unit tests (fake predicates, no sim runs)."""
 
-from repro.sim import FaultEvent, Schedule, shrink_schedule
+from repro.sim import Schedule
+from repro.sim.schedule import FaultEvent
+from repro.sim.shrink import shrink_schedule
 
 
 def event(i):

@@ -6,15 +6,10 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.conc.runtime import current_verifier
-from repro.cn import ConfigError
-from repro.sim import (
-    Schedule,
-    Simulation,
-    emit_reproducer,
-    generate,
-    load_reproducer,
-    run_oracles,
-)
+from repro.cn.errors import ConfigError
+from repro.sim import Schedule, Simulation, generate, run_oracles
+from repro.sim.reproducer import emit_reproducer, load_reproducer
+from repro.sim.schedule import FaultEvent
 
 
 class TestFaultFreeRun:
@@ -41,6 +36,38 @@ class TestGeneratedScheduleRun:
         assert result.status == "done", result.error
         assert run_oracles(result) == {}
         assert result.job_deadline is not None  # hazards arm the budget
+
+
+class TestTimedEvents:
+    def test_every_kill_lands_at_its_tick_after_that_tick_s_other_events(self):
+        # the driver's loop is the one scheduler: a victim drawn twice is
+        # killed twice, and a kill lands after its tick's partition (the
+        # stalled split keeps the job open past the last event)
+        events = (
+            FaultEvent(0, "stall", "split", arg=1),
+            FaultEvent(0, "stall", "split", arg=2),
+            FaultEvent(1, "kill", "node1"),
+            FaultEvent(1, "partition", "node0,node2"),
+            FaultEvent(3, "heal"),
+            FaultEvent(4, "revive", "node1"),
+            FaultEvent(7, "kill", "node1"),
+            FaultEvent(10, "revive", "node1"),
+        )
+        result = Simulation(0, Schedule(seed=0, events=events), n=6, workers=2).run()
+        assert result.done, result.error
+        assert run_oracles(result) == {}
+        assert [
+            (fault["kind"], fault["target"], fault["detail"].get("at_tick"))
+            for fault in result.fault_log
+            if fault["kind"] != "stall"
+        ] == [
+            ("partition", "node0,node2 | node1,node3", None),
+            ("node-crash", "node1", 1),
+            ("partition-heal", "*", None),
+            ("node-revive", "node1", None),
+            ("node-crash", "node1", 7),
+            ("node-revive", "node1", None),
+        ]
 
 
 class TestTheDrawnCluster:

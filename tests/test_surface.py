@@ -1,4 +1,5 @@
-"""Names a simplicity PR deleted stay deleted.
+"""Names a simplicity PR deleted stay deleted, and a package exports
+only what its callers import.
 
 One row per deletion: where to look (paths from the repo root, ``**``
 globs allowed, a leading ``!`` excludes), the pattern that must not
@@ -6,6 +7,7 @@ match there, and what removed it.  A pattern of ``None`` means the path
 itself must not exist.  Add a row here, not a CI step.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -105,7 +107,36 @@ DELETED = [
      "the XPath evaluator says what its one stylesheet says: no reverse or "
      "sibling axis, union, unary minus, comment node, typed evaluate_ wrapper, "
      "core function beyond five, or XSLT function beyond key() and generate-id()"),
+    (EVERYWHERE + ("!tests/cn/test_cluster_options.py",), r"\bfailure_k=",
+     "a node is dead after two missed heartbeats (jobmanager.FAILURE_K), not an option"),
+    (EVERYWHERE + ("!tests/transform/test_surface.py",), r"\bheartbeats=",
+     "a portal's cluster is ticked by whoever built it, not by a portal switch"),
+    (EVERYWHERE, r"\btick_sleep=",
+     "the simulator's tick pause and watchdog deadlines are constants"),
+    (EVERYWHERE, r"\breorder_hold=", "a reorder holds for chaos.REORDER_HOLD puts"),
+    (EVERYWHERE + ("!tests/cn/test_archive_registry.py",), r"\bsearch_path=",
+     "a registry's search path grows by add_search_dir only"),
+    (EVERYWHERE + ("!tests/cn/test_chaos.py",), r"\bnodes_to_crash\b",
+     "timed faults have one scheduler, the simulator's tick loop: no kill "
+     "table on the policy for Cluster.tick to read back"),
+    (EVERYWHERE, r"\bschedule_burst\b",
+     "a storm is submitted by its driver, not scripted on the policy"),
+    (EVERYWHERE, r"\bbursts_due\b",
+     "the simulator's tick loop fires a burst event itself"),
+    (EVERYWHERE + ("!tests/cn/test_chaos.py",), r"\bclear_log\b",
+     "a fault log is read, never cleared"),
+    (EVERYWHERE, r"\bon_cancel\b", "Task has no cancel hook that nothing calls"),
+    (EVERYWHERE + ("!tests/transform/test_xmi2cnx.py",), r"\bgraph_to_cnx\b",
+     "a graph reaches CNX through XMI: no third route beside the stylesheet "
+     "and the native oracle"),
+    (EVERYWHERE + ("!tests/cn/test_archive_registry.py",), r"\bknown_jars\b",
+     "a registry lists nothing only its tests read"),
 ]
+
+#: what counts as a caller of a package's exports: tests never do
+CALLERS = ("src", "examples", "benchmarks", "tooling")
+#: the generator of the step-4 client, whose import lines are callers too
+CNX2CODE = ROOT / "src/repro/core/transform/cnx2code.py"
 
 
 def files(where):
@@ -150,3 +181,85 @@ def test_a_deleted_name_does_not_come_back(where, pattern, deleted_by):
             if forbidden.search(line)
         ]
     assert not found, f"{deleted_by} -- came back:\n" + "\n".join(found)
+
+
+def _module(path: Path) -> str:
+    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _exports() -> dict[str, list[str]]:
+    """Each package under ``src/repro`` with an ``__all__``: its names,
+    dunders aside."""
+    exports = {}
+    for init in (ROOT / "src/repro").rglob("__init__.py"):
+        for node in ast.parse(init.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                exports[_module(init)] = [
+                    name.value for name in node.value.elts
+                    if not name.value.startswith("__")
+                ]
+    return exports
+
+
+def _imports(path: Path, packages) -> set[tuple[str, str]]:
+    """The ``(module, name)`` pairs *path* imports, or reads as
+    ``module.name`` through a name bound to a package."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    here = _module(path).split(".") if path.is_relative_to(ROOT / "src") else []
+    if here and path.name != "__init__.py":
+        here = here[:-1]
+    found, bound = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = here[: len(here) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            for alias in node.names:
+                found.add((module, alias.name))
+                if f"{module}.{alias.name}" in packages:
+                    bound[alias.asname or alias.name] = f"{module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = (
+                    alias.name if alias.asname else alias.name.split(".")[0]
+                )
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            module = bound[node.id]
+            for attr in chain:
+                found.add((module, attr))
+                module = f"{module}.{attr}"
+    return found
+
+
+def test_a_package_exports_only_what_a_caller_imports():
+    exports = _exports()
+    used = {
+        (module, name.strip())
+        for module, names in re.findall(
+            r'"\s*from ([\w.]+) import ([\w, ]+)\\n"', CNX2CODE.read_text()
+        )
+        for name in names.split(",")
+    }
+    for top in CALLERS:
+        for path in (ROOT / top).rglob("*.py"):
+            if not any(part in LEFTOVERS for part in path.parts):
+                used |= _imports(path, exports)
+    unused = [
+        f"{package}.{name}"
+        for package, names in sorted(exports.items())
+        for name in names
+        if (package, name) not in used
+    ]
+    assert not unused, (
+        "exported, but imported by no file under src, examples, benchmarks or "
+        "tooling, nor by the generated client -- import it from its module "
+        "instead:\n" + "\n".join(unused)
+    )

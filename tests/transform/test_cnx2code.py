@@ -6,7 +6,8 @@ import re
 import pytest
 
 from repro.cn import Cluster
-from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxParam, CnxTask
+from repro.core.cnx import CnxJob, CnxParam, CnxTask
+from repro.core.cnx.schema import CnxClient, CnxDocument
 from repro.core.transform.cnx2code import GeneratedClient, cnx_to_java, cnx_to_python
 from repro.core.uml import CNProfile
 

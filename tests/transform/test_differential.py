@@ -19,14 +19,16 @@ from repro.apps.floyd import (
     random_weighted_graph,
     store_matrix,
 )
-from repro.apps.matmul import build_matmul_model
+from repro.apps.matmul.driver import build_matmul_model
 from repro.apps.matmul.tasks import store_pair
 from repro.apps.montecarlo import build_pi_model
 from repro.apps.wordcount import build_wordcount_model
 from repro.core.cnx import emit
-from repro.core.transform import xmi_to_cnx, xmi_to_cnx_native
+from repro.core.transform import xmi_to_cnx_native
+from repro.core.transform.xmi2cnx import xmi_to_cnx
 from repro.core.uml import ActivityBuilder, CNProfile
-from repro.core.xmi import read_model, write_graph
+from repro.core.xmi import write_graph
+from repro.core.xmi.reader import read_model
 
 
 def fig3():

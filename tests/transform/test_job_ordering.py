@@ -7,11 +7,13 @@ import time
 
 from repro.analysis import analyze_cnx
 from repro.cn import Cluster, Task, TaskRegistry
-from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxTask, emit, parse
+from repro.core.cnx import CnxJob, CnxTask, emit, parse
+from repro.core.cnx.schema import CnxClient, CnxDocument
 from repro.core.transform import Pipeline
 from repro.core.transform.xmi2cnx import model_to_cnx, xmi_to_cnx, xmi_to_cnx_native
 from repro.core.uml import ActivityBuilder, Model
-from repro.core.xmi import read_model, write_model
+from repro.core.xmi.reader import read_model
+from repro.core.xmi.writer import write_model
 
 from ..conftest import run_client
 

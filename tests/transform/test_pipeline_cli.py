@@ -63,7 +63,7 @@ class TestPipeline:
         assert "6-execute" not in outcome.step_seconds
 
     def test_invalid_model_rejected_at_step1(self):
-        from repro.core.uml import ActivityGraph
+        from repro.core.uml.activity import ActivityGraph
 
         bad = ActivityGraph("bad")
         bad.add_action("floating")

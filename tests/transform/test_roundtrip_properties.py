@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.cn import TaskSpec
 from repro.core.cnx import emit, parse
-from repro.core.transform.xmi2cnx import graph_to_cnx, model_to_cnx, xmi_to_cnx_native
+from repro.core.transform.xmi2cnx import model_to_cnx, xmi_to_cnx_native
 from repro.core.uml import ActivityBuilder, Model
 from repro.core.xmi import read_graphs, write_graph
 
@@ -131,14 +131,16 @@ class TestCnxChainRoundtrip:
     @given(job_graphs())
     @settings(max_examples=25, deadline=None)
     def test_emit_parse_roundtrip(self, graph):
-        doc = graph_to_cnx(graph)
+        doc = xmi_to_cnx_native(write_graph(graph))
         reparsed = parse(emit(doc))
         assert cnx_signature(reparsed) == cnx_signature(doc)
 
     @given(job_graphs())
     @settings(max_examples=15, deadline=None)
     def test_xmi_path_equals_direct_path(self, graph):
-        direct = graph_to_cnx(graph)
+        model = Model(graph.name)
+        model.new_package("client").add_graph(graph)
+        direct = model_to_cnx(model)
         via_xmi = xmi_to_cnx_native(write_graph(graph))
         assert cnx_signature(direct) == cnx_signature(via_xmi)
 

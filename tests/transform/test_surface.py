@@ -38,10 +38,12 @@ def test_portal_options_are_exactly_these():
         "cluster",
         "registry",
         "timeout",
-        "heartbeats",
         "admission",
         "max_body_bytes",
     ]
+    # a portal's cluster is ticked by whoever built it, not by a portal switch
+    with pytest.raises(TypeError, match="heartbeats"):
+        Portal(heartbeats=True)
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,8 @@ from repro.core.transform.xmi2cnx import (
     xmi_to_cnx_text,
 )
 from repro.core.uml import ActivityBuilder, Model
-from repro.core.xmi import write_graph, write_model
+from repro.core.xmi import write_graph
+from repro.core.xmi.writer import write_model
 from repro.util.xmlutil import parse_prefixed
 from repro.xslt import Transformer
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.analysis import analyze_model
-from repro.core.uml import ActivityBuilder, ActivityGraph, Model
+from repro.core.uml import ActivityBuilder, Model
+from repro.core.uml.activity import ActivityGraph
 
 
 def fig3_graph(n_workers=3):

@@ -94,7 +94,7 @@ def test_readme_table_lists_the_profile_in_field_order():
 
 
 def test_read_fills_defaults_and_problems_names_each_violation_once():
-    from repro.core.uml import ActivityGraph
+    from repro.core.uml.activity import ActivityGraph
 
     graph = ActivityGraph("G")
     bare = graph.add_action("bare")

@@ -6,13 +6,12 @@ from repro.core.uml import (
     ActivityBuilder,
     CNProfile,
     Model,
-    Package,
-    TaggedElement,
     level_layout,
     to_ascii,
     to_dot,
 )
-from repro.core.uml.tags import param_tag_names
+from repro.core.uml.model import Package
+from repro.core.uml.tags import TaggedElement, param_tag_names
 from repro.util import dag
 
 

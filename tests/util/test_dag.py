@@ -3,11 +3,15 @@ overflow the stack in the recursive walkers it replaced."""
 
 import pytest
 
-from repro.analysis import Composition, JobGraph, TaskNode, analyze, analyze_cnx
+from repro.analysis import analyze_cnx
+from repro.analysis.ir import Composition, JobGraph, TaskNode
+from repro.analysis.passes import analyze
 from repro.cn.errors import CnxValidationError
-from repro.core.cnx import CnxClient, CnxDocument, CnxJob, CnxTask
+from repro.core.cnx import CnxJob, CnxTask
+from repro.core.cnx.schema import CnxClient, CnxDocument
 from repro.core.transform import Pipeline
-from repro.core.uml import ActivityBuilder, ActivityGraph
+from repro.core.uml import ActivityBuilder
+from repro.core.uml.activity import ActivityGraph
 from repro.util import dag
 
 DEEP = 5000

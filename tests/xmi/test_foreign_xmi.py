@@ -115,7 +115,7 @@ class TestForeignFlavor:
         assert task.task_req.memory == 500
 
     def test_xslt_transform_rejects_callstate_flavor(self):
-        from repro.core.cnx import CnxParseError
+        from repro.core.cnx.parser import CnxParseError
         from repro.core.transform.xmi2cnx import xmi_to_cnx
 
         # The stylesheet intentionally targets the Fig. 7 vocabulary

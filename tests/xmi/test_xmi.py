@@ -4,7 +4,9 @@ import pytest
 
 from repro.apps.floyd.model import build_fig3_model, build_fig5_model
 from repro.core.uml import ActivityBuilder, Model
-from repro.core.xmi import XmiReadError, read_graphs, read_model, write_graph, write_model
+from repro.core.xmi import read_graphs, write_graph
+from repro.core.xmi.reader import XmiReadError, read_model
+from repro.core.xmi.writer import write_model
 from repro.util.xmlutil import parse_prefixed
 
 

@@ -13,7 +13,8 @@ import pytest
 from repro.apps.floyd.model import build_fig3_model
 from repro.core.uml import ActivityBuilder, Model
 from repro.core.uml.activity import ActivityGraph
-from repro.core.xmi import read_model, write_model
+from repro.core.xmi.reader import read_model
+from repro.core.xmi.writer import write_model
 
 GOLDEN = Path(__file__).resolve().parents[1] / "data" / "xmi_golden"
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.xslt import Stylesheet, Transformer, XsltError
-from repro.xslt.xpath import XPathEvalError
+from repro.xslt import Stylesheet, Transformer
+from repro.xslt.engine import XsltError
+from repro.xslt.xpath.evaluator import XPathEvalError
 
 XSL_NS = 'xmlns:xsl="http://www.w3.org/1999/XSL/Transform"'
 

@@ -6,15 +6,10 @@ import re
 
 import pytest
 
-from repro.xslt.xpath import (
-    Context,
-    XPathEvalError,
-    XPathSyntaxError,
-    build_document,
-    evaluate,
-    to_boolean,
-    to_string,
-)
+from repro.xslt.xpath import Context, build_document, evaluate
+from repro.xslt.xpath.evaluator import XPathEvalError
+from repro.xslt.xpath.functions import to_boolean, to_string
+from repro.xslt.xpath.parser import XPathSyntaxError
 
 DOC = """
 <library>

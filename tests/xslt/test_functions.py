@@ -6,14 +6,9 @@ import re
 import pytest
 
 from repro.util.xmlutil import parse_prefixed
-from repro.xslt.xpath import (
-    Context,
-    XPathEvalError,
-    build_document,
-    evaluate,
-    to_number,
-    to_string,
-)
+from repro.xslt.xpath import Context, build_document, evaluate
+from repro.xslt.xpath.evaluator import XPathEvalError
+from repro.xslt.xpath.functions import to_number, to_string
 
 DOC = "<r><a>alpha</a><b> beta  gamma </b><n>7</n><n>3.5</n><e/></r>"
 

@@ -11,18 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.xslt import PatternError, ResultTreeFragment, Stylesheet, Transformer, XsltError
-from repro.xslt.engine import _body_items, _Lowering
-from repro.xslt.xpath import (
-    CORE_FUNCTIONS,
-    Context,
-    XPathEvalError,
-    XPathSyntaxError,
-    XPathTypeError,
-    build_document,
-    compile,
-    evaluate,
-)
+from repro.xslt import Stylesheet, Transformer
+from repro.xslt.engine import ResultTreeFragment, XsltError, _body_items, _Lowering
+from repro.xslt.patterns import PatternError
+from repro.xslt.xpath import Context, build_document, evaluate
+from repro.xslt.xpath.evaluator import XPathEvalError, compile
+from repro.xslt.xpath.functions import CORE_FUNCTIONS, XPathTypeError
+from repro.xslt.xpath.parser import XPathSyntaxError
 
 XSL_NS = 'xmlns:xsl="http://www.w3.org/1999/XSL/Transform"'
 

@@ -7,15 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.xmlutil import canonicalize, pretty_print, xml_equal
-from repro.xslt.xpath import (
-    Context,
-    XPathSyntaxError,
-    build_document,
-    evaluate,
-    to_boolean,
-    to_number,
-    to_string,
-)
+from repro.xslt.xpath import Context, build_document, evaluate
+from repro.xslt.xpath.functions import to_boolean, to_number, to_string
+from repro.xslt.xpath.parser import XPathSyntaxError
 
 # -- random tree documents ----------------------------------------------------
 

@@ -10,21 +10,17 @@ import math
 
 import pytest
 
-from repro.xslt.xpath import (
-    Context,
-    XPathEvalError,
-    XPathLexError,
-    XPathSyntaxError,
+from repro.xslt.xpath import Context, build_document, evaluate
+from repro.xslt.xpath.evaluator import XPathEvalError
+from repro.xslt.xpath.functions import (
     XPathTypeError,
-    build_document,
-    evaluate,
-    parse,
     to_boolean,
     to_nodeset,
     to_number,
     to_string,
-    tokenize,
 )
+from repro.xslt.xpath.lexer import XPathLexError, tokenize
+from repro.xslt.xpath.parser import XPathSyntaxError, parse
 
 DOC = build_document("<root><a x='1'/><a x='2'/></root>")
 
