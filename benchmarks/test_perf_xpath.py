@@ -1,9 +1,11 @@
-"""Engine micro-benchmarks: XPath parse/eval and the //Name fast path.
+"""Engine micro-benchmarks: the source document, XPath parse/eval and
+the //Name fast path.
 
 The XSLT engine is the substrate every transform pays for; these
-micro-benchmarks pin its cost profile: expression parsing (memoized),
-indexed vs scanned descendant queries, predicate filtering, and template
-dispatch by name, on a synthetic document sized like a 100-task XMI export.
+micro-benchmarks pin its cost profile: building the flat source
+document from text, expression parsing (memoized), the bisected
+descendant query, predicate filtering, and template dispatch by name,
+on a synthetic document sized like a 100-task XMI export.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ N_ITEMS = 500
 
 
 @pytest.fixture(scope="module")
-def document():
+def catalog():
     root = ET.Element("catalog")
     for i in range(N_ITEMS):
         group = ET.SubElement(root, "group", {"gid": f"g{i % 10}"})
@@ -28,7 +30,21 @@ def document():
             ET.SubElement(
                 group, "item", {"id": f"i{i}-{j}", "rank": str((i * 7 + j) % 100)}
             )
-    return build_document(root)
+    return root
+
+
+@pytest.fixture(scope="module")
+def document(catalog):
+    return build_document(catalog)
+
+
+def test_bench_build_from_text(benchmark, catalog):
+    """One expat pass appends a row per element and two list entries
+    per attribute: the path every transform of XMI text takes."""
+    text = ET.tostring(catalog, encoding="unicode")
+    doc = benchmark(build_document, text)
+    assert len(doc.kinds) == 1 + 1 + N_ITEMS * 5
+    assert len(doc.attr_names) == N_ITEMS * 9
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +75,7 @@ def test_bench_parse_memoized(benchmark):
 
 
 def test_bench_indexed_descendant_query(benchmark, ctx):
-    """//item uses the per-document name index."""
+    """//item is a bisect of the per-document name index."""
     result = benchmark(evaluate, "//item", ctx)
     assert len(result) == N_ITEMS * 4
 

@@ -42,22 +42,27 @@ _XMLDECL_RE = re.compile(r"^\s*<\?xml[^>]*\?>")
 
 
 def escape_text(value: str) -> str:
-    """Escape character data for XML text content."""
+    """Escape character data for XML text content.  A carriage return
+    goes as a character reference: a parser reads one written as itself
+    (alone or before a newline) as a newline."""
     return (
-        value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        value.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace("\r", "&#13;")
     )
 
 
 def escape_attr(value: str) -> str:
     """Escape character data for a double-quoted XML attribute value.
     Newline, tab and carriage return go as character references: a
-    parser normalises each of them, written as itself, to a space."""
+    parser normalises each of them, written as itself, to a space
+    (:func:`escape_text` has written the carriage return already)."""
     return (
         escape_text(value)
         .replace('"', "&quot;")
         .replace("\n", "&#10;")
         .replace("\t", "&#9;")
-        .replace("\r", "&#13;")
     )
 
 

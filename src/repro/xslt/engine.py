@@ -25,7 +25,7 @@ instruction, ``instr(transformer, context, output)``, with every body a
 tuple of them, every XPath expression and attribute value template
 already compiled, named templates resolved and template rules arranged
 in a dispatch table keyed by pattern.  A :class:`Transformer` holds only
-the state of one run (key tables, the source tree), so concurrent
+the state of one run (key tables, the source document), so concurrent
 transforms share one lowered sheet.  Lowering never raises: a malformed
 or unsupported instruction becomes a closure that raises the same
 :class:`XsltError` (or XPath syntax error) the moment it is executed,
@@ -39,19 +39,12 @@ import threading
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .output import OutElement, OutputBuilder, OutputSettings, serialize
 from .patterns import Pattern, compile_pattern
-from .xpath.datamodel import (
-    XAttribute,
-    XDocument,
-    XElement,
-    XNode,
-    XText,
-    build_document,
-)
-from .xpath.evaluator import Compiled, Context, XPathEvalError, _dedup_doc_order
+from .xpath.datamodel import DOCUMENT, ELEMENT, STRIPPED, TEXT, XDocument, build_document
+from .xpath.evaluator import Compiled, Context, XPathEvalError
 from .xpath.evaluator import compile as compile_xpath
 from .xpath.functions import (
     CORE_FUNCTIONS,
@@ -334,9 +327,9 @@ def _avt(value: str) -> Compiled:
     parts = tuple(_xpath(chunk) if is_expr else chunk for is_expr, chunk in chunks)
     if len(parts) == 1:
         only = parts[0]
-        return lambda ctx: to_string(only(ctx))
+        return lambda ctx: to_string(only(ctx), ctx.doc)
     return lambda ctx: "".join(
-        part if isinstance(part, str) else to_string(part(ctx)) for part in parts
+        part if isinstance(part, str) else to_string(part(ctx), ctx.doc) for part in parts
     )
 
 
@@ -374,13 +367,13 @@ class _Program:
         #: whether whitespace-only text under an element of that name goes
         self.strips: Optional[Callable[[str], bool]] = None
 
-    def match(self, node: XNode) -> Optional[_Template]:
+    def match(self, doc: XDocument, node: int) -> Optional[_Template]:
         """The winning template for *node*: its element name's rule, else
         the ``*`` rule; the ``/`` rule for the document node."""
-        kind = node.node_type
-        if kind == "element":
-            return self.dispatch.get(node.name) or self.dispatch.get("*")
-        return self.dispatch.get("/") if kind == "document" else None
+        kind = doc.kinds[node] if node >= 0 else None  # an attribute has none
+        if kind == ELEMENT:
+            return self.dispatch.get(doc.names[node]) or self.dispatch.get("*")
+        return self.dispatch.get("/") if kind == DOCUMENT else None
 
 
 class _Lowering:
@@ -579,7 +572,7 @@ class _Lowering:
         collect = self.with_params(elem)
 
         def apply_templates(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-            nodes = selected(ctx) if selected is not None else ctx.node.children()
+            nodes = selected(ctx) if selected is not None else ctx.doc.children(ctx.node)
             tr._apply_templates(nodes, collect(tr, ctx), ctx, out)
 
         return apply_templates
@@ -601,7 +594,7 @@ class _Lowering:
         if select is None:
             return _raiser(XsltError, "xsl:value-of requires select")
         expr = _xpath(select)
-        return lambda tr, ctx, out: out.add_text(to_string(expr(ctx)))
+        return lambda tr, ctx, out: out.add_text(to_string(expr(ctx), ctx.doc))
 
     def xsl_for_each(self, elem: ET.Element) -> Instruction:
         select = elem.get("select")
@@ -616,7 +609,7 @@ class _Lowering:
         def for_each(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
             nodes = selected(ctx)
             # one context for the whole node list, moved along it
-            sub = Context(ctx.node, ctx.variables, ctx.functions)
+            sub = Context(ctx.doc, ctx.variables, ctx.functions, ctx.node)
             for node in nodes:
                 sub.node = node
                 body(tr, sub, out)
@@ -710,7 +703,7 @@ class Transformer:
 
     def __init__(self, stylesheet: Stylesheet) -> None:
         self.stylesheet = stylesheet
-        self._key_tables: dict[str, dict[str, list[XNode]]] = {}
+        self._key_tables: dict[str, dict[str, Any]] = {}
         self._doc: Optional[XDocument] = None
         self._program: Optional[_Program] = None
         self._functions: dict[str, Any] = {}
@@ -736,29 +729,24 @@ class Transformer:
         program = self._program = self.stylesheet.lowered()
         if not self._functions:
             self._functions = self._function_table()
-        built_here = not isinstance(source, XDocument)
-        if built_here:
-            doc = build_document(
-                source, restore_prefixes=restore_prefixes, strips=program.strips
-            )
-        else:
+        if isinstance(source, XDocument):
             doc = source
             if program.strips is not None:
                 _strip_space(doc, program.strips)
+        else:
+            doc = build_document(
+                source, restore_prefixes=restore_prefixes, strips=program.strips
+            )
         self._doc = doc
         try:
             out = OutputBuilder()
             scope = self._bind_globals(program, doc, dict(params or {}))
             root = Context(doc, scope, self._functions)
-            self._apply_templates([doc], _NO_PARAMS, root, out)
+            self._apply_templates([0], _NO_PARAMS, root, out)
             return out.finish()
         finally:
-            # let go of the run's view of the source, and of the parent
-            # links of a tree built here, so it is freed by reference
-            # count; a caller's XDocument is theirs and stays whole
+            # the run's document and key tables go with the run
             self._doc, self._key_tables = None, {}
-            if built_here:
-                doc.unlink()
 
     # -- setup ----------------------------------------------------------------
     def _function_table(self) -> dict[str, Any]:
@@ -767,11 +755,12 @@ class Transformer:
         fns["generate-id"] = self._fn_generate_id
         return fns
 
-    def _key_table(self, name: str) -> dict[str, list[XNode]]:
+    def _key_table(self, name: str) -> dict[str, Any]:
         """Build (once per document) the hash table for xsl:key *name*:
         every node matching the key's pattern is indexed under each
         string produced by its ``use`` expression -- this is how real
-        processors make id/idref joins linear."""
+        processors make id/idref joins linear.  A string one node has is
+        kept as that int, and only a string of several as their list."""
         table = self._key_tables.get(name)
         if table is not None:
             return table
@@ -779,46 +768,61 @@ class Transformer:
         declaration = self._program.keys.get(name)
         if declaration is None:
             raise XsltError(f"no xsl:key named {name!r}")
-        pattern, use = declaration
         table = {}
-        at_node = Context(self._doc, {}, self._functions)
-        # the pattern is its key: the document, every element, or one
-        # name's elements straight from the name index
-        if pattern.key == "/":
-            candidates: list[XNode] = [self._doc]
-        elif pattern.key == "*":
-            candidates = [n for n in self._doc.descendants_list() if n.node_type == "element"]
-        else:
-            candidates = self._doc.name_index().get(pattern.key, [])
-        attribute = getattr(use, "attribute", None)
-        for node in candidates:
-            if attribute is not None:  # use="@name"
-                hit = node.attribute(attribute)
-                if hit is not None:
-                    table.setdefault(hit.value, []).append(node)
-                continue
-            at_node.node = node
-            value = use(at_node)
-            if value.__class__ is list:  # once under a value, however many nodes yield it
-                strings: Any = dict.fromkeys([hit.string_value() for hit in value])
+        for node, string in self._key_entries(self._doc, *declaration):
+            hits = table.get(string)
+            if hits is None:
+                table[string] = node
+            elif hits.__class__ is int:
+                table[string] = [hits, node]
             else:
-                strings = (to_string(value),)
-            for string in strings:
-                table.setdefault(string, []).append(node)
+                hits.append(node)
         self._key_tables[name] = table
         return table
 
-    def _fn_key(self, ctx: Context, name: Any, value: Any) -> list[XNode]:
+    def _key_entries(
+        self, doc: XDocument, pattern: Pattern, use: Compiled
+    ) -> Iterator[tuple[int, str]]:
+        """(node, string) for each node *pattern* matches, in document
+        order, once under each string *use* gives it."""
+        attribute = getattr(use, "attribute", None)
+        if attribute is not None:
+            # use="@name": one pass over the attributes of that name, each
+            # under its owner element when the pattern takes the owner
+            names = doc.names
+            for owner, string in doc.attributes_named(attribute):
+                if pattern.key == "*" or names[owner] == pattern.key:
+                    yield owner, string
+            return
+        # the pattern is its key: the document, every element, or one
+        # name's elements straight from the name index
+        if pattern.key == "*":
+            candidates = [row for row, kind in enumerate(doc.kinds) if kind == ELEMENT]
+        else:
+            candidates = [0] if pattern.key == "/" else doc.index.get(pattern.key, [])
+        at_node = Context(doc, {}, self._functions)
+        for node in candidates:
+            at_node.node = node
+            value = use(at_node)
+            if value.__class__ is list:  # once under a value, however many nodes yield it
+                for string in dict.fromkeys([doc.string_value(hit) for hit in value]):
+                    yield node, string
+            else:
+                yield node, to_string(value)
+
+    def _fn_key(self, ctx: Context, name: Any, value: Any) -> list[int]:
         table = self._key_tables.get(name) if name.__class__ is str else None
         if table is None:
-            table = self._key_table(to_string(name))
-        if isinstance(value, list):
-            if len(value) == 1:  # one lookup: already in order, no duplicates
-                return list(table.get(value[0].string_value(), ()))
-            return _dedup_doc_order(
-                [hit for node in value for hit in table.get(node.string_value(), ())]
-            )
-        return list(table.get(to_string(value), ()))
+            table = self._key_table(to_string(name, ctx.doc))
+        if value.__class__ is list:
+            if len(value) != 1:  # a lookup per node, the hits merged in document order
+                return sorted({hit for node in value for hit in self._fn_key(ctx, name, [node])})
+            hits = table.get(ctx.doc.string_value(value[0]))
+        else:
+            hits = table.get(to_string(value, ctx.doc))
+        if hits is None:
+            return []
+        return [hits] if hits.__class__ is int else hits[:]
 
     def _fn_generate_id(self, ctx: Context, *args: Any) -> str:
         if args:
@@ -828,7 +832,7 @@ class Transformer:
             node = nodes[0]
         else:
             node = ctx.node
-        return f"id{node.doc_order}"
+        return f"id{ctx.doc.number(node)}"
 
     def _bind_globals(
         self, program: _Program, doc: XDocument, params: dict[str, Any]
@@ -851,7 +855,7 @@ class Transformer:
     # -- template application ------------------------------------------------------
     def _apply_templates(
         self,
-        nodes: Sequence[XNode],
+        nodes: Sequence[int],
         with_params: Mapping[str, Any],
         ctx: Context,
         out: OutputBuilder,
@@ -859,31 +863,32 @@ class Transformer:
         """Apply the winning template (or the built-in rule) to each of
         *nodes*; *ctx* is the caller's context, whose variables invoked
         templates can see."""
-        program = self._program
-        assert program is not None
+        program, doc = self._program, self._doc
+        assert program is not None and doc is not None
         for node in nodes:
-            template = program.match(node)
+            template = program.match(doc, node)
             if template is None:
                 self._builtin_rule(node, ctx, out)
             else:
                 self._invoke(template, node, with_params, ctx.variables, out)
 
-    def _builtin_rule(self, node: XNode, ctx: Context, out: OutputBuilder) -> None:
-        if isinstance(node, (XDocument, XElement)):
-            self._apply_templates(node.children(), _NO_PARAMS, ctx, out)
-        elif isinstance(node, (XText, XAttribute)):
-            out.add_text(node.string_value())
+    def _builtin_rule(self, node: int, ctx: Context, out: OutputBuilder) -> None:
+        doc = ctx.doc
+        if node >= 0 and doc.kinds[node] != TEXT:  # the document or an element
+            self._apply_templates(doc.children(node), _NO_PARAMS, ctx, out)
+        else:
+            out.add_text(doc.string_value(node))
 
     def _invoke(
         self,
         template: _Template,
-        node: XNode,
+        node: int,
         with_params: Mapping[str, Any],
         caller_scope: Mapping[str, Any],
         out: OutputBuilder,
     ) -> None:
         scope = _Scope(caller_scope)  # type: ignore[arg-type]
-        ctx = Context(node, scope, self._functions)
+        ctx = Context(self._doc, scope, self._functions, node)  # type: ignore[arg-type]
         for name, default in template.params:
             if name is None:
                 raise XsltError("xsl:param without name")
@@ -892,17 +897,10 @@ class Transformer:
 
 
 def _strip_space(doc: XDocument, strips: Callable[[str], bool]) -> None:
-    """xsl:strip-space for a tree the caller built (``build_document``
-    does it while building): drop the whitespace-only text children of
-    the elements *strips* names, and the cached views that listed them."""
-    for node in doc.descendants_list():
-        if node.node_type != "element" or not strips(node.name):
-            continue
-        children = node.children()
-        kept = [c for c in children if c.node_type != "text" or not c.value.isspace()]  # type: ignore[attr-defined]
-        if len(kept) != len(children):
-            children[:] = kept
-            stale: Optional[XNode] = node
-            while stale is not None:
-                stale._desc_cache = None
-                stale = stale.parent
+    """xsl:strip-space for a document the caller built (``build_document``
+    does it while building): a whitespace-only text child of an element
+    *strips* names keeps its number and stops being a node."""
+    kinds, values, names, parents = doc.kinds, doc.values, doc.names, doc.parents
+    for row, kind in enumerate(kinds):
+        if kind == TEXT and values[row].isspace() and strips(names[parents[row]]):  # type: ignore[union-attr]
+            kinds[row], values[row] = STRIPPED, None

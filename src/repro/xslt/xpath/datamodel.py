@@ -1,205 +1,169 @@
-"""XPath 1.0 data model.
+"""XPath 1.0 data model: a document as a few flat lists.
 
-XPath needs parent pointers, document order, and distinct node kinds for
+XPath needs parent links, document order, and distinct node kinds for
 documents, elements, attributes and text -- none of which
 :mod:`xml.etree.ElementTree` provides.  :func:`build_document` makes the
-node tree the evaluator reads, in one pass over the source -- XML text
-through expat, or an already parsed ElementTree -- exposing exactly the
-properties the evaluator requires:
+:class:`XDocument` the evaluator reads, in one pass over the source --
+XML text through expat, or an already parsed ElementTree.
 
-* ``parent`` links and a global ``doc_order`` index (attributes order
-  after their owner element, before its children, matching the spec's
-  "attribute nodes occur before the children of the element"),
-* the *string-value* of every node kind per XPath 1.0 section 5,
-* expanded names (we run without namespace processing; the legacy XMI
-  vocabulary uses undeclared ``UML:`` prefixes which we treat as part of
-  the name, the same way the paper's early-2000s toolchain did).
+A node is an int.  The document, its elements and its texts are rows,
+numbered 0, 1, 2 ... in document order, each with a kind, name, value,
+parent and subtree end: a row's descendants are the rows after it up to
+its end, and ``//Name`` is a bisect on the ascending rows of the elements
+called *Name*.  Attributes are two flat lists, names and values, in
+document order; an attribute node is its index counted from the end of
+them (a negative int), so ``attr_names[node]`` is its name and the
+attributes of one node-set still sort in document order.  (A node-set
+is all attributes or none: no step of the subset mixes them.)  No node
+is an object that refers to another, so a document has no cycle and is
+freed by reference count like any list.  The layout is Saxon's TinyTree.
 
-Parent links make a tree cyclic: whoever built one and is done with it
-calls :meth:`XDocument.unlink`, and it is freed by reference count.
+Names are taken as they are (we run without namespace processing; the
+legacy XMI vocabulary uses undeclared ``UML:`` prefixes which we treat
+as part of the name, the same way the paper's early-2000s toolchain did).
 """
 
 from __future__ import annotations
 
-import operator
 import xml.etree.ElementTree as ET
-from bisect import bisect_right
-from typing import Callable, Mapping, Optional
+from bisect import bisect_left, bisect_right
+from typing import Callable, Iterator, Optional
 from xml.parsers import expat
 
-__all__ = [
-    "XNode",
-    "XDocument",
-    "XElement",
-    "XAttribute",
-    "XText",
-    "build_document",
-]
+__all__ = ["XDocument", "build_document"]
 
-_NO_ATTRIBUTES: dict = {}
-_DOC_ORDER = operator.attrgetter("doc_order")
+#: row kinds, as stored in :attr:`XDocument.kinds`; a STRIPPED row is a
+#: whitespace-only text that ``xsl:strip-space`` took from a document
+#: the caller built, and no node
+DOCUMENT, ELEMENT, TEXT, STRIPPED = range(4)
+_KIND_NAMES = ("document", "element", "text", "stripped")
 
 
-class XNode:
-    """Base class for all XPath nodes."""
+class XDocument:
+    """One source document.  Per row:
+
+    * ``kinds`` -- one byte, a kind above;
+    * ``names`` -- an element's name, else ``''``;
+    * ``values`` -- a text's value, else None;
+    * ``parents`` -- the parent row; -1 for the document;
+    * ``ends`` -- the first row after the subtree;
+    * ``numbers`` -- the node's number in document order, counting
+      attributes and the texts stripped while building, which
+      ``generate-id()`` writes;
+    * ``alphas`` -- the index of the row's first attribute (one more
+      entry than rows: a row's attributes end where the next one's begin).
+
+    ``attr_names`` and ``attr_values`` hold every attribute, and
+    ``index`` maps each element name to its rows, ascending.
+    """
 
     __slots__ = (
-        "parent", "name", "doc_order", "_desc_cache", "_name_index_cache", "__weakref__"
+        "kinds", "names", "values", "parents", "ends", "numbers", "alphas",
+        "attr_names", "attr_values", "index", "__weakref__",
     )
 
-    node_type = "node"
+    def __init__(self) -> None:
+        self.kinds = bytearray((DOCUMENT,))
+        self.names: list[str] = [""]
+        self.values: list[Optional[str]] = [None]
+        self.parents: list[int] = [-1]
+        self.ends: list[int] = [1]
+        self.numbers: list[int] = [0]
+        self.alphas: list[int] = [0]
+        self.attr_names: list[str] = []
+        self.attr_values: list[str] = []
+        self.index: dict[str, list[int]] = {}
 
-    def __init__(self, parent: Optional["XNode"], name: str = "") -> None:
-        self.parent = parent
-        #: the node's expanded name; '' for unnamed kinds
-        self.name = name
-        self.doc_order = -1  # assigned by build_document
-        self._desc_cache: Optional[list["XNode"]] = None
-        self._name_index_cache: Optional[dict] = None
+    def kind(self, node: int) -> str:
+        return "attribute" if node < 0 else _KIND_NAMES[self.kinds[node]]
 
-    # -- accessors overridden per kind ------------------------------------
-    def string_value(self) -> str:
-        """The text descendants, concatenated (overridden by the kinds
-        that hold a value)."""
-        return "".join([n.value for n in self.descendants_list() if n.node_type == "text"])
+    def name(self, node: int) -> str:
+        return self.attr_names[node] if node < 0 else self.names[node]
 
-    def children(self) -> list["XNode"]:
-        return []
+    def _owner(self, attr: int) -> int:
+        """The element row an attribute node belongs to."""
+        return bisect_right(self.alphas, attr + len(self.attr_names)) - 1
 
-    def attributes(self) -> list["XAttribute"]:
-        return []
+    def number(self, node: int) -> int:
+        if node >= 0:
+            return self.numbers[node]
+        owner = self._owner(node)
+        return self.numbers[owner] + 1 + node + len(self.attr_names) - self.alphas[owner]
 
-    def attribute(self, attr_name: str) -> Optional["XAttribute"]:
-        """The attribute node named *attr_name* (elements only)."""
+    def parent(self, node: int) -> Optional[int]:
+        if node < 0:
+            return self._owner(node)
+        up = self.parents[node]
+        return up if up >= 0 else None
+
+    def string_value(self, node: int) -> str:
+        """XPath 5: an attribute's or a text's value, else the text
+        descendants concatenated."""
+        if node < 0:
+            return self.attr_values[node]
+        value = self.values[node]
+        if value is not None:
+            return value
+        return "".join(filter(None, self.values[node + 1 : self.ends[node]]))
+
+    def children(self, node: int) -> list[int]:
+        """The element and text children, in document order: one step
+        from each child to the end of its subtree."""
+        if node < 0:
+            return []
+        kinds, ends = self.kinds, self.ends
+        found = []
+        child, end = node + 1, ends[node]
+        while child < end:
+            if kinds[child] != STRIPPED:
+                found.append(child)
+            child = ends[child]
+        return found
+
+    def attributes(self, node: int) -> list[int]:
+        if node < 0:
+            return []
+        count = len(self.attr_names)
+        return list(range(self.alphas[node] - count, self.alphas[node + 1] - count))
+
+    def attribute(self, node: int, name: str) -> Optional[int]:
+        """The attribute of *node* called *name*, or None."""
+        if node < 0:
+            return None
+        names, alphas = self.attr_names, self.alphas
+        for attr in range(alphas[node], alphas[node + 1]):
+            if names[attr] == name:
+                return attr - len(names)
         return None
 
-    # -- tree walking ------------------------------------------------------
-    def root(self) -> "XNode":
-        node: XNode = self
-        while node.parent is not None:
-            node = node.parent
-        return node
+    def attributes_named(self, name: str) -> Iterator[tuple[int, str]]:
+        """(owner row, value) of every attribute called *name*, in
+        document order: the name list searched in C, each owner bisected."""
+        names, values, alphas = self.attr_names, self.attr_values, self.alphas
+        attr = owner = 0
+        while True:
+            try:
+                attr = names.index(name, attr)
+            except ValueError:
+                return
+            owner = bisect_right(alphas, attr, owner) - 1
+            yield owner, values[attr]
+            attr += 1
 
-    def descendants_list(self) -> list["XNode"]:
-        """All descendants in document order, cached.
+    def descendants(self, node: int) -> list[int]:
+        """The element and text descendants, in document order."""
+        if node < 0:
+            return []
+        kinds = self.kinds
+        return [row for row in range(node + 1, self.ends[node]) if kinds[row] != STRIPPED]
 
-        The tree is immutable once evaluation starts (strip-space is part
-        of building it, or drops these caches when it edits a caller's
-        tree), so nothing else invalidates the cache; ``//``-heavy
-        stylesheets hit this on every apply-templates.  Only this node
-        keeps a list: the walk caches nothing on the nodes below it."""
-        cached = self._desc_cache
-        if cached is None:
-            cached = []
-            pending = self.children()[::-1]
-            while pending:
-                node = pending.pop()
-                cached.append(node)
-                if node.children():
-                    pending.extend(node.children()[::-1])
-            self._desc_cache = cached
-        return cached
-
-    def name_index(self) -> dict[str, list["XNode"]]:
-        """The descendant elements by name, each list in document order,
-        cached like :meth:`descendants_list`: ``//Name``, by far the
-        hottest query shape in real stylesheets, is a dict lookup."""
-        cached = self._name_index_cache
-        if cached is None:
-            cached = self._name_index_cache = {}
-            for descendant in self.descendants_list():
-                if descendant.node_type == "element":
-                    cached.setdefault(descendant.name, []).append(descendant)
-        return cached
-
-    def descendants_named(self, name: str) -> list["XNode"]:
+    def descendants_named(self, node: int, name: str) -> list[int]:
         """The descendant elements called *name*, in document order (a
-        fresh list): one run of its document's name index, bisected."""
-        named = self.root().name_index().get(name, [])
-        last = self
-        while last.children():
-            last = last.children()[-1]
-        first, end = (bisect_right(named, n.doc_order, key=_DOC_ORDER) for n in (self, last))
-        return named[first:end]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.name or self.node_type} @{self.doc_order}>"
-
-
-class XDocument(XNode):
-    """The root node (distinct from the document element, per XPath)."""
-
-    __slots__ = ("_children",)
-
-    node_type = "document"
-
-    def __init__(self) -> None:
-        super().__init__(None)
-        self._children: list[XNode] = []
-
-    def children(self) -> list[XNode]:
-        return self._children
-
-    def unlink(self) -> None:
-        """Clear every parent pointer under this document: what is left
-        has no cycle and is freed when the last reference to it goes."""
-        for node in self.descendants_list():
-            node.parent = None
-            if node.node_type == "element":
-                for attr in node._attr_map.values():  # type: ignore[attr-defined]
-                    attr.parent = None
-
-
-class XElement(XNode):
-    __slots__ = ("_children", "_attr_map")
-
-    node_type = "element"
-
-    def __init__(self, parent: Optional[XNode], name: str) -> None:
-        # XNode.__init__, inlined: one call per node on the builder's path
-        self.parent, self.name, self.doc_order = parent, name, -1
-        self._desc_cache = self._name_index_cache = None
-        self._children: list[XNode] = []
-        #: attribute nodes by name, in document order; elements without
-        #: attributes share one empty map
-        self._attr_map: dict[str, XAttribute] = _NO_ATTRIBUTES
-
-    def children(self) -> list[XNode]:
-        return self._children
-
-    def attributes(self) -> list["XAttribute"]:
-        return list(self._attr_map.values())
-
-    def attribute(self, attr_name: str) -> Optional["XAttribute"]:
-        """The attribute node named *attr_name*, by dict lookup."""
-        return self._attr_map.get(attr_name)
-
-
-class XAttribute(XNode):
-    __slots__ = ("value",)
-
-    node_type = "attribute"
-
-    def __init__(self, parent: XNode, name: str, value: str) -> None:
-        self.parent, self.name, self.doc_order = parent, name, -1  # inlined too
-        self._desc_cache = self._name_index_cache = None
-        self.value = value
-
-    def string_value(self) -> str:
-        return self.value
-
-
-class XText(XNode):
-    __slots__ = ("value",)
-
-    node_type = "text"
-
-    def __init__(self, parent: XNode, value: str) -> None:
-        super().__init__(parent)
-        self.value = value
-
-    def string_value(self) -> str:
-        return self.value
+        fresh list): the run of the name's index inside the subtree."""
+        named = self.index.get(name)
+        if not named or node < 0:
+            return []
+        return named[bisect_right(named, node) : bisect_left(named, self.ends[node])]
 
 
 def _restore(name: str) -> str:
@@ -213,11 +177,10 @@ def _restore(name: str) -> str:
 def _walk_etree(elem: ET.Element, start, text, end) -> None:
     """The builder's calls for an already parsed tree.  A comment or PI
     its parser kept is dropped, as expat drops one, and the text on
-    either side of it stays one node.  (Not a closure of
-    ``build_document``: a recursive one would be a cycle holding the tree.)"""
+    either side of it stays one node."""
     if not isinstance(elem.tag, str):
         return
-    start(elem.tag, elem.attrib)
+    start(elem.tag, [part for pair in elem.attrib.items() for part in pair])
     if elem.text:
         text(elem.text)
     for child in elem:
@@ -238,86 +201,102 @@ def build_document(
     ``restore_prefixes`` maps ``UML.Local`` element names back to
     ``UML:Local`` (see :func:`repro.util.xmlutil.parse_prefixed`).  With
     *strips* (``xsl:strip-space``) a whitespace-only text child of an
-    element it names is never allocated but still takes its number, so
+    element it names gets no row but still takes its number, so
     ``generate-id()`` does not depend on it.
 
     One pass and one set of rules for both sources: ``start`` / ``text`` /
-    ``end`` calls in document order make the nodes, number them (an
-    element, then its attributes, then its children) and fill the
-    document's ``descendants_list()`` and ``name_index()``.  Character data
+    ``end`` calls in document order append the rows.  Character data
     between two calls is one text node however many pieces it came in.
     """
     doc = XDocument()
-    doc.doc_order = 0
-    nodes: list[XNode] = []
-    index: dict[str, list[XNode]] = {}
-    doc._desc_cache, doc._name_index_cache = nodes, index
-    order = 1
-    #: the open element (or the document) and whether it is stripped
-    parent: XNode = doc
-    stripped = False
-    enclosing: list[tuple[XNode, bool]] = []
+    kinds, names, values, parents = doc.kinds, doc.names, doc.values, doc.parents
+    ends, numbers, alphas, index = doc.ends, doc.numbers, doc.alphas, doc.index
+    attr_names, attr_values = doc.attr_names, doc.attr_values
+    #: the open element (or the document), whether it is stripped, and
+    #: the number the next node takes
+    parent, stripped, number = 0, False, 1
+    enclosing: list[tuple[int, bool]] = []
     pieces: list[str] = []
     text = pieces.append
 
-    def place(node: XNode) -> None:
-        nonlocal order
-        node.doc_order = order
-        order += 1
-        parent._children.append(node)  # type: ignore[attr-defined]
-        nodes.append(node)
-
     def flush() -> None:
-        nonlocal order
-        value = "".join(pieces)
+        """The pending character data as a text row."""
+        nonlocal number
+        row = len(kinds)
+        kinds.append(TEXT)
+        names.append("")
+        values.append("".join(pieces))
+        parents.append(parent)
+        ends.append(row + 1)
+        numbers.append(number)
+        alphas.append(len(attr_names))
         pieces.clear()
-        if stripped and value.isspace():
-            order += 1
-        else:
-            place(XText(parent, value))
+        number += 1
 
-    def start(tag: str, attrs: Mapping[str, str]) -> None:
-        nonlocal order, parent, stripped
+    def start(tag: str, attrs: list[str]) -> None:
+        nonlocal parent, stripped, number
         if pieces:
-            flush()
+            if stripped and "".join(pieces).isspace():  # no row, only a number
+                pieces.clear()
+                number += 1
+            else:
+                flush()
+        row = len(kinds)
         name = _restore(tag) if restore_prefixes else tag
-        elem = XElement(parent, name)
-        place(elem)
-        index.setdefault(name, []).append(elem)
-        # Attribute names are never prefix-rewritten: XMI attributes such as
-        # ``xmi.id`` legitimately contain dots and must stay as-is.
+        named = index.get(name)
+        if named is None:
+            index[name] = [row]
+        else:
+            named.append(row)
+        kinds.append(ELEMENT)
+        names.append(name)
+        values.append(None)
+        parents.append(parent)
+        ends.append(0)  # set when the element ends
+        numbers.append(number)
+        alphas.append(len(attr_names))
+        number += 1
         if attrs:
-            attributes = elem._attr_map = {}
-            for key, value in attrs.items():
-                attr = attributes[key] = XAttribute(elem, key, value)
-                attr.doc_order = order
-                order += 1
+            # as expat's ordered_attributes gives them: name, value, name,
+            # value ...; attribute names are never prefix-rewritten (XMI's
+            # ``xmi.id`` legitimately contains a dot)
+            attr_names.extend(attrs[::2])
+            attr_values.extend(attrs[1::2])
+            number += len(attrs) >> 1
         enclosing.append((parent, stripped))
-        parent = elem
+        parent = row
         stripped = strips is not None and strips(name)
 
     def end(tag: Optional[str] = None) -> None:
-        nonlocal parent, stripped
+        nonlocal parent, stripped, number
         if pieces:
-            flush()
+            if stripped and "".join(pieces).isspace():  # no row, only a number
+                pieces.clear()
+                number += 1
+            else:
+                flush()
+        ends[parent] = len(kinds)
         parent, stripped = enclosing.pop()
 
     if not isinstance(root, str):
         _walk_etree(root, start, text, end)
-        return doc
-    # Expat *without* namespace processing takes the paper's undeclared
-    # ``UML:ActionState`` names as they are.  No comment or PI handler is
-    # set: both are dropped, as ``ET.fromstring`` drops them, and the text
-    # on either side of one stays one node.
-    parser = expat.ParserCreate()
-    parser.buffer_text = True
-    parser.StartElementHandler = start
-    parser.CharacterDataHandler = text
-    parser.EndElementHandler = end
-    try:
-        parser.Parse(root, True)
-    except expat.ExpatError as exc:
-        error = ET.ParseError(str(exc))
-        error.code, error.position = exc.code, (exc.lineno, exc.offset)
-        raise error from None
+    else:
+        # Expat *without* namespace processing takes the paper's undeclared
+        # ``UML:ActionState`` names as they are.  No comment or PI handler
+        # is set: both are dropped, as ``ET.fromstring`` drops them, and
+        # the text on either side of one stays one node.
+        parser = expat.ParserCreate()
+        parser.buffer_text = True
+        parser.ordered_attributes = True
+        parser.StartElementHandler = start
+        parser.CharacterDataHandler = text
+        parser.EndElementHandler = end
+        try:
+            parser.Parse(root, True)
+        except expat.ExpatError as exc:
+            error = ET.ParseError(str(exc))
+            error.code, error.position = exc.code, (exc.lineno, exc.offset)
+            raise error from None
+    ends[0] = len(kinds)
+    alphas.append(len(attr_names))
     return doc

@@ -2,7 +2,8 @@
 
 Values follow the four XPath types:
 
-* node-set  -> ``list[XNode]`` in document order, duplicate-free
+* node-set  -> ``list[int]`` (a node is an int, see
+  :mod:`~repro.xslt.xpath.datamodel`) in document order, duplicate-free
 * boolean   -> ``bool``
 * number    -> ``float``
 * string    -> ``str``
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from .ast import (
     BinaryOp,
@@ -39,7 +40,7 @@ from .ast import (
     StringLiteral,
     VariableRef,
 )
-from .datamodel import XNode
+from .datamodel import ELEMENT, XDocument
 from .functions import (
     ARITY,
     CORE_FUNCTIONS,
@@ -59,54 +60,40 @@ class XPathEvalError(ValueError):
 
 @dataclass(slots=True)
 class Context:
-    """Evaluation context: node, variables, functions."""
+    """Evaluation context: the document, variables, functions, and the
+    context node (the document node unless given)."""
 
-    node: XNode
+    doc: XDocument
     variables: Mapping[str, Any] = field(default_factory=dict)
     functions: Mapping[str, Callable[..., Any]] = field(default_factory=lambda: CORE_FUNCTIONS)
+    node: int = 0
 
 
 #: a lowered expression
 Compiled = Callable[[Context], Any]
 #: a lowered step: (start node, context) -> nodes
-NodeFn = Callable[[XNode, Context], list]
+NodeFn = Callable[[int, Context], list]
 #: a lowered predicate list or path: (node list, context) -> node list
 FilterFn = Callable[[list, Context], list]
-
-
-def _dedup_doc_order(nodes: Iterable[XNode]) -> list[XNode]:
-    seen: set[int] = set()
-    unique: list[XNode] = []
-    in_order = True
-    last = -1
-    for node in nodes:
-        if id(node) not in seen:
-            seen.add(id(node))
-            unique.append(node)
-            if node.doc_order < last:
-                in_order = False
-            last = node.doc_order
-    if not in_order:
-        unique.sort(key=lambda n: n.doc_order)
-    return unique
 
 
 # ---------------------------------------------------------------------------
 # Comparisons (3.4)
 # ---------------------------------------------------------------------------
 
-def _compare(op: str, left: Any, right: Any) -> bool:
+def _compare(op: str, left: Any, right: Any, doc: XDocument) -> bool:
     """``=`` or ``>`` by XPath 3.4: node-sets compare existentially,
     except against booleans, where the whole set converts via boolean()."""
     if op == "=" and (isinstance(left, bool) or isinstance(right, bool)):
         return to_boolean(left) == to_boolean(right)
+    string_value = doc.string_value
     if isinstance(left, list) and isinstance(right, list):
-        rvals = [n.string_value() for n in right]
-        return any(_compare_atomic(op, n.string_value(), rval) for n in left for rval in rvals)
+        rvals = [string_value(n) for n in right]
+        return any(_compare_atomic(op, string_value(n), rval) for n in left for rval in rvals)
     if isinstance(left, list):
-        return any(_compare_atomic(op, _coerce_for(right, n.string_value()), right) for n in left)
+        return any(_compare_atomic(op, _coerce_for(right, string_value(n)), right) for n in left)
     if isinstance(right, list):
-        return any(_compare_atomic(op, left, _coerce_for(left, n.string_value())) for n in right)
+        return any(_compare_atomic(op, left, _coerce_for(left, string_value(n))) for n in right)
     return _compare_atomic(op, left, right)
 
 
@@ -153,7 +140,7 @@ def _lower_predicate(pred: Expr) -> FilterFn:
         if not nodes:
             return nodes
         # one context for the whole candidate list, moved along it
-        sub = Context(nodes[0], ctx.variables, ctx.functions)
+        sub = Context(ctx.doc, ctx.variables, ctx.functions, nodes[0])
         kept = []
         for node in nodes:
             sub.node = node
@@ -185,26 +172,51 @@ def _lower_predicates(predicates: tuple[Expr, ...]) -> FilterFn:
 def _lower_scan(axis: str, test: str) -> NodeFn:
     """Axis walk + node test as one function returning a fresh list in
     document order.  ``.``, ``..`` and ``//`` test ``node()``; a child or
-    attribute step tests a name or ``*``."""
+    attribute step tests a name or ``*``.  The two hottest shapes, a
+    named child and a named attribute, read the document's lists
+    themselves rather than through a method."""
     if axis == "self":
         return lambda node, ctx: [node]
     if axis == "parent":
-        return lambda node, ctx: [node.parent] if node.parent is not None else []
+        return lambda node, ctx: [] if node == 0 else [ctx.doc.parent(node)]
     if axis == "descendant-or-self":
-        return lambda node, ctx: [node, *node.descendants_list()]
+        return lambda node, ctx: [node, *ctx.doc.descendants(node)]
     if axis == "attribute":
         if test == "*":
-            return lambda node, ctx: node.attributes()
+            return lambda node, ctx: ctx.doc.attributes(node)
 
-        def one_attribute(node: XNode, ctx: Context) -> list:
-            attr = node.attribute(test)
-            return [attr] if attr is not None else []
+        def one_attribute(node: int, ctx: Context) -> list:
+            if node >= 0:  # not itself an attribute
+                doc = ctx.doc
+                names, alphas = doc.attr_names, doc.alphas
+                for attr in range(alphas[node], alphas[node + 1]):
+                    if names[attr] == test:
+                        return [attr - len(names)]
+            return []
 
         return one_attribute
     if test == "*":
-        return lambda node, ctx: [c for c in node.children() if c.node_type == "element"]
-    # only elements among children carry a name
-    return lambda node, ctx: [c for c in node.children() if c.name == test]
+
+        def elements(node: int, ctx: Context) -> list:
+            kinds = ctx.doc.kinds
+            return [c for c in ctx.doc.children(node) if kinds[c] == ELEMENT]
+
+        return elements
+
+    def named(node: int, ctx: Context) -> list:
+        # XDocument.children with the name test folded in: only elements
+        # among the rows carry a name
+        doc = ctx.doc
+        names, ends = doc.names, doc.ends
+        found = []
+        child, end = node + 1, ends[node] if node >= 0 else 0
+        while child < end:
+            if names[child] == test:
+                found.append(child)
+            child = ends[child]
+        return found
+
+    return named
 
 
 def _lower_step(step: Step) -> NodeFn:
@@ -227,10 +239,10 @@ def _advance_by_step(step: Step) -> FilterFn:
     def advance(current: list, ctx: Context) -> list:
         if len(current) == 1:
             return step_fn(current[0], ctx)
-        gathered: list[XNode] = []
+        gathered: list[int] = []
         for node in current:
             gathered.extend(step_fn(node, ctx))
-        return gathered if ordered else _dedup_doc_order(gathered)
+        return gathered if ordered else sorted(set(gathered))
 
     return advance
 
@@ -247,7 +259,7 @@ def _advance_by_name_index(name_step: Step) -> FilterFn:
     def advance(current: list, ctx: Context) -> list:
         if len(current) != 1 or positional:
             return select(expand(current, ctx), ctx)
-        return keep(current[0].descendants_named(name), ctx)
+        return keep(ctx.doc.descendants_named(current[0], name), ctx)
 
     return advance
 
@@ -350,22 +362,23 @@ def _lower_binary(expr: BinaryOp) -> Compiled:
             if value.__class__ is str:
                 return value == literal
             if value.__class__ is list:
-                return any(node.string_value() == literal for node in value)
-            return _compare(op, value, literal)
+                string_value = ctx.doc.string_value
+                return any(string_value(node) == literal for node in value)
+            return _compare(op, value, literal, ctx.doc)
 
         return equals_literal
     if op in ("=", ">"):
-        return lambda ctx: _compare(op, left(ctx), right(ctx))
+        return lambda ctx: _compare(op, left(ctx), right(ctx), ctx.doc)
     arithmetic = _ARITHMETIC[op]
-    return lambda ctx: arithmetic(to_number(left(ctx)), to_number(right(ctx)))
+    return lambda ctx: arithmetic(to_number(left(ctx), ctx.doc), to_number(right(ctx), ctx.doc))
 
 
 def _lower_location_path(path: LocationPath) -> Compiled:
-    if not path.steps:
-        return lambda ctx: [ctx.node.root()]
+    if not path.steps:  # the document is node 0
+        return lambda ctx: [0]
     if path.absolute:
         walk = _lower_steps(path.steps)
-        return lambda ctx: walk([ctx.node.root()], ctx)
+        return lambda ctx: walk([0], ctx)
     if len(path.steps) == 1:
         step_fn = _lower_step(path.steps[0])
 

@@ -9,6 +9,8 @@ function's :data:`ARITY` its arity error.
 Each function receives ``(context, *evaluated_args)`` where *context* is
 the :class:`~repro.xslt.xpath.evaluator.Context` at the call site; this
 is how zero-argument forms like ``name()`` default to the context node.
+A node-set is a list of ints, so converting one to a string or a number
+takes the document whose nodes they are.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import re
 from decimal import Decimal
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from .datamodel import XNode
+from .datamodel import XDocument
 
 if TYPE_CHECKING:  # pragma: no cover
     from .evaluator import Context
@@ -59,7 +61,7 @@ def number_to_string(value: float) -> str:
     return text
 
 
-def to_string(value: Any) -> str:
+def to_string(value: Any, doc: Optional[XDocument] = None) -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, bool):
@@ -67,7 +69,7 @@ def to_string(value: Any) -> str:
     if isinstance(value, (int, float)):
         return number_to_string(value)
     if isinstance(value, list):  # node-set: string-value of first node
-        return value[0].string_value() if value else ""
+        return doc.string_value(value[0]) if value else ""  # type: ignore[union-attr]
     if hasattr(value, "string_value"):  # XSLT result-tree fragment
         return value.string_value()
     raise XPathTypeError(f"cannot convert {type(value).__name__} to string")
@@ -79,13 +81,13 @@ def to_string(value: Any) -> str:
 _NUMBER = re.compile(r"[ \t\r\n]*(-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+))[ \t\r\n]*")
 
 
-def to_number(value: Any) -> float:
+def to_number(value: Any, doc: Optional[XDocument] = None) -> float:
     if isinstance(value, bool):
         return 1.0 if value else 0.0
     if isinstance(value, (int, float)):
         return float(value)
     if isinstance(value, list) or hasattr(value, "string_value"):
-        return to_number(to_string(value))
+        return to_number(to_string(value, doc))
     if isinstance(value, str):
         match = _NUMBER.fullmatch(value)
         return float(match.group(1)) if match else float("nan")
@@ -106,7 +108,7 @@ def to_boolean(value: Any) -> bool:
     raise XPathTypeError(f"cannot convert {type(value).__name__} to boolean")
 
 
-def to_nodeset(value: Any) -> list[XNode]:
+def to_nodeset(value: Any) -> list[int]:
     if isinstance(value, list):
         return value
     raise XPathTypeError(f"expected node-set, got {type(value).__name__}")
@@ -118,13 +120,14 @@ def to_nodeset(value: Any) -> list[XNode]:
 
 def _fn_name(context: "Context", *nodes: Any) -> str:
     if not nodes:
-        return context.node.name
+        return context.doc.name(context.node)
     nodeset = to_nodeset(nodes[0])
-    return nodeset[0].name if nodeset else ""
+    return context.doc.name(nodeset[0]) if nodeset else ""
 
 
 def _fn_concat(context: "Context", *args: Any) -> str:
-    return "".join([to_string(a) for a in args])
+    doc = context.doc
+    return "".join([to_string(a, doc) for a in args])
 
 
 def _round(value: float) -> float:
@@ -135,9 +138,10 @@ def _round(value: float) -> float:
 def _fn_substring(context: "Context", s: Any, start: Any, *length: Any) -> str:
     """substring() with the spec's 1-based, rounded, NaN-propagating
     rules: the characters at positions p with start <= p < start + length."""
-    string = to_string(s)
-    begin = _round(to_number(start))
-    end = begin + _round(to_number(length[0])) if length else math.inf
+    doc = context.doc
+    string = to_string(s, doc)
+    begin = _round(to_number(start, doc))
+    end = begin + _round(to_number(length[0], doc)) if length else math.inf
     # a NaN bound compares false, so it keeps no character
     first, last = max(begin, 1), min(end, len(string) + 1)
     if not first < last:
@@ -146,7 +150,7 @@ def _fn_substring(context: "Context", s: Any, start: Any, *length: Any) -> str:
 
 
 def _fn_string_length(context: "Context", *args: Any) -> float:
-    s = to_string(args[0]) if args else context.node.string_value()
+    s = to_string(args[0], context.doc) if args else context.doc.string_value(context.node)
     return float(len(s))
 
 

@@ -1,9 +1,10 @@
 """A pipeline run leaves no tree and no attempt for the cycle collector.
 
-ROADMAP item 6 asks for zero full collections inside an op; a
+ROADMAP item 6 asks for few full collections inside an op; a
 count-triggered collector does not let a test hold that, so this holds
-its cause instead: the source trees the XSLT engine builds and the
-bookkeeping of an ended attempt are freed by reference count.  With the
+its causes instead: the source documents the XSLT engine builds and the
+bookkeeping of an ended attempt are freed by reference count, and a
+source document is a few flat lists, not an object per node.  With the
 collector off and ``DEBUG_SAVEALL`` set, whatever a collection *would*
 have had to find is in ``gc.garbage``."""
 
@@ -11,11 +12,13 @@ import gc
 
 from repro.cn import Cluster
 from repro.core.transform import Pipeline
+from repro.core.transform.xmi2cnx import load_stylesheet
 from repro.core.uml import ActivityBuilder
+from repro.xslt.xpath import build_document
 
 from ..conftest import basic_registry
 
-MUST_NOT_WAIT_FOR_THE_COLLECTOR = {"XElement", "XAttribute", "Element", "HostedTask", "TaskContext"}
+MUST_NOT_WAIT_FOR_THE_COLLECTOR = {"XDocument", "Element", "HostedTask", "TaskContext"}
 
 
 def fan(width: int):
@@ -52,3 +55,28 @@ def test_a_run_leaves_no_source_tree_and_no_ended_attempt_as_cyclic_garbage():
                 gc.enable()
     assert len(outcome.results) == 22
     assert not left, f"freed only by a full collection: {left}"
+
+
+def test_a_source_document_costs_a_few_collector_objects():
+    """The 504 KB XMI of ``compose-wide150`` (5 490 elements, 6 117
+    attributes) becomes a handful of lists and dicts the collector
+    tracks, however many nodes it holds: over 20 000 when each node was
+    an object."""
+    from benchmarks.e2e.workloads import ComposeWide
+
+    pipeline = Pipeline()
+    xmi = pipeline.export_xmi(pipeline.to_model(ComposeWide().model(0)))
+    strips = load_stylesheet("xmi2cnx.xsl").lowered().strips
+    build_document(xmi, strips=strips)
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        doc = build_document(xmi, strips=strips)
+        added = len(gc.get_objects()) - before
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert added <= 64, f"{added} objects the collector tracks"
+    assert len(doc.descendants(0)) > 5000

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.apps.floyd.model import build_fig3_model, build_fig5_model
 from repro.core.cnx import emit, parse
-from repro.core.transform import xmi2cnx
+from repro.core.transform import Pipeline, xmi2cnx
 from repro.core.transform.xmi2cnx import (
     model_to_cnx,
     xmi_to_cnx,
@@ -101,6 +101,21 @@ class TestFig2Fidelity:
         doc = xmi_to_cnx(write_graph(b.build()))
         assert doc.client.jobs[0].find("w").arguments == arguments
         assert parse(emit(doc)).client.jobs[0].find("w").arguments == arguments
+
+
+    def test_cr_in_a_string_param_survives_the_pipeline(self):
+        """XML end-of-line handling reads a CR written as itself in text
+        content, alone or before a newline, as a newline: the engine's
+        serialiser and the CNX emitter write it as a reference."""
+        values = ["a\rb", "a\r\nb"]
+        b = ActivityBuilder("Returns")
+        task = b.task("t", jar="t.jar", cls="T", params=[("String", v) for v in values])
+        b.chain(b.initial(), task, b.final())
+        result = Pipeline().run(b.build(), execute=False)
+        assert [p.value for p in result.cnx_doc.client.jobs[0].find("t").params] == values
+        assert "params=('a\\rb', 'a\\r\\nb')" in result.python_source
+        assert result.cnx_text == emit(xmi_to_cnx_native(result.xmi_text))
+        assert parse(result.cnx_text).client.jobs[0].find("t").params[0].value == "a\rb"
 
 
 class TestDifferential:

@@ -27,6 +27,9 @@ class TestEscaping:
     def test_attr_tab_and_carriage_return(self):
         assert escape_attr("a\tb\rc") == "a&#9;b&#13;c"
 
+    def test_text_carriage_return(self):
+        assert escape_text("a\rb\r\nc") == "a&#13;b&#13;\nc"
+
 
 class TestPrefixed:
     def test_parse_undeclared_prefix(self):

@@ -19,7 +19,7 @@ def ctx():
 
 
 def string(expr, ctx):
-    return to_string(evaluate(expr, ctx))
+    return to_string(evaluate(expr, ctx), ctx.doc)
 
 
 def unknown(ctx, *calls):
@@ -75,7 +75,7 @@ class TestStringFunctions:
         assert string("substring('12345', 'x' + 0, 3)", ctx) == ""
         assert string("substring('12345', 1, 'x' + 0)", ctx) == ""
         variables = {"inf": float("inf")}
-        at = Context(ctx.node, variables)
+        at = Context(ctx.doc, variables)
         assert string("substring('12345', 0 - 42, $inf)", at) == "12345"
         assert string("substring('12345', 0 - $inf, $inf)", at) == ""
 
@@ -84,7 +84,7 @@ class TestStringFunctions:
 
     def test_string_length_context(self, ctx):
         nodes = evaluate("//a", ctx)
-        sub = Context(nodes[0])
+        sub = Context(ctx.doc, node=nodes[0])
         assert evaluate("string-length()", sub) == 5.0
 
     def test_normalize_space(self, ctx):
@@ -153,7 +153,7 @@ class TestNodesetFunctions:
 
     def test_name_and_local_name(self, ctx):
         assert string("name(//a)", ctx) == "a"
-        assert evaluate("name()", Context(evaluate("//a", ctx)[0])) == "a"
+        assert evaluate("name()", Context(ctx.doc, node=evaluate("//a", ctx)[0])) == "a"
         unknown(ctx, "local-name(//a)")
 
     def test_local_name_strips_prefix(self):

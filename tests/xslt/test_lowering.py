@@ -262,10 +262,11 @@ PRIORITY = {"*": -0.5, "/": 0.5}
 
 
 def matches(key, node):
-    """Whether the pattern with dispatch key *key* matches *node*."""
+    """Whether the pattern with dispatch key *key* matches *node*, a node
+    of DISPATCH_DOC."""
     if key == "/":
-        return node.node_type == "document"
-    return node.node_type == "element" and key in ("*", node.name)
+        return DISPATCH_DOC.kind(node) == "document"
+    return DISPATCH_DOC.kind(node) == "element" and key in ("*", DISPATCH_DOC.name(node))
 
 DISPATCH_DOC = build_document(
     "<r k='0'><a k='1'>t<b/></a><a/><b k='2'><a>u</a></b><!--c--><c><b k='3'/></c></r>"
@@ -285,8 +286,8 @@ class TestDispatchTable:
                 for index, pattern in enumerate(patterns)
             )
         )
-        nodes = [DISPATCH_DOC, *DISPATCH_DOC.descendants_list()]
-        nodes += [attr for n in nodes for attr in n.attributes()]
+        nodes = [0, *DISPATCH_DOC.descendants(0)]
+        nodes += [attr for n in nodes for attr in DISPATCH_DOC.attributes(n)]
         for node in nodes:
             matching = [
                 (PRIORITY.get(rule.pattern.key, 0.0), order, rule)
@@ -294,7 +295,7 @@ class TestDispatchTable:
                 if matches(rule.pattern.key, node)
             ]
             expected = max(matching, key=lambda m: m[:2], default=(None, None, None))[2]
-            template = s.lowered().match(node)
+            template = s.lowered().match(DISPATCH_DOC, node)
             assert (template.rule if template is not None else None) is expected
 
 

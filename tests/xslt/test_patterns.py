@@ -29,31 +29,32 @@ def node(doc, expr):
     return evaluate(expr, Context(doc))[0]
 
 
-def match(pattern, target):
-    """Whether a sheet whose one rule has *pattern* applies it to *target*."""
+def match(pattern, doc, target):
+    """Whether a sheet whose one rule has *pattern* applies it to
+    *target*, a node of *doc*."""
     sheet = Stylesheet.from_string(
         '<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">'
         f'<xsl:template match="{pattern}"/></xsl:stylesheet>'
     )
-    return sheet.lowered().match(target) is not None
+    return sheet.lowered().match(doc, target) is not None
 
 
 class TestMatching:
     def test_name_pattern(self, doc):
-        assert match("task", node(doc, "//task"))
-        assert not match("task", node(doc, "//param"))
+        assert match("task", doc, node(doc, "//task"))
+        assert not match("task", doc, node(doc, "//param"))
         prefixed = build_document("<UML.ActionState/>", restore_prefixes=True)
-        assert match("UML:ActionState", prefixed.children()[0])
+        assert match("UML:ActionState", prefixed, prefixed.children(0)[0])
         assert compile_pattern("UML:ActionState").key == "UML:ActionState"
 
     def test_root_pattern(self, doc):
-        assert match("/", doc)
-        assert not match("/", node(doc, "/cn2"))
+        assert match("/", doc, 0)
+        assert not match("/", doc, node(doc, "/cn2"))
 
     def test_wildcard(self, doc):
-        assert match("*", node(doc, "//task"))
-        assert not match("*", doc)
-        assert not match("*", node(doc, "//task/@name"))
+        assert match("*", doc, node(doc, "//task"))
+        assert not match("*", doc, 0)
+        assert not match("*", doc, node(doc, "//task/@name"))
 
 
 class TestSubsetEnforcement:

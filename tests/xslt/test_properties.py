@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.xmlutil import canonicalize, pretty_print, xml_equal
+from repro.xslt import Stylesheet, Transformer
 from repro.xslt.xpath import Context, build_document, evaluate
 from repro.xslt.xpath.functions import to_boolean, to_number, to_string
 from repro.xslt.xpath.parser import XPathSyntaxError
@@ -46,13 +47,13 @@ class TestDataModelProperties:
         orders = []
 
         def walk(node):
-            orders.append(node.doc_order)
-            for attr in node.attributes():
-                orders.append(attr.doc_order)
-            for child in node.children():
+            orders.append(doc.number(node))
+            for attr in doc.attributes(node):
+                orders.append(doc.number(attr))
+            for child in doc.children(node):
                 walk(child)
 
-        walk(doc)
+        walk(0)
         assert orders == sorted(orders)
         assert len(set(orders)) == len(orders)
 
@@ -62,7 +63,7 @@ class TestDataModelProperties:
         doc = build_document(tree)
         ctx = Context(doc)
         total = len(evaluate("//*", ctx))
-        manual = sum(1 for n in doc.descendants_list() if n.node_type == "element")
+        manual = sum(1 for n in doc.descendants(0) if doc.kind(n) == "element")
         assert total == manual == len(list(tree.iter()))
 
     @given(xml_trees())
@@ -70,15 +71,61 @@ class TestDataModelProperties:
     def test_string_value_equals_concatenated_text(self, tree):
         doc = build_document(tree)
         ctx = Context(doc)
-        assert to_string(evaluate("/", ctx)) == "".join(tree.itertext())
+        assert to_string(evaluate("/", ctx), doc) == "".join(tree.itertext())
 
     @given(xml_trees())
     @settings(max_examples=40, deadline=None)
     def test_parent_child_inverse(self, tree):
         doc = build_document(tree)
-        for node in doc.descendants_list():
-            if node.node_type == "element":
-                assert node in node.parent.children()
+        for node in doc.descendants(0):
+            if doc.kind(node) == "element":
+                assert node in doc.children(doc.parent(node))
+
+    @given(xml_trees(), st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_name_index_is_the_descendant_walk(self, tree, indented, stripping):
+        """``.//Name`` from every element, the bisected run of the name
+        index inside the element's subtree, is the element's descendants
+        called *Name* by a walk of the source ElementTree: an off-by-one
+        in a subtree's end would take a node from, or add one to, a run."""
+        source = pretty_print(tree) if indented else tree
+        doc = build_document(source, strips=(lambda name: True) if stripping else None)
+        # the k-th element in document order is the k-th of tree.iter()
+        elements = [row for row in range(len(doc.kinds)) if doc.kind(row) == "element"]
+        walked = list(tree.iter())
+        assert len(elements) == len(walked)
+        row_of = {id(elem): row for elem, row in zip(walked, elements)}
+        for name in ("a", "b", "c", "task", "param"):
+            expected = [row_of[id(e)] for e in tree.iter(name)]
+            assert evaluate(f"//{name}", Context(doc)) == expected
+            for row, elem in zip(elements, walked):
+                expected = [row_of[id(e)] for e in elem.iter(name) if e is not elem]
+                assert evaluate(f".//{name}", Context(doc, node=row)) == expected
+
+    @given(xml_trees(), st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_generate_id_strictly_increases_in_document_order(self, tree, indented, stripping):
+        """generate-id() over every node in document order -- the
+        document, each element, its attributes, its children -- reads
+        strictly increasing numbers, stripped whitespace or not."""
+        sheet = Stylesheet.from_string(
+            '<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">'
+            '<xsl:output method="text"/>'
+            + ('<xsl:strip-space elements="*"/>' if stripping else "")
+            + '<xsl:template match="/"><xsl:for-each select="//.">'
+            '<xsl:value-of select="concat(generate-id(), \' \')"/>'
+            '<xsl:for-each select="@*"><xsl:value-of select="concat(generate-id(), \' \')"/>'
+            "</xsl:for-each></xsl:for-each></xsl:template></xsl:stylesheet>"
+        )
+        source = pretty_print(tree) if indented else tree
+        ids = [int(word[2:]) for word in Transformer(sheet).transform(source).split()]
+        doc = build_document(source)
+        nodes = [
+            n for n in doc.descendants(0)
+            if not (stripping and doc.kind(n) == "text" and doc.string_value(n).isspace())
+        ]
+        assert len(ids) == 1 + len(nodes) + len(doc.attr_names)
+        assert ids[0] == 0 and all(a < b for a, b in zip(ids, ids[1:]))
 
     @given(xml_trees())
     @settings(max_examples=40, deadline=None)

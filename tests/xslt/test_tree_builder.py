@@ -96,24 +96,29 @@ def as_etree(node) -> ET.Element:
 
 
 def rows(doc):
-    """Every node the tree holds, by walking it (not its cached views)."""
+    """Every node the document holds, by walking it from child to child
+    (not by its name index)."""
     found = []
 
     def walk(node):
+        kind = doc.kind(node)
         found.append(
             (
-                node.node_type,
-                node.name,
-                node.string_value() if node.node_type != "element" else None,
-                node.doc_order,
-                node.parent.name,
-                [(a.name, a.value, a.doc_order, a.parent is node) for a in node.attributes()],
+                kind,
+                doc.name(node),
+                doc.string_value(node) if kind != "element" else None,
+                doc.number(node),
+                doc.name(doc.parent(node)),
+                [
+                    (doc.name(a), doc.string_value(a), doc.number(a), doc.parent(a) == node)
+                    for a in doc.attributes(node)
+                ],
             )
         )
-        for child in node.children():
+        for child in doc.children(node):
             walk(child)
 
-    for child in doc.children():
+    for child in doc.children(0):
         walk(child)
     return found
 
@@ -143,23 +148,33 @@ class TestOneBuilderTwoDrivers:
     def test_the_views_the_builder_hands_over_are_the_lazy_ones(
         self, document, from_text, stripping
     ):
+        """The descendant range and the name index the builder fills
+        list what a walk from child to child finds, in its order."""
         source = as_text(document) if from_text else as_etree(document)
         doc = build_document(source, strips=strips if stripping else None)
-        handed_nodes, handed_index = doc.descendants_list(), doc.name_index()
-        doc._desc_cache = doc._name_index_cache = None
-        lazy = doc.descendants_list()
-        assert len(lazy) == len(handed_nodes)
-        assert all(a is b for a, b in zip(lazy, handed_nodes))
-        assert doc.name_index() == handed_index
-        assert list(doc.name_index()) == list(handed_index)
+        walked = []
+
+        def walk(node):
+            for child in doc.children(node):
+                walked.append(child)
+                walk(child)
+
+        walk(0)
+        assert doc.descendants(0) == walked
+        index = {}
+        for node in walked:
+            if doc.kind(node) == "element":
+                index.setdefault(doc.name(node), []).append(node)
+        assert doc.index == index
+        assert list(doc.index) == list(index)
 
     def test_restore_prefixes_means_the_same_on_both_drivers(self):
         text = "<UML.Model xmi.id='m'><XMI.header/><UML.Package.x/></UML.Model>"
         expected = ["UML:Model", "XMI.header", "UML:Package.x"]
         for source in (text, ET.fromstring(text), parse_prefixed(text.replace("UML.", "UML:"))):
             doc = build_document(source, restore_prefixes=True)
-            assert [n.name for n in doc.descendants_list()] == expected
-            assert doc.children()[0].attribute("xmi.id").value == "m"
+            assert [doc.name(n) for n in doc.descendants(0)] == expected
+            assert doc.string_value(doc.attribute(doc.children(0)[0], "xmi.id")) == "m"
 
     def test_an_etree_comment_is_dropped_as_expat_drops_it(self):
         """A comment an ElementTree kept is no node, and the text on
@@ -171,14 +186,16 @@ class TestOneBuilderTwoDrivers:
         parser.feed(text)
         tree = parser.close()
         assert [child.tag for child in tree] == [ET.Comment, "a", ET.Comment]
-        kinds = [(n.node_type, n.string_value(), n.doc_order) for n in build_document(tree).descendants_list()]
+        doc = build_document(tree)
+        kinds = [(doc.kind(n), doc.string_value(n), doc.number(n)) for n in doc.descendants(0)]
         assert kinds == [("element", "xy", 1), ("element", "", 2), ("text", "xy", 3)]
         assert rows(build_document(tree)) == rows(build_document(text))
 
     def test_text_longer_than_the_parser_buffer_is_one_node(self):
         long = "x" * 50_000 + "&amp;" + "y" * 50_000
-        (text,) = build_document(f"<r>{long}</r>").children()[0].children()
-        assert text.string_value() == long.replace("&amp;", "&")
+        doc = build_document(f"<r>{long}</r>")
+        (text,) = doc.children(doc.children(0)[0])
+        assert doc.string_value(text) == long.replace("&amp;", "&")
 
     @pytest.mark.parametrize(
         "malformed, line",
@@ -216,8 +233,8 @@ class TestKeyTables:
 
 class Probing(Transformer):
     """A Transformer whose sheet can call ``grab(nodes)``, which keeps a
-    weak reference to the first node, and ``boom(nodes)``, which runs
-    *boom*."""
+    weak reference to the document and the first node, and
+    ``boom(nodes)``, which runs *boom*."""
 
     def __init__(self, stylesheet, boom=lambda: None):
         super().__init__(stylesheet)
@@ -225,7 +242,7 @@ class Probing(Transformer):
 
     def _function_table(self):
         def grab(ctx, nodes):
-            self.grabbed.append(weakref.ref(nodes[0]))
+            self.grabbed.append((weakref.ref(ctx.doc), nodes[0]))
             return ""
 
         def boom(ctx, nodes):
@@ -245,8 +262,8 @@ class TestWhoFreesTheTree:
     def test_a_transformer_does_not_pin_the_document_it_built(self, source):
         t = Probing(sheet(self.SHEET))
         assert t.transform(source) == ""
-        # no gc.collect(): the tree went by reference count
-        assert t.grabbed[0]() is None
+        # no gc.collect(): the document went by reference count
+        assert t.grabbed[0][0]() is None
         assert t._doc is None and t._key_tables == {}
 
     def test_nor_when_the_run_raises(self):
@@ -262,22 +279,22 @@ class TestWhoFreesTheTree:
         doc = build_document("<r x='1'><e a='1'/></r>")
         t = Probing(sheet(self.SHEET))
         assert t.transform(doc) == t.transform(doc) == ""
-        element = t.grabbed[0]()
-        assert element is not None and element.parent.parent is doc
-        root = doc.children()[0]
-        assert root.attribute("x").parent is root
+        held, element = t.grabbed[0]
+        assert held() is doc and doc.parent(doc.parent(element)) == 0
+        (root,) = doc.children(0)
+        assert doc.parent(doc.attribute(root, "x")) == root
         assert t._doc is None
 
     def test_stripping_a_callers_document_drops_its_stale_views(self):
         doc = build_document("<r> <a> </a> <keep> </keep></r>")
-        before = len(doc.descendants_list())
+        before = len(doc.descendants(0))
         s = sheet(
             """<xsl:strip-space elements="r a"/>
                <xsl:template match="/"><xsl:value-of select="string-length(/)"/></xsl:template>"""
         )
         assert before == 7
-        # the whitespace of r and a is gone from the text, and so from the
-        # cached descendants each string-value reads
+        # the whitespace of r and a is gone from the text, and from the
+        # descendants: its rows stay, as no node
         assert Transformer(s).transform(doc) == "1"
         assert Transformer(s).transform(doc) == "1"
-        assert len(doc.descendants_list()) == 4
+        assert len(doc.descendants(0)) == 4

@@ -3,8 +3,9 @@
 Transforms the ``compose-wide150`` model (a 152-task fan, one ``Integer``
 parameter per worker) and prints, per template, its calls, its own time
 (the time spent in nested template invocations subtracted) and the
-``key()`` calls made directly in it, plus the source-tree build, the
-key-table builds and serialisation.  Times are the minimum over REPS
+``key()`` calls made directly in it, plus the source-document build,
+the key-table builds and serialisation, and the document's size: its
+rows (the document, elements and texts) and attributes.  Times are the minimum over REPS
 runs, one core, the collector off.
 
 A measurement script, not a product feature: it wraps the lowered
@@ -28,10 +29,10 @@ from repro.core.transform.pipeline import Pipeline  # noqa: E402
 from repro.core.transform.xmi2cnx import load_stylesheet  # noqa: E402
 from repro.xslt import Transformer  # noqa: E402
 from repro.xslt.output import serialize  # noqa: E402
-from repro.xslt.xpath.datamodel import build_document  # noqa: E402
+from repro.xslt.xpath.datamodel import XDocument, build_document  # noqa: E402
 
 
-def profile(xmi: str, reps: int) -> tuple[dict, dict, dict]:
+def profile(xmi: str, reps: int) -> tuple[dict, dict, dict, XDocument]:
     sheet = load_stylesheet("xmi2cnx.xsl")
     program = sheet.lowered()
     templates = {id(t): t for t in (*program.named.values(), *program.dispatch.values())}
@@ -83,7 +84,7 @@ def profile(xmi: str, reps: int) -> tuple[dict, dict, dict]:
             run_own.clear(), run_calls.clear(), run_keys.clear()
             start = time.perf_counter()
             doc = build_document(xmi, strips=program.strips)
-            run_own["(source tree)"] = time.perf_counter() - start
+            run_own["(source document)"] = time.perf_counter() - start
             tr = Transformer(sheet)
             start = time.perf_counter()
             top = tr.transform_to_tree(doc, params)
@@ -99,15 +100,16 @@ def profile(xmi: str, reps: int) -> tuple[dict, dict, dict]:
         Transformer._fn_key, Transformer._key_table = fn_key, key_table
         for template, body in saved.items():
             template.body = body
-    return dict(best), calls, keys
+    return dict(best), calls, keys, doc
 
 
 def main() -> None:
     reps = int(sys.argv[1]) if len(sys.argv) > 1 else 15
     pipeline = Pipeline()
     xmi = pipeline.export_xmi(pipeline.to_model(ComposeWide().model(0)))
-    best, calls, keys = profile(xmi, reps)
+    best, calls, keys, doc = profile(xmi, reps)
     print(f"XMI2CNX on compose-wide150 (152 tasks), min of {reps}, collector off")
+    print(f"source document: {len(doc.kinds)} rows, {len(doc.attr_names)} attributes")
     print(f"{'':<28}{'calls':>7}{'own ms':>9}{'key()':>7}")
     for label, own in sorted(best.items(), key=lambda item: -item[1]):
         count = sum(keys.values()) if label.startswith("(templates") else keys.get(label, "")
