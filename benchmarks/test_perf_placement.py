@@ -208,10 +208,10 @@ def test_perf16_bid_scheduler_throughput(report, out_dir):
 
 # -- PERF16 shape gate: journal replication of a durable batch (counts only) --
 
-#: bus publishes a 256-task batch may cost on 32 durable nodes: bid is
-#: job-created + one task-spec batch + one task-placed batch per award
-#: round; solicit journals each placement as its own record
-PUBLISH_CAP = {"bid": 6, "solicit": 260}
+#: bus publishes a 256-task batch may cost on 32 durable nodes, under
+#: either scheduler: job-created + one task-spec batch + one task-placed
+#: batch per ``create_tasks`` call (3 measured)
+PUBLISH_CAP = 6
 
 
 def _durable_placement(scheduler, partitioned):
@@ -252,8 +252,9 @@ def _durable_placement(scheduler, partitioned):
                 server.name: server.journal.records(handle.job_id)
                 for server in cluster.servers
             },
-            extends=extends,
-            handed=handed,
+            # copies: the shutdown's cancel is journaled after the placement
+            extends=list(extends),
+            handed={seq: set(seen) for seq, seen in handed.items()},
             nodes=cluster.node_names,
         )
 
@@ -267,7 +268,7 @@ def test_perf16_durable_batch_replicates_in_batches(scheduler):
     nothing changes none of it."""
     open_run = _durable_placement(scheduler, partitioned=False)
     publishes = open_run.stats[2]
-    assert publishes <= PUBLISH_CAP[scheduler], publishes
+    assert publishes <= PUBLISH_CAP, publishes
     assert open_run.listener_errors == 0
     written = open_run.written
     assert len(written) == 2 * N_TASKS + 1  # created + specs + placements

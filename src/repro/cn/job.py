@@ -46,6 +46,12 @@ _APPLIED = frozenset(
 #: recursion guard for :func:`payload_nbytes` on nested containers
 _SIZE_DEPTH_LIMIT = 12
 
+#: the item types :func:`payload_nbytes` sizes at 8 bytes each, and the
+#: length from which a container is first checked for holding only them
+#: (one C-level pass; below it a failed check costs more than it saves)
+_EIGHT_BYTE_TYPES = frozenset((int, float, complex))
+_FLAT_MIN_LEN = 16
+
 #: how many times a poisoned serial may be re-offered from the ledger
 #: before the job gives up on live redelivery (the ledger still holds
 #: the message for attempt-level replay); bounds the corrupt-redeliver
@@ -79,6 +85,9 @@ def payload_nbytes(payload: Any, _depth: int = 0) -> Optional[int]:
     if _depth >= _SIZE_DEPTH_LIMIT:
         return None
     if t is tuple or t is list or t is set or t is frozenset:
+        n = len(payload)
+        if n >= _FLAT_MIN_LEN and set(map(type, payload)) <= _EIGHT_BYTE_TYPES:
+            return 8 + 16 * n  # what the loop below adds up to
         total = 8
         for item in payload:
             size = payload_nbytes(item, _depth + 1)
@@ -925,34 +934,40 @@ class Job:
             self._first_live = cursor
             return cursor == len(order)
 
-    def note_terminal(self, name: str) -> None:
-        """Called once terminal task *name*'s ``task-state`` (and any
-        ``job-finished``) is journaled; flips the job-finished condition
-        once every task got this far -- counted, not read off the states,
-        which a sibling applies before it journals them."""
-        runtime = self.tasks[name]
-        # the attempt can never be re-placed again: its message history is
-        # dead weight -- truncate and journal the watermark, its last record
-        self.gc_ledger(name)
+    def note_terminal(self, *names: str) -> None:
+        """Called once the terminal tasks *names*' ``task-state`` (and any
+        ``job-finished``) records are journaled; flips the job-finished
+        condition once every task got this far -- counted, not read off
+        the states, which a sibling applies before it journals them.  With
+        no names it reads the count alone: a job with no task is over."""
+        for name in names:
+            # the attempt can never be re-placed again: its message history is
+            # dead weight -- truncate and journal the watermark, its last record
+            self.gc_ledger(name)
         with self._lock:
-            if runtime.state is TaskState.FAILED and self.failed is None:
-                self.failed = TaskFailedError(name, runtime.error or "unknown")
             noted = self._terminal_noted
-            noted.add(name)
+            ended: list[tuple[str, str]] = []
+            for name in names:
+                runtime = self.tasks[name]
+                if runtime.state is TaskState.FAILED and self.failed is None:
+                    self.failed = TaskFailedError(name, runtime.error or "unknown")
+                noted.add(name)
+                ended.append((name, runtime.state.value))
             # fail fast: a failure finishes the job even with tasks pending
             finished = self.failed is not None or len(noted) == len(self.task_order)
             if finished:
                 self._finished_flag = True
                 self._cond.notify_all()
-            state = runtime.state.value
         if self.telemetry is not None:
-            task_span = self.telemetry.spans.get(self.job_id, f"task:{name}")
-            if task_span is not None:
-                self.telemetry.spans.end(task_span, state=state)
+            spans = self.telemetry.spans
+            for name, state in ended:
+                task_span = spans.get(self.job_id, f"task:{name}")
+                if task_span is not None:
+                    spans.end(task_span, state=state)
             if finished:
-                span = self.telemetry.spans.get(self.job_id, "job")
+                span = spans.get(self.job_id, "job")
                 if span is not None:
-                    self.telemetry.spans.end(span, failed=self.failed is not None)
+                    spans.end(span, failed=self.failed is not None)
 
     def mark_rebound(self) -> None:
         """Wake waiters because a successor manager re-bound this job id

@@ -505,8 +505,8 @@ class JobManager:
         paper's per-task solicitation, O(tasks x nodes) bus traffic --
         and ``"bid"`` one group of tasks sharing a template (jar, class,
         memory, runmodel), so a homogeneous batch costs one round.  The
-        TASK_CREATED notifications are one :meth:`Job.notify` batch either
-        way.
+        ``task-placed`` records are one journal batch and the TASK_CREATED
+        notifications one :meth:`Job.notify` batch either way.
         """
         t = job.telemetry
         specs = list(specs)
@@ -515,6 +515,10 @@ class JobManager:
             if spec.name in job.tasks or spec.name in names:
                 raise JobError(f"job {job.job_id}: duplicate task {spec.name!r}")
             names.add(spec.name)
+        for jar, cls in dict.fromkeys((spec.jar, spec.cls) for spec in specs):
+            # TaskLoadError before anything is written: a bad batch, like a
+            # duplicate name, changes nothing
+            self.registry.resolve(jar, cls)
         # spans, then -- write-ahead -- one journal batch, applied, before any
         # placement, so a successor knows the roster if we die mid-placement
         if t is not None:
@@ -532,8 +536,14 @@ class JobManager:
             rounds: Iterable[list[TaskRuntime]] = groups.values()
         else:
             rounds = ([runtime] for runtime in runtimes)
-        for group in rounds:
-            self._place(job, group)
+        placed: list[tuple[str, dict]] = []  # hostings made, not journaled yet
+        try:
+            for group in rounds:
+                self._place(job, group, placed)
+        finally:
+            # one journal batch per call, before any replay, notification
+            # or start -- and an error leaves no hosting unrecorded
+            job.journal_events(placed)
         for runtime in runtimes:
             if job.has_ledgered(runtime.name):
                 # messages routed to this task before it had a queue (the
@@ -556,7 +566,12 @@ class JobManager:
                 self.start_task(job, runtime.name, claim_only=True)
         return runtimes
 
-    def _place(self, job: Job, runtimes: list[TaskRuntime]) -> None:
+    def _place(
+        self,
+        job: Job,
+        runtimes: list[TaskRuntime],
+        placed: list[tuple[str, dict]],
+    ) -> None:
         """Place tasks that share a template: the one placement path.
 
         A ``RUN_IN_JOBMANAGER`` task is hosted on this servant's own
@@ -570,8 +585,9 @@ class JobManager:
         that dies or fills up between bid and award simply fails the
         award, is excluded, and the task re-enters the next round -- a
         zombie attempt can never double-place because its epoch never
-        advanced.  Each round's ``task-placed`` records are journaled as
-        one batch before the next round (or an error) leaves it.
+        advanced.  Each hosting's ``task-placed`` record is appended to
+        *placed*, which the caller journals as one batch -- an error
+        included -- once its last round is over.
 
         Accounting: one ``cn_placements_total`` count and one
         ``place:<task>#<epoch>`` span per task, one
@@ -584,7 +600,6 @@ class JobManager:
         spec0 = runtimes[0].spec
         t = job.telemetry
         start = t.now() if t is not None else 0.0
-        placed: list[tuple[str, dict]] = []  # hostings made, not journaled yet
         try:
             task_class = self.registry.resolve(spec0.jar, spec0.cls)  # "upload the JAR"
             local = self.local_taskmanager
@@ -643,16 +658,11 @@ class JobManager:
                         failed.append(task_name)
                     else:
                         placed.append(_placed_record(runtime))
-                # one journal batch per round, before the next one
-                job.journal_events(placed)
-                placed = []
                 # progress each round: either a task placed (pending shrinks)
                 # or a bidder was excluded (bid pool shrinks) -- and an empty
                 # award set raises above, so the loop terminates
                 pending = failed + unplaced
         finally:
-            # an error leaves no hosting unrecorded
-            job.journal_events(placed)
             if t is not None:
                 end = t.now()
                 self._m_placements.inc(len(runtimes))
@@ -708,29 +718,35 @@ class JobManager:
             # may have started this one a moment ago
             self.start_task(job, runtime.name, claim_only=True)
 
-    def _journal_task_state(self, job: Job, runtime: TaskRuntime) -> None:
-        data: dict = {
-            "task": runtime.name,
-            "state": runtime.state.value,
-            "attempts": runtime.attempts,
-        }
-        if runtime.state is TaskState.COMPLETED:
-            data["result"] = runtime.result
-        if runtime.error:
-            data["error"] = runtime.error
-        events = [("task-state", data)]
+    def _journal_task_state(self, job: Job, *runtimes: TaskRuntime) -> None:
+        events: list[tuple[str, dict]] = []
+        failed = job.failed is not None
+        cancelled = False
+        for runtime in runtimes:
+            state = runtime.state
+            data: dict = {
+                "task": runtime.name,
+                "state": state.value,
+                "attempts": runtime.attempts,
+            }
+            if state is TaskState.COMPLETED:
+                data["result"] = runtime.result
+            if runtime.error:
+                data["error"] = runtime.error
+            events.append(("task-state", data))
+            failed = failed or state is TaskState.FAILED
+            cancelled = cancelled or state is TaskState.CANCELLED
         # computed from the roster, not job.finished: this write comes
         # before note_terminal flips the finished event (Job.attempt_ended)
-        failed = job.failed is not None or runtime.state is TaskState.FAILED
         finished = failed or job.all_terminal()
         if finished:
             events.append(("job-finished", {"failed": failed}))
-        # one batch: a journal never holds the task's end without the job's
+        # one batch: a journal never holds the tasks' end without the job's
         job.journal_events(events)
         if finished:
             with self._lock:
                 self._active.pop(job.job_id, None)
-        if finished or runtime.state is TaskState.CANCELLED:
+        if finished or cancelled:
             # the job is over (a task only ends CANCELLED when its job was
             # cancelled): its nodes give back what it no longer runs
             self._release_job(job)
@@ -784,8 +800,9 @@ class JobManager:
                 if delay > 0:
                     self._sleeper(delay)
             runtime.state = TaskState.PENDING
+            placed: list[tuple[str, dict]] = []
             try:
-                self._place(job, [runtime])
+                self._place(job, [runtime], placed)
             except CnError:
                 # an ending no attempt produced, said the way every other is
                 runtime.state = TaskState.FAILED
@@ -803,6 +820,10 @@ class JobManager:
                     on_terminal=self._journal_task_state,
                 )
                 continue
+            finally:
+                # one batch per re-placed task, before its replay (a
+                # CnError leaves nothing placed: a placed task ends the call)
+                job.journal_events(placed)
             job.replay_into(runtime.name)
             recovered.append(runtime)
         ready = {rt.name for rt in job.ready_tasks()}
@@ -852,12 +873,35 @@ class JobManager:
 
     # -- cancellation / shutdown ---------------------------------------------------
     def cancel_job(self, job: Job) -> None:
+        """Cancel every task not over.  A started attempt ends CANCELLED
+        through its own thread; a task that never started -- placed, or
+        never placed -- has none and ends here, all of them told in one
+        TASK_CANCELLED batch and journaled in one batch, so the job
+        finishes (a job with no task at once) and its slot on this
+        manager is free again."""
+        ended: list[TaskRuntime] = []
         for name in job.task_names():
             runtime = job.task(name)
-            if runtime.node_name is not None and not runtime.state.terminal:
-                tm = self._tm_lookup(runtime.node_name)
-                if tm is not None:
-                    tm.cancel_task(job, name)
+            if runtime.state.terminal:
+                continue
+            tm = self._tm_lookup(runtime.node_name or "")
+            if tm is not None:
+                if tm.cancel_task(job, name):
+                    ended.append(runtime)
+            elif runtime.node_name is None and runtime.state is TaskState.PENDING:
+                runtime.state = TaskState.CANCELLED
+                ended.append(runtime)
+        if not ended and job.task_order:
+            return  # what is left ends on its own threads
+        # the order Job.attempt_ended keeps: told, journaled, then noted
+        if ended:
+            job.notify(
+                MessageType.TASK_CANCELLED,
+                *[{"task": runtime.name} for runtime in ended],
+                sender=self.name,
+            )
+        self._journal_task_state(job, *ended)
+        job.note_terminal(*[runtime.name for runtime in ended])
 
     def shutdown(self) -> None:
         with self._lock:

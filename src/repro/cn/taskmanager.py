@@ -671,17 +671,27 @@ class TaskManager:
                     self._end_hosting(h)
 
     # -- cancellation / shutdown ---------------------------------------------------
-    def cancel_task(self, job: Job, name: str) -> None:
+    def cancel_task(self, job: Job, name: str) -> bool:
         """Cooperatively cancel: flag the context and close the queue so a
         blocked receive unblocks with ShutdownError.  A task that never
-        started has no thread to unwind, so its hosting ends here."""
+        started has no thread to unwind, so its hosting ends here, CANCELLED
+        in the same lock hold a start would claim it in, and its closed
+        queue, which nothing will read, is let go; returns whether it was
+        one (its caller says so, see :meth:`JobManager.cancel_job`).  A
+        hosting of the job id that another :class:`Job` placed -- a
+        successor's, cancelled from a dead manager's copy -- is left be."""
         with self._lock:
             hosted = self._hosted.get((job.job_id, name))
-            if hosted is None:
-                return
-            if hosted.started_at is None:
+            if hosted is None or hosted.job is not job:
+                return False
+            unstarted = hosted.started_at is None
+            if unstarted:
                 self._end_hosting(hosted)
+                hosted.runtime.state = TaskState.CANCELLED
         hosted.cancel()
+        if unstarted:
+            hosted.runtime.queue = None
+        return unstarted
 
     def hosted_count(self) -> int:
         with self._lock:

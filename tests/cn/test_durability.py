@@ -1304,6 +1304,34 @@ class TestManagerFailover:
             assert adoption.detail["manager"] == "node1/jm"
             assert adoption.detail["manager_epoch"] == 2
 
+    def test_the_dead_managers_cancel_leaves_the_successors_hostings(self):
+        # a dead manager's shutdown cancels the Job it still holds; the
+        # hostings of that job id the successor placed are not that Job's
+        # (at the parent they were ended, and the job never ran)
+        with Cluster(3, registry=echo_registry()) as cluster:
+            worker_only_nodes(cluster)
+            api = CNAPI.initialize(cluster)
+            handle = api.create_job("client", requirements={"prefer": "node0"})
+            api.create_tasks(
+                handle,
+                [
+                    TaskSpec(name="a", jar="echo.jar", cls="t.Echo"),
+                    TaskSpec(name="b", jar="echo.jar", cls="t.Echo", depends=("a",)),
+                ],
+            )
+            dead, zombie = handle.manager, handle.job
+            cluster.kill_node("node0")
+            cluster.tick(3)
+            assert handle.job is not zombie
+            # the successor restarted "a"; "b" waits for it
+            assert handle.job.states() == {"a": "RUNNING", "b": "CREATED"}
+            dead.cancel_job(zombie)
+            assert handle.job.states() == {"a": "RUNNING", "b": "CREATED"}
+            assert all(rt.queue is not None for rt in handle.job.tasks.values())
+            api.send_message(handle, "a", "x")
+            api.send_message(handle, "b", "y")  # queued until "b" starts
+            assert api.wait(handle, timeout=15) == {"a": "x", "b": "y"}
+
     def test_adoption_record_fences_the_dead_managers_epoch(self):
         with Cluster(3, registry=echo_registry()) as cluster:
             worker_only_nodes(cluster)

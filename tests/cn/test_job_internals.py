@@ -1,6 +1,8 @@
 """Unit tests for job/task runtime internals and node components."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cn import (
     CNAPI,
@@ -15,7 +17,7 @@ from repro.cn import (
 )
 from repro.cn.durability import ReplicatedJournal
 from repro.cn.errors import ShutdownError, UnknownTaskError
-from repro.cn.job import TaskState
+from repro.cn.job import TaskState, payload_nbytes
 from repro.cn.messages import Message
 from repro.cn.multicast import MulticastBus, Solicitation
 from repro.cn.scheduler import PlacementRule
@@ -201,6 +203,71 @@ class TestJobObject:
         assert not job.has_ledgered("a") and job.gc_watermarks == {"a": 1}
 
 
+def nbytes_by_definition(payload, depth=0):
+    """What :func:`payload_nbytes` estimates, item by item: 1 for None and
+    bool, 8 for a number, ``len`` for str/bytes, ``nbytes`` where an
+    object has one, 8 per container plus 8 per item (16 per dict pair)
+    and None for anything unsizable or nested deeper than 12."""
+    if payload is None or type(payload) is bool:
+        return 1
+    if type(payload) in (int, float, complex):
+        return 8
+    if type(payload) in (str, bytes, bytearray):
+        return len(payload)
+    if isinstance(getattr(payload, "nbytes", None), int):
+        return payload.nbytes
+    if depth >= 12:
+        return None
+    if type(payload) in (tuple, list, set, frozenset):
+        sizes = [nbytes_by_definition(item, depth + 1) for item in payload]
+        return None if None in sizes else 8 + sum(size + 8 for size in sizes)
+    if type(payload) is dict:
+        sizes = [
+            nbytes_by_definition(x, depth + 1) for pair in payload.items() for x in pair
+        ]
+        return None if None in sizes else 8 + sum(sizes) + 16 * len(payload)
+    return None
+
+
+_NUMBERS = st.one_of(
+    st.integers(), st.floats(allow_nan=False), st.complex_numbers(allow_nan=False)
+)
+_SCALARS = st.one_of(
+    _NUMBERS, st.none(), st.booleans(), st.text(max_size=3), st.binary(max_size=3)
+)
+#: long rows of numbers, some with one item that is not a number
+_ROWS = st.lists(_NUMBERS, min_size=12, max_size=40).flatmap(
+    lambda row: st.one_of(
+        st.just(row),
+        st.builds(
+            lambda i, x: row[:i] + [x] + row[i:],
+            st.integers(0, len(row)),
+            st.one_of(st.booleans(), st.text(max_size=2), st.builds(object)),
+        ),
+    )
+)
+_PAYLOADS = st.recursive(
+    st.one_of(_SCALARS, _ROWS, _ROWS.map(tuple), st.lists(_NUMBERS, max_size=40)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=2), children, max_size=3),
+        st.frozensets(_NUMBERS, max_size=40),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_PAYLOADS, nesting=st.integers(0, 13))
+def test_payload_nbytes_is_its_definition(payload, nesting):
+    """The fast path for long rows of numbers returns the number the item
+    by item definition does, inside the depth limit and at it."""
+    for _ in range(nesting):
+        payload = [payload]
+    assert payload_nbytes(payload) == nbytes_by_definition(payload)
+
+
 @pytest.mark.parametrize(
     "options, budget, copies",
     [
@@ -242,8 +309,9 @@ def test_notifications_are_built_with_their_causal_context(
              for i in range(256)],
         )
         created = handle.job.client_queue.drain()
+        stamped = list(calls)  # the cancel's TASK_CANCELLED batch is stamped too
         api.cancel(handle)
-    assert calls == [["deadline"]] * copies
+    assert stamped == [["deadline"]] * copies
     assert [m.type for m in created] == [MessageType.TASK_CREATED] * 256
     traced = options.get("telemetry", True) is not None
     context = (handle.job_id, "job") if traced else None

@@ -22,6 +22,7 @@ from repro.cn import (
 )
 from repro.cn.client import evaluate_arguments, expand_dynamic_tasks
 from repro.cn.config import SCHEDULERS
+from repro.cn.errors import NoWillingTaskManager, TaskLoadError
 from repro.cn.job import TaskState
 from repro.cn.messages import Message
 from repro.cn.scheduler import PlacementRule
@@ -558,6 +559,69 @@ class TestHostingEnds:
                 time.sleep(0.01)
             assert handle.job.task("s").state is TaskState.CANCELLED
             self.assert_idle(cluster)
+            # ...and the job is over: "after" never started and ended with it
+            assert api.wait(handle, timeout=5) == {}
+            assert handle.job.task("after").state is TaskState.CANCELLED
+
+    @pytest.mark.parametrize("roster", ["placed", "empty", "unplaceable"])
+    def test_a_cancelled_job_finishes_and_frees_its_job_slot(self, scheduler, roster):
+        # at the parent a task that never started stayed CREATED (or
+        # PENDING), so the job never finished: after 2 x 16 cancels no
+        # manager offered, and a wait timed out
+        with self.make(scheduler) as cluster:
+            api = CNAPI.initialize(cluster)
+            for _ in range(40):
+                handle = api.create_job("client")
+                if roster == "placed":
+                    api.create_tasks(
+                        handle,
+                        [echo_spec("a", memory=1000), echo_spec("b", ["a"], memory=1000)],
+                    )
+                elif roster == "unplaceable":
+                    with pytest.raises(NoWillingTaskManager):
+                        api.create_task(handle, echo_spec("a", memory=2 * self.MEMORY))
+                handle.job.client_queue.drain()
+                api.cancel(handle)
+                assert api.wait(handle, timeout=2) == {}
+                assert set(handle.job.states().values()) <= {"CANCELLED"}
+                told = handle.job.client_queue.drain()
+                assert [m.type for m in told] == [MessageType.TASK_CANCELLED] * len(
+                    handle.job.tasks
+                )
+                # one journal batch: the tasks' ends, then the job's
+                records = handle.manager.journal.records(handle.job_id)
+                ends = [r.kind for r in records[-1 - len(handle.job.tasks) :]]
+                assert ends == ["task-state"] * len(handle.job.tasks) + ["job-finished"]
+                assert len({r.seq for r in records}) == len(records)
+                # a hosting that never started lets its closed queue go, and
+                # a late message to its task is dropped as to any ended one
+                assert all(rt.queue is None for rt in handle.job.tasks.values())
+                for name in handle.job.tasks:
+                    handle.job.route(Message.user("client", name, "late"))
+            self.assert_idle(cluster)
+
+    def test_a_batch_with_an_unresolvable_class_changes_nothing(self, scheduler):
+        # at the parent "a" was hosted, CREATED and journaled, never
+        # announced, and "b" stayed PENDING
+        with self.make(scheduler) as cluster:
+            api = CNAPI.initialize(cluster)
+            handle = api.create_job("client")
+            with pytest.raises(TaskLoadError):
+                api.create_tasks(
+                    handle,
+                    [
+                        echo_spec("a", memory=1000),
+                        TaskSpec(name="b", jar="zz.jar", cls="zz.Z", memory=1000),
+                    ],
+                )
+            assert handle.job.task_names() == []
+            records = handle.manager.journal.records(handle.job_id)
+            assert [r.kind for r in records] == ["job-created"]
+            self.assert_idle(cluster)
+            # the same names go through once every class resolves
+            api.create_tasks(handle, [echo_spec("a"), echo_spec("b", ["a"])])
+            api.start_job(handle)
+            assert set(api.wait(handle, timeout=10)) == {"a", "b"}
 
     def test_failed_job_releases_dependents_that_never_started(self, scheduler):
         with self.make(scheduler) as cluster:

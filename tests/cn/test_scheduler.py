@@ -309,6 +309,58 @@ def test_failed_upload_rebids_instead_of_failing_the_call(scheduler):
         assert api.wait(handle, timeout=30) == {"t0": "t0"}
 
 
+@pytest.mark.parametrize("refuse", [False, True], ids=["plain", "re-bid"])
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_one_task_placed_batch_per_create_tasks_call(scheduler, refuse):
+    """However the call is cut into rounds, every replica is handed its
+    ``task-placed`` records as one batch of 12: in roster order, or --
+    after node0 refused an upload and the task was re-bid -- each hosting
+    once, with its final node and epoch.  At the parent ``solicit``
+    handed each replica 12 batches of one."""
+    names = [f"t{i}" for i in range(12)]
+    with Cluster(3, registry=registry(), scheduler=scheduler) as c:
+        api = CNAPI.initialize(c)
+        handle = api.create_job("cli", requirements={"prefer": "node1"})
+        batches: dict[str, list[list]] = {server.name: [] for server in c.servers}
+        for server in c.servers:
+            backend = server.journal.backend
+
+            def extend(records, _extend=backend.extend, _name=server.name):
+                records = list(records)
+                placed = [r.data for r in records if r.kind == "task-placed"]
+                if placed:
+                    batches[_name].append(placed)
+                return _extend(records)
+
+            backend.extend = extend
+        if refuse:
+            tm0 = c.server("node0").taskmanager
+            real_host_task, refused = tm0.host_task, []
+
+            def full_once(job, runtime, task_class):
+                if not refused:
+                    refused.append(runtime.name)
+                    raise CnError("node0/tm cannot host: filled up since its bid")
+                real_host_task(job, runtime, task_class)
+
+            tm0.host_task = full_once
+        api.create_tasks(handle, [spec(n) for n in names])
+        final = [
+            {"task": n, "node": rt.node_name, "epoch": rt.epoch}
+            for n, rt in ((n, handle.job.task(n)) for n in names)
+        ]
+        assert all(record["epoch"] == 1 for record in final)
+        for server in c.servers:
+            (batch,) = batches[server.name]
+            if refuse:
+                assert refused and len(batch) == 12
+                assert sorted(batch, key=lambda r: names.index(r["task"])) == final
+            else:
+                assert batch == final, server.name
+        api.start_job(handle)
+        assert api.wait(handle, timeout=30) == {n: n for n in names}
+
+
 def test_kill_node_between_bid_and_award():
     """A node that wins bids and dies before the award upload: the award
     fails, a re-bid round places the tasks elsewhere, and the epoch
@@ -419,14 +471,13 @@ class ManagerDied(RuntimeError):
     [(scheduler, k) for scheduler in ("bid", "solicit") for k in (0, 1, 5, 11)],
 )
 def test_manager_dies_inside_an_award_round(scheduler, k):
-    """node0 manages a 12-task batch and dies after *k* uploads of the
-    round, before the round's ``task-placed`` batch is journaled.  The
+    """node0 manages a 12-task batch and dies after *k* uploads, before
+    the call's ``task-placed`` batch is journaled.  The
     successor adopts from the replicated task-spec batch alone, every task
     runs exactly once, nothing the dead epoch hosted outlives the
     adoption, and the batch the dying manager still writes is fenced
-    whole on every survivor.  Under ``solicit`` every round is one task:
-    each placement was journaled before the next round, so nothing is
-    late."""
+    whole on every survivor -- under either scheduler, since a call's
+    ``task-placed`` records are one batch written after its last round."""
     names = [f"t{i}" for i in range(12)]
     r = TaskRegistry()
     r.register_class("count.jar", "s.Counted", Counted)
@@ -484,15 +535,14 @@ def test_manager_dies_inside_an_award_round(scheduler, k):
 
         # the dying manager's batch: accepted by its own cut-off replica,
         # fenced whole (epoch 1 < 2) on every survivor, never replayed
-        late = k if scheduler == "bid" else 0
         for server in survivors:
             backend = server.journal.backend
             fenced = [x for x in backend.fenced if x.job_id == job_id]
-            assert [x.kind for x in fenced] == ["task-placed"] * late, server.name
+            assert [x.kind for x in fenced] == ["task-placed"] * k, server.name
             assert all(x.mepoch == 1 for x in fenced)
             placed_by_dead = [
                 x
                 for x in backend.records(job_id)
                 if x.kind == "task-placed" and x.mepoch == 1
             ]
-            assert len(placed_by_dead) == (0 if scheduler == "bid" else k)
+            assert placed_by_dead == []

@@ -352,9 +352,9 @@ class TestTheDriveOnEveryShape:
         if completes == "during placement":
             place = handle.manager._place
 
-            def place_slowly(job, runtimes):
+            def place_slowly(job, runtimes, placed):
                 a_completes()  # late is in the roster, PENDING
-                place(job, runtimes)
+                place(job, runtimes, placed)
 
             monkeypatch.setattr(handle.manager, "_place", place_slowly)
         else:
