@@ -47,13 +47,14 @@ def main() -> None:
         listing = json.load(urllib.request.urlopen(f"{base}/submissions"))
         print(f"submissions on the portal: {listing}")
 
-        # artifacts are available for download
-        for artifact in ("cnx", "client.py", "client.java"):
+        # artifacts are available for download, each built when fetched
+        artifacts = ("cnx", "client.py", "client.java", "timeline", "telemetry.jsonl")
+        for artifact in artifacts:
             data = urllib.request.urlopen(
                 f"{base}/submission/{response['id']}/{artifact}"
             ).read()
             first_line = data.decode().splitlines()[0]
-            print(f"  {artifact:<12} {len(data):>6} bytes   {first_line[:60]}")
+            print(f"  {artifact:<15} {len(data):>6} bytes   {first_line[:60]}")
 
         # and the computed result came back in the submission response
         result = response["results"][0]["tctask999"]

@@ -47,7 +47,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional
 
 from ..analysis.conc.runtime import make_lock
 
@@ -162,10 +162,6 @@ class ExponentialBackoff:
             u = random.Random(f"{self.seed}:{key}:{attempt}").random()
             raw *= 1.0 + self.jitter * (2.0 * u - 1.0)
         return max(0.0, raw)
-
-    def schedule(self, attempts: int, key: str = "") -> list[float]:
-        """The delays the first *attempts* retries would wait."""
-        return [self.delay(a, key) for a in range(1, attempts + 1)]
 
 
 class ChaosPolicy:
@@ -447,9 +443,16 @@ class ChaosPolicy:
         with self._log_lock:
             return sorted(record.key() for record in self.log)
 
-    def log_dicts(self) -> list[dict[str, Any]]:
+    def fault_count(self) -> int:
+        """How many faults the log holds: a position in it."""
         with self._log_lock:
-            return [record.to_dict() for record in self.log]
+            return len(self.log)
+
+    def log_dicts(self, start: int = 0, end: Optional[int] = None) -> list[dict[str, Any]]:
+        """The log's records from *start* to *end* (positions, as
+        :meth:`fault_count` gives them) as dicts."""
+        with self._log_lock:
+            return [record.to_dict() for record in self.log[start:end]]
 
     # -- internals --------------------------------------------------------------
     def _decide(self, kind: str, key: str, rate: float) -> bool:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import base64
 import json
 import pickle
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -510,9 +511,10 @@ class JobDirectory:
 
     def __init__(self) -> None:
         self._entries: dict[str, DirectoryEntry] = {}
-        #: job ids in first-registration order (a re-registration by an
-        #: adopting manager adds none); a mark is a position in it
-        self._registered: list[str] = []
+        #: (registering thread, job id) in first-registration order (a
+        #: re-registration by an adopting manager adds none); a mark is a
+        #: position in it
+        self._registered: list[tuple[int, str]] = []
         self._lock = make_lock("JobDirectory._lock", reentrant=False)
 
     def register(self, job_id: str, manager: Any, job: Any, epoch: int = 1) -> None:
@@ -522,7 +524,7 @@ class JobDirectory:
             if current is not None and current.epoch > epoch:
                 return  # a zombie manager cannot re-claim an adopted job
             if current is None:
-                self._registered.append(job_id)
+                self._registered.append((threading.get_ident(), job_id))
             elif current.job is not job:
                 replaced = current.job
             self._entries[job_id] = DirectoryEntry(manager, job, epoch)
@@ -548,10 +550,13 @@ class JobDirectory:
             return len(self._registered)
 
     def job_ids_since(self, mark: int) -> list[str]:
-        """The ids first registered after *mark*, sorted: what a caller
-        pays for is the jobs it made, not every job the cluster has had."""
+        """The ids the calling thread first registered after *mark*,
+        sorted: the jobs it made, not every job the cluster has had, nor
+        a concurrent caller's.  ``create_job`` registers on its caller's
+        thread, and a thread id is unique among live threads."""
+        me = threading.get_ident()
         with self._lock:
-            return sorted(self._registered[mark:])
+            return sorted(job_id for who, job_id in self._registered[mark:] if who == me)
 
 
 def replay_job(job_id: str, records: Iterable[JournalRecord]) -> Job:

@@ -33,6 +33,7 @@ from repro.core.cnx import DEFAULT_PORT
 from repro.core.transform.pipeline import Pipeline
 from repro.core.xmi.reader import read_model
 
+from ..analysis import Report
 from ..analysis.conc.runtime import make_lock
 from .admission import AdmissionController
 from .cluster import Cluster
@@ -61,9 +62,12 @@ _ACCEPTED_CONTENT_TYPES = (
 
 @dataclass
 class Submission:
-    """One accepted XMI submission and everything produced from it."""
+    """One XMI submission: what it alone knows, and read-only views built
+    when read from where the rest lives (the cnlint report, the chaos
+    log, its jobs' journal records and the span store)."""
 
     submission_id: int
+    cluster: Cluster = field(repr=False, compare=False)
     #: pending | rejected | done | failed | throttled | saturated
     status: str = "pending"
     #: tenant the submission was accounted to (admission control)
@@ -77,53 +81,118 @@ class Submission:
     java_source: str = ""
     results: list[dict[str, Any]] = field(default_factory=list)
     error: str = ""
-    #: static-analysis findings (dicts, see Diagnostic.to_dict); a
-    #: submission with error-severity findings is rejected at the
-    #: pipeline's step 1, warnings ride along on any submission past it
-    diagnostics: list[dict[str, Any]] = field(default_factory=list)
-    #: chaos faults injected while this submission ran (dicts, see
-    #: FaultRecord.to_dict); empty when the cluster has no chaos policy
-    fault_events: list[dict[str, Any]] = field(default_factory=list)
-    #: manager-failover adoptions recorded in the replicated job journal
-    #: while this submission ran (job_id, successor, previous, epoch)
-    failover_events: list[dict[str, Any]] = field(default_factory=list)
-    #: poison-message quarantines journaled while this submission ran
-    #: (job_id, task, serial, digests) -- corrupt frames the transport
-    #: checksums caught and dead-lettered instead of delivering
-    dead_letter_events: list[dict[str, Any]] = field(default_factory=list)
-    #: Chrome trace_event JSON for the jobs this submission ran (load in
-    #: chrome://tracing or Perfetto); empty when telemetry is disabled
-    timeline: str = ""
-    #: the same capture in the JSONL interchange format the
-    #: ``python -m repro.telemetry`` CLI consumes
-    telemetry_jsonl: str = ""
+    #: cnlint's findings: errors reject the model at the pipeline's step
+    #: 1, warnings ride along on any submission past it
+    report: Report = field(default_factory=Report)
+    #: the jobs this submission's thread created, sorted
+    job_ids: list[str] = field(default_factory=list)
+    #: the (start, end) positions of this submission's run in the chaos log
+    fault_range: tuple[int, int] = (0, 0)
+
+    @property
+    def diagnostics(self) -> list[dict[str, Any]]:
+        """The report's findings (dicts, see Diagnostic.to_dict)."""
+        return self.report.to_json()
+
+    @property
+    def fault_events(self) -> list[dict[str, Any]]:
+        """Chaos faults injected while this submission ran (dicts, see
+        FaultRecord.to_dict); empty when the cluster has no chaos policy."""
+        chaos = self.cluster.chaos
+        return chaos.log_dicts(*self.fault_range) if chaos is not None else []
+
+    @property
+    def failover_events(self) -> list[dict[str, Any]]:
+        """Manager-failover adoptions journaled for this submission's jobs."""
+        return [
+            {
+                "job_id": job_id,
+                "manager": record.data.get("manager"),
+                "previous": record.data.get("previous"),
+                "manager_epoch": record.mepoch,
+            }
+            for job_id, record in self._journaled()[0]
+        ]
+
+    @property
+    def dead_letter_events(self) -> list[dict[str, Any]]:
+        """Poison-message quarantines journaled for this submission's jobs:
+        corrupt frames the transport checksums caught and dead-lettered."""
+        letters = self._journaled()[1]
+        return [{"job_id": key[0], **letters[key]} for key in sorted(letters)]
+
+    @property
+    def timeline(self) -> str:
+        """Chrome trace_event JSON for this submission's jobs (load in
+        chrome://tracing or Perfetto); empty when telemetry is disabled."""
+        spans = self._spans()
+        return json.dumps(chrome_trace(spans), indent=1) if spans else ""
+
+    @property
+    def telemetry_jsonl(self) -> str:
+        """The same spans as the JSONL ``python -m repro.telemetry`` reads."""
+        buffer = io.StringIO()
+        if spans := self._spans():
+            write_jsonl(buffer, spans=spans)
+        return buffer.getvalue()
+
+    def _journaled(self) -> tuple[list[tuple[str, Any]], dict[tuple[str, str, int], Any]]:
+        """One pass over each job's records on its current manager's
+        replica: its adoptions, and its dead letters' data once per
+        (job, task, serial)."""
+        adoptions, letters = [], {}
+        for job_id in self.job_ids:
+            journal = self.cluster.directory.lookup(job_id).manager.journal
+            for record in journal.records(job_id) if journal is not None else ():
+                if record.kind == "job-adopted":
+                    adoptions.append((job_id, record))
+                elif record.kind == "dead-letter":
+                    data = record.data
+                    key = (job_id, str(data.get("task", "")), int(data.get("serial", 0)))
+                    letters.setdefault(key, data)
+        return adoptions, letters
+
+    def _spans(self) -> list[Any]:
+        """This submission's jobs' spans (trace id == job id)."""
+        telemetry = self.cluster.telemetry
+        if telemetry is None:
+            return []
+        return [span for job_id in self.job_ids for span in telemetry.spans.spans(job_id)]
+
+    def artifact(self, name: str) -> Optional[str]:
+        """Artifact *name* built now, a list as JSON (None: no such name)."""
+        if name not in _ARTIFACTS:
+            return None
+        value = getattr(self, _ARTIFACTS[name])
+        return value if isinstance(value, str) else json.dumps(value, indent=2)
 
     def artifacts(self) -> dict[str, str]:
-        return {
-            "xmi": self.xmi_text,
-            "cnx": self.cnx_text,
-            "client.py": self.python_source,
-            "client.java": self.java_source,
-            "diagnostics": json.dumps(self.diagnostics, indent=2),
-            "faults": json.dumps(self.fault_events, indent=2),
-            "failovers": json.dumps(self.failover_events, indent=2),
-            "dead-letters": json.dumps(self.dead_letter_events, indent=2),
-            "timeline": self.timeline,
-            "telemetry.jsonl": self.telemetry_jsonl,
-        }
+        return {name: self.artifact(name) for name in _ARTIFACTS}
 
     def summary(self) -> dict[str, Any]:
+        start, end = self.fault_range
+        adoptions, letters = self._journaled()
         return {
             "id": self.submission_id,
             "status": self.status,
             "tenant": self.tenant,
             "jobs": len(self.results),
             "error": self.error.splitlines()[-1] if self.error else "",
-            "diagnostics": len(self.diagnostics),
-            "faults": len(self.fault_events),
-            "failovers": len(self.failover_events),
-            "dead_letters": len(self.dead_letter_events),
+            "diagnostics": len(self.report),
+            "faults": end - start,
+            "failovers": len(adoptions),
+            "dead_letters": len(letters),
         }
+
+
+#: artifact name -> the Submission attribute it is
+_ARTIFACTS = {
+    "xmi": "xmi_text", "cnx": "cnx_text", "client.py": "python_source",
+    "client.java": "java_source", "diagnostics": "diagnostics",
+    "faults": "fault_events", "failovers": "failover_events",
+    "dead-letters": "dead_letter_events", "timeline": "timeline",
+    "telemetry.jsonl": "telemetry_jsonl",
+}
 
 
 class Portal:
@@ -169,7 +238,9 @@ class Portal:
         ``saturated``; both carry a ``retry_after`` hint."""
         with self._lock:
             self._counter += 1
-            submission = Submission(self._counter, tenant=tenant, xmi_text=xmi_text)
+            submission = Submission(
+                self._counter, self.cluster, tenant=tenant, xmi_text=xmi_text
+            )
             self._submissions[submission.submission_id] = submission
         admission = self.admission
         admitted = admission is None
@@ -211,8 +282,9 @@ class Portal:
         runtime_args: Optional[Mapping[str, Any]],
     ) -> Submission:
         chaos = self.cluster.chaos
-        faults_before = len(chaos.log_dicts()) if chaos is not None else 0
-        jobs_mark = self.cluster.directory.mark()
+        directory = self.cluster.directory
+        faults_before = chaos.fault_count() if chaos is not None else 0
+        jobs_mark = directory.mark()
         try:
             # step 1 checks the model against this cluster's shape and
             # task registry before anything reaches it
@@ -222,7 +294,7 @@ class Portal:
                 runtime_args=runtime_args,
                 timeout=self.timeout,
             )
-            submission.diagnostics = outcome.report.to_json()
+            submission.report = outcome.report
             submission.cnx_text = outcome.cnx_text
             submission.python_source = outcome.python_source
             submission.java_source = outcome.java_source
@@ -233,58 +305,17 @@ class Portal:
             # one line: the full findings travel as structured
             # diagnostics (payload + downloadable artifact)
             submission.error = f"static analysis: {refused.report.summary()}"
-            submission.diagnostics = refused.report.to_json()
+            submission.report = refused.report
         except Exception as failure:  # noqa: BLE001  # conclint: waive CC302 -- submission failures of any kind become the artifact's error field
             submission.status = "failed"
             submission.error = traceback.format_exc()
             if hasattr(failure, "report"):  # failed after step 1: keep its warnings
-                submission.diagnostics = failure.report.to_json()
-        finally:
-            if chaos is not None:
-                submission.fault_events = chaos.log_dicts()[faults_before:]
-            self._capture_jobs(submission, jobs_mark)
+                submission.report = failure.report
+        # a failed submission's partial jobs are what you want to look at
+        submission.job_ids = directory.job_ids_since(jobs_mark)
+        if chaos is not None:
+            submission.fault_range = (faults_before, chaos.fault_count())
         return submission
-
-    def _capture_jobs(self, submission: Submission, jobs_mark: int) -> None:
-        """Record what the jobs created while this submission ran left
-        behind (partial runs included -- a failed submission's timeline
-        is exactly what you want to look at): adoptions and dead letters
-        from each job's own journal records, read from its current
-        manager's replica, and the job's spans (trace id == job id)."""
-        directory = self.cluster.directory
-        job_ids = directory.job_ids_since(jobs_mark)
-        for job_id in job_ids:
-            journal = directory.lookup(job_id).manager.journal
-            if journal is None:
-                continue
-            dead_letters: dict[tuple[str, int], dict[str, Any]] = {}
-            for record in journal.records(job_id):
-                data = record.data
-                if record.kind == "job-adopted":
-                    submission.failover_events.append(
-                        {
-                            "job_id": job_id,
-                            "manager": data.get("manager"),
-                            "previous": data.get("previous"),
-                            "manager_epoch": record.mepoch,
-                        }
-                    )
-                elif record.kind == "dead-letter":
-                    key = (str(data.get("task", "")), int(data.get("serial", 0)))
-                    dead_letters.setdefault(key, {"job_id": job_id, **data})
-            submission.dead_letter_events.extend(
-                dead_letters[key] for key in sorted(dead_letters)
-            )
-        telemetry = self.cluster.telemetry
-        if telemetry is None:
-            return
-        spans = [span for job_id in job_ids for span in telemetry.spans.spans(job_id)]
-        if not spans:
-            return
-        submission.timeline = json.dumps(chrome_trace(spans), indent=1)
-        buffer = io.StringIO()
-        write_jsonl(buffer, spans=spans)
-        submission.telemetry_jsonl = buffer.getvalue()
 
     def metrics_text(self) -> str:
         """The cluster's metrics in Prometheus text format (empty when
@@ -300,8 +331,9 @@ class Portal:
                 raise KeyError(f"no submission {submission_id}") from None
 
     def list(self) -> list[dict[str, Any]]:
-        with self._lock:
-            return [s.summary() for s in self._submissions.values()]
+        with self._lock:  # a summary reads journals: not under the portal's lock
+            submissions = [*self._submissions.values()]
+        return [s.summary() for s in submissions]
 
     def close(self) -> None:
         if self._owns_cluster:
@@ -357,7 +389,7 @@ class _Handler(BaseHTTPRequestHandler):
                     200, {**submission.summary(), "results": submission.results}
                 )
                 return
-            artifact = submission.artifacts().get(parts[2])
+            artifact = submission.artifact(parts[2])
             if artifact is None:
                 self._json(404, {"error": f"no artifact {parts[2]!r}"})
                 return

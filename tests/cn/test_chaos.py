@@ -91,7 +91,7 @@ class TestVirtualClock:
 class TestExponentialBackoff:
     def test_growth_and_cap(self):
         b = ExponentialBackoff(base=0.01, factor=2.0, cap=0.05, jitter=0.0)
-        assert b.schedule(5) == [0.01, 0.02, 0.04, 0.05, 0.05]
+        assert [b.delay(a) for a in range(1, 6)] == [0.01, 0.02, 0.04, 0.05, 0.05]
 
     def test_jitter_bounded_and_deterministic(self):
         b = ExponentialBackoff(base=0.01, factor=2.0, cap=1.0, jitter=0.2, seed=7)

@@ -122,6 +122,8 @@ class TestSubmissionEvents:
         monkeypatch.setattr(MemoryJournal, "records", spy)
         submission = portal.submit(pi_xmi(samples=2000, workers=2))
         assert submission.status == "done"
+        assert asked == []  # the events are views: submit builds none of them
+        assert submission.failover_events == submission.dead_letter_events == []
         assert asked and None not in asked
         assert len(set(asked)) == 1  # the one job this submission created
 
@@ -192,6 +194,74 @@ class TestSubmissionEvents:
         assert first.failover_events == []
         # the next submission starts from a clean slate, not from history
         assert second.dead_letter_events == [] and second.fault_events == []
+
+    def test_concurrent_submissions_each_show_only_their_own_job(self, monkeypatch):
+        import threading
+
+        registry = register_pi_tasks(TaskRegistry())
+        cluster = Cluster(2, registry=registry, memory_per_node=64000)
+        portal = Portal(cluster)
+        # both runs return only once both have created their job, so
+        # each submission's run overlaps the other's
+        both_ran = threading.Barrier(2, timeout=30)
+        run = portal.pipeline.run
+
+        def overlapping_run(*args, **kwargs):
+            outcome = run(*args, **kwargs)
+            both_ran.wait()
+            return outcome
+
+        monkeypatch.setattr(portal.pipeline, "run", overlapping_run)
+        done = []
+        clients = [
+            threading.Thread(
+                target=lambda: done.append(portal.submit(pi_xmi(samples=2000, workers=2)))
+            )
+            for _ in range(2)
+        ]
+        try:
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(60)
+            assert not any(client.is_alive() for client in clients)
+        finally:
+            cluster.shutdown()
+        assert [s.status for s in done] == ["done", "done"]
+        jobs = [
+            {json.loads(line)["trace_id"] for line in s.telemetry_jsonl.splitlines()}
+            for s in done
+        ]
+        assert jobs[0].isdisjoint(jobs[1])
+        assert [len(ids) for ids in jobs] == [1, 1]
+        assert sorted(jobs[0] | jobs[1]) == sorted(s.job_ids[0] for s in done)
+
+    def test_the_exports_are_built_when_read_and_not_before(self, portal, monkeypatch):
+        import repro.cn.portal as module
+
+        calls = {"chrome_trace": 0, "write_jsonl": 0}
+
+        def counted(name):
+            real = getattr(module, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(name))
+        submission = portal.submit(pi_xmi(samples=2000, workers=2))
+        assert submission.status == "done"
+        assert calls == {"chrome_trace": 0, "write_jsonl": 0}
+        timeline = submission.timeline
+        assert calls == {"chrome_trace": 1, "write_jsonl": 0}
+        jsonl = submission.telemetry_jsonl
+        assert calls == {"chrome_trace": 1, "write_jsonl": 1}
+        assert json.loads(timeline)["traceEvents"] and jsonl
+        assert submission.timeline == timeline
+        assert submission.telemetry_jsonl == jsonl
 
     @pytest.mark.chaos
     def test_failover_during_a_submission_is_recorded(self):

@@ -131,6 +131,8 @@ DELETED = [
      "and the native oracle"),
     (EVERYWHERE + ("!tests/cn/test_archive_registry.py",), r"\bknown_jars\b",
      "a registry lists nothing only its tests read"),
+    (EVERYWHERE, r"\b_capture_jobs\b",
+     "a portal submission's artifacts are views built when read, not copies"),
 ]
 
 #: what counts as a caller of a package's exports: tests never do
