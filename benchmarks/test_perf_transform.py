@@ -111,12 +111,14 @@ def test_throughput_and_agreement_report(report, xmi_small, xmi_medium, xmi_larg
 def test_transform_shape_of_the_152_task_fan(monkeypatch):
     """Pinned at the parameter lookup by index (EXPERIMENTS PERF6), which
     took ``key()`` calls from 4 694 to 3 180 and template invocations
-    from 1 672 to 760 per transform.  A change that moves either re-pins
-    here, with its measurement."""
+    from 1 672 to 760 per transform.  The compiled sheet sends every
+    ``key()`` call through ``Transformer._key`` and every template
+    invocation through ``Transformer._invoke``.  A change that moves
+    either re-pins here, with its measurement."""
     pipeline = Pipeline()
     xmi = pipeline.export_xmi(pipeline.to_model(ComposeWide().model(0)))
     counts = {"key": 0, "template": 0}
-    fn_key, invoke = Transformer._fn_key, Transformer._invoke
+    key, invoke = Transformer._key, Transformer._invoke
 
     def counted(name, method):
         def call(*args):
@@ -125,7 +127,7 @@ def test_transform_shape_of_the_152_task_fan(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(Transformer, "_fn_key", counted("key", fn_key))
+    monkeypatch.setattr(Transformer, "_key", counted("key", key))
     monkeypatch.setattr(Transformer, "_invoke", counted("template", invoke))
     xmi_to_cnx_text(xmi)
     assert counts == {"key": 3180, "template": 760}

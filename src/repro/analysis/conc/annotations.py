@@ -111,9 +111,9 @@ GUARDED_BY: dict[str, str] = {
     "Job.messages_poisoned": "Job._lock",
     "MessageQueue.poisoned": "MessageQueue._cond",
     "ChaosPolicy.log": "ChaosPolicy._log_lock",
-    # XSLT: the lowered program of a stylesheet is built once under the
-    # sheet's lowering lock (double-checked; the unlocked read sees None
-    # or the finished, immutable program) and shared by every thread.
+    # XSLT: the compiled program of a stylesheet is built once under the
+    # sheet's lock (double-checked; the unlocked read sees None or the
+    # finished, immutable program) and shared by every thread.
     "Stylesheet._program": "Stylesheet._lower_lock",
 }
 

@@ -19,18 +19,19 @@ Anything else -- ``xsl:import``, ``xsl:include``, ``xsl:sort``,
 outside the subset the stylesheet uses, the XPath parser's or evaluator's
 error) rather than being ignored.
 
-Execution model: a :class:`Stylesheet` is *lowered* once (memoised on
-the sheet, at its first transform) into plain Python closures -- one per
-instruction, ``instr(transformer, context, output)``, with every body a
-tuple of them, every XPath expression and attribute value template
-already compiled, named templates resolved and template rules arranged
-in a dispatch table keyed by pattern.  A :class:`Transformer` holds only
-the state of one run (key tables, the source document), so concurrent
-transforms share one lowered sheet.  Lowering never raises: a malformed
-or unsupported instruction becomes a closure that raises the same
-:class:`XsltError` (or XPath syntax error) the moment it is executed,
-and not before.  A top-level declaration or template the engine does not
-take raises when the sheet is loaded.
+Execution model: a :class:`Stylesheet` is *compiled* once (memoised on
+the sheet, at its first transform) into one generated Python module --
+a function per template, whose XSLT variables are Python locals and
+whose XPath expressions are inline Python (:mod:`.xpath.evaluator`), a
+function per ``xsl:key`` building its table, and ``run``, which binds
+the globals and applies templates to the root through a dispatch table
+keyed by pattern.  A :class:`Transformer` holds only the state of one
+run (key tables, the source document), so concurrent transforms share
+one compiled sheet.  Compiling never raises: a malformed or unsupported
+instruction compiles to a ``raise`` of the same :class:`XsltError` (or
+XPath syntax error) where it stands, so it raises the moment it is
+executed, and not before.  A top-level declaration or template the
+engine does not take raises when the sheet is loaded.
 """
 
 from __future__ import annotations
@@ -39,22 +40,28 @@ import threading
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
 from .output import OutElement, OutputBuilder, OutputSettings, serialize
 from .patterns import Pattern, compile_pattern
-from .xpath.datamodel import DOCUMENT, ELEMENT, STRIPPED, TEXT, XDocument, build_document
-from .xpath.evaluator import Compiled, Context, XPathEvalError
-from .xpath.evaluator import compile as compile_xpath
-from .xpath.functions import (
-    CORE_FUNCTIONS,
-    XPathTypeError,
-    to_boolean,
-    to_nodeset,
-    to_string,
+from .xpath.ast import LocationPath
+from .xpath.datamodel import ELEMENT, STRIPPED, TEXT, XDocument, build_document
+from .xpath.evaluator import (
+    ANY,
+    BOOLEAN,
+    FRAGMENT,
+    NODES,
+    STRING,
+    Module,
+    Scope,
+    XPathEvalError,
+    compile_expr,
+    convert,
+    load,
+    parse_lazily,
+    typed,
 )
-from .xpath.lexer import XPathLexError
-from .xpath.parser import XPathSyntaxError
+from .xpath.functions import XPathTypeError, to_nodeset, to_string
 
 XSL_NS = "http://www.w3.org/1999/XSL/Transform"
 _XSL = "{%s}" % XSL_NS
@@ -76,6 +83,8 @@ class ResultTreeFragment:
         self.top = top
 
     def string_value(self) -> str:
+        if len(self.top) == 1 and self.top[0].__class__ is str:
+            return self.top[0]  # a text-only body's
         parts: list[str] = []
         pending = self.top[::-1]
         while pending:
@@ -94,7 +103,7 @@ class _Text(list):
     add_text = list.append
 
     def finish(self) -> list:
-        return self
+        return ["".join(self)]
 
     def string_value(self) -> str:
         return "".join(self)
@@ -256,224 +265,199 @@ class Stylesheet:
         if name is not None:
             self.named[name] = rule
 
-    # -- lowering -------------------------------------------------------------
-    def lowered(self) -> "_Program":
-        """The executable form of this sheet, built on first use and
+    # -- compiling ------------------------------------------------------------
+    def compiled(self) -> "_Program":
+        """The executable form of this sheet, compiled on first use and
         shared by every transform (and thread) after that."""
         program = self._program
         if program is None:
             with self._lower_lock:
                 if self._program is None:
-                    self._program = _Lowering(self).program()
+                    self._program = _Compiler(self).program()
                 program = self._program
         return program
 
 
 # ---------------------------------------------------------------------------
-# Lowering: stylesheet -> closures
+# Compiling: stylesheet -> one Python module
 # ---------------------------------------------------------------------------
 
-#: a lowered instruction or body
-Instruction = Callable[["Transformer", Context, OutputBuilder], None]
-#: a lowered xsl:variable / xsl:param / xsl:with-param value
-ValueFn = Callable[["Transformer", Context], Any]
-
-_UNSET = object()
 _NO_PARAMS: Mapping[str, Any] = {}
 
 
-class _Scope(dict):
-    """The variable bindings of one template invocation.  A miss falls
-    through to the invoking template's scope and finally to the globals,
-    so one dict per invocation replaces a chain of one per body."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, parent: Optional["_Scope"]) -> None:
-        self.parent = parent
-
-    def __missing__(self, name: str) -> Any:
-        if self.parent is None:
-            raise KeyError(name)
-        return self.parent[name]
-
-
-def _raiser(error: type[Exception], *args: Any) -> Callable[..., Any]:
-    """A closure standing in for something that cannot be lowered: it
-    raises when (and only when) the stylesheet reaches it."""
-
-    def fail(*_ignored: Any) -> Any:
-        raise error(*args)
-
-    return fail
-
-
-def _xpath(source: str) -> Compiled:
+def nodeset_for(value: Any, select: str) -> list:
+    """What an instruction selects, which must be a node-set."""
     try:
-        return compile_xpath(source)
-    except (XPathLexError, XPathSyntaxError) as exc:
-        return _raiser(type(exc), *exc.args)
+        return to_nodeset(value)
+    except XPathTypeError as exc:
+        raise XPathEvalError(f"{select} did not yield a node-set: {exc}") from exc
 
 
-def _avt(value: str) -> Compiled:
-    """An attribute value template as ``context -> str``."""
-    try:
-        chunks = _split_avt(value)
-    except XsltError as exc:
-        return _raiser(XsltError, *exc.args)
-    if not any(is_expr for is_expr, _ in chunks):
-        text = "".join(chunk for _, chunk in chunks)
-        return lambda ctx: text
-    parts = tuple(_xpath(chunk) if is_expr else chunk for is_expr, chunk in chunks)
-    if len(parts) == 1:
-        only = parts[0]
-        return lambda ctx: to_string(only(ctx), ctx.doc)
-    return lambda ctx: "".join(
-        part if isinstance(part, str) else to_string(part(ctx), ctx.doc) for part in parts
-    )
+#: what the generated module finds besides the XPath runtime
+_NAMES = {
+    "OutputBuilder": OutputBuilder, "ResultTreeFragment": ResultTreeFragment,
+    "Text": _Text, "NO_PARAMS": _NO_PARAMS, "XsltError": XsltError, "nodeset_for": nodeset_for,
+}
 
+#: template dispatch and the built-in rules
+_APPLY = """\
+def apply(nodes, out, P):
+    for m in nodes:
+        t = None
+        if m >= 0:
+            kind = kinds[m]
+            if kind == 1:
+                t = D.get(names[m], STAR)
+            elif kind == 0:
+                t = ROOT
+        if t is not None:
+            invoke(t, m, out, P)
+        elif m >= 0 and kinds[m] != 2:
+            apply(children(m), out, NO_PARAMS)
+        else:
+            out.add_text(sv(m))
+"""
 
-def _no_op(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-    pass
-
-
-class _Template:
-    """One lowered template rule (or named template)."""
-
-    __slots__ = ("rule", "params", "body")
-
-    def __init__(self, rule: TemplateRule) -> None:
-        self.rule = rule
-        #: (name, default value); filled in by :class:`_Lowering`
-        self.params: tuple[tuple[Optional[str], ValueFn], ...] = ()
-        self.body: Instruction = _no_op
-
-
+@dataclass(frozen=True)
 class _Program:
-    """What lowering a :class:`Stylesheet` produces.  Immutable once
-    built; everything a run mutates lives on the :class:`Transformer`."""
+    """What compiling a :class:`Stylesheet` produces.  Immutable;
+    everything a run mutates lives on the :class:`Transformer`."""
 
-    __slots__ = ("dispatch", "named", "globals", "keys", "strips")
-
-    def __init__(self) -> None:
-        #: the winning template rule per pattern key: an element name,
-        #: ``*`` or ``/``; of two rules with one key the later in the sheet
-        self.dispatch: dict[str, _Template] = {}
-        self.named: dict[str, _Template] = {}
-        #: (name, is xsl:param, value) per top-level variable/param
-        self.globals: tuple[tuple[Optional[str], bool, ValueFn], ...] = ()
-        #: name -> (match pattern, lowered ``use`` expression)
-        self.keys: dict[str, tuple[Pattern, Compiled]] = {}
-        #: whether whitespace-only text under an element of that name goes
-        self.strips: Optional[Callable[[str], bool]] = None
-
-    def match(self, doc: XDocument, node: int) -> Optional[_Template]:
-        """The winning template for *node*: its element name's rule, else
-        the ``*`` rule; the ``/`` rule for the document node."""
-        kind = doc.kinds[node] if node >= 0 else None  # an attribute has none
-        if kind == ELEMENT:
-            return self.dispatch.get(doc.names[node]) or self.dispatch.get("*")
-        return self.dispatch.get("/") if kind == DOCUMENT else None
+    source: str  #: the generated module's text
+    run: Callable  #: ``run(transformer, doc, params, out)``: one transform
+    templates: tuple[TemplateRule, ...]  #: the generated ``t{i}`` is the i-th
+    #: whether whitespace-only text under an element of that name goes
+    strips: Optional[Callable[[str], bool]]
 
 
-class _Lowering:
-    """Builds the :class:`_Program` of one stylesheet."""
+class _Compiler:
+    """Writes the module of one stylesheet: a function ``t{i}(n, out,
+    P)`` per template (context node, output, with-params), one per
+    location path and per ``xsl:key``'s ``use`` expression, and
+    ``run``, which binds the globals and applies templates to the root.
+    XSLT variables are Python locals.  Compiling never raises: an
+    instruction that cannot run compiles to a ``raise`` of the error it
+    stands for, where it stands."""
 
     def __init__(self, sheet: Stylesheet) -> None:
         self.sheet = sheet
-        # a template with both match= and name= is one _Template
-        self.templates = {
-            id(rule): _Template(rule) for rule in (*sheet.rules, *sheet.named.values())
-        }
-        self.named = {name: self.templates[id(rule)] for name, rule in sheet.named.items()}
+        self.module = Module(xslt=True)
+        # a template with both match= and name= is one function
+        rules = {id(rule): rule for rule in (*sheet.rules, *sheet.named.values())}
+        self.templates = tuple(rules.values())
+        self.number = {key: i for i, key in enumerate(rules)}
 
     # -- the whole sheet ----------------------------------------------------
     def program(self) -> _Program:
         sheet = self.sheet
-        program = _Program()
-        program.named = self.named
-        for template in self.templates.values():
-            rule = template.rule
-            template.params = tuple(
-                (elem.get("name") or None, self.value(elem)) for elem in rule.params
-            )
-            template.body = self.body(rule.body, scoped=False)
-        for rule in sheet.rules:  # in sheet order, so the later rule of a key wins
-            program.dispatch[rule.pattern.key] = self.templates[id(rule)]  # type: ignore[union-attr]
-        program.globals = tuple(
-            (elem.get("name") or None, _local(elem) == "param", self.value(elem))
-            for elem in sheet.globals
-        )
-        program.keys = {
-            name: (pattern, _xpath(use)) for name, (pattern, use) in sheet.keys.items()
-        }
+        for i, rule in enumerate(self.templates):
+            self.template(i, rule)
+        keys = ", ".join(f"{name!r}: {self.key(*declared)}" for name, declared in sheet.keys.items())
+        dispatch = {rule.pattern.key: f"t{self.number[id(rule)]}" for rule in sheet.rules}  # type: ignore[union-attr]
+        table = ", ".join(f"{k!r}: {t}" for k, t in dispatch.items() if k not in ("*", "/"))
+        lines = [
+            "key, invoke = R._key, R._invoke",
+            f"D, STAR, ROOT = {{{table}}}, {dispatch.get('*')}, {dispatch.get('/')}",
+            *_APPLY.splitlines(),
+            f"R._builders = {{{keys}}}",
+            "try:",
+            "    G = {}",
+        ]
+        sc = Scope(self.module, "0", "G", counter=[0])
+        for elem in sheet.globals:
+            name = elem.get("name")
+            if not name:
+                _raise(lines, 1, "top-level variable/param without name")
+                break
+            depth = 1
+            if _local(elem) == "param":
+                lines += [f"    if {name!r} in P:", f"        G[{name!r}] = P[{name!r}]", "    else:"]
+                depth = 2
+            self.assign(elem, sc, f"G[{name!r}]", lines, depth)
+        # a param no xsl:param declares is still visible
+        lines += ["    for name, value in P.items():", "        G.setdefault(name, value)"]
+        lines += ["    apply([0], out, NO_PARAMS)", "finally:"]
+        # the functions refer to each other and to the document: a cycle,
+        # broken here so that the document goes by reference count
+        names = ", ".join([*self.module.functions, "apply", "D", "STAR", "ROOT", "key", "invoke"])
+        lines.append(f"    del {names}")
+        source = self.module.source("run(R, doc, P, out)", lines)
+        strips = None
         if sheet.strip_space:
             strip = frozenset(sheet.strip_space)
-            program.strips = (lambda name: True) if "*" in strip else strip.__contains__
-        return program
+            strips = (lambda name: True) if "*" in strip else strip.__contains__
+        return _Program(source, load(source, "run", "<stylesheet>", _NAMES), self.templates, strips)
+
+    def template(self, i: int, rule: TemplateRule) -> None:
+        sc = Scope(self.module, "n", "G")
+        lines = [f"def t{i}(n, out, P):"]
+        for elem in rule.params:
+            name = elem.get("name")
+            if not name:
+                _raise(lines, 1, "xsl:param without name")
+                break
+            var = sc.fresh("v")
+            select = elem.get("select")
+            if select is not None:
+                default = compile_expr(parse_lazily(select), sc)[0]
+                lines.append(f"    {var} = P[{name!r}] if {name!r} in P else {default}")
+            else:
+                lines += [f"    if {name!r} in P:", f"        {var} = P[{name!r}]", "    else:"]
+                self.assign(elem, sc, var, lines, 2)
+            sc.vars[name] = (var, ANY)
+        self.body(rule.body, sc, "out", lines, 1)
+        self.module.functions.append(f"t{i}")
+        self.module.defs.append("\n".join(lines))
+
+    def key(self, pattern: Pattern, use: str) -> str:
+        """An xsl:key as (pattern key, attribute, use function): the
+        table of ``use="@name"`` is built from the attribute lists, and
+        any other ``use`` compiles to a function of one matched node."""
+        expr = parse_lazily(use)
+        path = isinstance(expr, LocationPath) and not expr.absolute and len(expr.steps) == 1
+        step = expr.steps[0] if path else None  # type: ignore[attr-defined]
+        if step and step.axis == "attribute" and step.node_test != "*" and not step.predicates:
+            return f"({pattern.key!r}, {step.node_test!r}, None)"
+        # variables are not in scope in a key's use=
+        code, kind = compile_expr(expr, Scope(self.module, "c", "NO_PARAMS"))
+        if kind not in (NODES, STRING, ANY):
+            code = convert(code, kind, STRING)
+        return f"({pattern.key!r}, None, {self.module.define('u', 'c', [f'    return {code}'])})"
 
     # -- bodies ---------------------------------------------------------------
-    def body(self, items: list, *, scoped: bool = True) -> Instruction:
-        """A template/instruction body as one closure.  Variables a
-        *scoped* body declares are unbound again when it ends (a
-        template's own body is not scoped: its scope dies with the
-        invocation)."""
-        instructions: list[Instruction] = []
-        declared: list[str] = []
+    def body(self, items: list, sc: Scope, out: str, lines: list[str], depth: int) -> None:
+        """Instructions writing to *out*; variables they declare end
+        with the body."""
+        sc = sc.child()
+        pad, mark = "    " * depth, len(lines)
+        declared: set[str] = set()
         for item in items:
             if isinstance(item, str):
-                instructions.append(self.text(item))
+                lines.append(f"{pad}{out}.add_text({item!r})")
                 continue
-            if _is_xsl(item, "param") and item.get("name") in declared:
+            name = item.get("name")
+            if _is_xsl(item, "param") and name in declared:
                 continue  # a stray body-level param only defaults a name not yet bound here
-            instructions.append(self.instruction(item))
-            if (_is_xsl(item, "variable") or _is_xsl(item, "param")) and item.get("name"):
-                declared.append(item.get("name"))
-        if not instructions:
-            return _no_op
-        steps = tuple(instructions)
-        if not (scoped and declared):
-            if len(steps) == 1:
-                return steps[0]
+            self.instruction(item, sc, out, lines, depth)
+            if (_is_xsl(item, "variable") or _is_xsl(item, "param")) and name:
+                declared.add(name)
+        if len(lines) == mark:
+            lines.append(f"{pad}pass")
 
-            def run(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-                for step in steps:
-                    step(tr, ctx, out)
-
-            return run
-        names = tuple(dict.fromkeys(declared))
-
-        def run_scoped(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-            scope = ctx.variables
-            outer = [scope.get(name, _UNSET) for name in names]  # type: ignore[union-attr]
-            for step in steps:
-                step(tr, ctx, out)
-            for name, value in zip(names, outer):
-                if value is _UNSET:
-                    scope.pop(name, None)  # type: ignore[union-attr]
-                else:
-                    scope[name] = value  # type: ignore[index]
-
-        return run_scoped
-
-    @staticmethod
-    def text(text: str) -> Instruction:
-        return lambda tr, ctx, out: out.add_text(text)
-
-    def instruction(self, elem: ET.Element) -> Instruction:
+    def instruction(self, elem: ET.Element, sc: Scope, out: str, lines: list[str], depth: int) -> None:
         if not _is_xsl(elem):
-            return self.literal_element(elem)
+            return self.literal_element(elem, sc, out, lines, depth)
         name = _local(elem)
-        lower = getattr(self, "xsl_" + name.replace("-", "_"), None)
-        if lower is None:
-            return _raiser(XsltError, f"unsupported instruction xsl:{name}")
-        return lower(elem)
+        write = getattr(self, "xsl_" + name.replace("-", "_"), None)
+        if write is None:
+            return _raise(lines, depth, f"unsupported instruction xsl:{name}")
+        return write(elem, sc, out, lines, depth)
 
     @staticmethod
     def writes_text_only(items: list) -> bool:
         """Whether a body of *items* writes nothing but text (text, ``xsl:text``,
         ``xsl:value-of``, and ``xsl:if``/``for-each``/``choose`` around such
-        bodies), so it can run into a :class:`_Text`, not an OutputBuilder."""
+        bodies), so it can write into a :class:`_Text`, not an OutputBuilder."""
         pending = list(items)
         while pending:
             item = pending.pop()
@@ -486,209 +470,173 @@ class _Lowering:
                 return False
         return True
 
-    def value(self, elem: ET.Element) -> ValueFn:
-        """The value of an xsl:variable / xsl:param / xsl:with-param:
-        its ``select``, or its content as a result-tree fragment."""
+    def assign(self, elem: ET.Element, sc: Scope, target: str, lines: list[str], depth: int) -> str:
+        """Statements setting *target* to the value of an xsl:variable /
+        xsl:param / xsl:with-param: its ``select``, or its content as a
+        result-tree fragment.  Returns the value's type."""
+        pad = "    " * depth
         select = elem.get("select")
         if select is not None:
-            expr = _xpath(select)
-            return lambda tr, ctx: expr(ctx)
+            code, kind = compile_expr(parse_lazily(select), sc)
+            lines.append(f"{pad}{target} = {code}")
+            return kind
         items = _body_items(elem)
         if not items:
-            return lambda tr, ctx: ""
-        body = self.body(items)
-        new_output = _Text if self.writes_text_only(items) else OutputBuilder
+            lines.append(f"{pad}{target} = ''")
+            return STRING
+        sub = sc.fresh("o")
+        lines.append(f"{pad}{sub} = {'Text' if self.writes_text_only(items) else 'OutputBuilder'}()")
+        self.body(items, sc, sub, lines, depth)
+        lines.append(f"{pad}{target} = ResultTreeFragment({sub}.finish())")
+        return FRAGMENT
 
-        def fragment(tr: "Transformer", ctx: Context) -> ResultTreeFragment:
-            sub = new_output()
-            body(tr, ctx, sub)
-            return ResultTreeFragment(sub.finish())
-
-        return fragment
-
-    def with_params(self, elem: ET.Element) -> Callable[["Transformer", Context], Mapping[str, Any]]:
-        """The ``xsl:with-param`` children of *elem*, collected into a
-        mapping when it runs; any other child makes it raise instead."""
+    def with_params(self, elem: ET.Element, sc: Scope, lines: list[str], depth: int) -> str:
+        """The ``xsl:with-param`` children of *elem* as a dict expression,
+        after the statements that compute them; any other child compiles
+        to a raise."""
         for child in elem:
             if not _is_xsl(child, "with-param"):
                 what = f"xsl:{_local(child)}" if _is_xsl(child) else child.tag
-                return _raiser(
-                    XsltError, f"unsupported instruction {what} in xsl:{_local(elem)}"
-                )
-        pairs = tuple((child.get("name") or None, self.value(child)) for child in elem)
-        if not pairs:
-            return lambda tr, ctx: _NO_PARAMS
+                _raise(lines, depth, f"unsupported instruction {what} in xsl:{_local(elem)}")
+                return "NO_PARAMS"
+        pairs = []
+        for child in elem:
+            name = child.get("name")
+            if not name:
+                _raise(lines, depth, "xsl:with-param without name")
+                break
+            value = sc.fresh("w")
+            self.assign(child, sc, value, lines, depth)
+            pairs.append(f"{name!r}: {value}")
+        return f"{{{', '.join(pairs)}}}" if pairs else "NO_PARAMS"
 
-        def collect(tr: "Transformer", ctx: Context) -> dict[str, Any]:
-            params: dict[str, Any] = {}
-            for name, value in pairs:
-                if name is None:
-                    raise XsltError("xsl:with-param without name")
-                params[name] = value(tr, ctx)
-            return params
+    def selected(self, select: str, sc: Scope) -> str:
+        """``select`` compiled for an instruction that needs a node-set."""
+        code, kind = compile_expr(parse_lazily(select), sc)
+        return code if kind == NODES else f"nodeset_for({code}, {select!r})"
 
-        return collect
-
-    @staticmethod
-    def nodeset(select: str) -> Compiled:
-        """``select`` lowered for an instruction that needs a node-set."""
-        expr = _xpath(select)
-
-        def nodes(ctx: Context) -> list:
-            value = expr(ctx)
-            try:
-                return to_nodeset(value)
-            except XPathTypeError as exc:
-                raise XPathEvalError(f"{select} did not yield a node-set: {exc}") from exc
-
-        return nodes
+    def avt(self, value: str, sc: Scope) -> str:
+        """An attribute value template as a string expression."""
+        try:
+            chunks = _split_avt(value)
+        except XsltError as exc:
+            return f"fail(XsltError, *{exc.args!r})"
+        parts = [typed(parse_lazily(text), sc, STRING) if is_expr else repr(text) for is_expr, text in chunks]
+        return " + ".join(parts) if parts else "''"
 
     # -- literal result elements ------------------------------------------------
-    def literal_element(self, elem: ET.Element) -> Instruction:
+    def literal_element(self, elem: ET.Element, sc: Scope, out: str, lines: list[str], depth: int) -> None:
         # Namespaced names outside the XSL namespace are emitted with
         # their local name (we do not do namespace fixup).
-        tag = elem.tag.rpartition("}")[2]
-        attributes = tuple(
-            (key.rpartition("}")[2], _avt(value)) for key, value in elem.attrib.items()
-        )
-        body = self.body(_body_items(elem))
-
-        def literal(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
+        pad = "    " * depth
+        start = f"{out}.start_element({elem.tag.rpartition('}')[2]!r})"
+        if elem.attrib:
             # the element is still empty, so attributes go straight in
-            into = out.start_element(tag).attributes
-            for key, value in attributes:
-                into[key] = value(ctx)
-            body(tr, ctx, out)
-            out.end_element()
-
-        return literal
+            lines.append(f"{pad}into = {start}.attributes")
+            for key, value in elem.attrib.items():
+                lines.append(f"{pad}into[{key.rpartition('}')[2]!r}] = {self.avt(value, sc)}")
+        else:
+            lines.append(pad + start)
+        self.body(_body_items(elem), sc, out, lines, depth)
+        lines.append(f"{pad}{out}.end_element()")
 
     # -- instructions -------------------------------------------------------------
-    def xsl_apply_templates(self, elem: ET.Element) -> Instruction:
+    def xsl_apply_templates(self, elem: ET.Element, sc: Scope, out: str, lines: list[str], depth: int) -> None:
         if elem.get("mode") is not None:
-            return _raiser(XsltError, "unsupported attribute mode= on xsl:apply-templates")
+            return _raise(lines, depth, "unsupported attribute mode= on xsl:apply-templates")
         select = elem.get("select")
-        selected = self.nodeset(select) if select is not None else None
-        collect = self.with_params(elem)
+        nodes = self.selected(select, sc) if select is not None else f"children({sc.node})"
+        if len(elem):  # the nodes are selected before the params are
+            selected, nodes = nodes, sc.fresh("s")
+            lines.append(f"{'    ' * depth}{nodes} = {selected}")
+        params = self.with_params(elem, sc, lines, depth)
+        lines.append(f"{'    ' * depth}apply({nodes}, {out}, {params})")
 
-        def apply_templates(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-            nodes = selected(ctx) if selected is not None else ctx.doc.children(ctx.node)
-            tr._apply_templates(nodes, collect(tr, ctx), ctx, out)
-
-        return apply_templates
-
-    def xsl_call_template(self, elem: ET.Element) -> Instruction:
+    def xsl_call_template(self, elem: ET.Element, sc: Scope, out: str, lines: list[str], depth: int) -> None:
         name = elem.get("name")
-        template = self.named.get(name or "")
-        if template is None:
-            return _raiser(XsltError, f"no template named {name!r}")
-        collect = self.with_params(elem)
+        rule = self.sheet.named.get(name or "")
+        if rule is None:
+            return _raise(lines, depth, f"no template named {name!r}")
+        params = self.with_params(elem, sc, lines, depth)
+        lines.append(f"{'    ' * depth}invoke(t{self.number[id(rule)]}, {sc.node}, {out}, {params})")
 
-        def call_template(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-            tr._invoke(template, ctx.node, collect(tr, ctx), ctx.variables, out)
-
-        return call_template
-
-    def xsl_value_of(self, elem: ET.Element) -> Instruction:
+    def xsl_value_of(self, elem: ET.Element, sc: Scope, out: str, lines: list[str], depth: int) -> None:
         select = elem.get("select")
         if select is None:
-            return _raiser(XsltError, "xsl:value-of requires select")
-        expr = _xpath(select)
-        return lambda tr, ctx, out: out.add_text(to_string(expr(ctx), ctx.doc))
+            return _raise(lines, depth, "xsl:value-of requires select")
+        lines.append(f"{'    ' * depth}{out}.add_text({typed(parse_lazily(select), sc, STRING)})")
 
-    def xsl_for_each(self, elem: ET.Element) -> Instruction:
+    def xsl_for_each(self, elem: ET.Element, sc: Scope, out: str, lines: list[str], depth: int) -> None:
         select = elem.get("select")
         if select is None:
-            return _raiser(XsltError, "xsl:for-each requires select")
+            return _raise(lines, depth, "xsl:for-each requires select")
         if any(_is_xsl(child, "sort") for child in elem):
             # raise even over an empty node-set, which never runs the body
-            return _raiser(XsltError, "unsupported instruction xsl:sort")
-        selected = self.nodeset(select)
-        body = self.body(_body_items(elem))
+            return _raise(lines, depth, "unsupported instruction xsl:sort")
+        node = sc.fresh("n")
+        lines.append(f"{'    ' * depth}for {node} in {self.selected(select, sc)}:")
+        self.body(_body_items(elem), sc.at(node), out, lines, depth + 1)
 
-        def for_each(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-            nodes = selected(ctx)
-            # one context for the whole node list, moved along it
-            sub = Context(ctx.doc, ctx.variables, ctx.functions, ctx.node)
-            for node in nodes:
-                sub.node = node
-                body(tr, sub, out)
-
-        return for_each
-
-    def xsl_if(self, elem: ET.Element) -> Instruction:
+    def xsl_if(self, elem: ET.Element, sc: Scope, out: str, lines: list[str], depth: int) -> None:
         test = elem.get("test")
         if test is None:
-            return _raiser(XsltError, "xsl:if requires test")
-        condition = _xpath(test)
-        body = self.body(_body_items(elem))
+            return _raise(lines, depth, "xsl:if requires test")
+        lines.append(f"{'    ' * depth}if {typed(parse_lazily(test), sc, BOOLEAN)}:")
+        self.body(_body_items(elem), sc, out, lines, depth + 1)
 
-        def run_if(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-            if to_boolean(condition(ctx)):
-                body(tr, ctx, out)
-
-        return run_if
-
-    def xsl_choose(self, elem: ET.Element) -> Instruction:
-        branches: list[tuple[Optional[Compiled], Instruction]] = []
+    def xsl_choose(self, elem: ET.Element, sc: Scope, out: str, lines: list[str], depth: int) -> None:
+        keyword = "if"
         for child in elem:
             if _is_xsl(child, "when"):
                 test = child.get("test")
                 condition = (
-                    _xpath(test)
+                    typed(parse_lazily(test), sc, BOOLEAN)
                     if test is not None
-                    else _raiser(XsltError, "xsl:when requires test")
+                    else "fail(XsltError, 'xsl:when requires test')"
                 )
-                branches.append((condition, self.body(_body_items(child))))
+                lines.append(f"{'    ' * depth}{keyword} {condition}:")
             elif _is_xsl(child, "otherwise"):
-                branches.append((None, self.body(_body_items(child))))
+                lines.append(f"{'    ' * depth}{'else' if keyword == 'elif' else 'if True'}:")
+            else:
+                continue
+            self.body(_body_items(child), sc, out, lines, depth + 1)
+            if _is_xsl(child, "otherwise"):
                 break  # nothing after xsl:otherwise is ever reached
-        arms = tuple(branches)
+            keyword = "elif"
 
-        def choose(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-            for condition, body in arms:
-                if condition is None or to_boolean(condition(ctx)):
-                    body(tr, ctx, out)
-                    return
+    def xsl_text(self, elem: ET.Element, sc: Scope, out: str, lines: list[str], depth: int) -> None:
+        if elem.text:
+            lines.append(f"{'    ' * depth}{out}.add_text({elem.text!r})")
 
-        return choose
-
-    def xsl_text(self, elem: ET.Element) -> Instruction:
-        return self.text(elem.text or "")
-
-    def xsl_attribute(self, elem: ET.Element) -> Instruction:
+    def xsl_attribute(self, elem: ET.Element, sc: Scope, out: str, lines: list[str], depth: int) -> None:
         name = elem.get("name")
         if not name:
-            return _raiser(XsltError, "xsl:attribute requires name")
-        name_of = _avt(name)
-        items = _body_items(elem)
-        body = self.body(items)
-        new_output = _Text if self.writes_text_only(items) else OutputBuilder
+            return _raise(lines, depth, "xsl:attribute requires name")
+        pad, items = "    " * depth, _body_items(elem)
+        select = items[0].get("select") if len(items) == 1 and not isinstance(items[0], str) else None
+        if select is not None and _is_xsl(items[0], "value-of") and not {"{", "}"} & set(name):
+            value = typed(parse_lazily(select), sc, STRING)
+            lines.append(f"{pad}{out}.add_attribute({self.avt(name, sc)}, {value})")
+            return
+        sub = sc.fresh("o")
+        lines.append(f"{pad}{sub} = {'Text' if self.writes_text_only(items) else 'OutputBuilder'}()")
+        self.body(items, sc, sub, lines, depth)
+        lines.append(f"{pad}{out}.add_attribute({self.avt(name, sc)}, {sub}.string_value())")
 
-        def attribute(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-            sub = new_output()
-            body(tr, ctx, sub)
-            out.add_attribute(name_of(ctx), sub.string_value())
-
-        return attribute
-
-    def xsl_variable(self, elem: ET.Element) -> Instruction:
+    def xsl_variable(self, elem: ET.Element, sc: Scope, out: str, lines: list[str], depth: int) -> None:
         name = elem.get("name")
         if not name:
-            return _raiser(XsltError, "xsl:variable requires name")
-        value = self.value(elem)
+            return _raise(lines, depth, f"xsl:{_local(elem)} requires name")
+        var = sc.fresh("v")
+        kind = self.assign(elem, sc, var, lines, depth)
+        sc.vars[name] = (var, kind)  # in scope after its own value
 
-        def variable(tr: "Transformer", ctx: Context, out: OutputBuilder) -> None:
-            ctx.variables[name] = value(tr, ctx)  # type: ignore[index]
+    # a stray body-level param acts as a defaulted variable (see body())
+    xsl_param = xsl_variable
 
-        return variable
 
-    def xsl_param(self, elem: ET.Element) -> Instruction:
-        # Template params are hoisted into the invocation; a stray
-        # body-level param acts as a defaulted variable (see body()).
-        if not elem.get("name"):
-            return _raiser(XsltError, "xsl:param requires name")
-        return self.xsl_variable(elem)
+def _raise(lines: list[str], depth: int, message: str) -> None:
+    lines.append(f"{'    ' * depth}raise XsltError({message!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -698,15 +646,16 @@ class _Lowering:
 class Transformer:
     """Executes a :class:`Stylesheet` against a source document.
 
-    Holds the state of one run; the lowered stylesheet it executes is
+    Holds the state of one run; the compiled stylesheet it executes is
     shared.  Not itself thread-safe: use one per thread."""
 
     def __init__(self, stylesheet: Stylesheet) -> None:
         self.stylesheet = stylesheet
-        self._key_tables: dict[str, dict[str, Any]] = {}
         self._doc: Optional[XDocument] = None
-        self._program: Optional[_Program] = None
-        self._functions: dict[str, Any] = {}
+        #: per xsl:key of this run: its table once built, and its
+        #: (pattern key, attribute of ``use="@name"``, ``use`` function)
+        self._key_tables: dict[str, dict[str, Any]] = {}
+        self._builders: dict[str, tuple[str, Optional[str], Any]] = {}
 
     # -- public API ---------------------------------------------------------
     def transform(
@@ -726,9 +675,7 @@ class Transformer:
         *,
         restore_prefixes: bool = False,
     ) -> list:
-        program = self._program = self.stylesheet.lowered()
-        if not self._functions:
-            self._functions = self._function_table()
+        program = self.stylesheet.compiled()
         if isinstance(source, XDocument):
             doc = source
             if program.strips is not None:
@@ -740,20 +687,33 @@ class Transformer:
         self._doc = doc
         try:
             out = OutputBuilder()
-            scope = self._bind_globals(program, doc, dict(params or {}))
-            root = Context(doc, scope, self._functions)
-            self._apply_templates([0], _NO_PARAMS, root, out)
+            program.run(self, doc, dict(params or {}), out)
             return out.finish()
         finally:
             # the run's document and key tables go with the run
-            self._doc, self._key_tables = None, {}
+            self._doc, self._key_tables, self._builders = None, {}, {}
 
-    # -- setup ----------------------------------------------------------------
-    def _function_table(self) -> dict[str, Any]:
-        fns = dict(CORE_FUNCTIONS)
-        fns["key"] = self._fn_key
-        fns["generate-id"] = self._fn_generate_id
-        return fns
+    # -- what the compiled sheet calls -----------------------------------------
+    def _invoke(self, template: Callable, node: int, out: OutputBuilder, params: Mapping[str, Any]) -> None:
+        """Every template invocation, matched or called by name."""
+        template(node, out, params)
+
+    def _key(self, name: str, value: Any) -> list[int]:
+        """``key(name, value)``: every lookup.  A node-set value looks up
+        each node's string, the hits merged in document order."""
+        table = self._key_tables.get(name)
+        if table is None:
+            table = self._key_table(name)
+        if value.__class__ is list:
+            if len(value) != 1:
+                return sorted({hit for node in value for hit in self._key(name, [node])})
+            value = self._doc.string_value(value[0])  # type: ignore[union-attr]
+        elif value.__class__ is not str:
+            value = to_string(value, self._doc)
+        hits = table.get(value)
+        if hits is None:
+            return []
+        return [hits] if hits.__class__ is int else hits
 
     def _key_table(self, name: str) -> dict[str, Any]:
         """Build (once per document) the hash table for xsl:key *name*:
@@ -761,15 +721,26 @@ class Transformer:
         string produced by its ``use`` expression -- this is how real
         processors make id/idref joins linear.  A string one node has is
         kept as that int, and only a string of several as their list."""
-        table = self._key_tables.get(name)
-        if table is not None:
-            return table
-        assert self._program is not None and self._doc is not None
-        declaration = self._program.keys.get(name)
-        if declaration is None:
+        declared = self._builders.get(name)
+        if declared is None:
             raise XsltError(f"no xsl:key named {name!r}")
-        table = {}
-        for node, string in self._key_entries(self._doc, *declaration):
+        match, attribute, use = declared
+        doc: Any = self._doc
+        if attribute is not None and match == "*":
+            # one pass over the attributes of that name, each under its owner
+            entries: Any = doc.attributes_named(attribute)
+        else:
+            if match == "*":
+                rows: Any = [row for row, kind in enumerate(doc.kinds) if kind == ELEMENT]
+            else:
+                rows = [0] if match == "/" else doc.index.get(match, ())
+            if attribute is None:
+                entries = [(c, s) for c in rows for s in _strings(use(c), doc)]
+            else:  # the attribute of each of the pattern's rows
+                values = doc.attr_values
+                entries = [(c, values[a]) for c in rows if (a := doc.attribute(c, attribute)) is not None]
+        table: dict[str, Any] = {}
+        for node, string in entries:
             hits = table.get(string)
             if hits is None:
                 table[string] = node
@@ -780,120 +751,13 @@ class Transformer:
         self._key_tables[name] = table
         return table
 
-    def _key_entries(
-        self, doc: XDocument, pattern: Pattern, use: Compiled
-    ) -> Iterator[tuple[int, str]]:
-        """(node, string) for each node *pattern* matches, in document
-        order, once under each string *use* gives it."""
-        attribute = getattr(use, "attribute", None)
-        if attribute is not None:
-            # use="@name": one pass over the attributes of that name, each
-            # under its owner element when the pattern takes the owner
-            names = doc.names
-            for owner, string in doc.attributes_named(attribute):
-                if pattern.key == "*" or names[owner] == pattern.key:
-                    yield owner, string
-            return
-        # the pattern is its key: the document, every element, or one
-        # name's elements straight from the name index
-        if pattern.key == "*":
-            candidates = [row for row, kind in enumerate(doc.kinds) if kind == ELEMENT]
-        else:
-            candidates = [0] if pattern.key == "/" else doc.index.get(pattern.key, [])
-        at_node = Context(doc, {}, self._functions)
-        for node in candidates:
-            at_node.node = node
-            value = use(at_node)
-            if value.__class__ is list:  # once under a value, however many nodes yield it
-                for string in dict.fromkeys([doc.string_value(hit) for hit in value]):
-                    yield node, string
-            else:
-                yield node, to_string(value)
 
-    def _fn_key(self, ctx: Context, name: Any, value: Any) -> list[int]:
-        table = self._key_tables.get(name) if name.__class__ is str else None
-        if table is None:
-            table = self._key_table(to_string(name, ctx.doc))
-        if value.__class__ is list:
-            if len(value) != 1:  # a lookup per node, the hits merged in document order
-                return sorted({hit for node in value for hit in self._fn_key(ctx, name, [node])})
-            hits = table.get(ctx.doc.string_value(value[0]))
-        else:
-            hits = table.get(to_string(value, ctx.doc))
-        if hits is None:
-            return []
-        return [hits] if hits.__class__ is int else hits[:]
-
-    def _fn_generate_id(self, ctx: Context, *args: Any) -> str:
-        if args:
-            nodes = to_nodeset(args[0])
-            if not nodes:
-                return ""
-            node = nodes[0]
-        else:
-            node = ctx.node
-        return f"id{ctx.doc.number(node)}"
-
-    def _bind_globals(
-        self, program: _Program, doc: XDocument, params: dict[str, Any]
-    ) -> _Scope:
-        scope = _Scope(None)
-        ctx = Context(doc, scope, self._functions)
-        for name, is_param, value in program.globals:
-            if name is None:
-                raise XsltError("top-level variable/param without name")
-            if is_param and name in params:
-                scope[name] = params[name]
-            else:
-                scope[name] = value(self, ctx)
-        # externally supplied params that have no matching xsl:param are
-        # still made visible (lenient, convenient for tooling)
-        for key, value in params.items():
-            scope.setdefault(key, value)
-        return scope
-
-    # -- template application ------------------------------------------------------
-    def _apply_templates(
-        self,
-        nodes: Sequence[int],
-        with_params: Mapping[str, Any],
-        ctx: Context,
-        out: OutputBuilder,
-    ) -> None:
-        """Apply the winning template (or the built-in rule) to each of
-        *nodes*; *ctx* is the caller's context, whose variables invoked
-        templates can see."""
-        program, doc = self._program, self._doc
-        assert program is not None and doc is not None
-        for node in nodes:
-            template = program.match(doc, node)
-            if template is None:
-                self._builtin_rule(node, ctx, out)
-            else:
-                self._invoke(template, node, with_params, ctx.variables, out)
-
-    def _builtin_rule(self, node: int, ctx: Context, out: OutputBuilder) -> None:
-        doc = ctx.doc
-        if node >= 0 and doc.kinds[node] != TEXT:  # the document or an element
-            self._apply_templates(doc.children(node), _NO_PARAMS, ctx, out)
-        else:
-            out.add_text(doc.string_value(node))
-
-    def _invoke(
-        self,
-        template: _Template,
-        node: int,
-        with_params: Mapping[str, Any],
-        caller_scope: Mapping[str, Any],
-        out: OutputBuilder,
-    ) -> None:
-        scope = _Scope(caller_scope)  # type: ignore[arg-type]
-        ctx = Context(self._doc, scope, self._functions, node)  # type: ignore[arg-type]
-        for name, default in template.params:
-            if name is None:
-                raise XsltError("xsl:param without name")
-            scope[name] = with_params[name] if name in with_params else default(self, ctx)
-        template.body(self, ctx, out)
+def _strings(value: Any, doc: XDocument) -> Any:
+    """The strings a key's ``use`` gives one node: a node-set's, once
+    each, in document order."""
+    if value.__class__ is list:
+        return dict.fromkeys(map(doc.string_value, value))
+    return (value if value.__class__ is str else to_string(value),)
 
 
 def _strip_space(doc: XDocument, strips: Callable[[str], bool]) -> None:

@@ -1,5 +1,5 @@
 """The XPath subset ``xmi2cnx.xsl`` uses: lexer, parser, data model,
-evaluator, five core functions.
+compiler, five core functions.
 
 This package is the query language under the XSLT engine, and says only
 what the one stylesheet says; anything else it refuses by name (see
@@ -11,8 +11,8 @@ Typical use::
     doc = build_document("<a><b x='1'/><b x='2'/></a>")
     nodes = evaluate("//b[@x = '2']", Context(doc))
 
-``compile(expr)`` returns the closure ``evaluate`` runs, for callers
-that evaluate one expression in many contexts.
+``compile(expr)`` returns the compiled function ``evaluate`` runs, for
+callers that evaluate one expression in many contexts.
 """
 
 from .datamodel import build_document

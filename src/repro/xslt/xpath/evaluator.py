@@ -8,25 +8,32 @@ Values follow the four XPath types:
 * number    -> ``float``
 * string    -> ``str``
 
-:func:`compile` lowers an expression once into a plain Python closure
-``fn(context) -> value``: every AST node becomes one specialised
-closure, so what can be decided from the expression alone (which axis,
-which name test, whether a predicate is ``[3]``, whether ``//Name`` can
-use the name index, whether a call has the arity its function takes) is
-decided at lowering and evaluation only does the work that depends on
-the context.  Lowering never fails for an expression that parses:
-anything the subset cannot evaluate becomes a closure that raises
-:class:`XPathEvalError` when, and only when, it is reached.
+An expression compiles to Python source: one Python expression, typed
+where the syntax fixes the type, so ``concat(@a, '|')`` is a string
+concatenation and ``$n + 1`` a float addition with no coercion at run
+time.  A location path becomes a function of its own in the generated
+module: one loop per step over the document's flat lists (``ends``
+from child to child, ``alphas`` into the attribute lists, a bisect of
+the name index for ``//Name``), returning the node list -- or, where
+only the first node's string or whether there is any node is wanted,
+returning at the first hit.  :class:`Module` collects that source; the
+XSLT engine compiles a whole stylesheet into one, and :func:`compile`
+one expression.
+
+An expression that parses always compiles: anything the subset cannot
+evaluate compiles to a call of :func:`fail`, which raises
+:class:`XPathEvalError` (or the error it stands for) when, and only
+when, it is reached.
 
 :func:`evaluate` is ``compile(expr)(context)``.
 """
 
 from __future__ import annotations
 
+import builtins
 import functools
-import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Optional
 
 from .ast import (
     BinaryOp,
@@ -36,20 +43,22 @@ from .ast import (
     LocationPath,
     NumberLiteral,
     PathExpr,
-    Step,
     StringLiteral,
     VariableRef,
 )
-from .datamodel import ELEMENT, XDocument
+from .datamodel import XDocument
 from .functions import (
     ARITY,
-    CORE_FUNCTIONS,
+    XPathTypeError,
+    number_to_string,
+    substring,
     to_boolean,
     to_nodeset,
     to_number,
     to_string,
 )
-from .parser import DESCENDANT_SKIP, parse
+from .lexer import XPathLexError
+from .parser import DESCENDANT_SKIP, XPathSyntaxError, parse
 
 __all__ = ["Context", "XPathEvalError", "compile", "evaluate"]
 
@@ -60,28 +69,68 @@ class XPathEvalError(ValueError):
 
 @dataclass(slots=True)
 class Context:
-    """Evaluation context: the document, variables, functions, and the
-    context node (the document node unless given)."""
+    """Evaluation context: the document, the variables, and the context
+    node (the document node unless given)."""
 
     doc: XDocument
     variables: Mapping[str, Any] = field(default_factory=dict)
-    functions: Mapping[str, Callable[..., Any]] = field(default_factory=lambda: CORE_FUNCTIONS)
     node: int = 0
 
 
-#: a lowered expression
+#: a compiled expression
 Compiled = Callable[[Context], Any]
-#: a lowered step: (start node, context) -> nodes
-NodeFn = Callable[[int, Context], list]
-#: a lowered predicate list or path: (node list, context) -> node list
-FilterFn = Callable[[list, Context], list]
+
+#: the static type of a compiled expression; ANY is known only at run
+#: time, FRAGMENT is an XSLT result-tree fragment
+NODES, STRING, NUMBER, BOOLEAN, ANY, FRAGMENT = (
+    "nodes", "string", "number", "boolean", "any", "fragment"
+)
 
 
 # ---------------------------------------------------------------------------
-# Comparisons (3.4)
+# Runtime: what generated code calls
 # ---------------------------------------------------------------------------
 
-def _compare(op: str, left: Any, right: Any, doc: XDocument) -> bool:
+def fail(error: type[Exception], *args: Any) -> Any:
+    """Raise *error*: the compiled form of what cannot be evaluated."""
+    raise error(*args)
+
+
+def variable(scope: Mapping[str, Any], name: str) -> Any:
+    try:
+        return scope[name]
+    except KeyError:
+        raise XPathEvalError(f"unbound variable ${name}") from None
+
+
+def keep(value: Any) -> bool:
+    """A predicate's value as a keep/drop decision."""
+    if value.__class__ is bool:
+        return value
+    if isinstance(value, (int, float)):  # [$n] is [position() = $n]
+        raise XPathEvalError("unsupported predicate: a number other than a literal [n]")
+    return to_boolean(value)
+
+
+def nth(nodes: list, index: int) -> list:
+    """``[k]`` over a whole node-set, *index* being k - 1."""
+    return [nodes[index]] if 0 <= index < len(nodes) else []
+
+
+def first(doc: XDocument, nodes: list) -> str:
+    """A node-set's string: its first node's."""
+    return doc.string_value(nodes[0]) if nodes else ""
+
+
+def name_of(doc: XDocument, nodes: list) -> str:
+    return doc.name(nodes[0]) if nodes else ""
+
+
+def generate_id(doc: XDocument, nodes: list) -> str:
+    return f"id{doc.number(nodes[0])}" if nodes else ""
+
+
+def compare(op: str, left: Any, right: Any, doc: XDocument) -> bool:
     """``=`` or ``>`` by XPath 3.4: node-sets compare existentially,
     except against booleans, where the whole set converts via boolean()."""
     if op == "=" and (isinstance(left, bool) or isinstance(right, bool)):
@@ -95,6 +144,15 @@ def _compare(op: str, left: Any, right: Any, doc: XDocument) -> bool:
     if isinstance(right, list):
         return any(_compare_atomic(op, left, _coerce_for(left, string_value(n))) for n in right)
     return _compare_atomic(op, left, right)
+
+
+def equals(value: Any, literal: str, doc: XDocument) -> bool:
+    """``value = 'literal'``."""
+    if value.__class__ is str:
+        return value == literal
+    if value.__class__ is list:
+        return any(doc.string_value(node) == literal for node in value)
+    return compare("=", value, literal, doc)
 
 
 def _coerce_for(other: Any, string_value: str) -> Any:
@@ -114,313 +172,421 @@ def _compare_atomic(op: str, left: Any, right: Any) -> bool:
     return to_string(left) == to_string(right)
 
 
-# ---------------------------------------------------------------------------
-# Lowering: predicates and steps
-# ---------------------------------------------------------------------------
-
-def _attribute_name(expr: Expr) -> str | None:
-    """*name* when *expr* is the relative path ``@name``, else None."""
-    if not isinstance(expr, LocationPath) or expr.absolute or len(expr.steps) != 1:
-        return None
-    step = expr.steps[0]
-    named = step.axis == "attribute" and step.node_test != "*" and not step.predicates
-    return step.node_test if named else None
-
-
-def _lower_predicate(pred: Expr) -> FilterFn:
-    if isinstance(pred, NumberLiteral):
-        # [k]: the k-th candidate in document order, nothing for a k no
-        # position can equal
-        index = int(pred.value) - 1 if pred.value.is_integer() else -1
-        return lambda nodes, ctx: [nodes[index]] if 0 <= index < len(nodes) else []
-
-    expr = _lower(pred)
-
-    def test(nodes: list, ctx: Context) -> list:
-        if not nodes:
-            return nodes
-        # one context for the whole candidate list, moved along it
-        sub = Context(ctx.doc, ctx.variables, ctx.functions, nodes[0])
-        kept = []
-        for node in nodes:
-            sub.node = node
-            value = expr(sub)
-            if value.__class__ is not bool:
-                if isinstance(value, (int, float)):  # [$n] is [position() = $n]
-                    raise XPathEvalError("unsupported predicate: a number other than a literal [n]")
-                value = to_boolean(value)
-            if value:
-                kept.append(node)
-        return kept
-
-    return test
-
-
-def _lower_predicates(predicates: tuple[Expr, ...]) -> FilterFn:
-    filters = tuple(_lower_predicate(p) for p in predicates)
-    if len(filters) == 1:
-        return filters[0]
-
-    def chain(nodes: list, ctx: Context) -> list:
-        for keep in filters:
-            nodes = keep(nodes, ctx)
-        return nodes
-
-    return chain
-
-
-def _lower_scan(axis: str, test: str) -> NodeFn:
-    """Axis walk + node test as one function returning a fresh list in
-    document order.  ``.``, ``..`` and ``//`` test ``node()``; a child or
-    attribute step tests a name or ``*``.  The two hottest shapes, a
-    named child and a named attribute, read the document's lists
-    themselves rather than through a method."""
-    if axis == "self":
-        return lambda node, ctx: [node]
-    if axis == "parent":
-        return lambda node, ctx: [] if node == 0 else [ctx.doc.parent(node)]
-    if axis == "descendant-or-self":
-        return lambda node, ctx: [node, *ctx.doc.descendants(node)]
-    if axis == "attribute":
-        if test == "*":
-            return lambda node, ctx: ctx.doc.attributes(node)
-
-        def one_attribute(node: int, ctx: Context) -> list:
-            if node >= 0:  # not itself an attribute
-                doc = ctx.doc
-                names, alphas = doc.attr_names, doc.alphas
-                for attr in range(alphas[node], alphas[node + 1]):
-                    if names[attr] == test:
-                        return [attr - len(names)]
-            return []
-
-        return one_attribute
-    if test == "*":
-
-        def elements(node: int, ctx: Context) -> list:
-            kinds = ctx.doc.kinds
-            return [c for c in ctx.doc.children(node) if kinds[c] == ELEMENT]
-
-        return elements
-
-    def named(node: int, ctx: Context) -> list:
-        # XDocument.children with the name test folded in: only elements
-        # among the rows carry a name
-        doc = ctx.doc
-        names, ends = doc.names, doc.ends
-        found = []
-        child, end = node + 1, ends[node] if node >= 0 else 0
-        while child < end:
-            if names[child] == test:
-                found.append(child)
-            child = ends[child]
-        return found
-
-    return named
-
-
-def _lower_step(step: Step) -> NodeFn:
-    """One step from one node: candidates in document order, predicates
-    applied."""
-    scan = _lower_scan(step.axis, step.node_test)
-    if not step.predicates:
-        return scan
-    keep = _lower_predicates(step.predicates)
-    return lambda node, ctx: keep(scan(node, ctx), ctx)
-
-
-def _advance_by_step(step: Step) -> FilterFn:
-    """(current node-set, context) -> next node-set for one ordinary step."""
-    step_fn = _lower_step(step)
-    # from distinct sources in document order, an attribute or self step
-    # gives distinct results in document order: no dedup pass
-    ordered = step.axis in ("attribute", "self")
-
-    def advance(current: list, ctx: Context) -> list:
-        if len(current) == 1:
-            return step_fn(current[0], ctx)
-        gathered: list[int] = []
-        for node in current:
-            gathered.extend(step_fn(node, ctx))
-        return gathered if ordered else sorted(set(gathered))
-
-    return advance
-
-
-def _advance_by_name_index(name_step: Step) -> FilterFn:
-    """``//Name[preds]`` from a single node, through its document's name
-    index.  From several nodes, or with a positional ``[n]`` (whose
-    positions are per parent), the two steps run as written."""
-    name = name_step.node_test
-    keep = _lower_predicates(name_step.predicates)
-    expand, select = _advance_by_step(DESCENDANT_SKIP), _advance_by_step(name_step)
-    positional = any(isinstance(p, NumberLiteral) for p in name_step.predicates)
-
-    def advance(current: list, ctx: Context) -> list:
-        if len(current) != 1 or positional:
-            return select(expand(current, ctx), ctx)
-        return keep(ctx.doc.descendants_named(current[0], name), ctx)
-
-    return advance
-
-
-def _lower_steps(steps: tuple[Step, ...]) -> FilterFn:
-    """A relative path as ``(start node-set, context) -> node-set``."""
-    plan: list[FilterFn] = []
-    i = 0
-    while i < len(steps):
-        if (
-            steps[i] == DESCENDANT_SKIP
-            and i + 1 < len(steps)
-            and steps[i + 1].axis == "child"
-            and steps[i + 1].node_test != "*"
-        ):
-            plan.append(_advance_by_name_index(steps[i + 1]))
-            i += 2
-        else:
-            plan.append(_advance_by_step(steps[i]))
-            i += 1
-    if len(plan) == 1:
-        return plan[0]
-    stages = tuple(plan)
-
-    def walk(current: list, ctx: Context) -> list:
-        for advance in stages:
-            current = advance(current, ctx)
-            if not current:
-                break
-        return current
-
-    return walk
-
-
-# ---------------------------------------------------------------------------
-# Lowering: expressions
-# ---------------------------------------------------------------------------
-
-def _constant(value: Any) -> Compiled:
-    return lambda ctx: value
-
-
-def _lower_variable(expr: VariableRef) -> Compiled:
-    name = expr.name
-
-    def variable(ctx: Context) -> Any:
-        try:
-            return ctx.variables[name]
-        except KeyError:
-            raise XPathEvalError(f"unbound variable ${name}") from None
-
-    return variable
-
-
-def _lower_call(expr: FunctionCall) -> Compiled:
-    """A call bound by arity, one to three arguments with no per-call
-    list.  A call outside its function's :data:`ARITY`, or to an unknown
-    name, raises when it is reached."""
-    name, count = expr.name, len(expr.args)
-    least, most = ARITY.get(name, (count, count))
-    if count < least or (most is not None and count > most):
-        takes = f"{least} or more" if most is None else f"{least} or {most}" if most > least else str(least)
-        message = f"{name}() takes {takes} argument{'' if takes == '1' else 's'}"
-
-        def bad_arity(ctx: Context) -> Any:
-            raise XPathEvalError(message)
-
-        return bad_arity
-    args = tuple(_lower(a) for a in expr.args)
-
-    def unknown() -> Any:
-        raise XPathEvalError(f"unknown function {name}()")
-
-    if count == 1:
-        (a,) = args
-        return lambda ctx: (ctx.functions.get(name) or unknown())(ctx, a(ctx))
-    if count == 2:
-        a, b = args
-        return lambda ctx: (ctx.functions.get(name) or unknown())(ctx, a(ctx), b(ctx))
-    if count == 3:
-        a, b, c = args
-        return lambda ctx: (ctx.functions.get(name) or unknown())(ctx, a(ctx), b(ctx), c(ctx))
-    return lambda ctx: (ctx.functions.get(name) or unknown())(ctx, *[arg(ctx) for arg in args])
-
-
-_ARITHMETIC: dict[str, Callable[[float, float], float]] = {"+": operator.add, "-": operator.sub}
-
-
-def _lower_binary(expr: BinaryOp) -> Compiled:
-    op = expr.op
-    left, right = _lower(expr.left), _lower(expr.right)
-    if op == "or":
-        return lambda ctx: to_boolean(left(ctx)) or to_boolean(right(ctx))
-    if op == "=" and isinstance(expr.left, StringLiteral) != isinstance(expr.right, StringLiteral):
-        on_left = isinstance(expr.left, StringLiteral)
-        operand, literal = (right, expr.left.value) if on_left else (left, expr.right.value)  # type: ignore[attr-defined]
-
-        def equals_literal(ctx: Context) -> bool:
-            value = operand(ctx)
-            if value.__class__ is str:
-                return value == literal
-            if value.__class__ is list:
-                string_value = ctx.doc.string_value
-                return any(string_value(node) == literal for node in value)
-            return _compare(op, value, literal, ctx.doc)
-
-        return equals_literal
-    if op in ("=", ">"):
-        return lambda ctx: _compare(op, left(ctx), right(ctx), ctx.doc)
-    arithmetic = _ARITHMETIC[op]
-    return lambda ctx: arithmetic(to_number(left(ctx), ctx.doc), to_number(right(ctx), ctx.doc))
-
-
-def _lower_location_path(path: LocationPath) -> Compiled:
-    if not path.steps:  # the document is node 0
-        return lambda ctx: [0]
-    if path.absolute:
-        walk = _lower_steps(path.steps)
-        return lambda ctx: walk([0], ctx)
-    if len(path.steps) == 1:
-        step_fn = _lower_step(path.steps[0])
-
-        def relative(ctx: Context) -> list:
-            return step_fn(ctx.node, ctx)
-
-    else:
-        walk = _lower_steps(path.steps)
-
-        def relative(ctx: Context) -> list:
-            return walk([ctx.node], ctx)
-
-    relative.attribute = _attribute_name(path)  # type: ignore[attr-defined]  # key tables read it
-    return relative
-
-
-def _lower_filter(expr: FilterExpr) -> Compiled:
-    primary = _lower(expr.primary)
-    keep = _lower_predicates(expr.predicates)
-    return lambda ctx: keep(list(to_nodeset(primary(ctx))), ctx)
-
-
-def _lower_path_expr(expr: PathExpr) -> Compiled:
-    base = _lower(expr.filter)
-    walk = _lower_steps(expr.steps)
-    return lambda ctx: walk(to_nodeset(base(ctx)), ctx)
-
-
-_LOWERINGS: dict[type, Callable[[Any], Compiled]] = {
-    NumberLiteral: lambda expr: _constant(expr.value),
-    StringLiteral: lambda expr: _constant(expr.value),
-    VariableRef: _lower_variable,
-    FunctionCall: _lower_call,
-    BinaryOp: _lower_binary,
-    LocationPath: _lower_location_path,
-    FilterExpr: _lower_filter,
-    PathExpr: _lower_path_expr,
+#: the names generated code finds in its module, besides its own
+RUNTIME: dict[str, Any] = {
+    "compare": compare, "equals": equals, "fail": fail, "first": first,
+    "generate_id": generate_id, "keep": keep, "name_of": name_of, "nth": nth,
+    "number_to_string": number_to_string, "substring": substring, "to_boolean": to_boolean,
+    "to_nodeset": to_nodeset, "to_number": to_number, "to_string": to_string,
+    "variable": variable, "XPathEvalError": XPathEvalError, "XPathLexError": XPathLexError,
+    "XPathSyntaxError": XPathSyntaxError, "XPathTypeError": XPathTypeError,
 }
 
+#: how a generated module's outermost function begins: the document's
+#: lists and methods as its locals
+PROLOGUE = """\
+kinds, names, parents, ends, alphas = doc.kinds, doc.names, doc.parents, doc.ends, doc.alphas
+attr_names, attr_values, NA = doc.attr_names, doc.attr_values, len(doc.attr_names)
+sv, node_name, owner, number = doc.string_value, doc.name, doc._owner, doc.number
+children, descendants, named = doc.children, doc.descendants, doc.descendants_named"""
 
-def _lower(expr: Expr) -> Compiled:
-    return _LOWERINGS[type(expr)](expr)
+
+def load(source: str, entry: str, filename: str, names: Mapping[str, Any]) -> Callable:
+    """Compile the generated *source* and return its function *entry*."""
+    namespace = {**RUNTIME, **names}
+    exec(builtins.compile(source, filename, "exec"), namespace)
+    return namespace[entry]
+
+
+# ---------------------------------------------------------------------------
+# The generated module and the scope an expression compiles in
+# ---------------------------------------------------------------------------
+
+class Failure(Expr):
+    """Where an expression would be: the error parsing it raised, to be
+    raised again when the expression is reached."""
+
+    __slots__ = ("error", "args")
+
+    def __init__(self, error: Exception) -> None:
+        self.error, self.args = type(error).__name__, error.args
+
+
+def parse_lazily(source: str) -> Expr:
+    """*source* parsed, or the :class:`Failure` that raises its error."""
+    try:
+        return parse(source)
+    except (XPathLexError, XPathSyntaxError) as exc:
+        return Failure(exc)
+
+
+class Module:
+    """The source of one generated module, as it is written: the
+    functions defined inside its outermost one, each distinct body
+    once.  *xslt* makes ``key()`` and ``generate-id()`` known."""
+
+    def __init__(self, *, xslt: bool) -> None:
+        self.xslt = xslt
+        self.defs: list[str] = []
+        #: the name of every function defined
+        self.functions: list[str] = []
+        self._names: dict[str, str] = {}
+
+    def define(self, prefix: str, params: str, lines: list[str]) -> str:
+        """The name of a function with *params* and body *lines*."""
+        text = f"({params}):\n" + "\n".join(lines)
+        name = self._names.get(text)
+        if name is None:
+            name = self._names[text] = f"{prefix}{len(self.functions)}"
+            self.functions.append(name)
+            self.defs.append(f"def {name}{text}")
+        return name
+
+    def source(self, signature: str, lines: list[str]) -> str:
+        """The module: ``def signature:``, the prologue, the functions
+        defined so far, then *lines*."""
+        body = "\n".join([PROLOGUE, *self.defs, *lines])
+        return f"def {signature}:\n" + "".join(
+            f"    {line}\n" if line else "\n" for line in body.split("\n")
+        )
+
+
+class Scope:
+    """What an expression compiles against: the Python name of the
+    context node, the variables in lexical scope (XSLT name -> Python
+    name and type), and where any other variable is looked up.  A
+    location path's function takes the lexical variables its predicates
+    read as parameters: *captures* lists them, for each enclosing one."""
+
+    __slots__ = ("module", "node", "vars", "fallback", "captures", "counter")
+
+    def __init__(self, module: Module, node: str, fallback: str, variables: Optional[dict] = None,
+                 captures: tuple[list[str], ...] = (), counter: Optional[list[int]] = None) -> None:
+        self.module, self.node, self.fallback, self.captures = module, node, fallback, captures
+        self.vars: dict[str, tuple[str, str]] = {} if variables is None else variables
+        self.counter = [0] if counter is None else counter
+
+    def at(self, node: str) -> "Scope":
+        return Scope(self.module, node, self.fallback, self.vars, self.captures, self.counter)
+
+    def child(self) -> "Scope":
+        """A scope whose declarations end with it."""
+        return Scope(self.module, self.node, self.fallback, dict(self.vars), self.captures, self.counter)
+
+    def fresh(self, prefix: str) -> str:
+        self.counter[0] += 1
+        return f"{prefix}{self.counter[0]}"
+
+    def lookup(self, name: str) -> tuple[str, str]:
+        hit = self.vars.get(name)
+        if hit is None:
+            return f"variable({self.fallback}, {name!r})", ANY
+        for captured in self.captures:
+            if hit[0] not in captured:
+                captured.append(hit[0])
+        return hit
+
+
+# ---------------------------------------------------------------------------
+# Expressions
+# ---------------------------------------------------------------------------
+
+_TO_STRING = {
+    NODES: "first(doc, {})", NUMBER: "number_to_string({})", FRAGMENT: "{}.string_value()",
+    BOOLEAN: "('true' if {} else 'false')",
+}
+_TO_NUMBER = {
+    STRING: "to_number({})", NODES: "to_number(first(doc, {}))", BOOLEAN: "(1.0 if {} else 0.0)",
+    FRAGMENT: "to_number({}.string_value())",
+}
+_TO_BOOLEAN = {NODES: "(len({}) > 0)", STRING: "({} != '')"}
+
+
+def convert(code: str, kind: str, want: str) -> str:
+    """*code* of type *kind* as a value of type *want*."""
+    if kind == want:
+        return code
+    if want == STRING:
+        return _TO_STRING.get(kind, "to_string({}, doc)").format(code)
+    if want == NUMBER:
+        return _TO_NUMBER.get(kind, "to_number({}, doc)").format(code)
+    if want == BOOLEAN:
+        return _TO_BOOLEAN.get(kind, "to_boolean({})").format(code)
+    return f"to_nodeset({code})"
+
+
+def _is_path(expr: Expr) -> bool:
+    return (isinstance(expr, LocationPath) and bool(expr.steps)) or isinstance(expr, PathExpr)
+
+
+def typed(expr: Expr, sc: Scope, want: str) -> str:
+    """*expr* compiled to a value of type *want*: a path wanted as a
+    string or a boolean stops at its first node."""
+    if want in (STRING, BOOLEAN) and _is_path(expr):
+        return _path_of(expr, sc, "string" if want == STRING else "exists")
+    if want == NUMBER and _is_path(expr):
+        return f"to_number({_path_of(expr, sc, 'string')})"
+    return convert(*compile_expr(expr, sc), want)
+
+
+def condition(expr: Expr, sc: Scope) -> str:
+    """A predicate, as the condition of an ``if``."""
+    if _is_path(expr):
+        return _path_of(expr, sc, "exists")
+    code, kind = compile_expr(expr, sc)
+    return code if kind in (BOOLEAN, NODES, STRING) else f"keep({code})"
+
+
+def compile_expr(expr: Expr, sc: Scope) -> tuple[str, str]:
+    """*expr* as (Python expression, static type)."""
+    kind = type(expr)
+    if kind is NumberLiteral or kind is StringLiteral:
+        return repr(expr.value), NUMBER if kind is NumberLiteral else STRING  # type: ignore[attr-defined]
+    if kind is VariableRef:
+        return sc.lookup(expr.name)  # type: ignore[attr-defined]
+    if kind is FunctionCall:
+        return _call(expr, sc)  # type: ignore[arg-type]
+    if kind is BinaryOp:
+        return _binary(expr, sc), BOOLEAN if expr.op in ("or", "=", ">") else NUMBER  # type: ignore[attr-defined]
+    if kind is LocationPath:
+        return (_path_of(expr, sc, "list") if expr.steps else "[0]"), NODES  # type: ignore[attr-defined]
+    if kind is FilterExpr:
+        code = typed(expr.primary, sc, NODES)  # type: ignore[attr-defined]
+        for pred in expr.predicates:  # type: ignore[attr-defined]
+            if isinstance(pred, NumberLiteral):
+                index = int(pred.value) - 1 if pred.value.is_integer() else -1
+                code = f"nth({code}, {index})"
+            else:
+                m = sc.fresh("m")
+                code = f"[{m} for {m} in {code} if {condition(pred, sc.at(m))}]"
+        return code, NODES
+    if kind is PathExpr:
+        return _path_of(expr, sc, "list"), NODES
+    return f"fail({expr.error}, *{expr.args!r})", ANY  # type: ignore[attr-defined]
+
+
+def _call(expr: FunctionCall, sc: Scope) -> tuple[str, str]:
+    """A call to one of the functions the subset knows, inline; a call
+    outside its function's :data:`ARITY`, or to any other name, raises
+    when it is reached (before its arguments are evaluated)."""
+    name, args = expr.name, expr.args
+    least, most = ARITY.get(name, (len(args), len(args)))
+    if len(args) < least or (most is not None and len(args) > most):
+        takes = f"{least} or more" if most is None else f"{least} or {most}" if most > least else str(least)
+        message = f"{name}() takes {takes} argument{'' if takes == '1' else 's'}"
+        return f"fail(XPathEvalError, {message!r})", ANY
+    if name not in ARITY or (name in ("key", "generate-id") and not sc.module.xslt):
+        return f"fail(XPathEvalError, {f'unknown function {name}()'!r})", ANY
+    if name == "concat":
+        return "(" + " + ".join(typed(arg, sc, STRING) for arg in args) + ")", STRING
+    if name == "not":
+        return f"(not {typed(args[0], sc, BOOLEAN)})", BOOLEAN
+    if name == "string-length":
+        text = typed(args[0], sc, STRING) if args else f"sv({sc.node})"
+        return f"float(len({text}))", NUMBER
+    if name == "substring":
+        text, *numbers = (typed(arg, sc, STRING if i == 0 else NUMBER) for i, arg in enumerate(args))
+        return f"substring({text}, {', '.join(numbers)})", STRING
+    if name == "name":
+        return (f"name_of(doc, {typed(args[0], sc, NODES)})" if args else f"node_name({sc.node})"), STRING
+    if name == "generate-id":
+        if not args:
+            return f"f'id{{number({sc.node})}}'", STRING
+        if _is_path(args[0]):
+            return _path_of(args[0], sc, "id"), STRING
+        return f"generate_id(doc, {typed(args[0], sc, NODES)})", STRING
+    # key(): the value goes as it is, a node-set looked up node by node
+    value, kind = compile_expr(args[1], sc)
+    if kind not in (NODES, STRING, ANY):
+        value = convert(value, kind, STRING)
+    return f"key({typed(args[0], sc, STRING)}, {value})", NODES
+
+
+def _binary(expr: BinaryOp, sc: Scope) -> str:
+    op, left, right = expr.op, expr.left, expr.right
+    if op == "or":
+        return f"({typed(left, sc, BOOLEAN)} or {typed(right, sc, BOOLEAN)})"
+    if op in ("+", "-"):
+        return f"({typed(left, sc, NUMBER)} {op} {typed(right, sc, NUMBER)})"
+    if op == "=" and isinstance(left, StringLiteral) != isinstance(right, StringLiteral):
+        literal, other = (left.value, right) if isinstance(left, StringLiteral) else (right.value, left)  # type: ignore[attr-defined]
+        if _is_path(other):
+            return _path_of(other, sc, "equals", literal)
+        code, kind = compile_expr(other, sc)
+        if kind in (STRING, FRAGMENT):
+            return f"({convert(code, kind, STRING)} == {literal!r})"
+        return f"equals({code}, {literal!r}, doc)"
+    (lcode, lkind), (rcode, rkind) = compile_expr(left, sc), compile_expr(right, sc)
+    if lkind in (NODES, ANY) or rkind in (NODES, ANY):
+        return f"compare({op!r}, {lcode}, {rcode}, doc)"
+    # two atomic values (a fragment compares as its string)
+    if op == ">":
+        want = NUMBER
+    else:
+        kinds = (lkind, rkind)
+        want = BOOLEAN if BOOLEAN in kinds else NUMBER if NUMBER in kinds else STRING
+    return f"({convert(lcode, lkind, want)} {'>' if op == '>' else '=='} {convert(rcode, rkind, want)})"
+
+
+# ---------------------------------------------------------------------------
+# Location paths: one function per path, one loop per step
+# ---------------------------------------------------------------------------
+
+def _by_index(steps: tuple, i: int) -> bool:
+    """Whether steps *i*, *i* + 1 are ``//Name`` with no ``[k]``: a
+    bisect of the name index.  (A ``[k]`` counts per parent, so that
+    form runs as the two steps it abbreviates.)"""
+    return (
+        steps[i] == DESCENDANT_SKIP
+        and i + 1 < len(steps)
+        and steps[i + 1].axis == "child"
+        and steps[i + 1].node_test != "*"
+        and not any(isinstance(p, NumberLiteral) for p in steps[i + 1].predicates)
+    )
+
+
+def _order(steps: tuple, from_list: bool) -> tuple[bool, bool]:
+    """Whether the loops over *steps* meet the nodes in document order,
+    and each once.  A set of nodes none of which contains another
+    ("flat") keeps both under a child step; a parent step from several
+    nodes, or a step under a ``//``, may lose them."""
+    single = flat = not from_list
+    ordered = distinct = True
+    i = 0
+    while i < len(steps):
+        step = steps[i]
+        if step == DESCENDANT_SKIP:
+            if not (single or (flat and ordered)):
+                ordered = distinct = False
+            single = flat = False
+            i += 2 if _by_index(steps, i) else 1
+            continue
+        if step.axis == "child":
+            ordered = ordered and flat
+            single = False
+        elif step.axis == "attribute":
+            single, flat = single and step.node_test != "*", True
+        elif step.axis == "parent" and not single:
+            ordered = distinct = flat = False
+        i += 1
+    return ordered, distinct
+
+
+def _path_of(expr: Expr, sc: Scope, mode: str, literal: str = "") -> str:
+    if isinstance(expr, PathExpr):
+        return _path(expr.steps, sc, mode, typed(expr.filter, sc, NODES), True, literal)
+    return _path(expr.steps, sc, mode, "0" if expr.absolute else sc.node, False, literal)  # type: ignore[attr-defined]
+
+
+def _path(
+    steps: tuple, sc: Scope, mode: str, start: str, from_list: bool, literal: str
+) -> str:
+    """A call of the function for *steps* from node *start* (or from
+    each node of the node-set *start*).  By *mode* it returns the
+    nodes (``list``), the first one's string (``string``) or
+    ``generate-id()`` (``id``), or whether there is one (``exists``) or
+    one whose string is *literal* (``equals``).  Names and the
+    literal are parameters, so paths of one shape share a function."""
+    if len(steps) > 16:  # a loop per step, and CPython nests 20 at most: two functions
+        cut = 16 - (steps[15] == DESCENDANT_SKIP)
+        return _path(steps[cut:], sc, mode, _path(steps[:cut], sc, "list", start, from_list, ""), True, literal)
+    ordered, distinct = _order(steps, from_list)
+    if mode in ("string", "id") and not ordered:
+        nodes = _path(steps, sc, "list", start, from_list, literal)
+        return f"{'first' if mode == 'string' else 'generate_id'}(doc, {nodes})"
+    captured: list[str] = []
+    inner = Scope(sc.module, "x", sc.fallback, sc.vars, (*sc.captures, captured), [0])
+    lines = ["    found = []"] if mode == "list" else []
+    closers: list[str] = []  # what ends each open loop, innermost last
+    constants: list[str] = []
+    depth, node, attr, row = 1, "x", None, False  # row: known not to be an attribute
+
+    def emit(line: str) -> None:
+        lines.append("    " * depth + line)
+
+    def constant(value: str) -> str:
+        constants.append(repr(value))
+        return f"q{len(constants)}"
+
+    if from_list:
+        node = inner.fresh("y")
+        emit(f"for {node} in x:")
+        depth += 1
+    i = 0
+    while i < len(steps):
+        step = steps[i]
+        if step == DESCENDANT_SKIP and _by_index(steps, i):
+            step, i = steps[i + 1], i + 2
+            down = inner.fresh("y")
+            emit(f"for {down} in named({node}, {constant(step.node_test)}):")
+            node, attr, row, depth = down, None, True, depth + 1
+        elif step.axis == "self":
+            i += 1
+            continue
+        elif step.axis in ("parent", "descendant-or-self"):
+            i += 1
+            up = inner.fresh("y")
+            if step.axis == "parent":
+                emit(f"{up} = parents[{node}]" + ("" if row else f" if {node} >= 0 else owner({node})"))
+                emit(f"if {up} >= 0:")
+            else:
+                emit(f"for {up} in [{node}, *descendants({node})]:")
+            node, attr, row, depth = up, None, step.axis == "parent", depth + 1
+            continue
+        else:
+            i += 1
+            counters = [inner.fresh("i") for p in step.predicates if isinstance(p, NumberLiteral)]
+            for counter in counters:
+                emit(f"{counter} = 0")
+            if not row:
+                emit(f"if {node} >= 0:")
+                depth += 1
+            if step.axis == "child":
+                c, e = inner.fresh("c"), inner.fresh("e")
+                emit(f"{c}, {e} = {node} + 1, ends[{node}]")
+                emit(f"while {c} < {e}:")
+                test = "kinds[{}] == 1" if step.node_test == "*" else f"names[{{}}] == {constant(step.node_test)}"
+                emit(f"    if {test.format(c)}:")
+                closers.append("    " * (depth + 1) + f"{c} = ends[{c}]")
+                node, attr, row, depth = c, None, True, depth + 2
+            else:  # attribute
+                a = inner.fresh("a")
+                emit(f"for {a} in range(alphas[{node}], alphas[{node} + 1]):")
+                depth += 1
+                if step.node_test != "*":
+                    emit(f"if attr_names[{a}] == {constant(step.node_test)}:")
+                    depth += 1
+                    closers.append("    " * depth + "break")  # a name is on an element once
+                node, attr, row = f"({a} - NA)", a, False
+                if step.predicates:
+                    node = inner.fresh("y")
+                    emit(f"{node} = {a} - NA")
+        for pred in step.predicates:
+            if isinstance(pred, NumberLiteral):
+                counter = counters.pop(0)
+                emit(f"{counter} += 1")
+                emit(f"if {counter} == {pred.value!r}:")
+            else:
+                emit(f"if {condition(pred, inner.at(node))}:")
+            depth += 1
+    string = f"attr_values[{attr}]" if attr else f"sv({node})"
+    emit({
+        "list": f"found.append({node})",
+        "string": f"return {string}",
+        "id": f"return f'id{{number({node})}}'",
+        "exists": "return True",
+        "equals": f"if {string} == {constant(literal) if mode == 'equals' else ''}: return True",
+    }[mode])
+    if mode in ("string", "id", "exists") and closers and closers[-1] == "    " * depth + "break":
+        closers.pop()  # after a return
+    lines.extend(reversed(closers))
+    lines.append("    " + {
+        "list": "return found" if ordered else "return sorted(found)" if distinct else "return sorted(set(found))",
+        "string": "return ''", "id": "return ''", "exists": "return False", "equals": "return False",
+    }[mode])
+    params = [f"q{k}" for k in range(1, len(constants) + 1)]
+    name = sc.module.define("p", ", ".join(["x", *params, *captured]), lines)
+    return f"{name}({', '.join([start, *constants, *captured])})"
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +595,15 @@ def _lower(expr: Expr) -> Compiled:
 
 @functools.lru_cache(maxsize=4096)
 def compile(expr: str) -> Compiled:
-    """Lower *expr* to a closure taking a :class:`Context`.  Memoized in
-    a bounded cache, so a stylesheet pays for each distinct expression
-    once per process.  Raises only what
-    :func:`~repro.xslt.xpath.parser.parse` raises."""
-    return _lower(parse(expr))
+    """Compile *expr* to a function of a :class:`Context`.  Memoized in
+    a bounded cache, so each distinct expression is compiled once per
+    process.  Raises only what :func:`~repro.xslt.xpath.parser.parse`
+    raises."""
+    tree = parse(expr)
+    module = Module(xslt=False)
+    code, _ = compile_expr(tree, Scope(module, "n", "V"))
+    run = load(module.source("evaluate(doc, V, n)", [f"return {code}"]), "evaluate", "<xpath>", {})
+    return lambda ctx: run(ctx.doc, ctx.variables, ctx.node)
 
 
 def evaluate(expr: str, context: Context) -> Any:

@@ -1,16 +1,14 @@
-"""The XPath core functions ``xmi2cnx.xsl`` calls, and the type coercions.
+"""The type coercions, and the runtime of the XPath functions
+``xmi2cnx.xsl`` calls.
 
 Five of XPath 1.0's 27 core functions: ``concat``, ``name``, ``not``,
 ``string-length`` and ``substring``; the XSLT engine adds ``key`` and
-``generate-id``.  A call to any other name raises the evaluator's
-unknown-function error when it is reached, and a call outside a
-function's :data:`ARITY` its arity error.
-
-Each function receives ``(context, *evaluated_args)`` where *context* is
-the :class:`~repro.xslt.xpath.evaluator.Context` at the call site; this
-is how zero-argument forms like ``name()`` default to the context node.
-A node-set is a list of ints, so converting one to a string or a number
-takes the document whose nodes they are.
+``generate-id``.  The evaluator compiles a call to one of them inline
+(only ``substring`` calls a helper here); a call to any other name
+raises its unknown-function error when it is reached, and a call
+outside a function's :data:`ARITY` its arity error.  A node-set is a
+list of ints, so converting one to a string or a number takes the
+document whose nodes they are.
 """
 
 from __future__ import annotations
@@ -18,22 +16,19 @@ from __future__ import annotations
 import math
 import re
 from decimal import Decimal
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import Any, Optional
 
 from .datamodel import XDocument
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .evaluator import Context
-
 __all__ = [
     "ARITY",
-    "CORE_FUNCTIONS",
     "XPathTypeError",
     "to_string",
     "to_number",
     "to_boolean",
     "to_nodeset",
     "number_to_string",
+    "substring",
 ]
 
 
@@ -118,53 +113,22 @@ def to_nodeset(value: Any) -> list[int]:
 # The functions
 # ---------------------------------------------------------------------------
 
-def _fn_name(context: "Context", *nodes: Any) -> str:
-    if not nodes:
-        return context.doc.name(context.node)
-    nodeset = to_nodeset(nodes[0])
-    return context.doc.name(nodeset[0]) if nodeset else ""
-
-
-def _fn_concat(context: "Context", *args: Any) -> str:
-    doc = context.doc
-    return "".join([to_string(a, doc) for a in args])
-
-
 def _round(value: float) -> float:
     """XPath round(): half up, NaN and the infinities as they are."""
     return math.floor(value + 0.5) if math.isfinite(value) else value
 
 
-def _fn_substring(context: "Context", s: Any, start: Any, *length: Any) -> str:
+def substring(string: str, start: float, length: Optional[float] = None) -> str:
     """substring() with the spec's 1-based, rounded, NaN-propagating
     rules: the characters at positions p with start <= p < start + length."""
-    doc = context.doc
-    string = to_string(s, doc)
-    begin = _round(to_number(start, doc))
-    end = begin + _round(to_number(length[0], doc)) if length else math.inf
+    begin = _round(start)
+    end = begin + _round(length) if length is not None else math.inf
     # a NaN bound compares false, so it keeps no character
     first, last = max(begin, 1), min(end, len(string) + 1)
     if not first < last:
         return ""
     return string[int(first) - 1 : int(last) - 1]
 
-
-def _fn_string_length(context: "Context", *args: Any) -> float:
-    s = to_string(args[0], context.doc) if args else context.doc.string_value(context.node)
-    return float(len(s))
-
-
-def _fn_not(context: "Context", value: Any) -> bool:
-    return not to_boolean(value)
-
-
-CORE_FUNCTIONS: dict[str, Callable[..., Any]] = {
-    "concat": _fn_concat,
-    "name": _fn_name,
-    "not": _fn_not,
-    "string-length": _fn_string_length,
-    "substring": _fn_substring,
-}
 
 #: name -> (least, most) arguments of every function the subset calls,
 #: the XSLT engine's two included; a most of None: any number

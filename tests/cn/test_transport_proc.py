@@ -198,8 +198,10 @@ class Sink(Task):
 
 
 class CheckpointThenBlock(Task):
-    """Checkpoints tags 0..5, then blocks on its queue; touches
-    ``marker`` when the block ends in a cancellation."""
+    """Checkpoints tags 0..5, then blocks on its queue; writes its pid to
+    ``marker`` when the block ends in a cancellation.  The pid goes to a
+    sibling file first, renamed onto ``marker``, so the marker appears
+    whole or not at all."""
 
     def __init__(self, marker):
         self.marker = marker
@@ -210,8 +212,10 @@ class CheckpointThenBlock(Task):
         try:
             ctx.recv_user(timeout=30.0)
         except ShutdownError:
-            with open(self.marker, "w") as fh:
+            partial = f"{self.marker}.partial"
+            with open(partial, "w") as fh:
                 fh.write(str(os.getpid()))
+            os.replace(partial, self.marker)
             raise
         return "never cancelled"
 

@@ -37,7 +37,7 @@ def test_a_run_leaves_no_source_tree_and_no_ended_attempt_as_cyclic_garbage():
     model = fan(20)
     with Cluster(2, registry=basic_registry()) as cluster:
         pipeline = Pipeline()
-        pipeline.run(model, cluster, timeout=60)  # imports, lowering, caches
+        pipeline.run(model, cluster, timeout=60)  # imports, compiling, caches
         gc.collect()
         was_enabled, flags = gc.isenabled(), gc.get_debug()
         gc.disable()
@@ -66,7 +66,7 @@ def test_a_source_document_costs_a_few_collector_objects():
 
     pipeline = Pipeline()
     xmi = pipeline.export_xmi(pipeline.to_model(ComposeWide().model(0)))
-    strips = load_stylesheet("xmi2cnx.xsl").lowered().strips
+    strips = load_stylesheet("xmi2cnx.xsl").compiled().strips
     build_document(xmi, strips=strips)
     gc.collect()
     was_enabled = gc.isenabled()

@@ -1,10 +1,10 @@
-"""One lowered ``xmi2cnx.xsl`` shared by concurrent transforms.
+"""One compiled ``xmi2cnx.xsl`` shared by concurrent transforms.
 
-The lowered sheet is immutable and everything a run mutates (key
-tables, variable scopes, the output tree) lives on the run's own
-``Transformer``/contexts, so eight threads interleaving on one
-``load_stylesheet`` object must each produce the bytes the serial run
-produces."""
+The compiled sheet is immutable and everything a run mutates (key
+tables, the locals of its template functions, the output tree) lives on
+the run's own ``Transformer`` and frames, so eight threads interleaving
+on one ``load_stylesheet`` object must each produce the bytes the
+serial run produces."""
 
 import random
 import sys
@@ -95,4 +95,4 @@ def test_eight_threads_share_one_lowered_sheet():
     assert not errors
     for seed, outputs in results.items():
         assert outputs == [serial[seed]] * 6, f"seed {seed} diverged under threads"
-    assert load_stylesheet("xmi2cnx.xsl").lowered() is sheet.lowered()
+    assert load_stylesheet("xmi2cnx.xsl").compiled() is sheet.compiled()

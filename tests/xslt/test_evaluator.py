@@ -87,6 +87,14 @@ class TestAxes:
         assert len(evaluate("/library//author", ctx)) == 4
         refused("/library/descendant::author", ctx, "unsupported axis 'descendant'")
 
+    def test_a_path_of_more_steps_than_python_nests_loops(self):
+        # a loop per step, and CPython nests at most 20 in one function
+        doc = build_document("<a x='1'>" * 40 + "</a>" * 40)
+        for steps in (16, 17, 25, 35):
+            path = "/" + "/".join(["a"] * steps)
+            assert evaluate(path, Context(doc)) == [steps]
+            assert evaluate(f"{path}//a/@x", Context(doc)) == list(range(steps - 40, 0))
+
     def test_ancestor_or_self(self, ctx):
         refused("//book[@title='A']/ancestor-or-self::*", ctx, "unsupported axis 'ancestor-or-self'")
 
@@ -136,6 +144,13 @@ class TestNodesetSemantics:
     def test_dedup(self, ctx):
         nodes = evaluate("//author/..", ctx)
         assert len(nodes) == 3
+
+    def test_an_attribute_has_no_children(self, ctx):
+        # a child step from an attribute finds nothing, whatever the rows
+        # at the end of the document are called
+        assert evaluate("//book/@title/author", ctx) == []
+        assert evaluate("//book/@title/*", ctx) == []
+        assert evaluate("//@*//author", ctx) == []
 
     def test_union_mixed(self, ctx):
         refused("//shelf/@id | //book/@title", ctx, "unsupported operator '|'")

@@ -1,22 +1,25 @@
-"""The lowered (compile-once) engine's contract beyond byte-for-byte
-output: errors stay lazy, scopes end where their body ends, template
-dispatch agrees with the conflict-resolution definition, and nothing a
-run leaves on a Transformer leaks into the next document."""
+"""The compiled engine's contract beyond byte-for-byte output: errors
+stay lazy, scopes end where their body ends, template dispatch agrees
+with the conflict-resolution definition, a sheet compiles once to the
+same source, and nothing a run leaves on a Transformer leaks into the
+next document."""
 
 import random
 import threading
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.transform.xmi2cnx import STYLESHEET_DIR as STYLESHEETS
 from repro.xslt import Stylesheet, Transformer
-from repro.xslt.engine import ResultTreeFragment, XsltError, _body_items, _Lowering
+from repro.xslt.engine import ResultTreeFragment, XsltError, _body_items, _Compiler
 from repro.xslt.patterns import PatternError
 from repro.xslt.xpath import Context, build_document, evaluate
 from repro.xslt.xpath.evaluator import XPathEvalError, compile
-from repro.xslt.xpath.functions import CORE_FUNCTIONS, XPathTypeError
+from repro.xslt.xpath.functions import XPathTypeError
 from repro.xslt.xpath.parser import XPathSyntaxError
 
 XSL_NS = 'xmlns:xsl="http://www.w3.org/1999/XSL/Transform"'
@@ -33,7 +36,7 @@ def sheet(body: str) -> Stylesheet:
 
 class TestErrorsStayLazy:
     """A malformed instruction raises when it is executed, not when the
-    sheet is loaded or lowered, and not if it is never reached."""
+    sheet is loaded or compiled, and not if it is never reached."""
 
     BROKEN = [
         ('<xsl:value-of select="a["/>', XPathSyntaxError, "a\\["),
@@ -98,7 +101,7 @@ class TestErrorsStayLazy:
                   <o><xsl:if test="//go">{instruction}</xsl:if></o>
                 </xsl:template>"""
         )
-        s.lowered()  # lowering itself never raises
+        s.compiled()  # compiling itself never raises
         assert Transformer(s).transform("<r/>") == "<o/>"
         with pytest.raises(error, match=message):
             Transformer(s).transform("<r><go/></r>")
@@ -107,14 +110,16 @@ class TestErrorsStayLazy:
         seen = []
 
         class Noting(Transformer):
-            def _function_table(self):
-                return {**super()._function_table(), "note": lambda ctx, text: seen.append(text) or ""}
+            def _key(self, name, value):
+                seen.append(value)
+                return super()._key(name, value)
 
         s = sheet(
-            """<xsl:template match="/">
-                 <xsl:value-of select="note('before')"/>
+            """<xsl:key name="k" match="r" use="@a"/>
+               <xsl:template match="/">
+                 <xsl:value-of select="key('k', 'before')"/>
                  <xsl:value-of select="1 +"/>
-                 <xsl:value-of select="note('after')"/>
+                 <xsl:value-of select="key('k', 'after')"/>
                </xsl:template>"""
         )
         with pytest.raises(XPathSyntaxError):
@@ -211,6 +216,19 @@ class TestScopes:
         )
         assert Transformer(s).transform("<r/>") == "<o>10;20;30;</o>"
 
+    def test_a_called_template_does_not_see_its_callers_variables(self):
+        """XSLT 1.0 11.5: a template sees the globals and its own
+        bindings; its caller's variables are not in its scope."""
+        s = sheet(
+            """<xsl:template match="/">
+                 <xsl:variable name="mine" select="'x'"/>
+                 <xsl:call-template name="callee"/>
+               </xsl:template>
+               <xsl:template name="callee"><xsl:value-of select="$mine"/></xsl:template>"""
+        )
+        with pytest.raises(XPathEvalError, match=r"unbound variable \$mine"):
+            Transformer(s).transform("<r/>")
+
     def test_globals_visible_in_templates_and_in_order(self):
         s = sheet(
             """<xsl:variable name="a" select="2"/>
@@ -277,26 +295,46 @@ class TestDispatchTable:
     @given(st.lists(st.sampled_from(["a", "b", "c", "r", "x", "*", "/"]), min_size=1, max_size=7))
     @settings(max_examples=150, deadline=None)
     def test_find_rule_is_the_best_matching_rule(self, patterns):
-        """The dispatch table picks what the definition picks: among the
-        rules whose pattern matches, the greatest (default priority,
-        document order)."""
+        """The compiled dispatch picks what the definition picks: among
+        the rules whose pattern matches, the greatest (default priority,
+        document order).  Every rule applies templates to the attributes
+        and children of its node, the built-in rules to the children of
+        the rest; the invocations, in order, are the walk the definition
+        gives."""
         s = sheet(
             "".join(
-                f'<xsl:template match="{pattern}">T{index}</xsl:template>'
-                for index, pattern in enumerate(patterns)
+                f'<xsl:template match="{pattern}"><xsl:apply-templates select="@*"/>'
+                "<xsl:apply-templates/></xsl:template>"
+                for pattern in patterns
             )
         )
-        nodes = [0, *DISPATCH_DOC.descendants(0)]
-        nodes += [attr for n in nodes for attr in DISPATCH_DOC.attributes(n)]
-        for node in nodes:
+        templates = s.compiled().templates
+        invoked = []
+
+        class Recording(Transformer):
+            def _invoke(self, template, node, out, params):
+                invoked.append((node, templates[int(template.__name__[1:])]))
+                super()._invoke(template, node, out, params)
+
+        def walk(node):
             matching = [
                 (PRIORITY.get(rule.pattern.key, 0.0), order, rule)
                 for order, rule in enumerate(s.rules)
                 if matches(rule.pattern.key, node)
             ]
-            expected = max(matching, key=lambda m: m[:2], default=(None, None, None))[2]
-            template = s.lowered().match(DISPATCH_DOC, node)
-            assert (template.rule if template is not None else None) is expected
+            if matching:
+                expected.append((node, max(matching, key=lambda m: m[:2])[2]))
+                for attr in DISPATCH_DOC.attributes(node):
+                    walk(attr)
+            if matching or DISPATCH_DOC.kind(node) in ("document", "element"):
+                for child in DISPATCH_DOC.children(node):
+                    walk(child)
+
+        expected = []
+        walk(0)
+        Recording(s).transform(DISPATCH_DOC)
+        assert [node for node, _ in invoked] == [node for node, _ in expected]
+        assert all(got is want for (_, got), (_, want) in zip(invoked, expected))
 
 
 class TestNoStateBetweenDocuments:
@@ -376,7 +414,7 @@ class TestSharedProgram:
 
         def lower():
             barrier.wait(timeout=10)
-            programs.append(s.lowered())
+            programs.append(s.compiled())
 
         threads = [threading.Thread(target=lower) for _ in range(2)]
         for thread in threads:
@@ -385,7 +423,42 @@ class TestSharedProgram:
             thread.join(timeout=30)
         assert not any(thread.is_alive() for thread in threads)
         assert len(programs) == 2 and programs[0] is programs[1]
-        assert s.lowered() is programs[0]
+        assert s.compiled() is programs[0]
+
+    def test_two_threads_first_transforming_at_once_share_one_module(self, monkeypatch):
+        """The first use compiles under the sheet's lock: two threads
+        that first transform at the same moment compile once."""
+        s = sheet('<xsl:template match="/"><o><xsl:value-of select="name(/*)"/></o></xsl:template>')
+        compiles = []
+        program = _Compiler.program
+
+        def slow_program(compiler):
+            compiles.append(compiler)
+            time.sleep(0.05)  # both threads are in compiled() by now
+            return program(compiler)
+
+        monkeypatch.setattr(_Compiler, "program", slow_program)
+        barrier = threading.Barrier(2)
+        outputs = []
+
+        def transform():
+            barrier.wait(timeout=10)
+            outputs.append(Transformer(s).transform("<r/>"))
+
+        threads = [threading.Thread(target=transform) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert outputs == ["<o>r</o>"] * 2 and len(compiles) == 1
+
+    def test_compiling_a_sheet_twice_writes_the_same_source(self):
+        text = (STYLESHEETS / "xmi2cnx.xsl").read_text()
+        first, second = Stylesheet.from_string(text), Stylesheet.from_string(text)
+        assert first.compiled() is not second.compiled()
+        assert first.compiled().source == second.compiled().source
+        assert _Compiler(first).program().source == first.compiled().source
 
     def test_compiled_expression_is_shared_and_context_free(self):
         source = "concat((//x[@k = $want])[2]/@n, '|', $want)"
@@ -403,21 +476,15 @@ SHAPES_DOC = build_document(
 
 
 class TestSpecialisedShapes:
-    """Lowering specialises some shapes; each answers what the general
-    path it stands in for answers, and raises where it raises."""
+    """The compiler specialises some shapes; each answers what the
+    general path it stands in for answers, and raises where it raises."""
 
     @pytest.mark.parametrize("arity", range(5))
     def test_a_call_passes_each_arity_as_written(self, arity):
-        seen = []
-
-        def probe(ctx, *args):
-            seen.append(args)
-            return float(len(args))
-
-        ctx = Context(SHAPES_DOC, functions={**CORE_FUNCTIONS, "probe": probe})
-        args = ", ".join(f"'{i}'" for i in range(arity))
-        assert evaluate(f"probe({args})", ctx) == arity
-        assert seen == [tuple(str(i) for i in range(arity))]
+        args = "".join(f", '{i}'" for i in range(arity))
+        ctx = Context(SHAPES_DOC)
+        assert evaluate(f"concat('<', '>'{args})", ctx) == "<>" + "".join(map(str, range(arity)))
+        assert evaluate(f"concat(//a[1]{args}, //b)", ctx) == "x" + "".join(map(str, range(arity))) + "1"
 
     @pytest.mark.parametrize("arity", range(5))
     def test_unknown_function_and_bad_arity_raise_only_when_reached(self, arity):
@@ -477,7 +544,7 @@ class TestSpecialisedShapes:
         assert Transformer(s).transform(source) == "ii"
 
     def test_text_only_bodies_build_what_an_output_builder_builds(self):
-        """An attribute or variable body that lowering proves writes only
+        """An attribute or variable body that the compiler proves writes only
         text is built as a list of strings; ``xsl:call-template`` is not on
         the proof's list, so the second copy of each body takes the general
         builder, and both give the same value."""
@@ -503,4 +570,4 @@ class TestSpecialisedShapes:
         )
         for body, proved in ((text_only, True), (general, False), ("<e/>", False)):
             wrapper = ET.fromstring(f"<xsl:attribute {XSL_NS}>{body}</xsl:attribute>")
-            assert _Lowering.writes_text_only(_body_items(wrapper)) is proved
+            assert _Compiler.writes_text_only(_body_items(wrapper)) is proved

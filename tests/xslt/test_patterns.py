@@ -4,7 +4,7 @@ of every other expression."""
 
 import pytest
 
-from repro.xslt import Stylesheet
+from repro.xslt import Stylesheet, Transformer
 from repro.xslt.patterns import PatternError, compile_pattern
 from repro.xslt.xpath import Context, build_document, evaluate
 
@@ -31,12 +31,24 @@ def node(doc, expr):
 
 def match(pattern, doc, target):
     """Whether a sheet whose one rule has *pattern* applies it to
-    *target*, a node of *doc*."""
+    *target*, a node of *doc*: the rule applies templates to the
+    attributes and children of what it matches, the built-in rules to
+    the children of the rest, and every invocation goes through
+    :meth:`Transformer._invoke`."""
     sheet = Stylesheet.from_string(
         '<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">'
-        f'<xsl:template match="{pattern}"/></xsl:stylesheet>'
+        f'<xsl:template match="{pattern}"><xsl:apply-templates select="@*"/>'
+        "<xsl:apply-templates/></xsl:template></xsl:stylesheet>"
     )
-    return sheet.lowered().match(doc, target) is not None
+    matched = []
+
+    class Recording(Transformer):
+        def _invoke(self, template, node, out, params):
+            matched.append(node)
+            super()._invoke(template, node, out, params)
+
+    Recording(sheet).transform(doc)
+    return target in matched
 
 
 class TestMatching:

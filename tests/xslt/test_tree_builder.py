@@ -232,36 +232,35 @@ class TestKeyTables:
 
 
 class Probing(Transformer):
-    """A Transformer whose sheet can call ``grab(nodes)``, which keeps a
-    weak reference to the document and the first node, and
-    ``boom(nodes)``, which runs *boom*."""
+    """A Transformer that, at each lookup of key ``k``, keeps a weak
+    reference to the document and the first hit, and at each lookup of
+    key ``boom``, runs *boom*: every ``key()`` call goes through
+    :meth:`Transformer._key`."""
 
     def __init__(self, stylesheet, boom=lambda: None):
         super().__init__(stylesheet)
         self.grabbed, self.boom = [], boom
 
-    def _function_table(self):
-        def grab(ctx, nodes):
-            self.grabbed.append((weakref.ref(ctx.doc), nodes[0]))
-            return ""
-
-        def boom(ctx, nodes):
+    def _key(self, name, value):
+        hits = super()._key(name, value)
+        if name == "k":
+            self.grabbed.append((weakref.ref(self._doc), hits[0]))
+        else:
             self.boom()
-            return ""
-
-        return {**super()._function_table(), "grab": grab, "boom": boom}
+        return hits
 
 
 class TestWhoFreesTheTree:
     SHEET = """<xsl:key name="k" match="e" use="@a"/>
+               <xsl:key name="boom" match="e" use="@a"/>
                <xsl:template match="/">
-                 <xsl:value-of select="grab(key('k', '1'))"/><xsl:value-of select="boom(//e)"/>
+                 <xsl:value-of select="name(key('k', '1'))"/><xsl:value-of select="name(key('boom', 'x'))"/>
                </xsl:template>"""
 
     @pytest.mark.parametrize("source", ["<r><e a='1'/></r>", ET.fromstring("<r><e a='1'/></r>")])
     def test_a_transformer_does_not_pin_the_document_it_built(self, source):
         t = Probing(sheet(self.SHEET))
-        assert t.transform(source) == ""
+        assert t.transform(source) == "e"
         # no gc.collect(): the document went by reference count
         assert t.grabbed[0][0]() is None
         assert t._doc is None and t._key_tables == {}
@@ -278,7 +277,7 @@ class TestWhoFreesTheTree:
     def test_a_callers_document_is_left_whole(self):
         doc = build_document("<r x='1'><e a='1'/></r>")
         t = Probing(sheet(self.SHEET))
-        assert t.transform(doc) == t.transform(doc) == ""
+        assert t.transform(doc) == t.transform(doc) == "e"
         held, element = t.grabbed[0]
         assert held() is doc and doc.parent(doc.parent(element)) == 0
         (root,) = doc.children(0)

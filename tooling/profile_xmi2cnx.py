@@ -1,15 +1,19 @@
 """Per-template profile of the XMI2CNX stylesheet (Fig. 6 step 3).
 
 Transforms the ``compose-wide150`` model (a 152-task fan, one ``Integer``
-parameter per worker) and prints, per template, its calls, its own time
-(the time spent in nested template invocations subtracted) and the
-``key()`` calls made directly in it, plus the source-document build,
-the key-table builds and serialisation, and the document's size: its
-rows (the document, elements and texts) and attributes.  Times are the minimum over REPS
-runs, one core, the collector off.
+parameter per worker) and prints, per compiled template function, its
+calls, its own time (the time spent in nested template invocations
+subtracted) and the ``key()`` calls made directly in it, plus the
+source-document build, the key-table builds and serialisation, and the
+document's size: its rows (the document, elements and texts) and
+attributes.  Times are the minimum over REPS runs, one core, the
+collector off.
 
-A measurement script, not a product feature: it wraps the lowered
-program's template bodies from outside.  Run it from the checkout root:
+A measurement script, not a product feature: it wraps, from outside,
+the two methods every template invocation and every ``key()`` call of
+the compiled sheet go through (``Transformer._invoke`` and
+``Transformer._key``), and ``Transformer._key_table``.  Run it from the
+checkout root:
 
     PYTHONPATH=src python tooling/profile_xmi2cnx.py [REPS]
 """
@@ -34,12 +38,14 @@ from repro.xslt.xpath.datamodel import XDocument, build_document  # noqa: E402
 
 def profile(xmi: str, reps: int) -> tuple[dict, dict, dict, XDocument]:
     sheet = load_stylesheet("xmi2cnx.xsl")
-    program = sheet.lowered()
-    templates = {id(t): t for t in (*program.named.values(), *program.dispatch.values())}
+    program = sheet.compiled()
+    labels = {
+        f"t{i}": rule.name or f"match={rule.pattern.source}"
+        for i, rule in enumerate(program.templates)
+    }
     best: dict[str, float] = defaultdict(lambda: float("inf"))
     calls: dict[str, int] = {}
     keys: dict[str, int] = {}
-    saved = {t: t.body for t in templates.values()}
     run_own: dict[str, float] = defaultdict(float)
     run_calls: dict[str, int] = defaultdict(int)
     run_keys: dict[str, int] = defaultdict(int)
@@ -58,24 +64,20 @@ def profile(xmi: str, reps: int) -> tuple[dict, dict, dict, XDocument]:
             if stack:
                 stack[-1][1] += elapsed
 
-    for template, body in saved.items():
-        rule = template.rule
-        label = rule.name or f"match={rule.pattern.source}"
-        template.body = lambda tr, ctx, out, label=label, body=body: timed(
-            label, body, tr, ctx, out
-        )
-    fn_key, key_table = Transformer._fn_key, Transformer._key_table
+    invoke, key, key_table = Transformer._invoke, Transformer._key, Transformer._key_table
+
+    def timed_invoke(self, template, *args):
+        return timed(labels[template.__name__], invoke, self, template, *args)
 
     def counted_key(self, *args):
         run_keys[stack[-1][0] if stack else "(key tables)"] += 1
-        return fn_key(self, *args)
+        return key(self, *args)
 
     def timed_key_table(self, name):
-        if name in self._key_tables:
-            return key_table(self, name)
         return timed("(key tables)", key_table, self, name)
 
-    Transformer._fn_key, Transformer._key_table = counted_key, timed_key_table
+    Transformer._invoke, Transformer._key = timed_invoke, counted_key
+    Transformer._key_table = timed_key_table
     params = {"log": "CN_Client.log", "port": "5666"}
     gc.collect()
     gc.disable()
@@ -97,9 +99,8 @@ def profile(xmi: str, reps: int) -> tuple[dict, dict, dict, XDocument]:
             calls, keys = dict(run_calls), dict(run_keys)
     finally:
         gc.enable()
-        Transformer._fn_key, Transformer._key_table = fn_key, key_table
-        for template, body in saved.items():
-            template.body = body
+        Transformer._invoke, Transformer._key = invoke, key
+        Transformer._key_table = key_table
     return dict(best), calls, keys, doc
 
 

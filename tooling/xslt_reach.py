@@ -5,9 +5,11 @@ models (Monte Carlo pi, word count, matrix multiply) and the
 ``compose-wide150`` fan, plus the form ``benchmarks.e2e`` runs (a
 pre-parsed ElementTree with ``restore_prefixes``), under a
 ``sys.settrace`` line tracer.  Prints, per file under
-``src/repro/xslt``, its executable lines (those the compiler gives a
-line number, docstrings aside), how many the runs reached, and the
-numbers of the ones they did not.
+``src/repro/xslt`` and for the module the engine generates from
+``xmi2cnx.xsl``, its executable lines (those the compiler gives a line
+number, docstrings aside), how many the runs reached, and the numbers
+of the ones they did not.  The stylesheet is compiled under the trace,
+so the compiler's lines count as reached too.
 
 A measurement script, not a product feature.  Run it from the checkout
 root:
@@ -28,12 +30,16 @@ sys.path.insert(0, str(ROOT / "src"))
 PACKAGE = ROOT / "src" / "repro" / "xslt"
 
 
-def executable_lines(path: Path) -> set[int]:
-    """The line numbers a trace of *path* can report.  A code object's
+#: the file name the engine compiles a stylesheet's module under
+GENERATED = "<stylesheet>"
+
+
+def executable_lines(source: str) -> set[int]:
+    """The line numbers a trace of *source* can report.  A code object's
     first line is left out: a ``def`` line is counted in the code that
     runs it, and a module's first line is its docstring."""
     lines: set[int] = set()
-    pending = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    pending = [compile(source, "<traced>", "exec")]
     while pending:
         code = pending.pop()
         lines.update(
@@ -82,7 +88,7 @@ def main() -> None:
 
     def trace(frame, event, arg):
         filename = frame.f_code.co_filename
-        if not filename.startswith(prefix):
+        if not filename.startswith(prefix) and filename != GENERATED:
             return None
         hits = reached.setdefault(filename, set())
 
@@ -101,10 +107,12 @@ def main() -> None:
         workload()
     finally:
         sys.settrace(None)
+    from repro.core.transform.xmi2cnx import load_stylesheet
+
     total_lines = total_reached = 0
     print(f"{'file':<28}{'executable':>11}{'reached':>9}{'unreached':>11}")
     for path in sorted(PACKAGE.rglob("*.py")):
-        lines = executable_lines(path)
+        lines = executable_lines(path.read_text(encoding="utf-8"))
         hit = reached.get(str(path), set()) & lines
         total_lines += len(lines)
         total_reached += len(hit)
@@ -113,6 +121,11 @@ def main() -> None:
         if show_lines and lines - hit:
             print("    unreached:", " ".join(str(n) for n in sorted(lines - hit)))
     print(f"{'total':<28}{total_lines:>11}{total_reached:>9}{total_lines - total_reached:>11}")
+    lines = executable_lines(load_stylesheet("xmi2cnx.xsl").compiled().source)
+    hit = reached.get(GENERATED, set()) & lines
+    print(f"{'xmi2cnx.xsl, generated':<28}{len(lines):>11}{len(hit):>9}{len(lines) - len(hit):>11}")
+    if show_lines and lines - hit:
+        print("    unreached:", " ".join(str(n) for n in sorted(lines - hit)))
 
 
 if __name__ == "__main__":
