@@ -25,7 +25,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cn import CNAPI, Cluster, TaskRegistry, TaskSpec
-from repro.cn.durability import _UniformBatch
 from repro.cn.task import Task
 
 
@@ -226,14 +225,14 @@ def _durable_placement(scheduler, partitioned):
         if partitioned:
             cluster.partition(cluster.node_names)
         extends = []
-        handed: dict[int, set] = {}  # first seq -> (id, type, length) seen
+        handed: dict[int, set] = {}  # first seq -> ids of the objects seen
         for server in cluster.servers:
             backend = server.journal.backend
 
             def recording_extend(batch, _extend=backend.extend, _name=server.name):
                 seq = batch[0].seq
                 extends.append((_name, seq))
-                handed.setdefault(seq, set()).add((id(batch), type(batch), len(batch)))
+                handed.setdefault(seq, set()).add(id(batch))
                 return _extend(batch)
 
             backend.extend = recording_extend
@@ -284,14 +283,11 @@ def test_perf16_durable_batch_replicates_in_batches(scheduler):
     assert len(batches) == publishes
     for node in open_run.nodes:
         assert {seq for name, seq in reached if name == node} == batches, node
-    # ... and hands all 32 backends the one object the writer built, marked
-    # when it holds more than one record: a copy would be a plain tuple,
-    # and every replica would run extend's per-record loop unseen
+    # ... and hands all 32 backends the one object the writer built, not
+    # a copy per replica
     assert set(open_run.handed) == batches
     for seq, objects in open_run.handed.items():
         assert len(objects) == 1, (seq, objects)
-        ((_, kind, length),) = objects
-        assert (kind is _UniformBatch) == (length > 1), (seq, kind, length)
 
     cut_run = _durable_placement(scheduler, partitioned=True)
     assert cut_run.partitioned == 0

@@ -3,8 +3,9 @@
 This is the single registry both halves of conclint consult:
 
 * the **static** passes (:mod:`.static`) use :data:`GUARDED_BY` to know
-  which attributes must only be written under which lock, and
-  :data:`BLOCKING_CALLS` to know which calls may block or re-enter;
+  which attributes must only be written under which lock (the calls
+  that may block or re-enter are :mod:`.static`'s own ``_BLOCKING``
+  table);
 * the **runtime** verifier (:mod:`.runtime`) uses :func:`guarded_by`
   declarations to check, at call time, that the declared lock is
   actually held by the current thread.
@@ -32,7 +33,6 @@ from typing import Callable, TypeVar
 
 __all__ = [
     "GUARDED_BY",
-    "BLOCKING_CALLS",
     "LOCK_ORDER_EXEMPT",
     "WAIVER_RE",
     "parse_waivers",
@@ -68,12 +68,11 @@ GUARDED_BY: dict[str, str] = {
     # TupleSpace: the backing list is only touched under the condition's
     # lock; ``_take`` relies on its caller holding it.
     "TupleSpace._tuples": "TupleSpace._lock",
-    # Journals: the record list, the per-job index and the table of each
-    # task's latest checkpoint change together inside ``extend`` (a
-    # FileJournal inherits all three and persists from ``_persist``,
-    # which documents "the lock is held"); the writer's sequence counter
-    # advances under the lock that orders its extend+publish.
-    "MemoryJournal._records": "MemoryJournal._lock",
+    # Journals: each job's log and the table of each task's latest
+    # checkpoint change inside ``extend`` (a FileJournal inherits both
+    # and persists from ``_persist``, which documents "the lock is
+    # held"); the writer's sequence counter advances under the lock that
+    # orders its extend+publish.
     "MemoryJournal._by_job": "MemoryJournal._lock",
     "MemoryJournal._checkpoints": "MemoryJournal._lock",
     "FileJournal._by_job": "FileJournal._lock",
@@ -115,26 +114,6 @@ GUARDED_BY: dict[str, str] = {
     # sheet's lock (double-checked; the unlocked read sees None or the
     # finished, immutable program) and shared by every thread.
     "Stylesheet._program": "Stylesheet._lower_lock",
-}
-
-# -- blocking / re-entrancy hazard table --------------------------------------
-#
-# Method names whose invocation under a held lock is a CC201 hazard:
-# they may block indefinitely (queue handoff, journal fsync), re-enter
-# arbitrary user code (bus callbacks), or acquire another lock.  Matched
-# on the attribute name of a Call node (``anything.publish(...)``), so
-# the table errs toward high-signal names that are unambiguous in this
-# codebase.
-BLOCKING_CALLS: dict[str, str] = {
-    "publish": "bus publish fans out to subscriber callbacks",
-    "solicit": "bus solicit blocks on subscriber replies",
-    "put": "queue put may block on capacity/backpressure",
-    "get": "queue get blocks until a message arrives",
-    "append": "journal append does write-ahead I/O and replication",
-    "extend": "journal extend does write-ahead I/O for a batch",
-    "append_many": "journal batch append does write-ahead I/O and replication",
-    "wait": "condition/event wait parks the thread",
-    "join": "thread join blocks until the target exits",
 }
 
 # Callback-bearing attribute names: calling through one of these while

@@ -4,10 +4,11 @@ PR 2 made *worker* nodes expendable; this module makes the coordinating
 JobManager expendable too.  Every job mutation -- submission, task specs,
 placements, delivery-ledger entries, state transitions, checkpoints --
 is appended to a write-ahead **job journal** before (or atomically with)
-taking effect, and each append -- a *batch* of one or more records --
-is replicated to every peer CNServer as one event on the existing
-multicast bus (topic ``journal``) carrying the frozen records themselves.  When the failure detector declares a manager
-node dead, a deterministic successor replays its replica of the journal
+taking effect.  Each append is a *batch* -- one job's records at one
+manager epoch, a checkpoint alone -- replicated to every peer CNServer
+as one event on the existing multicast bus (topic ``journal``) carrying
+the frozen records themselves.  When the failure detector declares a
+manager node dead, a deterministic successor replays its replica of the journal
 into a fresh :class:`~repro.cn.job.Job` and adopts the in-flight work
 (see :meth:`JobManager.adopt_job`).
 
@@ -115,36 +116,21 @@ class JournalRecord:
         )
 
 
-class _UniformBatch(tuple):
-    """A batch of records that says what ``extend`` would otherwise find
-    out one record at a time: one job's, at one manager epoch, and none
-    of them a checkpoint -- so it is fenced once and appended whole.
-    :meth:`ReplicatedJournal.append_many` marks the multi-record batches
-    it builds; a one-record batch is never wrapped."""
-
-    __slots__ = ()
-
-
-#: one retained checkpoint: how many records the log and its job's bucket
-#: held when it arrived, and the record
-_Retained = tuple[int, int, JournalRecord]
+#: one retained checkpoint: how many records its job's log held when it
+#: arrived, and the record
+_Retained = tuple[int, JournalRecord]
 
 
 def _interleave(
-    log: Sequence[JournalRecord],
-    retained: Iterable[_Retained],
-    at: int,
-    base: int = 0,
+    log: Sequence[JournalRecord], retained: Iterable[_Retained]
 ) -> list[JournalRecord]:
-    """*log* with each retained checkpoint back where it arrived: after
-    the ``entry[at] - base`` log records that preceded it (*retained* is
-    in arrival order)."""
+    """*log* with each retained checkpoint back where it arrived
+    (*retained* is in arrival order)."""
     out: list[JournalRecord] = []
     start = 0
-    for entry in retained:
-        stop = entry[at] - base
+    for stop, record in retained:
         out += log[start:stop]
-        out.append(entry[2])
+        out.append(record)
         start = stop
     out += log[start:]
     return out
@@ -152,7 +138,7 @@ def _interleave(
 
 class MemoryJournal:
     """In-process journal with manager-epoch fencing: an append-only log
-    of what happened, and a table of where each task got to.
+    per job of what happened, and a table of where each task got to.
 
     A ``checkpoint`` record is state, not history: replay is
     last-writer-wins per task, so the one a task wrote last is all a
@@ -169,9 +155,8 @@ class MemoryJournal:
 
     def __init__(self) -> None:
         self._lock = make_lock(f"{type(self).__name__}._lock")
-        self._records: list[JournalRecord] = []
-        #: the same records bucketed per job (first-seen job order), so a
-        #: replay reads one job without scanning the cluster's history
+        #: each job's log (first-seen job order), so a replay reads one
+        #: job without scanning the cluster's history
         self._by_job: dict[str, list[JournalRecord]] = {}
         #: job -> task -> its latest accepted checkpoint, each job's in
         #: arrival order
@@ -186,99 +171,50 @@ class MemoryJournal:
         """Append unless fenced; returns whether the record was accepted."""
         return self.extend((record,)) == 1
 
-    def extend(self, records: Iterable[JournalRecord]) -> int:
+    def extend(self, batch: Sequence[JournalRecord]) -> int:
         """Append a batch under one lock hold; returns how many records
         were accepted.
 
-        The epoch fence is applied to each record in turn (to a batch
-        known to be one job's at one epoch, once): one stamped with a
-        manager epoch older than its job's high-water mark is a zombie
-        write and is dropped (but kept on :attr:`fenced` for
-        observability) -- a fenced checkpoint supersedes nothing.  The
-        accepted records are persisted together, in accept order."""
-        if not isinstance(records, tuple):
-            records = tuple(records)
+        A batch is one job's records at one manager epoch, and a
+        checkpoint is a batch of its own (:meth:`ReplicatedJournal.append_many`
+        refuses any other).  The epoch fence is applied once: a batch
+        stamped with a manager epoch older than its job's high-water
+        mark is a zombie write and is dropped whole (but kept on
+        :attr:`fenced` for observability) -- a fenced checkpoint
+        supersedes nothing.  An accepted batch is persisted whole."""
+        if not batch:
+            return 0
+        first = batch[0]
+        job_id, mepoch = first.job_id, first.mepoch
         with self._lock:
-            log = self._records
-            start = len(log)
-            if type(records) is _UniformBatch or (
-                len(records) == 1 and records[0].kind != "checkpoint"
-            ):
-                # one job, one epoch, no checkpoint (a marked batch or a
-                # one-record write): the loop below, fenced once and
-                # appended whole (EXPERIMENTS PERF16); TestBatchesEqualSingles
-                # and test_one_record_at_a_time_is_the_whole_batch hold the
-                # two to the same answer
-                first = records[0]
-                job_id, mepoch = first.job_id, first.mepoch
-                high = self._high_water.get(job_id, 0)
-                bucket = self._by_job.get(job_id)
-                if bucket is None:
-                    bucket = self._by_job[job_id] = []
-                if mepoch != high:
-                    if mepoch < high:
-                        self.fenced += records
-                        return 0
-                    self._high_water[job_id] = mepoch
-                log += records
-                bucket += records
-                self._persist(start, ())
-                return len(records)
-            # becomes a list in a batch that carries a checkpoint
-            arrived: Sequence[_Retained] = ()
-            current, high, bucket = None, 0, []
-            for record in records:
-                job_id = record.job_id
-                if job_id != current:
-                    # a batch is usually one job's: look its state up once
-                    current = job_id
-                    high = self._high_water.get(job_id, 0)
-                    bucket = self._by_job.get(job_id)
-                    if bucket is None:
-                        bucket = self._by_job[job_id] = []
-                if record.mepoch != high:
-                    if record.mepoch < high:
-                        self.fenced.append(record)
-                        continue
-                    high = self._high_water[job_id] = record.mepoch
-                if record.kind != "checkpoint":
-                    log.append(record)
-                    bucket.append(record)
-                    continue
-                table = self._checkpoints.get(job_id)
-                if table is None:
-                    table = self._checkpoints[job_id] = {}
-                task = record.data["task"]
+            log = self._by_job.setdefault(job_id, [])
+            high = self._high_water.get(job_id, 0)
+            if mepoch != high:
+                if mepoch < high:
+                    self.fenced += batch
+                    return 0
+                self._high_water[job_id] = mepoch
+            if first.kind == "checkpoint":
+                table = self._checkpoints.setdefault(job_id, {})
+                task = first.data["task"]
                 # pop, then insert: the table stays in arrival order
                 if table.pop(task, None) is not None:
                     self.superseded += 1
-                entry = table[task] = (len(log), len(bucket), record)
-                if not arrived:
-                    arrived = []
-                arrived.append(entry)
-            accepted = len(log) - start + len(arrived)
-            if accepted:
-                self._persist(start, arrived)
-            return accepted
+                table[task] = (len(log), first)
+            else:
+                log += batch
+            self._persist(batch)
+            return len(batch)
 
     def records(self, job_id: Optional[str] = None) -> list[JournalRecord]:
-        """The log, with every retained checkpoint where it arrived."""
+        """One job's log with every retained checkpoint where it arrived;
+        without *job_id*, every job's in first-seen job order."""
         with self._lock:
-            if job_id is not None:
-                return _interleave(
-                    self._by_job.get(job_id, ()),
-                    self._checkpoints.get(job_id, {}).values(),
-                    1,
-                )
-            retained = [
-                entry
-                for table in self._checkpoints.values()
-                for entry in table.values()
-            ]
-            # no log record between two of them: the writer's seq is the
-            # arrival order within a job, and jobs replay apart
-            retained.sort(key=lambda entry: (entry[0], entry[2].seq))
-            return _interleave(self._records, retained, 0)
+            out: list[JournalRecord] = []
+            for job in self._by_job if job_id is None else (job_id,):
+                table = self._checkpoints.get(job, {})
+                out += _interleave(self._by_job.get(job, ()), table.values())
+            return out
 
     def job_ids(self) -> list[str]:
         with self._lock:
@@ -289,25 +225,22 @@ class MemoryJournal:
         with self._lock:
             return self._high_water.get(job_id, 0)
 
-    def _persist(self, start: int, arrived: Sequence[_Retained]) -> None:
-        """Hook for durable backends: one accepted batch -- the log from
-        *start* on and the checkpoints in *arrived*; the lock is held."""
+    def _persist(self, batch: Sequence[JournalRecord]) -> None:
+        """Hook for durable backends: one accepted batch; the lock is
+        held."""
 
     def __len__(self) -> int:
-        """Records retained: the log plus one checkpoint per task."""
+        """Records retained: the logs plus one checkpoint per task."""
         with self._lock:
-            return len(self._records) + sum(map(len, self._checkpoints.values()))
+            tables = (*self._by_job.values(), *self._checkpoints.values())
+            return sum(map(len, tables))
 
 
-def _encode_data(data: dict) -> dict:
-    """JSON when possible; otherwise a pickle/base64 envelope (numpy
+def _envelope(data: dict) -> dict:
+    """A pickle/base64 envelope for a ``data`` JSON cannot carry (numpy
     blocks, TaskSpec, Message payloads)."""
-    try:
-        json.dumps(data)
-        return data
-    except (TypeError, ValueError):
-        blob = pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
-        return {"__pickled__": base64.b64encode(blob).decode("ascii")}
+    blob = pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
+    return {"__pickled__": base64.b64encode(blob).decode("ascii")}
 
 
 def _decode_data(data: dict) -> dict:
@@ -352,14 +285,20 @@ class FileJournal(MemoryJournal):
             raw["data"] = _decode_data(raw.get("data") or {})
             yield JournalRecord.from_payload(raw)
 
-    def _persist(self, start: int, arrived: Sequence[_Retained]) -> None:
+    def _persist(self, batch: Sequence[JournalRecord]) -> None:
         if self._fh is None:
             return  # constructor replaying the existing file
         lines = []
-        for record in _interleave(self._records[start:], arrived, 0, start):
+        for record in batch:
+            # JSON where the data survives it, else the envelope: one
+            # dump per record that JSON can carry
             payload = record.to_payload()
-            payload["data"] = _encode_data(payload["data"])
-            lines.append(json.dumps(payload) + "\n")
+            try:
+                line = json.dumps(payload)
+            except (TypeError, ValueError):
+                payload["data"] = _envelope(payload["data"])
+                line = json.dumps(payload)
+            lines.append(line + "\n")
         try:
             # one write and one flush per batch, before extend() returns
             self._fh.write("".join(lines))
@@ -418,24 +357,22 @@ class ReplicatedJournal:
         consecutive ``seq`` numbers; returns the records, or ``()`` if
         the epoch fence rejected the batch.
 
-        One job, one epoch and one backend lock hold: the fence accepts
-        the batch whole or not at all.  A batch of more than one record
-        with no checkpoint among them is handed on marked as such, so
-        the backend and every replica fence it once (see
-        :class:`_UniformBatch`)."""
+        This is the batch contract every backend and replica trusts: one
+        job, one epoch, one backend lock hold -- the fence accepts the
+        batch whole or not at all -- and a checkpoint is a batch of its
+        own; a checkpoint batched with other events raises
+        :class:`JournalError` and journals nothing."""
         origin = self.origin
         with self._lock:
-            built = []
-            uniform = True
-            for seq, (kind, data) in enumerate(events, self._next_seq):
-                if kind == "checkpoint":
-                    uniform = False
-                built.append(
-                    JournalRecord(seq, job_id, kind, mepoch, origin, dict(data))
+            records = tuple(
+                JournalRecord(seq, job_id, kind, mepoch, origin, dict(data))
+                for seq, (kind, data) in enumerate(events, self._next_seq)
+            )
+            if len(records) > 1 and any(r.kind == "checkpoint" for r in records):
+                raise JournalError(
+                    f"job {job_id!r}: a checkpoint is journaled as a batch of its own"
                 )
-            self._next_seq += len(built)
-            marked = uniform and len(built) > 1
-            records = (_UniformBatch if marked else tuple)(built)
+            self._next_seq += len(records)
             # extend+publish stay under _lock so every replica sees this
             # origin's records in seq order; the backend and bus are leaf
             # locks below ReplicatedJournal._lock in the hierarchy.

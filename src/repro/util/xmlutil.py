@@ -22,7 +22,6 @@ from __future__ import annotations
 import io
 import re
 import xml.etree.ElementTree as ET
-from typing import Iterator
 
 __all__ = [
     "escape_attr",
@@ -33,7 +32,6 @@ __all__ = [
     "parse_xml",
     "parse_prefixed",
     "serialize_prefixed",
-    "iter_elements",
     "strip_whitespace_nodes",
 ]
 
@@ -179,10 +177,3 @@ def canonicalize(doc: str | ET.Element) -> tuple:
 def xml_equal(a: str | ET.Element, b: str | ET.Element) -> bool:
     """Whether two documents are canonically equal (see :func:`canonicalize`)."""
     return canonicalize(a) == canonicalize(b)
-
-
-def iter_elements(root: ET.Element) -> Iterator[ET.Element]:
-    """Depth-first pre-order iteration over *root* and all descendants."""
-    yield root
-    for child in root:
-        yield from iter_elements(child)

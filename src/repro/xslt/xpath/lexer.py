@@ -17,7 +17,7 @@ grammar requires:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["Token", "XPathLexError", "tokenize", "NODE_TYPES"]
 
@@ -25,44 +25,35 @@ NODE_TYPES = ("comment", "text", "processing-instruction", "node")
 
 _OPERATOR_NAMES = ("and", "or", "mod", "div")
 
-# Longest-match token table for punctuation.
-_PUNCT = [
-    "..",
-    "::",
-    "//",
-    "!=",
-    "<=",
-    ">=",
-    "(",
-    ")",
-    "[",
-    "]",
-    ".",
-    "@",
-    ",",
-    "/",
-    "|",
-    "+",
-    "-",
-    "=",
-    "<",
-    ">",
-    "*",
-    "$",
-]
+# Punctuation, tried longest first; ``$`` is not here, it only starts a
+# variable reference.
+_PUNCT = (
+    "..", "::", "//", "!=", "<=", ">=",
+    "(", ")", "[", "]", ".", "@", ",", "/", "|", "+", "-", "=", "<", ">", "*",
+)
+_OPERATORS = frozenset(("+", "-", "=", "!=", "<", "<=", ">", ">=", "|"))
 
 _NCNAME = r"[A-Za-z_][\w.-]*"
-_QNAME_RE = re.compile(rf"({_NCNAME}):({_NCNAME}|\*)|({_NCNAME})")
-_NUMBER_RE = re.compile(r"(\d+(\.\d*)?)|(\.\d+)")
-_WS_RE = re.compile(r"\s+")
+_QNAME = rf"{_NCNAME}:(?:{_NCNAME}|\*)|{_NCNAME}"
+#: one alternation for every token; at a given character at most one
+#: alternative can start, except ``.``, which is a number before a digit
+_TOKEN_RE = re.compile(
+    rf"""(?P<ws>\s+)
+    |(?P<literal>"[^"]*"|'[^']*')
+    |(?P<number>\d+(?:\.\d*)?|\.\d+)
+    |\$(?P<variable>{_QNAME})
+    |(?P<name>{_QNAME})
+    |(?P<punct>{"|".join(map(re.escape, _PUNCT))})""",
+    re.VERBOSE,
+)
+_WS_RE = re.compile(r"\s*")
 
 
 class XPathLexError(ValueError):
     """Raised when the expression contains an unrecognized character."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'name' | 'wildcard' | 'number' | 'literal' | 'operator' | 'axis' | 'function' | 'nodetype' | 'variable' | punctuation itself
     value: str
     pos: int
@@ -85,80 +76,43 @@ def _preceded_by_operand(tokens: list[Token]) -> bool:
 def tokenize(expr: str) -> list[Token]:
     """Tokenize *expr* into a list of :class:`Token`."""
     tokens: list[Token] = []
+    append = tokens.append
     i, n = 0, len(expr)
     while i < n:
-        ws = _WS_RE.match(expr, i)
-        if ws:
-            i = ws.end()
-            continue
-        ch = expr[i]
-        # String literal
-        if ch in ("'", '"'):
-            end = expr.find(ch, i + 1)
-            if end < 0:
+        match = _TOKEN_RE.match(expr, i)
+        if match is None:
+            ch = expr[i]
+            if ch in ("'", '"'):
                 raise XPathLexError(f"unterminated literal at {i} in {expr!r}")
-            tokens.append(Token("literal", expr[i + 1 : end], i))
-            i = end + 1
-            continue
-        # Number
-        num = _NUMBER_RE.match(expr, i)
-        if num and (ch.isdigit() or (ch == "." and i + 1 < n and expr[i + 1].isdigit())):
-            tokens.append(Token("number", num.group(0), i))
-            i = num.end()
-            continue
-        # Variable reference
-        if ch == "$":
-            qname = _QNAME_RE.match(expr, i + 1)
-            if not qname:
+            if ch == "$":
                 raise XPathLexError(f"bad variable reference at {i} in {expr!r}")
-            tokens.append(Token("variable", qname.group(0), i))
-            i = qname.end()
-            continue
-        # Names (QName / NCName / prefix:*)
-        if ch.isalpha() or ch == "_":
-            qname = _QNAME_RE.match(expr, i)
-            assert qname is not None
-            name = qname.group(0)
-            end = qname.end()
+            raise XPathLexError(f"unexpected character {ch!r} at {i} in {expr!r}")
+        kind = match.lastgroup
+        value = match[kind]
+        end = match.end()
+        if kind == "name":
             # operator-name disambiguation
-            if name in _OPERATOR_NAMES and _preceded_by_operand(tokens):
-                tokens.append(Token("operator", name, i))
-                i = end
-                continue
-            # Look ahead past whitespace
-            j = end
-            while j < n and expr[j].isspace():
-                j += 1
-            if expr[j : j + 2] == "::":
-                tokens.append(Token("axis", name, i))
-                i = j + 2
-                continue
-            if j < n and expr[j] == "(":
-                if name in NODE_TYPES:
-                    tokens.append(Token("nodetype", name, i))
-                else:
-                    tokens.append(Token("function", name, i))
-                i = end
-                continue
-            if name.endswith(":*"):
-                tokens.append(Token("wildcard", name, i))
+            if value in _OPERATOR_NAMES and _preceded_by_operand(tokens):
+                kind = "operator"
             else:
-                tokens.append(Token("name", name, i))
+                # look ahead past whitespace
+                j = _WS_RE.match(expr, end).end()
+                if expr.startswith("::", j):
+                    kind, end = "axis", j + 2
+                elif expr.startswith("(", j):
+                    kind = "nodetype" if value in NODE_TYPES else "function"
+                elif value.endswith(":*"):
+                    kind = "wildcard"
+        elif kind == "punct":
+            if value == "*":
+                kind = "operator" if _preceded_by_operand(tokens) else "wildcard"
+            elif value in _OPERATORS:
+                kind = "operator"
+        elif kind == "literal":
+            value = value[1:-1]
+        elif kind == "ws":
             i = end
             continue
-        # Punctuation / operators
-        for punct in _PUNCT:
-            if expr.startswith(punct, i):
-                if punct == "*" and _preceded_by_operand(tokens):
-                    tokens.append(Token("operator", "*", i))
-                elif punct == "*":
-                    tokens.append(Token("wildcard", "*", i))
-                elif punct in ("+", "-", "=", "!=", "<", "<=", ">", ">=", "|"):
-                    tokens.append(Token("operator", punct, i))
-                else:
-                    tokens.append(Token("punct", punct, i))
-                i += len(punct)
-                break
-        else:
-            raise XPathLexError(f"unexpected character {ch!r} at {i} in {expr!r}")
+        append(Token(kind, value, i))
+        i = end
     return tokens

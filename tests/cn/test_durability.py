@@ -13,6 +13,7 @@ import tempfile
 import threading
 import time
 import weakref
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -37,8 +38,7 @@ from repro.cn.durability import (
     MemoryJournal,
     ReplicatedJournal,
     _decode_data,
-    _encode_data,
-    _UniformBatch,
+    _envelope,
     journal_factory_for_dir,
 )
 from repro.cn.errors import JournalError
@@ -163,14 +163,18 @@ class TestMemoryJournal:
 
 
     def test_extend_fences_per_record_inside_one_batch(self):
+        """A batch is one job's at one epoch: the fence reads its first
+        record and takes or drops every record in it."""
         journal = MemoryJournal()
         created = rec(1, "j", "job-created", mepoch=1)
         adopted = rec(2, "j", "job-adopted", mepoch=2)
-        stale = rec(3, "j", "task-state", mepoch=1, task="t")
-        other = rec(4, "k", "job-created", mepoch=1)
-        assert journal.extend((created, adopted, stale, other)) == 3
+        stale = tuple(rec(3 + i, "j", "task-state", mepoch=1, task=f"t{i}") for i in (0, 1))
+        other = rec(5, "k", "job-created", mepoch=1)
+        assert journal.extend((created,)) == 1 and journal.extend((adopted,)) == 1
+        assert journal.extend(stale) == 0
+        assert journal.extend((other,)) == 1
         assert journal.records() == [created, adopted, other]
-        assert journal.fenced == [stale]
+        assert journal.fenced == list(stale)
         assert journal.extend(()) == 0
 
     def test_reading_one_job_touches_no_other_jobs_records(self):
@@ -186,10 +190,9 @@ class TestMemoryJournal:
                 return object.__getattribute__(self, name)
 
         journal = MemoryJournal()
-        journal.extend(
-            Tripwire(i, f"old{i // 2}", "job-finished", 1, "n0/jm", {})
-            for i in range(400)
-        )
+        old = [Tripwire(i, f"old{i // 2}", "job-finished", 1, "n0/jm", {}) for i in range(400)]
+        for i in range(0, 400, 2):
+            journal.extend(old[i : i + 2])
         mine = [rec(1000 + i, "mine", "task-state", task=f"t{i}") for i in range(3)]
         journal.extend(mine)
         Tripwire.touched = 0
@@ -244,13 +247,15 @@ class TestFileJournal:
     def test_reload_fills_the_per_job_index(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         journal = FileJournal(path)
-        journal.extend([rec(1, "a", "job-created"), rec(2, "b", "job-created")])
+        journal.extend([rec(1, "a", "job-created")])
+        journal.extend([rec(2, "b", "job-created")])
         journal.extend([rec(3, "a", "job-finished", failed=False)])
         journal.close()
         reloaded = FileJournal(path)
         assert reloaded.job_ids() == ["a", "b"]
         assert [r.seq for r in reloaded.records("a")] == [1, 3]
-        assert [r.seq for r in reloaded.records()] == [1, 2, 3]
+        # every job's log, in first-seen job order
+        assert [r.seq for r in reloaded.records()] == [1, 3, 2]
         reloaded.close()
 
     def test_batch_is_on_disk_when_extend_returns(self, tmp_path):
@@ -291,7 +296,7 @@ class TestEncodeDecode:
         )
     )
     def test_envelope_roundtrips_arbitrary_payloads(self, data):
-        assert _decode_data(_encode_data(data)) == data
+        assert _decode_data(_envelope(data)) == data
 
 
 # -- replication ----------------------------------------------------------------
@@ -369,6 +374,16 @@ class TestReplicatedJournal:
             assert j0.append("j", "task-state", {"task": "t"}, 1) is None
             assert metrics.value("cn_journal_fenced_total", node="node0") == 1
             assert metrics.total("cn_journal_fenced_total") == 1
+
+    def test_a_checkpoint_batched_with_other_events_is_refused(self):
+        """A checkpoint is a batch of its own: the writer refuses any
+        other batch holding one, before it journals or numbers anything."""
+        journal = ReplicatedJournal(MemoryJournal(), bus=None, origin="node0")
+        checkpoint = ("checkpoint", {"task": "t", "tag": 1, "state": {"k": 1}})
+        with pytest.raises(JournalError, match="checkpoint"):
+            journal.append_many("j", [("task-state", {"task": "t"}), checkpoint], 1)
+        assert journal.records("j") == [] and journal.backend.job_ids() == []
+        assert [r.seq for r in journal.append_many("j", [checkpoint], 1)] == [1]
 
     def test_fenced_append_returns_none_and_is_not_published(self):
         with Cluster(2, registry=echo_registry()) as cluster:
@@ -686,25 +701,22 @@ _KIND_DATA = st.one_of(
 )
 
 
-def _uniform_runs(records):
-    """*records* cut into the batches ``append_many`` would mark: each
-    maximal run of one job's non-checkpoint records at one epoch, marked
-    when it holds more than one; a checkpoint is a batch of its own."""
-    runs, run = [], []
-    for record in records:
-        if run and (
-            record.kind == "checkpoint"
-            or (record.job_id, record.mepoch) != (run[0].job_id, run[0].mepoch)
-        ):
-            runs.append(run)
-            run = []
-        run.append(record)
-        if record.kind == "checkpoint":
-            runs.append(run)
-            run = []
-    if run:
-        runs.append(run)
-    return [_UniformBatch(run) if len(run) > 1 else tuple(run) for run in runs]
+def _batches(records):
+    """*records* cut into the batches ``append_many`` would write: each
+    maximal run of one job's records at one epoch, a checkpoint alone."""
+    batches = []
+    for (_, _, checkpoint), run in groupby(
+        records, lambda r: (r.job_id, r.mepoch, r.kind == "checkpoint")
+    ):
+        batches += [(r,) for r in run] if checkpoint else [tuple(run)]
+    return batches
+
+
+def _checkpoints_alone(events):
+    """One write's ``(kind, data)`` events as ``append_many`` batches:
+    each run of other events together, each checkpoint alone."""
+    for checkpoint, run in groupby(events, lambda event: event[0] == "checkpoint"):
+        yield from ([event] for event in run) if checkpoint else (list(run),)
 
 
 @st.composite
@@ -742,22 +754,20 @@ class TestReplayDeterminism:
     @settings(max_examples=100, deadline=None)
     @given(journals())
     def test_one_record_at_a_time_is_the_whole_batch(self, records):
-        """``extend`` takes a one-record batch, and a batch marked as one
-        job's at one epoch with no checkpoint, without its per-record
-        loop; all three paths fence, bucket and retain the same way."""
-        single, batched, marked = MemoryJournal(), MemoryJournal(), MemoryJournal()
+        """A batch of one job's records at one epoch, fenced once and
+        appended whole, fences, logs and retains as its records written
+        one at a time do."""
+        single, batched = MemoryJournal(), MemoryJournal()
         accepted = sum(single.extend((record,)) for record in records)
-        assert batched.extend(records) == accepted
-        assert sum(marked.extend(run) for run in _uniform_runs(records)) == accepted
-        for journal in (batched, marked):
-            assert single.records() == journal.records()
-            assert single.job_ids() == journal.job_ids()
-            for job_id in ("j", "other"):
-                assert single.records(job_id) == journal.records(job_id)
-                assert single.manager_epoch(job_id) == journal.manager_epoch(job_id)
-            assert single.fenced == journal.fenced
-            assert single.superseded == journal.superseded
-            assert len(single) == len(journal)
+        assert sum(batched.extend(batch) for batch in _batches(records)) == accepted
+        assert single.records() == batched.records()
+        assert single.job_ids() == batched.job_ids()
+        for job_id in ("j", "other"):
+            assert single.records(job_id) == batched.records(job_id)
+            assert single.manager_epoch(job_id) == batched.manager_epoch(job_id)
+        assert single.fenced == batched.fenced
+        assert single.superseded == batched.superseded
+        assert len(single) == len(batched)
 
     @settings(max_examples=60, deadline=None)
     @given(journals(), journals())
@@ -819,14 +829,13 @@ def _observed(journal):
 
 
 def _write_both_ways(writes, raced=None):
-    """Run *writes* as one ``append_many`` each on one trio and as N
-    ``append``s on another (adjacent writes may share job and epoch, so
-    this is every split of the event sequence); *raced*, if given, lands
-    on node1 of both trios first.  Checks that each multi-record batch
-    with no checkpoint went out marked, so the replicas took ``extend``'s
-    fast branch, and that both trios show the same; returns what the
-    batched trio's writer, node1 and node2 show, and the records its
-    writer published."""
+    """Run *writes* as ``append_many`` batches on one trio (a write's
+    runs of events together, each checkpoint alone) and as N ``append``s
+    on another (adjacent writes may share job and epoch, so this is
+    every split of the event sequence a writer may make); *raced*, if
+    given, lands on node1 of both trios first.  Checks that both trios
+    show the same; returns what the batched trio's writer, node1 and
+    node2 show, and the records its writer published."""
     with tempfile.TemporaryDirectory() as directory:
         batched, batched_replicas = _replicated_trio(directory, "batched")
         single, single_replicas = _replicated_trio(directory, "single")
@@ -835,10 +844,8 @@ def _write_both_ways(writes, raced=None):
             single_replicas[0].backend.append(raced)
         published = []
         for job_id, mepoch, events in writes:
-            records = batched.append_many(job_id, events, mepoch)
-            uniform = len(events) > 1 and all(k != "checkpoint" for k, _ in events)
-            assert not records or (type(records) is _UniformBatch) == uniform
-            published += records
+            for batch in _checkpoints_alone(events):
+                published += batched.append_many(job_id, batch, mepoch)
             for kind, data in events:
                 single.append(job_id, kind, data, mepoch)
         for job_id in ("j", "other"):
@@ -868,8 +875,8 @@ class TestBatchesEqualSingles:
         records and bytes on disk on the writer and on every replica, and
         the same replay."""
         writer, node1, node2, _ = _write_both_ways(writes)
-        written = writer[0]
-        assert [r.seq for r in written] == sorted(r.seq for r in written)
+        for written in writer[1].values():
+            assert [r.seq for r in written] == sorted(r.seq for r in written)
         # a write fenced at the writer is never published
         assert node1 == node2
         assert node2[:5] == (*writer[:4], [])
@@ -879,8 +886,8 @@ class TestBatchesEqualSingles:
     def test_a_replica_an_adoption_reached_first_fences_whole_batches(self, writes):
         """An adoption of ``j`` raced the writer's publishes to node1, so
         node1's high-water mark is past every drawn epoch: each of ``j``'s
-        batches, marked or not, is fenced whole there and lands on
-        ``fenced`` in publish order, while node2 takes them all."""
+        batches is fenced whole there and lands on ``fenced`` in publish
+        order, while node2 takes them all."""
         adopted = rec(1, "j", "job-adopted", mepoch=4, origin="node9", manager="n9")
         writer, node1, node2, published = _write_both_ways(writes, adopted)
         assert node2[:5] == (*writer[:4], [])
@@ -931,21 +938,11 @@ class TestCheckpointTable:
         other = rec(4, "j", "checkpoint", task="y", tag=0, state="y0")
         second = rec(5, "j", "checkpoint", task="x", tag=1, state="x1")
         noise = rec(7, "k", "checkpoint", task="x", tag=7, state="k7")
-        assert journal.extend((a, first, b, other, second, c, noise)) == 7
+        assert sum(journal.append(r) for r in (a, first, b, other, second, c, noise)) == 7
         assert journal.records("j") == [a, b, other, second, c]
         assert journal.records() == [a, b, other, second, c, noise]
         assert journal.records("k") == [noise]
         assert len(journal) == 6 and journal.superseded == 1
-
-    def test_two_jobs_with_no_log_record_between_come_back_in_seq_order(self):
-        # hypothesis found it (TestBatchesEqualSingles): both tables sit at
-        # the same log position, and j's table is older than k's
-        journal = MemoryJournal()
-        old = rec(1, "j", "checkpoint", task="t", tag=0, state="j0")
-        other = rec(2, "k", "checkpoint", task="t", tag=0, state="k0")
-        new = rec(3, "j", "checkpoint", task="t", tag=1, state="j1")
-        assert journal.extend((old, other)) == 2 and journal.append(new)
-        assert journal.records() == [other, new]
 
     def test_a_superseded_state_is_freed_when_the_last_replica_lets_go(self):
         replicas = [MemoryJournal() for _ in range(3)]
@@ -1117,9 +1114,9 @@ class TestDurableJobLifecycle:
         earlier = set(threading.enumerate())  # other tests' leftovers
         persist = FileJournal._persist
 
-        def slow_disk(self, start, arrived):
+        def slow_disk(self, batch):
             time.sleep(0.001)  # every write lets the woken client run
-            persist(self, start, arrived)
+            persist(self, batch)
 
         monkeypatch.setattr(FileJournal, "_persist", slow_disk)
         names = [f"e{i}" for i in range(8)]

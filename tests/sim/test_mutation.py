@@ -136,10 +136,10 @@ def fold_forgetting_the_last_task(rule, best, seed):
     return real_fold(rule._replace(tasks=rule.tasks[:-1]), best, seed)
 
 
-def persist_from_the_second_record(self, start, arrived):
+def persist_from_the_second_record(self, batch):
     """FileJournal._persist with an off-by-one: the first record of each
     batch never reaches the file."""
-    real_persist(self, start + 1, arrived)
+    real_persist(self, batch[1:])
 
 
 DEFECTS = {

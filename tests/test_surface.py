@@ -133,6 +133,9 @@ DELETED = [
      "a registry lists nothing only its tests read"),
     (EVERYWHERE, r"\b_capture_jobs\b",
      "a portal submission's artifacts are views built when read, not copies"),
+    (EVERYWHERE, r"\bBLOCKING_CALLS\b|\biter_elements\b",
+     "no second blocking-call table beside static._BLOCKING, no XML walk "
+     "nothing calls"),
 ]
 
 #: what counts as a caller of a package's exports: tests never do

@@ -53,6 +53,12 @@ class TestBasicTokens:
         with pytest.raises(XPathLexError):
             tokenize("a # b")
 
+    def test_a_letter_no_name_starts_with_is_an_unexpected_character(self):
+        # XML allows it, this lexer's names do not: refused like any
+        # other character, not by an assertion
+        with pytest.raises(XPathLexError, match="unexpected character 'é' at 2"):
+            tokenize("a é")
+
 
 class TestPunctuation:
     def test_slashes(self):
