@@ -169,7 +169,7 @@ class ChaosPolicy:
 
     Rate-based decisions are *keyed*: each decision derives its own RNG
     from ``(seed, kind, stable key)`` -- e.g. ``(queue owner, delivery
-    index)`` or ``(task, attempt)`` -- so the set of injected faults does
+    index)`` or ``(node, starts)`` -- so the set of injected faults does
     not depend on thread scheduling.  Scripted faults fire exactly once
     for their target.  All hooks are cheap no-ops while ``enabled`` is
     false, which is the case for a policy with zero rates and no scripts.
@@ -179,7 +179,6 @@ class ChaosPolicy:
         self,
         seed: int = 0,
         *,
-        task_crash_rate: float = 0.0,
         node_crash_rate: float = 0.0,
         queue_drop_rate: float = 0.0,
         queue_delay_rate: float = 0.0,
@@ -189,7 +188,6 @@ class ChaosPolicy:
         corrupt_rate: float = 0.0,
     ) -> None:
         self.seed = seed
-        self.task_crash_rate = task_crash_rate
         self.node_crash_rate = node_crash_rate
         self.queue_drop_rate = queue_drop_rate
         self.queue_delay_rate = queue_delay_rate
@@ -207,8 +205,6 @@ class ChaosPolicy:
         self._task_crashes: set[tuple[str, int]] = set()
         self._task_stalls: set[tuple[str, int]] = set()
         self._node_crashes_after_starts: dict[str, int] = {}
-        # overload mode: slow-consumer queues (owner substring -> stride)
-        self._slow_consumers: dict[str, int] = {}
         # scripted corruption: owner substring -> first delivery index to
         # corrupt (fires once per entry, consumed on match)
         self._corruptions: dict[str, int] = {}
@@ -225,8 +221,7 @@ class ChaosPolicy:
         # rate and script table.  Arming is one-way: a drained script
         # leaves the policy armed (costs a check, never correctness).
         self._armed = bool(
-            task_crash_rate
-            or node_crash_rate
+            node_crash_rate
             or queue_drop_rate
             or queue_delay_rate
             or bus_drop_rate
@@ -256,19 +251,6 @@ class ChaosPolicy:
         node = node.split("/")[0]
         with self._script_lock:
             self._node_crashes_after_starts[node] = after_starts
-        self._armed = True
-        return self
-
-    def slow_consumer(self, owner_substring: str, *, stride: int = 2) -> "ChaosPolicy":
-        """Overload mode: make queues whose owner contains
-        *owner_substring* behave like a slow consumer -- every
-        *stride*-th delivery is held back (the ``delay`` fate) so depth
-        builds up deterministically and backpressure engages.  Not a
-        one-shot: the brake stays on for the whole run."""
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        with self._script_lock:
-            self._slow_consumers[owner_substring] = stride
         self._armed = True
         return self
 
@@ -318,11 +300,7 @@ class ChaosPolicy:
                 self._task_crashes.discard((task, attempt))
         if scripted:
             self._record("task-crash", "task", task, attempt=attempt, scripted=True)
-            return True
-        if self._decide("task-crash", f"{task}:{attempt}", self.task_crash_rate):
-            self._record("task-crash", "task", task, attempt=attempt, job=job_id)
-            return True
-        return False
+        return scripted
 
     def should_stall(self, job_id: str, task: str, attempt: int) -> bool:
         with self._script_lock:
@@ -361,24 +339,12 @@ class ChaosPolicy:
                     break
             if corrupt_hit is not None:
                 del self._corruptions[corrupt_hit]
-            slow = [
-                (sub, stride)
-                for sub, stride in self._slow_consumers.items()
-                if sub in owner
-            ]
         if corrupt_hit is not None:
             self._record(
                 "queue-corrupt", f"queue:{owner}", owner,
                 index=index, scripted=True,
             )
             return "corrupt"
-        for sub, stride in slow:
-            if index % stride == 0:
-                self._record(
-                    "queue-delay", f"queue:{owner}", owner,
-                    index=index, slow_consumer=sub,
-                )
-                return "delay"
         key = f"{owner}:{index}"
         if self._decide("queue-drop", key, self.queue_drop_rate):
             self._record("queue-drop", f"queue:{owner}", owner, index=index)

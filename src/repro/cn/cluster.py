@@ -253,7 +253,7 @@ class Cluster(AbstractContextManager):
         from the counts the runtime already keeps, each time it is read.
 
         Per node: liveness, placement headroom, hosted tasks, queued
-        messages, queue backpressure outcomes, budget drops, wire volume
+        messages, quarantined frames, budget drops, wire volume
         (proc only) and heartbeat misses -- the most any live peer's
         detector has counted against the node's TaskManager.  Per
         manager: jobs created.  Per job id: messages routed, summed over
@@ -280,9 +280,6 @@ class Cluster(AbstractContextManager):
             node.gauge("cn_node_hosted_tasks").set(tm.hosted_count())
             node.gauge("cn_node_queued_messages").set(tm.queued_messages())
             node.gauge("cn_node_heartbeat_misses").set(misses.get(server.name, 0))
-            rejected, shed = tm.queue_overload_stats()
-            node.gauge("cn_queue_rejected_total").set(rejected)
-            node.gauge("cn_queue_shed_total").set(shed)
             node.gauge("cn_queue_poisoned_total").set(tm.queue_poisoned())
             node.gauge("cn_budget_drops_total").set(tm.budget_drops)
             manager = server.jobmanager

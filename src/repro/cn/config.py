@@ -17,7 +17,6 @@ from typing import Optional
 
 from .chaos import ChaosPolicy, VirtualClock
 from .errors import ConfigError
-from .queues import QUEUE_POLICIES
 from .registry import TaskRegistry
 from .telemetry import Telemetry
 from .transport import InProcTransport, ProcTransport
@@ -35,7 +34,6 @@ _AT_LEAST = {
     "nodes": 1,
     "memory_per_node": 1,
     "slots_per_node": 1,
-    "queue_maxsize": 0,
 }
 
 
@@ -65,10 +63,6 @@ class ClusterConfig:
     telemetry: Optional[Telemetry] = field(default_factory=Telemetry)
     #: install the runtime lock-order verifier for the cluster's lifetime
     verify_locking: bool = False
-    #: bound on every hosted task queue (0 = unbounded)
-    queue_maxsize: int = 0
-    #: what a full queue does with a put: one of ``QUEUE_POLICIES``
-    queue_policy: str = "block"
     #: seal outbound frames with a CRC digest and verify it at dequeue
     checksums: bool = False
     #: where a task attempt runs: one of ``TRANSPORTS``
@@ -87,11 +81,6 @@ class ClusterConfig:
         if self.scheduler not in SCHEDULERS:
             raise ConfigError(
                 f"unknown scheduler {self.scheduler!r}; expected one of {SCHEDULERS}"
-            )
-        if self.queue_policy not in QUEUE_POLICIES:
-            raise ConfigError(
-                f"unknown queue policy {self.queue_policy!r}; "
-                f"expected one of {QUEUE_POLICIES}"
             )
         if self.journal_dir is not None and not self.durable:
             raise ConfigError(

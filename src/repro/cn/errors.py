@@ -15,7 +15,6 @@ __all__ = [
     "MessageTimeout",
     "ShutdownError",
     "JournalError",
-    "Overloaded",
     "BudgetExhausted",
     "ConfigError",
     "TransportError",
@@ -97,30 +96,6 @@ class ShutdownError(CnError):
 
 class JournalError(CnError):
     """The durable job journal could not be read or written."""
-
-
-class Overloaded(CnError):
-    """A bounded queue (or the portal's admission controller) refused new
-    work because the system is saturated.  Carries enough context for the
-    caller to back off intelligently: the component that refused, its
-    depth at the moment of refusal, and its configured capacity."""
-
-    def __init__(
-        self,
-        owner: str,
-        *,
-        depth: int,
-        maxsize: int,
-        retry_after: "float | None" = None,
-    ) -> None:
-        self.owner = owner
-        self.depth = depth
-        self.maxsize = maxsize
-        self.retry_after = retry_after
-        super().__init__(
-            f"{owner!r} is overloaded ({depth}/{maxsize} queued)"
-            + (f"; retry after {retry_after:g}s" if retry_after is not None else "")
-        )
 
 
 class ConfigError(CnError, ValueError):

@@ -22,7 +22,6 @@ from ..core.uml.tags import CNProfile
 from .errors import (
     JobError,
     JobTimeoutError,
-    Overloaded,
     ShutdownError,
     TaskFailedError,
     UnknownTaskError,
@@ -240,9 +239,6 @@ class Job:
         #: messages re-delivered into fresh queues after a re-placement
         #: (not part of the paper's wire-volume accounting)
         self.messages_replayed = 0
-        #: messages evicted from bounded task queues under backpressure
-        #: (each one is journaled as a ``shed`` record; see note_shed)
-        self.messages_shed = 0
         #: whether the router seals outbound messages with a CRC digest
         #: (the cluster's ``checksums`` option; see note_poison)
         self.checksums = checksums
@@ -373,8 +369,7 @@ class Job:
         state and a checkpoint are last-writer, attempts and placement
         epoch keep their maximum, deliveries accumulate in order and
         ``ledger-gc`` drops the prefix its cumulative watermark has not
-        dropped yet (a duplicated record drops nothing).  ``shed`` needs
-        no fold: its message is still in the ledger."""
+        dropped yet (a duplicated record drops nothing)."""
         if record.job_id != self.job_id:
             return
         kind, data = record.kind, record.data
@@ -813,20 +808,6 @@ class Job:
         if state.terminal:
             self.note_terminal(runtime.name)
 
-    def note_shed(self, task: str, message: Message) -> None:
-        """Record a backpressure eviction from *task*'s bounded queue.
-
-        Called by the hosting TaskManager (outside the queue lock).  The
-        message itself was already ledgered *and* journaled write-ahead
-        by :meth:`route_many` before it ever reached the queue, so the
-        ``shed`` record only needs the serial: a replay re-offers the
-        full message from the delivery ledger, preserving at-least-once
-        even though the live queue dropped it.
-        """
-        with self._lock:
-            self.messages_shed += 1
-        self.journal_events([("shed", {"task": task, "serial": message.serial})])
-
     def note_poison(self, task: str, message: Message) -> None:
         """Quarantine a corrupt frame dequeued from *task*'s queue.
 
@@ -868,7 +849,7 @@ class Job:
             if queue is not None:
                 try:
                     queue.put(original)
-                except (ShutdownError, Overloaded) as exc:
+                except ShutdownError as exc:
                     # the ledger still holds the message for attempt-level
                     # replay; record the failed live re-offer
                     self._drop(original, exc)

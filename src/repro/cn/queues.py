@@ -8,23 +8,7 @@ receive (wait for a message matching a predicate while buffering the
 rest), which tasks like the Floyd workers use to pull the k-th row
 broadcast out of order from result traffic.
 
-Queues may be *bounded* (``maxsize`` > 0) with an explicit backpressure
-policy chosen at construction:
-
-``block``
-    producers wait until a consumer makes room (or the queue closes);
-``reject``
-    producers get :class:`~repro.cn.errors.Overloaded` immediately,
-    carrying the depth/capacity so callers can back off;
-``shed_oldest``
-    the oldest undelivered message is evicted to admit the new one; the
-    eviction is reported through the ``on_shed`` callback (invoked
-    *after* the queue lock is released) so the owner can journal a
-    ``shed`` record and the delivery ledger can replay it later --
-    shedding trades latency for loss only if nobody journals.
-
-The default stays unbounded for seed compatibility.  Capacity counts
-only undelivered buffered messages: the selective-receive stash is
+Queues are unbounded, as in the paper.  The selective-receive stash is
 consumer-side (already delivered once), and chaos-delayed messages are
 in-flight on the simulated link.
 """
@@ -37,19 +21,17 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from ..analysis.conc.runtime import make_condition
 from .chaos import REORDER_HOLD
-from .errors import MessageTimeout, Overloaded, ShutdownError
+from .errors import MessageTimeout, ShutdownError
 from .messages import Message, corrupt_copy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .chaos import ChaosPolicy
 
-__all__ = ["MessageQueue", "QUEUE_POLICIES"]
-
-QUEUE_POLICIES = ("block", "reject", "shed_oldest")
+__all__ = ["MessageQueue"]
 
 
 class MessageQueue:
-    """FIFO of :class:`Message` with close, bounds, and selective recv.
+    """FIFO of :class:`Message` with close and selective recv.
 
     An optional :class:`~repro.cn.chaos.ChaosPolicy` makes the queue a
     fault site: each ``put`` may be dropped (lossy link), delayed (held
@@ -72,21 +54,11 @@ class MessageQueue:
         self,
         owner: str,
         *,
-        maxsize: int = 0,
-        policy: str = "block",
-        on_shed: Optional[Callable[[Message], None]] = None,
         chaos: "Optional[ChaosPolicy]" = None,
         verify_digests: bool = False,
         on_poison: Optional[Callable[[Message], None]] = None,
     ) -> None:
-        if policy not in QUEUE_POLICIES:
-            raise ValueError(
-                f"unknown queue policy {policy!r}; expected one of {QUEUE_POLICIES}"
-            )
         self.owner = owner
-        self.maxsize = int(maxsize)
-        self.policy = policy
-        self._on_shed = on_shed
         self._cond = make_condition("MessageQueue._cond")
         self._buffer: deque[Message] = deque()
         self._stash: list[Message] = []
@@ -102,48 +74,11 @@ class MessageQueue:
         # pairs: delay holds for 1 successful put, reorder for
         # ``REORDER_HOLD`` -- a bounded reordering window
         self._delayed: list[list] = []
-        #: deepest the queue has ever been (a high watermark survives the
-        #: drain that a point-in-time depth gauge would miss)
-        self.high_watermark = 0
-        #: producers refused under the ``reject`` policy
-        self.rejected = 0
-        #: messages evicted under the ``shed_oldest`` policy
-        self.shed = 0
         #: messages quarantined at dequeue by digest verification
         self.poisoned = 0
 
     # -- producer side -----------------------------------------------------
     def put(self, message: Message) -> None:
-        shed = self._put_locked(message, note_depth=True)
-        self._dispatch_shed(shed)
-
-    def put_many(self, messages: list[Message]) -> int:
-        """Deliver a batch into the queue; returns how many were accepted.
-
-        Each message still rolls its *own* chaos fate (drop/delay are
-        per-delivery decisions keyed by the per-queue index, exactly as
-        if :meth:`put` had been called per message), but the depth
-        high-watermark is noted exactly once per batch.  Stops early and
-        returns the partial count if the queue closes mid-batch."""
-        delivered = 0
-        shed: list[Message] = []
-        try:
-            for message in messages:
-                try:
-                    shed.extend(self._put_locked(message, note_depth=False))
-                except ShutdownError:
-                    break
-                delivered += 1
-        finally:
-            with self._cond:
-                self._note_depth_locked()
-            self._dispatch_shed(shed)
-        return delivered
-
-    def _put_locked(self, message: Message, *, note_depth: bool) -> list[Message]:
-        """Admit one message; returns evicted messages for the caller to
-        report *after* the queue lock is released (journaling or user
-        callbacks must never run under the lock)."""
         fate = "deliver"
         chaotic = self._chaos is not None and self._chaos.enabled
         if chaotic:
@@ -154,83 +89,50 @@ class MessageQueue:
                 index = self._put_index
             fate = self._chaos.queue_fate(self._fate_ns, index)
             if fate == "drop":
-                return []
-        shed: list[Message] = []
+                return
         with self._cond:
             if self._closed:
                 raise ShutdownError(f"queue for {self.owner!r} is closed")
             if fate in ("delay", "reorder"):
                 hold = 1 if fate == "delay" else REORDER_HOLD
                 self._delayed.append([message, hold])
-                return []
+                return
             if fate == "corrupt":
                 message = corrupt_copy(message)
-            self._admit_locked(message, shed)
+            self._buffer.append(message)
             if fate == "duplicate":
                 # the at-least-once retransmit: the same frame (same
                 # serial) admitted twice
-                self._admit_locked(message, shed)
+                self._buffer.append(message)
             if chaotic and self._delayed:
-                self._release_held_locked(shed)
-            if note_depth:
-                self._note_depth_locked()
+                # a successful delivery ages every held-back message by
+                # one put; those whose hold expires are admitted
+                # (deterministic bounded reordering)
+                still: list[list] = []
+                for entry in self._delayed:
+                    if entry[1] > 1:
+                        entry[1] -= 1
+                        still.append(entry)
+                    else:
+                        self._buffer.append(entry[0])
+                self._delayed = still
             self._cond.notify_all()
-        return shed
 
-    def _release_held_locked(self, shed_out: list[Message]) -> None:
-        """A successful delivery ages every held-back message by one put;
-        those whose hold expires are admitted (deterministic bounded
-        reordering).  Under a full ``reject`` queue expired messages
-        simply stay held until a later put finds room.  Caller holds
-        ``_cond``."""
-        still: list[list] = []
-        for entry in self._delayed:
-            if entry[1] > 1:
-                entry[1] -= 1
-                still.append(entry)
-                continue
-            if (
-                self.maxsize
-                and self.policy == "reject"
-                and len(self._buffer) >= self.maxsize
-            ):
-                entry[1] = 1
-                still.append(entry)
-                continue
-            self._admit_locked(entry[0], shed_out)
-        self._delayed = still  # conclint: waive CC101 -- callers hold _cond (documented contract)
+    def put_many(self, messages: list[Message]) -> int:
+        """Deliver a batch into the queue; returns how many were accepted.
 
-    def _admit_locked(self, message: Message, shed_out: list[Message]) -> None:
-        """Apply the backpressure policy, then append.  Caller holds
-        ``_cond``; evictions accumulate in *shed_out* for post-release
-        dispatch."""
-        if self.maxsize and len(self._buffer) >= self.maxsize:
-            if self.policy == "reject":
-                self.rejected += 1
-                raise Overloaded(
-                    self.owner, depth=len(self._buffer), maxsize=self.maxsize
-                )
-            if self.policy == "shed_oldest":
-                while len(self._buffer) >= self.maxsize:
-                    shed_out.append(self._buffer.popleft())
-                    self.shed += 1
-            else:  # block: wait for a consumer to make room
-                while len(self._buffer) >= self.maxsize and not self._closed:
-                    self._cond.wait()
-                if self._closed:
-                    raise ShutdownError(f"queue for {self.owner!r} is closed")
-        self._buffer.append(message)  # conclint: waive CC101 -- callers hold _cond (documented contract)
-
-    def _dispatch_shed(self, shed: list[Message]) -> None:
-        if not shed or self._on_shed is None:
-            return
-        for message in shed:
-            self._on_shed(message)
-
-    def _note_depth_locked(self) -> None:
-        depth = len(self._stash) + len(self._buffer) + len(self._delayed)
-        if depth > self.high_watermark:
-            self.high_watermark = depth
+        Each message rolls its *own* chaos fate (drop/delay are
+        per-delivery decisions keyed by the per-queue index, exactly as
+        if :meth:`put` had been called per message).  Stops early and
+        returns the partial count if the queue closes mid-batch."""
+        delivered = 0
+        for message in messages:
+            try:
+                self.put(message)
+            except ShutdownError:
+                break
+            delivered += 1
+        return delivered
 
     def close(self) -> None:
         """Close the queue; pending and future getters raise ShutdownError

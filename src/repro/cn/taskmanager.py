@@ -164,10 +164,6 @@ class TaskManager:
                 wanted = free
         return wanted if wanted > 0 else 0
 
-    def can_host(self, memory: int, runmodel: RunModel) -> bool:
-        with self._lock:
-            return self._room(memory, runmodel) > 0
-
     def compute_bid(self, rule: PlacementRule) -> Optional[Bid]:
         """Score a placement rule locally and return this node's bid.
 
@@ -253,21 +249,12 @@ class TaskManager:
                     f"free memory {self.free_memory}, requested {runtime.spec.memory}"
                 )
             self._memory_used += runtime.spec.memory
-            config = self.config
             runtime.queue = MessageQueue(
                 owner=f"{job.job_id}/{runtime.name}",
-                maxsize=config.queue_maxsize,
-                policy=config.queue_policy,
-                # evictions are journaled through the job so the delivery
-                # ledger can re-offer them (shed-then-replay, not loss);
-                # the queue invokes this after releasing its own lock
-                on_shed=lambda m, _job=job, _name=runtime.name: _job.note_shed(
-                    _name, m
-                ),
                 chaos=self.chaos,
                 # corrupt frames are quarantined at dequeue and recorded
-                # as per-job dead letters (again after the queue lock)
-                verify_digests=config.checksums,
+                # as per-job dead letters, after the queue lock is released
+                verify_digests=self.config.checksums,
                 on_poison=lambda m, _job=job, _name=runtime.name: _job.note_poison(
                     _name, m
                 ),
@@ -709,27 +696,11 @@ class TaskManager:
                 total += len(queue)
         return total
 
-    def queue_overload_stats(self) -> tuple[int, int]:
-        """``(rejected, shed)`` totals across this node's live hosted task
-        queues (``cn_queue_rejected_total`` / ``cn_queue_shed_total``).
-        Point-in-time over current hostings (an evicted hosting retires
-        its queue's counts); the authoritative cumulative count per job is
-        ``Job.messages_shed`` / the journal's ``shed`` records."""
-        with self._lock:
-            hosted = list(self._hosted.values())
-        rejected = shed = 0
-        for h in hosted:
-            queue = h.runtime.queue
-            if queue is not None:
-                rejected += queue.rejected
-                shed += queue.shed
-        return rejected, shed
-
     def queue_poisoned(self) -> int:
         """Frames quarantined by digest verification across this node's
-        live hosted task queues (same point-in-time caveat as
-        :meth:`queue_overload_stats`; the durable count per job is the
-        journal's ``dead-letter`` records)."""
+        live hosted task queues: point-in-time over current hostings (an
+        evicted hosting retires its queue's count); the durable count per
+        job is the journal's ``dead-letter`` records."""
         with self._lock:
             hosted = list(self._hosted.values())
         total = 0

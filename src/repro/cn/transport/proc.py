@@ -6,16 +6,15 @@ escapes the GIL and an N-node cluster really uses N cores.  The split:
 
 * **coordinator** (this process) -- everything the control plane owns
   today stays byte-for-byte: multicast solicitation and placement, the
-  hosted queues with their shed/replay/poison policies, the delivery
+  hosted queues with their replay and poison quarantine, the delivery
   ledger and write-ahead journal, heartbeats, deadline watchdogs,
   retries, epoch fences, failover adoption;
 * **workers** (one forked process per node, started lazily at the first
   attempt routed to that node) -- run the task bodies.  An ``exec``
   frame carries the attempt (the task class and the context's
   ``wire_fields()``); a per-attempt pump thread forwards the
-  coordinator-side hosted queue over the wire (so every queue policy
-  and chaos-free delivery semantics are applied *before* a message
-  crosses); ``route``/``checkpoint``/``rpc``/``metric`` frames come back.
+  coordinator-side hosted queue over the wire (so every delivery
+  semantic is applied *before* a message crosses); ``route``/``checkpoint``/``rpc``/``metric`` frames come back.
 
 One thread per node (the demux loop) reads that node's socket and
 handles every frame on itself, in arrival order; the only frames that
@@ -246,8 +245,7 @@ class WorkerHandle:
     def _pump(self, state: _ExecState) -> None:
         """Forward the coordinator-side hosted queue to the worker.
 
-        Every delivery semantic (bounded-queue policies, shed/replay,
-        digest quarantine) already ran when the message entered the
+        Every delivery semantic (replay, digest quarantine) already ran when the message entered the
         hosted queue; the pump only moves accepted messages across."""
         queue = state.queue
         while not state.done.is_set():

@@ -13,8 +13,6 @@ statements rather than per-test assertions:
 * ``replay-equivalence`` -- :func:`~repro.cn.durability.replay_job` is a
   pure fold: re-folding the journal yields the same job, and every
   runtime-completed task is completed in it;
-* ``sheds-subset-of-deliveries`` -- every shed record points at a
-  journaled delivery (journaled-then-lost count is zero);
 * ``budget-monotone`` -- no routed message carries a deadline past the
   job's end-to-end budget;
 * ``ledger-drain`` -- GC watermarks never exceed the journaled delivery
@@ -54,8 +52,12 @@ Oracle = Callable[["SimResult"], list[str]]
 ORACLES: dict[str, Oracle] = {}
 
 #: the oracles that read the journal: skipped when the run kept none
-JOURNAL_ORACLES = {"replay-equivalence", "sheds-subset-of-deliveries"}
-JOURNAL_ORACLES |= {"budget-monotone", "ledger-drain", "journal-is-the-job"}
+JOURNAL_ORACLES = {
+    "replay-equivalence",
+    "budget-monotone",
+    "ledger-drain",
+    "journal-is-the-job",
+}
 
 
 def oracle(name: str) -> Callable[[Oracle], Oracle]:
@@ -180,24 +182,6 @@ def replay_equivalence(result: "SimResult") -> list[str]:
             violations.append("job finished at runtime but journal never did")
         elif first["failed"]:
             violations.append("job completed at runtime but journal says failed")
-    return violations
-
-
-@oracle("sheds-subset-of-deliveries")
-def sheds_subset_of_deliveries(result: "SimResult") -> list[str]:
-    """Zero journaled-then-lost: a shed without a ledgered delivery is a
-    message the replay path can never re-offer."""
-    ledgered = delivered_serials(result.records)
-    violations = []
-    for record in result.records:
-        if record.kind != "shed":
-            continue
-        task = record.data.get("task", "")
-        serial = int(record.data.get("serial", 0))
-        if serial not in ledgered.get(task, set()):
-            violations.append(
-                f"shed serial {serial} for {task!r} has no delivery record"
-            )
     return violations
 
 

@@ -29,7 +29,6 @@ from typing import Any, Optional
 
 from repro.cn import ClusterConfig
 from repro.cn.config import SCHEDULERS
-from repro.cn.queues import QUEUE_POLICIES
 
 __all__ = ["EVENT_KINDS", "FAN_CALLS", "MANAGER", "FaultEvent", "Schedule", "generate"]
 
@@ -91,8 +90,6 @@ class Schedule:
     #: relative to a fresh temporary directory of each run
     journal_dir: Optional[str] = ClusterConfig.journal_dir
     checksums: bool = ClusterConfig.checksums
-    queue_maxsize: int = ClusterConfig.queue_maxsize
-    queue_policy: str = ClusterConfig.queue_policy
     verify_locking: bool = ClusterConfig.verify_locking
     fan_call: str = FAN_CALLS[0]
     events: tuple[FaultEvent, ...] = field(default_factory=tuple)
@@ -117,7 +114,6 @@ class Schedule:
         return bool(
             self.events
             or any(getattr(self, name) > 0.0 for name in self.RATE_FIELDS)
-            or self.queue_maxsize
         )
 
     def with_events(self, events: tuple[FaultEvent, ...]) -> "Schedule":
@@ -153,11 +149,9 @@ class Schedule:
             + (f":{event.target}" if event.target else "")
             for event in self.events
         )
-        parts = [part for part in (rates, events) if part]
-        if self.queue_maxsize:
-            parts.append(f"queue={self.queue_policy}:{self.queue_maxsize}")
-        rest = ",".join(f"{k}={v}" for k, v in self.drawn().items() if "queue" not in k)
-        return " | ".join(filter(None, ("; ".join(parts) or "fault-free", rest)))
+        faults = "; ".join(part for part in (rates, events) if part)
+        rest = ",".join(f"{k}={v}" for k, v in self.drawn().items())
+        return " | ".join(filter(None, (faults or "fault-free", rest)))
 
 
 #: every field's default (the cluster's are ClusterConfig's)
@@ -224,12 +218,11 @@ def generate(
     if rng.random() < 0.45:
         rates["corrupt_rate"] = round(rng.uniform(0.01, 0.04), 4)
 
-    queue = {}
     if rng.random() < 0.25:
-        # capacity stays above the init+rows working set so a full queue
-        # is a pressure event, not a guaranteed livelock
-        queue = dict(queue_maxsize=rng.randint(10, 16))
-        queue["queue_policy"] = rng.choice(QUEUE_POLICIES)
+        # once a queue bound and its policy; their draws stay, discarded,
+        # so that every seed still names the schedule it named before
+        rng.randint(10, 16)
+        rng.randrange(3)
 
     worker_nodes = [f"node{i}" for i in range(1, nodes)]
     events: list[FaultEvent] = []
@@ -279,7 +272,6 @@ def generate(
             verify_locking=rng.random() < 0.25,
             fan_call=rng.choice(FAN_CALLS),
             events=tuple(events),
-            **queue,
             **rates,
         )
     )

@@ -8,10 +8,10 @@ schedule that still fails:
    structural events in one probe);
 2. classic ddmin over the event sequence (subsets, then complements,
    doubling granularity) until no single-event removal keeps failing;
-3. put each fault rate, the queue bound and every other cluster
-   dimension back to its default where the failure does not need it
-   (through :func:`~repro.sim.schedule.converging`: nothing the
-   generator could not draw is probed).
+3. put each fault rate and every cluster dimension back to its
+   default where the failure does not need it (through
+   :func:`~repro.sim.schedule.converging`: nothing the generator could
+   not draw is probed).
 
 Every probe is one full simulation run, so the budget is bounded by
 ``max_probes``; on budget exhaustion the best schedule found so far is
@@ -120,17 +120,14 @@ def shrink_schedule(
         )
         current = current.with_events(events)
 
-    # the defaults, one rate at a time, the queue bound as one
-    blank, queue = Schedule(current.seed), ("queue_maxsize", "queue_policy")
-    resets = [{name: getattr(blank, name)} for name in Schedule.RATE_FIELDS]
-    resets.append({name: getattr(blank, name) for name in queue})
-    resets += [{n: getattr(blank, n)} for n in Schedule.DIMENSIONS if n not in queue]
-    for reset in resets:
-        if all(getattr(current, name) == value for name, value in reset.items()):
+    # the defaults, one field at a time
+    blank = Schedule(current.seed)
+    for name in Schedule.RATE_FIELDS + Schedule.DIMENSIONS:
+        if getattr(current, name) == getattr(blank, name):
             continue
         if not budget.spend():
             return current, budget.used
-        candidate = converging(replace(current, **reset))
+        candidate = converging(replace(current, **{name: getattr(blank, name)}))
         if still_fails(candidate):
             current = candidate
 

@@ -143,18 +143,17 @@ class TestFailureDetector:
 
 class TestChaosPolicyDeterminism:
     def test_rate_decisions_identical_across_instances(self):
-        a = ChaosPolicy(seed=42, task_crash_rate=0.3, queue_drop_rate=0.2)
-        b = ChaosPolicy(seed=42, task_crash_rate=0.3, queue_drop_rate=0.2)
+        a = ChaosPolicy(seed=42, queue_drop_rate=0.3, queue_delay_rate=0.2)
+        b = ChaosPolicy(seed=42, queue_drop_rate=0.3, queue_delay_rate=0.2)
         for i in range(50):
-            assert a.should_crash_task("j", "t", i) == b.should_crash_task("j", "t", i)
             assert a.queue_fate("q", i) == b.queue_fate("q", i)
         assert a.fault_summary() == b.fault_summary()
 
     def test_different_seed_changes_fault_set(self):
-        a = ChaosPolicy(seed=1, task_crash_rate=0.5)
-        b = ChaosPolicy(seed=2, task_crash_rate=0.5)
-        decisions_a = [a.should_crash_task("j", "t", i) for i in range(40)]
-        decisions_b = [b.should_crash_task("j", "t", i) for i in range(40)]
+        a = ChaosPolicy(seed=1, queue_drop_rate=0.5)
+        b = ChaosPolicy(seed=2, queue_drop_rate=0.5)
+        decisions_a = [a.queue_fate("q", i) for i in range(40)]
+        decisions_b = [b.queue_fate("q", i) for i in range(40)]
         assert decisions_a != decisions_b
 
     def test_scripted_faults_fire_exactly_once(self):
@@ -166,7 +165,7 @@ class TestChaosPolicyDeterminism:
 
     def test_disabled_when_nothing_configured(self):
         assert ChaosPolicy().enabled is False
-        assert ChaosPolicy(task_crash_rate=0.1).enabled is True
+        assert ChaosPolicy(queue_drop_rate=0.1).enabled is True
         assert ChaosPolicy().stall_task("x").enabled is True
 
     def test_node_crash_scripting_requires_one_trigger(self):

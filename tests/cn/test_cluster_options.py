@@ -35,8 +35,6 @@ OPTIONS = [
     "journal_dir",
     "telemetry",
     "verify_locking",
-    "queue_maxsize",
-    "queue_policy",
     "checksums",
     "transport",
     "scheduler",
@@ -134,8 +132,6 @@ class TestRefusedAtConstruction:
         [
             ({"transport": "carrier-pigeon"}, "unknown transport 'carrier-pigeon'"),
             ({"scheduler": "best-effort"}, "unknown scheduler 'best-effort'"),
-            ({"queue_policy": "bogus"}, "unknown queue policy 'bogus'"),
-            ({"queue_maxsize": -1}, "queue_maxsize must be >= 0"),
         ],
     )
     def test_values_outside_the_option_s_range(self, options, message):
@@ -145,12 +141,12 @@ class TestRefusedAtConstruction:
     @pytest.mark.parametrize(
         "nodes, options, message",
         [
-            (2, {"verify_locking": True, "queue_policy": "bogus"}, "queue policy"),
+            (2, {"verify_locking": True, "scheduler": "bogus"}, "unknown scheduler"),
             (2, {"verify_locking": True, "memory_per_node": 0}, "memory_per_node must be >= 1.* got 0"),
             (0, {}, "nodes must be >= 1.* got 0"),
             (2, {"memory_per_node": -5}, "memory_per_node must be >= 1.* got -5"),
             (2, {"slots_per_node": 0}, "slots_per_node must be >= 1.* got 0"),
-            (2, {"queue_maxsize": 1.5}, "queue_maxsize must be >= 0, an int; got 1.5"),
+            (2, {"slots_per_node": 1.5}, "slots_per_node must be >= 1, an int; got 1.5"),
             (2, {"durable": False, "journal_dir": "/nowhere"}, "journal_dir='/nowhere'"),
             pytest.param(
                 2, {"transport": "proc", "chaos": ChaosPolicy(seed=1)}, "chaos",

@@ -336,7 +336,8 @@ class TestTaskManagerAccounting:
         tm = self.make()
         self.hosted_job(tm, memory=1500)
         assert tm.free_memory == 500
-        assert not tm.can_host(1000, RunModel.RUN_AS_THREAD_IN_TM)
+        rule = PlacementRule("j1", "x.jar", 1000, RunModel.RUN_AS_THREAD_IN_TM, ("t",))
+        assert tm.compute_bid(rule) is None
 
     def test_host_beyond_capacity_rejected(self):
         tm = self.make()
@@ -425,9 +426,9 @@ ADMISSION_GATES = {
 
 @pytest.mark.parametrize("gate", list(ADMISSION_GATES))
 def test_bid_and_upload_agree(gate):
-    """``compute_bid`` bids nothing exactly when ``can_host`` -- and so
-    ``host_task``, the upload -- refuses, and the capacity it bids is
-    ``_room``'s: one statement of the admission gates."""
+    """``compute_bid`` bids nothing exactly when ``host_task``, the
+    upload, refuses, and the capacity it bids is ``_room``'s: one
+    statement of the admission gates."""
     setup, memory, runmodel, capacity = ADMISSION_GATES[gate]
     tm = TaskManager("tm", ClusterConfig(memory_per_node=2000, slots_per_node=2))
     setup(tm)
@@ -436,9 +437,7 @@ def test_bid_and_upload_agree(gate):
     with tm._lock:
         room = tm._room(memory, runmodel, len(rule.tasks))
     assert (bid.capacity if bid is not None else 0) == room == capacity
-    hostable = tm.can_host(memory, runmodel)
-    assert (bid is None) == (not hostable)
-    assert _upload(tm, memory, runmodel, name="a") == hostable
+    assert _upload(tm, memory, runmodel, name="a") == (bid is not None)
 
 
 class TestCNServerResponder:

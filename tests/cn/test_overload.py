@@ -1,4 +1,4 @@
-"""Overload protection: bounded backpressure, budget propagation,
+"""Overload protection: queue edges, budget propagation,
 admission control, and the portal's hardened HTTP front door."""
 
 import threading
@@ -20,7 +20,7 @@ from repro.cn import (
 )
 from repro.cn.admission import TokenBucket
 from repro.cn.config import SCHEDULERS
-from repro.cn.errors import BudgetExhausted, JobTimeoutError, Overloaded, ShutdownError
+from repro.cn.errors import BudgetExhausted, JobTimeoutError, ShutdownError
 from repro.cn.messages import Message
 from repro.cn.portal import Portal
 from repro.cn.queues import MessageQueue
@@ -81,81 +81,7 @@ def gated(key: str) -> str:
     return key
 
 
-# -- bounded queues ------------------------------------------------------------
-
-
-class TestBoundedQueues:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
-            MessageQueue("t", maxsize=2, policy="drop-newest")
-
-    def test_reject_policy_raises_overloaded(self):
-        q = MessageQueue("t", maxsize=2, policy="reject")
-        q.put(user(1))
-        q.put(user(2))
-        with pytest.raises(Overloaded) as info:
-            q.put(user(3))
-        assert "2/2" in str(info.value)
-        assert q.rejected == 1
-        # the queue still serves what it admitted
-        assert [q.get(0.1).payload for _ in range(2)] == [1, 2]
-
-    def test_shed_oldest_evicts_and_reports(self):
-        evicted = []
-        q = MessageQueue(
-            "t", maxsize=2, policy="shed_oldest", on_shed=evicted.append
-        )
-        for i in range(5):
-            q.put(user(i))
-        assert q.shed == 3
-        assert [m.payload for m in evicted] == [0, 1, 2]
-        assert [q.get(0.1).payload for _ in range(2)] == [3, 4]
-
-    def test_block_policy_waits_for_consumer(self):
-        q = MessageQueue("t", maxsize=1, policy="block")
-        q.put(user("first"))
-        admitted = threading.Event()
-
-        def producer():
-            q.put(user("second"))
-            admitted.set()
-
-        thread = threading.Thread(target=producer)
-        thread.start()
-        assert not admitted.wait(0.1)  # blocked: no room
-        assert q.get(1).payload == "first"
-        assert admitted.wait(2)
-        thread.join(timeout=2)
-        assert q.get(1).payload == "second"
-
-    def test_block_policy_close_unblocks_producer(self):
-        q = MessageQueue("t", maxsize=1, policy="block")
-        q.put(user(1))
-        errors = []
-
-        def producer():
-            try:
-                q.put(user(2))
-            except ShutdownError as exc:
-                errors.append(exc)
-
-        thread = threading.Thread(target=producer)
-        thread.start()
-        time.sleep(0.05)
-        q.close()
-        thread.join(timeout=2)
-        assert not thread.is_alive()
-        assert len(errors) == 1
-
-    def test_stash_does_not_count_toward_capacity(self):
-        q = MessageQueue("t", maxsize=2, policy="reject")
-        q.put(user("noise"))
-        q.put(user("signal"))
-        q.get_matching(lambda m: m.payload == "signal", timeout=0.5)
-        # "noise" moved to the consumer-side stash; capacity is free again
-        q.put(user("late1"))
-        q.put(user("late2"))
-        assert q.get(0.1).payload == "noise"
+# -- queue edges ---------------------------------------------------------------
 
 
 class TestQueueEdges:
@@ -183,7 +109,6 @@ class TestQueueEdges:
     def test_put_many_notes_watermark_once_per_batch(self):
         q = MessageQueue("t")
         assert q.put_many([user(i) for i in range(4)]) == 4
-        assert q.high_watermark == 4
         assert len(q) == 4
 
     def test_put_many_partial_on_close(self):
@@ -191,48 +116,6 @@ class TestQueueEdges:
         batch = [user(i) for i in range(3)]
         q.close()
         assert q.put_many(batch) == 0
-
-    def test_put_many_sheds_through_callback(self):
-        evicted = []
-        q = MessageQueue(
-            "t", maxsize=2, policy="shed_oldest", on_shed=evicted.append
-        )
-        assert q.put_many([user(i) for i in range(5)]) == 5
-        assert [m.payload for m in evicted] == [0, 1, 2]
-
-
-# -- shed journaling and replay ------------------------------------------------
-
-
-class TestShedJournaling:
-    def test_sheds_are_journaled_and_replayable(self):
-        key = gated("shed-journal")
-        with Cluster(
-            1,
-            registry=overload_registry(),
-            queue_maxsize=2,
-            queue_policy="shed_oldest",
-        ) as cluster:
-            api = CNAPI.initialize(cluster)
-            handle = api.create_job("c")
-            api.create_task(
-                handle, TaskSpec(name="g", jar="gate.jar", cls="t.Gate", params=(key,))
-            )
-            api.start_job(handle)
-            for i in range(6):
-                api.send_message(handle, "g", f"m{i}")
-            assert handle.job.messages_shed == 4
-            records = cluster.servers[0].journal.records(handle.job_id)
-            shed_records = [r for r in records if r.kind == "shed"]
-            assert len(shed_records) == 4
-            shed = {r.data["serial"] for r in shed_records if r.data["task"] == "g"}
-            assert len(shed) == 4
-            # at-least-once: every shed serial was ledgered write-ahead,
-            # so a replay can re-route it -- journaled-then-lost is zero
-            ledger = replay_job(handle.job_id, records).ledger()
-            assert shed <= {m.serial for m in ledger.get("g", [])}
-            _gates[key].set()
-            assert api.wait(handle, timeout=15)["g"] == "ok"
 
 
 # -- deadline / budget propagation ---------------------------------------------

@@ -20,7 +20,6 @@ import repro.sim
 from repro.analysis.conc import runtime
 from repro.cn import ClusterConfig
 from repro.cn.config import SCHEDULERS
-from repro.cn.queues import QUEUE_POLICIES
 from repro.sim import Schedule, Simulation, generate, run_oracles
 from repro.sim.schedule import FAN_CALLS
 
@@ -68,9 +67,6 @@ def test_the_seed_set_draws_every_value_of_every_dimension(runs):
         (True, True),
     }
     assert drawn(lambda s: s.checksums) == {False, True}
-    assert {s.queue_policy for s in schedules if s.queue_maxsize} == set(
-        QUEUE_POLICIES
-    )
     assert drawn(lambda s: s.verify_locking) == {False, True}
 
 

@@ -49,7 +49,6 @@ class TestRegistry:
             "job-completes",
             "exactly-once-result",
             "replay-equivalence",
-            "sheds-subset-of-deliveries",
             "budget-monotone",
             "ledger-drain",
             "journal-is-the-job",
@@ -110,22 +109,6 @@ class TestExactlyOnce:
     def test_missing_matrix_defers_to_liveness(self):
         result = make_result(status="timeout", error="stuck", result_matrix=None)
         assert "exactly-once-result" not in run_oracles(result)
-
-
-class TestShedsSubset:
-    def test_shed_with_ledgered_delivery_is_fine(self):
-        d = delivery("w0")
-        serial = d.data["messages"][0].serial
-        result = make_result(
-            records=[d, record("shed", {"task": "w0", "serial": serial})]
-        )
-        assert "sheds-subset-of-deliveries" not in run_oracles(result)
-
-    def test_journaled_then_lost_flagged(self):
-        result = make_result(
-            records=[record("shed", {"task": "w0", "serial": 424242})]
-        )
-        assert "sheds-subset-of-deliveries" in run_oracles(result)
 
 
 class TestBudgetMonotone:

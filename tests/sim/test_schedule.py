@@ -36,7 +36,6 @@ class TestScheduleModel:
     def test_has_faults(self):
         assert not Schedule(seed=1).has_faults()
         assert Schedule(seed=1, drop_rate=0.01).has_faults()
-        assert Schedule(seed=1, queue_maxsize=8, queue_policy="shed_oldest").has_faults()
         assert Schedule(seed=1, events=(FaultEvent(0, "stall", "w0"),)).has_faults()
 
     def test_describe(self):
@@ -99,8 +98,6 @@ class TestGenerator:
             assert 0.0 <= schedule.duplicate_rate <= 0.10
             assert 0.0 <= schedule.reorder_rate <= 0.05
             assert 0.0 <= schedule.corrupt_rate <= 0.04
-            if schedule.queue_maxsize:
-                assert schedule.queue_maxsize >= 10
 
 
 class TestTheDrawnCluster:

@@ -46,26 +46,6 @@ class TestEventShrinking:
         # the empty-events probe short-circuits the whole ddmin pass
         assert probes <= 4
 
-    def test_queue_bound_dropped_when_unneeded(self):
-        def fails(schedule):
-            return True
-
-        start = Schedule(
-            seed=1, queue_maxsize=12, queue_policy="shed_oldest", events=(event(0),)
-        )
-        shrunk, _ = shrink_schedule(start, fails)
-        assert shrunk.queue_maxsize == 0
-        assert shrunk.queue_policy == "block"
-        assert shrunk.events == ()
-
-    def test_queue_bound_kept_when_needed(self):
-        def fails(schedule):
-            return schedule.queue_maxsize == 12
-
-        start = Schedule(seed=1, queue_maxsize=12, queue_policy="shed_oldest")
-        shrunk, _ = shrink_schedule(start, fails)
-        assert shrunk.queue_maxsize == 12
-
     def test_probe_budget_respected(self):
         calls = []
 

@@ -136,6 +136,12 @@ DELETED = [
     (EVERYWHERE, r"\bBLOCKING_CALLS\b|\biter_elements\b",
      "no second blocking-call table beside static._BLOCKING, no XML walk "
      "nothing calls"),
+    (EVERYWHERE,
+     r"\bqueue_maxsize\b|\bqueue_policy\b|\bQUEUE_POLICIES\b|\bOverloaded\b"
+     r"|\bnote_shed\b|\bslow_consumer\b|\bhigh_watermark\b|\bcan_host\b"
+     r"|\btask_crash_rate\b",
+     "task queues are unbounded, as in the paper; a rate nothing drew and a "
+     "gate only tests asked go with them"),
 ]
 
 #: what counts as a caller of a package's exports: tests never do
