@@ -482,14 +482,13 @@ class FanShapePass(AnalysisPass):
     def run(self, comp: Composition, ctx: AnalysisContext) -> Iterator[Diagnostic]:
         for job in comp.jobs:
             dependents = job.dependents()
+            # the first task of each name, as ``job.find`` gives it
+            named = {task.name: task for task in reversed(job.tasks)}
             for joiner in job.tasks:
-                branch_names = [d for d in joiner.depends if job.find(d)]
+                branch_names = [d for d in joiner.depends if d in named]
                 if len(branch_names) < 2:
                     continue
-                branches = [job.find(d) for d in branch_names]
-                splitters = {
-                    tuple(b.depends) for b in branches if b is not None
-                }
+                splitters = {tuple(named[d].depends) for d in branch_names}
                 if len(splitters) != 1:
                     continue
                 common = next(iter(splitters))

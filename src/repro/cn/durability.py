@@ -274,6 +274,15 @@ class FileJournal(MemoryJournal):
             raise JournalError(f"corrupt journal file {path!r}: {exc}") from exc
         self._fh = open(path, "a", encoding="utf-8")
 
+    def extend(self, batch: Sequence[JournalRecord]) -> int:
+        """As :meth:`MemoryJournal.extend`; a closed journal refuses a
+        batch whole, as a stale epoch is refused: 0, and nothing changes
+        in memory or on disk (a task thread may outlive its cluster)."""
+        with self._lock:
+            if self._fh is not None and self._fh.closed:
+                return 0
+            return super().extend(batch)
+
     @staticmethod
     def _load(lines: Iterable[str]) -> Iterable[JournalRecord]:
         for line in lines:

@@ -16,13 +16,14 @@ tests, benchmarks and the web portal can inspect or export them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping, Optional, Union
 
 from repro.analysis import AnalysisContext, Report, analyze_model
 from repro.cn.cluster import Cluster
 from repro.cn.errors import CnxValidationError
 from repro.cn.registry import TaskRegistry
+from repro.xslt.xpath.datamodel import XDocument
 
 from ..cnx.emitter import emit as emit_cnx
 from ..cnx.schema import CnxDocument
@@ -31,7 +32,7 @@ from ..uml.model import Model
 from ..uml.tags import CNProfile
 from ..xmi.writer import write_model
 from .cnx2code import GeneratedClient, cnx_to_java, cnx_to_python
-from .xmi2cnx import xmi_to_cnx
+from .xmi2cnx import xmi_document, xmi_to_cnx
 
 __all__ = ["Pipeline", "PipelineResult", "run_pipeline"]
 
@@ -39,20 +40,41 @@ __all__ = ["Pipeline", "PipelineResult", "run_pipeline"]
 Source = Union[Model, ActivityGraph]
 
 
-@dataclass
 class PipelineResult:
-    """All artifacts of one pipeline run, in production order."""
+    """All artifacts of one pipeline run, in production order.  The XMI
+    text and the Java source not given are rendered when first read."""
 
-    model: Model
-    xmi_text: str
-    cnx_doc: CnxDocument
-    cnx_text: str
-    python_source: str
-    java_source: str
-    job_results: list[dict[str, Any]] = field(default_factory=list)
-    step_seconds: dict[str, float] = field(default_factory=dict)
-    #: cnlint's findings on the model: warnings only, an error refuses it
-    report: Report = field(default_factory=Report)
+    def __init__(
+        self,
+        model: Model,
+        *,
+        cnx_doc: CnxDocument,
+        cnx_text: str,
+        python_source: str,
+        xmi_text: Optional[str] = None,
+        java_source: Optional[str] = None,
+        job_results: Optional[list[dict[str, Any]]] = None,
+        step_seconds: Optional[dict[str, float]] = None,
+        report: Optional[Report] = None,
+    ) -> None:
+        self.model, self.cnx_doc, self.cnx_text = model, cnx_doc, cnx_text
+        self.python_source = python_source
+        self.job_results = job_results if job_results is not None else []
+        self.step_seconds = step_seconds if step_seconds is not None else {}
+        #: cnlint's findings on the model: warnings only, an error refuses it
+        self.report = report if report is not None else Report()
+        if xmi_text is not None:  # given: it hides the property that renders it
+            self.xmi_text = xmi_text
+        if java_source is not None:
+            self.java_source = java_source
+
+    @cached_property
+    def xmi_text(self) -> str:
+        return write_model(self.model)
+
+    @cached_property
+    def java_source(self) -> str:
+        return cnx_to_java(self.cnx_doc)
 
     @property
     def results(self) -> dict[str, Any]:
@@ -99,8 +121,8 @@ class Pipeline:
         """Step 2: export the model as XMI."""
         return write_model(model)
 
-    def to_cnx(self, xmi_text: str) -> CnxDocument:
-        """Step 3: XMI -> CNX (the XSL transformation) of a checked model."""
+    def to_cnx(self, xmi_text: Union[str, XDocument]) -> CnxDocument:
+        """Step 3: XMI text or rows -> CNX (the XSL transformation)."""
         return xmi_to_cnx(xmi_text, log=self.log, port=self.port)
 
     def to_client(self, doc: CnxDocument) -> str:
@@ -140,18 +162,15 @@ class Pipeline:
 
         model, report = timed("1-model", self.check, source, cluster)
         try:
-            xmi_text = timed("2-xmi", self.export_xmi, model)
-            cnx_doc = timed("3-cnx", self.to_cnx, xmi_text)
+            xmi = timed("2-xmi", xmi_document, model)
+            cnx_doc = timed("3-cnx", self.to_cnx, xmi)
             cnx_text = emit_cnx(cnx_doc)
             python_source = timed("4-codegen", self.to_client, cnx_doc)
-            java_source = self.to_java(cnx_doc)
             result = PipelineResult(
-                model=model,
-                xmi_text=xmi_text,
+                model,
                 cnx_doc=cnx_doc,
                 cnx_text=cnx_text,
                 python_source=python_source,
-                java_source=java_source,
                 step_seconds=timings,
                 report=report,
             )

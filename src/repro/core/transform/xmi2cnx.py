@@ -1,12 +1,12 @@
 """XMI -> CNX transformation (paper section 5, step 3).
 
 :func:`xmi_to_cnx` is the transformation: the ``xmi2cnx.xsl``
-stylesheet on the in-repo XSLT engine, as in the paper's tool.  It is
-what :class:`~repro.core.transform.pipeline.Pipeline` runs, for the
-portal and ``cn-pipeline`` alike.  :func:`xmi_to_cnx_native`, a direct Python
-transformer over the parsed UML model, is its differential-testing
-oracle: nothing selects it, the test suite and ``benchmarks.e2e`` call
-it to check that both agree document-for-document.
+stylesheet on the in-repo XSLT engine, as in the paper's tool, run on
+XMI text or on the rows :func:`xmi_document` builds from the writer's
+calls, as :class:`~repro.core.transform.pipeline.Pipeline` does.
+:func:`xmi_to_cnx_native`, a direct Python transformer over the parsed
+UML model, is its differential-testing oracle: nothing selects it, the
+test suite and ``benchmarks.e2e`` call it to check that both agree.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.xslt import Stylesheet, Transformer
+from repro.xslt.xpath.datamodel import XDocument, build_document
 
 from ..cnx.parser import parse as parse_cnx
 from ..cnx.schema import (
@@ -28,12 +29,14 @@ from ..uml.activity import ActivityGraph
 from ..uml.model import Model
 from ..uml.tags import CNProfile, split_names
 from ..xmi.reader import read_model
+from ..xmi.writer import XmiWriter
 
 __all__ = [
     "STYLESHEET_DIR",
     "xmi_to_cnx",
     "xmi_to_cnx_text",
     "xmi_to_cnx_native",
+    "xmi_document",
     "model_to_cnx",
     "load_stylesheet",
 ]
@@ -55,19 +58,26 @@ def load_stylesheet(name: str) -> Stylesheet:
     return sheet
 
 
+def xmi_document(model: Model) -> XDocument:
+    """The XMI of *model* as the rows step 3 reads, built from the writer's
+    calls: the rows ``write_model(model)``'s text gives, with no text."""
+    strips = load_stylesheet("xmi2cnx.xsl").compiled().strips
+    return build_document(XmiWriter(model).write, strips=strips)
+
+
 def xmi_to_cnx_text(
-    xmi_text: str, *, log: str = _LOG, port: int = _PORT
+    xmi_text: str | XDocument, *, log: str = _LOG, port: int = _PORT
 ) -> str:
-    """Run the XMI2CNX stylesheet; returns the CNX descriptor XML text."""
+    """Run the XMI2CNX stylesheet on XMI text or rows; returns the CNX text."""
     sheet = load_stylesheet("xmi2cnx.xsl")
     transformer = Transformer(sheet)
     return transformer.transform(xmi_text, params={"log": log, "port": str(port)})
 
 
 def xmi_to_cnx(
-    xmi_text: str, *, log: str = _LOG, port: int = _PORT
+    xmi_text: str | XDocument, *, log: str = _LOG, port: int = _PORT
 ) -> CnxDocument:
-    """XSLT path: XMI text -> parsed CNX document model."""
+    """XSLT path: XMI -> parsed CNX document model."""
     return parse_cnx(xmi_to_cnx_text(xmi_text, log=log, port=port))
 
 

@@ -10,10 +10,12 @@ with source/target references -- the layout early-2000s XMI exporters
 (Poseidon, ArgoUML) produced and the paper's XMI2CNX tool consumed.
 
 The generated vocabulary uses the undeclared ``UML:`` prefix exactly as
-the paper's documents do.  The writer emits the text in one pass, one
-element per line with two-space indentation, attributes in a fixed order
-and an element with nothing inside written self-closing -- no tree is
-built only to be walked once.
+the paper's documents do.  The writer makes, in one pass, the calls a
+parser of the document makes: ``start(tag, attrs)`` (attributes as one
+name, value ... list of unescaped values, in a fixed order), ``text``
+(the indentation between tags too) and ``end(tag)``.  :func:`write_model`
+writes them as text, an element with nothing inside self-closing;
+:func:`~repro.xslt.xpath.build_document` builds the XSLT rows of them.
 
 Ids are deterministic (``a1, a2, ...`` in emission order) so repeated
 exports of the same model are byte-identical.
@@ -21,7 +23,10 @@ exports of the same model are byte-identical.
 
 from __future__ import annotations
 
-from repro.util.idgen import SequentialIds
+import itertools
+import re
+from typing import Callable, Sequence
+
 from repro.util.xmlutil import escape_attr
 
 from ..uml.activity import (
@@ -36,25 +41,14 @@ from ..uml.model import Model, Package
 
 __all__ = ["XmiWriter", "write_model", "write_graph"]
 
-_SPEC = ' isSpecification="false"'
-_PAD = tuple("  " * level for level in range(16))
-_HEADER = (
-    '<XMI xmi.version="1.2">\n'
-    "  <XMI.header>\n"
-    "    <XMI.documentation>\n"
-    "      <XMI.exporter>repro.core.xmi</XMI.exporter>\n"
-    "    </XMI.documentation>\n"
-    "  </XMI.header>\n"
-    "  <XMI.content>\n"
-)
+#: the text before a tag at each depth (the root's start tag has none)
+_NL = tuple("\n" + "  " * level for level in range(16))
+#: whether an attribute value needs :func:`escape_attr`
+_ESCAPED = re.compile('[&<>"\t\n\r]').search
 
 
-def _q(value: object) -> str:
-    return escape_attr(str(value))
-
-
-def _named(xid: str, name: str) -> str:
-    return f' xmi.id="{xid}" name="{_q(name)}"{_SPEC}'
+def _named(xid: str, name: str) -> list[str]:
+    return ["xmi.id", xid, "name", name, "isSpecification", "false"]
 
 
 def _vertex_tag(vertex: StateVertex) -> str:
@@ -67,50 +61,64 @@ def _vertex_tag(vertex: StateVertex) -> str:
 
 
 class XmiWriter:
-    """Stateful writer: one instance per exported document."""
+    """One export of *model*: :meth:`write` makes its calls."""
 
-    def __init__(self) -> None:
-        self._ids = SequentialIds("a")
+    def __init__(self, model: Model) -> None:
+        self.model = model
+        # one writer per document: no other thread draws from its ids
+        self._ids = map("a{}".format, itertools.count(1))
         self._tagdef_ids: dict[str, str] = {}
         self._vertex_ids: dict[int, str] = {}
         self._transition_ids: dict[int, str] = {}
-        self._out: list[str] = []
+        #: the depth of the next tag; whether the open element is still empty
+        self._depth, self._empty = 0, False
 
     # -- public API ---------------------------------------------------------
-    def write(self, model: Model) -> str:
-        """Serialize *model* to an XMI document string."""
-        self._out = [_HEADER]
-        mark = self._open(2, "UML:Model", _named(self._ids.next(), model.name))
-        owned = self._open(3, "UML:Namespace.ownedElement")
-        for package in model.packages:
+    def write(self, start: Callable, text: Callable, end: Callable) -> None:
+        """Make the document's calls, in document order."""
+        self._start, self._text, self._end = start, text, end
+        start("XMI", ["xmi.version", "1.2"])
+        self._depth, self._empty = 1, True
+        header = ("XMI.header", "XMI.documentation", "XMI.exporter")
+        for tag in header:
+            self._open(tag)
+        text("repro.core.xmi")
+        for tag in reversed(header):
+            self._close(tag)
+        self._open("XMI.content")
+        self._open("UML:Model", _named(next(self._ids), self.model.name))
+        self._open("UML:Namespace.ownedElement")
+        for package in self.model.packages:
             self._write_package(package)
-        self._close(owned, 3, "UML:Namespace.ownedElement")
-        self._close(mark, 2, "UML:Model")
-        self._out.append("  </XMI.content>\n</XMI>\n")
-        return "".join(self._out)
+        self._close("UML:Namespace.ownedElement")
+        self._close("UML:Model")
+        self._close("XMI.content")
+        self._close("XMI")
 
-    # -- text ---------------------------------------------------------------
-    def _open(self, level: int, tag: str, attrs: str = "") -> int:
-        """Write a start tag; returns the mark :meth:`_close` takes."""
-        self._out.append(f"{_PAD[level]}<{tag}{attrs}>\n")
-        return len(self._out)
+    # -- calls ----------------------------------------------------------------
+    def _open(self, tag: str, attrs: Sequence[str] = ()) -> None:
+        self._text(_NL[self._depth])
+        self._start(tag, attrs)
+        self._depth += 1
+        self._empty = True
 
-    def _close(self, mark: int, level: int, tag: str) -> None:
-        """End the element opened at *mark*, self-closing when nothing
-        was written inside it."""
-        out = self._out
-        if len(out) == mark:
-            out[-1] = out[-1][:-2] + "/>\n"
-        else:
-            out.append(f"{_PAD[level]}</{tag}>\n")
+    def _close(self, tag: str) -> None:
+        self._depth -= 1
+        if not self._empty:
+            self._text(_NL[self._depth])
+        self._end(tag)
+        self._empty = False
 
-    def _leaf(self, level: int, tag: str, attrs: str) -> None:
-        self._out.append(f"{_PAD[level]}<{tag}{attrs}/>\n")
+    def _leaf(self, tag: str, attrs: Sequence[str]) -> None:
+        self._text(_NL[self._depth])
+        self._start(tag, attrs)
+        self._end(tag)
+        self._empty = False
 
     # -- structure ------------------------------------------------------------
     def _write_package(self, package: Package) -> None:
-        mark = self._open(4, "UML:Package", _named(self._ids.next(), package.name))
-        owned = self._open(5, "UML:Namespace.ownedElement")
+        self._open("UML:Package", _named(next(self._ids), package.name))
+        self._open("UML:Namespace.ownedElement")
         # Tag definitions first, in first-use order, so TaggedValue idrefs
         # are forward-resolvable and ids stay stable (Fig. 7 has the
         # definitions at low ids: a7, a10, a13, a16).
@@ -118,117 +126,123 @@ class XmiWriter:
             for action in graph.action_states():
                 for tv in action.tagged_values:
                     if tv.name not in self._tagdef_ids:
-                        self._tagdef_ids[tv.name] = tid = self._ids.next()
-                        self._leaf(
-                            6,
-                            "UML:TagDefinition",
-                            f' xmi.id="{tid}" name="{_q(tv.name)}"{_SPEC}'
-                            ' tagType="String"',
-                        )
+                        self._tagdef_ids[tv.name] = tid = next(self._ids)
+                        attrs = [*_named(tid, tv.name), "tagType", "String"]
+                        self._leaf("UML:TagDefinition", attrs)
         graph_ids = {graph.name: self._write_graph(graph) for graph in package.graphs}
         # client-level partial order (paper section 4): each (before, after)
         # pair becomes a UML:Dependency whose client is the dependent graph
         # and whose supplier is its prerequisite
         for before, after in package.job_order:
-            dep = self._open(
-                6, "UML:Dependency", _named(self._ids.next(), f"{after}-after-{before}")
-            )
+            self._open("UML:Dependency", _named(next(self._ids), f"{after}-after-{before}"))
             for role, graph in (("client", after), ("supplier", before)):
-                end = self._open(7, f"UML:Dependency.{role}")
-                self._leaf(8, "UML:ActivityGraph", f' xmi.idref="{graph_ids[graph]}"')
-                self._close(end, 7, f"UML:Dependency.{role}")
-            self._close(dep, 6, "UML:Dependency")
-        self._close(owned, 5, "UML:Namespace.ownedElement")
-        self._close(mark, 4, "UML:Package")
+                self._open(f"UML:Dependency.{role}")
+                self._leaf("UML:ActivityGraph", ["xmi.idref", graph_ids[graph]])
+                self._close(f"UML:Dependency.{role}")
+            self._close("UML:Dependency")
+        self._close("UML:Namespace.ownedElement")
+        self._close("UML:Package")
 
     def _write_graph(self, graph: ActivityGraph) -> str:
-        graph_id = self._ids.next()
-        mark = self._open(6, "UML:ActivityGraph", _named(graph_id, graph.name))
-        top = self._open(7, "UML:StateMachine.top")
-        composite = self._open(
-            8,
-            "UML:CompositeState",
-            f' xmi.id="{self._ids.next()}" name="top"{_SPEC} isConcurrent="false"',
-        )
-        subvertex = self._open(9, "UML:CompositeState.subvertex")
+        graph_id = next(self._ids)
+        self._open("UML:ActivityGraph", _named(graph_id, graph.name))
+        self._open("UML:StateMachine.top")
+        top = [*_named(next(self._ids), "top"), "isConcurrent", "false"]
+        self._open("UML:CompositeState", top)
+        self._open("UML:CompositeState.subvertex")
         # Allocate ids: vertices in insertion order, then transitions, so
         # reference lists can be emitted in one pass.
         for vertex in graph.vertices:
-            self._vertex_ids[id(vertex)] = self._ids.next()
+            self._vertex_ids[id(vertex)] = next(self._ids)
         for transition in graph.transitions:
-            self._transition_ids[id(transition)] = self._ids.next()
+            self._transition_ids[id(transition)] = next(self._ids)
         for vertex in graph.vertices:
             self._write_vertex(vertex)
-        self._close(subvertex, 9, "UML:CompositeState.subvertex")
-        self._close(composite, 8, "UML:CompositeState")
-        self._close(top, 7, "UML:StateMachine.top")
-        transitions = self._open(7, "UML:StateMachine.transitions")
+        self._close("UML:CompositeState.subvertex")
+        self._close("UML:CompositeState")
+        self._close("UML:StateMachine.top")
+        self._open("UML:StateMachine.transitions")
         for transition in graph.transitions:
             self._write_transition(transition)
-        self._close(transitions, 7, "UML:StateMachine.transitions")
-        self._close(mark, 6, "UML:ActivityGraph")
+        self._close("UML:StateMachine.transitions")
+        self._close("UML:ActivityGraph")
         return graph_id
 
     def _write_vertex(self, vertex: StateVertex) -> None:
         tag = _vertex_tag(vertex)
         attrs = _named(self._vertex_ids[id(vertex)], vertex.name)
         if isinstance(vertex, ActionState):
-            attrs += ' isDynamic="true"' if vertex.is_dynamic else ' isDynamic="false"'
+            attrs += ["isDynamic", "true" if vertex.is_dynamic else "false"]
             if vertex.is_dynamic and vertex.dynamic_multiplicity:
-                attrs += f' dynamicMultiplicity="{_q(vertex.dynamic_multiplicity)}"'
+                attrs += ["dynamicMultiplicity", str(vertex.dynamic_multiplicity)]
         if isinstance(vertex, Pseudostate):
-            attrs += f' kind="{_q(vertex.pseudo_kind)}"'
-        mark = self._open(10, tag, attrs)
+            attrs += ["kind", str(vertex.pseudo_kind)]
+        self._open(tag, attrs)
         if isinstance(vertex, ActionState):
             if vertex.is_dynamic and vertex.dynamic_arguments:
-                dyn = self._open(11, "UML:ActionState.dynamicArguments")
+                self._open("UML:ActionState.dynamicArguments")
                 self._leaf(
-                    12,
                     "UML:ArgListsExpression",
-                    f' xmi.id="{self._ids.next()}" language="CN"'
-                    f' body="{_q(vertex.dynamic_arguments)}"',
+                    ["xmi.id", next(self._ids), "language", "CN",
+                     "body", str(vertex.dynamic_arguments)],
                 )
-                self._close(dyn, 11, "UML:ActionState.dynamicArguments")
+                self._close("UML:ActionState.dynamicArguments")
             if vertex.tagged_values:
-                values = self._open(11, "UML:ModelElement.taggedValue")
+                self._open("UML:ModelElement.taggedValue")
                 for tv in vertex.tagged_values:
-                    self._out.append(
-                        f'{_PAD[12]}<UML:TaggedValue xmi.id="{self._ids.next()}"{_SPEC}'
-                        f' dataValue="{_q(tv.value)}">\n'
-                        f"{_PAD[13]}<UML:TaggedValue.type>\n"
-                        f'{_PAD[14]}<UML:TagDefinition xmi.idref="{self._tagdef_ids[tv.name]}"/>\n'
-                        f"{_PAD[13]}</UML:TaggedValue.type>\n"
-                        f"{_PAD[12]}</UML:TaggedValue>\n"
+                    self._open(
+                        "UML:TaggedValue",
+                        ["xmi.id", next(self._ids), "isSpecification", "false",
+                         "dataValue", str(tv.value)],
                     )
-                self._close(values, 11, "UML:ModelElement.taggedValue")
+                    self._open("UML:TaggedValue.type")
+                    self._leaf("UML:TagDefinition", ["xmi.idref", self._tagdef_ids[tv.name]])
+                    self._close("UML:TaggedValue.type")
+                    self._close("UML:TaggedValue")
+                self._close("UML:ModelElement.taggedValue")
         for role, transitions in (("outgoing", vertex.outgoing), ("incoming", vertex.incoming)):
             if transitions:
-                refs = self._open(11, f"UML:StateVertex.{role}")
+                self._open(f"UML:StateVertex.{role}")
                 for transition in transitions:
-                    self._leaf(
-                        12,
-                        "UML:Transition",
-                        f' xmi.idref="{self._transition_ids[id(transition)]}"',
-                    )
-                self._close(refs, 11, f"UML:StateVertex.{role}")
-        self._close(mark, 10, tag)
+                    ref = ["xmi.idref", self._transition_ids[id(transition)]]
+                    self._leaf("UML:Transition", ref)
+                self._close(f"UML:StateVertex.{role}")
+        self._close(tag)
 
     def _write_transition(self, transition: Transition) -> None:
-        mark = self._open(
-            8,
+        self._open(
             "UML:Transition",
-            f' xmi.id="{self._transition_ids[id(transition)]}"{_SPEC}',
+            ["xmi.id", self._transition_ids[id(transition)], "isSpecification", "false"],
         )
         for role, vertex in (("source", transition.source), ("target", transition.target)):
-            end = self._open(9, f"UML:Transition.{role}")
-            self._leaf(10, _vertex_tag(vertex), f' xmi.idref="{self._vertex_ids[id(vertex)]}"')
-            self._close(end, 9, f"UML:Transition.{role}")
-        self._close(mark, 8, "UML:Transition")
+            self._open(f"UML:Transition.{role}")
+            self._leaf(_vertex_tag(vertex), ["xmi.idref", self._vertex_ids[id(vertex)]])
+            self._close(f"UML:Transition.{role}")
+        self._close("UML:Transition")
 
 
 def write_model(model: Model) -> str:
     """Export *model* as an XMI document string."""
-    return XmiWriter().write(model)
+    out: list[str] = []
+    append = out.append
+
+    def start(tag: str, attrs: Sequence[str]) -> None:
+        written = "<" + tag
+        for i in range(0, len(attrs), 2):
+            value = attrs[i + 1]
+            written += f' {attrs[i]}="{escape_attr(value) if _ESCAPED(value) else value}"'
+        append(written)
+        append(">")  # "/>" if the element ends with nothing inside
+
+    def end(tag: str) -> None:
+        if out[-1] == ">":
+            out[-1] = "/>"
+        else:
+            append(f"</{tag}>")
+
+    # the writer's text is its indentation and the exporter's name: nothing to escape
+    XmiWriter(model).write(start, append, end)
+    return "".join(out) + "\n"
 
 
 def write_graph(graph: ActivityGraph, *, package: str = "cn", model_name: str = "model") -> str:

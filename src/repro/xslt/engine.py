@@ -765,6 +765,8 @@ def _strip_space(doc: XDocument, strips: Callable[[str], bool]) -> None:
     does it while building): a whitespace-only text child of an element
     *strips* names keeps its number and stops being a node."""
     kinds, values, names, parents = doc.kinds, doc.values, doc.names, doc.parents
-    for row, kind in enumerate(kinds):
-        if kind == TEXT and values[row].isspace() and strips(names[parents[row]]):  # type: ignore[union-attr]
+    row = kinds.find(TEXT)
+    while row >= 0:
+        if values[row].isspace() and strips(names[parents[row]]):  # type: ignore[union-attr]
             kinds[row], values[row] = STRIPPED, None
+        row = kinds.find(TEXT, row + 1)

@@ -4,7 +4,7 @@ XPath needs parent links, document order, and distinct node kinds for
 documents, elements, attributes and text -- none of which
 :mod:`xml.etree.ElementTree` provides.  :func:`build_document` makes the
 :class:`XDocument` the evaluator reads, in one pass over the source --
-XML text through expat, or an already parsed ElementTree.
+XML text through expat, a parsed ElementTree, or the calls of a writer.
 
 A node is an int.  The document, its elements and its texts are rows,
 numbered 0, 1, 2 ... in document order, each with a kind, name, value,
@@ -191,12 +191,13 @@ def _walk_etree(elem: ET.Element, start, text, end) -> None:
 
 
 def build_document(
-    root: ET.Element | str,
+    root: ET.Element | str | Callable[[Callable, Callable, Callable], None],
     *,
     restore_prefixes: bool = False,
     strips: Optional[Callable[[str], bool]] = None,
 ) -> XDocument:
-    """The :class:`XDocument` for an XML string or a parsed ElementTree.
+    """The :class:`XDocument` for an XML string, a parsed ElementTree or
+    a callable, ``root(start, text, end)``, that makes the calls itself.
 
     ``restore_prefixes`` maps ``UML.Local`` element names back to
     ``UML:Local`` (see :func:`repro.util.xmlutil.parse_prefixed`).  With
@@ -204,7 +205,7 @@ def build_document(
     element it names gets no row but still takes its number, so
     ``generate-id()`` does not depend on it.
 
-    One pass and one set of rules for both sources: ``start`` / ``text`` /
+    One pass and one set of rules for every source: ``start`` / ``text`` /
     ``end`` calls in document order append the rows.  Character data
     between two calls is one text node however many pieces it came in.
     """
@@ -278,7 +279,9 @@ def build_document(
         ends[parent] = len(kinds)
         parent, stripped = enclosing.pop()
 
-    if not isinstance(root, str):
+    if callable(root):
+        root(start, text, end)
+    elif not isinstance(root, str):
         _walk_etree(root, start, text, end)
     else:
         # Expat *without* namespace processing takes the paper's undeclared

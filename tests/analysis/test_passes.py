@@ -194,6 +194,28 @@ class TestFanShapePass:
         )
         assert "CN401" not in analyze_cnx(doc_of(job)).codes()
 
+    @pytest.mark.parametrize("first", ["split", "elsewhere"])
+    def test_the_first_task_of_a_duplicated_name_is_the_branch(self, first):
+        """Two tasks called ``w1``: the first decides ``w1``'s splitter,
+        as ``JobGraph.find`` does."""
+        other = "split" if first == "elsewhere" else "elsewhere"
+        job = CnxJob(
+            tasks=[
+                task("split"),
+                task("elsewhere"),
+                task("w1", [first]),
+                task("w2", ["split"]),
+                task("w3", ["split"]),
+                task("w1", [other]),
+                task("join", ["w1", "w2"]),
+            ]
+        )
+        cn401 = analyze_cnx(doc_of(job)).by_code("CN401")
+        if first == "split":
+            assert [d.message.rsplit("missing: ", 1)[1] for d in cn401] == ["w3)"]
+        else:
+            assert cn401 == []
+
 
 class TestMessageFlowPass:
     def test_matched_protocol_is_clean(self):

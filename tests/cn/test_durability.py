@@ -267,6 +267,21 @@ class TestFileJournal:
             assert len(fh.readlines()) == 5
         journal.close()
 
+    def test_a_closed_journal_refuses_a_batch_and_changes_nothing(self, tmp_path):
+        """A task thread that journals after shutdown closed the file gets
+        the stale-epoch answer, not a ``JournalError``."""
+        path = tmp_path / "j.jsonl"
+        journal = FileJournal(str(path))
+        journal.append(rec(1, "j", "job-created"))
+        journal.close()
+        on_disk = path.read_text()
+        late = [rec(2, "j", "task-state", task="t"), rec(3, "j", "task-state", task="u")]
+        assert journal.extend(late) == 0
+        assert journal.append(rec(4, "j", "checkpoint", task="t", state=1)) is False
+        assert [r.seq for r in journal.records()] == [1]
+        assert len(journal) == 1 and journal.fenced == []
+        assert path.read_text() == on_disk
+
     def test_corrupt_file_raises_journal_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("this is not json\n")

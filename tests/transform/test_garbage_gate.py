@@ -12,7 +12,7 @@ import gc
 
 from repro.cn import Cluster
 from repro.core.transform import Pipeline
-from repro.core.transform.xmi2cnx import load_stylesheet
+from repro.core.transform.xmi2cnx import load_stylesheet, xmi_document
 from repro.core.uml import ActivityBuilder
 from repro.xslt.xpath import build_document
 
@@ -74,6 +74,28 @@ def test_a_source_document_costs_a_few_collector_objects():
     try:
         before = len(gc.get_objects())
         doc = build_document(xmi, strips=strips)
+        added = len(gc.get_objects()) - before
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert added <= 64, f"{added} objects the collector tracks"
+    assert len(doc.descendants(0)) > 5000
+
+
+def test_a_writer_built_source_document_costs_a_few_collector_objects():
+    """The same document built from the writer's calls, as
+    ``Pipeline.run`` builds it: the writer goes with the build."""
+    from benchmarks.e2e.workloads import ComposeWide
+
+    pipeline = Pipeline()
+    model = pipeline.to_model(ComposeWide().model(0))
+    xmi_document(model)
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        doc = xmi_document(model)
         added = len(gc.get_objects()) - before
     finally:
         if was_enabled:

@@ -1,10 +1,7 @@
-"""Utility tests: XML helpers and id generation."""
-
-import threading
+"""Utility tests: XML helpers."""
 
 import pytest
 
-from repro.util.idgen import IdGenerator, SequentialIds
 from repro.util.xmlutil import (
     canonicalize,
     escape_attr,
@@ -96,33 +93,3 @@ class TestPrettyPrint:
         elem = ET.fromstring("<a>\n  <b/>\n</a>")
         strip_whitespace_nodes(elem)
         assert elem.text is None and elem[0].tail is None
-
-
-class TestIdGen:
-    def test_sequential(self):
-        ids = SequentialIds("a")
-        assert [ids.next() for _ in range(3)] == ["a1", "a2", "a3"]
-
-    def test_namespaced(self):
-        gen = IdGenerator()
-        assert gen.next("task") == "task1"
-        assert gen.next("task") == "task2"
-        assert gen.next("job") == "job1"
-
-    def test_thread_safety(self):
-        ids = SequentialIds("x")
-        seen = []
-        lock = threading.Lock()
-
-        def worker():
-            for _ in range(200):
-                value = ids.next()
-                with lock:
-                    seen.append(value)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(seen) == len(set(seen)) == 1600

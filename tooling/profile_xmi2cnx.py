@@ -6,8 +6,10 @@ calls, its own time (the time spent in nested template invocations
 subtracted) and the ``key()`` calls made directly in it, plus the
 source-document build, the key-table builds and serialisation, and the
 document's size: its rows (the document, elements and texts) and
-attributes.  Times are the minimum over REPS runs, one core, the
-collector off.
+attributes.  The source document is built both ways: from the XMI text,
+as ``xmi_to_cnx`` builds it from a string, and from the writer's calls,
+as ``Pipeline.run`` builds it (the templates run on that one).
+Times are the minimum over REPS runs, one core, the collector off.
 
 A measurement script, not a product feature: it wraps, from outside,
 the two methods every template invocation and every ``key()`` call of
@@ -30,13 +32,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from benchmarks.e2e.workloads import ComposeWide  # noqa: E402
 from repro.core.transform.pipeline import Pipeline  # noqa: E402
-from repro.core.transform.xmi2cnx import load_stylesheet  # noqa: E402
+from repro.core.transform.xmi2cnx import load_stylesheet, xmi_document  # noqa: E402
+from repro.core.uml import Model  # noqa: E402
+from repro.core.xmi.writer import write_model  # noqa: E402
 from repro.xslt import Transformer  # noqa: E402
 from repro.xslt.output import serialize  # noqa: E402
 from repro.xslt.xpath.datamodel import XDocument, build_document  # noqa: E402
 
 
-def profile(xmi: str, reps: int) -> tuple[dict, dict, dict, XDocument]:
+def profile(model: Model, reps: int) -> tuple[dict, dict, dict, XDocument]:
     sheet = load_stylesheet("xmi2cnx.xsl")
     program = sheet.compiled()
     labels = {
@@ -79,14 +83,18 @@ def profile(xmi: str, reps: int) -> tuple[dict, dict, dict, XDocument]:
     Transformer._invoke, Transformer._key = timed_invoke, counted_key
     Transformer._key_table = timed_key_table
     params = {"log": "CN_Client.log", "port": "5666"}
+    xmi = write_model(model)
     gc.collect()
     gc.disable()
     try:
         for _ in range(reps):
             run_own.clear(), run_calls.clear(), run_keys.clear()
             start = time.perf_counter()
-            doc = build_document(xmi, strips=program.strips)
-            run_own["(source document)"] = time.perf_counter() - start
+            build_document(xmi, strips=program.strips)
+            run_own["(source document, text)"] = time.perf_counter() - start
+            start = time.perf_counter()
+            doc = xmi_document(model)
+            run_own["(source document, writer)"] = time.perf_counter() - start
             tr = Transformer(sheet)
             start = time.perf_counter()
             top = tr.transform_to_tree(doc, params)
@@ -107,8 +115,7 @@ def profile(xmi: str, reps: int) -> tuple[dict, dict, dict, XDocument]:
 def main() -> None:
     reps = int(sys.argv[1]) if len(sys.argv) > 1 else 15
     pipeline = Pipeline()
-    xmi = pipeline.export_xmi(pipeline.to_model(ComposeWide().model(0)))
-    best, calls, keys, doc = profile(xmi, reps)
+    best, calls, keys, doc = profile(pipeline.to_model(ComposeWide().model(0)), reps)
     print(f"XMI2CNX on compose-wide150 (152 tasks), min of {reps}, collector off")
     print(f"source document: {len(doc.kinds)} rows, {len(doc.attr_names)} attributes")
     print(f"{'':<28}{'calls':>7}{'own ms':>9}{'key()':>7}")
