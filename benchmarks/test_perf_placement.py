@@ -12,19 +12,24 @@ per-task solicit protocol vs the rule-based bid scheduler, across
 cluster sizes.  Solicit pays one multicast round per task, so throughput
 collapses as nodes multiply; the bid scheduler publishes one rule per
 homogeneous batch and stays near-flat.  Interleaved min-of-k rounds so
-machine noise hits both schedulers equally.
+machine noise hits both schedulers equally.  Its shape gates count, and
+time nothing: what a durable batch replicates, and what a placed task
+builds before anything uses it.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
-from repro.cn import CNAPI, Cluster, TaskRegistry, TaskSpec
+from repro.apps.floyd import floyd_registry, floyd_warshall, run_parallel_floyd
+from repro.apps.floyd.serial import random_adjacency
+from repro.cn import CNAPI, Cluster, TaskRegistry, TaskSpec, taskmanager
 from repro.cn.task import Task
 
 
@@ -296,3 +301,56 @@ def test_perf16_durable_batch_replicates_in_batches(scheduler):
     assert cut_run.origin == open_run.origin
     assert cut_run.replicas == open_run.replicas
     assert sorted(cut_run.extends) == sorted(open_run.extends)
+
+
+# -- PERF16 shape gate: a placed task builds only what it uses (counts only) --
+
+
+def _count_constructions(monkeypatch) -> Counter:
+    """Patch the constructors of a hosting's queue, of ``threading.Event``
+    and of ``threading.Condition`` (what ``make_condition`` builds) to
+    count each call by name."""
+    built: Counter = Counter()
+
+    def counting(name, make):
+        def construct(*args, **kwargs):
+            built[name] += 1
+            return make(*args, **kwargs)
+
+        return construct
+
+    monkeypatch.setattr(
+        taskmanager, "MessageQueue", counting("MessageQueue", taskmanager.MessageQueue)
+    )
+    monkeypatch.setattr(threading, "Event", counting("Event", threading.Event))
+    monkeypatch.setattr(threading, "Condition", counting("Condition", threading.Condition))
+    return built
+
+
+@pytest.mark.parametrize("scheduler", ["bid", "solicit"])
+def test_perf16_placing_tasks_that_never_start_builds_no_queue(scheduler, monkeypatch):
+    """The paper's per-task queue is built on first use: placing 256 tasks
+    that are never sent to nor started builds no queue, no Event and no
+    Condition for them."""
+    with Cluster(
+        32, registry=registry(), memory_per_node=10**6, scheduler=scheduler
+    ) as cluster:
+        api = CNAPI.initialize(cluster)
+        handle = api.create_job("bench")
+        built = _count_constructions(monkeypatch)
+        api.create_tasks(handle, [spec(f"t{i}") for i in range(N_TASKS)])
+        monkeypatch.undo()
+        assert all(rt.hosting is not None for rt in handle.job.tasks.values())
+    assert dict(built) == {}, built
+
+
+def test_perf16_floyd_builds_one_queue_per_receiving_task(monkeypatch):
+    """Floyd N=32 on 4 workers: every worker and the joiner receive, the
+    splitter does not, so the run builds 5 hosting queues."""
+    matrix = random_adjacency(32, seed=3)
+    with Cluster(3, registry=floyd_registry()) as cluster:
+        built = _count_constructions(monkeypatch)
+        result, _ = run_parallel_floyd(matrix, n_workers=4, cluster=cluster)
+        monkeypatch.undo()
+    assert result == floyd_warshall(matrix)
+    assert built["MessageQueue"] == 4 + 1, built

@@ -33,6 +33,7 @@ from .tuplespace import TupleSpace
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .durability import JournalRecord
+    from .taskmanager import HostedTask
 
 __all__ = ["TaskSpec", "TaskState", "TaskRuntime", "Job", "payload_nbytes"]
 
@@ -144,7 +145,7 @@ class TaskSpec:
 
 class TaskState(str, Enum):
     PENDING = "PENDING"      # spec known, not yet placed
-    CREATED = "CREATED"      # placed on a TaskManager, queue exists
+    CREATED = "CREATED"      # placed on a TaskManager (queue built on first use)
     RUNNING = "RUNNING"
     RETRYING = "RETRYING"    # failed with retry budget left; being re-placed
     COMPLETED = "COMPLETED"
@@ -169,7 +170,8 @@ class TaskRuntime:
         self.node_name: Optional[str] = None
         self.result: Any = None
         self.error: Optional[str] = None
-        self.queue: Optional[MessageQueue] = None
+        #: the live hosting: where deliveries to this task go
+        self.hosting: Optional["HostedTask"] = None
         self.attempts = 0  # runs started so far (completed, failed, or fenced)
         #: placement generation: bumped every time the task is (re)hosted.
         #: A run whose hosting epoch no longer matches is a zombie (its
@@ -673,8 +675,9 @@ class Job:
                     # terminal tasks are never re-placed, so a ledger
                     # entry could never be replayed -- skip the ledger
                     # and journal, just attempt best-effort delivery
-                    if runtime.queue is not None:
-                        deliveries.append((runtime.queue, message))
+                    hosting = runtime.hosting
+                    if hosting is not None and hosting.queue is not None:
+                        deliveries.append((hosting.queue, message))
                     continue
                 ledgered.append(message)
         if self._m_payload is not None:
@@ -687,11 +690,14 @@ class Job:
         # publish) whatever the fan-out width
         if ledgered and self.journal_events([("delivery", {"messages": ledgered})]):
             for message in ledgered:
-                # an unplaced recipient (no queue yet: placement window or
-                # pending re-placement) keeps the message ledgered; replay
-                # delivers it once the queue exists
-                queue = runtimes[message.recipient].queue
-                if queue is not None:
+                # an unplaced recipient (placement window or pending
+                # re-placement) keeps the message ledgered; replay delivers
+                # it once the task is hosted
+                hosting = runtimes[message.recipient].hosting
+                if hosting is not None:
+                    queue = hosting.queue  # inbox()'s fast path, inline per message
+                    if queue is None:
+                        queue = hosting.inbox()
                     deliveries.append((queue, message))
         client_error: Optional[ShutdownError] = None
         for queue, message in deliveries:
@@ -845,10 +851,10 @@ class Job:
             ).inc()
         if original is not None:
             runtime = self.tasks.get(task)
-            queue = runtime.queue if runtime is not None else None
-            if queue is not None:
+            hosting = runtime.hosting if runtime is not None else None
+            if hosting is not None:
                 try:
-                    queue.put(original)
+                    hosting.inbox().put(original)
                 except ShutdownError as exc:
                     # the ledger still holds the message for attempt-level
                     # replay; record the failed live re-offer
@@ -869,15 +875,14 @@ class Job:
         """Re-deliver every logged message for *name* into its (fresh)
         queue; used by the JobManager after re-placing a crashed task.
         Returns the number of messages replayed."""
-        runtime = self.task(name)
-        queue = runtime.queue
-        if queue is None:
+        hosting = self.task(name).hosting
+        if hosting is None:
             return 0
         with self._lock:
             pending = list(self._delivery_log.get(name, ()))
         if not pending:
             return 0
-        delivered = queue.put_many(pending)
+        delivered = hosting.inbox().put_many(pending)
         with self._lock:
             self.messages_replayed += delivered
         return delivered

@@ -1,7 +1,8 @@
 """Per-task message queues.
 
 "TaskManager ... sets up a message queue for each Task and then executes
-each Task in a separate thread" (paper section 3).  The queue is a FIFO
+each Task in a separate thread" (paper section 3), built here on first
+use (:meth:`~repro.cn.taskmanager.HostedTask.inbox`).  The queue is a FIFO
 of :class:`Message` adding close semantics (a closed queue unblocks
 waiters with :class:`~repro.cn.errors.ShutdownError`) and selective
 receive (wait for a message matching a predicate while buffering the
@@ -39,8 +40,9 @@ class MessageQueue:
     (admitted twice, the at-least-once retransmit), reordered (held back
     for ``REORDER_HOLD`` successful puts -- a bounded reordering), or
     corrupted (the payload is damaged in flight).  Fate decisions are
-    keyed by the per-queue delivery index, so a fixed chaos seed injects
-    the same faults on every run.
+    keyed by *owner* (the fate namespace a hosting drew at placement) and
+    the per-queue delivery index, so a fixed chaos seed injects the same
+    faults on every run.
 
     With ``verify_digests=True`` every dequeued message carrying a
     digest is re-checksummed; a mismatch is *quarantined* -- counted in
@@ -64,9 +66,6 @@ class MessageQueue:
         self._stash: list[Message] = []
         self._closed = False
         self._chaos = chaos
-        # fate namespace: re-placed incarnations of the same owner roll
-        # fresh fates (a retransmitted delivery re-rolls its luck)
-        self._fate_ns = owner if chaos is None else chaos.register_queue(owner)
         self._put_index = 0
         self._verify = bool(verify_digests)
         self._on_poison = on_poison
@@ -87,7 +86,7 @@ class MessageQueue:
                     raise ShutdownError(f"queue for {self.owner!r} is closed")
                 self._put_index += 1
                 index = self._put_index
-            fate = self._chaos.queue_fate(self._fate_ns, index)
+            fate = self._chaos.queue_fate(self.owner, index)
             if fate == "drop":
                 return
         with self._cond:
@@ -144,6 +143,12 @@ class MessageQueue:
     @property
     def closed(self) -> bool:
         return self._closed
+
+    def wait_closed(self) -> None:
+        """Block until the queue is closed (a chaos-stalled attempt)."""
+        with self._cond:
+            while not self._closed:
+                self._cond.wait()
 
     # -- consumer side -------------------------------------------------------
     def _poisoned(self, message: Message) -> bool:

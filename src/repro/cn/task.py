@@ -18,7 +18,7 @@ The :class:`TaskContext` exposes the CN API surface a task sees:
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Union
 
 from .errors import TaskLoadError, UnknownTaskError
 from .messages import Message
@@ -88,7 +88,7 @@ class TaskContext:
         job_id: str,
         node_name: str,
         peers: Sequence[str],
-        queue: MessageQueue,
+        queue: Union[MessageQueue, Callable[[], MessageQueue]],
         route_many: Callable[[Sequence[Message]], None],
         tuple_space: TupleSpace,
         params: Sequence[Any] = (),
@@ -104,7 +104,8 @@ class TaskContext:
         self.node_name = node_name
         self.peers = list(peers)
         self.params = list(params)
-        self._queue = queue
+        self._queue: Optional[MessageQueue] = None if callable(queue) else queue
+        self._open_queue = queue  # read per call: a property would slow every read
         self._route_many = route_many
         self.tuple_space = tuple_space
         self.cancelled = False
@@ -239,19 +240,27 @@ class TaskContext:
 
     def recv(self, timeout: Optional[float] = None) -> Message:
         """Next message addressed to this task (any type)."""
-        return self._queue.get(timeout)
+        queue = self._queue
+        if queue is None:
+            queue = self._queue = self._open_queue()
+        return queue.get(timeout)
 
     def recv_user(self, timeout: Optional[float] = None) -> Message:
         """Next USER message (protocol traffic is skipped, stays queued)."""
-        return self._queue.get_matching(Message.is_user, timeout)
+        return self.recv_matching(Message.is_user, timeout)
 
     def recv_matching(
         self, predicate: Callable[[Message], bool], timeout: Optional[float] = None
     ) -> Message:
         """Selective receive; non-matching messages remain queued."""
-        return self._queue.get_matching(predicate, timeout)
+        queue = self._queue
+        if queue is None:
+            queue = self._queue = self._open_queue()
+        return queue.get_matching(predicate, timeout)
 
     def pending(self) -> int:
+        if self._queue is None:
+            self._queue = self._open_queue()
         return len(self._queue)
 
     # -- checkpointing (durability extension) --------------------------------

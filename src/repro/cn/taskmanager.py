@@ -14,8 +14,8 @@ threads than it ever had attempts in flight at once.
 Resource model: a TaskManager has a memory capacity (the unit matches
 the descriptor's ``<memory>`` values) and a bounded number of execution
 slots.  Hosting a task reserves its memory immediately (the JAR is
-"uploaded" and the queue exists even before start); a slot is consumed
-only while the task thread runs.  Both are released on terminal states.
+"uploaded" even before start, its queue built on first use); a slot is
+consumed only while the task thread runs.  Both are released on terminal states.
 
 Fault tolerance: the TaskManager is both a fault *site* (an attached
 :class:`~repro.cn.chaos.ChaosPolicy` can crash or stall tasks at start,
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import threading
 import traceback
+from functools import partial
 from queue import SimpleQueue
 from typing import TYPE_CHECKING, Any, Callable, Optional, Type
 
@@ -50,47 +51,43 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["TaskManager", "HostedTask"]
 
+_ENDED = MessageQueue("ended hosting")  # a hosting's queue if it ended unbuilt
+_ENDED.close()
+
 
 class HostedTask:
     """Bookkeeping for one task hosted by this TaskManager."""
 
     def __init__(
-        self, job: Job, runtime: TaskRuntime, task_class: Type[Task], epoch: int
+        self, tm: TaskManager, job: Job, runtime: TaskRuntime, task_class: Type[Task]
     ) -> None:
+        self.manager = tm
         self.job = job
         self.runtime = runtime
         self.task_class = task_class
-        #: this hosting's message queue; the task's ``runtime.queue`` moves
-        #: on to a fresh one when it is re-placed, so an attempt that only
-        #: begins after that must not read it
-        self.queue = runtime.queue
+        #: this hosting's own queue: None until something uses it (see
+        #: :meth:`inbox`), ``_ENDED`` if the hosting ended first
+        self.queue: Optional[MessageQueue] = None
+        #: the queue's chaos fate namespace, drawn at placement, built or not
+        self.fate_ns = tm.chaos and tm.chaos.register_queue(f"{job.job_id}/{runtime.name}")
         self.context: Optional[TaskContext] = None
         #: the placement generation this hosting belongs to; stale when
         #: it no longer matches ``runtime.epoch``
-        self.epoch = epoch
+        self.epoch = runtime.epoch
         #: virtual-clock time the task thread started (deadline anchor)
         self.started_at: Optional[float] = None
         #: set by the deadline watchdog before cancelling; routes the
         #: resulting ShutdownError into the retry path
         self.timed_out = False
-        #: set on cancel/crash/timeout; wakes chaos-stalled tasks
-        self.cancel_event = threading.Event()
         #: whether the hosting still holds what ``host_task`` and
         #: ``start_task`` reserved on its node (memory, the live count, a
         #: slot once started); cleared by ``TaskManager._end_hosting``
         self.reserved = True
 
-    def cancel(self) -> None:
-        """Wake whatever runs this hosting so it unwinds with ShutdownError."""
-        context = self.context  # read once: the task thread clears it when done
-        if context is not None:
-            context.cancelled = True
-        self.cancel_event.set()
-        # only close a queue this hosting still owns -- a task already
-        # re-placed elsewhere has a fresh queue that must stay open
-        queue = self.runtime.queue
-        if queue is not None and self.epoch == self.runtime.epoch:
-            queue.close()
+    def inbox(self) -> MessageQueue:
+        """This hosting's queue, built by the first delivery or read."""
+        queue = self.queue
+        return queue if queue is not None else self.manager.queue_of(self)
 
 
 class TaskManager:
@@ -223,7 +220,7 @@ class TaskManager:
             for h in hosted:
                 self._end_hosting(h)
         for h in hosted:
-            h.cancel()
+            self._cancel(h)
 
     def revive(self) -> None:
         """Bring a crashed node back empty (a rebooted machine)."""
@@ -233,7 +230,7 @@ class TaskManager:
 
     # -- hosting --------------------------------------------------------------
     def host_task(self, job: Job, runtime: TaskRuntime, task_class: Type[Task]) -> None:
-        """Accept a task: reserve memory, create its message queue.
+        """Accept a task: reserve memory, hold a slot for its message queue.
 
         This is the receiving end of the JobManager's archive upload; the
         class object stands in for the unpacked JAR.
@@ -249,24 +246,39 @@ class TaskManager:
                     f"free memory {self.free_memory}, requested {runtime.spec.memory}"
                 )
             self._memory_used += runtime.spec.memory
-            runtime.queue = MessageQueue(
-                owner=f"{job.job_id}/{runtime.name}",
-                chaos=self.chaos,
-                # corrupt frames are quarantined at dequeue and recorded
-                # as per-job dead letters, after the queue lock is released
-                verify_digests=self.config.checksums,
-                on_poison=lambda m, _job=job, _name=runtime.name: _job.note_poison(
-                    _name, m
-                ),
-            )
             runtime.node_name = self.name
             runtime.state = TaskState.CREATED
             runtime.epoch += 1
             self._archive_cache.add(runtime.spec.jar)
-            self._hosted[(job.job_id, runtime.name)] = HostedTask(
-                job, runtime, task_class, runtime.epoch
-            )
+            hosted = runtime.hosting = HostedTask(self, job, runtime, task_class)
+            self._hosted[(job.job_id, runtime.name)] = hosted
             self._live += 1
+
+    def queue_of(self, hosted: HostedTask) -> MessageQueue:
+        """*hosted*'s queue, built under this lock unless it ended first."""
+        with self._lock:
+            if hosted.queue is None:
+                job, name = hosted.job, hosted.runtime.name
+                hosted.queue = MessageQueue(
+                    hosted.fate_ns or f"{job.job_id}/{name}",
+                    chaos=self.chaos,
+                    # corrupt frames are quarantined at dequeue and recorded
+                    # as per-job dead letters, after the queue lock is released
+                    verify_digests=self.config.checksums,
+                    on_poison=partial(job.note_poison, name),
+                )
+            return hosted.queue
+
+    def _cancel(self, hosted: HostedTask) -> None:
+        """Wake whatever runs *hosted* so it unwinds with ShutdownError:
+        close its queue, which a chaos-stalled attempt waits for."""
+        context = hosted.context  # read once: the task thread clears it when done
+        if context is not None:
+            context.cancelled = True
+        with self._lock:
+            if hosted.queue is None:
+                hosted.queue = _ENDED
+        hosted.queue.close()
 
     def _end_hosting(self, hosted: HostedTask, *, exited: bool = False) -> None:
         """The one way a hosting ends.
@@ -284,6 +296,8 @@ class TaskManager:
             if not exited and self._hosted.get(key) is hosted:
                 del self._hosted[key]
             started = hosted.started_at is not None
+            if hosted.queue is None and (exited or not started):
+                hosted.queue = _ENDED  # nothing will read it: build none
             if hosted.reserved and (exited or not started or self._crashed):
                 hosted.reserved = False
                 self._live -= 1
@@ -415,7 +429,7 @@ class TaskManager:
             job_id=job.job_id,
             node_name=self.name,
             peers=peers,
-            queue=hosted.queue,  # type: ignore[arg-type]
+            queue=hosted.inbox,  # built on the attempt's first read
             route_many=job.route_many,
             tuple_space=job.tuple_space,
             params=runtime.spec.params,
@@ -465,7 +479,7 @@ class TaskManager:
                 if chaos.should_stall(job.job_id, runtime.name, attempt):
                     # a hung task: block until something cancels us (the
                     # deadline watchdog, a node crash, job cancellation)
-                    hosted.cancel_event.wait()
+                    hosted.inbox().wait_closed()
                     raise ShutdownError(
                         f"chaos-stalled task {runtime.name!r} cancelled"
                     )
@@ -621,7 +635,7 @@ class TaskManager:
                 },
                 sender=self.name,
             )
-            h.cancel()
+            self._cancel(h)
         return [h.runtime.name for h, _ in expired]
 
     def evict(self, job: Job, name: str) -> None:
@@ -644,7 +658,7 @@ class TaskManager:
             for h in victims:
                 self._end_hosting(h)
         for h in victims:
-            h.cancel()
+            self._cancel(h)
         return [h.runtime.name for h in victims]
 
     def release_job(self, job_id: str) -> None:
@@ -675,9 +689,9 @@ class TaskManager:
             if unstarted:
                 self._end_hosting(hosted)
                 hosted.runtime.state = TaskState.CANCELLED
-        hosted.cancel()
+        self._cancel(hosted)
         if unstarted:
-            hosted.runtime.queue = None
+            hosted.runtime.hosting = None
         return unstarted
 
     def hosted_count(self) -> int:
@@ -688,13 +702,8 @@ class TaskManager:
         """Messages sitting in this node's hosted task queues right now --
         the per-node backpressure signal (``cn_node_queued_messages``)."""
         with self._lock:
-            hosted = list(self._hosted.values())
-        total = 0
-        for h in hosted:
-            queue = h.runtime.queue
-            if queue is not None and h.epoch == h.runtime.epoch:
-                total += len(queue)
-        return total
+            live = [h.queue for h in self._hosted.values() if h.epoch == h.runtime.epoch]
+        return sum(len(queue) for queue in live if queue is not None)
 
     def queue_poisoned(self) -> int:
         """Frames quarantined by digest verification across this node's
@@ -702,13 +711,8 @@ class TaskManager:
         evicted hosting retires its queue's count); the durable count per
         job is the journal's ``dead-letter`` records."""
         with self._lock:
-            hosted = list(self._hosted.values())
-        total = 0
-        for h in hosted:
-            queue = h.runtime.queue
-            if queue is not None:
-                total += queue.poisoned
-        return total
+            queues = [h.queue for h in self._hosted.values()]
+        return sum(queue.poisoned for queue in queues if queue is not None)
 
     def shutdown(self) -> None:
         """Cancel every hosting and end every parked task thread; one
@@ -718,7 +722,7 @@ class TaskManager:
             hosted = list(self._hosted.values())
             parked, self._idle = self._idle, []
         for h in hosted:
-            h.cancel()
+            self._cancel(h)
         for _, inbox in parked:
             inbox.put(None)
         for thread, _ in parked:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 __all__ = ["Span", "SpanRecorder", "span_children", "orphan_spans"]
 
@@ -48,8 +48,8 @@ class Span:
     end: Optional[float] = None
     node: Optional[str] = None
     attrs: dict[str, Any] = field(default_factory=dict)
-    #: (ts, name, attrs) in-span point events
-    events: list[tuple[float, str, dict[str, Any]]] = field(default_factory=list)
+    #: (ts, name, attrs) in-span point events (most spans have none)
+    events: Sequence[tuple[float, str, dict[str, Any]]] = ()
 
     @property
     def duration(self) -> Optional[float]:
@@ -91,7 +91,7 @@ class Span:
             events=[
                 (e["ts"], e["name"], dict(e.get("attrs") or {}))
                 for e in data.get("events") or ()
-            ],
+            ] or (),
         )
 
 
@@ -207,6 +207,8 @@ class SpanRecorder:
 
     def add_event(self, span: Span, name: str, **attrs: Any) -> None:
         with self._lock:
+            if not span.events:
+                span.events = []  # made by the first event: most spans have none
             span.events.append((self._clock(), name, dict(attrs)))
 
     # -- queries -------------------------------------------------------------

@@ -203,7 +203,7 @@ class WorkerHandle:
     ) -> Any:
         job, runtime = hosted.job, hosted.runtime
         exec_id = f"{job.job_id}/{runtime.name}#{hosted.epoch}:{next(_exec_seq)}"
-        state = _ExecState(exec_id, job, runtime.name, context, runtime.queue)
+        state = _ExecState(exec_id, job, runtime.name, context, hosted.inbox())
         with self._lock:
             if self._failed or self._stopped:
                 raise WorkerLost(f"worker for node {self.node!r} is gone")

@@ -29,7 +29,7 @@ from repro.cn.queues import MessageQueue
 from repro.core.cnx import CnxJob, CnxTask, CnxTaskReq
 from repro.core.cnx.schema import CnxClient, CnxDocument
 
-from ..conftest import client_messages, run_client
+from ..conftest import Hosting, client_messages, run_client
 
 
 class Echo(Task):
@@ -227,7 +227,7 @@ class TestChaoticBroadcast:
         job = Job("j", "client")
         for name in workers:
             runtime = job.add_task(TaskSpec(name=name, jar="x.jar", cls="p.T"))
-            runtime.queue = MessageQueue(owner=f"j/{name}", chaos=chaos)
+            runtime.hosting = Hosting(MessageQueue(owner=f"j/{name}", chaos=chaos))
             runtime.state = TaskState.CREATED
         return job
 
@@ -251,7 +251,7 @@ class TestChaoticBroadcast:
                 for i in range(1, rounds + 1)
                 if oracle.queue_fate(f"j/{name}", i) == "deliver"
             ]
-            got = [m.payload for m in job.tasks[name].queue.drain()]
+            got = [m.payload for m in job.tasks[name].hosting.queue.drain()]
             assert got == expected, f"fates for {name!r} diverged"
         fates = {
             tuple(
@@ -271,9 +271,9 @@ class TestChaoticBroadcast:
         # every queue dropped its copy, but at-least-once still holds:
         # the ledger has all three for replay into a fresh queue
         for name in ("a", "b", "c"):
-            assert len(job.tasks[name].queue) == 0
+            assert len(job.tasks[name].hosting.queue) == 0
             assert job.has_ledgered(name)
-        job.tasks["a"].queue = MessageQueue(owner="j2/a")  # chaos-free replay
+        job.tasks["a"].hosting = Hosting(MessageQueue(owner="j2/a"))  # chaos-free replay
         assert job.replay_into("a") == 1
 
 

@@ -1339,7 +1339,7 @@ class TestManagerFailover:
             assert handle.job.states() == {"a": "RUNNING", "b": "CREATED"}
             dead.cancel_job(zombie)
             assert handle.job.states() == {"a": "RUNNING", "b": "CREATED"}
-            assert all(rt.queue is not None for rt in handle.job.tasks.values())
+            assert all(rt.hosting is not None for rt in handle.job.tasks.values())
             api.send_message(handle, "a", "x")
             api.send_message(handle, "b", "y")  # queued until "b" starts
             assert api.wait(handle, timeout=15) == {"a": "x", "b": "y"}

@@ -26,7 +26,7 @@ from repro.cn.taskmanager import TaskManager
 from repro.cn.transport import InProcTransport
 from repro.core.cnx import CnxParam, CnxTask, CnxTaskReq
 
-from ..conftest import Echo, basic_registry
+from ..conftest import Echo, Hosting, basic_registry
 
 
 class TestTaskSpec:
@@ -95,7 +95,7 @@ class TestJobObject:
         job.route(Message.user("client", "a", "x"))
         assert job.has_ledgered("a")
         queue = MessageQueue(owner="j1/a")
-        job.tasks["a"].queue = queue
+        job.tasks["a"].hosting = Hosting(queue)
         assert job.replay_into("a") == 1
         assert queue.get(0.1).payload == "x"
 
@@ -109,7 +109,7 @@ class TestJobObject:
 
         job = self.make_job()
         for name in ("a", "b"):
-            job.tasks[name].queue = MessageQueue(owner=f"j1/{name}")
+            job.tasks[name].hosting = Hosting(MessageQueue(owner=f"j1/{name}"))
         payload = b"x" * 100
         job.route_many(
             [
@@ -122,14 +122,14 @@ class TestJobObject:
         assert job.payload_sizings == 1     # ... but sized once (shared ref)
         assert job.payload_reuses == 1
         assert job.payloads_pickle_sized == 0  # bytes take the fast path
-        assert job.tasks["a"].queue.get(0.1).payload == payload
-        assert job.tasks["b"].queue.get(0.1).payload == payload
+        assert job.tasks["a"].hosting.queue.get(0.1).payload == payload
+        assert job.tasks["b"].hosting.queue.get(0.1).payload == payload
 
     def test_route_many_unknown_recipient_routes_nothing(self):
         from repro.cn.queues import MessageQueue
 
         job = self.make_job()
-        job.tasks["a"].queue = MessageQueue(owner="j1/a")
+        job.tasks["a"].hosting = Hosting(MessageQueue(owner="j1/a"))
         with pytest.raises(UnknownTaskError):
             job.route_many(
                 [
@@ -139,7 +139,7 @@ class TestJobObject:
             )
         # validation happens before any delivery: no partial fan-out
         assert job.messages_routed == 0
-        assert len(job.tasks["a"].queue) == 0
+        assert len(job.tasks["a"].hosting.queue) == 0
 
     def test_ready_tasks_gate_on_dependencies(self):
         job = self.make_job()
@@ -182,7 +182,8 @@ class TestJobObject:
         from repro.cn.queues import MessageQueue
 
         job = self.make_job()
-        queue = job.tasks["a"].queue = MessageQueue(owner="j1/a")
+        queue = MessageQueue(owner="j1/a")
+        job.tasks["a"].hosting = Hosting(queue)
         refused = []
         job.set_journal(lambda events: refused.append(events) or ())
         job.route(Message.user("client", "a", "x"))

@@ -593,9 +593,9 @@ class TestHostingEnds:
                 ends = [r.kind for r in records[-1 - len(handle.job.tasks) :]]
                 assert ends == ["task-state"] * len(handle.job.tasks) + ["job-finished"]
                 assert len({r.seq for r in records}) == len(records)
-                # a hosting that never started lets its closed queue go, and
-                # a late message to its task is dropped as to any ended one
-                assert all(rt.queue is None for rt in handle.job.tasks.values())
+                # a hosting that never started is let go, and a late
+                # message to its task is dropped as to any ended one
+                assert all(rt.hosting is None for rt in handle.job.tasks.values())
                 for name in handle.job.tasks:
                     handle.job.route(Message.user("client", name, "late"))
             self.assert_idle(cluster)

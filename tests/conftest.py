@@ -41,6 +41,17 @@ class Boom(Task):
         raise RuntimeError("boom")
 
 
+class Hosting:
+    """A hosting stand-in whose queue is already built: what a :class:`Job`
+    delivers into, for tests that drive a Job without a TaskManager."""
+
+    def __init__(self, queue):
+        self.queue = queue
+
+    def inbox(self):
+        return self.queue
+
+
 def run_client(doc, cluster, runtime_args=None, timeout=30.0):
     """Run the CNX document *doc* the one way the product does: through the
     client program Fig. 6 generates from it.  One result dict per job."""

@@ -4,12 +4,17 @@ Runs one ``python -m benchmarks.e2e`` workload in the benchmark's own
 blocks (clusters built with the user defaults, warm-up ops untimed) and
 reports, per op, the young (generation 0), generation-1 and full
 collections that ran inside the op, how many ops paid for at least one
-full collection, and the objects the op promoted to the old generation,
-by type.  Promotions come from a ``gc.callbacks`` hook: when a
-generation-1 or full collection starts it notes the ids and types of the
-young objects, and when it stops it counts the noted ones now in the old
-generation.  That walk of the old generation per collection is why this
-is a counting script: its wall time is not the op's.
+full collection, the objects the op allocated and the objects it
+promoted to the old generation, by type.  Both come from a
+``gc.callbacks`` hook.  *Allocated* counts what each collection finds
+in generation 0 when it starts: every tracked object allocated since the
+last collection and still alive, which is what makes the collector run
+(one allocated and freed by reference count in between is not seen).
+*Promoted*: when a generation-1 or full collection starts the hook notes
+the ids and types of the young objects, and when it stops it counts the
+noted ones now in the old generation.  That walk of the old generation
+per collection is why this is a counting script: its wall time is not
+the op's.
 
 A measurement script, not a product feature.  Run it from the checkout
 root, on one core like the benchmark:
@@ -41,6 +46,9 @@ class CollectorCounts:
         self.ops_with_full = 0
         #: generation -> collections of it that ran inside an op
         self.collections: Counter = Counter()
+        #: type name -> objects found in generation 0 by a collection
+        #: inside an op
+        self.allocated: Counter = Counter()
         #: type name -> objects promoted to the old generation inside an op
         self.promoted: Counter = Counter()
         self._young: dict[int, type] = {}
@@ -50,6 +58,9 @@ class CollectorCounts:
             return
         generation = info["generation"]
         if phase == "start":
+            allocated = self.allocated
+            for obj in gc.get_objects(0):
+                allocated[type(obj).__qualname__] += 1
             if generation >= 1:
                 self._young = {
                     id(obj): type(obj) for young in (0, 1) for obj in gc.get_objects(young)
@@ -93,7 +104,6 @@ def main() -> None:
     finally:
         gc.callbacks.remove(counts)
     ops = counts.ops
-    promoted = sum(counts.promoted.values())
     print(f"{name}, seed {seed}, {ops} timed ops")
     print(f"  young collections per op   {counts.collections[0] / ops:8.2f}")
     print(f"  gen-1 collections per op   {counts.collections[1] / ops:8.2f}")
@@ -101,9 +111,11 @@ def main() -> None:
         f"  full collections per op    {counts.collections[2] / ops:8.2f}"
         f"   ({counts.ops_with_full}/{ops} ops paid for one)"
     )
-    print(f"  objects promoted per op    {promoted / ops:8.0f}")
-    for kind, count in counts.promoted.most_common(top):
-        print(f"    {kind:<24}{count / ops:8.0f}")
+    for label, counter in (("allocated", counts.allocated), ("promoted", counts.promoted)):
+        total = sum(counter.values())
+        print(f"  {'objects ' + label + ' per op':<27}{total / ops:8.0f}")
+        for kind, count in counter.most_common(top):
+            print(f"    {kind:<24}{count / ops:8.0f}")
 
 
 if __name__ == "__main__":
