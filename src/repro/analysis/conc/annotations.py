@@ -98,11 +98,6 @@ GUARDED_BY: dict[str, str] = {
     "MulticastBus._subscribers": "MulticastBus._lock",
     "MulticastBus._listeners": "MulticastBus._lock",
     "MulticastBus._groups": "MulticastBus._lock",
-    # AdmissionController: per-tenant token buckets, in-flight quotas,
-    # and the decision counters all mutate under the admission lock.
-    "AdmissionController._buckets": "AdmissionController._lock",
-    "AdmissionController._in_flight": "AdmissionController._lock",
-    "AdmissionController.counts": "AdmissionController._lock",
     # Transport-robustness slice: dead-letter bookkeeping mutates under
     # the job lock; the queue's poison counter under the queue condition;
     # the chaos fault log only ever grows under its dedicated lock.

@@ -8,7 +8,6 @@ generated client import; every other name is imported from the module
 that defines it (``repro.cn.durability``, ``repro.cn.errors``, ...).
 """
 
-from .admission import AdmissionController
 from .api import CNAPI
 from .chaos import ChaosPolicy, VirtualClock
 from .cluster import Cluster
@@ -37,7 +36,6 @@ __all__ = [
     "CnError",
     "JobError",
     "TaskFailedError",
-    "AdmissionController",
     "ChaosPolicy",
     "VirtualClock",
     "JournalRecord",

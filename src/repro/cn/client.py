@@ -149,17 +149,14 @@ def submit_job(
     call, so under the bid scheduler a fan places through rule/bid/award
     rounds rather than one solicitation per instance.
 
-    The expansion budget is the live nodes' free memory scaled by
-    ``cluster.degrade_factor``, which the admission controller lowers as
-    the cluster nears saturation: a dynamic job on a cluster that lost
-    nodes, or is overloaded, runs narrower instead of not at all, and a
-    JOB_DEGRADED notification records each shrink."""
-    cluster = api.cluster
+    The expansion budget is the live nodes' free memory: a dynamic job
+    on a cluster that lost nodes or memory runs narrower instead of not
+    at all, and a JOB_DEGRADED notification records each shrink."""
     degradations: list = []
     specs = expand_dynamic_tasks(
         job,
         runtime_args,
-        memory_budget=int(cluster.total_free_memory() * cluster.degrade_factor),
+        memory_budget=api.cluster.total_free_memory(),
         degradations=degradations,
     )
     handle = api.create_job(

@@ -90,11 +90,6 @@ class Cluster(AbstractContextManager):
             CNServer(f"node{i}", self.bus, config, transport=self.transport)
             for i in range(config.nodes)
         ]
-        #: graceful-degradation knob: the admission controller lowers this
-        #: below 1.0 when the cluster approaches saturation, and the client
-        #: runner scales its dynamic-expansion memory budget by it so new
-        #: jobs are admitted smaller instead of shed outright
-        self.degrade_factor = 1.0
         self._started = False
         self._dead: set[str] = set()
         self._ticks = 0
@@ -344,15 +339,6 @@ class Cluster(AbstractContextManager):
         """Aggregate free memory across *live* nodes (a crashed node's
         capacity is not placeable and must not be advertised)."""
         return sum(s.taskmanager.free_memory for s in self.alive_servers())
-
-    def total_memory(self) -> int:
-        """Aggregate memory capacity across live nodes."""
-        return sum(s.taskmanager.memory_capacity for s in self.alive_servers())
-
-    def total_queued_messages(self) -> int:
-        """Messages resident in hosted task queues across live nodes --
-        the aggregate backpressure half of the saturation signal."""
-        return sum(s.taskmanager.queued_messages() for s in self.alive_servers())
 
     def __repr__(self) -> str:
         return f"<Cluster {len(self.servers)} node(s)>"

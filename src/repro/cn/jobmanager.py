@@ -437,7 +437,7 @@ class JobManager:
         begin = t.spans.begin
         for spec in specs:
             name = spec.name
-            deps[name] = list(spec.depends)
+            deps[name] = spec.depends
             begin(
                 job_id,
                 f"task:{name}",

@@ -23,7 +23,6 @@ from __future__ import annotations
 import io
 import json
 import threading
-import time
 import traceback
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -35,7 +34,6 @@ from repro.core.xmi.reader import read_model
 
 from ..analysis import Report
 from ..analysis.conc.runtime import make_lock
-from .admission import AdmissionController
 from .cluster import Cluster
 from .errors import CnxValidationError
 from .registry import TaskRegistry
@@ -68,13 +66,8 @@ class Submission:
 
     submission_id: int
     cluster: Cluster = field(repr=False, compare=False)
-    #: pending | rejected | done | failed | throttled | saturated
+    #: pending | rejected | done | failed
     status: str = "pending"
-    #: tenant the submission was accounted to (admission control)
-    tenant: str = "anon"
-    #: seconds the client should wait before retrying (throttled /
-    #: saturated rejections; becomes the HTTP Retry-After header)
-    retry_after: float = 0.0
     xmi_text: str = ""
     cnx_text: str = ""
     python_source: str = ""
@@ -175,7 +168,6 @@ class Submission:
         return {
             "id": self.submission_id,
             "status": self.status,
-            "tenant": self.tenant,
             "jobs": len(self.results),
             "error": self.error.splitlines()[-1] if self.error else "",
             "diagnostics": len(self.report),
@@ -204,7 +196,6 @@ class Portal:
         *,
         registry: Optional[TaskRegistry] = None,
         timeout: float = 120.0,
-        admission: Optional[AdmissionController] = None,
         max_body_bytes: int = MAX_BODY_BYTES,
     ) -> None:
         self._owns_cluster = cluster is None
@@ -212,9 +203,6 @@ class Portal:
         self.cluster.start()
         self.pipeline = Pipeline()
         self.timeout = timeout
-        #: overload protection in front of submit(); None = admit all
-        #: (the seed behavior, and what most unit tests want)
-        self.admission = admission
         self.max_body_bytes = max_body_bytes
         self._submissions: dict[int, Submission] = {}
         self._counter = 0
@@ -222,65 +210,13 @@ class Portal:
 
     # -- operations ----------------------------------------------------------
     def submit(
-        self,
-        xmi_text: str,
-        runtime_args: Optional[Mapping[str, Any]] = None,
-        *,
-        tenant: str = "anon",
+        self, xmi_text: str, runtime_args: Optional[Mapping[str, Any]] = None
     ) -> Submission:
-        """Accept an XMI document, run the pipeline, record everything.
-
-        When an :class:`AdmissionController` is attached, the admission
-        decision happens *first* -- before the XMI is parsed or the
-        pipeline touched -- so a rejection under overload costs O(1)
-        regardless of how congested the cluster is.  Quota rejections
-        come back as status ``throttled``, saturation rejections as
-        ``saturated``; both carry a ``retry_after`` hint."""
+        """Accept an XMI document, run the pipeline, record everything."""
         with self._lock:
             self._counter += 1
-            submission = Submission(
-                self._counter, self.cluster, tenant=tenant, xmi_text=xmi_text
-            )
+            submission = Submission(self._counter, self.cluster, xmi_text=xmi_text)
             self._submissions[submission.submission_id] = submission
-        admission = self.admission
-        admitted = admission is None
-        if admission is not None:
-            started = time.perf_counter()
-            decision = admission.admit(tenant)
-            self._note_admission(decision, time.perf_counter() - started)
-            if not decision.admitted:
-                submission.status = (
-                    "saturated"
-                    if decision.decision == "reject-saturated"
-                    else "throttled"
-                )
-                submission.retry_after = decision.retry_after
-                submission.error = (
-                    f"admission: {decision.decision} "
-                    f"(saturation={decision.saturation:.2f})"
-                )
-                return submission
-            admitted = True
-        try:
-            return self._run_submission(submission, runtime_args)
-        finally:
-            if admission is not None and admitted:
-                admission.release(tenant)
-
-    def _note_admission(self, decision, latency: float) -> None:
-        telemetry = self.cluster.telemetry
-        if telemetry is None:
-            return
-        telemetry.metrics.counter(
-            "cn_admission_total", decision=decision.decision
-        ).inc()
-        telemetry.metrics.histogram("cn_admission_latency_seconds").observe(latency)
-
-    def _run_submission(
-        self,
-        submission: Submission,
-        runtime_args: Optional[Mapping[str, Any]],
-    ) -> Submission:
         chaos = self.cluster.chaos
         directory = self.cluster.directory
         faults_before = chaos.fault_count() if chaos is not None else 0
@@ -289,7 +225,7 @@ class Portal:
             # step 1 checks the model against this cluster's shape and
             # task registry before anything reaches it
             outcome = self.pipeline.run(
-                read_model(submission.xmi_text),
+                read_model(xmi_text),
                 self.cluster,
                 runtime_args=runtime_args,
                 timeout=self.timeout,
@@ -435,24 +371,15 @@ class _Handler(BaseHTTPRequestHandler):
         except UnicodeDecodeError:
             self._json(400, {"error": "request body is not UTF-8"})
             return
-        tenant = self.headers.get("X-Tenant") or "anon"
-        submission = self.portal.submit(body, runtime_args, tenant=tenant)
-        codes = {"done": 200, "rejected": 422, "throttled": 429, "saturated": 503}
-        code = codes.get(submission.status, 500)
-        payload = {
-            **submission.summary(),
-            "results": submission.results,
-            "findings": submission.diagnostics,
-        }
-        body_bytes = json.dumps(payload, default=str).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body_bytes)))
-        if submission.retry_after > 0:
-            # standard backoff hint for 429/503 (whole seconds, min 1)
-            self.send_header("Retry-After", str(max(1, int(submission.retry_after + 0.999))))
-        self.end_headers()
-        self.wfile.write(body_bytes)
+        submission = self.portal.submit(body, runtime_args)
+        self._json(
+            {"done": 200, "rejected": 422}.get(submission.status, 500),
+            {
+                **submission.summary(),
+                "results": submission.results,
+                "findings": submission.diagnostics,
+            },
+        )
 
 
 class PortalHTTPServer:

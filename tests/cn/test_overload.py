@@ -1,5 +1,5 @@
-"""Overload protection: queue edges, budget propagation,
-admission control, and the portal's hardened HTTP front door."""
+"""Queue edges, deadline-budget propagation, virtual-clock waits, and
+a dynamic job narrowed to the cluster's free memory."""
 
 import threading
 import time
@@ -8,7 +8,6 @@ import pytest
 
 from repro.cn import (
     CNAPI,
-    AdmissionController,
     Cluster,
     MessageType,
     Task,
@@ -18,7 +17,6 @@ from repro.cn import (
     VirtualClock,
     replay_job,
 )
-from repro.cn.admission import TokenBucket
 from repro.cn.config import SCHEDULERS
 from repro.cn.errors import BudgetExhausted, JobTimeoutError, ShutdownError
 from repro.cn.messages import Message
@@ -216,115 +214,7 @@ class TestVirtualClockWait:
             _gates[key].set()
 
 
-# -- admission control ---------------------------------------------------------
-
-
-class FakeCluster:
-    """Duck-typed saturation source for controller unit tests."""
-
-    def __init__(self, queued=0, free=1000, total=1000):
-        self.queued = queued
-        self.free = free
-        self.total = total
-        self.degrade_factor = 1.0
-        self.clock = None
-
-    def total_queued_messages(self):
-        return self.queued
-
-    def total_free_memory(self):
-        return self.free
-
-    def total_memory(self):
-        return self.total
-
-
-class TestTokenBucket:
-    def test_burst_then_refusal_then_refill(self):
-        bucket = TokenBucket(rate=2.0, burst=2.0, now=0.0)
-        assert bucket.try_acquire(0.0) == (True, 0.0)
-        assert bucket.try_acquire(0.0) == (True, 0.0)
-        acquired, retry_after = bucket.try_acquire(0.0)
-        assert not acquired
-        assert retry_after == pytest.approx(0.5)
-        acquired, _ = bucket.try_acquire(0.6)  # 1.2 tokens refilled
-        assert acquired
-
-    def test_tokens_cap_at_burst(self):
-        bucket = TokenBucket(rate=100.0, burst=3.0, now=0.0)
-        bucket.try_acquire(1000.0)
-        assert bucket.tokens == pytest.approx(2.0)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate=0.0, burst=1.0, now=0.0)
-
-
-class TestAdmissionController:
-    def controller(self, cluster=None, **kwargs):
-        cluster = cluster or FakeCluster()
-        clock = [0.0]
-        kwargs.setdefault("now", lambda: clock[0])
-        ctl = AdmissionController(cluster, **kwargs)
-        return ctl, clock
-
-    def test_quota_rejection_is_per_tenant(self):
-        ctl, _ = self.controller(rate=1.0, burst=2.0)
-        assert ctl.admit("a").decision == "admit"
-        assert ctl.admit("a").decision == "admit"
-        refused = ctl.admit("a")
-        assert refused.decision == "reject-quota"
-        assert refused.retry_after > 0
-        assert not refused.admitted
-        # tenant b has its own bucket
-        assert ctl.admit("b").admitted
-
-    def test_in_flight_cap_and_release(self):
-        ctl, _ = self.controller(rate=100.0, burst=100.0, max_in_flight=1)
-        assert ctl.admit("a").admitted
-        assert ctl.in_flight("a") == 1
-        assert ctl.admit("a").decision == "reject-quota"
-        ctl.release("a")
-        assert ctl.in_flight("a") == 0
-        assert ctl.admit("a").admitted
-
-    def test_saturation_combines_queues_and_memory(self):
-        cluster = FakeCluster(queued=256, free=500, total=1000)
-        ctl, _ = self.controller(cluster, queue_headroom=512)
-        assert ctl.saturation() == pytest.approx(0.5)
-        cluster.free = 100  # memory pressure 0.9 dominates
-        assert ctl.saturation() == pytest.approx(0.9)
-
-    def test_hard_saturation_sheds(self):
-        cluster = FakeCluster(queued=1000)
-        ctl, _ = self.controller(cluster, queue_headroom=512, retry_after=2.5)
-        decision = ctl.admit("a")
-        assert decision.decision == "reject-saturated"
-        assert decision.retry_after == 2.5
-        assert ctl.counts["reject-saturated"] == 1
-
-    def test_soft_saturation_degrades_before_shedding(self):
-        cluster = FakeCluster(free=200, total=1000)  # memory pressure 0.8
-        ctl, _ = self.controller(
-            cluster,
-            soft_saturation=0.7,
-            hard_saturation=0.9,
-            min_degrade_factor=0.2,
-        )
-        decision = ctl.admit("a")
-        assert decision.decision == "admit-degraded"
-        assert 0.2 < decision.degrade_factor < 1.0
-        # the knob the generated client scales its expansion budget by
-        assert cluster.degrade_factor == decision.degrade_factor
-
-    def test_healthy_cluster_restores_degrade_factor(self):
-        cluster = FakeCluster(free=200, total=1000)
-        ctl, _ = self.controller(cluster)
-        ctl.admit("a")
-        assert cluster.degrade_factor < 1.0
-        cluster.free = 1000
-        ctl.admit("a")
-        assert cluster.degrade_factor == 1.0
+# -- narrowing to free memory --------------------------------------------------
 
 
 class TestDegradeFactorScalesExpansion:
@@ -339,19 +229,18 @@ class TestDegradeFactorScalesExpansion:
         return write_graph(b.build())
 
     def test_lowered_factor_admits_narrower_jobs(self):
-        """The portal's admit-degraded decision reaches the generated client."""
+        """A cluster short of memory runs a dynamic job narrower."""
         for scheduler in SCHEDULERS:
             with Cluster(
                 2,
                 registry=overload_registry(),
-                memory_per_node=2000,
+                memory_per_node=1000,
                 scheduler=scheduler,
             ) as cluster:
-                cluster.degrade_factor = 0.5  # as the admission controller would
                 submission = Portal(cluster).submit(self.degradable_xmi(), {"n": 10})
                 messages = client_messages(cluster)
             assert submission.status == "done", submission.error
-            # 4000 free x 0.5 = 2000 budget -> 2 of 10 workers
+            # 2000 free -> 2 of 10 workers
             assert len(submission.results[0]) == 2
             degraded = [m for m in messages if m.type == MessageType.JOB_DEGRADED]
             assert degraded and degraded[0].payload["granted"] == 2

@@ -7,7 +7,7 @@ import urllib.request
 import pytest
 
 from repro.apps.montecarlo import build_pi_model, register_pi_tasks
-from repro.cn import AdmissionController, Cluster
+from repro.cn import Cluster
 from repro.cn.portal import Portal, PortalHTTPServer
 from repro.cn.registry import TaskRegistry
 from repro.core.xmi import write_graph
@@ -33,15 +33,10 @@ def http_portal(portal):
 
 @pytest.fixture(scope="module")
 def guarded_portal():
-    """A portal with overload protection dialed down small enough to
-    trip in tests: 2-submission bursts per tenant, 16 KiB bodies."""
+    """A portal whose body cap is small enough to trip in tests: 16 KiB."""
     registry = register_pi_tasks(TaskRegistry())
     cluster = Cluster(2, registry=registry, memory_per_node=64000)
-    portal = Portal(
-        cluster,
-        admission=AdmissionController(cluster, rate=0.2, burst=2.0),
-        max_body_bytes=16384,
-    )
+    portal = Portal(cluster, max_body_bytes=16384)
     yield portal
     portal.close()
     cluster.shutdown()
@@ -312,41 +307,6 @@ class TestSubmissionEvents:
         assert json.loads(submission.artifacts()["timeline"])["traceEvents"]
 
 
-class TestPortalAdmission:
-    def test_quota_rejection_is_o1_and_parses_nothing(self, guarded_portal):
-        # burn tenant "inproc"'s burst, then verify the rejection path
-        guarded_portal.submit(pi_xmi(samples=2000, workers=2), tenant="inproc")
-        guarded_portal.submit(pi_xmi(samples=2000, workers=2), tenant="inproc")
-        refused = guarded_portal.submit("this is not even XML", tenant="inproc")
-        assert refused.status == "throttled"
-        assert refused.retry_after > 0
-        # rejected before parsing: no pipeline artifacts, no traceback
-        assert refused.cnx_text == ""
-        assert "admission" in refused.error
-
-    def test_in_flight_released_after_submission(self, guarded_portal):
-        guarded_portal.submit(pi_xmi(samples=2000, workers=2), tenant="flight")
-        assert guarded_portal.admission.in_flight("flight") == 0
-
-    def test_in_flight_released_after_failure(self, guarded_portal):
-        submission = guarded_portal.submit("<garbage/>", tenant="crashy")
-        assert submission.status == "failed"
-        assert guarded_portal.admission.in_flight("crashy") == 0
-
-    def test_admission_metrics_recorded(self, guarded_portal):
-        guarded_portal.submit(pi_xmi(samples=2000, workers=2), tenant="metered")
-        metrics = guarded_portal.cluster.telemetry.metrics
-        assert metrics.value("cn_admission_total", decision="admit") >= 1
-
-    def test_saturation_rejection_in_process(self, guarded_portal, monkeypatch):
-        monkeypatch.setattr(guarded_portal.admission, "saturation", lambda: 0.99)
-        submission = guarded_portal.submit(
-            pi_xmi(samples=2000, workers=2), tenant="doomed"
-        )
-        assert submission.status == "saturated"
-        assert submission.retry_after > 0
-
-
 class TestPortalHTTP:
     def url(self, server, path):
         host, port = server.address
@@ -468,43 +428,11 @@ class TestPortalHTTP:
             self.url(guarded_http, "/submit"),
             data=pi_xmi(samples=2000, workers=2).encode(),
             method="POST",
-            headers={"Content-Type": "text/xml", "X-Tenant": "xml-ok"},
+            headers={"Content-Type": "text/xml"},
         )
         response = json.load(urllib.request.urlopen(request))
         assert response["status"] == "done"
-        assert response["tenant"] == "xml-ok"
-
-    def test_quota_breach_returns_429_with_retry_after(self, guarded_http):
-        # the guarded admission controller allows a burst of 2 per tenant
-        def post():
-            request = urllib.request.Request(
-                self.url(guarded_http, "/submit"),
-                data=pi_xmi(samples=2000, workers=2).encode(),
-                method="POST",
-                headers={"X-Tenant": "bursty"},
-            )
-            return urllib.request.urlopen(request)
-
-        assert json.load(post())["status"] == "done"
-        assert json.load(post())["status"] == "done"
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            post()
-        assert excinfo.value.code == 429
-        assert int(excinfo.value.headers["Retry-After"]) >= 1
-
-    def test_saturated_cluster_returns_503(self, guarded_http, monkeypatch):
-        portal = guarded_http.portal
-        monkeypatch.setattr(portal.admission, "saturation", lambda: 0.95)
-        request = urllib.request.Request(
-            self.url(guarded_http, "/submit"),
-            data=pi_xmi(samples=2000, workers=2).encode(),
-            method="POST",
-            headers={"X-Tenant": "unlucky"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request)
-        assert excinfo.value.code == 503
-        assert int(excinfo.value.headers["Retry-After"]) >= 1
+        assert response["results"][0]["pijoin"]["samples"] == 2000
 
     def test_runtime_args_header(self, http_portal):
         from repro.apps.floyd.driver import register_floyd_tasks

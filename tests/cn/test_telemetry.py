@@ -347,7 +347,7 @@ class TestClusterWiring:
         assert by_id["job"].end is not None
         assert {"task:a", "task:b", "attempt:a#1", "attempt:b#1"} <= set(by_id)
         assert by_id["attempt:a#1"].parent_id == "task:a"
-        assert by_id["job"].attrs["deps"]["b"] == ["a"]
+        assert by_id["job"].attrs["deps"]["b"] == ("a",)
 
     def test_metrics_populated(self):
         with Cluster(2, registry=basic_registry()) as cluster:

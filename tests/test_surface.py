@@ -142,6 +142,13 @@ DELETED = [
      r"|\btask_crash_rate\b",
      "task queues are unbounded, as in the paper; a rate nothing drew and a "
      "gate only tests asked go with them"),
+    (("src/repro/cn/admission.py",), None,
+     "the portal admits what it is given: no overload ladder in front of submit"),
+    ((*EVERYWHERE, "tooling/**/*"),
+     r"AdmissionController|TokenBucket|degrade_factor|total_queued_messages|X-Tenant"
+     r"|cn_admission_|retry_after",
+     "the portal admits what it is given: no tenant, quota, saturation score "
+     "or Retry-After, and a dynamic job's budget is the cluster's free memory"),
 ]
 
 #: what counts as a caller of a package's exports: tests never do

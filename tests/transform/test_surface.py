@@ -38,7 +38,6 @@ def test_portal_options_are_exactly_these():
         "cluster",
         "registry",
         "timeout",
-        "admission",
         "max_body_bytes",
     ]
     # a portal's cluster is ticked by whoever built it, not by a portal switch
