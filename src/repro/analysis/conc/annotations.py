@@ -98,12 +98,7 @@ GUARDED_BY: dict[str, str] = {
     "MulticastBus._subscribers": "MulticastBus._lock",
     "MulticastBus._listeners": "MulticastBus._lock",
     "MulticastBus._groups": "MulticastBus._lock",
-    # Transport-robustness slice: dead-letter bookkeeping mutates under
-    # the job lock; the queue's poison counter under the queue condition;
-    # the chaos fault log only ever grows under its dedicated lock.
-    "Job.dead_letters": "Job._lock",
-    "Job.messages_poisoned": "Job._lock",
-    "MessageQueue.poisoned": "MessageQueue._cond",
+    # The chaos fault log only ever grows under its dedicated lock.
     "ChaosPolicy.log": "ChaosPolicy._log_lock",
     # XSLT: the compiled program of a stylesheet is built once under the
     # sheet's lock (double-checked; the unlocked read sees None or the

@@ -28,7 +28,7 @@ site          hook                                   injected by
 task start    ``should_crash_task`` / ``should_stall``  TaskManager
 node          ``node_crash_due``                        TaskManager
 task queue    ``queue_fate`` (drop / delay /            MessageQueue.put
-              duplicate / reorder / corrupt)
+              duplicate / reorder)
 multicast     ``bus_drop``                              MulticastBus
 partition     ``note_partition`` / ``note_heal`` /      Cluster.partition /
               ``note_revive`` (recording only)          heal_partition / revive_node
@@ -117,8 +117,8 @@ class FaultRecord:
 
     seq: int
     # task-crash | stall | node-crash | node-revive | queue-drop |
-    # queue-delay | queue-duplicate | queue-reorder | queue-corrupt |
-    # bus-drop | partition | partition-heal
+    # queue-delay | queue-duplicate | queue-reorder | bus-drop |
+    # partition | partition-heal
     kind: str
     site: str  # task | node | queue:<owner> | bus
     target: str
@@ -185,7 +185,6 @@ class ChaosPolicy:
         bus_drop_rate: float = 0.0,
         queue_duplicate_rate: float = 0.0,
         queue_reorder_rate: float = 0.0,
-        corrupt_rate: float = 0.0,
     ) -> None:
         self.seed = seed
         self.node_crash_rate = node_crash_rate
@@ -193,11 +192,10 @@ class ChaosPolicy:
         self.queue_delay_rate = queue_delay_rate
         self.bus_drop_rate = bus_drop_rate
         # transport-robustness fault modes (at-least-once duplication,
-        # bounded reordering, payload corruption) -- the link behaviours
-        # a real-socket transport would exhibit; see MessageQueue
+        # bounded reordering) -- the link behaviours a real-socket
+        # transport would exhibit; see MessageQueue
         self.queue_duplicate_rate = queue_duplicate_rate
         self.queue_reorder_rate = queue_reorder_rate
-        self.corrupt_rate = corrupt_rate
         self.log: list[FaultRecord] = []
         self._log_lock = make_lock("ChaosPolicy._log_lock", reentrant=False)
         self._seq = itertools.count(1)
@@ -205,9 +203,6 @@ class ChaosPolicy:
         self._task_crashes: set[tuple[str, int]] = set()
         self._task_stalls: set[tuple[str, int]] = set()
         self._node_crashes_after_starts: dict[str, int] = {}
-        # scripted corruption: owner substring -> first delivery index to
-        # corrupt (fires once per entry, consumed on match)
-        self._corruptions: dict[str, int] = {}
         # per-owner queue incarnation counts (see register_queue): a
         # re-placed task's fresh queue must not replay the exact fate
         # stream its predecessor saw, or a fated index becomes a
@@ -227,7 +222,6 @@ class ChaosPolicy:
             or bus_drop_rate
             or queue_duplicate_rate
             or queue_reorder_rate
-            or corrupt_rate
         )
 
     # -- scripting -----------------------------------------------------------
@@ -251,18 +245,6 @@ class ChaosPolicy:
         node = node.split("/")[0]
         with self._script_lock:
             self._node_crashes_after_starts[node] = after_starts
-        self._armed = True
-        return self
-
-    def corrupt_message(self, owner_substring: str, index: int = 1) -> "ChaosPolicy":
-        """Corrupt the payload of one frame: the first delivery with
-        per-queue index >= *index* put on a queue whose owner contains
-        *owner_substring*.  One-shot, consumed on match -- the scripted
-        equivalent of a single bit-flip on the link."""
-        if index < 1:
-            raise ValueError(f"index must be >= 1, got {index}")
-        with self._script_lock:
-            self._corruptions[owner_substring] = index
         self._armed = True
         return self
 
@@ -329,22 +311,8 @@ class ChaosPolicy:
 
     def queue_fate(self, owner: str, index: int) -> str:
         """``deliver`` | ``drop`` | ``delay`` | ``duplicate`` |
-        ``reorder`` | ``corrupt`` for the *index*-th message put on the
-        queue *owner* (per-queue counter = stable key)."""
-        with self._script_lock:
-            corrupt_hit = None
-            for sub, at in self._corruptions.items():
-                if sub in owner and index >= at:
-                    corrupt_hit = sub
-                    break
-            if corrupt_hit is not None:
-                del self._corruptions[corrupt_hit]
-        if corrupt_hit is not None:
-            self._record(
-                "queue-corrupt", f"queue:{owner}", owner,
-                index=index, scripted=True,
-            )
-            return "corrupt"
+        ``reorder`` for the *index*-th message put on the queue *owner*
+        (per-queue counter = stable key)."""
         key = f"{owner}:{index}"
         if self._decide("queue-drop", key, self.queue_drop_rate):
             self._record("queue-drop", f"queue:{owner}", owner, index=index)
@@ -361,9 +329,6 @@ class ChaosPolicy:
                 index=index, hold=REORDER_HOLD,
             )
             return "reorder"
-        if self._decide("queue-corrupt", key, self.corrupt_rate):
-            self._record("queue-corrupt", f"queue:{owner}", owner, index=index)
-            return "corrupt"
         return "deliver"
 
     def bus_drop(self, sender: str, subscriber: str, index: int) -> bool:

@@ -66,7 +66,6 @@ class Cluster(AbstractContextManager):
         # the options the portal, the simulator and CNAPI read off the
         # cluster itself
         self.scheduler = config.scheduler
-        self.checksums = config.checksums
         self.durable = config.durable
         self.registry = config.registry
         self.chaos = config.chaos
@@ -275,7 +274,6 @@ class Cluster(AbstractContextManager):
             node.gauge("cn_node_hosted_tasks").set(tm.hosted_count())
             node.gauge("cn_node_queued_messages").set(tm.queued_messages())
             node.gauge("cn_node_heartbeat_misses").set(misses.get(server.name, 0))
-            node.gauge("cn_queue_poisoned_total").set(tm.queue_poisoned())
             node.gauge("cn_budget_drops_total").set(tm.budget_drops)
             manager = server.jobmanager
             created, jobs = manager.census()

@@ -63,8 +63,6 @@ class ClusterConfig:
     telemetry: Optional[Telemetry] = field(default_factory=Telemetry)
     #: install the runtime lock-order verifier for the cluster's lifetime
     verify_locking: bool = False
-    #: seal outbound frames with a CRC digest and verify it at dequeue
-    checksums: bool = False
     #: where a task attempt runs: one of ``TRANSPORTS``
     transport: str = "inproc"
     #: one placement round per task ("solicit", the paper's multicast)

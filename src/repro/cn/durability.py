@@ -69,7 +69,6 @@ RECORD_KINDS = (
     "task-state",    # task, state, attempts, result?, error?
     "delivery",      # messages (list[Message])       -- one fan-out's ledger entries
     "ledger-gc",     # task, upto                     -- ledger truncation
-    "dead-letter",   # task, serial, digests          -- poison quarantine
     "checkpoint",    # task, tag, state               -- latest state per task
     "job-finished",  # failed (bool)
 )

@@ -26,7 +26,7 @@ from .errors import (
     TaskFailedError,
     UnknownTaskError,
 )
-from .messages import TASK_LIFECYCLE, Message, payload_digest
+from .messages import TASK_LIFECYCLE, Message
 from .queues import MessageQueue
 from .runmodel import RunModel
 from .tuplespace import TupleSpace
@@ -40,7 +40,7 @@ __all__ = ["TaskSpec", "TaskState", "TaskRuntime", "Job", "payload_nbytes"]
 #: the kinds :meth:`Job.journal_events` applies once accepted; the others'
 #: state changes first, or they carry the epoch, wake waiters or need no fold
 _APPLIED = frozenset(
-    ("job-created", "task-spec", "delivery", "ledger-gc", "dead-letter", "checkpoint")
+    ("job-created", "task-spec", "delivery", "ledger-gc", "checkpoint")
 )
 
 #: recursion guard for :func:`payload_nbytes` on nested containers
@@ -51,12 +51,6 @@ _SIZE_DEPTH_LIMIT = 12
 #: (one C-level pass; below it a failed check costs more than it saves)
 _EIGHT_BYTE_TYPES = frozenset((int, float, complex))
 _FLAT_MIN_LEN = 16
-
-#: how many times a poisoned serial may be re-offered from the ledger
-#: before the job gives up on live redelivery (the ledger still holds
-#: the message for attempt-level replay); bounds the corrupt-redeliver
-#: loop a corrupt_rate=1.0 link would otherwise spin forever
-_POISON_REOFFER_LIMIT = 3
 
 
 def payload_nbytes(payload: Any, _depth: int = 0) -> Optional[int]:
@@ -194,9 +188,7 @@ class Job:
     Job", and intertask/user traffic flows through the same conduit.
     """
 
-    def __init__(
-        self, job_id: str, client_name: str, *, checksums: bool = False
-    ) -> None:
+    def __init__(self, job_id: str, client_name: str) -> None:
         self.job_id = job_id
         self.client_name = client_name
         #: the managing JobManager's name, as it last journaled it
@@ -241,21 +233,11 @@ class Job:
         #: messages re-delivered into fresh queues after a re-placement
         #: (not part of the paper's wire-volume accounting)
         self.messages_replayed = 0
-        #: whether the router seals outbound messages with a CRC digest
-        #: (the cluster's ``checksums`` option; see note_poison)
-        self.checksums = checksums
-        #: frames quarantined by dequeue-time digest verification
-        self.messages_poisoned = 0
-        #: per-job dead-letter records, one per quarantined frame
-        #: (journaled as ``dead-letter`` so they survive replay_job)
-        self.dead_letters: list[dict] = []
         #: messages that could not be delivered because their queue was
         #: already closed (job torn down, conduit closed), newest last:
         #: ``{"type", "recipient", "serial", "error"}`` each (see notify).
         #: Bounded, oldest fall off; ``cn_undeliverable_total`` keeps count
         self.undeliverable: list[dict] = []
-        # re-offer budget per poisoned serial (see _POISON_REOFFER_LIMIT)
-        self._poison_reoffers: dict[int, int] = {}
         # per-task delivery ledger: everything ever routed to each task,
         # replayed into the fresh queue when a task is re-placed after a
         # crash so restarted attempts see the full message history.
@@ -405,8 +387,6 @@ class Job:
                     self.ledger_resident -= dropped
                     self.ledger_truncated += dropped
                     self.gc_watermarks[task] = upto
-            elif kind == "dead-letter":
-                self.dead_letters.append(dict(data))
             elif kind in ("job-created", "job-adopted"):
                 self.manager = data.get("manager", self.manager)
                 if kind == "job-created":
@@ -608,23 +588,19 @@ class Job:
         if not messages:
             return
         deadline = self.deadline
-        checksums = self.checksums
-        if self.telemetry is not None or deadline is not None or checksums:
+        if self.telemetry is not None or deadline is not None:
             # stamp the job's causal context on unattributed messages (a
             # notification is built with it, see notify) so downstream
-            # consumers can always walk back to a span, the
-            # job deadline on unstamped messages so every hop can drop
-            # doomed work, and the CRC digest so dequeue verification can
-            # quarantine in-flight corruption; replace() re-uses the
-            # existing serial/ts (no logical-clock disturbance)
+            # consumers can always walk back to a span, and the job
+            # deadline on unstamped messages so every hop can drop doomed
+            # work; replace() re-uses the existing serial/ts (no
+            # logical-clock disturbance)
             stamped: list[Message] = []
             for m in messages:
                 if self.telemetry is not None and m.trace_ctx is None:
                     m = replace(m, trace_ctx=(self.job_id, "job"))
                 if deadline is not None and m.deadline is None:
                     m = replace(m, deadline=deadline)
-                if checksums and m.digest is None:
-                    m = m.seal()
                 stamped.append(m)
             messages = stamped
         # resolve every recipient before mutating anything: an unknown
@@ -813,52 +789,6 @@ class Job:
             on_terminal(self, runtime)
         if state.terminal:
             self.note_terminal(runtime.name)
-
-    def note_poison(self, task: str, message: Message) -> None:
-        """Quarantine a corrupt frame dequeued from *task*'s queue.
-
-        Called by the queue's poison hook (outside the queue lock).  The
-        frame is recorded as a per-job dead-letter (journaled, so the
-        record survives ``replay_job`` and manager failover) and -- while
-        the per-serial re-offer budget lasts -- the *pristine* ledgered
-        copy of the same serial is re-offered into the live queue:
-        corruption happened to the in-flight copy, the ledger still holds
-        the original, so the consumer usually sees nothing worse than a
-        reordering.
-        """
-        original: Optional[Message] = None
-        with self._lock:
-            self.messages_poisoned += 1
-            entry = {
-                "task": task,
-                "serial": message.serial,
-                "sender": message.sender,
-                "type": message.type,
-                "expected_digest": message.digest,
-                "observed_digest": payload_digest(message.payload),
-            }
-            offers = self._poison_reoffers.get(message.serial, 0)
-            if offers < _POISON_REOFFER_LIMIT:
-                self._poison_reoffers[message.serial] = offers + 1
-                for logged in self._delivery_log.get(task, ()):
-                    if logged.serial == message.serial:
-                        original = logged
-                        break
-        self.journal_events([("dead-letter", entry)])
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "cn_dead_letters_total", job=self.job_id
-            ).inc()
-        if original is not None:
-            runtime = self.tasks.get(task)
-            hosting = runtime.hosting if runtime is not None else None
-            if hosting is not None:
-                try:
-                    hosting.inbox().put(original)
-                except ShutdownError as exc:
-                    # the ledger still holds the message for attempt-level
-                    # replay; record the failed live re-offer
-                    self._drop(original, exc)
 
     def ledger(self) -> dict[str, list[Message]]:
         """The un-collected delivery ledger: task -> its ledgered messages

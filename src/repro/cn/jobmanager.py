@@ -156,9 +156,8 @@ class JobManager:
     ) -> None:
         self.name = name
         self.bus = bus
-        #: the cluster's configuration: ``scheduler`` (how
-        #: :meth:`create_tasks` cuts a call into placement rounds) and
-        #: ``checksums`` (handed to every job created or adopted here)
+        #: the cluster's configuration: ``scheduler`` is how
+        #: :meth:`create_tasks` cuts a call into placement rounds
         self.config = config
         self.registry = config.registry
         #: unfinished jobs this manager takes on before it stops offering
@@ -321,10 +320,9 @@ class JobManager:
         if journal is None:
             raise CnError(f"JobManager {self.name!r} has no journal to replay")
         records = journal.records(job_id)
-        # the roster, ledger, checkpoints, dead letters and the deadline
-        # (the budget survives failover) are the journal's, folded
+        # the roster, ledger, checkpoints and the deadline (the budget
+        # survives failover) are the journal's, folded
         job = replay_job(job_id, records)
-        job.checksums = self.config.checksums
         previous, job.manager = job.manager, self.name
         job.manager_epoch += 1
         with self._lock:
@@ -473,7 +471,7 @@ class JobManager:
                 raise CnError(f"JobManager {self.name!r} is shut down")
             self._job_counter += 1
             job_id = f"{self.name}-job{self._job_counter}"
-            job = Job(job_id, client_name, checksums=self.config.checksums)
+            job = Job(job_id, client_name)
             self.jobs[job_id] = self._active[job_id] = job
         job.set_telemetry(self.telemetry)
         t = job.telemetry

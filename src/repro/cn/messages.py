@@ -15,11 +15,9 @@ user-defined application messages.
 from __future__ import annotations
 
 import itertools
-import pickle
 import threading
 import time
-import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 __all__ = [
@@ -30,42 +28,7 @@ __all__ = [
     "JOB_NOTIFICATIONS",
     "is_well_defined",
     "expected_response",
-    "payload_digest",
-    "corrupt_copy",
-    "CORRUPT_MARKER",
 ]
-
-#: sentinel planted by :func:`corrupt_copy` -- the simulated bit-flip a
-#: faulty link applies to a frame's payload while leaving the envelope
-#: (serial, digest) intact
-CORRUPT_MARKER = "__cn_corrupt__"
-
-
-def payload_digest(payload: Any) -> Optional[int]:
-    """CRC32 over the payload's canonical (pickled) frame bytes.
-
-    This is the transport checksum: the router stamps it on outbound
-    messages (:meth:`Message.seal`) and queues re-verify it at dequeue,
-    so a frame corrupted in flight is detected *before* a task consumes
-    it.  Returns None for unpicklable payloads -- they can never cross a
-    real wire, so they ride unprotected in-process (the same graceful
-    degradation the size accounting applies).
-    """
-    try:
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    except (pickle.PicklingError, TypeError, AttributeError, RecursionError):
-        return None
-    return zlib.crc32(blob)
-
-
-def corrupt_copy(message: "Message") -> "Message":
-    """A damaged copy of *message*: same serial and digest, payload
-    replaced by a corruption sentinel -- what a fault on the link would
-    deliver.  With checksums enabled the digest no longer matches and
-    dequeue-time verification quarantines the frame; without checksums
-    the damage flows through undetected (exactly the failure mode the
-    checksum exists to close)."""
-    return replace(message, payload=(CORRUPT_MARKER, message.serial))
 
 
 class MessageType:
@@ -206,12 +169,6 @@ class Message:
     cluster-clock time (absolute, not a duration): the router stamps it
     from the job budget and every hop downstream can compare it against
     the cluster clock to drop work that is already doomed.
-
-    ``digest`` is the optional CRC32 transport checksum over the payload
-    (:func:`payload_digest`), stamped by :meth:`seal` on the sending side
-    and re-verified by queues at dequeue when checksums are enabled.
-    None means the frame is unprotected (checksums off, or unpicklable
-    payload) and verification passes it through.
     """
 
     type: str
@@ -224,26 +181,6 @@ class Message:
     origin: Optional[str] = None
     trace_ctx: Optional[tuple[str, str]] = None
     deadline: Optional[float] = None
-    digest: Optional[int] = field(default=None, compare=False)
-
-    def seal(self) -> "Message":
-        """A copy carrying the CRC32 digest of the current payload.
-
-        Idempotent in effect: re-sealing an unmodified message computes
-        the same digest.  If the payload cannot be pickled the digest
-        stays None and the frame rides unprotected.
-        """
-        return replace(self, digest=payload_digest(self.payload))
-
-    def digest_ok(self) -> bool:
-        """Whether the payload still matches its sealed digest.
-
-        Unsealed frames (digest None) vacuously pass -- absence of a
-        checksum is "unprotected", not "corrupt".
-        """
-        if self.digest is None:
-            return True
-        return payload_digest(self.payload) == self.digest
 
     def is_user(self) -> bool:
         return self.type == MessageType.USER

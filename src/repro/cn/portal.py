@@ -104,15 +104,8 @@ class Submission:
                 "previous": record.data.get("previous"),
                 "manager_epoch": record.mepoch,
             }
-            for job_id, record in self._journaled()[0]
+            for job_id, record in self._journaled()
         ]
-
-    @property
-    def dead_letter_events(self) -> list[dict[str, Any]]:
-        """Poison-message quarantines journaled for this submission's jobs:
-        corrupt frames the transport checksums caught and dead-lettered."""
-        letters = self._journaled()[1]
-        return [{"job_id": key[0], **letters[key]} for key in sorted(letters)]
 
     @property
     def timeline(self) -> str:
@@ -129,21 +122,16 @@ class Submission:
             write_jsonl(buffer, spans=spans)
         return buffer.getvalue()
 
-    def _journaled(self) -> tuple[list[tuple[str, Any]], dict[tuple[str, str, int], Any]]:
-        """One pass over each job's records on its current manager's
-        replica: its adoptions, and its dead letters' data once per
-        (job, task, serial)."""
-        adoptions, letters = [], {}
+    def _journaled(self) -> list[tuple[str, Any]]:
+        """Each job's adoptions, as its current manager's replica holds
+        them: ``(job_id, record)`` pairs."""
+        adoptions = []
         for job_id in self.job_ids:
             journal = self.cluster.directory.lookup(job_id).manager.journal
             for record in journal.records(job_id) if journal is not None else ():
                 if record.kind == "job-adopted":
                     adoptions.append((job_id, record))
-                elif record.kind == "dead-letter":
-                    data = record.data
-                    key = (job_id, str(data.get("task", "")), int(data.get("serial", 0)))
-                    letters.setdefault(key, data)
-        return adoptions, letters
+        return adoptions
 
     def _spans(self) -> list[Any]:
         """This submission's jobs' spans (trace id == job id)."""
@@ -164,7 +152,6 @@ class Submission:
 
     def summary(self) -> dict[str, Any]:
         start, end = self.fault_range
-        adoptions, letters = self._journaled()
         return {
             "id": self.submission_id,
             "status": self.status,
@@ -172,8 +159,7 @@ class Submission:
             "error": self.error.splitlines()[-1] if self.error else "",
             "diagnostics": len(self.report),
             "faults": end - start,
-            "failovers": len(adoptions),
-            "dead_letters": len(letters),
+            "failovers": len(self._journaled()),
         }
 
 
@@ -182,8 +168,7 @@ _ARTIFACTS = {
     "xmi": "xmi_text", "cnx": "cnx_text", "client.py": "python_source",
     "client.java": "java_source", "diagnostics": "diagnostics",
     "faults": "fault_events", "failovers": "failover_events",
-    "dead-letters": "dead_letter_events", "timeline": "timeline",
-    "telemetry.jsonl": "telemetry_jsonl",
+    "timeline": "timeline", "telemetry.jsonl": "telemetry_jsonl",
 }
 
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from ..analysis.conc.runtime import make_condition
 from .chaos import REORDER_HOLD
 from .errors import MessageTimeout, ShutdownError
-from .messages import Message, corrupt_copy
+from .messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .chaos import ChaosPolicy
@@ -38,18 +38,10 @@ class MessageQueue:
     fault site: each ``put`` may be dropped (lossy link), delayed (held
     back and delivered just after the *next* successful put), duplicated
     (admitted twice, the at-least-once retransmit), reordered (held back
-    for ``REORDER_HOLD`` successful puts -- a bounded reordering), or
-    corrupted (the payload is damaged in flight).  Fate decisions are
-    keyed by *owner* (the fate namespace a hosting drew at placement) and
-    the per-queue delivery index, so a fixed chaos seed injects the same
-    faults on every run.
-
-    With ``verify_digests=True`` every dequeued message carrying a
-    digest is re-checksummed; a mismatch is *quarantined* -- counted in
-    ``poisoned``, reported through ``on_poison`` (invoked after the
-    queue lock is released), and never handed to the consumer -- so a
-    corrupt frame degrades to a per-job dead-letter record instead of
-    crashing the task that would have deserialized it.
+    for ``REORDER_HOLD`` successful puts -- a bounded reordering).  Fate
+    decisions are keyed by *owner* (the fate namespace a hosting drew at
+    placement) and the per-queue delivery index, so a fixed chaos seed
+    injects the same faults on every run.
     """
 
     def __init__(
@@ -57,8 +49,6 @@ class MessageQueue:
         owner: str,
         *,
         chaos: "Optional[ChaosPolicy]" = None,
-        verify_digests: bool = False,
-        on_poison: Optional[Callable[[Message], None]] = None,
     ) -> None:
         self.owner = owner
         self._cond = make_condition("MessageQueue._cond")
@@ -67,14 +57,10 @@ class MessageQueue:
         self._closed = False
         self._chaos = chaos
         self._put_index = 0
-        self._verify = bool(verify_digests)
-        self._on_poison = on_poison
         # chaos-held messages as [message, remaining-puts-before-release]
         # pairs: delay holds for 1 successful put, reorder for
         # ``REORDER_HOLD`` -- a bounded reordering window
         self._delayed: list[list] = []
-        #: messages quarantined at dequeue by digest verification
-        self.poisoned = 0
 
     # -- producer side -----------------------------------------------------
     def put(self, message: Message) -> None:
@@ -96,8 +82,6 @@ class MessageQueue:
                 hold = 1 if fate == "delay" else REORDER_HOLD
                 self._delayed.append([message, hold])
                 return
-            if fate == "corrupt":
-                message = corrupt_copy(message)
             self._buffer.append(message)
             if fate == "duplicate":
                 # the at-least-once retransmit: the same frame (same
@@ -151,49 +135,22 @@ class MessageQueue:
                 self._cond.wait()
 
     # -- consumer side -------------------------------------------------------
-    def _poisoned(self, message: Message) -> bool:
-        """Whether dequeue-time verification rejects *message* (pure
-        check; the caller counts and quarantines)."""
-        return self._verify and message.digest is not None and not message.digest_ok()
-
-    def _dispatch_poison(self, message: Optional[Message]) -> None:
-        """Report a quarantined frame.  Called with the queue lock
-        released: the handler journals a dead-letter record and may
-        re-offer the pristine ledgered copy via :meth:`put`, which
-        re-acquires ``_cond``."""
-        if message is None or self._on_poison is None:
-            return
-        self._on_poison(message)
-
     def get(self, timeout: Optional[float] = None) -> Message:
-        """Next message in arrival order (stashed messages first).
-
-        Messages failing digest verification are quarantined (never
-        returned) and the wait continues against the original deadline.
-        """
+        """Next message in arrival order (stashed messages first)."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            poison: Optional[Message] = None
-            with self._cond:
-                while True:
-                    if self._stash:
-                        # stashed messages were verified when first
-                        # dequeued by get_matching
-                        return self._stash.pop(0)
-                    if self._buffer:
-                        message = self._buffer.popleft()
-                        self._cond.notify_all()
-                        if self._poisoned(message):
-                            self.poisoned += 1
-                            poison = message
-                            break
-                        return message
-                    if self._closed:
-                        raise ShutdownError(
-                            f"queue for {self.owner!r} closed while waiting"
-                        )
-                    self._wait_locked(deadline, timeout)
-            self._dispatch_poison(poison)
+        with self._cond:
+            while True:
+                if self._stash:
+                    return self._stash.pop(0)
+                if self._buffer:
+                    message = self._buffer.popleft()
+                    self._cond.notify_all()
+                    return message
+                if self._closed:
+                    raise ShutdownError(
+                        f"queue for {self.owner!r} closed while waiting"
+                    )
+                self._wait_locked(deadline, timeout)
 
     def get_matching(
         self,
@@ -203,35 +160,22 @@ class MessageQueue:
         """Next message satisfying *predicate*; non-matching messages are
         stashed and later returned by :meth:`get` in their original order."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        matched: Optional[Message] = None
-        while True:
-            poison: Optional[Message] = None
-            with self._cond:
-                for index, message in enumerate(self._stash):
+        with self._cond:
+            for index, message in enumerate(self._stash):
+                if predicate(message):
+                    return self._stash.pop(index)
+            while True:
+                while self._buffer:
+                    message = self._buffer.popleft()
+                    self._cond.notify_all()
                     if predicate(message):
-                        return self._stash.pop(index)
-                while True:
-                    while self._buffer:
-                        message = self._buffer.popleft()
-                        self._cond.notify_all()
-                        if self._poisoned(message):
-                            self.poisoned += 1
-                            poison = message
-                            break
-                        if predicate(message):
-                            matched = message
-                            break
-                        self._stash.append(message)
-                    if matched is not None or poison is not None:
-                        break
-                    if self._closed:
-                        raise ShutdownError(
-                            f"queue for {self.owner!r} closed while waiting"
-                        )
-                    self._wait_locked(deadline, timeout)
-            if matched is not None:
-                return matched
-            self._dispatch_poison(poison)
+                        return message
+                    self._stash.append(message)
+                if self._closed:
+                    raise ShutdownError(
+                        f"queue for {self.owner!r} closed while waiting"
+                    )
+                self._wait_locked(deadline, timeout)
 
     def _wait_locked(self, deadline: Optional[float], timeout: Optional[float]) -> None:
         """One bounded wait for new arrivals; caller holds ``_cond`` and

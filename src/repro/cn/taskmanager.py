@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import threading
 import traceback
-from functools import partial
 from queue import SimpleQueue
 from typing import TYPE_CHECKING, Any, Callable, Optional, Type
 
@@ -95,9 +94,6 @@ class TaskManager:
 
     def __init__(self, name: str, config: "ClusterConfig") -> None:
         self.name = name
-        #: the cluster's configuration; the queue bound, queue policy and
-        #: checksums of every hosted task queue are read from it
-        self.config = config
         #: the execution seam: every attempt runs through this -- inline
         #: unless the node's transport hands over another (CNServer)
         self.executor = InlineExecutor()
@@ -258,14 +254,9 @@ class TaskManager:
         """*hosted*'s queue, built under this lock unless it ended first."""
         with self._lock:
             if hosted.queue is None:
-                job, name = hosted.job, hosted.runtime.name
                 hosted.queue = MessageQueue(
-                    hosted.fate_ns or f"{job.job_id}/{name}",
+                    hosted.fate_ns or f"{hosted.job.job_id}/{hosted.runtime.name}",
                     chaos=self.chaos,
-                    # corrupt frames are quarantined at dequeue and recorded
-                    # as per-job dead letters, after the queue lock is released
-                    verify_digests=self.config.checksums,
-                    on_poison=partial(job.note_poison, name),
                 )
             return hosted.queue
 
@@ -704,15 +695,6 @@ class TaskManager:
         with self._lock:
             live = [h.queue for h in self._hosted.values() if h.epoch == h.runtime.epoch]
         return sum(len(queue) for queue in live if queue is not None)
-
-    def queue_poisoned(self) -> int:
-        """Frames quarantined by digest verification across this node's
-        live hosted task queues: point-in-time over current hostings (an
-        evicted hosting retires its queue's count); the durable count per
-        job is the journal's ``dead-letter`` records."""
-        with self._lock:
-            queues = [h.queue for h in self._hosted.values()]
-        return sum(queue.poisoned for queue in queues if queue is not None)
 
     def shutdown(self) -> None:
         """Cancel every hosting and end every parked task thread; one

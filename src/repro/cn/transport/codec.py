@@ -9,10 +9,10 @@ Wire format of one frame::
 Segment 0 is the pickle *body*; segments 1.. are the out-of-band
 ``PickleBuffer`` segments protocol 5 peeled off large contiguous blobs
 (numpy arrays land here without ever being copied into the pickle
-stream).  Each segment's CRC32 is the same integrity primitive the data
-plane uses for ``Message.seal()`` -- a frame corrupted in flight fails
-its checksum at decode and is rejected (:class:`FrameCorrupt`) instead
-of poisoning a worker.
+stream).  Each segment's CRC32 is the runtime's one integrity check,
+where bytes cross a boundary: a frame corrupted in flight fails it at
+decode and is rejected (:class:`FrameCorrupt`), and the coordinator
+treats the worker on that channel as lost.
 
 One segment kind, ``inline`` (0): ``length`` raw bytes follow in the
 stream.  On decode they are read into fresh buffers and handed to

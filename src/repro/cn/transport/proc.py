@@ -6,7 +6,7 @@ escapes the GIL and an N-node cluster really uses N cores.  The split:
 
 * **coordinator** (this process) -- everything the control plane owns
   today stays byte-for-byte: multicast solicitation and placement, the
-  hosted queues with their replay and poison quarantine, the delivery
+  hosted queues with their replay and chaos fates, the delivery
   ledger and write-ahead journal, heartbeats, deadline watchdogs,
   retries, epoch fences, failover adoption;
 * **workers** (one forked process per node, started lazily at the first
@@ -245,8 +245,9 @@ class WorkerHandle:
     def _pump(self, state: _ExecState) -> None:
         """Forward the coordinator-side hosted queue to the worker.
 
-        Every delivery semantic (replay, digest quarantine) already ran when the message entered the
-        hosted queue; the pump only moves accepted messages across."""
+        Every delivery semantic (replay, chaos fates) already ran when the
+        message entered the hosted queue; the pump only moves accepted
+        messages across."""
         queue = state.queue
         while not state.done.is_set():
             try:

@@ -8,7 +8,7 @@ guiding-example Floyd job directly through the CN API, and steps virtual
 time tick by tick while injecting the faults a
 :class:`~repro.sim.schedule.Schedule` prescribes:
 
-* link faults (drop / delay / duplicate / reorder / corrupt) ride the
+* link faults (drop / delay / duplicate / reorder) ride the
   seeded :class:`~repro.cn.ChaosPolicy` rates, so the same schedule
   injects the same faults on every run;
 * every timed event -- kill, revive, partition, heal, burst -- is
@@ -21,10 +21,10 @@ The run ends at quiescence (job finished) or at the tick horizon, and
 everything an oracle could want is collected into a :class:`SimResult`:
 the result matrix next to the fault-free serial baseline, final task
 states, a surviving journal replica, the owner's replica beside the live
-owner job, the structured fault log, the dead-letter ledger, the lock
-verifier's verdict and every exception that escaped a thread.  The
-harness never asserts anything itself -- the oracle registry
-(:mod:`repro.sim.oracles`) owns the invariants.
+owner job, the structured fault log, the lock verifier's verdict and
+every exception that escaped a thread.  The harness never asserts
+anything itself -- the oracle registry (:mod:`repro.sim.oracles`) owns
+the invariants.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class SimResult:
     records: list[JournalRecord]
     fault_log: list[dict[str, Any]]
     fault_summary: list[tuple[str, str, str]]
-    dead_letters: list[dict[str, Any]]
     job_deadline: Optional[float]
     #: the lock verifier's LockOrderError ("" if it found none or was off)
     lock_order: str = ""
@@ -149,7 +148,6 @@ class Simulation:
             queue_delay_rate=schedule.delay_rate,
             queue_duplicate_rate=schedule.duplicate_rate,
             queue_reorder_rate=schedule.reorder_rate,
-            corrupt_rate=schedule.corrupt_rate,
         )
         for event in schedule.events:
             if event.kind == "stall":
@@ -320,7 +318,6 @@ class Simulation:
                     owner_view = job_view(job)
                     owner_records = journal.records(handle.job_id)
                 states = job.states()
-                dead_letters = [dict(entry) for entry in job.dead_letters]
                 fault_log, fault_summary = chaos.log_dicts(), chaos.fault_summary()
             finally:
                 try:
@@ -341,7 +338,6 @@ class Simulation:
             records=records,
             fault_log=fault_log,
             fault_summary=fault_summary,
-            dead_letters=dead_letters,
             job_deadline=job.deadline,
             lock_order=lock_order,
             lock_edges=frozenset(verifier.edges() if verifier else ()),

@@ -21,9 +21,6 @@ statements rather than per-test assertions:
   replica, folded, is the live owner job: the job applies the kinds it
   journals only from records the journal accepted, so a zombie's write
   behind the adoption fence reaches neither;
-* ``dead-letter-accounting`` -- quarantines only ever trace back to an
-  injected corruption, are fully journaled, and never happen with
-  checksums off;
 * ``lock-order`` -- under ``verify_locking`` no interleaving of the run
   could deadlock: the lock verifier's graph is a DAG;
 * ``no-escaped-exception`` -- no exception reached
@@ -36,15 +33,16 @@ came back empty.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable
+import pickle
+import zlib
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.cn import Job, JournalRecord, replay_job
-from repro.cn.messages import payload_digest
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .harness import SimResult
 
-__all__ = ["ORACLES", "oracle", "run_oracles", "delivered_serials", "job_view"]
+__all__ = ["ORACLES", "oracle", "run_oracles", "job_view"]
 
 Oracle = Callable[["SimResult"], list[str]]
 
@@ -90,31 +88,28 @@ def run_oracles(
 # -- shared journal views ---------------------------------------------------------
 
 
-def delivered_serials(records: list[JournalRecord]) -> dict[str, set[int]]:
-    """Task -> serials the journal ledgered (pre-GC, raw record scan)."""
-    out: dict[str, set[int]] = {}
-    for record in records:
-        if record.kind == "delivery":
-            for message in record.data["messages"]:
-                out.setdefault(message.recipient, set()).add(message.serial)
-    return out
+def _fingerprint(value: Any) -> Optional[int]:
+    """CRC32 of *value*'s pickle (None: unpicklable), so values whose
+    ``==`` is undefined (numpy-bearing) compare."""
+    try:
+        return zlib.crc32(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+    except (pickle.PicklingError, TypeError, AttributeError, RecursionError):
+        return None
 
 
 def job_view(job: Job) -> dict:
     """The comparable core of a job's journaled state: results and
-    checkpoints by digest (numpy-bearing equality is undefined), the
-    ledger as per-task serial sequences."""
+    checkpoints by fingerprint, the ledger as per-task serial sequences."""
     tasks = [job.tasks[name] for name in job.task_order]
     return {
         "states": job.states(),
         "attempts": {rt.name: rt.attempts for rt in tasks},
         "epochs": {rt.name: rt.epoch for rt in tasks},
         "nodes": {rt.name: rt.node_name for rt in tasks},
-        "results": {n: payload_digest(r) for n, r in job.results().items()},
-        "checkpoints": [payload_digest(job.load_checkpoint(n)) for n in job.task_order],
+        "results": {n: _fingerprint(r) for n, r in job.results().items()},
+        "checkpoints": [_fingerprint(job.load_checkpoint(n)) for n in job.task_order],
         "mepoch": job.manager_epoch,
         "gc": dict(job.gc_watermarks),
-        "dead_letters": [dict(entry) for entry in job.dead_letters],
         "deliveries": {t: [m.serial for m in ms] for t, ms in job.ledger().items()},
         "finished": job.finished,
         "failed": job.failed is not None,
@@ -265,39 +260,6 @@ def journal_is_the_job(result: "SimResult") -> list[str]:
         diff = [key for key in live if live[key] != folded.get(key)]
         return [f"the owner's replica folds to another job; differing keys: {diff}"]
     return []
-
-
-@oracle("dead-letter-accounting")
-def dead_letter_accounting(result: "SimResult") -> list[str]:
-    """Quarantines trace to injected corruptions, are journaled with a
-    replayable ledger entry, and never fire with checksums off."""
-    journaled = replay_job(result.job_id, result.records).dead_letters
-    violations = []
-    if not result.schedule.checksums:
-        if journaled or result.dead_letters:
-            violations.append(
-                f"{len(journaled) or len(result.dead_letters)} dead letter(s)"
-                " recorded with checksums disabled"
-            )
-        return violations
-    corruptions = sum(
-        1 for fault in result.fault_log if fault.get("kind") == "queue-corrupt"
-    )
-    if len(journaled) > corruptions:
-        violations.append(
-            f"{len(journaled)} dead letters exceed {corruptions} injected"
-            " corruptions"
-        )
-    ledgered = delivered_serials(result.records)
-    for entry in journaled:
-        task = entry.get("task", "")
-        serial = int(entry.get("serial", 0))
-        if serial not in ledgered.get(task, set()):
-            violations.append(
-                f"dead letter serial {serial} for {task!r} has no ledgered"
-                " delivery to re-offer"
-            )
-    return violations
 
 
 @oracle("lock-order")

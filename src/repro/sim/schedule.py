@@ -83,13 +83,11 @@ class Schedule:
     delay_rate: float = 0.0
     duplicate_rate: float = 0.0
     reorder_rate: float = 0.0
-    corrupt_rate: float = 0.0
     # the cluster: ClusterConfig's options under their names and defaults
     scheduler: str = ClusterConfig.scheduler
     durable: bool = ClusterConfig.durable
     #: relative to a fresh temporary directory of each run
     journal_dir: Optional[str] = ClusterConfig.journal_dir
-    checksums: bool = ClusterConfig.checksums
     verify_locking: bool = ClusterConfig.verify_locking
     fan_call: str = FAN_CALLS[0]
     events: tuple[FaultEvent, ...] = field(default_factory=tuple)
@@ -160,10 +158,10 @@ _DEFAULTS = {f.name: f.default for f in fields(Schedule)}
 
 def converging(schedule: Schedule) -> Schedule:
     """*schedule* without what its cluster cannot recover from: a manager
-    kill without a journal to adopt from; a worker outage stranding the
-    manager's side of a partition (until a tick past the heal, when
-    heartbeats have crossed again); corruption without checksums.  An
-    outage goes with its revive.  Generator and shrinker both use it."""
+    kill without a journal to adopt from, and a worker outage stranding
+    the manager's side of a partition (until a tick past the heal, when
+    heartbeats have crossed again).  An outage goes with its revive.
+    Generator and shrinker both use it."""
     events = schedule.events
     tick = {e.kind: e.at_tick for e in events if e.kind in ("partition", "heal")}
     cut = [e.target.split(",") for e in events if e.kind == "partition"]
@@ -179,10 +177,8 @@ def converging(schedule: Schedule) -> Schedule:
             and kill.at_tick <= tick["heal"] + 2
         ):
             dropped |= {kill, revive}
-    return replace(
-        schedule,
-        events=tuple(event for event in events if event not in dropped),
-        corrupt_rate=schedule.corrupt_rate if schedule.checksums else 0.0,
+    return schedule.with_events(
+        tuple(event for event in events if event not in dropped)
     )
 
 
@@ -215,12 +211,12 @@ def generate(
         rates["duplicate_rate"] = round(rng.uniform(0.02, 0.10), 4)
     if rng.random() < 0.5:
         rates["reorder_rate"] = round(rng.uniform(0.01, 0.05), 4)
+    # the draws of dimensions since removed (a corruption rate; a queue
+    # bound and its policy) stay, discarded, so that every seed still
+    # names the schedule it named before
     if rng.random() < 0.45:
-        rates["corrupt_rate"] = round(rng.uniform(0.01, 0.04), 4)
-
+        rng.uniform(0.01, 0.04)
     if rng.random() < 0.25:
-        # once a queue bound and its policy; their draws stay, discarded,
-        # so that every seed still names the schedule it named before
         rng.randint(10, 16)
         rng.randrange(3)
 
@@ -262,13 +258,14 @@ def generate(
 
     # the cluster: each value ClusterConfig declares is drawn
     durable, journal_dir = rng.choice(((False, None), (True, None), (True, "journal")))
+    scheduler = rng.choice(SCHEDULERS)
+    rng.random()  # once the per-message digest switch; discarded, as above
     schedule = converging(
         Schedule(
             seed=seed,
-            scheduler=rng.choice(SCHEDULERS),
+            scheduler=scheduler,
             durable=durable,
             journal_dir=journal_dir,
-            checksums=rng.random() < 0.5,
             verify_locking=rng.random() < 0.25,
             fan_call=rng.choice(FAN_CALLS),
             events=tuple(events),

@@ -35,7 +35,6 @@ OPTIONS = [
     "journal_dir",
     "telemetry",
     "verify_locking",
-    "checksums",
     "transport",
     "scheduler",
 ]

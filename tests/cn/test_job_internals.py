@@ -188,11 +188,9 @@ class TestJobObject:
         job.set_journal(lambda events: refused.append(events) or ())
         job.route(Message.user("client", "a", "x"))
         job.save_checkpoint("a", {"k": 1}, tag=1)
-        job.note_poison("a", Message.user("client", "a", "y"))
-        assert len(refused) == 3
+        assert len(refused) == 2
         assert not job.has_ledgered("a") and len(queue) == 0
         assert job.load_checkpoint("a") is None
-        assert job.dead_letters == []
         # the same writes, accepted, are applied
         journal = ReplicatedJournal()
         job.set_journal(lambda events: journal.append_many("j1", events))
@@ -275,9 +273,8 @@ def test_payload_nbytes_is_its_definition(payload, nesting):
         ({}, None, 0),
         ({"telemetry": None}, None, 0),
         ({}, 1e6, 256),
-        ({"checksums": True}, None, 0),
     ],
-    ids=["telemetry", "no-telemetry", "deadline", "checksums"],
+    ids=["telemetry", "no-telemetry", "deadline"],
 )
 def test_notifications_are_built_with_their_causal_context(
     monkeypatch, options, budget, copies
@@ -285,7 +282,7 @@ def test_notifications_are_built_with_their_causal_context(
     """A TASK_CREATED notification is built with the context the router
     would have stamped on it, ``(job_id, "job")`` when the job has
     telemetry, so ``route_many`` copies none of them; a deadline is still
-    the router's to stamp (one ``replace`` each), and so is a digest."""
+    the router's to stamp (one ``replace`` each)."""
     import repro.cn.job as job_module
 
     calls = []
@@ -318,7 +315,6 @@ def test_notifications_are_built_with_their_causal_context(
     context = (handle.job_id, "job") if traced else None
     assert {m.trace_ctx for m in created} == {context}
     assert all((m.deadline is not None) == (budget is not None) for m in created)
-    assert all((m.digest is not None) == ("checksums" in options) for m in created)
 
 
 class TestTaskManagerAccounting:

@@ -86,7 +86,6 @@ class TestPortalService:
             "diagnostics",
             "faults",
             "failovers",
-            "dead-letters",
             "timeline",
             "telemetry.jsonl",
         }
@@ -96,7 +95,6 @@ class TestPortalService:
         assert json.loads(artifacts["diagnostics"]) == []
         assert json.loads(artifacts["faults"]) == []
         assert json.loads(artifacts["failovers"]) == []
-        assert json.loads(artifacts["dead-letters"]) == []
 
 
 class TestSubmissionEvents:
@@ -118,7 +116,7 @@ class TestSubmissionEvents:
         submission = portal.submit(pi_xmi(samples=2000, workers=2))
         assert submission.status == "done"
         assert asked == []  # the events are views: submit builds none of them
-        assert submission.failover_events == submission.dead_letter_events == []
+        assert submission.failover_events == []
         assert asked and None not in asked
         assert len(set(asked)) == 1  # the one job this submission created
 
@@ -156,39 +154,6 @@ class TestSubmissionEvents:
         assert submission.status == "done"
         assert len(earlier) == 4
         assert recorder.seen and not recorder.seen & earlier
-
-    def test_dead_letters_are_the_submission_s_own(self):
-        from repro.apps.floyd import (
-            build_fig3_model,
-            floyd_registry,
-            random_weighted_graph,
-            store_matrix,
-        )
-        from repro.cn import ChaosPolicy
-
-        def floyd_xmi(key):
-            source = store_matrix(key, random_weighted_graph(6, seed=3))
-            return write_graph(
-                build_fig3_model(n_workers=2, matrix_source=source, sink="")
-            )
-
-        # one scripted bit-flip on the first job's tctask1 queue
-        chaos = ChaosPolicy().corrupt_message("job1/tctask1", index=2)
-        cluster = Cluster(3, registry=floyd_registry(), chaos=chaos, checksums=True)
-        portal = Portal(cluster)
-        try:
-            first = portal.submit(floyd_xmi("portal-dead-letter-1"))
-            second = portal.submit(floyd_xmi("portal-dead-letter-2"))
-        finally:
-            cluster.shutdown()
-        assert first.status == second.status == "done"
-        (letter,) = first.dead_letter_events
-        assert letter["task"] == "tctask1" and letter["job_id"].endswith("job1")
-        assert letter["expected_digest"] != letter["observed_digest"]
-        assert [f["kind"] for f in first.fault_events] == ["queue-corrupt"]
-        assert first.failover_events == []
-        # the next submission starts from a clean slate, not from history
-        assert second.dead_letter_events == [] and second.fault_events == []
 
     def test_concurrent_submissions_each_show_only_their_own_job(self, monkeypatch):
         import threading

@@ -52,7 +52,7 @@ from repro.cn import (
 )
 from repro.cn.chaos import VirtualClock
 from repro.cn.errors import ConfigError, ShutdownError
-from repro.cn.transport import ProcTransport
+from repro.cn.transport import ProcTransport, codec
 from repro.cn.transport.worker import WorkerRuntime
 
 from .test_durability import EchoPair, Quick, echo_registry, worker_only_nodes
@@ -578,6 +578,48 @@ class TestWorkerDeath:
                 a, b, n_workers=3, cluster=c
             )
             assert np.allclose(out, matmul_serial(a, b))
+
+    def test_a_frame_failing_its_crc_is_a_lost_worker(self, monkeypatch):
+        # the codec's CRC is the one integrity check: a frame damaged on
+        # the wire ends the attempt it belongs to as WorkerLost, takes the
+        # node out of service, and the retry runs on a surviving node
+        with Cluster(3, registry=echo_registry(), transport="proc") as cluster:
+            worker_only_nodes(cluster)
+            api = CNAPI.initialize(cluster)
+            handle = api.create_job("client")
+            api.create_task(
+                handle,
+                TaskSpec(name="e", jar="echo.jar", cls="t.EchoPair", max_retries=1),
+            )
+            runtime = handle.job.tasks["e"]
+            victim = runtime.node_name.split("/")[0]
+            first_attempt = f"{handle.job_id}/e#{runtime.epoch}:"
+            frame = codec._frame
+
+            def damaged(obj):
+                # the first attempt's outcome leaves its worker with one
+                # byte of the pickle body flipped after the CRC was taken
+                parts = frame(obj)
+                op, data = obj
+                if op == "outcome" and data["exec_id"].startswith(first_attempt):
+                    body = bytearray(parts[1])
+                    body[0] ^= 0xFF
+                    parts[1] = body
+                return parts
+
+            monkeypatch.setattr(codec, "_frame", damaged)  # the workers fork with it
+            api.start_job(handle)
+            api.send_message(handle, "e", "first")
+            api.send_message(handle, "e", "second")
+            assert api.wait(handle, timeout=30)["e"] == ["first", "second"]
+            assert not cluster.transport.node_healthy(victim)
+            assert runtime.node_name.split("/")[0] != victim
+            retries = [
+                record.data.get("error", "")
+                for record in handle.manager.journal.records(handle.job_id)
+                if record.kind == "task-state" and record.data["state"] == "RETRYING"
+            ]
+            assert len(retries) == 1 and "WorkerLost" in retries[0]
 
 
 class TestDurableJobsOnWorkers:

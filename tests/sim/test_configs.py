@@ -66,7 +66,6 @@ def test_the_seed_set_draws_every_value_of_every_dimension(runs):
         (True, False),
         (True, True),
     }
-    assert drawn(lambda s: s.checksums) == {False, True}
     assert drawn(lambda s: s.verify_locking) == {False, True}
 
 

@@ -22,10 +22,10 @@ def delivery(task, payload="x", mepoch=1):
     return record("delivery", {"messages": [Message.user("s", task, payload)]}, mepoch)
 
 
-def make_result(checksums=True, **overrides):
+def make_result(**overrides):
     base = dict(
         seed=1,
-        schedule=Schedule(seed=1, checksums=checksums),
+        schedule=Schedule(seed=1),
         status="done",
         error="",
         ticks=10,
@@ -36,7 +36,6 @@ def make_result(checksums=True, **overrides):
         records=[],
         fault_log=[],
         fault_summary=[],
-        dead_letters=[],
         job_deadline=None,
     )
     base.update(overrides)
@@ -52,7 +51,6 @@ class TestRegistry:
             "budget-monotone",
             "ledger-drain",
             "journal-is-the-job",
-            "dead-letter-accounting",
             "lock-order",
             "no-escaped-exception",
         }
@@ -193,30 +191,3 @@ class TestNoEscapedException:
         result = make_result(escaped=["task-w0: JournalError: closed"])
         [finding] = run_oracles(result)["no-escaped-exception"]
         assert "JournalError" in finding
-
-
-class TestDeadLetterAccounting:
-    def test_dead_letter_without_checksums_flagged(self):
-        result = make_result(
-            checksums=False,
-            records=[record("dead-letter", {"task": "w0", "serial": 1})],
-        )
-        assert "dead-letter-accounting" in run_oracles(result)
-
-    def test_dead_letter_traces_to_injected_corruption(self):
-        d = delivery("w0")
-        serial = d.data["messages"][0].serial
-        result = make_result(
-            records=[d, record("dead-letter", {"task": "w0", "serial": serial})],
-            fault_log=[{"kind": "queue-corrupt", "target": "q"}],
-        )
-        assert "dead-letter-accounting" not in run_oracles(result)
-
-    def test_unexplained_dead_letter_flagged(self):
-        d = delivery("w0")
-        serial = d.data["messages"][0].serial
-        result = make_result(
-            records=[d, record("dead-letter", {"task": "w0", "serial": serial})],
-            fault_log=[],  # no corruption was ever injected
-        )
-        assert "dead-letter-accounting" in run_oracles(result)

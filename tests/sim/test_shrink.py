@@ -1,7 +1,7 @@
 """Delta-debugging shrinker unit tests (fake predicates, no sim runs)."""
 
 from repro.sim import Schedule
-from repro.sim.schedule import FaultEvent
+from repro.sim.schedule import FaultEvent, converging
 from repro.sim.shrink import shrink_schedule
 
 
@@ -85,14 +85,17 @@ class TestClusterShrinking:
         assert shrunk.drawn() == {"scheduler": "bid"}
 
     def test_a_reset_keeps_the_schedule_convergent(self):
-        # checksums back off takes the corruption it quarantined with it
+        # no probe is a schedule the generator could not have drawn
         probed = []
 
         def fails(schedule):
             probed.append(schedule)
-            return True
+            return outage[0] in schedule.events
 
-        start = Schedule(seed=1, checksums=True, corrupt_rate=0.02)
+        outage = (FaultEvent(3, "kill", "node0"), FaultEvent(6, "revive", "node0"))
+        start = Schedule(
+            seed=1, drop_rate=0.01, scheduler="bid", journal_dir="journal", events=outage
+        )
         shrink_schedule(start, fails)
-        assert all(s.corrupt_rate == 0.0 for s in probed if not s.checksums)
+        assert probed and all(converging(s) == s for s in probed)
 

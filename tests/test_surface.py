@@ -149,6 +149,13 @@ DELETED = [
      r"|cn_admission_|retry_after",
      "the portal admits what it is given: no tenant, quota, saturation score "
      "or Retry-After, and a dynamic job's budget is the cluster's free memory"),
+    ((*EVERYWHERE, "tooling/**/*"),
+     r"\bchecksums\b|\bverify_digests\b|\bseal\(|\bdigest_ok\b|\bpayload_digest\b"
+     r"|\bcorrupt_copy\b|\bCORRUPT_MARKER\b|\bcorrupt_message\b|\bcorrupt_rate\b"
+     r"|\bnote_poison\b|\bqueue_poisoned\b|\bdead_letter_events\b|\"dead-letter\"",
+     "one integrity check, where bytes cross a boundary: the codec's CRC on the "
+     "proc wire; no per-message digest, in-memory corrupt fate or dead-letter "
+     "quarantine"),
 ]
 
 #: what counts as a caller of a package's exports: tests never do
