@@ -152,7 +152,8 @@ DELETED = [
     ((*EVERYWHERE, "tooling/**/*"),
      r"\bchecksums\b|\bverify_digests\b|\bseal\(|\bdigest_ok\b|\bpayload_digest\b"
      r"|\bcorrupt_copy\b|\bCORRUPT_MARKER\b|\bcorrupt_message\b|\bcorrupt_rate\b"
-     r"|\bnote_poison\b|\bqueue_poisoned\b|\bdead_letter_events\b|\"dead-letter\"",
+     r"|\bnote_poison\b|\bqueue_poisoned\b|\bdead_letter_events\b|\"dead-letter\""
+     r"|\bcn_(queue_poisoned|dead_letters)_total\b",
      "one integrity check, where bytes cross a boundary: the codec's CRC on the "
      "proc wire; no per-message digest, in-memory corrupt fate or dead-letter "
      "quarantine"),
