@@ -205,9 +205,6 @@ class LockVerifier:
     def holds(self, lock_id: int) -> bool:
         return any(h.lock_id == lock_id for h in self._stack())
 
-    def held_names(self) -> list[str]:
-        return [h.name for h in self._stack()]
-
     # -- the graph ------------------------------------------------------------
     def _record_edge(self, held: _Held, acquired: str, site: str) -> None:
         # held.name == acquired means same lock class, different

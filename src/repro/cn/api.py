@@ -102,16 +102,8 @@ class CNAPI:
         self,
         client_name: str,
         requirements: Optional[Mapping[str, Any]] = None,
-        *,
-        budget: Optional[float] = None,
     ) -> JobHandle:
-        """Multicast for willing JobManagers, select one, create the job.
-
-        *budget* is an end-to-end allowance in cluster-clock seconds: it
-        becomes an absolute deadline (``clock.now() + budget``) stamped
-        on every message the job routes, capping every task watchdog,
-        and letting TaskManagers drop attempts whose budget is already
-        spent instead of executing doomed work."""
+        """Multicast for willing JobManagers, select one, create the job."""
         requirements = dict(requirements or {})
         offers = self._cluster.bus.solicit(
             Solicitation(kind="jobmanager", requirements=requirements, sender=client_name)
@@ -134,10 +126,7 @@ class CNAPI:
         )
         node_name = offers[0][0]
         manager = self._cluster.server(node_name).jobmanager
-        deadline = (
-            None if budget is None else self._cluster.clock.now() + float(budget)
-        )
-        job = manager.create_job(client_name, deadline=deadline)
+        job = manager.create_job(client_name)
         job.notify(
             MessageType.JOB_CREATED,
             {"job_id": job.job_id, "manager": manager.name},

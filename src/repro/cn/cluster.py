@@ -247,12 +247,11 @@ class Cluster(AbstractContextManager):
         from the counts the runtime already keeps, each time it is read.
 
         Per node: liveness, placement headroom, hosted tasks, queued
-        messages, quarantined frames, budget drops, wire volume
-        (proc only) and heartbeat misses -- the most any live peer's
-        detector has counted against the node's TaskManager.  Per
-        manager: jobs created.  Per job id: messages routed, summed over
-        every Job registered for it on any manager (a dead manager's and
-        its adopter's alike)."""
+        messages, wire volume (proc only) and heartbeat misses -- the
+        most any live peer's detector has counted against the node's
+        TaskManager.  Per manager: jobs created.  Per job id: messages
+        routed, summed over every Job registered for it on any manager
+        (a dead manager's and its adopter's alike)."""
         metrics = self.telemetry.metrics
         alive = self.alive_servers()
         live = {server.name for server in alive}
@@ -274,7 +273,6 @@ class Cluster(AbstractContextManager):
             node.gauge("cn_node_hosted_tasks").set(tm.hosted_count())
             node.gauge("cn_node_queued_messages").set(tm.queued_messages())
             node.gauge("cn_node_heartbeat_misses").set(misses.get(server.name, 0))
-            node.gauge("cn_budget_drops_total").set(tm.budget_drops)
             manager = server.jobmanager
             created, jobs = manager.census()
             if created:

@@ -62,7 +62,7 @@ __all__ = [
 
 #: every record kind the journal understands, in no particular order
 RECORD_KINDS = (
-    "job-created",   # client, manager, deadline      -- job submission
+    "job-created",   # client, manager                -- job submission
     "job-adopted",   # manager, previous              -- failover fence
     "task-spec",     # spec (TaskSpec)                -- roster entry
     "task-placed",   # task, node, epoch              -- placement

@@ -15,7 +15,6 @@ __all__ = [
     "MessageTimeout",
     "ShutdownError",
     "JournalError",
-    "BudgetExhausted",
     "ConfigError",
     "TransportError",
     "FrameCorrupt",
@@ -132,20 +131,6 @@ class RemoteTaskError(CnError):
         super().__init__(
             f"task {task_name!r} raised {kind} in its worker process:\n"
             f"{remote_traceback}"
-        )
-
-
-class BudgetExhausted(JobError):
-    """A task's end-to-end job budget expired before (or while) it ran;
-    executing it further would burn resources on a doomed result."""
-
-    def __init__(self, task_name: str, *, deadline: float, now: float) -> None:
-        self.task_name = task_name
-        self.deadline = deadline
-        self.now = now
-        super().__init__(
-            f"task {task_name!r} dropped: job budget exhausted "
-            f"(deadline {deadline:.3f} <= now {now:.3f})"
         )
 
 

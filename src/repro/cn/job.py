@@ -205,10 +205,6 @@ class Job:
         self._finished_flag = False
         self._rebound = False
         self.failed: Optional[TaskFailedError] = None
-        #: absolute end-to-end deadline on the cluster clock (None = no
-        #: budget).  The router stamps it on every outbound message and
-        #: TaskManagers derive the per-task watchdog from what remains.
-        self.deadline: Optional[float] = None
         #: cluster Telemetry hub (None = zero instrumentation)
         self.telemetry: Optional[Any] = None
         self._m_payload: Optional[Any] = None
@@ -391,7 +387,6 @@ class Job:
                 self.manager = data.get("manager", self.manager)
                 if kind == "job-created":
                     self.client_name = data.get("client", self.client_name)
-                    self.deadline = data.get("deadline", self.deadline)
             elif kind == "job-finished":
                 self._finished_flag = True
             elif (runtime := self.tasks.get(data.get("task"))) is None:
@@ -587,22 +582,16 @@ class Job:
         """
         if not messages:
             return
-        deadline = self.deadline
-        if self.telemetry is not None or deadline is not None:
+        if self.telemetry is not None:
             # stamp the job's causal context on unattributed messages (a
             # notification is built with it, see notify) so downstream
-            # consumers can always walk back to a span, and the job
-            # deadline on unstamped messages so every hop can drop doomed
-            # work; replace() re-uses the existing serial/ts (no
-            # logical-clock disturbance)
-            stamped: list[Message] = []
-            for m in messages:
-                if self.telemetry is not None and m.trace_ctx is None:
-                    m = replace(m, trace_ctx=(self.job_id, "job"))
-                if deadline is not None and m.deadline is None:
-                    m = replace(m, deadline=deadline)
-                stamped.append(m)
-            messages = stamped
+            # consumers can always walk back to a span; replace() re-uses
+            # the existing serial/ts (no logical-clock disturbance)
+            messages = [
+                m if m.trace_ctx is not None
+                else replace(m, trace_ctx=(self.job_id, "job"))
+                for m in messages
+            ]
         # resolve every recipient before mutating anything: an unknown
         # task name is a programming error and must not leave a partial
         # fan-out behind
@@ -701,11 +690,11 @@ class Job:
     ) -> None:
         """Tell the client something happened: the one place a
         notification is built.  One message of *type* per payload goes
-        through :meth:`route_many` as one batch (so accounting, deadline
-        and CRC stamping are the router's, as for any message); *span* is
-        the id of the span it is caused by, and a job with telemetry
-        attributes the rest to its root -- the context the router would
-        stamp, set here so the router copies none of them.
+        through :meth:`route_many` as one batch (so accounting is the
+        router's, as for any message); *span* is the id of the span it is
+        caused by, and a job with telemetry attributes the rest to its
+        root -- the context the router would stamp, set here so the router
+        copies none of them.
 
         Never raises for a client that is gone: a closed conduit drops the
         notification onto :attr:`undeliverable` and the caller carries on

@@ -320,8 +320,7 @@ class JobManager:
         if journal is None:
             raise CnError(f"JobManager {self.name!r} has no journal to replay")
         records = journal.records(job_id)
-        # the roster, ledger, checkpoints and the deadline (the budget
-        # survives failover) are the journal's, folded
+        # the roster, ledger and checkpoints are the journal's, folded
         job = replay_job(job_id, records)
         previous, job.manager = job.manager, self.name
         job.manager_epoch += 1
@@ -460,12 +459,7 @@ class JobManager:
         )
 
     # -- job lifecycle -----------------------------------------------------------
-    def create_job(
-        self,
-        client_name: str,
-        *,
-        deadline: Optional[float] = None,
-    ) -> Job:
+    def create_job(self, client_name: str) -> Job:
         with self._lock:
             if self._shutdown:
                 raise CnError(f"JobManager {self.name!r} is shut down")
@@ -485,7 +479,7 @@ class JobManager:
                 client=client_name,
             )
         self._bind_journal(job)
-        created = {"client": client_name, "manager": self.name, "deadline": deadline}
+        created = {"client": client_name, "manager": self.name}
         job.journal_events([("job-created", created)])
         if self.directory is not None:
             self.directory.register(job_id, self, job, epoch=job.manager_epoch)

@@ -165,10 +165,7 @@ class Message:
     node, e.g. by the client).  ``trace_ctx`` is the causal context --
     ``(trace_id, span_id)`` of the producing span -- stamped by the
     telemetry layer and propagated through queues, the bus, retries, and
-    failover adoptions.  ``deadline`` is the end-to-end job deadline in
-    cluster-clock time (absolute, not a duration): the router stamps it
-    from the job budget and every hop downstream can compare it against
-    the cluster clock to drop work that is already doomed.
+    failover adoptions.
     """
 
     type: str
@@ -180,7 +177,6 @@ class Message:
     ts: float = field(default_factory=time.monotonic, compare=False)
     origin: Optional[str] = None
     trace_ctx: Optional[tuple[str, str]] = None
-    deadline: Optional[float] = None
 
     def is_user(self) -> bool:
         return self.type == MessageType.USER
@@ -196,8 +192,7 @@ class Message:
         """Build the response message correlated with this request.
 
         The reply inherits the request's ``trace_ctx`` (a response is
-        causally downstream of the span that sent the request) and its
-        ``deadline`` (answering a request does not buy more budget).
+        causally downstream of the span that sent the request).
         """
         return Message(
             type=type,
@@ -207,7 +202,6 @@ class Message:
             correlation=self.serial,
             origin=origin,
             trace_ctx=self.trace_ctx,
-            deadline=self.deadline,
         )
 
     @staticmethod

@@ -135,10 +135,6 @@ class MulticastBus:
                 entry for entry in self._subscribers if entry[0] != name
             )
 
-    def subscriber_names(self) -> list[str]:
-        with self._lock:
-            return [n for n, _ in self._subscribers]
-
     # -- event listeners (heartbeats) -----------------------------------------
     def attach_listener(self, name: str, listener: Listener) -> None:
         """Register a one-way event listener (no response collected)."""

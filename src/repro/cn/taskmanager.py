@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Type
 
 from ..analysis.conc.runtime import make_lock
 from .chaos import InjectedFault
-from .errors import BudgetExhausted, CnError, ShutdownError
+from .errors import CnError, ShutdownError
 from .job import Job, TaskRuntime, TaskState
 from .messages import MessageType
 from .queues import MessageQueue
@@ -101,9 +101,6 @@ class TaskManager:
         self.slots = config.slots_per_node
         self.chaos = config.chaos
         self.clock = config.clock
-        #: task attempts dropped before execution because the job budget
-        #: had already expired (cheaper than running doomed work)
-        self.budget_drops = 0
         #: set by the Cluster: invoked when chaos decides this node dies
         self.crash_hook: Optional[Callable[[], None]] = None
         self._memory_used = 0
@@ -453,13 +450,6 @@ class TaskManager:
         result: Any = None
         state, error, reason = TaskState.COMPLETED, None, None
         try:
-            budget = job.deadline
-            if budget is not None:
-                now = self.clock.now()
-                if now >= budget:
-                    with self._lock:
-                        self.budget_drops += 1
-                    raise BudgetExhausted(runtime.name, deadline=budget, now=now)
             chaos = self.chaos
             if chaos is not None and chaos.enabled:
                 if chaos.should_crash_task(job.job_id, runtime.name, attempt):
@@ -524,11 +514,6 @@ class TaskManager:
         triple (:meth:`Job.attempt_ended`)."""
         spec = hosted.runtime.spec
         retry = attempt <= spec.max_retries
-        if isinstance(raised, BudgetExhausted):
-            # the end-to-end job budget is already spent: executing (or
-            # retrying -- equally doomed) would burn the resources a
-            # saturated cluster is short of, so fail immediately
-            return TaskState.FAILED, str(raised), "budget-exhausted"
         if isinstance(raised, ShutdownError):
             if not hosted.timed_out:
                 return TaskState.CANCELLED, None, None
@@ -578,25 +563,13 @@ class TaskManager:
         return True
 
     # -- deadlines ------------------------------------------------------------
-    def _effective_deadline(self, h: HostedTask) -> Optional[float]:
-        """The watchdog deadline for one hosting, in seconds from its
-        start: the per-task spec deadline capped by whatever remains of
-        the end-to-end job budget at the moment the attempt started."""
-        deadline = h.runtime.spec.deadline
-        job_deadline = h.job.deadline
-        if job_deadline is not None and h.started_at is not None:
-            remaining = job_deadline - h.started_at
-            deadline = remaining if deadline is None else min(deadline, remaining)
-        return deadline
-
     def expire_deadlines(self, now: Optional[float] = None) -> list[str]:
         """Cancel running tasks past their deadline into the retry path.
 
-        The deadline is the *effective* one: the per-task spec deadline
-        capped by the remaining job budget (a task must not outlive its
-        job's end-to-end deadline even if its own allowance is larger).
-        Driven by :meth:`Cluster.tick`; *now* is virtual-clock time.
-        Returns the names of the tasks timed out on this call."""
+        The deadline is the task's own (``TaskSpec.deadline``), in
+        seconds from the attempt's start.  Driven by :meth:`Cluster.tick`;
+        *now* is virtual-clock time.  Returns the names of the tasks timed
+        out on this call."""
         if now is None:
             now = self.clock.now()
         expired: list[tuple[HostedTask, float]] = []
@@ -604,7 +577,7 @@ class TaskManager:
             if self._crashed or self._shutdown:
                 return []
             for h in self._hosted.values():
-                deadline = self._effective_deadline(h)
+                deadline = h.runtime.spec.deadline
                 if (
                     deadline is not None
                     and not h.timed_out

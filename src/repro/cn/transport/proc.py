@@ -182,20 +182,26 @@ class WorkerHandle:
             if self._stopped:
                 return
             self._stopped = True
-        endpoint, process = self.endpoint, self.process
+        endpoint = self.endpoint
         if endpoint is not None:
             try:
                 endpoint.send(("stop", {}))
             except TransportError:
                 pass  # conclint: waive CC303 -- worker already gone; stopping anyway
+        self._reap(grace=2.0)
+        self._fail_outstanding("worker stopped")
+
+    def _reap(self, grace: float) -> None:
+        """Join the worker (terminated after *grace* seconds) and close
+        the endpoint; the caller is whoever set ``_stopped``."""
+        process = self.process
         if process is not None:
-            process.join(timeout=2.0)
+            process.join(timeout=grace)
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=2.0)
-        if endpoint is not None:
-            endpoint.close()
-        self._fail_outstanding("worker stopped")
+        if self.endpoint is not None:
+            self.endpoint.close()
 
     # -- submission -------------------------------------------------------------
     def execute(
@@ -275,6 +281,13 @@ class WorkerHandle:
                 break
             self._dispatch(*frame)
         self._fail_outstanding("worker connection closed")
+        with self._lock:
+            reap, self._stopped = not self._stopped, True
+        if reap:
+            # a channel that failed (EOF, a frame failing its CRC) is a
+            # lost worker: end the process rather than leave it running
+            # unread; the node stays out of service, as after a SIGKILL
+            self._reap(grace=0.0)
 
     def _dispatch(self, op: str, data: dict) -> None:
         handler = self._handlers.get(op)

@@ -34,9 +34,6 @@ class Package(TaggedElement):
         self.graphs.append(graph)
         return graph
 
-    def new_graph(self, name: str) -> ActivityGraph:
-        return self.add_graph(ActivityGraph(name))
-
     def find_graph(self, name: str) -> ActivityGraph:
         for graph in self.graphs:
             if graph.name == name:

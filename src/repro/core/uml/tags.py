@@ -72,15 +72,6 @@ class TaggedElement:
         self.tagged_values.append(tv)
         return tv
 
-    def get_tag(self, name: str, default: Optional[str] = None) -> Optional[str]:
-        for tv in self.tagged_values:
-            if tv.name == name:
-                return tv.value
-        return default
-
-    def has_tag(self, name: str) -> bool:
-        return any(tv.name == name for tv in self.tagged_values)
-
     def tags_dict(self) -> dict[str, str]:
         return {tv.name: tv.value for tv in self.tagged_values}
 

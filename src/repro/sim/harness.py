@@ -89,7 +89,6 @@ class SimResult:
     records: list[JournalRecord]
     fault_log: list[dict[str, Any]]
     fault_summary: list[tuple[str, str, str]]
-    job_deadline: Optional[float]
     #: the lock verifier's LockOrderError ("" if it found none or was off)
     lock_order: str = ""
     #: the ``(holder, acquired)`` lock-order edges the verifier observed
@@ -158,10 +157,7 @@ class Simulation:
         # watchdog deadlines and retry budgets only when the schedule can
         # actually lose work: a fault-free run must not risk a spurious
         # cancellation if the host machine stalls the worker threads
-        budget = float(self.max_ticks) + 50.0 if hazards else None
-        handle = api.create_job(
-            "client", requirements={"prefer": MANAGER}, budget=budget
-        )
+        handle = api.create_job("client", requirements={"prefer": MANAGER})
         api.create_task(
             handle,
             TaskSpec(
@@ -338,7 +334,6 @@ class Simulation:
             records=records,
             fault_log=fault_log,
             fault_summary=fault_summary,
-            job_deadline=job.deadline,
             lock_order=lock_order,
             lock_edges=frozenset(verifier.edges() if verifier else ()),
             owner_view=owner_view,

@@ -13,8 +13,6 @@ statements rather than per-test assertions:
 * ``replay-equivalence`` -- :func:`~repro.cn.durability.replay_job` is a
   pure fold: re-folding the journal yields the same job, and every
   runtime-completed task is completed in it;
-* ``budget-monotone`` -- no routed message carries a deadline past the
-  job's end-to-end budget;
 * ``ledger-drain`` -- GC watermarks never exceed the journaled delivery
   count and the replayed ledger holds exactly the un-collected suffix;
 * ``journal-is-the-job`` -- on a finished durable run the owner's
@@ -52,7 +50,6 @@ ORACLES: dict[str, Oracle] = {}
 #: the oracles that read the journal: skipped when the run kept none
 JOURNAL_ORACLES = {
     "replay-equivalence",
-    "budget-monotone",
     "ledger-drain",
     "journal-is-the-job",
 }
@@ -113,7 +110,6 @@ def job_view(job: Job) -> dict:
         "deliveries": {t: [m.serial for m in ms] for t, ms in job.ledger().items()},
         "finished": job.finished,
         "failed": job.failed is not None,
-        "deadline": job.deadline,
     }
 
 
@@ -177,27 +173,6 @@ def replay_equivalence(result: "SimResult") -> list[str]:
             violations.append("job finished at runtime but journal never did")
         elif first["failed"]:
             violations.append("job completed at runtime but journal says failed")
-    return violations
-
-
-@oracle("budget-monotone")
-def budget_monotone(result: "SimResult") -> list[str]:
-    """No routed message may outlive the job's end-to-end budget."""
-    budget = replay_job(result.job_id, result.records).deadline
-    if budget is None:
-        budget = result.job_deadline
-    if budget is None:
-        return []
-    violations = []
-    for record in result.records:
-        if record.kind != "delivery":
-            continue
-        for message in record.data["messages"]:
-            if message.deadline is not None and message.deadline > budget + 1e-9:
-                violations.append(
-                    f"message {message.serial} to {message.recipient!r} carries"
-                    f" deadline {message.deadline} past job budget {budget}"
-                )
     return violations
 
 

@@ -63,8 +63,8 @@ class TestFactories:
         lock = make_lock("X._lock")
         assert isinstance(lock, InstrumentedLock)
         with lock:
-            assert verifier.held_names() == ["X._lock"]
-        assert verifier.held_names() == []
+            assert verifier.holds(id(lock))
+        assert not verifier.holds(id(lock))
 
     def test_non_reentrant_flavor(self, verifier):
         lock = make_lock("X._lock", reentrant=False)
@@ -185,7 +185,7 @@ class TestConditionIntegration:
             with cond:
                 started.set()
                 cond.wait(timeout=5)
-                assert verifier.held_names() == ["C._lock"]
+                assert verifier.holds(id(lock))
 
         t = threading.Thread(target=waiter)
         t.start()

@@ -152,7 +152,7 @@ class TestModels:
         kinds = [v.kind for v in g.vertices]
         assert kinds.count("action") == 7
         assert kinds.count("fork") == 1 and kinds.count("join") == 1
-        assert g.find("tctask0").get_tag("jar") == "tasksplit.jar"
+        assert g.find("tctask0").tags_dict()["jar"] == "tasksplit.jar"
 
     def test_fig5_model_dynamic(self):
         g = build_fig5_model()

@@ -1226,13 +1226,13 @@ class TestDurableJobLifecycle:
 class TestFoldEqualsLiveJob:
     """``replay_job`` of a job's journal is the Job that wrote it, read
     through the simulator's view: states, attempts, epochs, nodes,
-    results, GC watermarks, the ledger left, checkpoints, dead letters,
-    deadline, manager epoch, finished and failed."""
+    results, GC watermarks, the ledger left, checkpoints, manager epoch,
+    finished and failed."""
 
     def test_a_run_with_deliveries_a_checkpoint_and_a_retry(self):
         with Cluster(2, registry=echo_registry()) as cluster:
             api = CNAPI.initialize(cluster)
-            handle = api.create_job("client", budget=60.0)
+            handle = api.create_job("client")
             api.create_tasks(
                 handle,
                 [

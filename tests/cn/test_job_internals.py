@@ -268,21 +268,13 @@ def test_payload_nbytes_is_its_definition(payload, nesting):
 
 
 @pytest.mark.parametrize(
-    "options, budget, copies",
-    [
-        ({}, None, 0),
-        ({"telemetry": None}, None, 0),
-        ({}, 1e6, 256),
-    ],
-    ids=["telemetry", "no-telemetry", "deadline"],
+    "options", [{}, {"telemetry": None}], ids=["telemetry", "no-telemetry"]
 )
-def test_notifications_are_built_with_their_causal_context(
-    monkeypatch, options, budget, copies
-):
+def test_notifications_are_built_with_their_causal_context(monkeypatch, options):
     """A TASK_CREATED notification is built with the context the router
     would have stamped on it, ``(job_id, "job")`` when the job has
-    telemetry, so ``route_many`` copies none of them; a deadline is still
-    the router's to stamp (one ``replace`` each)."""
+    telemetry, so ``route_many`` copies none of them; a client's message,
+    built without one, is the router's to stamp (one ``replace``)."""
     import repro.cn.job as job_module
 
     calls = []
@@ -298,7 +290,7 @@ def test_notifications_are_built_with_their_causal_context(
         slots_per_node=1024, scheduler="bid", **options,
     ) as cluster:
         api = CNAPI.initialize(cluster)
-        handle = api.create_job("client", budget=budget)
+        handle = api.create_job("client")
         handle.job.client_queue.drain()
         calls.clear()
         api.create_tasks(
@@ -307,14 +299,17 @@ def test_notifications_are_built_with_their_causal_context(
              for i in range(256)],
         )
         created = handle.job.client_queue.drain()
-        stamped = list(calls)  # the cancel's TASK_CANCELLED batch is stamped too
+        notified = list(calls)
+        calls.clear()
+        api.send_message(handle, "t0", "probe")
+        sent = list(calls)
         api.cancel(handle)
-    assert stamped == [["deadline"]] * copies
+    assert notified == []
     assert [m.type for m in created] == [MessageType.TASK_CREATED] * 256
     traced = options.get("telemetry", True) is not None
     context = (handle.job_id, "job") if traced else None
     assert {m.trace_ctx for m in created} == {context}
-    assert all((m.deadline is not None) == (budget is not None) for m in created)
+    assert sent == ([["trace_ctx"]] if traced else [])
 
 
 class TestTaskManagerAccounting:
@@ -484,12 +479,14 @@ class TestCNServerResponder:
     def test_shutdown_unsubscribes(self):
         bus, server = self.make()
         server.shutdown()
-        assert bus.subscriber_names() == []
+        assert bus.solicit(Solicitation("jobmanager", {}, "c")) == []
+        assert bus.stats.deliveries == 0  # the round reached no subscriber
 
     def test_double_start_is_idempotent(self):
         bus, server = self.make()
         server.start()
-        assert bus.subscriber_names().count("n0") == 1
+        offers = bus.solicit(Solicitation("jobmanager", {}, "c"))
+        assert [name for name, _ in offers] == ["n0"]
 
 
 class TestArchiveEndToEnd:

@@ -132,3 +132,37 @@ class TestMessageQueue:
             q.put(Message.user("s", "t", i))
         q.get_matching(lambda m: m.payload == 2, timeout=0.2)
         assert len(q) == 2
+
+
+class TestQueueEdges:
+    def test_get_matching_racing_close(self):
+        q = MessageQueue("t")
+        q.put(Message.user("s", "t", "noise"))
+        outcome = []
+
+        def matcher():
+            try:
+                outcome.append(q.get_matching(lambda m: m.payload == "never", 5))
+            except ShutdownError as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=matcher)
+        thread.start()
+        time.sleep(0.05)  # let the matcher stash "noise" and park
+        q.close()
+        thread.join(timeout=2)
+        assert not thread.is_alive()
+        assert isinstance(outcome[0], ShutdownError)
+        # the stashed non-match survives the close for draining
+        assert [m.payload for m in q.drain()] == ["noise"]
+
+    def test_put_many_delivers_the_whole_batch(self):
+        q = MessageQueue("t")
+        assert q.put_many([Message.user("s", "t", i) for i in range(4)]) == 4
+        assert len(q) == 4
+
+    def test_put_many_partial_on_close(self):
+        q = MessageQueue("t")
+        batch = [Message.user("s", "t", i) for i in range(3)]
+        q.close()
+        assert q.put_many(batch) == 0

@@ -308,9 +308,12 @@ class TestTaskPlacement:
 
 class TestClusterLifecycle:
     def test_context_manager(self, registry):
+        wanted = Solicitation("jobmanager", {}, "c")
         with Cluster(2, registry=registry) as cluster:
-            assert len(cluster.bus.subscriber_names()) == 2
-        assert cluster.bus.subscriber_names() == []
+            assert len(cluster.bus.solicit(wanted)) == 2
+        reached = cluster.bus.stats.deliveries
+        assert cluster.bus.solicit(wanted) == []
+        assert cluster.bus.stats.deliveries == reached  # no subscriber left
 
     def test_bad_node_count(self, registry):
         with pytest.raises(ValueError):

@@ -25,10 +25,13 @@ from repro.cn.config import SCHEDULERS
 from repro.cn.errors import NoWillingTaskManager, TaskLoadError
 from repro.cn.job import TaskState
 from repro.cn.messages import Message
+from repro.cn.portal import Portal
 from repro.cn.scheduler import PlacementRule
 from repro.cn.taskmanager import TaskManager
 from repro.core.cnx import CnxJob, CnxTask
 from repro.core.cnx.schema import CnxClient, CnxDocument
+from repro.core.uml import ActivityBuilder
+from repro.core.xmi import write_graph
 
 from ..analysis.test_passes import OUTSIDE_THE_GRAMMAR
 from ..conftest import basic_registry, client_messages, run_client
@@ -401,6 +404,27 @@ class TestDynamicExpansion:
         # a budget that fits nothing sheds down to the floor, no further
         shed = expand_dynamic_tasks(job, {}, memory_budget=0)
         assert len(shed) - 2 == min(count, max(1, low))
+
+    def test_a_portal_submission_narrows_to_free_memory(self, registry):
+        """A cluster short of memory runs a dynamic job narrower."""
+        b = ActivityBuilder("Narrowed")
+        worker = b.dynamic_task(
+            "w", jar="echo.jar", cls="test.Echo", memory=1000,
+            multiplicity="1..*", argument_expr="[(i,) for i in range(n)]",
+        )
+        b.chain(b.initial(), worker, b.final())
+        xmi = write_graph(b.build())
+        for scheduler in SCHEDULERS:
+            with Cluster(
+                2, registry=registry, memory_per_node=1000, scheduler=scheduler
+            ) as cluster:
+                submission = Portal(cluster).submit(xmi, {"n": 10})
+                messages = client_messages(cluster)
+            assert submission.status == "done", submission.error
+            # 2000 free -> 2 of 10 workers
+            assert len(submission.results[0]) == 2
+            degraded = [m for m in messages if m.type == MessageType.JOB_DEGRADED]
+            assert degraded and degraded[0].payload["granted"] == 2
 
     def test_runner_executes_expanded_job(self, registry):
         for scheduler in SCHEDULERS:

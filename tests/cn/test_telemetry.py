@@ -381,7 +381,6 @@ NODE_FAMILIES = (
     "cn_node_hosted_tasks",
     "cn_node_queued_messages",
     "cn_node_heartbeat_misses",
-    "cn_budget_drops_total",
 )
 
 

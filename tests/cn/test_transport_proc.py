@@ -81,6 +81,14 @@ def proc_cluster():
         yield c
 
 
+def process_exists(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def random_matrix(rng, rows, cols):
     return rng.uniform(-5, 5, size=(rows, cols)).tolist()
 
@@ -620,6 +628,13 @@ class TestWorkerDeath:
                 if record.kind == "task-state" and record.data["state"] == "RETRYING"
             ]
             assert len(retries) == 1 and "WorkerLost" in retries[0]
+            # and the worker behind the failed channel is ended, not left
+            # running unread until shutdown
+            pid = cluster.transport.worker_pids()[victim]
+            give_up = time.monotonic() + 2.0
+            while process_exists(pid) and time.monotonic() < give_up:
+                time.sleep(0.05)
+            assert not process_exists(pid), f"worker {pid} still runs"
 
 
 class TestDurableJobsOnWorkers:

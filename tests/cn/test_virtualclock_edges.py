@@ -109,6 +109,24 @@ class TestDeadlineBoundary:
             _gates[key].set()
 
 
+class TestVirtualClockWait:
+    def test_wait_timeout_runs_on_virtual_time(self):
+        key = gated("virtual-wait")
+        clock = VirtualClock(drive_timeouts=True)
+        try:
+            with Cluster(1, registry=gate_registry(), clock=clock) as cluster:
+                api = CNAPI.initialize(cluster)
+                handle = start_gated_job(api, key)
+                # 1000 *virtual* seconds: on wall time this would park
+                # the test forever
+                thread, outcome = spawn_waiter(api, handle, timeout=1000.0)
+                cluster.tick(1001)
+                status, _ = settle(thread, outcome)
+                assert status == "timeout"
+        finally:
+            _gates[key].set()
+
+
 class TestInFlightAdvance:
     def test_clock_jump_lands_while_parked_in_wait_or_rebind(self):
         key = gated("edge-jump")

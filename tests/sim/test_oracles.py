@@ -36,7 +36,6 @@ def make_result(**overrides):
         records=[],
         fault_log=[],
         fault_summary=[],
-        job_deadline=None,
     )
     base.update(overrides)
     return SimResult(**base)
@@ -48,7 +47,6 @@ class TestRegistry:
             "job-completes",
             "exactly-once-result",
             "replay-equivalence",
-            "budget-monotone",
             "ledger-drain",
             "journal-is-the-job",
             "lock-order",
@@ -107,37 +105,6 @@ class TestExactlyOnce:
     def test_missing_matrix_defers_to_liveness(self):
         result = make_result(status="timeout", error="stuck", result_matrix=None)
         assert "exactly-once-result" not in run_oracles(result)
-
-
-class TestBudgetMonotone:
-    def test_deadline_past_budget_flagged(self):
-        message = Message.user("s", "w0", "x")
-        late = Message(
-            type=message.type,
-            sender=message.sender,
-            recipient=message.recipient,
-            payload=message.payload,
-            deadline=99.0,
-        )
-        result = make_result(
-            records=[
-                record("job-created", {"client": "c", "deadline": 50.0}),
-                record("delivery", {"messages": [late]}),
-            ],
-        )
-        assert "budget-monotone" in run_oracles(result)
-
-    def test_within_budget_green(self):
-        message = Message(
-            type="USER", sender="s", recipient="w0", payload="x", deadline=10.0
-        )
-        result = make_result(
-            records=[
-                record("job-created", {"client": "c", "deadline": 50.0}),
-                record("delivery", {"messages": [message]}),
-            ],
-        )
-        assert "budget-monotone" not in run_oracles(result)
 
 
 class TestLedgerDrain:

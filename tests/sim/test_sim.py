@@ -12,15 +12,20 @@ from repro.sim.reproducer import emit_reproducer, load_reproducer
 from repro.sim.schedule import FaultEvent
 
 
+def watchdog_deadlines(result):
+    """The ``TaskSpec.deadline`` of every task the run journaled."""
+    return {r.data["spec"].deadline for r in result.records if r.kind == "task-spec"}
+
+
 class TestFaultFreeRun:
     def test_completes_green_without_watchdogs(self):
         sim = Simulation(0, Schedule(seed=0), n=6, workers=2, nodes=3)
         result = sim.run()
         assert result.status == "done"
         assert run_oracles(result) == {}
-        # fault-free runs must not arm deadlines or budgets: a loaded
-        # host machine cannot fail a benign schedule
-        assert result.job_deadline is None
+        # fault-free runs must not arm watchdog deadlines: a loaded host
+        # machine cannot fail a benign schedule
+        assert watchdog_deadlines(result) == {None}
         assert result.fault_summary == []
         assert result.schedule.has_faults() is False
         assert result.records  # the journal survived for the oracles
@@ -35,7 +40,7 @@ class TestGeneratedScheduleRun:
         result = sim.run()
         assert result.status == "done", result.error
         assert run_oracles(result) == {}
-        assert result.job_deadline is not None  # hazards arm the budget
+        assert None not in watchdog_deadlines(result)  # hazards arm them
 
 
 class TestTimedEvents:

@@ -157,6 +157,15 @@ DELETED = [
      "one integrity check, where bytes cross a boundary: the codec's CRC on the "
      "proc wire; no per-message digest, in-memory corrupt fate or dead-letter "
      "quarantine"),
+    ((*EVERYWHERE, "tooling/**/*"),
+     r"\bBudgetExhausted\b|\bbudget_drops\b|\bcn_budget_drops_total\b|budget-exhausted"
+     r"|budget-monotone|\bbudget_monotone\b|\bjob_deadline\b|\bbudget=",
+     "a job ends by its tasks' own watchdogs (TaskSpec.deadline) and retries: "
+     "no end-to-end job budget, stamped deadline or oracle that only checked it"),
+    ((*EVERYWHERE, "tooling/**/*"),
+     r"\bsubscriber_names\b|\bnew_graph\b|\bget_tag\b|\bhas_tag\b|\bheld_names\b",
+     "names only tests called: their tests read what production code reads "
+     "(a solicitation, add_graph, tags_dict, holds)"),
 ]
 
 #: what counts as a caller of a package's exports: tests never do

@@ -38,7 +38,7 @@ def restated(tree: ast.AST):
         elif isinstance(node, ast.Call):
             named += [(k.arg or "", k.value) for k in node.keywords]
             if any(isinstance(a, ast.Constant) and a.value == "memory" for a in node.args):
-                named += [("memory", a) for a in node.args]  # get_tag("memory", "1000")
+                named += [("memory", a) for a in node.args]  # tags.get("memory", "1000")
         for name, value in named:
             if (
                 name.lower().startswith(("memory", "default_memory"))

@@ -10,6 +10,7 @@ from repro.core.uml import (
     to_ascii,
     to_dot,
 )
+from repro.core.uml.activity import ActivityGraph
 from repro.core.uml.model import Package
 from repro.core.uml.tags import TaggedElement, param_tag_names
 from repro.util import dag
@@ -31,15 +32,13 @@ class TestTaggedElement:
     def test_set_get(self):
         bag = Bag()
         bag.set_tag("jar", "x.jar")
-        assert bag.get_tag("jar") == "x.jar"
-        assert bag.get_tag("missing") is None
-        assert bag.get_tag("missing", "d") == "d"
+        assert bag.tags_dict() == {"jar": "x.jar"}
 
     def test_set_replaces(self):
         bag = Bag()
         bag.set_tag("k", "1")
         bag.set_tag("k", "2")
-        assert bag.get_tag("k") == "2"
+        assert bag.tags_dict() == {"k": "2"}
         assert len(bag.tagged_values) == 1
 
     def test_tags_dict(self):
@@ -50,9 +49,9 @@ class TestTaggedElement:
 
     def test_has_tag(self):
         bag = Bag()
-        assert not bag.has_tag("x")
+        assert "x" not in bag.tags_dict()
         bag.set_tag("x", "")
-        assert bag.has_tag("x")
+        assert bag.tags_dict() == {"x": ""}
 
 
 class TestCNProfile:
@@ -154,28 +153,28 @@ class TestModelPackage:
 
     def test_duplicate_graph(self):
         p = Package("p")
-        p.new_graph("g")
+        p.add_graph(ActivityGraph("g"))
         with pytest.raises(ValueError):
-            p.new_graph("g")
+            p.add_graph(ActivityGraph("g"))
 
     def test_all_graphs(self):
         m = Model("M")
-        m.new_package("p1").new_graph("g1")
-        m.new_package("p2").new_graph("g2")
+        m.new_package("p1").add_graph(ActivityGraph("g1"))
+        m.new_package("p2").add_graph(ActivityGraph("g2"))
         assert [g.name for g in m.all_graphs()] == ["g1", "g2"]
 
     def test_job_batches_no_order(self):
         p = Package("p")
-        p.new_graph("a")
-        p.new_graph("b")
+        p.add_graph(ActivityGraph("a"))
+        p.add_graph(ActivityGraph("b"))
         batches, stuck = job_batches(p)
         assert len(batches) == 1 and len(batches[0]) == 2 and not stuck
 
     def test_job_batches_sequential(self):
         p = Package("p")
-        p.new_graph("a")
-        p.new_graph("b")
-        p.new_graph("c")
+        p.add_graph(ActivityGraph("a"))
+        p.add_graph(ActivityGraph("b"))
+        p.add_graph(ActivityGraph("c"))
         p.order_jobs("a", "b")
         p.order_jobs("b", "c")
         assert job_batches(p) == ([["a"], ["b"], ["c"]], [])
@@ -183,21 +182,21 @@ class TestModelPackage:
     def test_job_batches_mixed(self):
         p = Package("p")
         for n in ("a", "b", "c"):
-            p.new_graph(n)
+            p.add_graph(ActivityGraph(n))
         p.order_jobs("a", "c")
         assert job_batches(p) == ([["a", "b"], ["c"]], [])
 
     def test_cyclic_job_order_raises(self):
         p = Package("p")
-        p.new_graph("a")
-        p.new_graph("b")
+        p.add_graph(ActivityGraph("a"))
+        p.add_graph(ActivityGraph("b"))
         p.order_jobs("a", "b")
         p.order_jobs("b", "a")
         assert job_batches(p) == ([], ["a", "b"])
 
     def test_order_jobs_validates_names(self):
         p = Package("p")
-        p.new_graph("a")
+        p.add_graph(ActivityGraph("a"))
         with pytest.raises(KeyError):
             p.order_jobs("a", "ghost")
 

@@ -95,8 +95,8 @@ class TestForeignFlavor:
 
     def test_reads_child_element_datavalue(self):
         graph = read_graphs(FOREIGN)[0]
-        assert graph.find("worker").get_tag("jar") == "work.jar"
-        assert graph.find("worker").get_tag("class") == "com.example.Worker"
+        assert graph.find("worker").tags_dict()["jar"] == "work.jar"
+        assert graph.find("worker").tags_dict()["class"] == "com.example.Worker"
 
     def test_transitions_resolved(self):
         graph = read_graphs(FOREIGN)[0]

@@ -185,7 +185,7 @@ class TestReaderRobustness:
           </UML:Package>
         </UML:Model></XMI.content></XMI>"""
         graph = read_graphs(doc)[0]
-        assert graph.find("t").get_tag("jar") == "x.jar"
+        assert graph.find("t").tags_dict()["jar"] == "x.jar"
 
     def test_graphs_directly_under_model(self):
         doc = """<XMI><XMI.content><UML:Model name="m">

@@ -29,7 +29,7 @@ def empty_package():
 
 def no_transitions():
     model = Model("Loose")
-    graph = model.new_package("cn").new_graph("Loose")
+    graph = model.new_package("cn").add_graph(ActivityGraph("Loose"))
     graph.add_initial()
     state = graph.add_action("t")
     state.set_tag("jar", "t.jar")
@@ -40,7 +40,7 @@ def no_transitions():
 
 def bare_vertices():
     model = Model("Bare")
-    graph = model.new_package("cn").new_graph("Bare")
+    graph = model.new_package("cn").add_graph(ActivityGraph("Bare"))
     graph.add_initial()
     graph.add_action("untagged")
     graph.add_fork("f")
@@ -110,4 +110,4 @@ def test_escaped_values_read_back():
     workers = graph.find("w")
     assert workers.dynamic_multiplicity == AWKWARD
     assert workers.dynamic_arguments == '[[1, "<&>"], [2, "\n"]]'
-    assert graph.find("src").get_tag("jar") == "a&b.jar"
+    assert graph.find("src").tags_dict()["jar"] == "a&b.jar"
