@@ -1,4 +1,4 @@
-"""PERF12 -- runtime lock-verification cost (``verify_locking``).
+"""PERF12 -- runtime lock-verification cost (``verified_locks()``).
 
 The conclint runtime verifier (PR 6) reroutes every runtime lock through
 :func:`repro.analysis.conc.runtime.make_lock`.  Its contract has two
@@ -13,7 +13,7 @@ halves, and this benchmark gates both:
   budget (they run the same C code; the gate bounds measurement noise
   plus any accidental future wrapping).
 
-* **On is affordable.** ``verify_locking=True`` instruments every lock
+* **On is affordable.** ``verified_locks()`` instruments every lock
   with per-thread stack bookkeeping and graph recording.  The PERF11
   Floyd broadcast workload is re-run with the verifier on and off,
   interleaved min-of-k (the same timing protocol as PERF9), and the
@@ -28,10 +28,11 @@ from __future__ import annotations
 import json
 import threading
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
-from repro.analysis.conc.runtime import make_lock
+from repro.analysis.conc.runtime import make_lock, verified_locks
 from repro.apps.floyd import floyd_registry, floyd_warshall_numpy, random_weighted_graph
 from repro.apps.floyd.io import store_matrix
 from repro.apps.floyd.model import (
@@ -101,9 +102,8 @@ def test_disabled_acquire_release_within_budget(report):
 def run_floyd(matrix, store_key: str, *, verify: bool):
     """One Floyd broadcast job; returns (wall seconds, lock report|None)."""
     source = store_matrix(store_key, matrix)
-    with Cluster(
-        4, registry=floyd_registry(), memory_per_node=10**6,
-        verify_locking=verify,
+    with (verified_locks() if verify else nullcontext()) as verifier, Cluster(
+        4, registry=floyd_registry(), memory_per_node=10**6
     ) as cluster:
         api = CNAPI.initialize(cluster)
         started = time.perf_counter()
@@ -128,10 +128,7 @@ def run_floyd(matrix, store_key: str, *, verify: bool):
         results = api.wait(handle, timeout=120)
         wall = time.perf_counter() - started
         assert np.allclose(results["join"], floyd_warshall_numpy(matrix))
-        lock_report = (
-            cluster.lock_verifier.report() if cluster.lock_verifier else None
-        )
-    return wall, lock_report
+    return wall, verifier.report() if verifier else None
 
 
 def test_verifier_on_slowdown_reported(report, out_dir):

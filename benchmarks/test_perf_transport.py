@@ -60,10 +60,7 @@ def effective_cores() -> int:
 
 
 def _cluster(backend: str, registry):
-    kwargs = {}
-    if backend == "proc":
-        kwargs = {"transport": "proc", "verify_locking": False}
-    return Cluster(4, registry=registry, memory_per_node=10**6, **kwargs)
+    return Cluster(4, registry=registry, memory_per_node=10**6, transport=backend)
 
 
 def timed_floyd(backend: str, matrix, expected) -> tuple[float, dict]:

@@ -36,8 +36,7 @@ from repro.cn import Cluster
 
 
 def run_on(backend: str, matrix) -> list[list[float]]:
-    kwargs = {} if backend == "inproc" else {"transport": "proc", "verify_locking": False}
-    with Cluster(4, registry=floyd_registry(), **kwargs) as cluster:
+    with Cluster(4, registry=floyd_registry(), transport=backend) as cluster:
         result, _ = run_parallel_floyd(
             matrix, n_workers=4, cluster=cluster, timeout=120
         )

@@ -8,7 +8,7 @@ Two halves share one vocabulary:
   hygiene, transport readiness).
 * :mod:`~repro.analysis.conc.runtime` -- the opt-in lock-order /
   deadlock verifier (:class:`~repro.analysis.conc.runtime.LockVerifier`)
-  enabled with ``Cluster(verify_locking=True)``.
+  enabled for a scope with ``with verified_locks():``.
 
 The shared vocabulary is :mod:`~repro.analysis.conc.annotations`: the
 guarded-by facts and lock-hierarchy declarations that the static passes

@@ -164,7 +164,7 @@ def guarded_by(lock_attr: str) -> Callable[[F], F]:
     be held by the calling thread.
 
     With no verifier installed this is free (the wrapper checks one
-    module global and falls through); with ``verify_locking=True`` the
+    module global and falls through); inside ``verified_locks()`` the
     lock must be an :class:`~.runtime.InstrumentedLock` and the call
     raises :class:`~.runtime.LockOrderError` if the current thread does
     not hold it.  The declaration is also machine-readable: the static

@@ -113,9 +113,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _runtime_report() -> str:
-    """Boot a small ``verify_locking=True`` cluster, run a toy dependent
-    two-task job, and render the lock-order graph it produced."""
+    """Boot a small cluster inside ``verified_locks()``, run a toy
+    dependent two-task job, and render the lock-order graph it produced."""
     from repro.cn import CNAPI, Cluster, Task, TaskRegistry, TaskSpec
+
+    from .runtime import verified_locks
 
     class _Probe(Task):
         def __init__(self, *params):
@@ -126,7 +128,7 @@ def _runtime_report() -> str:
 
     registry = TaskRegistry()
     registry.register_class("probe.jar", "conclint.Probe", _Probe)
-    with Cluster(2, registry=registry, verify_locking=True) as cluster:
+    with verified_locks() as verifier, Cluster(2, registry=registry) as cluster:
         api = CNAPI.initialize(cluster)
         handle = api.create_job("conclint-probe")
         api.create_task(handle, TaskSpec(name="a", jar="probe.jar", cls="conclint.Probe"))
@@ -136,17 +138,15 @@ def _runtime_report() -> str:
         )
         api.start_job(handle)
         api.wait(handle, timeout=30)
-        verifier = cluster.lock_verifier
-        data = verifier.report() if verifier is not None else {}
+    data = verifier.report()
     lines = ["runtime lock-order report (toy fan-out workload):"]
-    for edge in data.get("edges", []):
+    for edge in data["edges"]:
         lines.append(f"  {edge['holder']} -> {edge['acquired']}  [{edge['thread']}]")
-    if not data.get("edges"):
+    if not data["edges"]:
         lines.append("  (no nested acquisitions observed)")
-    cycles = data.get("cycles", [])
-    lines.append(f"  cycles: {len(cycles)}")
+    lines.append(f"  cycles: {len(data['cycles'])}")
     lines.append("  held-time (class-level):")
-    for name, stats in data.get("held", {}).items():
+    for name, stats in data["held"].items():
         lines.append(
             f"    {name}: n={stats['acquisitions']} "
             f"total={stats['total_held_s']}s max={stats['max_held_s']}s"

@@ -1,8 +1,8 @@
 """Runtime lock-order / deadlock verifier (lockdep for the CN runtime).
 
-Enabled with ``Cluster(verify_locking=True)`` and free when off: :func:`make_lock` returns a *plain*
-``threading.Lock``/``RLock`` unless a verifier is installed, so the
-disabled hot path pays nothing — not even an attribute indirection.
+Enabled in a :func:`verified_locks` scope and free when off: :func:`make_lock`
+returns a *plain* ``threading.Lock``/``RLock`` unless a verifier is installed,
+so the disabled hot path pays nothing — not even an attribute indirection.
 
 With a verifier installed, every lock the runtime creates through
 :func:`make_lock` is an :class:`InstrumentedLock` that
@@ -20,7 +20,7 @@ With a verifier installed, every lock the runtime creates through
 Nodes are **class-level** names (``"Job._lock"``), not instances, so the
 graph stays bounded no matter how many Jobs a run creates and a cycle
 means "some interleaving of this program can deadlock", which is exactly
-the invariant a transport refactor must preserve.  At teardown
+the invariant a transport refactor must preserve.  At the scope's exit
 :meth:`LockVerifier.check` runs cycle detection and raises
 :class:`LockOrderError` listing every cycle with both witness stacks.
 """
@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import sys
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Iterator, Optional
 
 __all__ = [
     "LockOrderError",
@@ -40,6 +41,7 @@ __all__ = [
     "install_verifier",
     "uninstall_verifier",
     "current_verifier",
+    "verified_locks",
     "make_lock",
     "make_condition",
 ]
@@ -453,11 +455,10 @@ class InstrumentedLock:
 
 # -- the installed-verifier global -------------------------------------------
 #
-# Installed by ``Cluster(verify_locking=True)`` before it constructs any
-# lock-holding component, so locks created deep inside Job/MessageQueue
-# constructors come out instrumented.  Refcounted: nested clusters in one
-# process share one graph (which is what you want — cross-cluster edges
-# are real edges).
+# Installed by ``verified_locks()`` before the clusters in its scope are
+# built, so locks created deep inside Job/MessageQueue constructors come
+# out instrumented.  Refcounted: nested scopes in one process share one
+# graph (which is what you want — cross-cluster edges are real edges).
 
 _installed: Optional[LockVerifier] = None
 _install_count = 0
@@ -488,6 +489,19 @@ def uninstall_verifier() -> None:
 
 def current_verifier() -> Optional[LockVerifier]:
     return _installed
+
+
+@contextmanager
+def verified_locks() -> Iterator[LockVerifier]:
+    """Install (or join) the verifier for the body and yield it; uninstall
+    it on the way out.  A body that exits normally is then checked: a
+    possible deadlock raises :class:`LockOrderError` here."""
+    verifier = install_verifier()
+    try:
+        yield verifier
+    finally:
+        uninstall_verifier()
+    verifier.check()
 
 
 # -- factories ----------------------------------------------------------------

@@ -33,12 +33,7 @@ import threading
 from contextlib import AbstractContextManager
 from typing import Optional, Sequence
 
-from ..analysis.conc.runtime import (
-    LockVerifier,
-    install_verifier,
-    make_lock,
-    uninstall_verifier,
-)
+from ..analysis.conc.runtime import current_verifier, make_lock
 from .config import TRANSPORTS, ClusterConfig
 from .durability import (
     JobDirectory,
@@ -63,26 +58,17 @@ class Cluster(AbstractContextManager):
         #: for the options); an unknown keyword or a value the runtime
         #: cannot honor is refused here, before anything below is built
         self.config = config = ClusterConfig(nodes=nodes, **options)
-        # the options the portal, the simulator and CNAPI read off the
-        # cluster itself
-        self.scheduler = config.scheduler
-        self.durable = config.durable
         self.registry = config.registry
         self.chaos = config.chaos
         self.clock = config.clock
         self.telemetry = telemetry = config.telemetry
-        #: opt-in runtime lock-order/deadlock verifier (conclint part 2).
-        #: Installed *before* any component is built: locks created deep
-        #: inside Job/MessageQueue constructors come out instrumented.
-        self.lock_verifier: Optional[LockVerifier] = (
-            install_verifier() if config.verify_locking else None
-        )
         #: execution backend (see repro.cn.transport)
         self.transport = TRANSPORTS[config.transport](telemetry)
-        if self.lock_verifier is not None and telemetry is not None:
-            # held-time histograms land in the shared metrics registry as
-            # cn_lock_held_seconds{lock=<Class._lock>}
-            self.lock_verifier.attach_metrics(telemetry.metrics)
+        verifier = current_verifier()
+        if verifier is not None and telemetry is not None:
+            # built inside verified_locks(): held-time histograms land in
+            # the shared metrics registry as cn_lock_held_seconds{lock=...}
+            verifier.attach_metrics(telemetry.metrics)
         self.bus = MulticastBus(chaos=config.chaos)
         self.bus.set_telemetry(telemetry)
         self.servers = [
@@ -99,8 +85,8 @@ class Cluster(AbstractContextManager):
         #: resolve through this so failover re-binds clients transparently
         self.directory = JobDirectory()
         backend_for = (
-            journal_factory_for_dir(config.journal_dir)
-            if config.journal_dir is not None
+            journal_factory_for_dir(config.durable)
+            if isinstance(config.durable, str)
             else lambda _name: MemoryJournal()
         )
         for server in self.servers:
@@ -145,13 +131,6 @@ class Cluster(AbstractContextManager):
                 if close is not None:
                     close()  # FileJournal: flush and release the handle
         self._started = False
-        verifier = self.lock_verifier
-        if verifier is not None:
-            self.lock_verifier = None  # idempotent across repeated shutdowns
-            uninstall_verifier()
-            # raises LockOrderError (with both witness stacks per edge) if
-            # any interleaving of this run could deadlock
-            verifier.check()
 
     def __enter__(self) -> "Cluster":
         return self.start()

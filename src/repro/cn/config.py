@@ -5,16 +5,17 @@ section 3): a deployment is one statement of shape and policy applied to
 N identical servants.  Every option's name, default and range is stated
 here and nowhere else; ``Cluster(nodes, **options)`` builds one of these
 first, and ``CNServer`` / ``TaskManager`` / ``JobManager`` read it.
-Constructing it validates it and does nothing else -- no verifier
-installed, no transport built, no thread, no file -- so a refused
-configuration leaves the process as it found it.
+Constructing it validates it and does nothing else -- no transport
+built, no thread, no file -- so a refused configuration leaves the
+process as it found it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
+from ..analysis.conc.runtime import current_verifier
 from .chaos import ChaosPolicy, VirtualClock
 from .errors import ConfigError
 from .registry import TaskRegistry
@@ -54,15 +55,12 @@ class ClusterConfig:
     #: the clock ``tick`` advances; None (the default) means a fresh one
     #: nobody else drives
     clock: Optional[VirtualClock] = None
-    #: write-ahead job journal replicated on the bus, manager failover
-    durable: bool = True
-    #: directory of per-node journal files (needs ``durable``); None keeps
-    #: the journal in memory
-    journal_dir: Optional[str] = None
+    #: write-ahead job journal replicated on the bus, manager failover:
+    #: False keeps none, True keeps it in memory, and a directory keeps
+    #: it in per-node ``<node>.jsonl`` files there
+    durable: Union[bool, str] = True
     #: the observability hub; an explicit None strips instrumentation
     telemetry: Optional[Telemetry] = field(default_factory=Telemetry)
-    #: install the runtime lock-order verifier for the cluster's lifetime
-    verify_locking: bool = False
     #: where a task attempt runs: one of ``TRANSPORTS``
     transport: str = "inproc"
     #: one placement round per task ("solicit", the paper's multicast)
@@ -80,18 +78,18 @@ class ClusterConfig:
             raise ConfigError(
                 f"unknown scheduler {self.scheduler!r}; expected one of {SCHEDULERS}"
             )
-        if self.journal_dir is not None and not self.durable:
+        durable = self.durable
+        if not isinstance(durable, bool) and not (isinstance(durable, str) and durable):
             raise ConfigError(
-                f"journal_dir={self.journal_dir!r} with durable=False: "
-                "a cluster that keeps no journal has nothing to write there"
+                f"durable must be False, True or a journal directory; got {durable!r}"
             )
         incompatible = []
         if self.chaos is not None:
             incompatible.append("chaos fault injection (ChaosPolicy)")
         if self.clock is not None:
             incompatible.append("a caller-driven VirtualClock")
-        if self.verify_locking:
-            incompatible.append("the runtime lock verifier (verify_locking)")
+        if current_verifier() is not None:
+            incompatible.append("the runtime lock verifier (verified_locks)")
         if self.transport != "inproc" and incompatible:
             raise ConfigError(
                 f"transport={self.transport!r} cannot honor in-process-only "

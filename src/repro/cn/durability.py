@@ -516,7 +516,7 @@ def journal_factory_for_dir(
     directory: str,
 ) -> Callable[[str], FileJournal]:
     """A per-node :class:`FileJournal` factory writing ``<node>.jsonl``
-    under *directory* (convenience for ``Cluster(journal_dir=...)``)."""
+    under *directory* (``Cluster(durable=directory)``)."""
     import os
 
     os.makedirs(directory, exist_ok=True)

@@ -63,7 +63,7 @@ class TupleSpace:
                 if remove:
                     # every call site sits inside `with self._changed`, and the
                     # @guarded_by declaration above enforces it dynamically
-                    # under verify_locking=True.
+                    # inside verified_locks().
                     # conclint: waive CC103 -- caller must hold _lock (see above)
                     return self._tuples.pop(index)
                 return candidate

@@ -34,7 +34,7 @@ import os
 import tempfile
 import threading
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -234,18 +234,26 @@ class Simulation:
     # -- the run ------------------------------------------------------------------
     def run(self) -> SimResult:
         """One run (a cluster ``ClusterConfig`` refuses raises its error)."""
+        scope = runtime.verified_locks if self.schedule.verify_locking else nullcontext
+        result = None
+        try:
+            # the chaos policy, the clock and the cluster are built in the
+            # scope, so all their locks are instrumented
+            with scope() as verifier:
+                result = self._run(verifier)
+        except runtime.LockOrderError as exc:
+            if result is None:
+                raise  # the body's own, not the verdict at the exit
+            result.lock_order = str(exc)
+        return result
+
+    def _run(self, verifier: Optional[runtime.LockVerifier]) -> SimResult:
         schedule = self.schedule
         hazards = schedule.has_faults()
         matrix = random_weighted_graph(self.n, seed=schedule.seed)
         expected = floyd_warshall(matrix)
         options = schedule.cluster_options()
         with ExitStack() as stack:
-            verifier = None
-            if schedule.verify_locking:
-                # before the chaos policy and the clock are built, so their
-                # locks are instrumented too; the cluster's install joins it
-                verifier = runtime.install_verifier()
-                stack.callback(runtime.uninstall_verifier)
             escaped: list[str] = []
 
             def excepthook(args: threading.ExceptHookArgs) -> None:
@@ -254,9 +262,9 @@ class Simulation:
 
             stack.callback(setattr, threading, "excepthook", threading.excepthook)
             threading.excepthook = excepthook
-            if schedule.journal_dir is not None:
+            if isinstance(schedule.durable, str):
                 fresh = stack.enter_context(tempfile.TemporaryDirectory())
-                options["journal_dir"] = os.path.join(fresh, schedule.journal_dir)
+                options["durable"] = os.path.join(fresh, schedule.durable)
             chaos = self._build_chaos()
             cluster = Cluster(
                 self.nodes,
@@ -268,7 +276,6 @@ class Simulation:
             cluster.server(MANAGER).accept_tasks = False
             box: dict[str, Any] = {}
             done = threading.Event()
-            lock_order = ""
             owner_view, owner_records = None, []
             try:
                 api = CNAPI.initialize(cluster)
@@ -316,10 +323,7 @@ class Simulation:
                 states = job.states()
                 fault_log, fault_summary = chaos.log_dicts(), chaos.fault_summary()
             finally:
-                try:
-                    cluster.shutdown()
-                except runtime.LockOrderError as exc:
-                    lock_order = str(exc)
+                cluster.shutdown()
             records = _surviving_replica(cluster, handle.job_id)
         return SimResult(
             seed=self.seed,
@@ -334,7 +338,6 @@ class Simulation:
             records=records,
             fault_log=fault_log,
             fault_summary=fault_summary,
-            lock_order=lock_order,
             lock_edges=frozenset(verifier.edges() if verifier else ()),
             owner_view=owner_view,
             owner_records=owner_records,

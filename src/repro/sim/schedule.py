@@ -2,7 +2,7 @@
 
 A :class:`Schedule` is the complete, serializable description of one
 :class:`~repro.sim.harness.Simulation`: its cluster (``ClusterConfig``
-options, and how the worker fan is placed), link-level fault rates (fed
+options, the lock verifier, how the worker fan is placed), fault rates (fed
 into :class:`~repro.cn.chaos.ChaosPolicy`), and a sorted sequence of
 structural :class:`FaultEvent` entries (node kills and revives,
 partitions and heals, task stalls, load bursts) pinned to virtual-clock
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from repro.cn import ClusterConfig
 from repro.cn.config import SCHEDULERS
@@ -85,18 +85,19 @@ class Schedule:
     reorder_rate: float = 0.0
     # the cluster: ClusterConfig's options under their names and defaults
     scheduler: str = ClusterConfig.scheduler
-    durable: bool = ClusterConfig.durable
-    #: relative to a fresh temporary directory of each run
-    journal_dir: Optional[str] = ClusterConfig.journal_dir
-    verify_locking: bool = ClusterConfig.verify_locking
+    #: a journal directory is relative to a fresh temporary directory of
+    #: each run
+    durable: Union[bool, str] = ClusterConfig.durable
+    #: the harness builds the cluster inside ``verified_locks()``
+    verify_locking: bool = False
     fan_call: str = FAN_CALLS[0]
     events: tuple[FaultEvent, ...] = field(default_factory=tuple)
 
     #: field names: the rates, the ClusterConfig options, and what the
-    #: cluster is drawn as (the options and ``fan_call``)
+    #: cluster is drawn as (the options, the verifier and ``fan_call``)
     RATE_FIELDS = tuple(name for name in __annotations__ if name.endswith("_rate"))
     CONFIG_FIELDS = tuple(name for name in __annotations__ if name in _OPTIONS)
-    DIMENSIONS = CONFIG_FIELDS + ("fan_call",)
+    DIMENSIONS = CONFIG_FIELDS + ("verify_locking", "fan_call")
 
     def cluster_options(self) -> dict[str, Any]:
         return {name: getattr(self, name) for name in self.CONFIG_FIELDS}
@@ -257,7 +258,7 @@ def generate(
     events.sort(key=lambda event: (event.at_tick, event.kind, event.target))
 
     # the cluster: each value ClusterConfig declares is drawn
-    durable, journal_dir = rng.choice(((False, None), (True, None), (True, "journal")))
+    durable = rng.choice((False, True, "journal"))
     scheduler = rng.choice(SCHEDULERS)
     rng.random()  # once the per-message digest switch; discarded, as above
     schedule = converging(
@@ -265,7 +266,6 @@ def generate(
             seed=seed,
             scheduler=scheduler,
             durable=durable,
-            journal_dir=journal_dir,
             verify_locking=rng.random() < 0.25,
             fan_call=rng.choice(FAN_CALLS),
             events=tuple(events),

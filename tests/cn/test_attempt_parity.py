@@ -108,9 +108,7 @@ def start(cluster, *specs):
 
 @pytest.fixture(params=TRANSPORTS)
 def cluster(request):
-    with Cluster(
-        2, registry=parity_registry(), transport=request.param, verify_locking=False
-    ) as c:
+    with Cluster(2, registry=parity_registry(), transport=request.param) as c:
         yield c
 
 
@@ -167,7 +165,6 @@ def test_checkpoint_without_durability_is_kept_in_the_job(transport):
         registry=parity_registry(),
         transport=transport,
         durable=False,
-        verify_locking=False,
     ) as c:
         api, handle = start(c, spec("t", CheckpointThenFailOnce, max_retries=1))
         assert api.wait(handle, timeout=30) == {"t": ("retry restored", {"x": 1})}

@@ -8,11 +8,13 @@ import inspect
 import multiprocessing
 import re
 import threading
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.analysis.conc.runtime import current_verifier, verified_locks
 from repro.analysis.ir import ClusterSpec
 from repro.cn import ChaosPolicy, Cluster, ClusterConfig
 from repro.cn.chaos import VirtualClock
@@ -32,9 +34,7 @@ OPTIONS = [
     "chaos",
     "clock",
     "durable",
-    "journal_dir",
     "telemetry",
-    "verify_locking",
     "transport",
     "scheduler",
 ]
@@ -112,18 +112,20 @@ class TestRefusedAtConstruction:
     @needs_fork
     @pytest.mark.parametrize("transport", ["proc", ProcTransport])
     @pytest.mark.parametrize(
-        "options, names",
+        "options, scope, names",
         [
-            ({"chaos": ChaosPolicy(seed=1)}, "chaos"),
-            ({"clock": VirtualClock()}, "VirtualClock"),
-            ({"verify_locking": True}, "verify_locking"),
+            ({"chaos": ChaosPolicy(seed=1)}, nullcontext, "chaos"),
+            ({"clock": VirtualClock()}, nullcontext, "VirtualClock"),
+            # a proc cluster built inside verified_locks()
+            ({}, verified_locks, "verified_locks"),
         ],
     )
-    def test_proc_with_an_in_process_only_feature(self, transport, options, names):
+    def test_proc_with_an_in_process_only_feature(
+        self, transport, options, scope, names
+    ):
         if not isinstance(transport, str):
             transport = transport()
-        options = {"verify_locking": False, **options}
-        with pytest.raises(ConfigError, match=names):
+        with scope(), pytest.raises(ConfigError, match=names):
             Cluster(2, transport=transport, **options)
 
     @pytest.mark.parametrize(
@@ -140,29 +142,29 @@ class TestRefusedAtConstruction:
     @pytest.mark.parametrize(
         "nodes, options, message",
         [
-            (2, {"verify_locking": True, "scheduler": "bogus"}, "unknown scheduler"),
-            (2, {"verify_locking": True, "memory_per_node": 0}, "memory_per_node must be >= 1.* got 0"),
+            (2, {"scheduler": "bogus"}, "unknown scheduler"),
+            (2, {"memory_per_node": 0}, "memory_per_node must be >= 1.* got 0"),
             (0, {}, "nodes must be >= 1.* got 0"),
             (2, {"memory_per_node": -5}, "memory_per_node must be >= 1.* got -5"),
             (2, {"slots_per_node": 0}, "slots_per_node must be >= 1.* got 0"),
             (2, {"slots_per_node": 1.5}, "slots_per_node must be >= 1, an int; got 1.5"),
-            (2, {"durable": False, "journal_dir": "/nowhere"}, "journal_dir='/nowhere'"),
+            (2, {"durable": ""}, "durable must be .* got ''"),
+            (2, {"durable": 1}, "durable must be .* got 1"),
             pytest.param(
                 2, {"transport": "proc", "chaos": ChaosPolicy(seed=1)}, "chaos",
                 marks=needs_fork,
             ),
+            pytest.param(2, {"transport": "proc"}, "verified_locks", marks=needs_fork),
         ],
     )
     def test_nothing_is_left_installed_by_a_refused_cluster(
         self, nodes, options, message
     ):
-        from repro.analysis.conc.runtime import current_verifier
-
-        before = current_verifier()  # a cluster some earlier test never shut down
         threads = threading.active_count()
         with pytest.raises(ConfigError, match=message) as refusal:
-            Cluster(nodes, **options)
+            with verified_locks():  # a scope a refusal must unwind too
+                Cluster(nodes, **options)
         assert isinstance(refusal.value, ValueError)
-        assert current_verifier() is before
+        assert current_verifier() is None
         assert multiprocessing.active_children() == []
         assert threading.active_count() == threads

@@ -1104,15 +1104,15 @@ class TestDurableJobLifecycle:
             assert cluster.directory.lookup(handle.job_id) is not None
 
     def test_file_journal_cluster_persists_across_shutdown(self, tmp_path):
-        journal_dir = str(tmp_path / "journals")
-        with Cluster(2, registry=echo_registry(), journal_dir=journal_dir) as cluster:
+        directory = str(tmp_path / "journals")
+        with Cluster(2, registry=echo_registry(), durable=directory) as cluster:
             api = CNAPI.initialize(cluster)
             handle = api.create_job("client")
             api.create_task(handle, TaskSpec(name="q", jar="quick.jar", cls="t.Quick"))
             api.start_job(handle)
             api.wait(handle, timeout=10)
             job_id = handle.job_id
-        reloaded = FileJournal(f"{journal_dir}/node0.jsonl")
+        reloaded = FileJournal(f"{directory}/node0.jsonl")
         replayed = replay_job(job_id, reloaded.records(job_id))
         assert replayed.finished and replayed.results()["q"] == "ok"
         reloaded.close()
@@ -1136,8 +1136,8 @@ class TestDurableJobLifecycle:
         monkeypatch.setattr(FileJournal, "_persist", slow_disk)
         names = [f"e{i}" for i in range(8)]
         for round_ in range(3):
-            journal_dir = str(tmp_path / f"journals{round_}")
-            cluster = Cluster(2, registry=echo_registry(), journal_dir=journal_dir)
+            directory = str(tmp_path / f"journals{round_}")
+            cluster = Cluster(2, registry=echo_registry(), durable=directory)
             cluster.start()
             api = CNAPI.initialize(cluster)
             handle = api.create_job("client", requirements={"prefer": "node0"})
@@ -1156,7 +1156,7 @@ class TestDurableJobLifecycle:
                     assert not thread.is_alive(), thread.name
             ours = [args.exc_value for args in raised if args.thread not in earlier]
             assert ours == []
-            reloaded = FileJournal(f"{journal_dir}/node0.jsonl")
+            reloaded = FileJournal(f"{directory}/node0.jsonl")
             replayed = replay_job(job_id, reloaded.records(job_id))
             reloaded.close()
             assert replayed.finished
@@ -1183,8 +1183,8 @@ class TestDurableJobLifecycle:
 
         registry = echo_registry()
         registry.register_class("linger.jar", "t.Lingers", Lingers)
-        journal_dir = str(tmp_path / "journals")
-        with Cluster(2, registry=registry, journal_dir=journal_dir) as cluster:
+        directory = str(tmp_path / "journals")
+        with Cluster(2, registry=registry, durable=directory) as cluster:
             api = CNAPI.initialize(cluster)
             handle = api.create_job("client")
             api.create_task(handle, TaskSpec("l", jar="linger.jar", cls="t.Lingers"))

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.analysis.conc.runtime import InstrumentedLock
+from repro.analysis.conc.runtime import InstrumentedLock, verified_locks
 from repro.cn import (
     CNAPI,
     ChaosPolicy,
@@ -238,7 +238,7 @@ def test_a_stalled_attempt_is_ended_by_the_watchdog():
 
 
 def test_the_queue_built_on_first_use_is_instrumented_under_verify_locking():
-    with Cluster(2, registry=registry(), verify_locking=True) as cluster:
+    with verified_locks(), Cluster(2, registry=registry()) as cluster:
         api = CNAPI.initialize(cluster)
         handle = api.create_job("client")
         api.create_task(handle, TaskSpec(name="e", jar="echo.jar", cls="t.Echo"))

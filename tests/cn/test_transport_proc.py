@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis.conc.runtime import verified_locks
 from repro.apps.floyd import (
     floyd_registry,
     floyd_warshall_numpy,
@@ -76,7 +77,6 @@ def proc_cluster():
         registry=registry,
         memory_per_node=64000,
         transport="proc",
-        verify_locking=False,
     ) as c:
         yield c
 
@@ -445,7 +445,6 @@ class TestCoordinatorThreads:
             registry=registry,
             memory_per_node=64000,
             transport="proc",
-            verify_locking=False,
         ) as c:
             started = time.monotonic()
             _, results = run_job(
@@ -530,7 +529,6 @@ class TestWorkerDeath:
             registry=registry,
             memory_per_node=64000,
             transport="proc",
-            verify_locking=False,
         ) as c:
             c.servers[0].accept_tasks = False  # node0: manager only
             c.start_heartbeats()
@@ -568,7 +566,6 @@ class TestWorkerDeath:
             registry=registry,
             memory_per_node=64000,
             transport="proc",
-            verify_locking=False,
         ) as c:
             run_parallel_matmul(a, b, n_workers=3, cluster=c)
             pids = c.transport.worker_pids()
@@ -694,22 +691,15 @@ class TestDurableJobsOnWorkers:
 class TestConfigGuards:
     def test_explicit_proc_with_chaos_refused(self):
         with pytest.raises(ConfigError, match="chaos"):
-            Cluster(
-                2,
-                chaos=ChaosPolicy(seed=1),
-                transport="proc",
-                verify_locking=False,
-            )
+            Cluster(2, chaos=ChaosPolicy(seed=1), transport="proc")
 
     def test_explicit_proc_with_caller_clock_refused(self):
         with pytest.raises(ConfigError, match="VirtualClock"):
-            Cluster(
-                2, clock=VirtualClock(), transport="proc", verify_locking=False
-            )
+            Cluster(2, clock=VirtualClock(), transport="proc")
 
     def test_explicit_proc_with_lock_verifier_refused(self):
-        with pytest.raises(ConfigError, match="verify_locking"):
-            Cluster(2, transport="proc", verify_locking=True)
+        with verified_locks(), pytest.raises(ConfigError, match="verified_locks"):
+            Cluster(2, transport="proc")
 
     def test_unknown_transport_name_refused(self):
         with pytest.raises(ConfigError, match="unknown transport"):
@@ -718,7 +708,7 @@ class TestConfigGuards:
     def test_transport_instance_refused(self):
         # the two names are the whole domain of transport=
         with pytest.raises(ConfigError, match="unknown transport"):
-            Cluster(2, transport=ProcTransport(), verify_locking=False)
+            Cluster(2, transport=ProcTransport())
 
     def test_inproc_remains_the_default(self):
         with Cluster(2) as c:

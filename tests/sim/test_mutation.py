@@ -12,10 +12,10 @@ stays green under the identical schedule.
 The cluster dimensions are held to the same standard: a defect in the
 bid round's award fold (only a ``create_tasks`` fan under
 ``scheduler="bid"`` reaches it) and one in the on-disk journal (only
-``journal_dir`` reaches it) are each found by ``python -m repro.sim``
+``durable="journal"`` reaches it) are each found by ``python -m repro.sim``
 and shrunk to the dimensions that expose them, and neither is found
 with its dimension pinned to the default.  A seeded lock inversion is
-reported by the ``lock-order`` oracle instead of escaping ``shutdown()``.
+reported by the ``lock-order`` oracle instead of escaping the run.
 """
 
 from dataclasses import replace
@@ -149,7 +149,7 @@ DEFECTS = {
     ),
     "durability": (
         (FileJournal, "_persist", persist_from_the_second_record),
-        {"journal_dir": "journal"},
+        {"durable": "journal"},
     ),
 }
 
@@ -173,7 +173,7 @@ def test_the_fuzzer_finds_the_defect_and_shrinks_it_to_its_dimensions(
     [
         ("bid-round", {"scheduler": "solicit"}),
         ("bid-round", {"fan_call": "create_task"}),
-        ("durability", {"journal_dir": None}),
+        ("durability", {"durable": True}),
     ],
 )
 def test_with_its_dimension_pinned_to_the_default_the_defect_is_not_found(

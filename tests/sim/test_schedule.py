@@ -14,7 +14,7 @@ SEED_SWEEP = range(120)
 
 #: sha256 over ``generate(s).to_dict()`` for seeds 0-999, one sorted-key
 #: JSON line each: a seed names the same schedule until this is re-recorded
-SCHEDULES_0_999 = "25befc104b34745a6b1bb1af33c532ebf933a23d7154104aab616148fcbcd52e"
+SCHEDULES_0_999 = "c87e7b882bb80823a2d4dc083b7dc77abbcfd7e652e475b64a68cfa7f4e7efc6"
 
 
 class TestFaultEvent:
@@ -136,15 +136,15 @@ class TestTheDrawnCluster:
 
     def test_config_round_trips_and_shows_in_the_summary(self):
         schedule = Schedule(
-            seed=3, scheduler="bid", journal_dir="journal", fan_call="create_tasks"
+            seed=3, scheduler="bid", durable="journal", fan_call="create_tasks"
         )
         as_json = json.loads(json.dumps(schedule.to_dict()))
         assert Schedule.from_dict(as_json) == schedule
         assert schedule.drawn() == {
             "scheduler": "bid",
-            "journal_dir": "journal",
+            "durable": "journal",
             "fan_call": "create_tasks",
         }
         assert schedule.describe() == (
-            "fault-free | scheduler=bid,journal_dir=journal,fan_call=create_tasks"
+            "fault-free | scheduler=bid,durable=journal,fan_call=create_tasks"
         )

@@ -77,7 +77,7 @@ class TestClusterShrinking:
         start = Schedule(
             seed=1,
             scheduler="bid",
-            journal_dir="journal",
+            durable="journal",
             verify_locking=True,
             fan_call="create_tasks",
         )
@@ -94,7 +94,7 @@ class TestClusterShrinking:
 
         outage = (FaultEvent(3, "kill", "node0"), FaultEvent(6, "revive", "node0"))
         start = Schedule(
-            seed=1, drop_rate=0.01, scheduler="bid", journal_dir="journal", events=outage
+            seed=1, drop_rate=0.01, scheduler="bid", durable="journal", events=outage
         )
         shrink_schedule(start, fails)
         assert probed and all(converging(s) == s for s in probed)

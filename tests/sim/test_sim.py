@@ -77,18 +77,15 @@ class TestTimedEvents:
 
 class TestTheDrawnCluster:
     def test_a_combination_the_constructor_refuses_is_refused_not_skipped(self):
-        before = current_verifier()
-        schedule = Schedule(
-            seed=0, durable=False, journal_dir="journal", verify_locking=True
-        )
-        with pytest.raises(ConfigError, match="journal_dir"):
+        schedule = Schedule(seed=0, durable=None, verify_locking=True)
+        with pytest.raises(ConfigError, match="got None"):
             Simulation(0, schedule, n=6, workers=2, nodes=3).run()
-        assert current_verifier() is before
+        assert current_verifier() is None
 
     def test_a_run_with_its_journal_on_disk_is_green(self):
         # the oracles read the journal back from its file (a defect only
         # the file has is found: tests/sim/test_mutation.py)
-        schedule = Schedule(seed=0, journal_dir="journal", fan_call="create_tasks")
+        schedule = Schedule(seed=0, durable="journal", fan_call="create_tasks")
         result = Simulation(0, schedule, n=6, workers=2, nodes=3).run()
         assert result.done and result.records
         assert run_oracles(result) == {}

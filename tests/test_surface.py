@@ -166,6 +166,13 @@ DELETED = [
      r"\bsubscriber_names\b|\bnew_graph\b|\bget_tag\b|\bhas_tag\b|\bheld_names\b",
      "names only tests called: their tests read what production code reads "
      "(a solicitation, add_graph, tags_dict, holds)"),
+    ((*EVERYWHERE, "tooling/**/*"), r"\bjournal_dir\b|\block_verifier\b",
+     "durable states the journal choice whole (False, True or a directory), "
+     "and a verifier belongs to a verified_locks() scope, not to a cluster"),
+    (("src/repro/cn/**/*", "src/repro/analysis/**/*", "examples/**/*", "benchmarks/**/*",
+      "tests/cn/**/*", "tests/analysis/**/*"), r"\bverify_locking\b",
+     "a cluster is verified by building it inside verified_locks(); only the "
+     "simulator keeps the name, for a dimension of its own"),
 ]
 
 #: what counts as a caller of a package's exports: tests never do
