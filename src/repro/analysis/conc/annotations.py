@@ -59,12 +59,15 @@ GUARDED_BY: dict[str, str] = {
     "Job._roster": "Job._lock",
     "Job._first_live": "Job._lock",
     "Job._terminal_noted": "Job._lock",
-    # JobManager: the job table, which a registry read (another thread)
-    # copies through JobManager.census.
+    # JobManager: the job table and what its retired jobs counted, which
+    # a registry read (another thread) copies through JobManager.census.
     "JobManager.jobs": "JobManager._lock",
-    "JobManager._active": "JobManager._lock",
-    # JobDirectory: the first-registration order marks index into.
+    "JobManager._retired_routed": "JobManager._lock",
+    "JobManager._retired_unsized": "JobManager._lock",
+    # JobDirectory: the registrations marks are serials of, and the
+    # record of finished jobs that says which one leaves.
     "JobDirectory._registered": "JobDirectory._lock",
+    "JobDirectory._finished": "JobDirectory._lock",
     # TupleSpace: the backing list is only touched under the condition's
     # lock; ``_take`` relies on its caller holding it.
     "TupleSpace._tuples": "TupleSpace._lock",
@@ -75,8 +78,10 @@ GUARDED_BY: dict[str, str] = {
     # orders its extend+publish.
     "MemoryJournal._by_job": "MemoryJournal._lock",
     "MemoryJournal._checkpoints": "MemoryJournal._lock",
+    "MemoryJournal._finished": "MemoryJournal._lock",
     "FileJournal._by_job": "FileJournal._lock",
     "FileJournal._checkpoints": "FileJournal._lock",
+    "FileJournal._finished": "FileJournal._lock",
     "ReplicatedJournal._next_seq": "ReplicatedJournal._lock",
     # TaskManager slot and memory accounting, and the count of hostings
     # that still hold a reservation (``_end_hosting`` is the one place

@@ -94,16 +94,14 @@ class Cluster(AbstractContextManager):
             server.taskmanager.crash_hook = (
                 lambda name=server.name: self.kill_node(name)
             )
+            # handles resolve through the one directory, durable or not
+            server.jobmanager.directory = self.directory
             if config.durable:
                 server.attach_durability(
                     ReplicatedJournal(
                         backend_for(server.name), self.bus, origin=server.name
-                    ),
-                    self.directory,
+                    )
                 )
-            else:
-                # directory still wired: handles resolve even non-durably
-                server.jobmanager.directory = self.directory
         if telemetry is not None:
             telemetry.metrics.add_collector(self._fold_state)
 
@@ -228,9 +226,9 @@ class Cluster(AbstractContextManager):
         Per node: liveness, placement headroom, hosted tasks, queued
         messages, wire volume (proc only) and heartbeat misses -- the
         most any live peer's detector has counted against the node's
-        TaskManager.  Per manager: jobs created.  Per job id: messages
-        routed, summed over every Job registered for it on any manager
-        (a dead manager's and its adopter's alike)."""
+        TaskManager.  Per manager: jobs created, and messages routed by
+        every Job registered there, created or adopted, and by the jobs
+        that left it (so the totals never fall)."""
         metrics = self.telemetry.metrics
         alive = self.alive_servers()
         live = {server.name for server in alive}
@@ -241,8 +239,7 @@ class Cluster(AbstractContextManager):
                 if server is not watcher:
                     seen = detector.misses(server.taskmanager.name)
                     misses[server.name] = max(misses.get(server.name, 0), seen)
-        routed: dict[str, int] = {}
-        unsized = 0
+        unsized, any_jobs = 0, False
         for server in self.servers:
             tm = server.taskmanager
             node = metrics.namespaced(server.name)
@@ -253,17 +250,19 @@ class Cluster(AbstractContextManager):
             node.gauge("cn_node_queued_messages").set(tm.queued_messages())
             node.gauge("cn_node_heartbeat_misses").set(misses.get(server.name, 0))
             manager = server.jobmanager
-            created, jobs = manager.census()
+            created, jobs, routed, retired_unsized = manager.census()
             if created:
                 metrics.counter(
                     "cn_jobs_created_total", manager=manager.name
                 )._set_total(created)
-            for job in jobs:
-                routed[job.job_id] = routed.get(job.job_id, 0) + job.messages_routed
-                unsized += job.payloads_unsized
-        for job_id, count in routed.items():
-            metrics.counter("cn_messages_routed_total", job=job_id)._set_total(count)
-        if routed:
+            routed += sum(job.messages_routed for job in jobs)
+            unsized += retired_unsized + sum(job.payloads_unsized for job in jobs)
+            if jobs or routed:
+                any_jobs = True
+                metrics.counter(
+                    "cn_messages_routed_total", manager=manager.name
+                )._set_total(routed)
+        if any_jobs:
             metrics.counter("cn_payload_unsized_total")._set_total(unsized)
         for name, wire in self.transport.stats().items():
             node = metrics.namespaced(name)

@@ -21,7 +21,8 @@ PR 2 one level up.
 
 A checkpoint is the one record that is state rather than history: a
 replica keeps each task's latest beside the log and lets go of the one
-it supersedes (see :class:`MemoryJournal`); a journal *file* stays a
+it supersedes (see :class:`MemoryJournal`), and every per-job store lets
+the oldest finished job go (:func:`retire`); a journal *file* stays a
 full log.
 
 Backends are pluggable: :class:`MemoryJournal` keeps records in-process
@@ -38,6 +39,7 @@ as deterministic as that function, which the property tests exercise.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import pickle
 import threading
@@ -60,6 +62,23 @@ __all__ = [
     "RECORD_KINDS",
 ]
 
+#: finished jobs each per-job store keeps (at least the jobs one
+#: benchmark op or one simulated run makes)
+RETAINED_FINISHED = 32
+
+
+def retire(finished: dict[str, None], job_id: str, *stores: dict) -> Optional[str]:
+    """Note *job_id* in *finished*, the insertion-ordered finished ids;
+    past the limit the oldest leaves it and *stores* and is returned."""
+    finished[job_id] = None
+    if len(finished) <= RETAINED_FINISHED:
+        return None
+    oldest = next(iter(finished))
+    for store in (finished, *stores):
+        store.pop(oldest, None)
+    return oldest
+
+
 #: every record kind the journal understands, in no particular order
 RECORD_KINDS = (
     "job-created",   # client, manager                -- job submission
@@ -70,7 +89,7 @@ RECORD_KINDS = (
     "delivery",      # messages (list[Message])       -- one fan-out's ledger entries
     "ledger-gc",     # task, upto                     -- ledger truncation
     "checkpoint",    # task, tag, state               -- latest state per task
-    "job-finished",  # failed (bool)
+    "job-finished",  # failed (bool)                   -- the last of its batch
 )
 
 
@@ -154,12 +173,15 @@ class MemoryJournal:
     def __init__(self) -> None:
         self._lock = make_lock(f"{type(self).__name__}._lock")
         #: each job's log (first-seen job order), so a replay reads one
-        #: job without scanning the cluster's history
+        #: job without scanning the others
         self._by_job: dict[str, list[JournalRecord]] = {}
         #: job -> task -> its latest accepted checkpoint, each job's in
         #: arrival order
         self._checkpoints: dict[str, dict[str, _Retained]] = {}
+        #: job -> its fence; a job here without a log was retired
         self._high_water: dict[str, int] = {}
+        #: the finished jobs this replica keeps, oldest first
+        self._finished: dict[str, None] = {}
         #: records rejected by the epoch fence (zombie-manager writes)
         self.fenced: list[JournalRecord] = []
         #: checkpoints this replica let go of when their successor arrived
@@ -176,22 +198,24 @@ class MemoryJournal:
         A batch is one job's records at one manager epoch, and a
         checkpoint is a batch of its own (:meth:`ReplicatedJournal.append_many`
         refuses any other).  The epoch fence is applied once: a batch
-        stamped with a manager epoch older than its job's high-water
-        mark is a zombie write and is dropped whole (but kept on
-        :attr:`fenced` for observability) -- a fenced checkpoint
-        supersedes nothing.  An accepted batch is persisted whole."""
+        stamped with an epoch below its job's high-water mark, or for a
+        job this replica retired, is a zombie write and is dropped whole
+        (but kept on :attr:`fenced` for observability) -- a fenced
+        checkpoint supersedes nothing.  An accepted batch is persisted."""
         if not batch:
             return 0
         first = batch[0]
         job_id, mepoch = first.job_id, first.mepoch
         with self._lock:
-            log = self._by_job.setdefault(job_id, [])
-            high = self._high_water.get(job_id, 0)
-            if mepoch != high:
-                if mepoch < high:
-                    self.fenced += batch
-                    return 0
-                self._high_water[job_id] = mepoch
+            log = self._by_job.get(job_id)
+            high = self._high_water.get(job_id)
+            if high is not None and (log is None or mepoch < high):
+                self.fenced += batch
+                return 0
+            self._high_water[job_id] = mepoch
+            if log is None:
+                log = self._by_job[job_id] = []
+            self._persist(batch)
             if first.kind == "checkpoint":
                 table = self._checkpoints.setdefault(job_id, {})
                 task = first.data["task"]
@@ -201,7 +225,8 @@ class MemoryJournal:
                 table[task] = (len(log), first)
             else:
                 log += batch
-            self._persist(batch)
+                if batch[-1].kind == "job-finished":  # the oldest finished job leaves
+                    retire(self._finished, job_id, self._by_job, self._checkpoints)
             return len(batch)
 
     def records(self, job_id: Optional[str] = None) -> list[JournalRecord]:
@@ -213,15 +238,6 @@ class MemoryJournal:
                 table = self._checkpoints.get(job, {})
                 out += _interleave(self._by_job.get(job, ()), table.values())
             return out
-
-    def job_ids(self) -> list[str]:
-        with self._lock:
-            return list(self._by_job)
-
-    def manager_epoch(self, job_id: str) -> int:
-        """The fencing high-water mark for *job_id* (0 if never seen)."""
-        with self._lock:
-            return self._high_water.get(job_id, 0)
 
     def _persist(self, batch: Sequence[JournalRecord]) -> None:
         """Hook for durable backends: one accepted batch; the lock is
@@ -252,8 +268,8 @@ class FileJournal(MemoryJournal):
 
     The file stays a log: every accepted record, checkpoints included,
     in accept order.  Existing records are loaded on construction, so a
-    restarted server resumes with its journal intact (fencing state is
-    rebuilt too, and memory again holds one checkpoint per task).
+    restarted server resumes with its journal intact (the fence too; in
+    memory, one checkpoint per task and the newest finished jobs).
     """
 
     def __init__(self, path: str) -> None:
@@ -405,12 +421,10 @@ class ReplicatedJournal:
     def records(self, job_id: Optional[str] = None) -> list[JournalRecord]:
         return self.backend.records(job_id)
 
-    def jobs_managed_by(
-        self, manager: str, *, unfinished_only: bool = True
-    ) -> list[str]:
-        """Job ids whose *current* manager (after any adoptions) is
-        *manager*; with ``unfinished_only`` jobs with a job-finished
-        record at the current epoch are excluded."""
+    def jobs_managed_by(self, manager: str) -> list[str]:
+        """Unfinished job ids whose *current* manager (after any
+        adoptions) is *manager*: a job with a job-finished record at its
+        current epoch is excluded."""
         owner: dict[str, tuple[int, str]] = {}
         finished: dict[str, int] = {}
         for record in self.backend.records():
@@ -425,14 +439,11 @@ class ReplicatedJournal:
                 finished[record.job_id] = max(
                     finished.get(record.job_id, 0), record.mepoch
                 )
-        out = []
-        for job_id, (epoch, who) in owner.items():
-            if who != manager:
-                continue
-            if unfinished_only and finished.get(job_id, 0) >= epoch:
-                continue
-            out.append(job_id)
-        return sorted(out)
+        return sorted(
+            job_id
+            for job_id, (epoch, who) in owner.items()
+            if who == manager and finished.get(job_id, 0) < epoch
+        )
 
 
 @dataclass(frozen=True)
@@ -450,15 +461,19 @@ class JobDirectory:
     Client-side :class:`~repro.cn.api.JobHandle` objects resolve through
     the directory on every access, so when a successor adopts a job and
     re-registers it, existing handles transparently re-bind -- the
-    client never learns its manager died.
+    client never learns its manager died (a handle to a retired job
+    keeps the Job it last resolved).
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, DirectoryEntry] = {}
-        #: (registering thread, job id) in first-registration order (a
-        #: re-registration by an adopting manager adds none); a mark is a
-        #: position in it
-        self._registered: list[tuple[int, str]] = []
+        #: job id -> (registration serial, registering thread), in
+        #: first-registration order (a re-registration by an adopting
+        #: manager adds none); a mark is a serial
+        self._registered: dict[str, tuple[int, int]] = {}
+        self._serials = itertools.count()
+        #: the finished jobs the directory keeps, oldest first
+        self._finished: dict[str, None] = {}
         self._lock = make_lock("JobDirectory._lock", reentrant=False)
 
     def register(self, job_id: str, manager: Any, job: Any, epoch: int = 1) -> None:
@@ -468,7 +483,7 @@ class JobDirectory:
             if current is not None and current.epoch > epoch:
                 return  # a zombie manager cannot re-claim an adopted job
             if current is None:
-                self._registered.append((threading.get_ident(), job_id))
+                self._registered[job_id] = (next(self._serials), threading.get_ident())
             elif current.job is not job:
                 replaced = current.job
             self._entries[job_id] = DirectoryEntry(manager, job, epoch)
@@ -479,6 +494,13 @@ class JobDirectory:
             mark = getattr(replaced, "mark_rebound", None)
             if callable(mark):
                 mark()
+
+    def finish(self, job_id: str) -> Optional[DirectoryEntry]:
+        """Note *job_id* finished (:func:`retire`); returns the entry of
+        the finished job that leaves the directory now, if any."""
+        with self._lock:
+            gone = retire(self._finished, job_id, self._registered)
+            return None if gone is None else self._entries.pop(gone, None)
 
     def lookup(self, job_id: str) -> Optional[DirectoryEntry]:
         with self._lock:
@@ -491,16 +513,17 @@ class JobDirectory:
     def mark(self) -> int:
         """A position in registration order for :meth:`job_ids_since`."""
         with self._lock:
-            return len(self._registered)
+            return next(self._serials)
 
     def job_ids_since(self, mark: int) -> list[str]:
         """The ids the calling thread first registered after *mark*,
-        sorted: the jobs it made, not every job the cluster has had, nor
-        a concurrent caller's.  ``create_job`` registers on its caller's
-        thread, and a thread id is unique among live threads."""
+        sorted: the jobs it made, not a concurrent caller's.
+        ``create_job`` registers on its caller's thread, and a thread id
+        is unique among live threads."""
         me = threading.get_ident()
         with self._lock:
-            return sorted(job_id for who, job_id in self._registered[mark:] if who == me)
+            mine = self._registered.items()
+            return sorted(job for job, (n, who) in mine if n >= mark and who == me)
 
 
 def replay_job(job_id: str, records: Iterable[JournalRecord]) -> Job:

@@ -301,8 +301,8 @@ class Job:
 
     # -- durability ----------------------------------------------------------------
     def set_journal(self, hook: Optional[Any]) -> None:
-        """Attach (None: detach) the write-ahead journal hook: ``(events) ->
-        records``, a batch of ``(kind, data)`` pairs -> those accepted."""
+        """Attach (None: detach) the write-ahead journal hook, shaped as
+        :meth:`ReplicatedJournal.append_many`: it returns those accepted."""
         self._journal = hook
 
     def journal_events(
@@ -317,7 +317,7 @@ class Job:
             return ()
         hook = self._journal
         if hook is not None:
-            records = hook(events)
+            records = hook(self.job_id, events, self.manager_epoch)
         else:
             from .durability import JournalRecord
 

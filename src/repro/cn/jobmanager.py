@@ -163,10 +163,11 @@ class JobManager:
         #: unfinished jobs this manager takes on before it stops offering
         self.max_jobs = 16
         self.local_taskmanager = local_taskmanager
+        #: the unfinished jobs registered here and the newest finished
         self.jobs: dict[str, Job] = {}
-        #: the jobs of ``jobs`` not seen finished: what an offer reads
-        self._active: dict[str, Job] = {}
         self._job_counter = 0
+        #: what the jobs that left ``jobs`` counted, so no total falls
+        self._retired_routed = self._retired_unsized = 0
         self._lock = make_lock("JobManager._lock")
         self._taskmanagers: dict[str, TaskManager] = {}
         self._shutdown = False
@@ -174,14 +175,11 @@ class JobManager:
         #: delay before a retry is re-placed, and what waits it out
         self.backoff = ExponentialBackoff()
         self._sleeper: Callable[[float], None] = time.sleep
-        #: nodes this manager has declared dead and recovered from
-        self.failed_nodes: list[str] = []
         #: write-ahead job journal (replicated); None = non-durable mode
         self.journal: Optional[ReplicatedJournal] = None
         #: cluster-wide job_id -> (manager, Job) map for client re-binding
-        self.directory: Optional[JobDirectory] = None
-        #: jobs this manager adopted from dead peers (failover audit trail)
-        self.adopted_jobs: list[str] = []
+        #: (the Cluster hands every manager its one directory)
+        self.directory = JobDirectory()
         #: cluster Telemetry hub; None means zero instrumentation on
         #: every path below
         self.telemetry = config.telemetry
@@ -200,10 +198,9 @@ class JobManager:
         with self._lock:
             if self._shutdown:
                 return None
-            active = len(self._unfinished())
+            active = sum(not job.finished for job in self.jobs.values())
             if active >= self.max_jobs:
                 return None
-            wanted_tasks = int(solicitation.requirements.get("tasks", 0))
             # the offer advertises this manager's view of cluster capacity
             return {
                 "manager": self.name,
@@ -212,15 +209,7 @@ class JobManager:
                 "local_free_memory": (
                     self.local_taskmanager.free_memory if self.local_taskmanager else 0
                 ),
-                "wanted_tasks": wanted_tasks,
             }
-
-    def _unfinished(self) -> list[Job]:
-        """The unfinished jobs; one seen finished is not read again."""
-        for job_id, job in list(self._active.items()):
-            if job.finished:
-                del self._active[job_id]
-        return list(self._active.values())
 
     def register_taskmanager(self, tm: TaskManager) -> None:
         """Make *tm* known for direct upload after a successful solicit."""
@@ -248,8 +237,7 @@ class JobManager:
         (healed partition, revived node) makes the node placeable again
         without re-registration."""
         with self._lock:
-            self.failed_nodes.append(node)
-            jobs = self._unfinished()
+            jobs = [job for job in self.jobs.values() if not job.finished]
         for job in jobs:
             orphans = [
                 rt
@@ -327,8 +315,7 @@ class JobManager:
         with self._lock:
             if self._shutdown:
                 raise CnError(f"JobManager {self.name!r} is shut down")
-            self.jobs[job_id] = self._active[job_id] = job
-            self.adopted_jobs.append(job_id)
+            self.jobs[job_id] = job
         job.set_telemetry(self.telemetry)
         t = job.telemetry
         adopt_start = t.now() if t is not None else 0.0
@@ -361,18 +348,18 @@ class JobManager:
             # whether or not the dead manager lived to write job-finished:
             # write it at this epoch, before note_terminal wakes the client.
             # A job with no tasks yet is not over: its client adds them here
-            job.journal_events([("job-finished", {"failed": failed})])
+            if job.journal_events([("job-finished", {"failed": failed})]):
+                self._note_finished(job)
             pending = []
         # migrate the client conduit: drain the dead manager's client
         # queue into the new job's (trace history survives), close the
         # old one so zombie notifications surface as undeliverable
-        old_entry = self.directory.lookup(job_id) if self.directory else None
+        old_entry = self.directory.lookup(job_id)
         if old_entry is not None and old_entry.job is not job:
             for message in old_entry.job.client_queue.drain():
                 job.client_queue.put(message)
             old_entry.job.client_queue.close()
-        if self.directory is not None:
-            self.directory.register(job_id, self, job, epoch=job.manager_epoch)
+        self.directory.register(job_id, self, job, epoch=job.manager_epoch)
         job.notify(
             MessageType.MANAGER_ADOPTED,
             {
@@ -449,14 +436,8 @@ class JobManager:
         """Attach this manager's replicated journal to *job*: every batch
         of events the job emits is stamped with the job's current manager
         epoch."""
-        journal = self.journal
-        if journal is None:
-            return
-        job.set_journal(
-            lambda events: journal.append_many(
-                job.job_id, events, job.manager_epoch
-            )
-        )
+        if self.journal is not None:
+            job.set_journal(self.journal.append_many)
 
     # -- job lifecycle -----------------------------------------------------------
     def create_job(self, client_name: str) -> Job:
@@ -466,7 +447,7 @@ class JobManager:
             self._job_counter += 1
             job_id = f"{self.name}-job{self._job_counter}"
             job = Job(job_id, client_name)
-            self.jobs[job_id] = self._active[job_id] = job
+            self.jobs[job_id] = job
         job.set_telemetry(self.telemetry)
         t = job.telemetry
         if t is not None:
@@ -481,8 +462,7 @@ class JobManager:
         self._bind_journal(job)
         created = {"client": client_name, "manager": self.name}
         job.journal_events([("job-created", created)])
-        if self.directory is not None:
-            self.directory.register(job_id, self, job, epoch=job.manager_epoch)
+        self.directory.register(job_id, self, job, epoch=job.manager_epoch)
         return job
 
     def create_task(self, job: Job, spec: TaskSpec) -> TaskRuntime:
@@ -734,14 +714,28 @@ class JobManager:
         if finished:
             events.append(("job-finished", {"failed": failed}))
         # one batch: a journal never holds the tasks' end without the job's
-        job.journal_events(events)
-        if finished:
-            with self._lock:
-                self._active.pop(job.job_id, None)
+        if job.journal_events(events) and finished:
+            self._note_finished(job)
         if finished or cancelled:
             # the job is over (a task only ends CANCELLED when its job was
             # cancelled): its nodes give back what it no longer runs
             self._release_job(job)
+
+    def _note_finished(self, job: Job) -> None:
+        """*job* journaled ``job-finished`` here: the job the directory
+        retires now leaves its manager's ``jobs`` and the span store."""
+        entry = self.directory.finish(job.job_id)
+        if entry is not None:
+            entry.manager._forget(entry.job)
+            if self.telemetry is not None:
+                self.telemetry.spans.retire(entry.job.job_id)
+
+    def _forget(self, job: Job) -> None:
+        with self._lock:
+            if self.jobs.get(job.job_id) is job:
+                del self.jobs[job.job_id]
+                self._retired_routed += job.messages_routed
+                self._retired_unsized += job.payloads_unsized
 
     def _release_job(self, job: Job) -> None:
         for node in {rt.node_name for rt in job.tasks.values()}:
@@ -905,11 +899,13 @@ class JobManager:
             job.client_queue.close()
             job.set_journal(None)  # a late attempt finds no closed journal
 
-    def census(self) -> tuple[int, list[Job]]:
-        """``(jobs created here, every Job registered here)``, created and
+    def census(self) -> tuple[int, list[Job], int, int]:
+        """``(jobs created here, every Job registered here, messages
+        routed and payloads unsized by the jobs that left)``, created and
         adopted alike, read in one step (the cluster's registry fold)."""
         with self._lock:
-            return self._job_counter, list(self.jobs.values())
+            jobs = list(self.jobs.values())
+            return self._job_counter, jobs, self._retired_routed, self._retired_unsized
 
     def __repr__(self) -> str:
         with self._lock:

@@ -7,8 +7,8 @@ and displays or makes the results available for download."
 Two layers:
 
 * :class:`Portal` -- the in-process service: accepts XMI submissions,
-  runs the Fig. 6 pipeline against its cluster, and keeps every
-  submission's artifacts (CNX, generated client, results) available for
+  runs the Fig. 6 pipeline against its cluster, and keeps the newest
+  submissions' artifacts (CNX, generated client, results) available for
   download.  This is what tests and the second deployment configuration
   ("through a web portal so that the user does not need to log on to the
   subnet") exercise.
@@ -35,6 +35,7 @@ from repro.core.xmi.reader import read_model
 from ..analysis import Report
 from ..analysis.conc.runtime import make_lock
 from .cluster import Cluster
+from .durability import RETAINED_FINISHED
 from .errors import CnxValidationError
 from .registry import TaskRegistry
 from .telemetry import chrome_trace, write_jsonl
@@ -124,10 +125,11 @@ class Submission:
 
     def _journaled(self) -> list[tuple[str, Any]]:
         """Each job's adoptions, as its current manager's replica holds
-        them: ``(job_id, record)`` pairs."""
+        them: ``(job_id, record)`` pairs (none for a retired job)."""
         adoptions = []
         for job_id in self.job_ids:
-            journal = self.cluster.directory.lookup(job_id).manager.journal
+            entry = self.cluster.directory.lookup(job_id)
+            journal = entry.manager.journal if entry is not None else None
             for record in journal.records(job_id) if journal is not None else ():
                 if record.kind == "job-adopted":
                     adoptions.append((job_id, record))
@@ -202,6 +204,8 @@ class Portal:
             self._counter += 1
             submission = Submission(self._counter, self.cluster, xmi_text=xmi_text)
             self._submissions[submission.submission_id] = submission
+            if len(self._submissions) > RETAINED_FINISHED:
+                del self._submissions[next(iter(self._submissions))]
         chaos = self.cluster.chaos
         directory = self.cluster.directory
         faults_before = chaos.fault_count() if chaos is not None else 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
-from .durability import JobDirectory, ReplicatedJournal
+from .durability import ReplicatedJournal
 from .jobmanager import JobManager
 from .multicast import MulticastBus, Solicitation
 from .taskmanager import TaskManager
@@ -62,15 +62,12 @@ class CNServer:
         self.telemetry = config.telemetry
 
     # -- durability ------------------------------------------------------------
-    def attach_durability(
-        self, journal: ReplicatedJournal, directory: JobDirectory
-    ) -> None:
-        """Wire the write-ahead journal and the cluster job directory into
-        this node's JobManager; journal replicas arriving on the bus are
-        folded into the local backend by :meth:`_on_event`."""
+    def attach_durability(self, journal: ReplicatedJournal) -> None:
+        """Wire the write-ahead journal into this node's JobManager;
+        journal replicas arriving on the bus are folded into the local
+        backend by :meth:`_on_event`."""
         self.journal = journal
         self.jobmanager.journal = journal
-        self.jobmanager.directory = directory
         telemetry = self.telemetry
         if telemetry is not None:
             # scrape-time fold, like BusStats: the backend already keeps

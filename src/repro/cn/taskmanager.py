@@ -278,11 +278,14 @@ class TaskManager:
         the exiting thread also forgets the hosting, which fences any
         outcome it still produces (see :meth:`_apply_outcome`); the thread
         leaves it for the job's later tasks to find as a local producer
-        until the job is over (:meth:`release_job`)."""
+        until the job is over (:meth:`release_job`).  It stops being its
+        task's hosting, so no cycle keeps a finished job alive."""
         with self._lock:
             key = (hosted.job.job_id, hosted.runtime.name)
             if not exited and self._hosted.get(key) is hosted:
                 del self._hosted[key]
+            if hosted.runtime.hosting is hosted:
+                hosted.runtime.hosting = None
             started = hosted.started_at is not None
             if hosted.queue is None and (exited or not started):
                 hosted.queue = _ENDED  # nothing will read it: build none
@@ -654,8 +657,6 @@ class TaskManager:
                 self._end_hosting(hosted)
                 hosted.runtime.state = TaskState.CANCELLED
         self._cancel(hosted)
-        if unstarted:
-            hosted.runtime.hosting = None
         return unstarted
 
     def hosted_count(self) -> int:

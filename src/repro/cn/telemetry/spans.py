@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-__all__ = ["Span", "SpanRecorder", "span_children", "orphan_spans"]
+__all__ = ["Span", "SpanRecorder", "orphan_spans"]
 
 
 @dataclass(slots=True)
@@ -96,7 +96,8 @@ class Span:
 
 
 class SpanRecorder:
-    """Thread-safe, cluster-global span store.
+    """Thread-safe, cluster-global span store: one dict of spans per
+    trace, in first-seen trace order, until the trace's job retires.
 
     One recorder serves every node of a cluster -- spans recorded by a
     manager that later dies stay available to its successor, which is
@@ -105,11 +106,8 @@ class SpanRecorder:
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock if clock is not None else time.monotonic
-        #: every span, in recording order (nothing is ever removed)
-        self._spans: dict[tuple[str, str], Span] = {}
-        #: the same spans per trace (first-seen trace order), so reading
-        #: one trace does not grow with the recorder's history
-        self._by_trace: dict[str, list[Span]] = {}
+        #: trace id -> span id -> span, each trace in recording order
+        self._by_trace: dict[str, dict[str, Span]] = {}
         self._lock = threading.Lock()
 
     def now(self) -> float:
@@ -133,22 +131,15 @@ class SpanRecorder:
         A repeated ``begin`` (e.g. an adoption replaying job creation)
         returns the existing span untouched, merging only new attrs.
         """
-        key = (trace_id, span_id)
         with self._lock:
-            span = self._spans.get(key)
+            trace = self._by_trace.setdefault(trace_id, {})
+            span = trace.get(span_id)
             if span is None:
-                span = Span(
-                    trace_id=trace_id,
-                    span_id=span_id,
-                    parent_id=parent_id,
-                    name=name if name is not None else span_id,
-                    kind=kind,
-                    start=ts if ts is not None else self._clock(),
-                    node=node,
-                    attrs=dict(attrs),
+                start = ts if ts is not None else self._clock()
+                name = name if name is not None else span_id
+                span = trace[span_id] = Span(
+                    trace_id, span_id, name, kind, start, parent_id, None, node, attrs
                 )
-                self._spans[key] = span
-                self._by_trace.setdefault(trace_id, []).append(span)
             elif attrs:
                 for k, v in attrs.items():
                     span.attrs.setdefault(k, v)
@@ -181,23 +172,14 @@ class SpanRecorder:
         """Record an already-complete span in one call and one lock hold:
         ``begin`` (get-or-create, new attrs merged) then ``end`` (first
         close wins)."""
-        key = (trace_id, span_id)
         with self._lock:
-            span = self._spans.get(key)
+            trace = self._by_trace.setdefault(trace_id, {})
+            span = trace.get(span_id)
             if span is None:
-                span = Span(
-                    trace_id,
-                    span_id,
-                    name if name is not None else span_id,
-                    kind,
-                    start,
-                    parent_id,
-                    end,
-                    node,
-                    attrs,
+                name = name if name is not None else span_id
+                span = trace[span_id] = Span(
+                    trace_id, span_id, name, kind, start, parent_id, end, node, attrs
                 )
-                self._spans[key] = span
-                self._by_trace.setdefault(trace_id, []).append(span)
                 return span
             for k, v in attrs.items():
                 span.attrs.setdefault(k, v)
@@ -211,17 +193,23 @@ class SpanRecorder:
                 span.events = []  # made by the first event: most spans have none
             span.events.append((self._clock(), name, dict(attrs)))
 
+    def retire(self, trace_id: str) -> None:
+        """Forget one trace: its job left the cluster."""
+        with self._lock:
+            self._by_trace.pop(trace_id, None)
+
     # -- queries -------------------------------------------------------------
     def get(self, trace_id: str, span_id: str) -> Optional[Span]:
         with self._lock:
-            return self._spans.get((trace_id, span_id))
+            return self._by_trace.get(trace_id, {}).get(span_id)
 
     def spans(self, trace_id: Optional[str] = None) -> list[Span]:
-        """All spans (or one trace's), in recording order."""
+        """One trace's spans in recording order; without *trace_id*,
+        every trace's, in first-seen trace order."""
         with self._lock:
             if trace_id is None:
-                return list(self._spans.values())
-            return list(self._by_trace.get(trace_id, ()))
+                return [span for trace in self._by_trace.values() for span in trace.values()]
+            return list(self._by_trace.get(trace_id, {}).values())
 
     def trace_ids(self) -> list[str]:
         with self._lock:
@@ -229,15 +217,7 @@ class SpanRecorder:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._spans)
-
-
-def span_children(spans: Iterable[Span]) -> dict[Optional[str], list[Span]]:
-    """Parent span id -> children, per trace-tree edge."""
-    children: dict[Optional[str], list[Span]] = {}
-    for span in spans:
-        children.setdefault(span.parent_id, []).append(span)
-    return children
+            return sum(map(len, self._by_trace.values()))
 
 
 def orphan_spans(spans: Iterable[Span]) -> list[Span]:

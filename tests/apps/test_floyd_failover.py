@@ -121,8 +121,8 @@ class TestManagerKilledMidFloyd:
                 raise outcome["error"]
             assert np.allclose(outcome["result"], floyd_warshall(matrix))
             successor = cluster.servers[1].jobmanager
-            assert len(successor.adopted_jobs) == 1
-            job_id = successor.adopted_jobs[0]
+            [job_id] = successor.jobs
+            assert cluster.directory.lookup(job_id).manager is successor
             records = cluster.servers[1].journal.records(job_id)
             assert [r.kind for r in records].count("job-adopted") == 1
             # every worker resumed from its step-gate_k checkpoint rather

@@ -302,7 +302,7 @@ class TestNodeKillRecovery:
             assert handle.job.task("e").node_name == "node2/tm"
             assert handle.job.messages_replayed >= 1
             jm = cluster.servers[0].jobmanager
-            assert "node1/tm" in jm.failed_nodes
+            assert "node1/tm" in jm.failure_detector.dead_nodes()
             types = [m.type for m in handle.job.client_queue.drain()]
             assert MessageType.NODE_FAILED in types
 

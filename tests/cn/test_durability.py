@@ -33,6 +33,7 @@ from repro.cn import (
     replay_job,
 )
 from repro.cn.durability import (
+    RETAINED_FINISHED,
     FileJournal,
     JobDirectory,
     MemoryJournal,
@@ -140,7 +141,7 @@ class TestMemoryJournal:
         assert journal.append(a) and journal.append(b)
         assert journal.records() == [a, b]
         assert journal.records("j1") == [a]
-        assert journal.job_ids() == ["j1", "j2"]
+        assert [r.job_id for r in journal.records()] == ["j1", "j2"]
         assert len(journal) == 2
 
     def test_epoch_fence_rejects_stale_writes(self):
@@ -151,15 +152,16 @@ class TestMemoryJournal:
         assert journal.append(stale) is False
         assert journal.fenced == [stale]
         assert stale not in journal.records("j")
-        assert journal.manager_epoch("j") == 2
+        assert journal.append(rec(4, "j", "task-state", mepoch=2, task="t"))
 
     def test_fence_is_per_job(self):
         journal = MemoryJournal()
         journal.append(rec(1, "a", "job-adopted", mepoch=5))
         assert journal.append(rec(2, "b", "job-created", mepoch=1))
-        assert journal.manager_epoch("a") == 5
-        assert journal.manager_epoch("b") == 1
-        assert journal.manager_epoch("never-seen") == 0
+        assert not journal.append(rec(3, "a", "task-state", mepoch=4, task="t"))
+        assert journal.append(rec(4, "a", "task-state", mepoch=5, task="t"))
+        assert journal.append(rec(5, "b", "task-state", mepoch=1, task="t"))
+        assert journal.append(rec(6, "never-seen", "job-created", mepoch=1))
 
 
     def test_extend_fences_per_record_inside_one_batch(self):
@@ -178,8 +180,9 @@ class TestMemoryJournal:
         assert journal.extend(()) == 0
 
     def test_reading_one_job_touches_no_other_jobs_records(self):
-        """records(job_id) / job_ids() come from the per-job index: the
-        cost of a replay does not grow with the cluster's history."""
+        """records(job_id) comes from the per-job index: the cost of a
+        replay does not grow with the other jobs a replica holds (the
+        newest RETAINED_FINISHED of the 200 finished here)."""
 
         class Tripwire(JournalRecord):
             touched = 0
@@ -198,7 +201,7 @@ class TestMemoryJournal:
         Tripwire.touched = 0
         assert journal.records("mine") == mine
         assert journal.records("never-seen") == []
-        assert len(journal.job_ids()) == 201 and journal.job_ids()[-1] == "mine"
+        assert len(journal) == 2 * RETAINED_FINISHED + 3
         assert Tripwire.touched == 0
         # a copy, not the index itself
         journal.records("mine").clear()
@@ -240,7 +243,6 @@ class TestFileJournal:
         journal.append(rec(1, "j", "job-adopted", mepoch=3))
         journal.close()
         reloaded = FileJournal(path)
-        assert reloaded.manager_epoch("j") == 3
         assert reloaded.append(rec(9, "j", "task-state", mepoch=2, task="t")) is False
         reloaded.close()
 
@@ -252,7 +254,6 @@ class TestFileJournal:
         journal.extend([rec(3, "a", "job-finished", failed=False)])
         journal.close()
         reloaded = FileJournal(path)
-        assert reloaded.job_ids() == ["a", "b"]
         assert [r.seq for r in reloaded.records("a")] == [1, 3]
         # every job's log, in first-seen job order
         assert [r.seq for r in reloaded.records()] == [1, 3, 2]
@@ -397,7 +398,7 @@ class TestReplicatedJournal:
         checkpoint = ("checkpoint", {"task": "t", "tag": 1, "state": {"k": 1}})
         with pytest.raises(JournalError, match="checkpoint"):
             journal.append_many("j", [("task-state", {"task": "t"}), checkpoint], 1)
-        assert journal.records("j") == [] and journal.backend.job_ids() == []
+        assert journal.records() == []
         assert [r.seq for r in journal.append_many("j", [checkpoint], 1)] == [1]
 
     def test_fenced_append_returns_none_and_is_not_published(self):
@@ -418,7 +419,6 @@ class TestReplicatedJournal:
         journal.append("a", "job-finished", {"failed": False}, 1)
         assert journal.jobs_managed_by("n0/jm") == []
         assert journal.jobs_managed_by("n1/jm") == ["b", "c"]
-        assert journal.jobs_managed_by("n0/jm", unfinished_only=False) == ["a"]
 
 
 class TestJobDirectory:
@@ -574,7 +574,7 @@ class TestReplayDeliveryBatchAndGC:
         # collected is journaled after it, and the fold needs no rule for one
         job = Job("j", "c")
         journal = ReplicatedJournal()
-        job.set_journal(lambda events: journal.append_many("j", events))
+        job.set_journal(journal.append_many)
         job.journal_events([("task-spec", {"spec": TaskSpec("t", jar="j", cls="C")})])
         rounds = 2000
 
@@ -776,10 +776,9 @@ class TestReplayDeterminism:
         accepted = sum(single.extend((record,)) for record in records)
         assert sum(batched.extend(batch) for batch in _batches(records)) == accepted
         assert single.records() == batched.records()
-        assert single.job_ids() == batched.job_ids()
+        assert single._high_water == batched._high_water
         for job_id in ("j", "other"):
             assert single.records(job_id) == batched.records(job_id)
-            assert single.manager_epoch(job_id) == batched.manager_epoch(job_id)
         assert single.fenced == batched.fenced
         assert single.superseded == batched.superseded
         assert len(single) == len(batched)
@@ -836,8 +835,8 @@ def _observed(journal):
     return (
         backend.records(),
         {job_id: backend.records(job_id) for job_id in ("j", "other")},
-        backend.job_ids(),
-        {job_id: backend.manager_epoch(job_id) for job_id in ("j", "other")},
+        list(dict.fromkeys(r.job_id for r in backend.records())),
+        {job_id: backend._high_water.get(job_id, 0) for job_id in ("j", "other")},
         backend.fenced,
         data,
     )
@@ -877,7 +876,7 @@ def _write_both_ways(writes, raced=None):
         assert sides[0] == sides[1]
         reloaded = FileJournal(batched.backend.path)
         assert reloaded.records() == batched.records()
-        assert reloaded.job_ids() == batched.backend.job_ids()
+        assert reloaded._high_water == batched.backend._high_water
         reloaded.close()
         return (*sides[0], published)
 
@@ -1308,8 +1307,7 @@ class TestManagerFailover:
             results = api.wait(handle, timeout=15)
             # "first" came back via the replayed delivery ledger
             assert results["e"] == ["first", "second"]
-            jm = cluster.servers[1].jobmanager
-            assert handle.job_id in jm.adopted_jobs
+            assert cluster.directory.lookup(handle.job_id).manager is cluster.servers[1].jobmanager
             trace = collect_trace(handle)
             [adoption] = trace.adoptions()
             assert adoption.detail["previous"] == "node0/jm"
@@ -1355,7 +1353,8 @@ class TestManagerFailover:
             cluster.kill_node("node0")
             cluster.tick(3)
             successor_journal = cluster.servers[1].journal
-            assert successor_journal.backend.manager_epoch(job_id) == 2
+            adoptions = successor_journal.records(job_id)
+            assert [r.mepoch for r in adoptions if r.kind == "job-adopted"] == [2]
             # a write still stamped with the dead manager's epoch bounces
             assert successor_journal.append(job_id, "task-state", {}, 1) is None
             api.send_message(handle, "e", "done")
@@ -1379,7 +1378,8 @@ class TestManagerFailover:
             api.start_job(handle)
             backend = cluster.servers[1].journal.backend
             in_flight = len(backend.records(handle.job_id))
-            assert len(backend) == 400 + in_flight
+            # the replica keeps the newest finished jobs of the 200
+            assert len(backend) == 2 * RETAINED_FINISHED + in_flight
             reads = []
             real_records = backend.records
 
@@ -1408,11 +1408,11 @@ class TestManagerFailover:
             api.start_job(handle)
             cluster.kill_node("node0")
             cluster.tick(3)
-            adopters = [
-                s.name for s in cluster.alive_servers()
-                if handle.job_id in s.jobmanager.adopted_jobs
+            adopted = [
+                m.payload["manager"] for m in handle.job.client_queue.drain()
+                if m.type is MessageType.MANAGER_ADOPTED
             ]
-            assert adopters == ["node1"]
+            assert adopted == ["node1/jm"]
             api.send_message(handle, "e", "x")
             assert api.wait(handle, timeout=15)["e"] == "x"
 
@@ -1431,8 +1431,7 @@ class TestManagerFailover:
             cluster.tick(3)
             api.send_message(handle, "e", "still here")
             assert api.wait(handle, timeout=15)["e"] == "still here"
-            for server in cluster.alive_servers():
-                assert server.jobmanager.adopted_jobs == []
+            assert cluster.directory.lookup(handle.job_id).manager.name == "node0/jm"
 
     def test_finished_jobs_are_not_adopted(self):
         with Cluster(3, registry=echo_registry()) as cluster:
@@ -1444,8 +1443,7 @@ class TestManagerFailover:
             assert api.wait(handle, timeout=10)["q"] == "ok"
             cluster.kill_node("node0")
             cluster.tick(3)
-            for server in cluster.alive_servers():
-                assert server.jobmanager.adopted_jobs == []
+            assert cluster.directory.lookup(handle.job_id).manager.name == "node0/jm"
 
     def test_adoption_finishes_a_job_whose_tasks_all_ended(self):
         """The manager died between a task's ``task-state`` and the
@@ -1465,7 +1463,7 @@ class TestManagerFailover:
             cluster.kill_node("node0")
             cluster.tick(3)
             successor = cluster.servers[1]
-            assert successor.jobmanager.adopted_jobs == ["j"]
+            assert cluster.directory.lookup("j").manager is successor.jobmanager
             assert successor.jobmanager.jobs["j"].wait(0) == {"q": "ok"}
             last = successor.journal.records("j")[-1]
             assert (last.kind, last.mepoch, last.data) == (
@@ -1474,7 +1472,7 @@ class TestManagerFailover:
             assert successor.journal.jobs_managed_by("node1/jm") == []
             cluster.kill_node("node1")
             cluster.tick(3)
-            assert cluster.servers[2].jobmanager.adopted_jobs == []
+            assert cluster.directory.lookup("j").manager is successor.jobmanager
 
     def test_adoption_does_not_run_a_job_that_already_failed(self):
         """A task FAILED and the manager died before ``job-finished``:
@@ -1641,21 +1639,23 @@ class TestHeartbeatLifecycle:
 
 
 class TestActiveJobs:
-    def test_an_offer_reads_no_finished_job_and_counts_an_adopted_one(self, monkeypatch):
+    def test_an_offer_skips_retired_jobs_and_counts_an_adopted_one(self, monkeypatch):
         """A JobManager's offer to manage a job counts its unfinished
-        jobs without reading any job that already finished: the read of
-        ``Job.finished`` takes the job's lock, once per job per
-        solicitation, for the life of the manager."""
+        jobs by reading the jobs it holds: the read of ``Job.finished``
+        takes the job's lock, once per job per solicitation, and a job
+        that left the cluster is never read again."""
         with Cluster(3, registry=echo_registry()) as cluster:
             worker_only_nodes(cluster)
             api = CNAPI.initialize(cluster)
             successor = cluster.servers[1].jobmanager
-            for _ in range(5):
-                done = api.create_job("client", requirements={"prefer": "node1"})
-                api.create_task(done, TaskSpec(name="q", jar="quick.jar", cls="t.Quick"))
-                api.start_job(done)
-                assert api.wait(done, timeout=15) == {"q": "ok"}
-                assert done.manager is successor
+            done = []
+            for _ in range(RETAINED_FINISHED + 5):
+                handle = api.create_job("client", requirements={"prefer": "node1"})
+                api.create_task(handle, TaskSpec(name="q", jar="quick.jar", cls="t.Quick"))
+                api.start_job(handle)
+                assert api.wait(handle, timeout=15) == {"q": "ok"}
+                assert handle.manager is successor
+                done.append(handle.job)
             handle = api.create_job("client", requirements={"prefer": "node0"})
             api.create_task(handle, TaskSpec(name="e", jar="echo.jar", cls="t.Echo"))
             api.start_job(handle)
@@ -1669,9 +1669,10 @@ class TestActiveJobs:
             )
             offer = Solicitation("jobmanager", {}, "client")
             assert successor.willing_to_manage(offer)["active_jobs"] == 1
-            assert read == [handle.job]
+            assert sorted(map(id, read)) == sorted(map(id, [*done[5:], handle.job]))
             api.send_message(handle, "e", "done")
             assert api.wait(handle, timeout=15) == {"e": "done"}
             read.clear()
             assert successor.willing_to_manage(offer)["active_jobs"] == 0
-            assert read == []
+            # the adopted job's end retired the oldest job left
+            assert sorted(map(id, read)) == sorted(map(id, [*done[6:], handle.job]))

@@ -185,7 +185,7 @@ class TestJobObject:
         queue = MessageQueue(owner="j1/a")
         job.tasks["a"].hosting = Hosting(queue)
         refused = []
-        job.set_journal(lambda events: refused.append(events) or ())
+        job.set_journal(lambda job_id, events, mepoch: refused.append(events) or ())
         job.route(Message.user("client", "a", "x"))
         job.save_checkpoint("a", {"k": 1}, tag=1)
         assert len(refused) == 2
@@ -193,7 +193,7 @@ class TestJobObject:
         assert job.load_checkpoint("a") is None
         # the same writes, accepted, are applied
         journal = ReplicatedJournal()
-        job.set_journal(lambda events: journal.append_many("j1", events))
+        job.set_journal(journal.append_many)
         job.route(Message.user("client", "a", "x"))
         job.save_checkpoint("a", {"k": 1}, tag=1)
         assert job.has_ledgered("a") and queue.get(0.1).payload == "x"

@@ -8,9 +8,12 @@ import pytest
 
 from repro.apps.montecarlo import build_pi_model, register_pi_tasks
 from repro.cn import Cluster
+from repro.cn.durability import RETAINED_FINISHED
 from repro.cn.portal import Portal, PortalHTTPServer
 from repro.cn.registry import TaskRegistry
+from repro.core.transform.pipeline import Pipeline
 from repro.core.xmi import write_graph
+from repro.core.xmi.reader import read_model
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +273,42 @@ class TestSubmissionEvents:
         ]
         assert submission.summary()["failovers"] == 1
         assert json.loads(submission.artifacts()["timeline"])["traceEvents"]
+
+
+class TestRetention:
+    def test_the_newest_submissions_stay_and_a_retired_jobs_views_read_gone(self):
+        registry = register_pi_tasks(TaskRegistry())
+        with Cluster(2, registry=registry, memory_per_node=64000) as cluster:
+            portal = Portal(cluster)
+            server = PortalHTTPServer(portal).start()
+            host, port = server.address
+            try:
+                for _ in range(RETAINED_FINISHED + 5):
+                    assert portal.submit(pi_xmi(samples=2000, workers=2)).status == "done"
+                ids = [summary["id"] for summary in portal.list()]
+                assert ids == list(range(6, RETAINED_FINISHED + 6))
+                with pytest.raises(KeyError):
+                    portal.get(5)
+                oldest = portal.get(6)
+                # one job run past the portal retires the oldest live one's
+                Pipeline().run(read_model(pi_xmi(samples=2000, workers=2)), cluster)
+                assert cluster.directory.lookup(oldest.job_ids[0]) is None
+                assert [summary["id"] for summary in portal.list()] == ids
+                artifacts = oldest.artifacts()
+                assert artifacts["cnx"] == oldest.cnx_text and artifacts["xmi"]
+                assert json.loads(artifacts["failovers"]) == []
+                assert artifacts["timeline"] == artifacts["telemetry.jsonl"] == ""
+                url = f"http://{host}:{port}"
+                listing = json.load(urllib.request.urlopen(f"{url}/submissions"))
+                assert [summary["id"] for summary in listing] == ids
+                timeline = urllib.request.urlopen(f"{url}/submission/6/timeline")
+                assert timeline.status == 200 and timeline.read() == b""
+                with pytest.raises(urllib.error.HTTPError) as gone:
+                    urllib.request.urlopen(f"{url}/submission/5")
+                assert gone.value.code == 404
+            finally:
+                server.stop()
+                portal.close()
 
 
 class TestPortalHTTP:

@@ -173,6 +173,17 @@ DELETED = [
       "tests/cn/**/*", "tests/analysis/**/*"), r"\bverify_locking\b",
      "a cluster is verified by building it inside verified_locks(); only the "
      "simulator keeps the name, for a dimension of its own"),
+    ((*EVERYWHERE, "tooling/**/*"),
+     r"\badopted_jobs\b|\bfailed_nodes\b|\bunfinished_only\b|\bmanager_epoch\(|\bspan_children\b"
+     r"|(backend|journal|single|batched|reloaded)\.job_ids\(",
+     "a finished job leaves the cluster: no audit list that grows with its history, "
+     "and no reader only tests called (they read the directory, the client messages, "
+     "the failure detector and the records)"),
+    (("src/repro/cn/jobmanager.py", "src/repro/cn/telemetry/spans.py",
+      "src/repro/analysis/conc/annotations.py"),
+     r"\b_active\b|\b_unfinished\b|\bself\._spans\b|SpanRecorder\._spans",
+     "stores that keep the newest finished jobs need no index beside them: an offer "
+     "reads the manager's jobs, and the span store is one dict per trace"),
 ]
 
 #: what counts as a caller of a package's exports: tests never do
