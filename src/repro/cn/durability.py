@@ -67,7 +67,7 @@ __all__ = [
 RETAINED_FINISHED = 32
 
 
-def retire(finished: dict[str, None], job_id: str, *stores: dict) -> Optional[str]:
+def retire(finished: dict[Any, None], job_id: Any, *stores: dict) -> Any:
     """Note *job_id* in *finished*, the insertion-ordered finished ids;
     past the limit the oldest leaves it and *stores* and is returned."""
     finished[job_id] = None
@@ -448,11 +448,13 @@ class ReplicatedJournal:
 
 @dataclass(frozen=True)
 class DirectoryEntry:
-    """Current binding of one job id: who manages it, which Job object."""
+    """Current binding of one job id: who manages it, which Job object,
+    and the binding an adoption replaced (its manager keeps its copy)."""
 
     manager: Any  # JobManager (untyped to avoid an import cycle)
     job: Any      # Job
     epoch: int = 1
+    previous: Optional["DirectoryEntry"] = None
 
 
 class JobDirectory:
@@ -486,7 +488,9 @@ class JobDirectory:
                 self._registered[job_id] = (next(self._serials), threading.get_ident())
             elif current.job is not job:
                 replaced = current.job
-            self._entries[job_id] = DirectoryEntry(manager, job, epoch)
+            # an adoption's entry keeps the one it replaced
+            previous = current if replaced is not None else getattr(current, "previous", None)
+            self._entries[job_id] = DirectoryEntry(manager, job, epoch, previous)
         # wake clients blocked on the superseded Job *after* releasing the
         # directory lock (mark_rebound takes the job lock; keep the order
         # one-way to stay deadlock-free) so they re-resolve to this entry

@@ -201,6 +201,7 @@ class JobManager:
             active = sum(not job.finished for job in self.jobs.values())
             if active >= self.max_jobs:
                 return None
+            wanted_tasks = int(solicitation.requirements.get("tasks", 0))
             # the offer advertises this manager's view of cluster capacity
             return {
                 "manager": self.name,
@@ -209,6 +210,7 @@ class JobManager:
                 "local_free_memory": (
                     self.local_taskmanager.free_memory if self.local_taskmanager else 0
                 ),
+                "wanted_tasks": wanted_tasks,
             }
 
     def register_taskmanager(self, tm: TaskManager) -> None:
@@ -723,12 +725,14 @@ class JobManager:
 
     def _note_finished(self, job: Job) -> None:
         """*job* journaled ``job-finished`` here: the job the directory
-        retires now leaves its manager's ``jobs`` and the span store."""
+        retires now leaves the ``jobs`` of every manager that held it
+        (a dead one's copy too) and the span store."""
         entry = self.directory.finish(job.job_id)
-        if entry is not None:
+        if entry is not None and self.telemetry is not None:
+            self.telemetry.spans.retire(entry.job.job_id)
+        while entry is not None:
             entry.manager._forget(entry.job)
-            if self.telemetry is not None:
-                self.telemetry.spans.retire(entry.job.job_id)
+            entry = entry.previous
 
     def _forget(self, job: Job) -> None:
         with self._lock:

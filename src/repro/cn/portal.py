@@ -35,7 +35,7 @@ from repro.core.xmi.reader import read_model
 from ..analysis import Report
 from ..analysis.conc.runtime import make_lock
 from .cluster import Cluster
-from .durability import RETAINED_FINISHED
+from .durability import retire
 from .errors import CnxValidationError
 from .registry import TaskRegistry
 from .telemetry import chrome_trace, write_jsonl
@@ -175,7 +175,10 @@ _ARTIFACTS = {
 
 
 class Portal:
-    """The in-process portal service."""
+    """The in-process portal service: it keeps the running submissions
+    and the newest ``RETAINED_FINISHED`` finished ones.  A submission
+    lists its jobs when it ends, so one that retired before (behind
+    ``RETAINED_FINISHED`` jobs finished meanwhile) goes unlisted."""
 
     def __init__(
         self,
@@ -192,6 +195,8 @@ class Portal:
         self.timeout = timeout
         self.max_body_bytes = max_body_bytes
         self._submissions: dict[int, Submission] = {}
+        #: the finished submissions kept, oldest first
+        self._finished: dict[int, None] = {}
         self._counter = 0
         self._lock = make_lock("Portal._lock", reentrant=False)
 
@@ -204,8 +209,6 @@ class Portal:
             self._counter += 1
             submission = Submission(self._counter, self.cluster, xmi_text=xmi_text)
             self._submissions[submission.submission_id] = submission
-            if len(self._submissions) > RETAINED_FINISHED:
-                del self._submissions[next(iter(self._submissions))]
         chaos = self.cluster.chaos
         directory = self.cluster.directory
         faults_before = chaos.fault_count() if chaos is not None else 0
@@ -240,6 +243,8 @@ class Portal:
         submission.job_ids = directory.job_ids_since(jobs_mark)
         if chaos is not None:
             submission.fault_range = (faults_before, chaos.fault_count())
+        with self._lock:
+            retire(self._finished, submission.submission_id, self._submissions)
         return submission
 
     def metrics_text(self) -> str:

@@ -98,6 +98,8 @@ class Span:
 class SpanRecorder:
     """Thread-safe, cluster-global span store: one dict of spans per
     trace, in first-seen trace order, until the trace's job retires.
+    Only a parentless span (a job's root) starts a trace: a late span of
+    a retired job is handed back unstored, and the trace stays gone.
 
     One recorder serves every node of a cluster -- spans recorded by a
     manager that later dies stay available to its successor, which is
@@ -132,14 +134,22 @@ class SpanRecorder:
         returns the existing span untouched, merging only new attrs.
         """
         with self._lock:
-            trace = self._by_trace.setdefault(trace_id, {})
+            trace = self._by_trace.get(trace_id)
+            if trace is None:  # only a parentless span starts a trace
+                trace = self._by_trace.setdefault(trace_id, {}) if parent_id is None else {}
             span = trace.get(span_id)
             if span is None:
-                start = ts if ts is not None else self._clock()
-                name = name if name is not None else span_id
-                span = trace[span_id] = Span(
-                    trace_id, span_id, name, kind, start, parent_id, None, node, attrs
+                span = Span(
+                    trace_id=trace_id,
+                    span_id=span_id,
+                    parent_id=parent_id,
+                    name=name if name is not None else span_id,
+                    kind=kind,
+                    start=ts if ts is not None else self._clock(),
+                    node=node,
+                    attrs=dict(attrs),
                 )
+                trace[span_id] = span
             elif attrs:
                 for k, v in attrs.items():
                     span.attrs.setdefault(k, v)
@@ -173,13 +183,23 @@ class SpanRecorder:
         ``begin`` (get-or-create, new attrs merged) then ``end`` (first
         close wins)."""
         with self._lock:
-            trace = self._by_trace.setdefault(trace_id, {})
+            trace = self._by_trace.get(trace_id)
+            if trace is None:  # only a parentless span starts a trace
+                trace = self._by_trace.setdefault(trace_id, {}) if parent_id is None else {}
             span = trace.get(span_id)
             if span is None:
-                name = name if name is not None else span_id
-                span = trace[span_id] = Span(
-                    trace_id, span_id, name, kind, start, parent_id, end, node, attrs
+                span = Span(
+                    trace_id,
+                    span_id,
+                    name if name is not None else span_id,
+                    kind,
+                    start,
+                    parent_id,
+                    end,
+                    node,
+                    attrs,
                 )
+                trace[span_id] = span
                 return span
             for k, v in attrs.items():
                 span.attrs.setdefault(k, v)

@@ -244,6 +244,7 @@ class TestFileJournal:
         journal.close()
         reloaded = FileJournal(path)
         assert reloaded.append(rec(9, "j", "task-state", mepoch=2, task="t")) is False
+        assert reloaded.append(rec(10, "j", "task-state", mepoch=3, task="t"))
         reloaded.close()
 
     def test_reload_fills_the_per_job_index(self, tmp_path):
@@ -398,7 +399,7 @@ class TestReplicatedJournal:
         checkpoint = ("checkpoint", {"task": "t", "tag": 1, "state": {"k": 1}})
         with pytest.raises(JournalError, match="checkpoint"):
             journal.append_many("j", [("task-state", {"task": "t"}), checkpoint], 1)
-        assert journal.records() == []
+        assert journal.records() == [] and "j" not in journal.backend._by_job
         assert [r.seq for r in journal.append_many("j", [checkpoint], 1)] == [1]
 
     def test_fenced_append_returns_none_and_is_not_published(self):

@@ -1,11 +1,14 @@
 """Web-portal prototype tests: in-process service and HTTP wrapper."""
 
 import json
+import threading
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis import Report
 from repro.apps.montecarlo import build_pi_model, register_pi_tasks
 from repro.cn import Cluster
 from repro.cn.durability import RETAINED_FINISHED
@@ -309,6 +312,44 @@ class TestRetention:
             finally:
                 server.stop()
                 portal.close()
+
+
+class HeldPipeline:
+    """Runs no job; the first run waits until *release* is set."""
+
+    def __init__(self):
+        self.entered, self.release = threading.Event(), threading.Event()
+        self.runs = 0
+
+    def run(self, model, cluster, **kwargs):
+        self.runs += 1
+        if self.runs == 1:
+            self.entered.set()
+            assert self.release.wait(30)
+        return SimpleNamespace(
+            report=Report(), cnx_text="", python_source="", java_source="", job_results=[]
+        )
+
+
+def test_a_running_submission_outlives_newer_finished_ones():
+    with Cluster(1) as cluster:
+        portal = Portal(cluster)
+        portal.pipeline = held = HeldPipeline()
+        first = threading.Thread(target=portal.submit, args=(pi_xmi(),))
+        first.start()
+        try:
+            assert held.entered.wait(30)
+            for _ in range(RETAINED_FINISHED + 1):
+                assert portal.submit(pi_xmi()).status == "done"
+            assert portal.get(1).status == "pending"
+            newest = list(range(3, RETAINED_FINISHED + 3))
+            assert [summary["id"] for summary in portal.list()] == [1, *newest]
+        finally:
+            held.release.set()
+            first.join(timeout=30)
+        assert portal.get(1).status == "done"
+        # its end retired the oldest finished one
+        assert [summary["id"] for summary in portal.list()] == [1, *newest[1:]]
 
 
 class TestPortalHTTP:

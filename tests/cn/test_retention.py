@@ -13,6 +13,7 @@ import weakref
 
 from repro.cn import CNAPI, Cluster, Task, TaskRegistry, TaskSpec
 from repro.cn.durability import RETAINED_FINISHED, FileJournal, JournalRecord, MemoryJournal
+from repro.cn.multicast import Solicitation
 
 N = RETAINED_FINISHED
 
@@ -110,6 +111,29 @@ class TestEveryStore:
                 assert server.journal.records(oldest) == []
                 assert oldest not in server.journal.backend._by_job
             assert writer.backend.fenced[-1].job_id == oldest
+
+    def test_a_failed_over_job_leaves_the_dead_managers_jobs_too(self):
+        """The dead manager's copy of an adopted job goes when the job
+        retires: revived, that manager counts no job that never ends."""
+        with Cluster(3, registry=registry()) as cluster:
+            cluster.servers[0].accept_tasks = False  # a pure manager failure
+            api = CNAPI.initialize(cluster)
+            handle = api.create_job("client", requirements={"prefer": "node0"})
+            api.create_task(handle, TaskSpec(name="b", jar="pair.jar", cls="t.Consumer"))
+            api.start_job(handle)
+            job_id, dead = handle.job_id, cluster.servers[0].jobmanager
+            cluster.kill_node("node0")
+            cluster.tick(3)
+            adopter = cluster.directory.lookup(job_id).manager
+            assert adopter is not dead and job_id in dead.jobs
+            api.send_message(handle, "b", "x")
+            assert api.wait(handle, timeout=30) == {"b": "x"}
+            cluster.revive_node("node0")
+            for _ in range(N):
+                pair(api, "node1")
+            assert job_id not in dead.jobs and job_id not in adopter.jobs
+            offer = Solicitation("jobmanager", {}, "client")
+            assert dead.willing_to_manage(offer)["active_jobs"] == 0
 
     def test_the_counters_never_fall_across_3n_jobs(self):
         with Cluster(2, registry=registry()) as cluster:

@@ -113,8 +113,19 @@ class TestSpanRecorder:
 
     def test_orphans_detected(self):
         rec = SpanRecorder()
+        rec.begin("t1", "other")  # a parentless span starts the trace
         rec.begin("t1", "task:a", name="a", parent_id="job")  # no "job" span
         assert [s.span_id for s in orphan_spans(rec.spans("t1"))] == ["task:a"]
+
+    def test_a_late_span_does_not_bring_a_retired_trace_back(self):
+        rec = SpanRecorder()
+        rec.begin("t1", "job", kind="job")
+        rec.begin("t1", "task:a", parent_id="job")
+        rec.retire("t1")
+        late = rec.begin("t1", "attempt:a#2", parent_id="task:a")
+        rec.end(late, fenced=True)
+        rec.record("t1", "adopt#2", start=0.0, end=1.0, parent_id="job")
+        assert rec.trace_ids() == [] and rec.spans("t1") == [] and len(rec) == 0
 
     def test_round_trip_dict(self):
         rec = SpanRecorder()
@@ -223,6 +234,7 @@ def test_record_is_begin_then_end(setup):
     for write in (SpanRecorder.record, _begin_then_end):
         rec = SpanRecorder(clock=lambda: 99.0)
         rec.begin("other", "job", ts=0.0)
+        rec.begin("t", "job", ts=0.0)  # a parented span joins a started trace
         setup(rec)
         span = write(
             rec, "t", "s", start=5.0, end=7.0, name="second", kind="place",
