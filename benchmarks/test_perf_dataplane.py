@@ -50,10 +50,32 @@ from repro.apps.floyd.model import (
 )
 from repro.apps.floyd.tasks import TCTask
 from repro.cn import CNAPI, Cluster, TaskSpec
+from repro.cn.job import payload_nbytes
 from repro.core.transform.pipeline import Pipeline
 
 SIZES = (128, 256)
 WORKERS = 8
+
+
+def ledger_peak(records) -> int:
+    """The most messages the delivery ledger held at once, folded from
+    the journal as ``Job.apply`` folds it: a ``delivery`` adds its
+    messages, and a ``ledger-gc`` drops what its watermark has not
+    dropped yet, at most what the task holds."""
+    held: Counter = Counter()
+    marks: dict[str, int] = {}
+    peak = 0
+    for record in records:
+        if record.kind == "delivery":
+            held.update(m.recipient for m in record.data["messages"])
+            peak = max(peak, sum(held.values()))
+        elif record.kind == "ledger-gc":
+            task, upto = record.data["task"], record.data["upto"]
+            drop = upto - marks.get(task, 0)
+            if drop > 0:
+                held[task] -= min(drop, held[task])
+                marks[task] = upto
+    return peak
 
 
 def run_floyd_dataplane(n: int, store_key: str):
@@ -106,15 +128,21 @@ def run_floyd_dataplane(n: int, store_key: str):
             ]
             row_batches = [r for r in row_records if len(r.data["messages"]) > 1]
             row_singletons = [r for r in row_records if len(r.data["messages"]) == 1]
+            # one histogram observation per sizing; this cluster runs one job
+            sizings = cluster.telemetry.metrics.find("cn_payload_bytes").count
             return {
                 "n": n,
                 "workers": WORKERS,
                 "wall_s": wall,
                 "messages_routed": job.messages_routed,
                 "payload_bytes": job.payload_bytes,
-                "payload_sizings": job.payload_sizings,
-                "payload_reuses": job.payload_reuses,
-                "payloads_pickle_sized": job.payloads_pickle_sized,
+                "payload_sizings": sizings,
+                "payload_reuses": job.messages_routed - sizings,
+                "payloads_pickle_sized": sum(
+                    payload_nbytes(m.payload) is None
+                    for r in row_records
+                    for m in r.data["messages"]
+                ),
                 "payloads_unsized": job.payloads_unsized,
                 "journal_records": len(records),
                 "row_batch_records": len(row_batches),
@@ -122,9 +150,9 @@ def run_floyd_dataplane(n: int, store_key: str):
                     len(row_batches[0].data["messages"]) if row_batches else 0
                 ),
                 "row_singleton_records": len(row_singletons),
-                "ledger_peak": job.ledger_peak,
-                "ledger_resident": job.ledger_resident,
-                "ledger_truncated": job.ledger_truncated,
+                "ledger_peak": ledger_peak(records),
+                "ledger_resident": sum(map(len, job.ledger().values())),
+                "ledger_truncated": sum(job.gc_watermarks.values()),
             }
     finally:
         TCTask.checkpoint_every = saved_interval

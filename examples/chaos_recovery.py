@@ -76,7 +76,8 @@ def node_failure_demo() -> None:
         cluster.tick(3)  # heartbeats missed -> declared dead -> re-placed
 
         print(f"re-placed on   : {handle.job.task('work').node_name}")
-        print(f"replayed msgs  : {handle.job.messages_replayed}")
+        replayed = [m.payload for m in handle.job.ledger().get("work", ())]
+        print(f"replayed msgs  : {replayed}")
         api.send_message(handle, "work", "the other half")
         results = api.wait(handle, timeout=30)
         print(f"result         : {results['work']}")

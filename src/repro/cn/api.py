@@ -43,20 +43,13 @@ class JobHandle:
     rebuilt Job -- client code never notices the failover.
     """
 
-    def __init__(
-        self,
-        job: Job,
-        manager: JobManager,
-        directory: Optional[JobDirectory] = None,
-    ) -> None:
+    def __init__(self, job: Job, manager: JobManager, directory: JobDirectory) -> None:
         self._job = job
         self._manager = manager
         self._directory = directory
         self._job_id = job.job_id
 
     def _resolve(self) -> None:
-        if self._directory is None:
-            return
         entry = self._directory.lookup(self._job_id)
         if entry is not None:
             self._manager = entry.manager

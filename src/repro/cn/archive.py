@@ -45,9 +45,6 @@ class TaskArchive:
     def classes(self) -> dict[str, dict]:
         return self.manifest.get("classes", {})
 
-    def provides(self, class_name: str) -> bool:
-        return class_name in self.classes
-
     def load_class(self, class_name: str) -> Type[Task]:
         """Resolve *class_name* to the packaged task class.
 

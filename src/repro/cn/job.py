@@ -215,20 +215,9 @@ class Job:
         # read (cn_messages_routed_total, cn_payload_unsized_total)
         self.messages_routed = 0
         self.payload_bytes = 0
-        #: size computations actually performed (one per *unique* payload
-        #: per fan-out -- interning makes a W-1 broadcast cost 1)
-        self.payload_sizings = 0
-        #: sizings avoided because the payload object was already sized
-        #: within the same fan-out (shared-by-reference broadcast payloads)
-        self.payload_reuses = 0
-        #: sizings that had to fall back to pickling (no fast-size path)
-        self.payloads_pickle_sized = 0
         #: payloads that could not be sized at all (unpicklable); their
         #: wire volume is lost from the accounting, so it is counted
         self.payloads_unsized = 0
-        #: messages re-delivered into fresh queues after a re-placement
-        #: (not part of the paper's wire-volume accounting)
-        self.messages_replayed = 0
         #: messages that could not be delivered because their queue was
         #: already closed (job torn down, conduit closed), newest last:
         #: ``{"type", "recipient", "serial", "error"}`` each (see notify).
@@ -244,11 +233,6 @@ class Job:
         #: cumulative count of ledger entries truncated per task (the GC
         #: watermark journaled so successor managers agree)
         self.gc_watermarks: dict[str, int] = {}
-        # ledger occupancy accounting (resident = entries currently held;
-        # peak = high-watermark; truncated = total entries GC'd)
-        self.ledger_resident = 0
-        self.ledger_peak = 0
-        self.ledger_truncated = 0
         #: manager epoch: bumped when a successor JobManager adopts this
         #: job after a failover; stamps every journal record so a zombie
         #: manager's late writes are fenced out (see repro.cn.durability)
@@ -364,8 +348,6 @@ class Job:
                 log = self._delivery_log
                 for message in data["messages"]:
                     log.setdefault(message.recipient, []).append(message)
-                self.ledger_resident += len(data["messages"])
-                self.ledger_peak = max(self.ledger_peak, self.ledger_resident)
             elif kind == "task-spec":
                 spec = data["spec"]
                 if spec.name in self.tasks:
@@ -377,11 +359,7 @@ class Job:
                 task, upto = data["task"], int(data.get("upto", 0))
                 drop = upto - self.gc_watermarks.get(task, 0)
                 if drop > 0:
-                    messages = self._delivery_log.get(task, [])
-                    dropped = min(drop, len(messages))
-                    del messages[:drop]
-                    self.ledger_resident -= dropped
-                    self.ledger_truncated += dropped
+                    del self._delivery_log.get(task, [])[:drop]
                     self.gc_watermarks[task] = upto
             elif kind in ("job-created", "job-adopted"):
                 self.manager = data.get("manager", self.manager)
@@ -525,28 +503,20 @@ class Job:
                         ready.append(runtime)
             return ready
 
-    def dependents_of(self, name: str) -> list[TaskRuntime]:
-        with self._lock:
-            return [self.tasks[t] for t in self._dag()[0].get(name, ())]
-
     # -- routing ----------------------------------------------------------------
-    def _sized(self, payload: Any) -> tuple[int, str]:
-        """Estimate *payload*'s wire size; returns ``(size, how)`` where
-        *how* is ``"fast"`` (no serialization), ``"pickle"`` (fallback
-        serialization), or ``"unsized"`` (unpicklable -- size 0 charged,
-        the loss is counted rather than silently swallowed)."""
+    def _sized(self, payload: Any) -> Optional[int]:
+        """Estimate *payload*'s wire size: :func:`payload_nbytes`, else
+        the length of its pickle, else None (unpicklable -- size 0 is
+        charged, and the loss is counted rather than silently swallowed)."""
         size = payload_nbytes(payload)
         if size is not None:
-            return size, "fast"
+            return size
         try:
-            size = len(
-                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            )
+            return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
         except (pickle.PicklingError, TypeError, AttributeError, RecursionError):
             # unpicklable payloads are possible in-process; the wire
             # volume is unknowable, so count the miss instead of hiding it
-            return 0, "unsized"
-        return size, "pickle"
+            return None
 
     def route(self, message: Message) -> None:
         """Deliver *message* to a task queue or the client queue.
@@ -605,31 +575,23 @@ class Job:
         # the messages keep their payloads alive for the duration)
         sizes: dict[int, int] = {}
         unique_sizes: list[int] = []
-        total = sizings = reuses = pickled = unsized = 0
+        total = unsized = 0
         for message in messages:
             key = id(message.payload)
             size = sizes.get(key)
-            if size is not None:
-                reuses += 1
-                total += size
-                continue
-            size, how = self._sized(message.payload)
-            sizes[key] = size
-            unique_sizes.append(size)
+            if size is None:
+                size = self._sized(message.payload)
+                if size is None:
+                    size = 0
+                    unsized += 1
+                sizes[key] = size
+                unique_sizes.append(size)
             total += size
-            sizings += 1
-            if how == "pickle":
-                pickled += 1
-            elif how == "unsized":
-                unsized += 1
         ledgered: list[Message] = []
         deliveries: list[tuple[MessageQueue, Message]] = []
         with self._lock:
             self.messages_routed += len(messages)
             self.payload_bytes += total
-            self.payload_sizings += sizings
-            self.payload_reuses += reuses
-            self.payloads_pickle_sized += pickled
             self.payloads_unsized += unsized
             for message in messages:
                 if message.recipient == "client":
@@ -801,10 +763,7 @@ class Job:
             pending = list(self._delivery_log.get(name, ()))
         if not pending:
             return 0
-        delivered = hosting.inbox().put_many(pending)
-        with self._lock:
-            self.messages_replayed += delivered
-        return delivered
+        return hosting.inbox().put_many(pending)
 
     # -- ledger GC ---------------------------------------------------------------
     def gc_ledger(self, name: str) -> None:

@@ -201,16 +201,12 @@ class JobManager:
             active = sum(not job.finished for job in self.jobs.values())
             if active >= self.max_jobs:
                 return None
-            wanted_tasks = int(solicitation.requirements.get("tasks", 0))
             # the offer advertises this manager's view of cluster capacity
             return {
-                "manager": self.name,
-                "active_jobs": active,
                 "free_job_slots": self.max_jobs - active,
                 "local_free_memory": (
                     self.local_taskmanager.free_memory if self.local_taskmanager else 0
                 ),
-                "wanted_tasks": wanted_tasks,
             }
 
     def register_taskmanager(self, tm: TaskManager) -> None:

@@ -153,10 +153,9 @@ class Message:
     """An immutable message record.
 
     ``sender`` / ``recipient`` are task names (or the reserved names
-    ``client``, ``jobmanager``, ``taskmanager``).  ``correlation`` ties a
-    response to its request.  ``serial`` gives a process-wide total order
-    useful in tests and logs (a logical clock; no wall time involved, so
-    runs are deterministic under a fixed schedule).
+    ``client``, ``jobmanager``, ``taskmanager``).  ``serial`` gives a
+    process-wide total order useful in tests and logs (a logical clock; no
+    wall time involved, so runs are deterministic under a fixed schedule).
 
     ``ts`` is a monotonic timestamp taken at construction, so traces and
     the delivery ledger get real timing; ordering assertions must keep
@@ -172,7 +171,6 @@ class Message:
     sender: str
     recipient: str
     payload: Any = None
-    correlation: Optional[int] = None
     serial: int = field(default_factory=_next_serial)
     ts: float = field(default_factory=time.monotonic, compare=False)
     origin: Optional[str] = None
@@ -180,29 +178,6 @@ class Message:
 
     def is_user(self) -> bool:
         return self.type == MessageType.USER
-
-    def reply(
-        self,
-        type: str,
-        sender: str,
-        payload: Any = None,
-        *,
-        origin: Optional[str] = None,
-    ) -> "Message":
-        """Build the response message correlated with this request.
-
-        The reply inherits the request's ``trace_ctx`` (a response is
-        causally downstream of the span that sent the request).
-        """
-        return Message(
-            type=type,
-            sender=sender,
-            recipient=self.sender,
-            payload=payload,
-            correlation=self.serial,
-            origin=origin,
-            trace_ctx=self.trace_ctx,
-        )
 
     @staticmethod
     def user(

@@ -209,14 +209,6 @@ class MulticastBus:
                 groups = {n: g for n, g in self._groups.items() if n != node}
                 self._groups = groups or None
 
-    def reachable(self, sender: str, receiver: str) -> bool:
-        with self._lock:
-            groups = self._groups
-        if groups is None:
-            return True
-        home = groups.get(_node_of(sender))
-        return home is None or not _cut(groups, home, receiver)
-
     # -- solicitations -----------------------------------------------------------
     def solicit(self, solicitation: Solicitation) -> list[tuple[str, Any]]:
         """Deliver to all subscribers; collect willing (name, offer) pairs.

@@ -1,15 +1,14 @@
 """Task class resolution: archive names + class names -> Python classes.
 
 CNX descriptors reference tasks by ``(jar, class)``.  The registry
-resolves those references from three sources, in order:
+resolves those references from two sources, in order:
 
 1. **Registered classes** -- Python task classes registered directly
    (``register_class``), the convenient path for library users whose
    tasks live in normal Python modules (e.g. ``repro.apps.floyd``),
-2. **Registered archives** -- in-memory :class:`TaskArchive` objects
-   registered under their jar name (``register_archive``),
-3. **Archive search path** -- directories scanned for ``<jar>`` files on
-   demand, mirroring deployment where jars sit next to the descriptor.
+2. **Archive search path** -- directories scanned for ``<jar>`` files on
+   demand, mirroring deployment where jars sit next to the descriptor;
+   an archive is loaded once and kept.
 
 The registry is what the JobManager "uploads" from: when a TaskManager
 agrees to host a task, the manager ships the resolved archive (or the
@@ -33,6 +32,7 @@ class TaskRegistry:
 
     def __init__(self) -> None:
         self._classes: dict[tuple[str, str], Type[Task]] = {}
+        #: the archives loaded from the search path, by jar name
         self._archives: dict[str, TaskArchive] = {}
         #: directories :meth:`add_search_dir` adds, scanned in that order
         self.search_path: list[Path] = []
@@ -43,10 +43,6 @@ class TaskRegistry:
         if not (isinstance(cls, type) and issubclass(cls, Task)):
             raise TaskLoadError(f"{cls!r} does not implement the Task interface")
         self._classes[(jar, class_name)] = cls
-
-    def register_archive(self, archive: TaskArchive, *, jar: Optional[str] = None) -> None:
-        """Register an in-memory archive under its jar name."""
-        self._archives[jar or archive.name] = archive
 
     def add_search_dir(self, directory: Path | str) -> None:
         self.search_path.append(Path(directory))
@@ -76,12 +72,3 @@ class TaskRegistry:
                 self._archives[jar] = archive
                 return archive
         return None
-
-    def copy(self) -> "TaskRegistry":
-        clone = TaskRegistry()
-        clone.search_path.extend(self.search_path)
-        # conclint: waive CC402 -- same-class clone, never crosses a node boundary
-        clone._classes.update(self._classes)
-        # conclint: waive CC402 -- same-class clone, never crosses a node boundary
-        clone._archives.update(self._archives)
-        return clone

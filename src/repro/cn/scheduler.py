@@ -58,18 +58,15 @@ class Bid(NamedTuple):
 
 
 def award_bids(
-    rule: PlacementRule,
-    bids: Iterable[Bid],
-    *,
-    seed: int = 0,
+    rule: PlacementRule, bids: Iterable[Bid]
 ) -> Tuple[List[Tuple[str, str]], List[str]]:
     """Deterministically convert bids into awards.
 
     Returns ``(awards, unplaced)`` where ``awards`` is a list of
     ``(task_name, taskmanager)`` pairs and ``unplaced`` lists tasks no
-    bidder could take. The fold is pure: given the same ``(rule, bids,
-    seed)`` it returns the same awards regardless of bid arrival order
-    (bids are canonicalized by taskmanager name first).
+    bidder could take. The fold is pure: given the same ``(rule, bids)``
+    it returns the same awards regardless of bid arrival order (bids are
+    canonicalized by taskmanager name first).
 
     Award order is the paper's best-fit: highest *virtual* free memory
     wins (free memory minus memory already awarded this round), locality
@@ -80,16 +77,16 @@ def award_bids(
     best = _canonical(rule, bids)
     if not best:
         return [], list(rule.tasks)
-    if len(rule.tasks) == 1 and not seed:
+    if len(rule.tasks) == 1:
         # the round of one: the fold's first award is the minimum of the
-        # heap's own key (unrotated name rank orders as the name does),
-        # so neither the sort nor the heap is built for one pop
+        # heap's own key (name rank orders as the name does), so neither
+        # the sort nor the heap is built for one pop
         winner = min(
             best.values(),
             key=lambda b: (-b.free_memory, -b.locality, b.load, b.taskmanager),
         )
         return [(rule.tasks[0], winner.taskmanager)], []
-    return _fold(rule, best, seed)
+    return _fold(rule, best)
 
 
 def _canonical(rule: PlacementRule, bids: Iterable[Bid]) -> dict[str, Bid]:
@@ -116,17 +113,11 @@ def _canonical(rule: PlacementRule, bids: Iterable[Bid]) -> dict[str, Bid]:
 
 
 def _fold(
-    rule: PlacementRule, best: dict[str, Bid], seed: int
+    rule: PlacementRule, best: dict[str, Bid]
 ) -> Tuple[List[Tuple[str, str]], List[str]]:
     """The award fold over canonical bids (at least one): what every
     round is awarded by, and what the round of one is held to."""
     order = sorted(best)
-    # A nonzero seed rotates name-rank tie-breaking so repeated rounds
-    # don't always dogpile the alphabetically-first node.
-    if seed:
-        pivot = seed % len(order)
-        order = order[pivot:] + order[:pivot]
-
     # Heap of (-virtual_free_memory, -locality, load + taken, rank).
     # Each pop awards one task and re-pushes the node with its virtual
     # occupancy updated (free memory shrinks as awards land).

@@ -118,7 +118,6 @@ class TaskManager:
         self._idle: list[tuple[threading.Thread, SimpleQueue]] = []
         self._shutdown = False
         self._crashed = False
-        self._beats = 0
         self._starts = 0
 
     # -- capacity -----------------------------------------------------------
@@ -193,12 +192,7 @@ class TaskManager:
                 # a dead worker process silences the node: the ordinary
                 # failure detector declares it and recovery re-places work
                 return None
-            self._beats += 1
-            return {
-                "node": self.name,
-                "beat": self._beats,
-                "hosted": len(self._hosted),
-            }
+            return {"node": self.name}
 
     def crash(self) -> None:
         """Simulate abrupt node death: end every hosting, wake/cancel

@@ -211,22 +211,14 @@ class Histogram:
 
 
 class NullMetric:
-    """No-op stand-in handed out when the cluster has no telemetry."""
+    """No-op counter stand-in handed out when the cluster has no telemetry."""
 
     kind = "null"
     value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
+        if amount < 0:
+            raise ValueError("counters only go up")
 
 
 NULL_COUNTER = NullMetric()

@@ -134,26 +134,9 @@ class SpanRecorder:
         returns the existing span untouched, merging only new attrs.
         """
         with self._lock:
-            trace = self._by_trace.get(trace_id)
-            if trace is None:  # only a parentless span starts a trace
-                trace = self._by_trace.setdefault(trace_id, {}) if parent_id is None else {}
-            span = trace.get(span_id)
-            if span is None:
-                span = Span(
-                    trace_id=trace_id,
-                    span_id=span_id,
-                    parent_id=parent_id,
-                    name=name if name is not None else span_id,
-                    kind=kind,
-                    start=ts if ts is not None else self._clock(),
-                    node=node,
-                    attrs=dict(attrs),
-                )
-                trace[span_id] = span
-            elif attrs:
-                for k, v in attrs.items():
-                    span.attrs.setdefault(k, v)
-            return span
+            return self._get_or_create(
+                trace_id, span_id, name, kind, parent_id, node, ts, None, attrs
+            )
 
     def end(
         self, span: Span, *, ts: Optional[float] = None, **attrs: Any
@@ -183,29 +166,49 @@ class SpanRecorder:
         ``begin`` (get-or-create, new attrs merged) then ``end`` (first
         close wins)."""
         with self._lock:
-            trace = self._by_trace.get(trace_id)
-            if trace is None:  # only a parentless span starts a trace
-                trace = self._by_trace.setdefault(trace_id, {}) if parent_id is None else {}
-            span = trace.get(span_id)
-            if span is None:
-                span = Span(
-                    trace_id,
-                    span_id,
-                    name if name is not None else span_id,
-                    kind,
-                    start,
-                    parent_id,
-                    end,
-                    node,
-                    attrs,
-                )
-                trace[span_id] = span
-                return span
-            for k, v in attrs.items():
-                span.attrs.setdefault(k, v)
-            if span.end is None:
-                span.end = end
+            return self._get_or_create(
+                trace_id, span_id, name, kind, parent_id, node, start, end, attrs
+            )
+
+    def _get_or_create(
+        self,
+        trace_id: str,
+        span_id: str,
+        name: Optional[str],
+        kind: str,
+        parent_id: Optional[str],
+        node: Optional[str],
+        start: Optional[float],
+        end: Optional[float],
+        attrs: dict[str, Any],
+    ) -> Span:
+        """Under the lock: the span ``(trace_id, span_id)``.  A new one
+        starts at *start* (now, when None) and is stored if its trace
+        exists or it is parentless -- only a root starts a trace.  An
+        existing one gains the *attrs* it lacks, and *end* if still open."""
+        trace = self._by_trace.get(trace_id)
+        if trace is None:
+            # conclint: waive CC101 -- begin and record hold self._lock around the call
+            trace = self._by_trace.setdefault(trace_id, {}) if parent_id is None else {}
+        span = trace.get(span_id)
+        if span is None:
+            span = trace[span_id] = Span(
+                trace_id=trace_id,
+                span_id=span_id,
+                parent_id=parent_id,
+                name=name if name is not None else span_id,
+                kind=kind,
+                start=start if start is not None else self._clock(),
+                end=end,
+                node=node,
+                attrs=attrs,
+            )
             return span
+        for k, v in attrs.items():
+            span.attrs.setdefault(k, v)
+        if span.end is None:
+            span.end = end
+        return span
 
     def add_event(self, span: Span, name: str, **attrs: Any) -> None:
         with self._lock:

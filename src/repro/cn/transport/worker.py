@@ -75,7 +75,9 @@ def fetch_blob(namespace: str, key: str) -> Any:
 
 
 class _RemoteCounter:
-    """Counter stand-in forwarding increments as metric frames."""
+    """Counter stand-in forwarding increments as metric frames: the
+    registry ``Counter``'s surface, whose values are merged
+    coordinator-side, so a local read sees nothing."""
 
     __slots__ = ("_runtime", "_exec_id", "_name", "_labels")
 
@@ -88,13 +90,11 @@ class _RemoteCounter:
         self._labels = labels
 
     def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up")
         self._runtime.send_metric(self._exec_id, self._name, self._labels, amount)
 
-    # the registry Counter surface tasks may poke; remote values are
-    # merged coordinator-side, so local reads see nothing
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
+    @property
     def value(self) -> float:
         return 0.0
 

@@ -115,13 +115,6 @@ class CnxJob:
     def task_names(self) -> list[str]:
         return [t.name for t in self.tasks]
 
-    def roots(self) -> list[CnxTask]:
-        """Tasks with no dependencies (started first)."""
-        return [t for t in self.tasks if not t.depends]
-
-    def dependents_of(self, task_name: str) -> list[CnxTask]:
-        return [t for t in self.tasks if task_name in t.depends]
-
 
 @dataclass
 class CnxClient:

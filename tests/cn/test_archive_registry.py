@@ -21,12 +21,21 @@ class NotATask:
 """
 
 
-def good_archive():
+def good_archive(path=None):
     return create_archive(
         "adder.jar",
         {"org.example.Adder": "adder.py:Adder"},
         {"adder.py": GOOD_SOURCE},
+        path=path,
     )
+
+
+def adder_on_search_path(directory):
+    """A registry whose search path holds ``adder.jar``, in *directory*."""
+    good_archive(directory / "adder.jar")
+    registry = TaskRegistry()
+    registry.add_search_dir(directory)
+    return registry
 
 
 class TestArchive:
@@ -84,7 +93,7 @@ class TestArchive:
     def test_bytes_roundtrip(self):
         archive = good_archive()
         restored = load_archive(archive.to_bytes(), name="adder.jar")
-        assert restored.provides("org.example.Adder")
+        assert "org.example.Adder" in restored.classes
         assert restored.load_class("org.example.Adder")(1, 1).run(None) == 2
 
     def test_disk_roundtrip(self, tmp_path):
@@ -138,11 +147,12 @@ class TestRegistry:
         with pytest.raises(TaskLoadError):
             registry.register_class("x.jar", "p.T", object)  # type: ignore[arg-type]
 
-    def test_register_archive(self):
-        registry = TaskRegistry()
-        registry.register_archive(good_archive())
+    def test_a_search_path_archive_is_loaded_once(self, tmp_path):
+        registry = adder_on_search_path(tmp_path)
         cls = registry.resolve("adder.jar", "org.example.Adder")
         assert cls(1, 2).run(None) == 3
+        (tmp_path / "adder.jar").unlink()  # the loaded archive is kept
+        assert registry.resolve("adder.jar", "org.example.Adder") is cls
 
     def test_search_path(self, tmp_path):
         create_archive(
@@ -165,26 +175,12 @@ class TestRegistry:
         with pytest.raises(TaskLoadError, match="cannot resolve"):
             registry.resolve("ghost.jar", "p.T")
 
-    def test_direct_registration_beats_archive(self):
-        registry = TaskRegistry()
+    def test_direct_registration_beats_archive(self, tmp_path):
+        registry = adder_on_search_path(tmp_path)
 
         class Override(Task):
             def run(self, ctx):
                 return "override"
 
-        registry.register_archive(good_archive())
         registry.register_class("adder.jar", "org.example.Adder", Override)
         assert registry.resolve("adder.jar", "org.example.Adder") is Override
-
-    def test_copy_is_independent(self):
-        registry = TaskRegistry()
-        registry.register_archive(good_archive())
-        clone = registry.copy()
-
-        class T(Task):
-            def run(self, ctx):
-                return 1
-
-        clone.register_class("new.jar", "p.T", T)
-        with pytest.raises(TaskLoadError):
-            registry.resolve("new.jar", "p.T")

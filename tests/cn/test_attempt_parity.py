@@ -86,9 +86,19 @@ class CheckpointThenFailOnce(Task):
         raise RuntimeError("first attempt fails after its checkpoint")
 
 
+class CountsDown(Task):
+    def __init__(self, *params):
+        pass
+
+    def run(self, ctx):
+        ctx.counter("cn_demo_total").inc(-1)
+
+
 def parity_registry() -> TaskRegistry:
     registry = TaskRegistry()
-    for cls in (SendThenTraceCtx, PlainFields, TwoParams, CheckpointThenFailOnce):
+    for cls in (
+        SendThenTraceCtx, PlainFields, TwoParams, CheckpointThenFailOnce, CountsDown
+    ):
         registry.register_class("parity.jar", f"t.{cls.__name__}", cls)
     return registry
 
@@ -154,6 +164,17 @@ def test_constructor_rejecting_its_params_fails_the_job(cluster):
         "TaskLoadError: cannot construct TwoParams for task 't' with params [1]: "
         "TwoParams.__init__() missing 1 required positional argument: 'b'"
     ) in failure.value.cause
+
+
+def test_a_negative_counter_increment_fails_the_task(cluster):
+    """On proc the increment used to reach the coordinator's counter,
+    which refused it inside the demux thread: the thread died and the
+    job never finished."""
+    api, handle = start(cluster, spec("t", CountsDown))
+    with pytest.raises(TaskFailedError) as failure:
+        api.wait(handle, timeout=30)
+    assert "ValueError: counters only go up" in failure.value.cause
+    assert handle.job.task("t").state.value == "FAILED"
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)

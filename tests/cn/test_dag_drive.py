@@ -174,7 +174,7 @@ class TestCountsAgreeWithTheStates:
         job = placed_job([specs[name] for name in order])
         job.tasks["y"].state = TaskState.RUNNING
         job.tasks["x"] = CompletesAfterOneRead(specs["x"])
-        job.dependents_of("x")  # derives the counts; x completes meanwhile
+        job._dag()  # derives the counts; x completes meanwhile
         assert job.tasks["x"].state is TaskState.COMPLETED
         assert job.unblocked_by("x") == []
         assert ready_names(job) == set()

@@ -644,9 +644,8 @@ class TestLedgerGC:
             assert api.wait(handle, timeout=10)["e"] == "hello"
             job = handle.job
             assert not job.has_ledgered("e")
-            assert job.ledger_resident == 0
-            assert job.ledger_truncated >= 1
-            assert job.ledger_peak >= 1
+            assert job.ledger() == {}
+            assert job.gc_watermarks["e"] >= 1  # it held, then dropped, "hello"
             kinds = [r.kind for r in handle.manager.journal.records(handle.job_id)]
             assert "ledger-gc" in kinds
 
@@ -1669,11 +1668,13 @@ class TestActiveJobs:
                 Job, "finished", property(lambda job: read.append(job) or finished.fget(job))
             )
             offer = Solicitation("jobmanager", {}, "client")
-            assert successor.willing_to_manage(offer)["active_jobs"] == 1
+            slots = successor.willing_to_manage(offer)["free_job_slots"]
+            assert slots == successor.max_jobs - 1
             assert sorted(map(id, read)) == sorted(map(id, [*done[5:], handle.job]))
             api.send_message(handle, "e", "done")
             assert api.wait(handle, timeout=15) == {"e": "done"}
             read.clear()
-            assert successor.willing_to_manage(offer)["active_jobs"] == 0
+            slots = successor.willing_to_manage(offer)["free_job_slots"]
+            assert slots == successor.max_jobs
             # the adopted job's end retired the oldest job left
             assert sorted(map(id, read)) == sorted(map(id, [*done[6:], handle.job]))

@@ -106,8 +106,11 @@ class TestJobObject:
 
     def test_route_many_batches_accounting_and_interns_payloads(self):
         from repro.cn.queues import MessageQueue
+        from repro.cn.telemetry import Telemetry
 
         job = self.make_job()
+        telemetry = Telemetry()
+        job.set_telemetry(telemetry)
         for name in ("a", "b"):
             job.tasks[name].hosting = Hosting(MessageQueue(owner=f"j1/{name}"))
         payload = b"x" * 100
@@ -119,9 +122,10 @@ class TestJobObject:
         )
         assert job.messages_routed == 2
         assert job.payload_bytes == 200     # both charged ...
-        assert job.payload_sizings == 1     # ... but sized once (shared ref)
-        assert job.payload_reuses == 1
-        assert job.payloads_pickle_sized == 0  # bytes take the fast path
+        # ... but sized once (shared ref): one observation of 100 bytes
+        sizes = telemetry.metrics.find("cn_payload_bytes")
+        assert (sizes.count, sizes.sum) == (1, 100)
+        assert payload_nbytes(payload) == 100  # bytes take the fast path
         assert job.tasks["a"].hosting.queue.get(0.1).payload == payload
         assert job.tasks["b"].hosting.queue.get(0.1).payload == payload
 
@@ -164,8 +168,7 @@ class TestJobObject:
 
     def test_dependents_of(self):
         job = self.make_job()
-        assert [t.name for t in job.dependents_of("a")] == ["b"]
-        assert job.dependents_of("b") == []
+        assert job._dag()[0] == {"a": ["b"]}  # the dependents map
 
     def test_a_rebound_job_that_finishes_still_reads_rebound(self):
         # a deposed manager's Job may finish its side of a partition after
@@ -447,6 +450,13 @@ class TestCNServerResponder:
         offers = bus.solicit(Solicitation("jobmanager", {"tasks": 2}, "c"))
         assert offers and offers[0][0] == "n0"
         assert offers[0][1]["free_job_slots"] > 0
+
+    def test_a_tasks_requirement_that_is_not_a_number_refuses_no_job(self):
+        with Cluster(2, registry=basic_registry()) as cluster:
+            api = CNAPI.initialize(cluster)
+            handle = api.create_job("c", requirements={"tasks": "many"})
+            assert handle.manager.jobs[handle.job_id] is handle.job
+            assert cluster.bus.stats.responder_errors == 0
 
     @staticmethod
     def round_of_one(memory):

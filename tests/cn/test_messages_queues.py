@@ -16,12 +16,6 @@ class TestMessages:
         b = Message(MessageType.USER, "x", "y")
         assert b.serial > a.serial
 
-    def test_reply_correlates(self):
-        request = Message(MessageType.START_TASK, "client", "jm", payload="t1")
-        response = request.reply(MessageType.TASK_STARTED, "jm")
-        assert response.correlation == request.serial
-        assert response.recipient == "client"
-
     def test_user_factory(self):
         msg = Message.user("a", "b", {"k": 1})
         assert msg.is_user()

@@ -133,7 +133,7 @@ class TestEveryStore:
                 pair(api, "node1")
             assert job_id not in dead.jobs and job_id not in adopter.jobs
             offer = Solicitation("jobmanager", {}, "client")
-            assert dead.willing_to_manage(offer)["active_jobs"] == 0
+            assert dead.willing_to_manage(offer)["free_job_slots"] == dead.max_jobs
 
     def test_the_counters_never_fall_across_3n_jobs(self):
         with Cluster(2, registry=registry()) as cluster:

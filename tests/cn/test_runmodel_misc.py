@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cn import CNAPI, Cluster, MessageType, RunModel, TaskSpec
-from repro.cn.messages import Message
 from repro.cn.task import FunctionTask
 
 from ..conftest import basic_registry
@@ -67,10 +66,3 @@ class TestMessageProtocolShape:
             assert action, f"{request} lacks an action description"
             if request != MessageType.SHUTDOWN:
                 assert responses, f"{request} lacks expected responses"
-
-    def test_reply_swaps_direction(self):
-        request = Message(MessageType.QUERY_STATUS, "client", "jm")
-        response = request.reply(MessageType.STATUS, "jm", payload={"ok": True})
-        assert response.recipient == "client"
-        assert response.sender == "jm"
-        assert response.correlation == request.serial

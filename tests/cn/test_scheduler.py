@@ -4,7 +4,7 @@ chaos between bid and award.
 Placement's correctness story has three legs, each tested here:
 
 * :func:`~repro.cn.scheduler.award_bids` is a *pure fold*: same
-  ``(rule, bids, seed)`` in, same awards out, independent of the order
+  ``(rule, bids)`` in, same awards out, independent of the order
   bids arrived in (hypothesis properties below).
 * the paper's per-task solicitation is the round of one: its award is
   the general fold's on the same bids (most free memory, then locality,
@@ -76,19 +76,18 @@ bid_strategy = st.builds(
     bids=st.lists(bid_strategy, max_size=12),
     n_tasks=st.integers(min_value=1, max_value=10),
     memory=st.sampled_from([0, 10, 60]),
-    seed=st.integers(min_value=0, max_value=64),
     permutation=st.randoms(use_true_random=False),
 )
 def test_awards_deterministic_and_arrival_order_independent(
-    bids, n_tasks, memory, seed, permutation
+    bids, n_tasks, memory, permutation
 ):
     rule = rule_for([f"t{i}" for i in range(n_tasks)], memory=memory)
     shuffled = list(bids)
     permutation.shuffle(shuffled)
-    first = award_bids(rule, bids, seed=seed)
-    again = award_bids(rule, bids, seed=seed)
-    reordered = award_bids(rule, shuffled, seed=seed)
-    assert first == again  # deterministic given (seed, bids)
+    first = award_bids(rule, bids)
+    again = award_bids(rule, bids)
+    reordered = award_bids(rule, shuffled)
+    assert first == again  # deterministic given the bids
     assert first == reordered  # independent of bid arrival order
 
     awards, unplaced = first
@@ -132,7 +131,7 @@ def test_round_of_one_awards_what_the_general_fold_awards(bids, memory, permutat
     shuffled = list(bids)
     permutation.shuffle(shuffled)
     best = _canonical(rule, bids)
-    expected = _fold(rule, best, 0) if best else ([], ["t0"])
+    expected = _fold(rule, best) if best else ([], ["t0"])
     assert award_bids(rule, bids) == expected
     assert award_bids(rule, shuffled) == expected
 
@@ -148,7 +147,7 @@ def test_degenerate_single_task_matches_solicit_best_fit():
     ]
     # n2 and n1 tie on memory and locality, so load decides for n1
     assert award_bids(rule, bids) == ([("t0", "n1/tm")], [])
-    assert _fold(rule, {b.taskmanager: b for b in bids}, 0) == ([("t0", "n1/tm")], [])
+    assert _fold(rule, {b.taskmanager: b for b in bids}) == ([("t0", "n1/tm")], [])
 
 
 def test_batch_award_spreads_like_sequential_best_fit():
@@ -170,17 +169,6 @@ def test_unplaced_overflow_reported():
     awards, unplaced = award_bids(rule, bids)
     assert len(awards) == 2
     assert unplaced == ["t2", "t3", "t4"]
-
-
-def test_seed_rotates_name_rank_only_on_ties():
-    rule = rule_for(["t0"], memory=10)
-    bids = [Bid(f"n{i}/tm", capacity=1, free_memory=100) for i in range(4)]
-    winners = {award_bids(rule, bids, seed=s)[0][0][1] for s in range(4)}
-    assert winners == {f"n{i}/tm" for i in range(4)}
-    # but a strictly better bid wins regardless of seed
-    bids.append(Bid("n9/tm", capacity=1, free_memory=200))
-    for s in range(4):
-        assert award_bids(rule, bids, seed=s)[0] == [("t0", "n9/tm")]
 
 
 # -- cluster integration -------------------------------------------------------

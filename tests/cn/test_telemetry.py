@@ -80,6 +80,8 @@ class TestMetricsRegistry:
     def test_null_metrics_are_inert(self):
         NULL_COUNTER.inc(5)
         assert NULL_COUNTER.value == 0
+        with pytest.raises(ValueError, match="counters only go up"):
+            NULL_COUNTER.inc(-1)  # the surface of the Counter it stands in for
 
 
 # -- spans ----------------------------------------------------------------------

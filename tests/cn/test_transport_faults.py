@@ -7,6 +7,7 @@ rejoins default bus reachability even if it died mid-partition.
 
 from repro.cn import ChaosPolicy, Cluster
 from repro.cn.messages import Message
+from repro.cn.multicast import Solicitation
 from repro.cn.queues import MessageQueue
 
 
@@ -23,6 +24,14 @@ class FakeChaos:
 
     def queue_fate(self, owner, index):
         return self.fates.get(index, "deliver")
+
+
+def answering(bus, sender):
+    """The nodes that answer *sender*'s solicitation, and how many
+    deliveries to the others the partition blocked."""
+    blocked = bus.stats.partitioned
+    offers = bus.solicit(Solicitation("jobmanager", {}, sender))
+    return sorted(name for name, _ in offers), bus.stats.partitioned - blocked
 
 
 def put_range(queue, count):
@@ -95,14 +104,14 @@ class TestHealOnRevive:
     def test_revived_node_rejoins_default_reachability(self):
         with Cluster(3) as cluster:
             cluster.partition(["node0", "node2"], ["node1"])
-            assert not cluster.bus.reachable("node0", "node1")
+            assert answering(cluster.bus, "node0") == (["node0", "node2"], 1)
             cluster.kill_node("node1")
             cluster.revive_node("node1")
             # the rebooted machine must not stay isolated by its stale
             # group membership; the rest of the partition persists
-            assert cluster.bus.reachable("node0", "node1")
-            assert cluster.bus.reachable("node1", "node2")
-            assert cluster.bus.reachable("node0", "node2")
+            everyone = ["node0", "node1", "node2"]
+            assert answering(cluster.bus, "node0") == (everyone, 0)
+            assert answering(cluster.bus, "node1") == (everyone, 0)
 
     def test_revived_node_heartbeats_across_old_partition(self):
         with Cluster(2) as cluster:

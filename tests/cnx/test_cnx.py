@@ -200,8 +200,8 @@ class TestSchema:
 
     def test_roots_and_dependents(self):
         job = parse(FIG2).client.jobs[0]
-        assert [t.name for t in job.roots()] == ["tctask0"]
-        assert [t.name for t in job.dependents_of("tctask0")] == ["tctask1"]
+        assert [t.name for t in job.tasks if not t.depends] == ["tctask0"]
+        assert [t.name for t in job.tasks if "tctask0" in t.depends] == ["tctask1"]
 
 
 def error_codes(doc):

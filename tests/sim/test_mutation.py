@@ -129,11 +129,11 @@ real_fold = scheduler._fold
 real_persist = FileJournal._persist
 
 
-def fold_forgetting_the_last_task(rule, best, seed):
+def fold_forgetting_the_last_task(rule, best):
     """The award fold with an off-by-one: the last task of a rule is
     neither awarded nor reported unplaced (only a round of more than one
     task folds; the paper's round of one takes the shortcut)."""
-    return real_fold(rule._replace(tasks=rule.tasks[:-1]), best, seed)
+    return real_fold(rule._replace(tasks=rule.tasks[:-1]), best)
 
 
 def persist_from_the_second_record(self, batch):

@@ -184,6 +184,26 @@ DELETED = [
      r"\b_active\b|\b_unfinished\b|\bself\._spans\b|SpanRecorder\._spans",
      "stores that keep the newest finished jobs need no index beside them: an offer "
      "reads the manager's jobs, and the span store is one dict per trace"),
+    (EVERYWHERE,
+     r"\.(payload_sizings|payload_reuses|payloads_pickle_sized|ledger_resident|ledger_peak"
+     r"|ledger_truncated|messages_replayed)\b",
+     "the Job keeps no tally only tests read: PERF11 reads the histogram, the ledger, "
+     "the watermarks and the journal"),
+    (EVERYWHERE,
+     r"\.(dependents_of|roots|reachable|provides|register_archive|reply)\(|\.correlation\b"
+     r"|correlation=|registry\.copy\(|award_bids\(.*seed",
+     "no method, field or keyword that only tests called"),
+    (("src/repro/**/*",),
+     r"def (dependents_of|roots|reachable|provides|register_archive|reply)\b",
+     "no method that only tests called"),
+    (("src/repro/cn/registry.py", "src/repro/cn/scheduler.py"), r"def copy\b|\bseed\b",
+     "the registry resolves from classes and the search path; awards have no seed"),
+    (EVERYWHERE,
+     r'"(active_jobs|wanted_tasks)"|(offer\)|\]\[1\])\["manager"\]|"(beat|hosted)"\s*:|\b_beats\b',
+     "an offer carries what create_job sorts on, a heartbeat its node"),
+    ((*EVERYWHERE, "!src/repro/cn/telemetry/metrics.py"),
+     r"def dec\b|counter\(.*\)\.(dec|set|observe)\(|NULL_COUNTER\.(dec|set|observe)\b",
+     "a task's counter has the registry Counter's surface on every transport"),
 ]
 
 #: what counts as a caller of a package's exports: tests never do
