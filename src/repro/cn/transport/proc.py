@@ -383,7 +383,16 @@ class WorkerHandle:
         return handler(state, *args)
 
     def _on_metric(self, data: dict) -> None:
-        self._count(data["name"], data["amount"], data["labels"])
+        try:
+            self._count(data["name"], data["amount"], data["labels"])
+        except ValueError as exc:
+            # the registry refused the name (another kind holds it): the
+            # attempt fails as it would in process; its outcome, flushed
+            # after this frame, is then dropped as late
+            with self._lock:
+                state = self._execs.get(data["exec_id"])
+            if state is not None:
+                self._fail_exec(state, exc)
 
     def _count(
         self, name: str, amount: float = 1.0, labels: Optional[dict] = None

@@ -19,7 +19,7 @@ specify it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ...util import dag
 from ..uml.tags import CNProfile

@@ -94,10 +94,23 @@ class CountsDown(Task):
         ctx.counter("cn_demo_total").inc(-1)
 
 
+class CountsAHistogram(Task):
+    def __init__(self, *params):
+        pass
+
+    def run(self, ctx):
+        ctx.counter("cn_payload_bytes").inc()
+
+
 def parity_registry() -> TaskRegistry:
     registry = TaskRegistry()
     for cls in (
-        SendThenTraceCtx, PlainFields, TwoParams, CheckpointThenFailOnce, CountsDown
+        SendThenTraceCtx,
+        PlainFields,
+        TwoParams,
+        CheckpointThenFailOnce,
+        CountsDown,
+        CountsAHistogram,
     ):
         registry.register_class("parity.jar", f"t.{cls.__name__}", cls)
     return registry
@@ -174,6 +187,19 @@ def test_a_negative_counter_increment_fails_the_task(cluster):
     with pytest.raises(TaskFailedError) as failure:
         api.wait(handle, timeout=30)
     assert "ValueError: counters only go up" in failure.value.cause
+    assert handle.job.task("t").state.value == "FAILED"
+
+
+def test_a_counter_on_a_histograms_name_fails_the_task(cluster):
+    """On proc the registry refused the name inside the demux thread:
+    the thread died and the job never finished."""
+    api, handle = start(cluster, spec("t", CountsAHistogram))
+    with pytest.raises(TaskFailedError) as failure:
+        api.wait(handle, timeout=6)
+    assert (
+        "ValueError: metric 'cn_payload_bytes' already registered"
+        in failure.value.cause
+    )
     assert handle.job.task("t").state.value == "FAILED"
 
 

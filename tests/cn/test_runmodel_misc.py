@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.cn import CNAPI, Cluster, MessageType, RunModel, TaskSpec
+from repro.cn import CNAPI, MessageType, RunModel, TaskSpec
 from repro.cn.task import FunctionTask
-
-from ..conftest import basic_registry
 
 
 class TestRunModel:
